@@ -21,7 +21,10 @@ import (
 	"time"
 
 	"kadre/internal/connectivity"
+	"kadre/internal/eventsim"
 	"kadre/internal/graph"
+	"kadre/internal/id"
+	"kadre/internal/kademlia"
 	"kadre/internal/maxflow"
 	"kadre/internal/scenario"
 	"kadre/internal/simnet"
@@ -640,4 +643,91 @@ func BenchmarkSimulationMinute(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(res.Network.Sent)/float64(b.N), "msgs/min")
+}
+
+// The three benchmarks below time the simulator's layers one at a time
+// through calls that every point of the trajectory can make, so that a
+// BENCH pair from before and after a change to the hot path lines up.
+
+// BenchmarkEventsimSchedulePop measures one handle-carrying schedule and
+// one firing against a queue ten thousand events deep.
+func BenchmarkEventsimSchedulePop(b *testing.B) {
+	const depth = 10_000
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, depth)
+	for i := range delays {
+		delays[i] = time.Duration(rng.Intn(1000)) * time.Millisecond
+	}
+	sim := eventsim.New(1)
+	nop := func() {}
+	for _, d := range delays {
+		sim.MustSchedule(d, nop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.MustSchedule(delays[i%depth], nop)
+		sim.Step()
+	}
+}
+
+// BenchmarkRoutingTableClosest measures the k closest contacts to a random
+// target out of a 160-bit, k = 20 table that has seen two thousand nodes.
+func BenchmarkRoutingTableClosest(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rt := kademlia.NewRoutingTable(id.Random(160, rng), kademlia.Config{K: 20})
+	for i := 0; i < 2000; i++ {
+		rt.Observe(kademlia.Contact{ID: id.Random(160, rng), Addr: simnet.Addr(i + 1)})
+	}
+	targets := make([]id.ID, 256)
+	for i := range targets {
+		targets[i] = id.Random(160, rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := rt.Closest(targets[i%len(targets)], 20); len(got) != 20 {
+			b.Fatalf("Closest returned %d contacts", len(got))
+		}
+	}
+}
+
+// BenchmarkNodeLookup measures one iterative FIND_NODE lookup of a random
+// target from a random node of a settled 100-node, k = 20 network, every
+// message and timeout of it stepped through the kernel.
+func BenchmarkNodeLookup(b *testing.B) {
+	sim := eventsim.New(1)
+	net := simnet.New(sim, simnet.Config{
+		Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
+	})
+	rng := rand.New(rand.NewSource(1))
+	var nodes []*kademlia.Node
+	for i := 0; i < 100; i++ {
+		node, err := kademlia.NewNode(kademlia.Config{K: 20, StalenessLimit: 1}, simnet.Addr(i+1), net)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := node.Start(); err != nil {
+			b.Fatal(err)
+		}
+		if len(nodes) > 0 {
+			if err := node.Join(nodes[rng.Intn(len(nodes))].Contact(), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		nodes = append(nodes, node)
+		sim.RunUntil(sim.Now() + 5*time.Second)
+	}
+	sim.RunUntil(sim.Now() + 10*time.Minute)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done := false
+		nodes[rng.Intn(len(nodes))].Lookup(id.Random(160, rng), func([]kademlia.Contact, int) { done = true })
+		for !done && sim.Step() {
+		}
+		if !done {
+			b.Fatal("lookup never completed")
+		}
+	}
 }

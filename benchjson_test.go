@@ -47,9 +47,11 @@ type benchTrajectoryFile struct {
 }
 
 // TestBenchTrajectory seeds the performance trajectory: it runs the
-// snapshot-analysis benchmarks, both max-flow algorithm benchmarks, and
-// one figure regeneration at tiny scale, then writes ns/op and allocs/op
-// to BENCH_<date>.json. Skipped unless -benchjson is set, so the regular
+// snapshot-analysis benchmarks, the max-flow algorithm benchmarks, a
+// no-traffic and a traffic figure regeneration at tiny scale, and the
+// simulator's layers one by one (a simulated minute, the event queue, the
+// routing table's closest search, one lookup), then writes ns/op and
+// allocs/op to BENCH_<date>.json. Skipped unless -benchjson is set, so the regular
 // test suite stays benchmark-free.
 func TestBenchTrajectory(t *testing.T) {
 	if *benchJSONOut == "" {
@@ -69,6 +71,11 @@ func TestBenchTrajectory(t *testing.T) {
 		{"ChurnSequence/members-rebind-haoorlin", memberChurnSequenceBench(true, maxflow.HaoOrlin)},
 		{"ChurnSequence/members-bind-pushrelabel", memberChurnSequenceBench(false, maxflow.PushRelabel)},
 		{"Figure2SimA", func(b *testing.B) { benchFigure(b, scenario.Scale.Figure2) }},
+		{"Figure6SimE", func(b *testing.B) { benchFigure(b, scenario.Scale.Figure6) }},
+		{"SimulationMinute", BenchmarkSimulationMinute},
+		{"EventsimSchedulePop", BenchmarkEventsimSchedulePop},
+		{"RoutingTableClosest", BenchmarkRoutingTableClosest},
+		{"NodeLookup", BenchmarkNodeLookup},
 	}
 	doc := benchTrajectoryFile{
 		Date:       time.Now().UTC().Format("2006-01-02"),

@@ -1,13 +1,16 @@
 // Package eventsim provides a deterministic discrete-event simulation
-// kernel: a virtual clock, a binary-heap event queue, cancellable timers,
+// kernel: a virtual clock, a 4-ary-heap event queue, cancellable timers,
 // and a seeded random number generator. It replaces PeerSim's event-driven
 // engine from the paper. All state is single-goroutine; the kernel itself
 // never spawns goroutines, which makes every run exactly reproducible from
 // its seed.
+//
+// Events fire in (time, schedule order): every Schedule, Post and Arm call
+// draws the next sequence number, so equal-time events run in the order
+// they were scheduled whichever of the three queued them.
 package eventsim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"math/rand"
@@ -30,10 +33,10 @@ const DefaultCancelBatch = 256
 type Simulator struct {
 	now       time.Duration
 	seq       uint64 // tie-breaker so equal-time events run in schedule order
-	queue     eventQueue
+	queue     []queued
+	free      []*Timer // idle kernel-owned timers, reused by Post
 	rng       *rand.Rand
 	processed uint64
-	cancelled uint64
 	stopped   bool
 
 	cancelCtx   context.Context
@@ -41,57 +44,124 @@ type Simulator struct {
 	cancelErr   error
 }
 
-// Timer is a handle to a scheduled event. Cancel prevents a pending event
-// from firing; cancelling an already-fired or already-cancelled timer is a
-// no-op.
-type Timer struct {
-	ev *event
+// Runner is an event body. Scheduling a Runner instead of a func lets a
+// caller that already holds a record of the pending work (a message in
+// flight, an outstanding request) make that record the event, with no
+// closure allocated to carry it.
+type Runner interface {
+	Run()
 }
 
-// Cancel prevents the timer's event from firing. It reports whether the
-// event was still pending.
+// funcRunner adapts a plain func to Runner. A func value is pointer-shaped,
+// so the conversion to the interface does not allocate.
+type funcRunner func()
+
+func (f funcRunner) Run() { f() }
+
+// Timer is a scheduled event and the handle to it. Cancel takes a pending
+// event out of the queue at once; cancelling a fired, cancelled or never
+// armed timer is a no-op. The zero value is an idle timer ready for Arm.
+type Timer struct {
+	run  Runner
+	sim  *Simulator
+	slot int32 // queue position + 1 while pending, 0 otherwise
+	// pooled marks a kernel-owned timer (Post): no handle to it ever left
+	// the kernel, so it goes back on the free list when it fires.
+	pooled bool
+}
+
+// Cancel prevents the timer's event from firing and removes it from the
+// queue. It reports whether the event was still pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.fn == nil {
+	if !t.Pending() {
 		return false
 	}
-	t.ev.fn = nil
+	t.sim.removeAt(int(t.slot) - 1)
+	t.run = nil
 	return true
 }
 
 // Pending reports whether the timer's event has neither fired nor been
 // cancelled.
 func (t *Timer) Pending() bool {
-	return t != nil && t.ev != nil && t.ev.fn != nil
+	return t != nil && t.slot != 0
 }
 
-type event struct {
+// queued is one entry of the event queue. The firing key (at, seq) lives in
+// the entry so that heap comparisons never leave the queue's own memory.
+type queued struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
+	t   *Timer
 }
 
-type eventQueue []*event
+func (a *queued) before(b *queued) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (q eventQueue) Len() int { return len(q) }
+// The queue is a 4-ary min-heap on (at, seq): the children of position i
+// are 4i+1..4i+4. Half the depth of a binary heap and four sibling keys
+// side by side in memory. Every move records the entry's new position in
+// its timer, which is what lets Cancel remove an event from the middle.
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// siftUp places e at position i or above, moving larger parents down.
+func (s *Simulator) siftUp(i int, e queued) {
+	q := s.queue
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].t.slot = int32(i + 1)
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	q[i] = e
+	e.t.slot = int32(i + 1)
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// siftDown places e at position i or below, moving smaller children up.
+func (s *Simulator) siftDown(i int, e queued) {
+	q := s.queue
+	for {
+		child := 4*i + 1
+		if child >= len(q) {
+			break
+		}
+		least := child
+		for c := child + 1; c < child+4 && c < len(q); c++ {
+			if q[c].before(&q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(&e) {
+			break
+		}
+		q[i] = q[least]
+		q[i].t.slot = int32(i + 1)
+		i = least
+	}
+	q[i] = e
+	e.t.slot = int32(i + 1)
+}
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// removeAt takes the entry at position i out of the queue, refilling the
+// hole with the last entry.
+func (s *Simulator) removeAt(i int) {
+	q := s.queue
+	q[i].t.slot = 0
+	n := len(q) - 1
+	last := q[n]
+	q[n] = queued{}
+	s.queue = q[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(&q[(i-1)/4]) {
+		s.siftUp(i, last)
+	} else {
+		s.siftDown(i, last)
+	}
 }
 
 // New returns a simulator whose random number generator is seeded with seed.
@@ -151,8 +221,8 @@ func (s *Simulator) interrupted(countdown *uint64) bool {
 // Processed reports how many events have fired so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Pending reports how many events are queued (including cancelled events
-// not yet reaped).
+// Pending reports how many events are queued to fire. Cancelled events
+// leave the queue on Cancel and are not counted.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Schedule queues fn to run after delay of virtual time and returns a
@@ -162,7 +232,9 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) (*Timer, error) {
 	return s.ScheduleAt(s.now+delay, fn)
 }
 
-// ScheduleAt queues fn to run at absolute virtual time at.
+// ScheduleAt queues fn to run at absolute virtual time at. The returned
+// handle is the event itself — one allocation — and because the handle is
+// the caller's to keep, the kernel never reuses it.
 func (s *Simulator) ScheduleAt(at time.Duration, fn func()) (*Timer, error) {
 	if at < s.now {
 		return nil, ErrPastTime
@@ -170,10 +242,9 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) (*Timer, error) {
 	if fn == nil {
 		return nil, errors.New("eventsim: nil event function")
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.queue, ev)
-	return &Timer{ev: ev}, nil
+	t := new(Timer)
+	s.arm(t, at, funcRunner(fn))
+	return t, nil
 }
 
 // MustSchedule is Schedule for call sites that control the delay and accept
@@ -186,23 +257,64 @@ func (s *Simulator) MustSchedule(delay time.Duration, fn func()) *Timer {
 	return t
 }
 
-// Step fires the next pending event, advancing the clock to its time. It
-// reports whether an event fired; cancelled events are skipped silently.
-func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.fn == nil {
-			s.cancelled++
-			continue
-		}
-		s.now = ev.at
-		fn := ev.fn
-		ev.fn = nil
-		fn()
-		s.processed++
-		return true
+// Post queues r to run after delay of virtual time without handing out a
+// handle: the event cannot be cancelled, and since nothing outside the
+// kernel can refer to it, its timer comes from a free list and returns
+// there when it fires. Like MustSchedule it panics on a negative delay or
+// a nil r.
+func (s *Simulator) Post(delay time.Duration, r Runner) {
+	var t *Timer
+	if n := len(s.free); n > 0 {
+		t = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		t = &Timer{pooled: true}
 	}
-	return false
+	s.Arm(t, delay, r)
+}
+
+// Arm queues r to run after delay of virtual time on a timer the caller
+// owns, typically one embedded in the record r itself, so that a
+// cancellable event costs no allocation. The owner may re-arm or recycle
+// the timer once it has fired or been cancelled; arming a pending timer
+// panics, as do a negative delay and a nil r.
+func (s *Simulator) Arm(t *Timer, delay time.Duration, r Runner) {
+	switch {
+	case delay < 0:
+		panic(ErrPastTime)
+	case r == nil:
+		panic("eventsim: nil event runner")
+	case t.Pending():
+		panic("eventsim: timer armed while pending")
+	}
+	s.arm(t, s.now+delay, r)
+}
+
+func (s *Simulator) arm(t *Timer, at time.Duration, r Runner) {
+	t.run, t.sim = r, s
+	e := queued{at: at, seq: s.seq, t: t}
+	s.seq++
+	s.queue = append(s.queue, e)
+	s.siftUp(len(s.queue)-1, e)
+}
+
+// Step fires the next pending event, advancing the clock to its time. It
+// reports whether an event fired.
+func (s *Simulator) Step() bool {
+	if len(s.queue) == 0 {
+		return false
+	}
+	at, t := s.queue[0].at, s.queue[0].t
+	s.removeAt(0)
+	r := t.run
+	t.run = nil
+	if t.pooled {
+		s.free = append(s.free, t)
+	}
+	s.now = at
+	r.Run()
+	s.processed++
+	return true
 }
 
 // Run fires events until the queue is empty, Stop is called, or an
@@ -250,13 +362,8 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 func (s *Simulator) Stop() { s.stopped = true }
 
 func (s *Simulator) peek() (time.Duration, bool) {
-	for len(s.queue) > 0 {
-		if s.queue[0].fn == nil {
-			heap.Pop(&s.queue)
-			s.cancelled++
-			continue
-		}
-		return s.queue[0].at, true
+	if len(s.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return s.queue[0].at, true
 }

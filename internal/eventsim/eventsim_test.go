@@ -201,8 +201,8 @@ func TestProcessedAndPendingCounters(t *testing.T) {
 	}
 	cancel := s.MustSchedule(10*time.Second, func() {})
 	cancel.Cancel()
-	if s.Pending() != 6 {
-		t.Errorf("Pending() = %d, want 6", s.Pending())
+	if s.Pending() != 5 {
+		t.Errorf("Pending() = %d, want 5 live events", s.Pending())
 	}
 	s.Run()
 	if s.Processed() != 5 {

@@ -159,16 +159,28 @@ func (a ID) Equal(b ID) bool {
 	return a.bits == b.bits && a.data == b.data
 }
 
+// words is the number of 64-bit words in an identifier's storage. Bytes
+// past bits/8 are always zero, so word-wise comparisons may run over all of
+// them whatever the bit-length.
+const words = MaxBytes / 8
+
+// word returns the k-th big-endian 64-bit word of the identifier, word 0
+// holding the most significant bits.
+func (a *ID) word(k int) uint64 {
+	return binary.BigEndian.Uint64(a.data[8*k:])
+}
+
 // Cmp compares the integer values of two identifiers of equal bit-length:
 // -1 if a < b, 0 if equal, +1 if a > b. It panics on mixed bit-lengths,
 // which is always a programming error.
 func (a ID) Cmp(b ID) int {
-	mustSameBits(a, b)
-	for i := 0; i < a.bits/8; i++ {
+	mustSameBits(a.bits, b.bits)
+	for k := 0; k < words; k++ {
+		wa, wb := a.word(k), b.word(k)
 		switch {
-		case a.data[i] < b.data[i]:
+		case wa < wb:
 			return -1
-		case a.data[i] > b.data[i]:
+		case wa > wb:
 			return 1
 		}
 	}
@@ -178,7 +190,7 @@ func (a ID) Cmp(b ID) int {
 // Distance returns the XOR distance between two identifiers, itself an
 // identifier-sized value: dist(a, b) = a XOR b interpreted as an integer.
 func (a ID) Distance(b ID) ID {
-	mustSameBits(a, b)
+	mustSameBits(a.bits, b.bits)
 	out := ID{bits: a.bits}
 	for i := 0; i < a.bits/8; i++ {
 		out.data[i] = a.data[i] ^ b.data[i]
@@ -186,23 +198,43 @@ func (a ID) Distance(b ID) ID {
 	return out
 }
 
+// XorWords returns the XOR distance between two identifiers as big-endian
+// 64-bit words, word 0 holding the most significant bits. Like the
+// identifier's bytes the distance is left-aligned: bit i of the distance
+// (counting from the least significant) is bit 63-c%64 of word c/64, where
+// c = a.Bits()-1-i counts from the top.
+func (a ID) XorWords(b ID) [MaxBytes / 8]uint64 {
+	mustSameBits(a.bits, b.bits)
+	var out [words]uint64
+	for k := range out {
+		out[k] = a.word(k) ^ b.word(k)
+	}
+	return out
+}
+
+// XorPrefix returns the 64 most significant bits of the XOR distance
+// between two identifiers. Ordering by it agrees with ordering by the full
+// distance wherever the prefixes differ. It is the one distance function
+// that does not check bit-lengths — a sort key computed per contact has to
+// inline — so it is only meaningful between identifiers of one network,
+// which every checked function on the same path (XorWords, CloserTo,
+// BucketIndex) enforces.
+func (a ID) XorPrefix(b ID) uint64 {
+	return a.word(0) ^ b.word(0)
+}
+
 // IsZero reports whether the identifier's integer value is zero. The XOR
 // distance between two identifiers is zero exactly when they are equal.
 func (a ID) IsZero() bool {
-	for i := 0; i < a.bits/8; i++ {
-		if a.data[i] != 0 {
-			return false
-		}
-	}
-	return true
+	return a.data == [MaxBytes]byte{}
 }
 
 // BitLen returns the position of the highest set bit plus one (the minimal
 // number of bits needed to represent the value), or 0 for a zero value.
 func (a ID) BitLen() int {
-	for i := 0; i < a.bits/8; i++ {
-		if a.data[i] != 0 {
-			return (a.bits/8-i-1)*8 + bits.Len8(a.data[i])
+	for k := 0; k < words; k++ {
+		if w := a.word(k); w != 0 {
+			return a.bits - 64*k - bits.LeadingZeros64(w)
 		}
 	}
 	return 0
@@ -213,23 +245,26 @@ func (a ID) BitLen() int {
 // returns -1 when a == b, which belongs to no bucket. The highest bucket
 // index is a.Bits()-1 and covers half of the identifier space.
 func (a ID) BucketIndex(b ID) int {
-	return a.Distance(b).BitLen() - 1
+	mustSameBits(a.bits, b.bits)
+	for k := 0; k < words; k++ {
+		if w := a.word(k) ^ b.word(k); w != 0 {
+			return a.bits - 1 - 64*k - bits.LeadingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // CloserTo reports whether a is strictly closer to target than b is, under
 // the XOR metric.
 func (a ID) CloserTo(target, b ID) bool {
-	mustSameBits(a, b)
-	mustSameBits(a, target)
-	// Compare a^target with b^target byte-wise without allocating.
-	for i := 0; i < a.bits/8; i++ {
-		da := a.data[i] ^ target.data[i]
-		db := b.data[i] ^ target.data[i]
-		switch {
-		case da < db:
-			return true
-		case da > db:
-			return false
+	mustSameBits(a.bits, b.bits)
+	mustSameBits(a.bits, target.bits)
+	// Compare a^target with b^target word by word without allocating.
+	for k := 0; k < words; k++ {
+		t := target.word(k)
+		da, db := a.word(k)^t, b.word(k)^t
+		if da != db {
+			return da < db
 		}
 	}
 	return false
@@ -259,8 +294,16 @@ func RandomInBucket(self ID, i int, r *rand.Rand) ID {
 	return self.Distance(dist)
 }
 
-func mustSameBits(a, b ID) {
-	if a.bits != b.bits {
-		panic(fmt.Sprintf("%v: %d vs %d", ErrMixedBits, a.bits, b.bits))
+// mustSameBits takes the two bit-lengths, not the identifiers, and keeps
+// the panic out of line, so that it costs its callers' inlining budget
+// next to nothing.
+func mustSameBits(a, b int) {
+	if a != b {
+		panicMixedBits(a, b)
 	}
+}
+
+//go:noinline
+func panicMixedBits(a, b int) {
+	panic(fmt.Sprintf("%v: %d vs %d", ErrMixedBits, a, b))
 }

@@ -1,10 +1,6 @@
 package kademlia
 
-import (
-	"sort"
-
-	"kadre/internal/id"
-)
+import "kadre/internal/id"
 
 // The iterative lookup procedure (§4.1 of the paper): starting from the k
 // closest known contacts, query alpha of them in parallel; each response
@@ -39,9 +35,10 @@ type lookup struct {
 	target id.ID
 	kind   lookupKind
 
-	// candidates stays sorted ascending by XOR distance to target.
-	candidates []*candidate
-	seen       map[id.ID]bool
+	// candidates holds every contact this lookup has accepted, sorted
+	// ascending by XOR distance to target. Distances are unique per
+	// identifier, so the sorted position also answers "seen before?".
+	candidates []candidate
 	inflight   int
 	responded  int
 	finished   bool
@@ -57,36 +54,58 @@ type lookup struct {
 
 func newLookup(n *Node, target id.ID, kind lookupKind, onValue func([]byte)) *lookup {
 	return &lookup{
-		node:    n,
-		target:  target,
-		kind:    kind,
-		seen:    map[id.ID]bool{n.self.ID: true},
-		onValue: onValue,
+		node:       n,
+		target:     target,
+		kind:       kind,
+		candidates: make([]candidate, 0, 2*n.cfg.K),
+		onValue:    onValue,
 	}
 }
 
 func (l *lookup) start() {
-	for _, c := range l.node.table.Closest(l.target, l.node.cfg.K) {
+	n := l.node
+	n.seeds = n.table.AppendClosest(n.seeds[:0], l.target, n.cfg.K, id.ID{})
+	for _, c := range n.seeds {
 		l.addCandidate(c)
 	}
 	l.step()
 }
 
-// addCandidate inserts a newly discovered contact in distance order.
+// position returns the index at which the contact with this identifier
+// sits in candidates, or belongs if it is not there. The 64-bit distance
+// prefixes order almost any two contacts; full identifiers settle a tie.
+func (l *lookup) position(nodeID id.ID) int {
+	prefix := nodeID.XorPrefix(l.target)
+	lo, hi := 0, len(l.candidates)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		c := &l.candidates[mid].contact
+		if p := c.ID.XorPrefix(l.target); p < prefix || (p == prefix && c.ID.CloserTo(l.target, nodeID)) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// addCandidate inserts a newly discovered contact in distance order. The
+// lookup's own node and contacts already held are skipped; a contact the
+// claim set refuses is skipped too, and refused again if it turns up again.
 func (l *lookup) addCandidate(c Contact) {
-	if l.seen[c.ID] {
+	if c.ID.Equal(l.node.self.ID) {
 		return
 	}
-	l.seen[c.ID] = true
+	idx := l.position(c.ID)
+	if idx < len(l.candidates) && l.candidates[idx].contact.ID.Equal(c.ID) {
+		return
+	}
 	if l.claim != nil && !l.claim(c.ID) {
 		return // another disjoint path owns this node
 	}
-	idx := sort.Search(len(l.candidates), func(i int) bool {
-		return !l.candidates[i].contact.ID.CloserTo(l.target, c.ID)
-	})
-	l.candidates = append(l.candidates, nil)
+	l.candidates = append(l.candidates, candidate{})
 	copy(l.candidates[idx+1:], l.candidates[idx:])
-	l.candidates[idx] = &candidate{contact: c, state: stateUnqueried}
+	l.candidates[idx] = candidate{contact: c, state: stateUnqueried}
 }
 
 // step drives the state machine: fire queries up to the parallelism limit,
@@ -106,7 +125,7 @@ func (l *lookup) step() {
 	}
 	for l.inflight < cfg.Alpha {
 		next := l.nextUnqueried()
-		if next == nil {
+		if next < 0 {
 			break
 		}
 		l.query(next)
@@ -122,7 +141,8 @@ func (l *lookup) step() {
 func (l *lookup) converged() bool {
 	k := l.node.cfg.K
 	checked := 0
-	for _, c := range l.candidates {
+	for i := range l.candidates {
+		c := &l.candidates[i]
 		if c.state == stateFailed {
 			continue
 		}
@@ -137,54 +157,53 @@ func (l *lookup) converged() bool {
 	return checked > 0
 }
 
-func (l *lookup) nextUnqueried() *candidate {
-	for _, c := range l.candidates {
-		if c.state == stateUnqueried {
-			return c
+// nextUnqueried returns the index of the closest candidate not yet
+// queried, or -1.
+func (l *lookup) nextUnqueried() int {
+	for i := range l.candidates {
+		if l.candidates[i].state == stateUnqueried {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (l *lookup) query(c *candidate) {
+func (l *lookup) query(i int) {
+	c := &l.candidates[i]
 	c.state = stateInflight
 	l.inflight++
-	var req any
+	kind := msgFindNode
 	if l.kind == lookupValue {
-		req = findValueRequest{Key: l.target}
-	} else {
-		req = findNodeRequest{Target: l.target}
+		kind = msgFindValue
 	}
-	l.node.sendRequest(c.contact, req, func(resp any, err error) {
-		l.inflight--
-		if err != nil {
-			c.state = stateFailed
-			l.step()
-			return
-		}
-		c.state = stateResponded
-		l.responded++
-		switch r := resp.(type) {
-		case findNodeResponse:
-			for _, nc := range r.Contacts {
-				l.addCandidate(nc)
-			}
-		case findValueResponse:
-			if r.Found {
-				if !l.finished {
-					l.finished = true
-					if l.onValue != nil {
-						l.onValue(r.Value)
-					}
-				}
-				return
-			}
-			for _, nc := range r.Contacts {
-				l.addCandidate(nc)
-			}
-		}
+	l.node.sendRequest(c.contact, kind, l.target, nil, l)
+}
+
+// answered is the continuation of query: resp is the response of the
+// candidate with identifier from, or nil if the request failed.
+func (l *lookup) answered(from id.ID, resp *envelope) {
+	l.inflight--
+	c := &l.candidates[l.position(from)]
+	if resp == nil {
+		c.state = stateFailed
 		l.step()
-	})
+		return
+	}
+	c.state = stateResponded
+	l.responded++
+	if resp.Found {
+		if !l.finished {
+			l.finished = true
+			if l.onValue != nil {
+				l.onValue(resp.Value)
+			}
+		}
+		return
+	}
+	for _, nc := range resp.Contacts {
+		l.addCandidate(nc)
+	}
+	l.step()
 }
 
 // finish reports the k closest successfully contacted nodes.
@@ -194,7 +213,8 @@ func (l *lookup) finish() {
 	}
 	l.finished = true
 	closest := make([]Contact, 0, l.node.cfg.K)
-	for _, c := range l.candidates {
+	for i := range l.candidates {
+		c := &l.candidates[i]
 		if c.state != stateResponded {
 			continue
 		}

@@ -6,39 +6,48 @@ import "kadre/internal/id"
 // sender's contact information, because receiving any message — request or
 // response — updates the receiver's routing table (§4.1).
 
+// msgKind names the four Kademlia RPCs.
+type msgKind uint8
+
+const (
+	// msgPing is the PING liveness probe; neither direction carries data.
+	msgPing msgKind = iota + 1
+	// msgFindNode asks for the k closest contacts to Key.
+	msgFindNode
+	// msgStore persists Key/Value on the receiver.
+	msgStore
+	// msgFindValue is msgFindNode that short-circuits with Found and Value
+	// when the receiver stores Key.
+	msgFindValue
+)
+
+// envelope is one message of either direction: the fields of all four RPCs
+// side by side, so that a message is a single record handed to the network
+// by pointer instead of a payload boxed inside an envelope boxed again.
+//
+// An envelope belongs to whoever holds it. The requester takes one from
+// its free list, the responder answers in place and sends the same record
+// back, and the requester frees it once the response is handled — so a
+// steady-state round trip allocates no envelope. Nothing may keep a
+// pointer to an envelope past the Deliver call that received it. An
+// envelope whose message is lost or undeliverable is simply left to the
+// garbage collector.
 type envelope struct {
 	RPCID      uint64
 	From       Contact
+	Kind       msgKind
 	IsResponse bool
-	Payload    any
-}
-
-// PING liveness probe.
-type pingRequest struct{}
-type pingResponse struct{}
-
-// FIND_NODE: return the k closest contacts to Target.
-type findNodeRequest struct {
-	Target id.ID
-}
-type findNodeResponse struct {
-	Contacts []Contact
-}
-
-// STORE: persist a key/value pair on the receiver.
-type storeRequest struct {
-	Key   id.ID
-	Value []byte
-}
-type storeResponse struct{}
-
-// FIND_VALUE: like FIND_NODE, but short-circuits with the value when the
-// receiver has it.
-type findValueRequest struct {
+	// Found reports a FIND_VALUE hit; Value then holds the data.
+	Found bool
+	// Key is the FIND_NODE target or the STORE/FIND_VALUE key of a request.
 	Key id.ID
-}
-type findValueResponse struct {
-	Found    bool
-	Value    []byte
+	// Value is the STORE request's data or the FIND_VALUE response's.
+	Value []byte
+	// Contacts is the FIND_NODE/FIND_VALUE response's closest-contact list,
+	// allocated per response: free lists are per node and as deep as the
+	// node's largest burst of requests, and a list of k contacts parked
+	// in every idle envelope cost more resident memory than it saved time.
 	Contacts []Contact
+
+	next *envelope // free-list link
 }

@@ -10,11 +10,6 @@ import (
 	"kadre/internal/simnet"
 )
 
-// ErrTimeout reports an RPC that received no response within the
-// configured timeout — caused by message loss, a dead peer, or a detached
-// address.
-var ErrTimeout = errors.New("kademlia: rpc timeout")
-
 // ErrNotRunning reports an operation on a node that has not started or has
 // left the network.
 var ErrNotRunning = errors.New("kademlia: node not running")
@@ -44,17 +39,51 @@ type Node struct {
 	storage map[id.ID][]byte
 
 	nextRPC      uint64
-	pending      map[uint64]*pendingRPC
+	pending      map[uint64]*rpc
 	refreshTimer *eventsim.Timer
 	running      bool
 	compromised  bool
 	stats        NodeStats
+
+	freeRPCs      *rpc      // idle request records, reused by sendRequest
+	freeEnvelopes *envelope // idle envelopes, reused by sendRequest
+	seeds         []Contact // scratch: a starting lookup's closest known contacts
 }
 
-type pendingRPC struct {
+// rpc is one outstanding request: the node's pending-table entry, the
+// request's own timeout event, and the way back into the lookup that sent
+// it — one record, recycled through the node's free list, where a closure
+// per role used to be. Its timer never leaves the record, and the record
+// is freed only after the timer has fired or been cancelled.
+type rpc struct {
+	node    *Node
+	id      uint64
 	to      Contact
-	timeout *eventsim.Timer
-	done    func(resp any, err error)
+	lookup  *lookup // nil for fire-and-forget requests (PING, STORE)
+	timeout eventsim.Timer
+	next    *rpc // free-list link
+}
+
+// Run implements eventsim.Runner: the request timed out. A response or
+// Leave cancels the timer, so a timeout that fires is still pending on a
+// running node.
+func (p *rpc) Run() {
+	n := p.node
+	delete(n.pending, p.id)
+	n.stats.Timeouts++
+	if n.table.RecordFailure(p.to.ID) {
+		n.stats.Evictions++
+	}
+	l, to := p.lookup, p.to.ID
+	n.freeRPC(p)
+	if l != nil {
+		l.answered(to, nil)
+	}
+}
+
+func (n *Node) freeRPC(p *rpc) {
+	p.lookup = nil
+	p.next, n.freeRPCs = n.freeRPCs, p
 }
 
 // AddrID derives a node identifier from a network address the way the
@@ -96,7 +125,7 @@ func newNodeWithID(cfg Config, self Contact, net *simnet.Network) *Node {
 		net:     net,
 		table:   NewRoutingTable(self.ID, cfg),
 		storage: make(map[id.ID][]byte),
-		pending: make(map[uint64]*pendingRPC),
+		pending: make(map[uint64]*rpc),
 	}
 }
 
@@ -150,6 +179,7 @@ func (n *Node) Leave() {
 	for rpcID, p := range n.pending {
 		p.timeout.Cancel()
 		delete(n.pending, rpcID)
+		n.freeRPC(p)
 	}
 }
 
@@ -213,7 +243,7 @@ func (n *Node) Store(key id.ID, value []byte, done func(sent int)) {
 		}
 		for _, c := range closest {
 			n.stats.StoresSent++
-			n.sendRequest(c, storeRequest{Key: key, Value: value}, nil)
+			n.sendRequest(c, msgStore, key, value, nil)
 		}
 		if done != nil {
 			done(len(closest))
@@ -267,126 +297,105 @@ func (n *Node) Deliver(from simnet.Addr, payload any) {
 	if !n.running || n.compromised {
 		return
 	}
-	env, ok := payload.(envelope)
+	env, ok := payload.(*envelope)
 	if !ok {
 		return // foreign traffic; ignore
 	}
 	// Any message from another node refreshes its routing-table standing.
 	n.observe(env.From)
-	if env.IsResponse {
-		p, ok := n.pending[env.RPCID]
-		if !ok || p.to.Addr != from {
-			return // late, duplicate, or spoofed response
-		}
+	if !env.IsResponse {
+		n.stats.RPCsAnswered++
+		n.answer(env)
+		return
+	}
+	if p, ok := n.pending[env.RPCID]; ok && p.to.Addr == from {
 		delete(n.pending, env.RPCID)
 		p.timeout.Cancel()
 		n.stats.ResponsesOK++
 		n.table.RecordSuccess(env.From.ID)
-		if p.done != nil {
-			p.done(env.Payload, nil)
+		l, to := p.lookup, p.to.ID
+		n.freeRPC(p)
+		if l != nil {
+			l.answered(to, env)
 		}
-		return
-	}
-	n.stats.RPCsAnswered++
-	n.respond(env, n.handleRequest(env))
+	} // else a late, duplicate or spoofed response
+	// The round trip is over and the envelope is ours again.
+	env.Value, env.Contacts = nil, nil
+	env.next, n.freeEnvelopes = n.freeEnvelopes, env
 }
 
-func (n *Node) handleRequest(env envelope) any {
-	switch req := env.Payload.(type) {
-	case pingRequest:
-		return pingResponse{}
-	case findNodeRequest:
-		return findNodeResponse{Contacts: n.closestExcluding(req.Target, env.From.ID)}
-	case storeRequest:
-		n.storage[req.Key] = append([]byte(nil), req.Value...)
-		return storeResponse{}
-	case findValueRequest:
-		if v, ok := n.storage[req.Key]; ok {
-			return findValueResponse{Found: true, Value: append([]byte(nil), v...)}
+// answer handles a request and sends its response in the request's own
+// envelope.
+func (n *Node) answer(env *envelope) {
+	requester := env.From
+	switch env.Kind {
+	case msgPing:
+	case msgFindNode:
+		env.Contacts = n.closestExcluding(env.Key, requester.ID)
+	case msgStore:
+		n.storage[env.Key] = append([]byte(nil), env.Value...)
+		env.Value = nil
+	case msgFindValue:
+		if v, ok := n.storage[env.Key]; ok {
+			env.Found, env.Value = true, append([]byte(nil), v...)
+		} else {
+			env.Contacts = n.closestExcluding(env.Key, requester.ID)
 		}
-		return findValueResponse{Contacts: n.closestExcluding(req.Key, env.From.ID)}
 	default:
-		return nil
+		return
 	}
+	env.From, env.IsResponse = n.self, true
+	n.net.Send(n.self.Addr, requester.Addr, env)
 }
 
 // closestExcluding returns the k closest contacts to target, omitting the
 // requester (it knows itself already).
 func (n *Node) closestExcluding(target id.ID, requester id.ID) []Contact {
-	all := n.table.Closest(target, n.cfg.K+1)
-	out := make([]Contact, 0, len(all))
-	for _, c := range all {
-		if c.ID.Equal(requester) {
-			continue
-		}
-		out = append(out, c)
-		if len(out) == n.cfg.K {
-			break
-		}
-	}
-	return out
+	dst := make([]Contact, 0, min(n.cfg.K, n.table.Size()))
+	return n.table.AppendClosest(dst, target, n.cfg.K, requester)
 }
 
-func (n *Node) respond(req envelope, payload any) {
-	if payload == nil {
-		return
-	}
-	n.net.Send(n.self.Addr, req.From.Addr, envelope{
-		RPCID:      req.RPCID,
-		From:       n.self,
-		IsResponse: true,
-		Payload:    payload,
-	})
-}
-
-// sendRequest issues an RPC with timeout tracking. done may be nil for
-// fire-and-forget semantics (the response still refreshes the routing
-// table; a timeout still charges staleness).
-func (n *Node) sendRequest(to Contact, payload any, done func(resp any, err error)) {
+// sendRequest issues an RPC with timeout tracking. l is the lookup to
+// resume with the outcome; nil means fire-and-forget (the response still
+// refreshes the routing table; a timeout still charges staleness).
+func (n *Node) sendRequest(to Contact, kind msgKind, key id.ID, value []byte, l *lookup) {
 	if !n.running {
-		if done != nil {
-			done(nil, ErrNotRunning)
+		if l != nil {
+			l.answered(to.ID, nil)
 		}
 		return
 	}
-	rpcID := n.nextRPC
+	p := n.freeRPCs
+	if p != nil {
+		n.freeRPCs = p.next
+	} else {
+		p = &rpc{node: n}
+	}
+	p.id, p.to, p.lookup, p.next = n.nextRPC, to, l, nil
 	n.nextRPC++
-	p := &pendingRPC{to: to, done: done}
-	p.timeout = n.sim.MustSchedule(n.cfg.RPCTimeout, func() {
-		if !n.running {
-			return
-		}
-		if _, ok := n.pending[rpcID]; !ok {
-			return
-		}
-		delete(n.pending, rpcID)
-		n.stats.Timeouts++
-		if n.table.RecordFailure(to.ID) {
-			n.stats.Evictions++
-		}
-		if p.done != nil {
-			p.done(nil, ErrTimeout)
-		}
-	})
-	n.pending[rpcID] = p
+	// The timeout is armed before the message is sent: events fire in
+	// schedule order, and this order is part of every recorded result.
+	n.sim.Arm(&p.timeout, n.cfg.RPCTimeout, p)
+	n.pending[p.id] = p
 	n.stats.RPCsSent++
-	n.net.Send(n.self.Addr, to.Addr, envelope{
-		RPCID:   rpcID,
-		From:    n.self,
-		Payload: payload,
-	})
+
+	env := n.freeEnvelopes
+	if env != nil {
+		n.freeEnvelopes = env.next
+	} else {
+		env = new(envelope)
+	}
+	*env = envelope{RPCID: p.id, From: n.self, Kind: kind, Key: key, Value: value}
+	n.net.Send(n.self.Addr, to.Addr, env)
 }
 
 // observe feeds a contact sighting into the routing table and issues the
 // liveness ping the table may request for a full bucket's least-recently-
 // seen entry.
 func (n *Node) observe(c Contact) {
-	res := n.table.Observe(c)
-	if res.NeedsPing == nil {
-		return
+	if probe := n.table.Observe(c).NeedsPing; !probe.ID.IsZeroValue() {
+		n.sendRequest(probe, msgPing, id.ID{}, nil, nil)
 	}
-	probe := *res.NeedsPing
-	n.sendRequest(probe, pingRequest{}, nil)
 }
 
 // scheduleRefresh arms the periodic bucket refresh (§4.1: every node

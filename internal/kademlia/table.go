@@ -2,7 +2,7 @@ package kademlia
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"kadre/internal/id"
 	"kadre/internal/simnet"
@@ -66,24 +66,51 @@ func (b *bucket) removeReplacement(nodeID id.ID) {
 	}
 }
 
+// pushReplacement appends c as the newest replacement, dropping the oldest
+// beyond limit. A full cache shifts down in place: re-slicing the oldest
+// away instead would creep the window through its backing array and
+// reallocate the cache every few newcomers.
+func (b *bucket) pushReplacement(c Contact, limit int) {
+	n := len(b.replacements)
+	if n < limit {
+		b.replacements = append(b.replacements, c)
+	} else if n > 0 {
+		copy(b.replacements, b.replacements[1:])
+		b.replacements[n-1] = c
+	}
+}
+
 // RoutingTable is a node's view of the network: Bits k-buckets indexed by
 // XOR distance (bucket i holds contacts with 2^i <= dist < 2^(i+1)).
 // It is not safe for concurrent use; the simulation is single-threaded.
 type RoutingTable struct {
 	self    id.ID
 	cfg     Config
-	buckets []*bucket
+	buckets []bucket
 	size    int
+	// occupied has one bit per bucket, set while the bucket holds a live
+	// contact, so that AppendClosest steps over empty buckets a word at a
+	// time. Bits are numbered from the top like id.XorWords: bucket i is
+	// bit 63-c%64 of word c/64 with c = Bits-1-i.
+	occupied [id.MaxBytes / 8]uint64
+	// ranked is AppendClosest's scratch: one bucket's contacts keyed by
+	// distance while they are sorted.
+	ranked []rankedContact
+}
+
+// rankedContact is a bucket entry, by position, with the 64 most
+// significant bits of its XOR distance to a lookup target: enough to order
+// almost any two contacts without touching their identifiers. It holds no
+// pointer, so sorting the scratch costs the collector nothing.
+type rankedContact struct {
+	prefix uint64
+	entry  int
 }
 
 // NewRoutingTable builds an empty table for the given owner.
 func NewRoutingTable(self id.ID, cfg Config) *RoutingTable {
 	cfg = cfg.WithDefaults()
-	buckets := make([]*bucket, cfg.Bits)
-	for i := range buckets {
-		buckets[i] = &bucket{}
-	}
-	return &RoutingTable{self: self, cfg: cfg, buckets: buckets}
+	return &RoutingTable{self: self, cfg: cfg, buckets: make([]bucket, cfg.Bits)}
 }
 
 // Self returns the owner's identifier.
@@ -105,10 +132,11 @@ func (rt *RoutingTable) Contains(nodeID id.ID) bool {
 type ObserveResult struct {
 	// Inserted is true when the contact now occupies a bucket slot.
 	Inserted bool
-	// NeedsPing, when non-zero, is the least-recently-seen entry of the
-	// full bucket; the caller should ping it to test liveness. The entry
-	// is marked ping-in-flight until RecordSuccess or RecordFailure.
-	NeedsPing *Contact
+	// NeedsPing, when its ID is not the zero value, is the
+	// least-recently-seen entry of the full bucket; the caller should ping
+	// it to test liveness. The entry is marked ping-in-flight until
+	// RecordSuccess or RecordFailure.
+	NeedsPing Contact
 }
 
 // Observe records direct communication with a contact, per the protocol:
@@ -123,7 +151,8 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	if c.ID.Equal(rt.self) || c.ID.IsZeroValue() {
 		return ObserveResult{}
 	}
-	b := rt.bucketFor(c.ID)
+	bi := rt.self.BucketIndex(c.ID)
+	b := &rt.buckets[bi]
 	if i := b.find(c.ID); i >= 0 {
 		e := b.entries[i]
 		e.fails = 0
@@ -135,6 +164,7 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	if len(b.entries) < rt.cfg.K {
 		b.entries = append(b.entries, &entry{contact: c})
 		rt.size++
+		rt.setOccupied(bi, true)
 		return ObserveResult{Inserted: true}
 	}
 	// Bucket full: a stale entry (>= s consecutive failures) is replaced
@@ -148,17 +178,13 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	// beyond capacity) and nominate the least-recently-seen entry for a
 	// liveness check.
 	b.removeReplacement(c.ID)
-	b.replacements = append(b.replacements, c)
-	if len(b.replacements) > rt.cfg.ReplacementCacheSize {
-		b.replacements = b.replacements[1:]
-	}
+	b.pushReplacement(c, rt.cfg.ReplacementCacheSize)
 	lrs := b.entries[0]
 	if lrs.pingInFlight {
 		return ObserveResult{}
 	}
 	lrs.pingInFlight = true
-	probe := lrs.contact
-	return ObserveResult{NeedsPing: &probe}
+	return ObserveResult{NeedsPing: lrs.contact}
 }
 
 // RecordSuccess resets a contact's staleness budget and marks it
@@ -252,27 +278,95 @@ func (rt *RoutingTable) Remove(nodeID id.ID) bool {
 	if nodeID.Equal(rt.self) {
 		return false
 	}
-	b := rt.bucketFor(nodeID)
+	bi := rt.self.BucketIndex(nodeID)
+	b := &rt.buckets[bi]
 	i := b.find(nodeID)
 	if i < 0 {
 		return false
 	}
 	b.entries = append(b.entries[:i], b.entries[i+1:]...)
 	rt.size--
+	rt.setOccupied(bi, len(b.entries) > 0)
 	return true
 }
 
 // Closest returns up to count live contacts closest to target under the
 // XOR metric, ascending by distance.
 func (rt *RoutingTable) Closest(target id.ID, count int) []Contact {
-	all := rt.Contacts()
-	sort.Slice(all, func(i, j int) bool {
-		return all[i].ID.CloserTo(target, all[j].ID)
-	})
-	if len(all) > count {
-		all = all[:count]
+	return rt.AppendClosest(make([]Contact, 0, max(0, min(count, rt.size))), target, count, id.ID{})
+}
+
+// AppendClosest appends to dst up to count live contacts closest to target
+// under the XOR metric, ascending by distance, leaving out the contact
+// whose identifier is exclude (the zero ID excludes nobody), and returns
+// the extended slice. With room in dst it allocates nothing.
+//
+// It never orders the whole table. A contact in bucket i differs from self
+// first at bit i, so its distance to target agrees with d = self XOR target
+// above bit i and differs from d at bit i: where d has a 1 there the whole
+// bucket is closer to target than every lower bucket, where d has a 0 it
+// is farther. Bucket ranges being disjoint, walking the 1-bit buckets from
+// the highest down and then the 0-bit buckets from the lowest up visits
+// contacts in ascending distance bucket by bucket; only the contacts
+// inside one bucket need sorting, and the walk stops as soon as count are
+// found.
+func (rt *RoutingTable) AppendClosest(dst []Contact, target id.ID, count int, exclude id.ID) []Contact {
+	d := rt.self.XorWords(target)
+	want := len(dst) + count
+	top := len(rt.buckets) - 1
+	// d and occupied number bits from the top (see occupied): ascending
+	// bit position is descending bucket index.
+	for w := 0; w < len(d) && len(dst) < want; w++ {
+		for m := rt.occupied[w] & d[w]; m != 0 && len(dst) < want; {
+			lz := bits.LeadingZeros64(m)
+			m &^= 1 << (63 - lz)
+			dst = rt.appendBucket(dst, &rt.buckets[top-(64*w+lz)], target, want, exclude)
+		}
 	}
-	return all
+	for w := len(d) - 1; w >= 0 && len(dst) < want; w-- {
+		for m := rt.occupied[w] &^ d[w]; m != 0 && len(dst) < want; {
+			tz := bits.TrailingZeros64(m)
+			m &= m - 1
+			dst = rt.appendBucket(dst, &rt.buckets[top-(64*w+63-tz)], target, want, exclude)
+		}
+	}
+	return dst
+}
+
+// appendBucket appends b's contacts other than exclude to dst in ascending
+// distance to target until dst holds want. A bucket never holds more than
+// k contacts, few enough that an insertion sort on the distance prefixes
+// beats a general sort calling back for every comparison.
+func (rt *RoutingTable) appendBucket(dst []Contact, b *bucket, target id.ID, want int, exclude id.ID) []Contact {
+	ranked := rt.ranked[:0]
+	for i, e := range b.entries {
+		if !e.contact.ID.Equal(exclude) {
+			ranked = append(ranked, rankedContact{e.contact.ID.XorPrefix(target), i})
+		}
+	}
+	rt.ranked = ranked
+	for i := 1; i < len(ranked); i++ {
+		r := ranked[i]
+		j := i
+		for ; j > 0; j-- {
+			p := ranked[j-1]
+			// Equal prefixes are identifiers that agree in their top 64
+			// bits: only then do the full identifiers decide.
+			if p.prefix < r.prefix || p.prefix == r.prefix &&
+				!b.entries[r.entry].contact.ID.CloserTo(target, b.entries[p.entry].contact.ID) {
+				break
+			}
+			ranked[j] = p
+		}
+		ranked[j] = r
+	}
+	for _, r := range ranked {
+		if len(dst) == want {
+			break
+		}
+		dst = append(dst, b.entries[r.entry].contact)
+	}
+	return dst
 }
 
 // Contacts returns every live contact, bucket by bucket.
@@ -321,10 +415,20 @@ func (rt *RoutingTable) RefreshTargets() []int {
 	return out
 }
 
+// setOccupied records whether bucket i holds a live contact.
+func (rt *RoutingTable) setOccupied(i int, on bool) {
+	c := len(rt.buckets) - 1 - i
+	if on {
+		rt.occupied[c/64] |= 1 << (63 - c%64)
+	} else {
+		rt.occupied[c/64] &^= 1 << (63 - c%64)
+	}
+}
+
 func (rt *RoutingTable) bucketFor(nodeID id.ID) *bucket {
 	i := rt.self.BucketIndex(nodeID)
 	if i < 0 {
 		return nil
 	}
-	return rt.buckets[i]
+	return &rt.buckets[i]
 }

@@ -21,7 +21,7 @@ func TestObserveInsertAndUpdate(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
 	c := contact(5)
 	res := rt.Observe(c)
-	if !res.Inserted || res.NeedsPing != nil {
+	if !res.Inserted || !res.NeedsPing.ID.IsZeroValue() {
 		t.Fatalf("first observe: %+v", res)
 	}
 	if !rt.Contains(c.ID) || rt.Size() != 1 {
@@ -77,12 +77,12 @@ func TestFullBucketNominatesLRSPing(t *testing.T) {
 	if res.Inserted {
 		t.Fatal("full bucket must not insert directly")
 	}
-	if res.NeedsPing == nil || !res.NeedsPing.ID.Equal(id.FromUint64(64, base)) {
+	if !res.NeedsPing.ID.Equal(id.FromUint64(64, base)) {
 		t.Fatalf("NeedsPing = %v, want least-recently-seen (first inserted)", res.NeedsPing)
 	}
 	// A second observation while the ping is in flight must not nominate
 	// another ping.
-	if res2 := rt.Observe(contact(base + 101)); res2.NeedsPing != nil {
+	if res2 := rt.Observe(contact(base + 101)); !res2.NeedsPing.ID.IsZeroValue() {
 		t.Fatal("duplicate ping nomination while one is in flight")
 	}
 }
@@ -219,7 +219,7 @@ func TestObserveMovesToMostRecent(t *testing.T) {
 	// Refresh the would-be victim: now base+1 is least recently seen.
 	rt.Observe(contact(base))
 	res := rt.Observe(contact(base + 100))
-	if res.NeedsPing == nil || !res.NeedsPing.ID.Equal(id.FromUint64(64, base+1)) {
+	if !res.NeedsPing.ID.Equal(id.FromUint64(64, base+1)) {
 		t.Fatalf("NeedsPing = %v, want base+1", res.NeedsPing)
 	}
 }
@@ -233,7 +233,7 @@ func TestReplacementCacheBounded(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		rt.Observe(contact(base + i))
 	}
-	b := rt.buckets[63]
+	b := &rt.buckets[63]
 	if len(b.replacements) != 2 {
 		t.Fatalf("replacement cache size = %d, want 2", len(b.replacements))
 	}

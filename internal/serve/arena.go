@@ -302,13 +302,13 @@ func (a *Arena) Maintain() int {
 
 // ArenaStats is a point-in-time occupancy report (GET /v1/arena).
 type ArenaStats struct {
-	Entries     int          `json:"entries"`
-	BudgetBytes int64        `json:"budget_bytes"`
-	UsedBytes   int64        `json:"used_bytes"`
-	Hits        int64        `json:"hits"`
-	Misses      int64        `json:"misses"`
-	Builds      int64        `json:"builds"`
-	Evictions   int64        `json:"evictions"`
+	Entries     int   `json:"entries"`
+	BudgetBytes int64 `json:"budget_bytes"`
+	UsedBytes   int64 `json:"used_bytes"`
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	Builds      int64 `json:"builds"`
+	Evictions   int64 `json:"evictions"`
 	// Sched is the admission-queue breakdown; the server fills it in (the
 	// arena itself has no scheduler).
 	Sched *SchedStats  `json:"sched,omitempty"`

@@ -62,10 +62,10 @@ type QuerySpec struct {
 	// with the attack block (put the attack in the spec). Traces must
 	// inline their events: server-side file paths are not addressable
 	// from the wire.
-	Spec   *workload.Spec `json:"spec,omitempty"`
-	Attack *AttackSpec    `json:"attack,omitempty"`
-	Metric   string        `json:"metric,omitempty"` // default churn_min_mean
-	Resample *ResampleSpec `json:"resample,omitempty"`
+	Spec     *workload.Spec `json:"spec,omitempty"`
+	Attack   *AttackSpec    `json:"attack,omitempty"`
+	Metric   string         `json:"metric,omitempty"` // default churn_min_mean
+	Resample *ResampleSpec  `json:"resample,omitempty"`
 	// Threshold asks "does metric stay >= threshold?": replication stops
 	// once the 95% CI excludes it, verdict pass or fail.
 	Threshold *float64 `json:"threshold,omitempty"`

@@ -205,12 +205,12 @@ func TestQueryValidation(t *testing.T) {
 		`{`, // malformed JSON
 		`{"scenario": {"scale": "tiny"}, "metric": "bogus", "threshold": 1}`,
 		`{"scenario": {"scale": "tiny"}, "threshold": 1, "precision": 0.1}`,
-		`{"scenario": {"scale": "tiny"}}`,                                     // no rule
-		`{"scenario": {"scale": "tiny"}, "threshold": 1}`,                     // churn metric, no churn window
-		`{"scenario": {"scale": "nope"}, "threshold": 1}`,                     // unknown scale
-		`{"scenario": {"scale": "tiny"}, "threshold": 1, "max_reps": 10000}`,  // over cap
-		`{"scenario": {"scale": "tiny"}, "surprise": true, "threshold": 1}`,   // unknown field
-		`{"scenario": {"scale": "tiny", "churn": "x"}, "threshold": 1}`,       // bad churn
+		`{"scenario": {"scale": "tiny"}}`,                                    // no rule
+		`{"scenario": {"scale": "tiny"}, "threshold": 1}`,                    // churn metric, no churn window
+		`{"scenario": {"scale": "nope"}, "threshold": 1}`,                    // unknown scale
+		`{"scenario": {"scale": "tiny"}, "threshold": 1, "max_reps": 10000}`, // over cap
+		`{"scenario": {"scale": "tiny"}, "surprise": true, "threshold": 1}`,  // unknown field
+		`{"scenario": {"scale": "tiny", "churn": "x"}, "threshold": 1}`,      // bad churn
 		`{"scenario": {"scale": "tiny", "churn": "1/1"}, "threshold": 1,
 		  "metric": "final_scc", "resample": {"fraction": 0.5}}`, // resample on wrong metric
 	}

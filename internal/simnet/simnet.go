@@ -118,6 +118,32 @@ type Network struct {
 	loss    LossModel
 	hosts   map[Addr]Handler
 	stats   Stats
+	free    *delivery // idle delivery records, reused by Send
+}
+
+// delivery is one message in flight and the event that delivers it: Send
+// posts the record itself to the kernel, so a message costs no closure.
+type delivery struct {
+	net      *Network
+	from, to Addr
+	payload  any
+	next     *delivery // free-list link
+}
+
+// Run implements eventsim.Runner: the message arrives. The record goes
+// back on the free list before the handler runs, so the sends a handler
+// makes in reply reuse it.
+func (d *delivery) Run() {
+	n, from, to, payload := d.net, d.from, d.to, d.payload
+	d.payload = nil
+	d.next, n.free = n.free, d
+	h, ok := n.hosts[to]
+	if !ok {
+		n.stats.NoRoute++
+		return
+	}
+	n.stats.Delivered++
+	h.Deliver(from, payload)
 }
 
 // New builds a network on the given simulator.
@@ -191,13 +217,12 @@ func (n *Network) Send(from, to Addr, payload any) {
 		return
 	}
 	delay := n.latency.Delay(n.sim.Rand(), from, to)
-	n.sim.MustSchedule(delay, func() {
-		h, ok := n.hosts[to]
-		if !ok {
-			n.stats.NoRoute++
-			return
-		}
-		n.stats.Delivered++
-		h.Deliver(from, payload)
-	})
+	d := n.free
+	if d != nil {
+		n.free = d.next
+	} else {
+		d = &delivery{net: n}
+	}
+	d.from, d.to, d.payload, d.next = from, to, payload, nil
+	n.sim.Post(delay, d)
 }

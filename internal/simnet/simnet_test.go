@@ -249,3 +249,100 @@ func TestTwoWayFailureFormula(t *testing.T) {
 		t.Errorf("TwoWayFailure(0.5) = %v, want 0.75", got)
 	}
 }
+
+// sink is a Handler that counts deliveries and bounces the first few back,
+// the way a protocol answers a request from inside Deliver.
+type sink struct {
+	net      *Network
+	self     Addr
+	got      int
+	bounce   int
+	lastFrom Addr
+	last     any
+}
+
+func (s *sink) Deliver(from Addr, payload any) {
+	s.got++
+	s.lastFrom, s.last = from, payload
+	if s.bounce > 0 {
+		s.bounce--
+		s.net.Send(s.self, from, payload)
+	}
+}
+
+// TestSendDeliverAllocationBudget: in steady state a message is a pooled
+// delivery record posted on a pooled kernel timer — the network itself
+// allocates nothing, whatever the caller spent boxing its payload.
+func TestSendDeliverAllocationBudget(t *testing.T) {
+	sim := eventsim.New(1)
+	net := New(sim, Config{Latency: UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond}})
+	a := &sink{net: net, self: 1}
+	b := &sink{net: net, self: 2}
+	if err := net.Attach(1, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Attach(2, b); err != nil {
+		t.Fatal(err)
+	}
+	payload := any(&struct{ n int }{7})
+	for i := 0; i < 64; i++ { // warm both free lists
+		net.Send(1, 2, payload)
+	}
+	sim.Run()
+	allocs := testing.AllocsPerRun(500, func() {
+		b.bounce = 2
+		net.Send(1, 2, payload)
+		net.Send(1, 2, payload)
+		net.Send(1, 3, payload) // no route: dropped at delivery time
+		sim.Run()
+	})
+	if allocs > 1 {
+		t.Fatalf("send+deliver allocated %v times per run, budget 1", allocs)
+	}
+	if allocs != 0 {
+		t.Errorf("send+deliver allocated %v times per run; a pre-boxed payload should cost 0", allocs)
+	}
+	if a.got == 0 || a.last != payload || a.lastFrom != 2 {
+		t.Fatalf("bounced message not delivered intact: got=%d from=%d", a.got, a.lastFrom)
+	}
+	st := net.Stats()
+	if st.Sent != st.Delivered+st.NoRoute+st.Lost || st.NoRoute == 0 {
+		t.Fatalf("stats do not add up: %+v", st)
+	}
+}
+
+// TestDeliveryRecordReuseKeepsMessagesApart: a handler that sends from
+// inside Deliver gets the record of the message being delivered; what it
+// was delivered must already be its own.
+func TestDeliveryRecordReuseKeepsMessagesApart(t *testing.T) {
+	sim := eventsim.New(1)
+	net := New(sim, Config{Latency: ConstantLatency{D: time.Millisecond}})
+	var seen []int
+	relay := handlerFunc(func(from Addr, payload any) {
+		n := payload.(int)
+		seen = append(seen, n)
+		if n < 5 {
+			net.Send(1, 1, n+1) // reuses the record that carried n
+		}
+		if got := payload.(int); got != n {
+			t.Errorf("payload changed under the handler: %d -> %d", n, got)
+		}
+	})
+	if err := net.Attach(1, relay); err != nil {
+		t.Fatal(err)
+	}
+	net.Send(1, 1, 0)
+	sim.Run()
+	for i, n := range seen {
+		if n != i {
+			t.Fatalf("relay chain saw %v", seen)
+		}
+	}
+	if len(seen) != 6 {
+		t.Fatalf("relay chain saw %v, want 0..5", seen)
+	}
+}
+
+type handlerFunc func(from Addr, payload any)
+
+func (f handlerFunc) Deliver(from Addr, payload any) { f(from, payload) }

@@ -56,9 +56,9 @@ type JSONRep struct {
 	WorkloadJoins  int          `json:"workload_joins,omitempty"`
 	WorkloadLeaves int          `json:"workload_leaves,omitempty"`
 	AttackRemoved  int          `json:"attack_removed,omitempty"`
-	Victims       []JSONVictim `json:"victims,omitempty"`
-	MsgSent       uint64       `json:"msg_sent"`
-	MsgLost       uint64       `json:"msg_lost"`
+	Victims        []JSONVictim `json:"victims,omitempty"`
+	MsgSent        uint64       `json:"msg_sent"`
+	MsgLost        uint64       `json:"msg_lost"`
 	// Memory reports the run's memory-governance outcome; absent when
 	// governance was disabled for the run.
 	Memory *JSONMemory `json:"memory,omitempty"`
@@ -182,9 +182,9 @@ func BuildJSON(meta JSONMeta, sets []*RunSet) *JSONFile {
 				WorkloadJoins:  r.WorkloadJoins,
 				WorkloadLeaves: r.WorkloadLeaves,
 				AttackRemoved:  r.AttackRemoved,
-				MsgSent:       r.Network.Sent,
-				MsgLost:       r.Network.Lost,
-				Points:        make([]JSONPoint, 0, len(r.Points)),
+				MsgSent:        r.Network.Sent,
+				MsgLost:        r.Network.Lost,
+				Points:         make([]JSONPoint, 0, len(r.Points)),
 			}
 			if cfg.Governance.Enabled() {
 				rep.Memory = &JSONMemory{
