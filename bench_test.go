@@ -41,7 +41,7 @@ const benchSeed = 1
 // the results; the b.N loop re-runs the whole experiment.
 func runExperimentOnce(b *testing.B, exp scenario.Experiment) []*scenario.Result {
 	b.Helper()
-	results, err := scenario.RunAll(exp.Configs)
+	results, err := scenario.RunAllJobs(exp.Configs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -309,10 +309,10 @@ func maxflowAlgoBench(algo maxflow.Algorithm) func(*testing.B) {
 	}
 }
 
-// BenchmarkMaxflowAlgorithms compares Dinic against HIPR-style
-// push-relabel on the pipeline's workload.
+// BenchmarkMaxflowAlgorithms compares Dinic against the fixed-root
+// Hao–Orlin sweep solver on the pipeline's workload.
 func BenchmarkMaxflowAlgorithms(b *testing.B) {
-	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.PushRelabel} {
+	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.HaoOrlin} {
 		b.Run(algo.String(), maxflowAlgoBench(algo))
 	}
 }
@@ -323,14 +323,15 @@ func BenchmarkMaxflowAlgorithms(b *testing.B) {
 // graphs; here it is asserted on every run).
 func BenchmarkConnectivitySampling(b *testing.B) {
 	g := benchGraph(250, 18, 9)
-	full := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 1.0, MinOnly: true})
-	want := full.Analyze(g).Min
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
+	eng.Bind(g)
+	want := eng.Analyze(connectivity.Query{SampleFraction: 1.0, MinOnly: true}).Min
 	for _, c := range []float64{1.0, 0.1, 0.02} {
 		b.Run(fmt.Sprintf("c=%.2f", c), func(b *testing.B) {
-			a := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: c, MinOnly: true})
 			var got int
 			for i := 0; i < b.N; i++ {
-				got = a.Analyze(g).Min
+				eng.Bind(g)
+				got = eng.Analyze(connectivity.Query{SampleFraction: c, MinOnly: true}).Min
 			}
 			if got != want {
 				b.Fatalf("sampled min %d != full min %d", got, want)
@@ -356,10 +357,11 @@ func BenchmarkUndirectedShortcut(b *testing.B) {
 		b.ReportMetric(float64(got), "kappa")
 	})
 	b.Run("directed-sampled", func(b *testing.B) {
-		a := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 0.02, MinOnly: true})
+		eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
 		var got int
 		for i := 0; i < b.N; i++ {
-			got = a.Analyze(g).Min
+			eng.Bind(g)
+			got = eng.Analyze(connectivity.Query{SampleFraction: 0.02, MinOnly: true}).Min
 		}
 		b.ReportMetric(float64(got), "kappa")
 	})
@@ -371,10 +373,11 @@ func BenchmarkUndirectedShortcut(b *testing.B) {
 // of the maximum flows. Reports the fraction of graphs where it matched.
 func BenchmarkHeuristicValidation(b *testing.B) {
 	matched, total := 0, 0
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
 	for i := 0; i < b.N; i++ {
-		g := benchGraph(150+i%3*50, 12+i%2*6, int64(100+i))
-		full := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 1.0, MinOnly: true}).Analyze(g).Min
-		sampled := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 0.02, MinOnly: true}).Analyze(g).Min
+		eng.Bind(benchGraph(150+i%3*50, 12+i%2*6, int64(100+i)))
+		full := eng.Analyze(connectivity.Query{SampleFraction: 1.0, MinOnly: true}).Min
+		sampled := eng.Analyze(connectivity.Query{SampleFraction: 0.02, MinOnly: true}).Min
 		total++
 		if full == sampled {
 			matched++
@@ -394,16 +397,17 @@ func BenchmarkEvenTransform(b *testing.B) {
 
 // BenchmarkSnapshotAnalysis times one full snapshot analysis (capture
 // excluded) at the small paper size, the unit of work the paper fanned
-// out to its cluster. The analyzer is engine-backed, so iterations after
-// the first reuse the solver pool and Even-transform buffers — the
-// steady state of the per-snapshot hot path.
+// out to its cluster. Iterations after the first reuse the engine's
+// solver pool and Even-transform buffers — the steady state of the
+// per-snapshot hot path.
 func BenchmarkSnapshotAnalysis(b *testing.B) {
 	g := benchGraph(250, 20, 12)
-	a := connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 0.02, MinOnly: true})
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Analyze(g)
+		eng.Bind(g)
+		eng.Analyze(connectivity.Query{SampleFraction: 0.02, MinOnly: true})
 	}
 }
 
@@ -420,72 +424,6 @@ func BenchmarkSnapshotAnalysisFused(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.Bind(g)
 		eng.AnalyzeSnapshot(connectivity.SnapshotQuery{SampleFraction: 0.02, AvgSeed: int64(i)})
-	}
-}
-
-// churnSequence builds a cyclic sequence of same-vertex-set graphs, each
-// differing from its predecessor by ~changes routing-table edge updates,
-// plus the per-step deltas (deltas[i] transforms graphs[i] into
-// graphs[(i+1)%len]). It models adjacent snapshots of a stable-membership
-// window — the incremental reanalysis workload.
-func churnSequence(n, deg, steps, changes int, seed int64) ([]*graph.Digraph, []graph.Delta) {
-	r := rand.New(rand.NewSource(seed))
-	graphs := make([]*graph.Digraph, steps)
-	graphs[0] = benchGraph(n, deg, seed)
-	for i := 1; i < steps; i++ {
-		g := graphs[i-1].Clone()
-		all := g.Edges()
-		for c := 0; c < changes/2 && len(all) > 0; c++ {
-			k := r.Intn(len(all))
-			g.RemoveEdge(all[k].U, all[k].V)
-			all[k] = all[len(all)-1]
-			all = all[:len(all)-1]
-		}
-		for c := 0; c < changes/2; c++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u != v && !g.HasEdge(u, v) {
-				g.AddEdge(u, v)
-			}
-		}
-		graphs[i] = g
-	}
-	deltas := make([]graph.Delta, steps)
-	for i := range graphs {
-		graph.DiffInto(graphs[i], graphs[(i+1)%steps], &deltas[i])
-	}
-	return graphs, deltas
-}
-
-// churnSequenceBench returns the benchmark body for one engine-binding
-// mode over the adjacent-snapshot workload. "rebind" is the incremental
-// path (edge deltas patched in place); "bind" rebuilds the binding per
-// snapshot; the algo selects the sweep solver. The bind-pushrelabel
-// variant is PR 3's per-snapshot rebinding path — the baseline the
-// adjacent-snapshot reanalysis speedup is measured against.
-func churnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing.B) {
-	return func(b *testing.B) {
-		graphs, deltas := churnSequence(250, 20, 8, 40, 13)
-		eng := connectivity.MustNewEngine(connectivity.EngineOptions{
-			Algorithm: algo, ExactAlgorithm: algo,
-		})
-		eng.Bind(graphs[0])
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range graphs {
-				g := graphs[(j+1)%len(graphs)]
-				if rebind {
-					eng.Rebind(g, deltas[j])
-				} else {
-					eng.Bind(g)
-				}
-				eng.AnalyzeSnapshot(connectivity.SnapshotQuery{SampleFraction: 0.02, AvgSeed: int64(j)})
-			}
-		}
-		// ns/op per snapshot, not per cycle, for comparability with
-		// BenchmarkSnapshotAnalysisFused.
-		b.ReportMetric(0, "ns/op") // reset default
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(graphs)), "ns/snapshot")
 	}
 }
 
@@ -574,8 +512,9 @@ func memberChurnSequence(n, deg, steps, changes int, seed int64) (graphs []*grap
 // memberChurnSequenceBench returns the benchmark body for one binding
 // mode over the membership-churn workload. "rebind" routes every
 // snapshot through IncrementalBinder.BindNextSlots (the stable-slot
-// incremental path); "bind" full-binds the slot capture per snapshot —
-// the pre-slot behavior for membership changes.
+// incremental path); "bind" full-binds the slot capture per snapshot.
+// ns/snapshot is per snapshot, not per cycle, for comparability with
+// BenchmarkSnapshotAnalysisFused.
 func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing.B) {
 	return func(b *testing.B) {
 		graphs, orders := memberChurnSequence(250, 20, 8, 40, 13)
@@ -584,9 +523,7 @@ func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing
 				b.Fatalf("slot count drifted: %d != %d", graphs[i].N(), graphs[0].N())
 			}
 		}
-		eng := connectivity.MustNewEngine(connectivity.EngineOptions{
-			Algorithm: algo, ExactAlgorithm: algo,
-		})
+		eng := connectivity.MustNewEngine(connectivity.EngineOptions{Algorithm: algo})
 		binder := connectivity.NewIncrementalBinder(eng)
 		binder.BindNextSlots(graphs[0], orders[0])
 		b.ReportAllocs()
@@ -610,24 +547,15 @@ func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing
 	}
 }
 
-// BenchmarkChurnSequence measures adjacent-snapshot reanalysis: a cycle
-// of same-membership snapshot graphs differing by ~40 routing-table
-// edges, analyzed with the fused Min+Avg sweep. rebind-haoorlin is the
-// incremental path this repo ships (delta patching + the fixed-root
-// sweep solver); bind-haoorlin isolates the rebinding overhead;
-// bind-pushrelabel is the previous revision's per-snapshot rebinding
-// baseline. The members-* variants run the same analysis over a
-// MEMBERSHIP-churn cycle (one leave + one join + edge churn per step,
-// slots recycled): members-rebind-haoorlin is the stable-slot
-// incremental path, members-bind-haoorlin the full-bind fallback it
-// replaces.
+// BenchmarkChurnSequence measures adjacent-snapshot reanalysis over a
+// MEMBERSHIP-churn cycle (one leave + one join + ~40 routing-table edge
+// updates per step, slots recycled), analyzed with the fused Min+Avg
+// sweep: members-rebind-haoorlin is the stable-slot incremental path this
+// repo ships, members-bind-haoorlin the full bind per snapshot it
+// replaces — the tracked incremental-vs-full pair.
 func BenchmarkChurnSequence(b *testing.B) {
-	b.Run("rebind-haoorlin", churnSequenceBench(true, maxflow.HaoOrlin))
-	b.Run("bind-haoorlin", churnSequenceBench(false, maxflow.HaoOrlin))
-	b.Run("bind-pushrelabel", churnSequenceBench(false, maxflow.PushRelabel))
 	b.Run("members-rebind-haoorlin", memberChurnSequenceBench(true, maxflow.HaoOrlin))
 	b.Run("members-bind-haoorlin", memberChurnSequenceBench(false, maxflow.HaoOrlin))
-	b.Run("members-bind-pushrelabel", memberChurnSequenceBench(false, maxflow.PushRelabel))
 }
 
 // BenchmarkSimulationMinute measures raw simulation throughput: one

@@ -64,12 +64,9 @@ func TestBenchTrajectory(t *testing.T) {
 		{"SnapshotAnalysis", BenchmarkSnapshotAnalysis},
 		{"SnapshotAnalysisFused", BenchmarkSnapshotAnalysisFused},
 		{"MaxflowAlgorithms/dinic", maxflowAlgoBench(maxflow.Dinic)},
-		{"MaxflowAlgorithms/push-relabel", maxflowAlgoBench(maxflow.PushRelabel)},
 		{"MaxflowAlgorithms/hao-orlin", maxflowAlgoBench(maxflow.HaoOrlin)},
-		{"ChurnSequence/rebind-haoorlin", churnSequenceBench(true, maxflow.HaoOrlin)},
-		{"ChurnSequence/bind-pushrelabel", churnSequenceBench(false, maxflow.PushRelabel)},
 		{"ChurnSequence/members-rebind-haoorlin", memberChurnSequenceBench(true, maxflow.HaoOrlin)},
-		{"ChurnSequence/members-bind-pushrelabel", memberChurnSequenceBench(false, maxflow.PushRelabel)},
+		{"ChurnSequence/members-bind-haoorlin", memberChurnSequenceBench(false, maxflow.HaoOrlin)},
 		{"Figure2SimA", func(b *testing.B) { benchFigure(b, scenario.Scale.Figure2) }},
 		{"Figure6SimE", func(b *testing.B) { benchFigure(b, scenario.Scale.Figure6) }},
 		{"SimulationMinute", BenchmarkSimulationMinute},

@@ -84,6 +84,40 @@ func TestRegressionGate(t *testing.T) {
 	}
 }
 
+// TestOneSidedNamesNeitherFailNorGate pins what retiring or adding a
+// benchmark does to a two-point diff: names present in one file only are
+// listed as removed/added, stay out of the host-speed normalization, and
+// never trip even the tightest gate — however extreme their numbers.
+func TestOneSidedNamesNeitherFailNorGate(t *testing.T) {
+	dir := t.TempDir()
+	common := []benchEntry{
+		{Name: "SnapshotAnalysis", NsPerOp: 100e6, AllocsPerOp: 3},
+		{Name: "MaxflowAlgorithms/dinic", NsPerOp: 250e3},
+	}
+	old := writeTrajectory(t, dir, "old.json", append([]benchEntry{
+		{Name: "MaxflowAlgorithms/push-relabel", NsPerOp: 1}}, common...))
+	new := writeTrajectory(t, dir, "new.json", append([]benchEntry{
+		{Name: "ChurnSequence/members-bind-haoorlin", NsPerOp: 9e12}}, common...))
+	for _, args := range [][]string{{"-max-regress", "0.01"}, {"-ratio=false", "-max-regress", "0.01"}} {
+		var buf bytes.Buffer
+		if err := run(append(args, old, new), &buf); err != nil {
+			t.Fatalf("%v: one-sided names failed the diff: %v\n%s", args, err, buf.String())
+		}
+		out := buf.String()
+		for _, want := range []string{"push-relabel", "removed", "members-bind-haoorlin", "added"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%v: diff table missing %q:\n%s", args, want, out)
+			}
+		}
+		if strings.Contains(out, "REGRESSION") {
+			t.Fatalf("%v: gate fired on a one-sided name:\n%s", args, out)
+		}
+		if args[0] != "-ratio=false" && !strings.Contains(out, "over 2 common benchmarks (host factor +0.00%)") {
+			t.Fatalf("one-sided names leaked into the normalization:\n%s", out)
+		}
+	}
+}
+
 // TestRatioGateIgnoresHostSpeed pins the point of the default
 // normalization: a trajectory point recorded on a uniformly 2x-slower
 // machine shows +100% raw deltas everywhere, but the normalized gate

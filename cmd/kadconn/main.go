@@ -7,7 +7,7 @@
 // Examples:
 //
 //	kadconn -in out/snapshot-000120m.json
-//	kadconn -in out/snapshot-000120m.json -full -algo push-relabel
+//	kadconn -in out/snapshot-000120m.json -full -algo hao-orlin
 //	kadconn -in graph.dimacs -format dimacs
 //	kadconn -in out/snapshot-000120m.json -emit-dimacs transformed.dimacs
 package main
@@ -35,7 +35,7 @@ func run(args []string) error {
 	var (
 		in       = fs.String("in", "", "input file (required)")
 		format   = fs.String("format", "json", "input format: json (kadsim snapshot) or dimacs")
-		algoName = fs.String("algo", "dinic", "max-flow algorithm: dinic, push-relabel, or hao-orlin")
+		algoName = fs.String("algo", "dinic", "max-flow algorithm: dinic|hao-orlin")
 		full     = fs.Bool("full", false, "full n(n-1) sweep instead of sampled sources")
 		sampleC  = fs.Float64("c", connectivity.DefaultSampleFraction, "sampling fraction c (ignored with -full)")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
@@ -50,6 +50,9 @@ func run(args []string) error {
 	}
 	algo, err := maxflow.ParseAlgorithm(*algoName)
 	if err != nil {
+		return err
+	}
+	if err := connectivity.CheckSampleFraction(*sampleC); err != nil {
 		return err
 	}
 
@@ -77,19 +80,16 @@ func run(args []string) error {
 		return nil
 	}
 
-	opts := connectivity.Options{
-		Algorithm:      algo,
-		SampleFraction: *sampleC,
-		Workers:        *workers,
-	}
-	if *full {
-		opts.SampleFraction = 1.0
-	}
-	analyzer, err := connectivity.NewAnalyzer(opts)
+	eng, err := connectivity.NewEngine(connectivity.EngineOptions{Algorithm: algo, Workers: *workers})
 	if err != nil {
 		return err
 	}
-	res := analyzer.Analyze(g)
+	q := connectivity.Query{SampleFraction: *sampleC}
+	if *full {
+		q.SampleFraction = 1.0
+	}
+	eng.Bind(g)
+	res := eng.Analyze(q)
 	fmt.Printf("kappa(D) = %d over %d pairs from %d sources (avg pair connectivity %.2f)\n",
 		res.Min, res.Pairs, res.Sources, res.Avg)
 	if res.Complete {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestRunAnalyzeJSON(t *testing.T) {
 	if err := run([]string{"-in", path, "-c", "0.2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", path, "-algo", "push-relabel", "-c", "0.2"}); err != nil {
+	if err := run([]string{"-in", path, "-algo", "hao-orlin", "-c", "0.2", "-workers", "2"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -145,8 +146,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", path, "-format", "yaml"}); err == nil {
 		t.Error("unknown format should fail")
 	}
-	if err := run([]string{"-in", path, "-algo", "simplex"}); err == nil {
-		t.Error("unknown algorithm should fail")
+	for _, algo := range []string{"simplex", "push-relabel"} {
+		if err := run([]string{"-in", path, "-algo", algo}); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Errorf("-algo %s: err = %v, want an unknown-algorithm error", algo, err)
+		}
+	}
+	for _, c := range []string{"-0.5", "NaN"} {
+		if err := run([]string{"-in", path, "-c", c}); err == nil || !strings.Contains(err.Error(), "sample fraction") {
+			t.Errorf("-c %s: err = %v, want a sample-fraction error", c, err)
+		}
 	}
 	if err := run([]string{"-in", path, "-pair", "zz"}); err == nil {
 		t.Error("bad pair spec should fail")

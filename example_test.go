@@ -52,7 +52,7 @@ func ExampleGraphCut() {
 		g.AddEdge(e[0], e[1])
 		g.AddEdge(e[1], e[0])
 	}
-	cut, _, ok, err := kadre.GraphCut(g, kadre.ConnectivityOptions{SampleFraction: 1.0})
+	cut, _, ok, err := kadre.GraphCut(g, kadre.ConnectivityQuery{SampleFraction: 1.0})
 	if err != nil || !ok {
 		fmt.Println("no cut:", err)
 		return

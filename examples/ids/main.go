@@ -83,7 +83,7 @@ func run(size, attackers int) error {
 	// Adversary time: find and execute the optimal attack on the final
 	// topology.
 	fmt.Printf("\n--- adversary analysis on the final snapshot (%d sensors) ---\n", lastSnap.N())
-	cut, pair, found, err := kadre.GraphCut(lastSnap.Graph, kadre.ConnectivityOptions{SampleFraction: 0.05})
+	cut, pair, found, err := kadre.GraphCut(lastSnap.Graph, kadre.ConnectivityQuery{SampleFraction: 0.05})
 	if err != nil {
 		return err
 	}
@@ -94,7 +94,7 @@ func run(size, attackers int) error {
 	fmt.Printf("minimum vertex cut: %d sensors; witness pair %v\n", len(cut), pair)
 
 	compromised, mapping := kadre.RemoveVertices(lastSnap.Graph, cut)
-	after, err := kadre.AnalyzeConnectivity(compromised, kadre.ConnectivityOptions{SampleFraction: 1.0, MinOnly: true})
+	after, err := kadre.AnalyzeConnectivity(compromised, kadre.ConnectivityQuery{SampleFraction: 1.0, MinOnly: true})
 	if err != nil {
 		return err
 	}
@@ -104,7 +104,7 @@ func run(size, attackers int) error {
 	if len(cut) > 1 {
 		spared := cut[1:] // leave one cut sensor honest
 		partial, _ := kadre.RemoveVertices(lastSnap.Graph, spared)
-		res2, err := kadre.AnalyzeConnectivity(partial, kadre.ConnectivityOptions{SampleFraction: 1.0, MinOnly: true})
+		res2, err := kadre.AnalyzeConnectivity(partial, kadre.ConnectivityQuery{SampleFraction: 1.0, MinOnly: true})
 		if err != nil {
 			return err
 		}

@@ -66,7 +66,7 @@ func run() error {
 		kadre.Resilience(kappa), kadre.Resilience(kappa))
 
 	// Which nodes would an optimal attacker take? The minimum vertex cut.
-	cut, pair, ok, err := kadre.GraphCut(snap.Graph, kadre.ConnectivityOptions{SampleFraction: 1.0})
+	cut, pair, ok, err := kadre.GraphCut(snap.Graph, kadre.ConnectivityQuery{SampleFraction: 1.0})
 	if err != nil {
 		return err
 	}

@@ -172,22 +172,18 @@ type Population interface {
 	// AttackSnapshot captures the current connectivity graph with node
 	// metadata, exactly as the measurement snapshots do.
 	AttackSnapshot() *snapshot.Snapshot
+	// AttackSlotSnapshot captures the current connectivity graph in
+	// stable-slot form, updating the given slot table. It is the cutset
+	// adversary's reconnaissance: its strikes change membership by
+	// design, so only stable-slot captures let the recon engine rebind
+	// incrementally from strike to strike instead of rebuilding after
+	// every kill. The slot table is owned by the adversary (recon slots
+	// are its private numbering, independent of the measurement
+	// snapshots').
+	AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot
 	// RemoveNode makes the live node at addr leave silently; it reports
 	// false when no live node has that address.
 	RemoveNode(addr simnet.Addr) bool
-}
-
-// SlotRecon is optionally implemented by populations whose
-// reconnaissance can be captured in stable-slot form. The cutset
-// adversary prefers it: its strikes change membership by design, so
-// only stable-slot captures let the recon engine rebind incrementally
-// from strike to strike instead of rebuilding after every kill. The
-// slot table is owned by the adversary (recon slots are its private
-// numbering, independent of the measurement snapshots').
-type SlotRecon interface {
-	// AttackSlotSnapshot captures the current connectivity graph in
-	// stable-slot form, updating the given slot table.
-	AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot
 }
 
 // Victim records one successful removal.
@@ -213,17 +209,13 @@ type Engine struct {
 	// instance serves every strike, rebinding to each reconnaissance
 	// snapshot so the flow solvers and the cut-mode network are built
 	// once per engine instead of once per strike (nil for the other
-	// strategies, which need no flow analysis). When the population
-	// supports stable-slot reconnaissance (SlotRecon), connBinder routes
-	// every consecutive capture — the adversary's own strikes and the
-	// interleaved churn included — through the incremental rebind path,
-	// keyed on the engine's private slot table; otherwise identity is
-	// re-checked against the previous snapshot's address list and only
-	// unchanged membership rebinds incrementally.
+	// strategies, which need no flow analysis). connBinder routes every
+	// consecutive stable-slot capture — the adversary's own strikes and
+	// the interleaved churn included — through the incremental rebind
+	// path, keyed on the engine's private slot table.
 	conn       *connectivity.Engine
 	connBinder *connectivity.IncrementalBinder
 	connSlots  snapshot.SlotIndex
-	prevAddrs  []simnet.Addr
 
 	victims []Victim
 	strikes int
@@ -298,12 +290,11 @@ func (e *Engine) budgetLeft() int {
 }
 
 // strike executes one attack round: snapshot, select, remove, re-arm.
-// The cutset strategy reconnoiters in stable-slot form when the
-// population supports it, so its flow engine rebinds incrementally
-// across its own removals; every other strategy (and legacy populations)
-// uses the dense capture. Victim selection is identical between the two
-// recon forms — the slot capture's rank numbering IS the dense capture's
-// numbering — so runs replay byte-for-byte regardless of the path.
+// The cutset strategy reconnoiters in stable-slot form, so its flow
+// engine rebinds incrementally across its own removals; every other
+// strategy uses the dense capture. The slot capture's rank numbering IS
+// the dense capture's numbering, so victims index Addrs/IDs the same way
+// in both forms.
 func (e *Engine) strike() {
 	now := e.sim.Now()
 	if now >= e.until || e.budgetLeft() <= 0 {
@@ -317,8 +308,8 @@ func (e *Engine) strike() {
 		ids   []id.ID
 		pick  func(count int) []int
 	)
-	if sr, ok := e.pop.(SlotRecon); ok && e.cfg.Strategy == Cutset {
-		ss := sr.AttackSlotSnapshot(&e.connSlots)
+	if e.cfg.Strategy == Cutset {
+		ss := e.pop.AttackSlotSnapshot(&e.connSlots)
 		n, addrs, ids = ss.N(), ss.Addrs, ss.IDs
 		pick = func(count int) []int { return e.selectCutsetSlots(ss, count) }
 	} else {

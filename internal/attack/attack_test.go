@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"kadre/internal/eventsim"
-	"kadre/internal/graph"
 	"kadre/internal/id"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
@@ -13,7 +12,9 @@ import (
 
 // fakePop is a deterministic Population over a fixed topology: vertex i
 // has address i+1 and identifier FromUint64(i). Removals delete the
-// vertex; snapshots project the surviving subgraph.
+// vertex; snapshots project the surviving subgraph — densely for
+// AttackSnapshot, onto the adversary's slot table (through the production
+// capture core, snapshot.BuildSlotGraph) for AttackSlotSnapshot.
 type fakePop struct {
 	bits  int
 	alive []bool
@@ -32,32 +33,23 @@ func newFakePop(sim *eventsim.Simulator, n int, edges [][2]int) *fakePop {
 func (p *fakePop) addrOf(v int) simnet.Addr { return simnet.Addr(v + 1) }
 
 func (p *fakePop) AttackSnapshot() *snapshot.Snapshot {
-	var live []int
-	remap := make(map[int]int)
+	return p.AttackSlotSnapshot(&snapshot.SlotIndex{}).Dense()
+}
+
+func (p *fakePop) AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot {
+	s := &snapshot.SlotSnapshot{Time: p.sim.Now()}
 	for v, a := range p.alive {
 		if a {
-			remap[v] = len(live)
-			live = append(live, v)
+			s.IDs = append(s.IDs, id.FromUint64(p.bits, uint64(v)))
+			s.Addrs = append(s.Addrs, p.addrOf(v))
 		}
 	}
-	s := &snapshot.Snapshot{
-		Time:  p.sim.Now(),
-		IDs:   make([]id.ID, len(live)),
-		Addrs: make([]simnet.Addr, len(live)),
-		Graph: graph.NewDigraph(len(live)),
-	}
-	for i, v := range live {
-		s.IDs[i] = id.FromUint64(p.bits, uint64(v))
-		s.Addrs[i] = p.addrOf(v)
-	}
-	for _, e := range p.edges {
-		u, uok := remap[e[0]]
-		v, vok := remap[e[1]]
-		if uok && vok {
-			s.Graph.AddEdge(u, v)
-			s.Graph.AddEdge(v, u)
+	s.Graph, s.Order = snapshot.BuildSlotGraph(idx, s.Addrs, func(emit func(u, v simnet.Addr)) {
+		for _, e := range p.edges {
+			emit(p.addrOf(e[0]), p.addrOf(e[1]))
+			emit(p.addrOf(e[1]), p.addrOf(e[0]))
 		}
-	}
+	})
 	return s
 }
 
@@ -282,7 +274,9 @@ func TestCutsetReusesAnalysisEngine(t *testing.T) {
 	// Many strikes against a shrinking ring: every strike runs a full
 	// GraphCut, but the connectivity engine (and its cut-mode flow
 	// network) must be constructed exactly once and rebound in place —
-	// the PR-3 regression guard for the per-strike rebuild.
+	// the PR-3 regression guard for the per-strike rebuild. The strikes
+	// only ever vacate recon slots, so after the first bind every capture
+	// rebinds incrementally across the adversary's own removals.
 	eng, pop := runAttack(t, 1, Config{
 		Strategy: Cutset, Budget: 8, Kills: 1, Interval: time.Minute, SampleFraction: 1.0,
 	}, 16, ring(16))
@@ -297,6 +291,13 @@ func TestCutsetReusesAnalysisEngine(t *testing.T) {
 	}
 	if builds := eng.conn.CutNetworkBuilds(); builds != 1 {
 		t.Fatalf("cut-mode network constructed %d times over %d strikes, want 1", builds, eng.Strikes())
+	}
+	if full, inc := eng.connBinder.FullBinds(), eng.connBinder.IncrementalBinds(); full != 1 || inc != eng.Strikes()-1 {
+		t.Fatalf("recon binds over %d strikes: %d full, %d incremental, want 1 and %d",
+			eng.Strikes(), full, inc, eng.Strikes()-1)
+	}
+	if fb := eng.conn.RebindFallbacks(); fb != 0 {
+		t.Fatalf("%d solver patches fell back across strikes", fb)
 	}
 }
 

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 
 	"kadre/internal/connectivity"
@@ -15,9 +14,11 @@ import (
 const eclipseTargetLabel = "kadre/attack/eclipse-target"
 
 // selectVictims returns up to count distinct vertex indexes of s to
-// remove, according to the engine's strategy. Every strategy is
-// deterministic given the snapshot (and, for Random, the simulator's
-// seeded generator), so attack runs replay exactly under a seed.
+// remove, according to the engine's strategy — every strategy but
+// Cutset, which selects from its own stable-slot capture
+// (selectCutsetSlots). Every strategy is deterministic given the snapshot
+// (and, for Random, the simulator's seeded generator), so attack runs
+// replay exactly under a seed.
 func (e *Engine) selectVictims(s *snapshot.Snapshot, count int) []int {
 	if count > s.N() {
 		count = s.N()
@@ -30,12 +31,10 @@ func (e *Engine) selectVictims(s *snapshot.Snapshot, count int) []int {
 		return selectRandom(s, count, e.sim.Rand())
 	case Degree:
 		return selectDegree(s, count)
-	case Cutset:
-		return e.selectCutset(s, count)
 	case Eclipse:
 		return e.selectEclipse(s, count)
 	default:
-		return nil // unreachable: NewEngine validates the strategy
+		return nil // unreachable: NewEngine validates the strategy, strike routes Cutset
 	}
 }
 
@@ -65,67 +64,19 @@ func selectDegree(s *snapshot.Snapshot, count int) []int {
 	return order[:count]
 }
 
-// selectCutset picks vertices on a minimum vertex cut of the snapshot —
-// the nodes whose removal the paper's own metric identifies as optimal
-// (Equation 2's compromised set). The cut is deterministic because the
-// analyzer's MinPair is scheduling-independent. A cut smaller than count
-// is topped up with the highest-degree remaining vertices; a graph with
-// no usable cut (complete, already disconnected beyond repair, or an
-// analyzer sample with no evaluable pair) falls back to the degree
-// strategy entirely.
-func (e *Engine) selectCutset(s *snapshot.Snapshot, count int) []int {
-	// Vertex identity across reconnaissance snapshots: same live nodes in
-	// the same order iff the address lists match (strikes usually change
-	// membership, but budget-exhausted or failed removals leave it
-	// intact, and then the recon analysis rebinds incrementally).
-	same := slices.Equal(e.prevAddrs, s.Addrs)
-	e.connBinder.BindNext(s.Graph, same)
-	e.prevAddrs = append(e.prevAddrs[:0], s.Addrs...)
-	cut, _, ok, err := e.conn.GraphCut(connectivity.Query{
-		SampleFraction: e.cfg.SampleFraction,
-	})
-	if err != nil || !ok || len(cut) == 0 {
-		return selectDegree(s, count)
-	}
-	return topUpWithDegrees(cut, count, func() []int { return selectDegree(s, s.N()) })
-}
-
-// topUpWithDegrees realizes the cutset strategy's victim list from a
-// minimum cut: the whole cut when it covers count (GraphCut returns
-// sorted vertices, so the truncation is deterministic), otherwise the
-// cut extended with the highest-degree remaining vertices. Shared by the
-// dense and stable-slot recon paths so the policy cannot drift between
-// them; degreeOrder is a thunk because the degree sort is only needed
-// when the cut is short.
-func topUpWithDegrees(cut []int, count int, degreeOrder func() []int) []int {
-	if len(cut) >= count {
-		return cut[:count]
-	}
-	picked := make(map[int]bool, count)
-	out := make([]int, 0, count)
-	for _, v := range cut {
-		picked[v] = true
-		out = append(out, v)
-	}
-	for _, v := range degreeOrder() {
-		if len(out) == count {
-			break
-		}
-		if !picked[v] {
-			picked[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// selectCutsetSlots is selectCutset over a stable-slot reconnaissance
-// capture: the flow engine binds the slot graph with its compaction map
-// — incrementally across strikes, since slot identity survives the
+// selectCutsetSlots picks vertices on a minimum vertex cut of the
+// stable-slot reconnaissance capture — the nodes whose removal the
+// paper's own metric identifies as optimal (Equation 2's compromised
+// set). The flow engine binds the slot graph with its compaction map —
+// incrementally across strikes, since slot identity survives the
 // adversary's own removals and the interleaved churn — and GraphCut
 // answers in dense rank numbering, which is exactly the victim-indexing
-// space of the capture's Addrs/IDs. Selection is identical to the dense
-// selectCutset, including the degree top-up and fallback.
+// space of the capture's Addrs/IDs. The cut is deterministic because the
+// engine's MinPair is scheduling-independent. A cut smaller than count
+// is topped up with the highest-degree remaining vertices; a graph with
+// no usable cut (complete, already disconnected beyond repair, or a
+// sample with no evaluable pair) falls back to the degree strategy
+// entirely.
 func (e *Engine) selectCutsetSlots(s *snapshot.SlotSnapshot, count int) []int {
 	if count > s.N() {
 		count = s.N()
@@ -137,7 +88,25 @@ func (e *Engine) selectCutsetSlots(s *snapshot.SlotSnapshot, count int) []int {
 	if err != nil || !ok || len(cut) == 0 {
 		return selectDegreeRanks(s, count)
 	}
-	return topUpWithDegrees(cut, count, func() []int { return selectDegreeRanks(s, s.N()) })
+	if len(cut) >= count {
+		return cut[:count] // GraphCut returns sorted vertices: deterministic
+	}
+	picked := make(map[int]bool, count)
+	out := make([]int, 0, count)
+	for _, v := range cut {
+		picked[v] = true
+		out = append(out, v)
+	}
+	for _, v := range selectDegreeRanks(s, s.N()) {
+		if len(out) == count {
+			break
+		}
+		if !picked[v] {
+			picked[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // selectDegreeRanks mirrors selectDegree on a slot capture: ranks

@@ -2,96 +2,60 @@ package connectivity
 
 import "kadre/internal/graph"
 
-// IncrementalBinder drives one Engine across a sequence of snapshot
-// graphs, taking the incremental Rebind path whenever the caller vouches
-// that vertex identity carried over from the previous snapshot, and the
-// full Bind path otherwise. It owns the previous graph reference and a
-// reused delta buffer, so the steady state — diff, patch, analyze — does
-// not allocate.
+// IncrementalBinder drives one Engine across a sequence of stable-slot
+// captures, taking the incremental RebindSlots path whenever the slot
+// space carried over from the previous capture and the full BindSlots
+// path otherwise. It owns the previous graph reference, the previous
+// compaction map and a reused delta buffer, so the steady state — diff,
+// patch, analyze — does not allocate.
 //
-// Vertex identity is the caller's knowledge, not the binder's: snapshot
-// captures compact live nodes into dense indices, so index i means "the
-// same node" across two snapshots only if the live membership (and its
-// order) did not change in between. The scenario runner derives that from
-// the population's membership generation; the churn harness from its
-// trace. Passing sameVertices=true for snapshots whose membership
-// actually changed yields wrong analyses — the differential churn oracle
-// exists to catch exactly that class of wiring bug.
-//
-// Graphs handed to BindNext must not be mutated afterwards: the binder
-// keeps the latest one as the diff base, and the engine analyzes it.
+// Graphs handed to BindNextSlots must not be mutated afterwards: the
+// binder keeps the latest one as the diff base, and the engine analyzes
+// it.
 type IncrementalBinder struct {
-	eng   *Engine
-	prev  *graph.Digraph
-	delta graph.Delta
-
-	// Stable-slot sequence state: the previous capture's compaction map
-	// and whether the previous bind went through the slot path at all
-	// (mixing BindNext and BindNextSlots forces a full bind at the seam).
+	eng       *Engine
+	prev      *graph.Digraph
 	prevOrder []int
-	prevSlots bool
+	delta     graph.Delta
 
 	incremental int
 	full        int
 }
 
 // NewIncrementalBinder wraps eng. Once a binder drives an engine, ALL
-// binding must go through BindNext: a direct Engine.Bind (or Rebind) in
-// between is invisible to the binder, so its next diff would be computed
-// against the wrong base graph and patched onto the wrong binding —
-// silently wrong analyses. Queries on the engine between BindNext calls
-// are fine.
+// binding must go through BindNextSlots: a direct Engine.Bind, BindSlots
+// or RebindSlots in between is invisible to the binder, so its next diff
+// would be computed against the wrong base graph and patched onto the
+// wrong binding — silently wrong analyses. Queries on the engine between
+// BindNextSlots calls are fine.
 func NewIncrementalBinder(eng *Engine) *IncrementalBinder {
 	return &IncrementalBinder{eng: eng}
 }
 
-// Engine returns the wrapped engine, for running queries after BindNext.
+// Engine returns the wrapped engine, for running queries after
+// BindNextSlots.
 func (b *IncrementalBinder) Engine() *Engine { return b.eng }
-
-// BindNext binds g, incrementally when possible, and reports whether the
-// incremental path was taken. sameVertices declares that g's vertex
-// indices denote the same nodes, in the same order, as the previously
-// bound graph's.
-func (b *IncrementalBinder) BindNext(g *graph.Digraph, sameVertices bool) bool {
-	inc := false
-	if sameVertices && !b.prevSlots && b.prev != nil && b.prev.N() == g.N() {
-		graph.DiffInto(b.prev, g, &b.delta)
-		inc = b.eng.Rebind(g, b.delta)
-	} else {
-		b.eng.Bind(g)
-	}
-	b.prev = g
-	b.prevSlots = false
-	if inc {
-		b.incremental++
-	} else {
-		b.full++
-	}
-	return inc
-}
 
 // BindNextSlots binds a stable-slot capture (the graph plus its
 // canonical compaction map, as produced by snapshot.CaptureSlots),
 // incrementally whenever the slot space carried over — which it does
 // across joins, leaves and strikes, not just same-membership edge churn:
 // slot identity is exactly what makes the vertex half of the delta
-// well-defined. Only a slot-table growth (more live nodes than ever
-// before) or a seam with the dense BindNext path forces a full bind. The
+// well-defined. Only a change of the slot count (more live nodes than
+// ever before, or a slot-table compaction) forces a full bind. The
 // binder detects membership changes itself by comparing capture orders,
 // so there is no same-vertices flag for callers to get wrong.
 //
-// Like BindNext, the graph must not be mutated afterwards; order is
-// copied.
+// The graph must not be mutated afterwards; order is copied.
 func (b *IncrementalBinder) BindNextSlots(g *graph.Digraph, order []int) bool {
 	inc := false
-	if b.prevSlots && b.prev != nil && b.prev.N() == g.N() {
+	if b.prev != nil && b.prev.N() == g.N() {
 		graph.DiffSlotsInto(b.prev, g, b.prevOrder, order, &b.delta)
 		inc = b.eng.RebindSlots(g, b.delta, order)
 	} else {
 		b.eng.BindSlots(g, order)
 	}
 	b.prev = g
-	b.prevSlots = true
 	b.prevOrder = append(b.prevOrder[:0], order...)
 	if inc {
 		b.incremental++
@@ -101,8 +65,10 @@ func (b *IncrementalBinder) BindNextSlots(g *graph.Digraph, order []int) bool {
 	return inc
 }
 
-// IncrementalBinds reports how many BindNext calls took the Rebind path.
+// IncrementalBinds reports how many BindNextSlots calls took the
+// RebindSlots path.
 func (b *IncrementalBinder) IncrementalBinds() int { return b.incremental }
 
-// FullBinds reports how many BindNext calls fell back to a full Bind.
+// FullBinds reports how many BindNextSlots calls fell back to a full
+// BindSlots.
 func (b *IncrementalBinder) FullBinds() int { return b.full }

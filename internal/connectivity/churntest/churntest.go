@@ -1,7 +1,9 @@
 // Package churntest is the differential churn oracle: it pins the
-// incremental snapshot-connectivity path (graph deltas patched into a
-// long-lived engine via Rebind) to the from-scratch reference (a fresh
-// engine bound per snapshot) over randomized churn traces.
+// incremental snapshot-connectivity path (stable-slot graph deltas
+// patched into a long-lived engine via RebindSlots) to the from-scratch
+// reference (a dense Engine.Bind per snapshot, which is why Bind stays a
+// code path of its own rather than the identity-order case of BindSlots)
+// over randomized churn traces.
 //
 // A trace models exactly the membership dynamics of the scenario runner:
 // routing-table edge churn between snapshots, node joins appended in join
@@ -17,10 +19,9 @@
 // be identical in the canonical numbering. Because stable slots keep the
 // vertex space alive across joins, leaves and strikes, the incremental
 // path is asserted to be taken on every step where the slot table did
-// not grow — membership churn included, which is exactly what the
-// pre-slot engine could not do — with zero solver patch fallbacks.
-// Because the incremental path replaces exact recomputation with
-// in-place reuse, this equivalence IS the correctness argument; the
+// not grow — membership churn included — with zero solver patch
+// fallbacks. Because the incremental path replaces exact recomputation
+// with in-place reuse, this equivalence IS the correctness argument; the
 // harness runs under -race with both a serial and a wide worker pool.
 package churntest
 

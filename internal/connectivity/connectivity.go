@@ -13,18 +13,18 @@
 // Kademlia graphs); both modes are implemented, as is the undirected
 // (n-1)-pair shortcut the paper cites.
 //
-// Two entry points share one implementation. Engine is the reusable
-// analysis object for sweeping workloads: it binds to a graph, keeps the
-// Even transform, the per-worker solvers and the cut-mode network alive
-// across bindings, and fuses the per-snapshot Min and Avg sweeps into a
-// single pass. Analyzer is the thin per-call compatibility wrapper over
-// an Engine, preserving the original construct-and-analyze API.
+// Engine is the one implementation. Sweeping workloads hold an Engine:
+// it binds to a graph, keeps the Even transform, the per-worker solvers
+// and the cut-mode network alive across bindings, rebinds stable-slot
+// captures incrementally (IncrementalBinder), and fuses the per-snapshot
+// Min and Avg sweeps into a single pass. One-off callers use the
+// package-level Analyze, PairCut and GraphCut, each of which binds a
+// throwaway Engine to its argument graph.
 package connectivity
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"kadre/internal/graph"
 	"kadre/internal/maxflow"
@@ -47,32 +47,6 @@ const (
 	UniformRandom
 )
 
-// Options configures an Analyzer.
-type Options struct {
-	// Algorithm selects the max-flow solver; the zero value means Dinic.
-	Algorithm maxflow.Algorithm
-	// SampleFraction is the paper's c: the fraction of vertices used as
-	// flow sources. Values <= 0 or >= 1 mean a full n(n-1) sweep.
-	SampleFraction float64
-	// Selection chooses the sampling strategy; zero means
-	// SmallestOutDegree.
-	Selection SourceSelection
-	// SelectionSeed seeds the UniformRandom selection; runs with the same
-	// seed pick the same sources.
-	SelectionSeed int64
-	// Workers bounds the worker pool; <= 0 means GOMAXPROCS. Each worker
-	// owns a private solver, replacing the paper's cluster fan-out.
-	Workers int
-	// MinOnly skips exact flow values above the running minimum, which
-	// prunes work but leaves Avg meaningless (reported as NaN).
-	MinOnly bool
-	// SkipMinPair reports MinPair as {-1, -1} without computing it.
-	// Under MinOnly the deterministic pair may need a bounded re-check of
-	// capped evaluations (see Engine.resolveMinPair), so callers that
-	// only read Min can skip it.
-	SkipMinPair bool
-}
-
 // Result reports the connectivity of one graph.
 type Result struct {
 	N        int     // vertices in the analyzed graph
@@ -83,9 +57,9 @@ type Result struct {
 	Complete bool    // graph was complete: Min = N-1 by definition
 	// MinPair is the lexicographically smallest evaluated (source, target)
 	// pair achieving Min, or {-1, -1} if no pair was evaluated or the
-	// analyzer was built with SkipMinPair. It is deterministic for a given
-	// graph and options — independent of worker count and scheduling,
-	// with or without MinOnly pruning.
+	// query set SkipMinPair. It is deterministic for a given graph and
+	// query — independent of worker count and scheduling, with or without
+	// MinOnly pruning.
 	MinPair [2]int
 }
 
@@ -98,47 +72,37 @@ func Resilience(kappa int) int { return kappa - 1 }
 // tolerate a compromised nodes: kappa(D) > a, i.e. at least a+1.
 func RequiredConnectivity(a int) int { return a + 1 }
 
-// Analyzer computes graph connectivity with a fixed configuration. It is
-// a thin compatibility wrapper over an Engine: every Analyze call binds
-// the engine to the argument graph, so repeated calls reuse the engine's
-// solvers and buffers. A mutex preserves the historical safety of
-// concurrent Analyze calls (they serialize; parallelism lives in the
-// engine's worker pool).
-type Analyzer struct {
-	opts Options
-	mu   sync.Mutex
-	eng  *Engine
+// CheckSampleFraction rejects the sample fractions no sweep can honour:
+// negative and NaN values of the paper's c. It is the one input check of
+// the one-shot entry points (Analyze, GraphCut) and of the front ends
+// that take c from outside the program.
+func CheckSampleFraction(c float64) error {
+	if c < 0 || math.IsNaN(c) {
+		return fmt.Errorf("connectivity: sample fraction %v must be >= 0", c)
+	}
+	return nil
 }
 
-// NewAnalyzer validates options and returns an Analyzer.
-func NewAnalyzer(opts Options) (*Analyzer, error) {
-	if opts.SampleFraction < 0 || math.IsNaN(opts.SampleFraction) {
-		return nil, fmt.Errorf("connectivity: sample fraction %v must be >= 0", opts.SampleFraction)
-	}
-	if opts.Selection == 0 {
-		opts.Selection = SmallestOutDegree
-	}
-	eng, err := NewEngine(EngineOptions{
-		// An explicit algorithm choice applies to every query; the zero
-		// value lets the engine pick its per-query-kind defaults.
-		Algorithm:      opts.Algorithm,
-		ExactAlgorithm: opts.Algorithm,
-		Workers:        opts.Workers,
-	})
+// Analyze computes the connectivity of g in the throwaway-per-call form:
+// a default Engine (Hao–Orlin sweeps, GOMAXPROCS workers) bound to g for
+// this one query. Callers analyzing a sequence of graphs, or choosing the
+// solver or the worker count, hold an Engine instead.
+func Analyze(g *graph.Digraph, q Query) (Result, error) {
+	eng, err := oneShot(g, q)
 	if err != nil {
+		return Result{}, err
+	}
+	return eng.Analyze(q), nil
+}
+
+// oneShot validates q and returns a throwaway default engine bound to g.
+func oneShot(g *graph.Digraph, q Query) (*Engine, error) {
+	if err := CheckSampleFraction(q.SampleFraction); err != nil {
 		return nil, err
 	}
-	opts.Workers = eng.maxWorkers
-	return &Analyzer{opts: opts, eng: eng}, nil
-}
-
-// MustNewAnalyzer is NewAnalyzer for statically correct options.
-func MustNewAnalyzer(opts Options) *Analyzer {
-	a, err := NewAnalyzer(opts)
-	if err != nil {
-		panic(err)
-	}
-	return a
+	eng := MustNewEngine(EngineOptions{})
+	eng.Bind(g)
+	return eng, nil
 }
 
 // Pair computes kappa(v, w) for one non-adjacent ordered pair via a
@@ -160,35 +124,6 @@ func Pair(g *graph.Digraph, v, w int, algo maxflow.Algorithm) (int, error) {
 	}
 	solver := algo.NewSolverSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
 	return solver.MaxFlow(graph.Out(v), graph.In(w)), nil
-}
-
-// Analyze computes the connectivity of g according to the analyzer's
-// options.
-func (a *Analyzer) Analyze(g *graph.Digraph) Result {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.eng.Bind(g)
-	return a.eng.Analyze(a.query())
-}
-
-// GraphCut returns a minimum vertex cut of g found at the analyzer's
-// minimizing pair; see the package-level GraphCut.
-func (a *Analyzer) GraphCut(g *graph.Digraph) (cut []int, pair [2]int, ok bool, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.eng.Bind(g)
-	q := a.query()
-	return a.eng.GraphCut(q)
-}
-
-func (a *Analyzer) query() Query {
-	return Query{
-		SampleFraction: a.opts.SampleFraction,
-		Selection:      a.opts.Selection,
-		SelectionSeed:  a.opts.SelectionSeed,
-		MinOnly:        a.opts.MinOnly,
-		SkipMinPair:    a.opts.SkipMinPair,
-	}
 }
 
 func lexLess(a, b [2]int) bool {

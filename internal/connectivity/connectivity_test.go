@@ -66,13 +66,18 @@ func hypercube(d int) *graph.Digraph {
 	return undirected(n, pairs)
 }
 
-func fullAnalyzer(t *testing.T, algo maxflow.Algorithm) *Analyzer {
-	t.Helper()
-	a, err := NewAnalyzer(Options{Algorithm: algo, SampleFraction: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
+// analyze runs q on a throwaway engine built from eo and bound to g — the
+// tests' one-shot form where the solver or the worker count matters (the
+// package-level Analyze always takes the defaults).
+func analyze(g *graph.Digraph, eo EngineOptions, q Query) Result {
+	eng := MustNewEngine(eo)
+	eng.Bind(g)
+	return eng.Analyze(q)
+}
+
+// fullSweep is the exact n(n-1) analysis of g under algo.
+func fullSweep(g *graph.Digraph, algo maxflow.Algorithm) Result {
+	return analyze(g, EngineOptions{Algorithm: algo}, Query{SampleFraction: 1.0})
 }
 
 func TestKnownConnectivities(t *testing.T) {
@@ -100,11 +105,10 @@ func TestKnownConnectivities(t *testing.T) {
 			1,
 		},
 	}
-	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.PushRelabel} {
-		a := fullAnalyzer(t, algo)
+	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.HaoOrlin} {
 		for _, tt := range tests {
 			t.Run(algo.String()+"/"+tt.name, func(t *testing.T) {
-				res := a.Analyze(tt.g)
+				res := fullSweep(tt.g, algo)
 				if res.Min != tt.want {
 					t.Fatalf("kappa = %d, want %d (result %+v)", res.Min, tt.want, res)
 				}
@@ -114,22 +118,20 @@ func TestKnownConnectivities(t *testing.T) {
 }
 
 func TestCompleteGraph(t *testing.T) {
-	a := fullAnalyzer(t, maxflow.Dinic)
-	res := a.Analyze(completeGraph(6))
+	res := fullSweep(completeGraph(6), maxflow.Dinic)
 	if !res.Complete || res.Min != 5 {
 		t.Fatalf("K6: %+v, want complete with kappa 5", res)
 	}
 }
 
 func TestTinyGraphs(t *testing.T) {
-	a := fullAnalyzer(t, maxflow.Dinic)
-	if res := a.Analyze(graph.NewDigraph(0)); res.Min != 0 || !res.Complete {
+	if res := fullSweep(graph.NewDigraph(0), maxflow.Dinic); res.Min != 0 || !res.Complete {
 		t.Errorf("empty graph: %+v", res)
 	}
-	if res := a.Analyze(graph.NewDigraph(1)); res.Min != 0 || !res.Complete {
+	if res := fullSweep(graph.NewDigraph(1), maxflow.Dinic); res.Min != 0 || !res.Complete {
 		t.Errorf("single vertex: %+v", res)
 	}
-	if res := a.Analyze(graph.NewDigraph(2)); res.Min != 0 {
+	if res := fullSweep(graph.NewDigraph(2), maxflow.Dinic); res.Min != 0 {
 		t.Errorf("two isolated vertices: %+v", res)
 	}
 }
@@ -144,8 +146,7 @@ func TestKCompleteMinusEdge(t *testing.T) {
 		}
 		g2.AddEdge(e.U, e.V)
 	}
-	a := fullAnalyzer(t, maxflow.Dinic)
-	res := a.Analyze(g2)
+	res := fullSweep(g2, maxflow.Dinic)
 	if res.Min != 3 {
 		t.Fatalf("kappa(K5 - e) = %d, want 3", res.Min)
 	}
@@ -164,8 +165,7 @@ func TestDirectedAsymmetry(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.AddEdge(i, (i+1)%n)
 	}
-	a := fullAnalyzer(t, maxflow.Dinic)
-	if res := a.Analyze(g); res.Min != 1 {
+	if res := fullSweep(g, maxflow.Dinic); res.Min != 1 {
 		t.Fatalf("directed C5 kappa = %d, want 1", res.Min)
 	}
 	// Remove one arc: some ordered pairs become unreachable -> kappa 0.
@@ -173,7 +173,7 @@ func TestDirectedAsymmetry(t *testing.T) {
 	for i := 0; i < n-1; i++ {
 		g2.AddEdge(i, (i+1)%n)
 	}
-	if res := a.Analyze(g2); res.Min != 0 {
+	if res := fullSweep(g2, maxflow.Dinic); res.Min != 0 {
 		t.Fatalf("directed path kappa = %d, want 0", res.Min)
 	}
 }
@@ -200,7 +200,7 @@ func TestEvenTransformPaperExample(t *testing.T) {
 		t.Fatalf("raw max flow = %d, want 3", f)
 	}
 	// Vertex connectivity via Even's transformation: 1.
-	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.PushRelabel} {
+	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.HaoOrlin} {
 		k, err := Pair(g, 0, 8, algo)
 		if err != nil {
 			t.Fatal(err)
@@ -266,8 +266,6 @@ func TestSamplingNeverUnderestimates(t *testing.T) {
 	// The sampled min is a min over a subset of pairs, so it can only be
 	// >= the full min.
 	r := rand.New(rand.NewSource(21))
-	full := fullAnalyzer(t, maxflow.Dinic)
-	sampled := MustNewAnalyzer(Options{SampleFraction: 0.1})
 	for trial := 0; trial < 10; trial++ {
 		n := 20 + r.Intn(20)
 		g := graph.NewDigraph(n)
@@ -278,7 +276,7 @@ func TestSamplingNeverUnderestimates(t *testing.T) {
 				g.AddEdge(v, u)
 			}
 		}
-		fr, sr := full.Analyze(g), sampled.Analyze(g)
+		fr, sr := fullSweep(g, maxflow.Dinic), analyze(g, EngineOptions{}, Query{SampleFraction: 0.1})
 		if sr.Min < fr.Min {
 			t.Fatalf("sampled min %d below full min %d", sr.Min, fr.Min)
 		}
@@ -303,9 +301,8 @@ func TestSamplingFindsMinOnDegreeBoundGraphs(t *testing.T) {
 		}
 		weak.AddEdge(e.U, e.V)
 	}
-	full := fullAnalyzer(t, maxflow.Dinic)
-	sampled := MustNewAnalyzer(Options{SampleFraction: 0.07}) // 2 sources
-	fr, sr := full.Analyze(weak), sampled.Analyze(weak)
+	fr := fullSweep(weak, maxflow.Dinic)
+	sr := analyze(weak, EngineOptions{}, Query{SampleFraction: 0.07}) // 2 sources
 	if fr.Min != 2 {
 		t.Fatalf("full min = %d, want 2", fr.Min)
 	}
@@ -318,8 +315,7 @@ func TestSamplingFindsMinOnDegreeBoundGraphs(t *testing.T) {
 }
 
 func TestMinOnlyMode(t *testing.T) {
-	a := MustNewAnalyzer(Options{SampleFraction: 1.0, MinOnly: true})
-	res := a.Analyze(petersen())
+	res := analyze(petersen(), EngineOptions{}, Query{SampleFraction: 1.0, MinOnly: true})
 	if res.Min != 3 {
 		t.Fatalf("MinOnly kappa = %d, want 3", res.Min)
 	}
@@ -331,8 +327,7 @@ func TestMinOnlyMode(t *testing.T) {
 func TestWorkersProduceSameResult(t *testing.T) {
 	g := petersen()
 	for _, workers := range []int{1, 2, 8} {
-		a := MustNewAnalyzer(Options{SampleFraction: 1.0, Workers: workers})
-		if res := a.Analyze(g); res.Min != 3 {
+		if res := analyze(g, EngineOptions{Workers: workers}, Query{SampleFraction: 1.0}); res.Min != 3 {
 			t.Fatalf("workers=%d: kappa = %d, want 3", workers, res.Min)
 		}
 	}
@@ -340,8 +335,7 @@ func TestWorkersProduceSameResult(t *testing.T) {
 
 func TestAvgReasonable(t *testing.T) {
 	// On C5, every non-adjacent pair has kappa exactly 2, so avg = 2.
-	a := fullAnalyzer(t, maxflow.Dinic)
-	res := a.Analyze(cycle(5))
+	res := fullSweep(cycle(5), maxflow.Dinic)
 	if res.Avg != 2.0 {
 		t.Fatalf("avg = %v, want 2.0", res.Avg)
 	}
@@ -351,25 +345,41 @@ func TestAvgReasonable(t *testing.T) {
 	}
 }
 
-func TestNewAnalyzerValidation(t *testing.T) {
-	if _, err := NewAnalyzer(Options{SampleFraction: -0.5}); err == nil {
-		t.Error("negative sample fraction should fail")
+// TestOneShotValidation pins the input checks of the throwaway-per-call
+// entry points: a negative or NaN sample fraction is an error from both
+// Analyze and GraphCut (NaN would otherwise slip through sampleCount's
+// range guard), a valid one answers exactly like a held engine, and
+// NewEngine rejects an algorithm outside the enum while defaulting the
+// unset one.
+func TestOneShotValidation(t *testing.T) {
+	g := petersen()
+	for _, c := range []float64{-0.5, math.NaN(), math.Inf(-1)} {
+		if _, err := Analyze(g, Query{SampleFraction: c}); err == nil {
+			t.Errorf("Analyze accepted sample fraction %v", c)
+		}
+		if _, _, _, err := GraphCut(g, Query{SampleFraction: c}); err == nil {
+			t.Errorf("GraphCut accepted sample fraction %v", c)
+		}
 	}
-	if _, err := NewAnalyzer(Options{SampleFraction: math.NaN()}); err == nil {
-		t.Error("NaN sample fraction should fail")
+	for _, c := range []float64{0, 0.3, 1, 7} {
+		q := Query{SampleFraction: c, MinOnly: true}
+		got, err := Analyze(g, q)
+		if err != nil {
+			t.Fatalf("Analyze rejected sample fraction %v: %v", c, err)
+		}
+		requireSameResult(t, "one-shot", got, analyze(g, EngineOptions{Workers: 1}, q))
 	}
-	a, err := NewAnalyzer(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.opts.Algorithm != 0 {
-		t.Error("unset algorithm should stay zero, deferring to the engine defaults")
-	}
-	if a.eng.algo == 0 || a.eng.exactAlgo == 0 {
-		t.Error("engine must resolve concrete default algorithms")
-	}
-	if a.opts.Workers < 1 {
-		t.Error("workers should default to >= 1")
+	for _, tc := range []struct {
+		algo maxflow.Algorithm
+		ok   bool
+	}{{0, true}, {maxflow.Dinic, true}, {maxflow.HaoOrlin, true}, {-1, false}, {maxflow.HaoOrlin + 1, false}} {
+		eng, err := NewEngine(EngineOptions{Algorithm: tc.algo})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewEngine(Algorithm: %d): err = %v, want ok = %v", int(tc.algo), err, tc.ok)
+		}
+		if err == nil && (eng.algo != maxflow.Dinic && eng.algo != maxflow.HaoOrlin || eng.maxWorkers < 1) {
+			t.Errorf("NewEngine(Algorithm: %d) left algo %v, workers %d", int(tc.algo), eng.algo, eng.maxWorkers)
+		}
 	}
 }
 
@@ -422,7 +432,6 @@ func TestUndirectedMinRejectsAsymmetric(t *testing.T) {
 
 func TestUndirectedMinIsUpperBound(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	full := fullAnalyzer(t, maxflow.Dinic)
 	for trial := 0; trial < 10; trial++ {
 		n := 8 + r.Intn(12)
 		g := graph.NewDigraph(n)
@@ -437,7 +446,7 @@ func TestUndirectedMinIsUpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fr := full.Analyze(g); ub < fr.Min {
+		if fr := fullSweep(g, maxflow.Dinic); ub < fr.Min {
 			t.Fatalf("undirected shortcut %d below true kappa %d", ub, fr.Min)
 		}
 	}
@@ -452,7 +461,6 @@ func TestMinDegreeBound(t *testing.T) {
 	}
 	// kappa <= MinDegree on arbitrary graphs.
 	r := rand.New(rand.NewSource(17))
-	full := fullAnalyzer(t, maxflow.Dinic)
 	for trial := 0; trial < 10; trial++ {
 		n := 6 + r.Intn(10)
 		g := graph.NewDigraph(n)
@@ -462,7 +470,7 @@ func TestMinDegreeBound(t *testing.T) {
 				g.AddEdge(u, v)
 			}
 		}
-		res := full.Analyze(g)
+		res := fullSweep(g, maxflow.Dinic)
 		if res.Complete {
 			continue
 		}

@@ -57,14 +57,14 @@ func extractCut(n, v, w int, reach []bool) []int {
 // connected (r-resilience, Equation 2).
 //
 // Like PairCut this is the throwaway-per-call form; per-snapshot callers
-// should hold an Engine and use Engine.GraphCut.
-func GraphCut(g *graph.Digraph, opts Options) (cut []int, pair [2]int, ok bool, err error) {
-	opts.MinOnly = true
-	a, err := NewAnalyzer(opts)
+// should hold an Engine and use Engine.GraphCut. Of q only the source
+// selection matters: a cut search is always a pruned MinPair analysis.
+func GraphCut(g *graph.Digraph, q Query) (cut []int, pair [2]int, ok bool, err error) {
+	eng, err := oneShot(g, q)
 	if err != nil {
 		return nil, [2]int{}, false, err
 	}
-	return a.GraphCut(g)
+	return eng.GraphCut(q)
 }
 
 // RemoveVertices returns a copy of g with the given vertices deleted

@@ -102,7 +102,7 @@ func TestGraphCut(t *testing.T) {
 	// Petersen graph: kappa = 3, so the optimal attack compromises 3
 	// nodes and partitions the network; any 2 leave it connected.
 	g := petersen()
-	cut, pair, ok, err := GraphCut(g, Options{SampleFraction: 1.0})
+	cut, pair, ok, err := GraphCut(g, Query{SampleFraction: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +121,14 @@ func TestGraphCut(t *testing.T) {
 		partial := append([]int(nil), cut[:drop]...)
 		partial = append(partial, cut[drop+1:]...)
 		reduced, _ := RemoveVertices(g, partial)
-		full := MustNewAnalyzer(Options{SampleFraction: 1.0, MinOnly: true})
-		if full.Analyze(reduced).Min == 0 {
+		if analyze(reduced, EngineOptions{}, Query{SampleFraction: 1.0, MinOnly: true}).Min == 0 {
 			t.Fatalf("removing only 2 cut nodes %v disconnected the graph", partial)
 		}
 	}
 }
 
 func TestGraphCutComplete(t *testing.T) {
-	_, _, ok, err := GraphCut(completeGraph(5), Options{SampleFraction: 1.0})
+	_, _, ok, err := GraphCut(completeGraph(5), Query{SampleFraction: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

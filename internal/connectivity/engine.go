@@ -14,37 +14,41 @@ import (
 
 // EngineOptions configures an Engine.
 type EngineOptions struct {
-	// Algorithm solves the pruned (running-minimum-capped) sweep
-	// queries. The zero value means HaoOrlin: the fixed-root sweep
-	// solver (see maxflow.HaoOrlinSolver) pays no per-sink global
-	// relabel, ~3x ahead of the warm-start push-relabel path on the
-	// snapshot benchmark. Its MaxFlowLimit may overshoot the cap
-	// (returning any value in [limit, kappa]); the sweep bookkeeping
-	// only relies on "below the cap means exact", which every solver
-	// guarantees. Pass Dinic explicitly for stop-at-the-cap semantics.
+	// Algorithm solves the sweep queries, pruned (capped at the running
+	// minimum) and exact alike; the flow values are identical with either
+	// solver. The zero value means HaoOrlin: the fixed-root sweep solver
+	// (see maxflow.HaoOrlinSolver) pays no per-sink global relabel. Its
+	// MaxFlowLimit may overshoot the cap (returning any value in
+	// [limit, kappa]); the sweep bookkeeping only relies on "below the cap
+	// means exact", which both solvers guarantee. Pass Dinic explicitly
+	// for stop-at-the-cap semantics or as the cross-check. Cut extraction
+	// always runs on Dinic, whatever is chosen here.
 	Algorithm maxflow.Algorithm
-	// ExactAlgorithm solves exact (uncapped) sweep queries — the Avg
-	// sweeps and full analyses. The zero value means HaoOrlin; the flow
-	// values are identical with any solver.
-	ExactAlgorithm maxflow.Algorithm
 	// Workers bounds the sweep worker pool; <= 0 means GOMAXPROCS. Each
 	// worker owns private solvers, replacing the paper's cluster fan-out.
 	Workers int
 }
 
-// Query selects what one Engine.Analyze computes; the fields mirror the
-// per-call half of Options (the Analyzer-compatible semantics).
+// Query selects what one analysis (Engine.Analyze, or the one-shot
+// package-level Analyze and GraphCut) computes.
 type Query struct {
-	// SampleFraction is the paper's c; <= 0 or >= 1 means a full sweep.
+	// SampleFraction is the paper's c: the fraction of vertices used as
+	// flow sources. 0 or >= 1 means a full n(n-1) sweep; negative and NaN
+	// values are input errors (see CheckSampleFraction).
 	SampleFraction float64
 	// Selection chooses the sampling strategy; zero means
 	// SmallestOutDegree.
 	Selection SourceSelection
-	// SelectionSeed seeds the UniformRandom selection.
+	// SelectionSeed seeds the UniformRandom selection; runs with the same
+	// seed pick the same sources.
 	SelectionSeed int64
-	// MinOnly prunes flows above the running minimum; Avg is NaN.
+	// MinOnly skips exact flow values above the running minimum, which
+	// prunes work but leaves Avg meaningless (reported as NaN).
 	MinOnly bool
 	// SkipMinPair reports MinPair as {-1, -1} without computing it.
+	// Under MinOnly the deterministic pair may need a bounded re-check of
+	// capped evaluations (see Engine.resolveMinPair), so callers that
+	// only read Min can skip it.
 	SkipMinPair bool
 }
 
@@ -57,8 +61,8 @@ type SnapshotQuery struct {
 }
 
 // SnapshotResult carries the two results of a fused snapshot analysis:
-// Min is what a MinOnly smallest-out-degree Analyzer would report
-// (MinPair skipped), Avg what a UniformRandom exact Analyzer would.
+// Min is what a MinOnly smallest-out-degree Analyze would report
+// (MinPair skipped), Avg what a UniformRandom exact Analyze would.
 type SnapshotResult struct {
 	Min Result
 	Avg Result
@@ -71,15 +75,17 @@ type SnapshotResult struct {
 // cut-mode flow network, and all selection scratch — alive across
 // bindings. Analyzing a sequence of same-shape graphs (the per-snapshot
 // hot path at paper scale) therefore allocates only on the first
-// binding, where the throwaway-per-call Analyzer pattern rebuilt
-// O(workers*E) state per snapshot.
+// binding, where a throwaway engine per call rebuilds O(workers*E) state
+// per snapshot.
 //
 // Graphs bind in one of two styles: Bind takes a dense graph (every
-// vertex live), BindSlots a stable-slot graph plus its canonical
-// compaction map, in which case the engine masks vacant slots and runs
-// every query in compacted rank numbering — answers are interchangeable
-// between the styles. The slot style is what lets Rebind's incremental
-// patching span membership changes (see RebindSlots).
+// vertex live) and always binds in full — the one-shot form, and the
+// from-scratch reference the churn oracle compares against. BindSlots
+// takes a stable-slot graph plus its canonical compaction map, in which
+// case the engine masks vacant slots and runs every query in compacted
+// rank numbering — answers are interchangeable between the styles. Only
+// the slot style rebinds incrementally (RebindSlots): slot identity is
+// what keeps the vertex space alive across membership changes.
 //
 // The reuse contract: Bind/BindSlots invalidates all previous binding
 // state and must be called before Analyze/AnalyzeSnapshot/PairCut/
@@ -89,7 +95,6 @@ type SnapshotResult struct {
 // query, independent of the worker count.
 type Engine struct {
 	algo       maxflow.Algorithm
-	exactAlgo  maxflow.Algorithm
 	maxWorkers int
 
 	// Binding state.
@@ -99,9 +104,9 @@ type Engine struct {
 	evenSrc unitEdgeSource
 	cutSrc  cutEdgeSource
 	gen     uint64 // binding generation; solvers rebind lazily
-	// evenDirty marks the Even edge list stale after a Rebind: patched
-	// solvers never read it, so it is rebuilt lazily — and only serially,
-	// before workers spawn — for solvers that need a full Reset.
+	// evenDirty marks the Even edge list stale after a RebindSlots:
+	// patched solvers never read it, so it is rebuilt lazily — and only
+	// serially, before workers spawn — for solvers that need a full Reset.
 	evenDirty bool
 
 	// Stable-slot (masked) binding state. With BindSlots the bound graph
@@ -127,7 +132,7 @@ type Engine struct {
 	cutGen    uint64
 	cutBuilds int
 
-	// Rebind bookkeeping: reused Even-space delta adapters and the
+	// RebindSlots bookkeeping: reused Even-space delta adapters and the
 	// counters the regression tests pin.
 	addSrc, remSrc       evenDeltaSource
 	cutAddSrc, cutRemSrc evenDeltaSource
@@ -217,7 +222,7 @@ func (s *cutEdgeSource) EdgeAt(i int) (int, int, int32) {
 // coordinates with a fixed capacity — 1 for the sweep solvers, the cut
 // network's big capacity for the cut solver. Only original edges appear
 // in deltas (internal edges exist for every slot regardless of activity,
-// and Rebind keeps the slot space), so the (Out(u), In(v)) shape is
+// and RebindSlots keeps the slot space), so the (Out(u), In(v)) shape is
 // always right. A non-nil rank table additionally translates slot
 // endpoints into compacted rank numbering — the coordinate space of the
 // cut network under a masked binding.
@@ -237,20 +242,21 @@ func (s *evenDeltaSource) EdgeAt(i int) (int, int, int32) {
 	return graph.Out(u), graph.In(v), s.cap
 }
 
-// NewEngine validates options and returns an unbound Engine.
+// NewEngine validates options and returns an unbound Engine. The only
+// invalid option is an Algorithm outside the maxflow enum.
 func NewEngine(opts EngineOptions) (*Engine, error) {
-	if opts.Algorithm == 0 {
+	switch opts.Algorithm {
+	case 0:
 		opts.Algorithm = maxflow.HaoOrlin
-	}
-	if opts.ExactAlgorithm == 0 {
-		opts.ExactAlgorithm = maxflow.HaoOrlin
+	case maxflow.Dinic, maxflow.HaoOrlin:
+	default:
+		return nil, fmt.Errorf("connectivity: unknown max-flow algorithm %v", opts.Algorithm)
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
 		algo:       opts.Algorithm,
-		exactAlgo:  opts.ExactAlgorithm,
 		maxWorkers: opts.Workers,
 		workers:    make([]engineWorker, opts.Workers),
 		rng:        rand.New(rand.NewSource(1)),
@@ -343,51 +349,39 @@ func (e *Engine) isCompleteActive() bool {
 	return e.g.M() == e.nact*(e.nact-1)
 }
 
-// Rebind points the engine at g incrementally: g must be the currently
-// bound graph plus delta (same vertex count, same vertex identity —
-// cur = old - delta.Removed + delta.Added, as graph.DiffInto computes).
-// Instead of rebuilding the Even transform and re-initializing every
-// solver, Rebind patches each live solver's arc layout in place and
+// RebindSlots points the engine at a stable-slot capture incrementally:
+// g must be the currently bound slot graph plus delta (same slot count,
+// same slot identity — cur = old - delta.Removed + delta.Added, as
+// graph.DiffSlotsInto computes), and order the new capture's compaction
+// map. Instead of rebuilding the Even transform and re-initializing every
+// solver, it patches each live solver's arc layout in place and
 // invalidates only the query-level caches the delta poisons (Dinic's
-// prepared-source BFS, push-relabel's warm-start preflow, the sweep
-// solver's root labels). Tombstoned arc slots preserve traversal order,
-// so analyses after a Rebind are bit-identical to analyses after a full
-// Bind of the same graph — the differential churn harness holds the two
-// paths to that contract.
+// prepared-source BFS, the sweep solver's root labels). Tombstoned arc
+// slots preserve traversal order, so analyses after a RebindSlots are
+// bit-identical to analyses after a full Bind of the compacted graph —
+// the differential churn harness holds the two paths to that contract.
 //
-// With no previous binding or a different vertex count, Rebind falls back
-// to Bind and reports false. A solver whose patch fails (an added edge
-// with no tombstoned slot to revive) is left on the old generation and
-// lazily re-initialized from the rebuilt Even list on next use; the
-// engine stays consistent either way.
-func (e *Engine) Rebind(g *graph.Digraph, delta graph.Delta) bool {
-	if e.g == nil || g.N() != e.n || e.masked {
-		e.Bind(g)
-		return false
-	}
-	e.rebindEdges(g, delta, true)
-	return true
-}
-
-// RebindSlots is Rebind for stable-slot bindings: g must be the bound
-// slot graph plus delta (same slot count), and order the new capture's
-// compaction map. Unlike Rebind, the membership may have changed — that
-// is the point: joins, leaves and strikes keep their slots' identities,
-// so the sweep solvers still patch in place from the edge delta alone,
-// and only the rank-space structures follow the new order. The cut-mode
-// network is patched too while the membership (and with it the rank
-// numbering) is unchanged; a membership change leaves it stale for a
-// lazy rank-space rebuild on the next cut query — the verified fallback,
+// The membership may have changed between the two captures — that is the
+// point: joins, leaves and strikes keep their slots' identities, so the
+// sweep solvers still patch in place from the edge delta alone, and only
+// the rank-space structures follow the new order. The cut-mode network
+// is patched too while the membership (and with it the rank numbering)
+// is unchanged; a membership change leaves it stale for a lazy
+// rank-space rebuild on the next cut query — the verified fallback,
 // since cut queries are off the per-snapshot hot path.
 //
-// With no previous binding or a different slot count (the slot table
-// grew), RebindSlots falls back to BindSlots and reports false.
+// With no previous slot binding or a different slot count (the slot
+// table grew, or was compacted), RebindSlots falls back to BindSlots and
+// reports false. A solver whose patch fails (a delta inconsistent with
+// its binding) is left on the old generation and lazily re-initialized
+// from the rebuilt Even list on next use; the engine stays consistent
+// either way.
 func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) bool {
-	if e.g == nil || g.N() != e.n {
+	if !e.masked || g.N() != e.n {
 		e.BindSlots(g, order)
 		return false
 	}
-	sameMembership := e.masked && slices.Equal(e.slotOrder, order)
+	sameMembership := slices.Equal(e.slotOrder, order)
 	e.rebindEdges(g, delta, sameMembership)
 	if !sameMembership {
 		e.setOrder(order)
@@ -398,31 +392,28 @@ func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) b
 
 // rebindEdges patches every live solver with the slot-space edge delta
 // and advances the binding generation. patchCut additionally patches the
-// cut-mode network (legal only while its coordinate numbering survives
-// the transition: always for dense rebinds, same-membership only for
-// masked ones).
+// cut-mode network (legal only while its rank numbering survives the
+// transition, i.e. while the membership is unchanged).
 func (e *Engine) rebindEdges(g *graph.Digraph, delta graph.Delta, patchCut bool) {
 	e.g = g
 	prevGen := e.gen
 	e.gen++
 	e.evenDirty = true
-	if e.masked {
-		e.cutDirty = true
-	}
+	e.cutDirty = true
 	e.rebinds++
 	e.addSrc = evenDeltaSource{edges: delta.Added, cap: 1}
 	e.remSrc = evenDeltaSource{edges: delta.Removed, cap: 1}
 	for i := range e.workers {
 		w := &e.workers[i]
 		if w.capped != nil && w.cappedGen == prevGen {
-			if a, ok := w.capped.(maxflow.UnitDeltaApplier); ok && a.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
+			if w.capped.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
 				w.cappedGen = e.gen
 			} else {
 				e.rebindFallbacks++
 			}
 		}
 		if w.exact != nil && w.exactGen == prevGen {
-			if a, ok := w.exact.(maxflow.UnitDeltaApplier); ok && a.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
+			if w.exact.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
 				w.exactGen = e.gen
 			} else {
 				e.rebindFallbacks++
@@ -430,15 +421,11 @@ func (e *Engine) rebindEdges(g *graph.Digraph, delta graph.Delta, patchCut bool)
 		}
 	}
 	// The cut-mode network revives original edges at the big capacity
-	// that keeps minimum cuts on internal edges; under a masked binding
-	// its coordinates are ranks, so the delta is translated on the fly.
+	// that keeps minimum cuts on internal edges; its coordinates are
+	// ranks, so the slot-space delta is translated on the fly.
 	if patchCut && e.cutSolver != nil && e.cutGen == prevGen {
-		var rank []int32
-		if e.masked {
-			rank = e.rankOf
-		}
-		e.cutAddSrc = evenDeltaSource{edges: delta.Added, cap: e.cutSrc.big, rank: rank}
-		e.cutRemSrc = evenDeltaSource{edges: delta.Removed, cap: e.cutSrc.big, rank: rank}
+		e.cutAddSrc = evenDeltaSource{edges: delta.Added, cap: e.cutSrc.big, rank: e.rankOf}
+		e.cutRemSrc = evenDeltaSource{edges: delta.Removed, cap: e.cutSrc.big, rank: e.rankOf}
 		if e.cutSolver.ApplyUnitDelta(&e.cutAddSrc, &e.cutRemSrc) {
 			e.cutGen = e.gen
 		} else {
@@ -453,9 +440,7 @@ func (e *Engine) rebindEdges(g *graph.Digraph, delta graph.Delta, patchCut bool)
 func (e *Engine) Rebinds() int { return e.rebinds }
 
 // MembershipRebinds reports how many incremental rebinds crossed a
-// membership change (joins, leaves or strikes between captures) — the
-// binds that, before stable-slot indexing, were forced onto the full
-// Bind path.
+// membership change (joins, leaves or strikes between captures).
 func (e *Engine) MembershipRebinds() int { return e.memberRebinds }
 
 // RebindFallbacks reports how many solver patches failed during rebinds,
@@ -465,7 +450,8 @@ func (e *Engine) MembershipRebinds() int { return e.memberRebinds }
 // and the steady-state regression tests pin this to zero outright.
 func (e *Engine) RebindFallbacks() int { return e.rebindFallbacks }
 
-// ensureEven rebuilds the Even edge list after a Rebind marked it stale.
+// ensureEven rebuilds the Even edge list after a RebindSlots marked it
+// stale (only masked bindings ever do: a dense Bind rebuilds it eagerly).
 // It must only run from the serial sections of the engine (before sweep
 // workers spawn): the sweep's solver fast paths never call it.
 func (e *Engine) ensureEven() {
@@ -474,21 +460,16 @@ func (e *Engine) ensureEven() {
 	}
 	e.even = e.g.AppendEvenEdges(e.even[:0])
 	e.evenSrc.edges = e.even
-	if !e.masked {
-		e.cutSrc.edges = e.even
-	}
 	e.evenDirty = false
 }
 
-// ensureCut readies cutSrc for (re)building the cut-mode network: the
-// shared slot-space Even list under a dense binding, the compacted
-// rank-space list under a masked one — the numbering in which cut
-// queries are asked and answered, and the reason a masked engine's cuts
-// match a fresh bind of the compacted graph arc for arc.
+// ensureCut readies cutSrc for (re)building the cut-mode network. Under a
+// dense binding bindFull already aimed it at the shared Even list; under
+// a masked one it is the compacted rank-space list — the numbering in
+// which cut queries are asked and answered, and the reason a masked
+// engine's cuts match a fresh bind of the compacted graph arc for arc.
 func (e *Engine) ensureCut() {
 	if !e.masked {
-		e.ensureEven()
-		e.cutSrc = cutEdgeSource{edges: e.even, internal: e.n, big: int32(e.n + 1)}
 		return
 	}
 	if e.cutDirty {
@@ -512,7 +493,7 @@ func (e *Engine) solverFor(w int, exact bool) maxflow.Solver {
 	if exact {
 		if ew.exact == nil {
 			e.ensureEven()
-			ew.exact = e.exactAlgo.NewSolverSource(2*e.n, &e.evenSrc)
+			ew.exact = e.algo.NewSolverSource(2*e.n, &e.evenSrc)
 			ew.exactGen = e.gen
 		} else if ew.exactGen != e.gen {
 			e.ensureEven()
@@ -533,9 +514,9 @@ func (e *Engine) solverFor(w int, exact bool) maxflow.Solver {
 	return ew.capped
 }
 
-// Analyze computes the connectivity of the bound graph with
-// Analyzer-compatible semantics: identical Min, Avg, Pairs, Sources and
-// MinPair for any query, worker count and algorithm choice.
+// Analyze computes the connectivity of the bound graph: identical Min,
+// Avg, Pairs, Sources and MinPair for any worker count and algorithm
+// choice.
 func (e *Engine) Analyze(q Query) Result {
 	if e.g == nil {
 		panic("connectivity: Engine.Analyze before Bind")
@@ -575,9 +556,9 @@ func (e *Engine) Analyze(q Query) Result {
 
 // AnalyzeSnapshot runs the fused per-snapshot analysis: one sweep over
 // the union of the smallest-out-degree sources (pruned at the running
-// minimum, feeding Min — exactly a MinOnly Analyzer) and the seeded
+// minimum, feeding Min — exactly a MinOnly Analyze) and the seeded
 // uniform sources (exact flows, feeding Avg — exactly a UniformRandom
-// Analyzer). Fusing shares the Even transform, the solver pool and the
+// Analyze). Fusing shares the Even transform, the solver pool and the
 // worker fan-out between the two measurements the paper plots, instead
 // of paying for each twice per snapshot.
 func (e *Engine) AnalyzeSnapshot(q SnapshotQuery) SnapshotResult {
@@ -642,8 +623,8 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 	}
 	// Resolve every solver the sweep may touch while still serial: a
 	// stale solver's Reset reads the shared Even edge list (possibly
-	// rebuilding it after a Rebind), which must not race across workers.
-	// In the steady state — bound or patched solvers on the current
+	// rebuilding it after a RebindSlots), which must not race across
+	// workers. In the steady state — bound or patched solvers on the current
 	// generation — these calls are gen checks and nothing more.
 	needCapped, needExact := false, false
 	for _, t := range tasks {
@@ -760,8 +741,8 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 	}
 }
 
-// combine folds task results into a Result with the Analyzer's exact
-// semantics, including the sample-yielded-no-information fallback.
+// combine folds task results into a Result, including the
+// sample-yielded-no-information fallback.
 func (e *Engine) combine(results []taskResult, sources int) Result {
 	n := e.nact
 	out := Result{N: n, Min: n, MinPair: [2]int{-1, -1}, Sources: sources}

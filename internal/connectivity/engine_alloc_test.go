@@ -40,59 +40,6 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineRebindSteadyStateAllocs pins the incremental path's reuse
-// contract: once the delta buffers and solver state have warmed up,
-// diffing adjacent graphs, patching the engine via Rebind (tombstones,
-// revivals AND slack insertions — the graphs differ in both directions)
-// and re-running the fused snapshot analysis must not allocate at all.
-func TestEngineRebindSteadyStateAllocs(t *testing.T) {
-	g1 := randomSymmetricGraph(11, 60, 600)
-	g2 := g1.Clone()
-	// A bounded, symmetric mutation: the two graphs differ by a fixed
-	// edge set, so alternating rebinds exercise tombstone and revive on
-	// every step with deltas of constant size.
-	edges := g1.Edges()
-	for i := 0; i < 10; i++ {
-		g2.RemoveEdge(edges[i*7].U, edges[i*7].V)
-	}
-	for v := 1; v <= 4; v++ {
-		if !g2.HasEdge(0, v) && !g1.HasEdge(0, v) {
-			g2.AddEdge(0, v)
-		}
-	}
-	eng := MustNewEngine(EngineOptions{Workers: 1})
-	var delta graph.Delta
-	cur := g1
-	step := func(next *graph.Digraph) {
-		graph.DiffInto(cur, next, &delta)
-		if !eng.Rebind(next, delta) {
-			t.Fatal("Rebind fell back during steady state")
-		}
-		eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.05, AvgSeed: 3})
-		cur = next
-	}
-	eng.Bind(g1)
-	eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.05, AvgSeed: 3})
-	step(g2) // warm-up: slack insertions and delta buffers grow once
-	step(g1)
-	step(g2)
-	i := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		if i%2 == 0 {
-			step(g1)
-		} else {
-			step(g2)
-		}
-		i++
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state diff+Rebind+AnalyzeSnapshot allocates %.1f times per run, want 0", allocs)
-	}
-	if fb := eng.RebindFallbacks(); fb != 0 {
-		t.Fatalf("rebind patch fallbacks = %d, want 0", fb)
-	}
-}
-
 // TestEngineSlotRebindSteadyStateAllocs pins the stable-slot incremental
 // path's reuse contract: alternating between two slot captures that
 // differ by a MEMBERSHIP change (one node replaced by another recycling

@@ -10,14 +10,22 @@ import (
 	"kadre/internal/maxflow"
 )
 
-// This file carries the pre-engine Analyzer implementation verbatim as a
+// This file carries the pre-engine analysis implementation verbatim as a
 // differential-testing oracle: an independent, worker-pooled sweep with
 // its own source selection, MinOnly pruning and lexMinPair second pass.
 // The engine must reproduce its results — Min, Avg, Pairs, Sources and
 // MinPair — bit for bit on every option combination (see engine_test.go).
 
-// referenceAnalyze is the historical Analyzer.Analyze.
-func referenceAnalyze(opts Options, g *graph.Digraph) Result {
+// referenceOptions is what the historical analysis was configured with:
+// the per-call Query plus the solver and worker pool of the sweep.
+type referenceOptions struct {
+	Query
+	Algorithm maxflow.Algorithm
+	Workers   int
+}
+
+// referenceAnalyze is the historical construct-and-analyze entry point.
+func referenceAnalyze(opts referenceOptions, g *graph.Digraph) Result {
 	if opts.Algorithm == 0 {
 		opts.Algorithm = maxflow.Dinic
 	}
@@ -148,7 +156,7 @@ func referenceAnalyze(opts Options, g *graph.Digraph) Result {
 
 // referenceLexMinPair is the historical bounded second sweep that
 // re-selected MinPair deterministically after a MinOnly analysis.
-func referenceLexMinPair(opts Options, g *graph.Digraph, sources []int, edges []maxflow.Edge, min int) [2]int {
+func referenceLexMinPair(opts referenceOptions, g *graph.Digraph, sources []int, edges []maxflow.Edge, min int) [2]int {
 	n := g.N()
 	sorted := append([]int(nil), sources...)
 	sort.Ints(sorted)
@@ -216,7 +224,7 @@ func referenceLexMinPair(opts Options, g *graph.Digraph, sources []int, edges []
 }
 
 // referencePickSources is the historical source selection.
-func referencePickSources(opts Options, g *graph.Digraph) []int {
+func referencePickSources(opts referenceOptions, g *graph.Digraph) []int {
 	n := g.N()
 	c := opts.SampleFraction
 	if c <= 0 || c >= 1 {

@@ -23,10 +23,12 @@ func sameResult(a, b Result) bool {
 }
 
 // TestEngineMatchesReference is the equivalence property test: on random
-// digraphs, Engine.Analyze must reproduce the pre-engine Analyzer
-// implementation (kept verbatim in engine_reference_test.go) across the
-// whole option grid — sampling modes, MinOnly pruning, MinPair on and
-// off, both algorithms, several worker counts.
+// digraphs, Engine.Analyze must reproduce the pre-engine sweep (kept
+// verbatim in engine_reference_test.go) across the whole option grid —
+// sampling modes, MinOnly pruning, MinPair on and off, both algorithms
+// (the zero Algorithm is the engine's Hao–Orlin default, checked against
+// the reference's Dinic), several worker counts — on a fresh bind and
+// when rebound repeatedly (the per-snapshot reuse pattern).
 func TestEngineMatchesReference(t *testing.T) {
 	graphs := []*graph.Digraph{
 		randomDigraph(11, 18, 60),
@@ -35,41 +37,25 @@ func TestEngineMatchesReference(t *testing.T) {
 		randomDigraph(14, 9, 12), // sparse: disconnected pairs, kappa 0
 	}
 	for gi, g := range graphs {
-		for _, opt := range []Options{
-			{SampleFraction: 1.0},
-			{SampleFraction: 1.0, MinOnly: true},
-			{SampleFraction: 1.0, MinOnly: true, SkipMinPair: true},
-			{SampleFraction: 0.1, MinOnly: true},
-			{SampleFraction: 0.15, Selection: UniformRandom, SelectionSeed: 5},
-			{SampleFraction: 0.15, Selection: UniformRandom, SelectionSeed: 6, MinOnly: true},
-			{SampleFraction: 0.2, SkipMinPair: true},
-			{SampleFraction: 1.0, Algorithm: maxflow.PushRelabel, MinOnly: true},
-			{SampleFraction: 0.1, Algorithm: maxflow.PushRelabel},
+		for _, opt := range []referenceOptions{
+			{Query: Query{SampleFraction: 1.0}},
+			{Query: Query{SampleFraction: 1.0, MinOnly: true}},
+			{Query: Query{SampleFraction: 1.0, MinOnly: true, SkipMinPair: true}},
+			{Query: Query{SampleFraction: 0.1, MinOnly: true}},
+			{Query: Query{SampleFraction: 0.15, Selection: UniformRandom, SelectionSeed: 5}},
+			{Query: Query{SampleFraction: 0.15, Selection: UniformRandom, SelectionSeed: 6, MinOnly: true}},
+			{Query: Query{SampleFraction: 0.2, SkipMinPair: true}},
+			{Query: Query{SampleFraction: 1.0, MinOnly: true}, Algorithm: maxflow.Dinic},
+			{Query: Query{SampleFraction: 0.1}, Algorithm: maxflow.Dinic},
 		} {
 			want := referenceAnalyze(opt, g)
 			for _, workers := range []int{1, 3, 8} {
-				opt.Workers = workers
-				got := MustNewAnalyzer(opt).Analyze(g)
-				if !sameResult(got, want) {
-					t.Fatalf("graph %d opts %+v: engine %+v != reference %+v", gi, opt, got, want)
-				}
-				// The engine must also agree when rebound repeatedly (the
-				// per-snapshot reuse pattern).
-				eng := MustNewEngine(EngineOptions{
-					Algorithm: opt.Algorithm, ExactAlgorithm: opt.Algorithm, Workers: workers,
-				})
-				for rep := 0; rep < 2; rep++ {
+				eng := MustNewEngine(EngineOptions{Algorithm: opt.Algorithm, Workers: workers})
+				for rep := 0; rep < 3; rep++ {
 					eng.Bind(g)
-					got = eng.Analyze(Query{
-						SampleFraction: opt.SampleFraction,
-						Selection:      opt.Selection,
-						SelectionSeed:  opt.SelectionSeed,
-						MinOnly:        opt.MinOnly,
-						SkipMinPair:    opt.SkipMinPair,
-					})
-					if !sameResult(got, want) {
-						t.Fatalf("graph %d opts %+v rep %d: rebound engine %+v != reference %+v",
-							gi, opt, rep, got, want)
+					if got := eng.Analyze(opt.Query); !sameResult(got, want) {
+						t.Fatalf("graph %d opts %+v workers %d bind %d: engine %+v != reference %+v",
+							gi, opt, workers, rep, got, want)
 					}
 				}
 			}
@@ -86,12 +72,12 @@ func TestAnalyzeSnapshotMatchesSeparateAnalyzers(t *testing.T) {
 		g := randomDigraph(seed, 24, 120)
 		eng.Bind(g)
 		sr := eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.1, AvgSeed: seed * 31})
-		wantMin := referenceAnalyze(Options{
-			SampleFraction: 0.1, MinOnly: true, SkipMinPair: true, Workers: 1,
-		}, g)
-		wantAvg := referenceAnalyze(Options{
-			SampleFraction: 0.1, Selection: UniformRandom, SelectionSeed: seed * 31, Workers: 1,
-		}, g)
+		wantMin := referenceAnalyze(referenceOptions{Query: Query{
+			SampleFraction: 0.1, MinOnly: true, SkipMinPair: true,
+		}}, g)
+		wantAvg := referenceAnalyze(referenceOptions{Query: Query{
+			SampleFraction: 0.1, Selection: UniformRandom, SelectionSeed: seed * 31,
+		}}, g)
 		if !sameResult(sr.Min, wantMin) {
 			t.Fatalf("seed %d: fused Min %+v != reference %+v", seed, sr.Min, wantMin)
 		}
@@ -142,7 +128,7 @@ func TestEngineGraphCutMatchesPackageGraphCut(t *testing.T) {
 	eng := MustNewEngine(EngineOptions{Workers: 2})
 	for seed := int64(40); seed <= 46; seed++ {
 		g := randomSymmetricGraph(seed, 24, 110)
-		wantCut, wantPair, wantOK, err := GraphCut(g, Options{SampleFraction: 0.2, Workers: 2})
+		wantCut, wantPair, wantOK, err := GraphCut(g, Query{SampleFraction: 0.2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,12 +156,12 @@ func TestEngineSelectionPrimitives(t *testing.T) {
 		g := randomDigraph(seed, 40, 260)
 		eng := MustNewEngine(EngineOptions{Workers: 1})
 		eng.Bind(g)
-		ref := referencePickSources(Options{SampleFraction: 0.2, Selection: SmallestOutDegree}, g)
+		ref := referencePickSources(referenceOptions{Query: Query{SampleFraction: 0.2, Selection: SmallestOutDegree}}, g)
 		got := eng.pickSources(0.2, SmallestOutDegree, 0)
 		if !equalInts(got, ref) {
 			t.Fatalf("seed %d: smallest-out-degree selection %v != reference %v", seed, got, ref)
 		}
-		ref = referencePickSources(Options{SampleFraction: 0.3, Selection: UniformRandom, SelectionSeed: seed * 7}, g)
+		ref = referencePickSources(referenceOptions{Query: Query{SampleFraction: 0.3, Selection: UniformRandom, SelectionSeed: seed * 7}}, g)
 		got = eng.pickSources(0.3, UniformRandom, seed*7)
 		if !equalInts(got, ref) {
 			t.Fatalf("seed %d: uniform selection %v != rand.Perm reference %v", seed, got, ref)
@@ -203,15 +189,14 @@ func TestEngineDegenerateGraphs(t *testing.T) {
 	for _, g := range []*graph.Digraph{
 		graph.NewDigraph(0), graph.NewDigraph(1), complete, star,
 	} {
-		for _, opt := range []Options{
+		for _, q := range []Query{
 			{SampleFraction: 1.0, MinOnly: true},
 			{SampleFraction: 0.1},
 			{SampleFraction: 0.1, Selection: UniformRandom, SelectionSeed: 3},
 		} {
-			want := referenceAnalyze(opt, g)
-			got := MustNewAnalyzer(opt).Analyze(g)
-			if !sameResult(got, want) {
-				t.Fatalf("n=%d opts %+v: engine %+v != reference %+v", g.N(), opt, got, want)
+			want := referenceAnalyze(referenceOptions{Query: q}, g)
+			if got := analyze(g, EngineOptions{}, q); !sameResult(got, want) {
+				t.Fatalf("n=%d query %+v: engine %+v != reference %+v", g.N(), q, got, want)
 			}
 		}
 		eng := MustNewEngine(EngineOptions{})
@@ -249,15 +234,15 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestWarmStartConsistency cross-checks the push-relabel warm-start used
-// by the engine's sweeps at the connectivity level: per-source repeated
-// queries (warm) must match fresh per-pair computations (cold) on random
-// graphs.
+// TestWarmStartConsistency cross-checks the sweep solver's per-source
+// reuse at the connectivity level: repeated queries on the cached root
+// labels of one prepared source must match fresh per-pair Dinic
+// computations on random graphs.
 func TestWarmStartConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
 		g := randomDigraph(rng.Int63(), 20, 90)
-		solver := maxflow.PushRelabel.NewSolverSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
+		solver := maxflow.HaoOrlin.NewSolverSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
 		for src := 0; src < 4; src++ {
 			solver.PrepareSource(graph.Out(src))
 			for tgt := 0; tgt < g.N(); tgt++ {
@@ -270,7 +255,7 @@ func TestWarmStartConsistency(t *testing.T) {
 					t.Fatal(err)
 				}
 				if warm != want {
-					t.Fatalf("trial %d pair (%d,%d): warm-start flow %d != cold flow %d",
+					t.Fatalf("trial %d pair (%d,%d): prepared-source flow %d != cold flow %d",
 						trial, src, tgt, warm, want)
 				}
 			}

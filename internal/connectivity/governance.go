@@ -115,22 +115,18 @@ func (e *Engine) Governance() GovernancePolicy { return e.gov }
 // churn oracle holds both paths to that contract.
 //
 // Call it between snapshots: the work is proportional to the compacted
-// stores and stays off the Analyze/Rebind hot path, whose steady state
-// remains allocation-free.
+// stores and stays off the Analyze/RebindSlots hot path, whose steady
+// state remains allocation-free.
 func (e *Engine) Maintain() int {
 	if e.gov.MaxDeadFrac <= 0 {
 		return 0
 	}
 	total := 0
 	maintain := func(s maxflow.Solver, primary bool) {
-		c, ok := s.(maxflow.MemoryCompactor)
-		if !ok {
+		if s == nil || s.ArcStats().DeadFrac() <= e.gov.MaxDeadFrac {
 			return
 		}
-		if c.ArcStats().DeadFrac() <= e.gov.MaxDeadFrac {
-			return
-		}
-		c.Compact()
+		s.Compact()
 		total++
 		if primary {
 			e.redensifies++
@@ -157,11 +153,10 @@ func (e *Engine) Redensifies() int { return e.redensifies }
 func (e *Engine) MemoryStats() MemoryStats {
 	var m MemoryStats
 	add := func(s maxflow.Solver) {
-		c, ok := s.(maxflow.MemoryCompactor)
-		if !ok {
+		if s == nil {
 			return
 		}
-		st := c.ArcStats()
+		st := s.ArcStats()
 		m.Arcs += st.Arcs
 		m.LiveArcs += st.Live
 		m.DeadArcs += st.Tombstones + st.Dead
@@ -184,10 +179,11 @@ func (e *Engine) MemoryStats() MemoryStats {
 func (e *Engine) MaxSolverArcs() int {
 	max := 0
 	consider := func(s maxflow.Solver) {
-		if c, ok := s.(maxflow.MemoryCompactor); ok {
-			if a := c.ArcStats().Arcs; a > max {
-				max = a
-			}
+		if s == nil {
+			return
+		}
+		if a := s.ArcStats().Arcs; a > max {
+			max = a
 		}
 	}
 	for i := range e.workers {

@@ -34,13 +34,9 @@ func TestMinOnlyMatchesFullMin(t *testing.T) {
 				randomSymmetricGraph(seed, sh.n, sh.m),
 			}
 			for gi, g := range graphs {
-				full := MustNewAnalyzer(Options{SampleFraction: 1.0}).Analyze(g)
+				full := analyze(g, EngineOptions{}, Query{SampleFraction: 1.0})
 				for _, workers := range []int{1, 2, 8} {
-					pruned := MustNewAnalyzer(Options{
-						SampleFraction: 1.0,
-						MinOnly:        true,
-						Workers:        workers,
-					}).Analyze(g)
+					pruned := analyze(g, EngineOptions{Workers: workers}, Query{SampleFraction: 1.0, MinOnly: true})
 					if pruned.Min != full.Min {
 						t.Fatalf("seed %d graph %d n=%d m=%d workers=%d: MinOnly min %d != full min %d",
 							seed, gi, sh.n, sh.m, workers, pruned.Min, full.Min)
@@ -62,11 +58,9 @@ func TestMinOnlyMatchesFullMin(t *testing.T) {
 func TestMinOnlySampledMatchesFullMinOnSample(t *testing.T) {
 	for seed := int64(10); seed <= 15; seed++ {
 		g := randomSymmetricGraph(seed, 50, 400)
-		plain := MustNewAnalyzer(Options{SampleFraction: 0.1}).Analyze(g)
+		plain := analyze(g, EngineOptions{}, Query{SampleFraction: 0.1})
 		for _, workers := range []int{1, 4} {
-			pruned := MustNewAnalyzer(Options{
-				SampleFraction: 0.1, MinOnly: true, Workers: workers,
-			}).Analyze(g)
+			pruned := analyze(g, EngineOptions{Workers: workers}, Query{SampleFraction: 0.1, MinOnly: true})
 			if pruned.Min != plain.Min {
 				t.Fatalf("seed %d workers %d: sampled MinOnly min %d != plain sampled min %d",
 					seed, workers, pruned.Min, plain.Min)
@@ -79,9 +73,9 @@ func TestMinOnlySampledMatchesFullMinOnSample(t *testing.T) {
 // of the pruning path itself: any worker count must report the same Min.
 func TestMinOnlyDeterministicAcrossWorkers(t *testing.T) {
 	g := randomSymmetricGraph(99, 40, 260)
-	base := MustNewAnalyzer(Options{SampleFraction: 1.0, MinOnly: true, Workers: 1}).Analyze(g)
+	base := analyze(g, EngineOptions{Workers: 1}, Query{SampleFraction: 1.0, MinOnly: true})
 	for workers := 2; workers <= 8; workers++ {
-		got := MustNewAnalyzer(Options{SampleFraction: 1.0, MinOnly: true, Workers: workers}).Analyze(g)
+		got := analyze(g, EngineOptions{Workers: workers}, Query{SampleFraction: 1.0, MinOnly: true})
 		if got.Min != base.Min {
 			t.Fatalf("workers=%d: Min %d != workers=1 Min %d", workers, got.Min, base.Min)
 		}

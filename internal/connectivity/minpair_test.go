@@ -60,9 +60,7 @@ func TestMinOnlyMinPairDeterministicAndCorrect(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			for rep := 0; rep < 5; rep++ {
-				res := MustNewAnalyzer(Options{
-					SampleFraction: 1.0, MinOnly: true, Workers: workers,
-				}).Analyze(g)
+				res := analyze(g, EngineOptions{Workers: workers}, Query{SampleFraction: 1.0, MinOnly: true})
 				if res.Min != wantMin {
 					t.Fatalf("seed %d workers %d rep %d: Min %d != brute %d",
 						seed, workers, rep, res.Min, wantMin)
@@ -87,9 +85,7 @@ func TestMinOnlyMinPairSampledSources(t *testing.T) {
 		sources := append([]int(nil), eng.pickSources(0.1, SmallestOutDegree, 0)...)
 		wantMin, wantPair := bruteLexMinPair(t, g, sources)
 		for _, workers := range []int{1, 3, 8} {
-			res := MustNewAnalyzer(Options{
-				SampleFraction: 0.1, MinOnly: true, Workers: workers,
-			}).Analyze(g)
+			res := analyze(g, EngineOptions{Workers: workers}, Query{SampleFraction: 0.1, MinOnly: true})
 			if res.Min != wantMin || res.MinPair != wantPair {
 				t.Fatalf("seed %d workers %d: got (min=%d, pair=%v), want (min=%d, pair=%v)",
 					seed, workers, res.Min, res.MinPair, wantMin, wantPair)
@@ -102,8 +98,8 @@ func TestMinOnlyMinPairSampledSources(t *testing.T) {
 // no pair is reported.
 func TestSkipMinPair(t *testing.T) {
 	g := randomSymmetricGraph(3, 30, 180)
-	full := MustNewAnalyzer(Options{SampleFraction: 1.0, MinOnly: true}).Analyze(g)
-	skip := MustNewAnalyzer(Options{SampleFraction: 1.0, MinOnly: true, SkipMinPair: true}).Analyze(g)
+	full := analyze(g, EngineOptions{}, Query{SampleFraction: 1.0, MinOnly: true})
+	skip := analyze(g, EngineOptions{}, Query{SampleFraction: 1.0, MinOnly: true, SkipMinPair: true})
 	if skip.Min != full.Min {
 		t.Fatalf("SkipMinPair changed Min: %d vs %d", skip.Min, full.Min)
 	}
@@ -120,7 +116,7 @@ func TestMinPairConnectivityMatchesMin(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 14 + rng.Intn(16)
 		g := randomDigraph(rng.Int63(), n, n*4)
-		res := MustNewAnalyzer(Options{SampleFraction: 1.0, MinOnly: true, Workers: 6}).Analyze(g)
+		res := analyze(g, EngineOptions{Workers: 6}, Query{SampleFraction: 1.0, MinOnly: true})
 		if res.MinPair[0] < 0 {
 			continue
 		}

@@ -2,32 +2,10 @@ package connectivity
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"kadre/internal/graph"
 )
-
-// mutateEdges returns a copy of g with `removals` random edges deleted
-// and `additions` random new edges inserted.
-func mutateEdges(r *rand.Rand, g *graph.Digraph, removals, additions int) *graph.Digraph {
-	out := g.Clone()
-	all := out.Edges()
-	for i := 0; i < removals && len(all) > 0; i++ {
-		k := r.Intn(len(all))
-		out.RemoveEdge(all[k].U, all[k].V)
-		all[k] = all[len(all)-1]
-		all = all[:len(all)-1]
-	}
-	n := out.N()
-	for i := 0; i < additions; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v && !out.HasEdge(u, v) {
-			out.AddEdge(u, v)
-		}
-	}
-	return out
-}
 
 func requireSameResult(t *testing.T, label string, got, want Result) {
 	t.Helper()
@@ -39,55 +17,69 @@ func requireSameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// TestRebindMatchesBind walks one engine through a chain of edge-mutated
-// graphs via Rebind and checks every analysis against a second engine
-// that full-Binds each graph — the engine-level differential oracle
+// sameMembershipChain walks inc through steps edge-churned captures of one
+// scrambled slot world (vacant and recycled slots, membership fixed) via
+// RebindSlots, full-Binds ref to the canonical dense graph of each, and
+// hands every step to check — the engine-level differential oracle
 // (churntest replays the same contract against membership churn too).
+func sameMembershipChain(t *testing.T, seed int64, steps int, inc, ref *Engine,
+	check func(step int, dense *graph.Digraph)) {
+	t.Helper()
+	w := newSlotWorld(seed, 40, 5)
+	for i := 0; i < 6; i++ {
+		w.leave()
+	}
+	for i := 0; i < 3; i++ {
+		w.join(5)
+	}
+	prev, prevOrder, _ := w.capture()
+	inc.BindSlots(prev, prevOrder)
+	var delta graph.Delta
+	for step := 0; step < steps; step++ {
+		w.churn(2 + w.r.Intn(11))
+		next, order, dense := w.capture()
+		graph.DiffSlotsInto(prev, next, prevOrder, order, &delta)
+		if !inc.RebindSlots(next, delta, order) {
+			t.Fatalf("step %d: RebindSlots refused a same-slot-count delta", step)
+		}
+		ref.Bind(dense)
+		check(step, dense)
+		prev, prevOrder = next, order
+	}
+	if inc.Rebinds() != steps || inc.MembershipRebinds() != 0 {
+		t.Fatalf("Rebinds = %d (membership %d), want %d (0)", inc.Rebinds(), inc.MembershipRebinds(), steps)
+	}
+	if fb := inc.RebindFallbacks(); fb != 0 {
+		t.Fatalf("%d solver patches fell back on consistent deltas", fb)
+	}
+}
+
+// TestRebindMatchesBind checks every sweep analysis after a RebindSlots
+// against a second engine that full-Binds the compacted graph.
 func TestRebindMatchesBind(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	g := randomSymmetricGraph(5, 50, 400)
 	inc := MustNewEngine(EngineOptions{Workers: 2})
 	ref := MustNewEngine(EngineOptions{Workers: 2})
-	inc.Bind(g)
-	var delta graph.Delta
-	for step := 0; step < 20; step++ {
-		next := mutateEdges(r, g, 1+r.Intn(6), 1+r.Intn(6))
-		graph.DiffInto(g, next, &delta)
-		if !inc.Rebind(next, delta) {
-			t.Fatalf("step %d: Rebind refused a same-N delta", step)
-		}
-		ref.Bind(next)
+	sameMembershipChain(t, 17, 20, inc, ref, func(step int, _ *graph.Digraph) {
 		q := SnapshotQuery{SampleFraction: 0.3, AvgSeed: int64(step)}
 		gotSnap, wantSnap := inc.AnalyzeSnapshot(q), ref.AnalyzeSnapshot(q)
 		requireSameResult(t, "snapshot.Min", gotSnap.Min, wantSnap.Min)
 		requireSameResult(t, "snapshot.Avg", gotSnap.Avg, wantSnap.Avg)
 		mq := Query{SampleFraction: 0.3, MinOnly: true}
 		requireSameResult(t, "minpair", inc.Analyze(mq), ref.Analyze(mq))
-		g = next
-	}
-	if inc.Rebinds() != 20 {
-		t.Fatalf("Rebinds = %d, want 20", inc.Rebinds())
-	}
+	})
 }
 
 // TestRebindCutPathMatchesBind pins the patched cut-mode network: the
-// minimum vertex cuts (vertex lists, pairs) after a chain of rebinds must
-// equal the from-scratch engine's, and the cut network must never be
-// rebuilt from scratch — the adversary's strike loop stays on one
-// network across arbitrarily many patched snapshots.
+// minimum vertex cuts (vertex lists, pairs) after a chain of
+// same-membership rebinds must equal the from-scratch engine's, for the
+// graph's minimizing pair and for an arbitrary one, and the cut network
+// must never be rebuilt from scratch — the adversary's strike loop stays
+// on one network across arbitrarily many patched snapshots.
 func TestRebindCutPathMatchesBind(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	g := randomSymmetricGraph(6, 40, 260)
 	inc := MustNewEngine(EngineOptions{Workers: 1})
 	ref := MustNewEngine(EngineOptions{Workers: 1})
-	inc.Bind(g)
-	var delta graph.Delta
 	cuts := 0
-	for step := 0; step < 15; step++ {
-		next := mutateEdges(r, g, 1+r.Intn(4), 1+r.Intn(4))
-		graph.DiffInto(g, next, &delta)
-		inc.Rebind(next, delta)
-		ref.Bind(next)
+	sameMembershipChain(t, 23, 15, inc, ref, func(step int, dense *graph.Digraph) {
 		q := Query{SampleFraction: 0.5}
 		gotCut, gotPair, gotOK, err := inc.GraphCut(q)
 		if err != nil {
@@ -97,22 +89,29 @@ func TestRebindCutPathMatchesBind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotOK != wantOK || gotPair != wantPair {
-			t.Fatalf("step %d: cut pair (%v,%v) != (%v,%v)", step, gotPair, gotOK, wantPair, wantOK)
-		}
-		if len(gotCut) != len(wantCut) {
-			t.Fatalf("step %d: cut %v != %v", step, gotCut, wantCut)
-		}
-		for i := range gotCut {
-			if gotCut[i] != wantCut[i] {
-				t.Fatalf("step %d: cut %v != %v", step, gotCut, wantCut)
-			}
-		}
+		requireSameCut(t, "graphcut", gotCut, gotPair, gotOK, wantCut, wantPair, wantOK)
 		if wantOK {
 			cuts++
 		}
-		g = next
-	}
+		// The last rank is the newest member: sparse, so non-adjacent to
+		// some rank on every step.
+		v := dense.N() - 1
+		for w := 0; w < v; w++ {
+			if dense.HasEdge(v, w) {
+				continue
+			}
+			got, err := inc.PairCut(v, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.PairCut(v, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameCut(t, "paircut", got, [2]int{v, w}, true, want, [2]int{v, w}, true)
+			break
+		}
+	})
 	if cuts == 0 {
 		t.Fatal("trace produced no usable cuts; weak test")
 	}
@@ -121,45 +120,65 @@ func TestRebindCutPathMatchesBind(t *testing.T) {
 	}
 }
 
-// TestRebindFallsBackOnShapeChange pins the fallback contract: a nil
-// binding or a different vertex count silently becomes a full Bind.
+// TestRebindFallsBackOnShapeChange pins the fallback contract: with no
+// previous binding, after a dense Bind, or across a slot-count change,
+// RebindSlots silently becomes a full BindSlots, reports false, and
+// still answers like the reference.
 func TestRebindFallsBackOnShapeChange(t *testing.T) {
-	g1 := randomSymmetricGraph(7, 30, 150)
-	g2 := randomSymmetricGraph(8, 31, 150)
+	w := newSlotWorld(7, 30, 5)
 	eng := MustNewEngine(EngineOptions{Workers: 1})
-	if eng.Rebind(g1, graph.Delta{}) {
-		t.Fatal("Rebind with no previous binding must fall back")
-	}
 	ref := MustNewEngine(EngineOptions{Workers: 1})
-	ref.Bind(g1)
 	q := Query{SampleFraction: 1.0, MinOnly: true}
-	requireSameResult(t, "after nil fallback", eng.Analyze(q), ref.Analyze(q))
-	if eng.Rebind(g2, graph.Delta{}) {
-		t.Fatal("Rebind across vertex counts must fall back")
+	fallsBack := func(label string) {
+		t.Helper()
+		g, order, dense := w.capture()
+		if eng.RebindSlots(g, graph.Delta{}, order) {
+			t.Fatalf("RebindSlots %s must fall back", label)
+		}
+		ref.Bind(dense)
+		requireSameResult(t, label, eng.Analyze(q), ref.Analyze(q))
 	}
-	ref.Bind(g2)
-	requireSameResult(t, "after shape fallback", eng.Analyze(q), ref.Analyze(q))
+	fallsBack("with no previous binding")
+	_, _, dense := w.capture()
+	eng.Bind(dense) // same vertex count as the slot graph, but not a slot binding
+	fallsBack("after a dense Bind")
+	w.join(5) // no vacancy to recycle: the slot table grows
+	fallsBack("across a slot-count change")
+	if eng.Rebinds() != 0 {
+		t.Fatalf("Rebinds = %d after three fallbacks, want 0", eng.Rebinds())
+	}
 }
 
-// TestIncrementalBinderPaths pins the binder's routing: identical
-// membership takes Rebind, changed membership takes Bind, and the counts
-// are observable.
+// TestIncrementalBinderPaths pins the binder's routing — a carried-over
+// slot space rebinds incrementally whether or not the membership
+// changed, a grown one binds in full — and that the counts are
+// observable.
 func TestIncrementalBinderPaths(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	g := randomSymmetricGraph(9, 40, 240)
-	b := NewIncrementalBinder(MustNewEngine(EngineOptions{Workers: 1}))
-	if b.BindNext(g, true) {
+	w := newSlotWorld(31, 40, 5)
+	eng := MustNewEngine(EngineOptions{Workers: 1})
+	b := NewIncrementalBinder(eng)
+	next := func() bool {
+		g, order, _ := w.capture()
+		return b.BindNextSlots(g, order)
+	}
+	if next() {
 		t.Fatal("first bind cannot be incremental")
 	}
-	g2 := mutateEdges(r, g, 3, 3)
-	if !b.BindNext(g2, true) {
+	w.churn(6)
+	if !next() {
 		t.Fatal("same-membership successor should rebind incrementally")
 	}
-	g3 := randomSymmetricGraph(10, 39, 240) // membership changed
-	if b.BindNext(g3, false) {
-		t.Fatal("membership change must full-bind")
+	w.leave()
+	w.join(5) // recycles the vacated slot
+	if !next() || eng.MembershipRebinds() != 1 {
+		t.Fatalf("membership change within the slot space must rebind incrementally (membership rebinds %d)",
+			eng.MembershipRebinds())
 	}
-	if b.IncrementalBinds() != 1 || b.FullBinds() != 2 {
-		t.Fatalf("binder counters: incremental=%d full=%d, want 1/2", b.IncrementalBinds(), b.FullBinds())
+	w.join(5) // grows the slot table
+	if next() {
+		t.Fatal("slot-table growth must full-bind")
+	}
+	if b.IncrementalBinds() != 2 || b.FullBinds() != 2 {
+		t.Fatalf("binder counters: incremental=%d full=%d, want 2/2", b.IncrementalBinds(), b.FullBinds())
 	}
 }

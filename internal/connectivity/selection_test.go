@@ -24,12 +24,7 @@ func randomSymmetricGraph(seed int64, n, m int) *graph.Digraph {
 func TestUniformRandomSelectionDeterministicPerSeed(t *testing.T) {
 	g := randomSymmetricGraph(70, 40, 200)
 	mk := func(seed int64) Result {
-		a := MustNewAnalyzer(Options{
-			SampleFraction: 0.1,
-			Selection:      UniformRandom,
-			SelectionSeed:  seed,
-		})
-		return a.Analyze(g)
+		return analyze(g, EngineOptions{}, Query{SampleFraction: 0.1, Selection: UniformRandom, SelectionSeed: seed})
 	}
 	a1, a2, b := mk(5), mk(5), mk(6)
 	if a1.Min != a2.Min || a1.Avg != a2.Avg || a1.Pairs != a2.Pairs {
@@ -59,11 +54,9 @@ func TestUniformAvgLessBiasedThanSmallestDout(t *testing.T) {
 		}
 		weak.AddEdge(e.U, e.V)
 	}
-	full := MustNewAnalyzer(Options{SampleFraction: 1.0}).Analyze(weak)
-	biased := MustNewAnalyzer(Options{SampleFraction: 0.04}).Analyze(weak)
-	uniform := MustNewAnalyzer(Options{
-		SampleFraction: 0.04, Selection: UniformRandom, SelectionSeed: 9,
-	}).Analyze(weak)
+	full := analyze(weak, EngineOptions{}, Query{SampleFraction: 1.0})
+	biased := analyze(weak, EngineOptions{}, Query{SampleFraction: 0.04})
+	uniform := analyze(weak, EngineOptions{}, Query{SampleFraction: 0.04, Selection: UniformRandom, SelectionSeed: 9})
 	// The biased estimator's average must not exceed the uniform one by
 	// much, and it should typically sit below (its sources have the
 	// smallest out-degree, an upper bound on their flows).
@@ -84,11 +77,11 @@ func TestUniformAvgLessBiasedThanSmallestDout(t *testing.T) {
 
 func TestAnalyzeSampledSourcesCount(t *testing.T) {
 	g := randomSymmetricGraph(72, 100, 800)
-	res := MustNewAnalyzer(Options{SampleFraction: 0.02, MinOnly: true}).Analyze(g)
+	res := analyze(g, EngineOptions{}, Query{SampleFraction: 0.02, MinOnly: true})
 	if res.Sources != 2 {
 		t.Fatalf("Sources = %d, want ceil(0.02*100) = 2", res.Sources)
 	}
-	res = MustNewAnalyzer(Options{SampleFraction: 0.011, MinOnly: true}).Analyze(g)
+	res = analyze(g, EngineOptions{}, Query{SampleFraction: 0.011, MinOnly: true})
 	if res.Sources != 2 {
 		t.Fatalf("Sources = %d, want ceil(1.1) = 2", res.Sources)
 	}

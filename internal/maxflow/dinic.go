@@ -64,7 +64,7 @@ func (d *DinicSolver) Reset(n int, edges EdgeSource) {
 // N implements Solver.
 func (d *DinicSolver) N() int { return d.st.n }
 
-// ApplyUnitDelta implements UnitDeltaApplier: it patches the bound graph
+// ApplyUnitDelta implements Solver: it patches the bound graph
 // in place (tombstoning removed edges, reviving added ones) and drops the
 // cached source BFS, whose levels depend on the whole graph.
 func (d *DinicSolver) ApplyUnitDelta(added, removed EdgeSource) bool {
@@ -76,10 +76,10 @@ func (d *DinicSolver) ApplyUnitDelta(added, removed EdgeSource) bool {
 	return true
 }
 
-// ArcStats implements MemoryCompactor.
+// ArcStats implements Solver.
 func (d *DinicSolver) ArcStats() ArcStats { return d.st.stats() }
 
-// Compact implements MemoryCompactor: it re-densifies the arc store in
+// Compact implements Solver: it re-densifies the arc store in
 // place and drops the cached source BFS (levels depend on the whole
 // graph either way; the arc layout it is rebuilt over has changed).
 func (d *DinicSolver) Compact() {

@@ -18,9 +18,8 @@ import "fmt"
 // source on the fresh residual; each per-sink query starts from the
 // cached labels with a handful of O(n) array restores and pays only for
 // the flow it actually routes. The per-query global relabel — 68% of
-// snapshot-analysis time under the warm-start push-relabel solver, and
-// the reason the ROADMAP called per-sink re-relabeling the throughput
-// floor — disappears from the per-sink cost entirely.
+// snapshot-analysis time when every sink pays for its own — disappears
+// from the per-sink cost entirely.
 //
 // Exactness per pair is preserved by isolation rather than sharing: each
 // query runs on a logically fresh residual, restored via undo logs (the
@@ -33,9 +32,9 @@ import "fmt"
 // the property tests assert equality against fresh Dinic solves pair by
 // pair.
 //
-// MaxFlowLimit may overshoot its limit (any value in [limit, true flow]),
-// like PushRelabelSolver: the early exit fires as soon as the root's
-// excess reaches the limit. Values below the limit are exact.
+// MaxFlowLimit may overshoot its limit (any value in [limit, true flow]):
+// the early exit fires as soon as the root's excess reaches the limit.
+// Values below the limit are exact.
 type HaoOrlinSolver struct {
 	st arcStore // REVERSED-orientation residual arcs
 
@@ -124,7 +123,7 @@ func (h *HaoOrlinSolver) Reset(n int, edges EdgeSource) {
 // N implements Solver.
 func (h *HaoOrlinSolver) N() int { return h.st.n }
 
-// ApplyUnitDelta implements UnitDeltaApplier: it patches the (reversed)
+// ApplyUnitDelta implements Solver: it patches the (reversed)
 // bound graph in place and drops the cached root labels, which depend on
 // the whole graph. The arc layout — the expensive part of a rebind —
 // survives untouched, and because tombstoned slots keep their positions,
@@ -139,10 +138,10 @@ func (h *HaoOrlinSolver) ApplyUnitDelta(added, removed EdgeSource) bool {
 	return true
 }
 
-// ArcStats implements MemoryCompactor.
+// ArcStats implements Solver.
 func (h *HaoOrlinSolver) ArcStats() ArcStats { return h.st.stats() }
 
-// Compact implements MemoryCompactor: it restores the fresh residual
+// Compact implements Solver: it restores the fresh residual
 // (replaying the last query's logs while their arc indices are still
 // valid), re-densifies the reversed arc store, and drops the cached root
 // labels, exactly as a delta would.
@@ -309,11 +308,9 @@ func (h *HaoOrlinSolver) MaxFlowLimit(s, t, limit int) int {
 	return int(h.excess[root])
 }
 
-// The bucket/discharge/relabel machinery below intentionally mirrors
-// PushRelabelSolver's (the HIPR core), with the s/t exclusions reduced to
-// the root and no rcap mirror (this solver relabels from scratch only
-// once per source). A fix to either copy — the gap lift, the
-// stale-bucket skip in popHighest — almost certainly applies to both.
+// The bucket/discharge/relabel machinery below is the highest-label
+// push-relabel core of HIPR, the paper's solver, with the s/t exclusions
+// reduced to the root.
 
 // activate inserts v into its height bucket and raises the highest-active
 // watermark.

@@ -114,9 +114,8 @@ func TestApplyUnitDeltaMatchesRebuild(t *testing.T) {
 	n := 24
 	g, even := evenGraph(r, n, 4)
 	patched := map[string]Solver{
-		"dinic":        NewDinic(2*n, even),
-		"push-relabel": NewPushRelabel(2*n, even),
-		"hao-orlin":    NewHaoOrlin(2*n, even),
+		"dinic":     NewDinic(2*n, even),
+		"hao-orlin": NewHaoOrlin(2*n, even),
 	}
 	var removedPool []graph.Edge
 	for step := 0; step < 30; step++ {
@@ -152,7 +151,7 @@ func TestApplyUnitDeltaMatchesRebuild(t *testing.T) {
 		even = unitEven(g)
 		add, rem := evenDelta(delta.Added), evenDelta(delta.Removed)
 		for name, s := range patched {
-			if !s.(UnitDeltaApplier).ApplyUnitDelta(add, rem) {
+			if !s.ApplyUnitDelta(add, rem) {
 				// Slack exhausted: rebuild in place and keep going — the
 				// contract is fallback, not failure.
 				s.Reset(2*n, EdgeSlice(even))
@@ -203,7 +202,7 @@ func TestApplyUnitDeltaRelocatesOnSlackOverflow(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	n := 12
 	g, even := evenGraph(r, n, 2)
-	for _, algo := range []Algorithm{Dinic, PushRelabel, HaoOrlin} {
+	for _, algo := range []Algorithm{Dinic, HaoOrlin} {
 		s := algo.NewSolver(2*n, even)
 		// Overflow vertex 0's slack: more novel out-edges than arcSlack.
 		var add EdgeSlice
@@ -217,7 +216,7 @@ func TestApplyUnitDeltaRelocatesOnSlackOverflow(t *testing.T) {
 		if len(add) <= arcSlack {
 			t.Fatalf("test graph too dense to exhaust slack (%d novel edges)", len(add))
 		}
-		if !s.(UnitDeltaApplier).ApplyUnitDelta(add, EdgeSlice{}) {
+		if !s.ApplyUnitDelta(add, EdgeSlice{}) {
 			t.Fatalf("%s: ApplyUnitDelta should relocate the region, not fail, on slack overflow", algo)
 		}
 		newEven := unitEven(edited)

@@ -1,33 +1,32 @@
-// Package maxflow implements maximum-flow solvers for the connectivity
-// pipeline: Dinic's algorithm (asymptotically optimal on the unit-capacity
-// graphs produced by Even's transformation, O(E*sqrt(V))), a HIPR-style
-// highest-label push-relabel algorithm with gap and global-relabeling
-// heuristics, mirroring the solver the paper used (Cherkassky & Goldberg's
-// HIPR), and a Hao-Orlin-inspired fixed-root sweep solver (HaoOrlinSolver,
+// Package maxflow implements the two maximum-flow solvers of the
+// connectivity pipeline: Dinic's algorithm (asymptotically optimal on the
+// unit-capacity graphs produced by Even's transformation, O(E*sqrt(V));
+// it extracts the minimum cuts and cross-checks the sweeps) and a
+// Hao-Orlin-inspired fixed-root push-relabel sweep solver (HaoOrlinSolver,
 // the connectivity engine's default) that amortizes the distance labels of
-// a one-source/all-sinks sweep to one search per source. The solvers are
-// reusable at four levels, extending the paper's modified HIPR — which was
-// rebuilt once per graph and answered many vertex-pair queries per
-// invocation:
+// a one-source/all-sinks sweep to one search per source; its discharge
+// core is the highest-label push-relabel of the paper's own solver,
+// Cherkassky & Goldberg's HIPR. The solvers are reusable at four levels,
+// extending the paper's modified HIPR — which was rebuilt once per graph
+// and answered many vertex-pair queries per invocation:
 //
 //   - across queries: a solver answers many (source, target) queries on
 //     its graph, restoring only the residual capacities each query touched
-//     (Dinic) instead of rewriting the whole capacity array;
-//   - across sources: PrepareSource caches the first-phase BFS level
-//     graph of a fixed source, which on a fresh residual is identical for
-//     every target (Dinic; a no-op for push-relabel, which searches from
-//     the sink);
+//     instead of rewriting the whole capacity array;
+//   - across sources: PrepareSource caches what a fixed source shares
+//     between every target on a fresh residual — the first-phase BFS level
+//     graph (Dinic), the distance labels rooted at the source (HaoOrlin);
 //   - across graphs: Reset re-binds a solver to a new edge list in place,
 //     reusing every internal array whose capacity suffices, so sweeping
 //     analyses pay for allocation once per graph *shape* rather than once
 //     per snapshot;
-//   - across snapshots: ApplyUnitDelta (UnitDeltaApplier) patches the
-//     bound graph's arc layout in place for small edge deltas —
-//     tombstoning removals, reviving re-additions, inserting novel edges
-//     into per-vertex slack — so adjacent-snapshot rebinding costs
-//     O(|delta|) instead of a full re-init, with traversal order (and
-//     hence extracted cuts) identical to a fresh build on the
-//     connectivity pipeline's Even-transformed graphs.
+//   - across snapshots: ApplyUnitDelta patches the bound graph's arc
+//     layout in place for small edge deltas — tombstoning removals,
+//     reviving re-additions, inserting novel edges into per-vertex slack
+//     — so adjacent-snapshot rebinding costs O(|delta|) instead of a full
+//     re-init, with traversal order (and hence extracted cuts) identical
+//     to a fresh build on the connectivity pipeline's Even-transformed
+//     graphs.
 package maxflow
 
 import "fmt"
@@ -60,7 +59,9 @@ func (s EdgeSlice) EdgeAt(i int) (int, int, int32) {
 	return e.U, e.V, e.Cap
 }
 
-// Solver answers repeated maximum-flow queries on a fixed graph.
+// Solver answers repeated maximum-flow queries on a graph it can re-bind
+// (Reset), patch by an edge delta (ApplyUnitDelta) and re-densify
+// (Compact) in place.
 type Solver interface {
 	// MaxFlow returns the value of a maximum s-t flow. It may be called
 	// repeatedly with different pairs; each call starts from zero flow.
@@ -78,41 +79,52 @@ type Solver interface {
 	Reset(n int, edges EdgeSource)
 	// PrepareSource hints that the following queries share source s,
 	// letting the solver cache source-dependent state that is valid for
-	// every target (Dinic caches the fresh-residual BFS level graph; the
-	// hint is a no-op for push-relabel). The cache is invalidated by
-	// Reset and by PrepareSource with a different source.
+	// every target (Dinic caches the fresh-residual BFS level graph,
+	// HaoOrlin the distance labels rooted at s). The cache is invalidated
+	// by Reset and by PrepareSource with a different source.
 	PrepareSource(s int)
-}
 
-// UnitDeltaApplier is implemented by solvers that can patch their bound
-// graph in place when it changes by a small edge delta, instead of
-// re-binding through Reset. Removed edges are tombstoned — their arcs
-// keep their slots with capacity zero, preserving the arc layout and
-// with it the solver's deterministic traversal order — and added edges
-// revive a previously tombstoned slot or claim per-vertex slack. A
-// vertex tombstone/revive rides on the same mechanism: removing every
-// incident edge of a vertex leaves it isolated with its arc slots kept
-// (the tombstoned vertex), and a later burst of additions at that vertex
-// — a fresh population member recycling the slot — revives matching
-// slots and claims slack for the rest. When a burst outgrows a vertex's
-// slack, the vertex's whole arc region is relocated to fresh space with
-// new headroom (amortized O(deg), preserving live-arc order), so
-// membership-sized deltas always apply. ApplyUnitDelta reports false
-// only for deltas that are inconsistent with the bound graph (an unknown
-// removal, an addition colliding with a live arc, an out-of-range
-// endpoint) WITHOUT logically modifying the bound graph — the
-// verification pass precedes any capacity write — and the caller falls
-// back to a full Reset. Query-level caches (warm-start preflows,
-// prepared sources) may be dropped even on failure; the solver keeps
-// answering correctly for the old binding either way.
-//
-// The adjacent-snapshot contract: both sources name edges of the solver's
-// coordinate space (for the connectivity engine, Even-transformed edges),
-// and the delta must describe the transition from the currently bound
-// graph. Query-level caches (prepared sources, warm-start residuals) are
-// invalidated; the expensive arc layout is what survives.
-type UnitDeltaApplier interface {
+	// ApplyUnitDelta patches the bound graph in place when it changes by
+	// a small edge delta, instead of re-binding through Reset. Removed
+	// edges are tombstoned — their arcs keep their slots with capacity
+	// zero, preserving the arc layout and with it the solver's
+	// deterministic traversal order — and added edges revive a previously
+	// tombstoned slot or claim per-vertex slack. A vertex tombstone/revive
+	// rides on the same mechanism: removing every incident edge of a
+	// vertex leaves it isolated with its arc slots kept (the tombstoned
+	// vertex), and a later burst of additions at that vertex — a fresh
+	// population member recycling the slot — revives matching slots and
+	// claims slack for the rest. When a burst outgrows a vertex's slack,
+	// the vertex's whole arc region is relocated to fresh space with new
+	// headroom (amortized O(deg), preserving live-arc order), so
+	// membership-sized deltas always apply. ApplyUnitDelta reports false
+	// only for deltas that are inconsistent with the bound graph (an
+	// unknown removal, an addition colliding with a live arc, an
+	// out-of-range endpoint) WITHOUT logically modifying the bound graph —
+	// the verification pass precedes any capacity write — and the caller
+	// falls back to a full Reset. Query-level caches (prepared sources)
+	// may be dropped even on failure; the solver keeps answering
+	// correctly for the old binding either way.
+	//
+	// The adjacent-snapshot contract: both sources name edges of the
+	// solver's coordinate space (for the connectivity engine,
+	// Even-transformed edges), and the delta must describe the transition
+	// from the currently bound graph. Query-level caches are invalidated;
+	// the expensive arc layout is what survives.
 	ApplyUnitDelta(added, removed EdgeSource) bool
+	// ArcStats reports the current arc-array occupancy.
+	ArcStats() ArcStats
+	// Compact re-densifies the arc store in place: it rebuilds the
+	// forward-star layout from the live arcs only, dropping dead
+	// relocation zones and tombstoned edge pairs and renewing per-vertex
+	// slack. It is much cheaper than a full Reset — the bound graph, its
+	// capacities, and per-vertex solver state survive; only per-arc caches
+	// are rebuilt — and it preserves per-vertex live-arc order, so a
+	// compacted solver keeps answering bit-identically to a freshly bound
+	// one (dropped tombstones re-derive their fresh-build positions if
+	// their edges return). Compact invalidates query-level caches exactly
+	// like ApplyUnitDelta.
+	Compact()
 }
 
 // ArcStats describes a solver's arc-array occupancy, the accounting
@@ -142,23 +154,6 @@ func (s ArcStats) DeadFrac() float64 {
 	return float64(s.Dead+s.Tombstones) / float64(s.Arcs)
 }
 
-// MemoryCompactor is implemented by solvers whose arc store supports
-// in-place re-densification: Compact rebuilds the forward-star layout
-// from the live arcs only, dropping dead relocation zones and tombstoned
-// edge pairs and renewing per-vertex slack. It is much cheaper than a
-// full Reset — the bound graph, its capacities, and per-vertex solver
-// state survive; only per-arc caches are rebuilt — and it preserves
-// per-vertex live-arc order, so a compacted solver keeps answering
-// bit-identically to a freshly bound one (dropped tombstones re-derive
-// their fresh-build positions if their edges return). Compact
-// invalidates query-level warm-start caches exactly like ApplyUnitDelta.
-type MemoryCompactor interface {
-	// ArcStats reports the current arc-array occupancy.
-	ArcStats() ArcStats
-	// Compact re-densifies the arc store in place.
-	Compact()
-}
-
 // Factory constructs a solver for a graph given as an edge list.
 type Factory func(n int, edges []Edge) Solver
 
@@ -168,7 +163,6 @@ type Algorithm int
 // Available algorithms.
 const (
 	Dinic Algorithm = iota + 1
-	PushRelabel
 	HaoOrlin
 )
 
@@ -177,8 +171,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case Dinic:
 		return "dinic"
-	case PushRelabel:
-		return "push-relabel"
 	case HaoOrlin:
 		return "hao-orlin"
 	default:
@@ -191,8 +183,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	switch s {
 	case "dinic":
 		return Dinic, nil
-	case "push-relabel", "pushrelabel", "hipr":
-		return PushRelabel, nil
 	case "hao-orlin", "haoorlin":
 		return HaoOrlin, nil
 	default:
@@ -206,15 +196,17 @@ func (a Algorithm) NewSolver(n int, edges []Edge) Solver {
 }
 
 // NewSolverSource builds a solver of the requested algorithm from an
-// EdgeSource.
+// EdgeSource. An Algorithm that is neither Dinic nor HaoOrlin is a
+// programming error (names from outside go through ParseAlgorithm,
+// options through connectivity.NewEngine) and panics.
 func (a Algorithm) NewSolverSource(n int, edges EdgeSource) Solver {
 	switch a {
-	case PushRelabel:
-		return NewPushRelabelSource(n, edges)
+	case Dinic:
+		return NewDinicSource(n, edges)
 	case HaoOrlin:
 		return NewHaoOrlinSource(n, edges)
 	default:
-		return NewDinicSource(n, edges)
+		panic(fmt.Sprintf("maxflow: unknown algorithm %v", a))
 	}
 }
 
@@ -267,9 +259,8 @@ type arcStore struct {
 	// dirty records arcs whose residual capacity changed since the last
 	// reset, so resetTouched restores only what a query actually moved —
 	// augmenting a handful of unit paths instead of copying the whole
-	// capacity array. Only solvers that route every capacity mutation
-	// through touch (Dinic, HaoOrlin) may use resetTouched; push-relabel
-	// uses resetAll.
+	// capacity array. Both solvers route every capacity mutation through
+	// touch.
 	dirty []int32
 	pos   []int32 // per-vertex scratch: init cursor, delta slack counting
 	// relocs counts arc-region relocations since the last init: each one
@@ -439,12 +430,6 @@ func (s *arcStore) resetTouched() {
 		r := s.rev[a]
 		s.cap[r] = s.cap0[r]
 	}
-	s.dirty = s.dirty[:0]
-}
-
-// resetAll restores every residual capacity to its original value.
-func (s *arcStore) resetAll() {
-	copy(s.cap, s.cap0)
 	s.dirty = s.dirty[:0]
 }
 

@@ -53,9 +53,8 @@ func referenceMaxFlow(n int, edges []Edge, s, t int) int {
 
 func solvers() map[string]Factory {
 	return map[string]Factory{
-		"dinic":        func(n int, e []Edge) Solver { return NewDinic(n, e) },
-		"push-relabel": func(n int, e []Edge) Solver { return NewPushRelabel(n, e) },
-		"hao-orlin":    func(n int, e []Edge) Solver { return NewHaoOrlin(n, e) },
+		"dinic":     func(n int, e []Edge) Solver { return NewDinic(n, e) },
+		"hao-orlin": func(n int, e []Edge) Solver { return NewHaoOrlin(n, e) },
 	}
 }
 
@@ -204,16 +203,16 @@ func TestRandomUnitGraphsCrossCheck(t *testing.T) {
 		}
 		edges := UnitEdges(pairs)
 		d := NewDinic(n, edges)
-		p := NewPushRelabel(n, edges)
+		h := NewHaoOrlin(n, edges)
 		for q := 0; q < 5; q++ {
 			s, tgt := r.Intn(n), r.Intn(n)
 			if s == tgt {
 				continue
 			}
-			dv, pv := d.MaxFlow(s, tgt), p.MaxFlow(s, tgt)
-			if dv != pv {
-				t.Fatalf("trial %d query (%d,%d): dinic=%d push-relabel=%d",
-					trial, s, tgt, dv, pv)
+			dv, hv := d.MaxFlow(s, tgt), h.MaxFlow(s, tgt)
+			if dv != hv {
+				t.Fatalf("trial %d query (%d,%d): dinic=%d hao-orlin=%d",
+					trial, s, tgt, dv, hv)
 			}
 		}
 	}
@@ -292,27 +291,42 @@ func TestParseAlgorithm(t *testing.T) {
 	for _, tt := range []struct {
 		in   string
 		want Algorithm
-	}{{"dinic", Dinic}, {"push-relabel", PushRelabel}, {"hipr", PushRelabel}} {
+	}{{"dinic", Dinic}, {"hao-orlin", HaoOrlin}, {"haoorlin", HaoOrlin}} {
 		got, err := ParseAlgorithm(tt.in)
 		if err != nil || got != tt.want {
 			t.Errorf("ParseAlgorithm(%q) = %v, %v", tt.in, got, err)
 		}
 	}
-	if _, err := ParseAlgorithm("simplex"); err == nil {
-		t.Error("expected error for unknown algorithm")
+	for _, name := range []string{"simplex", "push-relabel", "hipr", ""} {
+		if _, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("ParseAlgorithm(%q): expected an unknown-algorithm error", name)
+		}
 	}
-	if Dinic.String() != "dinic" || PushRelabel.String() != "push-relabel" {
+	if Dinic.String() != "dinic" || HaoOrlin.String() != "hao-orlin" {
 		t.Error("String() names wrong")
 	}
 }
 
+// TestAlgorithmNewSolver pins the enum-to-solver mapping, including that
+// a value outside the enum panics instead of silently building a Dinic
+// solver (0 is "unset": callers default it before they get here).
 func TestAlgorithmNewSolver(t *testing.T) {
 	edges := []Edge{{0, 1, 1}}
 	if _, ok := Dinic.NewSolver(2, edges).(*DinicSolver); !ok {
 		t.Error("Dinic.NewSolver wrong type")
 	}
-	if _, ok := PushRelabel.NewSolver(2, edges).(*PushRelabelSolver); !ok {
-		t.Error("PushRelabel.NewSolver wrong type")
+	if _, ok := HaoOrlin.NewSolver(2, edges).(*HaoOrlinSolver); !ok {
+		t.Error("HaoOrlin.NewSolver wrong type")
+	}
+	for _, a := range []Algorithm{0, -1, HaoOrlin + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v.NewSolver did not panic", a)
+				}
+			}()
+			a.NewSolver(2, edges)
+		}()
 	}
 }
 
@@ -329,14 +343,14 @@ func TestLargeUnitGraphSmoke(t *testing.T) {
 	}
 	edges := UnitEdges(pairs)
 	d := NewDinic(n, edges)
-	p := NewPushRelabel(n, edges)
+	h := NewHaoOrlin(n, edges)
 	for q := 0; q < 10; q++ {
 		s, tgt := r.Intn(n), r.Intn(n)
 		if s == tgt {
 			continue
 		}
-		if dv, pv := d.MaxFlow(s, tgt), p.MaxFlow(s, tgt); dv != pv {
-			t.Fatalf("query (%d,%d): dinic=%d push-relabel=%d", s, tgt, dv, pv)
+		if dv, hv := d.MaxFlow(s, tgt), h.MaxFlow(s, tgt); dv != hv {
+			t.Fatalf("query (%d,%d): dinic=%d hao-orlin=%d", s, tgt, dv, hv)
 		}
 	}
 }

@@ -23,7 +23,7 @@ func randomUnitGraph(r *rand.Rand, n, m int) []Edge {
 func TestMaxFlowLimitConsistency(t *testing.T) {
 	// Properties: MaxFlowLimit with limit >= true flow equals MaxFlow;
 	// with limit < true flow it returns a value in [limit, true flow]
-	// for Dinic (exactly limit) and >= limit for push-relabel.
+	// for Dinic (exactly limit) and >= limit for HaoOrlin.
 	r := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + r.Intn(20)
@@ -201,7 +201,7 @@ func TestVertexTombstoneReviveMatchesFresh(t *testing.T) {
 		}
 		rem := evenDelta(removed)
 		for name, s := range patched {
-			if !s.(UnitDeltaApplier).ApplyUnitDelta(EdgeSlice{}, rem) {
+			if !s.ApplyUnitDelta(EdgeSlice{}, rem) {
 				t.Fatalf("trial %d %s: vertex tombstone delta rejected", trial, name)
 			}
 		}
@@ -224,7 +224,7 @@ func TestVertexTombstoneReviveMatchesFresh(t *testing.T) {
 		}
 		add := evenDelta(added)
 		for name, s := range patched {
-			if !s.(UnitDeltaApplier).ApplyUnitDelta(add, EdgeSlice{}) {
+			if !s.ApplyUnitDelta(add, EdgeSlice{}) {
 				t.Fatalf("trial %d %s: vertex revive delta rejected", trial, name)
 			}
 		}

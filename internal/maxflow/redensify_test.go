@@ -20,9 +20,8 @@ func TestRedensifyMatchesFresh(t *testing.T) {
 	n := 24
 	g, even := evenGraph(r, n, 4)
 	patched := map[string]Solver{
-		"dinic":        NewDinic(2*n, even),
-		"push-relabel": NewPushRelabel(2*n, even),
-		"hao-orlin":    NewHaoOrlin(2*n, even),
+		"dinic":     NewDinic(2*n, even),
+		"hao-orlin": NewHaoOrlin(2*n, even),
 	}
 	var removedPool []graph.Edge
 	for step := 0; step < 30; step++ {
@@ -58,14 +57,14 @@ func TestRedensifyMatchesFresh(t *testing.T) {
 		even = unitEven(g)
 		add, rem := evenDelta(delta.Added), evenDelta(delta.Removed)
 		for name, s := range patched {
-			if !s.(UnitDeltaApplier).ApplyUnitDelta(add, rem) {
+			if !s.ApplyUnitDelta(add, rem) {
 				s.Reset(2*n, EdgeSlice(even))
 			}
 			// Re-densify on a rolling schedule so each algorithm compacts
 			// at several distinct tombstone depths, including right after
 			// a delta and (via the query loop below) right before queries.
 			if step%4 == 3 {
-				s.(MemoryCompactor).Compact()
+				s.Compact()
 			}
 			fresh := NewDinic(2*n, even)
 			for q := 0; q < 6; q++ {
@@ -124,7 +123,7 @@ func TestRedensifyAfterRelocation(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	n := 12
 	g, even := evenGraph(r, n, 2)
-	for _, algo := range []Algorithm{Dinic, PushRelabel, HaoOrlin} {
+	for _, algo := range []Algorithm{Dinic, HaoOrlin} {
 		s := algo.NewSolver(2*n, even)
 		var add EdgeSlice
 		edited := g.Clone()
@@ -137,16 +136,15 @@ func TestRedensifyAfterRelocation(t *testing.T) {
 		if len(add) <= arcSlack {
 			t.Fatalf("test graph too dense to exhaust slack (%d novel edges)", len(add))
 		}
-		if !s.(UnitDeltaApplier).ApplyUnitDelta(add, EdgeSlice{}) {
+		if !s.ApplyUnitDelta(add, EdgeSlice{}) {
 			t.Fatalf("%s: ApplyUnitDelta should relocate, not fail", algo)
 		}
-		mc := s.(MemoryCompactor)
-		before := mc.ArcStats()
+		before := s.ArcStats()
 		if before.Relocations == 0 || before.Dead == 0 {
 			t.Fatalf("%s: expected a relocation with dead arcs, got %+v", algo, before)
 		}
-		mc.Compact()
-		after := mc.ArcStats()
+		s.Compact()
+		after := s.ArcStats()
 		if after.Dead != 0 || after.Tombstones != 0 || after.Relocations != 0 {
 			t.Fatalf("%s: post-compact stats not clean: %+v", algo, after)
 		}
@@ -281,9 +279,8 @@ func FuzzDiffApplyRedensify(f *testing.F) {
 			}
 		}
 		solvers := map[string]Solver{
-			"dinic":        NewDinic(2*n, unitEven(g)),
-			"push-relabel": NewPushRelabel(2*n, unitEven(g)),
-			"hao-orlin":    NewHaoOrlin(2*n, unitEven(g)),
+			"dinic":     NewDinic(2*n, unitEven(g)),
+			"hao-orlin": NewHaoOrlin(2*n, unitEven(g)),
 		}
 		batch := func() (EdgeSlice, EdgeSlice) {
 			var delta graph.Delta
@@ -308,7 +305,7 @@ func FuzzDiffApplyRedensify(f *testing.F) {
 		}
 		apply := func(stage string, add, rem EdgeSlice) {
 			for name, s := range solvers {
-				if !s.(UnitDeltaApplier).ApplyUnitDelta(add, rem) {
+				if !s.ApplyUnitDelta(add, rem) {
 					t.Fatalf("%s %s: consistent delta rejected (add=%v rem=%v)", stage, name, add, rem)
 				}
 			}
@@ -317,7 +314,7 @@ func FuzzDiffApplyRedensify(f *testing.F) {
 		add, rem := batch()
 		apply("pre-compact", add, rem)
 		for _, s := range solvers {
-			s.(MemoryCompactor).Compact()
+			s.Compact()
 		}
 		add, rem = batch()
 		apply("post-compact", add, rem)

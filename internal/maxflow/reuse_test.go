@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// Tests for the PR-3 reuse surfaces: in-place Reset across graphs,
-// Dinic's cached-source level graph, and push-relabel's same-source
-// warm-start. Every reuse path must be value-identical to a freshly
-// constructed solver.
+// Tests for the reuse surfaces: in-place Reset across graphs, Dinic's
+// cached-source level graph, and HaoOrlin's cached root labels. Every
+// reuse path must be value-identical to a freshly constructed solver.
 
 // randomCapGraph returns a random graph with mixed capacities 1..4.
 func randomCapGraph(r *rand.Rand, n, m int) []Edge {
@@ -62,7 +61,7 @@ func TestResetRebindsInPlace(t *testing.T) {
 }
 
 // TestPrepareSourceMatchesCold pins the per-source reuse paths (Dinic's
-// cached first-phase BFS, push-relabel's warm-started preflow): a sweep
+// cached first-phase BFS, HaoOrlin's cached root labels): a sweep
 // over every target after PrepareSource must return the same values as
 // fresh per-query solves, for exact and capped queries alike.
 func TestPrepareSourceMatchesCold(t *testing.T) {
@@ -101,9 +100,9 @@ func TestPrepareSourceMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmStartSourceSwitch pins the warm-start bookkeeping across
-// source changes: interleaving sources must not leak preflow state
-// between them.
+// TestWarmStartSourceSwitch pins the per-source cache bookkeeping across
+// source changes: interleaving sources must not leak cached levels,
+// labels or residual state between them.
 func TestWarmStartSourceSwitch(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	n := 18

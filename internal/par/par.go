@@ -1,9 +1,9 @@
 // Package par provides the bounded-parallelism primitive shared by the
-// sweep engine and scenario.RunAll: a deterministic parallel map over a
-// slice. Results come back in input order regardless of completion order,
-// so callers that are themselves deterministic per item stay deterministic
-// under any worker count — the property the determinism test suite pins
-// down.
+// sweep engine and scenario.RunAllJobs: a deterministic parallel map over
+// a slice. Results come back in input order regardless of completion
+// order, so callers that are themselves deterministic per item stay
+// deterministic under any worker count — the property the determinism
+// test suite pins down.
 package par
 
 import (

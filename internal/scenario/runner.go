@@ -61,19 +61,13 @@ type Bound struct {
 // Ready reports whether the bound engine holds an analyzable topology.
 func (b *Bound) Ready() bool { return b != nil && b.Final != nil }
 
-// RunBound is Run, but it additionally hands back the run's end-of-run
-// engine binding instead of discarding it. The Result is byte-identical
-// to Run's for the same config.
-func RunBound(cfg Config) (*Result, *Bound, error) {
-	return RunBoundCtx(context.Background(), cfg)
-}
-
-// RunBoundCtx is RunBound under a cancel context (see RunCtx). The
-// cancellation signal is checked at two grains: the event kernel polls it
-// every eventsim.DefaultCancelBatch fired events, and the snapshot
-// callback checks it before paying a connectivity analysis — so a
-// canceled run stops within one event batch and never starts another
-// max-flow sweep.
+// RunBoundCtx is RunCtx, but it additionally hands back the run's
+// end-of-run engine binding instead of discarding it. The Result is
+// byte-identical to Run's for the same config. The cancellation signal
+// is checked at two grains: the event kernel polls it every
+// eventsim.DefaultCancelBatch fired events, and the snapshot callback
+// checks it before paying a connectivity analysis — so a canceled run
+// stops within one event batch and never starts another max-flow sweep.
 func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -191,7 +185,7 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	// join burst assigns slots without reallocating the table per wave.
 	var slots snapshot.SlotIndex
 	slots.Reserve(cfg.Size)
-	// The last analyzed capture and its Avg-sweep seed, kept so RunBound
+	// The last analyzed capture and its Avg-sweep seed, kept so RunBoundCtx
 	// can hand back a warm engine binding with enough context to
 	// reproduce (or re-sample) the final point's analysis.
 	var lastSnap *snapshot.SlotSnapshot
@@ -306,19 +300,14 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	}, nil
 }
 
-// RunAll executes a slice of configs across GOMAXPROCS workers and
-// returns the results in input order. Each run is deterministic in its
-// own seed, so the results are identical to a sequential execution; only
-// wall-clock time changes. Config callbacks (Log, OnSnapshot) may be
-// invoked concurrently from different runs — use RunAllJobs(cfgs, 1) for
-// strictly sequential execution.
-func RunAll(cfgs []Config) ([]*Result, error) {
-	return RunAllJobs(cfgs, 0)
-}
-
-// RunAllJobs is RunAll with an explicit worker bound (<= 0 means
-// GOMAXPROCS). On failure it reports the error of the earliest failing
-// config; configs queued after the failure may be skipped.
+// RunAllJobs executes a slice of configs across at most jobs workers
+// (<= 0 means GOMAXPROCS) and returns the results in input order. Each
+// run is deterministic in its own seed, so the results are identical to
+// a sequential execution; only wall-clock time changes. Config callbacks
+// (Log, OnSnapshot) may be invoked concurrently from different runs —
+// pass jobs = 1 for strictly sequential execution. On failure it reports
+// the error of the earliest failing config; configs queued after the
+// failure may be skipped.
 func RunAllJobs(cfgs []Config, jobs int) ([]*Result, error) {
 	return par.Map(jobs, cfgs, func(_ int, cfg Config) (*Result, error) {
 		r, err := Run(cfg)

@@ -338,7 +338,6 @@ var (
 	_ churn.Population    = (*population)(nil)
 	_ traffic.Population  = (*population)(nil)
 	_ attack.Population   = (*population)(nil)
-	_ attack.SlotRecon    = (*population)(nil)
 	_ workload.Population = (*population)(nil)
 )
 
@@ -371,7 +370,7 @@ func (p *population) AttackSnapshot() *snapshot.Snapshot {
 	return snapshot.Capture(p.sim.Now(), p.nodes)
 }
 
-// AttackSlotSnapshot implements attack.SlotRecon: stable-slot
+// AttackSlotSnapshot implements attack.Population: stable-slot
 // reconnaissance against the adversary's private slot table, so the
 // cutset engine rebinds incrementally across its own strikes.
 func (p *population) AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot {

@@ -16,7 +16,7 @@
 //	// res.Points: per-snapshot network size, min and avg connectivity.
 //
 // Lower-level entry points expose the simulator, the Kademlia node, graph
-// snapshots, and the connectivity analyzer directly, so the building
+// snapshots, and the connectivity analysis directly, so the building
 // blocks can be recombined (e.g. analyzing externally captured
 // connectivity graphs, or embedding Kademlia nodes in a custom
 // simulation).
@@ -111,12 +111,13 @@ func NewNodeWithID(cfg NodeConfig, nodeID ID, addr Addr, net *Network) (*Node, e
 type (
 	// Graph is a directed connectivity graph.
 	Graph = graph.Digraph
-	// ConnectivityOptions configures the analyzer (sampling, algorithm,
-	// workers).
-	ConnectivityOptions = connectivity.Options
+	// ConnectivityQuery selects what one analysis computes (sampling
+	// fraction and strategy, Min-only pruning).
+	ConnectivityQuery = connectivity.Query
 	// ConnectivityResult reports min/avg connectivity of one graph.
 	ConnectivityResult = connectivity.Result
-	// MaxflowAlgorithm selects Dinic or HIPR-style push-relabel.
+	// MaxflowAlgorithm names a max-flow solver: Dinic, or the fixed-root
+	// Hao–Orlin sweep solver the analyses default to.
 	MaxflowAlgorithm = maxflow.Algorithm
 	// Snapshot is a captured connectivity graph with node metadata.
 	Snapshot = snapshot.Snapshot
@@ -124,25 +125,24 @@ type (
 
 // Max-flow algorithm choices.
 const (
-	Dinic       = maxflow.Dinic
-	PushRelabel = maxflow.PushRelabel
+	Dinic    = maxflow.Dinic
+	HaoOrlin = maxflow.HaoOrlin
 )
 
 // NewGraph returns an empty directed graph on n vertices.
 func NewGraph(n int) *Graph { return graph.NewDigraph(n) }
 
-// AnalyzeConnectivity computes the vertex connectivity of a graph.
-func AnalyzeConnectivity(g *Graph, opts ConnectivityOptions) (ConnectivityResult, error) {
-	a, err := connectivity.NewAnalyzer(opts)
-	if err != nil {
-		return ConnectivityResult{}, err
-	}
-	return a.Analyze(g), nil
+// AnalyzeConnectivity computes the vertex connectivity of a graph. It
+// fails only for a negative or NaN sample fraction.
+func AnalyzeConnectivity(g *Graph, q ConnectivityQuery) (ConnectivityResult, error) {
+	return connectivity.Analyze(g, q)
 }
 
 // VertexConnectivity computes the exact kappa(D) with a full n(n-1) sweep.
 func VertexConnectivity(g *Graph) int {
-	return connectivity.MustNewAnalyzer(connectivity.Options{SampleFraction: 1.0, MinOnly: true}).Analyze(g).Min
+	// The fraction is a valid constant, so Analyze cannot fail.
+	res, _ := connectivity.Analyze(g, connectivity.Query{SampleFraction: 1.0, MinOnly: true})
+	return res.Min
 }
 
 // PairConnectivity computes kappa(v, w) for one non-adjacent pair.
@@ -161,8 +161,8 @@ func PairCut(g *Graph, v, w int) ([]int, error) { return connectivity.PairCut(g,
 
 // GraphCut returns a minimum vertex cut of the whole graph and the vertex
 // pair it separates; ok is false for complete graphs, which have no cut.
-func GraphCut(g *Graph, opts ConnectivityOptions) (cut []int, pair [2]int, ok bool, err error) {
-	return connectivity.GraphCut(g, opts)
+func GraphCut(g *Graph, q ConnectivityQuery) (cut []int, pair [2]int, ok bool, err error) {
+	return connectivity.GraphCut(g, q)
 }
 
 // RemoveVertices simulates compromising nodes: it returns a copy of g with
@@ -261,7 +261,9 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) { return scenario.
 // execution. Config callbacks (Log, OnSnapshot) may be invoked
 // concurrently from different runs; use RunExperimentJobs(e, 1) when
 // callbacks require sequential execution.
-func RunExperiment(e Experiment) ([]*ScenarioResult, error) { return scenario.RunAll(e.Configs) }
+func RunExperiment(e Experiment) ([]*ScenarioResult, error) {
+	return scenario.RunAllJobs(e.Configs, 0)
+}
 
 // RunExperimentJobs is RunExperiment with an explicit worker bound
 // (<= 0 means GOMAXPROCS; 1 runs strictly sequentially).

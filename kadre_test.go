@@ -28,7 +28,7 @@ func TestFacadeGraphAnalysis(t *testing.T) {
 	if k != 2 {
 		t.Fatalf("PairConnectivity(0,3) = %d, want 2", k)
 	}
-	res, err := AnalyzeConnectivity(g, ConnectivityOptions{SampleFraction: 1.0})
+	res, err := AnalyzeConnectivity(g, ConnectivityQuery{SampleFraction: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFacadeNodeLifecycle(t *testing.T) {
 	if snap.N() != 12 {
 		t.Fatalf("snapshot size %d, want 12", snap.N())
 	}
-	res, err := AnalyzeConnectivity(snap.Graph, ConnectivityOptions{SampleFraction: 1.0})
+	res, err := AnalyzeConnectivity(snap.Graph, ConnectivityQuery{SampleFraction: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
