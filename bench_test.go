@@ -41,7 +41,7 @@ const benchSeed = 1
 // the results; the b.N loop re-runs the whole experiment.
 func runExperimentOnce(b *testing.B, exp scenario.Experiment) []*scenario.Result {
 	b.Helper()
-	results, err := scenario.RunAllJobs(exp.Configs, 0)
+	results, err := RunExperiment(exp, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

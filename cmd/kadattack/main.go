@@ -21,26 +21,17 @@
 // artefacts exclude wall-clock data and the worker count, so the same
 // invocation produces byte-identical files for any -jobs value.
 //
-// Flags:
+// Flags (the shared batch flags -scale -scenario -seed -reps -jobs -csv
+// -json -checkpoint -max-dead-frac -max-slot-slack -quiet are documented
+// once, in internal/batch; -csv also writes attack_summary.csv and -json
+// writes attack.json):
 //
-//	-scale s         paper, reduced, tiny (default reduced)
-//	-scenario f      scenario spec file (JSON) whose runs carry attack
-//	                 blocks; replaces -strategies/-budget/-interval, and
-//	                 the spec's "scale" field (when set) pins the scale
 //	-strategies csv  comma-separated strategy list (default all four)
-//	-seed n          base seed (default 1)
-//	-reps r          seed replications per strategy (default 1)
-//	-jobs j          concurrent runs; 0 means GOMAXPROCS (default 0)
 //	-budget n        total removals per run (default: half the network)
 //	-interval d      strike interval (default: attack window / 8)
-//	-csv dir         write per-strategy degradation CSVs
-//	-json dir        write one JSON document (attack.json)
-//	-checkpoint dir  persist per-run results; resume skips finished runs
-//	-max-dead-frac f re-densify analysis arc stores above this dead
-//	                 fraction; <= 0 disables (default 0.5)
-//	-max-slot-slack f compact slot tables above this vacancy/live ratio;
-//	                 <= 0 disables (default 0.5)
-//	-quiet           suppress progress lines
+//
+// A -scenario spec's runs must all carry attack blocks; it replaces these
+// three flags, so passing any of them beside it is an error.
 //
 // Examples:
 //
@@ -51,20 +42,19 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"kadre/internal/attack"
-	"kadre/internal/connectivity"
+	"kadre/internal/batch"
 	"kadre/internal/report"
 	"kadre/internal/scenario"
 	"kadre/internal/sweep"
-	"kadre/internal/workload"
 )
 
 func main() {
@@ -77,76 +67,42 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("kadattack", flag.ContinueOnError)
 	var (
-		scaleName  = fs.String("scale", "reduced", "scale: paper, reduced, tiny")
-		scenFile   = fs.String("scenario", "", "scenario spec file (JSON) with attack-enabled runs; replaces -strategies/-budget/-interval")
+		b          = batch.Register(fs)
 		strategies = fs.String("strategies", "random,degree,cutset,eclipse", "comma-separated attack strategies")
-		seed       = fs.Int64("seed", 1, "base seed")
-		reps       = fs.Int("reps", 1, "seed replications per strategy")
-		jobs       = fs.Int("jobs", 0, "concurrent runs (0 = GOMAXPROCS)")
 		budget     = fs.Int("budget", 0, "total removals per run (0 = half the network)")
 		interval   = fs.Duration("interval", 0, "strike interval (0 = attack window / 8)")
-		csvDir     = fs.String("csv", "", "directory for degradation CSVs")
-		jsonDir    = fs.String("json", "", "directory for the JSON document")
-		ckptDir    = fs.String("checkpoint", "", "directory for per-run checkpoints (resume support)")
-		deadFrac   = fs.Float64("max-dead-frac", 0.5, "re-densify analysis arc stores above this dead fraction (<= 0 disables)")
-		slotSlack  = fs.Float64("max-slot-slack", 0.5, "compact slot tables above this vacancy/live ratio (<= 0 disables)")
-		quiet      = fs.Bool("quiet", false, "suppress progress lines")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := b.Parse(args); err != nil {
 		return err
-	}
-	if *reps < 1 {
-		return fmt.Errorf("-reps %d must be >= 1", *reps)
-	}
-	if *jobs < 0 {
-		return fmt.Errorf("-jobs %d must be >= 0", *jobs)
 	}
 	if *budget < 0 {
 		return fmt.Errorf("-budget %d must be >= 0", *budget)
 	}
-	scale, err := scenario.ScaleByName(*scaleName)
-	if err != nil {
-		return err
-	}
 
 	var exp scenario.Experiment
-	if *scenFile != "" {
-		// A scenario spec fully defines the attack runs: the spec's own
-		// attack blocks win over -strategies/-budget/-interval.
-		if *strategies != "random,degree,cutset,eclipse" || *budget > 0 || *interval > 0 {
-			return fmt.Errorf("-scenario is mutually exclusive with -strategies, -budget and -interval (the spec defines the attacks)")
+	if b.Scenario != "" {
+		// A scenario spec fully defines the attack runs.
+		if own := b.Given("strategies", "budget", "interval"); len(own) > 0 {
+			return fmt.Errorf("-scenario is mutually exclusive with %s (the spec defines the attacks)", strings.Join(own, ", "))
 		}
-		sp, err := workload.Load(*scenFile)
-		if err != nil {
+		var err error
+		if exp, err = b.LoadScenario(); err != nil {
 			return err
 		}
-		if sp.Scale != "" {
-			if scale, err = scenario.ScaleByName(sp.Scale); err != nil {
-				return fmt.Errorf("scenario %s: %w", *scenFile, err)
-			}
-		}
-		if exp, err = scenario.FromSpec(sp, scale, *seed); err != nil {
-			return fmt.Errorf("scenario %s: %w", *scenFile, err)
-		}
-		for i := range exp.Configs {
-			cfg := &exp.Configs[i]
+		for _, cfg := range exp.Configs {
 			if !cfg.Attack.Enabled() {
-				return fmt.Errorf("scenario %s: run %q has no attack block; kadattack needs attack-enabled runs (use kadsweep for plain scenarios)", *scenFile, cfg.Name)
+				return fmt.Errorf("scenario %s: run %q has no attack block; kadattack needs attack-enabled runs (use kadsweep for plain scenarios)", b.Scenario, cfg.Name)
 			}
-			cfg.Governance = connectivity.PolicyFromKnobs(*deadFrac, *slotSlack)
 		}
 	} else {
 		strats, err := attack.ParseStrategies(*strategies)
 		if err != nil {
 			return err
 		}
-		exp = scale.AttackExperiment(*seed, strats)
-		phase, _ := scale.AttackPhase()
+		exp = b.Scale.AttackExperiment(b.Seed, strats)
+		phase, _ := b.Scale.AttackPhase()
 		for i := range exp.Configs {
 			cfg := &exp.Configs[i]
-			// The governance knobs cover both the measurement pipeline and the
-			// cutset adversary's recon engine (inherited by the defaulting).
-			cfg.Governance = connectivity.PolicyFromKnobs(*deadFrac, *slotSlack)
 			if *interval > 0 {
 				cfg.Attack.Interval = *interval
 			}
@@ -161,64 +117,32 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	for _, dir := range []string{*csvDir, *jsonDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return err
-			}
-		}
+	if err := b.Prepare(exp); err != nil {
+		return err
 	}
-
-	opts := sweep.Options{Reps: *reps, Jobs: *jobs}
-	if *ckptDir != "" {
-		if opts.Checkpoint, err = sweep.NewCheckpointer(*ckptDir); err != nil {
-			return err
-		}
+	opts, err := b.SweepOptions(stdout, false)
+	if err != nil {
+		return err
 	}
-	if !*quiet {
-		opts.Progress = func(ev sweep.Event) {
-			status := fmt.Sprintf("%v", ev.Elapsed.Round(time.Millisecond))
-			if ev.Cached {
-				status = "checkpoint"
-			}
-			if ev.Err != nil {
-				status = "FAILED: " + ev.Err.Error()
-			}
-			fmt.Fprintf(stdout, "  [%d/%d] %s rep %d seed %d (%s)\n",
-				ev.Done, ev.Total, ev.Name, ev.Rep, ev.Seed, status)
-		}
-	}
-
 	fmt.Fprintf(stdout, "=== attack: %s (scale %s, %d strategies x %d reps) ===\n",
-		exp.Title, scale.Name, len(exp.Configs), *reps)
-	sets, err := sweep.RunExperiment(exp, opts)
+		exp.Title, b.Scale.Name, len(exp.Configs), b.Reps)
+	sets, err := sweep.Run(exp.Configs, opts)
 	if err != nil {
 		return err
 	}
 
-	if *csvDir != "" {
-		if err := writeCSVs(*csvDir, sets); err != nil {
+	if b.CSVDir != "" {
+		if err := writeCSVs(b, sets); err != nil {
 			return err
 		}
 	}
-	if *jsonDir != "" {
-		// Jobs is deliberately left out of the metadata: the document must
-		// be byte-identical for every -jobs value.
-		f, err := os.Create(filepath.Join(*jsonDir, "attack.json"))
-		if err != nil {
-			return err
-		}
-		meta := sweep.JSONMeta{Experiment: exp.ID, Title: exp.Title, Scale: scale.Name}
-		if err := sweep.WriteJSON(f, meta, sets); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	// Jobs is deliberately left out of the metadata: the document must be
+	// byte-identical for every -jobs value.
+	meta := sweep.JSONMeta{Experiment: exp.ID, Title: exp.Title, Scale: b.Scale.Name}
+	if err := b.WriteJSON("attack.json", meta, sets); err != nil {
+		return err
 	}
-
-	return render(stdout, exp, *reps, sets)
+	return render(stdout, exp, b.Reps, sets)
 }
 
 func render(w io.Writer, exp scenario.Experiment, reps int, sets []*sweep.RunSet) error {
@@ -258,55 +182,25 @@ func render(w io.Writer, exp scenario.Experiment, reps int, sets []*sweep.RunSet
 	return nil
 }
 
-// csvName flattens a run name ("Attack/cutset") into a file name.
-func csvName(name string) string {
-	return strings.NewReplacer("/", "_", "=", "").Replace(name)
-}
-
-// writeCSVs emits one degradation CSV per replication (rep 0 keeps the
-// plain name) and a cross-strategy summary.
-func writeCSVs(dir string, sets []*sweep.RunSet) error {
+// writeCSVs emits one degradation CSV per replication and a cross-strategy
+// summary.
+func writeCSVs(b *batch.Flags, sets []*sweep.RunSet) error {
 	for _, rs := range sets {
 		for rep, r := range rs.Reps {
-			name := csvName(rs.Config.Name)
-			if rep > 0 {
-				name = fmt.Sprintf("%s_r%d", name, rep)
+			var buf bytes.Buffer
+			buf.WriteString("t_min,removed,n,edges,min_conn,avg_conn,scc_frac\n")
+			for _, p := range r.Points {
+				fmt.Fprintf(&buf, "%.0f,%d,%d,%d,%d,%.3f,%.4f\n",
+					p.Time.Minutes(), p.Removed, p.N, p.Edges, p.Min, p.Avg, p.SCC)
 			}
-			if err := writeDegradationCSV(filepath.Join(dir, name+".csv"), r); err != nil {
+			if err := os.WriteFile(b.CSVPath(rs.Config.Name, rep, ".csv"), buf.Bytes(), 0o666); err != nil {
 				return err
 			}
 		}
 	}
-	return writeSummaryCSV(filepath.Join(dir, "attack_summary.csv"), sets)
-}
 
-func writeDegradationCSV(path string, r *scenario.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "t_min,removed,n,edges,min_conn,avg_conn,scc_frac"); err != nil {
-		return err
-	}
-	for _, p := range r.Points {
-		if _, err := fmt.Fprintf(f, "%.0f,%d,%d,%d,%d,%.3f,%.4f\n",
-			p.Time.Minutes(), p.Removed, p.N, p.Edges, p.Min, p.Avg, p.SCC); err != nil {
-			return err
-		}
-	}
-	return f.Close()
-}
-
-func writeSummaryCSV(path string, sets []*sweep.RunSet) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "strategy,reps,removed_mean,churn_window_min_mean,final_min_mean,final_scc_mean"); err != nil {
-		return err
-	}
+	var buf bytes.Buffer
+	buf.WriteString("strategy,reps,removed_mean,churn_window_min_mean,final_min_mean,final_scc_mean\n")
 	for _, rs := range sets {
 		var removed, finalMin, finalSCC, winMean float64
 		for _, r := range rs.Reps {
@@ -318,10 +212,8 @@ func writeSummaryCSV(path string, sets []*sweep.RunSet) error {
 			}
 		}
 		n := float64(len(rs.Reps))
-		if _, err := fmt.Fprintf(f, "%s,%d,%.1f,%.3f,%.2f,%.4f\n",
-			rs.Config.Attack.Strategy, len(rs.Reps), removed/n, winMean/n, finalMin/n, finalSCC/n); err != nil {
-			return err
-		}
+		fmt.Fprintf(&buf, "%s,%d,%.1f,%.3f,%.2f,%.4f\n",
+			rs.Config.Attack.Strategy, len(rs.Reps), removed/n, winMean/n, finalMin/n, finalSCC/n)
 	}
-	return f.Close()
+	return os.WriteFile(filepath.Join(b.CSVDir, "attack_summary.csv"), buf.Bytes(), 0o666)
 }

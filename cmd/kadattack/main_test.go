@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -187,17 +188,76 @@ func TestCheckpointResumeFlag(t *testing.T) {
 	}
 }
 
+// TestRunErrors covers kadattack's own flags; the shared flags'
+// validation is tested once, in internal/batch.
 func TestRunErrors(t *testing.T) {
 	discard := &bytes.Buffer{}
 	for _, bad := range [][]string{
-		{"-scale", "galactic"},
 		{"-strategies", "random,klingon"},
-		{"-reps", "0"},
-		{"-jobs", "-1"},
 		{"-budget", "-5"},
 	} {
 		if err := run(bad, discard); err == nil {
 			t.Errorf("args %v should fail", bad)
 		}
+	}
+	// A spec defines the attacks: any explicitly passed attack flag beside
+	// -scenario is rejected, the default-valued -strategies list included.
+	for _, own := range [][]string{
+		{"-strategies", "random,degree,cutset,eclipse"},
+		{"-strategies", "cutset"},
+		{"-budget", "10"},
+		{"-interval", "4m"},
+	} {
+		args := append([]string{"-scenario", cutsetSpec, "-scale", "tiny"}, own...)
+		if err := run(args, discard); err == nil || !strings.Contains(err.Error(), "mutually exclusive with "+own[0]) {
+			t.Errorf("args %v: err = %v, want a mutual-exclusion error naming %s", args, err, own[0])
+		}
+	}
+	plain := filepath.Join("..", "..", "specs", "figure2.json")
+	if err := run([]string{"-scenario", plain, "-scale", "tiny"}, discard); err == nil || !strings.Contains(err.Error(), "no attack block") {
+		t.Errorf("attack-free spec: err = %v, want a no-attack-block error", err)
+	}
+}
+
+var cutsetSpec = filepath.Join("..", "..", "specs", "attack_cutset.json")
+
+// TestScenarioParityWithKadsweep pins the one batch path across the two
+// commands: the same attack spec swept by kadattack (in-process) and by
+// the real kadsweep binary yields JSON documents whose "runs" arrays are
+// byte-identical — only the labelling each main passes in may differ.
+func TestScenarioParityWithKadsweep(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	runs := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Runs json.RawMessage `json:"runs"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Runs
+	}
+	args := []string{"-scenario", cutsetSpec, "-scale", "tiny", "-quiet", "-json"}
+
+	attackDir := t.TempDir()
+	if err := run(append(args, attackDir), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	sweepDir := t.TempDir()
+	cmd := exec.Command(goBin, append([]string{"run", "../kadsweep"}, append(args, sweepDir)...)...)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("kadsweep: %v\n%s", err, out)
+	}
+
+	got, want := runs(filepath.Join(attackDir, "attack.json")), runs(filepath.Join(sweepDir, "attack-cutset.json"))
+	if len(got) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("runs arrays differ between kadattack and kadsweep:\n--- kadattack ---\n%.1500s\n--- kadsweep ---\n%.1500s", got, want)
 	}
 }

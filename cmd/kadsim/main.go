@@ -79,22 +79,18 @@ func run(args []string) error {
 		cfg.Log = func(format string, a ...any) { fmt.Printf(format+"\n", a...) }
 	}
 
+	// The first failed snapshot write stops further writes and, after the
+	// run's results are printed, fails the command: artefacts are missing.
+	var writeErr error
 	if *snapDir != "" {
 		if err := os.MkdirAll(*snapDir, 0o755); err != nil {
 			return fmt.Errorf("create snapshot dir: %w", err)
 		}
-		var writeErr error
 		cfg.OnSnapshot = func(s *snapshot.Snapshot, _ scenario.SnapshotStat) {
-			if writeErr != nil {
-				return
+			if writeErr == nil {
+				writeErr = writeSnapshot(*snapDir, s)
 			}
-			writeErr = writeSnapshot(*snapDir, s)
 		}
-		defer func() {
-			if writeErr != nil {
-				fmt.Fprintln(os.Stderr, "kadsim: snapshot persistence:", writeErr)
-			}
-		}()
 	}
 
 	res, err := scenario.Run(cfg)
@@ -117,6 +113,9 @@ func run(args []string) error {
 		if err := report.Chart(os.Stdout, "connectivity over time", series, 14); err != nil {
 			return err
 		}
+	}
+	if writeErr != nil {
+		return fmt.Errorf("snapshot persistence: %w", writeErr)
 	}
 	return nil
 }

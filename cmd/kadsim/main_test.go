@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -30,6 +31,25 @@ func TestRunTinySimulation(t *testing.T) {
 	}
 	if info.Size() == 0 {
 		t.Fatal("empty snapshot file")
+	}
+}
+
+// TestRunSnapshotWriteFailure blocks one snapshot file with a directory
+// of the same name: the command must fail, not exit 0 with the artefact
+// missing.
+func TestRunSnapshotWriteFailure(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "snapshot-000010m.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{
+		"-size", "25", "-k", "4", "-bits", "64",
+		"-setup-mins", "5", "-stabilize-mins", "10", "-churn-mins", "10",
+		"-interval-mins", "10", "-c", "0.2",
+		"-snapshots", dir, "-quiet", "-chart=false",
+	})
+	if err == nil || !strings.Contains(err.Error(), "snapshot persistence") {
+		t.Fatalf("err = %v, want a snapshot persistence failure", err)
 	}
 }
 

@@ -14,31 +14,19 @@
 // each experiment's tail instead of idling at every boundary.
 //
 // Replication (-reps R) repeats every configuration R times with derived
-// seeds, matching the paper's repeated-run methodology: rep 0 uses the
-// configuration's own seed (so -reps 1 reproduces historical single runs
-// exactly) and reps >= 1 use a splitmix64-derived seed stream. Replicated
-// sweeps report the cross-run mean and two-sided 95% Student-t confidence
+// seeds, matching the paper's repeated-run methodology. Replicated sweeps
+// report the cross-run mean and two-sided 95% Student-t confidence
 // interval per snapshot instant, both in the tables and as the dotted
 // band of the ASCII charts.
 //
-// Flags:
+// Flags (the shared batch flags -scale -scenario -seed -reps -jobs -csv
+// -json -checkpoint -max-dead-frac -max-slot-slack -quiet, and the JSON
+// document, are documented once, in internal/batch; -csv also writes a
+// per-config aggregate CSV when -reps > 1 and -json writes <exp>.json
+// with the informational "jobs" field):
 //
-//	-exp id       experiment to run (see -list), or 'all'
-//	-scenario f   scenario spec file (JSON) to run instead of -exp: the
-//	              versioned workload.Spec format composing churn, traffic,
-//	              attack and generative-workload knobs (see README
-//	              "scenario specs"; committed presets live under specs/)
-//	-scale s      paper, reduced, tiny (default reduced); a spec file
-//	              may pin its own scale, which then wins
-//	-seed n       base seed (default 1)
-//	-reps r       seed replications per configuration (default 1)
-//	-jobs j       concurrent runs; 0 means GOMAXPROCS (default 0)
-//	-csv dir      write one CSV per run (and per-config aggregate CSVs
-//	              when -reps > 1)
-//	-json dir     write one JSON document per experiment
-//	-checkpoint d persist every completed run to directory d and, on a
-//	              later invocation, replay finished runs from disk
-//	              instead of re-executing them (sweep resume)
+//	-exp id       experiment to run (see -list), or 'all'; exclusive
+//	              with -scenario
 //	-ci-stop f    adaptive replication: per configuration, stop early
 //	              once the 95% CI half-width of the churn-window mean
 //	              min connectivity is at most f times its mean; -reps
@@ -46,37 +34,7 @@
 //	              combinable with -checkpoint). Stop indices depend only
 //	              on seeds and accumulated statistics, so artefacts stay
 //	              identical for any -jobs value.
-//	-max-dead-frac f  re-densify analysis arc stores above this dead
-//	              fraction; <= 0 disables (default 0.5)
-//	-max-slot-slack f compact slot tables above this vacancy/live
-//	              ratio; <= 0 disables (default 0.5). Disabling both
-//	              drops the "memory" block from the JSON document.
 //	-list         list experiments and exit
-//	-quiet        suppress progress lines
-//
-// The JSON document (one per experiment, named <exp>.json) contains:
-//
-//	{
-//	  "experiment": "figure2", "title": "...", "scale": "tiny",
-//	  "reps": 3, "jobs": 4,
-//	  "runs": [{
-//	    "name": "SimA/k=5", "base_seed": 1,
-//	    "size": 40, "k": 5, "churn": "0/1", "loss": "none", "traffic": false,
-//	    "reps": [{"seed": 1, "points": [{"t_min", "n", "edges",
-//	              "min_conn", "avg_conn", "symmetry"}, ...],
-//	              "churn_added", "churn_removed", "traffic_ops",
-//	              "msg_sent", "msg_lost"}, ...],
-//	    "aggregate": {
-//	      "min_conn": [{"t_min", "mean", "std", "ci95", "min", "max"}, ...],
-//	      "avg_conn": [...], "size": [...],
-//	      "churn_window": {"rep_means": [...], "mean", "ci95"}
-//	    }
-//	  }, ...]
-//	}
-//
-// Statistics that are undefined (the CI of a single replication) encode
-// as null. Wall-clock timings are excluded, so the same sweep always
-// produces byte-identical JSON.
 //
 // Examples:
 //
@@ -89,21 +47,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
-	"kadre/internal/connectivity"
+	"kadre/internal/batch"
 	"kadre/internal/report"
 	"kadre/internal/scenario"
 	"kadre/internal/stats"
 	"kadre/internal/sweep"
-	"kadre/internal/workload"
 )
 
 func main() {
@@ -113,188 +69,109 @@ func main() {
 	}
 }
 
-// options carries the resolved flag set through one invocation.
-type options struct {
-	scale   scenario.Scale
-	seed    int64
-	reps    int
-	jobs    int
-	csvDir  string
-	jsonDir string
-	ckpt    *sweep.Checkpointer
-	gov     connectivity.GovernancePolicy
-	ciStop  float64
-	quiet   bool
-	stdout  io.Writer
-}
-
 func run(args []string, stdout io.Writer) error {
 	// Flag diagnostics (usage, parse errors) stay on the FlagSet's stderr
 	// default; stdout carries only the program's results.
 	fs := flag.NewFlagSet("kadsweep", flag.ContinueOnError)
 	var (
-		expID     = fs.String("exp", "", "experiment id (see -list), or 'all'")
-		scenFile  = fs.String("scenario", "", "scenario spec file (JSON) to run instead of a compiled-in experiment")
-		scaleName = fs.String("scale", "reduced", "scale: paper, reduced, tiny")
-		seed      = fs.Int64("seed", 1, "base seed")
-		reps      = fs.Int("reps", 1, "seed replications per configuration")
-		jobs      = fs.Int("jobs", 0, "concurrent runs (0 = GOMAXPROCS)")
-		csvDir    = fs.String("csv", "", "directory for per-run CSV series")
-		jsonDir   = fs.String("json", "", "directory for per-experiment JSON results")
-		ckptDir   = fs.String("checkpoint", "", "directory for per-run checkpoints (resume support)")
-		ciStop    = fs.Float64("ci-stop", 0, "adaptive replication: stop a config's reps once the 95% CI half-width is at most this fraction of the mean churn-window min connectivity (0 = fixed -reps)")
-		deadFrac  = fs.Float64("max-dead-frac", 0.5, "re-densify analysis arc stores above this dead fraction (<= 0 disables)")
-		slotSlack = fs.Float64("max-slot-slack", 0.5, "compact slot tables above this vacancy/live ratio (<= 0 disables)")
-		list      = fs.Bool("list", false, "list experiments and exit")
-		quiet     = fs.Bool("quiet", false, "suppress progress lines")
+		b      = batch.Register(fs)
+		expID  = fs.String("exp", "", "experiment id (see -list), or 'all'")
+		ciStop = fs.Float64("ci-stop", 0, "adaptive replication: stop a config's reps once the 95% CI half-width is at most this fraction of the mean churn-window min connectivity (0 = fixed -reps)")
+		list   = fs.Bool("list", false, "list experiments and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := b.Parse(args); err != nil {
 		return err
-	}
-	if *reps < 1 {
-		return fmt.Errorf("-reps %d must be >= 1", *reps)
-	}
-	if *jobs < 0 {
-		return fmt.Errorf("-jobs %d must be >= 0", *jobs)
 	}
 	if *ciStop < 0 {
 		return fmt.Errorf("-ci-stop %v must be >= 0", *ciStop)
 	}
-	if *ciStop > 0 && *reps < 2 {
+	if *ciStop > 0 && b.Reps < 2 {
 		return fmt.Errorf("-ci-stop needs -reps >= 2 (the rep budget a decision may stop short of)")
 	}
-	if *ciStop > 0 && *ckptDir != "" {
+	if *ciStop > 0 && b.CheckpointDir != "" {
 		return fmt.Errorf("-ci-stop cannot be combined with -checkpoint (adaptive rep counts would invalidate resumed fixed-R checkpoints)")
-	}
-
-	scale, err := scenario.ScaleByName(*scaleName)
-	if err != nil {
-		return err
-	}
-	opts := options{
-		scale: scale, seed: *seed, reps: *reps, jobs: *jobs,
-		csvDir: *csvDir, jsonDir: *jsonDir, quiet: *quiet, stdout: stdout,
-		gov:    connectivity.PolicyFromKnobs(*deadFrac, *slotSlack),
-		ciStop: *ciStop,
-	}
-	if *ckptDir != "" {
-		if opts.ckpt, err = sweep.NewCheckpointer(*ckptDir); err != nil {
-			return err
-		}
 	}
 
 	if *list {
 		fmt.Fprintln(stdout, "available experiments (paper artefact -> id):")
 		fmt.Fprintln(stdout, "  table1    Table 1 (message-loss scenarios; static)")
-		for _, e := range scale.Experiments(*seed) {
+		for _, e := range b.Scale.Experiments(b.Seed) {
 			fmt.Fprintf(stdout, "  %-9s %s (%d runs)\n", e.ID, e.Title, len(e.Configs))
 		}
 		return nil
 	}
-	if *expID != "" && *scenFile != "" {
+	switch len(b.Given("exp", "scenario")) {
+	case 2:
 		return fmt.Errorf("-exp and -scenario are mutually exclusive")
-	}
-	if *expID == "" && *scenFile == "" {
+	case 0:
 		return fmt.Errorf("-exp or -scenario is required (try -list)")
 	}
 
-	for _, dir := range []string{*csvDir, *jsonDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return err
-			}
-		}
-	}
-
-	// A scenario spec file is one experiment resolved through the same
-	// scale defaulting as the compiled-in presets: a committed spec of a
-	// preset produces byte-identical artefacts. The spec may pin its own
-	// scale; otherwise -scale applies.
-	if *scenFile != "" {
-		sp, err := workload.Load(*scenFile)
+	if b.Scenario != "" {
+		exp, err := b.LoadScenario()
 		if err != nil {
 			return err
 		}
-		if sp.Scale != "" {
-			if opts.scale, err = scenario.ScaleByName(sp.Scale); err != nil {
-				return err
-			}
-		}
-		exp, err := scenario.FromSpec(sp, opts.scale, opts.seed)
-		if err != nil {
-			return err
-		}
-		return sweepExperiments([]scenario.Experiment{exp}, opts)
+		return sweepExperiments(stdout, b, *ciStop, exp)
 	}
 
-	if *expID == "table1" {
+	table1 := func() error {
 		header, rows := report.Table1()
 		fmt.Fprintln(stdout, "Table 1: message loss scenarios")
 		return report.WriteTable(stdout, header, rows)
 	}
-
-	ids := []string{*expID}
-	if *expID == "all" {
-		ids = ids[:0]
-		for _, e := range scale.Experiments(*seed) {
-			ids = append(ids, e.ID)
-		}
-		header, rows := report.Table1()
-		fmt.Fprintln(stdout, "Table 1: message loss scenarios")
-		if err := report.WriteTable(stdout, header, rows); err != nil {
+	switch *expID {
+	case "table1":
+		return table1()
+	case "all":
+		if err := table1(); err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout)
+		return sweepExperiments(stdout, b, *ciStop, b.Scale.Experiments(b.Seed)...)
 	}
-	return runExperiments(ids, opts)
+	exp, err := b.Scale.ExperimentByID(*expID, b.Seed)
+	if err != nil {
+		return err
+	}
+	return sweepExperiments(stdout, b, *ciStop, exp)
 }
 
-// runExperiments sweeps the given experiments through ONE shared worker
+// sweepExperiments executes already-resolved experiments — compiled-in
+// presets and spec files share this path — through ONE shared worker
 // pool (sweep.RunGroups): with -exp all, runs from the next experiment
 // backfill idle workers while the previous experiment's stragglers
 // finish, instead of draining the pool at every experiment boundary.
 // Rendering and artefact writing happen per experiment, in input order,
 // after all runs complete.
-func runExperiments(ids []string, opts options) error {
-	exps := make([]scenario.Experiment, len(ids))
-	for i, eid := range ids {
-		exp, err := opts.scale.ExperimentByID(eid, opts.seed)
-		if err != nil {
-			return err
-		}
-		exps[i] = exp
+func sweepExperiments(stdout io.Writer, b *batch.Flags, ciStop float64, exps ...scenario.Experiment) error {
+	if err := b.Prepare(exps...); err != nil {
+		return err
 	}
-	return sweepExperiments(exps, opts)
-}
-
-// sweepExperiments executes already-resolved experiments — compiled-in
-// presets and spec files share this path, so both get the pooled sweep,
-// rendering, and artefact writing.
-func sweepExperiments(exps []scenario.Experiment, opts options) error {
+	pooled := len(exps) > 1
+	opts, err := b.SweepOptions(stdout, pooled)
+	if err != nil {
+		return err
+	}
 	groups := make([]sweep.Group, len(exps))
 	totalConfigs := 0
-	for i := range exps {
-		// The governance knobs apply to every run (adversaries inherit the
-		// policy for their recon engines through the scenario defaulting).
-		for ci := range exps[i].Configs {
-			exps[i].Configs[ci].Governance = opts.gov
-		}
-		groups[i] = sweep.Group{Name: exps[i].ID, Configs: exps[i].Configs}
-		totalConfigs += len(exps[i].Configs)
+	for i, exp := range exps {
+		groups[i] = sweep.Group{Name: exp.ID, Configs: exp.Configs}
+		totalConfigs += len(exp.Configs)
 	}
 
-	pooled := len(exps) > 1
-	repsLabel := fmt.Sprintf("%d reps", opts.reps)
-	if opts.ciStop > 0 {
-		repsLabel = fmt.Sprintf("<= %d adaptive reps (ci-stop %g)", opts.reps, opts.ciStop)
+	repsLabel := fmt.Sprintf("%d reps", b.Reps)
+	if ciStop > 0 {
+		repsLabel = fmt.Sprintf("<= %d adaptive reps (ci-stop %g)", b.Reps, ciStop)
 	}
+	finished := exps[0].ID
 	if pooled {
-		fmt.Fprintf(opts.stdout, "=== pooled sweep: %d experiments, %d configs x %s (scale %s, jobs %d) ===\n",
-			len(exps), totalConfigs, repsLabel, opts.scale.Name, opts.jobs)
+		finished = fmt.Sprintf("%d experiments", len(exps))
+		fmt.Fprintf(stdout, "=== pooled sweep: %d experiments, %d configs x %s (scale %s, jobs %d) ===\n",
+			len(exps), totalConfigs, repsLabel, b.Scale.Name, b.Jobs)
 	} else {
-		exp := exps[0]
-		fmt.Fprintf(opts.stdout, "=== %s: %s (scale %s, %d configs x %s, jobs %d) ===\n",
-			exp.ID, exp.Title, opts.scale.Name, len(exp.Configs), repsLabel, opts.jobs)
+		fmt.Fprintf(stdout, "=== %s: %s (scale %s, %d configs x %s, jobs %d) ===\n",
+			exps[0].ID, exps[0].Title, b.Scale.Name, totalConfigs, repsLabel, b.Jobs)
 	}
 	start := time.Now()
 
@@ -304,38 +181,16 @@ func sweepExperiments(exps []scenario.Experiment, opts options) error {
 	// finished work.
 	var allSets [][]*sweep.RunSet
 	var runErr error
-	if opts.ciStop > 0 {
-		allSets, runErr = runAdaptiveGroups(exps, opts, pooled)
+	if ciStop > 0 {
+		allSets, runErr = runAdaptiveGroups(stdout, b, ciStop, exps)
 	} else {
-		swOpts := sweep.Options{Reps: opts.reps, Jobs: opts.jobs, Checkpoint: opts.ckpt}
-		if !opts.quiet {
-			swOpts.Progress = func(ev sweep.Event) {
-				status := fmt.Sprintf("%v", ev.Elapsed.Round(time.Millisecond))
-				if ev.Cached {
-					status = "checkpoint"
-				}
-				if ev.Err != nil {
-					status = "FAILED: " + ev.Err.Error()
-				}
-				name := ev.Name
-				if pooled {
-					name = ev.Experiment + "/" + name
-				}
-				fmt.Fprintf(opts.stdout, "  [%d/%d] %s rep %d seed %d (%s)\n",
-					ev.Done, ev.Total, name, ev.Rep, ev.Seed, status)
-			}
-		}
-		allSets, runErr = sweep.RunGroups(groups, swOpts)
-	}
-	finished := fmt.Sprintf("%d experiments", len(exps))
-	if !pooled {
-		finished = exps[0].ID
+		allSets, runErr = sweep.RunGroups(groups, opts)
 	}
 	if runErr != nil {
-		fmt.Fprintf(opts.stdout, "--- %s FAILED after %v; writing completed experiments ---\n\n",
+		fmt.Fprintf(stdout, "--- %s FAILED after %v; writing completed experiments ---\n\n",
 			finished, time.Since(start).Round(time.Second))
 	} else {
-		fmt.Fprintf(opts.stdout, "--- %s finished in %v ---\n\n", finished, time.Since(start).Round(time.Second))
+		fmt.Fprintf(stdout, "--- %s finished in %v ---\n\n", finished, time.Since(start).Round(time.Second))
 	}
 
 	for i, exp := range exps {
@@ -343,26 +198,23 @@ func sweepExperiments(exps []scenario.Experiment, opts options) error {
 		if sets == nil {
 			continue // incomplete: some run failed or was skipped
 		}
-		if opts.csvDir != "" {
-			for _, rs := range sets {
-				if err := writeCSVSet(opts.csvDir, rs); err != nil {
-					return err
-				}
-			}
-		}
-		if opts.jsonDir != "" {
-			if err := writeJSONFile(opts.jsonDir, exp, opts, sets); err != nil {
+		if b.CSVDir != "" {
+			if err := writeCSVs(b, sets); err != nil {
 				return err
 			}
 		}
-		if pooled {
-			fmt.Fprintf(opts.stdout, "=== %s: %s ===\n", exp.ID, exp.Title)
-		}
-		if err := render(opts.stdout, exp, opts.reps, sets); err != nil {
+		meta := sweep.JSONMeta{Experiment: exp.ID, Title: exp.Title, Scale: b.Scale.Name, Jobs: b.Jobs}
+		if err := b.WriteJSON(exp.ID+".json", meta, sets); err != nil {
 			return err
 		}
 		if pooled {
-			fmt.Fprintln(opts.stdout)
+			fmt.Fprintf(stdout, "=== %s: %s ===\n", exp.ID, exp.Title)
+		}
+		if err := render(stdout, exp, b.Reps, sets); err != nil {
+			return err
+		}
+		if pooled {
+			fmt.Fprintln(stdout)
 		}
 	}
 	return runErr
@@ -370,31 +222,31 @@ func sweepExperiments(exps []scenario.Experiment, opts options) error {
 
 // runAdaptiveGroups is the -ci-stop executor: every configuration
 // replicates adaptively (internal/sweep.RunAdaptive) until the 95% CI of
-// its churn-window mean min connectivity is within opts.ciStop of the
+// its churn-window mean min connectivity is within ciStop of the
 // mean, or the -reps budget runs out. Replications of one config fan out
 // across -jobs workers; configs execute in order. The stop index depends
 // only on seeds and accumulated statistics, so rep counts and every
 // artefact are identical under any -jobs value. Experiments completed
 // before a failure keep their RunSets, mirroring sweep.RunGroups.
-func runAdaptiveGroups(exps []scenario.Experiment, opts options, pooled bool) ([][]*sweep.RunSet, error) {
+func runAdaptiveGroups(stdout io.Writer, b *batch.Flags, ciStop float64, exps []scenario.Experiment) ([][]*sweep.RunSet, error) {
 	minReps := 3
-	if opts.reps < minReps {
-		minReps = opts.reps
+	if b.Reps < minReps {
+		minReps = b.Reps
 	}
 	out := make([][]*sweep.RunSet, len(exps))
 	for gi, exp := range exps {
 		sets := make([]*sweep.RunSet, len(exp.Configs))
 		for ci, cfg := range exp.Configs {
 			name := cfg.Name
-			if pooled {
+			if len(exps) > 1 {
 				name = exp.ID + "/" + name
 			}
 			ar, err := sweep.RunAdaptive(context.Background(), cfg, sweep.AdaptiveOptions{
-				Rule:    sweep.StopAtPrecision(opts.ciStop),
+				Rule:    sweep.StopAtPrecision(ciStop),
 				Extract: func(r *scenario.Result) float64 { return r.ChurnWindowSummary().Mean },
-				MinReps: minReps, MaxReps: opts.reps, Jobs: opts.jobs,
+				MinReps: minReps, MaxReps: b.Reps, Jobs: b.Jobs,
 				Progress: func(u sweep.RepUpdate) {
-					if opts.quiet {
+					if b.Quiet {
 						return
 					}
 					ci95 := "n/a"
@@ -405,7 +257,7 @@ func runAdaptiveGroups(exps []scenario.Experiment, opts options, pooled bool) ([
 					if u.Decided {
 						status += fmt.Sprintf("; %s after %d reps", u.Verdict, u.Reps)
 					}
-					fmt.Fprintf(opts.stdout, "  %s rep %d seed %d churn-mean %.3f ci95 %s (%s)\n",
+					fmt.Fprintf(stdout, "  %s rep %d seed %d churn-mean %.3f ci95 %s (%s)\n",
 						name, u.Rep, u.Seed, u.Value, ci95, status)
 				},
 			})
@@ -507,77 +359,34 @@ func renderAggregated(w io.Writer, exp scenario.Experiment, sets []*sweep.RunSet
 	}
 }
 
-// csvName flattens a run name into a file name.
-func csvName(name string) string {
-	return strings.NewReplacer("/", "_", "=", "").Replace(name)
-}
-
-// writeCSVSet writes one CSV per replication (rep 0 keeps the historical
-// file name) plus a per-config aggregate CSV when there are multiple reps.
-func writeCSVSet(dir string, rs *sweep.RunSet) error {
-	for rep, r := range rs.Reps {
-		name := csvName(rs.Config.Name)
-		if rep > 0 {
-			name = fmt.Sprintf("%s_r%d", name, rep)
+// writeCSVs writes one CSV per replication of every run, plus a
+// per-config aggregate CSV when there are multiple reps.
+func writeCSVs(b *batch.Flags, sets []*sweep.RunSet) error {
+	for _, rs := range sets {
+		for rep, r := range rs.Reps {
+			var buf bytes.Buffer
+			buf.WriteString("t_min,n,edges,min_conn,avg_conn,symmetry\n")
+			for _, p := range r.Points {
+				fmt.Fprintf(&buf, "%.0f,%d,%d,%d,%.3f,%.4f\n",
+					p.Time.Minutes(), p.N, p.Edges, p.Min, p.Avg, p.Symmetry)
+			}
+			if err := os.WriteFile(b.CSVPath(rs.Config.Name, rep, ".csv"), buf.Bytes(), 0o666); err != nil {
+				return err
+			}
 		}
-		if err := writeCSV(filepath.Join(dir, name+".csv"), r); err != nil {
+		if len(rs.Reps) < 2 {
+			continue
+		}
+		var buf bytes.Buffer
+		buf.WriteString("t_min,reps,n_mean,min_mean,min_std,min_ci95,avg_mean,avg_std,avg_ci95\n")
+		for i := range rs.Min.Points {
+			mp, ap, sp := rs.Min.Points[i], rs.Avg.Points[i], rs.Size.Points[i]
+			fmt.Fprintf(&buf, "%.0f,%d,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
+				mp.T.Minutes(), mp.N, sp.Mean, mp.Mean, mp.Std, mp.CI95, ap.Mean, ap.Std, ap.CI95)
+		}
+		if err := os.WriteFile(b.CSVPath(rs.Config.Name, 0, "_agg.csv"), buf.Bytes(), 0o666); err != nil {
 			return err
 		}
-	}
-	if len(rs.Reps) > 1 {
-		return writeAggCSV(filepath.Join(dir, csvName(rs.Config.Name)+"_agg.csv"), rs)
 	}
 	return nil
-}
-
-func writeCSV(path string, r *scenario.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "t_min,n,edges,min_conn,avg_conn,symmetry"); err != nil {
-		return err
-	}
-	for _, p := range r.Points {
-		if _, err := fmt.Fprintf(f, "%.0f,%d,%d,%d,%.3f,%.4f\n",
-			p.Time.Minutes(), p.N, p.Edges, p.Min, p.Avg, p.Symmetry); err != nil {
-			return err
-		}
-	}
-	return f.Close()
-}
-
-func writeAggCSV(path string, rs *sweep.RunSet) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "t_min,reps,n_mean,min_mean,min_std,min_ci95,avg_mean,avg_std,avg_ci95"); err != nil {
-		return err
-	}
-	for i := range rs.Min.Points {
-		mp, ap, sp := rs.Min.Points[i], rs.Avg.Points[i], rs.Size.Points[i]
-		if _, err := fmt.Fprintf(f, "%.0f,%d,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-			mp.T.Minutes(), mp.N, sp.Mean, mp.Mean, mp.Std, mp.CI95, ap.Mean, ap.Std, ap.CI95); err != nil {
-			return err
-		}
-	}
-	return f.Close()
-}
-
-func writeJSONFile(dir string, exp scenario.Experiment, opts options, sets []*sweep.RunSet) error {
-	f, err := os.Create(filepath.Join(dir, exp.ID+".json"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	meta := sweep.JSONMeta{
-		Experiment: exp.ID, Title: exp.Title, Scale: opts.scale.Name, Jobs: opts.jobs,
-	}
-	if err := sweep.WriteJSON(f, meta, sets); err != nil {
-		return err
-	}
-	return f.Close()
 }

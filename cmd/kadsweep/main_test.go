@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"kadre/internal/batch"
 	"kadre/internal/scenario"
 	"kadre/internal/sweep"
 )
@@ -215,6 +216,8 @@ func TestCheckpointFlag(t *testing.T) {
 	}
 }
 
+// TestRunErrors covers kadsweep's own flags; the shared flags' validation
+// is tested once, in internal/batch.
 func TestRunErrors(t *testing.T) {
 	discard := &bytes.Buffer{}
 	if err := run([]string{}, discard); err == nil {
@@ -223,30 +226,28 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-exp", "figure99"}, discard); err == nil {
 		t.Error("unknown experiment should fail")
 	}
-	if err := run([]string{"-exp", "figure2", "-scale", "galactic"}, discard); err == nil {
-		t.Error("unknown scale should fail")
-	}
-	if err := run([]string{"-exp", "figure2", "-reps", "0"}, discard); err == nil {
-		t.Error("-reps 0 should fail")
-	}
-	if err := run([]string{"-exp", "figure2", "-jobs", "-2"}, discard); err == nil {
-		t.Error("negative -jobs should fail")
-	}
 }
 
 // TestRunPooledExperiments exercises the -exp all machinery through the
 // shared worker pool on two cheap experiments: one pooled sweep banner,
 // experiment-prefixed progress lines, and both experiments rendered in
 // order afterwards. (-exp all itself routes through the same
-// runExperiments call with the full catalogue.)
+// sweepExperiments call with the full catalogue.)
 func TestRunPooledExperiments(t *testing.T) {
-	scale, err := scenario.ScaleByName("tiny")
-	if err != nil {
+	b := batch.Register(flag.NewFlagSet("kadsweep", flag.ContinueOnError))
+	if err := b.Parse([]string{"-scale", "tiny", "-jobs", "4"}); err != nil {
 		t.Fatal(err)
 	}
+	var exps []scenario.Experiment
+	for _, id := range []string{"figure2", "figure3"} {
+		exp, err := b.Scale.ExperimentByID(id, b.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, exp)
+	}
 	var buf bytes.Buffer
-	opts := options{scale: scale, seed: 1, reps: 1, jobs: 4, stdout: &buf}
-	if err := runExperiments([]string{"figure2", "figure3"}, opts); err != nil {
+	if err := sweepExperiments(&buf, b, 0, exps...); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -428,9 +429,6 @@ func TestScenarioFlagErrors(t *testing.T) {
 	if err := run([]string{"-exp", "figure2", "-scenario", "x.json"}, discard); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("-exp with -scenario should fail, got %v", err)
-	}
-	if err := run([]string{"-scenario", filepath.Join(t.TempDir(), "absent.json")}, discard); err == nil {
-		t.Error("missing spec file should fail")
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package par provides the bounded-parallelism primitive shared by the
-// sweep engine and scenario.RunAllJobs: a deterministic parallel map over
-// a slice. Results come back in input order regardless of completion
+// Package par provides the bounded-parallelism primitive behind the
+// sweep engine's fixed and adaptive runners: a deterministic parallel map
+// over a slice. Results come back in input order regardless of completion
 // order, so callers that are themselves deterministic per item stay
 // deterministic under any worker count — the property the determinism
 // test suite pins down.

@@ -69,14 +69,7 @@ func TestAttackJobsDeterminism(t *testing.T) {
 	for _, st := range attack.Strategies() {
 		cfgs = append(cfgs, miniAttack(st, 9))
 	}
-	seq, err := RunAllJobs(cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunAllJobs(cfgs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := runJobs(t, cfgs, 1), runJobs(t, cfgs, 8)
 	for i := range cfgs {
 		if !reflect.DeepEqual(seq[i].Victims, par[i].Victims) {
 			t.Fatalf("%s: jobs=1 and jobs=8 victim sequences differ", cfgs[i].Name)

@@ -9,13 +9,13 @@ import (
 	"kadre/internal/snapshot"
 )
 
-// TestRunCtxPreCanceled pins the cheap path: a context already done
+// TestRunBoundCtxPreCanceled pins the cheap path: a context already done
 // costs no simulation at all and surfaces the cause.
-func TestRunCtxPreCanceled(t *testing.T) {
+func TestRunBoundCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	res, err := RunCtx(ctx, tinyConfig("pre-canceled", 1))
+	res, _, err := RunBoundCtx(ctx, tinyConfig("pre-canceled", 1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -63,9 +63,9 @@ func TestRunBoundCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestRunCtxCompletedRunIdentical pins determinism: a run whose context
+// TestRunBoundCtxCompletedRunIdentical pins determinism: a run whose context
 // never fires is byte-identical to a plain Run, elapsed wall-clock aside.
-func TestRunCtxCompletedRunIdentical(t *testing.T) {
+func TestRunBoundCtxCompletedRunIdentical(t *testing.T) {
 	cfg := tinyConfig("ctx-det", 4)
 	cfg.Churn.Add, cfg.Churn.Remove = 1, 1
 	cfg.ChurnPhase = 10 * time.Minute
@@ -73,7 +73,7 @@ func TestRunCtxCompletedRunIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := RunCtx(context.Background(), cfg)
+	ctxed, _, err := RunBoundCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

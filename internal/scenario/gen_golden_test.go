@@ -147,14 +147,7 @@ func TestGoldenGenerators(t *testing.T) {
 // state.
 func TestGenJobsDeterminism(t *testing.T) {
 	cfgs := genConfigs(t)
-	seq, err := RunAllJobs(cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunAllJobs(cfgs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := runJobs(t, cfgs, 1), runJobs(t, cfgs, 8)
 	for i := range cfgs {
 		if !reflect.DeepEqual(seq[i].Points, par[i].Points) {
 			t.Fatalf("%s: jobs=1 and jobs=8 points differ:\n%+v\nvs\n%+v",

@@ -10,27 +10,16 @@ import (
 	"kadre/internal/churn"
 	"kadre/internal/connectivity"
 	"kadre/internal/eventsim"
-	"kadre/internal/par"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
 	"kadre/internal/traffic"
 	"kadre/internal/workload"
 )
 
-// Run executes one simulation: randomized setup joins, stabilization,
-// optional traffic and churn, periodic connectivity snapshots, exactly as
-// described in §5.3-§5.4 of the paper.
+// Run executes one simulation to completion and discards the warm
+// engine binding: RunBoundCtx under a background context.
 func Run(cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run under a cancel context: when ctx is canceled (or its
-// deadline passes) mid-run, the event kernel stops within one event batch,
-// the pending snapshot analyses are skipped, and the partial run is
-// discarded with an error wrapping ctx's cause. A run that completes is
-// byte-identical to an uncanceled Run.
-func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	res, _, err := RunBoundCtx(ctx, cfg)
+	res, _, err := RunBoundCtx(context.Background(), cfg)
 	return res, err
 }
 
@@ -61,9 +50,13 @@ type Bound struct {
 // Ready reports whether the bound engine holds an analyzable topology.
 func (b *Bound) Ready() bool { return b != nil && b.Final != nil }
 
-// RunBoundCtx is RunCtx, but it additionally hands back the run's
-// end-of-run engine binding instead of discarding it. The Result is
-// byte-identical to Run's for the same config. The cancellation signal
+// RunBoundCtx executes one simulation — randomized setup joins,
+// stabilization, optional traffic and churn, periodic connectivity
+// snapshots, exactly as described in §5.3-§5.4 of the paper — and hands
+// back the end-of-run engine binding beside the Result. When ctx is
+// canceled (or its deadline passes) mid-run the partial run is discarded
+// with an error wrapping ctx's cause; a run that completes is
+// byte-identical whatever context it ran under. The cancellation signal
 // is checked at two grains: the event kernel polls it every
 // eventsim.DefaultCancelBatch fired events, and the snapshot callback
 // checks it before paying a connectivity analysis — so a canceled run
@@ -72,7 +65,7 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -298,22 +291,4 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 		Engine: engine, Slots: &slots,
 		Final: lastSnap, FinalAvgSeed: lastAvgSeed,
 	}, nil
-}
-
-// RunAllJobs executes a slice of configs across at most jobs workers
-// (<= 0 means GOMAXPROCS) and returns the results in input order. Each
-// run is deterministic in its own seed, so the results are identical to
-// a sequential execution; only wall-clock time changes. Config callbacks
-// (Log, OnSnapshot) may be invoked concurrently from different runs —
-// pass jobs = 1 for strictly sequential execution. On failure it reports
-// the error of the earliest failing config; configs queued after the
-// failure may be skipped.
-func RunAllJobs(cfgs []Config, jobs int) ([]*Result, error) {
-	return par.Map(jobs, cfgs, func(_ int, cfg Config) (*Result, error) {
-		r, err := Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", cfg.Name, err)
-		}
-		return r, nil
-	})
 }

@@ -105,7 +105,10 @@ type Config struct {
 	OnSnapshot func(s *snapshot.Snapshot, stat SnapshotStat)
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with zero fields replaced by the paper
+// defaults — the exact config a Run executes. Other packages (e.g. sweep
+// checkpointing) use it to reconstruct a run's effective configuration.
+func (c Config) WithDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -145,11 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// WithDefaults returns the config with zero fields replaced by the paper
-// defaults — the exact config a Run executes. Other packages (e.g. sweep
-// checkpointing) use it to reconstruct a run's effective configuration.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // Validate checks a defaulted config.
 func (c Config) Validate() error {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"kadre/internal/churn"
+	"kadre/internal/par"
 	"kadre/internal/simnet"
 )
 
@@ -16,6 +17,17 @@ func tinyConfig(name string, seed int64) Config {
 		Setup: 10 * time.Minute, Stabilize: 20 * time.Minute,
 		SnapshotInterval: 10 * time.Minute, SampleFraction: 0.1,
 	}
+}
+
+// runJobs runs cfgs across at most jobs workers, results in input order:
+// the determinism tests compare jobs=1 against jobs=8.
+func runJobs(t *testing.T, cfgs []Config, jobs int) []*Result {
+	t.Helper()
+	out, err := par.Map(jobs, cfgs, func(_ int, cfg Config) (*Result, error) { return Run(cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestRunStableNetworkReachesK(t *testing.T) {
@@ -175,7 +187,7 @@ func TestConfigPhaseArithmetic(t *testing.T) {
 }
 
 func TestPaperDefaultPhases(t *testing.T) {
-	cfg := Config{Size: 10}.withDefaults()
+	cfg := Config{Size: 10}.WithDefaults()
 	if cfg.Setup != 30*time.Minute || cfg.Stabilize != 90*time.Minute {
 		t.Fatalf("default phases %v/%v do not match §5.4's 30/90 minutes", cfg.Setup, cfg.Stabilize)
 	}
@@ -203,7 +215,7 @@ func TestScalePresets(t *testing.T) {
 				t.Fatalf("experiment %s has no configs", e.ID)
 			}
 			for _, cfg := range e.Configs {
-				full := cfg.withDefaults()
+				full := cfg.WithDefaults()
 				if err := full.Validate(); err != nil {
 					t.Fatalf("experiment %s config %q invalid: %v", e.ID, cfg.Name, err)
 				}

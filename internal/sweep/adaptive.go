@@ -31,7 +31,7 @@ import (
 //
 // Cancellation composes with that contract: RunAdaptive takes a Context
 // that propagates into every replication (the default runner hands it to
-// scenario.RunCtx, where the event kernel polls it at event-batch
+// scenario.RunBoundCtx, where the event kernel polls it at event-batch
 // boundaries), and the wave loop checks it before scheduling more work.
 // Reps consumed before the cancellation point form a deterministic
 // prefix — their values and progress updates are exactly those of an
@@ -146,7 +146,7 @@ type AdaptiveOptions struct {
 	// seed) under RunAdaptive's context: implementations must abandon the
 	// rep and return ctx's error once the context is done. The bool
 	// reports whether the result came from warm state (surfaced as
-	// RepUpdate.Cached). Nil means scenario.RunCtx.
+	// RepUpdate.Cached). Nil means scenario.RunBoundCtx.
 	Runner func(context.Context, scenario.Config) (*scenario.Result, bool, error)
 	// Progress, when set, receives one RepUpdate per consumed rep, in
 	// replication order, serially.
@@ -175,7 +175,7 @@ type AdaptiveResult struct {
 func (ar *AdaptiveResult) RunSet() (*RunSet, error) {
 	rs := &RunSet{Config: ar.Config, Reps: ar.Reps}
 	rs.Config.Seed = DeriveSeed(ar.Config.Seed, 0)
-	if err := rs.aggregate(); err != nil {
+	if err := rs.Aggregate(); err != nil {
 		return nil, fmt.Errorf("sweep: adaptive config %q: %w", ar.Config.Name, err)
 	}
 	return rs, nil
@@ -213,7 +213,7 @@ func RunAdaptive(ctx context.Context, cfg scenario.Config, opts AdaptiveOptions)
 	runner := opts.Runner
 	if runner == nil {
 		runner = func(ctx context.Context, c scenario.Config) (*scenario.Result, bool, error) {
-			r, err := scenario.RunCtx(ctx, c)
+			r, _, err := scenario.RunBoundCtx(ctx, c)
 			return r, false, err
 		}
 	}

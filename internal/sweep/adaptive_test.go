@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,18 +281,21 @@ func TestAdaptiveCancelMidRun(t *testing.T) {
 func TestAdaptiveRunnerSeesDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	sawDeadline := false
+	// Runners execute concurrently, one per rep in a wave.
+	var lostDeadline atomic.Bool
 	_, err := RunAdaptive(ctx, scenario.Config{Name: "dl", Seed: 2, Size: 10}, AdaptiveOptions{
 		Rule: StopAtThreshold(5), Extract: finalAvg, MinReps: 2, MaxReps: 3,
 		Runner: func(ctx context.Context, c scenario.Config) (*scenario.Result, bool, error) {
-			_, sawDeadline = ctx.Deadline()
+			if _, ok := ctx.Deadline(); !ok {
+				lostDeadline.Store(true)
+			}
 			return fakeRunner(20, 1)(ctx, c)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sawDeadline {
+	if lostDeadline.Load() {
 		t.Fatal("runner context lost the caller's deadline")
 	}
 }

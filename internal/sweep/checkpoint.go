@@ -104,9 +104,7 @@ type ckptVictim struct {
 // affect observation, scheduling and maintenance, never results. Shared
 // by checkpoint resume and by cross-run warm-state caches (the kadserve
 // engine arena), so one definition decides what "the same run" means.
-func Fingerprint(cfg scenario.Config) string { return fingerprint(cfg) }
-
-func fingerprint(cfg scenario.Config) string {
+func Fingerprint(cfg scenario.Config) string {
 	// Attack.String() renders strategy/kills/interval/budget only, so the
 	// cutset analyzer's sampling fraction is keyed explicitly: it changes
 	// which cut the adversary finds, hence the victims and every curve.
@@ -147,7 +145,7 @@ func (c *Checkpointer) path(cfg scenario.Config, rep int) string {
 func (c *Checkpointer) Store(cfg scenario.Config, rep int, r *scenario.Result) error {
 	eff := cfg.WithDefaults()
 	out := ckptFile{
-		Name: cfg.Name, Rep: rep, Seed: eff.Seed, Fingerprint: fingerprint(eff),
+		Name: cfg.Name, Rep: rep, Seed: eff.Seed, Fingerprint: Fingerprint(eff),
 		SpecDigest: eff.SpecDigest,
 		Bits:       r.Config.Bits,
 		ChurnAdded: r.ChurnAdded, ChurnRemoved: r.ChurnRemoved,
@@ -210,10 +208,10 @@ func (c *Checkpointer) Load(cfg scenario.Config, rep int) (*scenario.Result, boo
 	if in.Name != cfg.Name || in.Rep != rep || in.Seed != eff.Seed {
 		return nil, false, nil
 	}
-	if in.Fingerprint != fingerprint(eff) {
+	if in.Fingerprint != Fingerprint(eff) {
 		return nil, false, fmt.Errorf(
 			"sweep: checkpoint %s holds run %q rep %d under a different experiment definition (checkpoint %q, current %q): the config or spec changed since the sweep was checkpointed — use a fresh checkpoint directory or delete the stale files",
-			c.path(cfg, rep), cfg.Name, rep, in.Fingerprint, fingerprint(eff))
+			c.path(cfg, rep), cfg.Name, rep, in.Fingerprint, Fingerprint(eff))
 	}
 	if in.SpecDigest != "" && eff.SpecDigest != "" && in.SpecDigest != eff.SpecDigest {
 		return nil, false, fmt.Errorf(

@@ -96,7 +96,7 @@ func (rs *RunSet) ChurnWindowMeans() []float64 {
 // seed+rep arithmetic would give (presets already use seed, seed+1, ...).
 func DeriveSeed(base int64, rep int) int64 {
 	if base == 0 {
-		base = 1 // scenario's withDefaults treats 0 as 1
+		base = 1 // scenario's WithDefaults treats 0 as 1
 	}
 	if rep == 0 {
 		return base
@@ -228,7 +228,7 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 			}
 			rs := &RunSet{Config: g.Configs[ci], Reps: repResults}
 			rs.Config.Seed = DeriveSeed(g.Configs[ci].Seed, 0)
-			if err := rs.aggregate(); err != nil {
+			if err := rs.Aggregate(); err != nil {
 				return nil, fmt.Errorf("sweep: config %q: %w", rs.Config.Name, err)
 			}
 			sets[ci] = rs
@@ -244,9 +244,7 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 // Run calls it automatically; it is exported for callers assembling
 // RunSets from externally produced results (e.g. replayed checkpoints or
 // fabricated fixtures).
-func (rs *RunSet) Aggregate() error { return rs.aggregate() }
-
-func (rs *RunSet) aggregate() error {
+func (rs *RunSet) Aggregate() error {
 	mins := make([]*stats.Series, len(rs.Reps))
 	avgs := make([]*stats.Series, len(rs.Reps))
 	sizes := make([]*stats.Series, len(rs.Reps))
@@ -274,11 +272,6 @@ func (rs *RunSet) aggregate() error {
 	}
 	rs.Size, err = stats.AggregateAligned(rs.Config.Name+"/size", sizes)
 	return err
-}
-
-// RunExperiment is Run over an experiment's configurations.
-func RunExperiment(exp scenario.Experiment, opts Options) ([]*RunSet, error) {
-	return Run(exp.Configs, opts)
 }
 
 // progressGate serializes Progress callbacks and owns the Done counter so

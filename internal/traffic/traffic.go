@@ -36,7 +36,9 @@ type Workload struct {
 	KeyPoolSize      int
 }
 
-func (w Workload) withDefaults() Workload {
+// WithDefaults resolves the workload to the effective rates a generator
+// runs: zero fields become the paper defaults, Disabled becomes 0.
+func (w Workload) WithDefaults() Workload {
 	switch w.LookupsPerMinute {
 	case 0:
 		w.LookupsPerMinute = DefaultLookupsPerMinute
@@ -54,10 +56,6 @@ func (w Workload) withDefaults() Workload {
 	}
 	return w
 }
-
-// WithDefaults resolves the workload to the effective rates a generator
-// runs: zero fields become the paper defaults, Disabled becomes 0.
-func (w Workload) WithDefaults() Workload { return w.withDefaults() }
 
 // Validate rejects rates that are neither a count, zero-meaning-default,
 // nor the Disabled sentinel. The key pool cannot be disabled — a traffic
@@ -105,7 +103,7 @@ func NewGenerator(sim *eventsim.Simulator, bits int, w Workload, pop Population)
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	w = w.withDefaults()
+	w = w.WithDefaults()
 	g := &Generator{sim: sim, workload: w, pop: pop}
 	g.keys = make([]id.ID, w.KeyPoolSize)
 	for i := range g.keys {

@@ -48,7 +48,7 @@ func buildPop(t *testing.T, sim *eventsim.Simulator, n int) (*fakePop, *simnet.N
 }
 
 func TestWorkloadDefaults(t *testing.T) {
-	w := Workload{}.withDefaults()
+	w := Workload{}.WithDefaults()
 	if w.LookupsPerMinute != 10 || w.StoresPerMinute != 1 {
 		t.Fatalf("defaults %+v do not match the paper's 10 lookups + 1 dissemination", w)
 	}
@@ -125,18 +125,18 @@ func TestGeneratorCausesStorage(t *testing.T) {
 }
 
 // TestWorkloadDisabledRates pins the Disabled sentinel: before it, a
-// zero field was indistinguishable from "unset" and withDefaults
+// zero field was indistinguishable from "unset" and WithDefaults
 // silently coerced an intentional lookups-off (or stores-off) workload
 // back to the paper rates.
 func TestWorkloadDisabledRates(t *testing.T) {
-	w := Workload{LookupsPerMinute: Disabled, StoresPerMinute: 5}.withDefaults()
+	w := Workload{LookupsPerMinute: Disabled, StoresPerMinute: 5}.WithDefaults()
 	if w.LookupsPerMinute != 0 {
 		t.Fatalf("Disabled lookups coerced to %d, want 0", w.LookupsPerMinute)
 	}
 	if w.StoresPerMinute != 5 {
 		t.Fatalf("explicit store rate rewritten to %d", w.StoresPerMinute)
 	}
-	w = Workload{LookupsPerMinute: 7, StoresPerMinute: Disabled}.withDefaults()
+	w = Workload{LookupsPerMinute: 7, StoresPerMinute: Disabled}.WithDefaults()
 	if w.LookupsPerMinute != 7 || w.StoresPerMinute != 0 {
 		t.Fatalf("stores-off workload resolved to %+v", w)
 	}

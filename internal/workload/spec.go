@@ -433,21 +433,17 @@ func Decode(data []byte) (*Spec, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("workload: spec: trailing data after the spec document")
 	}
-	if err := sp.check(); err != nil {
+	if err := sp.Check(); err != nil {
 		return nil, err
 	}
 	return &sp, nil
 }
 
-// Check validates the spec's shape for callers that received it through
-// a larger decoded document rather than Decode/Load (which both check).
+// Check validates the spec's own shape (per-run semantics against scale
+// defaults are the resolver's job). Decode and Load both call it; callers
+// that received the spec inside a larger decoded document call it
+// themselves.
 func (sp *Spec) Check() error {
-	return sp.check()
-}
-
-// check validates the spec's own shape (per-run semantics against scale
-// defaults are the resolver's job).
-func (sp *Spec) check() error {
 	if sp.Version != SpecVersion {
 		return fmt.Errorf("workload: spec version %d unsupported (want %d; a missing version field must be added explicitly)",
 			sp.Version, SpecVersion)

@@ -24,46 +24,49 @@ func TestDecodeValidSpec(t *testing.T) {
 	}
 }
 
+// decodeRejections are malformed documents Decode must refuse; FuzzDecode
+// seeds its corpus from them.
+var decodeRejections = []struct {
+	name string
+	in   string
+	want string // substring of the error
+}{
+	{"unknown top-level field", `{"version":1,"id":"t","bogus":1,"runs":[{"name":"r"}]}`, "bogus"},
+	{"unknown run field", `{"version":1,"id":"t","runs":[{"name":"r","kk":5}]}`, "kk"},
+	{"unknown nested field", `{"version":1,"id":"t","runs":[{"name":"r","arrivals":{"rate_per_minute":1,"burst":2}}]}`, "burst"},
+	{"missing version", `{"id":"t","runs":[{"name":"r"}]}`, "version"},
+	{"future version", `{"version":2,"id":"t","runs":[{"name":"r"}]}`, "version 2"},
+	{"missing id", `{"version":1,"runs":[{"name":"r"}]}`, "id"},
+	{"no runs", `{"version":1,"id":"t"}`, "no runs"},
+	{"unnamed run", `{"version":1,"id":"t","runs":[{"k":5}]}`, "no name"},
+	{"duplicate run names", `{"version":1,"id":"t","runs":[{"name":"r"},{"name":"r"}]}`, "duplicate"},
+	{"trailing document", validSpecJSON + `{"version":1}`, "trailing"},
+	{"negative k", `{"version":1,"id":"t","runs":[{"name":"r","k":-1}]}`, "negative"},
+	{"negative lookups", `{"version":1,"id":"t","runs":[{"name":"r","lookups_per_minute":-1}]}`, "lookups_per_minute"},
+	{"zero key pool", `{"version":1,"id":"t","runs":[{"name":"r","key_pool":0}]}`, "key_pool"},
+	{"sample fraction over 1", `{"version":1,"id":"t","runs":[{"name":"r","sample_fraction":1.5}]}`, "sample_fraction"},
+	{"churn_minutes vs drain", `{"version":1,"id":"t","runs":[{"name":"r","churn_minutes":5,"drain_churn":true}]}`, "mutually exclusive"},
+	{"attack without strategy", `{"version":1,"id":"t","runs":[{"name":"r","attack":{"budget":3}}]}`, "strategy"},
+	{"attack zero budget", `{"version":1,"id":"t","runs":[{"name":"r","attack":{"strategy":"random","budget":0}}]}`, "budget"},
+	{"unknown session dist", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"uniform","mean_minutes":5},"arrivals":{"rate_per_minute":1}}]}`, "dist"},
+	{"lognormal without mean", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"lognormal"},"arrivals":{"rate_per_minute":1}}]}`, "mean_minutes"},
+	{"lognormal with pareto knobs", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"lognormal","mean_minutes":5,"alpha":2},"arrivals":{"rate_per_minute":1}}]}`, "not min_minutes/alpha"},
+	{"pareto without alpha", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"pareto","min_minutes":2},"arrivals":{"rate_per_minute":1}}]}`, "alpha"},
+	{"zero arrival rate", `{"version":1,"id":"t","runs":[{"name":"r","arrivals":{"rate_per_minute":0}}]}`, "rate_per_minute"},
+	{"diurnal amplitude over 1", `{"version":1,"id":"t","runs":[{"name":"r","arrivals":{"rate_per_minute":1,"diurnal":{"period_minutes":60,"amplitude":1.5}}}]}`, "amplitude"},
+	{"diurnal zero period", `{"version":1,"id":"t","runs":[{"name":"r","arrivals":{"rate_per_minute":1,"diurnal":{"period_minutes":0,"amplitude":0.5}}}]}`, "period"},
+	{"zipf_s at 1", `{"version":1,"id":"t","runs":[{"name":"r","popularity":{"zipf_s":1}}]}`, "zipf_s"},
+	{"zipf_v below 1", `{"version":1,"id":"t","runs":[{"name":"r","popularity":{"zipf_s":1.2,"zipf_v":0.5}}]}`, "zipf_v"},
+	{"flash crowd without joins", `{"version":1,"id":"t","runs":[{"name":"r","flash_crowds":[{"at_minutes":5}]}]}`, "joins"},
+	{"flash crowd negative time", `{"version":1,"id":"t","runs":[{"name":"r","flash_crowds":[{"at_minutes":-1,"joins":3}]}]}`, "at_minutes"},
+	{"empty trace block", `{"version":1,"id":"t","runs":[{"name":"r","trace":{}}]}`, "trace"},
+	{"trace event bad op", `{"version":1,"id":"t","runs":[{"name":"r","trace":{"events":[{"t_min":1,"op":"crash"}]}}]}`, "op"},
+	{"trace event negative time", `{"version":1,"id":"t","runs":[{"name":"r","trace":{"events":[{"t_min":-1,"op":"join"}]}}]}`, "t_min"},
+	{"not json", `version: 1`, "spec"},
+}
+
 func TestDecodeRejections(t *testing.T) {
-	tests := []struct {
-		name string
-		in   string
-		want string // substring of the error
-	}{
-		{"unknown top-level field", `{"version":1,"id":"t","bogus":1,"runs":[{"name":"r"}]}`, "bogus"},
-		{"unknown run field", `{"version":1,"id":"t","runs":[{"name":"r","kk":5}]}`, "kk"},
-		{"unknown nested field", `{"version":1,"id":"t","runs":[{"name":"r","arrivals":{"rate_per_minute":1,"burst":2}}]}`, "burst"},
-		{"missing version", `{"id":"t","runs":[{"name":"r"}]}`, "version"},
-		{"future version", `{"version":2,"id":"t","runs":[{"name":"r"}]}`, "version 2"},
-		{"missing id", `{"version":1,"runs":[{"name":"r"}]}`, "id"},
-		{"no runs", `{"version":1,"id":"t"}`, "no runs"},
-		{"unnamed run", `{"version":1,"id":"t","runs":[{"k":5}]}`, "no name"},
-		{"duplicate run names", `{"version":1,"id":"t","runs":[{"name":"r"},{"name":"r"}]}`, "duplicate"},
-		{"trailing document", validSpecJSON + `{"version":1}`, "trailing"},
-		{"negative k", `{"version":1,"id":"t","runs":[{"name":"r","k":-1}]}`, "negative"},
-		{"negative lookups", `{"version":1,"id":"t","runs":[{"name":"r","lookups_per_minute":-1}]}`, "lookups_per_minute"},
-		{"zero key pool", `{"version":1,"id":"t","runs":[{"name":"r","key_pool":0}]}`, "key_pool"},
-		{"sample fraction over 1", `{"version":1,"id":"t","runs":[{"name":"r","sample_fraction":1.5}]}`, "sample_fraction"},
-		{"churn_minutes vs drain", `{"version":1,"id":"t","runs":[{"name":"r","churn_minutes":5,"drain_churn":true}]}`, "mutually exclusive"},
-		{"attack without strategy", `{"version":1,"id":"t","runs":[{"name":"r","attack":{"budget":3}}]}`, "strategy"},
-		{"attack zero budget", `{"version":1,"id":"t","runs":[{"name":"r","attack":{"strategy":"random","budget":0}}]}`, "budget"},
-		{"unknown session dist", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"uniform","mean_minutes":5},"arrivals":{"rate_per_minute":1}}]}`, "dist"},
-		{"lognormal without mean", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"lognormal"},"arrivals":{"rate_per_minute":1}}]}`, "mean_minutes"},
-		{"lognormal with pareto knobs", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"lognormal","mean_minutes":5,"alpha":2},"arrivals":{"rate_per_minute":1}}]}`, "not min_minutes/alpha"},
-		{"pareto without alpha", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"pareto","min_minutes":2},"arrivals":{"rate_per_minute":1}}]}`, "alpha"},
-		{"zero arrival rate", `{"version":1,"id":"t","runs":[{"name":"r","arrivals":{"rate_per_minute":0}}]}`, "rate_per_minute"},
-		{"diurnal amplitude over 1", `{"version":1,"id":"t","runs":[{"name":"r","arrivals":{"rate_per_minute":1,"diurnal":{"period_minutes":60,"amplitude":1.5}}}]}`, "amplitude"},
-		{"diurnal zero period", `{"version":1,"id":"t","runs":[{"name":"r","arrivals":{"rate_per_minute":1,"diurnal":{"period_minutes":0,"amplitude":0.5}}}]}`, "period"},
-		{"zipf_s at 1", `{"version":1,"id":"t","runs":[{"name":"r","popularity":{"zipf_s":1}}]}`, "zipf_s"},
-		{"zipf_v below 1", `{"version":1,"id":"t","runs":[{"name":"r","popularity":{"zipf_s":1.2,"zipf_v":0.5}}]}`, "zipf_v"},
-		{"flash crowd without joins", `{"version":1,"id":"t","runs":[{"name":"r","flash_crowds":[{"at_minutes":5}]}]}`, "joins"},
-		{"flash crowd negative time", `{"version":1,"id":"t","runs":[{"name":"r","flash_crowds":[{"at_minutes":-1,"joins":3}]}]}`, "at_minutes"},
-		{"empty trace block", `{"version":1,"id":"t","runs":[{"name":"r","trace":{}}]}`, "trace"},
-		{"trace event bad op", `{"version":1,"id":"t","runs":[{"name":"r","trace":{"events":[{"t_min":1,"op":"crash"}]}}]}`, "op"},
-		{"trace event negative time", `{"version":1,"id":"t","runs":[{"name":"r","trace":{"events":[{"t_min":-1,"op":"join"}]}}]}`, "t_min"},
-		{"not json", `version: 1`, "spec"},
-	}
-	for _, tt := range tests {
+	for _, tt := range decodeRejections {
 		t.Run(tt.name, func(t *testing.T) {
 			_, err := Decode([]byte(tt.in))
 			if err == nil {

@@ -37,6 +37,7 @@ import (
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
 	"kadre/internal/stats"
+	"kadre/internal/sweep"
 	"kadre/internal/traffic"
 )
 
@@ -255,20 +256,21 @@ var (
 // RunScenario executes one simulation and returns its measurements.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) { return scenario.Run(cfg) }
 
-// RunExperiment executes every run of an experiment across GOMAXPROCS
-// workers and returns the results in config order. Each run is
-// deterministic in its own seed, so the results match a sequential
-// execution. Config callbacks (Log, OnSnapshot) may be invoked
-// concurrently from different runs; use RunExperimentJobs(e, 1) when
-// callbacks require sequential execution.
-func RunExperiment(e Experiment) ([]*ScenarioResult, error) {
-	return scenario.RunAllJobs(e.Configs, 0)
-}
-
-// RunExperimentJobs is RunExperiment with an explicit worker bound
-// (<= 0 means GOMAXPROCS; 1 runs strictly sequentially).
-func RunExperimentJobs(e Experiment, jobs int) ([]*ScenarioResult, error) {
-	return scenario.RunAllJobs(e.Configs, jobs)
+// RunExperiment executes every run of an experiment once, across at most
+// jobs workers (<= 0 means GOMAXPROCS), and returns the results in config
+// order. Each run is deterministic in its own seed, so the results match
+// a sequential execution. Config callbacks (Log, OnSnapshot) may be
+// invoked concurrently from different runs unless jobs is 1.
+func RunExperiment(e Experiment, jobs int) ([]*ScenarioResult, error) {
+	sets, err := sweep.Run(e.Configs, sweep.Options{Jobs: jobs})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*ScenarioResult, len(sets))
+	for i, rs := range sets {
+		out[i] = rs.Reps[0]
+	}
+	return out, nil
 }
 
 // ScaleByName resolves "paper", "reduced", or "tiny".

@@ -152,4 +152,14 @@ func TestFacadeAttack(t *testing.T) {
 	if len(exp.Configs) != 2 || !exp.Configs[1].Attack.Enabled() {
 		t.Fatalf("attack experiment malformed: %+v", exp.Configs)
 	}
+	// RunExperiment hands back one result per config, in config order.
+	results, err := RunExperiment(exp, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Config.Name != exp.Configs[i].Name || r.AttackRemoved == 0 {
+			t.Fatalf("result %d: run %q removed %d, want run %q attacked", i, r.Config.Name, r.AttackRemoved, exp.Configs[i].Name)
+		}
+	}
 }
