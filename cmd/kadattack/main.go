@@ -30,7 +30,10 @@
 //	-budget n        total removals per run (default: half the network)
 //	-interval d      strike interval (default: attack window / 8)
 //
-// A -scenario spec's runs must all carry attack blocks; it replaces these
+// -budget and -interval complete through the same adversary rule as a
+// spec's attack block (internal/scenario): kills are the budget spread
+// over the strikes that fit the window at the effective interval. A
+// -scenario spec's runs must all carry attack blocks; it replaces these
 // three flags, so passing any of them beside it is an error.
 //
 // Examples:
@@ -99,22 +102,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		exp = b.Scale.AttackExperiment(b.Seed, strats)
-		phase, _ := b.Scale.AttackPhase()
-		for i := range exp.Configs {
-			cfg := &exp.Configs[i]
-			if *interval > 0 {
-				cfg.Attack.Interval = *interval
-			}
-			if *budget > 0 {
-				cfg.Attack.Budget = *budget
-			}
-			if *interval > 0 || *budget > 0 {
-				// Re-spread the effective budget over the strikes that
-				// actually fit the window at the effective interval.
-				cfg.Attack.Kills = scenario.AttackKills(cfg.Attack.Budget, phase, cfg.Attack.Interval)
-			}
-		}
+		exp = b.Scale.AttackExperiment(b.Seed, strats, *budget, *interval)
 	}
 
 	if err := b.Prepare(exp); err != nil {

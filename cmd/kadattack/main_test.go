@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -106,32 +107,42 @@ func TestAttackEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGoldenTinyAttack pins the numeric output of one tiny cutset run
-// byte for byte: simulator or analyzer refactors that shift any measured
-// value fail here first. Regenerate with: go test ./cmd/kadattack -run
-// Golden -update
+// TestGoldenTinyAttack pins the numeric output of the tiny attack runs
+// byte for byte — the cutset run alone and all four strategies together
+// (the latter generated at b357eca, before every strategy moved onto the
+// one stable-slot capture): simulator, analyzer or adversary refactors
+// that shift any measured value fail here first. Regenerate with: go test
+// ./cmd/kadattack -run Golden -update
 func TestGoldenTinyAttack(t *testing.T) {
-	dir := t.TempDir()
-	runDir(t, dir, "-strategies", "cutset", "-jobs", "2")
-	got, err := os.ReadFile(filepath.Join(dir, "attack.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "attack_tiny_cutset.golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+	for _, tt := range []struct {
+		golden string
+		args   []string
+	}{
+		{"attack_tiny_cutset.golden.json", []string{"-strategies", "cutset", "-jobs", "2"}},
+		{"attack_tiny.golden.json", nil},
+	} {
+		dir := t.TempDir()
+		runDir(t, dir, tt.args...)
+		got, err := os.ReadFile(filepath.Join(dir, "attack.json"))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+		golden := filepath.Join("testdata", tt.golden)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("tiny cutset attack run drifted from golden fixture %s (run with -update to regenerate after intentional changes)", golden)
+		if !bytes.Equal(got, want) {
+			t.Errorf("tiny attack run %v drifted from golden fixture %s (run with -update to regenerate after intentional changes)", tt.args, golden)
+		}
 	}
 }
 
@@ -221,28 +232,32 @@ func TestRunErrors(t *testing.T) {
 
 var cutsetSpec = filepath.Join("..", "..", "specs", "attack_cutset.json")
 
+// runsOf extracts the "runs" array of a sweep JSON document: the part two
+// front ends must agree on byte for byte, whatever labelling each main
+// passes in.
+func runsOf(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Runs json.RawMessage `json:"runs"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Runs
+}
+
 // TestScenarioParityWithKadsweep pins the one batch path across the two
 // commands: the same attack spec swept by kadattack (in-process) and by
 // the real kadsweep binary yields JSON documents whose "runs" arrays are
-// byte-identical — only the labelling each main passes in may differ.
+// byte-identical.
 func TestScenarioParityWithKadsweep(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go toolchain not on PATH")
-	}
-	runs := func(path string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			Runs json.RawMessage `json:"runs"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatal(err)
-		}
-		return doc.Runs
 	}
 	args := []string{"-scenario", cutsetSpec, "-scale", "tiny", "-quiet", "-json"}
 
@@ -256,8 +271,40 @@ func TestScenarioParityWithKadsweep(t *testing.T) {
 		t.Fatalf("kadsweep: %v\n%s", err, out)
 	}
 
-	got, want := runs(filepath.Join(attackDir, "attack.json")), runs(filepath.Join(sweepDir, "attack-cutset.json"))
+	got, want := runsOf(t, filepath.Join(attackDir, "attack.json")), runsOf(t, filepath.Join(sweepDir, "attack-cutset.json"))
 	if len(got) == 0 || !bytes.Equal(got, want) {
 		t.Fatalf("runs arrays differ between kadattack and kadsweep:\n--- kadattack ---\n%.1500s\n--- kadsweep ---\n%.1500s", got, want)
+	}
+}
+
+// TestOverrideParityWithSpec pins the one adversary rule across its two
+// spellings: -budget/-interval on the preset experiment and the same
+// numbers in a spec's attack blocks complete through the same defaulting
+// (kills re-spread over the strikes that fit), so the "runs" arrays are
+// byte-identical for every strategy. The spec pins snapshot_minutes to
+// the tiny preset's cadence because the preset does: a custom -interval
+// moves the strikes, not the measurements.
+func TestOverrideParityWithSpec(t *testing.T) {
+	var runs []string
+	for _, st := range []string{"random", "degree", "cutset", "eclipse"} {
+		runs = append(runs, fmt.Sprintf(`{"name": "Attack/%s", "k": 5, "staleness": 1, "traffic": false, "snapshot_minutes": 5,
+			"attack": {"strategy": %q, "budget": 10, "interval_minutes": 4}}`, st, st))
+	}
+	spec := filepath.Join(t.TempDir(), "override.json")
+	doc := `{"version": 1, "id": "attack-override", "runs": [` + strings.Join(runs, ",") + `]}`
+	if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	flagDir, specDir := t.TempDir(), t.TempDir()
+	if err := run([]string{"-scale", "tiny", "-quiet", "-budget", "10", "-interval", "4m", "-json", flagDir}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-scale", "tiny", "-quiet", "-scenario", spec, "-json", specDir}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	got, want := runsOf(t, filepath.Join(flagDir, "attack.json")), runsOf(t, filepath.Join(specDir, "attack.json"))
+	if len(got) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("runs arrays differ between the flag and the spec spelling:\n--- flags ---\n%.1500s\n--- spec ---\n%.1500s", got, want)
 	}
 }

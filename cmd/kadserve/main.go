@@ -12,6 +12,13 @@
 // the client as NDJSON (or SSE under Accept: text/event-stream) while
 // the query runs.
 //
+// A query declares its run either as flat scenario/attack blocks or as an
+// embedded scenario spec; the flat blocks are shorthand for a one-run
+// spec (a zero field is an unset one), so both spellings are checked and
+// defaulted by the one resolver, scenario.ResolveRun, and share an arena
+// identity. Parked engines need no upkeep: the runner maintains an engine
+// after every snapshot, and the arena only ever re-analyses it.
+//
 // Endpoints:
 //
 //	POST /v1/query    run one resilience query (see internal/serve.QuerySpec)
@@ -33,7 +40,6 @@
 //	                    fraction; <= 0 disables (default 0.5)
 //	-max-slot-slack f   compact slot tables above this vacancy/live
 //	                    ratio; <= 0 disables (default 0.5)
-//	-maintain-interval d arena maintenance cadence (default 30s)
 //	-drain-timeout d    shutdown grace for in-flight queries (default 30s)
 //	-quiet              suppress log lines
 //
@@ -85,7 +91,6 @@ func run(args []string, stdout io.Writer, ready func(addr string), shutdown <-ch
 		defDeadline  = fs.Duration("default-deadline", 0, "deadline for queries without deadline_ms (0 = none)")
 		maxDeadFrac  = fs.Float64("max-dead-frac", 0.5, "re-densify arc stores above this dead fraction (<= 0 disables)")
 		maxSlotSlack = fs.Float64("max-slot-slack", 0.5, "compact slot tables above this vacancy/live ratio (<= 0 disables)")
-		maintainIvl  = fs.Duration("maintain-interval", 30*time.Second, "arena maintenance cadence")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight queries")
 		quiet        = fs.Bool("quiet", false, "suppress log lines")
 	)
@@ -117,41 +122,17 @@ func run(args []string, stdout io.Writer, ready func(addr string), shutdown <-ch
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 
-	// Governance maintenance runs on a timer, off the request path, so
-	// queries never pay arc-store compaction latency.
-	maintDone := make(chan struct{})
-	maintStop := make(chan struct{})
-	go func() {
-		defer close(maintDone)
-		ticker := time.NewTicker(*maintainIvl)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				if n := srv.Arena().Maintain(); n > 0 {
-					logf("maintenance re-densified %d arc stores", n)
-				}
-			case <-maintStop:
-				return
-			}
-		}
-	}()
-
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
 	select {
 	case err := <-serveErr:
-		close(maintStop)
-		<-maintDone
 		return err
 	case sig := <-shutdown:
 		logf("draining (%v)", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		err := httpSrv.Shutdown(ctx)
-		close(maintStop)
-		<-maintDone
 		if serveRes := <-serveErr; serveRes != nil && !errors.Is(serveRes, http.ErrServerClosed) {
 			return serveRes
 		}

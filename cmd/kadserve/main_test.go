@@ -58,7 +58,7 @@ func startServer(t *testing.T, extraArgs ...string) *testServer {
 		done: make(chan error, 1),
 	}
 	readyCh := make(chan string, 1)
-	args := append([]string{"-addr", "127.0.0.1:0", "-maintain-interval", "50ms"}, extraArgs...)
+	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
 	go func() {
 		s.done <- run(args, s, func(addr string) { readyCh <- addr }, s.sigs)
 	}()

@@ -169,17 +169,14 @@ func (c Config) String() string {
 // into reconnaissance) and kill a specific node. The scenario population
 // implements it alongside the churn and traffic views.
 type Population interface {
-	// AttackSnapshot captures the current connectivity graph with node
-	// metadata, exactly as the measurement snapshots do.
-	AttackSnapshot() *snapshot.Snapshot
 	// AttackSlotSnapshot captures the current connectivity graph in
-	// stable-slot form, updating the given slot table. It is the cutset
-	// adversary's reconnaissance: its strikes change membership by
-	// design, so only stable-slot captures let the recon engine rebind
-	// incrementally from strike to strike instead of rebuilding after
-	// every kill. The slot table is owned by the adversary (recon slots
-	// are its private numbering, independent of the measurement
-	// snapshots').
+	// stable-slot form — the same routing-table capture the measurement
+	// snapshots use — updating the given slot table. The table is owned
+	// by the adversary (recon slots are its private numbering,
+	// independent of the measurement snapshots'): its strikes change
+	// membership by design, so only stable-slot captures let the cutset
+	// recon engine rebind incrementally from strike to strike instead of
+	// rebuilding after every kill.
 	AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot
 	// RemoveNode makes the live node at addr leave silently; it reports
 	// false when no live node has that address.
@@ -205,17 +202,18 @@ type Engine struct {
 	timer  *eventsim.Timer
 	target id.ID // resolved eclipse target
 
+	// slots is the adversary's private slot table: every reconnaissance
+	// capture lands on it, so vertex identity survives the adversary's own
+	// strikes and the interleaved churn.
+	slots snapshot.SlotIndex
 	// conn is the cutset strategy's reusable analysis engine: one
 	// instance serves every strike, rebinding to each reconnaissance
 	// snapshot so the flow solvers and the cut-mode network are built
 	// once per engine instead of once per strike (nil for the other
 	// strategies, which need no flow analysis). connBinder routes every
-	// consecutive stable-slot capture — the adversary's own strikes and
-	// the interleaved churn included — through the incremental rebind
-	// path, keyed on the engine's private slot table.
+	// consecutive capture through the incremental rebind path.
 	conn       *connectivity.Engine
 	connBinder *connectivity.IncrementalBinder
-	connSlots  snapshot.SlotIndex
 
 	victims []Victim
 	strikes int
@@ -290,11 +288,8 @@ func (e *Engine) budgetLeft() int {
 }
 
 // strike executes one attack round: snapshot, select, remove, re-arm.
-// The cutset strategy reconnoiters in stable-slot form, so its flow
-// engine rebinds incrementally across its own removals; every other
-// strategy uses the dense capture. The slot capture's rank numbering IS
-// the dense capture's numbering, so victims index Addrs/IDs the same way
-// in both forms.
+// Reconnaissance is one stable-slot capture for every strategy; its rank
+// numbering is the dense capture's, so victims index Addrs/IDs directly.
 func (e *Engine) strike() {
 	now := e.sim.Now()
 	if now >= e.until || e.budgetLeft() <= 0 {
@@ -302,48 +297,32 @@ func (e *Engine) strike() {
 	}
 	e.strikes++
 
-	var (
-		n     int
-		addrs []simnet.Addr
-		ids   []id.ID
-		pick  func(count int) []int
-	)
-	if e.cfg.Strategy == Cutset {
-		ss := e.pop.AttackSlotSnapshot(&e.connSlots)
-		n, addrs, ids = ss.N(), ss.Addrs, ss.IDs
-		pick = func(count int) []int { return e.selectCutsetSlots(ss, count) }
-	} else {
-		s := e.pop.AttackSnapshot()
-		n, addrs, ids = s.N(), s.Addrs, s.IDs
-		pick = func(count int) []int { return e.selectVictims(s, count) }
-	}
+	s := e.pop.AttackSlotSnapshot(&e.slots)
 	count := e.cfg.Kills
 	if left := e.budgetLeft(); count > left {
 		count = left
 	}
 	// Never kill the network outright: the adversary leaves at least two
 	// nodes standing, so post-strike snapshots remain analyzable.
-	if floor := n - 2; count > floor {
+	if floor := s.N() - 2; count > floor {
 		count = floor
 	}
-	if count > 0 {
-		for _, v := range pick(count) {
-			if e.pop.RemoveNode(addrs[v]) {
-				e.victims = append(e.victims, Victim{Time: now, Addr: addrs[v], ID: ids[v]})
-			}
+	for _, v := range e.selectVictims(s, count) {
+		if e.pop.RemoveNode(s.Addrs[v]) {
+			e.victims = append(e.victims, Victim{Time: now, Addr: s.Addrs[v], ID: s.IDs[v]})
 		}
 	}
 
-	// Post-strike memory governance for the recon engine: strikes are THE
-	// membership churn of this engine, so without maintenance its solver
-	// arc stores and slot table only ever grow. Compacting the slot table
-	// renumbers the recon slot space; the next capture re-binds from
-	// scratch through the binder's fallback, with identical selections.
+	// Post-strike memory governance: strikes are THE membership churn of
+	// the recon engine, so without maintenance its solver arc stores and
+	// the slot table only ever grow. Compacting the slot table renumbers
+	// the recon slot space; the next capture re-binds from scratch through
+	// the binder's fallback, with identical selections.
 	if e.conn != nil {
 		e.conn.Maintain()
-		if e.cfg.Governance.SlotCompactionDue(e.connSlots.Len(), e.connSlots.Live()) {
-			e.connSlots.Compact()
-		}
+	}
+	if e.cfg.Governance.SlotCompactionDue(e.slots.Len(), e.slots.Live()) {
+		e.slots.Compact()
 	}
 
 	if next := now + e.cfg.Interval; next < e.until && e.budgetLeft() > 0 {

@@ -12,9 +12,8 @@ import (
 
 // fakePop is a deterministic Population over a fixed topology: vertex i
 // has address i+1 and identifier FromUint64(i). Removals delete the
-// vertex; snapshots project the surviving subgraph — densely for
-// AttackSnapshot, onto the adversary's slot table (through the production
-// capture core, snapshot.BuildSlotGraph) for AttackSlotSnapshot.
+// vertex; snapshots project the surviving subgraph onto the adversary's
+// slot table through the production capture core, snapshot.BuildSlotGraph.
 type fakePop struct {
 	bits  int
 	alive []bool
@@ -31,10 +30,6 @@ func newFakePop(sim *eventsim.Simulator, n int, edges [][2]int) *fakePop {
 }
 
 func (p *fakePop) addrOf(v int) simnet.Addr { return simnet.Addr(v + 1) }
-
-func (p *fakePop) AttackSnapshot() *snapshot.Snapshot {
-	return p.AttackSlotSnapshot(&snapshot.SlotIndex{}).Dense()
-}
 
 func (p *fakePop) AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot {
 	s := &snapshot.SlotSnapshot{Time: p.sim.Now()}

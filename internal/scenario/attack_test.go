@@ -124,27 +124,33 @@ func TestAttackMeasurements(t *testing.T) {
 	}
 }
 
-// TestStrikesInAndKills pins the window arithmetic the presets and the
-// kadattack overrides share.
+// TestStrikesInAndKills pins the window arithmetic of the one adversary
+// rule every declared attack resolves through.
 func TestStrikesInAndKills(t *testing.T) {
-	if got := StrikesIn(40*time.Minute, 5*time.Minute); got != 8 {
-		t.Fatalf("StrikesIn(40m, 5m) = %d, want 8 (strikes at 2.5, 7.5, ..., 37.5)", got)
+	if got := strikesIn(40*time.Minute, 5*time.Minute); got != 8 {
+		t.Fatalf("strikesIn(40m, 5m) = %d, want 8 (strikes at 2.5, 7.5, ..., 37.5)", got)
 	}
-	if got := StrikesIn(40*time.Minute, 15*time.Minute); got != 3 {
-		t.Fatalf("StrikesIn(40m, 15m) = %d, want 3 (strikes at 7.5, 22.5, 37.5)", got)
+	if got := strikesIn(40*time.Minute, 15*time.Minute); got != 3 {
+		t.Fatalf("strikesIn(40m, 15m) = %d, want 3 (strikes at 7.5, 22.5, 37.5)", got)
 	}
-	if got := StrikesIn(4*time.Minute, 10*time.Minute); got != 0 {
-		t.Fatalf("StrikesIn(4m, 10m) = %d, want 0 (first strike misses the window)", got)
+	if got := strikesIn(4*time.Minute, 10*time.Minute); got != 0 {
+		t.Fatalf("strikesIn(4m, 10m) = %d, want 0 (first strike misses the window)", got)
 	}
-	if got := AttackKills(20, 40*time.Minute, 15*time.Minute); got != 7 {
-		t.Fatalf("AttackKills(20, 40m, 15m) = %d, want ceil(20/3) = 7", got)
+	coarse := TinyScale.adversary(attack.Config{Strategy: attack.Random, Budget: 20, Interval: 15 * time.Minute}, 40, 40*time.Minute)
+	if coarse.Kills != 7 {
+		t.Fatalf("budget 20 over 40m at 15m: kills = %d, want ceil(20/3) = 7", coarse.Kills)
 	}
-	// The preset numbers must be self-consistent: kills x strikes covers
+	if pinned := TinyScale.adversary(attack.Config{Strategy: attack.Random, Kills: 2}, 40, 40*time.Minute); pinned.Kills != 2 {
+		t.Fatalf("explicit kills 2 re-spread to %d", pinned.Kills)
+	}
+	// The default adversary must be self-consistent: kills x strikes covers
 	// the budget with the final strike possibly partial.
 	for _, s := range []Scale{TinyScale, ReducedScale, PaperScale} {
-		phase, interval := s.AttackPhase()
-		cfg := s.AttackConfig("random", s.Small)
-		strikes := StrikesIn(phase, interval)
+		cfg := s.adversary(attack.Config{Strategy: attack.Random}, s.Small, s.ChurnLong)
+		if cfg.Budget != s.Small/2 || cfg.Interval != max(s.ChurnLong/8, time.Minute) {
+			t.Fatalf("scale %s: default adversary %v, want budget %d every %v", s.Name, cfg, s.Small/2, s.ChurnLong/8)
+		}
+		strikes := strikesIn(s.ChurnLong, cfg.Interval)
 		if cfg.Kills*strikes < cfg.Budget {
 			t.Fatalf("scale %s: %d strikes x %d kills cannot exhaust budget %d",
 				s.Name, strikes, cfg.Kills, cfg.Budget)

@@ -13,73 +13,62 @@ import (
 // until the attack window opens); the curves therefore differ only by
 // victim-selection policy, making the strategies directly comparable.
 
-// attackStrikes is the number of strikes an attack preset schedules
-// across the churn-phase window; it also sets the snapshot cadence so
-// every strike lands between two measurements.
+// attackStrikes is the number of strikes the default adversary schedules
+// across the scale's long churn window.
 const attackStrikes = 8
 
-// AttackPhase returns the attack window length and strike interval at
-// this scale.
-func (s Scale) AttackPhase() (phase, interval time.Duration) {
-	phase = s.ChurnLong
-	interval = phase / attackStrikes
-	if interval < time.Minute {
-		interval = time.Minute
-	}
-	return phase, interval
+// attackInterval is the default strike interval at this scale: the long
+// churn window split into attackStrikes, at least a minute.
+func (s Scale) attackInterval() time.Duration {
+	return max(s.ChurnLong/attackStrikes, time.Minute)
 }
 
-// AttackBudget is the adversary's total removal allowance for a network
-// of the given size: half the nodes, enough to shatter any strategy's
-// target structure while leaving a measurable remnant.
-func AttackBudget(size int) int { return size / 2 }
-
-// StrikesIn returns how many strikes fit in an attack window of the
+// strikesIn returns how many strikes fit in an attack window of the
 // given length: the first fires half an interval in (see Config.Attack),
 // the rest every interval while still inside the window.
-func StrikesIn(phase, interval time.Duration) int {
-	armed := phase - interval/2
+func strikesIn(window, interval time.Duration) int {
+	armed := window - interval/2
 	if interval <= 0 || armed <= 0 {
 		return 0
 	}
 	return int((armed + interval - 1) / interval) // ceil(armed/interval)
 }
 
-// AttackKills spreads a removal budget evenly over the strikes that fit
-// the window: the per-strike kill count that just exhausts the budget.
-func AttackKills(budget int, phase, interval time.Duration) int {
-	strikes := StrikesIn(phase, interval)
-	if strikes < 1 {
-		strikes = 1
+// adversary is the one adversary-defaulting rule: every declared attack —
+// a spec file's or a kadserve query's block (ResolveRun), the preset
+// experiment and kadattack's -budget/-interval (AttackExperiment) —
+// completes through it. Unset (non-positive) fields of a take the
+// canonical adversary for a network of the given size attacked through
+// the given churn window: strikes every attackInterval, a budget of half
+// the nodes (enough to shatter any strategy's target structure while
+// leaving a measurable remnant), and the per-strike kill count that just
+// exhausts the budget over the strikes that fit the window.
+func (s Scale) adversary(a attack.Config, size int, window time.Duration) attack.Config {
+	if a.Interval <= 0 {
+		a.Interval = s.attackInterval()
 	}
-	return (budget + strikes - 1) / strikes
-}
-
-// AttackConfig returns the scale's canonical adversary for one strategy:
-// the budget spread evenly over the window's strikes.
-func (s Scale) AttackConfig(strategy attack.Strategy, size int) attack.Config {
-	phase, interval := s.AttackPhase()
-	budget := AttackBudget(size)
-	return attack.Config{
-		Strategy: strategy,
-		Budget:   budget,
-		Kills:    AttackKills(budget, phase, interval),
-		Interval: interval,
+	if a.Budget <= 0 {
+		a.Budget = size / 2
 	}
+	if a.Kills <= 0 {
+		strikes := max(strikesIn(window, a.Interval), 1)
+		a.Kills = (a.Budget + strikes - 1) / strikes
+	}
+	return a
 }
 
 // AttackExperiment builds the strategy-comparison experiment: one run per
-// strategy on the small network, all sharing one seed. Like the paper's
-// Simulations A/B the runs carry no data traffic: active lookups heal
-// routing tables faster than any budgeted adversary can cut them, which
-// measures the repair process rather than the attack. Without traffic
-// the curves isolate the structural damage each strategy inflicts.
-func (s Scale) AttackExperiment(seed int64, strategies []attack.Strategy) Experiment {
+// strategy on the small network, all sharing one seed; budget and
+// interval override the default adversary's when positive. Like the
+// paper's Simulations A/B the runs carry no data traffic: active lookups
+// heal routing tables faster than any budgeted adversary can cut them,
+// which measures the repair process rather than the attack. Without
+// traffic the curves isolate the structural damage each strategy inflicts.
+func (s Scale) AttackExperiment(seed int64, strategies []attack.Strategy, budget int, interval time.Duration) Experiment {
 	exp := Experiment{
 		ID:    "attack",
 		Title: "targeted node removal: connectivity degradation by strategy",
 	}
-	phase, interval := s.AttackPhase()
 	for _, st := range strategies {
 		cfg := s.base(fmt.Sprintf("Attack/%s", st), seed, s.Small)
 		// k = 5 (the paper's sparsest bucket size): with larger k the
@@ -89,9 +78,11 @@ func (s Scale) AttackExperiment(seed int64, strategies []attack.Strategy) Experi
 		cfg.K = 5
 		cfg.Staleness = 1
 		cfg.Traffic = false
-		cfg.ChurnPhase = phase
-		cfg.SnapshotInterval = interval
-		cfg.Attack = s.AttackConfig(st, s.Small)
+		cfg.ChurnPhase = s.ChurnLong
+		// The preset pins its snapshots to the default strike cadence, so
+		// curves under different interval overrides share their time axis.
+		cfg.SnapshotInterval = s.attackInterval()
+		cfg.Attack = s.adversary(attack.Config{Strategy: st, Budget: budget, Interval: interval}, s.Small, cfg.ChurnPhase)
 		exp.Configs = append(exp.Configs, cfg)
 	}
 	return exp

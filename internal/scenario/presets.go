@@ -318,7 +318,7 @@ func (s Scale) Experiments(seed int64) []Experiment {
 		s.Figure6(seed), s.Figure7(seed), s.Figure8(seed), s.Figure9(seed),
 		s.Table2(seed), s.Figure10(seed), s.Section57(seed),
 		s.Figure11(seed), s.Figure12(seed), s.Figure13(seed), s.Figure14(seed),
-		s.AttackExperiment(seed, attack.Strategies()),
+		s.AttackExperiment(seed, attack.Strategies(), 0, 0),
 	}
 }
 

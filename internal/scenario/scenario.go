@@ -361,16 +361,9 @@ func (p *population) RemoveRandomNode() bool {
 	return true
 }
 
-// AttackSnapshot implements attack.Population: the adversary's
+// AttackSlotSnapshot implements attack.Population: the adversary's
 // reconnaissance is the same routing-table capture the measurement
-// snapshots use.
-func (p *population) AttackSnapshot() *snapshot.Snapshot {
-	return snapshot.Capture(p.sim.Now(), p.nodes)
-}
-
-// AttackSlotSnapshot implements attack.Population: stable-slot
-// reconnaissance against the adversary's private slot table, so the
-// cutset engine rebinds incrementally across its own strikes.
+// snapshots use, on the adversary's private slot table.
 func (p *population) AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot {
 	return snapshot.CaptureSlots(p.sim.Now(), p.nodes, idx)
 }

@@ -32,7 +32,7 @@ func FromSpec(sp *workload.Spec, scale Scale, baseSeed int64) (Experiment, error
 	digest := sp.Digest()
 	for i := range sp.Runs {
 		run := workload.Merge(sp.Defaults, sp.Runs[i])
-		cfg, err := resolveRun(run, scale, baseSeed)
+		cfg, err := ResolveRun(run, scale, baseSeed)
 		if err != nil {
 			return Experiment{}, fmt.Errorf("scenario: spec %q run %q: %w", sp.ID, run.Name, err)
 		}
@@ -45,9 +45,13 @@ func FromSpec(sp *workload.Spec, scale Scale, baseSeed int64) (Experiment, error
 	return exp, nil
 }
 
-// resolveRun maps one merged run spec onto a Config the same way the
-// preset constructors do.
-func resolveRun(run workload.RunSpec, scale Scale, baseSeed int64) (Config, error) {
+// ResolveRun maps one merged run spec onto a Config the same way the
+// preset constructors do. It is the only place a declarative run is
+// defaulted: FromSpec loops over it, and kadserve's flat scenario/attack
+// block is translated into a RunSpec and resolved here too. It checks
+// nothing beyond what it parses — callers validate the spec's shape
+// first (workload.Spec.Check) and the resolved config after.
+func ResolveRun(run workload.RunSpec, scale Scale, baseSeed int64) (Config, error) {
 	seed := baseSeed
 	if run.SeedOffset != nil {
 		seed += *run.SeedOffset
@@ -132,25 +136,18 @@ func resolveRun(run workload.RunSpec, scale Scale, baseSeed int64) (Config, erro
 		if err != nil {
 			return Config{}, err
 		}
-		_, interval := scale.AttackPhase()
-		if run.Attack.IntervalMinutes > 0 {
-			interval = workload.Minutes(run.Attack.IntervalMinutes)
-		}
-		budget := AttackBudget(size)
+		a := attack.Config{Strategy: strategy, Interval: workload.Minutes(run.Attack.IntervalMinutes)}
 		if run.Attack.Budget != nil {
-			budget = *run.Attack.Budget
+			a.Budget = *run.Attack.Budget
 		}
-		kills := AttackKills(budget, cfg.ChurnPhase, interval)
 		if run.Attack.Kills != nil {
-			kills = *run.Attack.Kills
+			a.Kills = *run.Attack.Kills
 		}
-		cfg.Attack = attack.Config{
-			Strategy: strategy, Budget: budget, Kills: kills, Interval: interval,
-		}
-		// The preset adversary measures between strikes: unless the spec
-		// pins a cadence, snapshots land on the strike interval.
+		cfg.Attack = scale.adversary(a, size, cfg.ChurnPhase)
+		// The adversary is measured between strikes: unless the run pins a
+		// cadence, snapshots land on the strike interval.
 		if run.SnapshotMinutes == nil {
-			cfg.SnapshotInterval = interval
+			cfg.SnapshotInterval = cfg.Attack.Interval
 		}
 	}
 

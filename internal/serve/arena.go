@@ -100,8 +100,8 @@ type Entry struct {
 	bind *scenario.Bound
 	size int64
 
-	// mu serializes engine access: AnalyzeFinal re-sweeps and Maintain
-	// re-densifies on the same non-concurrency-safe engine.
+	// mu serializes engine access: AnalyzeFinal re-sweeps on the same
+	// non-concurrency-safe engine.
 	mu        sync.Mutex
 	resamples map[resampleKey]connectivity.SnapshotResult
 }
@@ -164,13 +164,6 @@ func (e *Entry) memory() connectivity.MemoryStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.bind.Engine.MemoryStats()
-}
-
-// maintain runs policy-driven engine maintenance off the request path.
-func (e *Entry) maintain() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.bind.Engine.Maintain()
 }
 
 // Key derives the arena identity of a configuration: the sweep
@@ -280,24 +273,6 @@ func (a *Arena) evictOver(keep *list.Element) {
 		a.used -= e.size
 		a.evictions++
 	}
-}
-
-// Maintain runs the governance maintenance of every resident entry's
-// engine — re-densifying over-threshold arc stores — and returns the
-// number of stores rebuilt. kadserve calls it on a timer, off the
-// request path, so queries never pay compaction latency.
-func (a *Arena) Maintain() int {
-	a.mu.Lock()
-	entries := make([]*Entry, 0, a.lru.Len())
-	for el := a.lru.Front(); el != nil; el = el.Next() {
-		entries = append(entries, el.Value.(*Entry))
-	}
-	a.mu.Unlock()
-	total := 0
-	for _, e := range entries {
-		total += e.maintain()
-	}
-	return total
 }
 
 // ArenaStats is a point-in-time occupancy report (GET /v1/arena).

@@ -196,9 +196,4 @@ func TestArenaRealRunBound(t *testing.T) {
 	if avg != last.Avg {
 		t.Fatalf("resampled avg %v != final point %v", avg, last.Avg)
 	}
-	if a.Maintain() != 0 {
-		// A tiny run leaves nothing over-threshold; the call itself must
-		// be safe on warm entries.
-		t.Fatal("unexpected maintenance on a fresh tiny entry")
-	}
 }

@@ -3,19 +3,18 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
-	"kadre/internal/attack"
-	"kadre/internal/churn"
 	"kadre/internal/scenario"
-	"kadre/internal/simnet"
 	"kadre/internal/sweep"
 	"kadre/internal/workload"
 )
 
-// ScenarioSpec is the wire form of a simulation configuration. Omitted
-// fields take the named scale's values (or the paper defaults), exactly
-// as on the batch CLIs; durations are simulated minutes.
+// ScenarioSpec is the flat wire form of a simulation configuration:
+// shorthand for a one-run scenario spec in which a zero field is an unset
+// one. Omitted fields take the named scale's values (or the paper
+// defaults), exactly as on the batch CLIs; durations are simulated minutes.
 type ScenarioSpec struct {
 	Scale            string  `json:"scale,omitempty"` // paper, reduced (default), tiny
 	Size             int     `json:"size,omitempty"`
@@ -34,7 +33,8 @@ type ScenarioSpec struct {
 	Seed             int64   `json:"seed,omitempty"`
 }
 
-// AttackSpec is the wire form of an adversary riding the churn window.
+// AttackSpec is the flat wire form of an adversary riding the churn
+// window; zero fields take the spec resolver's default adversary.
 type AttackSpec struct {
 	Strategy        string  `json:"strategy"` // random, degree, cutset, eclipse
 	Budget          int     `json:"budget,omitempty"`
@@ -139,14 +139,6 @@ type Query struct {
 // maxRepsCap bounds a single query's replication budget.
 const maxRepsCap = 256
 
-// minutes converts a spec duration, with a fallback for the zero value.
-func minutes(m float64, def time.Duration) time.Duration {
-	if m <= 0 {
-		return def
-	}
-	return time.Duration(m * float64(time.Minute))
-}
-
 // Resolve validates the spec and binds it to a scenario configuration.
 // The config's name is derived from its arena key, so identical specs —
 // however spelled — resolve to the same run identity.
@@ -156,12 +148,60 @@ func (qs QuerySpec) Resolve() (Query, error) {
 	if qs.Spec != nil {
 		cfg, err = qs.resolveEmbeddedSpec()
 	} else {
-		cfg, err = qs.resolveScenario()
+		cfg, err = qs.resolveFlat()
 	}
 	if err != nil {
 		return Query{}, err
 	}
 	return qs.finish(cfg)
+}
+
+// resolveFlat binds the flat scenario and attack blocks to a config as
+// the one-run spec they abbreviate: checked and resolved by the same code
+// as an embedded document, minus the digest only checkpoints read.
+func (qs QuerySpec) resolveFlat() (scenario.Config, error) {
+	sp := workload.Spec{Version: workload.SpecVersion, ID: "query", Runs: []workload.RunSpec{qs.runSpec()}}
+	if err := sp.Check(); err != nil {
+		return scenario.Config{}, err
+	}
+	sc, err := scenario.ScaleByName(qs.Scenario.Scale)
+	if err != nil {
+		return scenario.Config{}, err
+	}
+	return scenario.ResolveRun(sp.Runs[0], sc, qs.Scenario.Seed)
+}
+
+// runSpec translates the flat scenario and attack blocks into the
+// declarative run they abbreviate. It carries no rule of its own: a zero
+// field becomes an unset one, and defaulting and validation are the spec
+// layer's.
+func (qs QuerySpec) runSpec() workload.RunSpec {
+	s := &qs.Scenario
+	run := workload.RunSpec{
+		Name: "query",
+		Size: set(&s.Size), K: set(&s.K), Alpha: set(&s.Alpha), Bits: set(&s.Bits),
+		Staleness: set(&s.Staleness), Loss: set(&s.Loss), Churn: set(&s.Churn),
+		ChurnMinutes: set(&s.ChurnMinutes), Traffic: set(&s.Traffic),
+		SetupMinutes: set(&s.SetupMinutes), StabilizeMinutes: set(&s.StabilizeMinutes),
+		SnapshotMinutes: set(&s.SnapshotMinutes), SampleFraction: set(&s.SampleFraction),
+	}
+	if a := qs.Attack; a != nil {
+		run.Attack = &workload.AttackSpec{
+			Strategy: a.Strategy, Budget: set(&a.Budget), Kills: set(&a.Kills),
+			IntervalMinutes: a.IntervalMinutes,
+		}
+	}
+	return run
+}
+
+// set maps the flat block's zero-means-unset convention onto RunSpec's
+// nil-means-unset pointers.
+func set[T comparable](v *T) *T {
+	var zero T
+	if *v == zero {
+		return nil
+	}
+	return v
 }
 
 // resolveEmbeddedSpec binds an embedded scenario spec document to the
@@ -197,67 +237,6 @@ func (qs QuerySpec) resolveEmbeddedSpec() (scenario.Config, error) {
 	return exp.Configs[0], nil
 }
 
-// resolveScenario binds the flat scenario block (the pre-spec wire form)
-// to a config.
-func (qs QuerySpec) resolveScenario() (scenario.Config, error) {
-	sc, err := scenario.ScaleByName(qs.Scenario.Scale)
-	if err != nil {
-		return scenario.Config{}, err
-	}
-	size := qs.Scenario.Size
-	if size == 0 {
-		size = sc.Small
-	}
-	cfg := scenario.Config{
-		Seed:             qs.Scenario.Seed,
-		Size:             size,
-		K:                qs.Scenario.K,
-		Alpha:            qs.Scenario.Alpha,
-		Bits:             qs.Scenario.Bits,
-		Staleness:        qs.Scenario.Staleness,
-		Traffic:          qs.Scenario.Traffic,
-		Setup:            minutes(qs.Scenario.SetupMinutes, sc.Setup),
-		Stabilize:        minutes(qs.Scenario.StabilizeMinutes, sc.Stabilize),
-		SnapshotInterval: minutes(qs.Scenario.SnapshotMinutes, sc.SnapshotInterval),
-		SampleFraction:   qs.Scenario.SampleFraction,
-	}
-	if cfg.SampleFraction == 0 {
-		cfg.SampleFraction = sc.SampleFraction
-	}
-	if qs.Scenario.Loss != "" {
-		if cfg.Loss, err = simnet.ParseLossLevel(qs.Scenario.Loss); err != nil {
-			return scenario.Config{}, err
-		}
-	}
-	if qs.Scenario.Churn != "" {
-		if cfg.Churn, err = churn.ParseRate(qs.Scenario.Churn); err != nil {
-			return scenario.Config{}, err
-		}
-	}
-	if qs.Attack != nil {
-		st, err := attack.ParseStrategy(qs.Attack.Strategy)
-		if err != nil {
-			return scenario.Config{}, err
-		}
-		_, defInterval := sc.AttackPhase()
-		cfg.Attack = attack.Config{
-			Strategy: st,
-			Budget:   qs.Attack.Budget,
-			Kills:    qs.Attack.Kills,
-			Interval: minutes(qs.Attack.IntervalMinutes, defInterval),
-		}
-		if cfg.Attack.Budget == 0 {
-			cfg.Attack.Budget = scenario.AttackBudget(size)
-		}
-	}
-	// The churn window: explicit minutes, else the scale's long phase
-	// whenever churn or an adversary needs a window at all.
-	if !cfg.Churn.IsZero() || cfg.Attack.Enabled() {
-		cfg.ChurnPhase = minutes(qs.Scenario.ChurnMinutes, sc.ChurnLong)
-	}
-	return cfg, nil
-}
-
 // finish applies the scenario-independent part of Resolve: the metric,
 // the stopping rule, the replication bounds, and the run identity.
 func (qs QuerySpec) finish(cfg scenario.Config) (Query, error) {
@@ -265,21 +244,18 @@ func (qs QuerySpec) finish(cfg scenario.Config) (Query, error) {
 	if metric == "" {
 		metric = MetricChurnMinMean
 	}
-	known := false
-	for _, m := range MetricNames() {
-		if m == metric {
-			known = true
-		}
-	}
-	if !known {
+	if !slices.Contains(MetricNames(), metric) {
 		return Query{}, fmt.Errorf("serve: unknown metric %q (have %v)", metric, MetricNames())
 	}
 	if qs.Resample != nil && metric != MetricFinalMin && metric != MetricFinalAvg {
 		return Query{}, fmt.Errorf("serve: resample applies only to %s/%s, not %q",
 			MetricFinalMin, MetricFinalAvg, metric)
 	}
+	if r := qs.Resample; r != nil && (r.Fraction < 0 || r.Fraction > 1) {
+		return Query{}, fmt.Errorf("serve: resample fraction %g outside [0,1] (0 = the run's own c)", r.Fraction)
+	}
 	if metric == MetricChurnMinMean && cfg.ChurnPhase == 0 {
-		return Query{}, fmt.Errorf("serve: metric %s needs a churn window (set churn or attack)", MetricChurnMinMean)
+		return Query{}, fmt.Errorf("serve: metric %s needs a churn window (set churn, churn_minutes or attack)", MetricChurnMinMean)
 	}
 
 	var rule sweep.StopRule

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -100,33 +102,103 @@ func tinyEmbeddedSpec() *workload.Spec {
 	}
 }
 
+// resolveBody takes a wire body through handleQuery's two steps.
+func resolveBody(body []byte) (Query, error) {
+	qs, err := decodeQuery(bytes.NewReader(body))
+	if err != nil {
+		return Query{}, err
+	}
+	return qs.Resolve()
+}
+
+// equivalentSpellings pairs a flat scenario/attack block with the embedded
+// spec document that declares the same run.
+var equivalentSpellings = []struct{ name, flat, embedded string }{
+	{"plain",
+		`{"scenario":{"scale":"tiny","seed":5,"size":20,"k":5,"staleness":1,"setup_minutes":6,"stabilize_minutes":12,"snapshot_minutes":6,"sample_fraction":0.1},"metric":"final_min","threshold":1000}`,
+		`{"scenario":{"scale":"tiny","seed":5},"spec":{"version":1,"id":"q","runs":[{"name":"q","size":20,"k":5,"staleness":1,"setup_minutes":6,"stabilize_minutes":12,"snapshot_minutes":6,"sample_fraction":0.1}]},"metric":"final_min","threshold":1000}`},
+	{"churn",
+		`{"scenario":{"scale":"tiny","seed":13,"size":30,"k":5,"staleness":1,"churn":"1/1","churn_minutes":30},"threshold":1}`,
+		`{"scenario":{"scale":"tiny","seed":13},"spec":{"version":1,"id":"q","runs":[{"name":"q","size":30,"k":5,"staleness":1,"churn":"1/1","churn_minutes":30}]},"threshold":1}`},
+	{"default attack",
+		`{"scenario":{"scale":"tiny","seed":3,"k":5,"staleness":1},"attack":{"strategy":"cutset"},"threshold":1}`,
+		`{"scenario":{"scale":"tiny","seed":3},"spec":{"version":1,"id":"q","runs":[{"name":"q","k":5,"staleness":1,"attack":{"strategy":"cutset"}}]},"threshold":1}`},
+	{"explicit attack",
+		`{"scenario":{"scale":"tiny","seed":3,"k":5},"attack":{"strategy":"degree","budget":12,"kills":5,"interval_minutes":4},"threshold":1}`,
+		`{"scenario":{"scale":"tiny","seed":3},"spec":{"version":1,"id":"q","runs":[{"name":"q","k":5,"attack":{"strategy":"degree","budget":12,"kills":5,"interval_minutes":4}}]},"threshold":1}`},
+	{"quiet window",
+		`{"scenario":{"scale":"tiny","size":20,"churn_minutes":10},"threshold":1}`,
+		`{"scenario":{"scale":"tiny"},"spec":{"version":1,"id":"q","runs":[{"name":"q","size":20,"churn_minutes":10}]},"threshold":1}`},
+}
+
+// TestResolveEmbeddedSpecMatchesScenario: equivalent spellings must
+// resolve to the same run identity (arena key and derived query name), or
+// the warm cache would fragment.
 func TestResolveEmbeddedSpecMatchesScenario(t *testing.T) {
-	flat := tinySpec()
-	qf, err := flat.Resolve()
-	if err != nil {
-		t.Fatal(err)
+	for _, tt := range equivalentSpellings {
+		qf, err := resolveBody([]byte(tt.flat))
+		if err != nil {
+			t.Fatalf("%s: flat: %v", tt.name, err)
+		}
+		qe, err := resolveBody([]byte(tt.embedded))
+		if err != nil {
+			t.Fatalf("%s: embedded: %v", tt.name, err)
+		}
+		if Key(qe.Config) != Key(qf.Config) {
+			t.Errorf("%s: arena keys differ:\n spec: %s\n flat: %s", tt.name, Key(qe.Config), Key(qf.Config))
+		}
+		if qe.Config.Name != qf.Config.Name {
+			t.Errorf("%s: query names differ: %q vs %q", tt.name, qe.Config.Name, qf.Config.Name)
+		}
+		if qe.Config.SpecDigest == "" || qf.Config.SpecDigest != "" {
+			t.Errorf("%s: digests: embedded %q (want one), flat %q (want none)", tt.name, qe.Config.SpecDigest, qf.Config.SpecDigest)
+		}
 	}
-	thr := 1000.0
-	qs := QuerySpec{
-		Scenario:  ScenarioSpec{Scale: "tiny", Seed: 5},
-		Spec:      tinyEmbeddedSpec(),
-		Metric:    MetricFinalMin,
-		Threshold: &thr,
-	}
-	qe, err := qs.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Equivalent spellings must resolve to the same run identity (arena
-	// key and derived query name), or the warm cache would fragment.
-	if Key(qe.Config) != Key(qf.Config) {
-		t.Fatalf("arena keys differ:\n spec: %s\n flat: %s", Key(qe.Config), Key(qf.Config))
-	}
-	if qe.Config.Name != qf.Config.Name {
-		t.Fatalf("query names differ: %q vs %q", qe.Config.Name, qf.Config.Name)
-	}
-	if qe.Config.SpecDigest == "" {
-		t.Fatal("embedded spec left no digest on the config")
+}
+
+// TestFlatKeysPinned holds attack-free flat queries to the arena keys
+// they had before the flat block became a translation into a RunSpec (the
+// literals were generated at b357eca): moving the defaulting into the
+// spec resolver must not rename a single warm entry. "@" rows read the
+// committed kadserve query files; the third and fourth are the shape
+// bench/workloads/serve-mixed.json streams.
+func TestFlatKeysPinned(t *testing.T) {
+	const wl = "wl={LookupsPerMinute:0 StoresPerMinute:0 KeyPoolSize:0}"
+	for _, tt := range []struct{ body, want string }{
+		{"@../../cmd/kadserve/testdata/smoke_query.json",
+			"size=30|k=5|a=0|b=0|s=1|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=1800000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=7"},
+		{"@../../cmd/kadserve/testdata/cancel_query.json",
+			"size=30|k=5|a=0|b=0|s=1|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=1800000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=13"},
+		{`{"scenario":{"scale":"tiny","size":60,"k":10,"churn":"1/1","churn_minutes":40,"seed":1804289383},"metric":"churn_min_mean","precision":0.05,"min_reps":3,"max_reps":3}`,
+			"size=60|k=10|a=0|b=0|s=0|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=1804289383"},
+		{`{"scenario":{"scale":"tiny","size":60,"k":20,"churn":"10/10","churn_minutes":40,"seed":846930886},"metric":"final_avg","resample":{"fraction":0.5,"seed":99},"precision":0.05,"min_reps":3,"max_reps":3}`,
+			"size=60|k=20|a=0|b=0|s=0|loss=none|churn=10/10|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=846930886"},
+		{`{"scenario":{"scale":"tiny","size":20,"k":5,"staleness":1,"setup_minutes":6,"stabilize_minutes":12,"snapshot_minutes":6,"sample_fraction":0.1,"seed":5},"metric":"final_min","threshold":1000}`,
+			"size=20|k=5|a=0|b=0|s=1|loss=none|churn=0/0|traffic=false|" + wl + "|setup=360000000000|stab=720000000000|phase=0|snap=360000000000|c=0.1|attack=none|ac=0|target=|seed=5"},
+		{`{"scenario":{},"metric":"final_min","threshold":3}`,
+			"size=100|k=0|a=0|b=0|s=0|loss=none|churn=0/0|traffic=false|" + wl + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1800000000000|c=0.04|attack=none|ac=0|target=|seed=1"},
+		{`{"scenario":{"scale":"paper","alpha":5,"bits":80,"loss":"high","traffic":true,"seed":42},"metric":"final_scc","precision":0.1}`,
+			"size=250|k=0|a=5|b=80|s=0|loss=high|churn=0/0|traffic=true|" + wl + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1200000000000|c=0.02|attack=none|ac=0|target=|seed=42"},
+		{`{"scenario":{"scale":"reduced","k":20,"staleness":5,"churn":"10/10"},"threshold":2}`,
+			"size=100|k=20|a=0|b=0|s=5|loss=none|churn=10/10|traffic=false|" + wl + "|setup=1800000000000|stab=5400000000000|phase=14400000000000|snap=1800000000000|c=0.04|attack=none|ac=0|target=|seed=1"},
+		{`{"scenario":{"scale":"tiny","size":25,"churn":"0/1","churn_minutes":12.5,"stabilize_minutes":7,"snapshot_minutes":2.5,"sample_fraction":1,"seed":-3},"threshold":1}`,
+			"size=25|k=0|a=0|b=0|s=0|loss=none|churn=0/1|traffic=false|" + wl + "|setup=600000000000|stab=420000000000|phase=750000000000|snap=150000000000|c=1|attack=none|ac=0|target=|seed=-3"},
+		{`{"scenario":{"scale":"tiny","loss":"low","churn":"1/1","traffic":true,"seed":9},"metric":"final_n","threshold":10}`,
+			"size=40|k=0|a=0|b=0|s=0|loss=low|churn=1/1|traffic=true|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=9"},
+	} {
+		body := []byte(tt.body)
+		if tt.body[0] == '@' {
+			var err error
+			if body, err = os.ReadFile(tt.body[1:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q, err := resolveBody(body)
+		if err != nil {
+			t.Errorf("%s: %v", tt.body, err)
+		} else if got := Key(q.Config); got != tt.want {
+			t.Errorf("%s:\n key  %s\n want %s", tt.body, got, tt.want)
+		}
 	}
 }
 

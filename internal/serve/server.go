@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -93,6 +94,16 @@ func (s *Server) handleArena(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// decodeQuery reads a query body strictly: an unknown field is an error,
+// never a silently dropped knob.
+func decodeQuery(r io.Reader) (QuerySpec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec QuerySpec
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 // handleQuery runs one adaptively replicated resilience query, streaming
 // a record per consumed replication and a final verdict record. All
 // simulation and analysis state flows through the arena, so repeating a
@@ -106,10 +117,8 @@ func (s *Server) handleArena(w http.ResponseWriter, _ *http.Request) {
 // 504 for a deadline, 500 otherwise; after the stream started, the
 // status is spoken for and the failure goes out as an error record.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var spec QuerySpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeQuery(r.Body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorRecord{Type: "error", Error: "bad query spec: " + err.Error()})
 		return
 	}

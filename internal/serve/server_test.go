@@ -199,22 +199,36 @@ func TestQueryResample(t *testing.T) {
 	}
 }
 
+// badQueries are bodies POST /v1/query must answer with 400: malformed or
+// unknown fields at decode, everything else at Resolve. FuzzQueryResolve
+// seeds from the same table.
+var badQueries = []string{
+	`{`, // malformed JSON
+	`{"scenario": {"scale": "tiny"}, "metric": "bogus", "threshold": 1}`,
+	`{"scenario": {"scale": "tiny"}, "threshold": 1, "precision": 0.1}`,
+	`{"scenario": {"scale": "tiny"}}`,                                    // no rule
+	`{"scenario": {"scale": "tiny"}, "threshold": 1}`,                    // churn metric, no churn window
+	`{"scenario": {"scale": "nope"}, "threshold": 1}`,                    // unknown scale
+	`{"scenario": {"scale": "tiny"}, "threshold": 1, "max_reps": 10000}`, // over cap
+	`{"scenario": {"scale": "tiny"}, "surprise": true, "threshold": 1}`,  // unknown field
+	`{"scenario": {"scale": "tiny", "churn": "x"}, "threshold": 1}`,      // bad churn
+	`{"scenario": {"scale": "tiny", "churn": "1/1"}, "threshold": 1,
+	  "metric": "final_scc", "resample": {"fraction": 0.5}}`, // resample on wrong metric
+	// Outside [0,1] a resample fraction would sweep all n(n-1) pairs under
+	// the entry lock; the flat block's own fraction and minutes go through
+	// the spec checker like an embedded document's.
+	`{"scenario": {"scale": "tiny", "churn": "1/1"}, "threshold": 1,
+	  "metric": "final_avg", "resample": {"fraction": -1}}`,
+	`{"scenario": {"scale": "tiny", "churn": "1/1"}, "threshold": 1,
+	  "metric": "final_avg", "resample": {"fraction": 7}}`,
+	`{"scenario": {"scale": "tiny", "churn": "1/1", "sample_fraction": -0.5}, "threshold": 1}`,
+	`{"scenario": {"scale": "tiny", "churn": "1/1", "setup_minutes": -3}, "threshold": 1}`,
+	`{"scenario": {"scale": "tiny"}, "attack": {"strategy": "cutset", "budget": -4}, "threshold": 1}`,
+}
+
 func TestQueryValidation(t *testing.T) {
 	_, ts := newTestServer(t)
-	bad := []string{
-		`{`, // malformed JSON
-		`{"scenario": {"scale": "tiny"}, "metric": "bogus", "threshold": 1}`,
-		`{"scenario": {"scale": "tiny"}, "threshold": 1, "precision": 0.1}`,
-		`{"scenario": {"scale": "tiny"}}`,                                    // no rule
-		`{"scenario": {"scale": "tiny"}, "threshold": 1}`,                    // churn metric, no churn window
-		`{"scenario": {"scale": "nope"}, "threshold": 1}`,                    // unknown scale
-		`{"scenario": {"scale": "tiny"}, "threshold": 1, "max_reps": 10000}`, // over cap
-		`{"scenario": {"scale": "tiny"}, "surprise": true, "threshold": 1}`,  // unknown field
-		`{"scenario": {"scale": "tiny", "churn": "x"}, "threshold": 1}`,      // bad churn
-		`{"scenario": {"scale": "tiny", "churn": "1/1"}, "threshold": 1,
-		  "metric": "final_scc", "resample": {"fraction": 0.5}}`, // resample on wrong metric
-	}
-	for i, spec := range bad {
+	for i, spec := range badQueries {
 		resp, body := postQuery(t, ts, spec, "")
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %d: status %d, want 400 (%s)", i, resp.StatusCode, body)

@@ -243,7 +243,7 @@ func ParseAttackStrategies(csv string) ([]AttackStrategy, error) {
 // AttackExperiment builds the strategy-comparison experiment at a scale:
 // one attacked run per strategy, sharing one seed.
 func AttackExperiment(s Scale, seed int64, strategies []AttackStrategy) Experiment {
-	return s.AttackExperiment(seed, strategies)
+	return s.AttackExperiment(seed, strategies, 0, 0)
 }
 
 // Built-in experiment scales.
