@@ -22,9 +22,9 @@
 // invocation produces byte-identical files for any -jobs value.
 //
 // Flags (the shared batch flags -scale -scenario -seed -reps -jobs -csv
-// -json -checkpoint -max-dead-frac -max-slot-slack -quiet are documented
-// once, in internal/batch; -csv also writes attack_summary.csv and -json
-// writes attack.json):
+// -json -checkpoint -quiet are documented once, in internal/batch, and
+// every run takes the default memory-governance policy, which is not a
+// flag; -csv also writes attack_summary.csv and -json writes attack.json):
 //
 //	-strategies csv  comma-separated strategy list (default all four)
 //	-budget n        total removals per run (default: half the network)
@@ -105,7 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		exp = b.Scale.AttackExperiment(b.Seed, strats, *budget, *interval)
 	}
 
-	if err := b.Prepare(exp); err != nil {
+	if err := b.Prepare(); err != nil {
 		return err
 	}
 	opts, err := b.SweepOptions(stdout, false)

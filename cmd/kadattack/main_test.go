@@ -211,6 +211,10 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("args %v should fail", bad)
 		}
 	}
+	// The governance policy is a constant, not a flag.
+	if err := run([]string{"-scale", "tiny", "-max-dead-frac", "0"}, discard); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Errorf("-max-dead-frac: err = %v, want an unknown-flag error", err)
+	}
 	// A spec defines the attacks: any explicitly passed attack flag beside
 	// -scenario is rejected, the default-valued -strategies list included.
 	for _, own := range [][]string{

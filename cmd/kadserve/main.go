@@ -17,7 +17,9 @@
 // spec (a zero field is an unset one), so both spellings are checked and
 // defaulted by the one resolver, scenario.ResolveRun, and share an arena
 // identity. Parked engines need no upkeep: the runner maintains an engine
-// after every snapshot, and the arena only ever re-analyses it.
+// after every snapshot (under connectivity.DefaultGovernance(), which is
+// not a flag), and the arena only ever re-analyses it. A query body over
+// 1 MiB is refused with 413 before it is resolved.
 //
 // Endpoints:
 //
@@ -36,10 +38,6 @@
 //	                    negative = unlimited
 //	-default-deadline d wall-clock budget for queries without their own
 //	                    deadline_ms; 0 = none (default)
-//	-max-dead-frac f    re-densify solver arc stores above this dead
-//	                    fraction; <= 0 disables (default 0.5)
-//	-max-slot-slack f   compact slot tables above this vacancy/live
-//	                    ratio; <= 0 disables (default 0.5)
 //	-drain-timeout d    shutdown grace for in-flight queries (default 30s)
 //	-quiet              suppress log lines
 //
@@ -66,7 +64,6 @@ import (
 	"syscall"
 	"time"
 
-	"kadre/internal/connectivity"
 	"kadre/internal/serve"
 )
 
@@ -89,8 +86,6 @@ func run(args []string, stdout io.Writer, ready func(addr string), shutdown <-ch
 		jobs         = fs.Int("jobs", 0, "concurrent replications per query (0 = GOMAXPROCS)")
 		maxSims      = fs.Int("max-concurrent-sims", 0, "total concurrent replications across all queries (0 = GOMAXPROCS, negative = unlimited)")
 		defDeadline  = fs.Duration("default-deadline", 0, "deadline for queries without deadline_ms (0 = none)")
-		maxDeadFrac  = fs.Float64("max-dead-frac", 0.5, "re-densify arc stores above this dead fraction (<= 0 disables)")
-		maxSlotSlack = fs.Float64("max-slot-slack", 0.5, "compact slot tables above this vacancy/live ratio (<= 0 disables)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight queries")
 		quiet        = fs.Bool("quiet", false, "suppress log lines")
 	)
@@ -106,7 +101,6 @@ func run(args []string, stdout io.Writer, ready func(addr string), shutdown <-ch
 	srv := serve.NewServer(serve.Options{
 		Arena:             serve.NewArena(serve.ArenaOptions{BudgetBytes: *arenaMB << 20}),
 		Jobs:              *jobs,
-		Governance:        connectivity.PolicyFromKnobs(*maxDeadFrac, *maxSlotSlack),
 		MaxConcurrentSims: *maxSims,
 		DefaultDeadline:   *defDeadline,
 	})

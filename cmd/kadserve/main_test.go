@@ -256,4 +256,8 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &bytes.Buffer{}, nil, nil); err == nil {
 		t.Fatal("unknown flag must error")
 	}
+	// The governance policy is a constant, not a flag.
+	if err := run([]string{"-max-dead-frac", "0"}, &bytes.Buffer{}, nil, nil); err == nil || !strings.Contains(err.Error(), "not defined") {
+		t.Fatalf("-max-dead-frac: err = %v, want an unknown-flag error", err)
+	}
 }

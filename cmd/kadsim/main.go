@@ -47,7 +47,7 @@ func run(args []string) error {
 		stabM     = fs.Int("stabilize-mins", 90, "stabilization phase length (minutes)")
 		churnM    = fs.Int("churn-mins", 120, "churn/observation phase length (minutes)")
 		snapM     = fs.Int("interval-mins", 20, "snapshot interval (minutes)")
-		sampleC   = fs.Float64("c", 0.02, "connectivity sampling fraction (paper's c)")
+		sampleC   = fs.Float64("c", scenario.DefaultSampleFraction, "connectivity sampling fraction (paper's c)")
 		snapDir   = fs.String("snapshots", "", "directory to write per-snapshot JSON graphs")
 		chart     = fs.Bool("chart", true, "render an ASCII chart of the series")
 		quiet     = fs.Bool("quiet", false, "suppress progress lines")

@@ -20,10 +20,11 @@
 // band of the ASCII charts.
 //
 // Flags (the shared batch flags -scale -scenario -seed -reps -jobs -csv
-// -json -checkpoint -max-dead-frac -max-slot-slack -quiet, and the JSON
-// document, are documented once, in internal/batch; -csv also writes a
-// per-config aggregate CSV when -reps > 1 and -json writes <exp>.json
-// with the informational "jobs" field):
+// -json -checkpoint -quiet, and the JSON document, are documented once,
+// in internal/batch, and every run takes the default memory-governance
+// policy, which is not a flag; -csv also writes a per-config aggregate CSV
+// when -reps > 1 and -json writes <exp>.json with the informational "jobs"
+// field):
 //
 //	-exp id       experiment to run (see -list), or 'all'; exclusive
 //	              with -scenario
@@ -145,7 +146,7 @@ func run(args []string, stdout io.Writer) error {
 // Rendering and artefact writing happen per experiment, in input order,
 // after all runs complete.
 func sweepExperiments(stdout io.Writer, b *batch.Flags, ciStop float64, exps ...scenario.Experiment) error {
-	if err := b.Prepare(exps...); err != nil {
+	if err := b.Prepare(); err != nil {
 		return err
 	}
 	pooled := len(exps) > 1
@@ -229,7 +230,9 @@ func sweepExperiments(stdout io.Writer, b *batch.Flags, ciStop float64, exps ...
 // artefact are identical under any -jobs value. Experiments completed
 // before a failure keep their RunSets, mirroring sweep.RunGroups.
 func runAdaptiveGroups(stdout io.Writer, b *batch.Flags, ciStop float64, exps []scenario.Experiment) ([][]*sweep.RunSet, error) {
-	minReps := 3
+	// The default minimum of the replication-bound rule, capped by the
+	// -reps budget (validated >= 2 with -ci-stop).
+	minReps, _, _ := sweep.RepBounds(0, 0)
 	if b.Reps < minReps {
 		minReps = b.Reps
 	}

@@ -337,28 +337,28 @@ func TestCIStopValidation(t *testing.T) {
 	}
 }
 
-// TestGovernanceKnobs pins the CLI governance satellite: the default
-// knobs keep the memory block in the JSON document, and disabling both
-// (-max-dead-frac 0 -max-slot-slack 0) removes it — the serialized
-// signal that no governance ran.
+// TestGovernanceKnobs pins that memory governance is a constant of the
+// batch commands, not a knob: the default document carries the memory
+// block, and the retired -max-dead-frac/-max-slot-slack flags are unknown.
+// (Dropping the block takes a config with the negative policy; sweep's
+// TestBuildJSONDropsMemoryWhenGovernanceDisabled covers that.)
 func TestGovernanceKnobs(t *testing.T) {
-	sweepJSON := func(extra ...string) string {
-		dir := t.TempDir()
-		args := append([]string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}, extra...)
-		if err := run(args, &bytes.Buffer{}); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
+	dir := t.TempDir()
+	if err := run([]string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
 	}
-	if doc := sweepJSON(); !strings.Contains(doc, `"memory"`) {
+	doc, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(doc), `"memory"`) {
 		t.Fatal("default governance must serialize the memory block")
 	}
-	if doc := sweepJSON("-max-dead-frac", "0", "-max-slot-slack", "0"); strings.Contains(doc, `"memory"`) {
-		t.Fatal("disabled governance must drop the memory block")
+	for _, knob := range []string{"-max-dead-frac", "-max-slot-slack"} {
+		err := run([]string{"-exp", "figure2", "-scale", "tiny", knob, "0"}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", knob, err)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package batch is the one flag-to-artefact path of the batch commands
 // (kadsweep, kadattack): it registers and validates the flags they share,
-// resolves them into a scale, a governance policy and a checkpointer,
-// loads a -scenario spec into an experiment, builds the sweep options
-// with the progress printer, and names and writes the artefacts. What a
+// resolves them into a scale and a checkpointer, loads a -scenario spec
+// into an experiment, builds the sweep options with the progress printer,
+// and names and writes the artefacts. The memory-governance policy is not
+// a flag: every run takes connectivity.DefaultGovernance(). What a
 // command adds — its own flags, its experiment source, its banner and
 // renderers — stays in its main and reaches this package as arguments.
 //
@@ -30,11 +31,6 @@
 //	-checkpoint d persist every completed run to directory d and, on a
 //	              later invocation, replay finished runs from disk
 //	              instead of re-executing them (sweep resume)
-//	-max-dead-frac f  re-densify analysis arc stores above this dead
-//	              fraction; <= 0 disables (default 0.5)
-//	-max-slot-slack f compact slot tables above this vacancy/live
-//	              ratio; <= 0 disables (default 0.5). Disabling both
-//	              drops the "memory" block from the JSON document
 //	-quiet        suppress progress lines
 package batch
 
@@ -47,7 +43,6 @@ import (
 	"strings"
 	"time"
 
-	"kadre/internal/connectivity"
 	"kadre/internal/scenario"
 	"kadre/internal/sweep"
 	"kadre/internal/workload"
@@ -67,9 +62,8 @@ type Flags struct {
 	CheckpointDir string
 	Quiet         bool
 
-	fs                  *flag.FlagSet
-	scaleName           string
-	deadFrac, slotSlack float64
+	fs        *flag.FlagSet
+	scaleName string
 }
 
 // Register declares the shared flags on fs.
@@ -83,8 +77,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.CSVDir, "csv", "", "directory for per-run CSV series")
 	fs.StringVar(&f.JSONDir, "json", "", "directory for per-experiment JSON documents")
 	fs.StringVar(&f.CheckpointDir, "checkpoint", "", "directory for per-run checkpoints (resume support)")
-	fs.Float64Var(&f.deadFrac, "max-dead-frac", 0.5, "re-densify analysis arc stores above this dead fraction (<= 0 disables)")
-	fs.Float64Var(&f.slotSlack, "max-slot-slack", 0.5, "compact slot tables above this vacancy/live ratio (<= 0 disables)")
 	fs.BoolVar(&f.Quiet, "quiet", false, "suppress progress lines")
 	return f
 }
@@ -142,23 +134,14 @@ func (f *Flags) LoadScenario() (scenario.Experiment, error) {
 	return exp, nil
 }
 
-// Prepare makes the experiments runnable under the flags: it creates the
-// -csv and -json directories, so an unwritable output location fails
-// before the sweep and not after it, and stamps the governance knobs on
-// every config (adversaries inherit the policy for their recon engines
-// through the scenario defaulting).
-func (f *Flags) Prepare(exps ...scenario.Experiment) error {
+// Prepare creates the -csv and -json directories, so an unwritable output
+// location fails before the sweep and not after it.
+func (f *Flags) Prepare() error {
 	for _, dir := range []string{f.CSVDir, f.JSONDir} {
 		if dir != "" {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				return err
 			}
-		}
-	}
-	gov := connectivity.PolicyFromKnobs(f.deadFrac, f.slotSlack)
-	for _, exp := range exps {
-		for i := range exp.Configs {
-			exp.Configs[i].Governance = gov
 		}
 	}
 	return nil

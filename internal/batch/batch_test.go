@@ -39,6 +39,9 @@ func TestSharedFlagValidation(t *testing.T) {
 		{[]string{"-jobs", "-1"}, "-jobs -1 must be >= 0"},
 		{[]string{"-scale", "galactic"}, "galactic"},
 		{[]string{"-no-such-flag"}, "not defined"},
+		// The governance policy is a constant, not a flag.
+		{[]string{"-max-dead-frac", "0"}, "not defined"},
+		{[]string{"-max-slot-slack", "0"}, "not defined"},
 	} {
 		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("args %v: err = %v, want one containing %q", tc.args, err, tc.want)

@@ -36,23 +36,6 @@ func DefaultGovernance() GovernancePolicy {
 	return GovernancePolicy{MaxDeadFrac: 0.5, MaxSlotSlack: 0.5}
 }
 
-// PolicyFromKnobs maps CLI-style governance knobs onto a policy. A
-// positive knob is the threshold itself; zero or negative disables that
-// dimension explicitly. The distinction matters because the scenario
-// layer treats the zero policy as "use the defaults" — a user passing
-// -max-dead-frac 0 means OFF, which needs the negative sentinel to
-// survive the defaulting.
-func PolicyFromKnobs(maxDeadFrac, maxSlotSlack float64) GovernancePolicy {
-	p := GovernancePolicy{MaxDeadFrac: maxDeadFrac, MaxSlotSlack: maxSlotSlack}
-	if p.MaxDeadFrac <= 0 {
-		p.MaxDeadFrac = -1
-	}
-	if p.MaxSlotSlack <= 0 {
-		p.MaxSlotSlack = -1
-	}
-	return p
-}
-
 // Enabled reports whether the policy triggers any maintenance at all.
 func (p GovernancePolicy) Enabled() bool {
 	return p.MaxDeadFrac > 0 || p.MaxSlotSlack > 0

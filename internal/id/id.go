@@ -154,6 +154,23 @@ func (a ID) String() string {
 	return hex.EncodeToString(a.data[:a.bits/8])
 }
 
+// MarshalText renders the identifier as String does, so an ID inside a
+// JSON document is its hex string.
+func (a ID) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText. Identifiers are whole
+// bytes, so the text's length is the bit-length; empty text is the zero
+// value.
+func (a *ID) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*a = ID{}
+		return nil
+	}
+	var err error
+	*a, err = Parse(len(text)*4, string(text))
+	return err
+}
+
 // Equal reports whether two identifiers have the same bit-length and value.
 func (a ID) Equal(b ID) bool {
 	return a.bits == b.bits && a.data == b.data

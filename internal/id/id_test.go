@@ -1,7 +1,9 @@
 package id
 
 import (
+	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -241,6 +243,37 @@ func TestParseStringRoundTrip(t *testing.T) {
 	}
 	if _, err := Parse(160, "abcd"); err == nil {
 		t.Error("expected error for wrong length")
+	}
+}
+
+// TestTextRoundTrip pins the encoding checkpoints rest on: the hex text
+// alone restores the identifier, bit-length included, and the zero value
+// is the empty text.
+func TestTextRoundTrip(t *testing.T) {
+	r := rng(12)
+	for _, a := range []ID{{}, Random(80, r), Random(160, r)} {
+		text, err := a.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := Random(160, r) // overwritten, not merged into
+		if err := back.UnmarshalText(text); err != nil {
+			t.Fatalf("UnmarshalText(%q): %v", text, err)
+		}
+		if back != a || back.Bits() != a.Bits() {
+			t.Fatalf("round trip of %d-bit %q gave %d-bit %v", a.Bits(), text, back.Bits(), back)
+		}
+	}
+	// The encoding is what encoding/json picks up for a field of type ID.
+	data, err := json.Marshal(struct{ ID ID }{FromUint64(80, 0xabc)})
+	if err != nil || string(data) != `{"ID":"00000000000000000abc"}` {
+		t.Fatalf("json.Marshal = %s, %v", data, err)
+	}
+	for _, bad := range []string{"abc", "zz", "0g", strings.Repeat("ab", MaxBytes+1)} {
+		var a ID
+		if err := a.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted as %d-bit %v", bad, a.Bits(), a)
+		}
 	}
 }
 

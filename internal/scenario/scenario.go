@@ -28,7 +28,7 @@ const (
 	DefaultStabilize        = 90 * time.Minute
 	DefaultSnapshotInterval = 20 * time.Minute
 	// DefaultSampleFraction is the paper's connectivity sampling c.
-	DefaultSampleFraction = 0.02
+	DefaultSampleFraction = connectivity.DefaultSampleFraction
 )
 
 // Config describes one simulation run (one curve bundle of one figure).
@@ -222,9 +222,12 @@ type SnapshotStat struct {
 	Removed  int     // cumulative adversarial removals at snapshot time
 }
 
-// Result is the outcome of one run.
+// Result is the outcome of one run. Its JSON encoding is the sweep
+// checkpoint's wire form: every measurement round-trips exactly
+// (Durations as nanoseconds), while Config — the job's, restored by the
+// loader — and the wall-clock Elapsed stay out.
 type Result struct {
-	Config       Config
+	Config       Config `json:"-"`
 	Points       []SnapshotStat
 	ChurnAdded   int
 	ChurnRemoved int
@@ -264,7 +267,7 @@ type Result struct {
 	DeadArcFrac     float64
 	SlotUtilization float64
 	Network         simnet.Stats
-	Elapsed         time.Duration // wall-clock cost of the run
+	Elapsed         time.Duration `json:"-"` // wall-clock cost of the run
 }
 
 // MinSeries returns the minimum-connectivity time series.

@@ -282,20 +282,10 @@ func (qs QuerySpec) finish(cfg scenario.Config) (Query, error) {
 	if qs.MaxReps > maxRepsCap {
 		return Query{}, fmt.Errorf("serve: max_reps %d exceeds the cap %d", qs.MaxReps, maxRepsCap)
 	}
-	// Check the rep bounds RunAdaptive will actually use (min_reps 0
-	// defaults to 3, max_reps 0 to 8), so an inconsistent pair is a spec
-	// error here and never a late failure after admission.
-	effMin, effMax := qs.MinReps, qs.MaxReps
-	if effMin <= 0 {
-		effMin = 3
-	}
-	if effMin < 2 {
-		effMin = 2
-	}
-	if effMax <= 0 {
-		effMax = 8
-	}
-	if effMax < effMin {
+	// Check the rep bounds RunAdaptive will actually use, so an
+	// inconsistent pair is a spec error here and never a late failure
+	// after admission.
+	if effMin, effMax, err := sweep.RepBounds(qs.MinReps, qs.MaxReps); err != nil {
 		return Query{}, fmt.Errorf("serve: max_reps %d < effective min_reps %d", effMax, effMin)
 	}
 	if qs.DeadlineMS < 0 {

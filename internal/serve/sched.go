@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// Sched is the server-wide admission queue: a FIFO weighted semaphore
+// Sched is the server-wide admission queue: a FIFO semaphore
 // bounding the total number of concurrently executing replications
 // across every query the server handles. Before kadserve had one, each
 // query span up its own wave pool, so N clients meant N×jobs concurrent
@@ -24,16 +24,11 @@ type Sched struct {
 	mu      sync.Mutex
 	limit   int64      // <= 0: unlimited
 	inUse   int64      // slots currently held
-	waiters *list.List // of *schedWaiter, FIFO
+	waiters *list.List // of chan struct{}, FIFO; closed when the slot is granted
 
 	queued   int64 // queries admitted but not yet holding their first slot
 	running  int64 // queries past their first slot and not yet done
 	canceled int64 // cumulative queries that ended canceled or timed out
-}
-
-type schedWaiter struct {
-	n     int64
-	ready chan struct{} // closed when the slots are granted
 }
 
 // NewSched builds an admission queue bounding concurrent replications to
@@ -43,77 +38,68 @@ func NewSched(limit int) *Sched {
 	return &Sched{limit: int64(limit), waiters: list.New()}
 }
 
-// acquire blocks until n slots are granted in FIFO order or ctx is done.
+// acquire blocks until one slot is granted in FIFO order or ctx is done.
 // On cancellation the waiter leaves the queue without disturbing the
 // grants of the queries behind it.
-func (s *Sched) acquire(ctx context.Context, n int64) error {
+func (s *Sched) acquire(ctx context.Context) error {
 	s.mu.Lock()
-	if s.limit <= 0 || (s.waiters.Len() == 0 && s.inUse+n <= s.limit) {
+	if s.limit <= 0 || (s.waiters.Len() == 0 && s.inUse < s.limit) {
 		if s.limit > 0 {
-			s.inUse += n
+			s.inUse++
 		}
 		s.mu.Unlock()
 		// Even an immediate grant respects cancellation: a dead caller
 		// must not start a simulation.
 		if err := ctx.Err(); err != nil {
-			s.release(n)
+			s.release()
 			return err
 		}
 		return nil
 	}
-	w := &schedWaiter{n: n, ready: make(chan struct{})}
-	elem := s.waiters.PushBack(w)
+	ready := make(chan struct{})
+	elem := s.waiters.PushBack(ready)
 	s.mu.Unlock()
 
 	select {
-	case <-w.ready:
+	case <-ready:
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
 		select {
-		case <-w.ready:
-			// Granted between ctx firing and the lock: hand the slots
-			// straight back so the next waiter gets them.
-			s.inUse -= n
+		case <-ready:
+			// Granted between ctx firing and the lock: hand the slot
+			// straight back so the next waiter gets it.
+			s.inUse--
 			s.grant()
 		default:
 			s.waiters.Remove(elem)
-			// Removing a waiter can unblock those behind it when the
-			// head was waiting for more slots than this one held back.
-			s.grant()
 		}
 		s.mu.Unlock()
 		return ctx.Err()
 	}
 }
 
-// release returns n slots and wakes eligible waiters in FIFO order.
-func (s *Sched) release(n int64) {
+// release returns one slot and wakes eligible waiters in FIFO order.
+func (s *Sched) release() {
 	if s.limit <= 0 {
 		return
 	}
 	s.mu.Lock()
-	s.inUse -= n
+	s.inUse--
 	s.grant()
 	s.mu.Unlock()
 }
 
 // grant satisfies queued waiters from the front while capacity lasts.
-// Caller holds s.mu. Strict FIFO: a small request behind a large one
-// waits — admission order is the fairness contract.
+// Caller holds s.mu. Admission order is the fairness contract.
 func (s *Sched) grant() {
 	for {
 		front := s.waiters.Front()
-		if front == nil {
+		if front == nil || s.inUse >= s.limit {
 			return
 		}
-		w := front.Value.(*schedWaiter)
-		if s.inUse+w.n > s.limit {
-			return
-		}
-		s.inUse += w.n
-		s.waiters.Remove(front)
-		close(w.ready)
+		s.inUse++
+		close(s.waiters.Remove(front).(chan struct{}))
 	}
 }
 
@@ -142,7 +128,7 @@ type Ticket struct {
 // queries) or ctx is done. The first grant moves the query from queued
 // to running.
 func (t *Ticket) Acquire(ctx context.Context) error {
-	if err := t.s.acquire(ctx, 1); err != nil {
+	if err := t.s.acquire(ctx); err != nil {
 		return err
 	}
 	t.once.Do(func() {
@@ -156,7 +142,7 @@ func (t *Ticket) Acquire(ctx context.Context) error {
 }
 
 // Release returns one replication slot.
-func (t *Ticket) Release() { t.s.release(1) }
+func (t *Ticket) Release() { t.s.release() }
 
 // Done unregisters the query; canceled marks it in the cumulative
 // cancellation counter (client disconnect or deadline exceeded).

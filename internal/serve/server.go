@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
 	"sync"
 	"time"
 
-	"kadre/internal/connectivity"
 	"kadre/internal/scenario"
 	"kadre/internal/sweep"
 )
@@ -22,7 +22,6 @@ import (
 type Server struct {
 	arena    *Arena
 	jobs     int
-	gov      connectivity.GovernancePolicy
 	sched    *Sched
 	deadline time.Duration
 	mux      *http.ServeMux
@@ -35,9 +34,6 @@ type Options struct {
 	// Jobs bounds each query's concurrently executing replications;
 	// <= 0 means GOMAXPROCS. Replication output is identical either way.
 	Jobs int
-	// Governance is the memory policy installed on every query's runs
-	// (the zero policy takes the scenario defaults).
-	Governance connectivity.GovernancePolicy
 	// MaxConcurrentSims bounds concurrently executing replications across
 	// every query the server handles: 0 means GOMAXPROCS, negative means
 	// unlimited. Admission is FIFO, so a limit delays queries under load
@@ -51,8 +47,7 @@ type Options struct {
 // NewServer builds the service and its routes.
 func NewServer(opts Options) *Server {
 	s := &Server{
-		arena: opts.Arena, jobs: opts.Jobs, gov: opts.Governance,
-		deadline: opts.DefaultDeadline,
+		arena: opts.Arena, jobs: opts.Jobs, deadline: opts.DefaultDeadline,
 	}
 	if s.arena == nil {
 		s.arena = NewArena(ArenaOptions{})
@@ -72,8 +67,8 @@ func NewServer(opts Options) *Server {
 	return s
 }
 
-// Arena returns the server's engine pool (shared with the maintenance
-// loop and with tests).
+// Arena returns the server's engine pool (tests and embedders read its
+// stats).
 func (s *Server) Arena() *Arena { return s.arena }
 
 // Sched returns the server's admission queue (tests poll its stats to
@@ -93,6 +88,11 @@ func (s *Server) handleArena(w http.ResponseWriter, _ *http.Request) {
 	st.Sched = &ss
 	writeJSON(w, http.StatusOK, st)
 }
+
+// maxQueryBytes caps a POST /v1/query body. The largest committed query
+// is under 250 bytes and the largest committed spec about 1 KiB, so an
+// embedded spec with an inline trace a thousand times that still fits.
+const maxQueryBytes = 1 << 20
 
 // decodeQuery reads a query body strictly: an unknown field is an error,
 // never a silently dropped knob.
@@ -114,10 +114,19 @@ func decodeQuery(r io.Reader) (QuerySpec, error) {
 // an expired deadline propagates through the sweep and the scenario
 // runner into the event kernel, which stops within one event batch.
 // Failures before the first streamed record answer with a real status —
-// 504 for a deadline, 500 otherwise; after the stream started, the
-// status is spoken for and the failure goes out as an error record.
+// 413 for a body over maxQueryBytes (refused before resolution, the
+// scheduler or the arena see it), 504 for a deadline, 500 otherwise;
+// after the stream started, the status is spoken for and the failure
+// goes out as an error record.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeQuery(r.Body)
+	spec, err := decodeQuery(http.MaxBytesReader(w, r.Body, maxQueryBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorRecord{
+			Type: "error", Error: fmt.Sprintf("query body exceeds %d bytes", tooLarge.Limit),
+		})
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorRecord{Type: "error", Error: "bad query spec: " + err.Error()})
 		return
@@ -127,8 +136,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorRecord{Type: "error", Error: err.Error()})
 		return
 	}
-	cfg := q.Config
-	cfg.Governance = s.gov
 
 	ctx := r.Context()
 	deadline := q.Deadline
@@ -173,7 +180,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	out := newStreamWriter(w, r)
 	hits, misses := 0, 0
-	ar, err := sweep.RunAdaptive(ctx, cfg, sweep.AdaptiveOptions{
+	ar, err := sweep.RunAdaptive(ctx, q.Config, sweep.AdaptiveOptions{
 		Rule:    q.Rule,
 		Extract: func(res *scenario.Result) float64 { v, _ := values.Load(res); return v.(float64) },
 		MinReps: q.MinReps, MaxReps: q.MaxReps, Jobs: s.jobs,
@@ -213,7 +220,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	final := resultRecord{
-		Type: "result", Name: cfg.Name, Metric: q.Metric,
+		Type: "result", Name: q.Config.Name, Metric: q.Metric,
 		Verdict: string(ar.Verdict), Reps: len(ar.Values),
 		Values: make([]jsonFloat, len(ar.Values)),
 		Mean:   jsonFloat(ar.Mean), CI95: jsonFloat(ar.CI95),

@@ -240,6 +240,35 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestQueryBodyCap pins the request-size cap: the same valid query padded
+// to one byte over maxQueryBytes is refused with 413 before resolution —
+// the arena sees no miss or build and the scheduler no query — while
+// padded to exactly the cap it still answers.
+func TestQueryBodyCap(t *testing.T) {
+	srv, ts := newTestServer(t)
+	padded := func(size int) string {
+		return strings.Repeat(" ", size-len(querySpec)) + querySpec
+	}
+
+	resp, body := postQuery(t, ts, padded(maxQueryBytes+1), "")
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: status %d: %s", resp.StatusCode, body)
+	}
+	if recs := records(t, body); len(recs) != 1 || recs[0]["type"] != "error" {
+		t.Fatalf("over-cap body answered %q, want one error record", body)
+	}
+	if st := srv.Arena().Stats(); st.Misses != 0 || st.Builds != 0 {
+		t.Fatalf("over-cap body reached the arena: %d misses, %d builds", st.Misses, st.Builds)
+	}
+	if st := srv.Sched().Stats(); st.Queued != 0 || st.Running != 0 || st.InUse != 0 {
+		t.Fatalf("over-cap body reached the scheduler: %+v", st)
+	}
+
+	if resp, body := postQuery(t, ts, padded(maxQueryBytes), ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("body at the cap: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestArenaAndHealthEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/healthz")

@@ -135,10 +135,9 @@ type AdaptiveOptions struct {
 	Rule StopRule
 	// Extract maps a finished replication to the target metric (required).
 	Extract func(*scenario.Result) float64
-	// MinReps is the smallest rep count a decision may rest on; values
-	// below 2 (where no CI exists) are raised to 2. Default 3.
+	// MinReps is the smallest rep count a decision may rest on and
+	// MaxReps caps the replications; RepBounds defaults and checks both.
 	MinReps int
-	// MaxReps caps the replications; <= 0 means 8. Must be >= MinReps.
 	MaxReps int
 	// Jobs bounds concurrently executing reps; <= 0 means GOMAXPROCS.
 	Jobs int
@@ -181,6 +180,27 @@ func (ar *AdaptiveResult) RunSet() (*RunSet, error) {
 	return rs, nil
 }
 
+// RepBounds is the one replication-bound rule: it maps requested
+// MinReps/MaxReps to the bounds RunAdaptive uses — MinReps <= 0 means 3
+// and is raised to 2 (no CI exists below), MaxReps <= 0 means 8 — and
+// fails when the cap is below the minimum. The effective bounds are
+// returned with the error too, so callers can phrase their own message.
+func RepBounds(minReps, maxReps int) (int, int, error) {
+	if minReps <= 0 {
+		minReps = 3
+	}
+	if minReps < 2 {
+		minReps = 2
+	}
+	if maxReps <= 0 {
+		maxReps = 8
+	}
+	if maxReps < minReps {
+		return minReps, maxReps, fmt.Errorf("sweep: MaxReps %d < MinReps %d", maxReps, minReps)
+	}
+	return minReps, maxReps, nil
+}
+
 // RunAdaptive replicates cfg until opts.Rule decides, MaxReps is
 // reached, or ctx is done. See the package comment on adaptive
 // determinism and cancellation: the returned result is byte-identical
@@ -196,19 +216,9 @@ func RunAdaptive(ctx context.Context, cfg scenario.Config, opts AdaptiveOptions)
 	if err := opts.Rule.validate(); err != nil {
 		return nil, err
 	}
-	minReps := opts.MinReps
-	if minReps <= 0 {
-		minReps = 3
-	}
-	if minReps < 2 {
-		minReps = 2
-	}
-	maxReps := opts.MaxReps
-	if maxReps <= 0 {
-		maxReps = 8
-	}
-	if maxReps < minReps {
-		return nil, fmt.Errorf("sweep: MaxReps %d < MinReps %d", maxReps, minReps)
+	minReps, maxReps, err := RepBounds(opts.MinReps, opts.MaxReps)
+	if err != nil {
+		return nil, err
 	}
 	runner := opts.Runner
 	if runner == nil {

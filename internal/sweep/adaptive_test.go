@@ -216,6 +216,28 @@ func TestAdaptiveOptionValidation(t *testing.T) {
 	}
 }
 
+// TestRepBounds pins the one replication-bound rule that RunAdaptive,
+// kadserve's query resolver and kadsweep -ci-stop share.
+func TestRepBounds(t *testing.T) {
+	for _, tc := range []struct {
+		min, max, wantMin, wantMax int
+		wantErr                    bool
+	}{
+		{0, 0, 3, 8, false},
+		{-1, -1, 3, 8, false},
+		{1, 5, 2, 5, false},
+		{4, 4, 4, 4, false},
+		{0, 2, 3, 2, true},
+		{6, 4, 6, 4, true},
+	} {
+		gotMin, gotMax, err := RepBounds(tc.min, tc.max)
+		if gotMin != tc.wantMin || gotMax != tc.wantMax || (err != nil) != tc.wantErr {
+			t.Errorf("RepBounds(%d, %d) = %d, %d, %v; want %d, %d, error %v",
+				tc.min, tc.max, gotMin, gotMax, err, tc.wantMin, tc.wantMax, tc.wantErr)
+		}
+	}
+}
+
 // TestAdaptivePreCanceled pins the wave-boundary check: a context done
 // before the first wave schedules nothing and surfaces the cause.
 func TestAdaptivePreCanceled(t *testing.T) {
@@ -297,42 +319,5 @@ func TestAdaptiveRunnerSeesDeadline(t *testing.T) {
 	}
 	if lostDeadline.Load() {
 		t.Fatal("runner context lost the caller's deadline")
-	}
-}
-
-// TestOrderedProgress pins the Ordered option: the event stream of a
-// multi-config replicated sweep arrives in exact (config, rep) order for
-// any worker count, with Done counting delivered events.
-func TestOrderedProgress(t *testing.T) {
-	cfgs := []scenario.Config{tinyConfig("ord-a", 21), tinyConfig("ord-b", 22)}
-	collect := func(jobs int) []Event {
-		var evs []Event
-		_, err := Run(cfgs, Options{
-			Reps: 2, Jobs: jobs, Ordered: true,
-			Progress: func(ev Event) {
-				ev.Elapsed = 0
-				evs = append(evs, ev)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return evs
-	}
-	seq := collect(4)
-	want := 0
-	for ci, cfg := range cfgs {
-		for rep := 0; rep < 2; rep++ {
-			ev := seq[want]
-			if ev.Name != cfg.Name || ev.Rep != rep || ev.Done != want+1 {
-				t.Fatalf("event %d = {%s rep %d done %d}, want {%s rep %d done %d}",
-					want, ev.Name, ev.Rep, ev.Done, cfg.Name, rep, want+1)
-			}
-			_ = ci
-			want++
-		}
-	}
-	if !reflect.DeepEqual(seq, collect(1)) {
-		t.Fatal("ordered event streams differ across jobs")
 	}
 }

@@ -6,26 +6,22 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
-	"kadre/internal/attack"
-	"kadre/internal/id"
 	"kadre/internal/scenario"
-	"kadre/internal/simnet"
 )
 
 // Checkpointer persists every completed run as one JSON file and replays
 // those files on a later sweep, so a long replicated sweep interrupted
 // half-way resumes instead of restarting (the ROADMAP's "sweep resume").
 //
-// A checkpoint stores the run's full measurement surface — snapshot
-// points with exact nanosecond timestamps, churn/traffic/attack counters,
-// the victim log, and network statistics — so a resumed sweep produces
-// byte-identical CSV/JSON artefacts. Wall-clock Elapsed is deliberately
-// not restored (it is excluded from all deterministic outputs). Files are
-// keyed by run name, replication index, and derived seed, and carry a
-// fingerprint of the effective configuration: a checkpoint written under
-// a different configuration is ignored and the run re-executes.
+// A checkpoint stores the run in scenario.Result's own JSON encoding —
+// every measurement, Durations as exact nanoseconds — so a resumed sweep
+// produces byte-identical CSV/JSON artefacts, and a field added to Result
+// resumes without an edit here. Wall-clock Elapsed is deliberately not
+// stored (it is excluded from all deterministic outputs). Files are keyed
+// by run name, replication index, and derived seed, and carry a
+// fingerprint of the effective configuration; Load says what a mismatch
+// means.
 type Checkpointer struct {
 	dir string
 }
@@ -44,57 +40,18 @@ func NewCheckpointer(dir string) (*Checkpointer, error) {
 // Dir returns the checkpoint directory.
 func (c *Checkpointer) Dir() string { return c.dir }
 
-// ckptFile is the on-disk form of one completed run.
+// ckptFile is the on-disk form of one completed run: the key that says
+// whose run it is, and the result in scenario.Result's own JSON encoding.
 type ckptFile struct {
 	Name        string `json:"name"`
 	Rep         int    `json:"rep"`
 	Seed        int64  `json:"seed"`
 	Fingerprint string `json:"fingerprint"`
 	// SpecDigest fingerprints the scenario spec file the run's config was
-	// resolved from (empty for compiled-in presets and older checkpoints).
-	// Resume refuses to mix results across different digests.
-	SpecDigest string `json:"spec_digest,omitempty"`
-	Bits       int    `json:"bits"`
-
-	Points         []ckptPoint `json:"points"`
-	ChurnAdded     int         `json:"churn_added"`
-	ChurnRemoved   int         `json:"churn_removed"`
-	TrafficOps     int         `json:"traffic_ops"`
-	WorkloadJoins  int         `json:"workload_joins,omitempty"`
-	WorkloadLeaves int         `json:"workload_leaves,omitempty"`
-	AttackRemoved  int         `json:"attack_removed"`
-	// Binding diagnostics, carried so a resumed run round-trips the
-	// original Result exactly (the resume regression test DeepEquals).
-	IncrementalBinds  int `json:"inc_binds,omitempty"`
-	FullBinds         int `json:"full_binds,omitempty"`
-	MembershipRebinds int `json:"member_rebinds,omitempty"`
-	// Memory-governance outcome, serialized into the sweep JSON and so
-	// required for byte-identical resumed artefacts.
-	SlotCompactions int          `json:"slot_compactions,omitempty"`
-	Redensifies     int          `json:"redensifies,omitempty"`
-	DeadArcFrac     float64      `json:"dead_arc_frac,omitempty"`
-	SlotUtilization float64      `json:"slot_utilization,omitempty"`
-	Victims         []ckptVictim `json:"victims,omitempty"`
-	Network         simnet.Stats `json:"network"`
-}
-
-// ckptPoint mirrors scenario.SnapshotStat with an exact timestamp (the
-// rendered JSON's t_min float would not round-trip Durations reliably).
-type ckptPoint struct {
-	TNS      int64   `json:"t_ns"`
-	N        int     `json:"n"`
-	Edges    int     `json:"edges"`
-	Min      int     `json:"min_conn"`
-	Avg      float64 `json:"avg_conn"`
-	Symmetry float64 `json:"symmetry"`
-	SCC      float64 `json:"scc_frac"`
-	Removed  int     `json:"removed"`
-}
-
-type ckptVictim struct {
-	TNS  int64  `json:"t_ns"`
-	Addr uint64 `json:"addr"`
-	ID   string `json:"id"`
+	// resolved from (empty for compiled-in presets). Resume refuses to mix
+	// results across different digests.
+	SpecDigest string           `json:"spec_digest,omitempty"`
+	Result     *scenario.Result `json:"result"`
 }
 
 // Fingerprint condenses every configuration field that shapes a run's
@@ -146,27 +103,7 @@ func (c *Checkpointer) Store(cfg scenario.Config, rep int, r *scenario.Result) e
 	eff := cfg.WithDefaults()
 	out := ckptFile{
 		Name: cfg.Name, Rep: rep, Seed: eff.Seed, Fingerprint: Fingerprint(eff),
-		SpecDigest: eff.SpecDigest,
-		Bits:       r.Config.Bits,
-		ChurnAdded: r.ChurnAdded, ChurnRemoved: r.ChurnRemoved,
-		TrafficOps: r.TrafficOps, AttackRemoved: r.AttackRemoved,
-		WorkloadJoins: r.WorkloadJoins, WorkloadLeaves: r.WorkloadLeaves,
-		IncrementalBinds: r.IncrementalBinds, FullBinds: r.FullBinds,
-		MembershipRebinds: r.MembershipRebinds,
-		SlotCompactions:   r.SlotCompactions, Redensifies: r.Redensifies,
-		DeadArcFrac: r.DeadArcFrac, SlotUtilization: r.SlotUtilization,
-		Network: r.Network,
-	}
-	for _, p := range r.Points {
-		out.Points = append(out.Points, ckptPoint{
-			TNS: int64(p.Time), N: p.N, Edges: p.Edges, Min: p.Min,
-			Avg: p.Avg, Symmetry: p.Symmetry, SCC: p.SCC, Removed: p.Removed,
-		})
-	}
-	for _, v := range r.Victims {
-		out.Victims = append(out.Victims, ckptVictim{
-			TNS: int64(v.Time), Addr: uint64(v.Addr), ID: v.ID.String(),
-		})
+		SpecDigest: eff.SpecDigest, Result: r,
 	}
 	data, err := json.Marshal(out)
 	if err != nil {
@@ -199,9 +136,11 @@ func (c *Checkpointer) Load(cfg scenario.Config, rep int) (*scenario.Result, boo
 		return nil, false, nil
 	}
 	var in ckptFile
-	if err := json.Unmarshal(data, &in); err != nil {
+	if err := json.Unmarshal(data, &in); err != nil || in.Result == nil {
 		// A corrupt file (e.g. a torn write from a hard kill predating the
-		// rename protocol) is not a definition change: re-run and rewrite.
+		// rename protocol) or one without a result object (the field-by-field
+		// layout of earlier versions) is not a definition change: re-run and
+		// rewrite.
 		return nil, false, nil
 	}
 	eff := cfg.WithDefaults()
@@ -218,35 +157,6 @@ func (c *Checkpointer) Load(cfg scenario.Config, rep int) (*scenario.Result, boo
 			"sweep: checkpoint %s was written from scenario spec digest %s but the current spec digests to %s: the spec file changed since the sweep was checkpointed — use a fresh checkpoint directory or delete the stale files",
 			c.path(cfg, rep), in.SpecDigest, eff.SpecDigest)
 	}
-	res := &scenario.Result{
-		Config:     eff,
-		ChurnAdded: in.ChurnAdded, ChurnRemoved: in.ChurnRemoved,
-		TrafficOps: in.TrafficOps, AttackRemoved: in.AttackRemoved,
-		WorkloadJoins: in.WorkloadJoins, WorkloadLeaves: in.WorkloadLeaves,
-		IncrementalBinds: in.IncrementalBinds, FullBinds: in.FullBinds,
-		MembershipRebinds: in.MembershipRebinds,
-		SlotCompactions:   in.SlotCompactions, Redensifies: in.Redensifies,
-		DeadArcFrac: in.DeadArcFrac, SlotUtilization: in.SlotUtilization,
-		Network: in.Network,
-	}
-	for _, p := range in.Points {
-		res.Points = append(res.Points, scenario.SnapshotStat{
-			Time: time.Duration(p.TNS), N: p.N, Edges: p.Edges, Min: p.Min,
-			Avg: p.Avg, Symmetry: p.Symmetry, SCC: p.SCC, Removed: p.Removed,
-		})
-	}
-	bits := in.Bits
-	if bits == 0 {
-		bits = id.DefaultBits
-	}
-	for _, v := range in.Victims {
-		parsed, err := id.Parse(bits, v.ID)
-		if err != nil {
-			return nil, false, nil
-		}
-		res.Victims = append(res.Victims, attack.Victim{
-			Time: time.Duration(v.TNS), Addr: simnet.Addr(v.Addr), ID: parsed,
-		})
-	}
-	return res, true, nil
+	in.Result.Config = eff
+	return in.Result, true, nil
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"kadre/internal/attack"
+	"kadre/internal/id"
 	"kadre/internal/scenario"
 )
 
@@ -221,5 +223,136 @@ func TestCheckpointIgnoresCorruptFile(t *testing.T) {
 	}
 	if fresh != 1 {
 		t.Fatalf("corrupt checkpoint not re-run (fresh=%d)", fresh)
+	}
+}
+
+// fillNonZero sets every field under v to a distinct non-zero value, and
+// fails on a kind it has no rule for — so a Result field of a new shape
+// extends this helper instead of slipping past the round-trip test.
+func fillNonZero(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	if v.Type() == reflect.TypeOf(id.ID{}) {
+		v.Set(reflect.ValueOf(id.Hash(id.DefaultBits, []byte{byte(*n)})))
+		return
+	}
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64: // time.Duration included
+		v.SetInt(int64(*n))
+	case reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.Float64:
+		// n + 0.1 has no exact binary form, so the shortest-decimal
+		// encoding has to round-trip for the comparison to hold.
+		v.SetFloat(float64(*n) + 0.1)
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		for i := 0; i < s.Len(); i++ {
+			fillNonZero(t, s.Index(i), n)
+		}
+		v.Set(s)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillNonZero(t, v.Field(i), n)
+		}
+	default:
+		t.Fatalf("fillNonZero: no rule for %s", v.Type())
+	}
+}
+
+// TestCheckpointRoundTripsEveryResultField is the guard the embedded
+// wire form needs: a Result with every measurement non-zero — the
+// workload counters, the governance outcome and victims of both
+// bit-lengths the paper evaluates included, none of which the resume
+// test's runs produce — survives Store and Load exactly. Config is the
+// job's and the wall-clock Elapsed is dropped, both by contract.
+func TestCheckpointRoundTripsEveryResultField(t *testing.T) {
+	cfg := ckptConfigs()[0]
+	stored := &scenario.Result{Config: cfg, Elapsed: time.Second}
+	v, n := reflect.ValueOf(stored).Elem(), 0
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "Config" && name != "Elapsed" {
+			fillNonZero(t, v.Field(i), &n)
+		}
+	}
+	stored.Victims[0].ID = id.Hash(80, []byte("short"))
+	stored.Victims[1].ID = id.Hash(160, []byte("long"))
+
+	ckpt, err := NewCheckpointer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.Store(cfg, 0, stored); err != nil {
+		t.Fatal(err)
+	}
+	loaded, ok, err := ckpt.Load(cfg, 0)
+	if err != nil || !ok {
+		t.Fatalf("Load = ok %v, err %v; want a replay", ok, err)
+	}
+	want := *stored
+	want.Config, want.Elapsed = cfg.WithDefaults(), 0
+	if !reflect.DeepEqual(loaded, &want) {
+		t.Fatalf("round trip lost a field:\n got %+v\nwant %+v", loaded, &want)
+	}
+}
+
+// TestCheckpointParentLayoutReRuns pins the upgrade path: testdata holds
+// the attacked run of ckptConfigs exactly as the last version with the
+// field-by-field layout (commit 248e82e) wrote it. It is this job's file
+// under this job's fingerprint, yet it must load as absent — the run
+// re-executes, the file is rewritten in the current layout, and both the
+// re-run and the following resume serialize to the fresh sweep's bytes.
+func TestCheckpointParentLayoutReRuns(t *testing.T) {
+	cfgs := ckptConfigs()[1:]
+	document := func(opts Options) []byte {
+		t.Helper()
+		sets, err := Run(cfgs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, JSONMeta{Experiment: "ckpt"}, sets); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fresh := document(Options{})
+
+	old, err := os.ReadFile(filepath.Join("testdata", "parent_layout_ckpt_attacked_r0_s3.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old, []byte(`"points":[`)) || bytes.Contains(old, []byte(`"result"`)) {
+		t.Fatal("fixture is not in the parent's layout")
+	}
+	ckpt, err := NewCheckpointer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(ckpt.Dir(), "ckpt_attacked_r0_s3.ckpt.json")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cached := 0
+	opts := Options{Checkpoint: ckpt, Progress: func(ev Event) {
+		if ev.Cached {
+			cached++
+		}
+	}}
+	if got := document(opts); cached != 0 || !bytes.Equal(got, fresh) {
+		t.Fatalf("over a parent-layout checkpoint: %d runs replayed (want 0), document equal to fresh: %v",
+			cached, bytes.Equal(got, fresh))
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(rewritten, []byte(`"result":{`)) {
+		t.Fatalf("checkpoint not rewritten in the current layout: %s", rewritten)
+	}
+	if got := document(opts); cached != 1 || !bytes.Equal(got, fresh) {
+		t.Fatalf("resume after the rewrite: %d runs replayed (want 1), document equal to fresh: %v",
+			cached, bytes.Equal(got, fresh))
 	}
 }

@@ -32,18 +32,9 @@ type Options struct {
 	// GOMAXPROCS.
 	Jobs int
 	// Progress, when set, receives one event per completed run. Events are
-	// delivered serially (never concurrently). By default they arrive in
-	// completion order, which depends on scheduling; the Done counter is
-	// monotonic either way.
+	// delivered serially (never concurrently), in completion order, which
+	// depends on scheduling; the Done counter is monotonic.
 	Progress func(Event)
-	// Ordered delivers Progress events in replication order — (group,
-	// config, rep), each event released as soon as every run before it
-	// has completed — so the event stream is rep-level deterministic
-	// under any Jobs value, at the cost of buffering out-of-order
-	// completions. Streaming consumers (single-config queries reporting
-	// per-rep progress) want this; interactive CLIs usually prefer the
-	// immediate completion-order default.
-	Ordered bool
 	// Checkpoint, when set, persists every completed run to disk and
 	// replays already-completed runs instead of re-executing them, so an
 	// interrupted sweep resumes where it stopped.
@@ -171,21 +162,21 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 		}
 	}
 
-	progress := newProgressGate(opts.Progress, len(jobs), opts.Ordered)
-	results, mapErr := par.Map(opts.Jobs, jobs, func(i int, j job) (*scenario.Result, error) {
+	progress := &progressGate{fn: opts.Progress, total: len(jobs)}
+	results, mapErr := par.Map(opts.Jobs, jobs, func(_ int, j job) (*scenario.Result, error) {
 		if opts.Checkpoint != nil {
 			res, ok, lerr := opts.Checkpoint.Load(j.cfg, j.rep)
 			if lerr != nil {
 				// A checkpoint for this exact run written under a different
 				// experiment definition: abort rather than silently mixing
 				// results from the edited and original definitions.
-				progress.emit(i, Event{
+				progress.emit(Event{
 					Experiment: j.group, Name: j.cfg.Name, Rep: j.rep, Seed: j.cfg.Seed, Err: lerr,
 				})
 				return nil, fmt.Errorf("scenario %q rep %d (seed %d): %w", j.cfg.Name, j.rep, j.cfg.Seed, lerr)
 			}
 			if ok {
-				progress.emit(i, Event{
+				progress.emit(Event{
 					Experiment: j.group, Name: j.cfg.Name, Rep: j.rep, Seed: j.cfg.Seed, Cached: true,
 				})
 				return res, nil
@@ -199,7 +190,7 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 		if res != nil {
 			elapsed = res.Elapsed
 		}
-		progress.emit(i, Event{
+		progress.emit(Event{
 			Experiment: j.group, Name: j.cfg.Name, Rep: j.rep, Seed: j.cfg.Seed,
 			Elapsed: elapsed, Err: rerr,
 		})
@@ -275,52 +266,20 @@ func (rs *RunSet) Aggregate() error {
 }
 
 // progressGate serializes Progress callbacks and owns the Done counter so
-// callers receive events one at a time without locking on their side. In
-// ordered mode it additionally buffers out-of-order completions and
-// releases events strictly in job (group, config, rep) order; a sweep
-// aborted by a failure may then leave buffered events after the gap
-// undelivered, mirroring how the failed run's successors may be skipped.
+// callers receive events one at a time without locking on their side.
 type progressGate struct {
-	mu      sync.Mutex
-	fn      func(Event)
-	total   int
-	done    int
-	ordered bool
-	next    int
-	pending map[int]Event
+	mu    sync.Mutex
+	fn    func(Event)
+	total int
+	done  int
 }
 
-func newProgressGate(fn func(Event), total int, ordered bool) *progressGate {
-	g := &progressGate{fn: fn, total: total, ordered: ordered}
-	if ordered && fn != nil {
-		g.pending = make(map[int]Event)
-	}
-	return g
-}
-
-func (g *progressGate) emit(idx int, ev Event) {
+func (g *progressGate) emit(ev Event) {
 	if g.fn == nil {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !g.ordered {
-		g.deliver(ev)
-		return
-	}
-	g.pending[idx] = ev
-	for {
-		nextEv, ok := g.pending[g.next]
-		if !ok {
-			return
-		}
-		delete(g.pending, g.next)
-		g.next++
-		g.deliver(nextEv)
-	}
-}
-
-func (g *progressGate) deliver(ev Event) {
 	g.done++
 	ev.Done = g.done
 	ev.Total = g.total

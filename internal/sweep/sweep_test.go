@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"kadre/internal/connectivity"
 	"kadre/internal/scenario"
 )
 
@@ -228,6 +229,26 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if doc3.Runs[0].Aggregate.Min[0].CI95 != nil {
 		t.Fatal("single-rep CI must be null")
+	}
+}
+
+// TestBuildJSONDropsMemoryWhenGovernanceDisabled pins the one way left to
+// a document without memory blocks: a config carrying the negative
+// (explicitly disabled) policy. The default policy keeps the block.
+func TestBuildJSONDropsMemoryWhenGovernanceDisabled(t *testing.T) {
+	on := tinyConfig("gov-on", 2)
+	off := tinyConfig("gov-off", 2)
+	off.Governance = connectivity.GovernancePolicy{MaxDeadFrac: -1, MaxSlotSlack: -1}
+	sets, err := Run([]scenario.Config{on, off}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := BuildJSON(JSONMeta{Experiment: "gov"}, sets)
+	if doc.Runs[0].Reps[0].Memory == nil {
+		t.Fatal("default governance must serialize the memory block")
+	}
+	if doc.Runs[1].Reps[0].Memory != nil {
+		t.Fatal("disabled governance must drop the memory block")
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -639,19 +640,28 @@ func Load(path string) (*Spec, error) {
 	return sp, nil
 }
 
-// LoadTrace reads a JSONL trace: one strictly-decoded TraceEvent per
-// non-empty line. Label lifecycles are validated in time order — a
-// labeled leave must name a node that joined before it and is still
-// live, and a labeled join must not reuse a live label — so a broken
-// trace fails at load time, not halfway through a simulation.
+// LoadTrace reads the JSONL trace file at path (see ReadTrace).
 func LoadTrace(path string) ([]TraceEvent, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("workload: trace %s: %w", path, err)
 	}
 	defer f.Close()
+	events, err := ReadTrace(f)
+	if err != nil {
+		return nil, fmt.Errorf("workload: trace %s: %w", path, err)
+	}
+	return events, nil
+}
+
+// ReadTrace reads a JSONL trace: one strictly-decoded TraceEvent per
+// non-empty line. Label lifecycles are validated in time order — a
+// labeled leave must name a node that joined before it and is still
+// live, and a labeled join must not reuse a live label — so a broken
+// trace fails at load time, not halfway through a simulation.
+func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 	var events []TraceEvent
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	line := 0
 	for sc.Scan() {
@@ -664,21 +674,21 @@ func LoadTrace(path string) ([]TraceEvent, error) {
 		dec.DisallowUnknownFields()
 		var ev TraceEvent
 		if err := dec.Decode(&ev); err != nil {
-			return nil, fmt.Errorf("workload: trace %s line %d: %w", path, line, err)
+			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
 		if err := ev.check(); err != nil {
-			return nil, fmt.Errorf("workload: trace %s line %d: %w", path, line, err)
+			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
 		events = append(events, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workload: trace %s: %w", path, err)
+		return nil, err
 	}
 	if len(events) == 0 {
-		return nil, fmt.Errorf("workload: trace %s has no events", path)
+		return nil, fmt.Errorf("no events")
 	}
 	if err := checkTraceLabels(events); err != nil {
-		return nil, fmt.Errorf("workload: trace %s: %w", path, err)
+		return nil, err
 	}
 	return events, nil
 }

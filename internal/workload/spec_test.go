@@ -214,23 +214,26 @@ func TestLoadResolvesTraceRelativeToSpec(t *testing.T) {
 	}
 }
 
+// traceRejections are malformed traces LoadTrace must refuse;
+// FuzzLoadTrace seeds from the same table.
+var traceRejections = []struct {
+	name    string
+	content string
+	want    string
+}{
+	{"bad json line", "{\"t_min\": 1, \"op\": \"join\"}\nnot json\n", "line 2"},
+	{"unknown field", `{"t_min": 1, "op": "join", "why": "x"}`, "why"},
+	{"bad op", `{"t_min": 1, "op": "crash"}`, "op"},
+	{"negative time", `{"t_min": -2, "op": "join"}`, "t_min"},
+	{"empty file", "\n\n", "no events"},
+	{"leave before join", `{"t_min": 1, "op": "leave", "node": "a"}`, "without a prior join"},
+	{"double join", "{\"t_min\": 1, \"op\": \"join\", \"node\": \"a\"}\n{\"t_min\": 2, \"op\": \"join\", \"node\": \"a\"}\n", "already live"},
+	{"out-of-order leave", "{\"t_min\": 9, \"op\": \"join\", \"node\": \"a\"}\n{\"t_min\": 3, \"op\": \"leave\", \"node\": \"a\"}\n", "without a prior join"},
+}
+
 func TestLoadTraceErrors(t *testing.T) {
 	dir := t.TempDir()
-	tests := []struct {
-		name    string
-		content string
-		want    string
-	}{
-		{"bad json line", "{\"t_min\": 1, \"op\": \"join\"}\nnot json\n", "line 2"},
-		{"unknown field", `{"t_min": 1, "op": "join", "why": "x"}`, "why"},
-		{"bad op", `{"t_min": 1, "op": "crash"}`, "op"},
-		{"negative time", `{"t_min": -2, "op": "join"}`, "t_min"},
-		{"empty file", "\n\n", "no events"},
-		{"leave before join", `{"t_min": 1, "op": "leave", "node": "a"}`, "without a prior join"},
-		{"double join", "{\"t_min\": 1, \"op\": \"join\", \"node\": \"a\"}\n{\"t_min\": 2, \"op\": \"join\", \"node\": \"a\"}\n", "already live"},
-		{"out-of-order leave", "{\"t_min\": 9, \"op\": \"join\", \"node\": \"a\"}\n{\"t_min\": 3, \"op\": \"leave\", \"node\": \"a\"}\n", "without a prior join"},
-	}
-	for _, tt := range tests {
+	for _, tt := range traceRejections {
 		t.Run(tt.name, func(t *testing.T) {
 			path := writeFile(t, dir, "t.jsonl", tt.content)
 			_, err := LoadTrace(path)
