@@ -17,12 +17,12 @@ type EngineOptions struct {
 	// Algorithm solves the sweep queries, pruned (capped at the running
 	// minimum) and exact alike; the flow values are identical with either
 	// solver. The zero value means HaoOrlin: the fixed-root sweep solver
-	// (see maxflow.HaoOrlinSolver) pays no per-sink global relabel. Its
-	// MaxFlowLimit may overshoot the cap (returning any value in
-	// [limit, kappa]); the sweep bookkeeping only relies on "below the cap
-	// means exact", which both solvers guarantee. Pass Dinic explicitly
-	// for stop-at-the-cap semantics or as the cross-check. Cut extraction
-	// always runs on Dinic, whatever is chosen here.
+	// (see maxflow.HaoOrlinSolver) pays no per-sink global relabel. Both
+	// solvers' MaxFlowLimit returns exactly min(cap, kappa) on the
+	// unit-capacity graphs bound here; the sweep bookkeeping only relies on
+	// "below the cap means exact". Pass Dinic explicitly as the
+	// cross-check. Cut extraction always runs on Dinic, whatever is chosen
+	// here.
 	Algorithm maxflow.Algorithm
 	// Workers bounds the sweep worker pool; <= 0 means GOMAXPROCS. Each
 	// worker owns private solvers, replacing the paper's cluster fan-out.

@@ -371,13 +371,19 @@ func (rt *RoutingTable) appendBucket(dst []Contact, b *bucket, target id.ID, wan
 
 // Contacts returns every live contact, bucket by bucket.
 func (rt *RoutingTable) Contacts() []Contact {
-	out := make([]Contact, 0, rt.size)
+	return rt.AppendContacts(make([]Contact, 0, rt.size))
+}
+
+// AppendContacts appends every live contact to dst, bucket by bucket, and
+// returns the extended slice: Contacts without the allocation, for
+// callers that walk many tables through one buffer.
+func (rt *RoutingTable) AppendContacts(dst []Contact) []Contact {
 	for _, b := range rt.buckets {
 		for _, e := range b.entries {
-			out = append(out, e.contact)
+			dst = append(dst, e.contact)
 		}
 	}
-	return out
+	return dst
 }
 
 // BucketLen returns the number of live contacts in bucket i.

@@ -322,6 +322,29 @@ func TestContactsMatchesSize(t *testing.T) {
 	}
 }
 
+// TestAppendContactsReusesBuffer: AppendContacts keeps what dst already
+// holds, appends exactly Contacts() in its order, and allocates nothing
+// once the buffer has grown to fit.
+func TestAppendContactsReusesBuffer(t *testing.T) {
+	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
+	for v := uint64(1); v < 200; v += 3 {
+		rt.Observe(contact(v))
+	}
+	want := rt.Contacts()
+	prefix := contact(12345)
+	got := rt.AppendContacts([]Contact{prefix})
+	if got[0] != prefix {
+		t.Fatalf("dst's own element overwritten: %v", got[0])
+	}
+	if err := sameContacts(got[1:], want); err != nil {
+		t.Fatal(err)
+	}
+	buf := got
+	if allocs := testing.AllocsPerRun(10, func() { buf = rt.AppendContacts(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendContacts into a fitting buffer allocates %.0f times", allocs)
+	}
+}
+
 func TestBucketInvariantProperty(t *testing.T) {
 	// Property: every live contact sits in the bucket matching its XOR
 	// distance, and no bucket exceeds k entries.

@@ -11,8 +11,8 @@ import "fmt"
 // cut extraction needs — the cut-mode network is always Dinic. For the
 // sweeps themselves, the fixed-root HaoOrlinSolver wins on wall-clock
 // (see BenchmarkMaxflowAlgorithms and the engine defaults); Dinic
-// remains the choice for exact cap semantics, single-pair queries
-// (connectivity.Pair's default), and cut extraction.
+// remains the choice for single-pair queries (connectivity.Pair's
+// default) and cut extraction.
 //
 // Two sweep-oriented optimizations apply on top of the textbook
 // algorithm. Queries restore only the residual capacities they actually

@@ -17,9 +17,7 @@ import "fmt"
 // now never moves. PrepareSource(s) therefore runs that search ONCE per
 // source on the fresh residual; each per-sink query starts from the
 // cached labels with a handful of O(n) array restores and pays only for
-// the flow it actually routes. The per-query global relabel — 68% of
-// snapshot-analysis time when every sink pays for its own — disappears
-// from the per-sink cost entirely.
+// the flow it actually routes; no per-sink global relabel is left.
 //
 // Exactness per pair is preserved by isolation rather than sharing: each
 // query runs on a logically fresh residual, restored via undo logs (the
@@ -32,16 +30,49 @@ import "fmt"
 // the property tests assert equality against fresh Dinic solves pair by
 // pair.
 //
-// MaxFlowLimit may overshoot its limit (any value in [limit, true flow]):
-// the early exit fires as soon as the root's excess reaches the limit.
-// Values below the limit are exact.
+// MaxFlowLimit returns exactly min(limit, true flow): the query injects
+// no more than U = min(limit, capacity out of t, capacity into s) units
+// (see the bounded injection in MaxFlowLimit), so the root's excess never
+// passes U, and a maximum preflow delivers min(U, kappa) of them. The
+// value therefore does not depend on the order in which arcs are tried,
+// which is what lets the scan below skip and reorder arcs freely without
+// moving a single result.
+//
+// The scan is sparse. In the reversed store an Even out-copy owns one
+// forward arc and 40-75 zero-capacity backward arcs, and a relabel or a
+// discharge that walks them all spends nine visits in ten on arcs that
+// cannot carry flow. So each vertex keeps a span [lo, hi) — the tightest
+// range of its arc region that covers every arc with cap0 > 0, rebuilt
+// lazily after a rebind — and an activation list: the backward arcs
+// outside the span that a push of the current query took from zero to
+// positive residual, kept in a per-query log (vertexScan, actEntry).
+// discharge and relabel scan the span and then the list, nothing else;
+// arcs inside the span, tombstones and interleaved backward arcs
+// included, are tested as ever, so general graphs stay correct. Two
+// invariants carry it:
+//
+//   - a non-empty list implies membership in dirtyV: an arc u->v is
+//     activated by a push v->u, which hands u excess, and only vertices
+//     holding excess are discharged or relabelled — so undoQuery restores
+//     every list and cursor while it clears the excess it logged;
+//   - a freshly activated arc u->v is inadmissible until u is relabelled:
+//     the push that created it ran downhill (height[v] = height[u]+1),
+//     labels only rise, and u's own label moves only in relabel, which
+//     rescans the whole list — so the entry may go in front of u's list
+//     cursor, and the cursor a relabel leaves is a valid current arc.
+//
+// relabel already visits every residual arc to find the lowest neighbour,
+// so it leaves the cursors at the first arc attaining that minimum rather
+// than at the start. On the repository benchmark's 150-node churn
+// workload a pair routes about 20 units of flow in 281 pushes and 66
+// relabels; the sparse scan visits 3 573 arcs for it where the dense one
+// visited 9 571.
 type HaoOrlinSolver struct {
 	st arcStore // REVERSED-orientation residual arcs
 
 	height      []int32
 	heightCount []int32
 	excess      []int64
-	cur         []int32 // current-arc cursor per vertex
 	bucketHead  []int32 // active-vertex buckets by height
 	nextActive  []int32
 	highest     int32
@@ -57,6 +88,20 @@ type HaoOrlinSolver struct {
 	// O(n). Arc restores ride the arcStore's dirty log.
 	dirtyV []int32
 
+	// scan holds, per vertex, the part of its arc region that discharge
+	// and relabel visit and the cursors into it (see vertexScan).
+	// spanStale marks the spans invalid after the arc layout or cap0
+	// changed (Reset, ApplyUnitDelta, Compact); rootRelabel rebuilds them,
+	// once per rebind.
+	scan      []vertexScan
+	spanStale bool
+
+	// act is the activation log of the current query: each entry names an
+	// arc outside its tail's span that a push took from zero to positive
+	// residual, and links the older entries of the same tail. Its length
+	// is proportional to the query's pushes; undoQuery truncates it.
+	act []actEntry
+
 	root      int32 // prepared forward-source (= reversed sink); -1 invalid
 	rootCapIn int64 // fresh residual capacity into the root (flow upper bound)
 	relabels  int   // since last mid-query global relabel
@@ -68,6 +113,21 @@ type HaoOrlinSolver struct {
 }
 
 var _ Solver = (*HaoOrlinSolver)(nil)
+
+// vertexScan is one vertex's share of the sparse scan (see HaoOrlinSolver):
+// its span [lo, hi), the current-arc cursor cur within the span, the
+// newest entry actHead of its activation list in the log, and the cursor
+// actCur that continues cur through the list. Between queries cur == lo
+// and actHead == actCur == -1 (empty list).
+type vertexScan struct {
+	lo, hi          int32
+	cur             int32
+	actHead, actCur int32
+}
+
+// actEntry is one activation: the arc, and the index in the log of the
+// previous activation at the same tail vertex (-1: none).
+type actEntry struct{ arc, next int32 }
 
 // reversedSource presents an EdgeSource with every edge reversed.
 type reversedSource struct{ src EdgeSource }
@@ -100,7 +160,12 @@ func (h *HaoOrlinSolver) Reset(n int, edges EdgeSource) {
 	h.revSrc.src = nil // do not retain the caller's source past init
 	h.height = growInt32(h.height, n)
 	h.srcHeight = growInt32(h.srcHeight, n)
-	h.cur = growInt32(h.cur, n)
+	if cap(h.scan) >= n {
+		h.scan = h.scan[:n]
+	} else {
+		h.scan = make([]vertexScan, n)
+	}
+	h.act = h.act[:0]
 	h.bucketHead = growInt32(h.bucketHead, 2*n+2)
 	h.nextActive = growInt32(h.nextActive, n)
 	h.heightCount = growInt32(h.heightCount, 2*n+2)
@@ -117,7 +182,7 @@ func (h *HaoOrlinSolver) Reset(n int, edges EdgeSource) {
 		h.queue = make([]int32, 0, n)
 	}
 	h.dirtyV = h.dirtyV[:0]
-	h.root = -1
+	h.root, h.spanStale = -1, true
 }
 
 // N implements Solver.
@@ -134,7 +199,7 @@ func (h *HaoOrlinSolver) ApplyUnitDelta(added, removed EdgeSource) bool {
 	if !h.st.applyDelta(added, removed, true) {
 		return false
 	}
-	h.root = -1
+	h.root, h.spanStale = -1, true
 	return true
 }
 
@@ -148,7 +213,7 @@ func (h *HaoOrlinSolver) ArcStats() ArcStats { return h.st.stats() }
 func (h *HaoOrlinSolver) Compact() {
 	h.undoQuery()
 	h.st.redensify()
-	h.root = -1
+	h.root, h.spanStale = -1, true
 }
 
 // PrepareSource implements Solver: it roots the distance labels at s (the
@@ -167,14 +232,19 @@ func (h *HaoOrlinSolver) PrepareSource(s int) {
 	h.rootRelabel()
 }
 
-// undoQuery restores the fresh residual and zero excess by replaying the
-// previous query's logs.
+// undoQuery restores the fresh residual, zero excess, empty activation
+// lists and rewound cursors by replaying the previous query's logs. Only
+// a vertex that held excess is ever discharged, relabelled or pushed
+// back to, so every vertex with a list or a moved cursor is in dirtyV.
 func (h *HaoOrlinSolver) undoQuery() {
 	h.st.resetTouched()
 	for _, v := range h.dirtyV {
 		h.excess[v] = 0
+		sc := &h.scan[v]
+		sc.cur, sc.actHead, sc.actCur = sc.lo, -1, -1
 	}
 	h.dirtyV = h.dirtyV[:0]
+	h.act = h.act[:0]
 }
 
 // relabelToRoot recomputes exact distance-to-root labels on the CURRENT
@@ -216,14 +286,38 @@ func (h *HaoOrlinSolver) relabelToRoot(root int32) {
 
 // rootRelabel computes the fresh-residual distance labels to the root
 // and caches them in srcHeight/srcHeightCount, together with the total
-// fresh capacity into the root (the sweep-wide flow upper bound).
+// fresh capacity into the root (the sweep-wide flow upper bound). The
+// first call after a rebind also rebuilds the spans.
 func (h *HaoOrlinSolver) rootRelabel() {
+	if h.spanStale {
+		h.buildSpans()
+		h.spanStale = false
+	}
 	h.relabelToRoot(h.root)
 	copy(h.srcHeight, h.height)
 	copy(h.srcHeightCount, h.heightCount)
 	h.rootCapIn = 0
 	for a := h.st.first[h.root]; a < h.st.last[h.root]; a++ {
 		h.rootCapIn += int64(h.st.cap[h.st.rev[a]])
+	}
+}
+
+// buildSpans sets every vertex's span to the tightest arc range that holds
+// its arcs with cap0 > 0 (empty when it has none) and puts the scan state
+// in its between-queries form. O(arcs).
+func (h *HaoOrlinSolver) buildSpans() {
+	first, last, cap0 := h.st.first, h.st.last, h.st.cap0
+	for v := range h.scan {
+		lo, hi := first[v], first[v]
+		for a := first[v]; a < last[v]; a++ {
+			if cap0[a] > 0 {
+				if hi == lo {
+					lo = a
+				}
+				hi = a + 1
+			}
+		}
+		h.scan[v] = vertexScan{lo: lo, hi: hi, cur: lo, actHead: -1, actCur: -1}
 	}
 }
 
@@ -247,12 +341,11 @@ func (h *HaoOrlinSolver) MaxFlowLimit(s, t, limit int) int {
 	}
 	h.undoQuery()
 
-	// Per-query state restore: cached labels, fresh cursors, empty
-	// buckets. All O(n) sequential writes — the whole point of the fixed
-	// root is that no per-query graph search happens here.
+	// Per-query state restore: cached labels and empty buckets (undoQuery
+	// rewound the cursors). All O(n) sequential writes — the whole point
+	// of the fixed root is that no per-query graph search happens here.
 	copy(h.height, h.srcHeight)
 	copy(h.heightCount, h.srcHeightCount)
-	copy(h.cur, h.st.first[:h.st.n])
 	for i := range h.bucketHead {
 		h.bucketHead[i] = -1
 	}
@@ -280,8 +373,8 @@ func (h *HaoOrlinSolver) MaxFlowLimit(s, t, limit int) int {
 	if h.rootCapIn < u64 {
 		u64 = h.rootCapIn
 	}
-	var outSum int64
-	for a := h.st.first[inj]; a < h.st.last[inj]; a++ {
+	var outSum int64 // fresh residual: nothing outside the span has capacity
+	for a := h.scan[inj].lo; a < h.scan[inj].hi; a++ {
 		outSum += int64(h.st.cap[a])
 	}
 	if outSum < u64 {
@@ -344,72 +437,119 @@ func (h *HaoOrlinSolver) popHighest(n int32) int32 {
 
 // discharge pushes u's excess along admissible arcs, relabeling as
 // needed, until the excess is gone or u joins the dormant set (height >=
-// n: excess parks there and the undo log drops it after the query).
+// n: excess parks there and the undo log drops it after the query). It
+// scans u's span from its cursor, then u's activation list from its list
+// cursor. What the scan reads per arc lives in locals — the stores of a
+// push may alias any slice reached through h, which would otherwise force
+// a reload per iteration — and is written back on exit; relabel owns the
+// cursors while it runs.
 func (h *HaoOrlinSolver) discharge(u, root, n int32) {
-	for h.excess[u] > 0 && h.height[u] < n {
-		if h.cur[u] >= h.st.last[u] {
+	to, capa, rev, height := h.st.to, h.st.cap, h.st.rev, h.height
+	su := &h.scan[u]
+	hi, a, l := su.hi, su.cur, su.actCur
+	e, hu := h.excess[u], height[u]
+	for hu < n {
+		// Next admissible arc b: the rest of the span, then of the list.
+		b := int32(-1)
+		for ; a < hi; a++ {
+			if capa[a] > 0 && height[to[a]]+1 == hu {
+				b = a
+				break
+			}
+		}
+		if b < 0 {
+			for ; l >= 0; l = h.act[l].next {
+				if c := h.act[l].arc; capa[c] > 0 && height[to[c]]+1 == hu {
+					b = c
+					break
+				}
+			}
+		}
+		if b < 0 {
 			h.relabel(u, n)
+			hu, a, l = height[u], su.cur, su.actCur
 			continue
 		}
-		a := h.cur[u]
-		v := h.st.to[a]
-		if h.st.cap[a] > 0 && h.height[u] == h.height[v]+1 {
-			h.push(u, v, a, root, n)
+
+		// Push min(e, cap) along b = u->v.
+		v, r := to[b], rev[b]
+		amt := int64(capa[b])
+		if e < amt {
+			amt = e
+		}
+		h.st.touch(b)
+		capa[b] -= int32(amt)
+		if sv := &h.scan[v]; capa[r] == 0 && (r < sv.lo || r >= sv.hi) {
+			// r = v->u turns residual outside v's span: from now on v's
+			// scans reach it through v's list. It is inadmissible until v
+			// is relabelled (height[v] == hu-1), so it may go in front of
+			// v's list cursor.
+			h.act = append(h.act, actEntry{arc: r, next: sv.actHead})
+			sv.actHead = int32(len(h.act) - 1)
+		}
+		capa[r] += int32(amt)
+		before := h.excess[v]
+		if before == 0 {
+			h.dirtyV = append(h.dirtyV, v)
+			if v != root && height[v] < n {
+				h.activate(v)
+			}
+		}
+		h.excess[v] = before + amt
+		if e -= amt; e == 0 {
+			break // the cursor stays on b, which may have capacity left
+		}
+		if a < hi { // b is saturated: step the cursor that produced it
+			a++
 		} else {
-			h.cur[u]++
+			l = h.act[l].next
 		}
 	}
+	su.cur, su.actCur = a, l
+	h.excess[u] = e
 }
 
-func (h *HaoOrlinSolver) push(u, v, a, root, n int32) {
-	amt := int64(h.st.cap[a])
-	if h.excess[u] < amt {
-		amt = h.excess[u]
-	}
-	h.st.touch(a)
-	r := h.st.rev[a]
-	h.st.cap[a] -= int32(amt)
-	h.st.cap[r] += int32(amt)
-	before := h.excess[v]
-	if before == 0 {
-		h.dirtyV = append(h.dirtyV, v)
-		if v != root && h.height[v] < n {
-			h.activate(v)
-		}
-	}
-	h.excess[v] = before + amt
-	h.excess[u] -= amt
-}
-
+// relabel lifts u to one above its lowest residual neighbour and leaves
+// the cursors at the first arc, in scan order, that attains that minimum:
+// every arc before it is saturated or leads to a vertex at least as high
+// as u's new label, so it is inadmissible until u is relabelled again.
 func (h *HaoOrlinSolver) relabel(u, n int32) {
 	h.relabels++
-	old := h.height[u]
+	to, capa, height := h.st.to, h.st.cap, h.height
+	old := height[u]
 	h.heightCount[old]--
 	// Gap heuristic: if u was the last vertex at its height, everything
 	// above that height joins the dormant set in one sweep.
 	if h.heightCount[old] == 0 && old < n {
 		for v := int32(0); v < n; v++ {
-			if h.height[v] > old && h.height[v] < n {
-				h.heightCount[h.height[v]]--
-				h.height[v] = n + 1
+			if height[v] > old && height[v] < n {
+				h.heightCount[height[v]]--
+				height[v] = n + 1
 			}
 		}
-		h.height[u] = n + 1
+		height[u] = n + 1
 		return
 	}
-	minH := int32(2*h.st.n) + 1
-	for a := h.st.first[u]; a < h.st.last[u]; a++ {
-		if h.st.cap[a] > 0 && h.height[h.st.to[a]] < minH {
-			minH = h.height[h.st.to[a]]
+	su := &h.scan[u]
+	minH := 2 * n
+	cur, actCur := su.hi, su.actHead
+	for a := su.lo; a < su.hi; a++ {
+		if capa[a] > 0 && height[to[a]] < minH {
+			minH, cur = height[to[a]], a
 		}
 	}
-	if minH >= 2*n {
-		h.height[u] = n + 1
+	for l := su.actHead; l >= 0; l = h.act[l].next {
+		if a := h.act[l].arc; capa[a] > 0 && height[to[a]] < minH {
+			minH, cur, actCur = height[to[a]], su.hi, l
+		}
+	}
+	if minH == 2*n { // no residual arc left: dormant
+		height[u] = n + 1
 		return
 	}
-	h.height[u] = minH + 1
+	height[u] = minH + 1
 	h.heightCount[minH+1]++
-	h.cur[u] = h.st.first[u]
+	su.cur, su.actCur = cur, actCur
 }
 
 // midRelabel is the every-n-relabels refresh within one query: exact
@@ -422,7 +562,10 @@ func (h *HaoOrlinSolver) relabel(u, n int32) {
 func (h *HaoOrlinSolver) midRelabel(root int32) {
 	n := int32(h.st.n)
 	h.relabelToRoot(root)
-	copy(h.cur, h.st.first[:h.st.n])
+	for v := range h.scan {
+		sc := &h.scan[v]
+		sc.cur, sc.actCur = sc.lo, sc.actHead
+	}
 	for i := range h.bucketHead {
 		h.bucketHead[i] = -1
 	}

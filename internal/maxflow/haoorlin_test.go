@@ -24,7 +24,7 @@ func randomEdges(r *rand.Rand, n, m, maxCap int) []Edge {
 // TestHaoOrlinSweepMatchesDinicPerPair is the property-based equivalence
 // oracle for the sweep solver: random graphs, random same-source sink
 // sequences, every value checked against a fresh Dinic solve of the same
-// pair — including MaxFlowLimit's exact-below-the-limit contract and
+// pair — including MaxFlowLimit's exactly-min(limit, flow) contract and
 // re-Reset to a different graph mid-life.
 func TestHaoOrlinSweepMatchesDinicPerPair(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
@@ -47,16 +47,8 @@ func TestHaoOrlinSweepMatchesDinicPerPair(t *testing.T) {
 						trial, s, tgt, got, want, n, edges)
 				}
 				limit := r.Intn(want + 3)
-				got := ho.MaxFlowLimit(s, tgt, limit)
-				if got > want {
-					t.Fatalf("trial %d (%d,%d) limit %d: got %d > true flow %d", trial, s, tgt, limit, got, want)
-				}
-				if got < limit && got != want {
-					t.Fatalf("trial %d (%d,%d) limit %d: got %d below the limit must be exact (true %d)",
-						trial, s, tgt, limit, got, want)
-				}
-				if got < limit && got < want {
-					t.Fatalf("trial %d (%d,%d) limit %d: got %d, want >= min(limit, %d)", trial, s, tgt, limit, got, want)
+				if got := ho.MaxFlowLimit(s, tgt, limit); got != min(limit, want) {
+					t.Fatalf("trial %d (%d,%d) limit %d: got %d, want exactly min(limit, %d)", trial, s, tgt, limit, got, want)
 				}
 			}
 		}

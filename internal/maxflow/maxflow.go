@@ -6,7 +6,14 @@
 // the connectivity engine's default) that amortizes the distance labels of
 // a one-source/all-sinks sweep to one search per source; its discharge
 // core is the highest-label push-relabel of the paper's own solver,
-// Cherkassky & Goldberg's HIPR. The solvers are reusable at four levels,
+// Cherkassky & Goldberg's HIPR, scanning per vertex only the arcs that can
+// carry flow: a span covering the arcs with original capacity, plus the
+// list of backward arcs the current query has made residual (two
+// invariants keep that exact — a vertex with a non-empty list is in the
+// query's undo log, and a freshly activated arc is inadmissible until its
+// tail is relabelled — and because bounded injection makes every value
+// exactly min(limit, flow), results do not depend on the order arcs are
+// tried; see HaoOrlinSolver). The solvers are reusable at four levels,
 // extending the paper's modified HIPR — which was rebuilt once per graph
 // and answered many vertex-pair queries per invocation:
 //
@@ -67,9 +74,10 @@ type Solver interface {
 	// repeatedly with different pairs; each call starts from zero flow.
 	MaxFlow(s, t int) int
 	// MaxFlowLimit is MaxFlow that may stop early once the flow value
-	// reaches limit, returning at least min(limit, true max flow). It
-	// exists for min-of-max-flows searches where values above the current
-	// minimum are irrelevant.
+	// reaches limit, returning at least min(limit, true max flow) and at
+	// most the true max flow (HaoOrlin, and Dinic on unit capacities,
+	// return exactly the minimum). It exists for min-of-max-flows searches
+	// where values above the current minimum are irrelevant.
 	MaxFlowLimit(s, t, limit int) int
 	// N returns the number of vertices.
 	N() int

@@ -140,25 +140,59 @@ func TestRepeatedQueriesIndependent(t *testing.T) {
 	}
 }
 
+// limitsAround lists the limits the MaxFlowLimit contract is pinned at for
+// a pair whose max flow is kappa.
+func limitsAround(kappa int) []int {
+	return []int{0, 1, kappa - 1, kappa, kappa + 1, int(^uint(0) >> 1)}
+}
+
+// checkMaxFlowLimit asserts the MaxFlowLimit contract for one pair at
+// every limit of limitsAround: HaoOrlin returns exactly min(limit, kappa)
+// (bounded injection never lets more than that reach the root), Dinic a
+// value in [min(limit, kappa), kappa] (its last augmenting path may carry
+// more than the cap has left when capacities exceed 1).
+func checkMaxFlowLimit(t testing.TB, name string, s Solver, src, tgt, kappa int) {
+	t.Helper()
+	for _, limit := range limitsAround(kappa) {
+		if limit < 0 {
+			continue
+		}
+		want := min(limit, kappa)
+		got := s.MaxFlowLimit(src, tgt, limit)
+		if _, exact := s.(*HaoOrlinSolver); exact && got != want {
+			t.Fatalf("%s (%d,%d): MaxFlowLimit(%d) = %d, want exactly min(limit, %d) = %d",
+				name, src, tgt, limit, got, kappa, want)
+		}
+		if got < want || got > kappa {
+			t.Fatalf("%s (%d,%d): MaxFlowLimit(%d) = %d outside [%d, %d]", name, src, tgt, limit, got, want, kappa)
+		}
+	}
+}
+
 func TestMaxFlowLimit(t *testing.T) {
-	// Wide graph: 10 disjoint unit paths.
-	var edges []Edge
+	// Wide graphs, ten disjoint two-arc paths from 0 to 1: unit capacities
+	// (kappa 10), and capacities 1..10 narrowed to i/2+1 on the second arc
+	// (kappa 1+2+2+3+3+4+4+5+5+6 = 35).
 	n := 22
+	var unit, capacitated []Edge
 	for i := 0; i < 10; i++ {
 		mid := 2 + i
-		edges = append(edges, Edge{0, mid, 1}, Edge{mid, 1, 1})
+		unit = append(unit, Edge{0, mid, 1}, Edge{mid, 1, 1})
+		capacitated = append(capacitated, Edge{0, mid, int32(i + 1)}, Edge{mid, 1, int32((i+1)/2 + 1)})
 	}
+	graphs := []struct {
+		name  string
+		edges []Edge
+		kappa int
+	}{{"unit", unit, 10}, {"capacitated", capacitated, 35}}
 	for name, factory := range solvers() {
 		t.Run(name, func(t *testing.T) {
-			s := factory(n, edges)
-			if got := s.MaxFlowLimit(0, 1, 3); got < 3 {
-				t.Fatalf("MaxFlowLimit(3) = %d, want >= 3", got)
-			}
-			if got := s.MaxFlowLimit(0, 1, 100); got != 10 {
-				t.Fatalf("MaxFlowLimit(100) = %d, want 10", got)
-			}
-			if got := s.MaxFlow(0, 1); got != 10 {
-				t.Fatalf("MaxFlow after limited query = %d, want 10", got)
+			for _, g := range graphs {
+				s := factory(n, g.edges)
+				checkMaxFlowLimit(t, name+" "+g.name, s, 0, 1, g.kappa)
+				if got := s.MaxFlow(0, 1); got != g.kappa {
+					t.Fatalf("%s: MaxFlow after limited queries = %d, want %d", g.name, got, g.kappa)
+				}
 			}
 		})
 	}

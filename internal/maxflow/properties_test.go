@@ -21,30 +21,20 @@ func randomUnitGraph(r *rand.Rand, n, m int) []Edge {
 }
 
 func TestMaxFlowLimitConsistency(t *testing.T) {
-	// Properties: MaxFlowLimit with limit >= true flow equals MaxFlow;
-	// with limit < true flow it returns a value in [limit, true flow]
-	// for Dinic (exactly limit) and >= limit for HaoOrlin.
+	// Property, on random unit and capacitated graphs: at every limit
+	// around the true flow, HaoOrlin returns exactly min(limit, flow) and
+	// Dinic a value in [min(limit, flow), flow] (see checkMaxFlowLimit).
 	r := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + r.Intn(20)
 		edges := randomUnitGraph(r, n, n*3)
+		if trial%2 == 1 {
+			edges = randomEdges(r, n, n*3, 4)
+		}
 		for name, factory := range solvers() {
 			s := factory(n, edges)
 			src, tgt := 0, n-1
-			full := s.MaxFlow(src, tgt)
-			if got := s.MaxFlowLimit(src, tgt, full+10); got != full {
-				t.Fatalf("%s: limit above flow changed result: %d vs %d", name, got, full)
-			}
-			if full > 1 {
-				lim := full - 1
-				got := s.MaxFlowLimit(src, tgt, lim)
-				if got < lim {
-					t.Fatalf("%s: limited flow %d below limit %d", name, got, lim)
-				}
-				if got > full {
-					t.Fatalf("%s: limited flow %d exceeds true flow %d", name, got, full)
-				}
-			}
+			checkMaxFlowLimit(t, name, s, src, tgt, s.MaxFlow(src, tgt))
 		}
 	}
 }
@@ -168,9 +158,8 @@ func TestVertexTombstoneReviveMatchesFresh(t *testing.T) {
 					if got := s.MaxFlow(sOut, tIn); got != want {
 						t.Fatalf("trial %d %s %s (%d,%d): patched=%d, fresh=%d", trial, stage, name, src, tgt, got, want)
 					}
-					// MaxFlowLimit behavior must be bit-identical between the
-					// patched and fresh instances of the SAME algorithm, even
-					// where the contract allows overshooting the limit.
+					// MaxFlowLimit must agree between the patched and fresh
+					// instances of the same algorithm at every limit.
 					for _, lim := range []int{0, 1, want, want + 1} {
 						if got, wantL := s.MaxFlowLimit(sOut, tIn, lim), fresh.MaxFlowLimit(sOut, tIn, lim); got != wantL {
 							t.Fatalf("trial %d %s %s (%d,%d) limit %d: patched=%d, fresh=%d",

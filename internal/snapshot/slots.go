@@ -283,9 +283,11 @@ func CaptureSlots(now time.Duration, nodes []*kademlia.Node, idx *SlotIndex) *Sl
 		s.IDs[r] = n.ID()
 		slotOf[n.ID()] = order[r]
 	}
+	var contacts []kademlia.Contact // one buffer for every node's table
 	for r, n := range live {
 		u := order[r]
-		for _, c := range n.Table().Contacts() {
+		contacts = n.Table().AppendContacts(contacts[:0])
+		for _, c := range contacts {
 			if v, ok := slotOf[c.ID]; ok && v != u {
 				s.Graph.AddEdge(u, v)
 			}

@@ -53,8 +53,10 @@ func Capture(now time.Duration, nodes []*kademlia.Node) *Snapshot {
 		s.Addrs[i] = n.Addr()
 		index[n.ID()] = i
 	}
+	var contacts []kademlia.Contact // one buffer for every node's table
 	for i, n := range live {
-		for _, c := range n.Table().Contacts() {
+		contacts = n.Table().AppendContacts(contacts[:0])
+		for _, c := range contacts {
 			if j, ok := index[c.ID]; ok && j != i {
 				s.Graph.AddEdge(i, j)
 			}
