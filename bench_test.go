@@ -558,19 +558,28 @@ func BenchmarkChurnSequence(b *testing.B) {
 	b.Run("members-bind-haoorlin", memberChurnSequenceBench(false, maxflow.HaoOrlin))
 }
 
-// BenchmarkSimulationMinute measures raw simulation throughput: one
-// simulated minute of a 100-node network with full data traffic.
+// BenchmarkSimulationMinute measures raw simulation throughput on a
+// 100-node network with full data traffic. One op is one fixed run — ten
+// setup minutes plus ten stabilised ones — so ns/op and allocs/op do not
+// depend on the iteration count the framework picks (the trajectory is
+// discontinuous at BENCH_2026-10-02.json; see its comment field).
 func BenchmarkSimulationMinute(b *testing.B) {
-	res, err := scenario.Run(scenario.Config{
-		Name: "bench", Seed: 5, Size: 100, K: 20, Staleness: 1,
-		Traffic: true,
-		Setup:   10 * time.Minute, Stabilize: time.Duration(b.N) * time.Minute,
-		SnapshotInterval: time.Hour * 24, SampleFraction: 0.05,
-	})
-	if err != nil {
-		b.Fatal(err)
+	const setup, stabilize = 10 * time.Minute, 10 * time.Minute
+	b.ReportAllocs()
+	var sent uint64
+	for i := 0; i < b.N; i++ {
+		res, err := scenario.Run(scenario.Config{
+			Name: "bench", Seed: 5, Size: 100, K: 20, Staleness: 1,
+			Traffic: true,
+			Setup:   setup, Stabilize: stabilize,
+			SnapshotInterval: time.Hour * 24, SampleFraction: 0.05,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sent += res.Network.Sent
 	}
-	b.ReportMetric(float64(res.Network.Sent)/float64(b.N), "msgs/min")
+	b.ReportMetric(float64(sent)/(float64(b.N)*(setup+stabilize).Minutes()), "msgs/min")
 }
 
 // The three benchmarks below time the simulator's layers one at a time

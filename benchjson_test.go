@@ -26,6 +26,11 @@ import (
 // and commit the resulting BENCH_<date>.json.
 var benchJSONOut = flag.String("benchjson", "", "write bench-trajectory JSON to this directory or .json path")
 
+// benchJSONComment is recorded in the trajectory file's comment field: what
+// a reader comparing this point with its neighbours has to know (a
+// benchmark redefined, a different host).
+var benchJSONComment = flag.String("benchcomment", "", "comment recorded in the bench-trajectory JSON")
+
 // benchTrajectoryEntry is one benchmark's measurement in the trajectory
 // file. Only rate quantities are recorded — iteration counts depend on
 // benchtime and are reported for context, not comparison.
@@ -43,6 +48,7 @@ type benchTrajectoryFile struct {
 	GoVersion  string                 `json:"go_version"`
 	GOMAXPROCS int                    `json:"gomaxprocs"`
 	Scale      string                 `json:"scale"`
+	Comment    string                 `json:"comment,omitempty"`
 	Benchmarks []benchTrajectoryEntry `json:"benchmarks"`
 }
 
@@ -79,6 +85,7 @@ func TestBenchTrajectory(t *testing.T) {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Scale:      "tiny",
+		Comment:    *benchJSONComment,
 	}
 	for _, bench := range benches {
 		res := testing.Benchmark(bench.fn)

@@ -93,6 +93,12 @@ type SnapshotResult struct {
 // Engine is NOT safe for concurrent use — it parallelizes internally
 // across Workers. Results are deterministic for a given graph and
 // query, independent of the worker count.
+//
+// Lifetimes of the derived structures: even, cutEven and the flat
+// successor arrays (succStart/succ) describe one binding generation and
+// are rebuilt — lazily, in a serial section — after gen moves; the fan
+// closure scratch in each engineWorker describes one (source, threshold)
+// and is reset per task. Everything else is sized once and reused.
 type Engine struct {
 	algo       maxflow.Algorithm
 	maxWorkers int
@@ -108,6 +114,12 @@ type Engine struct {
 	// patched solvers never read it, so it is rebuilt lazily — and only
 	// serially, before workers spawn — for solvers that need a full Reset.
 	evenDirty bool
+	// Flat successor arrays of g in the bound graph's numbering, in
+	// arbitrary per-vertex order: vertex u's out-neighbours are
+	// succ[succStart[u]:succStart[u+1]]. The fan closure walks them instead
+	// of g's adjacency maps; adjGen is the generation they were built for.
+	succStart, succ []int32
+	adjGen          uint64
 
 	// Stable-slot (masked) binding state. With BindSlots the bound graph
 	// lives in slot space — one vertex per population slot, vacant slots
@@ -157,12 +169,17 @@ type Engine struct {
 	state    sweepState // reused cross-worker coordination (zero steady-state allocs)
 }
 
-// engineWorker holds one worker's lazily created solvers.
+// engineWorker holds one worker's lazily created solvers, its fan-closure
+// scratch and its share of the engine's work counters.
 type engineWorker struct {
 	capped    maxflow.Solver
 	exact     maxflow.Solver
 	cappedGen uint64
 	exactGen  uint64
+	fan       fanClosure
+	// Pairs this worker answered with a flow and from the closure; written
+	// once per sweep, read by SweepFlows/SweepSettled between sweeps.
+	flows, settled int
 }
 
 // sweepTask evaluates one source against every non-adjacent target.
@@ -463,6 +480,44 @@ func (e *Engine) ensureEven() {
 	e.evenDirty = false
 }
 
+// ensureAdjacency rebuilds the flat successor arrays when the binding
+// generation moved. Like ensureEven it must only run serially: it is the
+// one place the engine ranges over the bound graph's adjacency maps for
+// the closure, once per generation instead of once per source.
+func (e *Engine) ensureAdjacency() {
+	if e.adjGen == e.gen {
+		return
+	}
+	start, succ := append(e.succStart[:0], 0), e.succ[:0]
+	for u := 0; u < e.n; u++ {
+		succ = e.g.AppendSuccessors(succ, u)
+		start = append(start, int32(len(succ)))
+	}
+	e.succStart, e.succ, e.adjGen = start, succ, e.gen
+}
+
+// SweepFlows reports how many sweep pairs a solver answered, exact and
+// capped alike, over the engine's lifetime (cumulative like Rebinds).
+// SweepSettled counts the capped pairs the fan closure answered without
+// one. Both are deterministic at Workers: 1; with more workers the split
+// depends on when each task read the running minimum, the results never.
+func (e *Engine) SweepFlows() int {
+	total := 0
+	for i := range e.workers {
+		total += e.workers[i].flows
+	}
+	return total
+}
+
+// SweepSettled is SweepFlows' counterpart: see there.
+func (e *Engine) SweepSettled() int {
+	total := 0
+	for i := range e.workers {
+		total += e.workers[i].settled
+	}
+	return total
+}
+
 // ensureCut readies cutSrc for (re)building the cut-mode network. Under a
 // dense binding bindFull already aimed it at the shared Even list; under
 // a masked one it is the compacted rank-space list — the numbering in
@@ -642,6 +697,9 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 			e.solverFor(w, true)
 		}
 	}
+	if needCapped {
+		e.ensureAdjacency()
+	}
 	if workers <= 1 {
 		e.sweepWorker(0, tasks, st)
 		return
@@ -667,19 +725,35 @@ type sweepState struct {
 
 // sweepWorker drains tasks, writing results[idx] for each claimed task
 // (distinct indices, so no result locking is needed). Sources, targets
-// and recorded pairs are dense ranks; only the solver coordinates and
-// adjacency probes translate through vtx to the bound graph's numbering,
-// so a masked sweep records exactly what a dense sweep of the compacted
-// graph would.
+// and recorded pairs are dense ranks; only the solver coordinates,
+// adjacency probes and the fan closure translate through vtx to the bound
+// graph's numbering, so a masked sweep records exactly what a dense sweep
+// of the compacted graph would.
+//
+// A capped task asks the solver only about the sinks its fan closure
+// cannot vouch for. The lemma (Menger's theorem in its fan form, the
+// expansion lemma): let A hold s, its out-neighbours, and vertices a with
+// kappa(s, a) >= L. A vertex t outside A with L in-neighbours in A has
+// kappa(s, t) >= L. Proof: a vertex set C, |C| < L, avoiding s and t
+// misses one of those in-neighbours, a. s still reaches a in G-C — a is
+// s, or the edge s->a survives, or kappa(s, a) >= L > |C| — and the edge
+// a->t survives, so C does not separate s from t. MaxFlowLimit returns
+// exactly min(limit, kappa), so for a member the sweep records the limit
+// itself, bit for bit what the call would have returned. The closure's
+// threshold follows the task's limit down (members stay valid at a
+// smaller threshold), and a sink whose flow reaches the limit joins it and
+// may vouch for later ones.
 func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 	n := e.nact
 	g := e.g
+	fan := &e.workers[w].fan
+	flows, settled := 0, 0
 	for {
 		st.mu.Lock()
 		idx := st.next
 		if idx >= len(tasks) {
 			st.mu.Unlock()
-			return
+			break
 		}
 		st.next++
 		limit := st.running
@@ -694,7 +768,14 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			cappedMin: n, cappedMinTgt: n,
 		}
 		solver := e.solverFor(w, task.exact)
-		solver.PrepareSource(graph.Out(srcV))
+		// An exact task roots the solver at its source up front; a capped
+		// one at its first flow, which most never reach.
+		rooted := task.exact
+		if task.exact {
+			solver.PrepareSource(graph.Out(srcV))
+		} else {
+			fan.reset(e.succStart, e.succ, srcV, limit)
+		}
 		for tgt := 0; tgt < n; tgt++ {
 			tgtV := e.vtx(tgt)
 			if tgtV == srcV || g.HasEdge(srcV, tgtV) {
@@ -703,11 +784,25 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			var flow int
 			if task.exact {
 				flow = solver.MaxFlow(graph.Out(srcV), graph.In(tgtV))
+				flows++
 				if flow < res.exactMin {
 					res.exactMin, res.exactMinTgt = flow, tgt
 				}
 			} else {
-				flow = solver.MaxFlowLimit(graph.Out(srcV), graph.In(tgtV), limit)
+				if fan.has(tgtV) {
+					flow = limit
+					settled++
+				} else {
+					if !rooted {
+						solver.PrepareSource(graph.Out(srcV))
+						rooted = true
+					}
+					flow = solver.MaxFlowLimit(graph.Out(srcV), graph.In(tgtV), limit)
+					flows++
+					if flow >= limit {
+						fan.add(tgtV)
+					}
+				}
 				if flow < limit {
 					// The cap did not bind: the value is exact.
 					if flow < res.exactMin {
@@ -734,11 +829,14 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 						limit = st.running
 					}
 					st.mu.Unlock()
+					fan.lower(limit)
 				}
 			}
 		}
 		e.results[idx] = res
 	}
+	e.workers[w].flows += flows
+	e.workers[w].settled += settled
 }
 
 // combine folds task results into a Result, including the
@@ -778,8 +876,10 @@ func (e *Engine) combine(results []taskResult, sources int) Result {
 // a capped candidate with value exactly min. Only the capped candidates
 // are ambiguous — kappa could exceed min under the cap — and only those
 // before the source's first exact hit matter, so the fallback re-checks
-// just that window with cap min+1. This replaces the bounded second
-// sweep (lexMinPair) the previous revision ran over every source.
+// just that window with cap min+1 — and of that window only the sinks the
+// source's fan closure at threshold min+1 cannot vouch for: a member has
+// kappa >= min+1 and so cannot be the pair. This replaces the bounded
+// second sweep (lexMinPair) the previous revision ran over every source.
 func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int) [2]int {
 	n := e.nact
 	idxs := e.idxBuf[:0]
@@ -791,6 +891,7 @@ func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int
 	slices.SortFunc(idxs, func(a, b int) int { return tasks[a].src - tasks[b].src })
 	e.idxBuf = idxs
 	var solver maxflow.Solver
+	ew := &e.workers[0]
 	for _, ti := range idxs {
 		r := &results[ti]
 		src := tasks[ti].src
@@ -806,16 +907,28 @@ func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int
 		if amTgt < exTgt {
 			if solver == nil {
 				solver = e.solverFor(0, false)
+				e.ensureAdjacency()
 			}
-			solver.PrepareSource(graph.Out(srcV))
+			ew.fan.reset(e.succStart, e.succ, srcV, min+1)
+			rooted := false
 			for tgt := amTgt; tgt < exTgt; tgt++ {
 				tgtV := e.vtx(tgt)
 				if tgtV == srcV || e.g.HasEdge(srcV, tgtV) {
 					continue
 				}
+				if ew.fan.has(tgtV) {
+					ew.settled++
+					continue
+				}
+				if !rooted {
+					solver.PrepareSource(graph.Out(srcV))
+					rooted = true
+				}
+				ew.flows++
 				if solver.MaxFlowLimit(graph.Out(srcV), graph.In(tgtV), min+1) == min {
 					return [2]int{src, tgt}
 				}
+				ew.fan.add(tgtV)
 			}
 		}
 		if exTgt < n {

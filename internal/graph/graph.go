@@ -104,6 +104,18 @@ func (g *Digraph) Successors(u int) []int {
 	return out
 }
 
+// AppendSuccessors appends u's out-neighbours to dst in arbitrary order
+// and returns the extended slice: the unsorted form of Successors, which
+// allocates nothing when dst has room. It exists to fill flat adjacency
+// arrays whose consumers do not depend on the order.
+func (g *Digraph) AppendSuccessors(dst []int32, u int) []int32 {
+	g.check(u)
+	for v := range g.adj[u] {
+		dst = append(dst, v)
+	}
+	return dst
+}
+
 // Edges returns all edges in deterministic (u, then v) order.
 func (g *Digraph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)

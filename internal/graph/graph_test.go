@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -59,6 +61,29 @@ func TestSuccessorsSortedAndCopied(t *testing.T) {
 	s[0] = 99
 	if g.Successors(0)[0] != 2 {
 		t.Fatal("Successors leaked internal state")
+	}
+}
+
+func TestAppendSuccessors(t *testing.T) {
+	g := NewDigraph(6)
+	for _, v := range []int{4, 2, 3} {
+		g.AddEdge(0, v)
+	}
+	g.AddEdge(1, 5)
+	buf := make([]int32, 0, 8)
+	buf = g.AppendSuccessors(buf, 1)
+	buf = g.AppendSuccessors(buf, 0)
+	buf = g.AppendSuccessors(buf, 3) // no successors: appends nothing
+	if len(buf) != 4 || buf[0] != 5 {
+		t.Fatalf("AppendSuccessors = %v, want 5 then {2,3,4} in any order", buf)
+	}
+	got := []int{int(buf[1]), int(buf[2]), int(buf[3])}
+	sort.Ints(got)
+	if want := g.Successors(0); !slices.Equal(got, want) {
+		t.Fatalf("AppendSuccessors(0) = %v as a set, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { buf = g.AppendSuccessors(buf[:0], 0) }); allocs != 0 {
+		t.Fatalf("AppendSuccessors into a fitting buffer allocates %.0f times", allocs)
 	}
 }
 

@@ -37,7 +37,13 @@ type bucket struct {
 	replacements []Contact // oldest first; newest appended at the end
 }
 
+// find returns the position of nodeID among the entries, or -1. A nil
+// bucket (one the table never allocated, see RoutingTable.buckets) is
+// empty.
 func (b *bucket) find(nodeID id.ID) int {
+	if b == nil {
+		return -1
+	}
 	for i, e := range b.entries {
 		if e.contact.ID.Equal(nodeID) {
 			return i
@@ -84,14 +90,19 @@ func (b *bucket) pushReplacement(c Contact, limit int) {
 // XOR distance (bucket i holds contacts with 2^i <= dist < 2^(i+1)).
 // It is not safe for concurrent use; the simulation is single-threaded.
 type RoutingTable struct {
-	self    id.ID
-	cfg     Config
+	self id.ID
+	cfg  Config
+	// buckets is stored by depth c = Bits-1-i (the length of the prefix a
+	// contact shares with self) and allocated on demand: Observe grows it
+	// on the first insert into a deeper bucket, and a bucket past its end
+	// is empty. A network of n nodes populates about log2(n) depths, so a
+	// table carries ~10 buckets instead of Bits = 160.
 	buckets []bucket
 	size    int
 	// occupied has one bit per bucket, set while the bucket holds a live
 	// contact, so that AppendClosest steps over empty buckets a word at a
-	// time. Bits are numbered from the top like id.XorWords: bucket i is
-	// bit 63-c%64 of word c/64 with c = Bits-1-i.
+	// time. Bits are numbered from the top like id.XorWords: depth c is
+	// bit 63-c%64 of word c/64.
 	occupied [id.MaxBytes / 8]uint64
 	// ranked is AppendClosest's scratch: one bucket's contacts keyed by
 	// distance while they are sorted.
@@ -110,7 +121,7 @@ type rankedContact struct {
 // NewRoutingTable builds an empty table for the given owner.
 func NewRoutingTable(self id.ID, cfg Config) *RoutingTable {
 	cfg = cfg.WithDefaults()
-	return &RoutingTable{self: self, cfg: cfg, buckets: make([]bucket, cfg.Bits)}
+	return &RoutingTable{self: self, cfg: cfg}
 }
 
 // Self returns the owner's identifier.
@@ -124,8 +135,7 @@ func (rt *RoutingTable) Contains(nodeID id.ID) bool {
 	if nodeID.Equal(rt.self) {
 		return false
 	}
-	b := rt.bucketFor(nodeID)
-	return b != nil && b.find(nodeID) >= 0
+	return rt.bucketFor(nodeID).find(nodeID) >= 0
 }
 
 // ObserveResult reports the consequences of an Observe call.
@@ -151,8 +161,13 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	if c.ID.Equal(rt.self) || c.ID.IsZeroValue() {
 		return ObserveResult{}
 	}
-	bi := rt.self.BucketIndex(c.ID)
-	b := &rt.buckets[bi]
+	depth := rt.cfg.Bits - 1 - rt.self.BucketIndex(c.ID)
+	if depth >= len(rt.buckets) {
+		// First contact this deep: it is inserted below, so the growth is
+		// never wasted on a bucket that stays empty.
+		rt.buckets = append(rt.buckets, make([]bucket, depth+1-len(rt.buckets))...)
+	}
+	b := &rt.buckets[depth]
 	if i := b.find(c.ID); i >= 0 {
 		e := b.entries[i]
 		e.fails = 0
@@ -164,7 +179,7 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	if len(b.entries) < rt.cfg.K {
 		b.entries = append(b.entries, &entry{contact: c})
 		rt.size++
-		rt.setOccupied(bi, true)
+		rt.setOccupied(depth, true)
 		return ObserveResult{Inserted: true}
 	}
 	// Bucket full: a stale entry (>= s consecutive failures) is replaced
@@ -278,15 +293,18 @@ func (rt *RoutingTable) Remove(nodeID id.ID) bool {
 	if nodeID.Equal(rt.self) {
 		return false
 	}
-	bi := rt.self.BucketIndex(nodeID)
-	b := &rt.buckets[bi]
+	depth := rt.cfg.Bits - 1 - rt.self.BucketIndex(nodeID)
+	if depth >= len(rt.buckets) {
+		return false
+	}
+	b := &rt.buckets[depth]
 	i := b.find(nodeID)
 	if i < 0 {
 		return false
 	}
 	b.entries = append(b.entries[:i], b.entries[i+1:]...)
 	rt.size--
-	rt.setOccupied(bi, len(b.entries) > 0)
+	rt.setOccupied(depth, len(b.entries) > 0)
 	return true
 }
 
@@ -313,21 +331,20 @@ func (rt *RoutingTable) Closest(target id.ID, count int) []Contact {
 func (rt *RoutingTable) AppendClosest(dst []Contact, target id.ID, count int, exclude id.ID) []Contact {
 	d := rt.self.XorWords(target)
 	want := len(dst) + count
-	top := len(rt.buckets) - 1
-	// d and occupied number bits from the top (see occupied): ascending
-	// bit position is descending bucket index.
+	// d, occupied and buckets all number from the top (see occupied):
+	// ascending bit position is ascending depth, descending bucket index.
 	for w := 0; w < len(d) && len(dst) < want; w++ {
 		for m := rt.occupied[w] & d[w]; m != 0 && len(dst) < want; {
 			lz := bits.LeadingZeros64(m)
 			m &^= 1 << (63 - lz)
-			dst = rt.appendBucket(dst, &rt.buckets[top-(64*w+lz)], target, want, exclude)
+			dst = rt.appendBucket(dst, &rt.buckets[64*w+lz], target, want, exclude)
 		}
 	}
 	for w := len(d) - 1; w >= 0 && len(dst) < want; w-- {
 		for m := rt.occupied[w] &^ d[w]; m != 0 && len(dst) < want; {
 			tz := bits.TrailingZeros64(m)
 			m &= m - 1
-			dst = rt.appendBucket(dst, &rt.buckets[top-(64*w+63-tz)], target, want, exclude)
+			dst = rt.appendBucket(dst, &rt.buckets[64*w+63-tz], target, want, exclude)
 		}
 	}
 	return dst
@@ -378,8 +395,9 @@ func (rt *RoutingTable) Contacts() []Contact {
 // returns the extended slice: Contacts without the allocation, for
 // callers that walk many tables through one buffer.
 func (rt *RoutingTable) AppendContacts(dst []Contact) []Contact {
-	for _, b := range rt.buckets {
-		for _, e := range b.entries {
+	// Ascending bucket index is descending depth.
+	for c := len(rt.buckets) - 1; c >= 0; c-- {
+		for _, e := range rt.buckets[c].entries {
 			dst = append(dst, e.contact)
 		}
 	}
@@ -388,11 +406,15 @@ func (rt *RoutingTable) AppendContacts(dst []Contact) []Contact {
 
 // BucketLen returns the number of live contacts in bucket i.
 func (rt *RoutingTable) BucketLen(i int) int {
-	return len(rt.buckets[i].entries)
+	if b := rt.bucket(i); b != nil {
+		return len(b.entries)
+	}
+	return 0
 }
 
-// BucketCount returns the number of buckets (the id bit-length).
-func (rt *RoutingTable) BucketCount() int { return len(rt.buckets) }
+// BucketCount returns the number of buckets (the id bit-length), allocated
+// or not.
+func (rt *RoutingTable) BucketCount() int { return rt.cfg.Bits }
 
 // RefreshTargets returns the bucket indexes that periodic refresh should
 // probe: every bucket from just below the lowest non-empty one upward.
@@ -402,9 +424,9 @@ func (rt *RoutingTable) BucketCount() int { return len(rt.buckets) }
 // substitution in DESIGN.md.
 func (rt *RoutingTable) RefreshTargets() []int {
 	lowest := -1
-	for i, b := range rt.buckets {
-		if len(b.entries) > 0 {
-			lowest = i
+	for c := len(rt.buckets) - 1; c >= 0; c-- {
+		if len(rt.buckets[c].entries) > 0 {
+			lowest = rt.cfg.Bits - 1 - c
 			break
 		}
 	}
@@ -414,16 +436,15 @@ func (rt *RoutingTable) RefreshTargets() []int {
 	if lowest > 0 {
 		lowest--
 	}
-	out := make([]int, 0, len(rt.buckets)-lowest)
-	for i := lowest; i < len(rt.buckets); i++ {
+	out := make([]int, 0, rt.cfg.Bits-lowest)
+	for i := lowest; i < rt.cfg.Bits; i++ {
 		out = append(out, i)
 	}
 	return out
 }
 
-// setOccupied records whether bucket i holds a live contact.
-func (rt *RoutingTable) setOccupied(i int, on bool) {
-	c := len(rt.buckets) - 1 - i
+// setOccupied records whether the bucket at depth c holds a live contact.
+func (rt *RoutingTable) setOccupied(c int, on bool) {
 	if on {
 		rt.occupied[c/64] |= 1 << (63 - c%64)
 	} else {
@@ -431,10 +452,22 @@ func (rt *RoutingTable) setOccupied(i int, on bool) {
 	}
 }
 
+// bucketFor returns the bucket nodeID belongs in, or nil (an empty
+// bucket, see bucket.find) when it is self or the bucket was never
+// allocated.
 func (rt *RoutingTable) bucketFor(nodeID id.ID) *bucket {
 	i := rt.self.BucketIndex(nodeID)
 	if i < 0 {
 		return nil
 	}
-	return &rt.buckets[i]
+	return rt.bucket(i)
+}
+
+// bucket returns bucket i, or nil when no contact ever reached that deep.
+func (rt *RoutingTable) bucket(i int) *bucket {
+	c := rt.cfg.Bits - 1 - i
+	if c >= len(rt.buckets) {
+		return nil
+	}
+	return &rt.buckets[c]
 }

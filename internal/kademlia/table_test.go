@@ -233,7 +233,7 @@ func TestReplacementCacheBounded(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		rt.Observe(contact(base + i))
 	}
-	b := &rt.buckets[63]
+	b := rt.bucket(63)
 	if len(b.replacements) != 2 {
 		t.Fatalf("replacement cache size = %d, want 2", len(b.replacements))
 	}
@@ -362,7 +362,10 @@ func TestBucketInvariantProperty(t *testing.T) {
 		if n > cfg.K {
 			t.Fatalf("bucket %d overflows: %d > k=%d", i, n, cfg.K)
 		}
-		for _, e := range rt.buckets[i].entries {
+		if n == 0 {
+			continue
+		}
+		for _, e := range rt.bucket(i).entries {
 			if got := self.BucketIndex(e.contact.ID); got != i {
 				t.Fatalf("contact %v in bucket %d, belongs in %d", e.contact.ID, i, got)
 			}
