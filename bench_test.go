@@ -526,9 +526,7 @@ func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing
 		eng := connectivity.MustNewEngine(connectivity.EngineOptions{Algorithm: algo})
 		binder := connectivity.NewIncrementalBinder(eng)
 		binder.BindNextSlots(graphs[0], orders[0])
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		cycle := func() {
 			for j := range graphs {
 				k := (j + 1) % len(graphs)
 				if rebind {
@@ -538,6 +536,16 @@ func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing
 				}
 				eng.AnalyzeSnapshot(connectivity.SnapshotQuery{SampleFraction: 0.02, AvgSeed: int64(j)})
 			}
+		}
+		// One untimed cycle builds every solver and sizes every buffer, so
+		// ns/snapshot and allocs/op do not depend on the iteration count the
+		// framework picks (the trajectory is discontinuous at
+		// BENCH_2026-10-03.json; see its comment field).
+		cycle()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle()
 		}
 		if rebind && eng.RebindFallbacks() != 0 {
 			b.Fatalf("%d rebind fallbacks on the membership-churn cycle", eng.RebindFallbacks())

@@ -268,10 +268,11 @@ func TestCutsetFallsBackOnDegreeWhenNoCut(t *testing.T) {
 func TestCutsetReusesAnalysisEngine(t *testing.T) {
 	// Many strikes against a shrinking ring: every strike runs a full
 	// GraphCut, but the connectivity engine (and its cut-mode flow
-	// network) must be constructed exactly once and rebound in place —
-	// the PR-3 regression guard for the per-strike rebuild. The strikes
-	// only ever vacate recon slots, so after the first bind every capture
-	// rebinds incrementally across the adversary's own removals.
+	// network) must be constructed exactly once — the PR-3 regression
+	// guard for the per-strike rebuild. The strikes only ever vacate recon
+	// slots, so after the first bind every capture rebinds the sweep
+	// solvers incrementally across the adversary's own removals, and each
+	// cut re-initialises the one cut network in place in rank space.
 	eng, pop := runAttack(t, 1, Config{
 		Strategy: Cutset, Budget: 8, Kills: 1, Interval: time.Minute, SampleFraction: 1.0,
 	}, 16, ring(16))

@@ -25,7 +25,7 @@ type EngineOptions struct {
 	// here.
 	Algorithm maxflow.Algorithm
 	// Workers bounds the sweep worker pool; <= 0 means GOMAXPROCS. Each
-	// worker owns private solvers, replacing the paper's cluster fan-out.
+	// worker owns one private solver, replacing the paper's cluster fan-out.
 	Workers int
 }
 
@@ -71,7 +71,7 @@ type SnapshotResult struct {
 // Engine is a reusable connectivity analysis engine: it binds to one
 // graph at a time and answers Min, Avg, MinPair and minimum-vertex-cut
 // queries against that binding, keeping every expensive structure — the
-// Even-transformed edge list, the per-worker max-flow solvers, the
+// Even-transformed edge list, one max-flow solver per worker, the
 // cut-mode flow network, and all selection scratch — alive across
 // bindings. Analyzing a sequence of same-shape graphs (the per-snapshot
 // hot path at paper scale) therefore allocates only on the first
@@ -146,11 +146,10 @@ type Engine struct {
 
 	// RebindSlots bookkeeping: reused Even-space delta adapters and the
 	// counters the regression tests pin.
-	addSrc, remSrc       evenDeltaSource
-	cutAddSrc, cutRemSrc evenDeltaSource
-	rebinds              int
-	rebindFallbacks      int
-	memberRebinds        int
+	addSrc, remSrc  evenDeltaSource
+	rebinds         int
+	rebindFallbacks int
+	memberRebinds   int
 
 	// Memory governance (see governance.go): the installed policy and the
 	// deterministic primary-solver re-densify count.
@@ -169,13 +168,12 @@ type Engine struct {
 	state    sweepState // reused cross-worker coordination (zero steady-state allocs)
 }
 
-// engineWorker holds one worker's lazily created solvers, its fan-closure
-// scratch and its share of the engine's work counters.
+// engineWorker holds one worker's lazily created solver — capped and exact
+// tasks share it, MaxFlowLimit being min(limit, MaxFlow) on one arc store —
+// its fan-closure scratch and its share of the engine's work counters.
 type engineWorker struct {
-	capped    maxflow.Solver
-	exact     maxflow.Solver
-	cappedGen uint64
-	exactGen  uint64
+	solver    maxflow.Solver
+	solverGen uint64 // binding generation the solver is bound to
 	fan       fanClosure
 	// Pairs this worker answered with a flow and from the closure; written
 	// once per sweep, read by SweepFlows/SweepSettled between sweeps.
@@ -236,27 +234,16 @@ func (s *cutEdgeSource) EdgeAt(i int) (int, int, int32) {
 }
 
 // evenDeltaSource presents an original-space edge delta in Even-transform
-// coordinates with a fixed capacity — 1 for the sweep solvers, the cut
-// network's big capacity for the cut solver. Only original edges appear
-// in deltas (internal edges exist for every slot regardless of activity,
-// and RebindSlots keeps the slot space), so the (Out(u), In(v)) shape is
-// always right. A non-nil rank table additionally translates slot
-// endpoints into compacted rank numbering — the coordinate space of the
-// cut network under a masked binding.
-type evenDeltaSource struct {
-	edges []graph.Edge
-	cap   int32
-	rank  []int32
-}
+// coordinates at unit capacity. Only original edges appear in deltas
+// (internal edges exist for every slot regardless of activity, and
+// RebindSlots keeps the slot space), so the (Out(u), In(v)) shape is
+// always right.
+type evenDeltaSource struct{ edges []graph.Edge }
 
 func (s *evenDeltaSource) NumEdges() int { return len(s.edges) }
 func (s *evenDeltaSource) EdgeAt(i int) (int, int, int32) {
 	e := s.edges[i]
-	u, v := e.U, e.V
-	if s.rank != nil {
-		u, v = int(s.rank[u]), int(s.rank[v])
-	}
-	return graph.Out(u), graph.In(v), s.cap
+	return graph.Out(e.U), graph.In(e.V), 1
 }
 
 // NewEngine validates options and returns an unbound Engine. The only
@@ -371,7 +358,7 @@ func (e *Engine) isCompleteActive() bool {
 // same slot identity — cur = old - delta.Removed + delta.Added, as
 // graph.DiffSlotsInto computes), and order the new capture's compaction
 // map. Instead of rebuilding the Even transform and re-initializing every
-// solver, it patches each live solver's arc layout in place and
+// sweep solver, it patches each live one's arc layout in place and
 // invalidates only the query-level caches the delta poisons (Dinic's
 // prepared-source BFS, the sweep solver's root labels). Tombstoned arc
 // slots preserve traversal order, so analyses after a RebindSlots are
@@ -382,10 +369,10 @@ func (e *Engine) isCompleteActive() bool {
 // point: joins, leaves and strikes keep their slots' identities, so the
 // sweep solvers still patch in place from the edge delta alone, and only
 // the rank-space structures follow the new order. The cut-mode network
-// is patched too while the membership (and with it the rank numbering)
-// is unchanged; a membership change leaves it stale for a lazy
-// rank-space rebuild on the next cut query — the verified fallback,
-// since cut queries are off the per-snapshot hot path.
+// lives in rank space and is not patched: any RebindSlots leaves it stale,
+// and the next cut query re-initialises it in place from the compacted
+// graph — cut queries are off the per-snapshot hot path, and their one
+// production caller rebinds across its own removals anyway.
 //
 // With no previous slot binding or a different slot count (the slot
 // table grew, or was compacted), RebindSlots falls back to BindSlots and
@@ -398,59 +385,29 @@ func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) b
 		e.BindSlots(g, order)
 		return false
 	}
-	sameMembership := slices.Equal(e.slotOrder, order)
-	e.rebindEdges(g, delta, sameMembership)
-	if !sameMembership {
-		e.setOrder(order)
-		e.memberRebinds++
-	}
-	return true
-}
-
-// rebindEdges patches every live solver with the slot-space edge delta
-// and advances the binding generation. patchCut additionally patches the
-// cut-mode network (legal only while its rank numbering survives the
-// transition, i.e. while the membership is unchanged).
-func (e *Engine) rebindEdges(g *graph.Digraph, delta graph.Delta, patchCut bool) {
 	e.g = g
 	prevGen := e.gen
 	e.gen++
 	e.evenDirty = true
 	e.cutDirty = true
 	e.rebinds++
-	e.addSrc = evenDeltaSource{edges: delta.Added, cap: 1}
-	e.remSrc = evenDeltaSource{edges: delta.Removed, cap: 1}
+	e.addSrc.edges, e.remSrc.edges = delta.Added, delta.Removed
 	for i := range e.workers {
 		w := &e.workers[i]
-		if w.capped != nil && w.cappedGen == prevGen {
-			if w.capped.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
-				w.cappedGen = e.gen
+		if w.solver != nil && w.solverGen == prevGen {
+			if w.solver.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
+				w.solverGen = e.gen
 			} else {
 				e.rebindFallbacks++
 			}
 		}
-		if w.exact != nil && w.exactGen == prevGen {
-			if w.exact.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
-				w.exactGen = e.gen
-			} else {
-				e.rebindFallbacks++
-			}
-		}
-	}
-	// The cut-mode network revives original edges at the big capacity
-	// that keeps minimum cuts on internal edges; its coordinates are
-	// ranks, so the slot-space delta is translated on the fly.
-	if patchCut && e.cutSolver != nil && e.cutGen == prevGen {
-		e.cutAddSrc = evenDeltaSource{edges: delta.Added, cap: e.cutSrc.big, rank: e.rankOf}
-		e.cutRemSrc = evenDeltaSource{edges: delta.Removed, cap: e.cutSrc.big, rank: e.rankOf}
-		if e.cutSolver.ApplyUnitDelta(&e.cutAddSrc, &e.cutRemSrc) {
-			e.cutGen = e.gen
-		} else {
-			e.rebindFallbacks++
-		}
-		e.cutAddSrc.edges, e.cutRemSrc.edges = nil, nil
 	}
 	e.addSrc.edges, e.remSrc.edges = nil, nil
+	if !slices.Equal(e.slotOrder, order) {
+		e.setOrder(order)
+		e.memberRebinds++
+	}
+	return true
 }
 
 // Rebinds reports how many incremental rebinds the engine performed.
@@ -541,32 +498,20 @@ func (e *Engine) ensureCut() {
 // the cutset adversary's strike loop.
 func (e *Engine) CutNetworkBuilds() int { return e.cutBuilds }
 
-// solverFor returns worker w's solver of the requested kind, creating or
-// rebinding it to the current graph as needed.
-func (e *Engine) solverFor(w int, exact bool) maxflow.Solver {
+// solverFor returns worker w's solver, creating or rebinding it to the
+// current graph as needed.
+func (e *Engine) solverFor(w int) maxflow.Solver {
 	ew := &e.workers[w]
-	if exact {
-		if ew.exact == nil {
-			e.ensureEven()
-			ew.exact = e.algo.NewSolverSource(2*e.n, &e.evenSrc)
-			ew.exactGen = e.gen
-		} else if ew.exactGen != e.gen {
-			e.ensureEven()
-			ew.exact.Reset(2*e.n, &e.evenSrc)
-			ew.exactGen = e.gen
-		}
-		return ew.exact
-	}
-	if ew.capped == nil {
+	if ew.solver == nil {
 		e.ensureEven()
-		ew.capped = e.algo.NewSolverSource(2*e.n, &e.evenSrc)
-		ew.cappedGen = e.gen
-	} else if ew.cappedGen != e.gen {
+		ew.solver = e.algo.NewSolverSource(2*e.n, &e.evenSrc)
+		ew.solverGen = e.gen
+	} else if ew.solverGen != e.gen {
 		e.ensureEven()
-		ew.capped.Reset(2*e.n, &e.evenSrc)
-		ew.cappedGen = e.gen
+		ew.solver.Reset(2*e.n, &e.evenSrc)
+		ew.solverGen = e.gen
 	}
-	return ew.capped
+	return ew.solver
 }
 
 // Analyze computes the connectivity of the bound graph: identical Min,
@@ -664,10 +609,12 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 	st := &e.state
 	st.next = 0
 	st.running = e.nact
+	capped := false
 	for _, t := range tasks {
 		if t.exact {
 			continue
 		}
+		capped = true
 		if d := e.g.OutDegree(e.vtx(t.src)); d < e.nact-1 && d < st.running {
 			st.running = d
 		}
@@ -679,25 +626,12 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 	// Resolve every solver the sweep may touch while still serial: a
 	// stale solver's Reset reads the shared Even edge list (possibly
 	// rebuilding it after a RebindSlots), which must not race across
-	// workers. In the steady state — bound or patched solvers on the current
+	// workers. In the steady state — solvers bound or patched to the current
 	// generation — these calls are gen checks and nothing more.
-	needCapped, needExact := false, false
-	for _, t := range tasks {
-		if t.exact {
-			needExact = true
-		} else {
-			needCapped = true
-		}
-	}
 	for w := 0; w < workers; w++ {
-		if needCapped {
-			e.solverFor(w, false)
-		}
-		if needExact {
-			e.solverFor(w, true)
-		}
+		e.solverFor(w)
 	}
-	if needCapped {
+	if capped {
 		e.ensureAdjacency()
 	}
 	if workers <= 1 {
@@ -767,7 +701,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			exactMin: n, exactMinTgt: n,
 			cappedMin: n, cappedMinTgt: n,
 		}
-		solver := e.solverFor(w, task.exact)
+		solver := e.solverFor(w)
 		// An exact task roots the solver at its source up front; a capped
 		// one at its first flow, which most never reach.
 		rooted := task.exact
@@ -906,7 +840,7 @@ func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int
 		}
 		if amTgt < exTgt {
 			if solver == nil {
-				solver = e.solverFor(0, false)
+				solver = e.solverFor(0)
 				e.ensureAdjacency()
 			}
 			ew.fan.reset(e.succStart, e.succ, srcV, min+1)

@@ -55,12 +55,12 @@ func (p GovernancePolicy) SlotCompactionDue(slotLen, live int) bool {
 }
 
 // MemoryStats aggregates the arc-store footprint of the engine's primary
-// solvers: worker 0's capped and exact sweep solvers plus the cut-mode
-// network. Per-worker totals would vary with the worker count (workers
-// beyond the first are created lazily and see different tombstone
-// histories), so only the primary trio — which exists under every
-// configuration and observes every binding — feeds the deterministic
-// diagnostics that end up in sweep JSON.
+// solvers: worker 0's sweep solver plus, once a cut query built it, the
+// cut-mode network. Per-worker totals would vary with the worker count
+// (workers beyond the first are created lazily and see different tombstone
+// histories), so only these two — which exist under every configuration and
+// observe every binding — feed the deterministic diagnostics that end up
+// in sweep JSON.
 type MemoryStats struct {
 	// Arcs is the summed arc-array length across the primary solvers.
 	Arcs int
@@ -73,8 +73,9 @@ type MemoryStats struct {
 	Relocations int
 }
 
-// DeadArcFrac returns the dead fraction of the primary arc footprint —
-// the number governance thresholds against, averaged across the trio.
+// DeadArcFrac returns the dead fraction of the primary arc footprint.
+// Only the sweep solver contributes dead arcs: the cut network is
+// re-initialised, never patched.
 func (m MemoryStats) DeadArcFrac() float64 {
 	if m.Arcs == 0 {
 		return 0
@@ -90,12 +91,13 @@ func (e *Engine) SetGovernance(p GovernancePolicy) { e.gov = p }
 // Governance returns the installed policy.
 func (e *Engine) Governance() GovernancePolicy { return e.gov }
 
-// Maintain checks every live solver's arc store against the governance
-// policy and re-densifies those over the MaxDeadFrac threshold,
-// returning how many stores it rebuilt. Re-densification preserves
-// capacities and traversal order for live arcs, so every answer after a
-// Maintain is bit-identical to the un-maintained engine — the governed
-// churn oracle holds both paths to that contract.
+// Maintain checks every worker's sweep solver against the governance
+// policy and re-densifies the arc stores over the MaxDeadFrac threshold,
+// returning how many it rebuilt. Re-densification preserves capacities
+// and traversal order for live arcs, so every answer after a Maintain is
+// bit-identical to the un-maintained engine — the governed churn oracle
+// holds both paths to that contract. The cut-mode network takes no turn:
+// it is only ever re-initialised in place, so it holds no dead arcs.
 //
 // Call it between snapshots: the work is proportional to the compacted
 // stores and stays off the Analyze/RebindSlots hot path, whose steady
@@ -105,31 +107,24 @@ func (e *Engine) Maintain() int {
 		return 0
 	}
 	total := 0
-	maintain := func(s maxflow.Solver, primary bool) {
+	for i := range e.workers {
+		s := e.workers[i].solver
 		if s == nil || s.ArcStats().DeadFrac() <= e.gov.MaxDeadFrac {
-			return
+			continue
 		}
 		s.Compact()
 		total++
-		if primary {
+		if i == 0 {
 			e.redensifies++
 		}
-	}
-	for i := range e.workers {
-		w := &e.workers[i]
-		maintain(w.capped, i == 0)
-		maintain(w.exact, i == 0)
-	}
-	if e.cutSolver != nil {
-		maintain(e.cutSolver, true)
 	}
 	return total
 }
 
-// Redensifies reports how many primary-solver arc stores Maintain has
-// re-densified over the engine's lifetime. Like MemoryStats, the count
-// covers only the primary trio so it is identical for every worker
-// count — the form the scenario results and sweep JSON expose.
+// Redensifies reports how many times Maintain has re-densified worker 0's
+// sweep solver over the engine's lifetime. Like MemoryStats it ignores
+// the other workers, so it is identical for every worker count — the form
+// the scenario results and sweep JSON expose.
 func (e *Engine) Redensifies() int { return e.redensifies }
 
 // MemoryStats reports the primary solvers' current arc-store footprint.
@@ -146,8 +141,7 @@ func (e *Engine) MemoryStats() MemoryStats {
 		m.Relocations += st.Relocations
 	}
 	if len(e.workers) > 0 {
-		add(e.workers[0].capped)
-		add(e.workers[0].exact)
+		add(e.workers[0].solver)
 	}
 	if e.cutSolver != nil {
 		add(e.cutSolver)
@@ -156,7 +150,7 @@ func (e *Engine) MemoryStats() MemoryStats {
 }
 
 // MaxSolverArcs reports the largest arc-array length across ALL of the
-// engine's solvers, not just the primary trio — the bound the long-churn
+// engine's solvers, not just the primary ones — the bound the long-churn
 // soak asserts against peak-population footprint. Worker-count-dependent
 // by construction; diagnostics only, never serialized.
 func (e *Engine) MaxSolverArcs() int {
@@ -170,8 +164,7 @@ func (e *Engine) MaxSolverArcs() int {
 		}
 	}
 	for i := range e.workers {
-		consider(e.workers[i].capped)
-		consider(e.workers[i].exact)
+		consider(e.workers[i].solver)
 	}
 	if e.cutSolver != nil {
 		consider(e.cutSolver)

@@ -169,7 +169,7 @@ func TestMaintainDisabledByDefault(t *testing.T) {
 // TestMemoryStatsWorkerCountInvariant pins the determinism contract for
 // the serialized diagnostics: the same snapshot/maintenance sequence at
 // different worker counts reports identical MemoryStats and Redensifies,
-// because both read only the primary solver trio.
+// because both read only worker 0's sweep solver and the cut network.
 func TestMemoryStatsWorkerCountInvariant(t *testing.T) {
 	run := func(workers int) (MemoryStats, int) {
 		w := newSlotWorld(19, 14, 3)
@@ -211,5 +211,64 @@ func TestMemoryStatsWorkerCountInvariant(t *testing.T) {
 	}
 	if m1.Arcs == 0 || m1.LiveArcs == 0 {
 		t.Fatalf("empty MemoryStats after 24 snapshots: %+v", m1)
+	}
+}
+
+// TestEngineOneStorePerWorker pins the single arc store: capped and exact
+// tasks of one worker share one solver, so after a fused sweep the primary
+// footprint is exactly one sweep store, a cut query adds exactly the cut
+// network, and a governance event re-densifies one store per worker.
+func TestEngineOneStorePerWorker(t *testing.T) {
+	w := newSlotWorld(11, 30, 4)
+	for i := 0; i < 5; i++ {
+		w.leave()
+	}
+	slotG, order, dense := w.capture()
+	for _, workers := range []int{1, 3} {
+		for _, masked := range []bool{false, true} {
+			eng := MustNewEngine(EngineOptions{Workers: workers})
+			if masked {
+				eng.BindSlots(slotG, order)
+			} else {
+				eng.Bind(dense)
+			}
+			sr := eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.5, AvgSeed: 1})
+			if sr.Min.Pairs == 0 || sr.Avg.Pairs == 0 || eng.SweepFlows() == 0 {
+				t.Fatalf("workers %d masked %v: sweep ran no capped or no exact task: %+v", workers, masked, sr)
+			}
+			sweepArcs := eng.MemoryStats().Arcs
+			if sweepArcs == 0 || sweepArcs != eng.MaxSolverArcs() {
+				t.Fatalf("workers %d masked %v: primary footprint %d arcs, want one sweep store of %d",
+					workers, masked, sweepArcs, eng.MaxSolverArcs())
+			}
+			_, _, ok, err := eng.GraphCut(Query{SampleFraction: 0.5})
+			if err != nil || !ok {
+				t.Fatalf("workers %d masked %v: GraphCut ok=%v err=%v", workers, masked, ok, err)
+			}
+			cutArcs := eng.cutSolver.ArcStats().Arcs
+			if got := eng.MemoryStats().Arcs; cutArcs == 0 || got != sweepArcs+cutArcs {
+				t.Fatalf("workers %d masked %v: footprint after a cut %d arcs, want %d + %d",
+					workers, masked, got, sweepArcs, cutArcs)
+			}
+		}
+	}
+
+	eng := MustNewEngine(EngineOptions{Workers: 1})
+	eng.SetGovernance(GovernancePolicy{MaxDeadFrac: 0.05})
+	binder := NewIncrementalBinder(eng)
+	maintained := 0
+	for step := 0; step < 24; step++ {
+		w.churn(4)
+		slotG, order, _ := w.capture()
+		binder.BindNextSlots(slotG, order)
+		eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.5, AvgSeed: int64(step)})
+		n := eng.Maintain()
+		if n > 1 {
+			t.Fatalf("step %d: Maintain re-densified %d stores at Workers: 1, want at most 1", step, n)
+		}
+		maintained += n
+	}
+	if maintained == 0 || maintained != eng.Redensifies() {
+		t.Fatalf("Maintain returns sum to %d, Redensifies() = %d, want equal and > 0", maintained, eng.Redensifies())
 	}
 }

@@ -2,6 +2,7 @@ package connectivity
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"kadre/internal/graph"
@@ -17,12 +18,15 @@ func requireSameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// sameMembershipChain walks inc through steps edge-churned captures of one
-// scrambled slot world (vacant and recycled slots, membership fixed) via
-// RebindSlots, full-Binds ref to the canonical dense graph of each, and
-// hands every step to check — the engine-level differential oracle
-// (churntest replays the same contract against membership churn too).
-func sameMembershipChain(t *testing.T, seed int64, steps int, inc, ref *Engine,
+// rebindChain walks inc through steps edge-churned captures of one
+// scrambled slot world (vacant and recycled slots) via RebindSlots,
+// full-Binds ref to the canonical dense graph of each, and hands every
+// step to check — the engine-level differential oracle (churntest replays
+// the same contract at scale). With memberEvery > 0 every memberEvery-th
+// step also swaps one member (a leave plus a join into the recycled slot),
+// so same-membership and membership-changing rebinds interleave; with 0
+// the membership stays fixed.
+func rebindChain(t *testing.T, seed int64, steps, memberEvery int, inc, ref *Engine,
 	check func(step int, dense *graph.Digraph)) {
 	t.Helper()
 	w := newSlotWorld(seed, 40, 5)
@@ -35,9 +39,17 @@ func sameMembershipChain(t *testing.T, seed int64, steps int, inc, ref *Engine,
 	prev, prevOrder, _ := w.capture()
 	inc.BindSlots(prev, prevOrder)
 	var delta graph.Delta
+	memberSteps := 0
 	for step := 0; step < steps; step++ {
+		if memberEvery > 0 && step%memberEvery == memberEvery-1 {
+			w.leave()
+			w.join(5)
+		}
 		w.churn(2 + w.r.Intn(11))
 		next, order, dense := w.capture()
+		if !slices.Equal(prevOrder, order) {
+			memberSteps++
+		}
 		graph.DiffSlotsInto(prev, next, prevOrder, order, &delta)
 		if !inc.RebindSlots(next, delta, order) {
 			t.Fatalf("step %d: RebindSlots refused a same-slot-count delta", step)
@@ -46,8 +58,11 @@ func sameMembershipChain(t *testing.T, seed int64, steps int, inc, ref *Engine,
 		check(step, dense)
 		prev, prevOrder = next, order
 	}
-	if inc.Rebinds() != steps || inc.MembershipRebinds() != 0 {
-		t.Fatalf("Rebinds = %d (membership %d), want %d (0)", inc.Rebinds(), inc.MembershipRebinds(), steps)
+	if memberEvery > 0 && (memberSteps == 0 || memberSteps == steps) {
+		t.Fatalf("%d of %d steps changed the membership; the chain must interleave both kinds", memberSteps, steps)
+	}
+	if inc.Rebinds() != steps || inc.MembershipRebinds() != memberSteps {
+		t.Fatalf("Rebinds = %d (membership %d), want %d (%d)", inc.Rebinds(), inc.MembershipRebinds(), steps, memberSteps)
 	}
 	if fb := inc.RebindFallbacks(); fb != 0 {
 		t.Fatalf("%d solver patches fell back on consistent deltas", fb)
@@ -59,7 +74,7 @@ func sameMembershipChain(t *testing.T, seed int64, steps int, inc, ref *Engine,
 func TestRebindMatchesBind(t *testing.T) {
 	inc := MustNewEngine(EngineOptions{Workers: 2})
 	ref := MustNewEngine(EngineOptions{Workers: 2})
-	sameMembershipChain(t, 17, 20, inc, ref, func(step int, _ *graph.Digraph) {
+	rebindChain(t, 17, 20, 0, inc, ref, func(step int, _ *graph.Digraph) {
 		q := SnapshotQuery{SampleFraction: 0.3, AvgSeed: int64(step)}
 		gotSnap, wantSnap := inc.AnalyzeSnapshot(q), ref.AnalyzeSnapshot(q)
 		requireSameResult(t, "snapshot.Min", gotSnap.Min, wantSnap.Min)
@@ -69,54 +84,59 @@ func TestRebindMatchesBind(t *testing.T) {
 	})
 }
 
-// TestRebindCutPathMatchesBind pins the patched cut-mode network: the
-// minimum vertex cuts (vertex lists, pairs) after a chain of
-// same-membership rebinds must equal the from-scratch engine's, for the
-// graph's minimizing pair and for an arbitrary one, and the cut network
-// must never be rebuilt from scratch — the adversary's strike loop stays
-// on one network across arbitrarily many patched snapshots.
+// TestRebindCutPathMatchesBind pins the cut-mode network across rebinds:
+// every RebindSlots leaves it stale and the next cut query re-initialises
+// it in place in rank space, so the minimum vertex cuts (vertex lists,
+// pairs) after a chain of rebinds must equal the from-scratch engine's,
+// for the graph's minimizing pair and for an arbitrary one, and the cut
+// network must never be rebuilt from scratch — the adversary's strike loop
+// stays on one network across arbitrarily many snapshots. The chain runs
+// once with the membership fixed and once with membership-changing rebinds
+// interleaved, the two cases the engine used to treat differently.
 func TestRebindCutPathMatchesBind(t *testing.T) {
-	inc := MustNewEngine(EngineOptions{Workers: 1})
-	ref := MustNewEngine(EngineOptions{Workers: 1})
-	cuts := 0
-	sameMembershipChain(t, 23, 15, inc, ref, func(step int, dense *graph.Digraph) {
-		q := Query{SampleFraction: 0.5}
-		gotCut, gotPair, gotOK, err := inc.GraphCut(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantCut, wantPair, wantOK, err := ref.GraphCut(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameCut(t, "graphcut", gotCut, gotPair, gotOK, wantCut, wantPair, wantOK)
-		if wantOK {
-			cuts++
-		}
-		// The last rank is the newest member: sparse, so non-adjacent to
-		// some rank on every step.
-		v := dense.N() - 1
-		for w := 0; w < v; w++ {
-			if dense.HasEdge(v, w) {
-				continue
-			}
-			got, err := inc.PairCut(v, w)
+	for _, memberEvery := range []int{0, 3} {
+		inc := MustNewEngine(EngineOptions{Workers: 1})
+		ref := MustNewEngine(EngineOptions{Workers: 1})
+		cuts := 0
+		rebindChain(t, 23, 15, memberEvery, inc, ref, func(step int, dense *graph.Digraph) {
+			q := Query{SampleFraction: 0.5}
+			gotCut, gotPair, gotOK, err := inc.GraphCut(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.PairCut(v, w)
+			wantCut, wantPair, wantOK, err := ref.GraphCut(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameCut(t, "paircut", got, [2]int{v, w}, true, want, [2]int{v, w}, true)
-			break
+			requireSameCut(t, "graphcut", gotCut, gotPair, gotOK, wantCut, wantPair, wantOK)
+			if wantOK {
+				cuts++
+			}
+			// The last rank is the newest member: sparse, so non-adjacent to
+			// some rank on every step.
+			v := dense.N() - 1
+			for w := 0; w < v; w++ {
+				if dense.HasEdge(v, w) {
+					continue
+				}
+				got, err := inc.PairCut(v, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.PairCut(v, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameCut(t, "paircut", got, [2]int{v, w}, true, want, [2]int{v, w}, true)
+				break
+			}
+		})
+		if cuts == 0 {
+			t.Fatalf("memberEvery %d: trace produced no usable cuts; weak test", memberEvery)
 		}
-	})
-	if cuts == 0 {
-		t.Fatal("trace produced no usable cuts; weak test")
-	}
-	if builds := inc.CutNetworkBuilds(); builds != 1 {
-		t.Fatalf("cut network built %d times across rebinds, want 1", builds)
+		if builds := inc.CutNetworkBuilds(); builds != 1 {
+			t.Fatalf("memberEvery %d: cut network built %d times across rebinds, want 1", memberEvery, builds)
+		}
 	}
 }
 

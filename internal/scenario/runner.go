@@ -200,11 +200,7 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 		}
 		if s.N() > 1 {
 			point.Symmetry = s.Graph.SymmetryRatio()
-			if binder.BindNextSlots(s.Graph, s.Order) {
-				res.IncrementalBinds++
-			} else {
-				res.FullBinds++
-			}
+			binder.BindNextSlots(s.Graph, s.Order)
 			avgSeed := cfg.Seed + int64(len(res.Points))
 			sr := engine.AnalyzeSnapshot(connectivity.SnapshotQuery{
 				SampleFraction: cfg.SampleFraction,
@@ -274,6 +270,8 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 		res.WorkloadLeaves = gen.Leaves()
 	}
 
+	res.IncrementalBinds = binder.IncrementalBinds()
+	res.FullBinds = binder.FullBinds()
 	res.MembershipRebinds = engine.MembershipRebinds()
 	res.Redensifies = engine.Redensifies()
 	res.DeadArcFrac = engine.MemoryStats().DeadArcFrac()

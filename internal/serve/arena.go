@@ -329,10 +329,10 @@ func (a *Arena) Builds() int64 {
 	return a.builds
 }
 
-// estimateSize approximates an entry's resident footprint: the engine's
-// primary arc stores, the slot table, the captured final graph, and the
-// measurement series. Estimates only steer LRU eviction, so rough
-// constants per element are enough.
+// estimateSize approximates an entry's resident footprint: worker 0's
+// sweep arc store and the cut network if one was built (MemoryStats), the
+// slot table, the captured final graph, and the measurement series.
+// Estimates only steer LRU eviction, so rough constants are enough.
 func estimateSize(res *scenario.Result, b *scenario.Bound) int64 {
 	size := int64(64 << 10) // fixed engine/solver overhead
 	if b != nil {
