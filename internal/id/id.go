@@ -35,11 +35,45 @@ var (
 
 // ID is an immutable b-bit identifier. The zero value is invalid; construct
 // identifiers with New, Random, FromUint64, Hash, or Parse. Identifiers are
-// value types and can be compared for equality with Equal (not ==, because
-// unused trailing bytes are always zero but the bits field must match too).
+// value types: Equal and == agree (both compare the bit-length too), and an
+// ID is a valid map key.
+//
+// The value is stored as four native 64-bit words, word 0 holding the most
+// significant bits, left-aligned like the big-endian byte image it stands
+// for: byte j of the image is bits 63-8(j%8) … 56-8(j%8) of word j/8, and
+// everything past the first bits/8 bytes is zero. Every comparison and
+// distance function on the simulator's hot path (Equal, XorPrefix, CloserTo,
+// BucketIndex, XorWords) is therefore plain word arithmetic; the byte image
+// exists only at the edges — New, Hash, Random, FromUint64, RandomInBucket
+// build one and load it, Bytes, String and the text codec store one — and
+// is byte for byte, and random draw for random draw, what it was when the
+// bytes were the storage.
 type ID struct {
 	bits int
-	data [MaxBytes]byte // big-endian, left-aligned in the first bits/8 bytes
+	w    [words]uint64
+}
+
+// words is the number of 64-bit words in an identifier's storage. Words
+// past the identifier's own are zero, so word-wise comparisons may run over
+// all of them whatever the bit-length.
+const words = MaxBytes / 8
+
+// load builds an identifier from its byte image; image[bitLen/8:] must be
+// zero.
+func load(bitLen int, image *[MaxBytes]byte) ID {
+	out := ID{bits: bitLen}
+	for k := range out.w {
+		out.w[k] = binary.BigEndian.Uint64(image[8*k:])
+	}
+	return out
+}
+
+// image returns the identifier's byte image.
+func (a *ID) image() (image [MaxBytes]byte) {
+	for k, w := range a.w {
+		binary.BigEndian.PutUint64(image[8*k:], w)
+	}
+	return image
 }
 
 // CheckBits validates an identifier bit-length.
@@ -59,10 +93,9 @@ func New(bitLen int, data []byte) (ID, error) {
 	if len(data) != bitLen/8 {
 		return ID{}, fmt.Errorf("%w: got %d bytes, want %d", ErrDataLength, len(data), bitLen/8)
 	}
-	var out ID
-	out.bits = bitLen
-	copy(out.data[:], data)
-	return out, nil
+	var image [MaxBytes]byte
+	copy(image[:], data)
+	return load(bitLen, &image), nil
 }
 
 // MustNew is New but panics on error. It is intended for tests and for
@@ -82,15 +115,14 @@ func Random(bitLen int, r *rand.Rand) ID {
 	if err := CheckBits(bitLen); err != nil {
 		panic(err)
 	}
-	var out ID
-	out.bits = bitLen
+	out := ID{bits: bitLen}
 	n := bitLen / 8
-	full := n / 8 * 8 // whole 8-byte words that fit inside the id
-	for i := 0; i < full; i += 8 {
-		binary.BigEndian.PutUint64(out.data[i:], r.Uint64())
+	full := n / 8 // whole words that fit inside the id: one draw each
+	for k := 0; k < full; k++ {
+		out.w[k] = r.Uint64()
 	}
-	for i := full; i < n; i++ {
-		out.data[i] = byte(r.Intn(256))
+	for i := 8 * full; i < n; i++ { // the remaining bytes: one draw each
+		out.w[full] |= uint64(r.Intn(256)) << (56 - 8*(i%8))
 	}
 	return out
 }
@@ -102,13 +134,12 @@ func FromUint64(bitLen int, v uint64) ID {
 	if err := CheckBits(bitLen); err != nil {
 		panic(err)
 	}
-	var out ID
-	out.bits = bitLen
+	var image [MaxBytes]byte
 	n := bitLen / 8
 	for i := 0; i < 8 && i < n; i++ {
-		out.data[n-1-i] = byte(v >> (8 * i))
+		image[n-1-i] = byte(v >> (8 * i))
 	}
-	return out
+	return load(bitLen, &image)
 }
 
 // Hash derives an identifier from an arbitrary payload using SHA-256,
@@ -120,10 +151,9 @@ func Hash(bitLen int, payload []byte) ID {
 		panic(err)
 	}
 	sum := sha256.Sum256(payload)
-	var out ID
-	out.bits = bitLen
-	copy(out.data[:bitLen/8], sum[:bitLen/8])
-	return out
+	var image [MaxBytes]byte
+	copy(image[:bitLen/8], sum[:])
+	return load(bitLen, &image)
 }
 
 // Parse decodes a hex string produced by String into an identifier of the
@@ -144,14 +174,14 @@ func (a ID) IsZeroValue() bool { return a.bits == 0 }
 
 // Bytes returns a copy of the identifier's big-endian byte representation.
 func (a ID) Bytes() []byte {
-	out := make([]byte, a.bits/8)
-	copy(out, a.data[:a.bits/8])
-	return out
+	image := a.image()
+	return append([]byte(nil), image[:a.bits/8]...)
 }
 
 // String renders the identifier as lowercase hex.
 func (a ID) String() string {
-	return hex.EncodeToString(a.data[:a.bits/8])
+	image := a.image()
+	return hex.EncodeToString(image[:a.bits/8])
 }
 
 // MarshalText renders the identifier as String does, so an ID inside a
@@ -173,18 +203,9 @@ func (a *ID) UnmarshalText(text []byte) error {
 
 // Equal reports whether two identifiers have the same bit-length and value.
 func (a ID) Equal(b ID) bool {
-	return a.bits == b.bits && a.data == b.data
-}
-
-// words is the number of 64-bit words in an identifier's storage. Bytes
-// past bits/8 are always zero, so word-wise comparisons may run over all of
-// them whatever the bit-length.
-const words = MaxBytes / 8
-
-// word returns the k-th big-endian 64-bit word of the identifier, word 0
-// holding the most significant bits.
-func (a *ID) word(k int) uint64 {
-	return binary.BigEndian.Uint64(a.data[8*k:])
+	// Spelled out word by word: the compiler turns == on a 40-byte struct
+	// into a call, and this is the simulator's most frequent comparison.
+	return a.bits == b.bits && a.w[0] == b.w[0] && a.w[1] == b.w[1] && a.w[2] == b.w[2] && a.w[3] == b.w[3]
 }
 
 // Cmp compares the integer values of two identifiers of equal bit-length:
@@ -193,7 +214,7 @@ func (a *ID) word(k int) uint64 {
 func (a ID) Cmp(b ID) int {
 	mustSameBits(a.bits, b.bits)
 	for k := 0; k < words; k++ {
-		wa, wb := a.word(k), b.word(k)
+		wa, wb := a.w[k], b.w[k]
 		switch {
 		case wa < wb:
 			return -1
@@ -208,11 +229,7 @@ func (a ID) Cmp(b ID) int {
 // identifier-sized value: dist(a, b) = a XOR b interpreted as an integer.
 func (a ID) Distance(b ID) ID {
 	mustSameBits(a.bits, b.bits)
-	out := ID{bits: a.bits}
-	for i := 0; i < a.bits/8; i++ {
-		out.data[i] = a.data[i] ^ b.data[i]
-	}
-	return out
+	return ID{bits: a.bits, w: a.XorWords(b)}
 }
 
 // XorWords returns the XOR distance between two identifiers as big-endian
@@ -224,7 +241,7 @@ func (a ID) XorWords(b ID) [MaxBytes / 8]uint64 {
 	mustSameBits(a.bits, b.bits)
 	var out [words]uint64
 	for k := range out {
-		out[k] = a.word(k) ^ b.word(k)
+		out[k] = a.w[k] ^ b.w[k]
 	}
 	return out
 }
@@ -237,20 +254,20 @@ func (a ID) XorWords(b ID) [MaxBytes / 8]uint64 {
 // which every checked function on the same path (XorWords, CloserTo,
 // BucketIndex) enforces.
 func (a ID) XorPrefix(b ID) uint64 {
-	return a.word(0) ^ b.word(0)
+	return a.w[0] ^ b.w[0]
 }
 
 // IsZero reports whether the identifier's integer value is zero. The XOR
 // distance between two identifiers is zero exactly when they are equal.
 func (a ID) IsZero() bool {
-	return a.data == [MaxBytes]byte{}
+	return a.w == [words]uint64{}
 }
 
 // BitLen returns the position of the highest set bit plus one (the minimal
 // number of bits needed to represent the value), or 0 for a zero value.
 func (a ID) BitLen() int {
 	for k := 0; k < words; k++ {
-		if w := a.word(k); w != 0 {
+		if w := a.w[k]; w != 0 {
 			return a.bits - 64*k - bits.LeadingZeros64(w)
 		}
 	}
@@ -264,7 +281,7 @@ func (a ID) BitLen() int {
 func (a ID) BucketIndex(b ID) int {
 	mustSameBits(a.bits, b.bits)
 	for k := 0; k < words; k++ {
-		if w := a.word(k) ^ b.word(k); w != 0 {
+		if w := a.w[k] ^ b.w[k]; w != 0 {
 			return a.bits - 1 - 64*k - bits.LeadingZeros64(w)
 		}
 	}
@@ -278,8 +295,8 @@ func (a ID) CloserTo(target, b ID) bool {
 	mustSameBits(a.bits, target.bits)
 	// Compare a^target with b^target word by word without allocating.
 	for k := 0; k < words; k++ {
-		t := target.word(k)
-		da, db := a.word(k)^t, b.word(k)^t
+		t := target.w[k]
+		da, db := a.w[k]^t, b.w[k]^t
 		if da != db {
 			return da < db
 		}
@@ -297,18 +314,18 @@ func RandomInBucket(self ID, i int, r *rand.Rand) ID {
 	}
 	// Build a random distance with highest set bit exactly i, then XOR it
 	// onto self.
-	dist := ID{bits: self.bits}
+	var dist [MaxBytes]byte
 	byteIdx := self.bits/8 - 1 - i/8
 	bitInByte := uint(i % 8)
-	dist.data[byteIdx] = 1 << bitInByte
+	dist[byteIdx] = 1 << bitInByte
 	// Randomize all lower-order bits.
 	if bitInByte > 0 {
-		dist.data[byteIdx] |= byte(r.Intn(1 << bitInByte))
+		dist[byteIdx] |= byte(r.Intn(1 << bitInByte))
 	}
 	for j := byteIdx + 1; j < self.bits/8; j++ {
-		dist.data[j] = byte(r.Intn(256))
+		dist[j] = byte(r.Intn(256))
 	}
-	return self.Distance(dist)
+	return self.Distance(load(self.bits, &dist))
 }
 
 // mustSameBits takes the two bit-lengths, not the identifiers, and keeps

@@ -73,7 +73,7 @@ func (n *Node) DisjointLookup(target id.ID, d int, done func(DisjointResult)) {
 	}
 
 	for p := 0; p < d; p++ {
-		l := newLookup(n, target, lookupNode, nil)
+		l := n.newLookup(target, lookupNode)
 		l.claim = dl.claim
 		pathIdx := p
 		l.onComplete = func(closest []Contact, responded int) {
@@ -82,13 +82,12 @@ func (n *Node) DisjointLookup(target id.ID, d int, done func(DisjointResult)) {
 		dl.paths = append(dl.paths, l)
 	}
 	// Start after all paths exist: a path finishing instantly (empty
-	// share) must still see the full bookkeeping. addCandidate consults
-	// the shared claim set through l.claim.
+	// share) must still see the full bookkeeping. merge consults the
+	// shared claim set through l.claim.
 	for p, l := range dl.paths {
-		for _, c := range shares[p] {
-			l.addCandidate(c)
-		}
+		l.merge(shares[p])
 		l.step()
+		l.retire()
 	}
 }
 

@@ -239,43 +239,101 @@ func quietCluster(t *testing.T, n int) *cluster {
 	return newCluster(t, Config{Bits: 160, K: 20, Alpha: 3, StalenessLimit: 1, RefreshInterval: 1000 * time.Hour}, n, 3)
 }
 
-// TestFindNodeRoundTripAllocationBudget: in steady state a FIND_NODE round
-// trip reuses the requester's request record, both envelopes' one record,
-// the network's delivery records and the kernel's timers. What is left is
-// the response's contact list.
+// TestFindNodeRoundTripAllocationBudget: in steady state a lookup's
+// FIND_NODE round trips reuse the network's lookup record with its
+// candidate array and response buffers, the requester's request records,
+// both envelopes' one record, the network's delivery records and the
+// kernel's timers. Nothing is left to allocate.
 func TestFindNodeRoundTripAllocationBudget(t *testing.T) {
 	c := quietCluster(t, 12)
-	a, b := c.nodes[1], c.nodes[2]
+	a := c.nodes[1]
 	rng := rand.New(rand.NewSource(1))
 	targets := make([]id.ID, 32)
 	for i := range targets {
 		targets[i] = id.Random(160, rng)
 	}
-	roundTrip := func(i int) {
-		a.sendRequest(b.Contact(), msgFindNode, targets[i%len(targets)], nil, nil)
+	roundTrips := func(i int) {
+		a.Lookup(targets[i%len(targets)], nil)
 		c.sim.RunUntil(c.sim.Now() + time.Second)
 	}
-	for i := 0; i < 8; i++ {
-		roundTrip(i)
+	for i := 0; i < 2*len(targets); i++ {
+		roundTrips(i)
 	}
 	before := a.Stats()
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		roundTrip(i)
+		roundTrips(i)
 		i++
 	})
 	after := a.Stats()
-	if got := after.ResponsesOK - before.ResponsesOK; got != 201 || after.Timeouts != before.Timeouts {
-		t.Fatalf("%d responses, %d timeouts over 201 round trips", got, after.Timeouts-before.Timeouts)
+	sent := after.RPCsSent - before.RPCsSent
+	if got := after.ResponsesOK - before.ResponsesOK; got != sent || sent < 3*201 || after.Timeouts != before.Timeouts {
+		t.Fatalf("%d requests, %d responses, %d timeouts over 201 lookups", sent, got, after.Timeouts-before.Timeouts)
 	}
-	if allocs > 4 {
-		t.Fatalf("FIND_NODE round trip allocated %v times, budget 4", allocs)
+	if after.LookupsCompleted-before.LookupsCompleted != 201 {
+		t.Fatalf("%d lookups completed, want 201", after.LookupsCompleted-before.LookupsCompleted)
 	}
-	if allocs > 1 {
-		t.Errorf("FIND_NODE round trip allocated %v times; only the response's contact list should be left", allocs)
+	if allocs != 0 {
+		t.Fatalf("a lookup of %d FIND_NODE round trips allocated %v times, want 0", sent/201, allocs)
 	}
 	if c.sim.Pending() != len(c.nodes) {
 		t.Errorf("%d events pending after the round trips, want the %d refresh timers", c.sim.Pending(), len(c.nodes))
+	}
+}
+
+// TestSteadyStateLookupAllocationBudget: a lookup somebody waits for
+// allocates what it hands over — the result slice — and what the caller
+// brought — the completion closure. A value lookup that misses hands over
+// nothing.
+func TestSteadyStateLookupAllocationBudget(t *testing.T) {
+	c := quietCluster(t, 12)
+	a := c.nodes[1]
+	rng := rand.New(rand.NewSource(2))
+	targets := make([]id.ID, 32)
+	for i := range targets {
+		targets[i] = id.Random(160, rng)
+	}
+	completed, contacts, missed := 0, 0, 0
+	lookup := func(i int) {
+		a.Lookup(targets[i%len(targets)], func(closest []Contact, _ int) {
+			completed++
+			contacts += len(closest)
+		})
+		c.sim.RunUntil(c.sim.Now() + time.Second)
+	}
+	get := func(i int) {
+		a.Get(targets[i%len(targets)], func(_ []byte, ok bool) {
+			if !ok {
+				missed++
+			}
+		})
+		c.sim.RunUntil(c.sim.Now() + time.Second)
+	}
+	for i := 0; i < 2*len(targets); i++ {
+		lookup(i)
+		get(i)
+	}
+	completed, contacts, missed = 0, 0, 0
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		lookup(i)
+		i++
+	})
+	if completed != 201 || contacts != 201*11 {
+		t.Fatalf("%d lookups completed with %d contacts, want 201 with 11 each", completed, contacts)
+	}
+	if allocs > 2 {
+		t.Fatalf("a steady-state Lookup allocated %v times, budget 2 (result slice, completion closure)", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		get(i)
+		i++
+	})
+	if missed != 201 {
+		t.Fatalf("%d value lookups missed, want 201", missed)
+	}
+	if allocs > 1 {
+		t.Fatalf("a steady-state Get that misses allocated %v times, budget 1 (completion closure)", allocs)
 	}
 }
 
@@ -309,11 +367,16 @@ func TestLeaveTakesTimeoutsOutOfTheQueue(t *testing.T) {
 // TestLateResponsesNeverMatchRecycledRequests: with a timeout shorter than
 // the round trip every response arrives after its request record has been
 // freed and handed to a later request. None may be taken for that later
-// request's answer.
+// request's answer — and each of those requests took its response buffer
+// with it when it timed out, so the late responders, which all write while
+// a later lookup is running on the same recycled record, must write into
+// arrays that no request carries again and no lookup holds (bufferAudit
+// follows them by address).
 func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 	sim := eventsim.New(5)
 	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 80 * time.Millisecond}})
 	cfg := Config{Bits: 160, K: 20, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
+	audit := newBufferAudit(t, net)
 	var nodes []*Node
 	for i := 0; i < 8; i++ {
 		n, err := NewNode(cfg, simnet.Addr(i+1), net)
@@ -323,6 +386,7 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 		if err := n.Start(); err != nil {
 			t.Fatal(err)
 		}
+		audit.watch(n)
 		for _, other := range nodes {
 			n.Table().Observe(other.Contact())
 			other.Table().Observe(n.Contact())
@@ -344,5 +408,21 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 	st := a.Stats()
 	if completed != 50 || st.ResponsesOK != 0 || st.Timeouts != st.RPCsSent || len(a.pending) != 0 {
 		t.Fatalf("completed=%d stats=%+v pending=%d", completed, st, len(a.pending))
+	}
+	// Every request reached its responder and every response was late, so
+	// each of them carried a buffer of its own (the audit fails a request
+	// whose buffer it has seen before), and the few records that served
+	// the fifty lookups are back on the free list with none left.
+	if uint64(audit.requests) != st.RPCsSent || audit.late != audit.requests || audit.returned != 0 || len(audit.abandoned) != audit.late {
+		t.Fatalf("%d requests sent: audit saw %d, %d late responses in %d distinct buffers, %d returned",
+			st.RPCsSent, audit.requests, audit.late, len(audit.abandoned), audit.returned)
+	}
+	if depth := checkPool(t, nodes, nil); depth == 0 || depth > 3 {
+		t.Fatalf("free list %d deep, want the records of the up to three lookups that overlapped", depth)
+	}
+	for l := a.lookups.free; l != nil; l = l.next {
+		if len(l.buffers) != 0 {
+			t.Fatalf("recycled lookup %p holds %d buffers though none ever came back", l, len(l.buffers))
+		}
 	}
 }

@@ -32,6 +32,20 @@ const (
 // pointer to an envelope past the Deliver call that received it. An
 // envelope whose message is lost or undeliverable is simply left to the
 // garbage collector.
+//
+// Contacts travels with the envelope and belongs to its holder too. A
+// lookup's request leaves with one of the lookup's response buffers in it,
+// empty; the responder fills that buffer in place (growing it if its k is
+// larger), and the requester's lookup takes it back when it handles the
+// response. If the request has timed out by then the lookup has already
+// given the buffer up, Deliver drops it, and nobody reads what the late
+// responder wrote. A request no lookup sent (PING, STORE, a test's bare
+// FIND_NODE) carries none, and a responder that needs one allocates it.
+// Idle envelopes never hold a buffer: the buffers wait on the network's
+// lookup records (see lookup), which are as many as lookups run at once,
+// not on every node's envelope list, which is as deep as that node's
+// largest burst of requests — a list of k contacts parked in every idle
+// envelope cost more resident memory than it saved time.
 type envelope struct {
 	RPCID      uint64
 	From       Contact
@@ -43,10 +57,8 @@ type envelope struct {
 	Key id.ID
 	// Value is the STORE request's data or the FIND_VALUE response's.
 	Value []byte
-	// Contacts is the FIND_NODE/FIND_VALUE response's closest-contact list,
-	// allocated per response: free lists are per node and as deep as the
-	// node's largest burst of requests, and a list of k contacts parked
-	// in every idle envelope cost more resident memory than it saved time.
+	// Contacts is the request's empty response buffer and the
+	// FIND_NODE/FIND_VALUE response's closest-contact list in it.
 	Contacts []Contact
 
 	next *envelope // free-list link

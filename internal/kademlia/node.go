@@ -45,9 +45,10 @@ type Node struct {
 	compromised  bool
 	stats        NodeStats
 
-	freeRPCs      *rpc      // idle request records, reused by sendRequest
-	freeEnvelopes *envelope // idle envelopes, reused by sendRequest
-	seeds         []Contact // scratch: a starting lookup's closest known contacts
+	freeRPCs      *rpc        // idle request records, reused by sendRequest
+	freeEnvelopes *envelope   // idle envelopes, reused by sendRequest
+	lookups       *lookupPool // idle lookup records, shared with every node of net
+	seeds         []Contact   // scratch: a starting lookup's closest known contacts
 }
 
 // rpc is one outstanding request: the node's pending-table entry, the
@@ -77,7 +78,10 @@ func (p *rpc) Run() {
 	l, to := p.lookup, p.to.ID
 	n.freeRPC(p)
 	if l != nil {
+		// The request's response buffer stays with the envelope, wherever
+		// that is: the lookup has given it up.
 		l.answered(to, nil)
+		l.retire()
 	}
 }
 
@@ -126,6 +130,7 @@ func newNodeWithID(cfg Config, self Contact, net *simnet.Network) *Node {
 		table:   NewRoutingTable(self.ID, cfg),
 		storage: make(map[id.ID][]byte),
 		pending: make(map[uint64]*rpc),
+		lookups: lookupPoolOf(net),
 	}
 }
 
@@ -165,7 +170,8 @@ func (n *Node) Start() error {
 
 // Leave silently detaches the node, modelling departure or crash: no
 // goodbye messages, exactly like the paper's churn removals. Pending RPC
-// callbacks are cancelled.
+// callbacks are cancelled; the lookups they belonged to are never resumed,
+// so their records are not recycled.
 func (n *Node) Leave() {
 	if !n.running {
 		return
@@ -214,13 +220,8 @@ func (n *Node) Lookup(target id.ID, done func(closest []Contact, responded int))
 		return
 	}
 	n.stats.LookupsStarted++
-	l := newLookup(n, target, lookupNode, nil)
-	l.onComplete = func(closest []Contact, responded int) {
-		n.stats.LookupsCompleted++
-		if done != nil {
-			done(closest, responded)
-		}
-	}
+	l := n.newLookup(target, lookupNode)
+	l.counted, l.onComplete = true, done
 	l.start()
 }
 
@@ -261,17 +262,8 @@ func (n *Node) Get(key id.ID, done func(value []byte, ok bool)) {
 		return
 	}
 	n.stats.LookupsStarted++
-	l := newLookup(n, key, lookupValue, func(value []byte) {
-		if done != nil {
-			done(value, true)
-		}
-	})
-	l.onComplete = func([]Contact, int) {
-		n.stats.LookupsCompleted++
-		if done != nil {
-			done(nil, false)
-		}
-	}
+	l := n.newLookup(key, lookupValue)
+	l.counted, l.onValue = true, done
 	l.start()
 }
 
@@ -317,9 +309,12 @@ func (n *Node) Deliver(from simnet.Addr, payload any) {
 		n.freeRPC(p)
 		if l != nil {
 			l.answered(to, env)
+			l.retire()
 		}
 	} // else a late, duplicate or spoofed response
-	// The round trip is over and the envelope is ours again.
+	// The round trip is over and the envelope is ours again. Its contact
+	// buffer is back with the lookup, or — the response to a request that
+	// timed out, or to one no lookup sent — nobody's.
 	env.Value, env.Contacts = nil, nil
 	env.next, n.freeEnvelopes = n.freeEnvelopes, env
 }
@@ -331,7 +326,7 @@ func (n *Node) answer(env *envelope) {
 	switch env.Kind {
 	case msgPing:
 	case msgFindNode:
-		env.Contacts = n.closestExcluding(env.Key, requester.ID)
+		env.Contacts = n.closestExcluding(env.Contacts, env.Key, requester.ID)
 	case msgStore:
 		n.storage[env.Key] = append([]byte(nil), env.Value...)
 		env.Value = nil
@@ -339,7 +334,7 @@ func (n *Node) answer(env *envelope) {
 		if v, ok := n.storage[env.Key]; ok {
 			env.Found, env.Value = true, append([]byte(nil), v...)
 		} else {
-			env.Contacts = n.closestExcluding(env.Key, requester.ID)
+			env.Contacts = n.closestExcluding(env.Contacts, env.Key, requester.ID)
 		}
 	default:
 		return
@@ -349,10 +344,13 @@ func (n *Node) answer(env *envelope) {
 }
 
 // closestExcluding returns the k closest contacts to target, omitting the
-// requester (it knows itself already).
-func (n *Node) closestExcluding(target id.ID, requester id.ID) []Contact {
-	dst := make([]Contact, 0, min(n.cfg.K, n.table.Size()))
-	return n.table.AppendClosest(dst, target, n.cfg.K, requester)
+// requester (it knows itself already), in the buffer the request brought
+// along; a request that brought none gets a new one.
+func (n *Node) closestExcluding(buf []Contact, target id.ID, requester id.ID) []Contact {
+	if cap(buf) == 0 {
+		buf = make([]Contact, 0, min(n.cfg.K, n.table.Size()))
+	}
+	return n.table.AppendClosest(buf[:0], target, n.cfg.K, requester)
 }
 
 // sendRequest issues an RPC with timeout tracking. l is the lookup to
@@ -385,7 +383,7 @@ func (n *Node) sendRequest(to Contact, kind msgKind, key id.ID, value []byte, l 
 	} else {
 		env = new(envelope)
 	}
-	*env = envelope{RPCID: p.id, From: n.self, Kind: kind, Key: key, Value: value}
+	*env = envelope{RPCID: p.id, From: n.self, Kind: kind, Key: key, Value: value, Contacts: l.takeBuffer()}
 	n.net.Send(n.self.Addr, to.Addr, env)
 }
 

@@ -23,17 +23,36 @@ func (c Contact) String() string {
 // entry is a live routing-table slot with staleness bookkeeping.
 type entry struct {
 	contact Contact
+	// top caches topWord(contact.ID). A bucket is searched and ranked on
+	// it: an identifier is a 40-byte value that every id.ID method copies
+	// before it reads a word of it, and a scan of k entries should not.
+	top uint64
 	// fails counts consecutive failed communication attempts; the contact
 	// is evicted when fails reaches the staleness limit s.
-	fails int
+	fails int32
 	// pingInFlight suppresses duplicate liveness probes for this entry.
 	pingInFlight bool
 }
 
+// stale reports whether the entry has used up its staleness budget.
+func (e *entry) stale(limit int) bool { return int(e.fails) >= limit }
+
+func newEntry(c Contact) entry { return entry{contact: c, top: topWord(c.ID)} }
+
+// topWord returns the 64 most significant bits of an identifier: its
+// distance prefix to zero, and a.XorPrefix(b) == topWord(a) ^ topWord(b).
+func topWord(a id.ID) uint64 { return a.XorPrefix(id.ID{}) }
+
 // bucket is one k-bucket: entries in least-recently-seen-first order plus
 // a bounded replacement cache of contacts that arrived while full.
+//
+// Entries are stored by value: 64 bytes each, pointer-free and contiguous,
+// so finding a contact or ranking a bucket walks one array instead of
+// chasing k pointers, and moving an entry to the most-recently-seen end is
+// a memmove of at most k-1 entries. No pointer into entries outlives the
+// table call that took it.
 type bucket struct {
-	entries      []*entry
+	entries      []entry
 	replacements []Contact // oldest first; newest appended at the end
 }
 
@@ -44,19 +63,36 @@ func (b *bucket) find(nodeID id.ID) int {
 	if b == nil {
 		return -1
 	}
-	for i, e := range b.entries {
-		if e.contact.ID.Equal(nodeID) {
+	top := topWord(nodeID)
+	// From the most-recently-seen end: whoever is heard from now was most
+	// likely heard from lately.
+	for i := len(b.entries) - 1; i >= 0; i-- {
+		if e := &b.entries[i]; e.top == top && e.contact.ID.Equal(nodeID) {
 			return i
 		}
 	}
 	return -1
 }
 
+// touch moves entry i to the most-recently-seen end and returns it there.
+func (b *bucket) touch(i int) *entry {
+	last := len(b.entries) - 1
+	e := b.entries[i]
+	copy(b.entries[i:], b.entries[i+1:])
+	b.entries[last] = e
+	return &b.entries[last]
+}
+
+// replace drops entry i and admits c as the most recently seen.
+func (b *bucket) replace(i int, c Contact) {
+	*b.touch(i) = newEntry(c)
+}
+
 // findStale returns the index of the first entry with fails >= limit that
 // has no ping outstanding, or -1.
 func (b *bucket) findStale(limit int) int {
-	for i, e := range b.entries {
-		if e.fails >= limit && !e.pingInFlight {
+	for i := range b.entries {
+		if e := &b.entries[i]; e.stale(limit) && !e.pingInFlight {
 			return i
 		}
 	}
@@ -169,15 +205,13 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	}
 	b := &rt.buckets[depth]
 	if i := b.find(c.ID); i >= 0 {
-		e := b.entries[i]
+		e := b.touch(i)
 		e.fails = 0
 		e.contact = c // refresh address
-		b.entries = append(b.entries[:i], b.entries[i+1:]...)
-		b.entries = append(b.entries, e)
 		return ObserveResult{Inserted: true}
 	}
 	if len(b.entries) < rt.cfg.K {
-		b.entries = append(b.entries, &entry{contact: c})
+		b.entries = append(b.entries, newEntry(c))
 		rt.size++
 		rt.setOccupied(depth, true)
 		return ObserveResult{Inserted: true}
@@ -185,8 +219,7 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	// Bucket full: a stale entry (>= s consecutive failures) is replaced
 	// outright by the newcomer we just heard from.
 	if i := b.findStale(rt.cfg.StalenessLimit); i >= 0 {
-		b.entries = append(b.entries[:i], b.entries[i+1:]...)
-		b.entries = append(b.entries, &entry{contact: c})
+		b.replace(i, c)
 		return ObserveResult{Inserted: true}
 	}
 	// Otherwise stash in the replacement cache (dropping the oldest
@@ -194,7 +227,7 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	// liveness check.
 	b.removeReplacement(c.ID)
 	b.pushReplacement(c, rt.cfg.ReplacementCacheSize)
-	lrs := b.entries[0]
+	lrs := &b.entries[0]
 	if lrs.pingInFlight {
 		return ObserveResult{}
 	}
@@ -213,11 +246,9 @@ func (rt *RoutingTable) RecordSuccess(nodeID id.ID) {
 	if i < 0 {
 		return
 	}
-	e := b.entries[i]
+	e := b.touch(i)
 	e.fails = 0
 	e.pingInFlight = false
-	b.entries = append(b.entries[:i], b.entries[i+1:]...)
-	b.entries = append(b.entries, e)
 }
 
 // RecordFailure charges one failed communication attempt against a
@@ -244,12 +275,12 @@ func (rt *RoutingTable) RecordFailure(nodeID id.ID) bool {
 	if i < 0 {
 		return false
 	}
-	e := b.entries[i]
+	e := &b.entries[i]
 	e.pingInFlight = false
-	if e.fails < rt.cfg.StalenessLimit {
+	if !e.stale(rt.cfg.StalenessLimit) {
 		e.fails++ // cap the counter at s; staleness is already decided
 	}
-	if e.fails < rt.cfg.StalenessLimit {
+	if !e.stale(rt.cfg.StalenessLimit) {
 		return false
 	}
 	n := len(b.replacements)
@@ -258,8 +289,7 @@ func (rt *RoutingTable) RecordFailure(nodeID id.ID) bool {
 	}
 	promoted := b.replacements[n-1]
 	b.replacements = b.replacements[:n-1]
-	b.entries = append(b.entries[:i], b.entries[i+1:]...)
-	b.entries = append(b.entries, &entry{contact: promoted})
+	b.replace(i, promoted)
 	return true
 }
 
@@ -271,15 +301,15 @@ func (rt *RoutingTable) IsStale(nodeID id.ID) bool {
 	}
 	b := rt.bucketFor(nodeID)
 	i := b.find(nodeID)
-	return i >= 0 && b.entries[i].fails >= rt.cfg.StalenessLimit
+	return i >= 0 && b.entries[i].stale(rt.cfg.StalenessLimit)
 }
 
 // StaleCount returns the number of stale entries across all buckets.
 func (rt *RoutingTable) StaleCount() int {
 	count := 0
 	for _, b := range rt.buckets {
-		for _, e := range b.entries {
-			if e.fails >= rt.cfg.StalenessLimit {
+		for i := range b.entries {
+			if b.entries[i].stale(rt.cfg.StalenessLimit) {
 				count++
 			}
 		}
@@ -337,14 +367,14 @@ func (rt *RoutingTable) AppendClosest(dst []Contact, target id.ID, count int, ex
 		for m := rt.occupied[w] & d[w]; m != 0 && len(dst) < want; {
 			lz := bits.LeadingZeros64(m)
 			m &^= 1 << (63 - lz)
-			dst = rt.appendBucket(dst, &rt.buckets[64*w+lz], target, want, exclude)
+			dst = rt.appendBucket(dst, &rt.buckets[64*w+lz], &target, want, &exclude)
 		}
 	}
 	for w := len(d) - 1; w >= 0 && len(dst) < want; w-- {
 		for m := rt.occupied[w] &^ d[w]; m != 0 && len(dst) < want; {
 			tz := bits.TrailingZeros64(m)
 			m &= m - 1
-			dst = rt.appendBucket(dst, &rt.buckets[64*w+63-tz], target, want, exclude)
+			dst = rt.appendBucket(dst, &rt.buckets[64*w+63-tz], &target, want, &exclude)
 		}
 	}
 	return dst
@@ -354,11 +384,12 @@ func (rt *RoutingTable) AppendClosest(dst []Contact, target id.ID, count int, ex
 // distance to target until dst holds want. A bucket never holds more than
 // k contacts, few enough that an insertion sort on the distance prefixes
 // beats a general sort calling back for every comparison.
-func (rt *RoutingTable) appendBucket(dst []Contact, b *bucket, target id.ID, want int, exclude id.ID) []Contact {
+func (rt *RoutingTable) appendBucket(dst []Contact, b *bucket, target *id.ID, want int, exclude *id.ID) []Contact {
+	targetTop, excludeTop := topWord(*target), topWord(*exclude)
 	ranked := rt.ranked[:0]
-	for i, e := range b.entries {
-		if !e.contact.ID.Equal(exclude) {
-			ranked = append(ranked, rankedContact{e.contact.ID.XorPrefix(target), i})
+	for i := range b.entries {
+		if e := &b.entries[i]; e.top != excludeTop || !e.contact.ID.Equal(*exclude) {
+			ranked = append(ranked, rankedContact{e.top ^ targetTop, i})
 		}
 	}
 	rt.ranked = ranked
@@ -370,7 +401,7 @@ func (rt *RoutingTable) appendBucket(dst []Contact, b *bucket, target id.ID, wan
 			// Equal prefixes are identifiers that agree in their top 64
 			// bits: only then do the full identifiers decide.
 			if p.prefix < r.prefix || p.prefix == r.prefix &&
-				!b.entries[r.entry].contact.ID.CloserTo(target, b.entries[p.entry].contact.ID) {
+				!b.entries[r.entry].contact.ID.CloserTo(*target, b.entries[p.entry].contact.ID) {
 				break
 			}
 			ranked[j] = p
@@ -397,8 +428,8 @@ func (rt *RoutingTable) Contacts() []Contact {
 func (rt *RoutingTable) AppendContacts(dst []Contact) []Contact {
 	// Ascending bucket index is descending depth.
 	for c := len(rt.buckets) - 1; c >= 0; c-- {
-		for _, e := range rt.buckets[c].entries {
-			dst = append(dst, e.contact)
+		for i := range rt.buckets[c].entries {
+			dst = append(dst, rt.buckets[c].entries[i].contact)
 		}
 	}
 	return dst

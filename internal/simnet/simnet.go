@@ -113,6 +113,13 @@ type Config struct {
 // Network is a simulated message-passing network. It is driven entirely by
 // the simulation goroutine and is not safe for concurrent use.
 type Network struct {
+	// Protocol is a slot for the protocol layer above: state that every
+	// host of this network shares and that must not outlive or cross
+	// networks (kademlia keeps its free list of lookup records here). The
+	// network never reads it; like the network itself it belongs to the
+	// simulation goroutine.
+	Protocol any
+
 	sim     *eventsim.Simulator
 	latency LatencyModel
 	loss    LossModel

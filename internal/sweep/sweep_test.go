@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"kadre/internal/churn"
 	"kadre/internal/connectivity"
 	"kadre/internal/scenario"
 )
@@ -128,6 +129,36 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 			if a.Network != b.Network {
 				t.Fatalf("config %d rep %d: network stats differ: %+v vs %+v", ci, ri, a.Network, b.Network)
 			}
+		}
+	}
+}
+
+// TestTrafficRunsInParallelKeepTheirLookupPools: every run builds its own
+// simnet.Network, and the Kademlia nodes of a network recycle their lookup
+// records through a free list that hangs off it. Two traffic-and-churn
+// runs side by side must therefore never touch each other's records —
+// under -race (CI's short pass runs this) a crossed list is a reported
+// race — and must produce what they produce alone.
+func TestTrafficRunsInParallelKeepTheirLookupPools(t *testing.T) {
+	cfgs := []scenario.Config{tinyConfig("pool-a", 21), tinyConfig("pool-b", 22)}
+	for i := range cfgs {
+		cfgs[i].Traffic = true
+		cfgs[i].Churn = churn.Rate1_1
+		cfgs[i].ChurnPhase = 6 * time.Minute
+	}
+	serial, err := Run(cfgs, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := Run(cfgs, Options{Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cfgs {
+		a, b := serial[i].Reps[0], parallel[i].Reps[0]
+		if a.Network.Sent == 0 || a.Network != b.Network || !reflect.DeepEqual(a.Points, b.Points) {
+			t.Fatalf("%s: jobs=1 sent %+v, jobs=2 sent %+v; points equal: %v",
+				cfgs[i].Name, a.Network, b.Network, reflect.DeepEqual(a.Points, b.Points))
 		}
 	}
 }
