@@ -15,11 +15,15 @@
 //	eclipse  victims closest by XOR distance to a target identifier,
 //	         erasing a keyspace region
 //
-// Runs execute on the parallel sweep engine with seed replication, so
-// attack curves carry cross-rep confidence intervals like every other
-// experiment. Every run is deterministic in its seed and the CSV/JSON
-// artefacts exclude wall-clock data and the worker count, so the same
-// invocation produces byte-identical files for any -jobs value.
+// Runs execute on the parallel sweep engine with seed replication. Every
+// rep count prints the same artefacts through the renderers kadsweep
+// uses — both degradation charts, the summary table and the per-run
+// tables, as cross-run means — and two or more reps add the confidence
+// intervals (ci95 and reps columns, dotted chart band); Disconn(min) is
+// the first snapshot at which any rep was disconnected. Every run is
+// deterministic in its seed and the CSV/JSON artefacts exclude wall-clock
+// data and the worker count, so the same invocation produces
+// byte-identical files for any -jobs value.
 //
 // Flags (the shared batch flags -scale -scenario -seed -reps -jobs -csv
 // -json -checkpoint -quiet are documented once, in internal/batch, and
@@ -57,6 +61,7 @@ import (
 	"kadre/internal/batch"
 	"kadre/internal/report"
 	"kadre/internal/scenario"
+	"kadre/internal/stats"
 	"kadre/internal/sweep"
 )
 
@@ -80,6 +85,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *budget < 0 {
 		return fmt.Errorf("-budget %d must be >= 0", *budget)
+	}
+	if *interval < 0 {
+		return fmt.Errorf("-interval %v must be >= 0", *interval)
 	}
 
 	var exp scenario.Experiment
@@ -130,40 +138,28 @@ func run(args []string, stdout io.Writer) error {
 	if err := b.WriteJSON("attack.json", meta, sets); err != nil {
 		return err
 	}
-	return render(stdout, exp, b.Reps, sets)
+	return render(stdout, exp, sets)
 }
 
-func render(w io.Writer, exp scenario.Experiment, reps int, sets []*sweep.RunSet) error {
-	if reps > 1 {
-		if err := report.AggDegradationChart(w, exp.Title+" — min connectivity vs removed (mean of reps)", sets, 14); err != nil {
-			return err
-		}
+// render writes both degradation charts, the summary and the per-run
+// tables, whatever the rep count.
+func render(w io.Writer, exp scenario.Experiment, sets []*sweep.RunSet) error {
+	minConn := func(rs *sweep.RunSet) *stats.AggregateSeries { return rs.Min }
+	scc := func(rs *sweep.RunSet) *stats.AggregateSeries { return rs.SCC }
+	if err := report.DegradationChart(w, exp.Title+" — min connectivity vs removed", sets, minConn); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	if err := report.DegradationChart(w, exp.Title+" — largest-SCC fraction", sets, scc); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	if err := report.AttackTable(w, "Attack summary", sets); err != nil {
+		return err
+	}
+	for _, rs := range sets {
 		fmt.Fprintln(w)
-		header, rows := report.AttackTableReps(sets)
-		fmt.Fprintln(w, "Attack summary (cross-replication means)")
-		return report.WriteTable(w, header, rows)
-	}
-	results := make([]*scenario.Result, len(sets))
-	for i, rs := range sets {
-		results[i] = rs.Reps[0]
-	}
-	if err := report.DegradationChart(w, exp.Title+" — minimum connectivity", results, 14); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := report.SCCDegradationChart(w, exp.Title+" — largest-SCC fraction", results, 14); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	header, rows := report.AttackTable(results)
-	fmt.Fprintln(w, "Attack summary")
-	if err := report.WriteTable(w, header, rows); err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Fprintf(w, "\n%s\n", r.Config.Name)
-		header, rows := report.AttackSnapshotRows(r)
-		if err := report.WriteTable(w, header, rows); err != nil {
+		if err := report.SnapshotTable(w, rs); err != nil {
 			return err
 		}
 	}

@@ -36,10 +36,19 @@ func TestAttackEndToEnd(t *testing.T) {
 	out := runDir(t, dir1, "-jobs", "1")
 	runDir(t, dir2, "-jobs", "8")
 
-	// Rendering sanity: degradation axes and the summary table.
-	for _, want := range []string{"removed", "Attack summary", "minimum connectivity", "largest-SCC fraction"} {
+	// Rendering: both degradation charts, the summary and the per-run
+	// tables — and, at one rep, nothing that needs a second run.
+	for _, want := range []string{
+		" — min connectivity vs removed\n", " — largest-SCC fraction\n", "20 removed\n",
+		"\nAttack summary\n", "FinalSCC  Disconn(min)\n", "\nAttack/cutset\nt(min)  n ",
+	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, not := range []string{"ci95", "mean of reps", "95% CI", "cross-replication"} {
+		if strings.Contains(out, not) {
+			t.Fatalf("one-rep output contains %q:\n%s", not, out)
 		}
 	}
 
@@ -210,6 +219,15 @@ func TestRunErrors(t *testing.T) {
 		if err := run(bad, discard); err == nil {
 			t.Errorf("args %v should fail", bad)
 		}
+	}
+	// A negative interval is not "use the default": it fails like a
+	// negative budget, before any output directory is created.
+	outDir := filepath.Join(t.TempDir(), "out")
+	if err := run([]string{"-scale", "tiny", "-interval", "-1m", "-csv", outDir}, discard); err == nil || !strings.Contains(err.Error(), "-interval") {
+		t.Errorf("-interval -1m: err = %v, want a flag error naming -interval", err)
+	}
+	if _, err := os.Stat(outDir); !os.IsNotExist(err) {
+		t.Errorf("-interval -1m created %s before failing (stat err %v)", outDir, err)
 	}
 	// The governance policy is a constant, not a flag.
 	if err := run([]string{"-scale", "tiny", "-max-dead-frac", "0"}, discard); err == nil || !strings.Contains(err.Error(), "not defined") {

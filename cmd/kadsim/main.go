@@ -1,7 +1,11 @@
 // Command kadsim runs one Kademlia resilience simulation and reports the
 // connectivity time series, mirroring the paper's per-simulation
 // methodology: randomized setup, stabilization, optional churn/traffic/
-// loss, and periodic connectivity snapshots.
+// loss, and periodic connectivity snapshots. The run is printed as a
+// one-rep sweep.RunSet through the renderers kadsweep uses: the snapshot
+// table (t, n, minConn, avgConn; edge counts and symmetry are in the
+// per-snapshot log lines) and one chart each of the minimum and the
+// average connectivity.
 //
 // Examples:
 //
@@ -12,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -22,16 +27,17 @@ import (
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
 	"kadre/internal/stats"
+	"kadre/internal/sweep"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "kadsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("kadsim", flag.ContinueOnError)
 	var (
 		size      = fs.Int("size", 100, "initial network size")
@@ -76,7 +82,7 @@ func run(args []string) error {
 		SampleFraction:   *sampleC,
 	}
 	if !*quiet {
-		cfg.Log = func(format string, a ...any) { fmt.Printf(format+"\n", a...) }
+		cfg.Log = func(format string, a ...any) { fmt.Fprintf(stdout, format+"\n", a...) }
 	}
 
 	// The first failed snapshot write stops further writes and, after the
@@ -98,19 +104,28 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("\nrun complete: %d snapshots, churn +%d/-%d, %d traffic ops, %d messages sent (%d lost), wall %v\n\n",
+	fmt.Fprintf(stdout, "\nrun complete: %d snapshots, churn +%d/-%d, %d traffic ops, %d messages sent (%d lost), wall %v\n\n",
 		len(res.Points), res.ChurnAdded, res.ChurnRemoved, res.TrafficOps,
 		res.Network.Sent, res.Network.Lost, res.Elapsed.Round(time.Millisecond))
 
-	header, rows := report.SnapshotRows(res)
-	if err := report.WriteTable(os.Stdout, header, rows); err != nil {
+	// One run is a one-rep RunSet, rendered like any sweep's.
+	rs := &sweep.RunSet{Config: cfg, Reps: []*scenario.Result{res}}
+	if err := rs.Aggregate(); err != nil {
 		return err
 	}
-
+	if err := report.SnapshotTable(stdout, rs); err != nil {
+		return err
+	}
 	if *chart {
-		fmt.Println()
-		series := []*stats.Series{res.MinSeries(), res.AvgSeries()}
-		if err := report.Chart(os.Stdout, "connectivity over time", series, 14); err != nil {
+		sets := []*sweep.RunSet{rs}
+		minConn := func(rs *sweep.RunSet) *stats.AggregateSeries { return rs.Min }
+		avgConn := func(rs *sweep.RunSet) *stats.AggregateSeries { return rs.Avg }
+		fmt.Fprintln(stdout)
+		if err := report.Chart(stdout, "minimum connectivity over time", sets, minConn); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout)
+		if err := report.Chart(stdout, "average connectivity over time", sets, avgConn); err != nil {
 			return err
 		}
 	}

@@ -1,22 +1,52 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
+// TestRunTinySimulation runs to completion and parses what it printed:
+// the run summary, then the snapshot table every sweep renders — one row
+// per snapshot, at one rep without CI or rep columns — and no chart.
 func TestRunTinySimulation(t *testing.T) {
 	dir := t.TempDir()
+	var buf bytes.Buffer
 	err := run([]string{
 		"-size", "25", "-k", "4", "-bits", "64",
 		"-setup-mins", "5", "-stabilize-mins", "10", "-churn-mins", "10",
 		"-interval-mins", "10", "-c", "0.2",
 		"-snapshots", dir, "-quiet", "-chart=false",
-	})
+	}, &buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(buf.String(), "\n\nkadsim\n")
+	if !ok || !strings.Contains(buf.String(), "run complete: 3 snapshots") {
+		t.Fatalf("no run summary followed by the titled table:\n%s", buf.String())
+	}
+	lines := strings.Split(strings.TrimRight(table, "\n"), "\n")
+	if got := strings.Join(strings.Fields(lines[0]), " "); got != "t(min) n minConn avgConn" {
+		t.Fatalf("table header %q", got)
+	}
+	times := []string{"10", "20", "25"} // every interval, and the end of the run
+	if len(lines) != 2+len(times) {     // header and rule above the rows
+		t.Fatalf("table has %d lines, want %d:\n%s", len(lines), 2+len(times), table)
+	}
+	for i, row := range lines[2:] {
+		cells := strings.Fields(row)
+		if len(cells) != 4 || cells[0] != times[i] {
+			t.Fatalf("row %d = %q", i, row)
+		}
+		for _, c := range cells[1:] {
+			if v, err := strconv.ParseFloat(c, 64); err != nil || v <= 0 {
+				t.Fatalf("row %d cell %q is not a positive number", i, c)
+			}
+		}
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "snapshot-*.json"))
 	if err != nil {
@@ -47,20 +77,35 @@ func TestRunSnapshotWriteFailure(t *testing.T) {
 		"-setup-mins", "5", "-stabilize-mins", "10", "-churn-mins", "10",
 		"-interval-mins", "10", "-c", "0.2",
 		"-snapshots", dir, "-quiet", "-chart=false",
-	})
+	}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "snapshot persistence") {
 		t.Fatalf("err = %v, want a snapshot persistence failure", err)
 	}
 }
 
+// TestRunWithChurnAndLoss also renders the charts: one curve each, of the
+// one-rep set's minimum and average connectivity, with no CI legend.
 func TestRunWithChurnAndLoss(t *testing.T) {
+	var buf bytes.Buffer
 	err := run([]string{
 		"-size", "20", "-k", "4", "-bits", "64", "-churn", "1/1", "-loss", "low",
 		"-traffic", "-setup-mins", "5", "-stabilize-mins", "5", "-churn-mins", "5",
-		"-interval-mins", "5", "-c", "0.2", "-quiet", "-chart=false",
-	})
+		"-interval-mins", "5", "-c", "0.2", "-quiet",
+	}, &buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"\nminimum connectivity over time\n", "  * kadsim/min\n",
+		"\naverage connectivity over time\n", "  * kadsim/avg\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "ci95") || strings.Contains(out, "95% CI") || strings.Contains(out, "reps") {
+		t.Fatalf("one run printed replication notes:\n%s", out)
 	}
 }
 
@@ -70,9 +115,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-churn", "banana"},
 		{"-size", "1"},
 		{"-bits", "33"},
+		// The spec door rejects these too; neither may fall through to a
+		// full n(n-1) sweep.
+		{"-c", "-0.5"},
+		{"-c", "NaN"},
 	}
 	for _, args := range tests {
-		if err := run(append(args, "-quiet", "-chart=false")); err == nil {
+		if err := run(append(args, "-quiet", "-chart=false"), io.Discard); err == nil {
 			t.Errorf("args %v: expected error", args)
 		}
 	}

@@ -1,7 +1,8 @@
 // Command kadsweep regenerates the paper's figures and tables. Each
 // experiment id maps to one artefact of the evaluation section (see
 // DESIGN.md's experiment index); the output is the paper's tables as text
-// and the figures as ASCII charts plus per-run measurement tables.
+// and the figures as ASCII charts plus per-configuration measurement
+// tables.
 //
 // Runs execute on the parallel sweep engine (internal/sweep): the
 // experiment's configurations — times the replication count — fan out
@@ -14,17 +15,20 @@
 // each experiment's tail instead of idling at every boundary.
 //
 // Replication (-reps R) repeats every configuration R times with derived
-// seeds, matching the paper's repeated-run methodology. Replicated sweeps
-// report the cross-run mean and two-sided 95% Student-t confidence
-// interval per snapshot instant, both in the tables and as the dotted
-// band of the ASCII charts.
+// seeds, matching the paper's repeated-run methodology. Every rep count
+// takes the one render path: tables and charts show the cross-run mean
+// per snapshot instant, and a configuration that holds two or more reps
+// adds the two-sided 95% Student-t confidence interval — the ci95 and
+// reps columns, the dotted band of the ASCII charts — as internal/report
+// decides from the results themselves. One rep prints its own values in
+// the same formats (14.00, not 14).
 //
 // Flags (the shared batch flags -scale -scenario -seed -reps -jobs -csv
 // -json -checkpoint -quiet, and the JSON document, are documented once,
 // in internal/batch, and every run takes the default memory-governance
 // policy, which is not a flag; -csv also writes a per-config aggregate CSV
-// when -reps > 1 and -json writes <exp>.json with the informational "jobs"
-// field):
+// for every configuration with two or more reps, and -json writes
+// <exp>.json with the informational "jobs" field):
 //
 //	-exp id       experiment to run (see -list), or 'all'; exclusive
 //	              with -scenario
@@ -116,16 +120,12 @@ func run(args []string, stdout io.Writer) error {
 		return sweepExperiments(stdout, b, *ciStop, exp)
 	}
 
-	table1 := func() error {
-		header, rows := report.Table1()
-		fmt.Fprintln(stdout, "Table 1: message loss scenarios")
-		return report.WriteTable(stdout, header, rows)
-	}
+	const table1 = "Table 1: message loss scenarios"
 	switch *expID {
 	case "table1":
-		return table1()
+		return report.Table1(stdout, table1)
 	case "all":
-		if err := table1(); err != nil {
+		if err := report.Table1(stdout, table1); err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout)
@@ -211,7 +211,7 @@ func sweepExperiments(stdout io.Writer, b *batch.Flags, ciStop float64, exps ...
 		if pooled {
 			fmt.Fprintf(stdout, "=== %s: %s ===\n", exp.ID, exp.Title)
 		}
-		if err := render(stdout, exp, b.Reps, sets); err != nil {
+		if err := render(stdout, exp, sets); err != nil {
 			return err
 		}
 		if pooled {
@@ -276,90 +276,35 @@ func runAdaptiveGroups(stdout io.Writer, b *batch.Flags, ciStop float64, exps []
 	return out, nil
 }
 
-func render(w io.Writer, exp scenario.Experiment, reps int, sets []*sweep.RunSet) error {
-	if reps > 1 {
-		return renderAggregated(w, exp, sets)
-	}
-	// Single-rep sweeps keep the historical per-run rendering.
-	results := make([]*scenario.Result, len(sets))
-	for i, rs := range sets {
-		results[i] = rs.Reps[0]
-	}
+// render writes one experiment's artefact, whatever the rep count; a
+// title's "(±95% CI)" note goes with the ci95 column it announces.
+func render(w io.Writer, exp scenario.Experiment, sets []*sweep.RunSet) error {
 	switch exp.ID {
 	case "table2":
-		header, rows := report.Table2(results)
-		fmt.Fprintln(w, "Table 2: means and relative variance of min connectivity during churn")
-		return report.WriteTable(w, header, rows)
+		return report.Table2(w, "Table 2: mean (±95% CI) and relative variance of min connectivity during churn", sets)
 	case "figure10":
-		header, rows := report.MeansByK(results)
-		fmt.Fprintln(w, "Figure 10: means of the minimum connectivity during churn")
-		return report.WriteTable(w, header, rows)
+		return report.MeansByK(w, "Figure 10: means (±95% CI) of the minimum connectivity during churn", sets)
 	case "bitlength":
-		header, rows := report.MeansByK(results)
-		fmt.Fprintln(w, "§5.7: bit-length comparison (expect no significant difference)")
-		return report.WriteTable(w, header, rows)
-	default:
-		// Figure-style output: min- and avg-connectivity charts over all
-		// runs, then per-run tables.
-		var minSeries, avgSeries []*stats.Series
-		for _, r := range results {
-			minSeries = append(minSeries, r.MinSeries())
-			avgSeries = append(avgSeries, r.AvgSeries())
-		}
-		if err := report.Chart(w, exp.Title+" — minimum connectivity", minSeries, 14); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		if err := report.Chart(w, exp.Title+" — average connectivity", avgSeries, 14); err != nil {
-			return err
-		}
-		for _, r := range results {
-			fmt.Fprintf(w, "\n%s\n", r.Config.Name)
-			header, rows := report.SnapshotRows(r)
-			if err := report.WriteTable(w, header, rows); err != nil {
-				return err
-			}
-		}
-		return nil
+		return report.MeansByK(w, "§5.7: bit-length comparison (expect no significant difference)", sets)
 	}
-}
-
-func renderAggregated(w io.Writer, exp scenario.Experiment, sets []*sweep.RunSet) error {
-	switch exp.ID {
-	case "table2":
-		header, rows := report.Table2Reps(sets)
-		fmt.Fprintln(w, "Table 2: mean (±95% CI) and relative variance of min connectivity during churn")
-		return report.WriteTable(w, header, rows)
-	case "figure10":
-		header, rows := report.MeansByKReps(sets)
-		fmt.Fprintln(w, "Figure 10: means (±95% CI) of the minimum connectivity during churn")
-		return report.WriteTable(w, header, rows)
-	case "bitlength":
-		header, rows := report.MeansByKReps(sets)
-		fmt.Fprintln(w, "§5.7: bit-length comparison (expect no significant difference)")
-		return report.WriteTable(w, header, rows)
-	default:
-		var minAgg, avgAgg []*stats.AggregateSeries
-		for _, rs := range sets {
-			minAgg = append(minAgg, rs.Min)
-			avgAgg = append(avgAgg, rs.Avg)
-		}
-		if err := report.AggChart(w, exp.Title+" — minimum connectivity (mean of reps)", minAgg, 14); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		if err := report.AggChart(w, exp.Title+" — average connectivity (mean of reps)", avgAgg, 14); err != nil {
-			return err
-		}
-		for _, rs := range sets {
-			fmt.Fprintf(w, "\n%s (%d reps)\n", rs.Config.Name, len(rs.Reps))
-			header, rows := report.AggregateSnapshotRows(rs)
-			if err := report.WriteTable(w, header, rows); err != nil {
-				return err
-			}
-		}
-		return nil
+	// Figure-style output: min- and avg-connectivity charts over all
+	// configurations, then per-configuration tables.
+	minConn := func(rs *sweep.RunSet) *stats.AggregateSeries { return rs.Min }
+	avgConn := func(rs *sweep.RunSet) *stats.AggregateSeries { return rs.Avg }
+	if err := report.Chart(w, exp.Title+" — minimum connectivity", sets, minConn); err != nil {
+		return err
 	}
+	fmt.Fprintln(w)
+	if err := report.Chart(w, exp.Title+" — average connectivity", sets, avgConn); err != nil {
+		return err
+	}
+	for _, rs := range sets {
+		fmt.Fprintln(w)
+		if err := report.SnapshotTable(w, rs); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeCSVs writes one CSV per replication of every run, plus a

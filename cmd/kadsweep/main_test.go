@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -170,6 +171,22 @@ func TestGoldenTinyFigure2(t *testing.T) {
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
+	// One rep goes through the same render body as a replicated sweep and
+	// shows nothing that needs a second run.
+	out := buf.String()
+	for _, want := range []string{
+		" — minimum connectivity\n", " — average connectivity\n", "  * SimA/k=5/min\n",
+		"\nSimA/k=5\nt(min)  n     minConn  avgConn\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, not := range []string{"ci95", "mean of reps", "95% CI", "reps)"} {
+		if strings.Contains(out, not) {
+			t.Fatalf("one-rep output contains %q:\n%s", not, out)
+		}
+	}
 	got, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +322,10 @@ func TestCIStopAdaptiveSweep(t *testing.T) {
 	for _, r := range file.Runs {
 		if len(r.Reps) < 2 || len(r.Reps) > 4 {
 			t.Fatalf("run %s consumed %d reps, want within [2, 4]", r.Name, len(r.Reps))
+		}
+		// The table is titled with the reps the set holds, not the budget.
+		if title := fmt.Sprintf("\n%s (%d reps)\n", r.Name, len(r.Reps)); !strings.Contains(out, title) {
+			t.Fatalf("output missing %q:\n%s", title, out)
 		}
 	}
 	// Adaptive stop indices depend only on seeds and statistics: modulo

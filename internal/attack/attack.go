@@ -146,10 +146,7 @@ func (c Config) Validate() error {
 	if c.Interval <= 0 {
 		return fmt.Errorf("attack: interval %v must be positive", c.Interval)
 	}
-	if c.SampleFraction < 0 {
-		return fmt.Errorf("attack: sample fraction %v must be >= 0", c.SampleFraction)
-	}
-	return nil
+	return connectivity.CheckSampleFraction(c.SampleFraction)
 }
 
 // String renders the adversary in a compact budget@interval notation.

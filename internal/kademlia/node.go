@@ -42,7 +42,6 @@ type Node struct {
 	pending      map[uint64]*rpc
 	refreshTimer *eventsim.Timer
 	running      bool
-	compromised  bool
 	stats        NodeStats
 
 	freeRPCs      *rpc        // idle request records, reused by sendRequest
@@ -273,20 +272,9 @@ func (n *Node) HasValue(key id.ID) bool {
 	return ok
 }
 
-// SetCompromised toggles the attacker behaviour of the paper's system
-// model (§3): a compromised node stays in the network — it keeps its
-// place in other nodes' routing tables — but denies all requests, thereby
-// hindering information exchange through it. Responses to its own
-// outstanding requests are also ignored, so it contributes no routing
-// work at all.
-func (n *Node) SetCompromised(c bool) { n.compromised = c }
-
-// Compromised reports whether the node is under attacker control.
-func (n *Node) Compromised() bool { return n.compromised }
-
 // Deliver implements simnet.Handler.
 func (n *Node) Deliver(from simnet.Addr, payload any) {
-	if !n.running || n.compromised {
+	if !n.running {
 		return
 	}
 	env, ok := payload.(*envelope)

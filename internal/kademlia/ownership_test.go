@@ -63,7 +63,7 @@ func (a *bufferAudit) watch(n *Node) {
 }
 
 func (a *bufferAudit) observe(receiver *Node, from simnet.Addr, env *envelope) {
-	if cap(env.Contacts) == 0 || !receiver.running || receiver.compromised {
+	if cap(env.Contacts) == 0 || !receiver.running {
 		return
 	}
 	buf := env.Contacts[:1]

@@ -3,9 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
-	"math"
 
-	"kadre/internal/scenario"
 	"kadre/internal/stats"
 	"kadre/internal/sweep"
 )
@@ -14,112 +12,52 @@ import (
 // *against nodes removed* rather than against time, which is the x-axis
 // an adversary cares about — how much damage does each kill buy.
 
-// degradationLayers maps each run's snapshots to (removed, value) marks.
-func degradationLayers(results []*scenario.Result, value func(scenario.SnapshotStat) float64) []chartLayer {
-	layers := make([]chartLayer, len(results))
-	for i, r := range results {
-		l := chartLayer{name: r.Config.Name}
-		for _, p := range r.Points {
-			if p.Time < r.Config.ChurnStart() {
-				continue // pre-attack points all sit at removed = 0
-			}
-			l.points = append(l.points, chartXY{t: float64(p.Removed), v: value(p)})
-		}
-		layers[i] = l
-	}
-	return layers
-}
-
-// DegradationChart renders min-connectivity versus nodes removed, one
-// curve per run (strategy), over the attack window.
-func DegradationChart(w io.Writer, title string, results []*scenario.Result, height int) error {
-	return renderChart(w, title, degradationLayers(results, func(p scenario.SnapshotStat) float64 {
-		return float64(p.Min)
-	}), height, "removed")
-}
-
-// SCCDegradationChart renders the largest-SCC fraction versus nodes
-// removed — the coarser signal that keeps moving after kappa hits zero.
-func SCCDegradationChart(w io.Writer, title string, results []*scenario.Result, height int) error {
-	return renderChart(w, title, degradationLayers(results, func(p scenario.SnapshotStat) float64 {
-		return p.SCC
-	}), height, "removed")
-}
-
-// AggDegradationChart renders the cross-replication mean degradation
-// curve per configuration: mean min connectivity (with its 95% CI band)
+// DegradationChart writes one degradation curve per set over the attack
+// window: the cross-run mean of the aggregate curve picks (rs.Min, or
+// rs.SCC — the coarser signal that keeps moving after kappa hits zero)
 // against the mean number of nodes removed at each snapshot instant.
-func AggDegradationChart(w io.Writer, title string, sets []*sweep.RunSet, height int) error {
+func DegradationChart(w io.Writer, title string, sets []*sweep.RunSet, curve func(*sweep.RunSet) *stats.AggregateSeries) error {
 	layers := make([]chartLayer, len(sets))
 	for i, rs := range sets {
-		l := chartLayer{name: rs.Config.Name, legend: " (. = 95% CI)"}
+		l := chartLayer{name: rs.Config.Name}
 		start := rs.Config.WithDefaults().ChurnStart()
-		for j := range rs.Min.Points {
-			mp, rp := rs.Min.Points[j], rs.Removed.Points[j]
-			if mp.T < start {
-				continue
-			}
-			l.points = append(l.points, chartXY{t: rp.Mean, v: mp.Mean})
-			if !math.IsNaN(mp.CI95) && mp.CI95 != 0 {
-				l.bands = append(l.bands, chartBand{
-					t: rp.Mean, lo: math.Max(mp.Mean-mp.CI95, 0), hi: mp.Mean + mp.CI95,
-				})
+		for j, p := range curve(rs).Points {
+			if p.T >= start { // pre-attack points all sit at removed = 0
+				l.add(rs.Removed.Points[j].Mean, p)
 			}
 		}
 		layers[i] = l
 	}
-	return renderChart(w, title, layers, height, "removed")
+	return renderChart(w, title, layers, replicated(sets...), "removed")
 }
 
 // disconnectAt returns the first snapshot time (in minutes, as a string)
-// at which the sampled minimum connectivity reached zero, or "-" if the
-// network stayed connected throughout.
-func disconnectAt(r *scenario.Result) string {
-	for _, p := range r.Points {
-		if p.N > 1 && p.Min == 0 {
-			return fmt.Sprintf("%.0f", p.Time.Minutes())
+// at which some run's sampled minimum connectivity was zero, or "-" if
+// the network stayed connected throughout every run.
+func disconnectAt(rs *sweep.RunSet) string {
+	for i, p := range rs.Min.Points {
+		if p.Min == 0 && rs.Size.Points[i].Min > 1 {
+			return fmt.Sprintf("%.0f", p.T.Minutes())
 		}
 	}
 	return "-"
 }
 
-// AttackTable summarizes one run per row: how much the adversary removed,
-// what survived, and when (if ever) the network first disconnected.
-func AttackTable(results []*scenario.Result) (header []string, rows [][]string) {
-	header = []string{"Run", "Attack", "Removed", "MeanMinConn", "FinalMin", "FinalSCC", "Disconn(min)"}
-	for _, r := range results {
-		final := scenario.SnapshotStat{}
-		if len(r.Points) > 0 {
-			final = r.Points[len(r.Points)-1]
-		}
-		rows = append(rows, []string{
-			r.Config.Name,
-			string(r.Config.Attack.Strategy),
-			fmt.Sprintf("%d", r.AttackRemoved),
-			fmt.Sprintf("%.2f", r.ChurnWindowSummary().Mean),
-			fmt.Sprintf("%d", final.Min),
-			fmt.Sprintf("%.3f", final.SCC),
-			disconnectAt(r),
-		})
-	}
-	return header, rows
-}
-
-// AttackTableReps is the replicated form of AttackTable: cross-rep means
-// with 95% CIs.
-func AttackTableReps(sets []*sweep.RunSet) (header []string, rows [][]string) {
-	header = []string{"Run", "Attack", "Removed", "MeanMinConn", "ci95", "FinalMin", "FinalSCC", "reps"}
+// AttackTable writes the attack summary, one configuration per row: how
+// much the adversary removed, what survived (cross-run means), and when,
+// if ever, the network first disconnected.
+func AttackTable(w io.Writer, title string, sets []*sweep.RunSet) error {
+	header := []string{"Run", "Attack", "Removed", "MeanMinConn", "ci95", "FinalMin", "FinalSCC", "reps", "Disconn(min)"}
+	var rows [][]string
 	for _, rs := range sets {
 		means := rs.ChurnWindowMeans()
 		removed := make([]float64, len(rs.Reps))
-		finalMin := make([]float64, len(rs.Reps))
-		finalSCC := make([]float64, len(rs.Reps))
 		for i, r := range rs.Reps {
 			removed[i] = float64(r.AttackRemoved)
-			if len(r.Points) > 0 {
-				finalMin[i] = float64(r.Points[len(r.Points)-1].Min)
-				finalSCC[i] = r.Points[len(r.Points)-1].SCC
-			}
+		}
+		var finalMin, finalSCC float64
+		if n := rs.Min.Len(); n > 0 {
+			finalMin, finalSCC = rs.Min.Points[n-1].Mean, rs.SCC.Points[n-1].Mean
 		}
 		rows = append(rows, []string{
 			rs.Config.Name,
@@ -127,27 +65,11 @@ func AttackTableReps(sets []*sweep.RunSet) (header []string, rows [][]string) {
 			fmt.Sprintf("%.1f", stats.Mean(removed)),
 			fmt.Sprintf("%.2f", stats.Mean(means)),
 			ci(stats.CI95Half(means)),
-			fmt.Sprintf("%.2f", stats.Mean(finalMin)),
-			fmt.Sprintf("%.3f", stats.Mean(finalSCC)),
+			fmt.Sprintf("%.2f", finalMin),
+			fmt.Sprintf("%.3f", finalSCC),
 			fmt.Sprintf("%d", len(rs.Reps)),
+			disconnectAt(rs),
 		})
 	}
-	return header, rows
-}
-
-// AttackSnapshotRows renders a run's degradation series as table rows.
-func AttackSnapshotRows(r *scenario.Result) (header []string, rows [][]string) {
-	header = []string{"t(min)", "removed", "n", "edges", "minConn", "avgConn", "sccFrac"}
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", p.Time.Minutes()),
-			fmt.Sprintf("%d", p.Removed),
-			fmt.Sprintf("%d", p.N),
-			fmt.Sprintf("%d", p.Edges),
-			fmt.Sprintf("%d", p.Min),
-			fmt.Sprintf("%.1f", p.Avg),
-			fmt.Sprintf("%.3f", p.SCC),
-		})
-	}
-	return header, rows
+	return writeTitled(w, title, " (cross-replication means)", header, rows, sets...)
 }

@@ -1,6 +1,16 @@
 // Package report renders experiment results the way the paper presents
 // them: aligned text tables (Tables 1 and 2, the Figure 10 means) and
-// ASCII time-series charts standing in for Figures 2-14.
+// ASCII charts standing in for Figures 2-14.
+//
+// The paper repeats every simulation and reports means over the runs
+// (§5.4), so sweep.RunSet is the only result shape a renderer accepts and
+// each artefact has one function. A single run is a one-rep RunSet: it
+// prints the same cross-run means (which are then the run's own values)
+// in the same formats. What only exists across runs — the ci95 and reps
+// columns, the dotted CI band with its legend note, and the "(mean of
+// reps)" / "(N reps)" / "(±95% CI)" title notes — appears iff some set in
+// the call holds at least two reps, decided here from len(rs.Reps) and
+// nowhere else.
 package report
 
 import (
@@ -9,15 +19,15 @@ import (
 	"strings"
 	"unicode/utf8"
 
-	"kadre/internal/scenario"
 	"kadre/internal/simnet"
 	"kadre/internal/stats"
+	"kadre/internal/sweep"
 )
 
-// WriteTable renders rows as an aligned text table with a header. Cell
+// writeTable renders rows as an aligned text table with a header. Cell
 // widths are measured in runes, so multi-byte cells (the ± of the CI
 // columns) stay aligned.
-func WriteTable(w io.Writer, header []string, rows [][]string) error {
+func writeTable(w io.Writer, header []string, rows [][]string) error {
 	widths := make([]int, len(header))
 	for i, h := range header {
 		widths[i] = utf8.RuneCountInString(h)
@@ -60,9 +70,10 @@ func WriteTable(w io.Writer, header []string, rows [][]string) error {
 	return nil
 }
 
-// Table1 returns the paper's Table 1 (message-loss scenarios) as rows.
-func Table1() (header []string, rows [][]string) {
-	header = []string{"Loss l", "Ploss(1-way)", "Ploss(2-way)"}
+// Table1 writes the paper's Table 1 (message-loss scenarios).
+func Table1(w io.Writer, title string) error {
+	header := []string{"Loss l", "Ploss(1-way)", "Ploss(2-way)"}
+	var rows [][]string
 	for _, l := range simnet.Levels() {
 		rows = append(rows, []string{
 			l.String(),
@@ -70,75 +81,120 @@ func Table1() (header []string, rows [][]string) {
 			fmt.Sprintf("%.0f%%", l.TwoWayLoss()*100),
 		})
 	}
-	return header, rows
+	return writeTitled(w, title, "", header, rows)
 }
 
-// Table2 aggregates Simulation E-H results into the paper's Table 2: mean
-// and relative variance of the minimum connectivity during the churn
-// phase, grouped by size, k, and churn rate.
-func Table2(results []*scenario.Result) (header []string, rows [][]string) {
-	header = []string{"Size", "k", "Churn", "Mean", "RV"}
-	for _, r := range results {
-		sum := r.ChurnWindowSummary()
+// ci renders a 95% confidence-interval half-width.
+func ci(half float64) string { return fmt.Sprintf("±%.2f", half) }
+
+// replicated reports whether any set holds the two runs a spread needs.
+func replicated(sets ...*sweep.RunSet) bool {
+	for _, rs := range sets {
+		if len(rs.Reps) >= 2 {
+			return true
+		}
+	}
+	return false
+}
+
+// ciNote is how a table title announces the ci95 column.
+const ciNote = " (±95% CI)"
+
+// writeTitled writes the title line — followed by note when the sets are
+// replicated — and the table beneath it. When they are not, what the
+// caller wrote for the replicated form goes: the ci95 and reps columns,
+// and the title's ciNote.
+func writeTitled(w io.Writer, title, note string, header []string, rows [][]string, sets ...*sweep.RunSet) error {
+	if replicated(sets...) {
+		title += note
+	} else {
+		title = strings.Replace(title, ciNote, "", 1)
+		keep := func(cells []string) []string {
+			var out []string
+			for i, c := range cells {
+				if header[i] != "ci95" && header[i] != "reps" {
+					out = append(out, c)
+				}
+			}
+			return out
+		}
+		for i, row := range rows {
+			rows[i] = keep(row)
+		}
+		header = keep(header)
+	}
+	if _, err := fmt.Fprintln(w, title); err != nil {
+		return err
+	}
+	return writeTable(w, header, rows)
+}
+
+// Table2 writes the paper's Table 2 for the Simulation E-H sets: the
+// churn-phase mean minimum connectivity averaged across the runs and the
+// mean of the per-run Relative Variances, by size, k and churn rate.
+func Table2(w io.Writer, title string, sets []*sweep.RunSet) error {
+	header := []string{"Size", "k", "Churn", "Mean", "ci95", "RV", "reps"}
+	var rows [][]string
+	for _, rs := range sets {
+		means := rs.ChurnWindowMeans()
+		rvs := make([]float64, len(rs.Reps))
+		for i, r := range rs.Reps {
+			rvs[i] = r.ChurnWindowSummary().RV
+		}
 		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.Config.Size),
-			fmt.Sprintf("%d", r.Config.K),
-			r.Config.Churn.String(),
-			fmt.Sprintf("%.2f", sum.Mean),
-			fmt.Sprintf("%.2f", sum.RV),
+			fmt.Sprintf("%d", rs.Config.Size),
+			fmt.Sprintf("%d", rs.Config.K),
+			rs.Config.Churn.String(),
+			fmt.Sprintf("%.2f", stats.Mean(means)),
+			ci(stats.CI95Half(means)),
+			fmt.Sprintf("%.2f", stats.Mean(rvs)),
+			fmt.Sprintf("%d", len(rs.Reps)),
 		})
 	}
-	return header, rows
+	return writeTitled(w, title, "", header, rows, sets...)
 }
 
-// MeansByK renders Figure 10-style rows: mean minimum connectivity during
-// churn for each run, keyed by the run name.
-func MeansByK(results []*scenario.Result) (header []string, rows [][]string) {
-	header = []string{"Run", "k", "alpha", "Churn", "MeanMinConn"}
-	for _, r := range results {
-		sum := r.ChurnWindowSummary()
-		alpha := r.Config.Alpha
+// MeansByK writes the Figure 10-style table: the mean minimum
+// connectivity during churn per configuration, keyed by the run name.
+func MeansByK(w io.Writer, title string, sets []*sweep.RunSet) error {
+	header := []string{"Run", "k", "alpha", "Churn", "MeanMinConn", "ci95", "reps"}
+	var rows [][]string
+	for _, rs := range sets {
+		means := rs.ChurnWindowMeans()
+		alpha := rs.Config.Alpha
 		if alpha == 0 {
 			alpha = 3
 		}
 		rows = append(rows, []string{
-			r.Config.Name,
-			fmt.Sprintf("%d", r.Config.K),
+			rs.Config.Name,
+			fmt.Sprintf("%d", rs.Config.K),
 			fmt.Sprintf("%d", alpha),
-			r.Config.Churn.String(),
-			fmt.Sprintf("%.2f", sum.Mean),
+			rs.Config.Churn.String(),
+			fmt.Sprintf("%.2f", stats.Mean(means)),
+			ci(stats.CI95Half(means)),
+			fmt.Sprintf("%d", len(rs.Reps)),
 		})
 	}
-	return header, rows
+	return writeTitled(w, title, "", header, rows, sets...)
 }
 
-// SnapshotRows renders a run's full measurement series as table rows.
-func SnapshotRows(r *scenario.Result) (header []string, rows [][]string) {
-	header = []string{"t(min)", "n", "edges", "minConn", "avgConn", "symmetry"}
-	for _, p := range r.Points {
+// SnapshotTable writes one configuration's measurement series under its
+// name: the cross-run mean of the minimum and average connectivity at
+// every snapshot instant, alongside the mean live size.
+func SnapshotTable(w io.Writer, rs *sweep.RunSet) error {
+	header := []string{"t(min)", "n", "minConn", "ci95", "avgConn", "ci95", "reps"}
+	var rows [][]string
+	for i := range rs.Min.Points {
+		mp, ap, sp := rs.Min.Points[i], rs.Avg.Points[i], rs.Size.Points[i]
 		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", p.Time.Minutes()),
-			fmt.Sprintf("%d", p.N),
-			fmt.Sprintf("%d", p.Edges),
-			fmt.Sprintf("%d", p.Min),
-			fmt.Sprintf("%.1f", p.Avg),
-			fmt.Sprintf("%.3f", p.Symmetry),
+			fmt.Sprintf("%.0f", mp.T.Minutes()),
+			fmt.Sprintf("%.1f", sp.Mean),
+			fmt.Sprintf("%.2f", mp.Mean),
+			ci(mp.CI95),
+			fmt.Sprintf("%.2f", ap.Mean),
+			ci(ap.CI95),
+			fmt.Sprintf("%d", mp.N),
 		})
 	}
-	return header, rows
-}
-
-// Chart renders one or more series as an ASCII line chart, the terminal
-// stand-in for the paper's figures. Each series is drawn with its own
-// glyph; the legend maps glyphs to series names.
-func Chart(w io.Writer, title string, series []*stats.Series, height int) error {
-	layers := make([]chartLayer, len(series))
-	for i, s := range series {
-		l := chartLayer{name: s.Name}
-		for _, p := range s.Points {
-			l.points = append(l.points, chartXY{t: p.T.Minutes(), v: p.Value})
-		}
-		layers[i] = l
-	}
-	return renderChart(w, title, layers, height, "min")
+	return writeTitled(w, rs.Config.Name, fmt.Sprintf(" (%d reps)", len(rs.Reps)), header, rows, rs)
 }

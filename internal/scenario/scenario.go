@@ -160,6 +160,9 @@ func (c Config) Validate() error {
 	if c.SnapshotInterval <= 0 {
 		return fmt.Errorf("scenario: snapshot interval must be positive")
 	}
+	if err := connectivity.CheckSampleFraction(c.SampleFraction); err != nil {
+		return err
+	}
 	if !c.Churn.IsZero() && c.ChurnPhase == 0 {
 		return fmt.Errorf("scenario: churn rate %v with zero churn phase", c.Churn)
 	}

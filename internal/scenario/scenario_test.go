@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"kadre/internal/attack"
 	"kadre/internal/churn"
 	"kadre/internal/par"
 	"kadre/internal/simnet"
@@ -158,19 +160,30 @@ func TestConfigValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Config)
+		want   string // substring of the error
 	}{
-		{"size too small", func(c *Config) { c.Size = 1 }},
-		{"negative churn phase", func(c *Config) { c.ChurnPhase = -time.Minute }},
-		{"churn without phase", func(c *Config) { c.Churn = churn.Rate1_1; c.ChurnPhase = 0 }},
-		{"bad k", func(c *Config) { c.K = -3 }},
-		{"bad bits", func(c *Config) { c.Bits = 33 }},
+		{"size too small", func(c *Config) { c.Size = 1 }, "size"},
+		{"negative churn phase", func(c *Config) { c.ChurnPhase = -time.Minute }, "phase durations"},
+		{"churn without phase", func(c *Config) { c.Churn = churn.Rate1_1; c.ChurnPhase = 0 }, "zero churn phase"},
+		{"bad k", func(c *Config) { c.K = -3 }, ""},
+		{"bad bits", func(c *Config) { c.Bits = 33 }, ""},
+		{"negative sample fraction", func(c *Config) { c.SampleFraction = -0.5 }, "sample fraction"},
+		{"NaN sample fraction", func(c *Config) { c.SampleFraction = math.NaN() }, "sample fraction"},
+		{"negative attack sample fraction", func(c *Config) {
+			c.ChurnPhase = 10 * time.Minute
+			c.Attack = attack.Config{Strategy: attack.Cutset, Kills: 1, Interval: time.Minute, SampleFraction: -0.5}
+		}, "sample fraction"},
+		{"NaN attack sample fraction", func(c *Config) {
+			c.ChurnPhase = 10 * time.Minute
+			c.Attack = attack.Config{Strategy: attack.Cutset, Kills: 1, Interval: time.Minute, SampleFraction: math.NaN()}
+		}, "sample fraction"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := tinyConfig("bad", 1)
 			tt.mutate(&cfg)
-			if _, err := Run(cfg); err == nil {
-				t.Fatal("expected validation error")
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("err = %v, want a validation error mentioning %q", err, tt.want)
 			}
 		})
 	}

@@ -85,46 +85,6 @@ type AggregateSeries struct {
 // Len returns the number of aggregated samples.
 func (a *AggregateSeries) Len() int { return len(a.Points) }
 
-// MeanSeries projects the aggregate onto a plain Series of means, e.g. for
-// charting alongside non-replicated curves.
-func (a *AggregateSeries) MeanSeries() *Series {
-	s := &Series{Name: a.Name}
-	for _, p := range a.Points {
-		s.MustAdd(p.T, p.Mean)
-	}
-	return s
-}
-
-// BandSeries returns the lower and upper 95%-CI boundary curves
-// (mean -/+ CI95). Points whose interval is undefined (single run) carry
-// the mean on both boundaries.
-func (a *AggregateSeries) BandSeries() (lo, hi *Series) {
-	lo = &Series{Name: a.Name + "/ci-lo"}
-	hi = &Series{Name: a.Name + "/ci-hi"}
-	for _, p := range a.Points {
-		half := p.CI95
-		if math.IsNaN(half) {
-			half = 0
-		}
-		lo.MustAdd(p.T, p.Mean-half)
-		hi.MustAdd(p.T, p.Mean+half)
-	}
-	return lo, hi
-}
-
-// Window returns the sub-series with from <= T <= to, mirroring
-// Series.Window for aggregated curves.
-func (a *AggregateSeries) Window(from, to time.Duration) *AggregateSeries {
-	out := &AggregateSeries{Name: a.Name}
-	for _, p := range a.Points {
-		if p.T < from || p.T > to {
-			continue
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out
-}
-
 // AggregateAligned collapses repeated runs of the same configuration into
 // one aggregated curve. Every input series must sample the same virtual
 // times in the same order (which holds by construction for seed

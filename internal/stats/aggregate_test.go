@@ -117,36 +117,3 @@ func TestAggregateAlignedErrors(t *testing.T) {
 		t.Fatal("time mismatch must fail")
 	}
 }
-
-func TestAggregateProjections(t *testing.T) {
-	agg, err := AggregateAligned("c", []*Series{mkSeries("r0", 4, 8), mkSeries("r1", 6, 8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := agg.MeanSeries()
-	if mean.Points[0].Value != 5 || mean.Points[1].Value != 8 {
-		t.Fatalf("mean series = %+v", mean.Points)
-	}
-	lo, hi := agg.BandSeries()
-	if lo.Points[0].Value >= 5 || hi.Points[0].Value <= 5 {
-		t.Fatalf("band does not bracket mean: [%v, %v]", lo.Points[0].Value, hi.Points[0].Value)
-	}
-	if lo.Points[1].Value != 8 || hi.Points[1].Value != 8 {
-		t.Fatalf("zero-spread band should collapse to the mean: [%v, %v]", lo.Points[1].Value, hi.Points[1].Value)
-	}
-
-	// Single-run aggregate: NaN CI renders as a collapsed band.
-	single, err := AggregateAligned("s", []*Series{mkSeries("r0", 3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slo, shi := single.BandSeries()
-	if slo.Points[0].Value != 3 || shi.Points[0].Value != 3 {
-		t.Fatal("single-run band must collapse to the mean")
-	}
-
-	w := agg.Window(time.Minute, time.Minute)
-	if w.Len() != 1 || w.Points[0].Mean != 8 {
-		t.Fatalf("window = %+v", w.Points)
-	}
-}

@@ -94,8 +94,6 @@ type (
 	Contact = kademlia.Contact
 	// RoutingTable is a node's k-bucket table.
 	RoutingTable = kademlia.RoutingTable
-	// DisjointResult reports an S/Kademlia-style disjoint-path lookup.
-	DisjointResult = kademlia.DisjointResult
 )
 
 // NewNode creates a node whose identifier is derived from its address.
