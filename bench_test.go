@@ -37,10 +37,15 @@ var benchScale = scenario.TinyScale
 
 const benchSeed = 1
 
-// runExperimentOnce runs every config of an experiment once and returns
-// the results; the b.N loop re-runs the whole experiment.
-func runExperimentOnce(b *testing.B, exp scenario.Experiment) []*scenario.Result {
+// runExperimentOnce resolves a catalogue experiment at benchScale, runs
+// every config of it once and returns the results; the b.N loop re-runs
+// the whole experiment.
+func runExperimentOnce(b *testing.B, experimentID string) []*scenario.Result {
 	b.Helper()
+	exp, err := benchScale.ExperimentByID(experimentID, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
 	results, err := RunExperiment(exp, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -67,10 +72,9 @@ func reportFigureMetrics(b *testing.B, results []*scenario.Result) {
 	}
 }
 
-func benchFigure(b *testing.B, pick func(scenario.Scale, int64) scenario.Experiment) {
+func benchFigure(b *testing.B, experimentID string) {
 	for i := 0; i < b.N; i++ {
-		exp := pick(benchScale, benchSeed)
-		results := runExperimentOnce(b, exp)
+		results := runExperimentOnce(b, experimentID)
 		if i == b.N-1 {
 			reportFigureMetrics(b, results)
 		}
@@ -104,28 +108,28 @@ func BenchmarkTable1MessageLoss(b *testing.B) {
 }
 
 // BenchmarkFigure2SimA: small network, churn 0/1, no data traffic.
-func BenchmarkFigure2SimA(b *testing.B) { benchFigure(b, scenario.Scale.Figure2) }
+func BenchmarkFigure2SimA(b *testing.B) { benchFigure(b, "figure2") }
 
 // BenchmarkFigure3SimB: large network, churn 0/1, no data traffic.
-func BenchmarkFigure3SimB(b *testing.B) { benchFigure(b, scenario.Scale.Figure3) }
+func BenchmarkFigure3SimB(b *testing.B) { benchFigure(b, "figure3") }
 
 // BenchmarkFigure4SimC: small network, churn 0/1, with data traffic.
-func BenchmarkFigure4SimC(b *testing.B) { benchFigure(b, scenario.Scale.Figure4) }
+func BenchmarkFigure4SimC(b *testing.B) { benchFigure(b, "figure4") }
 
 // BenchmarkFigure5SimD: large network, churn 0/1, with data traffic.
-func BenchmarkFigure5SimD(b *testing.B) { benchFigure(b, scenario.Scale.Figure5) }
+func BenchmarkFigure5SimD(b *testing.B) { benchFigure(b, "figure5") }
 
 // BenchmarkFigure6SimE: small network, churn 1/1, with data traffic.
-func BenchmarkFigure6SimE(b *testing.B) { benchFigure(b, scenario.Scale.Figure6) }
+func BenchmarkFigure6SimE(b *testing.B) { benchFigure(b, "figure6") }
 
 // BenchmarkFigure7SimF: large network, churn 1/1, with data traffic.
-func BenchmarkFigure7SimF(b *testing.B) { benchFigure(b, scenario.Scale.Figure7) }
+func BenchmarkFigure7SimF(b *testing.B) { benchFigure(b, "figure7") }
 
 // BenchmarkFigure8SimG: small network, churn 10/10, with data traffic.
-func BenchmarkFigure8SimG(b *testing.B) { benchFigure(b, scenario.Scale.Figure8) }
+func BenchmarkFigure8SimG(b *testing.B) { benchFigure(b, "figure8") }
 
 // BenchmarkFigure9SimH: large network, churn 10/10, with data traffic.
-func BenchmarkFigure9SimH(b *testing.B) { benchFigure(b, scenario.Scale.Figure9) }
+func BenchmarkFigure9SimH(b *testing.B) { benchFigure(b, "figure9") }
 
 // BenchmarkTable2RelativeVariance regenerates Table 2: churn-phase mean
 // and relative variance of the minimum connectivity for Sims E-H, and
@@ -133,8 +137,7 @@ func BenchmarkFigure9SimH(b *testing.B) { benchFigure(b, scenario.Scale.Figure9)
 // lower the RV (it rises or stays flat in almost every k row).
 func BenchmarkTable2RelativeVariance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp := benchScale.Table2(benchSeed)
-		results := runExperimentOnce(b, exp)
+		results := runExperimentOnce(b, "table2")
 		if i != b.N-1 {
 			continue
 		}
@@ -176,8 +179,7 @@ func BenchmarkTable2RelativeVariance(b *testing.B) {
 // 10/10 hurts small k).
 func BenchmarkFigure10Alpha(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp := benchScale.Figure10(benchSeed)
-		results := runExperimentOnce(b, exp)
+		results := runExperimentOnce(b, "figure10")
 		if i != b.N-1 {
 			continue
 		}
@@ -196,8 +198,7 @@ func BenchmarkFigure10Alpha(b *testing.B) {
 // b=80 and b=160 should show no significant connectivity difference.
 func BenchmarkSection57BitLength(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp := benchScale.Section57(benchSeed)
-		results := runExperimentOnce(b, exp)
+		results := runExperimentOnce(b, "bitlength")
 		if i != b.N-1 {
 			continue
 		}
@@ -220,8 +221,7 @@ func sizeTag(size int) string {
 // average connectivity above s=1 (the paper sees it drop).
 func BenchmarkFigure11SimI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp := benchScale.Figure11(benchSeed)
-		results := runExperimentOnce(b, exp)
+		results := runExperimentOnce(b, "figure11")
 		if i != b.N-1 {
 			continue
 		}
@@ -232,10 +232,9 @@ func BenchmarkFigure11SimI(b *testing.B) {
 	}
 }
 
-func benchLossSweep(b *testing.B, pick func(scenario.Scale, int64) scenario.Experiment) {
+func benchLossSweep(b *testing.B, experimentID string) {
 	for i := 0; i < b.N; i++ {
-		exp := pick(benchScale, benchSeed)
-		results := runExperimentOnce(b, exp)
+		results := runExperimentOnce(b, experimentID)
 		if i != b.N-1 {
 			continue
 		}
@@ -248,13 +247,13 @@ func benchLossSweep(b *testing.B, pick func(scenario.Scale, int64) scenario.Expe
 }
 
 // BenchmarkFigure12SimJ: loss sweep, no churn — loss raises connectivity.
-func BenchmarkFigure12SimJ(b *testing.B) { benchLossSweep(b, scenario.Scale.Figure12) }
+func BenchmarkFigure12SimJ(b *testing.B) { benchLossSweep(b, "figure12") }
 
 // BenchmarkFigure13SimK: loss sweep under churn 1/1.
-func BenchmarkFigure13SimK(b *testing.B) { benchLossSweep(b, scenario.Scale.Figure13) }
+func BenchmarkFigure13SimK(b *testing.B) { benchLossSweep(b, "figure13") }
 
 // BenchmarkFigure14SimL: loss sweep under churn 10/10.
-func BenchmarkFigure14SimL(b *testing.B) { benchLossSweep(b, scenario.Scale.Figure14) }
+func BenchmarkFigure14SimL(b *testing.B) { benchLossSweep(b, "figure14") }
 
 // --- Ablation benches (DESIGN.md §4) ---
 

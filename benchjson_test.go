@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"kadre/internal/maxflow"
-	"kadre/internal/scenario"
 )
 
 // benchJSONOut enables the bench-trajectory mode: when set,
@@ -73,8 +72,8 @@ func TestBenchTrajectory(t *testing.T) {
 		{"MaxflowAlgorithms/hao-orlin", maxflowAlgoBench(maxflow.HaoOrlin)},
 		{"ChurnSequence/members-rebind-haoorlin", memberChurnSequenceBench(true, maxflow.HaoOrlin)},
 		{"ChurnSequence/members-bind-haoorlin", memberChurnSequenceBench(false, maxflow.HaoOrlin)},
-		{"Figure2SimA", func(b *testing.B) { benchFigure(b, scenario.Scale.Figure2) }},
-		{"Figure6SimE", func(b *testing.B) { benchFigure(b, scenario.Scale.Figure6) }},
+		{"Figure2SimA", func(b *testing.B) { benchFigure(b, "figure2") }},
+		{"Figure6SimE", func(b *testing.B) { benchFigure(b, "figure6") }},
 		{"SimulationMinute", BenchmarkSimulationMinute},
 		{"EventsimSchedulePop", BenchmarkEventsimSchedulePop},
 		{"RoutingTableClosest", BenchmarkRoutingTableClosest},

@@ -34,11 +34,13 @@
 //	-budget n        total removals per run (default: half the network)
 //	-interval d      strike interval (default: attack window / 8)
 //
-// -budget and -interval complete through the same adversary rule as a
-// spec's attack block (internal/scenario): kills are the budget spread
-// over the strikes that fit the window at the effective interval. A
-// -scenario spec's runs must all carry attack blocks; it replaces these
-// three flags, so passing any of them beside it is an error.
+// The three flags edit the runs of the catalogue's attack experiment
+// (specs/attack.json) before it resolves, so -budget and -interval
+// complete through the same adversary rule as any spec's attack block
+// (internal/scenario): kills are the budget spread over the strikes that
+// fit the window at the effective interval. A -scenario spec's runs must
+// all carry attack blocks; it replaces these three flags, so passing any
+// of them beside it is an error.
 //
 // Examples:
 //
@@ -53,9 +55,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"time"
 
 	"kadre/internal/attack"
 	"kadre/internal/batch"
@@ -63,6 +68,8 @@ import (
 	"kadre/internal/scenario"
 	"kadre/internal/stats"
 	"kadre/internal/sweep"
+	"kadre/internal/workload"
+	"kadre/specs"
 )
 
 func main() {
@@ -110,7 +117,9 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		exp = b.Scale.AttackExperiment(b.Seed, strats, *budget, *interval)
+		if exp, err = attackExperiment(b, strats, *budget, *interval); err != nil {
+			return err
+		}
 	}
 
 	if err := b.Prepare(); err != nil {
@@ -139,6 +148,56 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	return render(stdout, exp, sets)
+}
+
+// attackExperiment resolves the catalogue's attack experiment with the
+// flags applied to its runs before resolution: one run per strategy, in
+// -strategies order, each attack block taking -budget and -interval when
+// they are positive. A custom interval moves the strikes, not the
+// measurements: snapshots stay on the default strike cadence, so curves
+// under different intervals share their time axis.
+func attackExperiment(b *batch.Flags, strats []attack.Strategy, budget int, interval time.Duration) (scenario.Experiment, error) {
+	data, err := specs.FS.ReadFile("attack.json")
+	if err != nil {
+		return scenario.Experiment{}, err
+	}
+	sp, err := workload.Decode(data)
+	if err != nil {
+		return scenario.Experiment{}, err
+	}
+	// The unedited runs snapshot on the default strike cadence.
+	def, err := scenario.FromSpec(sp, b.Scale, b.Seed)
+	if err != nil {
+		return scenario.Experiment{}, err
+	}
+	cadence := minutes(def.Configs[0].SnapshotInterval)
+	runs := make([]workload.RunSpec, len(strats))
+	for i, st := range strats {
+		// The file holds one run per strategy ParseStrategies accepts.
+		j := slices.IndexFunc(sp.Runs, func(r workload.RunSpec) bool { return r.Attack.Strategy == string(st) })
+		run, a := sp.Runs[j], *sp.Runs[j].Attack
+		if budget > 0 {
+			a.Budget = &budget
+		}
+		if interval > 0 {
+			a.IntervalMinutes = minutes(interval)
+		}
+		run.Attack, run.SnapshotMinutes = &a, &cadence
+		runs[i] = run
+	}
+	sp.Runs = runs
+	return scenario.FromSpec(sp, b.Scale, b.Seed)
+}
+
+// minutes converts d into a spec's minutes, nudged up one float step
+// where d.Minutes() falls just short, so that workload.Minutes gives d
+// back to the nanosecond (100s would otherwise resolve to 1m39.999999999s).
+func minutes(d time.Duration) float64 {
+	m := d.Minutes()
+	if workload.Minutes(m) < d {
+		m = math.Nextafter(m, math.Inf(1))
+	}
+	return m
 }
 
 // render writes both degradation charts, the summary and the per-run

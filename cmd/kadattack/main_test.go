@@ -10,8 +10,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"kadre/internal/sweep"
+	"kadre/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -252,7 +254,7 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-var cutsetSpec = filepath.Join("..", "..", "specs", "attack_cutset.json")
+var cutsetSpec = filepath.Join("..", "..", "examples", "attack_cutset.json")
 
 // runsOf extracts the "runs" array of a sweep JSON document: the part two
 // front ends must agree on byte for byte, whatever labelling each main
@@ -328,5 +330,18 @@ func TestOverrideParityWithSpec(t *testing.T) {
 	got, want := runsOf(t, filepath.Join(flagDir, "attack.json")), runsOf(t, filepath.Join(specDir, "attack.json"))
 	if len(got) == 0 || !bytes.Equal(got, want) {
 		t.Fatalf("runs arrays differ between the flag and the spec spelling:\n--- flags ---\n%.1500s\n--- spec ---\n%.1500s", got, want)
+	}
+}
+
+// TestMinutesRoundTrip pins the -interval conversion: every whole-second
+// and whole-millisecond interval up to two hours, 100s and 59ms among
+// them, resolves back to itself through the spec's float minutes.
+func TestMinutesRoundTrip(t *testing.T) {
+	for _, unit := range []time.Duration{time.Second, time.Millisecond} {
+		for d := unit; d <= 2*time.Hour; d += unit {
+			if got := workload.Minutes(minutes(d)); got != d {
+				t.Fatalf("minutes(%v) resolves to %v", d, got)
+			}
+		}
 	}
 }

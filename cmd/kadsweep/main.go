@@ -1,8 +1,9 @@
 // Command kadsweep regenerates the paper's figures and tables. Each
-// experiment id maps to one artefact of the evaluation section (see
-// DESIGN.md's experiment index); the output is the paper's tables as text
-// and the figures as ASCII charts plus per-configuration measurement
-// tables.
+// experiment id maps to one artefact of the evaluation section and names
+// one spec file of the catalogue under specs/, embedded into the binary:
+// -exp figure3 runs exactly what -scenario specs/figure3.json does. The
+// output is the paper's tables as text and the figures as ASCII charts
+// plus per-configuration measurement tables.
 //
 // Runs execute on the parallel sweep engine (internal/sweep): the
 // experiment's configurations — times the replication count — fan out
@@ -98,9 +99,13 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *list {
+		exps, err := b.Scale.Experiments(b.Seed)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintln(stdout, "available experiments (paper artefact -> id):")
 		fmt.Fprintln(stdout, "  table1    Table 1 (message-loss scenarios; static)")
-		for _, e := range b.Scale.Experiments(b.Seed) {
+		for _, e := range exps {
 			fmt.Fprintf(stdout, "  %-9s %s (%d runs)\n", e.ID, e.Title, len(e.Configs))
 		}
 		return nil
@@ -125,11 +130,15 @@ func run(args []string, stdout io.Writer) error {
 	case "table1":
 		return report.Table1(stdout, table1)
 	case "all":
+		exps, err := b.Scale.Experiments(b.Seed)
+		if err != nil {
+			return err
+		}
 		if err := report.Table1(stdout, table1); err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout)
-		return sweepExperiments(stdout, b, *ciStop, b.Scale.Experiments(b.Seed)...)
+		return sweepExperiments(stdout, b, *ciStop, exps...)
 	}
 	exp, err := b.Scale.ExperimentByID(*expID, b.Seed)
 	if err != nil {
@@ -138,8 +147,8 @@ func run(args []string, stdout io.Writer) error {
 	return sweepExperiments(stdout, b, *ciStop, exp)
 }
 
-// sweepExperiments executes already-resolved experiments — compiled-in
-// presets and spec files share this path — through ONE shared worker
+// sweepExperiments executes already-resolved experiments — catalogue
+// entries and -scenario files share this path — through ONE shared worker
 // pool (sweep.RunGroups): with -exp all, runs from the next experiment
 // backfill idle workers while the previous experiment's stragglers
 // finish, instead of draining the pool at every experiment boundary.

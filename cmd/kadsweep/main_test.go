@@ -383,11 +383,10 @@ func TestGovernanceKnobs(t *testing.T) {
 	}
 }
 
-// TestScenarioSpecMatchesPreset is the headline acceptance criterion for
-// scenario specs: the committed specs/figure2.json, run through
-// -scenario, must emit byte-identical JSON to the compiled-in figure2
-// preset. Specs are an alternate front door to the same resolver, not a
-// parallel implementation.
+// TestScenarioSpecMatchesPreset pins the two doors to one catalogue
+// entry: specs/figure2.json read from disk through -scenario must emit
+// byte-identical JSON to -exp figure2, which resolves the copy embedded
+// in the binary.
 func TestScenarioSpecMatchesPreset(t *testing.T) {
 	sweepJSON := func(file string, args ...string) []byte {
 		dir := t.TempDir()
@@ -404,7 +403,7 @@ func TestScenarioSpecMatchesPreset(t *testing.T) {
 	preset := sweepJSON("figure2.json", "-exp", "figure2")
 	spec := sweepJSON("figure2.json", "-scenario", filepath.Join("..", "..", "specs", "figure2.json"))
 	if !bytes.Equal(preset, spec) {
-		t.Fatalf("specs/figure2.json diverged from the compiled-in preset:\n--- preset ---\n%.2000s\n--- spec ---\n%.2000s", preset, spec)
+		t.Fatalf("-scenario specs/figure2.json diverged from -exp figure2:\n--- -exp ---\n%.2000s\n--- -scenario ---\n%.2000s", preset, spec)
 	}
 }
 

@@ -12,10 +12,12 @@
 //	-scale s      paper, reduced, tiny (default reduced); a spec file
 //	              may pin its own scale, which then wins
 //	-scenario f   scenario spec file (JSON) to run instead of the
-//	              command's compiled-in experiments: the versioned
+//	              command's catalogue experiments: the versioned
 //	              workload.Spec format composing churn, traffic, attack
 //	              and generative-workload knobs (see README "scenario
-//	              specs"; committed presets live under specs/)
+//	              specs"). The catalogue is itself the spec files under
+//	              specs/, embedded into the binaries; a run's "size" is a
+//	              node count or the scale's "small"/"large" network
 //	-seed n       base seed (default 1)
 //	-reps r       seed replications per configuration (default 1): rep 0
 //	              runs the configuration's own seed, reps >= 1 a
@@ -70,7 +72,7 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{fs: fs}
 	fs.StringVar(&f.scaleName, "scale", "reduced", "scale: paper, reduced, tiny")
-	fs.StringVar(&f.Scenario, "scenario", "", "scenario spec file (JSON) to run instead of the compiled-in experiments")
+	fs.StringVar(&f.Scenario, "scenario", "", "scenario spec file (JSON) to run instead of the catalogue experiments")
 	fs.Int64Var(&f.Seed, "seed", 1, "base seed")
 	fs.IntVar(&f.Reps, "reps", 1, "seed replications per configuration")
 	fs.IntVar(&f.Jobs, "jobs", 0, "concurrent runs (0 = GOMAXPROCS)")
@@ -113,23 +115,21 @@ func (f *Flags) Given(names ...string) []string {
 	return given
 }
 
-// LoadScenario resolves the -scenario spec file through the same scale
-// defaulting as the compiled-in presets, so a committed spec of a preset
-// produces byte-identical artefacts. A scale the spec pins replaces
-// f.Scale.
+// LoadScenario resolves the -scenario spec file through FromSpec, the
+// path every catalogue experiment takes, so running specs/figure2.json
+// produces the artefacts of -exp figure2 byte for byte. A scale the spec
+// pins wins, and replaces f.Scale so the artefacts are labelled with it.
 func (f *Flags) LoadScenario() (scenario.Experiment, error) {
 	sp, err := workload.Load(f.Scenario)
 	if err != nil {
 		return scenario.Experiment{}, err
 	}
-	if sp.Scale != "" {
-		if f.Scale, err = scenario.ScaleByName(sp.Scale); err != nil {
-			return scenario.Experiment{}, fmt.Errorf("scenario %s: %w", f.Scenario, err)
-		}
-	}
 	exp, err := scenario.FromSpec(sp, f.Scale, f.Seed)
 	if err != nil {
 		return scenario.Experiment{}, fmt.Errorf("scenario %s: %w", f.Scenario, err)
+	}
+	if sp.Scale != "" {
+		f.Scale, _ = scenario.ScaleByName(sp.Scale) // FromSpec accepted the name
 	}
 	return exp, nil
 }

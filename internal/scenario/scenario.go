@@ -71,7 +71,7 @@ type Config struct {
 	// scenario spec file via FromSpec.
 	Gen workload.Generators
 	// SpecDigest fingerprints the scenario spec this config was resolved
-	// from (empty for compiled-in presets). It never affects the run —
+	// from (empty for a config built in Go). It never affects the run —
 	// the sweep checkpoint layer records it to refuse resuming results
 	// produced by an edited spec.
 	SpecDigest string

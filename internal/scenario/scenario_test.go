@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"io/fs"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,8 @@ import (
 	"kadre/internal/churn"
 	"kadre/internal/par"
 	"kadre/internal/simnet"
+	"kadre/internal/workload"
+	"kadre/specs"
 )
 
 // tinyConfig is a fast-but-meaningful run used across the tests.
@@ -214,7 +218,10 @@ func TestScalePresets(t *testing.T) {
 		t.Fatal("paper scale sizes wrong")
 	}
 	for _, s := range []Scale{PaperScale, ReducedScale, TinyScale} {
-		exps := s.Experiments(1)
+		exps, err := s.Experiments(1)
+		if err != nil {
+			t.Fatalf("scale %s: %v", s.Name, err)
+		}
 		if len(exps) != 16 {
 			t.Fatalf("scale %s has %d experiments, want 16", s.Name, len(exps))
 		}
@@ -237,13 +244,48 @@ func TestScalePresets(t *testing.T) {
 	}
 }
 
+// TestCatalogueIsSpecsDir holds the Go-side list of experiment ids and
+// the spec files embedded from specs/ equal, and every file's id equal
+// to its name.
+func TestCatalogueIsSpecsDir(t *testing.T) {
+	files, err := fs.Glob(specs.FS, "*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(catalogue))
+	for i, id := range catalogue {
+		want[i] = id + ".json"
+	}
+	slices.Sort(want)
+	if !slices.Equal(files, want) {
+		t.Fatalf("specs/ holds %v, the catalogue lists %v", files, want)
+	}
+	for _, id := range catalogue {
+		if e := tinyExperiment(t, id); e.ID != id {
+			t.Fatalf("specs/%s.json declares id %q", id, e.ID)
+		}
+	}
+}
+
 func TestExperimentByID(t *testing.T) {
 	if _, err := TinyScale.ExperimentByID("figure2", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TinyScale.ExperimentByID("figure99", 1); err == nil {
-		t.Fatal("unknown id should fail")
+	for _, id := range []string{"figure99", "../specs/figure2", "specs"} {
+		if _, err := TinyScale.ExperimentByID(id, 1); err == nil {
+			t.Fatalf("unknown id %q should fail", id)
+		}
 	}
+}
+
+// tinyExperiment resolves a catalogue experiment at the tiny scale.
+func tinyExperiment(t *testing.T, id string) Experiment {
+	t.Helper()
+	exp, err := TinyScale.ExperimentByID(id, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exp
 }
 
 func TestScaleByName(t *testing.T) {
@@ -261,32 +303,29 @@ func TestScaleByName(t *testing.T) {
 	}
 }
 
-func TestKSweepMatchesPaper(t *testing.T) {
+func TestBucketSizeSweepMatchesPaper(t *testing.T) {
+	// The k-sweep figures must sweep exactly the paper's bucket sizes.
 	want := []int{5, 10, 20, 30}
-	for i, k := range KSweep {
-		if k != want[i] {
-			t.Fatalf("KSweep = %v, want %v", KSweep, want)
+	for _, id := range []string{"figure2", "figure3", "figure4", "figure5", "figure6", "figure7", "figure8", "figure9"} {
+		exp := tinyExperiment(t, id)
+		if len(exp.Configs) != len(want) {
+			t.Fatalf("%s has %d configs", id, len(exp.Configs))
 		}
-	}
-	// Figure experiments must sweep exactly these k values.
-	exp := TinyScale.Figure2(1)
-	if len(exp.Configs) != 4 {
-		t.Fatalf("figure2 has %d configs", len(exp.Configs))
-	}
-	for i, cfg := range exp.Configs {
-		if cfg.K != want[i] {
-			t.Fatalf("figure2 config %d has k=%d", i, cfg.K)
+		for i, cfg := range exp.Configs {
+			if cfg.K != want[i] {
+				t.Fatalf("%s config %d has k=%d", id, i, cfg.K)
+			}
 		}
 	}
 }
 
 func TestFigure10Composition(t *testing.T) {
-	exp := TinyScale.Figure10(1)
+	exp := tinyExperiment(t, "figure10")
 	// 2 sizes x 3 curves x 4 k values.
 	if len(exp.Configs) != 24 {
 		t.Fatalf("figure10 has %d configs, want 24", len(exp.Configs))
 	}
-	alpha5 := 0
+	alpha5, large := 0, 0
 	for _, cfg := range exp.Configs {
 		if cfg.Alpha == 5 {
 			alpha5++
@@ -294,14 +333,17 @@ func TestFigure10Composition(t *testing.T) {
 				t.Fatal("alpha=5 runs must use churn 10/10")
 			}
 		}
+		if cfg.Size == TinyScale.Large {
+			large++
+		}
 	}
-	if alpha5 != 8 {
-		t.Fatalf("%d alpha=5 configs, want 8", alpha5)
+	if alpha5 != 8 || large != 12 {
+		t.Fatalf("%d alpha=5 and %d large configs, want 8 and 12", alpha5, large)
 	}
 }
 
 func TestSection57Composition(t *testing.T) {
-	exp := TinyScale.Section57(1)
+	exp := tinyExperiment(t, "bitlength")
 	if len(exp.Configs) != 4 {
 		t.Fatalf("bitlength experiment has %d configs, want 4", len(exp.Configs))
 	}
@@ -315,13 +357,14 @@ func TestSection57Composition(t *testing.T) {
 }
 
 func TestLossSweepComposition(t *testing.T) {
-	for _, exp := range []Experiment{TinyScale.Figure12(1), TinyScale.Figure13(1), TinyScale.Figure14(1)} {
+	for _, id := range []string{"figure12", "figure13", "figure14"} {
+		exp := tinyExperiment(t, id)
 		if len(exp.Configs) != 6 {
 			t.Fatalf("%s has %d configs, want 6 (3 loss x 2 staleness)", exp.ID, len(exp.Configs))
 		}
 		for _, cfg := range exp.Configs {
-			if cfg.K != 20 {
-				t.Fatalf("%s config %q has k=%d, want 20", exp.ID, cfg.Name, cfg.K)
+			if cfg.K != 20 || cfg.Size != TinyScale.Large {
+				t.Fatalf("%s config %q has k=%d size=%d, want 20 and the large network", exp.ID, cfg.Name, cfg.K, cfg.Size)
 			}
 			if cfg.Loss == simnet.LossNone {
 				t.Fatalf("%s config %q has no loss", exp.ID, cfg.Name)
@@ -329,12 +372,48 @@ func TestLossSweepComposition(t *testing.T) {
 		}
 	}
 	// Figure 12 (Sim J) must have no churn but a full observation phase.
-	for _, cfg := range TinyScale.Figure12(1).Configs {
+	for _, cfg := range tinyExperiment(t, "figure12").Configs {
 		if !cfg.Churn.IsZero() {
 			t.Fatal("Sim J must have no churn")
 		}
-		if cfg.ChurnPhase == 0 {
-			t.Fatal("Sim J still needs the long observation phase")
+		if cfg.ChurnPhase != TinyScale.ChurnLong {
+			t.Fatalf("Sim J observation phase %v, want the long churn window %v", cfg.ChurnPhase, TinyScale.ChurnLong)
+		}
+	}
+}
+
+// TestResolveRunSizeAndChurnWindow pins the two scale-relative rules of
+// a run spec: a symbolic size takes the scale's network of that name, and
+// any declared churn rate, "0/0" included, opens the scale's long churn
+// window unless the run sets its own length.
+func TestResolveRunSizeAndChurnWindow(t *testing.T) {
+	sp, err := workload.Decode([]byte(`{"version": 1, "id": "t", "runs": [
+		{"name": "plain"},
+		{"name": "quiet", "size": "large", "churn": "0/0"},
+		{"name": "short", "size": "small", "churn": "0/0", "churn_minutes": 10},
+		{"name": "count", "size": 30, "churn": "1/1"}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Scale{PaperScale, ReducedScale, TinyScale} {
+		exp, err := FromSpec(sp, s, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []struct {
+			size  int
+			phase time.Duration
+		}{
+			{s.Small, 0},
+			{s.Large, s.ChurnLong},
+			{s.Small, 10 * time.Minute},
+			{30, s.ChurnLong},
+		} {
+			if cfg := exp.Configs[i]; cfg.Size != want.size || cfg.ChurnPhase != want.phase {
+				t.Errorf("scale %s run %s: size %d, churn window %v; want %d and %v",
+					s.Name, cfg.Name, cfg.Size, cfg.ChurnPhase, want.size, want.phase)
+			}
 		}
 	}
 }

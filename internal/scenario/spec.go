@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"time"
 
 	"kadre/internal/attack"
 	"kadre/internal/churn"
@@ -10,16 +11,16 @@ import (
 	"kadre/internal/workload"
 )
 
-// FromSpec resolves a scenario spec file into a runnable experiment,
-// exactly as the compiled-in presets resolve: unset run fields take the
-// scale's values (the spec's own scale pins one; otherwise the caller's
-// applies), seeds are baseSeed plus each run's explicit offset, and the
-// attack defaults mirror the preset adversary (budget half the network,
-// spread over the strikes that fit the window, snapshots on the strike
-// cadence). A committed spec of a preset therefore yields byte-identical
-// configs — and so byte-identical sweep artefacts — to the compiled-in
-// experiment it mirrors. Every resolved config carries the spec's digest
-// so checkpoint resume can refuse results from an edited spec.
+// FromSpec resolves a scenario spec into a runnable experiment; every
+// catalogue experiment (ExperimentByID) and every -scenario file takes
+// this path. Unset run fields take the scale's values (the spec's own
+// scale pins one; otherwise the caller's applies), a "small" or "large"
+// size the scale's network of that name, seeds are baseSeed plus each
+// run's explicit offset, and an attack block completes through the one
+// adversary rule (budget half the network, spread over the strikes that
+// fit the window, snapshots on the strike cadence). Every resolved config
+// carries the spec's digest so checkpoint resume can refuse results from
+// an edited spec.
 func FromSpec(sp *workload.Spec, scale Scale, baseSeed int64) (Experiment, error) {
 	if sp.Scale != "" {
 		var err error
@@ -45,22 +46,31 @@ func FromSpec(sp *workload.Spec, scale Scale, baseSeed int64) (Experiment, error
 	return exp, nil
 }
 
-// ResolveRun maps one merged run spec onto a Config the same way the
-// preset constructors do. It is the only place a declarative run is
-// defaulted: FromSpec loops over it, and kadserve's flat scenario/attack
-// block is translated into a RunSpec and resolved here too. It checks
-// nothing beyond what it parses — callers validate the spec's shape
-// first (workload.Spec.Check) and the resolved config after.
+// ResolveRun maps one merged run spec onto a Config. It is the only
+// place a declarative run is defaulted: FromSpec loops over it, and
+// kadserve's flat scenario/attack block is translated into a RunSpec and
+// resolved here too. It checks nothing beyond what it parses — callers
+// validate the spec's shape first (workload.Spec.Check) and the resolved
+// config after.
 func ResolveRun(run workload.RunSpec, scale Scale, baseSeed int64) (Config, error) {
 	seed := baseSeed
 	if run.SeedOffset != nil {
 		seed += *run.SeedOffset
 	}
-	size := scale.Small
+	size := scale.Small // unset or "small"
 	if run.Size != nil {
-		size = *run.Size
+		switch run.Size.Name {
+		case "":
+			size = run.Size.Nodes
+		case "large":
+			size = scale.Large
+		}
 	}
-	cfg := scale.base(run.Name, seed, size)
+	cfg := Config{
+		Name: run.Name, Seed: seed, Size: size,
+		Setup: scale.Setup, Stabilize: scale.Stabilize,
+		SnapshotInterval: scale.SnapshotInterval, SampleFraction: scale.SampleFraction,
+	}
 
 	if run.K != nil {
 		cfg.K = *run.K
@@ -120,14 +130,17 @@ func ResolveRun(run workload.RunSpec, scale Scale, baseSeed int64) (Config, erro
 	cfg.Gen = run.Generators()
 
 	// The churn window: explicit length, the Sim A-D drain rule, or —
-	// whenever churn, an adversary, or generative arrivals need one — the
-	// scale's long phase.
+	// whenever a churn rate is declared (even "0/0", Sim J's quiet
+	// observation phase), an adversary, or generative arrivals need one —
+	// the scale's long phase.
 	switch {
 	case run.ChurnMinutes != nil:
 		cfg.ChurnPhase = workload.Minutes(*run.ChurnMinutes)
 	case run.DrainChurn != nil && *run.DrainChurn:
-		cfg.ChurnPhase = scale.drainChurn(size)
-	case !cfg.Churn.IsZero() || run.Attack != nil || cfg.Gen.Arrivals != nil:
+		// Sims A-D: one removal per minute until roughly 10 nodes remain,
+		// running the network down to a handful of nodes like the paper.
+		cfg.ChurnPhase = time.Duration(max(size-10, 10)) * time.Minute
+	case run.Churn != nil || run.Attack != nil || cfg.Gen.Arrivals != nil:
 		cfg.ChurnPhase = scale.ChurnLong
 	}
 

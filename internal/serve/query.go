@@ -179,11 +179,14 @@ func (qs QuerySpec) runSpec() workload.RunSpec {
 	s := &qs.Scenario
 	run := workload.RunSpec{
 		Name: "query",
-		Size: set(&s.Size), K: set(&s.K), Alpha: set(&s.Alpha), Bits: set(&s.Bits),
+		K:    set(&s.K), Alpha: set(&s.Alpha), Bits: set(&s.Bits),
 		Staleness: set(&s.Staleness), Loss: set(&s.Loss), Churn: set(&s.Churn),
 		ChurnMinutes: set(&s.ChurnMinutes), Traffic: set(&s.Traffic),
 		SetupMinutes: set(&s.SetupMinutes), StabilizeMinutes: set(&s.StabilizeMinutes),
 		SnapshotMinutes: set(&s.SnapshotMinutes), SampleFraction: set(&s.SampleFraction),
+	}
+	if s.Size != 0 {
+		run.Size = &workload.Size{Nodes: s.Size}
 	}
 	if a := qs.Attack; a != nil {
 		run.Attack = &workload.AttackSpec{

@@ -95,7 +95,7 @@ func tinyEmbeddedSpec() *workload.Spec {
 		Version: workload.SpecVersion,
 		ID:      "tiny-query",
 		Runs: []workload.RunSpec{{
-			Name: "q", Size: iv(20), K: iv(5), Staleness: iv(1),
+			Name: "q", Size: &workload.Size{Nodes: 20}, K: iv(5), Staleness: iv(1),
 			SetupMinutes: fv(6), StabilizeMinutes: fv(12),
 			SnapshotMinutes: fv(6), SampleFraction: fv(0.1),
 		}},

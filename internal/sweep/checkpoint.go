@@ -48,7 +48,7 @@ type ckptFile struct {
 	Seed        int64  `json:"seed"`
 	Fingerprint string `json:"fingerprint"`
 	// SpecDigest fingerprints the scenario spec file the run's config was
-	// resolved from (empty for compiled-in presets). Resume refuses to mix
+	// resolved from (empty for a config built in Go). Resume refuses to mix
 	// results across different digests.
 	SpecDigest string           `json:"spec_digest,omitempty"`
 	Result     *scenario.Result `json:"result"`

@@ -157,7 +157,7 @@ func TestCheckpointRefusesChangedDefinition(t *testing.T) {
 // can resolve to behaviorally identical configs (same fingerprint) while
 // being different files — e.g. only descriptive or not-yet-effective
 // fields changed. The digest stored in the checkpoint must still refuse
-// the resume; an empty digest (compiled-in preset, or a pre-digest
+// the resume; an empty digest (a config built in Go, or a pre-digest
 // checkpoint) stays compatible in both directions.
 func TestCheckpointRefusesMutatedSpec(t *testing.T) {
 	ckpt, err := NewCheckpointer(t.TempDir())

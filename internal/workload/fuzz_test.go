@@ -14,7 +14,8 @@ import (
 // document it accepts re-marshals into one it accepts again with the
 // same Digest — so the digest stamped on checkpoints is a function of
 // the spec's meaning, not of its spelling. Seeded from the committed
-// specs and examples and from TestDecodeRejections' table.
+// specs and examples, symbolic sizes among them, and from
+// TestDecodeRejections' table.
 func FuzzDecode(f *testing.F) {
 	for _, glob := range []string{"specs", "examples"} {
 		files, err := filepath.Glob(filepath.Join("..", "..", glob, "*.json"))
@@ -30,6 +31,9 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	f.Add([]byte(validSpecJSON))
+	// Symbolic sizes, in a run and inherited from the defaults block.
+	f.Add([]byte(`{"version":1,"id":"t","runs":[{"name":"a","size":"large"},{"name":"b","size":"small"},{"name":"c","size":40}]}`))
+	f.Add([]byte(`{"version":1,"id":"t","defaults":{"size":"large","churn":"0/0"},"runs":[{"name":"a"},{"name":"b","size":12}]}`))
 	for _, tt := range decodeRejections {
 		f.Add([]byte(tt.in))
 	}

@@ -6,8 +6,9 @@
 // traffic knobs of the paper's §5.3 methodology. A spec file opens a new
 // experiment axis without recompiling: the CLIs load it with
 // -scenario <file>, kadserve accepts it embedded in a query body, and
-// the built-in presets are committed as spec files resolved through the
-// same path.
+// the experiment catalogue itself is the spec files under specs/,
+// embedded into the binaries. A run's "size" is a node count or
+// "small"/"large", the resolving scale's two sizes.
 //
 // Every generator draws from its own splitmix64-derived random stream
 // (seeded from the run seed, one stream tag per generator), and all
@@ -41,7 +42,7 @@ type Spec struct {
 	// Version must be SpecVersion.
 	Version int `json:"version"`
 	// ID is the experiment tag ("figure2", "flash-crowd", ...); it names
-	// the JSON artefact exactly like a compiled-in experiment id.
+	// the JSON artefact exactly like a catalogue experiment id.
 	ID string `json:"id"`
 	// Title describes the experiment in reports.
 	Title string `json:"title,omitempty"`
@@ -58,14 +59,16 @@ type Spec struct {
 // (or a reference type) so that "unset — take the scale/paper default"
 // and "explicitly zero" stay distinguishable: a spec can turn lookups
 // off without the config layer coercing the 0 back to the paper's 10.
-// Durations are simulated minutes.
+// A field whose 0 the config layer would replace by a default (k,
+// alpha, bits, staleness, key_pool and the setup, stabilize and snapshot
+// lengths) rejects an explicit 0 instead. Durations are simulated minutes.
 type RunSpec struct {
 	// Name labels the run; required on every resolved run.
 	Name string `json:"name,omitempty"`
 	// SeedOffset is added to the loader's base seed (default 0).
 	SeedOffset *int64 `json:"seed_offset,omitempty"`
 
-	Size      *int    `json:"size,omitempty"`
+	Size      *Size   `json:"size,omitempty"`
 	K         *int    `json:"k,omitempty"`
 	Alpha     *int    `json:"alpha,omitempty"`
 	Bits      *int    `json:"bits,omitempty"`
@@ -100,6 +103,47 @@ type RunSpec struct {
 	Popularity  *PopularitySpec  `json:"popularity,omitempty"`
 	FlashCrowds []FlashCrowdSpec `json:"flash_crowds,omitempty"`
 	Trace       *TraceSpec       `json:"trace,omitempty"`
+}
+
+// Size is a run's network size: a node count, or "small" or "large" for
+// the resolving scale's two sizes, so one spec names the paper's large
+// network at every scale. It encodes back to the form it was decoded
+// from, which leaves the digest of a spec with numeric sizes unchanged.
+type Size struct {
+	// Nodes is the explicit node count, used when Name is empty.
+	Nodes int
+	// Name is "small" or "large", or empty for an explicit count.
+	Name string
+}
+
+// MarshalJSON writes the name if there is one, else the count.
+func (s Size) MarshalJSON() ([]byte, error) {
+	if s.Name != "" {
+		return json.Marshal(s.Name)
+	}
+	return json.Marshal(s.Nodes)
+}
+
+// UnmarshalJSON reads a JSON string as a name and anything else as a
+// count; RunSpec's check decides whether the name is one it knows.
+func (s *Size) UnmarshalJSON(data []byte) error {
+	*s = Size{}
+	if len(data) > 0 && data[0] == '"' {
+		return json.Unmarshal(data, &s.Name)
+	}
+	return json.Unmarshal(data, &s.Nodes)
+}
+
+func (s *Size) check() error {
+	switch {
+	case s == nil:
+		return nil
+	case s.Name == "":
+		return nonNegative("size", &s.Nodes)
+	case s.Name != "small" && s.Name != "large":
+		return fmt.Errorf("size %q is not small, large or a node count", s.Name)
+	}
+	return nil
 }
 
 // AttackSpec is the declarative adversary. Omitted fields take the
@@ -473,32 +517,26 @@ func (sp *Spec) Check() error {
 }
 
 // check validates the scale-independent constraints of one merged run.
+// It checks the fields in declaration order, so a run with several bad
+// fields is always reported by the same one.
 func (r *RunSpec) check() error {
-	for name, v := range map[string]*int{
-		"size": r.Size, "k": r.K, "alpha": r.Alpha, "bits": r.Bits,
-		"staleness": r.Staleness,
+	for _, err := range []error{
+		r.Size.check(),
+		positive("k", r.K),
+		positive("alpha", r.Alpha),
+		positive("bits", r.Bits),
+		positive("staleness", r.Staleness),
+		nonNegative("churn_minutes", r.ChurnMinutes),
+		// Explicit 0 means "off" for the traffic rates; only signs are wrong.
+		nonNegative("lookups_per_minute", r.LookupsPerMinute),
+		nonNegative("stores_per_minute", r.StoresPerMinute),
+		positive("key_pool", r.KeyPool),
+		positive("setup_minutes", r.SetupMinutes),
+		positive("stabilize_minutes", r.StabilizeMinutes),
+		positive("snapshot_minutes", r.SnapshotMinutes),
 	} {
-		if v != nil && *v < 0 {
-			return fmt.Errorf("%s %d is negative", name, *v)
-		}
-	}
-	if r.KeyPool != nil && *r.KeyPool < 1 {
-		return fmt.Errorf("key_pool %d must be >= 1", *r.KeyPool)
-	}
-	// Explicit 0 means "off" for the traffic rates; only signs are wrong.
-	for name, v := range map[string]*int{
-		"lookups_per_minute": r.LookupsPerMinute, "stores_per_minute": r.StoresPerMinute,
-	} {
-		if v != nil && *v < 0 {
-			return fmt.Errorf("%s %d is negative (use 0 to turn the rate off)", name, *v)
-		}
-	}
-	for name, v := range map[string]*float64{
-		"churn_minutes": r.ChurnMinutes, "setup_minutes": r.SetupMinutes,
-		"stabilize_minutes": r.StabilizeMinutes, "snapshot_minutes": r.SnapshotMinutes,
-	} {
-		if v != nil && *v < 0 {
-			return fmt.Errorf("%s %g is negative", name, *v)
+		if err != nil {
+			return err
 		}
 	}
 	if r.SampleFraction != nil && (*r.SampleFraction <= 0 || *r.SampleFraction > 1) {
@@ -553,6 +591,23 @@ func (r *RunSpec) check() error {
 				return fmt.Errorf("trace event %d: %w", i, err)
 			}
 		}
+	}
+	return nil
+}
+
+// positive rejects a negative value and an explicit 0, which the config
+// layer would silently replace by a default.
+func positive[T int | float64](name string, v *T) error {
+	if v != nil && *v == 0 {
+		return fmt.Errorf("%s 0 would take the default; omit the field instead", name)
+	}
+	return nonNegative(name, v)
+}
+
+// nonNegative rejects a negative value; 0 means what it says.
+func nonNegative[T int | float64](name string, v *T) error {
+	if v != nil && *v < 0 {
+		return fmt.Errorf("%s %v is negative", name, *v)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,6 +43,18 @@ var decodeRejections = []struct {
 	{"duplicate run names", `{"version":1,"id":"t","runs":[{"name":"r"},{"name":"r"}]}`, "duplicate"},
 	{"trailing document", validSpecJSON + `{"version":1}`, "trailing"},
 	{"negative k", `{"version":1,"id":"t","runs":[{"name":"r","k":-1}]}`, "negative"},
+	{"zero k", `{"version":1,"id":"t","runs":[{"name":"r","k":0}]}`, "k 0"},
+	{"zero alpha", `{"version":1,"id":"t","runs":[{"name":"r","alpha":0}]}`, "alpha 0"},
+	{"zero bits", `{"version":1,"id":"t","runs":[{"name":"r","bits":0}]}`, "bits 0"},
+	{"zero staleness", `{"version":1,"id":"t","runs":[{"name":"r","staleness":0}]}`, "staleness 0"},
+	{"zero setup", `{"version":1,"id":"t","runs":[{"name":"r","setup_minutes":0}]}`, "setup_minutes 0"},
+	{"zero stabilize", `{"version":1,"id":"t","runs":[{"name":"r","stabilize_minutes":0}]}`, "stabilize_minutes 0"},
+	{"zero snapshot", `{"version":1,"id":"t","runs":[{"name":"r","snapshot_minutes":0}]}`, "snapshot_minutes 0"},
+	{"zero default inherited", `{"version":1,"id":"t","defaults":{"k":0},"runs":[{"name":"r"}]}`, "k 0"},
+	{"negative size", `{"version":1,"id":"t","runs":[{"name":"r","size":-3}]}`, "size -3"},
+	{"unknown symbolic size", `{"version":1,"id":"t","runs":[{"name":"r","size":"huge"}]}`, "huge"},
+	{"fractional size", `{"version":1,"id":"t","runs":[{"name":"r","size":2.5}]}`, "spec"},
+	{"boolean size", `{"version":1,"id":"t","runs":[{"name":"r","size":true}]}`, "spec"},
 	{"negative lookups", `{"version":1,"id":"t","runs":[{"name":"r","lookups_per_minute":-1}]}`, "lookups_per_minute"},
 	{"zero key pool", `{"version":1,"id":"t","runs":[{"name":"r","key_pool":0}]}`, "key_pool"},
 	{"sample fraction over 1", `{"version":1,"id":"t","runs":[{"name":"r","sample_fraction":1.5}]}`, "sample_fraction"},
@@ -167,6 +180,78 @@ func TestDigestTracksEveryField(t *testing.T) {
 	edited := mk(`{"version":1,"id":"t","runs":[{"name":"r0","k":6}]}`)
 	if edited == base {
 		t.Fatal("editing a run field left the digest unchanged")
+	}
+}
+
+// TestCheckNamesFirstBadFieldInOrder pins that a run with several bad
+// fields is always reported by the first in declaration order, however
+// often it is decoded.
+func TestCheckNamesFirstBadFieldInOrder(t *testing.T) {
+	doc := `{"version":1,"id":"t","runs":[{"name":"r","snapshot_minutes":-1,"stores_per_minute":-1,"churn_minutes":-1,"staleness":-1,"bits":-1,"alpha":-1,"k":-1,"size":-1}]}`
+	const want = `workload: spec "t" run "r": size -1 is negative`
+	for i := 0; i < 50; i++ {
+		if _, err := Decode([]byte(doc)); err == nil || err.Error() != want {
+			t.Fatalf("decode %d: err = %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestSizeRoundTrip pins the size encoding: a count or a scale name
+// decodes into Size and encodes back to exactly the bytes it came from.
+func TestSizeRoundTrip(t *testing.T) {
+	for _, tt := range []struct {
+		in   string
+		want Size
+	}{
+		{`250`, Size{Nodes: 250}},
+		{`"small"`, Size{Name: "small"}},
+		{`"large"`, Size{Name: "large"}},
+	} {
+		var got Size
+		if err := json.Unmarshal([]byte(tt.in), &got); err != nil {
+			t.Fatalf("%s: %v", tt.in, err)
+		}
+		if got != tt.want {
+			t.Fatalf("%s decoded to %+v, want %+v", tt.in, got, tt.want)
+		}
+		out, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != tt.in {
+			t.Fatalf("%s encoded back as %s", tt.in, out)
+		}
+	}
+	sp, err := Decode([]byte(`{"version":1,"id":"t","defaults":{"size":"large"},"runs":[{"name":"a"},{"name":"b","size":30}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := Merge(sp.Defaults, sp.Runs[0]), Merge(sp.Defaults, sp.Runs[1]); a.Size.Name != "large" || *b.Size != (Size{Nodes: 30}) {
+		t.Fatalf("merged sizes %+v and %+v", *a.Size, *b.Size)
+	}
+}
+
+// TestCommittedSpecDigests pins the digest of every committed spec file
+// that existed before sizes could be symbolic (the values were computed
+// with the plain integer size field): checkpoints written from those
+// files stay resumable.
+func TestCommittedSpecDigests(t *testing.T) {
+	for file, want := range map[string]string{
+		"specs/figure2.json":                  "ec7d991d22d3687d",
+		"specs/figure6.json":                  "650c38ac0d21f281",
+		"examples/attack_cutset.json":         "f6d3f76690d01902",
+		"examples/flash_crowd.json":           "84e9177b3cf5cb13",
+		"bench/workloads/analysis-churn.json": "380bf63a4a5fc07d",
+		"bench/workloads/attack-cutset.json":  "d55b603844845087",
+		"bench/workloads/sim-traffic.json":    "37197cca71e609e7",
+	} {
+		sp, err := Load(filepath.Join("..", "..", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.Digest(); got != want {
+			t.Errorf("%s digests to %s, want %s", file, got, want)
+		}
 	}
 }
 

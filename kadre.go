@@ -2,14 +2,15 @@
 // Wacker, "Evaluating Connection Resilience for the Overlay Network
 // Kademlia" (ICDCS 2017): a deterministic event-driven Kademlia simulator,
 // a vertex-connectivity analysis pipeline built on Even's vertex-splitting
-// transformation and max-flow solvers, and runnable presets for every
-// figure and table in the paper's evaluation.
+// transformation and max-flow solvers, and a catalogue of runnable
+// experiments for every figure and table in the paper's evaluation (one
+// scenario spec file each under specs/, resolved by Scale.Experiments).
 //
 // The package is a facade over the internal subsystems. Typical use:
 //
 //	cfg := kadre.ScenarioConfig{
 //		Name: "demo", Seed: 1, Size: 100, K: 20,
-//		Traffic: true, Churn: kadre.ChurnRate{Add: 1, Remove: 1},
+//		Traffic: true, Churn: kadre.Churn1_1,
 //		ChurnPhase: 60 * time.Minute,
 //	}
 //	res, err := kadre.RunScenario(cfg)
@@ -36,9 +37,7 @@ import (
 	"kadre/internal/scenario"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
-	"kadre/internal/stats"
 	"kadre/internal/sweep"
-	"kadre/internal/traffic"
 )
 
 // Identifier space.
@@ -90,20 +89,11 @@ type (
 	Node = kademlia.Node
 	// NodeConfig carries the protocol parameters b, k, alpha, s.
 	NodeConfig = kademlia.Config
-	// Contact is a routing-table entry (identifier plus address).
-	Contact = kademlia.Contact
-	// RoutingTable is a node's k-bucket table.
-	RoutingTable = kademlia.RoutingTable
 )
 
 // NewNode creates a node whose identifier is derived from its address.
 func NewNode(cfg NodeConfig, addr Addr, net *Network) (*Node, error) {
 	return kademlia.NewNode(cfg, addr, net)
-}
-
-// NewNodeWithID creates a node with an explicit identifier.
-func NewNodeWithID(cfg NodeConfig, nodeID ID, addr Addr, net *Network) (*Node, error) {
-	return kademlia.NewNodeWithID(cfg, nodeID, addr, net)
 }
 
 // Graphs and connectivity analysis.
@@ -115,17 +105,8 @@ type (
 	ConnectivityQuery = connectivity.Query
 	// ConnectivityResult reports min/avg connectivity of one graph.
 	ConnectivityResult = connectivity.Result
-	// MaxflowAlgorithm names a max-flow solver: Dinic, or the fixed-root
-	// Hao–Orlin sweep solver the analyses default to.
-	MaxflowAlgorithm = maxflow.Algorithm
 	// Snapshot is a captured connectivity graph with node metadata.
 	Snapshot = snapshot.Snapshot
-)
-
-// Max-flow algorithm choices.
-const (
-	Dinic    = maxflow.Dinic
-	HaoOrlin = maxflow.HaoOrlin
 )
 
 // NewGraph returns an empty directed graph on n vertices.
@@ -152,11 +133,6 @@ func PairConnectivity(g *Graph, v, w int) (int, error) {
 // Resilience converts a connectivity into the number of compromised nodes
 // the network tolerates: r = kappa - 1 (Equation 2 of the paper).
 func Resilience(kappa int) int { return connectivity.Resilience(kappa) }
-
-// PairCut returns a minimum vertex cut separating w from v — the optimal
-// attack against the pair in the paper's system model. Its size equals
-// PairConnectivity(g, v, w).
-func PairCut(g *Graph, v, w int) ([]int, error) { return connectivity.PairCut(g, v, w) }
 
 // GraphCut returns a minimum vertex cut of the whole graph and the vertex
 // pair it separates; ok is false for complete graphs, which have no cut.
@@ -188,18 +164,10 @@ type (
 	ScenarioResult = scenario.Result
 	// SnapshotStat is one measurement point of a run.
 	SnapshotStat = scenario.SnapshotStat
-	// ChurnRate is an add/remove-per-minute churn scenario.
-	ChurnRate = churn.Rate
-	// Workload overrides traffic rates.
-	Workload = traffic.Workload
 	// Experiment bundles the runs behind one paper figure or table.
 	Experiment = scenario.Experiment
 	// Scale maps experiments onto a compute budget (paper, reduced, tiny).
 	Scale = scenario.Scale
-	// Series is a time series of measurements.
-	Series = stats.Series
-	// Summary holds mean/variance/RV statistics of a series window.
-	Summary = stats.Summary
 )
 
 // The paper's churn scenarios.
@@ -218,8 +186,6 @@ type (
 	AttackConfig = attack.Config
 	// AttackStrategy names a victim-selection policy.
 	AttackStrategy = attack.Strategy
-	// AttackVictim records one adversarial removal.
-	AttackVictim = attack.Victim
 )
 
 // The built-in attack strategies.
@@ -238,17 +204,10 @@ func ParseAttackStrategies(csv string) ([]AttackStrategy, error) {
 	return attack.ParseStrategies(csv)
 }
 
-// AttackExperiment builds the strategy-comparison experiment at a scale:
-// one attacked run per strategy, sharing one seed.
-func AttackExperiment(s Scale, seed int64, strategies []AttackStrategy) Experiment {
-	return s.AttackExperiment(seed, strategies, 0, 0)
-}
-
 // Built-in experiment scales.
 var (
-	PaperScale   = scenario.PaperScale
-	ReducedScale = scenario.ReducedScale
-	TinyScale    = scenario.TinyScale
+	PaperScale = scenario.PaperScale
+	TinyScale  = scenario.TinyScale
 )
 
 // RunScenario executes one simulation and returns its measurements.

@@ -97,8 +97,8 @@ func TestFacadeScales(t *testing.T) {
 	if s.Name != TinyScale.Name {
 		t.Fatal("scale mismatch")
 	}
-	if len(s.Experiments(1)) != 16 {
-		t.Fatal("experiment registry incomplete")
+	if exps, err := s.Experiments(1); err != nil || len(exps) != 16 {
+		t.Fatalf("experiment catalogue: %d experiments, err %v; want 16", len(exps), err)
 	}
 	if PaperScale.Small != 250 || PaperScale.Large != 2500 {
 		t.Fatal("paper scale wrong")
@@ -148,9 +148,14 @@ func TestFacadeAttack(t *testing.T) {
 	if res.AttackRemoved != 4 || len(res.Victims) != 4 {
 		t.Fatalf("adversary removed %d (%d victims), want 4", res.AttackRemoved, len(res.Victims))
 	}
-	exp := AttackExperiment(TinyScale, 1, []AttackStrategy{AttackRandom, AttackCutset})
-	if len(exp.Configs) != 2 || !exp.Configs[1].Attack.Enabled() {
-		t.Fatalf("attack experiment malformed: %+v", exp.Configs)
+	exp, err := TinyScale.ExperimentByID("attack", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range AttackStrategies() {
+		if exp.Configs[i].Attack.Strategy != st {
+			t.Fatalf("attack experiment run %d attacks with %q, want %q", i, exp.Configs[i].Attack.Strategy, st)
+		}
 	}
 	// RunExperiment hands back one result per config, in config order.
 	results, err := RunExperiment(exp, 2)
