@@ -97,19 +97,21 @@ func smokeSpec(t *testing.T) string {
 	return string(data)
 }
 
-// TestSmokeQueryGolden runs the CI smoke query against a fresh server and
-// compares the final NDJSON record byte-for-byte with the committed
-// fixture — the same comparison the CI workflow's curl step performs.
-func TestSmokeQueryGolden(t *testing.T) {
-	s := startServer(t)
-	resp, err := http.Post("http://"+s.addr+"/v1/query", "application/json",
-		strings.NewReader(smokeSpec(t)))
+// finalRecord posts a query file from testdata to the server and returns
+// the stream's last record, checking that rep records came first.
+func finalRecord(t *testing.T, s *testServer, query string) string {
+	t.Helper()
+	body, err := os.ReadFile(filepath.Join("testdata", query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+s.addr+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+		t.Fatalf("%s: status %d", query, resp.StatusCode)
 	}
 	var lines []string
 	sc := bufio.NewScanner(resp.Body)
@@ -120,14 +122,32 @@ func TestSmokeQueryGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(lines) < 2 {
-		t.Fatalf("got %d records, want rep records plus a result", len(lines))
+		t.Fatalf("%s: got %d records, want rep records plus a result", query, len(lines))
 	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "smoke_final.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := lines[len(lines)-1], strings.TrimSpace(string(golden)); got != want {
-		t.Fatalf("final record drifted from golden fixture:\ngot:  %s\nwant: %s", got, want)
+	return lines[len(lines)-1]
+}
+
+// TestSmokeQueryGolden runs the CI smoke query against a fresh server,
+// then two final_avg resamples of its warm entries, and compares each
+// final NDJSON record byte-for-byte with its committed fixture — the same
+// comparisons the CI workflow's curl steps perform. The resamples are
+// answered by the entries' engines, so their fixtures pin the bytes of
+// the AnalyzeSnapshot memo path.
+func TestSmokeQueryGolden(t *testing.T) {
+	s := startServer(t)
+	for _, c := range []struct{ query, golden string }{
+		{"smoke_query.json", "smoke_final.golden"},
+		{"smoke_resample_1.json", "smoke_resample_1.golden"},
+		{"smoke_resample_2.json", "smoke_resample_2.golden"},
+	} {
+		got := finalRecord(t, s, c.query)
+		golden, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := strings.TrimSpace(string(golden)); got != want {
+			t.Fatalf("%s: final record drifted from %s:\ngot:  %s\nwant: %s", c.query, c.golden, got, want)
+		}
 	}
 	if err := s.shutdown(t); err != nil {
 		t.Fatalf("drain: %v", err)

@@ -391,7 +391,16 @@ func TestSweepCountersPinClosureShare(t *testing.T) {
 	if share := float64(settled) / float64(sr.Min.Pairs); share < 0.9 {
 		t.Fatalf("the closure settled %d of %d capped pairs (%.3f), want >= 0.9", settled, sr.Min.Pairs, share)
 	}
-	// Cumulative, like Rebinds: a second analysis doubles both.
+	// A repeat on the same binding answers from the memo: no flow, no
+	// settled pair.
+	if again := eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.1, AvgSeed: 1}); !sameSnapshot(again, sr) {
+		t.Fatalf("repeat answered %+v, first %+v", again, sr)
+	}
+	if eng.SweepSettled() != settled || eng.SweepFlows() != cappedFlows+sr.Avg.Pairs {
+		t.Fatalf("a repeat on one binding swept: settled %d flows %d", eng.SweepSettled(), eng.SweepFlows())
+	}
+	// Cumulative, like Rebinds: after a rebind the same analysis doubles both.
+	eng.Bind(g)
 	eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.1, AvgSeed: 1})
 	if eng.SweepSettled() != 2*settled || eng.SweepFlows() != 2*(cappedFlows+sr.Avg.Pairs) {
 		t.Fatalf("counters are not cumulative: settled %d flows %d", eng.SweepSettled(), eng.SweepFlows())

@@ -96,9 +96,11 @@ type SnapshotResult struct {
 //
 // Lifetimes of the derived structures: even, cutEven and the flat
 // successor arrays (succStart/succ) describe one binding generation and
-// are rebuilt — lazily, in a serial section — after gen moves; the fan
-// closure scratch in each engineWorker describes one (source, threshold)
-// and is reset per task. Everything else is sized once and reused.
+// are rebuilt — lazily, in a serial section — after gen moves, and
+// AnalyzeSnapshot's memo (rows, mins) holds answers for one generation
+// and is ignored once gen moves; the fan closure scratch in each
+// engineWorker describes one (source, threshold) and is reset per task.
+// Everything else is sized once and reused.
 type Engine struct {
 	algo       maxflow.Algorithm
 	maxWorkers int
@@ -166,6 +168,27 @@ type Engine struct {
 	results  []taskResult
 	idxBuf   []int
 	state    sweepState // reused cross-worker coordination (zero steady-state allocs)
+
+	// AnalyzeSnapshot's memo of the current generation: the exact Avg row
+	// of every uniform source solved so far, by dense rank (valid where its
+	// gen is the engine's), and the Min result of every source count asked
+	// (valid while minsGen is the engine's gen).
+	rows    []memoRow
+	mins    []minMemo
+	minsGen uint64
+}
+
+// memoRow is one memoized exact task result and the generation it was
+// solved in.
+type memoRow struct {
+	gen uint64
+	res taskResult
+}
+
+// minMemo is one memoized Min result and the source count it answers.
+type minMemo struct {
+	count int
+	res   Result
 }
 
 // engineWorker holds one worker's lazily created solver — capped and exact
@@ -454,7 +477,8 @@ func (e *Engine) ensureAdjacency() {
 }
 
 // SweepFlows reports how many sweep pairs a solver answered, exact and
-// capped alike, over the engine's lifetime (cumulative like Rebinds).
+// capped alike, over the engine's lifetime (cumulative like Rebinds); a
+// row or Min answered from AnalyzeSnapshot's memo adds nothing.
 // SweepSettled counts the capped pairs the fan closure answered without
 // one. Both are deterministic at Workers: 1; with more workers the split
 // depends on when each task read the running minimum, the results never.
@@ -561,6 +585,16 @@ func (e *Engine) Analyze(q Query) Result {
 // Analyze). Fusing shares the Even transform, the solver pool and the
 // worker fan-out between the two measurements the paper plots, instead
 // of paying for each twice per snapshot.
+//
+// Answers are memoized per binding generation. An exact row — one
+// uniform source's flows to all its targets — and the Min of a given
+// source count are fixed by the bound graph, so a repeated analysis of
+// one binding (a resample with another seed or fraction) sweeps only the
+// uniform sources no earlier call of this generation solved, and skips
+// the capped Min sweep when that count was already answered. Bind,
+// BindSlots and RebindSlots start a new generation, so a caller that
+// rebinds before every analysis computes exactly what it did without the
+// memo. The memo holds at most one row per active vertex.
 func (e *Engine) AnalyzeSnapshot(q SnapshotQuery) SnapshotResult {
 	if e.g == nil {
 		panic("connectivity: Engine.AnalyzeSnapshot before Bind")
@@ -574,24 +608,60 @@ func (e *Engine) AnalyzeSnapshot(q SnapshotQuery) SnapshotResult {
 		r := Result{N: n, Min: n - 1, Avg: float64(n - 1), Complete: true, MinPair: [2]int{-1, -1}}
 		return SnapshotResult{Min: r, Avg: r}
 	}
-	minSrc := e.smallestOutDegreeSources(sampleCount(q.SampleFraction, n))
-	avgSrc := e.uniformSources(sampleCount(q.SampleFraction, n), q.AvgSeed)
+	if e.minsGen != e.gen {
+		e.mins, e.minsGen = e.mins[:0], e.gen
+	}
+	if len(e.rows) < n {
+		e.rows = make([]memoRow, n) // stamps 0: no bound generation
+	}
+	count := sampleCount(q.SampleFraction, n)
+	minRes, haveMin := e.memoMin(count)
 	e.tasks = e.tasks[:0]
-	for _, s := range minSrc {
-		e.tasks = append(e.tasks, sweepTask{src: s})
+	if !haveMin {
+		for _, s := range e.smallestOutDegreeSources(count) {
+			e.tasks = append(e.tasks, sweepTask{src: s})
+		}
 	}
+	km := len(e.tasks)
+	avgSrc := e.uniformSources(count, q.AvgSeed)
 	for _, s := range avgSrc {
-		e.tasks = append(e.tasks, sweepTask{src: s, exact: true})
+		if e.rows[s].gen != e.gen {
+			e.tasks = append(e.tasks, sweepTask{src: s, exact: true})
+		}
 	}
-	e.runSweep(e.tasks)
-	km := len(minSrc)
-	minRes := e.combine(e.results[:km], len(minSrc))
-	if minRes.Pairs > 0 {
-		minRes.Avg = math.NaN()
-		minRes.MinPair = [2]int{-1, -1}
+	if len(e.tasks) > 0 {
+		e.runSweep(e.tasks)
 	}
-	avgRes := e.combine(e.results[km:], len(avgSrc))
-	return SnapshotResult{Min: minRes, Avg: avgRes}
+	if !haveMin {
+		minRes = e.combine(e.results[:km], km)
+		if minRes.Pairs > 0 {
+			minRes.Avg = math.NaN()
+			minRes.MinPair = [2]int{-1, -1}
+		}
+		e.mins = append(e.mins, minMemo{count: count, res: minRes})
+	}
+	for i, t := range e.tasks[km:] {
+		e.rows[t.src] = memoRow{gen: e.gen, res: e.results[km+i]}
+	}
+	// The sweep's results are all memoized now, so e.results can gather
+	// the Avg rows in source order.
+	rows := e.results[:0]
+	for _, s := range avgSrc {
+		rows = append(rows, e.rows[s].res)
+	}
+	e.results = rows
+	return SnapshotResult{Min: minRes, Avg: e.combine(rows, len(avgSrc))}
+}
+
+// memoMin returns the memoized Min result for count sources of the
+// current generation, if one was computed.
+func (e *Engine) memoMin(count int) (Result, bool) {
+	for _, m := range e.mins {
+		if m.count == count {
+			return m.res, true
+		}
+	}
+	return Result{}, false
 }
 
 // runSweep evaluates every task across the worker pool, filling

@@ -51,10 +51,13 @@ type candidate struct {
 // hands it over in the request envelope's Contacts, empty; from then on it
 // belongs to whoever holds the envelope. The responder fills it in place,
 // the response brings it back, and answered returns it to the lookup after
-// merging its contents. A request that times out takes its buffer with it:
-// the lookup never sees that buffer again and allocates afresh, so a
-// responder that answers late — or a message that is lost — can only ever
-// write into memory nobody reads. A lookup's node leaving with requests in
+// merging its contents. A request that times out while its message is
+// still travelling takes its buffer with it: the lookup never sees that
+// buffer again and allocates afresh, so a responder that answers late can
+// only ever write into memory nobody reads. A message the network drops
+// instead — the request or its response — parks the buffer on the pending
+// request (envelope.Dropped), and the timeout hands it back to the lookup
+// before answered runs. A lookup's node leaving with requests in
 // flight leaves inflight above zero for good, so such a record is never
 // recycled and goes to the collector with its buffers.
 //
@@ -80,15 +83,6 @@ type lookup struct {
 	responded  int
 	finished   bool
 
-	// claim, when set, must approve every candidate before it joins this
-	// lookup; disjoint-path lookups share one claim set across paths so
-	// no two paths traverse the same node.
-	claim func(id.ID) bool
-
-	// counted lookups are whole operations (Lookup, Get) and count towards
-	// LookupsCompleted when they run out of candidates; the paths of a
-	// disjoint lookup are not.
-	counted bool
 	// onComplete receives a node lookup's result. The result is built
 	// only if somebody takes it.
 	onComplete func(closest []Contact, responded int)
@@ -179,8 +173,7 @@ func (l *lookup) search(from int, prefix uint64, nodeID *id.ID) (int, bool) {
 }
 
 // merge inserts newly discovered contacts in distance order. The lookup's
-// own node and contacts already held are skipped; a contact the claim set
-// refuses is skipped too, and refused again if it turns up again.
+// own node and contacts already held are skipped.
 //
 // A responder sends its list sorted by distance to the target, which is
 // the order of candidates, so the merge keeps a cursor: each contact is
@@ -205,9 +198,6 @@ func (l *lookup) merge(contacts []Contact) {
 		idx, found := l.search(cursor, prefix, &c.ID)
 		cursor = idx
 		if !found {
-			if l.claim != nil && !l.claim(c.ID) {
-				continue // another disjoint path owns this node
-			}
 			l.candidates = append(l.candidates, candidate{})
 			copy(l.candidates[idx+1:], l.candidates[idx:])
 			l.candidates[idx] = candidate{contact: *c, prefix: prefix, state: stateUnqueried}
@@ -345,9 +335,7 @@ func (l *lookup) finish() {
 	}
 	l.finished = true
 	n := l.node
-	if l.counted {
-		n.stats.LookupsCompleted++
-	}
+	n.stats.LookupsCompleted++
 	if l.onValue != nil {
 		l.onValue(nil, false)
 	}

@@ -14,7 +14,6 @@ import (
 type referenceLookup struct {
 	self, target id.ID
 	candidates   []candidate
-	claim        func(id.ID) bool
 }
 
 func (l *referenceLookup) position(nodeID id.ID) int {
@@ -40,9 +39,6 @@ func (l *referenceLookup) addCandidate(c Contact) {
 	if idx < len(l.candidates) && l.candidates[idx].contact.ID.Equal(c.ID) {
 		return
 	}
-	if l.claim != nil && !l.claim(c.ID) {
-		return
-	}
 	l.candidates = append(l.candidates, candidate{})
 	copy(l.candidates[idx+1:], l.candidates[idx:])
 	l.candidates[idx] = candidate{contact: c, prefix: c.ID.XorPrefix(l.target), state: stateUnqueried}
@@ -53,7 +49,6 @@ type mergeCase struct {
 	self, target id.ID
 	existing     []candidate // sorted by distance to target, with states
 	lists        [][]Contact // successive responses, contacts in any order
-	refuse       byte        // claim refuses identifiers whose low part shares a bit with it; 0 = no claim set
 }
 
 // fuzzID maps one byte to an identifier: the high nibble chooses the most
@@ -80,7 +75,7 @@ func decodeMergeCase(data []byte) mergeCase {
 		return x
 	}
 	bits := []int{8, 80, 160, 256}[next()%4]
-	mc := mergeCase{self: fuzzID(bits, next()), target: fuzzID(bits, next()), refuse: next() & 15}
+	mc := mergeCase{self: fuzzID(bits, next()), target: fuzzID(bits, next())}
 	ref := referenceLookup{self: mc.self, target: mc.target}
 	for n := int(next() % 24); n > 0; n-- {
 		ref.addCandidate(Contact{ID: fuzzID(bits, next())})
@@ -104,30 +99,16 @@ func decodeMergeCase(data []byte) mergeCase {
 	return mc
 }
 
-func (mc mergeCase) claimFunc(calls *[]id.ID) func(id.ID) bool {
-	if mc.refuse == 0 {
-		return nil
-	}
-	return func(nodeID id.ID) bool {
-		*calls = append(*calls, nodeID)
-		b := nodeID.Bytes()
-		return b[len(b)-1]&mc.refuse == 0
-	}
-}
-
 func checkMergeCase(mc mergeCase) error {
-	var gotCalls, wantCalls []id.ID
 	got := &lookup{
 		node:       &Node{self: Contact{ID: mc.self}},
 		target:     mc.target,
 		candidates: append([]candidate(nil), mc.existing...),
-		claim:      mc.claimFunc(&gotCalls),
 	}
 	want := &referenceLookup{
 		self:       mc.self,
 		target:     mc.target,
 		candidates: append([]candidate(nil), mc.existing...),
-		claim:      mc.claimFunc(&wantCalls),
 	}
 	for r, list := range mc.lists {
 		got.merge(list)
@@ -143,48 +124,37 @@ func checkMergeCase(mc mergeCase) error {
 			}
 		}
 	}
-	if len(gotCalls) != len(wantCalls) {
-		return fmt.Errorf("claim called %d times, want %d", len(gotCalls), len(wantCalls))
-	}
-	for i := range wantCalls {
-		if gotCalls[i] != wantCalls[i] {
-			return fmt.Errorf("claim call %d was for %s, want %s", i, gotCalls[i], wantCalls[i])
-		}
-	}
 	return nil
 }
 
 // mergeSeeds are the shapes the merge has to get right: header bytes are
-// bit-length selector, self, target, refuse mask, existing count, the
-// existing identifiers, their states, then the lists.
+// bit-length selector, self, target, existing count, the existing
+// identifiers, their states, then the lists.
 var mergeSeeds = [][]byte{
 	{},
 	// 160 bits, sorted list into an empty lookup.
-	{2, 0x00, 0x10, 0, 0, 0x11, 0x12, 0x13, 0x21, 0x35, 0x80},
+	{2, 0x00, 0x10, 0, 0x11, 0x12, 0x13, 0x21, 0x35, 0x80},
 	// The same reversed, then repeated.
-	{2, 0x00, 0x10, 0, 0, 0x80, 0x35, 0x21, 0x13, 0x12, 0x11, 0xf0, 0x11, 0x12, 0x13},
+	{2, 0x00, 0x10, 0, 0x80, 0x35, 0x21, 0x13, 0x12, 0x11, 0xf0, 0x11, 0x12, 0x13},
 	// Duplicates inside one list and the node's own identifier.
-	{2, 0x42, 0x10, 0, 0, 0x11, 0x11, 0x42, 0x12, 0x42, 0x11},
+	{2, 0x42, 0x10, 0, 0x11, 0x11, 0x42, 0x12, 0x42, 0x11},
 	// Sixteen identifiers with one distance prefix, into existing ones
 	// of the same prefix with every state.
-	{2, 0x00, 0x33, 0, 4, 0x31, 0x35, 0x39, 0x3d, 0, 1, 2, 3, 0x3f, 0x30, 0x38, 0x34, 0x3c, 0x32, 0x3a},
-	// A claim set that refuses odd low parts, list unsorted, two responses.
-	{2, 0x00, 0x10, 1, 3, 0x14, 0x25, 0x36, 1, 1, 2, 0x15, 0x16, 0x14, 0x27, 0xf1, 0x15, 0x28, 0x10},
+	{2, 0x00, 0x33, 4, 0x31, 0x35, 0x39, 0x3d, 0, 1, 2, 3, 0x3f, 0x30, 0x38, 0x34, 0x3c, 0x32, 0x3a},
+	// An unsorted list, two responses.
+	{2, 0x00, 0x10, 3, 0x14, 0x25, 0x36, 1, 1, 2, 0x15, 0x16, 0x14, 0x27, 0xf1, 0x15, 0x28, 0x10},
 	// 8-bit identifiers: prefix and identifier coincide.
-	{0, 0x01, 0x80, 2, 2, 0x81, 0x7f, 0, 3, 0x80, 0x82, 0x01, 0x7f, 0x83, 0x82},
+	{0, 0x01, 0x80, 2, 0x81, 0x7f, 0, 3, 0x80, 0x82, 0x01, 0x7f, 0x83, 0x82},
 	// 80 and 256 bits.
-	{1, 0x09, 0x90, 0, 1, 0x91, 2, 0x9f, 0x90, 0x91, 0xa0},
-	{3, 0x09, 0x90, 8, 1, 0x91, 2, 0x9f, 0x98, 0x91, 0xa8, 0xf8, 0x99},
+	{1, 0x09, 0x90, 1, 0x91, 2, 0x9f, 0x90, 0x91, 0xa0},
+	{3, 0x09, 0x90, 1, 0x91, 2, 0x9f, 0x98, 0x91, 0xa8, 0xf8, 0x99},
 }
 
 // FuzzLookupMerge: whatever the order of a response's contact list —
 // sorted as a responder sends it, reversed, repeating, naming the lookup's
-// own node, full of identifiers that tie on their 64-bit prefix, partly
-// refused by a disjoint lookup's claim set — merging it must leave the
-// candidates exactly as inserting its contacts one at a time did: same
-// contacts, same order, same states, and the claim set asked about the
-// same identifiers in the same order, which is what keeps DisjointLookup's
-// paths where they were.
+// own node, full of identifiers that tie on their 64-bit prefix — merging
+// it must leave the candidates exactly as inserting its contacts one at a
+// time did: same contacts, same order, same states.
 func FuzzLookupMerge(f *testing.F) {
 	for _, seed := range mergeSeeds {
 		f.Add(seed)

@@ -30,8 +30,8 @@ const (
 // back, and the requester frees it once the response is handled — so a
 // steady-state round trip allocates no envelope. Nothing may keep a
 // pointer to an envelope past the Deliver call that received it. An
-// envelope whose message is lost or undeliverable is simply left to the
-// garbage collector.
+// envelope whose message is lost or undeliverable goes back to its
+// requester's free list too: the network hands it over through Dropped.
 //
 // Contacts travels with the envelope and belongs to its holder too. A
 // lookup's request leaves with one of the lookup's response buffers in it,
@@ -39,13 +39,21 @@ const (
 // larger), and the requester's lookup takes it back when it handles the
 // response. If the request has timed out by then the lookup has already
 // given the buffer up, Deliver drops it, and nobody reads what the late
-// responder wrote. A request no lookup sent (PING, STORE, a test's bare
-// FIND_NODE) carries none, and a responder that needs one allocates it.
+// responder wrote. If the request or its response is dropped while the
+// request is still pending, Dropped parks the buffer on the request, and
+// the request's timeout gives it back to the lookup. A request no lookup
+// sent (PING, STORE, a test's bare FIND_NODE) carries none, and a
+// responder that needs one allocates it.
 // Idle envelopes never hold a buffer: the buffers wait on the network's
 // lookup records (see lookup), which are as many as lookups run at once,
 // not on every node's envelope list, which is as deep as that node's
 // largest burst of requests — a list of k contacts parked in every idle
 // envelope cost more resident memory than it saved time.
+//
+// Value is shared, never copied: a STORE hands its slice to every
+// recipient's storage, and a FIND_VALUE hit answers with the stored slice
+// itself. No node writes into a value's bytes, so one immutable slice can
+// serve every store and hit of a run.
 type envelope struct {
 	RPCID      uint64
 	From       Contact
@@ -61,5 +69,22 @@ type envelope struct {
 	// FIND_NODE/FIND_VALUE response's closest-contact list in it.
 	Contacts []Contact
 
-	next *envelope // free-list link
+	requester *Node     // the node that sent the request and frees the envelope
+	next      *envelope // free-list link
+}
+
+// Dropped implements simnet.Dropper: the request or its response will
+// never arrive. The envelope goes back on its requester's free list, and
+// its response buffer is parked on the request if that is still pending,
+// for the request's timeout to hand back to the lookup. Nothing else
+// changes: the timeout fires as it would have, with the same counters.
+func (env *envelope) Dropped() {
+	n := env.requester
+	if p, ok := n.pending[env.RPCID]; ok {
+		p.buf = env.Contacts
+	}
+	env.Value, env.Contacts = nil, nil
+	if n.running {
+		env.next, n.freeEnvelopes = n.freeEnvelopes, env
+	}
 }

@@ -59,7 +59,8 @@ type rpc struct {
 	node    *Node
 	id      uint64
 	to      Contact
-	lookup  *lookup // nil for fire-and-forget requests (PING, STORE)
+	lookup  *lookup   // nil for fire-and-forget requests (PING, STORE)
+	buf     []Contact // a dropped message's response buffer, for the timeout to return
 	timeout eventsim.Timer
 	next    *rpc // free-list link
 }
@@ -74,18 +75,19 @@ func (p *rpc) Run() {
 	if n.table.RecordFailure(p.to.ID) {
 		n.stats.Evictions++
 	}
-	l, to := p.lookup, p.to.ID
+	l, to, buf := p.lookup, p.to.ID, p.buf
 	n.freeRPC(p)
 	if l != nil {
-		// The request's response buffer stays with the envelope, wherever
-		// that is: the lookup has given it up.
+		// A dropped message's buffer comes back; one still travelling
+		// stays with its envelope, wherever that is: the lookup gives it up.
+		l.putBuffer(buf)
 		l.answered(to, nil)
 		l.retire()
 	}
 }
 
 func (n *Node) freeRPC(p *rpc) {
-	p.lookup = nil
+	p.lookup, p.buf = nil, nil
 	p.next, n.freeRPCs = n.freeRPCs, p
 }
 
@@ -220,13 +222,14 @@ func (n *Node) Lookup(target id.ID, done func(closest []Contact, responded int))
 	}
 	n.stats.LookupsStarted++
 	l := n.newLookup(target, lookupNode)
-	l.counted, l.onComplete = true, done
+	l.onComplete = done
 	l.start()
 }
 
 // Store disseminates a key/value pair: it locates the k closest nodes to
 // the key and sends each a STORE. done (optional) receives the number of
-// STORE requests dispatched.
+// STORE requests dispatched. The recipients keep value itself, not a copy,
+// so the caller must not modify it afterwards.
 func (n *Node) Store(key id.ID, value []byte, done func(sent int)) {
 	if !n.running {
 		if done != nil {
@@ -252,7 +255,8 @@ func (n *Node) Store(key id.ID, value []byte, done func(sent int)) {
 }
 
 // Get runs the iterative FIND_VALUE procedure. done receives the value if
-// any queried node had it.
+// any queried node had it: the slice that node stores, which done must not
+// modify.
 func (n *Node) Get(key id.ID, done func(value []byte, ok bool)) {
 	if !n.running {
 		if done != nil {
@@ -262,7 +266,7 @@ func (n *Node) Get(key id.ID, done func(value []byte, ok bool)) {
 	}
 	n.stats.LookupsStarted++
 	l := n.newLookup(key, lookupValue)
-	l.counted, l.onValue = true, done
+	l.onValue = done
 	l.start()
 }
 
@@ -316,11 +320,11 @@ func (n *Node) answer(env *envelope) {
 	case msgFindNode:
 		env.Contacts = n.closestExcluding(env.Contacts, env.Key, requester.ID)
 	case msgStore:
-		n.storage[env.Key] = append([]byte(nil), env.Value...)
+		n.storage[env.Key] = env.Value // shared, never written: see envelope
 		env.Value = nil
 	case msgFindValue:
 		if v, ok := n.storage[env.Key]; ok {
-			env.Found, env.Value = true, append([]byte(nil), v...)
+			env.Found, env.Value = true, v
 		} else {
 			env.Contacts = n.closestExcluding(env.Contacts, env.Key, requester.ID)
 		}
@@ -371,7 +375,7 @@ func (n *Node) sendRequest(to Contact, kind msgKind, key id.ID, value []byte, l 
 	} else {
 		env = new(envelope)
 	}
-	*env = envelope{RPCID: p.id, From: n.self, Kind: kind, Key: key, Value: value, Contacts: l.takeBuffer()}
+	*env = envelope{RPCID: p.id, From: n.self, Kind: kind, Key: key, Value: value, Contacts: l.takeBuffer(), requester: n}
 	n.net.Send(n.self.Addr, to.Addr, env)
 }
 

@@ -1,6 +1,7 @@
 package kademlia
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -16,9 +17,11 @@ import (
 
 // bufferAudit taps the handlers of the nodes it watches. A responder is
 // about to write into the buffer of every request it is handed, so that is
-// where the rules are checked: the buffer must not be parked on any lookup,
-// must not be out with another request, and must not be one a timed-out
-// request took with it.
+// where the rules are checked: the buffer must not be parked on any lookup
+// or on a pending request, must not be out with another request, and must
+// not be one a timed-out request took with it. The network drops messages
+// without a handler seeing them, so reclaim, run after every event, follows
+// a dropped message's buffer to the request it is parked on.
 type bufferAudit struct {
 	t     *testing.T
 	net   *simnet.Network
@@ -29,8 +32,11 @@ type bufferAudit struct {
 	out map[*Contact][]Contact
 	// abandoned: buffers whose response found its request timed out.
 	abandoned map[*Contact][]Contact
+	// reclaimed: buffers of dropped messages, from the moment reclaim finds
+	// them parked on their request until a request carries them out again.
+	reclaimed map[*Contact][]Contact
 
-	requests, returned, late int
+	requests, returned, late, dropped int
 }
 
 func newBufferAudit(t *testing.T, net *simnet.Network) *bufferAudit {
@@ -39,6 +45,7 @@ func newBufferAudit(t *testing.T, net *simnet.Network) *bufferAudit {
 		nodes:     map[simnet.Addr]*Node{},
 		out:       map[*Contact][]Contact{},
 		abandoned: map[*Contact][]Contact{},
+		reclaimed: map[*Contact][]Contact{},
 	}
 }
 
@@ -88,15 +95,46 @@ func (a *bufferAudit) observe(receiver *Node, from simnet.Addr, env *envelope) {
 	if _, ok := a.abandoned[key]; ok {
 		a.t.Errorf("request %d from %d carries a buffer a timed-out request took with it", env.RPCID, from)
 	}
-	if owner := a.parkedOn(key); owner != nil {
-		a.t.Errorf("request %d from %d carries a buffer parked on lookup %p", env.RPCID, from, owner)
+	if owner := a.parkedOn(key); owner != "" {
+		a.t.Errorf("request %d from %d carries a buffer parked on %s", env.RPCID, from, owner)
 	}
+	delete(a.reclaimed, key)
 	a.out[key] = buf
 }
 
-// parkedOn returns the lookup record, idle or running, that holds the
-// buffer among its idle ones.
-func (a *bufferAudit) parkedOn(key *Contact) *lookup {
+// reclaim takes the buffers of dropped messages out of the out set. A
+// dropped request or response parks its buffer on the request while that
+// is pending, and the request's timeout hands it back to the lookup; the
+// buffer may then go out again. Such a buffer must come back exactly once
+// and never be one a timed-out request took with it.
+func (a *bufferAudit) reclaim() {
+	for _, n := range a.nodes {
+		for rpcID, p := range n.pending {
+			if cap(p.buf) == 0 {
+				continue
+			}
+			buf := p.buf[:1]
+			key := &buf[0]
+			if _, ok := a.reclaimed[key]; ok {
+				continue
+			}
+			if _, ok := a.abandoned[key]; ok {
+				a.t.Errorf("request %d of node %d got back a buffer a timed-out request took with it", rpcID, n.Addr())
+			}
+			if p.lookup == nil {
+				a.t.Errorf("request %d of node %d holds a buffer but no lookup to return it to", rpcID, n.Addr())
+			}
+			delete(a.out, key)
+			a.reclaimed[key] = buf
+			a.dropped++
+		}
+	}
+}
+
+// parkedOn names the holder of the buffer while it is not out: a lookup
+// record, idle or running, with the buffer among its idle ones, or a
+// pending request it is parked on. It returns "" if nobody holds it.
+func (a *bufferAudit) parkedOn(key *Contact) string {
 	holds := func(l *lookup) bool {
 		for _, b := range l.buffers {
 			if &b[:1][0] == key {
@@ -108,16 +146,19 @@ func (a *bufferAudit) parkedOn(key *Contact) *lookup {
 	for _, n := range a.nodes {
 		for l := n.lookups.free; l != nil; l = l.next {
 			if holds(l) {
-				return l
+				return fmt.Sprintf("idle lookup %p", l)
 			}
 		}
-		for _, p := range n.pending {
+		for rpcID, p := range n.pending {
 			if p.lookup != nil && holds(p.lookup) {
-				return p.lookup
+				return fmt.Sprintf("lookup %p", p.lookup)
+			}
+			if cap(p.buf) > 0 && &p.buf[:1][0] == key {
+				return fmt.Sprintf("pending request %d of node %d", rpcID, n.Addr())
 			}
 		}
 	}
-	return nil
+	return ""
 }
 
 // checkPool holds the free list of the nodes' network to its rules: every
@@ -132,7 +173,7 @@ func checkPool(t *testing.T, nodes []*Node, banned map[*lookup]bool) int {
 			t.Fatalf("lookup %p is on the free list twice", l)
 		}
 		idle[l] = true
-		if l.node != nil || l.inflight != 0 || l.finished || len(l.candidates) != 0 || l.onComplete != nil || l.onValue != nil || l.claim != nil {
+		if l.node != nil || l.inflight != 0 || l.finished || len(l.candidates) != 0 || l.onComplete != nil || l.onValue != nil {
 			t.Fatalf("lookup %p on the free list was not reset: %+v", l, l)
 		}
 		if banned[l] {
@@ -225,6 +266,7 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 	sim.MustSchedule(90*time.Second, func() { done = true })
 	deepest := 0
 	for !done && sim.Step() {
+		audit.reclaim()
 		deepest = max(deepest, checkPool(t, nodes, banned))
 		if t.Failed() {
 			t.FailNow()
@@ -235,14 +277,14 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 		started += n.Stats().LookupsStarted
 		timeouts += n.Stats().Timeouts
 	}
-	t.Logf("%d lookups started on the surviving nodes, free list at most %d deep; %d requests audited, %d buffers returned, %d late; %d timeouts; %d lookups left in flight",
-		started, deepest, audit.requests, audit.returned, audit.late, timeouts, len(banned))
+	t.Logf("%d lookups started on the surviving nodes, free list at most %d deep; %d requests audited, %d buffers returned, %d late, %d reclaimed from drops; %d timeouts; %d lookups left in flight",
+		started, deepest, audit.requests, audit.returned, audit.late, audit.dropped, timeouts, len(banned))
 	if deepest == 0 || uint64(deepest) > started/10 {
 		t.Errorf("free list at most %d deep over %d lookups: records are not being reused", deepest, started)
 	}
-	if audit.returned == 0 || audit.late == 0 || timeouts == 0 || len(banned) == 0 {
-		t.Errorf("the run did not exercise every path: %d returned, %d late, %d timeouts, %d left in flight",
-			audit.returned, audit.late, timeouts, len(banned))
+	if audit.returned == 0 || audit.late == 0 || audit.dropped == 0 || timeouts == 0 || len(banned) == 0 {
+		t.Errorf("the run did not exercise every path: %d returned, %d late, %d reclaimed from drops, %d timeouts, %d left in flight",
+			audit.returned, audit.late, audit.dropped, timeouts, len(banned))
 	}
 }
 
@@ -341,5 +383,111 @@ func TestForeignProtocolSlotIsLeftAlone(t *testing.T) {
 	sim.RunUntil(time.Minute)
 	if responded != 3 || net.Protocol != "not kademlia's" || nodes[0].lookups == nodes[1].lookups {
 		t.Fatalf("responded=%d, slot=%v, lists shared=%v", responded, net.Protocol, nodes[0].lookups == nodes[1].lookups)
+	}
+}
+
+// TestStoredValuesAreSharedAndNeverWritten: a STORE keeps the sender's
+// value slice and a FIND_VALUE hit answers with the stored slice itself,
+// so one immutable slice can serve every store of a run (the traffic
+// generator's data object does). Over a lossy network whose nodes come and
+// go, two values are stored under disjoint key sets and read back. After
+// every event each node's stored value must be the very slice its key was
+// stored with — same backing array, same length — both values' bytes must
+// be what they were, and every hit must hand its caller that slice.
+func TestStoredValuesAreSharedAndNeverWritten(t *testing.T) {
+	sim := eventsim.New(5)
+	net := simnet.New(sim, simnet.Config{
+		Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
+		Loss:    simnet.UniformLoss{P: 0.1},
+	})
+	cfg := Config{Bits: 64, K: 4, Alpha: 3, StalenessLimit: 1, RefreshInterval: 2 * time.Minute, RPCTimeout: 150 * time.Millisecond}
+	values := [2][]byte{[]byte("stored under even keys"), []byte("odd")}
+	pristine := [2]string{string(values[0]), string(values[1])}
+	parity := map[id.ID]int{}
+	for k := 0; k < 40; k++ {
+		parity[id.FromUint64(64, uint64(k))] = k % 2
+	}
+	isValue := func(v []byte, p int) bool {
+		w := values[p]
+		return len(v) == len(w) && &v[0] == &w[0]
+	}
+	var nodes []*Node
+	nextAddr := simnet.Addr(1)
+	spawn := func() {
+		n, err := NewNode(cfg, nextAddr, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nextAddr++
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if len(nodes) > 0 {
+			if err := n.Join(nodes[sim.Rand().Intn(len(nodes))].Contact(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nodes = append(nodes, n)
+	}
+	for i := 0; i < 12; i++ {
+		spawn()
+	}
+	hits := 0
+	var tick func()
+	ticks := 0
+	tick = func() {
+		ticks++
+		r := sim.Rand()
+		n := nodes[r.Intn(len(nodes))]
+		k := r.Intn(40)
+		key := id.FromUint64(64, uint64(k))
+		if ticks%2 == 0 {
+			n.Store(key, values[k%2], nil)
+		} else {
+			n.Get(key, func(v []byte, ok bool) {
+				if !ok {
+					return
+				}
+				hits++
+				if !isValue(v, k%2) {
+					t.Errorf("a hit on key %d answered %q, not the slice stored under it", k, v)
+				}
+			})
+		}
+		if ticks%15 == 0 {
+			i := r.Intn(len(nodes))
+			nodes[i].Leave()
+			nodes = append(nodes[:i], nodes[i+1:]...)
+			spawn()
+		}
+		sim.MustSchedule(200*time.Millisecond, tick)
+	}
+	sim.MustSchedule(time.Second, tick)
+
+	done := false
+	sim.MustSchedule(60*time.Second, func() { done = true })
+	stored := 0
+	for !done && sim.Step() {
+		for p := range values {
+			if string(values[p]) != pristine[p] {
+				t.Fatalf("value %d was written: %q, was %q", p, values[p], pristine[p])
+			}
+		}
+		stored = 0
+		for _, n := range nodes {
+			for key, v := range n.storage {
+				stored++
+				if !isValue(v, parity[key]) {
+					t.Fatalf("node %d stores %q under %s, not the slice the key was stored with", n.Addr(), v, key)
+				}
+			}
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	t.Logf("%d values held at the end, %d hits", stored, hits)
+	if stored == 0 || hits == 0 {
+		t.Fatalf("the run did not exercise both paths: %d values held, %d hits", stored, hits)
 	}
 }

@@ -211,6 +211,11 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 		return ObserveResult{Inserted: true}
 	}
 	if len(b.entries) < rt.cfg.K {
+		if b.entries == nil {
+			// Once a bucket has an entry it tends to fill: allocate its
+			// array once, at capacity k, not by append doubling.
+			b.entries = make([]entry, 0, rt.cfg.K)
+		}
 		b.entries = append(b.entries, newEntry(c))
 		rt.size++
 		rt.setOccupied(depth, true)

@@ -48,6 +48,34 @@ type membersGoldenDoc struct {
 	MembershipRebinds int                `json:"membership_rebinds"`
 }
 
+// membersGoldenConfig is the run behind members_tiny.golden.json.
+func membersGoldenConfig() Config {
+	return Config{
+		Name: "golden-members", Seed: 7, Size: 24, K: 6,
+		Churn:            churn.Rate10_10,
+		Setup:            4 * time.Minute,
+		Stabilize:        4 * time.Minute,
+		ChurnPhase:       8 * time.Minute,
+		SnapshotInterval: time.Minute,
+		SampleFraction:   0.25,
+		Workers:          2,
+	}
+}
+
+// churnGoldenConfig is the run behind churn_tiny.golden.json.
+func churnGoldenConfig() Config {
+	return Config{
+		Name: "golden-churn", Seed: 11, Size: 30, K: 8,
+		Churn:            churn.Rate10_10,
+		Setup:            6 * time.Minute,
+		Stabilize:        10 * time.Minute,
+		ChurnPhase:       10 * time.Minute,
+		SnapshotInterval: 2 * time.Minute,
+		SampleFraction:   0.2,
+		Workers:          2,
+	}
+}
+
 // TestGoldenTinyMembersRun byte-pins a membership-churn-heavy scenario:
 // snapshots every simulated minute under 10/10 churn, so nearly every
 // adjacent snapshot pair differs in membership and the stable-slot
@@ -57,16 +85,7 @@ type membersGoldenDoc struct {
 //
 //	go test ./internal/scenario -run Golden -update
 func TestGoldenTinyMembersRun(t *testing.T) {
-	res, err := Run(Config{
-		Name: "golden-members", Seed: 7, Size: 24, K: 6,
-		Churn:            churn.Rate10_10,
-		Setup:            4 * time.Minute,
-		Stabilize:        4 * time.Minute,
-		ChurnPhase:       8 * time.Minute,
-		SnapshotInterval: time.Minute,
-		SampleFraction:   0.25,
-		Workers:          2,
-	})
+	res, err := Run(membersGoldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +139,7 @@ func TestGoldenTinyMembersRun(t *testing.T) {
 //
 //	go test ./internal/scenario -run Golden -update
 func TestGoldenTinyChurnRun(t *testing.T) {
-	res, err := Run(Config{
-		Name: "golden-churn", Seed: 11, Size: 30, K: 8,
-		Churn:            churn.Rate10_10,
-		Setup:            6 * time.Minute,
-		Stabilize:        10 * time.Minute,
-		ChurnPhase:       10 * time.Minute,
-		SnapshotInterval: 2 * time.Minute,
-		SampleFraction:   0.2,
-		Workers:          2,
-	})
+	res, err := Run(churnGoldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,15 @@ import (
 // wall-clock bound cannot: a small Sim E-shaped run (churn 1/1, data
 // traffic) must stay under a stated number of heap allocations per message
 // sent. Lookups run on recycled records with their own candidate arrays and
-// response buffers, so what is left per message is the traffic generator's
-// closure and timer per operation, the value copies of STORE and FIND_VALUE
-// hits, and a buffer for every request that times out. The run read 0.845
-// mallocs per message when every response allocated its contact list and
-// every lookup its candidates, and reads 0.354 now.
+// response buffers, traffic operations on recycled records, stored values
+// are shared, and a dropped message hands its envelope and buffer back, so
+// what is left is mostly the records and envelopes that fill each node's
+// free lists, a Store's closure and result slice, routing-table buckets
+// and the captured snapshot graphs. The run read 0.845 mallocs per message
+// when every response allocated its contact list and every lookup its
+// candidates, 0.354 with those pooled but a closure and timer per traffic
+// operation, a copy per stored value and hit and a new buffer after every
+// drop, and reads 0.037 now; the bound leaves 15 % headroom over that.
 func TestSimulatorMallocsPerMessage(t *testing.T) {
 	cfg := tinyConfig("mallocs", 5)
 	cfg.K = 20
@@ -36,7 +40,7 @@ func TestSimulatorMallocsPerMessage(t *testing.T) {
 	}
 	perMsg := float64(after.Mallocs-before.Mallocs) / float64(res.Network.Sent)
 	t.Logf("%d mallocs over %d messages: %.3f per message", after.Mallocs-before.Mallocs, res.Network.Sent, perMsg)
-	if perMsg > 0.45 {
-		t.Fatalf("%.3f mallocs per message, bound 0.45", perMsg)
+	if perMsg > 0.042 {
+		t.Fatalf("%.3f mallocs per message, bound 0.042", perMsg)
 	}
 }

@@ -336,6 +336,7 @@ type population struct {
 	cfg      kademlia.Config
 	nodes    []*kademlia.Node
 	nextAddr simnet.Addr
+	live     []*kademlia.Node // LiveNodes' result, reused by every call
 }
 
 var (
@@ -345,15 +346,17 @@ var (
 	_ workload.Population = (*population)(nil)
 )
 
-// LiveNodes implements traffic.Population.
+// LiveNodes implements traffic.Population. The result is valid until the
+// next call: every spawn and churn removal asks for it, so every call
+// refills one scratch slice.
 func (p *population) LiveNodes() []*kademlia.Node {
-	out := make([]*kademlia.Node, 0, len(p.nodes))
+	p.live = p.live[:0]
 	for _, n := range p.nodes {
 		if n.Running() {
-			out = append(out, n)
+			p.live = append(p.live, n)
 		}
 	}
-	return out
+	return p.live
 }
 
 // RemoveRandomNode implements churn.Population: a uniformly chosen live

@@ -102,13 +102,7 @@ type Entry struct {
 
 	// mu serializes engine access: AnalyzeFinal re-sweeps on the same
 	// non-concurrency-safe engine.
-	mu        sync.Mutex
-	resamples map[resampleKey]connectivity.SnapshotResult
-}
-
-type resampleKey struct {
-	frac float64
-	seed int64
+	mu sync.Mutex
 }
 
 // Result returns the entry's (shared, read-only) simulation result.
@@ -121,8 +115,11 @@ func (e *Entry) Config() scenario.Config { return e.cfg }
 // warm engine with a caller-chosen sampling fraction and Avg-sweep seed
 // — the query-time "resample" that never re-pays the simulation. frac 0
 // means the run's own SampleFraction; seed 0 means the final point's
-// own AvgSeed (reproducing its Min/Avg exactly). Answers are memoized
-// per (frac, seed) under the entry lock.
+// own AvgSeed (reproducing its Min/Avg exactly). The engine is never
+// rebound after the run, so its AnalyzeSnapshot memo keeps every source
+// row any query has paid for: the final snapshot's own analysis answers
+// (0, 0) outright, and a resample sweeps only the sources no earlier
+// query of this entry drew.
 func (e *Entry) AnalyzeFinal(frac float64, seed int64) (connectivity.SnapshotResult, error) {
 	if !e.bind.Ready() {
 		return connectivity.SnapshotResult{}, fmt.Errorf("serve: run %q left no analyzable topology", e.cfg.Name)
@@ -133,21 +130,12 @@ func (e *Entry) AnalyzeFinal(frac float64, seed int64) (connectivity.SnapshotRes
 	if seed == 0 {
 		seed = e.bind.FinalAvgSeed
 	}
-	k := resampleKey{frac: frac, seed: seed}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if r, ok := e.resamples[k]; ok {
-		return r, nil
-	}
-	r := e.bind.Engine.AnalyzeSnapshot(connectivity.SnapshotQuery{
+	return e.bind.Engine.AnalyzeSnapshot(connectivity.SnapshotQuery{
 		SampleFraction: frac,
 		AvgSeed:        seed,
-	})
-	if e.resamples == nil {
-		e.resamples = make(map[resampleKey]connectivity.SnapshotResult)
-	}
-	e.resamples[k] = r
-	return r, nil
+	}), nil
 }
 
 // FinalN returns the live size of the final analyzed snapshot (0 when
@@ -331,8 +319,10 @@ func (a *Arena) Builds() int64 {
 
 // estimateSize approximates an entry's resident footprint: worker 0's
 // sweep arc store and the cut network if one was built (MemoryStats), the
-// slot table, the captured final graph, and the measurement series.
-// Estimates only steer LRU eviction, so rough constants are enough.
+// slot table, the captured final graph with the engine's AnalyzeSnapshot
+// memo at its bound (one exact row per live vertex), and the measurement
+// series. Estimates only steer LRU eviction, so rough constants are
+// enough.
 func estimateSize(res *scenario.Result, b *scenario.Bound) int64 {
 	size := int64(64 << 10) // fixed engine/solver overhead
 	if b != nil {
@@ -345,6 +335,7 @@ func estimateSize(res *scenario.Result, b *scenario.Bound) int64 {
 		}
 		if b.Ready() {
 			size += int64(b.Final.Graph.M()) * 16
+			size += int64(b.Final.N()) * 72
 		}
 	}
 	if res != nil {

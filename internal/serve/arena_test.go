@@ -172,7 +172,8 @@ func TestArenaBuildErrorNotCached(t *testing.T) {
 func TestArenaRealRunBound(t *testing.T) {
 	// The default runner is the real scenario.RunBoundCtx: a warm entry's
 	// engine can re-analyze the final topology at query time, and its
-	// memoized resample matches the final measured point exactly.
+	// resample matches the final measured point exactly — answered from
+	// the memo the final snapshot's own analysis left, without a sweep.
 	a := NewArena(ArenaOptions{})
 	cfg := arenaCfg("real", 9)
 	cfg.Churn.Add, cfg.Churn.Remove = 1, 1
@@ -182,9 +183,13 @@ func TestArenaRealRunBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := e.Result().Points[len(e.Result().Points)-1]
+	before := sweptPairs([]*Entry{e})
 	sr, err := e.AnalyzeFinal(0, 0) // the run's own sampling and seed
 	if err != nil {
 		t.Fatal(err)
+	}
+	if swept := sweptPairs([]*Entry{e}) - before; swept != 0 {
+		t.Fatalf("the run's own analysis swept %d pairs again, want 0", swept)
 	}
 	if sr.Min.Min != last.Min {
 		t.Fatalf("resampled min %d != final point %d", sr.Min.Min, last.Min)

@@ -24,6 +24,15 @@ type Handler interface {
 	Deliver(from Addr, payload any)
 }
 
+// Dropper is implemented by payloads that hold memory their sender would
+// reuse: the network calls Dropped once it knows a message will never be
+// delivered — lost to the loss model, or addressed to a host detached by
+// delivery time — and then lets go of the payload. Dropped runs on the
+// simulation goroutine and must not send, schedule or draw randomness.
+type Dropper interface {
+	Dropped()
+}
+
 // Stats counts network-level message outcomes.
 type Stats struct {
 	Sent      uint64 // messages handed to the network
@@ -147,6 +156,7 @@ func (d *delivery) Run() {
 	h, ok := n.hosts[to]
 	if !ok {
 		n.stats.NoRoute++
+		dropped(payload)
 		return
 	}
 	n.stats.Delivered++
@@ -221,6 +231,7 @@ func (n *Network) Send(from, to Addr, payload any) {
 	n.stats.Sent++
 	if n.loss.Drop(n.sim.Rand(), from, to) {
 		n.stats.Lost++
+		dropped(payload)
 		return
 	}
 	delay := n.latency.Delay(n.sim.Rand(), from, to)
@@ -232,4 +243,11 @@ func (n *Network) Send(from, to Addr, payload any) {
 	}
 	d.from, d.to, d.payload, d.next = from, to, payload, nil
 	n.sim.Post(delay, d)
+}
+
+// dropped hands a payload that will never arrive back to its owner.
+func dropped(payload any) {
+	if d, ok := payload.(Dropper); ok {
+		d.Dropped()
+	}
 }

@@ -75,10 +75,15 @@ func (w Workload) Validate() error {
 
 // Population yields the nodes that should generate traffic.
 type Population interface {
-	// LiveNodes returns the currently running nodes. The slice is not
-	// retained across events.
+	// LiveNodes returns the currently running nodes, in a slice that is
+	// valid until the next call.
 	LiveNodes() []*kademlia.Node
 }
+
+// dataObject is the payload of every store. Nodes keep a stored value
+// and answer hits with it without copying, and none writes into one, so
+// all stores of all runs share this one immutable slice.
+var dataObject = []byte("data-object")
 
 // Generator drives the workload.
 type Generator struct {
@@ -89,9 +94,50 @@ type Generator struct {
 	pickKey  func() int
 	until    time.Duration
 	timer    *eventsim.Timer
+	free     *op // idle operation records
 
 	lookups int
 	stores  int
+}
+
+// op is one scheduled lookup or store. It is posted to the kernel as its
+// own event and recycled through the generator's free list, so a
+// steady-state operation allocates neither a closure nor a timer.
+type op struct {
+	g     *Generator
+	node  *kademlia.Node
+	key   id.ID
+	store bool
+	next  *op // free-list link
+}
+
+// Run implements eventsim.Runner: the operation's instant has come. The
+// record goes back on the free list before the operation starts.
+func (o *op) Run() {
+	g, node, key, store := o.g, o.node, o.key, o.store
+	o.node, o.next, g.free = nil, g.free, o
+	if !node.Running() {
+		return
+	}
+	if store {
+		g.stores++
+		node.Store(key, dataObject, nil)
+	} else {
+		g.lookups++
+		node.Get(key, nil)
+	}
+}
+
+// post schedules one operation of node on key after offset.
+func (g *Generator) post(offset time.Duration, node *kademlia.Node, key id.ID, store bool) {
+	o := g.free
+	if o != nil {
+		g.free = o.next
+	} else {
+		o = &op{g: g}
+	}
+	o.node, o.key, o.store, o.next = node, key, store, nil
+	g.sim.Post(offset, o)
 }
 
 // NewGenerator builds a traffic generator whose key pool is drawn with the
@@ -173,28 +219,13 @@ func (g *Generator) minute() {
 	}
 	r := g.sim.Rand()
 	for _, node := range g.pop.LiveNodes() {
-		node := node
 		for i := 0; i < g.workload.LookupsPerMinute; i++ {
 			key := g.key(r)
-			offset := time.Duration(r.Int63n(int64(time.Minute)))
-			g.sim.MustSchedule(offset, func() {
-				if !node.Running() {
-					return
-				}
-				g.lookups++
-				node.Get(key, nil)
-			})
+			g.post(time.Duration(r.Int63n(int64(time.Minute))), node, key, false)
 		}
 		for i := 0; i < g.workload.StoresPerMinute; i++ {
 			key := g.key(r)
-			offset := time.Duration(r.Int63n(int64(time.Minute)))
-			g.sim.MustSchedule(offset, func() {
-				if !node.Running() {
-					return
-				}
-				g.stores++
-				node.Store(key, []byte("data-object"), nil)
-			})
+			g.post(time.Duration(r.Int63n(int64(time.Minute))), node, key, true)
 		}
 	}
 	next := now + time.Minute
