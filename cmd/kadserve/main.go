@@ -1,10 +1,10 @@
 // Command kadserve is the long-running resilience-query service: a
 // Kademlia resilience engine kept warm behind an HTTP API. Where the
 // batch CLIs (kadsweep, kadattack) pay a full simulation per run,
-// kadserve keeps every finished run's analysis state — the bound
-// connectivity engine, slot table and final topology — resident in a
-// shared LRU arena, so repeated or overlapping queries answer from
-// memory without a single re-bind.
+// kadserve keeps every finished run's analysis state — the connectivity
+// engine bound to the final topology, with the answers it memoized but
+// without its solvers — resident in a shared LRU arena, so repeated or
+// overlapping queries answer from memory without a single re-bind.
 //
 // Queries are adaptively replicated: replication stops as soon as the
 // Student-t 95% confidence interval decides the query's threshold (or
@@ -24,7 +24,7 @@
 // Endpoints:
 //
 //	POST /v1/query    run one resilience query (see internal/serve.QuerySpec)
-//	GET  /v1/arena    arena occupancy, per-entry engine memory stats
+//	GET  /v1/arena    arena occupancy, per-entry estimated sizes
 //	GET  /v1/healthz  liveness
 //
 // Flags:

@@ -100,6 +100,9 @@ type SnapshotResult struct {
 // AnalyzeSnapshot's memo (rows, mins) holds answers for one generation
 // and is ignored once gen moves; the fan closure scratch in each
 // engineWorker describes one (source, threshold) and is reset per task.
+// Release drops the solvers, the cut network, even/cutEven, succStart/succ
+// and the fan scratch without moving gen; they are rebuilt by the same
+// lazy paths, so only the binding, the memo and the counters outlive it.
 // Everything else is sized once and reused.
 type Engine struct {
 	algo       maxflow.Algorithm
@@ -324,12 +327,7 @@ func (e *Engine) bindFull(g *graph.Digraph, order []int) {
 	e.setOrder(order)
 	e.even = g.AppendEvenEdges(e.even[:0])
 	e.evenSrc.edges = e.even
-	if e.masked {
-		e.cutDirty = true
-	} else {
-		e.cutSrc = cutEdgeSource{edges: e.even, internal: e.n, big: int32(e.n + 1)}
-		e.cutDirty = false
-	}
+	e.cutDirty = true
 	e.evenDirty = false
 	e.gen++
 }
@@ -447,10 +445,33 @@ func (e *Engine) MembershipRebinds() int { return e.memberRebinds }
 // and the steady-state regression tests pin this to zero outright.
 func (e *Engine) RebindFallbacks() int { return e.rebindFallbacks }
 
-// ensureEven rebuilds the Even edge list after a RebindSlots marked it
-// stale (only masked bindings ever do: a dense Bind rebuilds it eagerly).
-// It must only run from the serial sections of the engine (before sweep
-// workers spawn): the sweep's solver fast paths never call it.
+// Release drops every structure the binding can rebuild: the worker
+// solvers and their fan-closure scratch, the cut-mode network, the Even
+// edge lists and the flat successor arrays. It keeps the binding (graph,
+// slot order, generation), AnalyzeSnapshot's memo and the cumulative
+// counters. The next query that needs a solver rebuilds the rest through
+// the same lazy paths a bind uses — at about the cost of one bind — and
+// answers exactly as the unreleased engine would; a query the memo
+// answers rebuilds nothing. A RebindSlots after a Release patches no
+// solver (there is none) and so never counts a fallback. Holders of many
+// idle bindings (the kadserve arena) call it so that a parked engine
+// costs its answers, not its arc stores.
+func (e *Engine) Release() {
+	for i := range e.workers {
+		w := &e.workers[i]
+		w.solver, w.solverGen, w.fan = nil, 0, fanClosure{}
+	}
+	e.cutSolver, e.cutGen = nil, 0
+	e.even, e.evenSrc.edges, e.evenDirty = nil, nil, true
+	e.cutEven, e.cutSrc, e.cutDirty = nil, cutEdgeSource{}, true
+	// A bound engine's gen is at least 1, so adjGen 0 is always stale.
+	e.succStart, e.succ, e.adjGen = nil, nil, 0
+}
+
+// ensureEven rebuilds the Even edge list after a RebindSlots or a Release
+// marked it stale (a bind rebuilds it eagerly). It must only run from the
+// serial sections of the engine (before sweep workers spawn): the sweep's
+// solver fast paths never call it.
 func (e *Engine) ensureEven() {
 	if !e.evenDirty {
 		return
@@ -500,12 +521,15 @@ func (e *Engine) SweepSettled() int {
 }
 
 // ensureCut readies cutSrc for (re)building the cut-mode network. Under a
-// dense binding bindFull already aimed it at the shared Even list; under
-// a masked one it is the compacted rank-space list — the numbering in
-// which cut queries are asked and answered, and the reason a masked
-// engine's cuts match a fresh bind of the compacted graph arc for arc.
+// dense binding it is the shared Even list, rebuilt first if a Release
+// dropped it; under a masked one it is the compacted rank-space list —
+// the numbering in which cut queries are asked and answered, and the
+// reason a masked engine's cuts match a fresh bind of the compacted graph
+// arc for arc.
 func (e *Engine) ensureCut() {
 	if !e.masked {
+		e.ensureEven()
+		e.cutSrc = cutEdgeSource{edges: e.even, internal: e.n, big: int32(e.n + 1)}
 		return
 	}
 	if e.cutDirty {
@@ -519,7 +543,8 @@ func (e *Engine) ensureCut() {
 // cut-mode flow network from scratch. Rebinding to a new graph
 // reinitializes the existing network in place, so the count stays at one
 // across arbitrarily many same-shape bindings — the regression guard for
-// the cutset adversary's strike loop.
+// the cutset adversary's strike loop. Only a Release, which drops the
+// network, makes the next cut query build it again.
 func (e *Engine) CutNetworkBuilds() int { return e.cutBuilds }
 
 // solverFor returns worker w's solver, creating or rebinding it to the

@@ -25,8 +25,7 @@ func Run(cfg Config) (*Result, error) {
 
 // Bound is the warm analysis state a finished run leaves behind: the
 // connectivity engine still bound to the topology of the last analyzed
-// snapshot, the stable-slot index that carried vertex identity through
-// the run, and that final capture itself. Long-running services (the
+// snapshot, and that final capture itself. Long-running services (the
 // kadserve arena) keep Bounds alive across queries so follow-up analyses
 // against the same scenario never re-pay the simulation or the engine
 // bind; batch callers use Run and let it all be collected.
@@ -35,8 +34,6 @@ type Bound struct {
 	// captured topology. Not safe for concurrent use (see
 	// connectivity.Engine); callers serialize access themselves.
 	Engine *connectivity.Engine
-	// Slots is the run's stable-slot table.
-	Slots *snapshot.SlotIndex
 	// Final is the last snapshot whose graph the engine analyzed, nil
 	// when no snapshot had more than one live node (the engine is then
 	// unbound and Engine queries are invalid).
@@ -285,8 +282,5 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	}
 	res.Network = net.Stats()
 	res.Elapsed = time.Since(start)
-	return res, &Bound{
-		Engine: engine, Slots: &slots,
-		Final: lastSnap, FinalAvgSeed: lastAvgSeed,
-	}, nil
+	return res, &Bound{Engine: engine, Final: lastSnap, FinalAvgSeed: lastAvgSeed}, nil
 }

@@ -92,7 +92,10 @@ type inflightRun struct {
 }
 
 // Entry is one warm simulation: the run's Result plus the engine still
-// bound to the final snapshot's topology.
+// bound to the final snapshot's topology. A parked engine keeps answers,
+// not solvers: the arena releases it (connectivity.Engine.Release) before
+// parking it and after every resample, so a resident entry holds its
+// binding and memoized rows but no arc store.
 type Entry struct {
 	key  string
 	cfg  scenario.Config // effective (defaulted) configuration, seed included
@@ -119,7 +122,8 @@ func (e *Entry) Config() scenario.Config { return e.cfg }
 // rebound after the run, so its AnalyzeSnapshot memo keeps every source
 // row any query has paid for: the final snapshot's own analysis answers
 // (0, 0) outright, and a resample sweeps only the sources no earlier
-// query of this entry drew.
+// query of this entry drew — rebuilding the solvers for that sweep, which
+// the engine releases again before the entry lock drops.
 func (e *Entry) AnalyzeFinal(frac float64, seed int64) (connectivity.SnapshotResult, error) {
 	if !e.bind.Ready() {
 		return connectivity.SnapshotResult{}, fmt.Errorf("serve: run %q left no analyzable topology", e.cfg.Name)
@@ -132,10 +136,12 @@ func (e *Entry) AnalyzeFinal(frac float64, seed int64) (connectivity.SnapshotRes
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.bind.Engine.AnalyzeSnapshot(connectivity.SnapshotQuery{
+	sr := e.bind.Engine.AnalyzeSnapshot(connectivity.SnapshotQuery{
 		SampleFraction: frac,
 		AvgSeed:        seed,
-	}), nil
+	})
+	e.bind.Engine.Release()
+	return sr, nil
 }
 
 // FinalN returns the live size of the final analyzed snapshot (0 when
@@ -145,13 +151,6 @@ func (e *Entry) FinalN() int {
 		return 0
 	}
 	return e.bind.Final.N()
-}
-
-// memory reports the entry engine's current arc-store footprint.
-func (e *Entry) memory() connectivity.MemoryStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.bind.Engine.MemoryStats()
 }
 
 // Key derives the arena identity of a configuration: the sweep
@@ -217,6 +216,10 @@ func (a *Arena) Get(ctx context.Context, cfg scenario.Config) (*Entry, bool, err
 		res, bind, err := a.runner(ctx, cfg)
 		var entry *Entry
 		if err == nil {
+			if bind != nil && bind.Engine != nil {
+				// Park answers, not solvers; nobody else sees the engine yet.
+				bind.Engine.Release()
+			}
 			entry = &Entry{
 				key: key, cfg: cfg.WithDefaults(), res: res, bind: bind,
 				size: estimateSize(res, bind),
@@ -280,30 +283,28 @@ type ArenaStats struct {
 
 // EntryStats describes one resident entry, most recently used first.
 type EntryStats struct {
-	Name      string                   `json:"name"`
-	Seed      int64                    `json:"seed"`
-	Size      int                      `json:"size"`
-	FinalN    int                      `json:"final_n"`
-	SizeBytes int64                    `json:"size_bytes"`
-	Memory    connectivity.MemoryStats `json:"memory"`
+	Name      string `json:"name"`
+	Seed      int64  `json:"seed"`
+	Size      int    `json:"size"`
+	FinalN    int    `json:"final_n"`
+	SizeBytes int64  `json:"size_bytes"`
 }
 
-// Stats snapshots the arena's occupancy and counters.
+// Stats snapshots the arena's occupancy and counters. It reads only
+// fields fixed when an entry was built, so it never waits on an entry's
+// lock behind a running resample.
 func (a *Arena) Stats() ArenaStats {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	st := ArenaStats{
 		Entries: a.lru.Len(), BudgetBytes: a.budget, UsedBytes: a.used,
 		Hits: a.hits, Misses: a.misses, Builds: a.builds, Evictions: a.evictions,
 	}
-	entries := make([]*Entry, 0, a.lru.Len())
 	for el := a.lru.Front(); el != nil; el = el.Next() {
-		entries = append(entries, el.Value.(*Entry))
-	}
-	a.mu.Unlock()
-	for _, e := range entries {
+		e := el.Value.(*Entry)
 		st.Runs = append(st.Runs, EntryStats{
 			Name: e.cfg.Name, Seed: e.cfg.Seed, Size: e.cfg.Size,
-			FinalN: e.FinalN(), SizeBytes: e.size, Memory: e.memory(),
+			FinalN: e.FinalN(), SizeBytes: e.size,
 		})
 	}
 	return st
@@ -317,26 +318,21 @@ func (a *Arena) Builds() int64 {
 	return a.builds
 }
 
-// estimateSize approximates an entry's resident footprint: worker 0's
-// sweep arc store and the cut network if one was built (MemoryStats), the
-// slot table, the captured final graph with the engine's AnalyzeSnapshot
-// memo at its bound (one exact row per live vertex), and the measurement
-// series. Estimates only steer LRU eviction, so rough constants are
-// enough.
+// estimateSize approximates an entry's resident footprint: a fixed
+// engine and result overhead, the captured final graph with the engine's
+// AnalyzeSnapshot memo at its bound (one exact row per live vertex), and
+// the measurement series. A parked engine holds no arc store, so no
+// solver term appears. Estimates only steer LRU eviction, so rough
+// constants are enough; TestEstimateSizeBoundsRetainedHeap holds them to
+// the heap the serve-mixed shapes actually retain.
 func estimateSize(res *scenario.Result, b *scenario.Bound) int64 {
-	size := int64(64 << 10) // fixed engine/solver overhead
-	if b != nil {
-		if b.Engine != nil {
-			ms := b.Engine.MemoryStats()
-			size += int64(ms.Arcs) * 48
-		}
-		if b.Slots != nil {
-			size += int64(b.Slots.Len()) * 64
-		}
-		if b.Ready() {
-			size += int64(b.Final.Graph.M()) * 16
-			size += int64(b.Final.N()) * 72
-		}
+	// Fixed engine and result overhead: the six serve-mixed shapes retain
+	// ~46 KB per entry with ~21 KB in the terms below; rounded up so that a
+	// host with many more engine workers still estimates high.
+	size := int64(32 << 10)
+	if b.Ready() {
+		size += int64(b.Final.Graph.M()) * 16
+		size += int64(b.Final.N()) * 72
 	}
 	if res != nil {
 		size += int64(len(res.Points)) * 96

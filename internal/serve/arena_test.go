@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +11,6 @@ import (
 
 	"kadre/internal/connectivity"
 	"kadre/internal/scenario"
-	"kadre/internal/snapshot"
 )
 
 // stubRunner fabricates a run without simulating: a one-point Result and
@@ -26,7 +26,7 @@ func stubRunner(calls *atomic.Int64) func(context.Context, scenario.Config) (*sc
 		res.Points = append(res.Points, scenario.SnapshotStat{
 			Time: time.Minute, N: cfg.Size, Min: 3, Avg: 4.5,
 		})
-		return res, &scenario.Bound{Engine: eng, Slots: &snapshot.SlotIndex{}}, nil
+		return res, &scenario.Bound{Engine: eng}, nil
 	}
 }
 
@@ -100,8 +100,8 @@ func TestArenaSingleflight(t *testing.T) {
 
 func TestArenaLRUEviction(t *testing.T) {
 	var calls atomic.Int64
-	// Each stub entry estimates to ~64 KiB; budget two entries' worth.
-	a := NewArena(ArenaOptions{BudgetBytes: 140 << 10, Runner: stubRunner(&calls)})
+	// Each stub entry estimates to ~32 KiB; budget two entries' worth.
+	a := NewArena(ArenaOptions{BudgetBytes: 70 << 10, Runner: stubRunner(&calls)})
 	for seed := int64(1); seed <= 3; seed++ {
 		if _, _, err := a.Get(context.Background(), arenaCfg("e", seed)); err != nil {
 			t.Fatal(err)
@@ -182,6 +182,7 @@ func TestArenaRealRunBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	parkedWithoutArcs(t, e, "after a cold Get")
 	last := e.Result().Points[len(e.Result().Points)-1]
 	before := sweptPairs([]*Entry{e})
 	sr, err := e.AnalyzeFinal(0, 0) // the run's own sampling and seed
@@ -201,4 +202,84 @@ func TestArenaRealRunBound(t *testing.T) {
 	if avg != last.Avg {
 		t.Fatalf("resampled avg %v != final point %v", avg, last.Avg)
 	}
+	// A resample under a fresh seed rebuilds the solvers for its sweep and
+	// parks the entry without them again.
+	before = sweptPairs([]*Entry{e})
+	if _, err := e.AnalyzeFinal(0.5, 77); err != nil {
+		t.Fatal(err)
+	}
+	if sweptPairs([]*Entry{e}) == before {
+		t.Fatal("a fresh-seed resample swept no pair")
+	}
+	parkedWithoutArcs(t, e, "after a sweeping AnalyzeFinal")
+}
+
+// parkedWithoutArcs fails the test if e's engine holds an arc store.
+func parkedWithoutArcs(t *testing.T, e *Entry, when string) {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if arcs := e.bind.Engine.MaxSolverArcs(); arcs != 0 {
+		t.Fatalf("%s: parked engine holds a %d-arc solver, want none", when, arcs)
+	}
+}
+
+// TestEstimateSizeBoundsRetainedHeap holds estimateSize to what a parked
+// entry costs: the six serve-mixed shapes (tiny scale, 60 nodes, k 5, 10
+// and 20 under churn 1/1 and 10/10), built under a few seeds and
+// resampled once each at fraction 0.5 the way the workload's final_avg
+// queries do, must retain between 0.8x and 2x of their summed estimates
+// once the collector has run.
+func TestEstimateSizeBoundsRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 18 simulations")
+	}
+	var cfgs []scenario.Config
+	for _, seed := range []int64{11, 12, 13} {
+		for _, churn := range []string{"1/1", "10/10"} {
+			for _, k := range []int{5, 10, 20} {
+				threshold := 1.0
+				q, err := QuerySpec{
+					Scenario: ScenarioSpec{
+						Scale: "tiny", Size: 60, K: k, Churn: churn, ChurnMinutes: 40, Seed: seed,
+					},
+					Threshold: &threshold,
+				}.Resolve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfgs = append(cfgs, q.Config)
+			}
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second cycle also empties sync.Pool victim caches
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	a := NewArena(ArenaOptions{})
+	before := heap()
+	for i, cfg := range cfgs {
+		e, _, err := a.Get(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.AnalyzeFinal(0.5, int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retained := float64(heap()) - float64(before)
+	st := a.Stats()
+	if st.Entries != len(cfgs) {
+		t.Fatalf("%d entries resident, want %d", st.Entries, len(cfgs))
+	}
+	ratio := float64(st.UsedBytes) / retained
+	t.Logf("%d entries: estimated %.1f KB, retained %.1f KB per entry (ratio %.2f)",
+		st.Entries, float64(st.UsedBytes)/1e3/float64(st.Entries), retained/1e3/float64(st.Entries), ratio)
+	if ratio < 0.8 || ratio > 2 {
+		t.Fatalf("estimated %d bytes for %.0f retained: ratio %.2f outside [0.8, 2]", st.UsedBytes, retained, ratio)
+	}
+	runtime.KeepAlive(a)
 }

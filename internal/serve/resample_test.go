@@ -132,6 +132,9 @@ func TestConcurrentResamplesSolveEachRowOnce(t *testing.T) {
 		if repaid := sweptPairs(entries) - before - paid; repaid != 0 {
 			t.Fatalf("repeating the burst swept %d more pairs, want 0", repaid)
 		}
+		for _, e := range entries {
+			parkedWithoutArcs(t, e, "after the resample bursts")
+		}
 		return paid, answers
 	}
 	racedPairs, raced := burst(true)
