@@ -131,6 +131,7 @@ func TestGoldenTinyAttack(t *testing.T) {
 	}{
 		{"attack_tiny_cutset.golden.json", []string{"-strategies", "cutset", "-jobs", "2"}},
 		{"attack_tiny.golden.json", nil},
+		{"attack_tiny_cutset_churn.golden.json", []string{"-scenario", filepath.Join("testdata", "attack_tiny_cutset_churn.json")}},
 	} {
 		dir := t.TempDir()
 		runDir(t, dir, tt.args...)
