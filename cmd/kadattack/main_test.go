@@ -119,11 +119,13 @@ func TestAttackEndToEnd(t *testing.T) {
 }
 
 // TestGoldenTinyAttack pins the numeric output of the tiny attack runs
-// byte for byte — the cutset run alone and all four strategies together
-// (the latter generated at b357eca, before every strategy moved onto the
-// one stable-slot capture): simulator, analyzer or adversary refactors
-// that shift any measured value fail here first. Regenerate with: go test
-// ./cmd/kadattack -run Golden -update
+// byte for byte: the cutset run alone, all four strategies together, and
+// the cutset adversary under churn (testdata/attack_tiny_cutset_churn.json:
+// joins and leaves between strikes, the second run with traffic and two
+// kills per strike). Victims are ranks of one dense capture per strike;
+// simulator, analyzer or adversary refactors that shift any measured
+// value fail here first. Regenerate with: go test ./cmd/kadattack -run
+// Golden -update
 func TestGoldenTinyAttack(t *testing.T) {
 	for _, tt := range []struct {
 		golden string

@@ -8,10 +8,12 @@
 // victim region of the keyspace (eclipse), or uniformly at random (the
 // baseline that ties back to the paper's churn results).
 //
-// The engine runs inside the deterministic event kernel and draws
-// randomness only from the simulator's seeded generator, so attack runs
-// are reproducible under seeds and parallel sweeps exactly like every
-// other experiment.
+// Reconnaissance is one dense routing-table capture per strike — the
+// same snapshot.Capture the one-shot analysis paths take — so victims are
+// dense ranks of that capture and are removed by address. The engine runs
+// inside the deterministic event kernel and draws randomness only from the
+// simulator's seeded generator, so attack runs are reproducible under
+// seeds and parallel sweeps exactly like every other experiment.
 package attack
 
 import (
@@ -102,14 +104,6 @@ type Config struct {
 	// SampleFraction is the connectivity sampling c used by the Cutset
 	// strategy's analyzer (default connectivity.DefaultSampleFraction).
 	SampleFraction float64
-	// Workers bounds the Cutset analyzer's worker pool (0 = GOMAXPROCS).
-	Workers int
-	// Governance bounds the long-run memory of the Cutset strategy's
-	// recon engine and private slot table, applied after each strike
-	// (see connectivity.GovernancePolicy). Maintenance never changes
-	// victim selection. The zero value disables governance; the scenario
-	// runner passes its own policy down.
-	Governance connectivity.GovernancePolicy
 }
 
 // Enabled reports whether the config describes an actual adversary.
@@ -166,15 +160,10 @@ func (c Config) String() string {
 // into reconnaissance) and kill a specific node. The scenario population
 // implements it alongside the churn and traffic views.
 type Population interface {
-	// AttackSlotSnapshot captures the current connectivity graph in
-	// stable-slot form — the same routing-table capture the measurement
-	// snapshots use — updating the given slot table. The table is owned
-	// by the adversary (recon slots are its private numbering,
-	// independent of the measurement snapshots'): its strikes change
-	// membership by design, so only stable-slot captures let the cutset
-	// recon engine rebind incrementally from strike to strike instead of
-	// rebuilding after every kill.
-	AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot
+	// Capture returns the current connectivity graph as a dense snapshot:
+	// live nodes in canonical order, one vertex per node, so a victim's
+	// rank indexes the capture's Addrs and IDs directly.
+	Capture() *snapshot.Snapshot
 	// RemoveNode makes the live node at addr leave silently; it reports
 	// false when no live node has that address.
 	RemoveNode(addr simnet.Addr) bool
@@ -190,7 +179,8 @@ type Victim struct {
 }
 
 // Engine schedules and executes strikes. Create with NewEngine; nothing
-// happens until Start.
+// happens until Start. Every strike captures the network afresh; only the
+// cutset strategy's analysis engine outlives a strike.
 type Engine struct {
 	sim    *eventsim.Simulator
 	cfg    Config
@@ -199,18 +189,12 @@ type Engine struct {
 	timer  *eventsim.Timer
 	target id.ID // resolved eclipse target
 
-	// slots is the adversary's private slot table: every reconnaissance
-	// capture lands on it, so vertex identity survives the adversary's own
-	// strikes and the interleaved churn.
-	slots snapshot.SlotIndex
 	// conn is the cutset strategy's reusable analysis engine: one
-	// instance serves every strike, rebinding to each reconnaissance
-	// snapshot so the flow solvers and the cut-mode network are built
-	// once per engine instead of once per strike (nil for the other
-	// strategies, which need no flow analysis). connBinder routes every
-	// consecutive capture through the incremental rebind path.
-	conn       *connectivity.Engine
-	connBinder *connectivity.IncrementalBinder
+	// instance serves every strike, binding each reconnaissance capture
+	// in full, so the flow solvers and the cut-mode network are built once
+	// per engine and re-initialised in place per strike (nil for the other
+	// strategies, which need no flow analysis).
+	conn *connectivity.Engine
 
 	victims []Victim
 	strikes int
@@ -224,13 +208,7 @@ func NewEngine(sim *eventsim.Simulator, cfg Config, pop Population) (*Engine, er
 	}
 	e := &Engine{sim: sim, cfg: cfg, pop: pop, target: cfg.Target}
 	if cfg.Strategy == Cutset {
-		conn, err := connectivity.NewEngine(connectivity.EngineOptions{Workers: cfg.Workers})
-		if err != nil {
-			return nil, err
-		}
-		conn.SetGovernance(cfg.Governance)
-		e.conn = conn
-		e.connBinder = connectivity.NewIncrementalBinder(conn)
+		e.conn = connectivity.MustNewEngine(connectivity.EngineOptions{})
 	}
 	return e, nil
 }
@@ -284,9 +262,9 @@ func (e *Engine) budgetLeft() int {
 	return e.cfg.Budget - len(e.victims)
 }
 
-// strike executes one attack round: snapshot, select, remove, re-arm.
-// Reconnaissance is one stable-slot capture for every strategy; its rank
-// numbering is the dense capture's, so victims index Addrs/IDs directly.
+// strike executes one attack round: capture, select, remove, re-arm.
+// Reconnaissance is one dense capture for every strategy, so victims
+// index its Addrs/IDs directly.
 func (e *Engine) strike() {
 	now := e.sim.Now()
 	if now >= e.until || e.budgetLeft() <= 0 {
@@ -294,7 +272,7 @@ func (e *Engine) strike() {
 	}
 	e.strikes++
 
-	s := e.pop.AttackSlotSnapshot(&e.slots)
+	s := e.pop.Capture()
 	count := e.cfg.Kills
 	if left := e.budgetLeft(); count > left {
 		count = left
@@ -308,18 +286,6 @@ func (e *Engine) strike() {
 		if e.pop.RemoveNode(s.Addrs[v]) {
 			e.victims = append(e.victims, Victim{Time: now, Addr: s.Addrs[v], ID: s.IDs[v]})
 		}
-	}
-
-	// Post-strike memory governance: strikes are THE membership churn of
-	// the recon engine, so without maintenance its solver arc stores and
-	// the slot table only ever grow. Compacting the slot table renumbers
-	// the recon slot space; the next capture re-binds from scratch through
-	// the binder's fallback, with identical selections.
-	if e.conn != nil {
-		e.conn.Maintain()
-	}
-	if e.cfg.Governance.SlotCompactionDue(e.slots.Len(), e.slots.Live()) {
-		e.slots.Compact()
 	}
 
 	if next := now + e.cfg.Interval; next < e.until && e.budgetLeft() > 0 {

@@ -12,13 +12,12 @@ import (
 // label keeps unconfigured eclipse runs deterministic.
 const eclipseTargetLabel = "kadre/attack/eclipse-target"
 
-// selectVictims returns up to count distinct dense ranks of s to remove,
+// selectVictims returns up to count distinct ranks of s to remove,
 // according to the engine's strategy. Every strategy selects from the one
-// stable-slot reconnaissance capture, in its dense rank numbering — the
-// victim-indexing space of the capture's Addrs/IDs — and is deterministic
-// given the capture (and, for Random, the simulator's seeded generator),
-// so attack runs replay exactly under a seed.
-func (e *Engine) selectVictims(s *snapshot.SlotSnapshot, count int) []int {
+// dense reconnaissance capture — ranks index its Addrs/IDs — and is
+// deterministic given the capture (and, for Random, the simulator's
+// seeded generator), so attack runs replay exactly under a seed.
+func (e *Engine) selectVictims(s *snapshot.Snapshot, count int) []int {
 	if count > s.N() {
 		count = s.N()
 	}
@@ -41,22 +40,22 @@ func (e *Engine) selectVictims(s *snapshot.SlotSnapshot, count int) []int {
 	}
 }
 
-// selectDegree picks the count ranks with the largest total slot-graph
-// degree (out plus in), ties broken by rank so runs are deterministic.
-func selectDegree(s *snapshot.SlotSnapshot, count int) []int {
+// selectDegree picks the count ranks with the largest total degree (out
+// plus in), ties broken by rank so runs are deterministic.
+func selectDegree(s *snapshot.Snapshot, count int) []int {
 	in := s.Graph.InDegrees()
 	order := make([]int, s.N())
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		sa, sb := s.Order[order[a]], s.Order[order[b]]
-		da := s.Graph.OutDegree(sa) + in[sa]
-		db := s.Graph.OutDegree(sb) + in[sb]
+		va, vb := order[a], order[b]
+		da := s.Graph.OutDegree(va) + in[va]
+		db := s.Graph.OutDegree(vb) + in[vb]
 		if da != db {
 			return da > db
 		}
-		return order[a] < order[b]
+		return va < vb
 	})
 	return order[:count]
 }
@@ -64,17 +63,15 @@ func selectDegree(s *snapshot.SlotSnapshot, count int) []int {
 // selectCutset picks vertices on a minimum vertex cut of the capture —
 // the nodes whose removal the paper's own metric identifies as optimal
 // (Equation 2's compromised set). It is the only strategy that binds the
-// flow engine: the slot graph goes in with its compaction map —
-// incrementally across strikes, since slot identity survives the
-// adversary's own removals and the interleaved churn — and GraphCut
-// answers in dense rank numbering. The cut is deterministic because the
+// flow engine, and it binds each capture in full, so GraphCut answers in
+// the capture's rank numbering. The cut is deterministic because the
 // engine's MinPair is scheduling-independent. A cut smaller than count
 // is topped up with the highest-degree remaining vertices; a graph with
 // no usable cut (complete, already disconnected beyond repair, or a
 // sample with no evaluable pair) falls back to the degree strategy
 // entirely.
-func (e *Engine) selectCutset(s *snapshot.SlotSnapshot, count int) []int {
-	e.connBinder.BindNextSlots(s.Graph, s.Order)
+func (e *Engine) selectCutset(s *snapshot.Snapshot, count int) []int {
+	e.conn.Bind(s.Graph)
 	cut, _, ok, err := e.conn.GraphCut(connectivity.Query{
 		SampleFraction: e.cfg.SampleFraction,
 	})
@@ -105,7 +102,7 @@ func (e *Engine) selectCutset(s *snapshot.SlotSnapshot, count int) []int {
 // selectEclipse picks the count vertices whose identifiers are closest to
 // the target under the XOR metric, erasing the nodes responsible for the
 // target's keyspace region.
-func (e *Engine) selectEclipse(s *snapshot.SlotSnapshot, count int) []int {
+func (e *Engine) selectEclipse(s *snapshot.Snapshot, count int) []int {
 	if e.target.IsZeroValue() {
 		e.target = id.Hash(s.IDs[0].Bits(), []byte(eclipseTargetLabel))
 	}

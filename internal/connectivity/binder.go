@@ -32,10 +32,6 @@ func NewIncrementalBinder(eng *Engine) *IncrementalBinder {
 	return &IncrementalBinder{eng: eng}
 }
 
-// Engine returns the wrapped engine, for running queries after
-// BindNextSlots.
-func (b *IncrementalBinder) Engine() *Engine { return b.eng }
-
 // BindNextSlots binds a stable-slot capture (the graph plus its
 // canonical compaction map, as produced by snapshot.CaptureSlots),
 // incrementally whenever the slot space carried over — which it does

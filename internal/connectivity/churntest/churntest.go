@@ -277,6 +277,7 @@ func (t *trace) captureSlots() (*graph.Digraph, []int) {
 // incSide is one incremental engine under test.
 type incSide struct {
 	workers int
+	eng     *connectivity.Engine
 	binder  *connectivity.IncrementalBinder
 }
 
@@ -298,6 +299,7 @@ func Run(opts Options) (Stats, error) {
 		eng.SetGovernance(opts.Governance)
 		sides[i] = incSide{
 			workers: w,
+			eng:     eng,
 			binder:  connectivity.NewIncrementalBinder(eng),
 		}
 	}
@@ -377,7 +379,7 @@ func Run(opts Options) (Stats, error) {
 				return stats, fmt.Errorf("step %d (workers=%d): incremental=%v, want %v (slot table %d -> %d; joins/leaves/strikes must rebind incrementally)",
 					step, s.workers, inc, expectInc, slotsBefore, tr.slots.Len())
 			}
-			eng := s.binder.Engine()
+			eng := s.eng
 			gotSnap := eng.AnalyzeSnapshot(connectivity.SnapshotQuery{
 				SampleFraction: opts.SampleFraction, AvgSeed: int64(step),
 			})
@@ -428,7 +430,7 @@ func Run(opts Options) (Stats, error) {
 		// bit-identical, which the NEXT step's comparisons hold), then the
 		// slot-table compaction decision for the next capture.
 		for i := range sides {
-			sides[i].binder.Engine().Maintain()
+			sides[i].eng.Maintain()
 		}
 		if opts.Governance.SlotCompactionDue(tr.slots.Len(), tr.slots.Live()) {
 			tr.slots.Compact()
@@ -437,7 +439,7 @@ func Run(opts Options) (Stats, error) {
 		}
 		if live := len(tr.alive); live >= stats.PeakLive {
 			stats.PeakLive = live
-			stats.ArcsAtPeak = sides[0].binder.Engine().MaxSolverArcs()
+			stats.ArcsAtPeak = sides[0].eng.MaxSolverArcs()
 			stats.SlotLenAtPeak = tr.slots.Len()
 		}
 	}
@@ -450,14 +452,14 @@ func Run(opts Options) (Stats, error) {
 	}
 	// The primary re-densify count is part of the deterministic surface:
 	// every worker pool must agree on it.
-	stats.Redensifies = sides[0].binder.Engine().Redensifies()
+	stats.Redensifies = sides[0].eng.Redensifies()
 	for i := 1; i < len(sides); i++ {
-		if r := sides[i].binder.Engine().Redensifies(); r != stats.Redensifies {
+		if r := sides[i].eng.Redensifies(); r != stats.Redensifies {
 			return stats, fmt.Errorf("redensify count varies with worker count: workers=%d saw %d, workers=%d saw %d",
 				sides[0].workers, stats.Redensifies, sides[i].workers, r)
 		}
 	}
-	stats.FinalMaxArcs = sides[0].binder.Engine().MaxSolverArcs()
+	stats.FinalMaxArcs = sides[0].eng.MaxSolverArcs()
 	stats.FinalSlotLen = tr.slots.Len()
 	return stats, nil
 }

@@ -182,6 +182,8 @@ func TestFanClosureLemma(t *testing.T) {
 // compacted form of the bound graph.
 func requireEngineMatchesReference(t *testing.T, label string, eng *Engine, dense *graph.Digraph) {
 	t.Helper()
+	ref := MustNewEngine(EngineOptions{Workers: 1})
+	ref.Bind(dense)
 	for _, c := range []float64{0.1, 1} {
 		q := Query{SampleFraction: c, MinOnly: true}
 		want := referenceAnalyze(referenceOptions{Query: q}, dense)
@@ -197,7 +199,7 @@ func requireEngineMatchesReference(t *testing.T, label string, eng *Engine, dens
 		wantPair := [2]int{}
 		if wantOK {
 			wantPair = want.MinPair
-			if wantCut, err = PairCut(dense, wantPair[0], wantPair[1]); err != nil {
+			if wantCut, err = ref.PairCut(wantPair[0], wantPair[1]); err != nil {
 				t.Fatalf("%s c=%g: reference PairCut: %v", label, c, err)
 			}
 			if len(wantCut) != want.Min {
@@ -399,7 +401,7 @@ func TestSweepCountersPinClosureShare(t *testing.T) {
 	if eng.SweepSettled() != settled || eng.SweepFlows() != cappedFlows+sr.Avg.Pairs {
 		t.Fatalf("a repeat on one binding swept: settled %d flows %d", eng.SweepSettled(), eng.SweepFlows())
 	}
-	// Cumulative, like Rebinds: after a rebind the same analysis doubles both.
+	// Cumulative across bindings: after a rebind the same analysis doubles both.
 	eng.Bind(g)
 	eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.1, AvgSeed: 1})
 	if eng.SweepSettled() != 2*settled || eng.SweepFlows() != 2*(cappedFlows+sr.Avg.Pairs) {

@@ -18,8 +18,8 @@
 // and the cut-mode network alive across bindings, rebinds stable-slot
 // captures incrementally (IncrementalBinder), and fuses the per-snapshot
 // Min and Avg sweeps into a single pass. One-off callers use the
-// package-level Analyze, PairCut and GraphCut, each of which binds a
-// throwaway Engine to its argument graph.
+// package-level Analyze and GraphCut, each of which binds a throwaway
+// Engine to its argument graph.
 package connectivity
 
 import (

@@ -6,31 +6,6 @@ import (
 	"kadre/internal/graph"
 )
 
-// PairCut returns a minimum vertex cut separating w from v: a smallest set
-// of vertices (excluding v and w themselves) whose removal destroys every
-// path from v to w. Its size equals kappa(v, w). This extends the paper's
-// analysis from *how many* nodes an attacker must compromise (Equation 2)
-// to *which* nodes realize that minimum — the optimal attack against the
-// pair.
-//
-// The cut is read off the max-flow residual graph of the Even-transformed
-// graph: with a maximum flow in place, a vertex u is in the cut exactly
-// when its internal edge (u', u”) crosses from the residual-reachable
-// side to the unreachable side. Unlike the kappa computation — where every
-// capacity is 1, as in the paper — the rewired original edges here carry
-// capacity n so that the minimum cut is forced onto internal edges only;
-// the flow value is unaffected because vertex-disjoint paths never share
-// an original edge.
-//
-// PairCut builds a throwaway Engine per call; callers computing cuts per
-// snapshot (the cutset adversary) should hold an Engine and use its
-// PairCut/GraphCut, which cache the cut-mode network across bindings.
-func PairCut(g *graph.Digraph, v, w int) ([]int, error) {
-	eng := MustNewEngine(EngineOptions{Workers: 1})
-	eng.Bind(g)
-	return eng.PairCut(v, w)
-}
-
 // extractCut reads the cut vertices off the residual reachability of the
 // n-vertex cut-mode network: u is cut when its internal edge crosses
 // from the reachable to the unreachable side.
@@ -56,9 +31,10 @@ func extractCut(n, v, w int, reach []bool) []int {
 // partitions the network, while any kappa(D)-1 compromised nodes leave it
 // connected (r-resilience, Equation 2).
 //
-// Like PairCut this is the throwaway-per-call form; per-snapshot callers
-// should hold an Engine and use Engine.GraphCut. Of q only the source
-// selection matters: a cut search is always a pruned MinPair analysis.
+// This is the throwaway-per-call form; per-snapshot callers (the cutset
+// adversary) should hold an Engine and use Engine.GraphCut, which caches
+// the cut-mode network across bindings. Of q only the source selection
+// matters: a cut search is always a pruned MinPair analysis.
 func GraphCut(g *graph.Digraph, q Query) (cut []int, pair [2]int, ok bool, err error) {
 	eng, err := oneShot(g, q)
 	if err != nil {

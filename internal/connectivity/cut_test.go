@@ -14,7 +14,9 @@ func TestPairCutCutVertex(t *testing.T) {
 		{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3},
 		{3, 4}, {3, 5}, {3, 6}, {4, 5}, {4, 6}, {5, 6},
 	})
-	cut, err := PairCut(g, 0, 6)
+	eng := MustNewEngine(EngineOptions{Workers: 1})
+	eng.Bind(g)
+	cut, err := eng.PairCut(0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +29,7 @@ func TestPairCutMatchesKappa(t *testing.T) {
 	// Property: |PairCut(v,w)| == kappa(v,w), and removing the cut
 	// disconnects w from v.
 	r := rand.New(rand.NewSource(44))
+	eng := MustNewEngine(EngineOptions{Workers: 1})
 	for trial := 0; trial < 25; trial++ {
 		n := 6 + r.Intn(12)
 		g := graph.NewDigraph(n)
@@ -36,6 +39,7 @@ func TestPairCutMatchesKappa(t *testing.T) {
 				g.AddEdge(u, v)
 			}
 		}
+		eng.Bind(g)
 		for v := 0; v < n; v++ {
 			for w := 0; w < n; w++ {
 				if v == w || g.HasEdge(v, w) {
@@ -45,7 +49,7 @@ func TestPairCutMatchesKappa(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cut, err := PairCut(g, v, w)
+				cut, err := eng.PairCut(v, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,14 +90,15 @@ func reachable(g *graph.Digraph, s, t int) bool {
 }
 
 func TestPairCutErrors(t *testing.T) {
-	g := undirected(3, [][2]int{{0, 1}, {1, 2}})
-	if _, err := PairCut(g, 0, 0); err == nil {
+	eng := MustNewEngine(EngineOptions{Workers: 1})
+	eng.Bind(undirected(3, [][2]int{{0, 1}, {1, 2}}))
+	if _, err := eng.PairCut(0, 0); err == nil {
 		t.Error("identical endpoints should fail")
 	}
-	if _, err := PairCut(g, 0, 1); err == nil {
+	if _, err := eng.PairCut(0, 1); err == nil {
 		t.Error("adjacent pair should fail")
 	}
-	if _, err := PairCut(g, 0, 9); err == nil {
+	if _, err := eng.PairCut(0, 9); err == nil {
 		t.Error("out of range should fail")
 	}
 }

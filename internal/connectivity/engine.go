@@ -152,7 +152,6 @@ type Engine struct {
 	// RebindSlots bookkeeping: reused Even-space delta adapters and the
 	// counters the regression tests pin.
 	addSrc, remSrc  evenDeltaSource
-	rebinds         int
 	rebindFallbacks int
 	memberRebinds   int
 
@@ -393,7 +392,7 @@ func (e *Engine) isCompleteActive() bool {
 // lives in rank space and is not patched: any RebindSlots leaves it stale,
 // and the next cut query re-initialises it in place from the compacted
 // graph — cut queries are off the per-snapshot hot path, and their one
-// production caller rebinds across its own removals anyway.
+// production caller, the cutset adversary, binds every capture in full.
 //
 // With no previous slot binding or a different slot count (the slot
 // table grew, or was compacted), RebindSlots falls back to BindSlots and
@@ -411,7 +410,6 @@ func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) b
 	e.gen++
 	e.evenDirty = true
 	e.cutDirty = true
-	e.rebinds++
 	e.addSrc.edges, e.remSrc.edges = delta.Added, delta.Removed
 	for i := range e.workers {
 		w := &e.workers[i]
@@ -430,9 +428,6 @@ func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) b
 	}
 	return true
 }
-
-// Rebinds reports how many incremental rebinds the engine performed.
-func (e *Engine) Rebinds() int { return e.rebinds }
 
 // MembershipRebinds reports how many incremental rebinds crossed a
 // membership change (joins, leaves or strikes between captures).
@@ -498,7 +493,7 @@ func (e *Engine) ensureAdjacency() {
 }
 
 // SweepFlows reports how many sweep pairs a solver answered, exact and
-// capped alike, over the engine's lifetime (cumulative like Rebinds); a
+// capped alike, over the engine's lifetime (cumulative across bindings); a
 // row or Min answered from AnalyzeSnapshot's memo adds nothing.
 // SweepSettled counts the capped pairs the fan closure answered without
 // one. Both are deterministic at Workers: 1; with more workers the split
@@ -1058,9 +1053,23 @@ func (e *Engine) uniformSources(count int, seed int64) []int {
 }
 
 // PairCut returns a minimum vertex cut separating w from v on the bound
-// graph, with the semantics of the package-level PairCut. Under a masked
-// binding v and w are dense ranks and so is the returned cut. The
-// cut-mode flow network is cached: the first call builds it, later
+// graph: a smallest set of vertices (excluding v and w themselves) whose
+// removal destroys every path from v to w. Its size equals kappa(v, w).
+// This extends the paper's analysis from *how many* nodes an attacker must
+// compromise (Equation 2) to *which* nodes realize that minimum — the
+// optimal attack against the pair. Under a masked binding v and w are
+// dense ranks and so is the returned cut.
+//
+// The cut is read off the max-flow residual graph of the Even-transformed
+// graph: with a maximum flow in place, a vertex u is in the cut exactly
+// when its internal edge (u', u”) crosses from the residual-reachable
+// side to the unreachable side. Unlike the kappa computation — where every
+// capacity is 1, as in the paper — the rewired original edges here carry
+// capacity n so that the minimum cut is forced onto internal edges only;
+// the flow value is unaffected because vertex-disjoint paths never share
+// an original edge.
+//
+// The cut-mode flow network is cached: the first call builds it, later
 // calls — and later bindings — reinitialize it in place, so an
 // adversary striking once per snapshot stops paying a network
 // construction per strike.

@@ -88,9 +88,6 @@ func (m MemoryStats) DeadArcFrac() float64 {
 // Maintain then reports nothing to do.
 func (e *Engine) SetGovernance(p GovernancePolicy) { e.gov = p }
 
-// Governance returns the installed policy.
-func (e *Engine) Governance() GovernancePolicy { return e.gov }
-
 // Maintain checks every worker's sweep solver against the governance
 // policy and re-densifies the arc stores over the MaxDeadFrac threshold,
 // returning how many it rebuilt. Re-densification preserves capacities

@@ -97,7 +97,8 @@ func TestSlotCompactBindMatchesFresh(t *testing.T) {
 func TestGovernedEngineMatchesFresh(t *testing.T) {
 	w := newSlotWorld(31, 14, 3)
 	eng := MustNewEngine(EngineOptions{Workers: 2})
-	eng.SetGovernance(GovernancePolicy{MaxDeadFrac: 0.01, MaxSlotSlack: 0.5})
+	gov := GovernancePolicy{MaxDeadFrac: 0.01, MaxSlotSlack: 0.5}
+	eng.SetGovernance(gov)
 	binder := NewIncrementalBinder(eng)
 	ref := MustNewEngine(EngineOptions{Workers: 1})
 	for step := 0; step < 36; step++ {
@@ -110,7 +111,7 @@ func TestGovernedEngineMatchesFresh(t *testing.T) {
 			w.join(3)
 		}
 		// Slot governance between captures, exactly as the runner does it.
-		if eng.Governance().SlotCompactionDue(w.slots.Len(), w.slots.Live()) {
+		if gov.SlotCompactionDue(w.slots.Len(), w.slots.Live()) {
 			w.slots.Compact()
 		}
 		slotG, order, dense := w.capture()

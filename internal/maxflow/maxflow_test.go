@@ -51,8 +51,9 @@ func referenceMaxFlow(n int, edges []Edge, s, t int) int {
 	}
 }
 
-func solvers() map[string]Factory {
-	return map[string]Factory{
+// solvers names a constructor per algorithm over an explicit edge list.
+func solvers() map[string]func(n int, edges []Edge) Solver {
+	return map[string]func(n int, edges []Edge) Solver{
 		"dinic":     func(n int, e []Edge) Solver { return NewDinic(n, e) },
 		"hao-orlin": func(n int, e []Edge) Solver { return NewHaoOrlin(n, e) },
 	}

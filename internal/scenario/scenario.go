@@ -132,17 +132,9 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Attack.Enabled() {
 		// The adversary's cutset analyzer inherits the run's sampling
-		// and worker budget unless configured explicitly.
+		// unless configured explicitly.
 		if c.Attack.SampleFraction == 0 {
 			c.Attack.SampleFraction = c.SampleFraction
-		}
-		if c.Attack.Workers == 0 {
-			c.Attack.Workers = c.Workers
-		}
-		// The adversary's private recon engine and slot table live under
-		// the same memory-governance policy as the measurement pipeline.
-		if c.Attack.Governance == (connectivity.GovernancePolicy{}) {
-			c.Attack.Governance = c.Governance
 		}
 		c.Attack = c.Attack.WithDefaults()
 	}
@@ -327,9 +319,9 @@ func (r *Result) ChurnWindowSummary() stats.Summary {
 // population implements churn.Population and traffic.Population over the
 // evolving node set. Vertex identity across captures is carried by
 // stable-slot indexing (snapshot.SlotIndex) on the capture side — a
-// node's address is its persistent identity, so the runner's and the
-// adversary's slot tables rebind incrementally across joins, departures
-// and strikes without the population having to track generations.
+// node's address is its persistent identity, so the runner's slot table
+// rebinds incrementally across joins, departures and strikes without the
+// population having to track generations.
 type population struct {
 	sim      *eventsim.Simulator
 	net      *simnet.Network
@@ -370,11 +362,10 @@ func (p *population) RemoveRandomNode() bool {
 	return true
 }
 
-// AttackSlotSnapshot implements attack.Population: the adversary's
-// reconnaissance is the same routing-table capture the measurement
-// snapshots use, on the adversary's private slot table.
-func (p *population) AttackSlotSnapshot(idx *snapshot.SlotIndex) *snapshot.SlotSnapshot {
-	return snapshot.CaptureSlots(p.sim.Now(), p.nodes, idx)
+// Capture implements attack.Population: the adversary's reconnaissance
+// is the dense routing-table capture of the live nodes.
+func (p *population) Capture() *snapshot.Snapshot {
+	return snapshot.Capture(p.sim.Now(), p.nodes)
 }
 
 // RemoveNode implements attack.Population: the live node at addr leaves

@@ -40,9 +40,6 @@ func (m *SlotMap[K]) Len() int { return len(m.occupant) }
 // Live returns the number of occupied slots.
 func (m *SlotMap[K]) Live() int { return len(m.slot) }
 
-// Vacant returns the number of tombstoned slots.
-func (m *SlotMap[K]) Vacant() int { return len(m.free) }
-
 // Utilization returns Live/Len — the occupied fraction of the slot
 // table (1 for an empty table). Long departures-heavy runs drive it
 // down; Compact restores it to 1.
@@ -89,7 +86,7 @@ func (m *SlotMap[K]) Reserve(n int) {
 // tombstones and nothing changed.
 //
 // Compaction renumbers the vertex space, so every consumer holding
-// slot-coordinate state — bound engines, diff bases, attack recon —
+// slot-coordinate state — bound engines, diff bases —
 // must treat the next capture as a fresh vertex space. The
 // IncrementalBinder does this automatically: the post-compaction
 // capture has a smaller slot count, which forces its full-bind path.

@@ -94,8 +94,8 @@ func TestSlotMapCompact(t *testing.T) {
 	var m SlotMap[int]
 	m.Assign([]int{1, 2, 3, 4, 5, 6}, nil)
 	m.Assign([]int{2, 4, 6}, nil) // slots 0, 2, 4 tombstoned
-	if m.Len() != 6 || m.Live() != 3 || m.Vacant() != 3 {
-		t.Fatalf("pre-compact len/live/vacant = %d/%d/%d, want 6/3/3", m.Len(), m.Live(), m.Vacant())
+	if m.Len() != 6 || m.Live() != 3 {
+		t.Fatalf("pre-compact len/live = %d/%d, want 6/3", m.Len(), m.Live())
 	}
 	if u := m.Utilization(); u != 0.5 {
 		t.Fatalf("utilization %v, want 0.5", u)
@@ -105,8 +105,8 @@ func TestSlotMapCompact(t *testing.T) {
 	if !intSliceEq(remap, []int{-1, 0, -1, 1, -1, 2}) {
 		t.Fatalf("remap %v, want [-1 0 -1 1 -1 2]", remap)
 	}
-	if m.Len() != 3 || m.Live() != 3 || m.Vacant() != 0 || m.Utilization() != 1 {
-		t.Fatalf("post-compact len/live/vacant = %d/%d/%d", m.Len(), m.Live(), m.Vacant())
+	if m.Len() != 3 || m.Live() != 3 || m.Utilization() != 1 {
+		t.Fatalf("post-compact len/live = %d/%d", m.Len(), m.Live())
 	}
 	// Members keep their (renumbered) slots on the next capture.
 	order := m.Assign([]int{2, 4, 6}, nil)
