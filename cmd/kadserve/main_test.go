@@ -128,17 +128,19 @@ func finalRecord(t *testing.T, s *testServer, query string) string {
 }
 
 // TestSmokeQueryGolden runs the CI smoke query against a fresh server,
-// then two final_avg resamples of its warm entries, and compares each
-// final NDJSON record byte-for-byte with its committed fixture — the same
-// comparisons the CI workflow's curl steps perform. The resamples are
-// answered by the entries' engines, so their fixtures pin the bytes of
-// the AnalyzeSnapshot memo path.
+// then two final_avg resamples of its warm entries and a plain final_avg
+// query (three warm reps, one cold), and compares each final NDJSON
+// record byte-for-byte with its committed fixture — the same comparisons
+// the CI workflow's curl steps perform. The resamples are answered by the
+// entries' engines, so their fixtures pin the bytes of the AnalyzeSnapshot
+// memo path; the plain query pins the final point's own Avg.
 func TestSmokeQueryGolden(t *testing.T) {
 	s := startServer(t)
 	for _, c := range []struct{ query, golden string }{
 		{"smoke_query.json", "smoke_final.golden"},
 		{"smoke_resample_1.json", "smoke_resample_1.golden"},
 		{"smoke_resample_2.json", "smoke_resample_2.golden"},
+		{"smoke_final_avg.json", "smoke_final_avg.golden"},
 	} {
 		got := finalRecord(t, s, c.query)
 		golden, err := os.ReadFile(filepath.Join("testdata", c.golden))
