@@ -58,6 +58,11 @@ type SnapshotQuery struct {
 	SampleFraction float64
 	// AvgSeed seeds the uniform source selection of the Avg sweep.
 	AvgSeed int64
+	// MinOnly skips the Avg half: no uniform source is drawn or swept, and
+	// the result's Avg reports no pairs. Min is exactly what the fused
+	// analysis reports, and a later query of the same binding without the
+	// flag still finds it memoized.
+	MinOnly bool
 }
 
 // SnapshotResult carries the two results of a fused snapshot analysis:
@@ -200,9 +205,10 @@ type engineWorker struct {
 	solver    maxflow.Solver
 	solverGen uint64 // binding generation the solver is bound to
 	fan       fanClosure
-	// Pairs this worker answered with a flow and from the closure; written
-	// once per sweep, read by SweepFlows/SweepSettled between sweeps.
-	flows, settled int
+	// Pairs this worker answered with a flow (exact: of those, the Avg
+	// rows') and from the closure; written once per sweep, read by
+	// SweepFlows/SweepExact/SweepSettled between sweeps.
+	flows, exact, settled int
 }
 
 // sweepTask evaluates one source against every non-adjacent target.
@@ -389,9 +395,10 @@ func (e *Engine) isCompleteActive() bool {
 // point: joins, leaves and strikes keep their slots' identities, so the
 // sweep solvers still patch in place from the edge delta alone, and only
 // the rank-space structures follow the new order. The cut-mode network
-// lives in rank space and is not patched: any RebindSlots leaves it stale,
-// and the next cut query re-initialises it in place from the compacted
-// graph — cut queries are off the per-snapshot hot path, and their one
+// lives in rank space and is not patched: a RebindSlots that starts a
+// new generation leaves it stale, and the next cut query re-initialises
+// it in place from the compacted graph — cut queries are off the
+// per-snapshot hot path, and their one
 // production caller, the cutset adversary, binds every capture in full.
 //
 // With no previous slot binding or a different slot count (the slot
@@ -400,12 +407,19 @@ func (e *Engine) isCompleteActive() bool {
 // its binding) is left on the old generation and lazily re-initialized
 // from the rebuilt Even list on next use; the engine stays consistent
 // either way.
+//
+// An identical capture — an empty delta under an unchanged order — keeps
+// the binding generation: every derived structure and memoized answer
+// still describes g, so a repeated analysis is answered from the memo.
 func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) bool {
 	if !e.masked || g.N() != e.n {
 		e.BindSlots(g, order)
 		return false
 	}
 	e.g = g
+	if len(delta.Added) == 0 && len(delta.Removed) == 0 && slices.Equal(e.slotOrder, order) {
+		return true
+	}
 	prevGen := e.gen
 	e.gen++
 	e.evenDirty = true
@@ -515,6 +529,16 @@ func (e *Engine) SweepSettled() int {
 	return total
 }
 
+// SweepExact reports how many of SweepFlows' pairs belonged to exact Avg
+// rows — the Avg half's cost, deterministic at any worker count.
+func (e *Engine) SweepExact() int {
+	total := 0
+	for i := range e.workers {
+		total += e.workers[i].exact
+	}
+	return total
+}
+
 // ensureCut readies cutSrc for (re)building the cut-mode network. Under a
 // dense binding it is the shared Even list, rebuilt first if a Release
 // dropped it; under a masked one it is the compacted rank-space list —
@@ -604,17 +628,19 @@ func (e *Engine) Analyze(q Query) Result {
 // uniform sources (exact flows, feeding Avg — exactly a UniformRandom
 // Analyze). Fusing shares the Even transform, the solver pool and the
 // worker fan-out between the two measurements the paper plots, instead
-// of paying for each twice per snapshot.
+// of paying for each twice per snapshot. A MinOnly query runs the Min
+// half alone, for callers that read no Avg.
 //
 // Answers are memoized per binding generation. An exact row — one
 // uniform source's flows to all its targets — and the Min of a given
 // source count are fixed by the bound graph, so a repeated analysis of
 // one binding (a resample with another seed or fraction) sweeps only the
 // uniform sources no earlier call of this generation solved, and skips
-// the capped Min sweep when that count was already answered. Bind,
-// BindSlots and RebindSlots start a new generation, so a caller that
-// rebinds before every analysis computes exactly what it did without the
-// memo. The memo holds at most one row per active vertex.
+// the capped Min sweep when that count was already answered. Bind and
+// BindSlots start a new generation, and so does every RebindSlots that
+// changes the graph or its order, so a caller that rebinds before every
+// analysis computes exactly what it did without the memo. The memo holds
+// at most one row per active vertex.
 func (e *Engine) AnalyzeSnapshot(q SnapshotQuery) SnapshotResult {
 	if e.g == nil {
 		panic("connectivity: Engine.AnalyzeSnapshot before Bind")
@@ -643,7 +669,10 @@ func (e *Engine) AnalyzeSnapshot(q SnapshotQuery) SnapshotResult {
 		}
 	}
 	km := len(e.tasks)
-	avgSrc := e.uniformSources(count, q.AvgSeed)
+	var avgSrc []int
+	if !q.MinOnly {
+		avgSrc = e.uniformSources(count, q.AvgSeed)
+	}
 	for _, s := range avgSrc {
 		if e.rows[s].gen != e.gen {
 			e.tasks = append(e.tasks, sweepTask{src: s, exact: true})
@@ -771,7 +800,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 	n := e.nact
 	g := e.g
 	fan := &e.workers[w].fan
-	flows, settled := 0, 0
+	flows, exact, settled := 0, 0, 0
 	for {
 		st.mu.Lock()
 		idx := st.next
@@ -809,6 +838,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			if task.exact {
 				flow = solver.MaxFlow(graph.Out(srcV), graph.In(tgtV))
 				flows++
+				exact++
 				if flow < res.exactMin {
 					res.exactMin, res.exactMinTgt = flow, tgt
 				}
@@ -860,6 +890,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 		e.results[idx] = res
 	}
 	e.workers[w].flows += flows
+	e.workers[w].exact += exact
 	e.workers[w].settled += settled
 }
 

@@ -140,6 +140,54 @@ func TestRebindCutPathMatchesBind(t *testing.T) {
 	}
 }
 
+// TestRebindIdenticalCaptureKeepsMemo pins the identical-capture case of
+// RebindSlots: an empty delta under an unchanged order keeps the binding
+// generation, so a repeated AnalyzeSnapshot sweeps no pair and answers as
+// before; the next real change still starts a new generation and answers
+// like a fresh bind.
+func TestRebindIdenticalCaptureKeepsMemo(t *testing.T) {
+	w := newSlotWorld(41, 40, 5)
+	eng := MustNewEngine(EngineOptions{Workers: 2})
+	q := SnapshotQuery{SampleFraction: 0.3, AvgSeed: 5}
+	prev, prevOrder, _ := w.capture()
+	eng.BindSlots(prev, prevOrder)
+	first := eng.AnalyzeSnapshot(q)
+	swept := eng.SweepFlows() + eng.SweepSettled()
+	var delta graph.Delta
+	for step := 0; step < 3; step++ {
+		next, order, _ := w.capture()
+		graph.DiffSlotsInto(prev, next, prevOrder, order, &delta)
+		if len(delta.Added)+len(delta.Removed) != 0 {
+			t.Fatalf("step %d: an unchanged world captured a %d+%d-edge delta", step, len(delta.Added), len(delta.Removed))
+		}
+		if !eng.RebindSlots(next, delta, order) {
+			t.Fatalf("step %d: RebindSlots refused an identical capture", step)
+		}
+		got := eng.AnalyzeSnapshot(q)
+		requireSameResult(t, "identical.Min", got.Min, first.Min)
+		requireSameResult(t, "identical.Avg", got.Avg, first.Avg)
+		if now := eng.SweepFlows() + eng.SweepSettled(); now != swept {
+			t.Fatalf("step %d: re-binding an identical capture swept %d pairs again", step, now-swept)
+		}
+		prev, prevOrder = next, order
+	}
+	w.churn(6)
+	next, order, dense := w.capture()
+	graph.DiffSlotsInto(prev, next, prevOrder, order, &delta)
+	eng.RebindSlots(next, delta, order)
+	ref := MustNewEngine(EngineOptions{Workers: 2})
+	ref.Bind(dense)
+	got, want := eng.AnalyzeSnapshot(q), ref.AnalyzeSnapshot(q)
+	requireSameResult(t, "changed.Min", got.Min, want.Min)
+	requireSameResult(t, "changed.Avg", got.Avg, want.Avg)
+	if eng.SweepFlows()+eng.SweepSettled() == swept {
+		t.Fatal("a changed capture was answered from the previous generation's memo")
+	}
+	if eng.MembershipRebinds() != 0 || eng.RebindFallbacks() != 0 {
+		t.Fatalf("membership rebinds %d, fallbacks %d, want 0/0", eng.MembershipRebinds(), eng.RebindFallbacks())
+	}
+}
+
 // TestRebindFallsBackOnShapeChange pins the fallback contract: with no
 // previous binding, after a dense Bind, or across a slot-count change,
 // RebindSlots silently becomes a full BindSlots, reports false, and

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -38,9 +39,11 @@ type Bound struct {
 	// when no snapshot had more than one live node (the engine is then
 	// unbound and Engine queries are invalid).
 	Final *snapshot.SlotSnapshot
-	// FinalAvgSeed is the AvgSeed the final snapshot's Avg sweep used;
-	// re-running AnalyzeSnapshot with it and the run's SampleFraction
-	// reproduces the final point's Min/Avg exactly.
+	// FinalAvgSeed is the AvgSeed of the final snapshot's Avg sweep,
+	// recorded under MinOnly too: re-running AnalyzeSnapshot with it and
+	// the run's SampleFraction reproduces the final point's Min exactly,
+	// and its Avg exactly as the fused run measures it — under MinOnly,
+	// the one Avg the run leaves to be computed on demand.
 	FinalAvgSeed int64
 }
 
@@ -202,14 +205,19 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 			sr := engine.AnalyzeSnapshot(connectivity.SnapshotQuery{
 				SampleFraction: cfg.SampleFraction,
 				AvgSeed:        avgSeed,
+				MinOnly:        cfg.MinOnly,
 			})
 			lastSnap, lastAvgSeed = s, avgSeed
 			point.Min = sr.Min.Min
-			point.Avg = sr.Avg.Avg
-			if sr.Avg.Pairs == 0 {
+			switch {
+			case cfg.MinOnly:
+				point.Avg = math.NaN() // not measured, not the fallback
+			case sr.Avg.Pairs == 0:
 				// The uniform sample yielded no evaluable pair (or the
 				// graph was complete): fall back to the definitional n-1.
 				point.Avg = float64(s.N() - 1)
+			default:
+				point.Avg = sr.Avg.Avg
 			}
 		}
 		res.Points = append(res.Points, point)

@@ -97,6 +97,13 @@ type Config struct {
 	// connectivity.DefaultGovernance; set any threshold negative to
 	// disable governance outright.
 	Governance connectivity.GovernancePolicy
+	// MinOnly skips the Avg half of every snapshot's analysis: each
+	// analyzed point's Avg is NaN, and every other field of the Result is
+	// exactly what the fused analysis gives. The kadserve arena sets it,
+	// because its metrics read no intermediate Avg and the final one comes
+	// on demand from the warm Bound. It has no flag or spec field, and like
+	// Workers and Governance it is absent from the sweep fingerprint.
+	MinOnly bool
 
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)

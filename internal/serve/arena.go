@@ -118,12 +118,14 @@ func (e *Entry) Config() scenario.Config { return e.cfg }
 // warm engine with a caller-chosen sampling fraction and Avg-sweep seed
 // — the query-time "resample" that never re-pays the simulation. frac 0
 // means the run's own SampleFraction; seed 0 means the final point's
-// own AvgSeed (reproducing its Min/Avg exactly). The engine is never
-// rebound after the run, so its AnalyzeSnapshot memo keeps every source
-// row any query has paid for: the final snapshot's own analysis answers
-// (0, 0) outright, and a resample sweeps only the sources no earlier
-// query of this entry drew — rebuilding the solvers for that sweep, which
-// the engine releases again before the entry lock drops.
+// own AvgSeed (reproducing its Min, and the Avg a batch run of the same
+// config measures, exactly). The engine is never rebound after the run,
+// so its AnalyzeSnapshot memo keeps every source row any query has paid
+// for. The build memoized the final snapshot's Min but swept no Avg row,
+// so (0, 0) sweeps the run's own uniform rows, paid once per entry; a
+// resample sweeps only the sources no earlier query of this entry drew.
+// Either sweep rebuilds the solvers, which the engine releases again
+// before the entry lock drops.
 func (e *Entry) AnalyzeFinal(frac float64, seed int64) (connectivity.SnapshotResult, error) {
 	if !e.bind.Ready() {
 		return connectivity.SnapshotResult{}, fmt.Errorf("serve: run %q left no analyzable topology", e.cfg.Name)
@@ -155,9 +157,9 @@ func (e *Entry) FinalN() int {
 
 // Key derives the arena identity of a configuration: the sweep
 // fingerprint (every field that shapes measurements) plus the effective
-// seed. Name, Workers and Governance are deliberately absent — renaming
-// a query or changing the server's maintenance policy must not duplicate
-// warm state.
+// seed. Name, Workers, Governance and MinOnly are deliberately absent —
+// renaming a query or changing the server's maintenance policy must not
+// duplicate warm state, and every entry is built MinOnly.
 func Key(cfg scenario.Config) string {
 	eff := cfg.WithDefaults()
 	return fmt.Sprintf("%s|seed=%d", sweep.Fingerprint(eff), eff.Seed)
@@ -213,6 +215,9 @@ func (a *Arena) Get(ctx context.Context, cfg scenario.Config) (*Entry, bool, err
 		a.misses++
 		a.mu.Unlock()
 
+		// No metric reads an intermediate Avg, and the final one is
+		// AnalyzeFinal(0, 0)'s: skip the Avg sweep at every snapshot.
+		cfg.MinOnly = true
 		res, bind, err := a.runner(ctx, cfg)
 		var entry *Entry
 		if err == nil {
@@ -320,8 +325,10 @@ func (a *Arena) Builds() int64 {
 
 // estimateSize approximates an entry's resident footprint: a fixed
 // engine and result overhead, the captured final graph with the engine's
-// AnalyzeSnapshot memo at its bound (one exact row per live vertex), and
-// the measurement series. A parked engine holds no arc store, so no
+// AnalyzeSnapshot memo at its bound (the row table holds one slot per
+// live vertex from the build's first analysis on, filled or not — a
+// MinOnly build fills none, and AnalyzeFinal fills them), and the
+// measurement series. A parked engine holds no arc store, so no
 // solver term appears. Estimates only steer LRU eviction, so rough
 // constants are enough; TestEstimateSizeBoundsRetainedHeap holds them to
 // the heap the serve-mixed shapes actually retain.

@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"kadre/internal/attack"
 	"kadre/internal/connectivity"
 	"kadre/internal/scenario"
 )
@@ -169,49 +171,89 @@ func TestArenaBuildErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestArenaRealRunBound drives the real scenario.RunBoundCtx through the
+// arena. A cold build analyzes Min alone: its engine sweeps no exact pair.
+// The final point's Avg comes on demand: the first AnalyzeFinal(0, 0)
+// sweeps exactly the run's own uniform rows and reproduces, bit for bit,
+// what a batch run of the same config measures; a second one sweeps
+// nothing, and a resample under a fresh seed pays its own rows. The
+// entry is parked without arcs throughout.
 func TestArenaRealRunBound(t *testing.T) {
-	// The default runner is the real scenario.RunBoundCtx: a warm entry's
-	// engine can re-analyze the final topology at query time, and its
-	// resample matches the final measured point exactly — answered from
-	// the memo the final snapshot's own analysis left, without a sweep.
-	a := NewArena(ArenaOptions{})
-	cfg := arenaCfg("real", 9)
-	cfg.Churn.Add, cfg.Churn.Remove = 1, 1
-	cfg.ChurnPhase = 12 * time.Minute
-	e, _, err := a.Get(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	churned := arenaCfg("churn", 9)
+	churned.Churn.Add, churned.Churn.Remove = 1, 1
+	churned.ChurnPhase = 12 * time.Minute
+	cutset := arenaCfg("cutset", 4)
+	cutset.ChurnPhase = 12 * time.Minute
+	cutset.Attack = attack.Config{Strategy: attack.Cutset, Budget: 4, Kills: 2, Interval: 4 * time.Minute}
+	// Eight nodes under churn, whose final uniform source is adjacent to
+	// every other node: the sample holds no pair, so Avg is the n-1
+	// fallback although the graph is not complete.
+	fallback := churned
+	fallback.Name, fallback.Seed, fallback.Size = "fallback", 10, 8
+	for _, cfg := range []scenario.Config{churned, cutset, fallback} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			batch, err := scenario.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := batch.Points[len(batch.Points)-1]
+			e, warm, err := NewArena(ArenaOptions{}).Get(context.Background(), cfg)
+			if err != nil || warm {
+				t.Fatalf("cold Get: warm=%v err=%v", warm, err)
+			}
+			if cfg.Attack.Enabled() && e.Result().AttackRemoved == 0 {
+				t.Fatal("the adversary struck no node")
+			}
+			eng := e.bind.Engine
+			if exact := eng.SweepExact(); exact != 0 {
+				t.Fatalf("the cold build swept %d exact pairs, want 0", exact)
+			}
+			parkedWithoutArcs(t, e, "after a cold Get")
+			if last := e.Result().Points[len(e.Result().Points)-1]; !math.IsNaN(last.Avg) || last.Min != want.Min {
+				t.Fatalf("built final point min %d avg %v, want min %d and no Avg", last.Min, last.Avg, want.Min)
+			}
+
+			before := sweptPairs([]*Entry{e})
+			sr, err := e.AnalyzeFinal(0, 0) // the run's own sampling and seed
+			if err != nil {
+				t.Fatal(err)
+			}
+			if swept, exact := sweptPairs([]*Entry{e})-before, eng.SweepExact(); swept != sr.Avg.Pairs || exact != sr.Avg.Pairs {
+				t.Fatalf("the final Avg swept %d pairs (%d exact), want exactly its %d row pairs", swept, exact, sr.Avg.Pairs)
+			}
+			if cfg.Name == "fallback" && (sr.Avg.Pairs != 0 || e.FinalN()*(e.FinalN()-1) == e.bind.Final.Graph.M()) {
+				t.Fatalf("final sample holds %d pairs on a %d-node, %d-edge graph, want none on a non-complete one",
+					sr.Avg.Pairs, e.FinalN(), e.bind.Final.Graph.M())
+			}
+			avg := sr.Avg.Avg
+			if sr.Avg.Pairs == 0 {
+				avg = float64(e.FinalN() - 1)
+			}
+			if sr.Min.Min != want.Min || math.Float64bits(avg) != math.Float64bits(want.Avg) {
+				t.Fatalf("on demand min %d avg %v, batch run's final point min %d avg %v", sr.Min.Min, avg, want.Min, want.Avg)
+			}
+			parkedWithoutArcs(t, e, "after the final Avg")
+
+			before = sweptPairs([]*Entry{e})
+			again, err := e.AnalyzeFinal(0, 0)
+			if err != nil || again.Min.Min != sr.Min.Min || again.Avg.Pairs != sr.Avg.Pairs ||
+				math.Float64bits(again.Avg.Avg) != math.Float64bits(sr.Avg.Avg) {
+				t.Fatalf("repeat: %+v %v, want %+v", again, err, sr)
+			}
+			if swept := sweptPairs([]*Entry{e}) - before; swept != 0 {
+				t.Fatalf("a repeated final Avg swept %d pairs, want 0", swept)
+			}
+			// A resample under a fresh seed rebuilds the solvers for its
+			// sweep and parks the entry without them again.
+			if _, err := e.AnalyzeFinal(0.5, 77); err != nil {
+				t.Fatal(err)
+			}
+			if sweptPairs([]*Entry{e}) == before {
+				t.Fatal("a fresh-seed resample swept no pair")
+			}
+			parkedWithoutArcs(t, e, "after a sweeping AnalyzeFinal")
+		})
 	}
-	parkedWithoutArcs(t, e, "after a cold Get")
-	last := e.Result().Points[len(e.Result().Points)-1]
-	before := sweptPairs([]*Entry{e})
-	sr, err := e.AnalyzeFinal(0, 0) // the run's own sampling and seed
-	if err != nil {
-		t.Fatal(err)
-	}
-	if swept := sweptPairs([]*Entry{e}) - before; swept != 0 {
-		t.Fatalf("the run's own analysis swept %d pairs again, want 0", swept)
-	}
-	if sr.Min.Min != last.Min {
-		t.Fatalf("resampled min %d != final point %d", sr.Min.Min, last.Min)
-	}
-	avg := sr.Avg.Avg
-	if sr.Avg.Pairs == 0 {
-		avg = float64(e.FinalN() - 1)
-	}
-	if avg != last.Avg {
-		t.Fatalf("resampled avg %v != final point %v", avg, last.Avg)
-	}
-	// A resample under a fresh seed rebuilds the solvers for its sweep and
-	// parks the entry without them again.
-	before = sweptPairs([]*Entry{e})
-	if _, err := e.AnalyzeFinal(0.5, 77); err != nil {
-		t.Fatal(err)
-	}
-	if sweptPairs([]*Entry{e}) == before {
-		t.Fatal("a fresh-seed resample swept no pair")
-	}
-	parkedWithoutArcs(t, e, "after a sweeping AnalyzeFinal")
 }
 
 // parkedWithoutArcs fails the test if e's engine holds an arc store.

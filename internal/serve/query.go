@@ -100,7 +100,9 @@ func MetricNames() []string {
 	return []string{MetricChurnMinMean, MetricFinalMin, MetricFinalAvg, MetricFinalSCC, MetricFinalN}
 }
 
-// metricFromResult extracts a plain (non-resampled) metric. Resolve
+// metricFromResult extracts a plain (non-resampled) metric; final_avg is
+// NaN when the run skipped Avg and the final point was analyzed, which
+// metricValue answers on demand instead. Resolve
 // validated the metric name and rejected configurations that snapshot
 // past the run's end, but a defensive error beats a panic taking the
 // whole server down if either invariant ever slips.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -233,12 +234,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	out.write("result", final)
 }
 
-// metricValue computes a query's metric against one warm entry.
+// metricValue computes a query's metric against one warm entry. Arena
+// builds skip the Avg sweep (scenario.Config.MinOnly), so a plain
+// final_avg reads NaN off an analyzed final point and is answered on
+// demand, as the resample of the run's own fraction and seed.
 func (s *Server) metricValue(q Query, e *Entry) (float64, error) {
-	if q.Resample == nil {
-		return metricFromResult(q.Metric, e.Result())
+	frac, seed := 0.0, int64(0) // the run's own
+	if r := q.Resample; r != nil {
+		frac, seed = r.Fraction, r.Seed
+	} else if v, err := metricFromResult(q.Metric, e.Result()); err != nil || q.Metric != MetricFinalAvg || !math.IsNaN(v) {
+		return v, err
 	}
-	sr, err := e.AnalyzeFinal(q.Resample.Fraction, q.Resample.Seed)
+	sr, err := e.AnalyzeFinal(frac, seed)
 	if err != nil {
 		return 0, err
 	}

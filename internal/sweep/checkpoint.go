@@ -57,8 +57,9 @@ type ckptFile struct {
 // Fingerprint condenses every configuration field that shapes a run's
 // measurements into a canonical string. Seed and Name are deliberately
 // absent (checkpoints key them separately; caches append the seed
-// themselves), as are Log/OnSnapshot, Workers and Governance, which only
-// affect observation, scheduling and maintenance, never results. Shared
+// themselves), as are Log/OnSnapshot, Workers, Governance and MinOnly,
+// which only affect observation, scheduling, maintenance and which
+// measurements are paid for, never a measured value. Shared
 // by checkpoint resume and by cross-run warm-state caches (the kadserve
 // engine arena), so one definition decides what "the same run" means.
 func Fingerprint(cfg scenario.Config) string {
