@@ -398,8 +398,8 @@ func (e *Engine) isCompleteActive() bool {
 // lives in rank space and is not patched: a RebindSlots that starts a
 // new generation leaves it stale, and the next cut query re-initialises
 // it in place from the compacted graph — cut queries are off the
-// per-snapshot hot path, and their one
-// production caller, the cutset adversary, binds every capture in full.
+// per-snapshot hot path, and their one production caller, the cutset
+// adversary, binds every capture in full.
 //
 // With no previous slot binding or a different slot count (the slot
 // table grew, or was compacted), RebindSlots falls back to BindSlots and

@@ -39,11 +39,10 @@ type Bound struct {
 	// when no snapshot had more than one live node (the engine is then
 	// unbound and Engine queries are invalid).
 	Final *snapshot.SlotSnapshot
-	// FinalAvgSeed is the AvgSeed of the final snapshot's Avg sweep,
-	// recorded under MinOnly too: re-running AnalyzeSnapshot with it and
-	// the run's SampleFraction reproduces the final point's Min exactly,
-	// and its Avg exactly as the fused run measures it — under MinOnly,
-	// the one Avg the run leaves to be computed on demand.
+	// FinalAvgSeed is the AvgSeed of the final snapshot's Avg sweep, also
+	// under MinOnly, which sweeps none: re-running AnalyzeSnapshot with it
+	// and the run's SampleFraction reproduces the final point's Min and
+	// the fused run's Avg exactly.
 	FinalAvgSeed int64
 }
 

@@ -102,10 +102,10 @@ func MetricNames() []string {
 
 // metricFromResult extracts a plain (non-resampled) metric; final_avg is
 // NaN when the run skipped Avg and the final point was analyzed, which
-// metricValue answers on demand instead. Resolve
-// validated the metric name and rejected configurations that snapshot
-// past the run's end, but a defensive error beats a panic taking the
-// whole server down if either invariant ever slips.
+// metricValue answers on demand instead. Resolve validated the metric
+// name and rejected configurations that snapshot past the run's end, but
+// a defensive error beats a panic taking the whole server down if either
+// invariant ever slips.
 func metricFromResult(name string, r *scenario.Result) (float64, error) {
 	if len(r.Points) == 0 {
 		return 0, fmt.Errorf("serve: run %q captured no snapshot points", r.Config.Name)
