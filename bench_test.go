@@ -636,17 +636,17 @@ func BenchmarkRoutingTableClosest(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeLookup measures one iterative FIND_NODE lookup of a random
-// target from a random node of a settled 100-node, k = 20 network, every
-// message and timeout of it stepped through the kernel.
-func BenchmarkNodeLookup(b *testing.B) {
+// settledNetwork builds an n-node, k = 20 network joining one node every
+// five simulated seconds through a random earlier one (picked with rng),
+// then lets it settle for ten minutes.
+func settledNetwork(b *testing.B, n int, rng *rand.Rand) (*eventsim.Simulator, []*kademlia.Node) {
+	b.Helper()
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.Config{
 		Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 	})
-	rng := rand.New(rand.NewSource(1))
 	var nodes []*kademlia.Node
-	for i := 0; i < 100; i++ {
+	for i := 0; i < n; i++ {
 		node, err := kademlia.NewNode(kademlia.Config{K: 20, StalenessLimit: 1}, simnet.Addr(i+1), net)
 		if err != nil {
 			b.Fatal(err)
@@ -663,6 +663,15 @@ func BenchmarkNodeLookup(b *testing.B) {
 		sim.RunUntil(sim.Now() + 5*time.Second)
 	}
 	sim.RunUntil(sim.Now() + 10*time.Minute)
+	return sim, nodes
+}
+
+// BenchmarkNodeLookup measures one iterative FIND_NODE lookup of a random
+// target from a random node of a settled 100-node, k = 20 network, every
+// message and timeout of it stepped through the kernel.
+func BenchmarkNodeLookup(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	sim, nodes := settledNetwork(b, 100, rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -672,6 +681,25 @@ func BenchmarkNodeLookup(b *testing.B) {
 		}
 		if !done {
 			b.Fatal("lookup never completed")
+		}
+	}
+}
+
+// BenchmarkReconCaptureBind measures the fixed cost of one cutset strike's
+// reconnaissance on a settled 150-node, k = 20 network: a dense
+// snapshot.Capture of every routing table, a full Engine.Bind of it and
+// the GraphCut the adversary removes, at the default sampling fraction.
+func BenchmarkReconCaptureBind(b *testing.B) {
+	sim, nodes := settledNetwork(b, 150, rand.New(rand.NewSource(1)))
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
+	q := connectivity.Query{SampleFraction: connectivity.DefaultSampleFraction}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := snapshot.Capture(sim.Now(), nodes)
+		eng.Bind(s.Graph)
+		if _, _, ok, err := eng.GraphCut(q); err != nil || !ok {
+			b.Fatalf("GraphCut: ok %v, err %v", ok, err)
 		}
 	}
 }

@@ -53,9 +53,10 @@ type benchTrajectoryFile struct {
 
 // TestBenchTrajectory seeds the performance trajectory: it runs the
 // snapshot-analysis benchmarks, the max-flow algorithm benchmarks, a
-// no-traffic and a traffic figure regeneration at tiny scale, and the
+// no-traffic and a traffic figure regeneration at tiny scale, the
 // simulator's layers one by one (a simulated minute, the event queue, the
-// routing table's closest search, one lookup), then writes ns/op and
+// routing table's closest search, one lookup) and one cutset strike's
+// recon (capture, bind, cut), then writes ns/op and
 // allocs/op to BENCH_<date>.json. Skipped unless -benchjson is set, so the regular
 // test suite stays benchmark-free.
 func TestBenchTrajectory(t *testing.T) {
@@ -78,6 +79,7 @@ func TestBenchTrajectory(t *testing.T) {
 		{"EventsimSchedulePop", BenchmarkEventsimSchedulePop},
 		{"RoutingTableClosest", BenchmarkRoutingTableClosest},
 		{"NodeLookup", BenchmarkNodeLookup},
+		{"ReconCaptureBind", BenchmarkReconCaptureBind},
 	}
 	doc := benchTrajectoryFile{
 		Date:       time.Now().UTC().Format("2006-01-02"),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -158,5 +159,29 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", path, "-pair", "zz"}); err == nil {
 		t.Error("bad pair spec should fail")
+	}
+}
+
+// TestRunRejectsHostileGraphs pins that a self-loop or an oversize graph,
+// in either input format, is an error rather than a panic or a
+// quadratic allocation.
+func TestRunRejectsHostileGraphs(t *testing.T) {
+	node := `{"id":"0000000000000001","addr":1}`
+	inputs := []struct{ name, format, body, want string }{
+		{"dimacs self-loop", "dimacs", "p max 2 1\na 2 2 1\n", "self-loop"},
+		{"dimacs oversize", "dimacs", fmt.Sprintf("p max %d 0\n", graph.MaxVertices+1), "exceed the limit"},
+		{"json self-loop", "json", `{"bits":64,"nodes":[` + node + `],"edges":[[0,0]]}`, "self-loop"},
+		{"json oversize", "json", `{"bits":64,"nodes":[` + strings.Repeat(node+",", graph.MaxVertices) + node + `]}`, "exceed the limit"},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "in")
+			if err := os.WriteFile(path, []byte(in.body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := run([]string{"-in", path, "-format", in.format}); err == nil || !strings.Contains(err.Error(), in.want) {
+				t.Fatalf("err = %v, want one naming %q", err, in.want)
+			}
+		})
 	}
 }

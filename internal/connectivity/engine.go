@@ -124,10 +124,10 @@ type Engine struct {
 	// patched solvers never read it, so it is rebuilt lazily — and only
 	// serially, before workers spawn — for solvers that need a full Reset.
 	evenDirty bool
-	// Flat successor arrays of g in the bound graph's numbering, in
-	// arbitrary per-vertex order: vertex u's out-neighbours are
+	// Flat successor arrays of g in the bound graph's numbering, ascending
+	// per vertex: vertex u's out-neighbours are
 	// succ[succStart[u]:succStart[u+1]]. The fan closure walks them instead
-	// of g's adjacency maps; adjGen is the generation they were built for.
+	// of g's adjacency rows; adjGen is the generation they were built for.
 	succStart, succ []int32
 	adjGen          uint64
 
@@ -492,7 +492,7 @@ func (e *Engine) ensureEven() {
 
 // ensureAdjacency rebuilds the flat successor arrays when the binding
 // generation moved. Like ensureEven it must only run serially: it is the
-// one place the engine ranges over the bound graph's adjacency maps for
+// one place the engine walks the bound graph's adjacency rows for
 // the closure, once per generation instead of once per source.
 func (e *Engine) ensureAdjacency() {
 	if e.adjGen == e.gen {

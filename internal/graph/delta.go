@@ -1,9 +1,8 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // Delta is the difference between two digraphs over the same physical
@@ -51,29 +50,27 @@ func (d *Delta) Len() int { return len(d.Added) + len(d.Removed) }
 // DiffInto computes the edge delta from old to cur into d, reusing d's
 // backing arrays (steady-state calls do not allocate once the arrays have
 // grown to the churn's working size). Both lists come out sorted by
-// (U, V), so equal graphs and equal diffs compare bytewise. The graphs
-// must have the same vertex count — vertex identity across snapshots is
-// the caller's contract — and DiffInto panics otherwise, because a diff
-// between different vertex sets is meaningless rather than merely empty.
+// (U, V), read as one word-wise and-not per row pair, so equal graphs and
+// equal diffs compare bytewise. The graphs must have the same vertex
+// count — vertex identity across snapshots is the caller's contract — and
+// DiffInto panics otherwise, because a diff between different vertex sets
+// is meaningless rather than merely empty.
 func DiffInto(old, cur *Digraph, d *Delta) {
 	if old.N() != cur.N() {
 		panic(fmt.Sprintf("graph: DiffInto over different vertex counts %d != %d", old.N(), cur.N()))
 	}
 	d.Reset()
 	for u := 0; u < old.n; u++ {
-		for v := range old.adj[u] {
-			if _, ok := cur.adj[u][v]; !ok {
-				d.Removed = append(d.Removed, Edge{U: u, V: int(v)})
+		o, c := old.row(u), cur.row(u)
+		for i := range o {
+			for w := o[i] &^ c[i]; w != 0; w &= w - 1 {
+				d.Removed = append(d.Removed, Edge{U: u, V: i<<6 | bits.TrailingZeros64(w)})
 			}
-		}
-		for v := range cur.adj[u] {
-			if _, ok := old.adj[u][v]; !ok {
-				d.Added = append(d.Added, Edge{U: u, V: int(v)})
+			for w := c[i] &^ o[i]; w != 0; w &= w - 1 {
+				d.Added = append(d.Added, Edge{U: u, V: i<<6 | bits.TrailingZeros64(w)})
 			}
 		}
 	}
-	sortEdges(d.Added)
-	sortEdges(d.Removed)
 }
 
 // DiffSlotsInto computes the full stable-slot delta from old to cur:
@@ -134,13 +131,4 @@ func (d *Delta) ApplyTo(g *Digraph) bool {
 		g.AddEdge(e.U, e.V)
 	}
 	return ok
-}
-
-func sortEdges(edges []Edge) {
-	slices.SortFunc(edges, func(a, b Edge) int {
-		if a.U != b.U {
-			return cmp.Compare(a.U, b.U)
-		}
-		return cmp.Compare(a.V, b.V)
-	})
 }

@@ -53,6 +53,7 @@ func WriteDIMACS(w io.Writer, g *Digraph, pairs ...[2]int) error {
 // ReadDIMACS parses a DIMACS max-flow problem. Arc capacities other than 1
 // are rejected: the connectivity pipeline only ever deals in unit
 // capacities, and accepting anything else would silently corrupt results.
+// Self-loop arcs and vertex counts above MaxVertices are errors too.
 func ReadDIMACS(r io.Reader) (*DIMACSProblem, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -90,6 +91,9 @@ func ReadDIMACS(r io.Reader) (*DIMACSProblem, error) {
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: dimacs line %d: bad vertex count %q", lineNo, fields[2])
 			}
+			if n > MaxVertices {
+				return nil, fmt.Errorf("graph: dimacs line %d: %d vertices exceed the limit of %d", lineNo, n, MaxVertices)
+			}
 			g = NewDigraph(n)
 		case "n":
 			if len(fields) != 3 {
@@ -125,6 +129,9 @@ func ReadDIMACS(r io.Reader) (*DIMACSProblem, error) {
 			}
 			if u-1 < 0 || u-1 >= g.N() || v-1 < 0 || v-1 >= g.N() {
 				return nil, fmt.Errorf("graph: dimacs line %d: arc endpoint out of range", lineNo)
+			}
+			if u == v {
+				return nil, fmt.Errorf("graph: dimacs line %d: self-loop arc at vertex %d", lineNo, u)
 			}
 			g.AddEdge(u-1, v-1)
 		default:

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -77,6 +79,8 @@ func TestReadDIMACSErrors(t *testing.T) {
 		{"bad pair comment", "p max 2 1\nc pair 1 x\na 1 2 1\n"},
 		{"unknown descriptor", "p max 2 1\nz 1 2\n"},
 		{"pair out of range", "p max 2 0\nc pair 1 9\n"},
+		{"self-loop arc", "p max 2 1\na 2 2 1\n"},
+		{"too many vertices", fmt.Sprintf("p max %d 0\n", MaxVertices+1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -109,4 +113,40 @@ func TestReadDIMACSSkipsCommentsAndBlankLines(t *testing.T) {
 	if prob.Graph.N() != 2 || prob.Graph.M() != 1 {
 		t.Fatal("comment/blank handling broke parsing")
 	}
+}
+
+// FuzzReadDIMACS holds the DIMACS decoder to reject-or-roundtrip: any
+// input either fails with an error (never a panic) or parses into a
+// problem that WriteDIMACS writes and ReadDIMACS reads back unchanged,
+// byte for byte on a second write. CI runs a short -fuzztime smoke.
+func FuzzReadDIMACS(f *testing.F) {
+	f.Add("p max 3 2\nn 1 s\nn 3 t\nc pair 2 1\na 1 2 1\na 2 3 1\n")
+	f.Add("c only a comment\np max 2 1\n\na 1 2 1\na 1 2 1\n")
+	f.Add("p max 2 1\na 2 2 1\n")
+	f.Add("p max 40000 0\n")
+	f.Add("p max 1 0\nn 1 s\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		prob, err := ReadDIMACS(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteDIMACS(&first, prob.Graph, prob.Pairs...); err != nil {
+			t.Fatalf("accepted problem does not write: %v", err)
+		}
+		back, err := ReadDIMACS(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written problem does not read back: %v\n%s", err, first.Bytes())
+		}
+		if !back.Graph.Equal(prob.Graph) || !slices.Equal(back.Pairs, prob.Pairs) {
+			t.Fatalf("round trip changed the problem:\n%s", first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := WriteDIMACS(&second, back.Graph, back.Pairs...); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("second write differs:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 )
 
@@ -36,7 +37,7 @@ func EvenTransform(g *Digraph) *Digraph {
 }
 
 // EvenEdges returns the transformed graph directly as an edge list with
-// unit capacities, avoiding the intermediate adjacency sets. The vertex
+// unit capacities, avoiding an intermediate 2n-vertex Digraph. The vertex
 // count of the transformed graph is 2*g.N().
 func EvenEdges(g *Digraph) []Edge {
 	return g.AppendEvenEdges(make([]Edge, 0, g.N()+g.M()))
@@ -55,45 +56,36 @@ func (g *Digraph) AppendEvenEdgesCompact(buf []Edge, order []int, rank []int32) 
 	for r := range order {
 		buf = append(buf, Edge{U: In(r), V: Out(r)})
 	}
-	start := len(buf)
 	for r, u := range order {
-		for v := range g.adj[u] {
-			buf = append(buf, Edge{U: Out(r), V: In(int(rank[v]))})
+		start := len(buf)
+		for i, w := range g.row(u) {
+			for ; w != 0; w &= w - 1 {
+				buf = append(buf, Edge{U: Out(r), V: In(int(rank[i<<6|bits.TrailingZeros64(w)]))})
+			}
 		}
+		// The row walks u's successors in slot order, which rank permutes.
+		slices.SortFunc(buf[start:], func(a, b Edge) int { return cmp.Compare(a.V, b.V) })
 	}
-	slices.SortFunc(buf[start:], func(a, b Edge) int {
-		if a.U != b.U {
-			return cmp.Compare(a.U, b.U)
-		}
-		return cmp.Compare(a.V, b.V)
-	})
 	return buf
 }
 
 // AppendEvenEdges appends the Even-transformed edge list to buf and
 // returns the extended slice. It produces exactly the edges of EvenEdges
 // in the same deterministic order — the n internal edges (v', v”) in
-// vertex order first, then the original edges (u”, v') sorted by (u, v)
-// — but lets sweeping callers reuse one buffer across many graphs
-// instead of allocating a fresh slice per snapshot.
+// vertex order first, then the original edges (u”, v') in ascending
+// (u, v) order, read straight off the rows — but lets sweeping callers
+// reuse one buffer across many graphs instead of allocating a fresh slice
+// per snapshot.
 func (g *Digraph) AppendEvenEdges(buf []Edge) []Edge {
 	for v := 0; v < g.n; v++ {
 		buf = append(buf, Edge{U: In(v), V: Out(v)})
 	}
-	start := len(buf)
 	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			buf = append(buf, Edge{U: Out(u), V: In(int(v))})
+		for i, w := range g.row(u) {
+			for ; w != 0; w &= w - 1 {
+				buf = append(buf, Edge{U: Out(u), V: In(i<<6 | bits.TrailingZeros64(w))})
+			}
 		}
 	}
-	// The adjacency sets iterate in arbitrary order; one global sort by
-	// (U, V) restores the per-vertex ascending-successor order (U =
-	// 2u+1 is monotone in u, V = 2v in v, and there are no duplicates).
-	slices.SortFunc(buf[start:], func(a, b Edge) int {
-		if a.U != b.U {
-			return cmp.Compare(a.U, b.U)
-		}
-		return cmp.Compare(a.V, b.V)
-	})
 	return buf
 }

@@ -3,21 +3,38 @@
 // vertex-splitting transformation (which reduces vertex connectivity to
 // maximum flow), and DIMACS max-flow file I/O compatible with the HIPR
 // solver the paper used.
+//
+// A Digraph stores one adjacency bitset row per vertex, n²/8 bytes in
+// all (3.6 KB at n = 150, 800 KB at the paper's n = 2 500), so edge
+// updates and tests are single bit operations and every enumeration —
+// successors, edges, diffs, the Even edge list — comes out in ascending
+// vertex order without a sort.
 package graph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
+
+// MaxVertices bounds the vertex count the decoders accept: a graph's
+// rows cost n²/8 bytes, so 1 << 15 vertices (13x the paper's largest
+// network) already take 128 MiB.
+const MaxVertices = 1 << 15
 
 // Digraph is a simple directed graph on vertices 0..N-1 with no self-loops
 // and no parallel edges (duplicate AddEdge calls are idempotent). It is the
 // in-memory form of the paper's connectivity graph D(V, E); every edge
 // carries an implicit capacity of 1.
+//
+// Row u, rows[u*words:(u+1)*words], holds u's out-neighbours as set
+// bits; deg caches each row's popcount.
 type Digraph struct {
-	n   int
-	adj []map[int32]struct{} // adjacency sets, one per vertex
-	m   int
+	n     int
+	words int      // words per row: (n+63)/64
+	rows  []uint64 // n rows; bit v of row u is set iff (u, v) is an edge
+	deg   []int32  // out-degree per vertex
+	m     int
 }
 
 // NewDigraph returns an empty digraph with n vertices.
@@ -25,7 +42,8 @@ func NewDigraph(n int) *Digraph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	return &Digraph{n: n, adj: make([]map[int32]struct{}, n)}
+	words := (n + 63) / 64
+	return &Digraph{n: n, words: words, rows: make([]uint64, n*words), deg: make([]int32, n)}
 }
 
 // N returns the number of vertices.
@@ -33,6 +51,9 @@ func (g *Digraph) N() int { return g.n }
 
 // M returns the number of edges.
 func (g *Digraph) M() int { return g.m }
+
+// row returns u's adjacency bitset.
+func (g *Digraph) row(u int) []uint64 { return g.rows[u*g.words : (u+1)*g.words] }
 
 // AddEdge inserts the directed edge (u, v). Self-loops are rejected because
 // the connectivity graph never contains them (a node does not keep itself
@@ -43,13 +64,12 @@ func (g *Digraph) AddEdge(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at vertex %d", u))
 	}
-	if g.adj[u] == nil {
-		g.adj[u] = make(map[int32]struct{})
-	}
-	if _, dup := g.adj[u][int32(v)]; dup {
+	w, bit := &g.rows[u*g.words+v>>6], uint64(1)<<(v&63)
+	if *w&bit != 0 {
 		return
 	}
-	g.adj[u][int32(v)] = struct{}{}
+	*w |= bit
+	g.deg[u]++
 	g.m++
 }
 
@@ -59,10 +79,12 @@ func (g *Digraph) AddEdge(u, v int) {
 func (g *Digraph) RemoveEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	if _, ok := g.adj[u][int32(v)]; !ok {
+	w, bit := &g.rows[u*g.words+v>>6], uint64(1)<<(v&63)
+	if *w&bit == 0 {
 		return false
 	}
-	delete(g.adj[u], int32(v))
+	*w &^= bit
+	g.deg[u]--
 	g.m--
 	return true
 }
@@ -71,22 +93,24 @@ func (g *Digraph) RemoveEdge(u, v int) bool {
 func (g *Digraph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	_, ok := g.adj[u][int32(v)]
-	return ok
+	return g.rows[u*g.words+v>>6]&(1<<(v&63)) != 0
 }
 
 // OutDegree returns the number of edges leaving u.
 func (g *Digraph) OutDegree(u int) int {
 	g.check(u)
-	return len(g.adj[u])
+	return int(g.deg[u])
 }
 
-// InDegrees returns the in-degree of every vertex in one O(N+M) pass.
+// InDegrees returns the in-degree of every vertex in one pass over the
+// rows.
 func (g *Digraph) InDegrees() []int {
 	in := make([]int, g.n)
-	for _, nbrs := range g.adj {
-		for v := range nbrs {
-			in[v]++
+	for u := 0; u < g.n; u++ {
+		for i, w := range g.row(u) {
+			for ; w != 0; w &= w - 1 {
+				in[i<<6|bits.TrailingZeros64(w)]++
+			}
 		}
 	}
 	return in
@@ -96,32 +120,36 @@ func (g *Digraph) InDegrees() []int {
 // freshly allocated and safe for the caller to keep.
 func (g *Digraph) Successors(u int) []int {
 	g.check(u)
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, int(v))
+	out := make([]int, 0, g.deg[u])
+	for i, w := range g.row(u) {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i<<6|bits.TrailingZeros64(w))
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
-// AppendSuccessors appends u's out-neighbours to dst in arbitrary order
-// and returns the extended slice: the unsorted form of Successors, which
-// allocates nothing when dst has room. It exists to fill flat adjacency
-// arrays whose consumers do not depend on the order.
+// AppendSuccessors appends u's out-neighbours to dst in ascending order
+// and returns the extended slice: the int32 form of Successors, which
+// allocates nothing when dst has room. It fills flat adjacency arrays.
 func (g *Digraph) AppendSuccessors(dst []int32, u int) []int32 {
 	g.check(u)
-	for v := range g.adj[u] {
-		dst = append(dst, v)
+	for i, w := range g.row(u) {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(i<<6|bits.TrailingZeros64(w)))
+		}
 	}
 	return dst
 }
 
-// Edges returns all edges in deterministic (u, then v) order.
+// Edges returns all edges in ascending (u, then v) order.
 func (g *Digraph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.Successors(u) {
-			out = append(out, Edge{U: u, V: v})
+		for i, w := range g.row(u) {
+			for ; w != 0; w &= w - 1 {
+				out = append(out, Edge{U: u, V: i<<6 | bits.TrailingZeros64(w)})
+			}
 		}
 	}
 	return out
@@ -142,14 +170,7 @@ func (g *Digraph) IsComplete() bool {
 // paper observes Kademlia connectivity graphs are "very close to being
 // undirected"; SymmetryRatio quantifies that.
 func (g *Digraph) IsSymmetric() bool {
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			if !g.HasEdge(int(v), u) {
-				return false
-			}
-		}
-	}
-	return true
+	return g.symmetricEdges() == g.m
 }
 
 // SymmetryRatio returns the fraction of edges whose reverse edge also
@@ -159,50 +180,33 @@ func (g *Digraph) SymmetryRatio() float64 {
 	if g.m == 0 {
 		return 1.0
 	}
+	return float64(g.symmetricEdges()) / float64(g.m)
+}
+
+// symmetricEdges counts the edges whose reverse edge also exists.
+func (g *Digraph) symmetricEdges() int {
 	sym := 0
 	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			if g.HasEdge(int(v), u) {
-				sym++
+		for i, w := range g.row(u) {
+			for ; w != 0; w &= w - 1 {
+				if g.HasEdge(i<<6|bits.TrailingZeros64(w), u) {
+					sym++
+				}
 			}
 		}
 	}
-	return float64(sym) / float64(g.m)
+	return sym
 }
 
 // Equal reports whether g and h have the same vertex count and the same
 // edge set.
 func (g *Digraph) Equal(h *Digraph) bool {
-	if g.n != h.n || g.m != h.m {
-		return false
-	}
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) != len(h.adj[u]) {
-			return false
-		}
-		for v := range g.adj[u] {
-			if _, ok := h.adj[u][v]; !ok {
-				return false
-			}
-		}
-	}
-	return true
+	return g.n == h.n && g.m == h.m && slices.Equal(g.rows, h.rows)
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Digraph) Clone() *Digraph {
-	out := NewDigraph(g.n)
-	for u := 0; u < g.n; u++ {
-		if g.adj[u] == nil {
-			continue
-		}
-		out.adj[u] = make(map[int32]struct{}, len(g.adj[u]))
-		for v := range g.adj[u] {
-			out.adj[u][v] = struct{}{}
-		}
-	}
-	out.m = g.m
-	return out
+	return &Digraph{n: g.n, words: g.words, rows: slices.Clone(g.rows), deg: slices.Clone(g.deg), m: g.m}
 }
 
 // Symmetrize returns a copy of the graph with every reverse edge added.

@@ -324,21 +324,23 @@ func (a *Arena) Builds() int64 {
 }
 
 // estimateSize approximates an entry's resident footprint: a fixed
-// engine and result overhead, the captured final graph with the engine's
-// AnalyzeSnapshot memo at its bound (the row table holds one slot per
-// live vertex from the build's first analysis on, filled or not — a
-// MinOnly build fills none, and AnalyzeFinal fills them), and the
-// measurement series. A parked engine holds no arc store, so no
+// engine and result overhead, the captured final graph (one adjacency
+// bitset row per slot, n²/8 bytes, plus its degree table) with the
+// engine's AnalyzeSnapshot memo at its bound (the row table holds one
+// slot per live vertex from the build's first analysis on, filled or
+// not — a MinOnly build fills none, and AnalyzeFinal fills them), and
+// the measurement series. A parked engine holds no arc store, so no
 // solver term appears. Estimates only steer LRU eviction, so rough
 // constants are enough; TestEstimateSizeBoundsRetainedHeap holds them to
 // the heap the serve-mixed shapes actually retain.
 func estimateSize(res *scenario.Result, b *scenario.Bound) int64 {
 	// Fixed engine and result overhead: the six serve-mixed shapes retain
-	// ~46 KB per entry with ~21 KB in the terms below; rounded up so that a
-	// host with many more engine workers still estimates high.
-	size := int64(32 << 10)
+	// ~27 KB per entry with ~5.4 KB in the terms below; rounded up so that
+	// a host with many more engine workers still estimates high.
+	size := int64(28 << 10)
 	if b.Ready() {
-		size += int64(b.Final.Graph.M()) * 16
+		slots := int64(b.Final.Slots())
+		size += slots*((slots+63)/64)*8 + slots*4
 		size += int64(b.Final.N()) * 72
 	}
 	if res != nil {

@@ -234,7 +234,7 @@ func (s *SlotSnapshot) LargestSCCFraction() float64 {
 // byte-for-byte what Capture would have produced at the same instant —
 // for consumers that persist or post-process snapshots.
 func (s *SlotSnapshot) Dense() *Snapshot {
-	rank := make(map[int]int, len(s.Order))
+	rank := make([]int, s.Slots())
 	for r, slot := range s.Order {
 		rank[slot] = r
 	}
@@ -275,18 +275,16 @@ func CaptureSlots(now time.Duration, nodes []*kademlia.Node, idx *SlotIndex) *Sl
 		Addrs: addrs,
 		Graph: graph.NewDigraph(idx.Len()),
 	}
-	slotOf := make(map[id.ID]int, len(live))
 	for r, n := range live {
 		s.IDs[r] = n.ID()
-		slotOf[n.ID()] = order[r]
 	}
+	ranks := newLiveRanks(s.IDs, addrs, len(nodes))
 	var contacts []kademlia.Contact // one buffer for every node's table
 	for r, n := range live {
-		u := order[r]
 		contacts = n.Table().AppendContacts(contacts[:0])
 		for _, c := range contacts {
-			if v, ok := slotOf[c.ID]; ok && v != u {
-				s.Graph.AddEdge(u, v)
+			if j, ok := ranks.lookup(c); ok && j != r {
+				s.Graph.AddEdge(order[r], order[j])
 			}
 		}
 	}

@@ -1,7 +1,14 @@
 package snapshot
 
 import (
+	"slices"
 	"testing"
+	"time"
+
+	"kadre/internal/graph"
+	"kadre/internal/id"
+	"kadre/internal/kademlia"
+	"kadre/internal/simnet"
 )
 
 func TestSlotMapStableAcrossChurn(t *testing.T) {
@@ -187,4 +194,102 @@ func intSliceEq(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// referenceCapture is the reference for the address-indexed captures:
+// live nodes in slice order, and an edge (i, j) for every contact of node
+// i whose ID is live node j's, looked up by ID in a map.
+func referenceCapture(nodes []*kademlia.Node) *Snapshot {
+	var live []*kademlia.Node
+	for _, n := range nodes {
+		if n.Running() {
+			live = append(live, n)
+		}
+	}
+	s := &Snapshot{Graph: graph.NewDigraph(len(live))}
+	index := map[id.ID]int{}
+	for i, n := range live {
+		s.IDs = append(s.IDs, n.ID())
+		s.Addrs = append(s.Addrs, n.Addr())
+		index[n.ID()] = i
+	}
+	for i, n := range live {
+		for _, c := range n.Table().Contacts() {
+			if j, ok := index[c.ID]; ok && j != i {
+				s.Graph.AddEdge(i, j)
+			}
+		}
+	}
+	return s
+}
+
+// TestCaptureMatchesIDKeyedReference holds Capture and CaptureSlots to the
+// ID-keyed reference capture on a churned network: after the nodes with
+// the highest addresses leave (their contacts linger in the tables and
+// sit above every live address), after a middle node leaves, and after
+// joins recycle slots — on dense addresses and on sparse ones, which
+// take the address-keyed map instead of the table.
+func TestCaptureMatchesIDKeyedReference(t *testing.T) {
+	layouts := map[string]func(i int) simnet.Addr{
+		"dense":  func(i int) simnet.Addr { return simnet.Addr(i + 1) },
+		"sparse": func(i int) simnet.Addr { return simnet.Addr(i+1) << 40 },
+	}
+	for name, addr := range layouts {
+		t.Run(name, func(t *testing.T) {
+			sim, net, nodes := buildNetworkAt(t, 24, addr)
+			var idx SlotIndex
+			check := func(stage string, nodes []*kademlia.Node) {
+				t.Helper()
+				want := referenceCapture(nodes)
+				for label, got := range map[string]*Snapshot{
+					"Capture":      Capture(sim.Now(), nodes),
+					"CaptureSlots": CaptureSlots(sim.Now(), nodes, &idx).Dense(),
+				} {
+					if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Addrs, want.Addrs) || !got.Graph.Equal(want.Graph) {
+						t.Fatalf("%s: %s differs from the ID-keyed reference (%d/%d vs %d/%d vertices/edges)",
+							stage, label, got.N(), got.Graph.M(), want.N(), want.Graph.M())
+					}
+				}
+			}
+			check("settled", nodes)
+
+			for _, i := range []int{23, 22, 10} {
+				nodes[i].Leave()
+			}
+			stale, above := 0, 0
+			for _, n := range nodes[:22] {
+				if !n.Running() {
+					continue
+				}
+				for _, c := range n.Table().Contacts() {
+					if c.Addr == nodes[10].Addr() || c.Addr == nodes[22].Addr() || c.Addr == nodes[23].Addr() {
+						stale++
+					}
+					if c.Addr > nodes[21].Addr() {
+						above++
+					}
+				}
+			}
+			if stale == 0 || above == 0 {
+				t.Fatalf("churn left %d contacts to departed nodes, %d above every live address; want both > 0", stale, above)
+			}
+			check("after leaves", nodes)
+
+			for i := 30; i < 32; i++ {
+				n, err := kademlia.NewNode(nodes[0].Config(), addr(i), net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Start(); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Join(nodes[0].Contact(), nil); err != nil {
+					t.Fatal(err)
+				}
+				nodes = append(nodes, n)
+			}
+			sim.RunUntil(sim.Now() + time.Minute)
+			check("after joins", nodes)
+		})
+	}
 }

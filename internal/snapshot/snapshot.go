@@ -47,22 +47,75 @@ func Capture(now time.Duration, nodes []*kademlia.Node) *Snapshot {
 		Addrs: make([]simnet.Addr, len(live)),
 		Graph: graph.NewDigraph(len(live)),
 	}
-	index := make(map[id.ID]int, len(live))
 	for i, n := range live {
 		s.IDs[i] = n.ID()
 		s.Addrs[i] = n.Addr()
-		index[n.ID()] = i
 	}
+	ranks := newLiveRanks(s.IDs, s.Addrs, len(nodes))
 	var contacts []kademlia.Contact // one buffer for every node's table
 	for i, n := range live {
 		contacts = n.Table().AppendContacts(contacts[:0])
 		for _, c := range contacts {
-			if j, ok := index[c.ID]; ok && j != i {
+			if j, ok := ranks.lookup(c); ok && j != i {
 				s.Graph.AddEdge(i, j)
 			}
 		}
 	}
 	return s
+}
+
+// liveRanks resolves a routing-table contact to the dense rank of the
+// live node it names. Contacts come only from the nodes' own envelopes,
+// so a contact's (ID, Addr) is its node's own pair; simulation addresses
+// are dense and never reused, so a table indexed by address finds the
+// rank without hashing, and the ID check confirms the match. A caller
+// whose addresses run past 4 per node (plus 64) gets an address-keyed
+// map instead of a mostly empty table.
+type liveRanks struct {
+	ids    []id.ID
+	byAddr []int32 // rank by address, -1 where no live node sits
+	sparse map[simnet.Addr]int32
+}
+
+// newLiveRanks indexes the live nodes' addresses (rank order); nodes is
+// the population size the addresses were handed out over.
+func newLiveRanks(ids []id.ID, addrs []simnet.Addr, nodes int) liveRanks {
+	x := liveRanks{ids: ids}
+	top := simnet.Addr(0)
+	for _, a := range addrs {
+		top = max(top, a)
+	}
+	if top >= simnet.Addr(4*nodes+64) {
+		x.sparse = make(map[simnet.Addr]int32, len(addrs))
+		for r, a := range addrs {
+			x.sparse[a] = int32(r)
+		}
+		return x
+	}
+	x.byAddr = make([]int32, top+1)
+	for i := range x.byAddr {
+		x.byAddr[i] = -1
+	}
+	for r, a := range addrs {
+		x.byAddr[a] = int32(r)
+	}
+	return x
+}
+
+// lookup returns c's live rank, or false when c names no live node.
+func (x *liveRanks) lookup(c kademlia.Contact) (int, bool) {
+	r := int32(-1)
+	if x.sparse != nil {
+		if v, ok := x.sparse[c.Addr]; ok {
+			r = v
+		}
+	} else if c.Addr < simnet.Addr(len(x.byAddr)) {
+		r = x.byAddr[c.Addr]
+	}
+	if r < 0 || !x.ids[r].Equal(c.ID) {
+		return 0, false
+	}
+	return int(r), true
 }
 
 // N returns the number of live nodes in the snapshot.
@@ -100,12 +153,16 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON parses a snapshot written by WriteJSON.
+// ReadJSON parses a snapshot written by WriteJSON. Self-loop edges and
+// more than graph.MaxVertices nodes are errors.
 func ReadJSON(r io.Reader) (*Snapshot, error) {
 	var in jsonSnapshot
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("snapshot: read json: %w", err)
+	}
+	if len(in.Nodes) > graph.MaxVertices {
+		return nil, fmt.Errorf("snapshot: %d nodes exceed the limit of %d", len(in.Nodes), graph.MaxVertices)
 	}
 	s := &Snapshot{
 		Time:  time.Duration(in.TimeNS),
@@ -124,6 +181,9 @@ func ReadJSON(r io.Reader) (*Snapshot, error) {
 	for _, e := range in.Edges {
 		if e[0] < 0 || e[0] >= len(in.Nodes) || e[1] < 0 || e[1] >= len(in.Nodes) {
 			return nil, fmt.Errorf("snapshot: edge %v out of range", e)
+		}
+		if e[0] == e[1] {
+			return nil, fmt.Errorf("snapshot: edge %v is a self-loop", e)
 		}
 		s.Graph.AddEdge(e[0], e[1])
 	}

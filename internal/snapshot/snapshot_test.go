@@ -7,18 +7,27 @@ import (
 	"time"
 
 	"kadre/internal/eventsim"
+	"kadre/internal/graph"
 	"kadre/internal/kademlia"
 	"kadre/internal/simnet"
 )
 
 func buildNetwork(t *testing.T, n int) (*eventsim.Simulator, []*kademlia.Node) {
 	t.Helper()
+	sim, _, nodes := buildNetworkAt(t, n, func(i int) simnet.Addr { return simnet.Addr(i + 1) })
+	return sim, nodes
+}
+
+// buildNetworkAt is buildNetwork with node i at address addr(i), also
+// handing back the network for later joins.
+func buildNetworkAt(t *testing.T, n int, addr func(i int) simnet.Addr) (*eventsim.Simulator, *simnet.Network, []*kademlia.Node) {
+	t.Helper()
 	sim := eventsim.New(42)
 	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 20 * time.Millisecond}})
 	cfg := kademlia.Config{Bits: 64, K: 5, Alpha: 3, StalenessLimit: 1}
 	var nodes []*kademlia.Node
 	for i := 0; i < n; i++ {
-		node, err := kademlia.NewNode(cfg, simnet.Addr(i+1), net)
+		node, err := kademlia.NewNode(cfg, addr(i), net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +43,7 @@ func buildNetwork(t *testing.T, n int) (*eventsim.Simulator, []*kademlia.Node) {
 		})
 	}
 	sim.RunUntil(5 * time.Minute)
-	return sim, nodes
+	return sim, net, nodes
 }
 
 func TestCaptureReflectsRoutingTables(t *testing.T) {
@@ -137,6 +146,8 @@ func TestReadJSONErrors(t *testing.T) {
 		{"garbage", "{"},
 		{"bad id hex", `{"bits":64,"nodes":[{"id":"zz","addr":1}],"edges":[]}`},
 		{"edge out of range", `{"bits":64,"nodes":[{"id":"0000000000000001","addr":1}],"edges":[[0,5]]}`},
+		{"self-loop edge", `{"bits":64,"nodes":[{"id":"0000000000000001","addr":1}],"edges":[[0,0]]}`},
+		{"too many nodes", `{"bits":64,"nodes":[` + strings.Repeat(`{"id":"0000000000000001"},`, graph.MaxVertices) + `{"id":"0000000000000001"}]}`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
