@@ -127,7 +127,6 @@ func load(path, format string) (*graph.Digraph, error) {
 }
 
 func emitDIMACS(path string, g *graph.Digraph) error {
-	transformed := graph.EvenTransform(g)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -145,10 +144,10 @@ func emitDIMACS(path string, g *graph.Digraph) error {
 			}
 		}
 	}
-	if err := graph.WriteDIMACS(f, transformed, pairs...); err != nil {
+	if err := graph.WriteEvenDIMACS(f, g, pairs...); err != nil {
 		return err
 	}
 	fmt.Printf("wrote Even-transformed graph (%d vertices, %d edges) to %s\n",
-		transformed.N(), transformed.M(), path)
+		2*g.N(), g.M()+g.N(), path)
 	return nil
 }

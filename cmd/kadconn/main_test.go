@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -159,6 +160,48 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", path, "-pair", "zz"}); err == nil {
 		t.Error("bad pair spec should fail")
+	}
+}
+
+// TestRunEmitDIMACSAtVertexLimit emits the Even transform of a
+// graph.MaxVertices-vertex cycle and holds the whole run's allocation
+// under 1.5 times the input's rows: the transformed graph streams out
+// as an edge list, where materialising its 2n rows would add four times
+// the input's.
+func TestRunEmitDIMACSAtVertexLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates the 128 MiB of rows a graph at the vertex limit takes")
+	}
+	const n = graph.MaxVertices
+	var in strings.Builder
+	fmt.Fprintf(&in, "p max %d %d\n", n, n)
+	for v := 1; v <= n; v++ {
+		fmt.Fprintf(&in, "a %d %d 1\n", v, v%n+1)
+	}
+	dir := t.TempDir()
+	inPath, outPath := filepath.Join(dir, "cycle.dimacs"), filepath.Join(dir, "even.dimacs")
+	if err := os.WriteFile(inPath, []byte(in.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rows := uint64(n) * n / 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := run([]string{"-in", inPath, "-format", "dimacs", "-emit-dimacs", outPath}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > rows*3/2 {
+		t.Errorf("emit at the vertex limit allocated %d MiB, want under %d MiB", alloc>>20, rows*3/2>>20)
+	}
+	out, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("p max %d %d\n", 2*n, 2*n); !strings.Contains(string(out), want) {
+		t.Errorf("output lacks the problem line %q", want)
+	}
+	if arcs := strings.Count(string(out), "\na "); arcs != 2*n {
+		t.Errorf("output has %d arcs, want %d", arcs, 2*n)
 	}
 }
 

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math/bits"
 )
 
 // Delta is the difference between two digraphs over the same physical
@@ -63,12 +62,8 @@ func DiffInto(old, cur *Digraph, d *Delta) {
 	for u := 0; u < old.n; u++ {
 		o, c := old.row(u), cur.row(u)
 		for i := range o {
-			for w := o[i] &^ c[i]; w != 0; w &= w - 1 {
-				d.Removed = append(d.Removed, Edge{U: u, V: i<<6 | bits.TrailingZeros64(w)})
-			}
-			for w := c[i] &^ o[i]; w != 0; w &= w - 1 {
-				d.Added = append(d.Added, Edge{U: u, V: i<<6 | bits.TrailingZeros64(w)})
-			}
+			eachBit(i<<6, o[i]&^c[i], func(v int) { d.Removed = append(d.Removed, Edge{U: u, V: v}) })
+			eachBit(i<<6, c[i]&^o[i], func(v int) { d.Added = append(d.Added, Edge{U: u, V: v}) })
 		}
 	}
 }

@@ -27,11 +27,30 @@ type DIMACSProblem struct {
 // problem. The first pair becomes the standard source/sink lines; any
 // further pairs are written as "c pair" extension lines.
 func WriteDIMACS(w io.Writer, g *Digraph, pairs ...[2]int) error {
+	return writeDIMACS(w, g.N(), g.Edges(), pairs)
+}
+
+// WriteEvenDIMACS writes the Even transformation of g as a DIMACS
+// max-flow problem, byte for byte what WriteDIMACS(w, EvenTransform(g),
+// pairs...) writes, without building the transformed graph's 2n rows
+// (four times g's own). Pairs are in transformed numbering (Out(v),
+// In(w)).
+func WriteEvenDIMACS(w io.Writer, g *Digraph, pairs ...[2]int) error {
+	edges := make([]Edge, 0, g.n+g.m)
+	for u := 0; u < g.n; u++ {
+		edges = append(edges, Edge{U: In(u), V: Out(u)})
+		g.eachSucc(u, func(v int) { edges = append(edges, Edge{U: Out(u), V: In(v)}) })
+	}
+	return writeDIMACS(w, 2*g.n, edges, pairs)
+}
+
+// writeDIMACS writes an n-vertex problem with the given arcs.
+func writeDIMACS(w io.Writer, n int, edges []Edge, pairs [][2]int) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "c kadre connectivity graph: %d vertices, %d unit-capacity arcs\n", g.N(), g.M())
-	fmt.Fprintf(bw, "p max %d %d\n", g.N(), g.M())
+	fmt.Fprintf(bw, "c kadre connectivity graph: %d vertices, %d unit-capacity arcs\n", n, len(edges))
+	fmt.Fprintf(bw, "p max %d %d\n", n, len(edges))
 	for i, p := range pairs {
-		if err := checkPair(g, p); err != nil {
+		if err := checkPair(n, p); err != nil {
 			return err
 		}
 		if i == 0 {
@@ -41,7 +60,7 @@ func WriteDIMACS(w io.Writer, g *Digraph, pairs ...[2]int) error {
 		}
 		fmt.Fprintf(bw, "c pair %d %d\n", p[0]+1, p[1]+1)
 	}
-	for _, e := range g.Edges() {
+	for _, e := range edges {
 		fmt.Fprintf(bw, "a %d %d 1\n", e.U+1, e.V+1)
 	}
 	if err := bw.Flush(); err != nil {
@@ -150,16 +169,16 @@ func ReadDIMACS(r io.Reader) (*DIMACSProblem, error) {
 	}
 	prob.Pairs = append(prob.Pairs, extraPairs...)
 	for _, p := range prob.Pairs {
-		if err := checkPair(g, p); err != nil {
+		if err := checkPair(g.N(), p); err != nil {
 			return nil, err
 		}
 	}
 	return prob, nil
 }
 
-func checkPair(g *Digraph, p [2]int) error {
-	if p[0] < 0 || p[0] >= g.N() || p[1] < 0 || p[1] >= g.N() {
-		return fmt.Errorf("graph: pair (%d,%d) out of range [0,%d)", p[0], p[1], g.N())
+func checkPair(n int, p [2]int) error {
+	if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
+		return fmt.Errorf("graph: pair (%d,%d) out of range [0,%d)", p[0], p[1], n)
 	}
 	if p[0] == p[1] {
 		return fmt.Errorf("graph: pair (%d,%d) has identical endpoints", p[0], p[1])

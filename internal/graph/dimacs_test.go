@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -48,6 +49,40 @@ func TestWriteDIMACSFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestWriteEvenDIMACSMatchesTransform pins WriteEvenDIMACS to the bytes
+// WriteDIMACS writes for the materialised EvenTransform, pairs included,
+// across word boundaries and an empty graph.
+func TestWriteEvenDIMACSMatchesTransform(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 130} {
+		g := NewDigraph(n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Float64() < 0.1 {
+					g.AddEdge(u, v)
+				}
+			}
+		}
+		var pairs [][2]int
+		if n >= 2 {
+			pairs = [][2]int{{Out(0), In(n - 1)}, {Out(n - 1), In(0)}}
+		}
+		var got, want bytes.Buffer
+		if err := WriteEvenDIMACS(&got, g, pairs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteDIMACS(&want, EvenTransform(g), pairs...); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: WriteEvenDIMACS differs from WriteDIMACS(EvenTransform):\n%s\nwant:\n%s", n, got.String(), want.String())
+		}
+	}
+	if err := WriteEvenDIMACS(&bytes.Buffer{}, NewDigraph(2), [2]int{0, 4}); err == nil {
+		t.Error("out-of-range pair should fail")
 	}
 }
 

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 )
 
@@ -58,11 +57,7 @@ func (g *Digraph) AppendEvenEdgesCompact(buf []Edge, order []int, rank []int32) 
 	}
 	for r, u := range order {
 		start := len(buf)
-		for i, w := range g.row(u) {
-			for ; w != 0; w &= w - 1 {
-				buf = append(buf, Edge{U: Out(r), V: In(int(rank[i<<6|bits.TrailingZeros64(w)]))})
-			}
-		}
+		g.eachSucc(u, func(v int) { buf = append(buf, Edge{U: Out(r), V: In(int(rank[v]))}) })
 		// The row walks u's successors in slot order, which rank permutes.
 		slices.SortFunc(buf[start:], func(a, b Edge) int { return cmp.Compare(a.V, b.V) })
 	}
@@ -81,11 +76,7 @@ func (g *Digraph) AppendEvenEdges(buf []Edge) []Edge {
 		buf = append(buf, Edge{U: In(v), V: Out(v)})
 	}
 	for u := 0; u < g.n; u++ {
-		for i, w := range g.row(u) {
-			for ; w != 0; w &= w - 1 {
-				buf = append(buf, Edge{U: Out(u), V: In(i<<6 | bits.TrailingZeros64(w))})
-			}
-		}
+		g.eachSucc(u, func(v int) { buf = append(buf, Edge{U: Out(u), V: In(v)}) })
 	}
 	return buf
 }

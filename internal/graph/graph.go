@@ -8,7 +8,10 @@
 // all (3.6 KB at n = 150, 800 KB at the paper's n = 2 500), so edge
 // updates and tests are single bit operations and every enumeration —
 // successors, edges, diffs, the Even edge list — comes out in ascending
-// vertex order without a sort.
+// vertex order without a sort. The cost is quadratic in n whatever the
+// edge count: a large sparse graph that an adjacency list would hold in
+// O(n+m) no longer fits (n = 200 000 would need 5 GB), and the decoders
+// refuse more than MaxVertices vertices.
 package graph
 
 import (
@@ -28,7 +31,9 @@ const MaxVertices = 1 << 15
 // carries an implicit capacity of 1.
 //
 // Row u, rows[u*words:(u+1)*words], holds u's out-neighbours as set
-// bits; deg caches each row's popcount.
+// bits; deg caches each row's popcount. The rows take n²/8 bytes however
+// few edges the graph has, so a Digraph suits the dense connectivity
+// graphs of catalogue networks, not large sparse graphs.
 type Digraph struct {
 	n     int
 	words int      // words per row: (n+63)/64
@@ -37,7 +42,8 @@ type Digraph struct {
 	m     int
 }
 
-// NewDigraph returns an empty digraph with n vertices.
+// NewDigraph returns an empty digraph with n vertices, allocating its
+// n²/8 bytes of rows up front.
 func NewDigraph(n int) *Digraph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
@@ -52,8 +58,27 @@ func (g *Digraph) N() int { return g.n }
 // M returns the number of edges.
 func (g *Digraph) M() int { return g.m }
 
+// Bytes returns the memory the adjacency takes: the n²/8 bytes of rows
+// plus the degree table.
+func (g *Digraph) Bytes() int { return len(g.rows)*8 + len(g.deg)*4 }
+
 // row returns u's adjacency bitset.
 func (g *Digraph) row(u int) []uint64 { return g.rows[u*g.words : (u+1)*g.words] }
+
+// eachSucc calls f on each of u's out-neighbours in ascending order.
+func (g *Digraph) eachSucc(u int, f func(v int)) {
+	for i, w := range g.row(u) {
+		eachBit(i<<6, w, f)
+	}
+}
+
+// eachBit calls f on base+b for each set bit b of w in ascending order;
+// base is a multiple of 64, the index of w's bit 0 in its row.
+func eachBit(base int, w uint64, f func(v int)) {
+	for ; w != 0; w &= w - 1 {
+		f(base | bits.TrailingZeros64(w))
+	}
+}
 
 // AddEdge inserts the directed edge (u, v). Self-loops are rejected because
 // the connectivity graph never contains them (a node does not keep itself
@@ -107,11 +132,7 @@ func (g *Digraph) OutDegree(u int) int {
 func (g *Digraph) InDegrees() []int {
 	in := make([]int, g.n)
 	for u := 0; u < g.n; u++ {
-		for i, w := range g.row(u) {
-			for ; w != 0; w &= w - 1 {
-				in[i<<6|bits.TrailingZeros64(w)]++
-			}
-		}
+		g.eachSucc(u, func(v int) { in[v]++ })
 	}
 	return in
 }
@@ -121,11 +142,7 @@ func (g *Digraph) InDegrees() []int {
 func (g *Digraph) Successors(u int) []int {
 	g.check(u)
 	out := make([]int, 0, g.deg[u])
-	for i, w := range g.row(u) {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, i<<6|bits.TrailingZeros64(w))
-		}
-	}
+	g.eachSucc(u, func(v int) { out = append(out, v) })
 	return out
 }
 
@@ -134,11 +151,7 @@ func (g *Digraph) Successors(u int) []int {
 // allocates nothing when dst has room. It fills flat adjacency arrays.
 func (g *Digraph) AppendSuccessors(dst []int32, u int) []int32 {
 	g.check(u)
-	for i, w := range g.row(u) {
-		for ; w != 0; w &= w - 1 {
-			dst = append(dst, int32(i<<6|bits.TrailingZeros64(w)))
-		}
-	}
+	g.eachSucc(u, func(v int) { dst = append(dst, int32(v)) })
 	return dst
 }
 
@@ -146,11 +159,7 @@ func (g *Digraph) AppendSuccessors(dst []int32, u int) []int32 {
 func (g *Digraph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
 	for u := 0; u < g.n; u++ {
-		for i, w := range g.row(u) {
-			for ; w != 0; w &= w - 1 {
-				out = append(out, Edge{U: u, V: i<<6 | bits.TrailingZeros64(w)})
-			}
-		}
+		g.eachSucc(u, func(v int) { out = append(out, Edge{U: u, V: v}) })
 	}
 	return out
 }
@@ -187,13 +196,11 @@ func (g *Digraph) SymmetryRatio() float64 {
 func (g *Digraph) symmetricEdges() int {
 	sym := 0
 	for u := 0; u < g.n; u++ {
-		for i, w := range g.row(u) {
-			for ; w != 0; w &= w - 1 {
-				if g.HasEdge(i<<6|bits.TrailingZeros64(w), u) {
-					sym++
-				}
+		g.eachSucc(u, func(v int) {
+			if g.HasEdge(v, u) {
+				sym++
 			}
-		}
+		})
 	}
 	return sym
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 )
 
@@ -62,13 +63,18 @@ func TestSCCsDirectedPath(t *testing.T) {
 }
 
 func TestSCCsFullCycleDeepGraph(t *testing.T) {
-	// A long cycle exercises the iterative traversal at depth n. The
-	// rows cost n²/8 bytes, so n stays at 1 << 14 (32 MiB of rows).
+	// A long cycle drives the traversal to depth n. The rows cost n²/8
+	// bytes, so n stays at 1 << 14 (32 MiB of rows) and a stack budget
+	// stands in for depth: a recursive visit needs at least 16 bytes a
+	// frame, 256 KiB at this depth, and the runtime aborts a goroutine
+	// whose stack outgrows the cap, while the iterative traversal keeps
+	// its frames on the heap.
 	const n = 1 << 14
 	g := NewDigraph(n)
 	for i := 0; i < n; i++ {
 		g.AddEdge(i, (i+1)%n)
 	}
+	defer debug.SetMaxStack(debug.SetMaxStack(n * 16))
 	comps := g.SCCs()
 	if len(comps) != 1 || len(comps[0]) != n {
 		t.Fatalf("cycle: got %d components, largest %d", len(comps), len(comps[0]))

@@ -339,8 +339,7 @@ func estimateSize(res *scenario.Result, b *scenario.Bound) int64 {
 	// a host with many more engine workers still estimates high.
 	size := int64(28 << 10)
 	if b.Ready() {
-		slots := int64(b.Final.Slots())
-		size += slots*((slots+63)/64)*8 + slots*4
+		size += int64(b.Final.Graph.Bytes())
 		size += int64(b.Final.N()) * 72
 	}
 	if res != nil {

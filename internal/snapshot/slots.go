@@ -278,12 +278,12 @@ func CaptureSlots(now time.Duration, nodes []*kademlia.Node, idx *SlotIndex) *Sl
 	for r, n := range live {
 		s.IDs[r] = n.ID()
 	}
-	ranks := newLiveRanks(s.IDs, addrs, len(nodes))
+	rank := rankByAddr(addrs)
 	var contacts []kademlia.Contact // one buffer for every node's table
 	for r, n := range live {
 		contacts = n.Table().AppendContacts(contacts[:0])
 		for _, c := range contacts {
-			if j, ok := ranks.lookup(c); ok && j != r {
+			if j, ok := liveRank(rank, s.IDs, c); ok && j != r {
 				s.Graph.AddEdge(order[r], order[j])
 			}
 		}

@@ -227,8 +227,7 @@ func referenceCapture(nodes []*kademlia.Node) *Snapshot {
 // ID-keyed reference capture on a churned network: after the nodes with
 // the highest addresses leave (their contacts linger in the tables and
 // sit above every live address), after a middle node leaves, and after
-// joins recycle slots — on dense addresses and on sparse ones, which
-// take the address-keyed map instead of the table.
+// joins recycle slots — on dense addresses and on sparse ones.
 func TestCaptureMatchesIDKeyedReference(t *testing.T) {
 	layouts := map[string]func(i int) simnet.Addr{
 		"dense":  func(i int) simnet.Addr { return simnet.Addr(i + 1) },
@@ -236,7 +235,7 @@ func TestCaptureMatchesIDKeyedReference(t *testing.T) {
 	}
 	for name, addr := range layouts {
 		t.Run(name, func(t *testing.T) {
-			sim, net, nodes := buildNetworkAt(t, 24, addr)
+			sim, net, nodes := buildNetworkAt(t, 24, 64, addr)
 			var idx SlotIndex
 			check := func(stage string, nodes []*kademlia.Node) {
 				t.Helper()
@@ -291,5 +290,37 @@ func TestCaptureMatchesIDKeyedReference(t *testing.T) {
 			sim.RunUntil(sim.Now() + time.Minute)
 			check("after joins", nodes)
 		})
+	}
+}
+
+// TestCaptureResolvesSharedIDsByAddress pins the capture's answer when
+// live nodes share an ID, as they do at 8-bit IDs: a contact is the
+// (ID, Addr) pair of the node that holds it, so edge (i, j) exists iff
+// node j's own contact sits in node i's table. An ID-keyed capture would
+// send every contact for a shared ID to the last node holding it; the
+// test checks that the network really has such contacts.
+func TestCaptureResolvesSharedIDsByAddress(t *testing.T) {
+	sim, _, nodes := buildNetworkAt(t, 40, 8, func(i int) simnet.Addr { return simnet.Addr(i + 1) })
+	want := graph.NewDigraph(len(nodes))
+	for i, n := range nodes {
+		for _, c := range n.Table().Contacts() {
+			for j, m := range nodes {
+				if j != i && c == m.Contact() {
+					want.AddEdge(i, j)
+				}
+			}
+		}
+	}
+	if byID := referenceCapture(nodes); byID.Graph.Equal(want) {
+		t.Fatal("no contact names a node that shares its ID with a later one; the network exercises nothing")
+	}
+	var idx SlotIndex
+	for label, got := range map[string]*Snapshot{
+		"Capture":      Capture(sim.Now(), nodes),
+		"CaptureSlots": CaptureSlots(sim.Now(), nodes, &idx).Dense(),
+	} {
+		if got.N() != len(nodes) || !got.Graph.Equal(want) {
+			t.Fatalf("%s differs from the address-resolved graph (%d/%d vs %d/%d vertices/edges)", label, got.N(), got.Graph.M(), want.N(), want.M())
+		}
 	}
 }

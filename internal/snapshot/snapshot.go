@@ -51,12 +51,12 @@ func Capture(now time.Duration, nodes []*kademlia.Node) *Snapshot {
 		s.IDs[i] = n.ID()
 		s.Addrs[i] = n.Addr()
 	}
-	ranks := newLiveRanks(s.IDs, s.Addrs, len(nodes))
+	rank := rankByAddr(s.Addrs)
 	var contacts []kademlia.Contact // one buffer for every node's table
 	for i, n := range live {
 		contacts = n.Table().AppendContacts(contacts[:0])
 		for _, c := range contacts {
-			if j, ok := ranks.lookup(c); ok && j != i {
+			if j, ok := liveRank(rank, s.IDs, c); ok && j != i {
 				s.Graph.AddEdge(i, j)
 			}
 		}
@@ -64,58 +64,23 @@ func Capture(now time.Duration, nodes []*kademlia.Node) *Snapshot {
 	return s
 }
 
-// liveRanks resolves a routing-table contact to the dense rank of the
-// live node it names. Contacts come only from the nodes' own envelopes,
-// so a contact's (ID, Addr) is its node's own pair; simulation addresses
-// are dense and never reused, so a table indexed by address finds the
-// rank without hashing, and the ID check confirms the match. A caller
-// whose addresses run past 4 per node (plus 64) gets an address-keyed
-// map instead of a mostly empty table.
-type liveRanks struct {
-	ids    []id.ID
-	byAddr []int32 // rank by address, -1 where no live node sits
-	sparse map[simnet.Addr]int32
-}
-
-// newLiveRanks indexes the live nodes' addresses (rank order); nodes is
-// the population size the addresses were handed out over.
-func newLiveRanks(ids []id.ID, addrs []simnet.Addr, nodes int) liveRanks {
-	x := liveRanks{ids: ids}
-	top := simnet.Addr(0)
-	for _, a := range addrs {
-		top = max(top, a)
-	}
-	if top >= simnet.Addr(4*nodes+64) {
-		x.sparse = make(map[simnet.Addr]int32, len(addrs))
-		for r, a := range addrs {
-			x.sparse[a] = int32(r)
-		}
-		return x
-	}
-	x.byAddr = make([]int32, top+1)
-	for i := range x.byAddr {
-		x.byAddr[i] = -1
-	}
+// rankByAddr indexes live nodes by address, in rank order.
+func rankByAddr(addrs []simnet.Addr) map[simnet.Addr]int {
+	rank := make(map[simnet.Addr]int, len(addrs))
 	for r, a := range addrs {
-		x.byAddr[a] = int32(r)
+		rank[a] = r
 	}
-	return x
+	return rank
 }
 
-// lookup returns c's live rank, or false when c names no live node.
-func (x *liveRanks) lookup(c kademlia.Contact) (int, bool) {
-	r := int32(-1)
-	if x.sparse != nil {
-		if v, ok := x.sparse[c.Addr]; ok {
-			r = v
-		}
-	} else if c.Addr < simnet.Addr(len(x.byAddr)) {
-		r = x.byAddr[c.Addr]
-	}
-	if r < 0 || !x.ids[r].Equal(c.ID) {
-		return 0, false
-	}
-	return int(r), true
+// liveRank resolves a routing-table contact to the rank of the live node
+// holding it. Contacts come only from the nodes' own envelopes, so a
+// contact's (ID, Addr) is its node's own pair and addresses, unlike IDs,
+// are never shared; the ID check confirms the match. It reports false
+// when c names no live node.
+func liveRank(rank map[simnet.Addr]int, ids []id.ID, c kademlia.Contact) (int, bool) {
+	r, ok := rank[c.Addr]
+	return r, ok && ids[r].Equal(c.ID)
 }
 
 // N returns the number of live nodes in the snapshot.

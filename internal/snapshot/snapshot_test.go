@@ -14,17 +14,17 @@ import (
 
 func buildNetwork(t *testing.T, n int) (*eventsim.Simulator, []*kademlia.Node) {
 	t.Helper()
-	sim, _, nodes := buildNetworkAt(t, n, func(i int) simnet.Addr { return simnet.Addr(i + 1) })
+	sim, _, nodes := buildNetworkAt(t, n, 64, func(i int) simnet.Addr { return simnet.Addr(i + 1) })
 	return sim, nodes
 }
 
 // buildNetworkAt is buildNetwork with node i at address addr(i), also
 // handing back the network for later joins.
-func buildNetworkAt(t *testing.T, n int, addr func(i int) simnet.Addr) (*eventsim.Simulator, *simnet.Network, []*kademlia.Node) {
+func buildNetworkAt(t *testing.T, n, bits int, addr func(i int) simnet.Addr) (*eventsim.Simulator, *simnet.Network, []*kademlia.Node) {
 	t.Helper()
 	sim := eventsim.New(42)
 	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 20 * time.Millisecond}})
-	cfg := kademlia.Config{Bits: 64, K: 5, Alpha: 3, StalenessLimit: 1}
+	cfg := kademlia.Config{Bits: bits, K: 5, Alpha: 3, StalenessLimit: 1}
 	var nodes []*kademlia.Node
 	for i := 0; i < n; i++ {
 		node, err := kademlia.NewNode(cfg, addr(i), net)

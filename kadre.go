@@ -109,7 +109,10 @@ type (
 	Snapshot = snapshot.Snapshot
 )
 
-// NewGraph returns an empty directed graph on n vertices.
+// NewGraph returns an empty directed graph on n vertices. The graph
+// stores an adjacency bitset row per vertex, n²/8 bytes up front
+// whatever the edge count (800 KB at n = 2 500, 5 GB at n = 200 000), so
+// it cannot hold a large sparse graph.
 func NewGraph(n int) *Graph { return graph.NewDigraph(n) }
 
 // AnalyzeConnectivity computes the vertex connectivity of a graph. It
