@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"kadre/internal/connectivity"
@@ -24,13 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "kadconn:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("kadconn", flag.ContinueOnError)
 	var (
 		in       = fs.String("in", "", "input file (required)")
@@ -60,10 +61,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("graph: %d vertices, %d edges, symmetry %.3f\n", g.N(), g.M(), g.SymmetryRatio())
+	fmt.Fprintf(stdout, "graph: %d vertices, %d edges, symmetry %.3f\n", g.N(), g.M(), g.SymmetryRatio())
 
 	if *emit != "" {
-		return emitDIMACS(*emit, g)
+		return emitDIMACS(stdout, *emit, g)
 	}
 
 	if *pairSpec != "" {
@@ -75,7 +76,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("kappa(%d,%d) = %d  (node-disjoint paths; tolerates %d compromised nodes on this pair)\n",
+		fmt.Fprintf(stdout, "kappa(%d,%d) = %d  (node-disjoint paths; tolerates %d compromised nodes on this pair)\n",
 			v, w, kappa, connectivity.Resilience(kappa))
 		return nil
 	}
@@ -90,15 +91,15 @@ func run(args []string) error {
 	}
 	eng.Bind(g)
 	res := eng.Analyze(q)
-	fmt.Printf("kappa(D) = %d over %d pairs from %d sources (avg pair connectivity %.2f)\n",
+	fmt.Fprintf(stdout, "kappa(D) = %d over %d pairs from %d sources (avg pair connectivity %.2f)\n",
 		res.Min, res.Pairs, res.Sources, res.Avg)
 	if res.Complete {
-		fmt.Println("graph is complete: kappa = n-1 by definition")
+		fmt.Fprintln(stdout, "graph is complete: kappa = n-1 by definition")
 	}
 	if res.MinPair[0] >= 0 {
-		fmt.Printf("weakest pair: %d -> %d\n", res.MinPair[0], res.MinPair[1])
+		fmt.Fprintf(stdout, "weakest pair: %d -> %d\n", res.MinPair[0], res.MinPair[1])
 	}
-	fmt.Printf("resilience r = %d (Equation 2: kappa > r >= a)\n", connectivity.Resilience(res.Min))
+	fmt.Fprintf(stdout, "resilience r = %d (Equation 2: kappa > r >= a)\n", connectivity.Resilience(res.Min))
 	return nil
 }
 
@@ -126,7 +127,7 @@ func load(path, format string) (*graph.Digraph, error) {
 	}
 }
 
-func emitDIMACS(path string, g *graph.Digraph) error {
+func emitDIMACS(stdout io.Writer, path string, g *graph.Digraph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -147,7 +148,7 @@ func emitDIMACS(path string, g *graph.Digraph) error {
 	if err := graph.WriteEvenDIMACS(f, g, pairs...); err != nil {
 		return err
 	}
-	fmt.Printf("wrote Even-transformed graph (%d vertices, %d edges) to %s\n",
+	fmt.Fprintf(stdout, "wrote Even-transformed graph (%d vertices, %d edges) to %s\n",
 		2*g.N(), g.M()+g.N(), path)
 	return nil
 }

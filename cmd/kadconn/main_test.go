@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +18,8 @@ import (
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // writeTestSnapshot builds a small settled network and persists it.
 func writeTestSnapshot(t *testing.T, path string) {
@@ -52,21 +57,21 @@ func writeTestSnapshot(t *testing.T, path string) {
 func TestRunAnalyzeJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.json")
 	writeTestSnapshot(t, path)
-	if err := run([]string{"-in", path, "-full"}); err != nil {
+	if err := run([]string{"-in", path, "-full"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", path, "-c", "0.2"}); err != nil {
+	if err := run([]string{"-in", path, "-c", "0.2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", path, "-algo", "hao-orlin", "-c", "0.2", "-workers", "2"}); err != nil {
+	if err := run([]string{"-in", path, "-algo", "hao-orlin", "-c", "0.2", "-workers", "2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRunPairMode(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.json")
-	writeTestSnapshot(t, path)
-	// Pair 0,1 may be adjacent; find a non-adjacent pair first.
+// firstNonAdjacentPair returns the lexicographically first ordered pair
+// of the snapshot at path that -pair accepts, as "v,w".
+func firstNonAdjacentPair(t *testing.T, path string) string {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -76,37 +81,54 @@ func TestRunPairMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, w := -1, -1
-	for a := 0; a < s.N() && v < 0; a++ {
-		for b := 0; b < s.N(); b++ {
-			if a != b && !s.Graph.HasEdge(a, b) {
-				v, w = a, b
-				break
+	for v := 0; v < s.N(); v++ {
+		for w := 0; w < s.N(); w++ {
+			if v != w && !s.Graph.HasEdge(v, w) {
+				return fmt.Sprintf("%d,%d", v, w)
 			}
 		}
 	}
-	if v < 0 {
-		t.Skip("snapshot graph is complete")
-	}
-	if err := run([]string{"-in", path, "-pair", intsCSV(v, w)}); err != nil {
+	t.Fatal("snapshot graph is complete")
+	return ""
+}
+
+func TestRunPairMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	writeTestSnapshot(t, path)
+	if err := run([]string{"-in", path, "-pair", firstNonAdjacentPair(t, path)}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func intsCSV(v, w int) string {
-	return fmtInt(v) + "," + fmtInt(w)
-}
-
-func fmtInt(v int) string {
-	if v == 0 {
-		return "0"
+// TestGoldenOutput pins kadconn's stdout byte for byte for the default
+// sampled run, a full sweep and one pair on writeTestSnapshot's network.
+// Regenerate with: go test ./cmd/kadconn -run Golden -update
+func TestGoldenOutput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	writeTestSnapshot(t, path)
+	var buf bytes.Buffer
+	for _, flags := range [][]string{{}, {"-full"}, {"-pair", firstNonAdjacentPair(t, path)}} {
+		fmt.Fprintln(&buf, strings.Join(append([]string{"$ kadconn"}, flags...), " "))
+		if err := run(append([]string{"-in", path}, flags...), &buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	digits := []byte{}
-	for v > 0 {
-		digits = append([]byte{byte('0' + v%10)}, digits...)
-		v /= 10
+	golden := filepath.Join("testdata", "run.golden.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return string(digits)
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("output drifted from golden %s (run with -update to regenerate after intentional changes):\n--- got ---\n%s--- want ---\n%s", golden, buf.Bytes(), want)
+	}
 }
 
 func TestRunEmitDIMACSRoundTrip(t *testing.T) {
@@ -114,7 +136,7 @@ func TestRunEmitDIMACSRoundTrip(t *testing.T) {
 	jsonPath := filepath.Join(dir, "snap.json")
 	dimacsPath := filepath.Join(dir, "transformed.dimacs")
 	writeTestSnapshot(t, jsonPath)
-	if err := run([]string{"-in", jsonPath, "-emit-dimacs", dimacsPath}); err != nil {
+	if err := run([]string{"-in", jsonPath, "-emit-dimacs", dimacsPath}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(dimacsPath)
@@ -131,34 +153,34 @@ func TestRunEmitDIMACSRoundTrip(t *testing.T) {
 		t.Fatalf("transformed graph has %d vertices", prob.Graph.N())
 	}
 	// The DIMACS file itself is analyzable.
-	if err := run([]string{"-in", dimacsPath, "-format", "dimacs", "-c", "0.05"}); err != nil {
+	if err := run([]string{"-in", dimacsPath, "-format", "dimacs", "-c", "0.05"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run([]string{}); err == nil {
+	if err := run([]string{}, io.Discard); err == nil {
 		t.Error("missing -in should fail")
 	}
-	if err := run([]string{"-in", "/nonexistent/file.json"}); err == nil {
+	if err := run([]string{"-in", "/nonexistent/file.json"}, io.Discard); err == nil {
 		t.Error("missing file should fail")
 	}
 	path := filepath.Join(t.TempDir(), "snap.json")
 	writeTestSnapshot(t, path)
-	if err := run([]string{"-in", path, "-format", "yaml"}); err == nil {
+	if err := run([]string{"-in", path, "-format", "yaml"}, io.Discard); err == nil {
 		t.Error("unknown format should fail")
 	}
 	for _, algo := range []string{"simplex", "push-relabel"} {
-		if err := run([]string{"-in", path, "-algo", algo}); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+		if err := run([]string{"-in", path, "-algo", algo}, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 			t.Errorf("-algo %s: err = %v, want an unknown-algorithm error", algo, err)
 		}
 	}
 	for _, c := range []string{"-0.5", "NaN"} {
-		if err := run([]string{"-in", path, "-c", c}); err == nil || !strings.Contains(err.Error(), "sample fraction") {
+		if err := run([]string{"-in", path, "-c", c}, io.Discard); err == nil || !strings.Contains(err.Error(), "sample fraction") {
 			t.Errorf("-c %s: err = %v, want a sample-fraction error", c, err)
 		}
 	}
-	if err := run([]string{"-in", path, "-pair", "zz"}); err == nil {
+	if err := run([]string{"-in", path, "-pair", "zz"}, io.Discard); err == nil {
 		t.Error("bad pair spec should fail")
 	}
 }
@@ -186,7 +208,7 @@ func TestRunEmitDIMACSAtVertexLimit(t *testing.T) {
 	rows := uint64(n) * n / 8
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := run([]string{"-in", inPath, "-format", "dimacs", "-emit-dimacs", outPath}); err != nil {
+	if err := run([]string{"-in", inPath, "-format", "dimacs", "-emit-dimacs", outPath}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -222,7 +244,7 @@ func TestRunRejectsHostileGraphs(t *testing.T) {
 			if err := os.WriteFile(path, []byte(in.body), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := run([]string{"-in", path, "-format", in.format}); err == nil || !strings.Contains(err.Error(), in.want) {
+			if err := run([]string{"-in", path, "-format", in.format}, io.Discard); err == nil || !strings.Contains(err.Error(), in.want) {
 				t.Fatalf("err = %v, want one naming %q", err, in.want)
 			}
 		})
