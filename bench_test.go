@@ -340,32 +340,6 @@ func BenchmarkConnectivitySampling(b *testing.B) {
 	}
 }
 
-// BenchmarkUndirectedShortcut times the cited Gomory-Hu style (n-1)-pair
-// method against the directed sampled sweep on a symmetrized graph.
-func BenchmarkUndirectedShortcut(b *testing.B) {
-	g := benchGraph(250, 18, 10).Symmetrize()
-	b.Run("undirected-n-1", func(b *testing.B) {
-		var got int
-		for i := 0; i < b.N; i++ {
-			var err error
-			got, err = connectivity.UndirectedMin(g, maxflow.Dinic)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(got), "kappa")
-	})
-	b.Run("directed-sampled", func(b *testing.B) {
-		eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
-		var got int
-		for i := 0; i < b.N; i++ {
-			eng.Bind(g)
-			got = eng.Analyze(connectivity.Query{SampleFraction: 0.02, MinOnly: true}).Min
-		}
-		b.ReportMetric(float64(got), "kappa")
-	})
-}
-
 // BenchmarkHeuristicValidation reproduces the paper's §5.2 validation
 // protocol: on randomly generated Kademlia-like connectivity graphs,
 // check that c=0.02 smallest-out-degree sampling finds the exact minimum
@@ -514,7 +488,7 @@ func memberChurnSequence(n, deg, steps, changes int, seed int64) (graphs []*grap
 // incremental path); "bind" full-binds the slot capture per snapshot.
 // ns/snapshot is per snapshot, not per cycle, for comparability with
 // BenchmarkSnapshotAnalysisFused.
-func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing.B) {
+func memberChurnSequenceBench(rebind bool) func(*testing.B) {
 	return func(b *testing.B) {
 		graphs, orders := memberChurnSequence(250, 20, 8, 40, 13)
 		for i := range graphs {
@@ -522,7 +496,7 @@ func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing
 				b.Fatalf("slot count drifted: %d != %d", graphs[i].N(), graphs[0].N())
 			}
 		}
-		eng := connectivity.MustNewEngine(connectivity.EngineOptions{Algorithm: algo})
+		eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
 		binder := connectivity.NewIncrementalBinder(eng)
 		binder.BindNextSlots(graphs[0], orders[0])
 		cycle := func() {
@@ -561,8 +535,8 @@ func memberChurnSequenceBench(rebind bool, algo maxflow.Algorithm) func(*testing
 // repo ships, members-bind-haoorlin the full bind per snapshot it
 // replaces — the tracked incremental-vs-full pair.
 func BenchmarkChurnSequence(b *testing.B) {
-	b.Run("members-rebind-haoorlin", memberChurnSequenceBench(true, maxflow.HaoOrlin))
-	b.Run("members-bind-haoorlin", memberChurnSequenceBench(false, maxflow.HaoOrlin))
+	b.Run("members-rebind-haoorlin", memberChurnSequenceBench(true))
+	b.Run("members-bind-haoorlin", memberChurnSequenceBench(false))
 }
 
 // BenchmarkSimulationMinute measures raw simulation throughput on a

@@ -71,8 +71,8 @@ func TestBenchTrajectory(t *testing.T) {
 		{"SnapshotAnalysisFused", BenchmarkSnapshotAnalysisFused},
 		{"MaxflowAlgorithms/dinic", maxflowAlgoBench(maxflow.Dinic)},
 		{"MaxflowAlgorithms/hao-orlin", maxflowAlgoBench(maxflow.HaoOrlin)},
-		{"ChurnSequence/members-rebind-haoorlin", memberChurnSequenceBench(true, maxflow.HaoOrlin)},
-		{"ChurnSequence/members-bind-haoorlin", memberChurnSequenceBench(false, maxflow.HaoOrlin)},
+		{"ChurnSequence/members-rebind-haoorlin", memberChurnSequenceBench(true)},
+		{"ChurnSequence/members-bind-haoorlin", memberChurnSequenceBench(false)},
 		{"Figure2SimA", func(b *testing.B) { benchFigure(b, "figure2") }},
 		{"Figure6SimE", func(b *testing.B) { benchFigure(b, "figure6") }},
 		{"SimulationMinute", BenchmarkSimulationMinute},

@@ -7,7 +7,7 @@
 // Examples:
 //
 //	kadconn -in out/snapshot-000120m.json
-//	kadconn -in out/snapshot-000120m.json -full -algo hao-orlin
+//	kadconn -in out/snapshot-000120m.json -full
 //	kadconn -in graph.dimacs -format dimacs
 //	kadconn -in out/snapshot-000120m.json -emit-dimacs transformed.dimacs
 package main
@@ -17,10 +17,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 
 	"kadre/internal/connectivity"
 	"kadre/internal/graph"
-	"kadre/internal/maxflow"
 	"kadre/internal/snapshot"
 )
 
@@ -36,7 +37,6 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		in       = fs.String("in", "", "input file (required)")
 		format   = fs.String("format", "json", "input format: json (kadsim snapshot) or dimacs")
-		algoName = fs.String("algo", "dinic", "max-flow algorithm: dinic|hao-orlin")
 		full     = fs.Bool("full", false, "full n(n-1) sweep instead of sampled sources")
 		sampleC  = fs.Float64("c", connectivity.DefaultSampleFraction, "sampling fraction c (ignored with -full)")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
@@ -48,10 +48,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *in == "" {
 		return fmt.Errorf("-in is required")
-	}
-	algo, err := maxflow.ParseAlgorithm(*algoName)
-	if err != nil {
-		return err
 	}
 	if err := connectivity.CheckSampleFraction(*sampleC); err != nil {
 		return err
@@ -68,11 +64,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *pairSpec != "" {
-		var v, w int
-		if _, err := fmt.Sscanf(*pairSpec, "%d,%d", &v, &w); err != nil {
-			return fmt.Errorf("bad -pair %q: %w", *pairSpec, err)
+		// Exactly two integers and nothing after them.
+		vs, ws, _ := strings.Cut(*pairSpec, ",")
+		v, errV := strconv.Atoi(vs)
+		w, errW := strconv.Atoi(ws)
+		if errV != nil || errW != nil {
+			return fmt.Errorf("bad -pair %q: want two integers v,w", *pairSpec)
 		}
-		kappa, err := connectivity.Pair(g, v, w, algo)
+		kappa, err := connectivity.Pair(g, v, w)
 		if err != nil {
 			return err
 		}
@@ -81,10 +80,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	eng, err := connectivity.NewEngine(connectivity.EngineOptions{Algorithm: algo, Workers: *workers})
-	if err != nil {
-		return err
-	}
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{Workers: *workers})
 	q := connectivity.Query{SampleFraction: *sampleC}
 	if *full {
 		q.SampleFraction = 1.0

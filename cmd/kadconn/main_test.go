@@ -63,7 +63,7 @@ func TestRunAnalyzeJSON(t *testing.T) {
 	if err := run([]string{"-in", path, "-c", "0.2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", path, "-algo", "hao-orlin", "-c", "0.2", "-workers", "2"}, io.Discard); err != nil {
+	if err := run([]string{"-in", path, "-c", "0.2", "-workers", "2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -170,18 +170,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", path, "-format", "yaml"}, io.Discard); err == nil {
 		t.Error("unknown format should fail")
 	}
-	for _, algo := range []string{"simplex", "push-relabel"} {
-		if err := run([]string{"-in", path, "-algo", algo}, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
-			t.Errorf("-algo %s: err = %v, want an unknown-algorithm error", algo, err)
-		}
-	}
 	for _, c := range []string{"-0.5", "NaN"} {
 		if err := run([]string{"-in", path, "-c", c}, io.Discard); err == nil || !strings.Contains(err.Error(), "sample fraction") {
 			t.Errorf("-c %s: err = %v, want a sample-fraction error", c, err)
 		}
 	}
-	if err := run([]string{"-in", path, "-pair", "zz"}, io.Discard); err == nil {
-		t.Error("bad pair spec should fail")
+	for _, spec := range []string{"zz", "3,17,99", "3,17x", "3", "a,b", "3,", ",17"} {
+		if err := run([]string{"-in", path, "-pair", spec}, io.Discard); err == nil || !strings.Contains(err.Error(), "bad -pair") {
+			t.Errorf("-pair %s: err = %v, want a bad-pair error", spec, err)
+		}
 	}
 }
 

@@ -209,8 +209,8 @@ func requireEngineMatchesReference(t *testing.T, label string, eng *Engine, dens
 		requireSameCut(t, fmt.Sprintf("%s c=%g", label, c), cut, pair, ok, wantCut, wantPair, wantOK)
 	}
 	sr := eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.1, AvgSeed: 17})
-	wantMin := referenceAnalyze(referenceOptions{Query: Query{SampleFraction: 0.1, MinOnly: true, SkipMinPair: true}}, dense)
-	wantAvg := referenceAnalyze(referenceOptions{Query: Query{SampleFraction: 0.1, Selection: UniformRandom, SelectionSeed: 17}}, dense)
+	wantMin := referenceAnalyze(referenceOptions{Query: Query{SampleFraction: 0.1, MinOnly: true}, SkipMinPair: true}, dense)
+	wantAvg := referenceAnalyze(referenceOptions{Query: Query{SampleFraction: 0.1}, Uniform: true, Seed: 17}, dense)
 	if !sameResult(sr.Min, wantMin) || !sameResult(sr.Avg, wantAvg) {
 		t.Fatalf("%s: AnalyzeSnapshot %+v, reference min %+v avg %+v", label, sr, wantMin, wantAvg)
 	}
@@ -330,7 +330,7 @@ func TestFanClosureEdgeCases(t *testing.T) {
 	}
 	eng := MustNewEngine(EngineOptions{Workers: 1})
 	eng.Bind(sink)
-	res := eng.Analyze(Query{SampleFraction: 0.1, MinOnly: true, SkipMinPair: true})
+	res := eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.1, MinOnly: true}).Min
 	if res.Min != 0 || res.Pairs != 9 || eng.SweepFlows() != 0 || eng.SweepSettled() != 9 {
 		t.Fatalf("limit 0: %+v with %d flows, %d settled", res, eng.SweepFlows(), eng.SweepSettled())
 	}
@@ -339,17 +339,21 @@ func TestFanClosureEdgeCases(t *testing.T) {
 	}
 	check("limit 0 full", sink, minOnly)
 
-	// A sampled source adjacent to everyone evaluates no pair.
+	// A sampled source adjacent to everyone evaluates no pair. Only the
+	// uniform Avg sources can be such a vertex: were it a smallest
+	// out-degree source, the graph would be complete.
 	hub := randomDigraph(4, 12, 30)
 	for v := 1; v < hub.N(); v++ {
 		hub.AddEdge(0, v)
 	}
-	seed := int64(0)
-	for referencePickSources(referenceOptions{Query: Query{SampleFraction: 0.05, Selection: UniformRandom, SelectionSeed: seed}}, hub)[0] != 0 {
-		seed++
+	avg := referenceOptions{Query: Query{SampleFraction: 0.05}, Uniform: true}
+	for referencePickSources(avg, hub)[0] != 0 {
+		avg.Seed++
 	}
-	if res := check("hub", hub, Query{SampleFraction: 0.05, Selection: UniformRandom, SelectionSeed: seed, MinOnly: true}); res.Pairs != 0 {
-		t.Fatalf("hub source evaluated %d pairs", res.Pairs)
+	eng.Bind(hub)
+	got := eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.05, AvgSeed: avg.Seed}).Avg
+	if want := referenceAnalyze(avg, hub); !sameResult(got, want) || got.Pairs != 0 {
+		t.Fatalf("hub: Avg %+v, reference %+v, want no pair", got, want)
 	}
 
 	// n = 2 with one edge: source 0 has no sink, source 1 no way out.

@@ -10,10 +10,12 @@
 // A full sweep needs n(n-1) flow computations. The paper's §5.2 heuristic
 // cuts this to c*n*(n-1) by evaluating only the c*n sources with smallest
 // out-degree (c = 0.02 was empirically sufficient on near-undirected
-// Kademlia graphs); both modes are implemented, as is the undirected
-// (n-1)-pair shortcut the paper cites.
+// Kademlia graphs); its Avg curves sample c*n sources uniformly.
 //
-// Engine is the one implementation. Sweeping workloads hold an Engine:
+// Engine is the one implementation, with one way to answer each
+// question: Analyze gives Min over the smallest-out-degree sources,
+// AnalyzeSnapshot adds the uniform-source Avg, and GraphCut cuts at the
+// Min pair. Sweeping workloads hold an Engine:
 // it binds to a graph, keeps the Even transform, the per-worker solvers
 // and the cut-mode network alive across bindings, rebinds stable-slot
 // captures incrementally (IncrementalBinder), and fuses the per-snapshot
@@ -34,19 +36,6 @@ import (
 // fraction c.
 const DefaultSampleFraction = 0.02
 
-// SourceSelection picks how sampled flow sources are chosen.
-type SourceSelection int
-
-const (
-	// SmallestOutDegree is the paper's §5.2 heuristic: the c*n vertices
-	// with the smallest out-degree, which bound the minimum. The default.
-	SmallestOutDegree SourceSelection = iota + 1
-	// UniformRandom picks c*n sources uniformly, yielding an unbiased
-	// estimate of the average pair connectivity (the "Avg" curves of the
-	// paper's figures) at the price of a looser minimum.
-	UniformRandom
-)
-
 // Result reports the connectivity of one graph.
 type Result struct {
 	N        int     // vertices in the analyzed graph
@@ -57,9 +46,9 @@ type Result struct {
 	Complete bool    // graph was complete: Min = N-1 by definition
 	// MinPair is the lexicographically smallest evaluated (source, target)
 	// pair achieving Min, or {-1, -1} if no pair was evaluated or the
-	// query set SkipMinPair. It is deterministic for a given graph and
-	// query — independent of worker count and scheduling, with or without
-	// MinOnly pruning.
+	// result is AnalyzeSnapshot's Min. It is deterministic for a given
+	// graph and query — independent of worker count and scheduling, with
+	// or without MinOnly pruning.
 	MinPair [2]int
 }
 
@@ -84,9 +73,9 @@ func CheckSampleFraction(c float64) error {
 }
 
 // Analyze computes the connectivity of g in the throwaway-per-call form:
-// a default Engine (Hao–Orlin sweeps, GOMAXPROCS workers) bound to g for
-// this one query. Callers analyzing a sequence of graphs, or choosing the
-// solver or the worker count, hold an Engine instead.
+// a default Engine (GOMAXPROCS workers) bound to g for this one query.
+// Callers analyzing a sequence of graphs, or choosing the worker count,
+// hold an Engine instead.
 func Analyze(g *graph.Digraph, q Query) (Result, error) {
 	eng, err := oneShot(g, q)
 	if err != nil {
@@ -106,10 +95,10 @@ func oneShot(g *graph.Digraph, q Query) (*Engine, error) {
 }
 
 // Pair computes kappa(v, w) for one non-adjacent ordered pair via a
-// maximum flow on the Even-transformed graph. It fails for v == w and for
-// adjacent pairs, whose vertex connectivity is not defined by a vertex cut
-// (the direct edge can never be cut).
-func Pair(g *graph.Digraph, v, w int, algo maxflow.Algorithm) (int, error) {
+// Dinic maximum flow on the Even-transformed graph. It fails for v == w
+// and for adjacent pairs, whose vertex connectivity is not defined by a
+// vertex cut (the direct edge can never be cut).
+func Pair(g *graph.Digraph, v, w int) (int, error) {
 	if v == w {
 		return 0, fmt.Errorf("connectivity: pair (%d,%d) has identical endpoints", v, w)
 	}
@@ -119,10 +108,7 @@ func Pair(g *graph.Digraph, v, w int, algo maxflow.Algorithm) (int, error) {
 	if g.HasEdge(v, w) {
 		return 0, fmt.Errorf("connectivity: vertices %d and %d are adjacent", v, w)
 	}
-	if algo == 0 {
-		algo = maxflow.Dinic
-	}
-	solver := algo.NewSolverSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
+	solver := maxflow.NewDinicSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
 	return solver.MaxFlow(graph.Out(v), graph.In(w)), nil
 }
 

@@ -67,17 +67,17 @@ func hypercube(d int) *graph.Digraph {
 }
 
 // analyze runs q on a throwaway engine built from eo and bound to g — the
-// tests' one-shot form where the solver or the worker count matters (the
-// package-level Analyze always takes the defaults).
+// tests' one-shot form where the worker count matters (the package-level
+// Analyze always takes the defaults).
 func analyze(g *graph.Digraph, eo EngineOptions, q Query) Result {
 	eng := MustNewEngine(eo)
 	eng.Bind(g)
 	return eng.Analyze(q)
 }
 
-// fullSweep is the exact n(n-1) analysis of g under algo.
-func fullSweep(g *graph.Digraph, algo maxflow.Algorithm) Result {
-	return analyze(g, EngineOptions{Algorithm: algo}, Query{SampleFraction: 1.0})
+// fullSweep is the engine's exact n(n-1) analysis of g.
+func fullSweep(g *graph.Digraph) Result {
+	return analyze(g, EngineOptions{}, Query{SampleFraction: 1.0})
 }
 
 func TestKnownConnectivities(t *testing.T) {
@@ -87,7 +87,9 @@ func TestKnownConnectivities(t *testing.T) {
 		want int
 	}{
 		{"cycle C5", cycle(5), 2},
+		{"cycle C6", cycle(6), 2},
 		{"cycle C8", cycle(8), 2},
+		{"complete K4", completeGraph(4), 3},
 		{"petersen", petersen(), 3},
 		{"hypercube Q3", hypercube(3), 3},
 		{"hypercube Q4", hypercube(4), 4},
@@ -105,10 +107,21 @@ func TestKnownConnectivities(t *testing.T) {
 			1,
 		},
 	}
-	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.HaoOrlin} {
+	// Every known kappa must come out of the engine, whose sweeps run on
+	// Hao–Orlin, and out of the reference sweep on Dinic.
+	sweeps := []struct {
+		name string
+		full func(*graph.Digraph) Result
+	}{
+		{"dinic", func(g *graph.Digraph) Result {
+			return referenceAnalyze(referenceOptions{Query: Query{SampleFraction: 1.0}}, g)
+		}},
+		{"hao-orlin", fullSweep},
+	}
+	for _, sweep := range sweeps {
 		for _, tt := range tests {
-			t.Run(algo.String()+"/"+tt.name, func(t *testing.T) {
-				res := fullSweep(tt.g, algo)
+			t.Run(sweep.name+"/"+tt.name, func(t *testing.T) {
+				res := sweep.full(tt.g)
 				if res.Min != tt.want {
 					t.Fatalf("kappa = %d, want %d (result %+v)", res.Min, tt.want, res)
 				}
@@ -118,20 +131,20 @@ func TestKnownConnectivities(t *testing.T) {
 }
 
 func TestCompleteGraph(t *testing.T) {
-	res := fullSweep(completeGraph(6), maxflow.Dinic)
+	res := fullSweep(completeGraph(6))
 	if !res.Complete || res.Min != 5 {
 		t.Fatalf("K6: %+v, want complete with kappa 5", res)
 	}
 }
 
 func TestTinyGraphs(t *testing.T) {
-	if res := fullSweep(graph.NewDigraph(0), maxflow.Dinic); res.Min != 0 || !res.Complete {
+	if res := fullSweep(graph.NewDigraph(0)); res.Min != 0 || !res.Complete {
 		t.Errorf("empty graph: %+v", res)
 	}
-	if res := fullSweep(graph.NewDigraph(1), maxflow.Dinic); res.Min != 0 || !res.Complete {
+	if res := fullSweep(graph.NewDigraph(1)); res.Min != 0 || !res.Complete {
 		t.Errorf("single vertex: %+v", res)
 	}
-	if res := fullSweep(graph.NewDigraph(2), maxflow.Dinic); res.Min != 0 {
+	if res := fullSweep(graph.NewDigraph(2)); res.Min != 0 {
 		t.Errorf("two isolated vertices: %+v", res)
 	}
 }
@@ -146,7 +159,7 @@ func TestKCompleteMinusEdge(t *testing.T) {
 		}
 		g2.AddEdge(e.U, e.V)
 	}
-	res := fullSweep(g2, maxflow.Dinic)
+	res := fullSweep(g2)
 	if res.Min != 3 {
 		t.Fatalf("kappa(K5 - e) = %d, want 3", res.Min)
 	}
@@ -165,7 +178,7 @@ func TestDirectedAsymmetry(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.AddEdge(i, (i+1)%n)
 	}
-	if res := fullSweep(g, maxflow.Dinic); res.Min != 1 {
+	if res := fullSweep(g); res.Min != 1 {
 		t.Fatalf("directed C5 kappa = %d, want 1", res.Min)
 	}
 	// Remove one arc: some ordered pairs become unreachable -> kappa 0.
@@ -173,7 +186,7 @@ func TestDirectedAsymmetry(t *testing.T) {
 	for i := 0; i < n-1; i++ {
 		g2.AddEdge(i, (i+1)%n)
 	}
-	if res := fullSweep(g2, maxflow.Dinic); res.Min != 0 {
+	if res := fullSweep(g2); res.Min != 0 {
 		t.Fatalf("directed path kappa = %d, want 0", res.Min)
 	}
 }
@@ -200,29 +213,27 @@ func TestEvenTransformPaperExample(t *testing.T) {
 		t.Fatalf("raw max flow = %d, want 3", f)
 	}
 	// Vertex connectivity via Even's transformation: 1.
-	for _, algo := range []maxflow.Algorithm{maxflow.Dinic, maxflow.HaoOrlin} {
-		k, err := Pair(g, 0, 8, algo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k != 1 {
-			t.Fatalf("%v: kappa(a,i) = %d, want 1", algo, k)
-		}
+	k, err := Pair(g, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k != 1 {
+		t.Fatalf("kappa(a,i) = %d, want 1", k)
 	}
 }
 
 func TestPairErrors(t *testing.T) {
 	g := undirected(3, [][2]int{{0, 1}, {1, 2}})
-	if _, err := Pair(g, 0, 0, maxflow.Dinic); err == nil {
+	if _, err := Pair(g, 0, 0); err == nil {
 		t.Error("identical endpoints should fail")
 	}
-	if _, err := Pair(g, 0, 1, maxflow.Dinic); err == nil {
+	if _, err := Pair(g, 0, 1); err == nil {
 		t.Error("adjacent pair should fail")
 	}
-	if _, err := Pair(g, 0, 9, maxflow.Dinic); err == nil {
+	if _, err := Pair(g, 0, 9); err == nil {
 		t.Error("out of range should fail")
 	}
-	if k, err := Pair(g, 0, 2, maxflow.Dinic); err != nil || k != 1 {
+	if k, err := Pair(g, 0, 2); err != nil || k != 1 {
 		t.Errorf("kappa(0,2) = %d, %v; want 1", k, err)
 	}
 }
@@ -246,7 +257,7 @@ func TestMengersTheoremProperty(t *testing.T) {
 				if v == w || g.HasEdge(v, w) {
 					continue
 				}
-				k, err := Pair(g, v, w, maxflow.Dinic)
+				k, err := Pair(g, v, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,7 +287,7 @@ func TestSamplingNeverUnderestimates(t *testing.T) {
 				g.AddEdge(v, u)
 			}
 		}
-		fr, sr := fullSweep(g, maxflow.Dinic), analyze(g, EngineOptions{}, Query{SampleFraction: 0.1})
+		fr, sr := fullSweep(g), analyze(g, EngineOptions{}, Query{SampleFraction: 0.1})
 		if sr.Min < fr.Min {
 			t.Fatalf("sampled min %d below full min %d", sr.Min, fr.Min)
 		}
@@ -301,7 +312,7 @@ func TestSamplingFindsMinOnDegreeBoundGraphs(t *testing.T) {
 		}
 		weak.AddEdge(e.U, e.V)
 	}
-	fr := fullSweep(weak, maxflow.Dinic)
+	fr := fullSweep(weak)
 	sr := analyze(weak, EngineOptions{}, Query{SampleFraction: 0.07}) // 2 sources
 	if fr.Min != 2 {
 		t.Fatalf("full min = %d, want 2", fr.Min)
@@ -335,7 +346,7 @@ func TestWorkersProduceSameResult(t *testing.T) {
 
 func TestAvgReasonable(t *testing.T) {
 	// On C5, every non-adjacent pair has kappa exactly 2, so avg = 2.
-	res := fullSweep(cycle(5), maxflow.Dinic)
+	res := fullSweep(cycle(5))
 	if res.Avg != 2.0 {
 		t.Fatalf("avg = %v, want 2.0", res.Avg)
 	}
@@ -349,8 +360,7 @@ func TestAvgReasonable(t *testing.T) {
 // entry points: a negative or NaN sample fraction is an error from both
 // Analyze and GraphCut (NaN would otherwise slip through sampleCount's
 // range guard), a valid one answers exactly like a held engine, and
-// NewEngine rejects an algorithm outside the enum while defaulting the
-// unset one.
+// NewEngine accepts the zero options, defaulting the worker count.
 func TestOneShotValidation(t *testing.T) {
 	g := petersen()
 	for _, c := range []float64{-0.5, math.NaN(), math.Inf(-1)} {
@@ -369,17 +379,8 @@ func TestOneShotValidation(t *testing.T) {
 		}
 		requireSameResult(t, "one-shot", got, analyze(g, EngineOptions{Workers: 1}, q))
 	}
-	for _, tc := range []struct {
-		algo maxflow.Algorithm
-		ok   bool
-	}{{0, true}, {maxflow.Dinic, true}, {maxflow.HaoOrlin, true}, {-1, false}, {maxflow.HaoOrlin + 1, false}} {
-		eng, err := NewEngine(EngineOptions{Algorithm: tc.algo})
-		if (err == nil) != tc.ok {
-			t.Errorf("NewEngine(Algorithm: %d): err = %v, want ok = %v", int(tc.algo), err, tc.ok)
-		}
-		if err == nil && (eng.algo != maxflow.Dinic && eng.algo != maxflow.HaoOrlin || eng.maxWorkers < 1) {
-			t.Errorf("NewEngine(Algorithm: %d) left algo %v, workers %d", int(tc.algo), eng.algo, eng.maxWorkers)
-		}
+	if eng, err := NewEngine(EngineOptions{}); err != nil || eng.maxWorkers < 1 {
+		t.Errorf("NewEngine(EngineOptions{}) = %v, %v; want an engine with at least one worker", eng, err)
 	}
 }
 
@@ -396,70 +397,25 @@ func TestResilienceEquations(t *testing.T) {
 	}
 }
 
-func TestUndirectedMin(t *testing.T) {
-	tests := []struct {
-		name string
-		g    *graph.Digraph
-		want int
-	}{
-		{"cycle C6", cycle(6), 2},
-		{"petersen", petersen(), 3},
-		{"hypercube Q3", hypercube(3), 3},
-		{"star", undirected(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}}), 1},
-		{"disconnected", undirected(4, [][2]int{{0, 1}, {2, 3}}), 0},
-		{"complete K4", completeGraph(4), 3},
+// minDegree returns min(min out-degree, min in-degree), a cheap upper
+// bound on the vertex connectivity of any digraph: removing all of a
+// minimum-degree vertex's neighbours isolates it.
+func minDegree(g *graph.Digraph) int {
+	d := g.N()
+	for v, in := range g.InDegrees() {
+		d = min(d, g.OutDegree(v), in)
 	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := UndirectedMin(tt.g, maxflow.Dinic)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tt.want {
-				t.Fatalf("UndirectedMin = %d, want %d", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestUndirectedMinRejectsAsymmetric(t *testing.T) {
-	g := graph.NewDigraph(3)
-	g.AddEdge(0, 1)
-	if _, err := UndirectedMin(g, maxflow.Dinic); err == nil {
-		t.Fatal("asymmetric graph should be rejected")
-	}
-}
-
-func TestUndirectedMinIsUpperBound(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 10; trial++ {
-		n := 8 + r.Intn(12)
-		g := graph.NewDigraph(n)
-		for i := 0; i < n*3; i++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u != v && !g.HasEdge(u, v) {
-				g.AddEdge(u, v)
-				g.AddEdge(v, u)
-			}
-		}
-		ub, err := UndirectedMin(g, maxflow.Dinic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr := fullSweep(g, maxflow.Dinic); ub < fr.Min {
-			t.Fatalf("undirected shortcut %d below true kappa %d", ub, fr.Min)
-		}
-	}
+	return d
 }
 
 func TestMinDegreeBound(t *testing.T) {
-	if MinDegree(cycle(5)) != 2 {
+	if minDegree(cycle(5)) != 2 {
 		t.Error("C5 min degree = 2")
 	}
-	if MinDegree(graph.NewDigraph(0)) != 0 {
+	if minDegree(graph.NewDigraph(0)) != 0 {
 		t.Error("empty graph min degree = 0")
 	}
-	// kappa <= MinDegree on arbitrary graphs.
+	// kappa <= minDegree on arbitrary graphs.
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		n := 6 + r.Intn(10)
@@ -470,12 +426,12 @@ func TestMinDegreeBound(t *testing.T) {
 				g.AddEdge(u, v)
 			}
 		}
-		res := fullSweep(g, maxflow.Dinic)
+		res := fullSweep(g)
 		if res.Complete {
 			continue
 		}
-		if res.Min > MinDegree(g) {
-			t.Fatalf("kappa %d exceeds min degree %d", res.Min, MinDegree(g))
+		if res.Min > minDegree(g) {
+			t.Fatalf("kappa %d exceeds min degree %d", res.Min, minDegree(g))
 		}
 	}
 }

@@ -33,7 +33,7 @@ func extractCut(n, v, w int, reach []bool) []int {
 //
 // This is the throwaway-per-call form; per-snapshot callers (the cutset
 // adversary) should hold an Engine and use Engine.GraphCut, which caches
-// the cut-mode network across bindings. Of q only the source selection
+// the cut-mode network across bindings. Of q only SampleFraction
 // matters: a cut search is always a pruned MinPair analysis.
 func GraphCut(g *graph.Digraph, q Query) (cut []int, pair [2]int, ok bool, err error) {
 	eng, err := oneShot(g, q)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kadre/internal/graph"
-	"kadre/internal/maxflow"
 )
 
 func TestPairCutCutVertex(t *testing.T) {
@@ -45,7 +44,7 @@ func TestPairCutMatchesKappa(t *testing.T) {
 				if v == w || g.HasEdge(v, w) {
 					continue
 				}
-				kappa, err := Pair(g, v, w, maxflow.Dinic)
+				kappa, err := Pair(g, v, w)
 				if err != nil {
 					t.Fatal(err)
 				}

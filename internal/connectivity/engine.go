@@ -14,16 +14,6 @@ import (
 
 // EngineOptions configures an Engine.
 type EngineOptions struct {
-	// Algorithm solves the sweep queries, pruned (capped at the running
-	// minimum) and exact alike; the flow values are identical with either
-	// solver. The zero value means HaoOrlin: the fixed-root sweep solver
-	// (see maxflow.HaoOrlinSolver) pays no per-sink global relabel. Both
-	// solvers' MaxFlowLimit returns exactly min(cap, kappa) on the
-	// unit-capacity graphs bound here; the sweep bookkeeping only relies on
-	// "below the cap means exact". Pass Dinic explicitly as the
-	// cross-check. Cut extraction always runs on Dinic, whatever is chosen
-	// here.
-	Algorithm maxflow.Algorithm
 	// Workers bounds the sweep worker pool; <= 0 means GOMAXPROCS. Each
 	// worker owns one private solver, replacing the paper's cluster fan-out.
 	Workers int
@@ -32,24 +22,13 @@ type EngineOptions struct {
 // Query selects what one analysis (Engine.Analyze, or the one-shot
 // package-level Analyze and GraphCut) computes.
 type Query struct {
-	// SampleFraction is the paper's c: the fraction of vertices used as
-	// flow sources. 0 or >= 1 means a full n(n-1) sweep; negative and NaN
-	// values are input errors (see CheckSampleFraction).
+	// SampleFraction is the paper's c: the c*n smallest-out-degree
+	// vertices are the flow sources. 0 or >= 1 means a full n(n-1) sweep;
+	// negative and NaN values are input errors (see CheckSampleFraction).
 	SampleFraction float64
-	// Selection chooses the sampling strategy; zero means
-	// SmallestOutDegree.
-	Selection SourceSelection
-	// SelectionSeed seeds the UniformRandom selection; runs with the same
-	// seed pick the same sources.
-	SelectionSeed int64
 	// MinOnly skips exact flow values above the running minimum, which
 	// prunes work but leaves Avg meaningless (reported as NaN).
 	MinOnly bool
-	// SkipMinPair reports MinPair as {-1, -1} without computing it.
-	// Under MinOnly the deterministic pair may need a bounded re-check of
-	// capped evaluations (see Engine.resolveMinPair), so callers that
-	// only read Min can skip it.
-	SkipMinPair bool
 }
 
 // SnapshotQuery configures the fused per-snapshot analysis.
@@ -66,8 +45,9 @@ type SnapshotQuery struct {
 }
 
 // SnapshotResult carries the two results of a fused snapshot analysis:
-// Min is what a MinOnly smallest-out-degree Analyze would report
-// (MinPair skipped), Avg what a UniformRandom exact Analyze would.
+// Min is what a MinOnly Analyze would report, MinPair left unresolved;
+// Avg is the exact sweep of c*n sources drawn uniformly with AvgSeed, an
+// unbiased estimate of the mean pair connectivity.
 type SnapshotResult struct {
 	Min Result
 	Avg Result
@@ -110,7 +90,6 @@ type SnapshotResult struct {
 // lazy paths, so only the binding, the memo and the counters outlive it.
 // Everything else is sized once and reused.
 type Engine struct {
-	algo       maxflow.Algorithm
 	maxWorkers int
 
 	// Binding state.
@@ -277,34 +256,22 @@ func (s *evenDeltaSource) EdgeAt(i int) (int, int, int32) {
 	return graph.Out(e.U), graph.In(e.V), 1
 }
 
-// NewEngine validates options and returns an unbound Engine. The only
-// invalid option is an Algorithm outside the maxflow enum.
+// NewEngine is MustNewEngine with an error result, which is always nil:
+// no option value is invalid.
 func NewEngine(opts EngineOptions) (*Engine, error) {
-	switch opts.Algorithm {
-	case 0:
-		opts.Algorithm = maxflow.HaoOrlin
-	case maxflow.Dinic, maxflow.HaoOrlin:
-	default:
-		return nil, fmt.Errorf("connectivity: unknown max-flow algorithm %v", opts.Algorithm)
-	}
+	return MustNewEngine(opts), nil
+}
+
+// MustNewEngine returns an unbound Engine.
+func MustNewEngine(opts EngineOptions) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		algo:       opts.Algorithm,
 		maxWorkers: opts.Workers,
 		workers:    make([]engineWorker, opts.Workers),
 		rng:        rand.New(rand.NewSource(1)),
-	}, nil
-}
-
-// MustNewEngine is NewEngine for statically correct options.
-func MustNewEngine(opts EngineOptions) *Engine {
-	e, err := NewEngine(opts)
-	if err != nil {
-		panic(err)
 	}
-	return e
 }
 
 // Bind points the engine at g: it rebuilds the Even-transformed edge
@@ -385,11 +352,11 @@ func (e *Engine) isCompleteActive() bool {
 // graph.DiffSlotsInto computes), and order the new capture's compaction
 // map. Instead of rebuilding the Even transform and re-initializing every
 // sweep solver, it patches each live one's arc layout in place and
-// invalidates only the query-level caches the delta poisons (Dinic's
-// prepared-source BFS, the sweep solver's root labels). Tombstoned arc
-// slots preserve traversal order, so analyses after a RebindSlots are
-// bit-identical to analyses after a full Bind of the compacted graph —
-// the differential churn harness holds the two paths to that contract.
+// invalidates only the query-level caches the delta poisons (the sweep
+// solver's root labels). Tombstoned arc slots preserve traversal order,
+// so analyses after a RebindSlots are bit-identical to analyses after a
+// full Bind of the compacted graph — the differential churn harness
+// holds the two paths to that contract.
 //
 // The membership may have changed between the two captures — that is the
 // point: joins, leaves and strikes keep their slots' identities, so the
@@ -566,13 +533,14 @@ func (e *Engine) ensureCut() {
 // network, makes the next cut query build it again.
 func (e *Engine) CutNetworkBuilds() int { return e.cutBuilds }
 
-// solverFor returns worker w's solver, creating or rebinding it to the
-// current graph as needed.
+// solverFor returns worker w's sweep solver, creating or rebinding it to
+// the current graph as needed. Every sweep runs on the fixed-root
+// Hao–Orlin solver, whose MaxFlowLimit is exactly min(cap, kappa) here.
 func (e *Engine) solverFor(w int) maxflow.Solver {
 	ew := &e.workers[w]
 	if ew.solver == nil {
 		e.ensureEven()
-		ew.solver = e.algo.NewSolverSource(2*e.n, &e.evenSrc)
+		ew.solver = maxflow.NewHaoOrlinSource(2*e.n, &e.evenSrc)
 		ew.solverGen = e.gen
 	} else if ew.solverGen != e.gen {
 		e.ensureEven()
@@ -582,9 +550,9 @@ func (e *Engine) solverFor(w int) maxflow.Solver {
 	return ew.solver
 }
 
-// Analyze computes the connectivity of the bound graph: identical Min,
-// Avg, Pairs, Sources and MinPair for any worker count and algorithm
-// choice.
+// Analyze computes the connectivity of the bound graph over the sources
+// q.SampleFraction selects: identical Min, Avg, Pairs, Sources and
+// MinPair for any worker count.
 func (e *Engine) Analyze(q Query) Result {
 	if e.g == nil {
 		panic("connectivity: Engine.Analyze before Bind")
@@ -596,10 +564,7 @@ func (e *Engine) Analyze(q Query) Result {
 	if e.isCompleteActive() {
 		return Result{N: n, Min: n - 1, Avg: float64(n - 1), Complete: true, MinPair: [2]int{-1, -1}}
 	}
-	if q.Selection == 0 {
-		q.Selection = SmallestOutDegree
-	}
-	sources := e.pickSources(q.SampleFraction, q.Selection, q.SelectionSeed)
+	sources := e.pickSources(q.SampleFraction)
 	e.tasks = e.tasks[:0]
 	for _, s := range sources {
 		e.tasks = append(e.tasks, sweepTask{src: s, exact: !q.MinOnly})
@@ -611,13 +576,7 @@ func (e *Engine) Analyze(q Query) Result {
 	}
 	if q.MinOnly {
 		out.Avg = math.NaN()
-		if q.SkipMinPair {
-			out.MinPair = [2]int{-1, -1}
-		} else {
-			out.MinPair = e.resolveMinPair(e.tasks, e.results, out.Min)
-		}
-	} else if q.SkipMinPair {
-		out.MinPair = [2]int{-1, -1}
+		out.MinPair = e.resolveMinPair(e.tasks, e.results, out.Min)
 	}
 	return out
 }
@@ -625,11 +584,11 @@ func (e *Engine) Analyze(q Query) Result {
 // AnalyzeSnapshot runs the fused per-snapshot analysis: one sweep over
 // the union of the smallest-out-degree sources (pruned at the running
 // minimum, feeding Min — exactly a MinOnly Analyze) and the seeded
-// uniform sources (exact flows, feeding Avg — exactly a UniformRandom
-// Analyze). Fusing shares the Even transform, the solver pool and the
-// worker fan-out between the two measurements the paper plots, instead
-// of paying for each twice per snapshot. A MinOnly query runs the Min
-// half alone, for callers that read no Avg.
+// uniform sources (exact flows, feeding Avg). Fusing shares the Even
+// transform, the solver pool and the worker fan-out between the two
+// measurements the paper plots, instead of paying for each twice per
+// snapshot. A MinOnly query runs the Min half alone, for callers that
+// read no Avg.
 //
 // Answers are memoized per binding generation. An exact row — one
 // uniform source's flows to all its targets — and the Min of a given
@@ -1010,8 +969,9 @@ func sampleCount(c float64, n int) int {
 }
 
 // pickSources returns the flow sources (dense ranks) for one Analyze
-// query, reusing the engine's scratch buffers.
-func (e *Engine) pickSources(c float64, sel SourceSelection, seed int64) []int {
+// query, reusing the engine's scratch buffers: every vertex in rank order
+// for a full sweep, else the c*n with smallest out-degree.
+func (e *Engine) pickSources(c float64) []int {
 	n := e.nact
 	if c <= 0 || c >= 1 {
 		if cap(e.allBuf) < n {
@@ -1023,11 +983,7 @@ func (e *Engine) pickSources(c float64, sel SourceSelection, seed int64) []int {
 		}
 		return all
 	}
-	count := sampleCount(c, n)
-	if sel == UniformRandom {
-		return e.uniformSources(count, seed)
-	}
-	return e.smallestOutDegreeSources(count)
+	return e.smallestOutDegreeSources(sampleCount(c, n))
 }
 
 // smallestOutDegreeSources returns the count active vertices (as dense
@@ -1137,7 +1093,6 @@ func (e *Engine) PairCut(v, w int) ([]int, error) {
 // followed by a PairCut at the minimizing pair.
 func (e *Engine) GraphCut(q Query) (cut []int, pair [2]int, ok bool, err error) {
 	q.MinOnly = true
-	q.SkipMinPair = false
 	res := e.Analyze(q)
 	if res.Complete || res.MinPair[0] < 0 {
 		return nil, [2]int{}, false, nil

@@ -14,23 +14,29 @@ import (
 // differential-testing oracle: an independent, worker-pooled sweep with
 // its own source selection, MinOnly pruning and lexMinPair second pass.
 // The engine must reproduce its results — Min, Avg, Pairs, Sources and
-// MinPair — bit for bit on every option combination (see engine_test.go).
+// MinPair — bit for bit: Analyze for the smallest-out-degree sources,
+// AnalyzeSnapshot's Avg for the uniform ones (see engine_test.go).
 
 // referenceOptions is what the historical analysis was configured with:
-// the per-call Query plus the solver and worker pool of the sweep.
+// the per-call Query, the source selection and MinPair switch the engine
+// no longer exposes, and the solver and worker pool of the sweep.
 type referenceOptions struct {
 	Query
-	Algorithm maxflow.Algorithm
-	Workers   int
+	// Uniform draws the sources uniformly, seeded with Seed, instead of
+	// taking the c*n with smallest out-degree.
+	Uniform bool
+	Seed    int64
+	// SkipMinPair reports MinPair as {-1, -1}, as AnalyzeSnapshot's Min
+	// does.
+	SkipMinPair bool
+	Algorithm   maxflow.Algorithm
+	Workers     int
 }
 
 // referenceAnalyze is the historical construct-and-analyze entry point.
 func referenceAnalyze(opts referenceOptions, g *graph.Digraph) Result {
 	if opts.Algorithm == 0 {
 		opts.Algorithm = maxflow.Dinic
-	}
-	if opts.Selection == 0 {
-		opts.Selection = SmallestOutDegree
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -241,8 +247,8 @@ func referencePickSources(opts referenceOptions, g *graph.Digraph) []int {
 	if count > n {
 		count = n
 	}
-	if opts.Selection == UniformRandom {
-		r := rand.New(rand.NewSource(opts.SelectionSeed))
+	if opts.Uniform {
+		r := rand.New(rand.NewSource(opts.Seed))
 		return r.Perm(n)[:count]
 	}
 	order := make([]int, n)

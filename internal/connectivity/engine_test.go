@@ -22,13 +22,23 @@ func sameResult(a, b Result) bool {
 	return a.Avg == b.Avg
 }
 
+// engineAnswer asks eng the question opt puts to the reference: Analyze
+// for the smallest-out-degree sources, AnalyzeSnapshot's Avg for the
+// uniform ones.
+func engineAnswer(eng *Engine, opt referenceOptions) Result {
+	if opt.Uniform {
+		return eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: opt.SampleFraction, AvgSeed: opt.Seed}).Avg
+	}
+	return eng.Analyze(opt.Query)
+}
+
 // TestEngineMatchesReference is the equivalence property test: on random
-// digraphs, Engine.Analyze must reproduce the pre-engine sweep (kept
-// verbatim in engine_reference_test.go) across the whole option grid —
-// sampling modes, MinOnly pruning, MinPair on and off, both algorithms
-// (the zero Algorithm is the engine's Hao–Orlin default, checked against
-// the reference's Dinic), several worker counts — on a fresh bind and
-// when rebound repeatedly (the per-snapshot reuse pattern).
+// digraphs, the engine's Hao–Orlin sweeps must reproduce the pre-engine
+// Dinic sweep (kept verbatim in engine_reference_test.go) across the
+// whole query grid — full and sampled smallest-out-degree sources with
+// and without MinOnly pruning, uniform Avg sources — at several worker
+// counts, on a fresh bind and when rebound repeatedly (the per-snapshot
+// reuse pattern).
 func TestEngineMatchesReference(t *testing.T) {
 	graphs := []*graph.Digraph{
 		randomDigraph(11, 18, 60),
@@ -40,20 +50,17 @@ func TestEngineMatchesReference(t *testing.T) {
 		for _, opt := range []referenceOptions{
 			{Query: Query{SampleFraction: 1.0}},
 			{Query: Query{SampleFraction: 1.0, MinOnly: true}},
-			{Query: Query{SampleFraction: 1.0, MinOnly: true, SkipMinPair: true}},
 			{Query: Query{SampleFraction: 0.1, MinOnly: true}},
-			{Query: Query{SampleFraction: 0.15, Selection: UniformRandom, SelectionSeed: 5}},
-			{Query: Query{SampleFraction: 0.15, Selection: UniformRandom, SelectionSeed: 6, MinOnly: true}},
-			{Query: Query{SampleFraction: 0.2, SkipMinPair: true}},
-			{Query: Query{SampleFraction: 1.0, MinOnly: true}, Algorithm: maxflow.Dinic},
-			{Query: Query{SampleFraction: 0.1}, Algorithm: maxflow.Dinic},
+			{Query: Query{SampleFraction: 0.2}},
+			{Query: Query{SampleFraction: 0.15}, Uniform: true, Seed: 5},
+			{Query: Query{SampleFraction: 0.15}, Uniform: true, Seed: 6},
 		} {
 			want := referenceAnalyze(opt, g)
 			for _, workers := range []int{1, 3, 8} {
-				eng := MustNewEngine(EngineOptions{Algorithm: opt.Algorithm, Workers: workers})
+				eng := MustNewEngine(EngineOptions{Workers: workers})
 				for rep := 0; rep < 3; rep++ {
 					eng.Bind(g)
-					if got := eng.Analyze(opt.Query); !sameResult(got, want) {
+					if got := engineAnswer(eng, opt); !sameResult(got, want) {
 						t.Fatalf("graph %d opts %+v workers %d bind %d: engine %+v != reference %+v",
 							gi, opt, workers, rep, got, want)
 					}
@@ -65,19 +72,19 @@ func TestEngineMatchesReference(t *testing.T) {
 
 // TestAnalyzeSnapshotMatchesSeparateAnalyzers pins the fused sweep to
 // the two analyses it replaces: a MinOnly smallest-out-degree reference
-// run and an exact UniformRandom reference run, per snapshot seed.
+// run and an exact uniform-source reference run, per snapshot seed.
 func TestAnalyzeSnapshotMatchesSeparateAnalyzers(t *testing.T) {
 	eng := MustNewEngine(EngineOptions{Workers: 2})
 	for seed := int64(1); seed <= 5; seed++ {
 		g := randomDigraph(seed, 24, 120)
 		eng.Bind(g)
 		sr := eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.1, AvgSeed: seed * 31})
-		wantMin := referenceAnalyze(referenceOptions{Query: Query{
-			SampleFraction: 0.1, MinOnly: true, SkipMinPair: true,
-		}}, g)
-		wantAvg := referenceAnalyze(referenceOptions{Query: Query{
-			SampleFraction: 0.1, Selection: UniformRandom, SelectionSeed: seed * 31,
-		}}, g)
+		wantMin := referenceAnalyze(referenceOptions{
+			Query: Query{SampleFraction: 0.1, MinOnly: true}, SkipMinPair: true,
+		}, g)
+		wantAvg := referenceAnalyze(referenceOptions{
+			Query: Query{SampleFraction: 0.1}, Uniform: true, Seed: seed * 31,
+		}, g)
 		if !sameResult(sr.Min, wantMin) {
 			t.Fatalf("seed %d: fused Min %+v != reference %+v", seed, sr.Min, wantMin)
 		}
@@ -156,13 +163,13 @@ func TestEngineSelectionPrimitives(t *testing.T) {
 		g := randomDigraph(seed, 40, 260)
 		eng := MustNewEngine(EngineOptions{Workers: 1})
 		eng.Bind(g)
-		ref := referencePickSources(referenceOptions{Query: Query{SampleFraction: 0.2, Selection: SmallestOutDegree}}, g)
-		got := eng.pickSources(0.2, SmallestOutDegree, 0)
+		ref := referencePickSources(referenceOptions{Query: Query{SampleFraction: 0.2}}, g)
+		got := eng.pickSources(0.2)
 		if !equalInts(got, ref) {
 			t.Fatalf("seed %d: smallest-out-degree selection %v != reference %v", seed, got, ref)
 		}
-		ref = referencePickSources(referenceOptions{Query: Query{SampleFraction: 0.3, Selection: UniformRandom, SelectionSeed: seed * 7}}, g)
-		got = eng.pickSources(0.3, UniformRandom, seed*7)
+		ref = referencePickSources(referenceOptions{Query: Query{SampleFraction: 0.3}, Uniform: true, Seed: seed * 7}, g)
+		got = eng.uniformSources(sampleCount(0.3, g.N()), seed*7)
 		if !equalInts(got, ref) {
 			t.Fatalf("seed %d: uniform selection %v != rand.Perm reference %v", seed, got, ref)
 		}
@@ -189,17 +196,18 @@ func TestEngineDegenerateGraphs(t *testing.T) {
 	for _, g := range []*graph.Digraph{
 		graph.NewDigraph(0), graph.NewDigraph(1), complete, star,
 	} {
-		for _, q := range []Query{
-			{SampleFraction: 1.0, MinOnly: true},
-			{SampleFraction: 0.1},
-			{SampleFraction: 0.1, Selection: UniformRandom, SelectionSeed: 3},
+		eng := MustNewEngine(EngineOptions{})
+		for _, opt := range []referenceOptions{
+			{Query: Query{SampleFraction: 1.0, MinOnly: true}},
+			{Query: Query{SampleFraction: 0.1}},
+			{Query: Query{SampleFraction: 0.1}, Uniform: true, Seed: 3},
 		} {
-			want := referenceAnalyze(referenceOptions{Query: q}, g)
-			if got := analyze(g, EngineOptions{}, q); !sameResult(got, want) {
-				t.Fatalf("n=%d query %+v: engine %+v != reference %+v", g.N(), q, got, want)
+			want := referenceAnalyze(opt, g)
+			eng.Bind(g)
+			if got := engineAnswer(eng, opt); !sameResult(got, want) {
+				t.Fatalf("n=%d options %+v: engine %+v != reference %+v", g.N(), opt, got, want)
 			}
 		}
-		eng := MustNewEngine(EngineOptions{})
 		eng.Bind(g)
 		sr := eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.1, AvgSeed: 1})
 		if g.N() > 1 && g.N() != sr.Min.N {
@@ -250,7 +258,7 @@ func TestWarmStartConsistency(t *testing.T) {
 					continue
 				}
 				warm := solver.MaxFlow(graph.Out(src), graph.In(tgt))
-				want, err := Pair(g, src, tgt, maxflow.Dinic)
+				want, err := Pair(g, src, tgt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kadre/internal/graph"
-	"kadre/internal/maxflow"
 )
 
 // Metamorphic properties of the engine: relations between the answers to
@@ -38,7 +37,7 @@ func TestKappaBoundedByEndpointDegrees(t *testing.T) {
 				if s == tgt || g.HasEdge(s, tgt) {
 					continue
 				}
-				kappa, err := Pair(g, s, tgt, maxflow.HaoOrlin)
+				kappa, err := Pair(g, s, tgt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,7 +46,7 @@ func TestKappaBoundedByEndpointDegrees(t *testing.T) {
 				}
 			}
 		}
-		res := fullSweep(g, maxflow.HaoOrlin)
+		res := fullSweep(g)
 		if res.Complete {
 			return
 		}
@@ -68,7 +67,7 @@ func TestRelabellingInvariance(t *testing.T) {
 		for _, e := range g.Edges() {
 			renamed.AddEdge(perm[e.U], perm[e.V])
 		}
-		a, b := fullSweep(g, maxflow.HaoOrlin), fullSweep(renamed, maxflow.HaoOrlin)
+		a, b := fullSweep(g), fullSweep(renamed)
 		if a.Min != b.Min || a.Avg != b.Avg || a.Pairs != b.Pairs {
 			t.Fatalf("trial %d: relabelled sweep differs: Min %d/%d Avg %v/%v Pairs %d/%d",
 				trial, a.Min, b.Min, a.Avg, b.Avg, a.Pairs, b.Pairs)
@@ -80,10 +79,10 @@ func TestRelabellingInvariance(t *testing.T) {
 // vertex cut of D, so kappa(D-x) >= kappa(D) - 1 for every x.
 func TestVertexRemovalLowersKappaByAtMostOne(t *testing.T) {
 	forMetamorphicGraphs(103, func(trial int, g *graph.Digraph) {
-		whole := fullSweep(g, maxflow.HaoOrlin).Min
+		whole := fullSweep(g).Min
 		for x := 0; x < g.N(); x++ {
 			rest, _ := RemoveVertices(g, []int{x})
-			if got := fullSweep(rest, maxflow.HaoOrlin).Min; got < whole-1 {
+			if got := fullSweep(rest).Min; got < whole-1 {
 				t.Fatalf("trial %d: removing vertex %d drops kappa from %d to %d", trial, x, whole, got)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kadre/internal/graph"
-	"kadre/internal/maxflow"
 )
 
 // bruteLexMinPair finds the lexicographically smallest minimizing
@@ -28,7 +27,7 @@ func bruteLexMinPair(t *testing.T, g *graph.Digraph, sources []int) (int, [2]int
 			if tgt == src || g.HasEdge(src, tgt) {
 				continue
 			}
-			flow, err := Pair(g, src, tgt, maxflow.Dinic)
+			flow, err := Pair(g, src, tgt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +81,7 @@ func TestMinOnlyMinPairSampledSources(t *testing.T) {
 		g := randomSymmetricGraph(seed, 40, 280)
 		eng := MustNewEngine(EngineOptions{Workers: 1})
 		eng.Bind(g)
-		sources := append([]int(nil), eng.pickSources(0.1, SmallestOutDegree, 0)...)
+		sources := append([]int(nil), eng.pickSources(0.1)...)
 		wantMin, wantPair := bruteLexMinPair(t, g, sources)
 		for _, workers := range []int{1, 3, 8} {
 			res := analyze(g, EngineOptions{Workers: workers}, Query{SampleFraction: 0.1, MinOnly: true})
@@ -91,20 +90,6 @@ func TestMinOnlyMinPairSampledSources(t *testing.T) {
 					seed, workers, res.Min, res.MinPair, wantMin, wantPair)
 			}
 		}
-	}
-}
-
-// TestSkipMinPair pins the hot-path escape hatch: Min is unchanged and
-// no pair is reported.
-func TestSkipMinPair(t *testing.T) {
-	g := randomSymmetricGraph(3, 30, 180)
-	full := analyze(g, EngineOptions{}, Query{SampleFraction: 1.0, MinOnly: true})
-	skip := analyze(g, EngineOptions{}, Query{SampleFraction: 1.0, MinOnly: true, SkipMinPair: true})
-	if skip.Min != full.Min {
-		t.Fatalf("SkipMinPair changed Min: %d vs %d", skip.Min, full.Min)
-	}
-	if skip.MinPair != [2]int{-1, -1} {
-		t.Fatalf("SkipMinPair reported a pair: %v", skip.MinPair)
 	}
 }
 
@@ -120,7 +105,7 @@ func TestMinPairConnectivityMatchesMin(t *testing.T) {
 		if res.MinPair[0] < 0 {
 			continue
 		}
-		flow, err := Pair(g, res.MinPair[0], res.MinPair[1], maxflow.Dinic)
+		flow, err := Pair(g, res.MinPair[0], res.MinPair[1])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,11 +21,18 @@ func randomSymmetricGraph(seed int64, n, m int) *graph.Digraph {
 	return g
 }
 
+// uniformAvg is the Avg half of a fused snapshot analysis of g on a
+// throwaway engine: the exact sweep of ceil(c*n) sources drawn uniformly
+// with seed.
+func uniformAvg(g *graph.Digraph, c float64, seed int64) Result {
+	eng := MustNewEngine(EngineOptions{})
+	eng.Bind(g)
+	return eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: c, AvgSeed: seed}).Avg
+}
+
 func TestUniformRandomSelectionDeterministicPerSeed(t *testing.T) {
 	g := randomSymmetricGraph(70, 40, 200)
-	mk := func(seed int64) Result {
-		return analyze(g, EngineOptions{}, Query{SampleFraction: 0.1, Selection: UniformRandom, SelectionSeed: seed})
-	}
+	mk := func(seed int64) Result { return uniformAvg(g, 0.1, seed) }
 	a1, a2, b := mk(5), mk(5), mk(6)
 	if a1.Min != a2.Min || a1.Avg != a2.Avg || a1.Pairs != a2.Pairs {
 		t.Fatalf("same selection seed produced different results: %+v vs %+v", a1, a2)
@@ -56,7 +63,7 @@ func TestUniformAvgLessBiasedThanSmallestDout(t *testing.T) {
 	}
 	full := analyze(weak, EngineOptions{}, Query{SampleFraction: 1.0})
 	biased := analyze(weak, EngineOptions{}, Query{SampleFraction: 0.04})
-	uniform := analyze(weak, EngineOptions{}, Query{SampleFraction: 0.04, Selection: UniformRandom, SelectionSeed: 9})
+	uniform := uniformAvg(weak, 0.04, 9)
 	// The biased estimator's average must not exceed the uniform one by
 	// much, and it should typically sit below (its sources have the
 	// smallest out-degree, an upper bound on their flows).

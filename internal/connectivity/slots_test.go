@@ -146,8 +146,8 @@ func TestBindSlotsMatchesDenseBind(t *testing.T) {
 
 		mq := Query{SampleFraction: 0.5, MinOnly: true}
 		requireSameResult(t, "minonly", eng.Analyze(mq), ref.Analyze(mq))
-		fq := Query{Selection: UniformRandom, SelectionSeed: seed}
-		requireSameResult(t, "exact-uniform", eng.Analyze(fq), ref.Analyze(fq))
+		fq := Query{}
+		requireSameResult(t, "exact-full", eng.Analyze(fq), ref.Analyze(fq))
 
 		gotCut, gotPair, gotOK, err := eng.GraphCut(Query{SampleFraction: 0.5})
 		if err != nil {

@@ -10,9 +10,9 @@ import "fmt"
 // augmenting path at a time), and its residual-reachability API is what
 // cut extraction needs — the cut-mode network is always Dinic. For the
 // sweeps themselves, the fixed-root HaoOrlinSolver wins on wall-clock
-// (see BenchmarkMaxflowAlgorithms and the engine defaults); Dinic
-// remains the choice for single-pair queries (connectivity.Pair's
-// default) and cut extraction.
+// (see BenchmarkMaxflowAlgorithms), so every connectivity.Engine sweep
+// runs on it; Dinic is the solver of single-pair queries
+// (connectivity.Pair), of cut extraction, and the tests' reference.
 //
 // Two sweep-oriented optimizations apply on top of the textbook
 // algorithm. Queries restore only the residual capacities they actually

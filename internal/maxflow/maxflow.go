@@ -183,18 +183,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// ParseAlgorithm converts a name to an Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "dinic":
-		return Dinic, nil
-	case "hao-orlin", "haoorlin":
-		return HaoOrlin, nil
-	default:
-		return 0, fmt.Errorf("maxflow: unknown algorithm %q", s)
-	}
-}
-
 // NewSolver builds a solver of the requested algorithm.
 func (a Algorithm) NewSolver(n int, edges []Edge) Solver {
 	return a.NewSolverSource(n, EdgeSlice(edges))
@@ -202,8 +190,7 @@ func (a Algorithm) NewSolver(n int, edges []Edge) Solver {
 
 // NewSolverSource builds a solver of the requested algorithm from an
 // EdgeSource. An Algorithm that is neither Dinic nor HaoOrlin is a
-// programming error (names from outside go through ParseAlgorithm,
-// options through connectivity.NewEngine) and panics.
+// programming error and panics.
 func (a Algorithm) NewSolverSource(n int, edges EdgeSource) Solver {
 	switch a {
 	case Dinic:

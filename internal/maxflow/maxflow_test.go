@@ -322,30 +322,13 @@ func TestInvalidEdgesPanic(t *testing.T) {
 	})
 }
 
-func TestParseAlgorithm(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want Algorithm
-	}{{"dinic", Dinic}, {"hao-orlin", HaoOrlin}, {"haoorlin", HaoOrlin}} {
-		got, err := ParseAlgorithm(tt.in)
-		if err != nil || got != tt.want {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v", tt.in, got, err)
-		}
-	}
-	for _, name := range []string{"simplex", "push-relabel", "hipr", ""} {
-		if _, err := ParseAlgorithm(name); err == nil {
-			t.Errorf("ParseAlgorithm(%q): expected an unknown-algorithm error", name)
-		}
-	}
+// TestAlgorithmNewSolver pins the enum's names and its mapping to
+// solvers, including that a value outside the enum panics instead of
+// silently building a Dinic solver.
+func TestAlgorithmNewSolver(t *testing.T) {
 	if Dinic.String() != "dinic" || HaoOrlin.String() != "hao-orlin" {
 		t.Error("String() names wrong")
 	}
-}
-
-// TestAlgorithmNewSolver pins the enum-to-solver mapping, including that
-// a value outside the enum panics instead of silently building a Dinic
-// solver (0 is "unset": callers default it before they get here).
-func TestAlgorithmNewSolver(t *testing.T) {
 	edges := []Edge{{0, 1, 1}}
 	if _, ok := Dinic.NewSolver(2, edges).(*DinicSolver); !ok {
 		t.Error("Dinic.NewSolver wrong type")

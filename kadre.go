@@ -33,7 +33,6 @@ import (
 	"kadre/internal/graph"
 	"kadre/internal/id"
 	"kadre/internal/kademlia"
-	"kadre/internal/maxflow"
 	"kadre/internal/scenario"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
@@ -100,8 +99,8 @@ func NewNode(cfg NodeConfig, addr Addr, net *Network) (*Node, error) {
 type (
 	// Graph is a directed connectivity graph.
 	Graph = graph.Digraph
-	// ConnectivityQuery selects what one analysis computes (sampling
-	// fraction and strategy, Min-only pruning).
+	// ConnectivityQuery selects what one analysis computes: the sampling
+	// fraction c of smallest-out-degree sources, and Min-only pruning.
 	ConnectivityQuery = connectivity.Query
 	// ConnectivityResult reports min/avg connectivity of one graph.
 	ConnectivityResult = connectivity.Result
@@ -130,7 +129,7 @@ func VertexConnectivity(g *Graph) int {
 
 // PairConnectivity computes kappa(v, w) for one non-adjacent pair.
 func PairConnectivity(g *Graph, v, w int) (int, error) {
-	return connectivity.Pair(g, v, w, maxflow.Dinic)
+	return connectivity.Pair(g, v, w)
 }
 
 // Resilience converts a connectivity into the number of compromised nodes
