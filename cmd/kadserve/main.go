@@ -1,10 +1,10 @@
 // Command kadserve is the long-running resilience-query service: a
 // Kademlia resilience engine kept warm behind an HTTP API. Where the
-// batch CLIs (kadsweep, kadattack) pay a full simulation per run,
-// kadserve keeps every finished run's analysis state — the connectivity
-// engine bound to the final topology, with the answers it memoized but
-// without its solvers — resident in a shared LRU arena, so repeated or
-// overlapping queries answer from memory without a single re-bind.
+// batch CLI (kadsweep) pays a full simulation per run, kadserve keeps
+// every finished run's analysis state — the connectivity engine bound to
+// the final topology, with the answers it memoized but without its
+// solvers — resident in a shared LRU arena, so repeated or overlapping
+// queries answer from memory without a single re-bind.
 //
 // Queries are adaptively replicated: replication stops as soon as the
 // Student-t 95% confidence interval decides the query's threshold (or

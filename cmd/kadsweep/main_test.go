@@ -5,14 +5,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"kadre/internal/batch"
 	"kadre/internal/scenario"
 	"kadre/internal/sweep"
+	"kadre/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -107,7 +108,7 @@ func TestRunFigure2TinyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(rawData), "t_min,n,edges,min_conn,avg_conn,symmetry") {
+	if !strings.HasPrefix(string(rawData), "t_min,n,edges,min_conn,avg_conn,symmetry,removed,scc_frac\n") {
 		t.Fatalf("per-run csv header wrong: %q", strings.SplitN(string(rawData), "\n", 2)[0])
 	}
 	if len(strings.Split(strings.TrimSpace(string(rawData)), "\n")) < 3 {
@@ -162,79 +163,98 @@ func TestRunFigure2TinyEndToEnd(t *testing.T) {
 // TestGoldenTinyFigure2 pins the numeric output of the tiny figure2
 // sweep byte for byte (the ROADMAP's "numeric regression pinning"):
 // simulator, analyzer, or sweep refactors that shift any measured value
-// fail here first. Regenerate with: go test ./cmd/kadsweep -run Golden
-// -update
+// fail here first. The document carries no worker count, so -jobs 2 and
+// the default -jobs must both write the fixture's bytes, which the CI
+// scenario-spec smoke step diffs its CLI run against too. Regenerate
+// with: go test ./cmd/kadsweep -run Golden -update
 func TestGoldenTinyFigure2(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	args := []string{"-exp", "figure2", "-scale", "tiny", "-jobs", "2", "-quiet", "-json", dir}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	// One rep goes through the same render body as a replicated sweep and
-	// shows nothing that needs a second run.
-	out := buf.String()
-	for _, want := range []string{
-		" — minimum connectivity\n", " — average connectivity\n", "  * SimA/k=5/min\n",
-		"\nSimA/k=5\nt(min)  n     minConn  avgConn\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-	for _, not := range []string{"ci95", "mean of reps", "95% CI", "reps)"} {
-		if strings.Contains(out, not) {
-			t.Fatalf("one-rep output contains %q:\n%s", not, out)
-		}
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "figure2_tiny.golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+	golden := filepath.Join("testdata", "figure2_tiny_jobs0.golden.json")
+	for i, jobs := range [][]string{{"-jobs", "2"}, nil} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		args := append([]string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}, jobs...)
+		if err := run(args, &buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+		// One rep goes through the same render body as a replicated sweep
+		// and shows nothing that needs a second run.
+		out := buf.String()
+		for _, want := range []string{
+			" — minimum connectivity\n", " — average connectivity\n", "  * SimA/k=5/min\n",
+			"\nSimA/k=5\nt(min)  n     minConn  avgConn\n",
+		} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("output missing %q:\n%s", want, out)
+			}
+		}
+		for _, not := range []string{"ci95", "mean of reps", "95% CI", "reps)"} {
+			if strings.Contains(out, not) {
+				t.Fatalf("one-rep output contains %q:\n%s", not, out)
+			}
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("tiny figure2 sweep drifted from golden fixture %s (run with -update to regenerate after intentional changes)", golden)
+		if *update && i == 0 {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("tiny figure2 sweep %v drifted from golden fixture %s (run with -update to regenerate after intentional changes)", jobs, golden)
+		}
 	}
 }
 
-// TestCheckpointFlag exercises -checkpoint end to end: the second
-// invocation replays all runs from disk and renders identically.
+// TestCheckpointFlag exercises -checkpoint end to end on the attack
+// experiment: the second invocation replays every run from disk, from
+// files under the experiment's subdirectory, and renders identically.
 func TestCheckpointFlag(t *testing.T) {
 	ckpt := t.TempDir()
 	var first, second bytes.Buffer
-	args := []string{"-exp", "figure2", "-scale", "tiny", "-checkpoint", ckpt}
+	args := []string{"-exp", "attack", "-scale", "tiny", "-checkpoint", ckpt}
 	if err := run(args, &first); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(first.String(), "(checkpoint)") {
+		t.Fatal("first run claims checkpoint replays")
 	}
 	if err := run(args, &second); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(second.String(), "(checkpoint)"); got != 4 {
-		t.Fatalf("second run replayed %d runs from checkpoints, want 4", got)
+		t.Fatalf("second run replayed %d runs from checkpoints, want 4:\n%s", got, second.String())
 	}
-	files, err := filepath.Glob(filepath.Join(ckpt, "*.ckpt.json"))
+	files, err := filepath.Glob(filepath.Join(ckpt, "attack", "*.ckpt.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != 4 {
 		t.Fatalf("got %d checkpoint files, want 4", len(files))
 	}
+	// Replayed rendering must match the fresh rendering, apart from the
+	// progress lines and the finish line, which carry wall-clock timings.
+	trim := func(s string) string {
+		var keep []string
+		for _, line := range strings.Split(s, "\n") {
+			if !strings.HasPrefix(line, "  [") && !strings.HasPrefix(line, "--- attack finished in") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	if trim(first.String()) != trim(second.String()) {
+		t.Fatalf("resumed rendering differs:\n--- fresh ---\n%s\n--- resumed ---\n%s", first.String(), second.String())
+	}
 }
 
-// TestRunErrors covers kadsweep's own flags; the shared flags' validation
-// is tested once, in internal/batch.
+// TestRunErrors covers the choice of what to run; TestFlagValidation
+// covers the flag values.
 func TestRunErrors(t *testing.T) {
 	discard := &bytes.Buffer{}
 	if err := run([]string{}, discard); err == nil {
@@ -251,20 +271,20 @@ func TestRunErrors(t *testing.T) {
 // order afterwards. (-exp all itself routes through the same
 // sweepExperiments call with the full catalogue.)
 func TestRunPooledExperiments(t *testing.T) {
-	b := batch.Register(flag.NewFlagSet("kadsweep", flag.ContinueOnError))
-	if err := b.Parse([]string{"-scale", "tiny", "-jobs", "4"}); err != nil {
+	f, err := parseFlags([]string{"-scale", "tiny", "-jobs", "4"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var exps []scenario.Experiment
 	for _, id := range []string{"figure2", "figure3"} {
-		exp, err := b.Scale.ExperimentByID(id, b.Seed)
+		exp, err := f.scale.ExperimentByID(id, f.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		exps = append(exps, exp)
 	}
 	var buf bytes.Buffer
-	if err := sweepExperiments(&buf, b, 0, exps...); err != nil {
+	if err := sweepExperiments(&buf, f, exps...); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -328,18 +348,9 @@ func TestCIStopAdaptiveSweep(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", title, out)
 		}
 	}
-	// Adaptive stop indices depend only on seeds and statistics: modulo
-	// the informational jobs field in the metadata, the serialized
-	// artefact is identical under a different -jobs.
-	_, doc1 := runOnce("1")
-	var file1 sweep.JSONFile
-	if err := json.Unmarshal(doc1, &file1); err != nil {
-		t.Fatal(err)
-	}
-	file.Jobs, file1.Jobs = 0, 0
-	norm, _ := json.Marshal(file)
-	norm1, _ := json.Marshal(file1)
-	if !bytes.Equal(norm, norm1) {
+	// Adaptive stop indices depend only on seeds and statistics, so the
+	// serialized artefact is identical under a different -jobs.
+	if _, doc1 := runOnce("1"); !bytes.Equal(doc, doc1) {
 		t.Fatal("adaptive JSON differs between -jobs 4 and -jobs 1")
 	}
 }
@@ -452,32 +463,299 @@ func TestScenarioFlagErrors(t *testing.T) {
 	}
 }
 
-// TestGoldenTinyFigure2DefaultJobs pins the default-jobs (-jobs 0)
-// variant of the tiny figure2 document — the bytes the CI scenario-spec
-// smoke step diffs its CLI runs against. Identical to the -jobs 2
-// fixture except the informational jobs field. Regenerate together with
-// the other goldens: go test ./cmd/kadsweep -run Golden -update
-func TestGoldenTinyFigure2DefaultJobs(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}
-	if err := run(args, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "figure2_tiny_jobs0.golden.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
+// TestFlagValidation is the one table over the flag values rejected
+// before anything runs.
+func TestFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-reps", "0"}, "-reps 0 must be >= 1"},
+		{[]string{"-jobs", "-1"}, "-jobs -1 must be >= 0"},
+		{[]string{"-scale", "galactic"}, "galactic"},
+		{[]string{"-no-such-flag"}, "not defined"},
+		// The attack experiment's former flags are spec fields now.
+		{[]string{"-strategies", "cutset"}, "not defined"},
+		{[]string{"-budget", "10"}, "not defined"},
+		{[]string{"-interval", "4m"}, "not defined"},
+	} {
+		if _, err := parseFlags(append(tc.args, "-exp", "attack")); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: err = %v, want one containing %q", tc.args, err, tc.want)
 		}
 	}
-	want, err := os.ReadFile(golden)
+
+	f, err := parseFlags([]string{"-scale", "tiny", "-seed", "7", "-reps", "3", "-jobs", "2", "-quiet"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("default-jobs tiny figure2 drifted from golden fixture %s (run with -update to regenerate after intentional changes)", golden)
+	if f.scale.Name != "tiny" || f.seed != 7 || f.reps != 3 || f.jobs != 2 || !f.quiet {
+		t.Fatalf("parsed flags wrong: %+v", f)
+	}
+	if f, err = parseFlags(nil); err != nil || f.scale.Name != "reduced" || f.seed != 1 || f.reps != 1 {
+		t.Fatalf("defaults wrong: %+v, err %v", f, err)
+	}
+}
+
+func writeSpec(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestLoadScenario(t *testing.T) {
+	const runs = `"runs": [{"name": "A/k=5", "k": 5, "traffic": false}]`
+
+	f, _ := parseFlags([]string{"-scenario", filepath.Join(t.TempDir(), "absent.json")})
+	if _, err := f.loadScenario(); err == nil {
+		t.Error("unreadable -scenario should fail")
+	}
+	f, _ = parseFlags([]string{"-scenario", writeSpec(t, `{"version": 1, "id": "x", "scale": "galactic", `+runs+`}`)})
+	if _, err := f.loadScenario(); err == nil || !strings.Contains(err.Error(), "galactic") {
+		t.Errorf("spec pinning an unknown scale: err = %v", err)
+	}
+
+	// A scale the spec pins wins over -scale; without one -scale applies.
+	pinned := writeSpec(t, `{"version": 1, "id": "x", "scale": "tiny", `+runs+`}`)
+	free := writeSpec(t, `{"version": 1, "id": "x", `+runs+`}`)
+	for _, tc := range []struct{ file, flag, want string }{
+		{pinned, "reduced", "tiny"},
+		{free, "reduced", "reduced"},
+		{free, "tiny", "tiny"},
+	} {
+		f, err := parseFlags([]string{"-scenario", tc.file, "-scale", tc.flag, "-seed", "5"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := f.loadScenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.scale.Name != tc.want || exp.Configs[0].Size != f.scale.Small {
+			t.Errorf("-scale %s with %s: scale %q size %d, want scale %q size %d",
+				tc.flag, filepath.Base(tc.file), f.scale.Name, exp.Configs[0].Size, tc.want, f.scale.Small)
+		}
+		if exp.ID != "x" || exp.Configs[0].Seed != 5 {
+			t.Errorf("experiment resolved wrong: id %q seed %d", exp.ID, exp.Configs[0].Seed)
+		}
+	}
+}
+
+func TestCSVPath(t *testing.T) {
+	for _, tc := range []struct {
+		rep          int
+		suffix, want string
+	}{
+		{0, ".csv", "SimA_k5.csv"},
+		{2, ".csv", "SimA_k5_r2.csv"},
+		{0, "_agg.csv", "SimA_k5_agg.csv"},
+	} {
+		if got := csvPath("out", "SimA/k=5", tc.rep, tc.suffix); got != filepath.Join("out", tc.want) {
+			t.Errorf("csvPath(rep %d, %q) = %q, want %q", tc.rep, tc.suffix, got, tc.want)
+		}
+	}
+}
+
+// TestPrepareFailsBeforeTheSweep pins that an output directory that cannot
+// be created is reported up front.
+func TestPrepareFailsBeforeTheSweep(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := parseFlags([]string{"-json", filepath.Join(blocker, "sub")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.prepare(); err == nil {
+		t.Fatal("prepare must fail when -json cannot be created")
+	}
+}
+
+// TestPooledCSVLayout pins that a pooled sweep keeps every experiment's
+// CSVs: two experiments that share a run name under different seeds (as
+// table2 shares figure6-9's) each write into their own subdirectory.
+func TestPooledCSVLayout(t *testing.T) {
+	dir := t.TempDir()
+	f, err := parseFlags([]string{"-scale", "tiny", "-quiet", "-csv", dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exps []scenario.Experiment
+	for i, id := range []string{"first", "second"} {
+		sp, err := workload.Decode([]byte(fmt.Sprintf(`{"version": 1, "id": %q, "runs": [{"name": "R/k=5", "k": 5,
+			"traffic": false, "size": 16, "stabilize_minutes": 10, "seed_offset": %d}]}`, id, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := scenario.FromSpec(sp, f.scale, f.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, exp)
+	}
+	if err := sweepExperiments(io.Discard, f, exps...); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(filepath.Join(dir, "first", "R_k5.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadFile(filepath.Join(dir, "second", "R_k5.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(first, second) {
+		t.Fatal("runs of different seeds wrote identical CSVs")
+	}
+	if top, _ := filepath.Glob(filepath.Join(dir, "*.csv")); len(top) != 0 {
+		t.Fatalf("pooled sweep wrote CSVs at the top level: %v", top)
+	}
+}
+
+// TestAttackEndToEnd is the attack experiment's acceptance run: all four
+// strategies at tiny scale must produce byte-identical artefacts across
+// -jobs values, render as degradation curves, and the cutset adversary
+// must degrade connectivity at least as fast as the random baseline.
+func TestAttackEndToEnd(t *testing.T) {
+	dir1, dir2 := t.TempDir(), t.TempDir()
+	artefacts := func(dir, jobs string) string {
+		var buf bytes.Buffer
+		args := []string{"-exp", "attack", "-scale", "tiny", "-quiet", "-csv", dir, "-json", dir, "-jobs", jobs}
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	out := artefacts(dir1, "1")
+	artefacts(dir2, "8")
+
+	// Rendering: both degradation charts, the summary and the per-run
+	// tables — and, at one rep, nothing that needs a second run.
+	for _, want := range []string{
+		" — min connectivity vs removed\n", " — largest-SCC fraction\n", "20 removed\n",
+		"\nAttack summary\n", "FinalSCC  Disconn(min)\n", "\nAttack/cutset\nt(min)  n ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, not := range []string{"ci95", "mean of reps", "95% CI", "cross-replication", " — minimum connectivity\n"} {
+		if strings.Contains(out, not) {
+			t.Fatalf("one-rep attack output contains %q:\n%s", not, out)
+		}
+	}
+
+	// Byte-identical artefacts regardless of worker count.
+	files, err := filepath.Glob(filepath.Join(dir1, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 6 { // 4 per-strategy CSVs + summary CSV + attack.json
+		t.Fatalf("got %d artefacts, want 6: %v", len(files), files)
+	}
+	for _, f1 := range files {
+		b1, err := os.ReadFile(f1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2, err := os.ReadFile(filepath.Join(dir2, filepath.Base(f1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("%s differs between -jobs 1 and -jobs 8", filepath.Base(f1))
+		}
+	}
+	summary, err := os.ReadFile(filepath.Join(dir1, "attack_summary.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(summary), "strategy,reps,removed_mean,churn_window_min_mean,final_min_mean,final_scc_mean\nrandom,1,") {
+		t.Fatalf("attack summary wrong:\n%s", summary)
+	}
+
+	// Parse the JSON document and compare strategies on the attack
+	// window: the cutset adversary's min-connectivity area must not
+	// exceed the random baseline's.
+	data, err := os.ReadFile(filepath.Join(dir1, "attack.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc sweep.JSONFile
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Runs) != 4 {
+		t.Fatalf("got %d runs, want 4 strategies", len(doc.Runs))
+	}
+	area := map[string]float64{}
+	for _, run := range doc.Runs {
+		strategy := strings.TrimPrefix(run.Name, "Attack/")
+		if run.Attack == "" {
+			t.Fatalf("run %q missing attack description", run.Name)
+		}
+		rep := run.Reps[0]
+		if rep.AttackRemoved == 0 || len(rep.Victims) != rep.AttackRemoved {
+			t.Fatalf("run %q: removed %d, victim log %d", run.Name, rep.AttackRemoved, len(rep.Victims))
+		}
+		attacked := false
+		for _, p := range rep.Points {
+			if p.Removed > 0 {
+				attacked = true
+				area[strategy] += float64(p.Min)
+			}
+		}
+		if !attacked {
+			t.Fatalf("run %q has no post-attack snapshot", run.Name)
+		}
+	}
+	if area["cutset"] > area["random"] {
+		t.Fatalf("cutset min-connectivity area %.1f exceeds random baseline %.1f — the targeted adversary must degrade at least as fast",
+			area["cutset"], area["random"])
+	}
+}
+
+// TestGoldenTinyAttack pins the numeric output of the tiny attack runs
+// byte for byte: all four strategies of the catalogue experiment, the
+// cutset run alone (testdata/attack_tiny_cutset.json: the catalogue
+// experiment with only that run), and the cutset adversary under churn
+// (testdata/attack_tiny_cutset_churn.json: joins and leaves between
+// strikes, the second run with traffic and two kills per strike).
+// Victims are ranks of one dense capture per strike; simulator, analyzer
+// or adversary refactors that shift any measured value fail here first.
+// Regenerate with: go test ./cmd/kadsweep -run Golden -update
+func TestGoldenTinyAttack(t *testing.T) {
+	for _, tt := range []struct {
+		golden, doc string
+		args        []string
+	}{
+		{"attack_tiny.golden.json", "attack.json", []string{"-exp", "attack"}},
+		{"attack_tiny_cutset.golden.json", "attack.json", []string{"-scenario", filepath.Join("testdata", "attack_tiny_cutset.json"), "-jobs", "2"}},
+		{"attack_tiny_cutset_churn.golden.json", "attack-cutset-churn.json", []string{"-scenario", filepath.Join("testdata", "attack_tiny_cutset_churn.json")}},
+	} {
+		dir := t.TempDir()
+		if err := run(append(tt.args, "-scale", "tiny", "-quiet", "-json", dir), &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, tt.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := filepath.Join("testdata", tt.golden)
+		if *update {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("tiny attack run %v drifted from golden fixture %s (run with -update to regenerate after intentional changes)", tt.args, golden)
+		}
 	}
 }

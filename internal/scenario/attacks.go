@@ -39,14 +39,14 @@ func strikesIn(window, interval time.Duration) int {
 }
 
 // adversary is the one adversary-defaulting rule: every declared attack —
-// a spec file's (the catalogue's attack experiment and kadattack's
-// -budget/-interval overrides of it included) or a kadserve query's
-// block — completes through it in ResolveRun. Unset (non-positive) fields of a take the
-// canonical adversary for a network of the given size attacked through
-// the given churn window: strikes every attackInterval, a budget of half
-// the nodes (enough to shatter any strategy's target structure while
-// leaving a measurable remnant), and the per-strike kill count that just
-// exhausts the budget over the strikes that fit the window.
+// a spec file's (the catalogue's attack experiment included) or a
+// kadserve query's block — completes through it in ResolveRun. Unset
+// (non-positive) fields of a take the canonical adversary for a network
+// of the given size attacked through the given churn window: strikes
+// every attackInterval, a budget of half the nodes (enough to shatter any
+// strategy's target structure while leaving a measurable remnant), and
+// the per-strike kill count that just exhausts the budget over the
+// strikes that fit the window.
 func (s Scale) adversary(a attack.Config, size int, window time.Duration) attack.Config {
 	if a.Interval <= 0 {
 		a.Interval = s.attackInterval()

@@ -19,8 +19,8 @@ import (
 // produces byte-identical CSV/JSON artefacts, and a field added to Result
 // resumes without an edit here. Wall-clock Elapsed is deliberately not
 // stored (it is excluded from all deterministic outputs). Files are keyed
-// by run name, replication index, and derived seed, and carry a
-// fingerprint of the effective configuration; Load says what a mismatch
+// by experiment, run name, replication index, and derived seed, and carry
+// a fingerprint of the effective configuration; Load says what a mismatch
 // means.
 type Checkpointer struct {
 	dir string
@@ -94,13 +94,21 @@ func sanitize(name string) string {
 	}, name)
 }
 
-func (c *Checkpointer) path(cfg scenario.Config, rep int) string {
-	return filepath.Join(c.dir, fmt.Sprintf("%s_r%d_s%d.ckpt.json", sanitize(cfg.Name), rep, cfg.Seed))
+// path files a run under its experiment's subdirectory, so two experiments
+// may reuse a run name and seed (the catalogue's figure6 and table2 both
+// define SimE/k=5 at seed offset 0); a run outside any experiment ("")
+// lies in the directory itself.
+func (c *Checkpointer) path(exp string, cfg scenario.Config, rep int) string {
+	file := fmt.Sprintf("%s_r%d_s%d.ckpt.json", sanitize(cfg.Name), rep, cfg.Seed)
+	if exp == "" {
+		return filepath.Join(c.dir, file)
+	}
+	return filepath.Join(c.dir, sanitize(exp), file)
 }
 
-// Store persists one completed run. cfg must be the job's config (its
-// Seed already derived for the replication).
-func (c *Checkpointer) Store(cfg scenario.Config, rep int, r *scenario.Result) error {
+// Store persists one completed run of experiment exp. cfg must be the
+// job's config (its Seed already derived for the replication).
+func (c *Checkpointer) Store(exp string, cfg scenario.Config, rep int, r *scenario.Result) error {
 	eff := cfg.WithDefaults()
 	out := ckptFile{
 		Name: cfg.Name, Rep: rep, Seed: eff.Seed, Fingerprint: Fingerprint(eff),
@@ -112,27 +120,32 @@ func (c *Checkpointer) Store(cfg scenario.Config, rep int, r *scenario.Result) e
 	}
 	// Write-then-rename so a crash mid-write leaves no half checkpoint
 	// that a resume would have to distrust.
-	tmp := c.path(cfg, rep) + ".tmp"
+	path := c.path(exp, cfg, rep)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("sweep: checkpoint %s rep %d: %w", cfg.Name, rep, err)
+	}
+	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("sweep: checkpoint %s rep %d: %w", cfg.Name, rep, err)
 	}
-	if err := os.Rename(tmp, c.path(cfg, rep)); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("sweep: checkpoint %s rep %d: %w", cfg.Name, rep, err)
 	}
 	return nil
 }
 
-// Load reconstructs a previously stored run. It reports (nil, false,
+// Load reconstructs a previously stored run of experiment exp. It reports (nil, false,
 // nil) when no usable checkpoint exists — missing, unreadable, or keyed
 // to a different run — and the sweep simply re-executes. But a
-// checkpoint that IS this run's (name, rep, seed match) while its
+// checkpoint that IS this run's (experiment, name, rep, seed match) while its
 // configuration fingerprint or scenario-spec digest differs means the
 // experiment definition changed since the checkpoint was written;
 // silently re-running (or worse, replaying) would mix results from two
 // different experiments into one artefact, so Load fails loudly instead
 // and the caller aborts the sweep.
-func (c *Checkpointer) Load(cfg scenario.Config, rep int) (*scenario.Result, bool, error) {
-	data, err := os.ReadFile(c.path(cfg, rep))
+func (c *Checkpointer) Load(exp string, cfg scenario.Config, rep int) (*scenario.Result, bool, error) {
+	path := c.path(exp, cfg, rep)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, nil
 	}
@@ -151,12 +164,12 @@ func (c *Checkpointer) Load(cfg scenario.Config, rep int) (*scenario.Result, boo
 	if in.Fingerprint != Fingerprint(eff) {
 		return nil, false, fmt.Errorf(
 			"sweep: checkpoint %s holds run %q rep %d under a different experiment definition (checkpoint %q, current %q): the config or spec changed since the sweep was checkpointed — use a fresh checkpoint directory or delete the stale files",
-			c.path(cfg, rep), cfg.Name, rep, in.Fingerprint, Fingerprint(eff))
+			path, cfg.Name, rep, in.Fingerprint, Fingerprint(eff))
 	}
 	if in.SpecDigest != "" && eff.SpecDigest != "" && in.SpecDigest != eff.SpecDigest {
 		return nil, false, fmt.Errorf(
 			"sweep: checkpoint %s was written from scenario spec digest %s but the current spec digests to %s: the spec file changed since the sweep was checkpointed — use a fresh checkpoint directory or delete the stale files",
-			c.path(cfg, rep), in.SpecDigest, eff.SpecDigest)
+			path, in.SpecDigest, eff.SpecDigest)
 	}
 	in.Result.Config = eff
 	return in.Result, true, nil

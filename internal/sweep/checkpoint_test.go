@@ -197,6 +197,54 @@ func TestCheckpointRefusesMutatedSpec(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeysRunsByExperiment pins that a checkpoint belongs to its
+// experiment: two groups of one pooled sweep may each define a run of the
+// same name and seed (the catalogue's figure6 and table2 both hold
+// SimE/k=5 at seed offset 0) resolved from different spec files. Neither
+// may read the other's checkpoint as its own: a fresh directory sweeps
+// both, and a second call replays both.
+func TestCheckpointKeysRunsByExperiment(t *testing.T) {
+	groups := func() []Group {
+		a, b := ckptConfigs()[:1], ckptConfigs()[:1]
+		a[0].SpecDigest, b[0].SpecDigest = "aaaa1111", "bbbb2222"
+		return []Group{{Name: "figureA", Configs: a}, {Name: "tableB", Configs: b}}
+	}
+	ckpt, err := NewCheckpointer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := 0
+	opts := Options{Checkpoint: ckpt, Progress: func(ev Event) {
+		if ev.Cached {
+			cached++
+		}
+	}}
+	documents := func() [][]byte {
+		t.Helper()
+		sets, err := RunGroups(groups(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs := make([][]byte, len(sets))
+		for i, g := range sets {
+			var buf bytes.Buffer
+			if err := WriteJSON(&buf, JSONMeta{Experiment: "ckpt"}, g); err != nil {
+				t.Fatal(err)
+			}
+			docs[i] = buf.Bytes()
+		}
+		return docs
+	}
+	fresh := documents()
+	if cached != 0 {
+		t.Fatalf("fresh directory replayed %d runs, want 0", cached)
+	}
+	if resumed := documents(); cached != 2 || !reflect.DeepEqual(fresh, resumed) {
+		t.Fatalf("resume replayed %d runs (want both), documents equal to fresh: %v",
+			cached, reflect.DeepEqual(fresh, resumed))
+	}
+}
+
 func TestCheckpointIgnoresCorruptFile(t *testing.T) {
 	ckpt, err := NewCheckpointer(t.TempDir())
 	if err != nil {
@@ -282,10 +330,10 @@ func TestCheckpointRoundTripsEveryResultField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Store(cfg, 0, stored); err != nil {
+	if err := ckpt.Store("", cfg, 0, stored); err != nil {
 		t.Fatal(err)
 	}
-	loaded, ok, err := ckpt.Load(cfg, 0)
+	loaded, ok, err := ckpt.Load("", cfg, 0)
 	if err != nil || !ok {
 		t.Fatalf("Load = ok %v, err %v; want a replay", ok, err)
 	}

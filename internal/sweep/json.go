@@ -21,7 +21,6 @@ type JSONFile struct {
 	Title      string    `json:"title"`
 	Scale      string    `json:"scale,omitempty"`
 	Reps       int       `json:"reps"`
-	Jobs       int       `json:"jobs,omitempty"`
 	Runs       []JSONRun `json:"runs"`
 }
 
@@ -141,12 +140,12 @@ func aggPoints(a *stats.AggregateSeries) []JSONAggPoint {
 	return out
 }
 
-// JSONMeta labels a document; Scale and Jobs are informational only.
+// JSONMeta labels a document; Scale is informational only. No worker
+// count goes in, so a sweep's document is the same for any -jobs value.
 type JSONMeta struct {
 	Experiment string
 	Title      string
 	Scale      string
-	Jobs       int
 }
 
 // BuildJSON assembles the document for a finished sweep.
@@ -155,7 +154,6 @@ func BuildJSON(meta JSONMeta, sets []*RunSet) *JSONFile {
 		Experiment: meta.Experiment,
 		Title:      meta.Title,
 		Scale:      meta.Scale,
-		Jobs:       meta.Jobs,
 		Runs:       make([]JSONRun, 0, len(sets)),
 	}
 	for _, rs := range sets {

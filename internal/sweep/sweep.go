@@ -107,7 +107,7 @@ func DeriveSeed(base int64, rep int) int64 {
 
 // Group names one experiment's configurations inside a multi-experiment
 // sweep; the name is echoed as Event.Experiment on its runs' progress
-// events.
+// events and keys their checkpoints.
 type Group struct {
 	Name    string
 	Configs []scenario.Config
@@ -165,7 +165,7 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 	progress := &progressGate{fn: opts.Progress, total: len(jobs)}
 	results, mapErr := par.Map(opts.Jobs, jobs, func(_ int, j job) (*scenario.Result, error) {
 		if opts.Checkpoint != nil {
-			res, ok, lerr := opts.Checkpoint.Load(j.cfg, j.rep)
+			res, ok, lerr := opts.Checkpoint.Load(j.group, j.cfg, j.rep)
 			if lerr != nil {
 				// A checkpoint for this exact run written under a different
 				// experiment definition: abort rather than silently mixing
@@ -184,7 +184,7 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 		}
 		res, rerr := scenario.Run(j.cfg)
 		if rerr == nil && opts.Checkpoint != nil {
-			rerr = opts.Checkpoint.Store(j.cfg, j.rep, res)
+			rerr = opts.Checkpoint.Store(j.group, j.cfg, j.rep, res)
 		}
 		var elapsed time.Duration
 		if res != nil {

@@ -210,7 +210,7 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	meta := JSONMeta{Experiment: "figureX", Title: "json test", Scale: "tiny", Jobs: 2}
+	meta := JSONMeta{Experiment: "figureX", Title: "json test", Scale: "tiny"}
 	if err := WriteJSON(&buf, meta, sets); err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,7 @@ var decodeRejections = []struct {
 	{"churn_minutes vs drain", `{"version":1,"id":"t","runs":[{"name":"r","churn_minutes":5,"drain_churn":true}]}`, "mutually exclusive"},
 	{"attack without strategy", `{"version":1,"id":"t","runs":[{"name":"r","attack":{"budget":3}}]}`, "strategy"},
 	{"attack zero budget", `{"version":1,"id":"t","runs":[{"name":"r","attack":{"strategy":"random","budget":0}}]}`, "budget"},
+	{"attack negative interval", `{"version":1,"id":"t","runs":[{"name":"r","attack":{"strategy":"random","interval_minutes":-1}}]}`, "interval_minutes"},
 	{"unknown session dist", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"uniform","mean_minutes":5},"arrivals":{"rate_per_minute":1}}]}`, "dist"},
 	{"lognormal without mean", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"lognormal"},"arrivals":{"rate_per_minute":1}}]}`, "mean_minutes"},
 	{"lognormal with pareto knobs", `{"version":1,"id":"t","runs":[{"name":"r","sessions":{"dist":"lognormal","mean_minutes":5,"alpha":2},"arrivals":{"rate_per_minute":1}}]}`, "not min_minutes/alpha"},
