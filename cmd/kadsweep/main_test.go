@@ -163,58 +163,95 @@ func TestRunFigure2TinyEndToEnd(t *testing.T) {
 // TestGoldenTinyFigure2 pins the numeric output of the tiny figure2
 // sweep byte for byte (the ROADMAP's "numeric regression pinning"):
 // simulator, analyzer, or sweep refactors that shift any measured value
-// fail here first. The document carries no worker count, so -jobs 2 and
-// the default -jobs must both write the fixture's bytes, which the CI
-// scenario-spec smoke step diffs its CLI run against too. Regenerate
-// with: go test ./cmd/kadsweep -run Golden -update
+// fail here first. Regenerate with: go test ./cmd/kadsweep -run Golden
+// -update
 func TestGoldenTinyFigure2(t *testing.T) {
+	checkGoldenTinyFigure2(t, []string{"-jobs", "2"}, *update)
+}
+
+// TestGoldenTinyFigure2DefaultJobs runs the tiny figure2 sweep with the
+// default -jobs. The document carries no worker count, so it must write
+// the same fixture bytes as TestGoldenTinyFigure2 — the bytes the CI
+// scenario-spec smoke step diffs its CLI runs against too.
+func TestGoldenTinyFigure2DefaultJobs(t *testing.T) {
+	checkGoldenTinyFigure2(t, nil, false)
+}
+
+// checkGoldenTinyFigure2 runs the tiny figure2 sweep with the extra
+// arguments, checks the one-rep rendering, and compares the JSON document
+// with the figure2 fixture, first rewriting the fixture if write is set.
+func checkGoldenTinyFigure2(t *testing.T, extra []string, write bool) {
+	t.Helper()
 	golden := filepath.Join("testdata", "figure2_tiny_jobs0.golden.json")
-	for i, jobs := range [][]string{{"-jobs", "2"}, nil} {
-		dir := t.TempDir()
-		var buf bytes.Buffer
-		args := append([]string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}, jobs...)
-		if err := run(args, &buf); err != nil {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	args := append([]string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}, extra...)
+	if err := run(args, &buf); err != nil {
+		t.Fatal(err)
+	}
+	// One rep goes through the same render body as a replicated sweep and
+	// shows nothing that needs a second run.
+	out := buf.String()
+	for _, want := range []string{
+		" — minimum connectivity\n", " — average connectivity\n", "  * SimA/k=5/min\n",
+		"\nSimA/k=5\nt(min)  n     minConn  avgConn\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, not := range []string{"ci95", "mean of reps", "95% CI", "reps)"} {
+		if strings.Contains(out, not) {
+			t.Fatalf("one-rep output contains %q:\n%s", not, out)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if write {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// One rep goes through the same render body as a replicated sweep
-		// and shows nothing that needs a second run.
-		out := buf.String()
-		for _, want := range []string{
-			" — minimum connectivity\n", " — average connectivity\n", "  * SimA/k=5/min\n",
-			"\nSimA/k=5\nt(min)  n     minConn  avgConn\n",
-		} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("output missing %q:\n%s", want, out)
-			}
-		}
-		for _, not := range []string{"ci95", "mean of reps", "95% CI", "reps)"} {
-			if strings.Contains(out, not) {
-				t.Fatalf("one-rep output contains %q:\n%s", not, out)
-			}
-		}
-		got, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *update && i == 0 {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("tiny figure2 sweep %v drifted from golden fixture %s (run with -update to regenerate after intentional changes)", jobs, golden)
-		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("tiny figure2 sweep %v drifted from golden fixture %s (run with -update to regenerate after intentional changes)", extra, golden)
 	}
 }
 
-// TestCheckpointFlag exercises -checkpoint end to end on the attack
+// TestCheckpointFlag exercises -checkpoint end to end on figure2: the
+// second invocation replays every run from files under the experiment's
+// subdirectory.
+func TestCheckpointFlag(t *testing.T) {
+	ckpt := t.TempDir()
+	var first, second bytes.Buffer
+	args := []string{"-exp", "figure2", "-scale", "tiny", "-checkpoint", ckpt}
+	if err := run(args, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &second); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(second.String(), "(checkpoint)"); got != 4 {
+		t.Fatalf("second run replayed %d runs from checkpoints, want 4", got)
+	}
+	files, err := filepath.Glob(filepath.Join(ckpt, "figure2", "*.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 4 {
+		t.Fatalf("got %d checkpoint files, want 4", len(files))
+	}
+}
+
+// TestCheckpointResumeFlag exercises -checkpoint end to end on the attack
 // experiment: the second invocation replays every run from disk, from
 // files under the experiment's subdirectory, and renders identically.
-func TestCheckpointFlag(t *testing.T) {
+func TestCheckpointResumeFlag(t *testing.T) {
 	ckpt := t.TempDir()
 	var first, second bytes.Buffer
 	args := []string{"-exp", "attack", "-scale", "tiny", "-checkpoint", ckpt}
