@@ -2,7 +2,10 @@
 // connectivity graphs — the paper's central measurement. The vertex
 // connectivity kappa(v, w) between non-adjacent vertices equals the
 // maximum number of pairwise vertex-disjoint paths from v to w (Menger's
-// theorem); it is computed as a maximum flow on Even's transformed graph.
+// theorem), the maximum flow on Even's transformed graph. Exact values
+// are found by counting those paths directly on the graph's bitset rows
+// (the Avg sweeps and Pair); the Min sweep's capped flows run on a
+// Hao–Orlin solver over the Even transform, and cuts on a Dinic one.
 // The graph connectivity kappa(D) is the minimum over all non-adjacent
 // ordered pairs (Equation 1 of the paper), and the network tolerates
 // r = kappa(D) - 1 compromised nodes (Equation 2).
@@ -15,8 +18,8 @@
 // Engine is the one implementation, with one way to answer each
 // question: Analyze gives Min over the smallest-out-degree sources,
 // AnalyzeSnapshot adds the uniform-source Avg, and GraphCut cuts at the
-// Min pair. Sweeping workloads hold an Engine:
-// it binds to a graph, keeps the Even transform, the per-worker solvers
+// Min pair. Sweeping workloads hold an Engine: it binds to a graph,
+// keeps the Even transform, its in-neighbour rows, the per-worker solvers
 // and the cut-mode network alive across bindings, rebinds stable-slot
 // captures incrementally (IncrementalBinder), and fuses the per-snapshot
 // Min and Avg sweeps into a single pass. One-off callers use the
@@ -29,7 +32,6 @@ import (
 	"math"
 
 	"kadre/internal/graph"
-	"kadre/internal/maxflow"
 )
 
 // DefaultSampleFraction is the paper's empirically validated sampling
@@ -94,10 +96,11 @@ func oneShot(g *graph.Digraph, q Query) (*Engine, error) {
 	return eng, nil
 }
 
-// Pair computes kappa(v, w) for one non-adjacent ordered pair via a
-// Dinic maximum flow on the Even-transformed graph. It fails for v == w
-// and for adjacent pairs, whose vertex connectivity is not defined by a
-// vertex cut (the direct edge can never be cut).
+// Pair computes kappa(v, w) for one non-adjacent ordered pair by
+// counting vertex-disjoint v->w paths on g's rows, the exact path solver
+// the engine's Avg sweeps run. It fails for v == w and for adjacent
+// pairs, whose vertex connectivity is not defined by a vertex cut (the
+// direct edge can never be cut).
 func Pair(g *graph.Digraph, v, w int) (int, error) {
 	if v == w {
 		return 0, fmt.Errorf("connectivity: pair (%d,%d) has identical endpoints", v, w)
@@ -108,8 +111,17 @@ func Pair(g *graph.Digraph, v, w int) (int, error) {
 	if g.HasEdge(v, w) {
 		return 0, fmt.Errorf("connectivity: vertices %d and %d are adjacent", v, w)
 	}
-	solver := maxflow.NewDinicSource(2*g.N(), &unitEdgeSource{edges: graph.EvenEdges(g)})
-	return solver.MaxFlow(graph.Out(v), graph.In(w)), nil
+	// w's in-neighbours are all the solver reads of the transposed rows.
+	in := make([]uint64, (g.N()+63)>>6)
+	for u := 0; u < g.N(); u++ {
+		if g.HasEdge(u, w) {
+			setBit(in, u)
+		}
+	}
+	var paths pathSolver
+	paths.bind(g)
+	paths.source(v)
+	return paths.kappa(w, in), nil
 }
 
 func lexLess(a, b [2]int) bool {

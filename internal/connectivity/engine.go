@@ -15,7 +15,7 @@ import (
 // EngineOptions configures an Engine.
 type EngineOptions struct {
 	// Workers bounds the sweep worker pool; <= 0 means GOMAXPROCS. Each
-	// worker owns one private solver, replacing the paper's cluster fan-out.
+	// worker owns private solvers, replacing the paper's cluster fan-out.
 	Workers int
 }
 
@@ -56,12 +56,12 @@ type SnapshotResult struct {
 // Engine is a reusable connectivity analysis engine: it binds to one
 // graph at a time and answers Min, Avg, MinPair and minimum-vertex-cut
 // queries against that binding, keeping every expensive structure — the
-// Even-transformed edge list, one max-flow solver per worker, the
-// cut-mode flow network, and all selection scratch — alive across
-// bindings. Analyzing a sequence of same-shape graphs (the per-snapshot
-// hot path at paper scale) therefore allocates only on the first
-// binding, where a throwaway engine per call rebuilds O(workers*E) state
-// per snapshot.
+// Even-transformed edge list, one max-flow solver and one disjoint-path
+// solver per worker, the cut-mode flow network, and all selection
+// scratch — alive across bindings. Analyzing a sequence of same-shape
+// graphs (the per-snapshot hot path at paper scale) therefore allocates
+// only on the first binding, where a throwaway engine per call rebuilds
+// O(workers*E) state per snapshot.
 //
 // Graphs bind in one of two styles: Bind takes a dense graph (every
 // vertex live) and always binds in full — the one-shot form, and the
@@ -79,16 +79,18 @@ type SnapshotResult struct {
 // across Workers. Results are deterministic for a given graph and
 // query, independent of the worker count.
 //
-// Lifetimes of the derived structures: even, cutEven and the flat
-// successor arrays (succStart/succ) describe one binding generation and
-// are rebuilt — lazily, in a serial section — after gen moves, and
-// AnalyzeSnapshot's memo (rows, mins) holds answers for one generation
-// and is ignored once gen moves; the fan closure scratch in each
-// engineWorker describes one (source, threshold) and is reset per task.
-// Release drops the solvers, the cut network, even/cutEven, succStart/succ
-// and the fan scratch without moving gen; they are rebuilt by the same
-// lazy paths, so only the binding, the memo and the counters outlive it.
-// Everything else is sized once and reused.
+// Lifetimes of the derived structures: even, cutEven, the flat
+// successor arrays (succStart/succ) and the in-neighbour rows (inRows)
+// describe one binding generation and are rebuilt — lazily, in a serial
+// section — after gen moves, and AnalyzeSnapshot's memo (rows, mins)
+// holds answers for one generation and is ignored once gen moves; the
+// fan closure scratch in each engineWorker describes one (source,
+// threshold) and is reset per task, its path solver one source and is
+// rebound per sweep. Release drops the solvers, the cut network,
+// even/cutEven, succStart/succ, inRows and the fan and path scratch
+// without moving gen; they are rebuilt by the same lazy paths, so only
+// the binding, the memo and the counters outlive it. Everything else is
+// sized once and reused.
 type Engine struct {
 	maxWorkers int
 
@@ -109,6 +111,11 @@ type Engine struct {
 	// of g's adjacency rows; adjGen is the generation they were built for.
 	succStart, succ []int32
 	adjGen          uint64
+	// In-neighbour rows of g in the bound graph's numbering (see
+	// transposeRows), read by the exact path solvers beside g's own rows;
+	// inGen is the generation they were built for.
+	inRows []uint64
+	inGen  uint64
 
 	// Stable-slot (masked) binding state. With BindSlots the bound graph
 	// lives in slot space — one vertex per population slot, vacant slots
@@ -177,17 +184,20 @@ type minMemo struct {
 	res   Result
 }
 
-// engineWorker holds one worker's lazily created solver — capped and exact
-// tasks share it, MaxFlowLimit being min(limit, MaxFlow) on one arc store —
-// its fan-closure scratch and its share of the engine's work counters.
+// engineWorker holds one worker's lazily created Hao–Orlin solver and
+// fan-closure scratch, which answer its capped tasks, its disjoint-path
+// solver, which answers its exact tasks, and its share of the engine's
+// work counters.
 type engineWorker struct {
 	solver    maxflow.Solver
 	solverGen uint64 // binding generation the solver is bound to
 	fan       fanClosure
+	paths     pathSolver
 	// Pairs this worker answered with a flow (exact: of those, the Avg
-	// rows') and from the closure; written once per sweep, read by
-	// SweepFlows/SweepExact/SweepSettled between sweeps.
-	flows, exact, settled int
+	// rows') and from the closure, and the path searches its exact pairs
+	// ran; written once per sweep, read by SweepFlows/SweepExact/
+	// SweepSettled/SweepAugments between sweeps.
+	flows, exact, settled, augments int
 }
 
 // sweepTask evaluates one source against every non-adjacent target.
@@ -422,26 +432,29 @@ func (e *Engine) MembershipRebinds() int { return e.memberRebinds }
 func (e *Engine) RebindFallbacks() int { return e.rebindFallbacks }
 
 // Release drops every structure the binding can rebuild: the worker
-// solvers and their fan-closure scratch, the cut-mode network, the Even
-// edge lists and the flat successor arrays. It keeps the binding (graph,
-// slot order, generation), AnalyzeSnapshot's memo and the cumulative
-// counters. The next query that needs a solver rebuilds the rest through
-// the same lazy paths a bind uses — at about the cost of one bind — and
-// answers exactly as the unreleased engine would; a query the memo
-// answers rebuilds nothing. A RebindSlots after a Release patches no
-// solver (there is none) and so never counts a fallback. Holders of many
-// idle bindings (the kadserve arena) call it so that a parked engine
-// costs its answers, not its arc stores.
+// solvers and their fan-closure and path scratch, the cut-mode network,
+// the Even edge lists, the flat successor arrays and the in-neighbour
+// rows. It keeps the binding (graph, slot order, generation),
+// AnalyzeSnapshot's memo and the cumulative counters. The next query
+// rebuilds what it needs through the same lazy paths a bind uses — a
+// capped sweep or a cut its arc store, at about the cost of one bind; an
+// exact sweep only the in-neighbour rows — and answers exactly as the
+// unreleased engine would; a query the memo answers rebuilds nothing. A
+// RebindSlots after a Release patches no solver (there is none) and so
+// never counts a fallback. Holders of many idle bindings (the kadserve
+// arena) call it so that a parked engine costs its answers, not its arc
+// stores.
 func (e *Engine) Release() {
 	for i := range e.workers {
 		w := &e.workers[i]
-		w.solver, w.solverGen, w.fan = nil, 0, fanClosure{}
+		w.solver, w.solverGen, w.fan, w.paths = nil, 0, fanClosure{}, pathSolver{}
 	}
 	e.cutSolver, e.cutGen = nil, 0
 	e.even, e.evenSrc.edges, e.evenDirty = nil, nil, true
 	e.cutEven, e.cutSrc, e.cutDirty = nil, cutEdgeSource{}, true
 	// A bound engine's gen is at least 1, so adjGen 0 is always stale.
 	e.succStart, e.succ, e.adjGen = nil, nil, 0
+	e.inRows, e.inGen = nil, 0
 }
 
 // ensureEven rebuilds the Even edge list after a RebindSlots or a Release
@@ -471,6 +484,16 @@ func (e *Engine) ensureAdjacency() {
 		start = append(start, int32(len(succ)))
 	}
 	e.succStart, e.succ, e.adjGen = start, succ, e.gen
+}
+
+// ensureInRows rebuilds the in-neighbour rows the exact path solvers read
+// when the binding generation moved. Like ensureAdjacency it must only
+// run serially.
+func (e *Engine) ensureInRows() {
+	if e.inGen == e.gen {
+		return
+	}
+	e.inRows, e.inGen = transposeRows(e.g, e.inRows), e.gen
 }
 
 // SweepFlows reports how many sweep pairs a solver answered, exact and
@@ -506,6 +529,19 @@ func (e *Engine) SweepExact() int {
 	return total
 }
 
+// SweepAugments reports how many augmenting-path searches the exact pairs
+// ran over the engine's lifetime, failing searches included: the work
+// the warm start and the greedy fill leave to search, per SweepExact
+// pair. Each exact task runs on one worker from an empty flow, so the
+// count is deterministic at any worker count.
+func (e *Engine) SweepAugments() int {
+	total := 0
+	for i := range e.workers {
+		total += e.workers[i].augments
+	}
+	return total
+}
+
 // ensureCut readies cutSrc for (re)building the cut-mode network. Under a
 // dense binding it is the shared Even list, rebuilt first if a Release
 // dropped it; under a masked one it is the compacted rank-space list —
@@ -533,9 +569,10 @@ func (e *Engine) ensureCut() {
 // network, makes the next cut query build it again.
 func (e *Engine) CutNetworkBuilds() int { return e.cutBuilds }
 
-// solverFor returns worker w's sweep solver, creating or rebinding it to
-// the current graph as needed. Every sweep runs on the fixed-root
-// Hao–Orlin solver, whose MaxFlowLimit is exactly min(cap, kappa) here.
+// solverFor returns worker w's capped-task solver, creating or rebinding
+// it to the current graph as needed: the fixed-root Hao–Orlin solver,
+// whose MaxFlowLimit is exactly min(cap, kappa) here. Exact tasks run on
+// the worker's path solver instead.
 func (e *Engine) solverFor(w int) maxflow.Solver {
 	ew := &e.workers[w]
 	if ew.solver == nil {
@@ -687,9 +724,10 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 	st := &e.state
 	st.next = 0
 	st.running = e.nact
-	capped := false
+	capped, exact := false, false
 	for _, t := range tasks {
 		if t.exact {
+			exact = true
 			continue
 		}
 		capped = true
@@ -705,12 +743,20 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 	// stale solver's Reset reads the shared Even edge list (possibly
 	// rebuilding it after a RebindSlots), which must not race across
 	// workers. In the steady state — solvers bound or patched to the current
-	// generation — these calls are gen checks and nothing more.
-	for w := 0; w < workers; w++ {
-		e.solverFor(w)
-	}
+	// generation — these calls are gen checks and nothing more. Only
+	// capped tasks run on Hao–Orlin: a sweep of exact tasks alone resolves
+	// no solver, so it never rebuilds an arc store a Release dropped.
 	if capped {
+		for w := 0; w < workers; w++ {
+			e.solverFor(w)
+		}
 		e.ensureAdjacency()
+	}
+	if exact {
+		e.ensureInRows()
+		for w := 0; w < workers; w++ {
+			e.workers[w].paths.bind(e.g)
+		}
 	}
 	if workers <= 1 {
 		e.sweepWorker(0, tasks, st)
@@ -742,6 +788,10 @@ type sweepState struct {
 // graph's numbering, so a masked sweep records exactly what a dense sweep
 // of the compacted graph would.
 //
+// An exact task runs its sinks, in rank order, through the worker's path
+// solver, each sink warm-started from the previous one's paths; the
+// values are exact, so the order only moves the work.
+//
 // A capped task asks the solver only about the sinks its fan closure
 // cannot vouch for. The lemma (Menger's theorem in its fan form, the
 // expansion lemma): let A hold s, its out-neighbours, and vertices a with
@@ -758,8 +808,11 @@ type sweepState struct {
 func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 	n := e.nact
 	g := e.g
-	fan := &e.workers[w].fan
+	ew := &e.workers[w]
+	fan, paths := &ew.fan, &ew.paths
+	words := (e.n + 63) >> 6 // of a row of inRows
 	flows, exact, settled := 0, 0, 0
+	augments := paths.augments
 	for {
 		st.mu.Lock()
 		idx := st.next
@@ -779,13 +832,14 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			exactMin: n, exactMinTgt: n,
 			cappedMin: n, cappedMinTgt: n,
 		}
-		solver := e.solverFor(w)
-		// An exact task roots the solver at its source up front; a capped
-		// one at its first flow, which most never reach.
-		rooted := task.exact
+		// An exact task starts its path solver at its source; a capped one
+		// roots Hao–Orlin at its first flow, which most never reach.
+		var solver maxflow.Solver
+		rooted := false
 		if task.exact {
-			solver.PrepareSource(graph.Out(srcV))
+			paths.source(srcV)
 		} else {
+			solver = e.solverFor(w)
 			fan.reset(e.succStart, e.succ, srcV, limit)
 		}
 		for tgt := 0; tgt < n; tgt++ {
@@ -795,7 +849,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			}
 			var flow int
 			if task.exact {
-				flow = solver.MaxFlow(graph.Out(srcV), graph.In(tgtV))
+				flow = paths.kappa(tgtV, e.inRows[tgtV*words:(tgtV+1)*words])
 				flows++
 				exact++
 				if flow < res.exactMin {
@@ -848,9 +902,10 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 		}
 		e.results[idx] = res
 	}
-	e.workers[w].flows += flows
-	e.workers[w].exact += exact
-	e.workers[w].settled += settled
+	ew.flows += flows
+	ew.exact += exact
+	ew.settled += settled
+	ew.augments += paths.augments - augments
 }
 
 // combine folds task results into a Result, including the

@@ -221,3 +221,58 @@ func TestSnapshotMemoSolvesEachRowOnce(t *testing.T) {
 		t.Fatalf("memoized resamples cost %d pairs, unmemoized %d", forward, unmemoized)
 	}
 }
+
+// TestReleasedResampleBuildsNoSolver pins what a kadserve resample costs
+// a parked engine: after a Release, an Avg resample whose Min is memoized
+// but whose uniform rows are not sweeps exact tasks only, which run on
+// the disjoint-path solvers. Its answers equal an unreleased engine's,
+// and no worker gets a Hao–Orlin solver back, nor the engine an Even edge
+// list: an exact-only sweep rebuilds no arc store.
+func TestReleasedResampleBuildsNoSolver(t *testing.T) {
+	w := newSlotWorld(8, 60, 5)
+	w.capture()
+	for i := 0; i < 6; i++ {
+		w.leave()
+	}
+	slotG, order, dense := w.capture()
+	for _, workers := range []int{1, 3} {
+		for _, masked := range []bool{false, true} {
+			bind := func(eng *Engine) {
+				if masked {
+					eng.BindSlots(slotG, order)
+				} else {
+					eng.Bind(dense)
+				}
+			}
+			ref, eng := MustNewEngine(EngineOptions{Workers: workers}), MustNewEngine(EngineOptions{Workers: workers})
+			bind(ref)
+			bind(eng)
+			first := SnapshotQuery{SampleFraction: 0.1, AvgSeed: 1}
+			if got, want := eng.AnalyzeSnapshot(first), ref.AnalyzeSnapshot(first); !sameSnapshot(got, want) {
+				t.Fatalf("workers %d masked %v: %+v, reference engine %+v", workers, masked, got, want)
+			}
+			for seed := int64(2); seed <= 4; seed++ {
+				eng.Release()
+				released(t, eng)
+				q := SnapshotQuery{SampleFraction: 0.1, AvgSeed: seed}
+				exact := eng.SweepExact()
+				got, want := eng.AnalyzeSnapshot(q), ref.AnalyzeSnapshot(q)
+				if !sameSnapshot(got, want) {
+					t.Fatalf("workers %d masked %v seed %d: released %+v, unreleased %+v", workers, masked, seed, got, want)
+				}
+				if eng.SweepExact() == exact {
+					t.Fatalf("workers %d masked %v seed %d: the resample swept no row", workers, masked, seed)
+				}
+				for i := range eng.workers {
+					if eng.workers[i].solver != nil {
+						t.Fatalf("workers %d masked %v seed %d: worker %d rebuilt a Hao–Orlin solver", workers, masked, seed, i)
+					}
+				}
+				if eng.even != nil {
+					t.Fatalf("workers %d masked %v seed %d: the resample rebuilt the Even edge list", workers, masked, seed)
+				}
+				released(t, eng)
+			}
+		}
+	}
+}

@@ -1,0 +1,362 @@
+package connectivity
+
+import (
+	"math/bits"
+
+	"kadre/internal/graph"
+)
+
+// pathSolver computes exact pair connectivities kappa(s, t) of one source
+// against a sequence of sinks by finding vertex-disjoint s->t paths
+// directly on a Digraph's bitset rows (Menger's theorem, with the
+// augmenting-path search of Even 1975). It needs no Even edge list and no
+// arc store: the flow is a set of vertex-disjoint paths kept as pred/succ
+// links per vertex, and the residual of the vertex-split network is read
+// off those links. An augmentation may also close a cycle of links — flow
+// that circulates, adds nothing to the value and is a valid part of the
+// residual; the next retarget drops it.
+//
+// Each sink starts warm from the previous sink's paths (see retarget),
+// adds the 2- and 3-hop paths a greedy bitset fill finds, and augments
+// until the flow reaches min(outdeg s, indeg t) or a breadth-first search
+// fails to find an augmenting path — the only search whose failure proves
+// the value. The answer is exact, so it is the flow value any maximum-flow
+// solver returns on the Even transform.
+//
+// A vacant slot of a stable-slot graph is isolated, so it is never on a
+// path and the solver runs on slot graphs unchanged.
+type pathSolver struct {
+	g *graph.Digraph
+
+	s, t int      // source, and current sink (-1 before the first one)
+	tin  []uint64 // the sink's in-neighbours as a bitset
+	flow int      // paths from s to t
+	outS int      // out-degree of s: the flow's upper bound on the source side
+
+	// pred[v]/succ[v] are v's neighbours on its path, -1 if v is on none.
+	// Only internal vertices carry links: the source's first hops have
+	// pred s and the sink's last hops succ t, but pred/succ of s and t
+	// stay -1. used has bit v set iff pred[v] >= 0.
+	pred, succ []int32
+	used       []uint64
+
+	// Search scratch: the visited in- and out-halves of each split vertex,
+	// and how each visited in-half was entered — from[v] = u for the edge
+	// u->v, from[v] = v for the step back from v's own out-half.
+	visIn, visOut []uint64
+	from          []int32
+	queue         []int32
+	// Augmentation scratch: the path edges that lose and gain flow.
+	drop, add []pathEdge
+	// retarget's scratch: the kept path prefixes, each ended by -1.
+	kept []int32
+
+	// augments counts breadth-first searches, failing ones included.
+	augments int
+	// afterStep, when set, runs after every retarget, fill and
+	// augmentation (augmented true); the tests hang the invariant check
+	// on it.
+	afterStep func(augmented bool)
+}
+
+// pathEdge is one edge (u, v) of the flow.
+type pathEdge struct{ u, v int32 }
+
+// bind points the solver at g. It allocates only when the vertex count
+// outgrows every earlier binding; a source must be set before the first
+// kappa.
+func (p *pathSolver) bind(g *graph.Digraph) {
+	n, words := g.N(), (g.N()+63)>>6
+	p.g = g
+	if cap(p.pred) < n {
+		p.pred = make([]int32, n)
+		p.succ = make([]int32, n)
+		p.from = make([]int32, n)
+		p.queue = make([]int32, 0, n)
+		p.kept = make([]int32, 0, 2*n)
+	}
+	p.pred, p.succ, p.from = p.pred[:n], p.succ[:n], p.from[:n]
+	if cap(p.used) < words {
+		p.used = make([]uint64, words)
+		p.visIn = make([]uint64, words)
+		p.visOut = make([]uint64, words)
+	}
+	p.used, p.visIn, p.visOut = p.used[:words], p.visIn[:words], p.visOut[:words]
+}
+
+// source starts a new source s with an empty flow.
+func (p *pathSolver) source(s int) {
+	p.s, p.t, p.flow = s, -1, 0
+	p.outS = p.g.OutDegree(s)
+	for i := range p.pred {
+		p.pred[i], p.succ[i] = -1, -1
+	}
+	clear(p.used)
+}
+
+func hasBit(set []uint64, v int) bool { return set[v>>6]&(1<<(v&63)) != 0 }
+func setBit(set []uint64, v int)      { set[v>>6] |= 1 << (v & 63) }
+
+// kappa returns kappa(s, t) for the current source and a sink t that is
+// neither s nor one of its out-neighbours; tin holds t's in-neighbours as
+// a bitset of the graph's row width (a row of transposeRows).
+func (p *pathSolver) kappa(t int, tin []uint64) int {
+	p.retarget(t, tin)
+	p.step(false)
+	p.fill()
+	p.step(false)
+	ub := p.outS
+	in := 0
+	for _, w := range tin {
+		in += bits.OnesCount64(w)
+	}
+	if in < ub {
+		ub = in
+	}
+	for p.flow < ub {
+		last := p.search()
+		if last < 0 {
+			break
+		}
+		p.augment(last)
+		p.step(true)
+	}
+	return p.flow
+}
+
+// step runs the test hook, if one is set.
+func (p *pathSolver) step(augmented bool) {
+	if p.afterStep != nil {
+		p.afterStep(augmented)
+	}
+}
+
+// retarget turns the flow to the old sink into a flow to the new sink t.
+// Each path is cut after its first vertex that is t's in-neighbour, or
+// just before t itself; a path that meets neither is dropped, except
+// that one path may keep the old sink as its last vertex if the old sink
+// is t's in-neighbour. The kept prefixes are rebuilt from scratch, so
+// the flow is a set of disjoint paths and nothing else.
+func (p *pathSolver) retarget(t int, tin []uint64) {
+	old := p.t
+	p.t, p.tin = t, tin
+	if p.flow == 0 {
+		return
+	}
+	s := int32(p.s)
+	kept := p.kept[:0]
+	extended := false
+	for i, w := range p.g.Row(p.s) {
+		for w &= p.used[i]; w != 0; w &= w - 1 {
+			x := int32(i<<6 | bits.TrailingZeros64(w))
+			if p.pred[x] != s {
+				continue
+			}
+			start := len(kept)
+			for int(x) != t {
+				kept = append(kept, x)
+				if hasBit(tin, int(x)) {
+					break
+				}
+				if x = p.succ[x]; int(x) == old {
+					if !extended && hasBit(tin, old) {
+						extended = true
+						kept = append(kept, x)
+					} else {
+						kept = kept[:start]
+					}
+					break
+				}
+			}
+			if len(kept) > start {
+				kept = append(kept, -1)
+			}
+		}
+	}
+	p.kept = kept
+	for i, w := range p.used {
+		for ; w != 0; w &= w - 1 {
+			v := i<<6 | bits.TrailingZeros64(w)
+			p.pred[v], p.succ[v] = -1, -1
+		}
+		p.used[i] = 0
+	}
+	p.flow = 0
+	prev := s
+	for _, v := range kept {
+		if v < 0 { // prev ends a path
+			p.succ[prev] = int32(t)
+			p.flow++
+			prev = s
+			continue
+		}
+		p.pred[v] = prev
+		if prev != s {
+			p.succ[prev] = v
+		}
+		setBit(p.used, int(v))
+		prev = v
+	}
+}
+
+// fill adds the free 2-hop paths s->v->t, then greedily the free 3-hop
+// paths s->a->b->t, b the smallest candidate for each a.
+func (p *pathSolver) fill() {
+	s, t := int32(p.s), int32(p.t)
+	out, tin := p.g.Row(p.s), p.tin
+	for i := range out {
+		for w := out[i] & tin[i] &^ p.used[i]; w != 0; w &= w - 1 {
+			v := i<<6 | bits.TrailingZeros64(w)
+			p.pred[v], p.succ[v] = s, t
+			setBit(p.used, v)
+			p.flow++
+		}
+	}
+	for i := range out {
+		for w := out[i] &^ p.used[i]; w != 0; w &= w - 1 {
+			a := i<<6 | bits.TrailingZeros64(w)
+			if hasBit(p.used, a) { // taken as an earlier path's b
+				continue
+			}
+			for j, r := range p.g.Row(a) {
+				if c := r & tin[j] &^ p.used[j]; c != 0 {
+					b := j<<6 | bits.TrailingZeros64(c)
+					p.pred[a], p.succ[a] = s, int32(b)
+					p.pred[b], p.succ[b] = int32(a), t
+					setBit(p.used, a)
+					setBit(p.used, b)
+					p.flow++
+					break
+				}
+			}
+		}
+	}
+}
+
+// search runs one breadth-first search for an augmenting path in the
+// residual of the vertex-split network and returns the vertex whose
+// out-half steps to t, or -1 if t is unreachable. The moves:
+//   - a free vertex is entered at its in-half and left at its out-half;
+//   - a used vertex entered at its in-half must step back to its pred's
+//     out-half (cancelling the pred->v edge);
+//   - a used vertex reached at its out-half (stepping back from its
+//     succ) may go forward along any other edge, or back through its own
+//     in-half to its pred.
+//
+// The queue holds out-halves only; in-halves are passed through. Each
+// frontier step is one word-wise row &^ visited scan.
+func (p *pathSolver) search() int {
+	p.augments++
+	clear(p.visIn)
+	clear(p.visOut)
+	s, t := p.s, p.t
+	// Neither s's in-half nor t's is ever entered as a vertex: s is the
+	// root, and every out-half is tested for an edge to t as it is queued.
+	setBit(p.visIn, s)
+	setBit(p.visIn, t)
+	setBit(p.visOut, s)
+	tin := p.tin
+	p.queue = append(p.queue[:0], int32(s))
+	for head := 0; head < len(p.queue); head++ {
+		u := int(p.queue[head])
+		if u != s && hasBit(p.used, u) && !hasBit(p.visIn, u) {
+			setBit(p.visIn, u)
+			p.from[u] = int32(u)
+			if x := int(p.pred[u]); x != s && !hasBit(p.visOut, x) && p.push(x, tin) {
+				return x
+			}
+		}
+		for i, w := range p.g.Row(u) {
+			for w &^= p.visIn[i]; w != 0; w &= w - 1 {
+				v := i<<6 | bits.TrailingZeros64(w)
+				if int(p.pred[v]) == u { // the flow edge u->v has no residual
+					continue
+				}
+				p.visIn[i] |= 1 << (v & 63)
+				p.from[v] = int32(u)
+				if p.used[i]&(1<<(v&63)) == 0 {
+					if p.push(v, tin) {
+						return v
+					}
+				} else if x := int(p.pred[v]); x != s && !hasBit(p.visOut, x) && p.push(x, tin) {
+					return x
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// push queues x's out-half and reports whether it steps to the sink,
+// whose in-neighbours tin holds: along an edge that carries no flow yet.
+// Testing on entry rather than on leaving the queue ends a search as soon
+// as the sink is in reach.
+func (p *pathSolver) push(x int, tin []uint64) bool {
+	setBit(p.visOut, x)
+	p.queue = append(p.queue, int32(x))
+	return hasBit(tin, x) && int(p.succ[x]) != p.t
+}
+
+// augment flips the flow along the path search found, last being the
+// vertex whose out-half stepped to t. It walks the search tree back from
+// t, collecting the edges that gain flow (forward steps) and lose it
+// (backward steps), then applies the losses before the gains.
+func (p *pathSolver) augment(last int) {
+	s := p.s
+	drop, add := p.drop[:0], append(p.add[:0], pathEdge{int32(last), int32(p.t)})
+	u := last // at u's out-half
+	for u != s {
+		x := u // the in-half u's out-half was reached from
+		if hasBit(p.used, u) {
+			x = int(p.succ[u])
+			drop = append(drop, pathEdge{int32(u), int32(x)})
+		}
+		// At x's in-half.
+		if f := int(p.from[x]); f == x {
+			u = x // stepped back from x's own out-half
+		} else {
+			add = append(add, pathEdge{int32(f), int32(x)})
+			u = f
+		}
+	}
+	// used tracks pred >= 0, and only these loops move a pred.
+	for _, e := range drop { // the walk never drops an edge out of s
+		p.succ[e.u] = -1
+		p.pred[e.v] = -1
+		p.used[e.v>>6] &^= 1 << (e.v & 63)
+	}
+	for _, e := range add {
+		if int(e.u) != s {
+			p.succ[e.u] = e.v
+		}
+		if int(e.v) != p.t {
+			p.pred[e.v] = e.u
+			setBit(p.used, int(e.v))
+		}
+	}
+	p.drop, p.add = drop, add
+	p.flow++
+}
+
+// transposeRows returns g's in-neighbour rows in dst's storage: row v,
+// dst[v*words:(v+1)*words] with words = (N+63)/64, has bit u set iff
+// (u, v) is an edge.
+func transposeRows(g *graph.Digraph, dst []uint64) []uint64 {
+	n := g.N()
+	words := (n + 63) >> 6
+	if cap(dst) < n*words {
+		dst = make([]uint64, n*words)
+	}
+	dst = dst[:n*words]
+	clear(dst)
+	for u := 0; u < n; u++ {
+		bit, word := uint64(1)<<(u&63), u>>6
+		for i, w := range g.Row(u) {
+			for ; w != 0; w &= w - 1 {
+				v := i<<6 | bits.TrailingZeros64(w)
+				dst[v*words+word] |= bit
+			}
+		}
+	}
+	return dst
+}

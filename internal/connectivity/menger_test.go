@@ -1,0 +1,258 @@
+package connectivity
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"kadre/internal/graph"
+)
+
+// checkPaths returns an error unless p's flow is p.flow vertex-disjoint
+// s->t paths along edges of the bound graph — every hop an edge with
+// matching pred/succ links, no vertex on two paths, no link on s or t —
+// plus, only if cycles is set, vertex-disjoint cycles that an
+// augmentation circulated: worth nothing, and dropped by the next
+// retarget. Nothing else may carry a link or a used bit.
+func (p *pathSolver) checkPaths(cycles bool) error {
+	s, t := p.s, p.t
+	if p.pred[s] != -1 || p.succ[s] != -1 || p.pred[t] != -1 || p.succ[t] != -1 {
+		return fmt.Errorf("source %d or sink %d carries links: pred %d/%d succ %d/%d",
+			s, t, p.pred[s], p.pred[t], p.succ[s], p.succ[t])
+	}
+	n := p.g.N()
+	on := make([]bool, n)
+	paths := 0
+	for h := 0; h < n; h++ {
+		if int(p.pred[h]) != s {
+			continue
+		}
+		paths++
+		prev, v := s, h
+		for {
+			if !p.g.HasEdge(prev, v) {
+				return fmt.Errorf("path hop %d->%d is not an edge", prev, v)
+			}
+			if v == t {
+				break
+			}
+			if on[v] {
+				return fmt.Errorf("vertex %d lies on two paths", v)
+			}
+			on[v] = true
+			if int(p.pred[v]) != prev {
+				return fmt.Errorf("vertex %d has pred %d, reached from %d", v, p.pred[v], prev)
+			}
+			if p.succ[v] < 0 {
+				return fmt.Errorf("path through %d stops short of sink %d", v, t)
+			}
+			prev, v = v, int(p.succ[v])
+		}
+	}
+	if paths != p.flow {
+		return fmt.Errorf("%d paths leave source %d, flow is %d", paths, s, p.flow)
+	}
+	cyc := make([]bool, n)
+	for v := 0; v < n; v++ {
+		if on[v] || cyc[v] {
+			continue
+		}
+		if !hasBit(p.used, v) {
+			if v != s && v != t && (p.pred[v] != -1 || p.succ[v] != -1) {
+				return fmt.Errorf("free vertex %d links pred %d succ %d", v, p.pred[v], p.succ[v])
+			}
+			continue
+		}
+		if !cycles {
+			return fmt.Errorf("vertex %d is used off the paths", v)
+		}
+		for u := v; !cyc[u]; u = int(p.succ[u]) {
+			cyc[u] = true
+			next := int(p.succ[u])
+			if next < 0 || on[next] || !hasBit(p.used, next) || int(p.pred[next]) != u || !p.g.HasEdge(u, next) {
+				return fmt.Errorf("vertex %d is used off the paths but its succ chain breaks at %d->%d", v, u, next)
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if on[v] && !hasBit(p.used, v) {
+			return fmt.Errorf("path vertex %d is not marked used", v)
+		}
+	}
+	return nil
+}
+
+// inRows splits transposeRows(g) into one in-neighbour bitset per vertex
+// and checks it against HasEdge.
+func inRows(t *testing.T, g *graph.Digraph) [][]uint64 {
+	t.Helper()
+	rows := transposeRows(g, nil)
+	words := (g.N() + 63) >> 6
+	in := make([][]uint64, g.N())
+	for v := range in {
+		in[v] = rows[v*words : (v+1)*words]
+		for u := 0; u < g.N(); u++ {
+			if hasBit(in[v], u) != g.HasEdge(u, v) {
+				t.Fatalf("transposeRows: bit %d of row %d disagrees with HasEdge(%d, %d)", u, v, u, v)
+			}
+		}
+	}
+	return in
+}
+
+// checkPathSolver holds the solver to Dinic on every non-adjacent pair of
+// g, running each source against its sinks in ascending and then in
+// shuffled order, with the path invariant checked after every retarget,
+// fill and augmentation. It returns the searches the solver ran.
+func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand) int {
+	t.Helper()
+	in := inRows(t, g)
+	var ps pathSolver
+	ps.bind(g)
+	ps.afterStep = func(augmented bool) {
+		if err := ps.checkPaths(augmented); err != nil {
+			t.Fatalf("%s: source %d sink %d: %v", label, ps.s, ps.t, err)
+		}
+	}
+	for s := 0; s < g.N(); s++ {
+		want := kappaFrom(g, s)
+		var sinks []int
+		for v, k := range want {
+			if k >= 0 {
+				sinks = append(sinks, v)
+			}
+		}
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 {
+				r.Shuffle(len(sinks), func(i, j int) { sinks[i], sinks[j] = sinks[j], sinks[i] })
+			}
+			ps.source(s)
+			for _, v := range sinks {
+				if got := ps.kappa(v, in[v]); got != want[v] {
+					t.Fatalf("%s: kappa(%d, %d) = %d, Dinic %d (pass %d)", label, s, v, got, want[v], pass)
+				}
+			}
+		}
+	}
+	return ps.augments
+}
+
+// TestPathSolverMatchesDinic is the solver's property test: random
+// digraphs either side of the 64-vertex word boundary, Kademlia-shaped
+// graphs, and stable-slot graphs with vacant slots, every source against
+// every sink in two orders. The Dinic reference dominates the cost, so
+// -short (the race pass) keeps one seed and the sparser shapes.
+func TestPathSolverMatchesDinic(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	searches := 0
+	seeds, shapes := int64(3), [][2]int{{8, 20}, {20, 120}, {64, 500}, {65, 900}, {70, 300}}
+	if testing.Short() {
+		seeds, shapes = 1, [][2]int{{8, 20}, {20, 120}, {70, 300}}
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		for _, shape := range shapes {
+			searches += checkPathSolver(t, fmt.Sprintf("random seed %d n %d m %d", seed, shape[0], shape[1]),
+				randomDigraph(seed, shape[0], shape[1]), r)
+		}
+		searches += checkPathSolver(t, fmt.Sprintf("kad-shaped seed %d", seed), kadShapedGraph(seed, 80, 4), r)
+		w := newSlotWorld(seed, 40, 5)
+		w.capture()
+		for i := 0; i < 8; i++ {
+			w.leave()
+		}
+		w.join(5)
+		slotG, order, dense := w.capture()
+		if slotG.N() == len(order) {
+			t.Fatalf("slot world %d has no vacant slot", seed)
+		}
+		searches += checkPathSolver(t, fmt.Sprintf("slot world %d", seed), slotG, r)
+		eng := MustNewEngine(EngineOptions{Workers: 2})
+		eng.BindSlots(slotG, order)
+		q := Query{SampleFraction: 1}
+		if got, want := eng.Analyze(q), referenceAnalyze(referenceOptions{Query: q}, dense); !sameResult(got, want) {
+			t.Fatalf("slot world %d: engine %+v, reference %+v", seed, got, want)
+		}
+	}
+	if searches == 0 {
+		t.Fatal("no pair needed a search: the graphs do not exercise augmentation")
+	}
+}
+
+// TestPathSolverWarmStartCases walks the retarget rules on a hand-built
+// graph: a path cut at the new sink's in-neighbour, a path cut just
+// before the new sink, a path dropped, and the old sink extending a path.
+func TestPathSolverWarmStartCases(t *testing.T) {
+	// 0 is the source; 1, 2, 3 its out-neighbours. 1->4->5, 2->5, 3->6->5,
+	// 4->7, 5->7, 6->8, 8->7 and 5->8.
+	g := graph.NewDigraph(9)
+	for _, e := range [][2]int{
+		{0, 1}, {0, 2}, {0, 3}, {1, 4}, {4, 5}, {2, 5}, {3, 6}, {6, 5},
+		{4, 7}, {5, 7}, {6, 8}, {8, 7}, {5, 8},
+	} {
+		g.AddEdge(e[0], e[1])
+	}
+	in := inRows(t, g)
+	var ps pathSolver
+	ps.bind(g)
+	ps.afterStep = func(augmented bool) {
+		if err := ps.checkPaths(augmented); err != nil {
+			t.Fatalf("source %d sink %d: %v", ps.s, ps.t, err)
+		}
+	}
+	ps.source(0)
+	for _, sink := range []int{5, 7, 8, 4, 6, 5, 7} {
+		want := kappaFrom(g, 0)[sink]
+		if got := ps.kappa(sink, in[sink]); got != want {
+			t.Fatalf("kappa(0, %d) = %d, Dinic %d", sink, got, want)
+		}
+	}
+}
+
+// pathCase is FuzzPathSolverVsDinic's input: a graph whose vacant
+// vertices are isolated, plus the seed of the sink shuffle.
+type pathCase struct {
+	g    *graph.Digraph
+	seed int64
+}
+
+// decodePathCase reads a vertex count (2..72, across the word boundary),
+// a vacancy mask seed and rate, a random-edge density and the shuffle
+// seed from the header, then one extra edge per following byte pair.
+func decodePathCase(data []byte) pathCase {
+	hdr := make([]byte, 5)
+	copy(hdr, data)
+	n := 2 + int(hdr[0])%71
+	r := rand.New(rand.NewSource(int64(hdr[1])))
+	c := pathCase{g: graph.NewDigraph(n), seed: int64(hdr[4])}
+	vacant := make([]bool, n)
+	for v := range vacant {
+		vacant[v] = r.Intn(256) < int(hdr[2])/2
+	}
+	add := func(u, v int) {
+		if u != v && !vacant[u] && !vacant[v] {
+			c.g.AddEdge(u, v)
+		}
+	}
+	for i := int(hdr[3]) * n / 16; i > 0; i-- {
+		add(r.Intn(n), r.Intn(n))
+	}
+	for i := 5; i+1 < len(data); i += 2 {
+		add(int(data[i])%n, int(data[i+1])%n)
+	}
+	return c
+}
+
+// FuzzPathSolverVsDinic decodes a byte string into a graph with vacant
+// vertices and holds the solver to Dinic on every pair, sinks ascending
+// and shuffled, the path invariant checked after every step.
+func FuzzPathSolverVsDinic(f *testing.F) {
+	f.Add([]byte{7, 1, 0, 40, 3})
+	f.Add([]byte{62, 2, 40, 120, 5})
+	f.Add([]byte{66, 3, 60, 160, 9})
+	f.Add([]byte{10, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 0, 4, 4, 3, 3, 5, 5, 3})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := decodePathCase(data)
+		checkPathSolver(t, fmt.Sprintf("%x", data), c.g, rand.New(rand.NewSource(c.seed)))
+	})
+}

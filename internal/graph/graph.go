@@ -65,6 +65,15 @@ func (g *Digraph) Bytes() int { return len(g.rows)*8 + len(g.deg)*4 }
 // row returns u's adjacency bitset.
 func (g *Digraph) row(u int) []uint64 { return g.rows[u*g.words : (u+1)*g.words] }
 
+// Row returns u's out-neighbours as a bitset of (N()+63)/64 words: bit
+// v&63 of word v>>6 is set iff (u, v) is an edge. The slice aliases the
+// graph's storage, so it is read-only and changes with the graph; it lets
+// word-parallel algorithms scan a neighbourhood without a copy.
+func (g *Digraph) Row(u int) []uint64 {
+	g.check(u)
+	return g.row(u)
+}
+
 // eachSucc calls f on each of u's out-neighbours in ascending order.
 func (g *Digraph) eachSucc(u int, f func(v int)) {
 	for i, w := range g.row(u) {

@@ -260,3 +260,37 @@ func TestInOutMapping(t *testing.T) {
 		}
 	}
 }
+
+// TestRowMatchesHasEdge holds Row to the edge set on either side of the
+// 64-vertex word boundary: bit v of row u is set exactly when (u, v) is
+// an edge, the row has (n+63)/64 words, and it follows later updates.
+func TestRowMatchesHasEdge(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		g := NewDigraph(n)
+		for i := 0; i < 4*n; i++ {
+			if u, v := r.Intn(n), r.Intn(n); u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		for u := 0; u < n; u++ {
+			row := g.Row(u)
+			if len(row) != (n+63)/64 {
+				t.Fatalf("n %d: row %d has %d words", n, u, len(row))
+			}
+			for v := 0; v < n; v++ {
+				if got := row[v>>6]&(1<<(v&63)) != 0; got != g.HasEdge(u, v) {
+					t.Fatalf("n %d: row %d bit %d = %v, HasEdge %v", n, u, v, got, g.HasEdge(u, v))
+				}
+			}
+		}
+		if n > 1 {
+			row := g.Row(0)
+			g.RemoveEdge(0, n-1)
+			g.AddEdge(0, 1)
+			if row[(n-1)>>6]&(1<<((n-1)&63)) != 0 || row[0]&2 == 0 {
+				t.Fatalf("n %d: row 0 does not follow updates", n)
+			}
+		}
+	}
+}

@@ -10,9 +10,10 @@ import "fmt"
 // augmenting path at a time), and its residual-reachability API is what
 // cut extraction needs — the cut-mode network is always Dinic. For the
 // sweeps themselves, the fixed-root HaoOrlinSolver wins on wall-clock
-// (see BenchmarkMaxflowAlgorithms), so every connectivity.Engine sweep
-// runs on it; Dinic is the solver of single-pair queries
-// (connectivity.Pair), of cut extraction, and the tests' reference.
+// (see BenchmarkMaxflowAlgorithms), so connectivity.Engine's capped
+// sweeps run on it, and its exact flows on a disjoint-path solver that
+// needs no flow network; Dinic is the solver of cut extraction and the
+// tests' reference.
 //
 // Two sweep-oriented optimizations apply on top of the textbook
 // algorithm. Queries restore only the residual capacities they actually
