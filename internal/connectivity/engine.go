@@ -80,17 +80,17 @@ type SnapshotResult struct {
 // query, independent of the worker count.
 //
 // Lifetimes of the derived structures: even, cutEven, the flat
-// successor arrays (succStart/succ) and the in-neighbour rows (inRows)
-// describe one binding generation and are rebuilt — lazily, in a serial
-// section — after gen moves, and AnalyzeSnapshot's memo (rows, mins)
-// holds answers for one generation and is ignored once gen moves; the
-// fan closure scratch in each engineWorker describes one (source,
-// threshold) and is reset per task, its path solver one source and is
-// rebound per sweep. Release drops the solvers, the cut network,
-// even/cutEven, succStart/succ, inRows and the fan and path scratch
-// without moving gen; they are rebuilt by the same lazy paths, so only
-// the binding, the memo and the counters outlive it. Everything else is
-// sized once and reused.
+// successor arrays (succStart/succ), the in-neighbour rows (inRows) and
+// the exact tasks' sink order (chain) describe one binding generation
+// and are rebuilt — lazily, in a serial section — after gen moves, and
+// AnalyzeSnapshot's memo (rows, mins) holds answers for one generation
+// and is ignored once gen moves; the fan closure scratch in each
+// engineWorker describes one (source, threshold) and is reset per task,
+// its path solver one source and is rebound per sweep. Release drops the
+// solvers, the cut network, even/cutEven, succStart/succ, inRows, chain
+// and the fan and path scratch without moving gen; they are rebuilt by
+// the same lazy paths, so only the binding, the memo and the counters
+// outlive it. Everything else is sized once and reused.
 type Engine struct {
 	maxWorkers int
 
@@ -112,9 +112,11 @@ type Engine struct {
 	succStart, succ []int32
 	adjGen          uint64
 	// In-neighbour rows of g in the bound graph's numbering (see
-	// transposeRows), read by the exact path solvers beside g's own rows;
-	// inGen is the generation they were built for.
+	// transposeRows), read by the exact path solvers beside g's own rows,
+	// and the order in which exact tasks scan their sinks, as dense ranks
+	// (see similarityChain); inGen is the generation both were built for.
 	inRows []uint64
+	chain  []int32
 	inGen  uint64
 
 	// Stable-slot (masked) binding state. With BindSlots the bound graph
@@ -195,9 +197,10 @@ type engineWorker struct {
 	paths     pathSolver
 	// Pairs this worker answered with a flow (exact: of those, the Avg
 	// rows') and from the closure, and the path searches its exact pairs
-	// ran; written once per sweep, read by SweepFlows/SweepExact/
-	// SweepSettled/SweepAugments between sweeps.
-	flows, exact, settled, augments int
+	// ran and the out-halves those queued; written once per sweep, read by
+	// SweepFlows/SweepExact/SweepSettled/SweepAugments/SweepVisits between
+	// sweeps.
+	flows, exact, settled, augments, visits int
 }
 
 // sweepTask evaluates one source against every non-adjacent target.
@@ -433,17 +436,17 @@ func (e *Engine) RebindFallbacks() int { return e.rebindFallbacks }
 
 // Release drops every structure the binding can rebuild: the worker
 // solvers and their fan-closure and path scratch, the cut-mode network,
-// the Even edge lists, the flat successor arrays and the in-neighbour
-// rows. It keeps the binding (graph, slot order, generation),
-// AnalyzeSnapshot's memo and the cumulative counters. The next query
-// rebuilds what it needs through the same lazy paths a bind uses — a
-// capped sweep or a cut its arc store, at about the cost of one bind; an
-// exact sweep only the in-neighbour rows — and answers exactly as the
-// unreleased engine would; a query the memo answers rebuilds nothing. A
-// RebindSlots after a Release patches no solver (there is none) and so
-// never counts a fallback. Holders of many idle bindings (the kadserve
-// arena) call it so that a parked engine costs its answers, not its arc
-// stores.
+// the Even edge lists, the flat successor arrays, the in-neighbour rows
+// and the sink chain. It keeps the binding (graph, slot order,
+// generation), AnalyzeSnapshot's memo and the cumulative counters. The
+// next query rebuilds what it needs through the same lazy paths a bind
+// uses — a capped sweep or a cut its arc store, at about the cost of one
+// bind; an exact sweep only the in-neighbour rows and the chain — and
+// answers exactly as the unreleased engine would; a query the memo
+// answers rebuilds nothing. A RebindSlots after a Release patches no
+// solver (there is none) and so never counts a fallback. Holders of many
+// idle bindings (the kadserve arena) call it so that a parked engine
+// costs its answers, not its arc stores.
 func (e *Engine) Release() {
 	for i := range e.workers {
 		w := &e.workers[i]
@@ -454,7 +457,7 @@ func (e *Engine) Release() {
 	e.cutEven, e.cutSrc, e.cutDirty = nil, cutEdgeSource{}, true
 	// A bound engine's gen is at least 1, so adjGen 0 is always stale.
 	e.succStart, e.succ, e.adjGen = nil, nil, 0
-	e.inRows, e.inGen = nil, 0
+	e.inRows, e.chain, e.inGen = nil, nil, 0
 }
 
 // ensureEven rebuilds the Even edge list after a RebindSlots or a Release
@@ -486,14 +489,20 @@ func (e *Engine) ensureAdjacency() {
 	e.succStart, e.succ, e.adjGen = start, succ, e.gen
 }
 
-// ensureInRows rebuilds the in-neighbour rows the exact path solvers read
-// when the binding generation moved. Like ensureAdjacency it must only
-// run serially.
+// ensureInRows rebuilds the in-neighbour rows the exact path solvers read,
+// and the sink chain over them, when the binding generation moved. Like
+// ensureAdjacency it must only run serially: every worker reads both.
 func (e *Engine) ensureInRows() {
 	if e.inGen == e.gen {
 		return
 	}
-	e.inRows, e.inGen = transposeRows(e.g, e.inRows), e.gen
+	e.inRows = transposeRows(e.g, e.inRows)
+	var order []int
+	if e.masked {
+		order = e.slotOrder
+	}
+	e.chain = similarityChain(e.chain, e.inRows, (e.n+63)>>6, e.nact, order)
+	e.inGen = e.gen
 }
 
 // SweepFlows reports how many sweep pairs a solver answered, exact and
@@ -538,6 +547,16 @@ func (e *Engine) SweepAugments() int {
 	total := 0
 	for i := range e.workers {
 		total += e.workers[i].augments
+	}
+	return total
+}
+
+// SweepVisits reports how many out-halves SweepAugments' searches queued:
+// the searches' volume of work, deterministic like their count.
+func (e *Engine) SweepVisits() int {
+	total := 0
+	for i := range e.workers {
+		total += e.workers[i].visits
 	}
 	return total
 }
@@ -788,9 +807,14 @@ type sweepState struct {
 // graph's numbering, so a masked sweep records exactly what a dense sweep
 // of the compacted graph would.
 //
-// An exact task runs its sinks, in rank order, through the worker's path
-// solver, each sink warm-started from the previous one's paths; the
-// values are exact, so the order only moves the work.
+// An exact task runs its sinks through the worker's path solver along
+// the engine's similarity chain, each sink warm-started from the previous
+// one's paths, which a sink with alike in-neighbours mostly keeps (see
+// similarityChain). The values are exact, so the order moves only the
+// work, and the lowest target wins a tie on the minimum explicitly, as an
+// ascending scan's strict < would make it: results match a rank-order
+// scan bit for bit. Capped tasks scan in rank order, which the fan
+// closure's vouching and their own tie rule (see below) rely on.
 //
 // A capped task asks the solver only about the sinks its fan closure
 // cannot vouch for. The lemma (Menger's theorem in its fan form, the
@@ -812,7 +836,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 	fan, paths := &ew.fan, &ew.paths
 	words := (e.n + 63) >> 6 // of a row of inRows
 	flows, exact, settled := 0, 0, 0
-	augments := paths.augments
+	augments, visits := paths.augments, paths.visits
 	for {
 		st.mu.Lock()
 		idx := st.next
@@ -842,7 +866,11 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			solver = e.solverFor(w)
 			fan.reset(e.succStart, e.succ, srcV, limit)
 		}
-		for tgt := 0; tgt < n; tgt++ {
+		for i := 0; i < n; i++ {
+			tgt := i
+			if task.exact {
+				tgt = int(e.chain[i])
+			}
 			tgtV := e.vtx(tgt)
 			if tgtV == srcV || g.HasEdge(srcV, tgtV) {
 				continue
@@ -852,7 +880,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 				flow = paths.kappa(tgtV, e.inRows[tgtV*words:(tgtV+1)*words])
 				flows++
 				exact++
-				if flow < res.exactMin {
+				if flow < res.exactMin || flow == res.exactMin && tgt < res.exactMinTgt {
 					res.exactMin, res.exactMinTgt = flow, tgt
 				}
 			} else {
@@ -884,7 +912,9 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			}
 			res.pairs++
 			res.sum += int64(flow)
-			if flow < res.min {
+			// Capped targets ascend, so only an exact task's chain meets the
+			// tie clause.
+			if flow < res.min || flow == res.min && tgt < res.minPair[1] {
 				res.min = flow
 				res.minPair = [2]int{src, tgt}
 				if !task.exact && flow < limit {
@@ -906,6 +936,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 	ew.exact += exact
 	ew.settled += settled
 	ew.augments += paths.augments - augments
+	ew.visits += paths.visits - visits
 }
 
 // combine folds task results into a Result, including the

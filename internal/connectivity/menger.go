@@ -21,7 +21,11 @@ import (
 // until the flow reaches min(outdeg s, indeg t) or a breadth-first search
 // fails to find an augmenting path — the only search whose failure proves
 // the value. The answer is exact, so it is the flow value any maximum-flow
-// solver returns on the Even transform.
+// solver returns on the Even transform, whatever order the sinks come in.
+// The order sets the work: retarget keeps a path only up to its first
+// in-neighbour of the new sink, so a sink whose in-neighbours resemble
+// the previous sink's inherits most of its paths. The engine therefore
+// scans an exact task's sinks along similarityChain.
 //
 // A vacant slot of a stable-slot graph is isolated, so it is never on a
 // path and the solver runs on slot graphs unchanged.
@@ -51,8 +55,9 @@ type pathSolver struct {
 	// retarget's scratch: the kept path prefixes, each ended by -1.
 	kept []int32
 
-	// augments counts breadth-first searches, failing ones included.
-	augments int
+	// augments counts breadth-first searches, failing ones included, and
+	// visits the out-halves they queued, the source's included.
+	augments, visits int
 	// afterStep, when set, runs after every retarget, fill and
 	// augmentation (augmented true); the tests hang the invariant check
 	// on it.
@@ -257,6 +262,7 @@ func (p *pathSolver) search() int {
 	setBit(p.visOut, s)
 	tin := p.tin
 	p.queue = append(p.queue[:0], int32(s))
+	p.visits++
 	for head := 0; head < len(p.queue); head++ {
 		u := int(p.queue[head])
 		if u != s && hasBit(p.used, u) && !hasBit(p.visIn, u) {
@@ -294,6 +300,7 @@ func (p *pathSolver) search() int {
 func (p *pathSolver) push(x int, tin []uint64) bool {
 	setBit(p.visOut, x)
 	p.queue = append(p.queue, int32(x))
+	p.visits++
 	return hasBit(tin, x) && int(p.succ[x]) != p.t
 }
 
@@ -357,6 +364,50 @@ func transposeRows(g *graph.Digraph, dst []uint64) []uint64 {
 				dst[v*words+word] |= bit
 			}
 		}
+	}
+	return dst
+}
+
+// similarityChain returns, in dst's storage, the order in which exact
+// tasks scan their sinks: a greedy nearest-neighbour walk over the ranks
+// 0..n-1 that starts at rank 0 and steps each time to the unvisited rank
+// whose row is closest in Hamming distance, the lowest rank on a tie.
+// Rank r's row is rows[v*words:(v+1)*words] with v = order[r], or v = r
+// when order is nil; the engine passes its in-neighbour rows (see
+// transposeRows) and slot order. In a Kademlia graph nodes with close IDs
+// sit in the same peers' buckets, so neighbours on the chain share most
+// in-neighbours and the path solver's warm start keeps most of its paths
+// (see pathSolver). The walk reads about n*n/2 row pairs.
+func similarityChain(dst []int32, rows []uint64, words, n int, order []int) []int32 {
+	if cap(dst) < n {
+		dst = make([]int32, n)
+	}
+	dst = dst[:n]
+	for r := range dst {
+		dst[r] = int32(r)
+	}
+	row := func(r int32) []uint64 {
+		v := int(r)
+		if order != nil {
+			v = order[r]
+		}
+		return rows[v*words : (v+1)*words]
+	}
+	// dst[:i] is the chain so far and dst[i:] the unvisited ranks, in no
+	// particular order: the tie rule compares ranks, not positions.
+	for i := 1; i < n; i++ {
+		prev := row(dst[i-1])
+		best, bestDist := i, words*64+1
+		for j := i; j < n; j++ {
+			dist := 0
+			for k, w := range row(dst[j]) {
+				dist += bits.OnesCount64(w ^ prev[k])
+			}
+			if dist < bestDist || dist == bestDist && dst[j] < dst[best] {
+				best, bestDist = j, dist
+			}
+		}
+		dst[i], dst[best] = dst[best], dst[i]
 	}
 	return dst
 }

@@ -101,9 +101,10 @@ func inRows(t *testing.T, g *graph.Digraph) [][]uint64 {
 }
 
 // checkPathSolver holds the solver to Dinic on every non-adjacent pair of
-// g, running each source against its sinks in ascending and then in
-// shuffled order, with the path invariant checked after every retarget,
-// fill and augmentation. It returns the searches the solver ran.
+// g, running each source against its sinks in ascending order, along the
+// similarity chain the engine's exact sweeps follow, and in shuffled
+// order, with the path invariant checked after every retarget, fill and
+// augmentation. It returns the searches the solver ran.
 func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand) int {
 	t.Helper()
 	in := inRows(t, g)
@@ -114,6 +115,7 @@ func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand)
 			t.Fatalf("%s: source %d sink %d: %v", label, ps.s, ps.t, err)
 		}
 	}
+	chain := similarityChain(nil, transposeRows(g, nil), (g.N()+63)>>6, g.N(), nil)
 	for s := 0; s < g.N(); s++ {
 		want := kappaFrom(g, s)
 		var sinks []int
@@ -122,8 +124,16 @@ func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand)
 				sinks = append(sinks, v)
 			}
 		}
-		for pass := 0; pass < 2; pass++ {
-			if pass == 1 {
+		for pass := 0; pass < 3; pass++ {
+			switch pass {
+			case 1:
+				sinks = sinks[:0]
+				for _, v := range chain {
+					if want[v] >= 0 {
+						sinks = append(sinks, int(v))
+					}
+				}
+			case 2:
 				r.Shuffle(len(sinks), func(i, j int) { sinks[i], sinks[j] = sinks[j], sinks[i] })
 			}
 			ps.source(s)
@@ -140,7 +150,7 @@ func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand)
 // TestPathSolverMatchesDinic is the solver's property test: random
 // digraphs either side of the 64-vertex word boundary, Kademlia-shaped
 // graphs, and stable-slot graphs with vacant slots, every source against
-// every sink in two orders. The Dinic reference dominates the cost, so
+// every sink in three orders. The Dinic reference dominates the cost, so
 // -short (the race pass) keeps one seed and the sparser shapes.
 func TestPathSolverMatchesDinic(t *testing.T) {
 	r := rand.New(rand.NewSource(36))
@@ -243,8 +253,9 @@ func decodePathCase(data []byte) pathCase {
 }
 
 // FuzzPathSolverVsDinic decodes a byte string into a graph with vacant
-// vertices and holds the solver to Dinic on every pair, sinks ascending
-// and shuffled, the path invariant checked after every step.
+// vertices and holds the solver to Dinic on every pair, sinks ascending,
+// along the similarity chain and shuffled, the path invariant checked
+// after every step.
 func FuzzPathSolverVsDinic(f *testing.F) {
 	f.Add([]byte{7, 1, 0, 40, 3})
 	f.Add([]byte{62, 2, 40, 120, 5})

@@ -29,13 +29,15 @@ const churn150Spec = `{
 }`
 
 // TestExactPairsSearchesPerPair is the stopwatch-free guard of the exact
-// path solver's warm start and greedy fill: on the 150-node churn
-// experiment they leave 3.9 (k = 10) and 4.0 (k = 20) augmenting-path
-// searches per exact Avg pair. The counters are deterministic, so the
-// bounds sit 9-14 % above those and still fail a solver that loses the
-// warm start (4.5 and 5.5 searches per pair) or the fill (13 and 16) —
-// without timing anything. Two 150-node runs are long for the race pass,
-// so -short skips it.
+// path solver's warm start, greedy fill and sink order: on the 150-node
+// churn experiment they leave 2.26 (k = 10) and 1.89 (k = 20)
+// augmenting-path searches per exact Avg pair, which queue 192 and 142
+// out-halves. The counters are deterministic, so the bounds sit about
+// 10 % above those and still fail a sweep that scans sinks in rank order
+// instead of along the similarity chain (3.88 and 4.03 searches, 343 and
+// 341 out-halves), loses the warm start or loses the fill — without
+// timing anything. Two
+// 150-node runs are long for the race pass, so -short skips it.
 func TestExactPairsSearchesPerPair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 150-node churn runs; the full pass runs them")
@@ -48,7 +50,8 @@ func TestExactPairsSearchesPerPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxPerPair := map[int]float64{10: 4.25, 20: 4.6}
+	maxSearches := map[int]float64{10: 2.5, 20: 2.1}
+	maxVisits := map[int]float64{10: 210, 20: 155}
 	for _, cfg := range exp.Configs {
 		cfg.Workers = 1
 		_, bound, err := RunBoundCtx(context.Background(), cfg)
@@ -56,14 +59,18 @@ func TestExactPairsSearchesPerPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := bound.Engine
-		pairs, searches := eng.SweepExact(), eng.SweepAugments()
+		pairs, searches, visits := eng.SweepExact(), eng.SweepAugments(), eng.SweepVisits()
 		if pairs == 0 {
 			t.Fatalf("%s: no exact pair was swept", cfg.Name)
 		}
-		perPair := float64(searches) / float64(pairs)
-		t.Logf("%s: %d searches over %d exact pairs (%.2f per pair)", cfg.Name, searches, pairs, perPair)
-		if perPair > maxPerPair[cfg.K] {
-			t.Errorf("%s: %.2f searches per exact pair, want <= %.2f", cfg.Name, perPair, maxPerPair[cfg.K])
+		perPair, visitsPerPair := float64(searches)/float64(pairs), float64(visits)/float64(pairs)
+		t.Logf("%s: %d searches queueing %d out-halves over %d exact pairs (%.2f and %.1f per pair)",
+			cfg.Name, searches, visits, pairs, perPair, visitsPerPair)
+		if perPair > maxSearches[cfg.K] {
+			t.Errorf("%s: %.2f searches per exact pair, want <= %.2f", cfg.Name, perPair, maxSearches[cfg.K])
+		}
+		if visitsPerPair > maxVisits[cfg.K] {
+			t.Errorf("%s: %.1f out-halves queued per exact pair, want <= %.0f", cfg.Name, visitsPerPair, maxVisits[cfg.K])
 		}
 	}
 }
