@@ -16,9 +16,10 @@
 // embedded scenario spec; the flat blocks are shorthand for a one-run
 // spec (a zero field is an unset one), so both spellings are checked and
 // defaulted by the one resolver, scenario.ResolveRun, and share an arena
-// identity. Parked engines need no upkeep: the runner maintains an engine
-// after every snapshot (under connectivity.DefaultGovernance(), which is
-// not a flag), and the arena only ever re-analyses it. A query body over
+// identity. Parked engines need no upkeep: an engine holds no store that
+// grows with churn (the runner's only maintenance is the slot-table
+// compaction of connectivity.DefaultGovernance(), which is not a flag),
+// and the arena only ever re-analyses it. A query body over
 // 1 MiB is refused with 413 before it is resolved.
 //
 // Endpoints:

@@ -191,9 +191,9 @@ type Engine struct {
 
 	// conn is the cutset strategy's reusable analysis engine: one
 	// instance serves every strike, binding each reconnaissance capture
-	// in full, so the flow solvers and the cut-mode network are built once
-	// per engine and re-initialised in place per strike (nil for the other
-	// strategies, which need no flow analysis).
+	// in full, so its solver scratch is sized once per engine and reused
+	// per strike (nil for the other strategies, which need no flow
+	// analysis).
 	conn *connectivity.Engine
 
 	victims []Victim

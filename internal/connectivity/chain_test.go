@@ -236,7 +236,7 @@ func TestSimilarityChain(t *testing.T) {
 }
 
 // TestSimilarityChainLifetime pins when the engine builds the chain: once
-// per binding generation, beside the in-neighbour rows. An identical
+// per binding generation, by its first exact sweep. An identical
 // RebindSlots capture keeps the generation and so reuses the chain — a
 // chain reversed in place survives it, and the answers do not move,
 // because the sink order moves only the work. A capture that changes
@@ -293,5 +293,32 @@ func TestSimilarityChainLifetime(t *testing.T) {
 	}
 	if !slices.Equal(eng.chain, fresh(gB, orderB)) {
 		t.Fatal("the exact sweep after a Release did not rebuild the chain")
+	}
+}
+
+// TestMinOnlySweepBuildsNoChain: capped tasks scan their sinks in rank
+// order, so Min-only analyses and cuts build the in-neighbour rows their
+// path solvers read but not the exact tasks' sink chain. The binding's
+// first exact sweep builds it.
+func TestMinOnlySweepBuildsNoChain(t *testing.T) {
+	g := kadShapedGraph(5, 60, 5)
+	for _, workers := range []int{1, 3} {
+		eng := MustNewEngine(EngineOptions{Workers: workers})
+		eng.Bind(g)
+		eng.Analyze(Query{SampleFraction: 0.1, MinOnly: true})
+		eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.2, MinOnly: true})
+		if _, _, ok, err := eng.GraphCut(Query{SampleFraction: 0.2}); err != nil || !ok {
+			t.Fatalf("workers %d: GraphCut ok=%v err=%v", workers, ok, err)
+		}
+		if eng.inGen != eng.gen {
+			t.Fatalf("workers %d: the Min sweeps ran without the in-neighbour rows of their binding", workers)
+		}
+		if eng.chain != nil || eng.chainGen == eng.gen {
+			t.Fatalf("workers %d: a Min-only binding built the sink chain", workers)
+		}
+		eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.2, AvgSeed: 1})
+		if eng.chainGen != eng.gen || len(eng.chain) != g.N() {
+			t.Fatalf("workers %d: the first exact sweep did not build the chain", workers)
+		}
 	}
 }

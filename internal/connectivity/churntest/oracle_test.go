@@ -19,10 +19,13 @@
 // be identical in the canonical numbering. Because stable slots keep the
 // vertex space alive across joins, leaves and strikes, the incremental
 // path is asserted to be taken on every step where the slot table did
-// not grow — membership churn included — with zero solver patch
-// fallbacks. Because the incremental path replaces exact recomputation
-// with in-place reuse, this equivalence IS the correctness argument; the
-// harness runs under -race with both a serial and a wide worker pool.
+// not grow — membership churn included. Because the incremental path
+// keeps the binding generation (and with it every memoized answer) on an
+// identical capture and rebuilds the rest lazily, this equivalence IS the
+// correctness argument; the harness runs under -race with both a serial
+// and a wide worker pool.
+//
+// The oracle is test code only: the package has no non-test files.
 package churntest
 
 import (
@@ -57,11 +60,9 @@ type Options struct {
 	// (about two thirds of steps instead of ~30%), soaking the
 	// membership-crossing rebind path and the slot recycler.
 	MembershipHeavy bool
-	// Governance, when enabled, installs the memory-governance policy on
-	// every incremental engine and mirrors the scenario runner's
-	// maintenance points: Engine.Maintain after each step's queries, and a
-	// slot-table compaction between captures once the policy's slack
-	// threshold trips. The oracle then additionally holds the governed
+	// Governance, when enabled, mirrors the scenario runner's maintenance
+	// point: a slot-table compaction between captures once the policy's
+	// slack threshold trips. The oracle then additionally holds the
 	// engines to bit-identical answers across every compaction event. The
 	// zero value disables governance (the historical trace).
 	Governance connectivity.GovernancePolicy
@@ -87,23 +88,17 @@ type Stats struct {
 	// slot-table compaction (the slot space renumbered, so the next
 	// capture binds from scratch).
 	CompactionBinds int
-	// SlotCompactions counts governed slot-table compactions;
-	// Redensifies the primary-solver arc-store rebuilds Maintain
-	// performed (identical across worker counts, which Run asserts).
+	// SlotCompactions counts governed slot-table compactions.
 	SlotCompactions int
-	Redensifies     int
 	// Joins, Leaves, Strikes and EdgeChurn count trace events.
 	Joins, Leaves, Strikes, EdgeChurn int
-	// PeakLive is the all-time-high live population; ArcsAtPeak and
-	// SlotLenAtPeak record the largest solver arc array and the slot-table
-	// length as of the last step at that population — the "peak-P steady
-	// state" footprint the long-churn soak bounds the final footprint
-	// against. FinalMaxArcs and FinalSlotLen are the same measurements at
-	// the end of the trace.
+	// PeakLive is the all-time-high live population; SlotLenAtPeak
+	// records the slot-table length as of the last step at that
+	// population — the "peak-P steady state" footprint the long-churn soak
+	// bounds the final footprint against. FinalSlotLen is the same
+	// measurement at the end of the trace.
 	PeakLive      int
-	ArcsAtPeak    int
 	SlotLenAtPeak int
-	FinalMaxArcs  int
 	FinalSlotLen  int
 }
 
@@ -116,8 +111,7 @@ type trace struct {
 	alive  []int
 	edges  map[[2]int]bool
 	// removedPool remembers recently deleted edges so additions revive
-	// old (node, node) pairs often — the tombstone/revive hot path of the
-	// in-place solver patching.
+	// old (node, node) pairs often.
 	removedPool [][2]int
 	degree      int
 	// slots assigns persistent vertex slots across captures, exactly the
@@ -296,7 +290,6 @@ func Run(opts Options) (Stats, error) {
 	sides := make([]incSide, len(opts.Workers))
 	for i, w := range opts.Workers {
 		eng := connectivity.MustNewEngine(connectivity.EngineOptions{Workers: w})
-		eng.SetGovernance(opts.Governance)
 		sides[i] = incSide{
 			workers: w,
 			eng:     eng,
@@ -404,9 +397,6 @@ func Run(opts Options) (Stats, error) {
 					"GraphCut: got cut=%v pair=%v ok=%v, want cut=%v pair=%v ok=%v",
 					gotCut, gotPair, gotOK, wantCut, wantPair, wantOK))
 			}
-			if fb := eng.RebindFallbacks(); fb != 0 {
-				return stats, stepErr(step, s.workers, inc, fmt.Errorf("%d rebind patch fallbacks (tombstone/revive should cover same-membership churn)", fb))
-			}
 		}
 		if firstInc {
 			stats.IncrementalBinds++
@@ -426,12 +416,9 @@ func Run(opts Options) (Stats, error) {
 		pendingCompact = false
 
 		// End-of-step maintenance, exactly where the scenario runner does
-		// it: arc-store governance on every engine (answers must stay
-		// bit-identical, which the NEXT step's comparisons hold), then the
-		// slot-table compaction decision for the next capture.
-		for i := range sides {
-			sides[i].eng.Maintain()
-		}
+		// it: the slot-table compaction decision for the next capture
+		// (answers must stay bit-identical, which the NEXT step's
+		// comparisons hold).
 		if opts.Governance.SlotCompactionDue(tr.slots.Len(), tr.slots.Live()) {
 			tr.slots.Compact()
 			pendingCompact = true
@@ -439,7 +426,6 @@ func Run(opts Options) (Stats, error) {
 		}
 		if live := len(tr.alive); live >= stats.PeakLive {
 			stats.PeakLive = live
-			stats.ArcsAtPeak = sides[0].eng.MaxSolverArcs()
 			stats.SlotLenAtPeak = tr.slots.Len()
 		}
 	}
@@ -450,16 +436,6 @@ func Run(opts Options) (Stats, error) {
 		return stats, fmt.Errorf("unexpected full binds: %d, want %d (first bind + %d slot growths + %d compactions)",
 			stats.FullBinds, want, stats.SlotGrowthBinds, stats.CompactionBinds)
 	}
-	// The primary re-densify count is part of the deterministic surface:
-	// every worker pool must agree on it.
-	stats.Redensifies = sides[0].eng.Redensifies()
-	for i := 1; i < len(sides); i++ {
-		if r := sides[i].eng.Redensifies(); r != stats.Redensifies {
-			return stats, fmt.Errorf("redensify count varies with worker count: workers=%d saw %d, workers=%d saw %d",
-				sides[0].workers, stats.Redensifies, sides[i].workers, r)
-		}
-	}
-	stats.FinalMaxArcs = sides[0].eng.MaxSolverArcs()
 	stats.FinalSlotLen = tr.slots.Len()
 	return stats, nil
 }

@@ -38,14 +38,13 @@ func TestDifferentialChurnOracleLong(t *testing.T) {
 
 // TestLongChurnSoakMemoryBounded is the nightly long-run memory bound:
 // a membership-heavy trace of 500+ snapshots under the default
-// governance policy, after which both governed footprints — the largest
-// solver arc array and the slot-table length — must sit within 2x their
-// value at the peak-population steady state. Without governance both
-// grow monotonically with churn (tombstones, stranded relocation
-// regions, and a slot table pinned at the historical peak), which is
-// exactly the unbounded growth this bound regresses. The differential
-// comparisons inside Run simultaneously hold every answer across every
-// compaction event to the from-scratch reference at jobs=1 and jobs=8.
+// governance policy, after which the slot-table length must sit within
+// 2x its value at the peak-population steady state. Without governance
+// the table stays pinned at the historical peak however far the
+// population shrinks, which is exactly the unbounded residue this bound
+// regresses. The differential comparisons inside Run simultaneously hold
+// every answer across every compaction event to the from-scratch
+// reference at jobs=1 and jobs=8.
 func TestLongChurnSoakMemoryBounded(t *testing.T) {
 	for _, tc := range []Options{
 		{Seed: 41, Initial: 40, Steps: 500, Degree: 5, MembershipHeavy: true, Governance: connectivity.DefaultGovernance()},
@@ -56,12 +55,8 @@ func TestLongChurnSoakMemoryBounded(t *testing.T) {
 			t.Fatalf("seed %d: %v", tc.Seed, err)
 		}
 		t.Logf("seed %d: %+v", tc.Seed, stats)
-		if stats.SlotCompactions == 0 && stats.Redensifies == 0 {
-			t.Fatalf("seed %d: soak triggered no maintenance at all (stats %+v)", tc.Seed, stats)
-		}
-		if stats.FinalMaxArcs > 2*stats.ArcsAtPeak {
-			t.Fatalf("seed %d: final solver arc array %d exceeds 2x the peak-population footprint %d (stats %+v)",
-				tc.Seed, stats.FinalMaxArcs, stats.ArcsAtPeak, stats)
+		if stats.SlotCompactions == 0 {
+			t.Fatalf("seed %d: soak triggered no slot compaction (stats %+v)", tc.Seed, stats)
 		}
 		if stats.FinalSlotLen > 2*stats.SlotLenAtPeak {
 			t.Fatalf("seed %d: final slot table %d exceeds 2x the peak-population footprint %d (stats %+v)",

@@ -2,10 +2,11 @@
 // connectivity graphs — the paper's central measurement. The vertex
 // connectivity kappa(v, w) between non-adjacent vertices equals the
 // maximum number of pairwise vertex-disjoint paths from v to w (Menger's
-// theorem), the maximum flow on Even's transformed graph. Exact values
-// are found by counting those paths directly on the graph's bitset rows
-// (the Avg sweeps and Pair); the Min sweep's capped flows run on a
-// Hao–Orlin solver over the Even transform, and cuts on a Dinic one.
+// theorem), the maximum flow on Even's transformed graph. One solver
+// answers every flow question: it counts those paths directly on the
+// graph's bitset rows, exactly for the Avg sweeps and Pair, capped at the
+// running minimum for the Min sweep, and to a maximum flow whose residual
+// yields the minimum vertex cut for PairCut and GraphCut.
 // The graph connectivity kappa(D) is the minimum over all non-adjacent
 // ordered pairs (Equation 1 of the paper), and the network tolerates
 // r = kappa(D) - 1 compromised nodes (Equation 2).
@@ -18,13 +19,13 @@
 // Engine is the one implementation, with one way to answer each
 // question: Analyze gives Min over the smallest-out-degree sources,
 // AnalyzeSnapshot adds the uniform-source Avg, and GraphCut cuts at the
-// Min pair. Sweeping workloads hold an Engine: it binds to a graph,
-// keeps the Even transform, its in-neighbour rows, the per-worker solvers
-// and the cut-mode network alive across bindings, rebinds stable-slot
-// captures incrementally (IncrementalBinder), and fuses the per-snapshot
-// Min and Avg sweeps into a single pass. One-off callers use the
-// package-level Analyze and GraphCut, each of which binds a throwaway
-// Engine to its argument graph.
+// Min pair. Sweeping workloads hold an Engine: it binds to a graph, keeps
+// its in-neighbour rows and per-worker solver scratch alive across
+// bindings, follows stable-slot captures through IncrementalBinder (an
+// identical capture keeps its memoized answers), and fuses the
+// per-snapshot Min and Avg sweeps into a single pass. One-off callers
+// use the package-level Analyze and GraphCut, each of which binds a
+// throwaway Engine to its argument graph.
 package connectivity
 
 import (
@@ -121,7 +122,7 @@ func Pair(g *graph.Digraph, v, w int) (int, error) {
 	var paths pathSolver
 	paths.bind(g)
 	paths.source(v)
-	return paths.kappa(w, in), nil
+	return paths.kappa(w, in, math.MaxInt), nil
 }
 
 func lexLess(a, b [2]int) bool {

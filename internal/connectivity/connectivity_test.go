@@ -360,7 +360,7 @@ func TestAvgReasonable(t *testing.T) {
 // entry points: a negative or NaN sample fraction is an error from both
 // Analyze and GraphCut (NaN would otherwise slip through sampleCount's
 // range guard), a valid one answers exactly like a held engine, and
-// NewEngine accepts the zero options, defaulting the worker count.
+// MustNewEngine accepts the zero options, defaulting the worker count.
 func TestOneShotValidation(t *testing.T) {
 	g := petersen()
 	for _, c := range []float64{-0.5, math.NaN(), math.Inf(-1)} {
@@ -379,8 +379,8 @@ func TestOneShotValidation(t *testing.T) {
 		}
 		requireSameResult(t, "one-shot", got, analyze(g, EngineOptions{Workers: 1}, q))
 	}
-	if eng, err := NewEngine(EngineOptions{}); err != nil || eng.maxWorkers < 1 {
-		t.Errorf("NewEngine(EngineOptions{}) = %v, %v; want an engine with at least one worker", eng, err)
+	if eng := MustNewEngine(EngineOptions{}); eng.maxWorkers < 1 {
+		t.Errorf("MustNewEngine(EngineOptions{}) has %d workers; want at least one", eng.maxWorkers)
 	}
 }
 

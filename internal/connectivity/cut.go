@@ -1,27 +1,6 @@
 package connectivity
 
-import (
-	"sort"
-
-	"kadre/internal/graph"
-)
-
-// extractCut reads the cut vertices off the residual reachability of the
-// n-vertex cut-mode network: u is cut when its internal edge crosses
-// from the reachable to the unreachable side.
-func extractCut(n, v, w int, reach []bool) []int {
-	var cut []int
-	for u := 0; u < n; u++ {
-		if u == v || u == w {
-			continue
-		}
-		if reach[graph.In(u)] && !reach[graph.Out(u)] {
-			cut = append(cut, u)
-		}
-	}
-	sort.Ints(cut)
-	return cut
-}
+import "kadre/internal/graph"
 
 // GraphCut returns a minimum vertex cut of the whole graph: the smallest
 // vertex set whose removal disconnects some ordered pair, found at the
@@ -32,8 +11,8 @@ func extractCut(n, v, w int, reach []bool) []int {
 // connected (r-resilience, Equation 2).
 //
 // This is the throwaway-per-call form; per-snapshot callers (the cutset
-// adversary) should hold an Engine and use Engine.GraphCut, which caches
-// the cut-mode network across bindings. Of q only SampleFraction
+// adversary) should hold an Engine and use Engine.GraphCut, which keeps
+// its scratch across bindings. Of q only SampleFraction
 // matters: a cut search is always a pruned MinPair analysis.
 func GraphCut(g *graph.Digraph, q Query) (cut []int, pair [2]int, ok bool, err error) {
 	eng, err := oneShot(g, q)

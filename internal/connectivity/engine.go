@@ -9,13 +9,13 @@ import (
 	"sync"
 
 	"kadre/internal/graph"
-	"kadre/internal/maxflow"
 )
 
 // EngineOptions configures an Engine.
 type EngineOptions struct {
 	// Workers bounds the sweep worker pool; <= 0 means GOMAXPROCS. Each
-	// worker owns private solvers, replacing the paper's cluster fan-out.
+	// worker owns a private path solver, replacing the paper's cluster
+	// fan-out.
 	Workers int
 }
 
@@ -55,13 +55,14 @@ type SnapshotResult struct {
 
 // Engine is a reusable connectivity analysis engine: it binds to one
 // graph at a time and answers Min, Avg, MinPair and minimum-vertex-cut
-// queries against that binding, keeping every expensive structure — the
-// Even-transformed edge list, one max-flow solver and one disjoint-path
-// solver per worker, the cut-mode flow network, and all selection
-// scratch — alive across bindings. Analyzing a sequence of same-shape
-// graphs (the per-snapshot hot path at paper scale) therefore allocates
-// only on the first binding, where a throwaway engine per call rebuilds
-// O(workers*E) state per snapshot.
+// queries against that binding. Every flow it computes runs on one
+// solver, the disjoint-path solver of menger.go, straight on the bound
+// graph's bitset rows: no Even edge list and no arc store. It keeps the
+// derived structures — the in-neighbour rows, the flat successor arrays,
+// the exact tasks' sink chain, one path solver and fan closure per worker
+// and all selection scratch — alive across bindings, so analyzing a
+// sequence of same-shape graphs (the per-snapshot hot path at paper
+// scale) allocates only on the first binding.
 //
 // Graphs bind in one of two styles: Bind takes a dense graph (every
 // vertex live) and always binds in full — the one-shot form, and the
@@ -79,15 +80,14 @@ type SnapshotResult struct {
 // across Workers. Results are deterministic for a given graph and
 // query, independent of the worker count.
 //
-// Lifetimes of the derived structures: even, cutEven, the flat
-// successor arrays (succStart/succ), the in-neighbour rows (inRows) and
-// the exact tasks' sink order (chain) describe one binding generation
-// and are rebuilt — lazily, in a serial section — after gen moves, and
-// AnalyzeSnapshot's memo (rows, mins) holds answers for one generation
-// and is ignored once gen moves; the fan closure scratch in each
-// engineWorker describes one (source, threshold) and is reset per task,
-// its path solver one source and is rebound per sweep. Release drops the
-// solvers, the cut network, even/cutEven, succStart/succ, inRows, chain
+// Lifetimes of the derived structures: the flat successor arrays
+// (succStart/succ), the in-neighbour rows (inRows) and the exact tasks'
+// sink order (chain) describe one binding generation and are rebuilt —
+// lazily, in a serial section — after gen moves, and AnalyzeSnapshot's
+// memo (rows, mins) holds answers for one generation and is ignored once
+// gen moves; the fan closure scratch in each engineWorker describes one
+// (source, threshold) and is reset per task, its path solver one source
+// and is rebound per sweep. Release drops succStart/succ, inRows, chain
 // and the fan and path scratch without moving gen; they are rebuilt by
 // the same lazy paths, so only the binding, the memo and the counters
 // outlive it. Everything else is sized once and reused.
@@ -95,16 +95,9 @@ type Engine struct {
 	maxWorkers int
 
 	// Binding state.
-	g       *graph.Digraph
-	n       int
-	even    []graph.Edge // Even-transformed edge list, rebuilt per Bind
-	evenSrc unitEdgeSource
-	cutSrc  cutEdgeSource
-	gen     uint64 // binding generation; solvers rebind lazily
-	// evenDirty marks the Even edge list stale after a RebindSlots:
-	// patched solvers never read it, so it is rebuilt lazily — and only
-	// serially, before workers spawn — for solvers that need a full Reset.
-	evenDirty bool
+	g   *graph.Digraph
+	n   int
+	gen uint64 // binding generation; derived structures rebuild lazily
 	// Flat successor arrays of g in the bound graph's numbering, ascending
 	// per vertex: vertex u's out-neighbours are
 	// succ[succStart[u]:succStart[u+1]]. The fan closure walks them instead
@@ -112,12 +105,15 @@ type Engine struct {
 	succStart, succ []int32
 	adjGen          uint64
 	// In-neighbour rows of g in the bound graph's numbering (see
-	// transposeRows), read by the exact path solvers beside g's own rows,
-	// and the order in which exact tasks scan their sinks, as dense ranks
-	// (see similarityChain); inGen is the generation both were built for.
-	inRows []uint64
-	chain  []int32
-	inGen  uint64
+	// transposeRows), read by the path solvers beside g's own rows, and
+	// inGen the generation they were built for; the order in which exact
+	// tasks scan their sinks, as dense ranks (see similarityChain), and
+	// chainGen its generation. Capped tasks scan in rank order, so a sweep
+	// without an exact task builds no chain.
+	inRows   []uint64
+	inGen    uint64
+	chain    []int32
+	chainGen uint64
 
 	// Stable-slot (masked) binding state. With BindSlots the bound graph
 	// lives in slot space — one vertex per population slot, vacant slots
@@ -125,33 +121,19 @@ type Engine struct {
 	// masked is true, nact counts the active vertices, slotOrder maps
 	// dense rank -> slot (the capture's compaction map) and rankOf is its
 	// inverse (-1 for vacant slots). For a dense Bind, masked is false
-	// and nact == n with identity numbering. Sweep solvers stay bound to
-	// the slot-space Even transform (flow values are mask-invariant: a
-	// vacant slot's only arc is its never-usable internal edge), but the
-	// cut-mode network is built in rank space via cutEven so extracted
-	// cuts are bit-identical to a fresh bind of the compacted graph.
+	// and nact == n with identity numbering. The path solvers run in slot
+	// space — a vacant slot is isolated, so it is never on a path — and
+	// cuts are mapped back to ranks.
 	masked    bool
 	nact      int
 	slotOrder []int
 	rankOf    []int32
-	cutEven   []graph.Edge
-	cutDirty  bool // rank-space cut edge list stale (masked mode only)
 
-	workers   []engineWorker
-	cutSolver *maxflow.DinicSolver
-	cutGen    uint64
-	cutBuilds int
+	workers []engineWorker
 
-	// RebindSlots bookkeeping: reused Even-space delta adapters and the
-	// counters the regression tests pin.
-	addSrc, remSrc  evenDeltaSource
-	rebindFallbacks int
-	memberRebinds   int
-
-	// Memory governance (see governance.go): the installed policy and the
-	// deterministic primary-solver re-densify count.
-	gov         GovernancePolicy
-	redensifies int
+	// memberRebinds counts the RebindSlots calls that crossed a
+	// membership change.
+	memberRebinds int
 
 	// Selection and sweep scratch, reused across bindings.
 	rng      *rand.Rand
@@ -186,15 +168,13 @@ type minMemo struct {
 	res   Result
 }
 
-// engineWorker holds one worker's lazily created Hao–Orlin solver and
-// fan-closure scratch, which answer its capped tasks, its disjoint-path
-// solver, which answers its exact tasks, and its share of the engine's
-// work counters.
+// engineWorker holds one worker's path solver, which answers its capped
+// and exact tasks alike, its fan-closure scratch, which settles most
+// capped pairs without a flow, and its share of the engine's work
+// counters.
 type engineWorker struct {
-	solver    maxflow.Solver
-	solverGen uint64 // binding generation the solver is bound to
-	fan       fanClosure
-	paths     pathSolver
+	fan   fanClosure
+	paths pathSolver
 	// Pairs this worker answered with a flow (exact: of those, the Avg
 	// rows') and from the closure, and the path searches its exact pairs
 	// ran and the out-halves those queued; written once per sweep, read by
@@ -227,54 +207,6 @@ type taskResult struct {
 	cappedMinTgt int
 }
 
-// unitEdgeSource feeds graph.Edge lists to solvers with implicit unit
-// capacities, avoiding the historical []maxflow.Edge copy.
-type unitEdgeSource struct{ edges []graph.Edge }
-
-func (s *unitEdgeSource) NumEdges() int { return len(s.edges) }
-func (s *unitEdgeSource) EdgeAt(i int) (int, int, int32) {
-	e := s.edges[i]
-	return e.U, e.V, 1
-}
-
-// cutEdgeSource reinterprets the Even edge list as PairCut's cut-mode
-// network: the first internal edges keep capacity 1, the rewired
-// original edges get capacity big so the minimum cut lands on internal
-// edges only (see PairCut).
-type cutEdgeSource struct {
-	edges    []graph.Edge
-	internal int
-	big      int32
-}
-
-func (s *cutEdgeSource) NumEdges() int { return len(s.edges) }
-func (s *cutEdgeSource) EdgeAt(i int) (int, int, int32) {
-	e := s.edges[i]
-	if i < s.internal {
-		return e.U, e.V, 1
-	}
-	return e.U, e.V, s.big
-}
-
-// evenDeltaSource presents an original-space edge delta in Even-transform
-// coordinates at unit capacity. Only original edges appear in deltas
-// (internal edges exist for every slot regardless of activity, and
-// RebindSlots keeps the slot space), so the (Out(u), In(v)) shape is
-// always right.
-type evenDeltaSource struct{ edges []graph.Edge }
-
-func (s *evenDeltaSource) NumEdges() int { return len(s.edges) }
-func (s *evenDeltaSource) EdgeAt(i int) (int, int, int32) {
-	e := s.edges[i]
-	return graph.Out(e.U), graph.In(e.V), 1
-}
-
-// NewEngine is MustNewEngine with an error result, which is always nil:
-// no option value is invalid.
-func NewEngine(opts EngineOptions) (*Engine, error) {
-	return MustNewEngine(opts), nil
-}
-
 // MustNewEngine returns an unbound Engine.
 func MustNewEngine(opts EngineOptions) *Engine {
 	if opts.Workers <= 0 {
@@ -287,9 +219,9 @@ func MustNewEngine(opts EngineOptions) *Engine {
 	}
 }
 
-// Bind points the engine at g: it rebuilds the Even-transformed edge
-// list into the engine's reused buffer and schedules every solver for an
-// in-place rebind on first use. g must not be mutated while bound.
+// Bind points the engine at g and starts a new binding generation, so
+// every derived structure rebuilds on first use. g must not be mutated
+// while bound.
 func (e *Engine) Bind(g *graph.Digraph) {
 	e.bindFull(g, nil)
 }
@@ -310,10 +242,6 @@ func (e *Engine) bindFull(g *graph.Digraph, order []int) {
 	e.g = g
 	e.n = g.N()
 	e.setOrder(order)
-	e.even = g.AppendEvenEdges(e.even[:0])
-	e.evenSrc.edges = e.even
-	e.cutDirty = true
-	e.evenDirty = false
 	e.gen++
 }
 
@@ -359,38 +287,26 @@ func (e *Engine) isCompleteActive() bool {
 	return e.g.M() == e.nact*(e.nact-1)
 }
 
-// RebindSlots points the engine at a stable-slot capture incrementally:
-// g must be the currently bound slot graph plus delta (same slot count,
-// same slot identity — cur = old - delta.Removed + delta.Added, as
+// RebindSlots points the engine at the next stable-slot capture: g must
+// be the currently bound slot graph plus delta (same slot count, same
+// slot identity — cur = old - delta.Removed + delta.Added, as
 // graph.DiffSlotsInto computes), and order the new capture's compaction
-// map. Instead of rebuilding the Even transform and re-initializing every
-// sweep solver, it patches each live one's arc layout in place and
-// invalidates only the query-level caches the delta poisons (the sweep
-// solver's root labels). Tombstoned arc slots preserve traversal order,
-// so analyses after a RebindSlots are bit-identical to analyses after a
-// full Bind of the compacted graph — the differential churn harness
-// holds the two paths to that contract.
+// map. The membership may have changed between the two captures: joins,
+// leaves and strikes keep their slots' identities, and only the
+// rank-space maps follow the new order. Every derived structure is
+// rebuilt from g on first use, so analyses after a RebindSlots are
+// bit-identical to analyses after a full Bind of the compacted graph —
+// the differential churn harness holds the two paths to that contract.
 //
-// The membership may have changed between the two captures — that is the
-// point: joins, leaves and strikes keep their slots' identities, so the
-// sweep solvers still patch in place from the edge delta alone, and only
-// the rank-space structures follow the new order. The cut-mode network
-// lives in rank space and is not patched: a RebindSlots that starts a
-// new generation leaves it stale, and the next cut query re-initialises
-// it in place from the compacted graph — cut queries are off the
-// per-snapshot hot path, and their one production caller, the cutset
-// adversary, binds every capture in full.
+// What the delta decides is the binding generation. An identical capture
+// — an empty delta under an unchanged order — keeps it: every derived
+// structure and memoized answer still describes g, so a repeated
+// analysis is answered from the memo. Any other capture starts a new
+// one.
 //
 // With no previous slot binding or a different slot count (the slot
 // table grew, or was compacted), RebindSlots falls back to BindSlots and
-// reports false. A solver whose patch fails (a delta inconsistent with
-// its binding) is left on the old generation and lazily re-initialized
-// from the rebuilt Even list on next use; the engine stays consistent
-// either way.
-//
-// An identical capture — an empty delta under an unchanged order — keeps
-// the binding generation: every derived structure and memoized answer
-// still describes g, so a repeated analysis is answered from the memo.
+// reports false.
 func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) bool {
 	if !e.masked || g.N() != e.n {
 		e.BindSlots(g, order)
@@ -400,22 +316,7 @@ func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) b
 	if len(delta.Added) == 0 && len(delta.Removed) == 0 && slices.Equal(e.slotOrder, order) {
 		return true
 	}
-	prevGen := e.gen
 	e.gen++
-	e.evenDirty = true
-	e.cutDirty = true
-	e.addSrc.edges, e.remSrc.edges = delta.Added, delta.Removed
-	for i := range e.workers {
-		w := &e.workers[i]
-		if w.solver != nil && w.solverGen == prevGen {
-			if w.solver.ApplyUnitDelta(&e.addSrc, &e.remSrc) {
-				w.solverGen = e.gen
-			} else {
-				e.rebindFallbacks++
-			}
-		}
-	}
-	e.addSrc.edges, e.remSrc.edges = nil, nil
 	if !slices.Equal(e.slotOrder, order) {
 		e.setOrder(order)
 		e.memberRebinds++
@@ -427,56 +328,31 @@ func (e *Engine) RebindSlots(g *graph.Digraph, delta graph.Delta, order []int) b
 // membership change (joins, leaves or strikes between captures).
 func (e *Engine) MembershipRebinds() int { return e.memberRebinds }
 
-// RebindFallbacks reports how many solver patches failed during rebinds,
-// forcing a lazy full re-initialization of that solver. Since arc-region
-// relocation absorbed slack exhaustion, a patch fails only on a delta
-// inconsistent with the bound graph — a wiring bug — so the churn oracle
-// and the steady-state regression tests pin this to zero outright.
-func (e *Engine) RebindFallbacks() int { return e.rebindFallbacks }
-
 // Release drops every structure the binding can rebuild: the worker
-// solvers and their fan-closure and path scratch, the cut-mode network,
-// the Even edge lists, the flat successor arrays, the in-neighbour rows
-// and the sink chain. It keeps the binding (graph, slot order,
-// generation), AnalyzeSnapshot's memo and the cumulative counters. The
-// next query rebuilds what it needs through the same lazy paths a bind
-// uses — a capped sweep or a cut its arc store, at about the cost of one
-// bind; an exact sweep only the in-neighbour rows and the chain — and
-// answers exactly as the unreleased engine would; a query the memo
-// answers rebuilds nothing. A RebindSlots after a Release patches no
-// solver (there is none) and so never counts a fallback. Holders of many
-// idle bindings (the kadserve arena) call it so that a parked engine
-// costs its answers, not its arc stores.
+// fan-closure and path scratch, the flat successor arrays, the
+// in-neighbour rows and the sink chain. It keeps the binding (graph, slot
+// order, generation), AnalyzeSnapshot's memo and the cumulative counters.
+// The next query rebuilds what it needs through the same lazy paths a
+// bind uses and answers exactly as the unreleased engine would; a query
+// the memo answers rebuilds nothing. Holders of many idle bindings (the
+// kadserve arena) call it so that a parked engine costs its answers and
+// its graph, not its scratch.
 func (e *Engine) Release() {
 	for i := range e.workers {
 		w := &e.workers[i]
-		w.solver, w.solverGen, w.fan, w.paths = nil, 0, fanClosure{}, pathSolver{}
+		w.fan, w.paths = fanClosure{}, pathSolver{}
 	}
-	e.cutSolver, e.cutGen = nil, 0
-	e.even, e.evenSrc.edges, e.evenDirty = nil, nil, true
-	e.cutEven, e.cutSrc, e.cutDirty = nil, cutEdgeSource{}, true
-	// A bound engine's gen is at least 1, so adjGen 0 is always stale.
+	// A bound engine's gen is at least 1, so generation 0 is always stale.
 	e.succStart, e.succ, e.adjGen = nil, nil, 0
-	e.inRows, e.chain, e.inGen = nil, nil, 0
-}
-
-// ensureEven rebuilds the Even edge list after a RebindSlots or a Release
-// marked it stale (a bind rebuilds it eagerly). It must only run from the
-// serial sections of the engine (before sweep workers spawn): the sweep's
-// solver fast paths never call it.
-func (e *Engine) ensureEven() {
-	if !e.evenDirty {
-		return
-	}
-	e.even = e.g.AppendEvenEdges(e.even[:0])
-	e.evenSrc.edges = e.even
-	e.evenDirty = false
+	e.inRows, e.inGen = nil, 0
+	e.chain, e.chainGen = nil, 0
 }
 
 // ensureAdjacency rebuilds the flat successor arrays when the binding
-// generation moved. Like ensureEven it must only run serially: it is the
-// one place the engine walks the bound graph's adjacency rows for
-// the closure, once per generation instead of once per source.
+// generation moved. It must only run serially (before sweep workers
+// spawn): it is the one place the engine walks the bound graph's
+// adjacency rows for the closure, once per generation instead of once
+// per source.
 func (e *Engine) ensureAdjacency() {
 	if e.adjGen == e.gen {
 		return
@@ -489,20 +365,36 @@ func (e *Engine) ensureAdjacency() {
 	e.succStart, e.succ, e.adjGen = start, succ, e.gen
 }
 
-// ensureInRows rebuilds the in-neighbour rows the exact path solvers read,
-// and the sink chain over them, when the binding generation moved. Like
-// ensureAdjacency it must only run serially: every worker reads both.
+// ensureInRows rebuilds the in-neighbour rows the path solvers read when
+// the binding generation moved. Like ensureAdjacency it must only run
+// serially: every worker reads them.
 func (e *Engine) ensureInRows() {
 	if e.inGen == e.gen {
 		return
 	}
 	e.inRows = transposeRows(e.g, e.inRows)
+	e.inGen = e.gen
+}
+
+// ensureChain rebuilds the exact tasks' sink chain over the in-neighbour
+// rows when the binding generation moved; serial like ensureInRows, which
+// must have run first.
+func (e *Engine) ensureChain() {
+	if e.chainGen == e.gen {
+		return
+	}
 	var order []int
 	if e.masked {
 		order = e.slotOrder
 	}
 	e.chain = similarityChain(e.chain, e.inRows, (e.n+63)>>6, e.nact, order)
-	e.inGen = e.gen
+	e.chainGen = e.gen
+}
+
+// inRow returns vertex v's in-neighbour row (see ensureInRows).
+func (e *Engine) inRow(v int) []uint64 {
+	words := (e.n + 63) >> 6
+	return e.inRows[v*words : (v+1)*words]
 }
 
 // SweepFlows reports how many sweep pairs a solver answered, exact and
@@ -561,51 +453,6 @@ func (e *Engine) SweepVisits() int {
 	return total
 }
 
-// ensureCut readies cutSrc for (re)building the cut-mode network. Under a
-// dense binding it is the shared Even list, rebuilt first if a Release
-// dropped it; under a masked one it is the compacted rank-space list —
-// the numbering in which cut queries are asked and answered, and the
-// reason a masked engine's cuts match a fresh bind of the compacted graph
-// arc for arc.
-func (e *Engine) ensureCut() {
-	if !e.masked {
-		e.ensureEven()
-		e.cutSrc = cutEdgeSource{edges: e.even, internal: e.n, big: int32(e.n + 1)}
-		return
-	}
-	if e.cutDirty {
-		e.cutEven = e.g.AppendEvenEdgesCompact(e.cutEven[:0], e.slotOrder, e.rankOf)
-		e.cutDirty = false
-	}
-	e.cutSrc = cutEdgeSource{edges: e.cutEven, internal: e.nact, big: int32(e.nact + 1)}
-}
-
-// CutNetworkBuilds reports how many times the engine constructed its
-// cut-mode flow network from scratch. Rebinding to a new graph
-// reinitializes the existing network in place, so the count stays at one
-// across arbitrarily many same-shape bindings — the regression guard for
-// the cutset adversary's strike loop. Only a Release, which drops the
-// network, makes the next cut query build it again.
-func (e *Engine) CutNetworkBuilds() int { return e.cutBuilds }
-
-// solverFor returns worker w's capped-task solver, creating or rebinding
-// it to the current graph as needed: the fixed-root Hao–Orlin solver,
-// whose MaxFlowLimit is exactly min(cap, kappa) here. Exact tasks run on
-// the worker's path solver instead.
-func (e *Engine) solverFor(w int) maxflow.Solver {
-	ew := &e.workers[w]
-	if ew.solver == nil {
-		e.ensureEven()
-		ew.solver = maxflow.NewHaoOrlinSource(2*e.n, &e.evenSrc)
-		ew.solverGen = e.gen
-	} else if ew.solverGen != e.gen {
-		e.ensureEven()
-		ew.solver.Reset(2*e.n, &e.evenSrc)
-		ew.solverGen = e.gen
-	}
-	return ew.solver
-}
-
 // Analyze computes the connectivity of the bound graph over the sources
 // q.SampleFraction selects: identical Min, Avg, Pairs, Sources and
 // MinPair for any worker count.
@@ -640,8 +487,8 @@ func (e *Engine) Analyze(q Query) Result {
 // AnalyzeSnapshot runs the fused per-snapshot analysis: one sweep over
 // the union of the smallest-out-degree sources (pruned at the running
 // minimum, feeding Min — exactly a MinOnly Analyze) and the seeded
-// uniform sources (exact flows, feeding Avg). Fusing shares the Even
-// transform, the solver pool and the worker fan-out between the two
+// uniform sources (exact flows, feeding Avg). Fusing shares the
+// in-neighbour rows, the solver pool and the worker fan-out between the two
 // measurements the paper plots, instead of paying for each twice per
 // snapshot. A MinOnly query runs the Min half alone, for callers that
 // read no Avg.
@@ -758,24 +605,19 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	// Resolve every solver the sweep may touch while still serial: a
-	// stale solver's Reset reads the shared Even edge list (possibly
-	// rebuilding it after a RebindSlots), which must not race across
-	// workers. In the steady state — solvers bound or patched to the current
-	// generation — these calls are gen checks and nothing more. Only
-	// capped tasks run on Hao–Orlin: a sweep of exact tasks alone resolves
-	// no solver, so it never rebuilds an arc store a Release dropped.
+	// Build what the workers read while still serial: the in-neighbour
+	// rows for every task, the successor arrays for the capped tasks' fan
+	// closures and the sink chain for the exact tasks. Each is a
+	// generation check once built.
+	e.ensureInRows()
 	if capped {
-		for w := 0; w < workers; w++ {
-			e.solverFor(w)
-		}
 		e.ensureAdjacency()
 	}
 	if exact {
-		e.ensureInRows()
-		for w := 0; w < workers; w++ {
-			e.workers[w].paths.bind(e.g)
-		}
+		e.ensureChain()
+	}
+	for w := 0; w < workers; w++ {
+		e.workers[w].paths.bind(e.g)
 	}
 	if workers <= 1 {
 		e.sweepWorker(0, tasks, st)
@@ -802,19 +644,20 @@ type sweepState struct {
 
 // sweepWorker drains tasks, writing results[idx] for each claimed task
 // (distinct indices, so no result locking is needed). Sources, targets
-// and recorded pairs are dense ranks; only the solver coordinates,
-// adjacency probes and the fan closure translate through vtx to the bound
-// graph's numbering, so a masked sweep records exactly what a dense sweep
-// of the compacted graph would.
+// and recorded pairs are dense ranks; only the path solver, adjacency
+// probes and the fan closure translate through vtx to the bound graph's
+// numbering, so a masked sweep records exactly what a dense sweep of the
+// compacted graph would.
 //
-// An exact task runs its sinks through the worker's path solver along
-// the engine's similarity chain, each sink warm-started from the previous
-// one's paths, which a sink with alike in-neighbours mostly keeps (see
-// similarityChain). The values are exact, so the order moves only the
-// work, and the lowest target wins a tie on the minimum explicitly, as an
-// ascending scan's strict < would make it: results match a rank-order
-// scan bit for bit. Capped tasks scan in rank order, which the fan
-// closure's vouching and their own tie rule (see below) rely on.
+// Every task runs its sinks through the worker's path solver, each sink
+// warm-started from the previous one's paths. An exact task scans them
+// along the engine's similarity chain, whose neighbours share most
+// in-neighbours and so keep most paths (see similarityChain). The values
+// are exact, so the order moves only the work, and the lowest target wins
+// a tie on the minimum explicitly, as an ascending scan's strict < would
+// make it: results match a rank-order scan bit for bit. Capped tasks scan
+// in rank order, which the fan closure's vouching and their own tie rule
+// (see below) rely on.
 //
 // A capped task asks the solver only about the sinks its fan closure
 // cannot vouch for. The lemma (Menger's theorem in its fan form, the
@@ -823,20 +666,18 @@ type sweepState struct {
 // kappa(s, t) >= L. Proof: a vertex set C, |C| < L, avoiding s and t
 // misses one of those in-neighbours, a. s still reaches a in G-C — a is
 // s, or the edge s->a survives, or kappa(s, a) >= L > |C| — and the edge
-// a->t survives, so C does not separate s from t. MaxFlowLimit returns
-// exactly min(limit, kappa), so for a member the sweep records the limit
-// itself, bit for bit what the call would have returned. The closure's
-// threshold follows the task's limit down (members stay valid at a
-// smaller threshold), and a sink whose flow reaches the limit joins it and
-// may vouch for later ones.
+// a->t survives, so C does not separate s from t. The solver's limited
+// kappa returns exactly min(limit, kappa), so for a member the sweep
+// records the limit itself, bit for bit what the solver would have
+// returned. The closure's threshold follows the task's limit down
+// (members stay valid at a smaller threshold), and a sink whose flow
+// reaches the limit joins it and may vouch for later ones.
 func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 	n := e.nact
 	g := e.g
 	ew := &e.workers[w]
 	fan, paths := &ew.fan, &ew.paths
-	words := (e.n + 63) >> 6 // of a row of inRows
-	flows, exact, settled := 0, 0, 0
-	augments, visits := paths.augments, paths.visits
+	flows, exact, settled, augments, visits := 0, 0, 0, 0, 0
 	for {
 		st.mu.Lock()
 		idx := st.next
@@ -856,14 +697,10 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			exactMin: n, exactMinTgt: n,
 			cappedMin: n, cappedMinTgt: n,
 		}
-		// An exact task starts its path solver at its source; a capped one
-		// roots Hao–Orlin at its first flow, which most never reach.
-		var solver maxflow.Solver
-		rooted := false
-		if task.exact {
-			paths.source(srcV)
-		} else {
-			solver = e.solverFor(w)
+		// Only exact pairs feed the search counters.
+		searched, queued := paths.augments, paths.visits
+		paths.source(srcV)
+		if !task.exact {
 			fan.reset(e.succStart, e.succ, srcV, limit)
 		}
 		for i := 0; i < n; i++ {
@@ -877,7 +714,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			}
 			var flow int
 			if task.exact {
-				flow = paths.kappa(tgtV, e.inRows[tgtV*words:(tgtV+1)*words])
+				flow = paths.kappa(tgtV, e.inRow(tgtV), math.MaxInt)
 				flows++
 				exact++
 				if flow < res.exactMin || flow == res.exactMin && tgt < res.exactMinTgt {
@@ -888,11 +725,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 					flow = limit
 					settled++
 				} else {
-					if !rooted {
-						solver.PrepareSource(graph.Out(srcV))
-						rooted = true
-					}
-					flow = solver.MaxFlowLimit(graph.Out(srcV), graph.In(tgtV), limit)
+					flow = paths.kappa(tgtV, e.inRow(tgtV), limit)
 					flows++
 					if flow >= limit {
 						fan.add(tgtV)
@@ -931,12 +764,16 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			}
 		}
 		e.results[idx] = res
+		if task.exact {
+			augments += paths.augments - searched
+			visits += paths.visits - queued
+		}
 	}
 	ew.flows += flows
 	ew.exact += exact
 	ew.settled += settled
-	ew.augments += paths.augments - augments
-	ew.visits += paths.visits - visits
+	ew.augments += augments
+	ew.visits += visits
 }
 
 // combine folds task results into a Result, including the
@@ -990,7 +827,9 @@ func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int
 	}
 	slices.SortFunc(idxs, func(a, b int) int { return tasks[a].src - tasks[b].src })
 	e.idxBuf = idxs
-	var solver maxflow.Solver
+	// The sweep that produced results left the successor arrays, the
+	// in-neighbour rows and worker 0's path solver bound to this
+	// generation.
 	ew := &e.workers[0]
 	for _, ti := range idxs {
 		r := &results[ti]
@@ -1005,12 +844,8 @@ func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int
 			amTgt = r.cappedMinTgt
 		}
 		if amTgt < exTgt {
-			if solver == nil {
-				solver = e.solverFor(0)
-				e.ensureAdjacency()
-			}
 			ew.fan.reset(e.succStart, e.succ, srcV, min+1)
-			rooted := false
+			ew.paths.source(srcV)
 			for tgt := amTgt; tgt < exTgt; tgt++ {
 				tgtV := e.vtx(tgt)
 				if tgtV == srcV || e.g.HasEdge(srcV, tgtV) {
@@ -1020,12 +855,8 @@ func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int
 					ew.settled++
 					continue
 				}
-				if !rooted {
-					solver.PrepareSource(graph.Out(srcV))
-					rooted = true
-				}
 				ew.flows++
-				if solver.MaxFlowLimit(graph.Out(srcV), graph.In(tgtV), min+1) == min {
+				if ew.paths.kappa(tgtV, e.inRow(tgtV), min+1) == min {
 					return [2]int{src, tgt}
 				}
 				ew.fan.add(tgtV)
@@ -1131,21 +962,15 @@ func (e *Engine) uniformSources(count int, seed int64) []int {
 // This extends the paper's analysis from *how many* nodes an attacker must
 // compromise (Equation 2) to *which* nodes realize that minimum — the
 // optimal attack against the pair. Under a masked binding v and w are
-// dense ranks and so is the returned cut.
+// dense ranks and so is the returned cut, sorted ascending.
 //
-// The cut is read off the max-flow residual graph of the Even-transformed
-// graph: with a maximum flow in place, a vertex u is in the cut exactly
-// when its internal edge (u', u”) crosses from the residual-reachable
-// side to the unreachable side. Unlike the kappa computation — where every
-// capacity is 1, as in the paper — the rewired original edges here carry
-// capacity n so that the minimum cut is forced onto internal edges only;
-// the flow value is unaffected because vertex-disjoint paths never share
-// an original edge.
-//
-// The cut-mode flow network is cached: the first call builds it, later
-// calls — and later bindings — reinitialize it in place, so an
-// adversary striking once per snapshot stops paying a network
-// construction per strike.
+// The cut is the source-minimal minimum cut of the Even-transformed
+// graph in which internal edges keep capacity 1 and original edges have
+// unbounded capacity, so that every minimum cut consists of internal
+// edges only: worker 0's path solver finds a maximum flow and then one
+// residual search from v's out-half (pathSolver.cut) reads the cut off
+// it. That source side is the same for every maximum flow, so the cut
+// does not depend on which paths the solver found.
 func (e *Engine) PairCut(v, w int) ([]int, error) {
 	if e.g == nil {
 		panic("connectivity: Engine.PairCut before Bind")
@@ -1156,22 +981,23 @@ func (e *Engine) PairCut(v, w int) ([]int, error) {
 	if v < 0 || v >= e.nact || w < 0 || w >= e.nact {
 		return nil, fmt.Errorf("connectivity: cut (%d,%d) out of range [0,%d)", v, w, e.nact)
 	}
-	if e.g.HasEdge(e.vtx(v), e.vtx(w)) {
+	vV, wV := e.vtx(v), e.vtx(w)
+	if e.g.HasEdge(vV, wV) {
 		return nil, fmt.Errorf("connectivity: vertices %d and %d are adjacent; no vertex cut separates them", v, w)
 	}
-	if e.cutSolver == nil {
-		e.ensureCut()
-		e.cutSolver = maxflow.NewDinicSource(2*e.nact, &e.cutSrc)
-		e.cutGen = e.gen
-		e.cutBuilds++
-	} else if e.cutGen != e.gen {
-		e.ensureCut()
-		e.cutSolver.Reset(2*e.nact, &e.cutSrc)
-		e.cutGen = e.gen
+	e.ensureInRows()
+	paths := &e.workers[0].paths
+	paths.bind(e.g)
+	paths.source(vV)
+	paths.kappa(wV, e.inRow(wV), math.MaxInt)
+	cut := paths.cut()
+	if e.masked {
+		for i, u := range cut {
+			cut[i] = int(e.rankOf[u])
+		}
+		slices.Sort(cut)
 	}
-	e.cutSolver.MaxFlow(graph.Out(v), graph.In(w))
-	reach := e.cutSolver.ResidualReachable(graph.Out(v))
-	return extractCut(e.nact, v, w, reach), nil
+	return cut, nil
 }
 
 // GraphCut returns a minimum vertex cut of the bound graph, with the

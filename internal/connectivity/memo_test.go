@@ -25,11 +25,17 @@ func freshSnapshot(g *graph.Digraph, workers int, q SnapshotQuery) SnapshotResul
 // sweep, so resamples share some source counts and not others.
 var memoFracs = []float64{0.1, 0.25, 0.5, 0, 1}
 
-// released fails the test unless eng holds no arc store.
+// released fails the test unless eng holds none of the structures a
+// binding can rebuild.
 func released(t *testing.T, eng *Engine) {
 	t.Helper()
-	if arcs, max := eng.MemoryStats().Arcs, eng.MaxSolverArcs(); arcs != 0 || max != 0 {
-		t.Fatalf("released engine still holds arcs: MemoryStats %d, MaxSolverArcs %d", arcs, max)
+	if eng.inRows != nil || eng.chain != nil || eng.succStart != nil || eng.succ != nil {
+		t.Fatal("released engine still holds its in-neighbour rows, chain or successor arrays")
+	}
+	for i := range eng.workers {
+		if eng.workers[i].paths.pred != nil || eng.workers[i].fan.in != nil {
+			t.Fatalf("released engine's worker %d still holds path or fan scratch", i)
+		}
 	}
 }
 
@@ -40,9 +46,9 @@ func released(t *testing.T, eng *Engine) {
 // AnalyzeSnapshot calls whose fractions and seeds repeat and overlap.
 // Every answer must equal a fresh engine's, at Workers 1 and 4, and some
 // answers must have come from the memo alone. The released variant drops
-// the engine's solvers before every query and before every RebindSlots:
-// the answers must not move, a RebindSlots after a release must add no
-// fallback, and a query repeated after a release must sweep nothing.
+// the engine's derived structures before every query and before every
+// RebindSlots: the answers must not move, and a query repeated after a
+// release must sweep nothing.
 func TestSnapshotMemoMatchesFreshEngine(t *testing.T) {
 	for _, release := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
@@ -81,11 +87,7 @@ func TestSnapshotMemoMatchesFreshEngine(t *testing.T) {
 						if release {
 							eng.Release()
 						}
-						fallbacks := eng.RebindFallbacks()
 						eng.RebindSlots(slotG, delta, order)
-						if release && eng.RebindFallbacks() != fallbacks {
-							t.Fatalf("workers %d seed %d step %d: RebindSlots after a release fell back", workers, seed, step)
-						}
 					}
 					prev, prevOrder = slotG, order
 					for i := 0; i < 6; i++ {
@@ -128,11 +130,10 @@ func TestSnapshotMemoMatchesFreshEngine(t *testing.T) {
 }
 
 // TestReleasedEngineCuts: a released engine's next cut query — a PairCut
-// with no sweep before it, or a GraphCut — rebuilds the cut network from
-// the binding (under a dense Bind, from the Even list the release
-// dropped) and extracts exactly the cut an unreleased engine does,
-// whether or not a cut network existed before the release, in both
-// binding styles.
+// with no sweep before it, or a GraphCut — rebuilds what it reads from
+// the binding and extracts exactly the cut an unreleased engine does,
+// whether or not a cut query ran before the release, in both binding
+// styles.
 func TestReleasedEngineCuts(t *testing.T) {
 	w := newSlotWorld(5, 40, 4)
 	for i := 0; i < 6; i++ {
@@ -161,11 +162,10 @@ func TestReleasedEngineCuts(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				builds := eng.CutNetworkBuilds()
 				eng.Release()
 				released(t, eng)
 				// A PairCut straight after the release: no sweep has rebuilt
-				// the Even list for it.
+				// the in-neighbour rows or the path solver for it.
 				if cut, err := eng.PairCut(wantPair[0], wantPair[1]); err != nil || !slices.Equal(cut, wantCut) {
 					t.Fatalf("workers %d masked %v cut first %v: released PairCut %v %v, unreleased %v",
 						workers, masked, cutFirst, cut, err, wantCut)
@@ -175,10 +175,6 @@ func TestReleasedEngineCuts(t *testing.T) {
 				if err != nil || ok != wantOK || pair != wantPair || !slices.Equal(cut, wantCut) {
 					t.Fatalf("workers %d masked %v cut first %v: released GraphCut %v %v %v %v, unreleased %v %v %v",
 						workers, masked, cutFirst, cut, pair, ok, err, wantCut, wantPair, wantOK)
-				}
-				if eng.CutNetworkBuilds() != builds+2 {
-					t.Fatalf("workers %d masked %v cut first %v: %d cut network builds after two releases, want 2",
-						workers, masked, cutFirst, eng.CutNetworkBuilds()-builds)
 				}
 			}
 		}
@@ -224,10 +220,10 @@ func TestSnapshotMemoSolvesEachRowOnce(t *testing.T) {
 
 // TestReleasedResampleBuildsNoSolver pins what a kadserve resample costs
 // a parked engine: after a Release, an Avg resample whose Min is memoized
-// but whose uniform rows are not sweeps exact tasks only, which run on
-// the disjoint-path solvers. Its answers equal an unreleased engine's,
-// and no worker gets a Hao–Orlin solver back, nor the engine an Even edge
-// list: an exact-only sweep rebuilds no arc store.
+// but whose uniform rows are not sweeps exact tasks only. Its answers
+// equal an unreleased engine's, and it rebuilds only what exact tasks
+// read — the in-neighbour rows, the chain and the path scratch — never
+// the successor arrays and fan closures of the capped tasks.
 func TestReleasedResampleBuildsNoSolver(t *testing.T) {
 	w := newSlotWorld(8, 60, 5)
 	w.capture()
@@ -263,15 +259,14 @@ func TestReleasedResampleBuildsNoSolver(t *testing.T) {
 				if eng.SweepExact() == exact {
 					t.Fatalf("workers %d masked %v seed %d: the resample swept no row", workers, masked, seed)
 				}
+				if eng.succStart != nil || eng.succ != nil {
+					t.Fatalf("workers %d masked %v seed %d: the resample rebuilt the successor arrays", workers, masked, seed)
+				}
 				for i := range eng.workers {
-					if eng.workers[i].solver != nil {
-						t.Fatalf("workers %d masked %v seed %d: worker %d rebuilt a Hao–Orlin solver", workers, masked, seed, i)
+					if eng.workers[i].fan.in != nil {
+						t.Fatalf("workers %d masked %v seed %d: worker %d rebuilt a fan closure", workers, masked, seed, i)
 					}
 				}
-				if eng.even != nil {
-					t.Fatalf("workers %d masked %v seed %d: the resample rebuilt the Even edge list", workers, masked, seed)
-				}
-				released(t, eng)
 			}
 		}
 	}

@@ -6,26 +6,29 @@ import (
 	"kadre/internal/graph"
 )
 
-// pathSolver computes exact pair connectivities kappa(s, t) of one source
-// against a sequence of sinks by finding vertex-disjoint s->t paths
-// directly on a Digraph's bitset rows (Menger's theorem, with the
-// augmenting-path search of Even 1975). It needs no Even edge list and no
-// arc store: the flow is a set of vertex-disjoint paths kept as pred/succ
-// links per vertex, and the residual of the vertex-split network is read
-// off those links. An augmentation may also close a cycle of links — flow
-// that circulates, adds nothing to the value and is a valid part of the
-// residual; the next retarget drops it.
+// pathSolver is the engine's one flow solver. It computes pair
+// connectivities kappa(s, t) of one source against a sequence of sinks by
+// finding vertex-disjoint s->t paths directly on a Digraph's bitset rows
+// (Menger's theorem, with the augmenting-path search of Even 1975) —
+// exactly, or capped at a limit for the Min sweeps — and reads minimum
+// vertex cuts off a maximum flow (see cut). It needs no Even edge list
+// and no arc store: the flow is a set of vertex-disjoint paths kept as
+// pred/succ links per vertex, and the residual of the vertex-split
+// network is read off those links. An augmentation may also close a cycle
+// of links — flow that circulates, adds nothing to the value and is a
+// valid part of the residual; the next retarget drops it.
 //
 // Each sink starts warm from the previous sink's paths (see retarget),
 // adds the 2- and 3-hop paths a greedy bitset fill finds, and augments
-// until the flow reaches min(outdeg s, indeg t) or a breadth-first search
-// fails to find an augmenting path — the only search whose failure proves
-// the value. The answer is exact, so it is the flow value any maximum-flow
-// solver returns on the Even transform, whatever order the sinks come in.
-// The order sets the work: retarget keeps a path only up to its first
-// in-neighbour of the new sink, so a sink whose in-neighbours resemble
-// the previous sink's inherits most of its paths. The engine therefore
-// scans an exact task's sinks along similarityChain.
+// until the flow reaches min(outdeg s, indeg t, limit) or a breadth-first
+// search fails to find an augmenting path — the only search whose failure
+// proves the value. The answer is min(limit, kappa) exactly, so it is the
+// value any maximum-flow solver's limited query returns on the Even
+// transform, whatever order the sinks come in. The order sets the work:
+// retarget keeps a path only up to its first in-neighbour of the new
+// sink, so a sink whose in-neighbours resemble the previous sink's
+// inherits most of its paths. The engine therefore scans an exact task's
+// sinks along similarityChain.
 //
 // A vacant slot of a stable-slot graph is isolated, so it is never on a
 // path and the solver runs on slot graphs unchanged.
@@ -102,15 +105,19 @@ func (p *pathSolver) source(s int) {
 func hasBit(set []uint64, v int) bool { return set[v>>6]&(1<<(v&63)) != 0 }
 func setBit(set []uint64, v int)      { set[v>>6] |= 1 << (v & 63) }
 
-// kappa returns kappa(s, t) for the current source and a sink t that is
-// neither s nor one of its out-neighbours; tin holds t's in-neighbours as
-// a bitset of the graph's row width (a row of transposeRows).
-func (p *pathSolver) kappa(t int, tin []uint64) int {
+// kappa returns min(kappa(s, t), limit) for the current source and a
+// sink t that is neither s nor one of its out-neighbours; tin holds t's
+// in-neighbours as a bitset of the graph's row width (a row of
+// transposeRows). It augments only until the flow reaches the limit, so
+// a capped query costs at most limit paths; pass math.MaxInt for the
+// exact value. The flow it leaves may exceed the limit (the warm start
+// and the fill add paths freely), which only helps the next sink.
+func (p *pathSolver) kappa(t int, tin []uint64, limit int) int {
 	p.retarget(t, tin)
 	p.step(false)
 	p.fill()
 	p.step(false)
-	ub := p.outS
+	ub := min(p.outS, limit)
 	in := 0
 	for _, w := range tin {
 		in += bits.OnesCount64(w)
@@ -126,7 +133,7 @@ func (p *pathSolver) kappa(t int, tin []uint64) int {
 		p.augment(last)
 		p.step(true)
 	}
-	return p.flow
+	return min(p.flow, limit)
 }
 
 // step runs the test hook, if one is set.
@@ -343,6 +350,66 @@ func (p *pathSolver) augment(last int) {
 	}
 	p.drop, p.add = drop, add
 	p.flow++
+}
+
+// cut returns, in ascending order, the vertices of the source-minimal
+// minimum vertex cut between s and t; the flow must be a maximum one (an
+// unlimited kappa). It is one residual search of the
+// vertex-split network in which, unlike search's unit network, original
+// edges have unbounded capacity, so that every minimum cut consists of
+// internal edges only — a unit-capacity minimum cut may contain original
+// edges instead. The moves therefore differ from search's in one place:
+// an original edge u->v is always open forward, even while a path runs
+// along it; backward it is open only where a path runs. An internal edge
+// is open forward on a free vertex and backward on a used one. The cut
+// is every vertex whose in-half the search enters and whose out-half it
+// does not reach. The source side of the source-minimal minimum cut is
+// the same for every maximum flow, so the answer does not depend on
+// which paths the solver found.
+func (p *pathSolver) cut() []int {
+	clear(p.visIn)
+	clear(p.visOut)
+	s, t := p.s, p.t
+	// A maximum flow leaves t's in-half unreachable; marking it keeps the
+	// search off it regardless.
+	setBit(p.visIn, s)
+	setBit(p.visIn, t)
+	setBit(p.visOut, s)
+	p.queue = append(p.queue[:0], int32(s))
+	reach := func(x int) { // x's out-half
+		if !hasBit(p.visOut, x) {
+			setBit(p.visOut, x)
+			p.queue = append(p.queue, int32(x))
+		}
+	}
+	for head := 0; head < len(p.queue); head++ {
+		u := int(p.queue[head])
+		if u != s && hasBit(p.used, u) && !hasBit(p.visIn, u) {
+			// Back through u's own internal edge, then along its pred edge.
+			setBit(p.visIn, u)
+			reach(int(p.pred[u]))
+		}
+		for i, w := range p.g.Row(u) {
+			for w &^= p.visIn[i]; w != 0; w &= w - 1 {
+				v := i<<6 | bits.TrailingZeros64(w)
+				p.visIn[i] |= 1 << (v & 63)
+				if p.used[i]&(1<<(v&63)) == 0 {
+					reach(v)
+				} else {
+					reach(int(p.pred[v]))
+				}
+			}
+		}
+	}
+	var cut []int
+	for i, w := range p.visIn {
+		for w &^= p.visOut[i]; w != 0; w &= w - 1 {
+			if v := i<<6 | bits.TrailingZeros64(w); v != t {
+				cut = append(cut, v)
+			}
+		}
+	}
+	return cut
 }
 
 // transposeRows returns g's in-neighbour rows in dst's storage: row v,

@@ -2,10 +2,13 @@ package connectivity
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kadre/internal/graph"
+	"kadre/internal/maxflow"
 )
 
 // checkPaths returns an error unless p's flow is p.flow vertex-disjoint
@@ -103,8 +106,10 @@ func inRows(t *testing.T, g *graph.Digraph) [][]uint64 {
 // checkPathSolver holds the solver to Dinic on every non-adjacent pair of
 // g, running each source against its sinks in ascending order, along the
 // similarity chain the engine's exact sweeps follow, and in shuffled
-// order, with the path invariant checked after every retarget, fill and
-// augmentation. It returns the searches the solver ran.
+// order, and then once more in ascending order with limits cycling below,
+// at and above kappa against Dinic's MaxFlowLimit — the capped form the
+// Min sweeps run — with the path invariant checked after every retarget,
+// fill and augmentation. It returns the searches the solver ran.
 func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand) int {
 	t.Helper()
 	in := inRows(t, g)
@@ -116,6 +121,7 @@ func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand)
 		}
 	}
 	chain := similarityChain(nil, transposeRows(g, nil), (g.N()+63)>>6, g.N(), nil)
+	dinic := maxflow.NewDinic(2*g.N(), referenceEvenUnitEdges(g))
 	for s := 0; s < g.N(); s++ {
 		want := kappaFrom(g, s)
 		var sinks []int
@@ -138,9 +144,21 @@ func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand)
 			}
 			ps.source(s)
 			for _, v := range sinks {
-				if got := ps.kappa(v, in[v]); got != want[v] {
+				if got := ps.kappa(v, in[v], math.MaxInt); got != want[v] {
 					t.Fatalf("%s: kappa(%d, %d) = %d, Dinic %d (pass %d)", label, s, v, got, want[v], pass)
 				}
+			}
+		}
+		slices.Sort(sinks)
+		ps.source(s)
+		for i, v := range sinks {
+			limit := max(want[v]-1+i%3, 0)
+			wantLimited := dinic.MaxFlowLimit(graph.Out(s), graph.In(v), limit)
+			if wantLimited != min(want[v], limit) {
+				t.Fatalf("%s: Dinic MaxFlowLimit(%d, %d, %d) = %d, kappa %d", label, s, v, limit, wantLimited, want[v])
+			}
+			if got := ps.kappa(v, in[v], limit); got != wantLimited {
+				t.Fatalf("%s: kappa(%d, %d) at limit %d = %d, Dinic %d", label, s, v, limit, got, wantLimited)
 			}
 		}
 	}
@@ -212,17 +230,19 @@ func TestPathSolverWarmStartCases(t *testing.T) {
 	ps.source(0)
 	for _, sink := range []int{5, 7, 8, 4, 6, 5, 7} {
 		want := kappaFrom(g, 0)[sink]
-		if got := ps.kappa(sink, in[sink]); got != want {
+		if got := ps.kappa(sink, in[sink], math.MaxInt); got != want {
 			t.Fatalf("kappa(0, %d) = %d, Dinic %d", sink, got, want)
 		}
 	}
 }
 
-// pathCase is FuzzPathSolverVsDinic's input: a graph whose vacant
-// vertices are isolated, plus the seed of the sink shuffle.
+// pathCase is FuzzPathSolverVsDinic's and FuzzPairCutVsDinic's input: a
+// graph whose vacant vertices are isolated, the vacancy mask, and the
+// seed of the sink shuffle (or of the slot order).
 type pathCase struct {
-	g    *graph.Digraph
-	seed int64
+	g      *graph.Digraph
+	vacant []bool
+	seed   int64
 }
 
 // decodePathCase reads a vertex count (2..72, across the word boundary),
@@ -233,8 +253,8 @@ func decodePathCase(data []byte) pathCase {
 	copy(hdr, data)
 	n := 2 + int(hdr[0])%71
 	r := rand.New(rand.NewSource(int64(hdr[1])))
-	c := pathCase{g: graph.NewDigraph(n), seed: int64(hdr[4])}
 	vacant := make([]bool, n)
+	c := pathCase{g: graph.NewDigraph(n), vacant: vacant, seed: int64(hdr[4])}
 	for v := range vacant {
 		vacant[v] = r.Intn(256) < int(hdr[2])/2
 	}
@@ -254,8 +274,8 @@ func decodePathCase(data []byte) pathCase {
 
 // FuzzPathSolverVsDinic decodes a byte string into a graph with vacant
 // vertices and holds the solver to Dinic on every pair, sinks ascending,
-// along the similarity chain and shuffled, the path invariant checked
-// after every step.
+// along the similarity chain and shuffled, and capped at limits around
+// kappa, the path invariant checked after every step.
 func FuzzPathSolverVsDinic(f *testing.F) {
 	f.Add([]byte{7, 1, 0, 40, 3})
 	f.Add([]byte{62, 2, 40, 120, 5})

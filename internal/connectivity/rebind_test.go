@@ -64,9 +64,6 @@ func rebindChain(t *testing.T, seed int64, steps, memberEvery int, inc, ref *Eng
 	if inc.MembershipRebinds() != memberSteps {
 		t.Fatalf("MembershipRebinds = %d, want %d", inc.MembershipRebinds(), memberSteps)
 	}
-	if fb := inc.RebindFallbacks(); fb != 0 {
-		t.Fatalf("%d solver patches fell back on consistent deltas", fb)
-	}
 }
 
 // TestRebindMatchesBind checks every sweep analysis after a RebindSlots
@@ -84,15 +81,13 @@ func TestRebindMatchesBind(t *testing.T) {
 	})
 }
 
-// TestRebindCutPathMatchesBind pins the cut-mode network across rebinds:
-// every RebindSlots leaves it stale and the next cut query re-initialises
-// it in place in rank space, so the minimum vertex cuts (vertex lists,
-// pairs) after a chain of rebinds must equal the from-scratch engine's,
-// for the graph's minimizing pair and for an arbitrary one, and the cut
-// network must never be rebuilt from scratch — the adversary's strike loop
-// stays on one network across arbitrarily many snapshots. The chain runs
-// once with the membership fixed and once with membership-changing rebinds
-// interleaved, the two cases the engine used to treat differently.
+// TestRebindCutPathMatchesBind pins cuts across rebinds: the minimum
+// vertex cuts (vertex lists, pairs) after a chain of RebindSlots, read off
+// the slot graph and mapped to ranks, must equal the from-scratch
+// engine's, for the graph's minimizing pair and for an arbitrary one. The
+// chain runs once with the membership fixed and once with
+// membership-changing rebinds interleaved, the two cases the engine used
+// to treat differently.
 func TestRebindCutPathMatchesBind(t *testing.T) {
 	for _, memberEvery := range []int{0, 3} {
 		inc := MustNewEngine(EngineOptions{Workers: 1})
@@ -133,9 +128,6 @@ func TestRebindCutPathMatchesBind(t *testing.T) {
 		})
 		if cuts == 0 {
 			t.Fatalf("memberEvery %d: trace produced no usable cuts; weak test", memberEvery)
-		}
-		if builds := inc.CutNetworkBuilds(); builds != 1 {
-			t.Fatalf("memberEvery %d: cut network built %d times across rebinds, want 1", memberEvery, builds)
 		}
 	}
 }
@@ -183,8 +175,8 @@ func TestRebindIdenticalCaptureKeepsMemo(t *testing.T) {
 	if eng.SweepFlows()+eng.SweepSettled() == swept {
 		t.Fatal("a changed capture was answered from the previous generation's memo")
 	}
-	if eng.MembershipRebinds() != 0 || eng.RebindFallbacks() != 0 {
-		t.Fatalf("membership rebinds %d, fallbacks %d, want 0/0", eng.MembershipRebinds(), eng.RebindFallbacks())
+	if eng.MembershipRebinds() != 0 {
+		t.Fatalf("membership rebinds %d, want 0", eng.MembershipRebinds())
 	}
 }
 

@@ -109,15 +109,15 @@ func (o *mapDigraph) diff(cur *mapDigraph) (added, removed []Edge) {
 	return added, removed
 }
 
-// evenEdgesCompact is the Even edge list of the graph renumbered by rank:
-// the internal edges in rank order, then every edge sorted by rank pair.
-func (o *mapDigraph) evenEdgesCompact(order []int, rank []int32) []Edge {
+// evenEdges is the Even edge list of the graph: the internal edges in
+// vertex order, then every edge sorted by vertex pair.
+func (o *mapDigraph) evenEdges() []Edge {
 	var out, orig []Edge
-	for r := range order {
-		out = append(out, Edge{U: In(r), V: Out(r)})
+	for v := 0; v < o.n; v++ {
+		out = append(out, Edge{U: In(v), V: Out(v)})
 	}
 	for _, e := range o.edges() {
-		orig = append(orig, Edge{U: Out(int(rank[e.U])), V: In(int(rank[e.V]))})
+		orig = append(orig, Edge{U: Out(e.U), V: In(e.V)})
 	}
 	slices.SortFunc(orig, func(a, b Edge) int {
 		if a.U != b.U {
@@ -220,17 +220,6 @@ func FuzzDigraphOps(f *testing.F) {
 		if got, want := base.Equal(g), len(wantAdd)+len(wantRem) == 0; got != want {
 			t.Fatalf("base.Equal(g) = %v, oracle %v", got, want)
 		}
-
-		// A reversed vertex order as the compaction: every rank permutes.
-		order, rank := make([]int, n), make([]int32, n)
-		for r := range order {
-			order[r] = n - 1 - r
-			rank[n-1-r] = int32(r)
-		}
-		prefix := []Edge{{U: -1, V: -1}}
-		if got, want := g.AppendEvenEdgesCompact(slices.Clone(prefix), order, rank), append(slices.Clone(prefix), o.evenEdgesCompact(order, rank)...); !slices.Equal(got, want) {
-			t.Fatalf("AppendEvenEdgesCompact = %v, oracle %v", got, want)
-		}
 	})
 }
 
@@ -279,14 +268,9 @@ func checkAgainstOracle(t *testing.T, g *Digraph, o *mapDigraph) {
 		t.Fatalf("SCCs = %v, oracle %v", got, want)
 	}
 
-	identity := make([]int, o.n)
-	rank := make([]int32, o.n)
-	for v := range identity {
-		identity[v], rank[v] = v, int32(v)
-	}
-	wantEven := o.evenEdgesCompact(identity, rank)
-	if got := g.AppendEvenEdges(nil); !slices.Equal(got, wantEven) {
-		t.Fatalf("AppendEvenEdges = %v, oracle %v", got, wantEven)
+	wantEven := o.evenEdges()
+	if got := EvenEdges(g); !slices.Equal(got, wantEven) {
+		t.Fatalf("EvenEdges = %v, oracle %v", got, wantEven)
 	}
 
 	c := g.Clone()

@@ -7,13 +7,10 @@ import "fmt"
 // Even's transformation keeps every capacity at 1 — it runs in
 // O(E*sqrt(V)), asymptotically better than push-relabel's bound. Its
 // MaxFlowLimit stops exactly at the cap (the flow counter rises one
-// augmenting path at a time), and its residual-reachability API is what
-// cut extraction needs — the cut-mode network is always Dinic. For the
-// sweeps themselves, the fixed-root HaoOrlinSolver wins on wall-clock
-// (see BenchmarkMaxflowAlgorithms), so connectivity.Engine's capped
-// sweeps run on it, and its exact flows on a disjoint-path solver that
-// needs no flow network; Dinic is the solver of cut extraction and the
-// tests' reference.
+// augmenting path at a time), and its residual-reachability query reads
+// the source-minimal minimum cut off a maximum flow. It is the tests'
+// reference for the connectivity engine's flows and cuts, and a
+// benchmark control; the engine itself needs no flow network.
 //
 // Two sweep-oriented optimizations apply on top of the textbook
 // algorithm. Queries restore only the residual capacities they actually
@@ -65,29 +62,6 @@ func (d *DinicSolver) Reset(n int, edges EdgeSource) {
 // N implements Solver.
 func (d *DinicSolver) N() int { return d.st.n }
 
-// ApplyUnitDelta implements Solver: it patches the bound graph
-// in place (tombstoning removed edges, reviving added ones) and drops the
-// cached source BFS, whose levels depend on the whole graph.
-func (d *DinicSolver) ApplyUnitDelta(added, removed EdgeSource) bool {
-	d.st.resetTouched()
-	if !d.st.applyDelta(added, removed, false) {
-		return false
-	}
-	d.preparedSrc = -1
-	return true
-}
-
-// ArcStats implements Solver.
-func (d *DinicSolver) ArcStats() ArcStats { return d.st.stats() }
-
-// Compact implements Solver: it re-densifies the arc store in
-// place and drops the cached source BFS (levels depend on the whole
-// graph either way; the arc layout it is rebuilt over has changed).
-func (d *DinicSolver) Compact() {
-	d.st.redensify()
-	d.preparedSrc = -1
-}
-
 // PrepareSource implements Solver: it runs one full BFS from s on the
 // fresh residual graph and caches the level array. Subsequent
 // MaxFlow/MaxFlowLimit queries from s skip their first-phase BFS — on a
@@ -106,7 +80,7 @@ func (d *DinicSolver) PrepareSource(s int) {
 	d.queue = append(d.queue, int32(s))
 	for head := 0; head < len(d.queue); head++ {
 		u := d.queue[head]
-		for a := d.st.first[u]; a < d.st.last[u]; a++ {
+		for a := d.st.first[u]; a < d.st.first[u+1]; a++ {
 			v := d.st.to[a]
 			if d.st.cap[a] > 0 && lv[v] < 0 {
 				lv[v] = lv[u] + 1
@@ -132,7 +106,7 @@ func (d *DinicSolver) ResidualReachable(s int) []bool {
 	d.queue = append(d.queue, int32(s))
 	for head := 0; head < len(d.queue); head++ {
 		u := d.queue[head]
-		for a := d.st.first[u]; a < d.st.last[u]; a++ {
+		for a := d.st.first[u]; a < d.st.first[u+1]; a++ {
 			v := d.st.to[a]
 			if d.st.cap[a] > 0 && !seen[v] {
 				seen[v] = true
@@ -201,7 +175,7 @@ func (d *DinicSolver) bfs(s, t int32) bool {
 	d.queue = append(d.queue, s)
 	for head := 0; head < len(d.queue); head++ {
 		u := d.queue[head]
-		for a := d.st.first[u]; a < d.st.last[u]; a++ {
+		for a := d.st.first[u]; a < d.st.first[u+1]; a++ {
 			v := d.st.to[a]
 			if d.st.cap[a] > 0 && d.level[v] < 0 {
 				d.level[v] = d.level[u] + 1
@@ -238,7 +212,7 @@ func (d *DinicSolver) dfs(s, t int32) int {
 			return int(bottleneck)
 		}
 		advanced := false
-		for d.iter[u] < d.st.last[u] {
+		for d.iter[u] < d.st.first[u+1] {
 			a := d.iter[u]
 			v := d.st.to[a]
 			if d.st.cap[a] > 0 && d.level[v] == d.level[u]+1 {

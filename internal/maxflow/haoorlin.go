@@ -43,12 +43,12 @@ import "fmt"
 // discharge that walks them all spends nine visits in ten on arcs that
 // cannot carry flow. So each vertex keeps a span [lo, hi) — the tightest
 // range of its arc region that covers every arc with cap0 > 0, rebuilt
-// lazily after a rebind — and an activation list: the backward arcs
+// lazily after a Reset — and an activation list: the backward arcs
 // outside the span that a push of the current query took from zero to
 // positive residual, kept in a per-query log (vertexScan, actEntry).
 // discharge and relabel scan the span and then the list, nothing else;
-// arcs inside the span, tombstones and interleaved backward arcs
-// included, are tested as ever, so general graphs stay correct. Two
+// arcs inside the span, interleaved backward arcs included, are tested as
+// ever, so general graphs stay correct. Two
 // invariants carry it:
 //
 //   - a non-empty list implies membership in dirtyV: an arc u->v is
@@ -90,9 +90,8 @@ type HaoOrlinSolver struct {
 
 	// scan holds, per vertex, the part of its arc region that discharge
 	// and relabel visit and the cursors into it (see vertexScan).
-	// spanStale marks the spans invalid after the arc layout or cap0
-	// changed (Reset, ApplyUnitDelta, Compact); rootRelabel rebuilds them,
-	// once per rebind.
+	// spanStale marks the spans invalid after a Reset; rootRelabel
+	// rebuilds them, once per rebind.
 	scan      []vertexScan
 	spanStale bool
 
@@ -188,34 +187,6 @@ func (h *HaoOrlinSolver) Reset(n int, edges EdgeSource) {
 // N implements Solver.
 func (h *HaoOrlinSolver) N() int { return h.st.n }
 
-// ApplyUnitDelta implements Solver: it patches the (reversed)
-// bound graph in place and drops the cached root labels, which depend on
-// the whole graph. The arc layout — the expensive part of a rebind —
-// survives untouched, and because tombstoned slots keep their positions,
-// a patched solver traverses arcs in exactly the order a freshly built
-// one would: results stay bit-identical between the two paths.
-func (h *HaoOrlinSolver) ApplyUnitDelta(added, removed EdgeSource) bool {
-	h.undoQuery()
-	if !h.st.applyDelta(added, removed, true) {
-		return false
-	}
-	h.root, h.spanStale = -1, true
-	return true
-}
-
-// ArcStats implements Solver.
-func (h *HaoOrlinSolver) ArcStats() ArcStats { return h.st.stats() }
-
-// Compact implements Solver: it restores the fresh residual
-// (replaying the last query's logs while their arc indices are still
-// valid), re-densifies the reversed arc store, and drops the cached root
-// labels, exactly as a delta would.
-func (h *HaoOrlinSolver) Compact() {
-	h.undoQuery()
-	h.st.redensify()
-	h.root, h.spanStale = -1, true
-}
-
 // PrepareSource implements Solver: it roots the distance labels at s (the
 // reversed graph's sink) with one backward BFS on the fresh residual.
 // Every subsequent query from s reuses the labels; a query from a
@@ -262,13 +233,13 @@ func (h *HaoOrlinSolver) relabelToRoot(root int32) {
 		h.heightCount[i] = 0
 	}
 	height[root] = 0
-	first, last, to, rev, cap := h.st.first, h.st.last, h.st.to, h.st.rev, h.st.cap
+	first, to, rev, cap := h.st.first, h.st.to, h.st.rev, h.st.cap
 	queue := h.queue[:0]
 	queue = append(queue, root)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		hv1 := height[v] + 1
-		for a := first[v]; a < last[v]; a++ {
+		for a := first[v]; a < first[v+1]; a++ {
 			u := to[a]
 			// Residual arc u->v exists iff the reverse partner of the
 			// v->u arc has capacity.
@@ -297,7 +268,7 @@ func (h *HaoOrlinSolver) rootRelabel() {
 	copy(h.srcHeight, h.height)
 	copy(h.srcHeightCount, h.heightCount)
 	h.rootCapIn = 0
-	for a := h.st.first[h.root]; a < h.st.last[h.root]; a++ {
+	for a := h.st.first[h.root]; a < h.st.first[h.root+1]; a++ {
 		h.rootCapIn += int64(h.st.cap[h.st.rev[a]])
 	}
 }
@@ -306,10 +277,10 @@ func (h *HaoOrlinSolver) rootRelabel() {
 // its arcs with cap0 > 0 (empty when it has none) and puts the scan state
 // in its between-queries form. O(arcs).
 func (h *HaoOrlinSolver) buildSpans() {
-	first, last, cap0 := h.st.first, h.st.last, h.st.cap0
+	first, cap0 := h.st.first, h.st.cap0
 	for v := range h.scan {
 		lo, hi := first[v], first[v]
-		for a := first[v]; a < last[v]; a++ {
+		for a := first[v]; a < first[v+1]; a++ {
 			if cap0[a] > 0 {
 				if hi == lo {
 					lo = a

@@ -32,14 +32,14 @@ func checkAgainstDinic(t testing.TB, stage string, ho *HaoOrlinSolver, n int, ed
 	}
 }
 
-// TestKernelKademliaShapedChurn drives one solver through 24 delta batches
-// on the Even transform of a Kademlia-shaped graph: every node keeps up to
-// k contacts per XOR-distance bucket (out-degree about n/2, most of them
-// reciprocated), so an out-copy's region in the reversed store is one
-// forward arc followed by some 15 backward ones — the shape the spans
-// were built for. Each batch tombstones one whole vertex, revives an
-// earlier one with a new neighbourhood (more novel arcs than arcSlack:
-// relocation) and flips a few table entries; every sixth step compacts.
+// TestKernelKademliaShapedChurn rebinds one solver in place (Reset) through
+// 24 churn steps on the Even transform of a Kademlia-shaped graph: every
+// node keeps up to k contacts per XOR-distance bucket (out-degree about
+// n/2, most of them reciprocated), so an out-copy's region in the
+// reversed store is one forward arc followed by some 15 backward ones —
+// the shape the spans were built for. Each step isolates one whole
+// vertex, rewires an earlier one with a new neighbourhood and flips a few
+// table entries, so the spans rebuilt after every Reset must follow.
 func TestKernelKademliaShapedChurn(t *testing.T) {
 	const n, k, steps = 32, 4, 24
 	r := rand.New(rand.NewSource(20))
@@ -71,9 +71,7 @@ func TestKernelKademliaShapedChurn(t *testing.T) {
 	ho := NewHaoOrlin(2*n, unitEven(g))
 
 	var dead []int
-	relocated := false
 	for step := 0; step < steps; step++ {
-		prev := g.Clone()
 		if len(dead) > 0 && step%2 == 1 { // revive the longest-dead vertex
 			u := dead[0]
 			dead = dead[1:]
@@ -96,15 +94,7 @@ func TestKernelKademliaShapedChurn(t *testing.T) {
 				g.RemoveEdge(e.U, e.V)
 			}
 		}
-		var delta graph.Delta
-		graph.DiffInto(prev, g, &delta)
-		if !ho.ApplyUnitDelta(evenDelta(delta.Added), evenDelta(delta.Removed)) {
-			t.Fatalf("step %d: consistent delta rejected", step)
-		}
-		relocated = relocated || ho.ArcStats().Relocations > 0
-		if step%6 == 5 {
-			ho.Compact()
-		}
+		ho.Reset(2*n, EdgeSlice(unitEven(g)))
 		var queries [][2]int
 		for len(queries) < 16 {
 			s := r.Intn(n)
@@ -116,15 +106,12 @@ func TestKernelKademliaShapedChurn(t *testing.T) {
 		}
 		checkAgainstDinic(t, "step", ho, 2*n, unitEven(g), queries)
 	}
-	if !relocated {
-		t.Fatal("no revive overflowed its slack: relocation not exercised")
-	}
 }
 
 // kernelCase is one general-graph scenario: a capacitated edge list, one
-// delta batch consistent with it, and the pairs to query. Deltas only
-// touch vertex pairs joined by at most one edge in either direction, the
-// precondition under which an edge names its arc (see arcStore.findArc).
+// edit batch consistent with it, and the pairs to query. Edits only touch
+// vertex pairs joined by at most one edge in either direction, so an
+// edit names exactly one edge.
 type kernelCase struct {
 	n              int
 	edges          []Edge
@@ -137,7 +124,7 @@ func joins(e Edge, u, v int) bool {
 	return (e.U == u && e.V == v) || (e.U == v && e.V == u)
 }
 
-// toggle adds the edge (u, v, cap) to the delta batch if nothing joins u
+// toggle adds the edge (u, v, cap) to the edit batch if nothing joins u
 // and v, or removes the one live edge u->v that does; anything else, and a
 // pair already toggled, is skipped.
 func (c *kernelCase) toggle(u, v int, cap int32) {
@@ -163,7 +150,7 @@ func (c *kernelCase) toggle(u, v int, cap int32) {
 	}
 }
 
-// edited returns the edge list after the delta batch.
+// edited returns the edge list after the edit batch.
 func (c kernelCase) edited() []Edge {
 	var out []Edge
 	for _, e := range c.edges {
@@ -178,24 +165,17 @@ func (c kernelCase) edited() []Edge {
 	return append(out, c.added...)
 }
 
-// run checks the queries on the base graph, after the delta batch, after
-// a Compact, and after the inverse batch brought the base graph back (its
-// removed edges revive tombstones unless the Compact dropped them).
+// run checks the queries on the base graph, after the solver rebound in
+// place to the edited graph, and after it rebound back to the base graph:
+// a span or an activation list surviving a Reset shows as a wrong value.
 func (c kernelCase) run(t testing.TB) *HaoOrlinSolver {
 	t.Helper()
 	ho := NewHaoOrlin(c.n, c.edges)
 	checkAgainstDinic(t, "base", ho, c.n, c.edges, c.queries)
-	if !ho.ApplyUnitDelta(EdgeSlice(c.added), EdgeSlice(c.removed)) {
-		t.Fatalf("consistent delta rejected (added=%v removed=%v edges=%v)", c.added, c.removed, c.edges)
-	}
-	checkAgainstDinic(t, "patched", ho, c.n, c.edited(), c.queries)
-	if len(c.queries)%2 == 1 {
-		ho.Compact()
-		checkAgainstDinic(t, "compacted", ho, c.n, c.edited(), c.queries)
-	}
-	if !ho.ApplyUnitDelta(EdgeSlice(c.removed), EdgeSlice(c.added)) {
-		t.Fatalf("inverse delta rejected (added=%v removed=%v edges=%v)", c.removed, c.added, c.edges)
-	}
+	edited := c.edited()
+	ho.Reset(c.n, EdgeSlice(edited))
+	checkAgainstDinic(t, "edited", ho, c.n, edited, c.queries)
+	ho.Reset(c.n, EdgeSlice(c.edges))
 	checkAgainstDinic(t, "restored", ho, c.n, c.edges, c.queries)
 	return ho
 }
@@ -300,13 +280,13 @@ func interleavedCase(r *rand.Rand) kernelCase {
 // pure backward arc lies outside its vertex's span.
 func TestKernelSpansOnGeneralGraphs(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
-	var holes, outside, deltas int
+	var holes, outside, edits int
 	for trial := 0; trial < 60; trial++ {
 		c := interleavedCase(r)
 		ho := c.run(t)
-		deltas += len(c.added) + len(c.removed)
+		edits += len(c.added) + len(c.removed)
 		for v, sc := range ho.scan {
-			for a := ho.st.first[v]; a < ho.st.last[v]; a++ {
+			for a := ho.st.first[v]; a < ho.st.first[v+1]; a++ {
 				switch inSpan := a >= sc.lo && a < sc.hi; {
 				case ho.st.cap0[a] > 0 && !inSpan:
 					t.Fatalf("trial %d: arc %d of vertex %d has capacity outside its span [%d,%d)", trial, a, v, sc.lo, sc.hi)
@@ -318,8 +298,8 @@ func TestKernelSpansOnGeneralGraphs(t *testing.T) {
 			}
 		}
 	}
-	if holes == 0 || outside == 0 || deltas == 0 {
-		t.Fatalf("cases too tame: %d zero arcs inside spans, %d outside, %d delta edges", holes, outside, deltas)
+	if holes == 0 || outside == 0 || edits == 0 {
+		t.Fatalf("cases too tame: %d zero arcs inside spans, %d outside, %d edited edges", holes, outside, edits)
 	}
 }
 
@@ -371,7 +351,7 @@ func TestKernelReactivatesDrainedArc(t *testing.T) {
 }
 
 // FuzzHaoOrlinVsDinic decodes a byte string into a kernelCase — a random
-// capacitated graph, a delta batch and a query list — and holds the
+// capacitated graph, an edit batch and a query list — and holds the
 // sparse-scan solver to Dinic on it. Seeded with interleaved graphs and
 // the reactivation graph.
 func FuzzHaoOrlinVsDinic(f *testing.F) {

@@ -154,24 +154,19 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	// Connectivity snapshots: every SnapshotInterval, plus one at the very
 	// end of the run. One engine serves every snapshot, fusing the Min
 	// (smallest-out-degree, pruned) and Avg (seeded uniform, exact) sweeps
-	// into a single pass and reusing the Even transform, solver pool and
-	// scratch across snapshots instead of rebuilding them per analyzer.
-	// Binding is incremental across adjacent snapshots through stable-slot
+	// into a single pass and reusing its solver scratch across snapshots
+	// instead of rebuilding it per analyzer. Captures use stable-slot
 	// population indexing: each node keeps a persistent vertex slot for
 	// its lifetime (tombstoned on departure, recycled for joins), so the
 	// snapshot graphs of consecutive captures live in one vertex space
 	// even across joins, churn departures and adversarial strikes, and the
-	// engine patches its solvers with the edge delta instead of
-	// rebuilding. Only a slot-table growth — a new all-time-high live
+	// binder rebinds them incrementally — an identical capture keeps the
+	// engine's memo. Only a slot-table growth — a new all-time-high live
 	// count, e.g. during the setup joins — forces a full bind. Results are
 	// reported in the canonical compacted numbering via the capture's
 	// Order map, identical to what dense per-snapshot captures produced.
 	res := &Result{Config: cfg}
-	engine, err := connectivity.NewEngine(connectivity.EngineOptions{Workers: cfg.Workers})
-	if err != nil {
-		return nil, nil, err
-	}
-	engine.SetGovernance(cfg.Governance)
+	engine := connectivity.MustNewEngine(connectivity.EngineOptions{Workers: cfg.Workers})
 	binder := connectivity.NewIncrementalBinder(engine)
 	// Pre-size the slot table for the configured population so the setup
 	// join burst assigns slots without reallocating the table per wave.
@@ -226,13 +221,11 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 			cfg.OnSnapshot(s.Dense(), point)
 		}
 		// End-of-snapshot memory governance, off the analysis hot path:
-		// re-densify over-threshold solver arc stores in place, and compact
-		// the slot table once tombstones outweigh the policy's slack budget
-		// (renumbering the slot space, which the next capture absorbs
-		// through the binder's full-bind fallback). Neither changes any
-		// measured point — the churn oracle holds governed engines to
-		// bit-identical answers across every compaction event.
-		engine.Maintain()
+		// compact the slot table once vacancies outweigh the policy's slack
+		// budget (renumbering the slot space, which the next capture absorbs
+		// through the binder's full-bind fallback). It changes no measured
+		// point — the churn oracle holds governed engines to bit-identical
+		// answers across every compaction event.
 		if cfg.Governance.SlotCompactionDue(slots.Len(), slots.Live()) {
 			slots.Compact()
 			res.SlotCompactions++
@@ -277,8 +270,6 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	res.IncrementalBinds = binder.IncrementalBinds()
 	res.FullBinds = binder.FullBinds()
 	res.MembershipRebinds = engine.MembershipRebinds()
-	res.Redensifies = engine.Redensifies()
-	res.DeadArcFrac = engine.MemoryStats().DeadArcFrac()
 	res.SlotUtilization = slots.Utilization()
 	res.ChurnAdded = churnGen.Added()
 	res.ChurnRemoved = churnGen.Removed()

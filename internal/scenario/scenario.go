@@ -88,13 +88,13 @@ type Config struct {
 	// Workers bounds the analysis worker pool (0 = GOMAXPROCS).
 	Workers int
 	// Governance bounds the long-run memory of the snapshot analysis
-	// pipeline: between snapshots the runner re-densifies solver arc
-	// stores and compacts the slot table once the policy thresholds trip
-	// (see connectivity.GovernancePolicy). Maintenance never changes
-	// results — only the Result's maintenance counters and the binding
-	// diagnostics reflect it — so it is deliberately absent from the
+	// pipeline: between snapshots the runner compacts the slot table once
+	// the policy threshold trips (see connectivity.GovernancePolicy).
+	// Maintenance never changes results — only the Result's maintenance
+	// counters and the binding diagnostics reflect it — so it is
+	// deliberately absent from the
 	// sweep checkpoint fingerprint. The zero value takes
-	// connectivity.DefaultGovernance; set any threshold negative to
+	// connectivity.DefaultGovernance; set the threshold negative to
 	// disable governance outright.
 	Governance connectivity.GovernancePolicy
 	// MinOnly skips the Avg half of every snapshot's analysis: each
@@ -259,14 +259,11 @@ type Result struct {
 	MembershipRebinds int
 	// Memory-governance outcome (part of the sweep JSON schema, so every
 	// value here is deterministic for a config and independent of the
-	// worker count). SlotCompactions counts slot-table compactions and
-	// Redensifies the primary-solver arc-store rebuilds performed between
-	// snapshots; DeadArcFrac and SlotUtilization are the end-of-run
-	// footprint readings — a DeadArcFrac pinned under the policy's
-	// MaxDeadFrac is the visible form of the long-run memory bound.
+	// worker count). SlotCompactions counts the slot-table compactions
+	// performed between snapshots; SlotUtilization is the end-of-run
+	// footprint reading — live slots over the table length, held at or
+	// above 1/(1+MaxSlotSlack) by the policy.
 	SlotCompactions int
-	Redensifies     int
-	DeadArcFrac     float64
 	SlotUtilization float64
 	Network         simnet.Stats
 	Elapsed         time.Duration `json:"-"` // wall-clock cost of the run

@@ -93,9 +93,9 @@ type inflightRun struct {
 
 // Entry is one warm simulation: the run's Result plus the engine still
 // bound to the final snapshot's topology. A parked engine keeps answers,
-// not solvers: the arena releases it (connectivity.Engine.Release) before
+// not scratch: the arena releases it (connectivity.Engine.Release) before
 // parking it and after every resample, so a resident entry holds its
-// binding and memoized rows but no arc store.
+// binding and memoized rows but no in-neighbour rows or solver scratch.
 type Entry struct {
 	key  string
 	cfg  scenario.Config // effective (defaulted) configuration, seed included
@@ -329,7 +329,7 @@ func (a *Arena) Builds() int64 {
 // engine's AnalyzeSnapshot memo at its bound (the row table holds one
 // slot per live vertex from the build's first analysis on, filled or
 // not — a MinOnly build fills none, and AnalyzeFinal fills them), and
-// the measurement series. A parked engine holds no arc store, so no
+// the measurement series. A parked engine holds no solver scratch, so no
 // solver term appears. Estimates only steer LRU eviction, so rough
 // constants are enough; TestEstimateSizeBoundsRetainedHeap holds them to
 // the heap the serve-mixed shapes actually retain.

@@ -20,10 +20,7 @@ import (
 func stubRunner(calls *atomic.Int64) func(context.Context, scenario.Config) (*scenario.Result, *scenario.Bound, error) {
 	return func(_ context.Context, cfg scenario.Config) (*scenario.Result, *scenario.Bound, error) {
 		calls.Add(1)
-		eng, err := connectivity.NewEngine(connectivity.EngineOptions{Workers: 1})
-		if err != nil {
-			return nil, nil, err
-		}
+		eng := connectivity.MustNewEngine(connectivity.EngineOptions{Workers: 1})
 		res := &scenario.Result{Config: cfg.WithDefaults()}
 		res.Points = append(res.Points, scenario.SnapshotStat{
 			Time: time.Minute, N: cfg.Size, Min: 3, Avg: 4.5,
@@ -176,8 +173,7 @@ func TestArenaBuildErrorNotCached(t *testing.T) {
 // The final point's Avg comes on demand: the first AnalyzeFinal(0, 0)
 // sweeps exactly the run's own uniform rows and reproduces, bit for bit,
 // what a batch run of the same config measures; a second one sweeps
-// nothing, and a resample under a fresh seed pays its own rows. The
-// entry is parked without arcs throughout.
+// nothing, and a resample under a fresh seed pays its own rows.
 func TestArenaRealRunBound(t *testing.T) {
 	churned := arenaCfg("churn", 9)
 	churned.Churn.Add, churned.Churn.Remove = 1, 1
@@ -208,7 +204,6 @@ func TestArenaRealRunBound(t *testing.T) {
 			if exact := eng.SweepExact(); exact != 0 {
 				t.Fatalf("the cold build swept %d exact pairs, want 0", exact)
 			}
-			parkedWithoutArcs(t, e, "after a cold Get")
 			if last := e.Result().Points[len(e.Result().Points)-1]; !math.IsNaN(last.Avg) || last.Min != want.Min {
 				t.Fatalf("built final point min %d avg %v, want min %d and no Avg", last.Min, last.Avg, want.Min)
 			}
@@ -232,7 +227,6 @@ func TestArenaRealRunBound(t *testing.T) {
 			if sr.Min.Min != want.Min || math.Float64bits(avg) != math.Float64bits(want.Avg) {
 				t.Fatalf("on demand min %d avg %v, batch run's final point min %d avg %v", sr.Min.Min, avg, want.Min, want.Avg)
 			}
-			parkedWithoutArcs(t, e, "after the final Avg")
 
 			before = sweptPairs([]*Entry{e})
 			again, err := e.AnalyzeFinal(0, 0)
@@ -251,18 +245,7 @@ func TestArenaRealRunBound(t *testing.T) {
 			if sweptPairs([]*Entry{e}) == before {
 				t.Fatal("a fresh-seed resample swept no pair")
 			}
-			parkedWithoutArcs(t, e, "after a sweeping AnalyzeFinal")
 		})
-	}
-}
-
-// parkedWithoutArcs fails the test if e's engine holds an arc store.
-func parkedWithoutArcs(t *testing.T, e *Entry, when string) {
-	t.Helper()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if arcs := e.bind.Engine.MaxSolverArcs(); arcs != 0 {
-		t.Fatalf("%s: parked engine holds a %d-arc solver, want none", when, arcs)
 	}
 }
 

@@ -63,15 +63,13 @@ type JSONRep struct {
 	Memory *JSONMemory `json:"memory,omitempty"`
 }
 
-// JSONMemory is one replication's memory-governance outcome: how much
-// maintenance the policy triggered and the end-of-run footprint
-// readings. dead_arc_frac staying at or under the policy's MaxDeadFrac
-// is the serialized form of the long-run memory bound. Deterministic for
-// a config — independent of the worker count — like every other field.
+// JSONMemory is one replication's memory-governance outcome: how many
+// slot-table compactions the policy triggered and the end-of-run slot
+// utilization, whose floor is the serialized form of the long-run memory
+// bound. Deterministic for a config — independent of the worker count —
+// like every other field.
 type JSONMemory struct {
 	SlotCompactions int     `json:"slot_compactions"`
-	Redensifies     int     `json:"redensifies"`
-	DeadArcFrac     float64 `json:"dead_arc_frac"`
 	SlotUtilization float64 `json:"slot_utilization"`
 }
 
@@ -187,8 +185,6 @@ func BuildJSON(meta JSONMeta, sets []*RunSet) *JSONFile {
 			if cfg.Governance.Enabled() {
 				rep.Memory = &JSONMemory{
 					SlotCompactions: r.SlotCompactions,
-					Redensifies:     r.Redensifies,
-					DeadArcFrac:     r.DeadArcFrac,
 					SlotUtilization: r.SlotUtilization,
 				}
 			}

@@ -269,7 +269,7 @@ func TestWriteJSON(t *testing.T) {
 func TestBuildJSONDropsMemoryWhenGovernanceDisabled(t *testing.T) {
 	on := tinyConfig("gov-on", 2)
 	off := tinyConfig("gov-off", 2)
-	off.Governance = connectivity.GovernancePolicy{MaxDeadFrac: -1, MaxSlotSlack: -1}
+	off.Governance = connectivity.GovernancePolicy{MaxSlotSlack: -1}
 	sets, err := Run([]scenario.Config{on, off}, Options{})
 	if err != nil {
 		t.Fatal(err)
