@@ -30,6 +30,7 @@ import (
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
 	"kadre/internal/stats"
+	"kadre/internal/sweep"
 )
 
 // benchScale is TinyScale with a seed pinned for stable metrics.
@@ -46,9 +47,13 @@ func runExperimentOnce(b *testing.B, experimentID string) []*scenario.Result {
 	if err != nil {
 		b.Fatal(err)
 	}
-	results, err := RunExperiment(exp, 0)
+	sets, err := sweep.Run(exp.Configs, sweep.Options{})
 	if err != nil {
 		b.Fatal(err)
+	}
+	results := make([]*scenario.Result, len(sets))
+	for i, rs := range sets {
+		results[i] = rs.Reps[0]
 	}
 	return results
 }

@@ -12,39 +12,49 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"kadre"
+	"kadre/internal/churn"
+	"kadre/internal/connectivity"
+	"kadre/internal/graph"
+	"kadre/internal/scenario"
+	"kadre/internal/snapshot"
 )
 
 func main() {
-	size := flag.Int("sensors", 120, "number of IDS sensors (paper large scenario: 2500)")
-	attackers := flag.Int("attackers", 7, "attacker budget a to design against")
-	flag.Parse()
-	if err := run(*size, *attackers); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ids:", err)
 		os.Exit(1)
 	}
 }
 
-func run(size, attackers int) error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ids", flag.ContinueOnError)
+	sensors := fs.Int("sensors", 120, "number of IDS sensors (paper large scenario: 2500)")
+	budget := fs.Int("attackers", 7, "attacker budget a to design against")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	size, attackers := *sensors, *budget
 	// Design rule from the paper's conclusion: kappa tracks k, so pick
-	// k > a with margin for churn-induced dips.
-	need := kadre.RequiredConnectivity(attackers)
+	// k > a with margin for churn-induced dips. Tolerating a compromised
+	// nodes needs kappa(D) > a (Equation 2), so at least a+1.
+	need := attackers + 1
 	k := need + need/2
 	if k < 10 {
 		k = 10
 	}
-	fmt.Printf("IDS: %d sensors, attacker budget a=%d -> need kappa >= %d -> bucket size k=%d\n\n",
+	fmt.Fprintf(stdout, "IDS: %d sensors, attacker budget a=%d -> need kappa >= %d -> bucket size k=%d\n\n",
 		size, attackers, need, k)
 
-	cfg := kadre.ScenarioConfig{
+	cfg := scenario.Config{
 		Name: "IDS", Seed: 23, Size: size,
 		K:                k,
 		Staleness:        1,
 		Traffic:          true,
-		Churn:            kadre.Churn1_1, // machines rotate constantly
+		Churn:            churn.Rate1_1, // machines rotate constantly
 		Setup:            30 * time.Minute,
 		Stabilize:        90 * time.Minute,
 		ChurnPhase:       120 * time.Minute,
@@ -52,28 +62,28 @@ func run(size, attackers int) error {
 		SampleFraction:   0.05,
 	}
 
-	var lastSnap *kadre.Snapshot
-	cfg.OnSnapshot = func(s *kadre.Snapshot, _ kadre.SnapshotStat) { lastSnap = s }
+	var lastSnap *snapshot.Snapshot
+	cfg.OnSnapshot = func(s *snapshot.Snapshot, _ scenario.SnapshotStat) { lastSnap = s }
 
-	res, err := kadre.RunScenario(cfg)
+	res, err := scenario.Run(cfg)
 	if err != nil {
 		return err
 	}
 
 	ok := true
-	fmt.Println("time(min)  sensors  minConn  kappa > a?")
+	fmt.Fprintln(stdout, "time(min)  sensors  minConn  kappa > a?")
 	for _, p := range res.Points {
 		verdict := "yes"
 		if p.Min <= attackers {
 			verdict = "NO — under-provisioned at this instant"
 			ok = false
 		}
-		fmt.Printf("%8.0f  %7d  %7d  %s\n", p.Time.Minutes(), p.N, p.Min, verdict)
+		fmt.Fprintf(stdout, "%8.0f  %7d  %7d  %s\n", p.Time.Minutes(), p.N, p.Min, verdict)
 	}
 	sum := res.ChurnWindowSummary()
-	fmt.Printf("\nchurn phase: mean min connectivity %.2f, relative variance %.2f (Table 2's metrics)\n", sum.Mean, sum.RV)
+	fmt.Fprintf(stdout, "\nchurn phase: mean min connectivity %.2f, relative variance %.2f (Table 2's metrics)\n", sum.Mean, sum.RV)
 	if !ok {
-		fmt.Println("note: transient dips below the budget are exactly the paper's warning about strong churn")
+		fmt.Fprintln(stdout, "note: transient dips below the budget are exactly the paper's warning about strong churn")
 	}
 
 	if lastSnap == nil || lastSnap.N() < 3 {
@@ -82,37 +92,38 @@ func run(size, attackers int) error {
 
 	// Adversary time: find and execute the optimal attack on the final
 	// topology.
-	fmt.Printf("\n--- adversary analysis on the final snapshot (%d sensors) ---\n", lastSnap.N())
-	cut, pair, found, err := kadre.GraphCut(lastSnap.Graph, kadre.ConnectivityQuery{SampleFraction: 0.05})
+	fmt.Fprintf(stdout, "\n--- adversary analysis on the final snapshot (%d sensors) ---\n", lastSnap.N())
+	eng := connectivity.MustNewEngine(connectivity.EngineOptions{})
+	eng.Bind(lastSnap.Graph)
+	cut, pair, found, err := eng.GraphCut(connectivity.Query{SampleFraction: 0.05})
 	if err != nil {
 		return err
 	}
 	if !found {
-		fmt.Println("graph is complete; no vertex cut exists")
+		fmt.Fprintln(stdout, "graph is complete; no vertex cut exists")
 		return nil
 	}
-	fmt.Printf("minimum vertex cut: %d sensors; witness pair %v\n", len(cut), pair)
+	fmt.Fprintf(stdout, "minimum vertex cut: %d sensors; witness pair %v\n", len(cut), pair)
 
-	compromised, mapping := kadre.RemoveVertices(lastSnap.Graph, cut)
-	after, err := kadre.AnalyzeConnectivity(compromised, kadre.ConnectivityQuery{SampleFraction: 1.0, MinOnly: true})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("compromising all %d cut sensors: residual kappa = %d -> %s\n",
-		len(cut), after.Min, partitionVerdict(after.Min))
+	kappa := residual(eng, lastSnap.Graph, cut)
+	fmt.Fprintf(stdout, "compromising all %d cut sensors: residual kappa = %d -> %s\n",
+		len(cut), kappa, partitionVerdict(kappa))
 
 	if len(cut) > 1 {
 		spared := cut[1:] // leave one cut sensor honest
-		partial, _ := kadre.RemoveVertices(lastSnap.Graph, spared)
-		res2, err := kadre.AnalyzeConnectivity(partial, kadre.ConnectivityQuery{SampleFraction: 1.0, MinOnly: true})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("compromising only %d of them:      residual kappa = %d -> %s\n",
-			len(spared), res2.Min, partitionVerdict(res2.Min))
+		kappa := residual(eng, lastSnap.Graph, spared)
+		fmt.Fprintf(stdout, "compromising only %d of them:      residual kappa = %d -> %s\n",
+			len(spared), kappa, partitionVerdict(kappa))
 	}
-	_ = mapping
 	return nil
+}
+
+// residual binds eng to g with the compromised sensors removed and
+// returns the exact kappa(D) of what is left.
+func residual(eng *connectivity.Engine, g *graph.Digraph, compromised []int) int {
+	left, _ := connectivity.RemoveVertices(g, compromised)
+	eng.Bind(left)
+	return eng.Analyze(connectivity.Query{SampleFraction: 1, MinOnly: true}).Min
 }
 
 func partitionVerdict(kappa int) string {

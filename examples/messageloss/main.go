@@ -10,29 +10,35 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"kadre"
+	"kadre/internal/scenario"
+	"kadre/internal/simnet"
 )
 
 func main() {
-	size := flag.Int("size", 80, "network size (paper: 2500)")
-	mins := flag.Int("observe-mins", 120, "observation phase after stabilization")
-	flag.Parse()
-	if err := run(*size, *mins); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "messageloss:", err)
 		os.Exit(1)
 	}
 }
 
-func run(size, mins int) error {
-	fmt.Printf("message loss vs connectivity: %d nodes, k=20, no churn (Simulation J)\n", size)
-	fmt.Println("Table 1 loss levels: none=0%, low=5%, medium=25%, high=50% two-way failure")
-	fmt.Println()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("messageloss", flag.ContinueOnError)
+	nodes := fs.Int("size", 80, "network size (paper: 2500)")
+	observe := fs.Int("observe-mins", 120, "observation phase after stabilization")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	size, mins := *nodes, *observe
+	fmt.Fprintf(stdout, "message loss vs connectivity: %d nodes, k=20, no churn (Simulation J)\n", size)
+	fmt.Fprintln(stdout, "Table 1 loss levels: none=0%, low=5%, medium=25%, high=50% two-way failure")
+	fmt.Fprintln(stdout)
 
 	type outcome struct {
-		loss      kadre.LossLevel
+		loss      simnet.LossLevel
 		staleness int
 		min       int
 		avg       float64
@@ -41,8 +47,8 @@ func run(size, mins int) error {
 	var outcomes []outcome
 
 	for _, staleness := range []int{1, 5} {
-		for _, loss := range []kadre.LossLevel{kadre.LossNone, kadre.LossLow, kadre.LossMedium, kadre.LossHigh} {
-			cfg := kadre.ScenarioConfig{
+		for _, loss := range []simnet.LossLevel{simnet.LossNone, simnet.LossLow, simnet.LossMedium, simnet.LossHigh} {
+			cfg := scenario.Config{
 				Name: fmt.Sprintf("J/s=%d/l=%s", staleness, loss), Seed: 31,
 				Size: size, K: 20, Staleness: staleness, Loss: loss,
 				Traffic:          true,
@@ -52,7 +58,7 @@ func run(size, mins int) error {
 				SnapshotInterval: 30 * time.Minute,
 				SampleFraction:   0.06,
 			}
-			res, err := kadre.RunScenario(cfg)
+			res, err := scenario.Run(cfg)
 			if err != nil {
 				return err
 			}
@@ -61,31 +67,31 @@ func run(size, mins int) error {
 				loss: loss, staleness: staleness,
 				min: last.Min, avg: last.Avg, lost: res.Network.Lost,
 			})
-			fmt.Printf("  ran %-16s final min=%3d avg=%6.1f (messages lost: %d)\n",
+			fmt.Fprintf(stdout, "  ran %-16s final min=%3d avg=%6.1f (messages lost: %d)\n",
 				cfg.Name, last.Min, last.Avg, res.Network.Lost)
 		}
 	}
 
-	fmt.Println("\nfinal connectivity by loss level:")
-	fmt.Println("loss     s=1 min  s=1 avg   s=5 min  s=5 avg")
+	fmt.Fprintln(stdout, "\nfinal connectivity by loss level:")
+	fmt.Fprintln(stdout, "loss     s=1 min  s=1 avg   s=5 min  s=5 avg")
 	for i := 0; i < 4; i++ {
 		a, b := outcomes[i], outcomes[i+4]
-		fmt.Printf("%-7s  %7d  %7.1f   %7d  %7.1f\n", a.loss, a.min, a.avg, b.min, b.avg)
+		fmt.Fprintf(stdout, "%-7s  %7d  %7.1f   %7d  %7.1f\n", a.loss, a.min, a.avg, b.min, b.avg)
 	}
 
 	s1None, s1High := outcomes[0], outcomes[3]
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if s1High.min > s1None.min {
-		fmt.Printf("paper's finding reproduced: with s=1, high loss lifted min connectivity %d -> %d\n",
+		fmt.Fprintf(stdout, "paper's finding reproduced: with s=1, high loss lifted min connectivity %d -> %d\n",
 			s1None.min, s1High.min)
-		fmt.Println("(evictions free bucket slots; the rebuilt topology is better connected)")
+		fmt.Fprintln(stdout, "(evictions free bucket slots; the rebuilt topology is better connected)")
 	} else {
-		fmt.Printf("loss did not lift connectivity in this run (min %d -> %d); larger networks/longer phases show it more strongly\n",
+		fmt.Fprintf(stdout, "loss did not lift connectivity in this run (min %d -> %d); larger networks/longer phases show it more strongly\n",
 			s1None.min, s1High.min)
 	}
 	s5High := outcomes[7]
 	if s5High.min <= s1High.min {
-		fmt.Printf("damping reproduced: s=5 holds the high-loss min at %d vs %d with s=1\n", s5High.min, s1High.min)
+		fmt.Fprintf(stdout, "damping reproduced: s=5 holds the high-loss min at %d vs %d with s=1\n", s5High.min, s1High.min)
 	}
 	return nil
 }

@@ -10,32 +10,39 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"kadre"
+	"kadre/internal/churn"
+	"kadre/internal/connectivity"
+	"kadre/internal/scenario"
 )
 
 func main() {
-	size := flag.Int("cameras", 100, "number of cameras (paper: 250)")
-	k := flag.Int("k", 10, "Kademlia bucket size")
-	flag.Parse()
-	if err := run(*size, *k); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "smartcamera:", err)
 		os.Exit(1)
 	}
 }
 
-func run(size, k int) error {
-	fmt.Printf("smart camera network: %d cameras, k=%d, cameras fail at 1/minute after stabilization\n\n", size, k)
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("smartcamera", flag.ContinueOnError)
+	cameras := fs.Int("cameras", 100, "number of cameras (paper: 250)")
+	bucket := fs.Int("k", 10, "Kademlia bucket size")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	size, k := *cameras, *bucket
+	fmt.Fprintf(stdout, "smart camera network: %d cameras, k=%d, cameras fail at 1/minute after stabilization\n\n", size, k)
 
 	failPhase := time.Duration(size-10) * time.Minute
-	cfg := kadre.ScenarioConfig{
+	cfg := scenario.Config{
 		Name: "SCN", Seed: 11, Size: size,
 		K:                k,
 		Staleness:        1,                // detect dead cameras after one failed exchange
 		Traffic:          true,             // cameras exchange tracking data constantly
-		Churn:            kadre.Churn0_1,   // cameras fail and are not replaced
+		Churn:            churn.Rate0_1,    // cameras fail and are not replaced
 		Setup:            30 * time.Minute, // staggered power-on
 		Stabilize:        90 * time.Minute,
 		ChurnPhase:       failPhase,
@@ -43,25 +50,25 @@ func run(size, k int) error {
 		SampleFraction:   0.05,
 	}
 
-	res, err := kadre.RunScenario(cfg)
+	res, err := scenario.Run(cfg)
 	if err != nil {
 		return err
 	}
 
-	fmt.Println("time(min)  cameras  minConn  tolerated failures/compromises")
+	fmt.Fprintln(stdout, "time(min)  cameras  minConn  tolerated failures/compromises")
 	for _, p := range res.Points {
-		r := kadre.Resilience(p.Min)
+		r := connectivity.Resilience(p.Min)
 		verdict := fmt.Sprintf("%d", r)
 		if p.Min == 0 {
 			verdict = "NETWORK PARTITIONED"
 		}
-		fmt.Printf("%8.0f  %7d  %7d  %s\n", p.Time.Minutes(), p.N, p.Min, verdict)
+		fmt.Fprintf(stdout, "%8.0f  %7d  %7d  %s\n", p.Time.Minutes(), p.N, p.Min, verdict)
 	}
 
 	// The paper's design rule: to tolerate a compromised cameras the
 	// operator must pick k > a (Conclusion, §6). Check it against the
 	// stabilized network.
-	var stabilized *kadre.SnapshotStat
+	var stabilized *scenario.SnapshotStat
 	for i := range res.Points {
 		if res.Points[i].Time >= cfg.ChurnStart() {
 			stabilized = &res.Points[i]
@@ -69,11 +76,11 @@ func run(size, k int) error {
 		}
 	}
 	if stabilized != nil {
-		fmt.Printf("\nafter stabilization: kappa=%d with k=%d — ", stabilized.Min, k)
+		fmt.Fprintf(stdout, "\nafter stabilization: kappa=%d with k=%d — ", stabilized.Min, k)
 		if stabilized.Min >= k {
-			fmt.Printf("the paper's kappa ~ k observation holds; size the bucket as k > a for a tolerated attackers\n")
+			fmt.Fprintf(stdout, "the paper's kappa ~ k observation holds; size the bucket as k > a for a tolerated attackers\n")
 		} else {
-			fmt.Printf("below k; small networks and small k need the stabilization traffic to converge (cf. Sim C setup anomaly)\n")
+			fmt.Fprintf(stdout, "below k; small networks and small k need the stabilization traffic to converge (cf. Sim C setup anomaly)\n")
 		}
 	}
 	return nil

@@ -8,12 +8,13 @@
 // victim region of the keyspace (eclipse), or uniformly at random (the
 // baseline that ties back to the paper's churn results).
 //
-// Reconnaissance is one dense routing-table capture per strike — the
-// same snapshot.Capture the one-shot analysis paths take — so victims are
-// dense ranks of that capture and are removed by address. The engine runs
-// inside the deterministic event kernel and draws randomness only from the
-// simulator's seeded generator, so attack runs are reproducible under
-// seeds and parallel sweeps exactly like every other experiment.
+// Reconnaissance is one dense routing-table capture per strike —
+// snapshot.Capture, the fresh-index case of the runner's stable-slot
+// capture — so victims are dense ranks of that capture and are removed by
+// address. The engine runs inside the deterministic event kernel and
+// draws randomness only from the simulator's seeded generator, so attack
+// runs are reproducible under seeds and parallel sweeps exactly like
+// every other experiment.
 package attack
 
 import (
@@ -67,22 +68,6 @@ func ParseStrategy(s string) (Strategy, error) {
 	default:
 		return "", fmt.Errorf("attack: unknown strategy %q (random, degree, cutset, eclipse)", s)
 	}
-}
-
-// ParseStrategies reads a comma-separated strategy list.
-func ParseStrategies(csv string) ([]Strategy, error) {
-	var out []Strategy
-	for _, part := range strings.Split(csv, ",") {
-		st, err := ParseStrategy(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("attack: empty strategy list")
-	}
-	return out, nil
 }
 
 // Config describes one adversary.

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -97,19 +98,24 @@ func runAttack(t *testing.T, seed int64, cfg Config, n int, edges [][2]int) (*En
 	return eng, pop
 }
 
+// TestParseStrategies pins the registry's canonical order and that
+// ParseStrategy reads back every registered name, surrounding space
+// included, and nothing else.
 func TestParseStrategies(t *testing.T) {
-	got, err := ParseStrategies("random, degree,cutset,eclipse")
-	if err != nil {
-		t.Fatal(err)
+	want := []Strategy{Random, Degree, Cutset, Eclipse}
+	if got := Strategies(); !slices.Equal(got, want) {
+		t.Fatalf("Strategies() = %v, want %v", got, want)
 	}
-	if len(got) != 4 || got[0] != Random || got[3] != Eclipse {
-		t.Fatalf("parsed %v", got)
+	for _, st := range want {
+		got, err := ParseStrategy(" " + string(st) + " ")
+		if err != nil || got != st {
+			t.Fatalf("ParseStrategy(%q) = %q, %v", st, got, err)
+		}
 	}
-	if _, err := ParseStrategies("random,bogus"); err == nil {
-		t.Fatal("bogus strategy should fail")
-	}
-	if _, err := ParseStrategy(""); err == nil {
-		t.Fatal("empty strategy should fail")
+	for _, bad := range []string{"", "bogus", "degree,cutset"} {
+		if _, err := ParseStrategy(bad); err == nil {
+			t.Fatalf("ParseStrategy(%q) should fail", bad)
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func TestParseRate(t *testing.T) {
 }
 
 func TestRateString(t *testing.T) {
-	if Rate10_10.String() != "10/10" || Rate0_1.String() != "0/1" {
+	if Rate10_10.String() != "10/10" || Rate1_1.String() != "1/1" || Rate0_1.String() != "0/1" {
 		t.Fatal("String format wrong")
 	}
 	if !(Rate{}).IsZero() || Rate1_1.IsZero() {

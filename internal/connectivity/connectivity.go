@@ -16,16 +16,15 @@
 // out-degree (c = 0.02 was empirically sufficient on near-undirected
 // Kademlia graphs); its Avg curves sample c*n sources uniformly.
 //
-// Engine is the one implementation, with one way to answer each
-// question: Analyze gives Min over the smallest-out-degree sources,
-// AnalyzeSnapshot adds the uniform-source Avg, and GraphCut cuts at the
-// Min pair. Sweeping workloads hold an Engine: it binds to a graph, keeps
-// its in-neighbour rows and per-worker solver scratch alive across
+// Engine is the one implementation and the only way to run a sweep or a
+// cut, with one way to answer each question: Analyze gives Min over the
+// smallest-out-degree sources, AnalyzeSnapshot adds the uniform-source
+// Avg, and GraphCut cuts at the Min pair. An Engine binds to a graph,
+// keeps its in-neighbour rows and per-worker solver scratch alive across
 // bindings, follows stable-slot captures through IncrementalBinder (an
 // identical capture keeps its memoized answers), and fuses the
-// per-snapshot Min and Avg sweeps into a single pass. One-off callers
-// use the package-level Analyze and GraphCut, each of which binds a
-// throwaway Engine to its argument graph.
+// per-snapshot Min and Avg sweeps into a single pass; a one-off question
+// binds a fresh Engine. Pair answers one ordered pair without an Engine.
 package connectivity
 
 import (
@@ -60,41 +59,14 @@ type Result struct {
 // resilience -1: it does not even function with zero compromised nodes.
 func Resilience(kappa int) int { return kappa - 1 }
 
-// RequiredConnectivity returns the connectivity a network needs to
-// tolerate a compromised nodes: kappa(D) > a, i.e. at least a+1.
-func RequiredConnectivity(a int) int { return a + 1 }
-
 // CheckSampleFraction rejects the sample fractions no sweep can honour:
 // negative and NaN values of the paper's c. It is the one input check of
-// the one-shot entry points (Analyze, GraphCut) and of the front ends
-// that take c from outside the program.
+// the front ends that take c from outside the program.
 func CheckSampleFraction(c float64) error {
 	if c < 0 || math.IsNaN(c) {
 		return fmt.Errorf("connectivity: sample fraction %v must be >= 0", c)
 	}
 	return nil
-}
-
-// Analyze computes the connectivity of g in the throwaway-per-call form:
-// a default Engine (GOMAXPROCS workers) bound to g for this one query.
-// Callers analyzing a sequence of graphs, or choosing the worker count,
-// hold an Engine instead.
-func Analyze(g *graph.Digraph, q Query) (Result, error) {
-	eng, err := oneShot(g, q)
-	if err != nil {
-		return Result{}, err
-	}
-	return eng.Analyze(q), nil
-}
-
-// oneShot validates q and returns a throwaway default engine bound to g.
-func oneShot(g *graph.Digraph, q Query) (*Engine, error) {
-	if err := CheckSampleFraction(q.SampleFraction); err != nil {
-		return nil, err
-	}
-	eng := MustNewEngine(EngineOptions{})
-	eng.Bind(g)
-	return eng, nil
 }
 
 // Pair computes kappa(v, w) for one non-adjacent ordered pair by

@@ -67,12 +67,18 @@ func hypercube(d int) *graph.Digraph {
 }
 
 // analyze runs q on a throwaway engine built from eo and bound to g — the
-// tests' one-shot form where the worker count matters (the package-level
-// Analyze always takes the defaults).
+// tests' one-shot form.
 func analyze(g *graph.Digraph, eo EngineOptions, q Query) Result {
 	eng := MustNewEngine(eo)
 	eng.Bind(g)
 	return eng.Analyze(q)
+}
+
+// graphCut is GraphCut's one-shot form: a default engine bound to g.
+func graphCut(g *graph.Digraph, q Query) (cut []int, pair [2]int, ok bool, err error) {
+	eng := MustNewEngine(EngineOptions{})
+	eng.Bind(g)
+	return eng.GraphCut(q)
 }
 
 // fullSweep is the engine's exact n(n-1) analysis of g.
@@ -356,28 +362,25 @@ func TestAvgReasonable(t *testing.T) {
 	}
 }
 
-// TestOneShotValidation pins the input checks of the throwaway-per-call
-// entry points: a negative or NaN sample fraction is an error from both
-// Analyze and GraphCut (NaN would otherwise slip through sampleCount's
-// range guard), a valid one answers exactly like a held engine, and
-// MustNewEngine accepts the zero options, defaulting the worker count.
+// TestOneShotValidation pins the checks of a one-off question, which
+// validates c and binds a fresh default Engine: a negative or NaN sample
+// fraction is a CheckSampleFraction error (NaN would otherwise slip
+// through sampleCount's range guard), a valid one answers exactly like a
+// single-worker engine, and MustNewEngine accepts the zero options,
+// defaulting the worker count.
 func TestOneShotValidation(t *testing.T) {
 	g := petersen()
 	for _, c := range []float64{-0.5, math.NaN(), math.Inf(-1)} {
-		if _, err := Analyze(g, Query{SampleFraction: c}); err == nil {
-			t.Errorf("Analyze accepted sample fraction %v", c)
-		}
-		if _, _, _, err := GraphCut(g, Query{SampleFraction: c}); err == nil {
-			t.Errorf("GraphCut accepted sample fraction %v", c)
+		if err := CheckSampleFraction(c); err == nil {
+			t.Errorf("CheckSampleFraction accepted sample fraction %v", c)
 		}
 	}
 	for _, c := range []float64{0, 0.3, 1, 7} {
-		q := Query{SampleFraction: c, MinOnly: true}
-		got, err := Analyze(g, q)
-		if err != nil {
-			t.Fatalf("Analyze rejected sample fraction %v: %v", c, err)
+		if err := CheckSampleFraction(c); err != nil {
+			t.Fatalf("CheckSampleFraction rejected sample fraction %v: %v", c, err)
 		}
-		requireSameResult(t, "one-shot", got, analyze(g, EngineOptions{Workers: 1}, q))
+		q := Query{SampleFraction: c, MinOnly: true}
+		requireSameResult(t, "one-shot", analyze(g, EngineOptions{}, q), analyze(g, EngineOptions{Workers: 1}, q))
 	}
 	if eng := MustNewEngine(EngineOptions{}); eng.maxWorkers < 1 {
 		t.Errorf("MustNewEngine(EngineOptions{}) has %d workers; want at least one", eng.maxWorkers)
@@ -391,9 +394,6 @@ func TestResilienceEquations(t *testing.T) {
 	}
 	if Resilience(0) != -1 {
 		t.Error("disconnected network has resilience -1")
-	}
-	if RequiredConnectivity(4) != 5 {
-		t.Error("tolerating 4 attackers needs kappa >= 5")
 	}
 }
 

@@ -109,7 +109,7 @@ func TestGraphCut(t *testing.T) {
 	// Petersen graph: kappa = 3, so the optimal attack compromises 3
 	// nodes and partitions the network; any 2 leave it connected.
 	g := petersen()
-	cut, pair, ok, err := GraphCut(g, Query{SampleFraction: 1.0})
+	cut, pair, ok, err := graphCut(g, Query{SampleFraction: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestGraphCut(t *testing.T) {
 }
 
 func TestGraphCutComplete(t *testing.T) {
-	_, _, ok, err := GraphCut(completeGraph(5), Query{SampleFraction: 1.0})
+	_, _, ok, err := graphCut(completeGraph(5), Query{SampleFraction: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

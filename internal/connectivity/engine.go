@@ -19,8 +19,7 @@ type EngineOptions struct {
 	Workers int
 }
 
-// Query selects what one analysis (Engine.Analyze, or the one-shot
-// package-level Analyze and GraphCut) computes.
+// Query selects what one Engine.Analyze or Engine.GraphCut computes.
 type Query struct {
 	// SampleFraction is the paper's c: the c*n smallest-out-degree
 	// vertices are the flow sources. 0 or >= 1 means a full n(n-1) sweep;
@@ -65,7 +64,7 @@ type SnapshotResult struct {
 // scale) allocates only on the first binding.
 //
 // Graphs bind in one of two styles: Bind takes a dense graph (every
-// vertex live) and always binds in full — the one-shot form, and the
+// vertex live) and always binds in full — a one-off question's binding, and the
 // from-scratch reference the churn oracle compares against. BindSlots
 // takes a stable-slot graph plus its canonical compaction map, in which
 // case the engine masks vacant slots and runs every query in compacted
@@ -1000,9 +999,15 @@ func (e *Engine) PairCut(v, w int) ([]int, error) {
 	return cut, nil
 }
 
-// GraphCut returns a minimum vertex cut of the bound graph, with the
-// semantics of the package-level GraphCut: a pruned Min/MinPair analysis
-// followed by a PairCut at the minimizing pair.
+// GraphCut returns a minimum vertex cut of the bound graph: the smallest
+// vertex set whose removal disconnects some ordered pair, found at the
+// pair achieving kappa(D) by a pruned Min/MinPair analysis followed by a
+// PairCut at the minimizing pair. For a complete graph there is no such
+// cut and GraphCut reports ok = false. The cut set is the optimal attack
+// of the paper's system model: compromising exactly these kappa(D) nodes
+// partitions the network, while any kappa(D)-1 compromised nodes leave it
+// connected (r-resilience, Equation 2). Of q only SampleFraction
+// matters.
 func (e *Engine) GraphCut(q Query) (cut []int, pair [2]int, ok bool, err error) {
 	q.MinOnly = true
 	res := e.Analyze(q)

@@ -129,12 +129,13 @@ func TestFusedSweepWorkerDeterminism(t *testing.T) {
 }
 
 // TestEngineGraphCutMatchesPackageGraphCut pins the cuts of one engine
-// rebound across graphs to the per-call construction's.
+// rebound across graphs to the per-call construction's: a fresh default
+// engine bound to each graph alone.
 func TestEngineGraphCutMatchesPackageGraphCut(t *testing.T) {
 	eng := MustNewEngine(EngineOptions{Workers: 2})
 	for seed := int64(40); seed <= 46; seed++ {
 		g := randomSymmetricGraph(seed, 24, 110)
-		wantCut, wantPair, wantOK, err := GraphCut(g, Query{SampleFraction: 0.2})
+		wantCut, wantPair, wantOK, err := graphCut(g, Query{SampleFraction: 0.2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestEngineGraphCutMatchesPackageGraphCut(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gotOK != wantOK || gotPair != wantPair || !equalInts(gotCut, wantCut) {
-			t.Fatalf("seed %d: engine cut %v@%v (ok=%v) != package cut %v@%v (ok=%v)",
+			t.Fatalf("seed %d: engine cut %v@%v (ok=%v) != fresh engine's cut %v@%v (ok=%v)",
 				seed, gotCut, gotPair, gotOK, wantCut, wantPair, wantOK)
 		}
 	}

@@ -33,35 +33,14 @@ type Snapshot struct {
 // Capture builds a snapshot from the live nodes in the given slice.
 // Departed nodes are excluded, and routing-table entries pointing at
 // departed nodes produce no edge: the connectivity graph describes the
-// current network, not its memory of the past.
+// current network, not its memory of the past. It is CaptureSlots on a
+// fresh SlotIndex, whose slots are the dense ranks: the order is the
+// identity and the slot graph is the dense graph.
 func Capture(now time.Duration, nodes []*kademlia.Node) *Snapshot {
-	live := make([]*kademlia.Node, 0, len(nodes))
-	for _, n := range nodes {
-		if n.Running() {
-			live = append(live, n)
-		}
-	}
-	s := &Snapshot{
-		Time:  now,
-		IDs:   make([]id.ID, len(live)),
-		Addrs: make([]simnet.Addr, len(live)),
-		Graph: graph.NewDigraph(len(live)),
-	}
-	for i, n := range live {
-		s.IDs[i] = n.ID()
-		s.Addrs[i] = n.Addr()
-	}
-	rank := rankByAddr(s.Addrs)
-	var contacts []kademlia.Contact // one buffer for every node's table
-	for i, n := range live {
-		contacts = n.Table().AppendContacts(contacts[:0])
-		for _, c := range contacts {
-			if j, ok := liveRank(rank, s.IDs, c); ok && j != i {
-				s.Graph.AddEdge(i, j)
-			}
-		}
-	}
-	return s
+	var idx SlotIndex
+	idx.Reserve(len(nodes))
+	s := CaptureSlots(now, nodes, &idx)
+	return &Snapshot{Time: s.Time, IDs: s.IDs, Addrs: s.Addrs, Graph: s.Graph}
 }
 
 // rankByAddr indexes live nodes by address, in rank order.

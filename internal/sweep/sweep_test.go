@@ -100,7 +100,8 @@ func TestRunAggregates(t *testing.T) {
 
 // TestDeterminismAcrossJobs is the central seed-stability contract: the
 // same sweep run with 1 worker and with 8 workers must produce identical
-// Result.Points for every (config, rep). Run under -race in CI.
+// Result.Points for every (config, rep), each set in config order. Run
+// under -race in CI.
 func TestDeterminismAcrossJobs(t *testing.T) {
 	cfgs := []scenario.Config{tinyConfig("det-a", 11), tinyConfig("det-b", 12)}
 	runWith := func(jobs int) [][]*scenario.Result {
@@ -119,6 +120,9 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 	for ci := range serial {
 		for ri := range serial[ci] {
 			a, b := serial[ci][ri], parallel[ci][ri]
+			if a.Config.Name != cfgs[ci].Name || b.Config.Name != cfgs[ci].Name {
+				t.Fatalf("set %d holds runs %q and %q, want config %q", ci, a.Config.Name, b.Config.Name, cfgs[ci].Name)
+			}
 			if a.Config.Seed != b.Config.Seed {
 				t.Fatalf("config %d rep %d: seeds differ: %d vs %d", ci, ri, a.Config.Seed, b.Config.Seed)
 			}
