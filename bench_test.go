@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus ablations of the design choices DESIGN.md calls
-// out. Each BenchmarkFigureN/BenchmarkTableN runs the corresponding
-// experiment at the tiny scale (so `go test -bench=.` finishes on a
-// laptop; use cmd/kadsweep for reduced- or paper-scale runs) and reports
+// evaluation section, plus ablations of the connectivity engine's design
+// choices (README, "The connectivity engine"). Each
+// BenchmarkFigureN/BenchmarkTableN runs the corresponding experiment at
+// the tiny scale (so `go test -bench=.` finishes on a laptop; use
+// cmd/kadsweep for reduced- or paper-scale runs) and reports
 // the paper's headline quantities as custom benchmark metrics:
 //
 //	min_conn       minimum connectivity after stabilization (or churn mean)
@@ -260,7 +261,7 @@ func BenchmarkFigure13SimK(b *testing.B) { benchLossSweep(b, "figure13") }
 // BenchmarkFigure14SimL: loss sweep under churn 10/10.
 func BenchmarkFigure14SimL(b *testing.B) { benchLossSweep(b, "figure14") }
 
-// --- Ablation benches (DESIGN.md §4) ---
+// --- Ablation benches (README, "The connectivity engine") ---
 
 // benchGraph builds a Kademlia-like near-symmetric random graph: every
 // vertex has ~deg out-edges, most reciprocated.

@@ -173,7 +173,7 @@ func TestClosestIntoCallerBufferAllocatesNothing(t *testing.T) {
 		targets[i] = id.Random(160, rng)
 	}
 	buf := make([]Contact, 0, 20)
-	rt.AppendClosest(buf, targets[0], 20, requester) // size the scratch
+	rt.AppendClosest(buf, targets[0], 20, requester)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		buf = rt.AppendClosest(buf[:0], targets[i%len(targets)], 20, requester)

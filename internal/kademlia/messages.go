@@ -33,6 +33,12 @@ const (
 // envelope whose message is lost or undeliverable goes back to its
 // requester's free list too: the network hands it over through Dropped.
 //
+// The envelope also carries its request's record on the requester, which
+// is how a response, or a drop, finds the request it belongs to without a
+// table lookup: the record answers for the envelope only while it still
+// waits under the envelope's RPCID (rpc.matches). The responder never
+// reads it.
+//
 // Contacts travels with the envelope and belongs to its holder too. A
 // lookup's request leaves with one of the lookup's response buffers in it,
 // empty; the responder fills that buffer in place (growing it if its k is
@@ -69,8 +75,8 @@ type envelope struct {
 	// FIND_NODE/FIND_VALUE response's closest-contact list in it.
 	Contacts []Contact
 
-	requester *Node     // the node that sent the request and frees the envelope
-	next      *envelope // free-list link
+	rpc  *rpc      // the request's record on its sender, who frees the envelope
+	next *envelope // free-list link
 }
 
 // Dropped implements simnet.Dropper: the request or its response will
@@ -79,8 +85,9 @@ type envelope struct {
 // for the request's timeout to hand back to the lookup. Nothing else
 // changes: the timeout fires as it would have, with the same counters.
 func (env *envelope) Dropped() {
-	n := env.requester
-	if p, ok := n.pending[env.RPCID]; ok {
+	p := env.rpc
+	n := p.node
+	if p.matches(n, env) {
 		p.buf = env.Contacts
 	}
 	env.Value, env.Contacts = nil, nil

@@ -38,8 +38,12 @@ type Node struct {
 
 	storage map[id.ID][]byte
 
-	nextRPC      uint64
-	pending      map[uint64]*rpc
+	nextRPC uint64
+	// pending holds the outstanding requests in no particular order; each
+	// record knows its own position, so one leaves by swap-remove. A
+	// response finds its record through its envelope (see matches), not by
+	// a search here.
+	pending      []*rpc
 	refreshTimer *eventsim.Timer
 	running      bool
 	stats        NodeStats
@@ -58,6 +62,7 @@ type Node struct {
 type rpc struct {
 	node    *Node
 	id      uint64
+	slot    int // position in node.pending while outstanding
 	to      Contact
 	lookup  *lookup   // nil for fire-and-forget requests (PING, STORE)
 	buf     []Contact // a dropped message's response buffer, for the timeout to return
@@ -65,12 +70,21 @@ type rpc struct {
 	next    *rpc // free-list link
 }
 
+// matches reports whether env, which carries p, is the request p is still
+// waiting on or its response. A node's request ids only grow, so a record
+// recycled for a later request never matches an envelope of an earlier
+// one; a record that is idle (timed out, answered, or its node left) has
+// no pending timer.
+func (p *rpc) matches(n *Node, env *envelope) bool {
+	return p.node == n && p.id == env.RPCID && p.timeout.Pending()
+}
+
 // Run implements eventsim.Runner: the request timed out. A response or
 // Leave cancels the timer, so a timeout that fires is still pending on a
 // running node.
 func (p *rpc) Run() {
 	n := p.node
-	delete(n.pending, p.id)
+	n.untrack(p)
 	n.stats.Timeouts++
 	if n.table.RecordFailure(p.to.ID) {
 		n.stats.Evictions++
@@ -84,6 +98,16 @@ func (p *rpc) Run() {
 		l.answered(to, nil)
 		l.retire()
 	}
+}
+
+// untrack takes an outstanding request out of the pending table.
+func (n *Node) untrack(p *rpc) {
+	last := len(n.pending) - 1
+	moved := n.pending[last]
+	moved.slot = p.slot
+	n.pending[p.slot] = moved
+	n.pending[last] = nil
+	n.pending = n.pending[:last]
 }
 
 func (n *Node) freeRPC(p *rpc) {
@@ -117,7 +141,6 @@ func newNodeWithID(cfg Config, self Contact, net *simnet.Network) *Node {
 		net:     net,
 		table:   NewRoutingTable(self.ID, cfg),
 		storage: make(map[id.ID][]byte),
-		pending: make(map[uint64]*rpc),
 		lookups: lookupPoolOf(net),
 	}
 }
@@ -170,11 +193,12 @@ func (n *Node) Leave() {
 		n.refreshTimer.Cancel()
 		n.refreshTimer = nil
 	}
-	for rpcID, p := range n.pending {
+	for i, p := range n.pending {
 		p.timeout.Cancel()
-		delete(n.pending, rpcID)
 		n.freeRPC(p)
+		n.pending[i] = nil
 	}
+	n.pending = n.pending[:0]
 }
 
 // Join bootstraps the node into a network via one known contact: the
@@ -279,8 +303,8 @@ func (n *Node) Deliver(from simnet.Addr, payload any) {
 		n.answer(env)
 		return
 	}
-	if p, ok := n.pending[env.RPCID]; ok && p.to.Addr == from {
-		delete(n.pending, env.RPCID)
+	if p := env.rpc; p.matches(n, env) && p.to.Addr == from {
+		n.untrack(p)
 		p.timeout.Cancel()
 		n.stats.ResponsesOK++
 		n.table.RecordSuccess(env.From.ID)
@@ -353,7 +377,8 @@ func (n *Node) sendRequest(to Contact, kind msgKind, key id.ID, value []byte, l 
 	// The timeout is armed before the message is sent: events fire in
 	// schedule order, and this order is part of every recorded result.
 	n.sim.Arm(&p.timeout, n.cfg.RPCTimeout, p)
-	n.pending[p.id] = p
+	p.slot = len(n.pending)
+	n.pending = append(n.pending, p)
 	n.stats.RPCsSent++
 
 	env := n.freeEnvelopes
@@ -362,7 +387,7 @@ func (n *Node) sendRequest(to Contact, kind msgKind, key id.ID, value []byte, l 
 	} else {
 		env = new(envelope)
 	}
-	*env = envelope{RPCID: p.id, From: n.self, Kind: kind, Key: key, Value: value, Contacts: l.takeBuffer(), requester: n}
+	*env = envelope{RPCID: p.id, From: n.self, Kind: kind, Key: key, Value: value, Contacts: l.takeBuffer(), rpc: p}
 	n.net.Send(n.self.Addr, to.Addr, env)
 }
 

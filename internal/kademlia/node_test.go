@@ -357,3 +357,46 @@ func TestRequestsRefreshSenderInTable(t *testing.T) {
 		t.Fatal("requester did not retain the responder")
 	}
 }
+
+// TestLateResponseToRecycledRecordIsDropped: a request times out, its
+// record goes back on the free list and carries the node's next request
+// under a new id; the first request's response, which still points at that
+// record, then arrives. It must be dropped as late: no response counted,
+// no timeout charged, the newer request still waiting on its own answer.
+func TestLateResponseToRecycledRecordIsDropped(t *testing.T) {
+	sim := eventsim.New(3)
+	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 80 * time.Millisecond}})
+	cfg := Config{Bits: 64, K: 5, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
+	a, _ := NewNode(cfg, 1, net)
+	b, _ := NewNode(cfg, 2, net)
+	for _, n := range []*Node{a, b} {
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.sendRequest(b.Contact(), msgPing, id.ID{}, nil, nil) // answered at 160 ms, times out at 100 ms
+	first := a.pending[0]
+	firstID := first.id
+	sim.RunUntil(120 * time.Millisecond)
+	if st := a.Stats(); st.Timeouts != 1 || len(a.pending) != 0 {
+		t.Fatalf("after the timeout: %+v, %d pending", st, len(a.pending))
+	}
+	a.sendRequest(b.Contact(), msgPing, id.ID{}, nil, nil) // pending until 220 ms
+	if len(a.pending) != 1 || a.pending[0] != first || first.id == firstID {
+		t.Fatalf("the second request did not reuse the first one's record under a new id")
+	}
+	sim.RunUntil(170 * time.Millisecond) // the first response has landed
+	if got := net.Stats().Delivered; got != 2 {
+		t.Fatalf("%d messages delivered by 170 ms, want the first request and its late response", got)
+	}
+	if st := a.Stats(); st.ResponsesOK != 0 || st.Timeouts != 1 {
+		t.Fatalf("the late response changed the counters: %+v", st)
+	}
+	if len(a.pending) != 1 || a.pending[0] != first || !first.timeout.Pending() {
+		t.Fatal("the late response released the newer request")
+	}
+	sim.RunUntil(time.Second) // the second request times out too, then its response is late
+	if st := a.Stats(); st.ResponsesOK != 0 || st.Timeouts != 2 || len(a.pending) != 0 {
+		t.Fatalf("at the end: %+v, %d pending", st, len(a.pending))
+	}
+}

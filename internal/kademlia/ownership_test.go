@@ -77,7 +77,20 @@ func (a *bufferAudit) observe(receiver *Node, from simnet.Addr, env *envelope) {
 	key := &buf[0]
 	if env.IsResponse {
 		delete(a.out, key)
-		if p, ok := receiver.pending[env.RPCID]; ok && p.to.Addr == from {
+		// The pending table by request id, as Deliver once looked it up,
+		// must name the record the envelope carries exactly when that
+		// record still matches it.
+		var waiting *rpc
+		for _, p := range receiver.pending {
+			if p.id == env.RPCID {
+				waiting = p
+			}
+		}
+		if matched := env.rpc.matches(receiver, env); matched != (waiting != nil) || matched && waiting != env.rpc {
+			a.t.Errorf("response %d from %d: its record matches=%v, the pending table holds %p, the envelope carries %p",
+				env.RPCID, from, matched, waiting, env.rpc)
+		}
+		if waiting != nil && waiting.to.Addr == from {
 			a.returned++ // back to the lookup, free to go out again
 		} else {
 			a.late++
@@ -109,7 +122,7 @@ func (a *bufferAudit) observe(receiver *Node, from simnet.Addr, env *envelope) {
 // and never be one a timed-out request took with it.
 func (a *bufferAudit) reclaim() {
 	for _, n := range a.nodes {
-		for rpcID, p := range n.pending {
+		for _, p := range n.pending {
 			if cap(p.buf) == 0 {
 				continue
 			}
@@ -119,10 +132,10 @@ func (a *bufferAudit) reclaim() {
 				continue
 			}
 			if _, ok := a.abandoned[key]; ok {
-				a.t.Errorf("request %d of node %d got back a buffer a timed-out request took with it", rpcID, n.Addr())
+				a.t.Errorf("request %d of node %d got back a buffer a timed-out request took with it", p.id, n.Addr())
 			}
 			if p.lookup == nil {
-				a.t.Errorf("request %d of node %d holds a buffer but no lookup to return it to", rpcID, n.Addr())
+				a.t.Errorf("request %d of node %d holds a buffer but no lookup to return it to", p.id, n.Addr())
 			}
 			delete(a.out, key)
 			a.reclaimed[key] = buf
@@ -149,12 +162,12 @@ func (a *bufferAudit) parkedOn(key *Contact) string {
 				return fmt.Sprintf("idle lookup %p", l)
 			}
 		}
-		for rpcID, p := range n.pending {
+		for _, p := range n.pending {
 			if p.lookup != nil && holds(p.lookup) {
 				return fmt.Sprintf("lookup %p", p.lookup)
 			}
 			if cap(p.buf) > 0 && &p.buf[:1][0] == key {
-				return fmt.Sprintf("pending request %d of node %d", rpcID, n.Addr())
+				return fmt.Sprintf("pending request %d of node %d", p.id, n.Addr())
 			}
 		}
 	}
@@ -164,7 +177,9 @@ func (a *bufferAudit) parkedOn(key *Contact) string {
 // checkPool holds the free list of the nodes' network to its rules: every
 // record on it is reset, none is there twice, no outstanding request of any
 // node points at one, and none is in banned (the lookups of nodes that left
-// with requests in flight). It returns the list's depth.
+// with requests in flight). Every outstanding request must sit at its own
+// slot of its own node's pending table with its timeout armed. It returns
+// the list's depth.
 func checkPool(t *testing.T, nodes []*Node, banned map[*lookup]bool) int {
 	t.Helper()
 	idle := map[*lookup]bool{}
@@ -184,9 +199,13 @@ func checkPool(t *testing.T, nodes []*Node, banned map[*lookup]bool) int {
 		if n.lookups != nodes[0].lookups {
 			t.Fatalf("node %d does not share its network's free list", n.Addr())
 		}
-		for rpcID, p := range n.pending {
+		for i, p := range n.pending {
 			if p.lookup != nil && idle[p.lookup] {
-				t.Fatalf("request %d of node %d points at recycled lookup %p", rpcID, n.Addr(), p.lookup)
+				t.Fatalf("request %d of node %d points at recycled lookup %p", p.id, n.Addr(), p.lookup)
+			}
+			if p.slot != i || p.node != n || !p.timeout.Pending() {
+				t.Fatalf("request %d of node %d sits at %d of its pending table with slot %d, owner %d, timer pending %v",
+					p.id, n.Addr(), i, p.slot, p.node.Addr(), p.timeout.Pending())
 			}
 		}
 	}

@@ -23,10 +23,11 @@ func (c Contact) String() string {
 // entry is a live routing-table slot with staleness bookkeeping.
 type entry struct {
 	contact Contact
-	// top caches topWord(contact.ID). A bucket is searched and ranked on
-	// it: an identifier is a 40-byte value that every id.ID method copies
-	// before it reads a word of it, and a scan of k entries should not.
-	top uint64
+	// seen is the table's recency stamp of the last sighting: inserting
+	// the contact or hearing from it stores the table's next stamp here,
+	// so the smallest stamp of a bucket marks its least-recently-seen
+	// entry without the entries ever moving.
+	seen uint64
 	// fails counts consecutive failed communication attempts; the contact
 	// is evicted when fails reaches the staleness limit s.
 	fails int32
@@ -37,66 +38,112 @@ type entry struct {
 // stale reports whether the entry has used up its staleness budget.
 func (e *entry) stale(limit int) bool { return int(e.fails) >= limit }
 
-func newEntry(c Contact) entry { return entry{contact: c, top: topWord(c.ID)} }
-
 // topWord returns the 64 most significant bits of an identifier: its
 // distance prefix to zero, and a.XorPrefix(b) == topWord(a) ^ topWord(b).
 func topWord(a id.ID) uint64 { return a.XorPrefix(id.ID{}) }
 
-// bucket is one k-bucket: entries in least-recently-seen-first order plus
-// a bounded replacement cache of contacts that arrived while full.
+// bucket is one k-bucket: its entries in ascending identifier order plus a
+// bounded replacement cache of contacts that arrived while full.
 //
-// Entries are stored by value: 64 bytes each, pointer-free and contiguous,
-// so finding a contact or ranking a bucket walks one array instead of
-// chasing k pointers, and moving an entry to the most-recently-seen end is
-// a memmove of at most k-1 entries. No pointer into entries outlives the
+// Entries are stored by value: 64 bytes each, pointer-free and contiguous.
+// tops is a dense column beside them, tops[i] being the top word of entry
+// i's identifier (an identifier is a 40-byte value that every id.ID method
+// copies before it reads a word of it): a search or a closest-walk reads
+// 8-byte keys and touches an entry only on a top-word tie or to emit it.
+// Sorted identifiers are the leaves of a binary trie in order, which is
+// what lets appendClosest emit a bucket by distance without sorting it.
+// Recency is the entries' seen stamps, not their positions, so a sighting
+// of a known contact is one store. No pointer into entries outlives the
 // table call that took it.
 type bucket struct {
 	entries      []entry
+	tops         []uint64
 	replacements []Contact // oldest first; newest appended at the end
 }
 
-// find returns the position of nodeID among the entries, or -1. A nil
-// bucket (one the table never allocated, see RoutingTable.buckets) is
-// empty.
-func (b *bucket) find(nodeID id.ID) int {
+// search returns the position of nodeID among the entries and whether it
+// is there; when it is not, the position is where it belongs in identifier
+// order. A nil bucket (one the table never allocated, see
+// RoutingTable.buckets) is empty.
+func (b *bucket) search(nodeID id.ID) (int, bool) {
 	if b == nil {
-		return -1
+		return 0, false
 	}
 	top := topWord(nodeID)
-	// From the most-recently-seen end: whoever is heard from now was most
-	// likely heard from lately.
-	for i := len(b.entries) - 1; i >= 0; i-- {
-		if e := &b.entries[i]; e.top == top && e.contact.ID.Equal(nodeID) {
-			return i
+	lo, hi := 0, len(b.tops)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.tops[mid] < top {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	// Identifiers that agree in their top word are ordered by the rest.
+	for ; lo < len(b.tops) && b.tops[lo] == top; lo++ {
+		if e := &b.entries[lo].contact.ID; e.Equal(nodeID) {
+			return lo, true
+		} else if e.Cmp(nodeID) > 0 {
+			break
+		}
+	}
+	return lo, false
+}
+
+// find returns the position of nodeID among the entries, or -1.
+func (b *bucket) find(nodeID id.ID) int {
+	if i, ok := b.search(nodeID); ok {
+		return i
 	}
 	return -1
 }
 
-// touch moves entry i to the most-recently-seen end and returns it there.
-func (b *bucket) touch(i int) *entry {
-	last := len(b.entries) - 1
-	e := b.entries[i]
-	copy(b.entries[i:], b.entries[i+1:])
-	b.entries[last] = e
-	return &b.entries[last]
+// insert admits c, seen at stamp, at position i, its place in identifier
+// order.
+func (b *bucket) insert(i int, c Contact, stamp uint64) {
+	b.entries = append(b.entries, entry{})
+	copy(b.entries[i+1:], b.entries[i:])
+	b.entries[i] = entry{contact: c, seen: stamp}
+	b.tops = append(b.tops, 0)
+	copy(b.tops[i+1:], b.tops[i:])
+	b.tops[i] = topWord(c.ID)
+}
+
+// remove drops entry i.
+func (b *bucket) remove(i int) {
+	b.entries = append(b.entries[:i], b.entries[i+1:]...)
+	b.tops = append(b.tops[:i], b.tops[i+1:]...)
 }
 
 // replace drops entry i and admits c as the most recently seen.
-func (b *bucket) replace(i int, c Contact) {
-	*b.touch(i) = newEntry(c)
+func (b *bucket) replace(i int, c Contact, stamp uint64) {
+	b.remove(i)
+	j, _ := b.search(c.ID)
+	b.insert(j, c, stamp)
 }
 
-// findStale returns the index of the first entry with fails >= limit that
-// has no ping outstanding, or -1.
-func (b *bucket) findStale(limit int) int {
-	for i := range b.entries {
-		if e := &b.entries[i]; e.stale(limit) && !e.pingInFlight {
-			return i
+// oldest returns the index of the least-recently-seen entry of a non-empty
+// bucket.
+func (b *bucket) oldest() int {
+	lrs := 0
+	for i := 1; i < len(b.entries); i++ {
+		if b.entries[i].seen < b.entries[lrs].seen {
+			lrs = i
 		}
 	}
-	return -1
+	return lrs
+}
+
+// findStale returns the index of the least-recently-seen entry with fails
+// >= limit that has no ping outstanding, or -1.
+func (b *bucket) findStale(limit int) int {
+	found := -1
+	for i := range b.entries {
+		if e := &b.entries[i]; e.stale(limit) && !e.pingInFlight && (found < 0 || e.seen < b.entries[found].seen) {
+			found = i
+		}
+	}
+	return found
 }
 
 func (b *bucket) removeReplacement(nodeID id.ID) {
@@ -140,18 +187,8 @@ type RoutingTable struct {
 	// time. Bits are numbered from the top like id.XorWords: depth c is
 	// bit 63-c%64 of word c/64.
 	occupied [id.MaxBytes / 8]uint64
-	// ranked is AppendClosest's scratch: one bucket's contacts keyed by
-	// distance while they are sorted.
-	ranked []rankedContact
-}
-
-// rankedContact is a bucket entry, by position, with the 64 most
-// significant bits of its XOR distance to a lookup target: enough to order
-// almost any two contacts without touching their identifiers. It holds no
-// pointer, so sorting the scratch costs the collector nothing.
-type rankedContact struct {
-	prefix uint64
-	entry  int
+	// clock is the last recency stamp handed out (see entry.seen).
+	clock uint64
 }
 
 // NewRoutingTable builds an empty table for the given owner.
@@ -188,8 +225,8 @@ type ObserveResult struct {
 // Observe records direct communication with a contact, per the protocol:
 // "when a Kademlia node receives any message (request or reply) from
 // another node, it updates the appropriate k-bucket for the sender's node
-// ID". A known contact moves to most-recently-seen and its failure count
-// resets. An unknown contact fills a free slot, or directly replaces a
+// ID". A known contact becomes the most recently seen and its failure
+// count resets. An unknown contact fills a free slot, or directly replaces a
 // stale (failure count >= s) entry of a full bucket; otherwise it joins
 // the replacement cache and the least-recently-seen live entry is
 // nominated for a liveness ping.
@@ -204,8 +241,10 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 		rt.buckets = append(rt.buckets, make([]bucket, depth+1-len(rt.buckets))...)
 	}
 	b := &rt.buckets[depth]
-	if i := b.find(c.ID); i >= 0 {
-		e := b.touch(i)
+	i, known := b.search(c.ID)
+	if known {
+		e := &b.entries[i]
+		e.seen = rt.stamp()
 		e.fails = 0
 		e.contact = c // refresh address
 		return ObserveResult{Inserted: true}
@@ -213,10 +252,14 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	if len(b.entries) < rt.cfg.K {
 		if b.entries == nil {
 			// Once a bucket has an entry it tends to fill: allocate its
-			// array once, at capacity k, not by append doubling.
+			// arrays once, at capacity k, not by append doubling.
 			b.entries = make([]entry, 0, rt.cfg.K)
+			b.tops = make([]uint64, 0, rt.cfg.K)
 		}
-		b.entries = append(b.entries, newEntry(c))
+		// A live contact is never also a replacement, which a promotion
+		// would otherwise admit a second time.
+		b.removeReplacement(c.ID)
+		b.insert(i, c, rt.stamp())
 		rt.size++
 		rt.setOccupied(depth, true)
 		return ObserveResult{Inserted: true}
@@ -224,7 +267,7 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	// Bucket full: a stale entry (>= s consecutive failures) is replaced
 	// outright by the newcomer we just heard from.
 	if i := b.findStale(rt.cfg.StalenessLimit); i >= 0 {
-		b.replace(i, c)
+		b.replace(i, c, rt.stamp())
 		return ObserveResult{Inserted: true}
 	}
 	// Otherwise stash in the replacement cache (dropping the oldest
@@ -232,7 +275,7 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 	// liveness check.
 	b.removeReplacement(c.ID)
 	b.pushReplacement(c, rt.cfg.ReplacementCacheSize)
-	lrs := &b.entries[0]
+	lrs := &b.entries[b.oldest()]
 	if lrs.pingInFlight {
 		return ObserveResult{}
 	}
@@ -241,7 +284,7 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 }
 
 // RecordSuccess resets a contact's staleness budget and marks it
-// most-recently-seen after a successful exchange initiated by us.
+// most recently seen after a successful exchange initiated by us.
 func (rt *RoutingTable) RecordSuccess(nodeID id.ID) {
 	if nodeID.Equal(rt.self) {
 		return
@@ -251,7 +294,8 @@ func (rt *RoutingTable) RecordSuccess(nodeID id.ID) {
 	if i < 0 {
 		return
 	}
-	e := b.touch(i)
+	e := &b.entries[i]
+	e.seen = rt.stamp()
 	e.fails = 0
 	e.pingInFlight = false
 }
@@ -294,7 +338,7 @@ func (rt *RoutingTable) RecordFailure(nodeID id.ID) bool {
 	}
 	promoted := b.replacements[n-1]
 	b.replacements = b.replacements[:n-1]
-	b.replace(i, promoted)
+	b.replace(i, promoted, rt.stamp())
 	return true
 }
 
@@ -337,7 +381,7 @@ func (rt *RoutingTable) Remove(nodeID id.ID) bool {
 	if i < 0 {
 		return false
 	}
-	b.entries = append(b.entries[:i], b.entries[i+1:]...)
+	b.remove(i)
 	rt.size--
 	rt.setOccupied(depth, len(b.entries) > 0)
 	return true
@@ -360,9 +404,9 @@ func (rt *RoutingTable) Closest(target id.ID, count int) []Contact {
 // bucket is closer to target than every lower bucket, where d has a 0 it
 // is farther. Bucket ranges being disjoint, walking the 1-bit buckets from
 // the highest down and then the 0-bit buckets from the lowest up visits
-// contacts in ascending distance bucket by bucket; only the contacts
-// inside one bucket need sorting, and the walk stops as soon as count are
-// found.
+// contacts in ascending distance bucket by bucket. Inside a bucket the
+// sorted identifiers are walked as a trie (bucket.appendClosest), so
+// nothing is sorted at all, and the walk stops as soon as count are found.
 func (rt *RoutingTable) AppendClosest(dst []Contact, target id.ID, count int, exclude id.ID) []Contact {
 	d := rt.self.XorWords(target)
 	want := len(dst) + count
@@ -372,62 +416,108 @@ func (rt *RoutingTable) AppendClosest(dst []Contact, target id.ID, count int, ex
 		for m := rt.occupied[w] & d[w]; m != 0 && len(dst) < want; {
 			lz := bits.LeadingZeros64(m)
 			m &^= 1 << (63 - lz)
-			dst = rt.appendBucket(dst, &rt.buckets[64*w+lz], &target, want, &exclude)
+			dst = rt.buckets[64*w+lz].appendClosest(dst, &target, want, &exclude)
 		}
 	}
 	for w := len(d) - 1; w >= 0 && len(dst) < want; w-- {
 		for m := rt.occupied[w] &^ d[w]; m != 0 && len(dst) < want; {
 			tz := bits.TrailingZeros64(m)
 			m &= m - 1
-			dst = rt.appendBucket(dst, &rt.buckets[64*w+63-tz], &target, want, &exclude)
+			dst = rt.buckets[64*w+63-tz].appendClosest(dst, &target, want, &exclude)
 		}
 	}
 	return dst
 }
 
-// appendBucket appends b's contacts other than exclude to dst in ascending
-// distance to target until dst holds want. A bucket never holds more than
-// k contacts, few enough that an insertion sort on the distance prefixes
-// beats a general sort calling back for every comparison.
-func (rt *RoutingTable) appendBucket(dst []Contact, b *bucket, target *id.ID, want int, exclude *id.ID) []Contact {
+// appendClosest appends the bucket's contacts other than exclude to dst in ascending
+// distance to target until dst holds want.
+//
+// It walks the bucket's sorted identifiers as the binary trie they are. A
+// range of them agrees above the highest bit where its first and last top
+// words differ and splits there into a 0-half followed by a 1-half; the
+// half whose bit matches target's is entirely closer to target than the
+// other, so visiting it first, depth first, meets the contacts in
+// ascending distance with no sort and no scratch, and the walk stops as
+// soon as dst is full. A range whose first and last top words are equal
+// shares its top word throughout, and only such a range is ordered by
+// full identifiers (appendTied).
+func (b *bucket) appendClosest(dst []Contact, target *id.ID, want int, exclude *id.ID) []Contact {
 	targetTop, excludeTop := topWord(*target), topWord(*exclude)
-	ranked := rt.ranked[:0]
-	for i := range b.entries {
-		if e := &b.entries[i]; e.top != excludeTop || !e.contact.ID.Equal(*exclude) {
-			ranked = append(ranked, rankedContact{e.top ^ targetTop, i})
-		}
-	}
-	rt.ranked = ranked
-	for i := 1; i < len(ranked); i++ {
-		r := ranked[i]
-		j := i
-		for ; j > 0; j-- {
-			p := ranked[j-1]
-			// Equal prefixes are identifiers that agree in their top 64
-			// bits: only then do the full identifiers decide.
-			if p.prefix < r.prefix || p.prefix == r.prefix &&
-				!b.entries[r.entry].contact.ID.CloserTo(*target, b.entries[p.entry].contact.ID) {
-				break
+	tops := b.tops
+	// Each split lowers the bit that decides, so at most 64 far halves
+	// wait at once.
+	var far [64]struct{ lo, hi int32 }
+	waiting := 0
+	lo, hi := 0, len(tops)
+	for {
+		if x := tops[lo] ^ tops[hi-1]; x != 0 {
+			bit := uint64(1) << (63 - bits.LeadingZeros64(x))
+			// The first index of the 1-half: tops[lo] has the bit clear
+			// and tops[hi-1] has it set.
+			m, last := lo+1, hi-1
+			for m < last {
+				mid := int(uint(m+last) >> 1)
+				if tops[mid]&bit == 0 {
+					m = mid + 1
+				} else {
+					last = mid
+				}
 			}
-			ranked[j] = p
+			if targetTop&bit == 0 {
+				far[waiting].lo, far[waiting].hi = int32(m), int32(hi)
+				hi = m
+			} else {
+				far[waiting].lo, far[waiting].hi = int32(lo), int32(m)
+				lo = m
+			}
+			waiting++
+			continue
 		}
-		ranked[j] = r
+		if hi-lo > 1 {
+			dst = appendTied(dst, b.entries[lo:hi], target, want, exclude)
+		} else if e := &b.entries[lo]; tops[lo] != excludeTop || !e.contact.ID.Equal(*exclude) {
+			dst = append(dst, e.contact)
+		}
+		if waiting == 0 || len(dst) >= want {
+			return dst
+		}
+		waiting--
+		lo, hi = int(far[waiting].lo), int(far[waiting].hi)
 	}
-	for _, r := range ranked {
-		if len(dst) == want {
-			break
+}
+
+// appendTied appends the contacts of entries, which all share their top
+// word, other than exclude to dst in ascending distance to target until dst
+// holds want. Such ties need crafted identifiers, so each step simply picks
+// the closest contact farther than the one before.
+func appendTied(dst []Contact, entries []entry, target *id.ID, want int, exclude *id.ID) []Contact {
+	var prev *id.ID
+	for len(dst) < want {
+		next := -1
+		for i := range entries {
+			c := &entries[i].contact.ID
+			if (prev == nil || prev.CloserTo(*target, *c)) && (next < 0 || c.CloserTo(*target, entries[next].contact.ID)) {
+				next = i
+			}
 		}
-		dst = append(dst, b.entries[r.entry].contact)
+		if next < 0 {
+			return dst
+		}
+		prev = &entries[next].contact.ID
+		if !prev.Equal(*exclude) {
+			dst = append(dst, entries[next].contact)
+		}
 	}
 	return dst
 }
 
-// Contacts returns every live contact, bucket by bucket.
+// Contacts returns every live contact, bucket by bucket, each bucket in
+// identifier order.
 func (rt *RoutingTable) Contacts() []Contact {
 	return rt.AppendContacts(make([]Contact, 0, rt.size))
 }
 
-// AppendContacts appends every live contact to dst, bucket by bucket, and
+// AppendContacts appends every live contact to dst in Contacts' order and
 // returns the extended slice: Contacts without the allocation, for
 // callers that walk many tables through one buffer.
 func (rt *RoutingTable) AppendContacts(dst []Contact) []Contact {
@@ -456,8 +546,8 @@ func (rt *RoutingTable) BucketCount() int { return rt.cfg.Bits }
 // probe: every bucket from just below the lowest non-empty one upward.
 // Refreshing all Bits buckets (the literal protocol) would waste most
 // lookups on distance ranges where no nodes can exist; this covers every
-// populated range plus one deeper bucket, and is documented as a
-// substitution in DESIGN.md.
+// populated range plus one deeper bucket (README, "The simulated
+// protocol", lists it as a substitution for the paper's protocol).
 func (rt *RoutingTable) RefreshTargets() []int {
 	lowest := -1
 	for c := len(rt.buckets) - 1; c >= 0; c-- {
@@ -477,6 +567,12 @@ func (rt *RoutingTable) RefreshTargets() []int {
 		out = append(out, i)
 	}
 	return out
+}
+
+// stamp hands out the table's next recency stamp.
+func (rt *RoutingTable) stamp() uint64 {
+	rt.clock++
+	return rt.clock
 }
 
 // setOccupied records whether the bucket at depth c holds a live contact.

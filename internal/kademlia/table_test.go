@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"kadre/internal/id"
 	"kadre/internal/simnet"
@@ -373,5 +374,55 @@ func TestBucketInvariantProperty(t *testing.T) {
 	}
 	if total != rt.Size() {
 		t.Fatalf("size %d != bucket total %d", rt.Size(), total)
+	}
+}
+
+// TestAppendClosestOrdersTiedTopWordsByFullDistance: contacts whose
+// identifiers agree in their top 64 bits share a bucket and give the
+// bucket's trie walk nothing to split on; they must still come out in
+// ascending full distance, the excluded one left out, cut at count.
+func TestAppendClosestOrdersTiedTopWordsByFullDistance(t *testing.T) {
+	const bits = 160
+	self := id.FromUint64(bits, 1) // top word 0
+	tied := func(lo uint64) id.ID {
+		image := make([]byte, bits/8)
+		image[0] = 0x80 // one top word, bucket 159 of self
+		image[10], image[len(image)-1] = byte(lo>>8), byte(lo)
+		return id.MustNew(bits, image)
+	}
+	rt := NewRoutingTable(self, Config{Bits: bits, K: 8})
+	var ids []id.ID
+	for _, lo := range []uint64{0x0107, 0x0001, 0x00ff, 0x0100, 0x0030, 0x0203} {
+		ids = append(ids, tied(lo))
+		rt.Observe(Contact{ID: ids[len(ids)-1], Addr: simnet.Addr(lo)})
+	}
+	for _, target := range []id.ID{tied(0x0100), tied(0x0031), tied(0x02ff), self} {
+		for _, exclude := range []id.ID{{}, ids[0], ids[3]} {
+			for _, count := range []int{1, 3, len(ids)} {
+				want := closestOracle(rt, target, count, exclude)
+				got := rt.AppendClosest(nil, target, count, exclude)
+				if err := sameContacts(got, want); err != nil {
+					t.Fatalf("target %s exclude %s count %d: %v", target, exclude, count, err)
+				}
+			}
+		}
+	}
+	// The oracle sorts by full distance; pin one order by hand as well:
+	// from 0x0100 the low parts' distances are 0x0000, 0x0007, 0x0101,
+	// 0x0130, 0x01ff, 0x0303.
+	got := rt.Closest(tied(0x0100), len(ids))
+	for i, lo := range []uint64{0x0100, 0x0107, 0x0001, 0x0030, 0x00ff, 0x0203} {
+		if got[i].Addr != simnet.Addr(lo) {
+			t.Fatalf("position %d holds %v, want the contact with low part %#x", i, got[i], lo)
+		}
+	}
+}
+
+// TestEntryFillsOneCacheLine: an entry, recency stamp included, is 64
+// bytes, so a bucket of k entries spans k cache lines and a contact's
+// emission or update touches one.
+func TestEntryFillsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size != 64 {
+		t.Fatalf("entry is %d bytes, want 64", size)
 	}
 }

@@ -38,7 +38,7 @@ type Stats struct {
 	Sent      uint64 // messages handed to the network
 	Delivered uint64 // messages delivered to an attached handler
 	Lost      uint64 // messages dropped by the loss model
-	NoRoute   uint64 // messages whose destination was detached at delivery
+	NoRoute   uint64 // messages whose destination had no host at delivery
 }
 
 // LatencyModel determines per-message one-way delay.
@@ -119,8 +119,18 @@ type Config struct {
 	Loss    LossModel
 }
 
+// AddrLimit is the ceiling on host addresses: Attach refuses any address
+// at or above it. Hosts are found by indexing a table with their address,
+// which suits the way scenarios number their hosts 1, 2, 3, …; the ceiling
+// bounds that table at 64 MiB of handlers however an address is chosen.
+const AddrLimit = 1 << 22
+
 // Network is a simulated message-passing network. It is driven entirely by
 // the simulation goroutine and is not safe for concurrent use.
+//
+// Hosts live in a table indexed by address, grown on demand to the highest
+// attached one: a delivery finds its handler by one bounds check and one
+// load, with no hashing. An address past the table has no host.
 type Network struct {
 	// Protocol is a slot for the protocol layer above: state that every
 	// host of this network shares and that must not outlive or cross
@@ -129,12 +139,13 @@ type Network struct {
 	// simulation goroutine.
 	Protocol any
 
-	sim     *eventsim.Simulator
-	latency LatencyModel
-	loss    LossModel
-	hosts   map[Addr]Handler
-	stats   Stats
-	free    *delivery // idle delivery records, reused by Send
+	sim      *eventsim.Simulator
+	latency  LatencyModel
+	loss     LossModel
+	hosts    []Handler // by address; nil where nothing is attached
+	attached int       // non-nil entries of hosts
+	stats    Stats
+	free     *delivery // idle delivery records, reused by Send
 }
 
 // delivery is one message in flight and the event that delivers it: Send
@@ -153,8 +164,8 @@ func (d *delivery) Run() {
 	n, from, to, payload := d.net, d.from, d.to, d.payload
 	d.payload = nil
 	d.next, n.free = n.free, d
-	h, ok := n.hosts[to]
-	if !ok {
+	h := n.host(to)
+	if h == nil {
 		n.stats.NoRoute++
 		dropped(payload)
 		return
@@ -175,7 +186,6 @@ func New(sim *eventsim.Simulator, cfg Config) *Network {
 		sim:     sim,
 		latency: cfg.Latency,
 		loss:    cfg.Loss,
-		hosts:   make(map[Addr]Handler),
 	}
 }
 
@@ -194,16 +204,22 @@ func (n *Network) SetLoss(m LossModel) {
 	n.loss = m
 }
 
-// Attach registers a handler under an address. Attaching an address twice
-// is an error: it would silently hijack traffic.
+// Attach registers a handler under an address below AddrLimit. Attaching
+// an address twice is an error: it would silently hijack traffic.
 func (n *Network) Attach(addr Addr, h Handler) error {
-	if h == nil {
+	switch {
+	case h == nil:
 		return fmt.Errorf("simnet: attach %d: nil handler", addr)
-	}
-	if _, ok := n.hosts[addr]; ok {
+	case addr >= AddrLimit:
+		return fmt.Errorf("simnet: attach %d: address at or above the limit %d", addr, AddrLimit)
+	case n.host(addr) != nil:
 		return fmt.Errorf("simnet: attach %d: address already attached", addr)
 	}
+	if int(addr) >= len(n.hosts) {
+		n.hosts = append(n.hosts, make([]Handler, int(addr)+1-len(n.hosts))...)
+	}
 	n.hosts[addr] = h
+	n.attached++
 	return nil
 }
 
@@ -211,17 +227,25 @@ func (n *Network) Attach(addr Addr, h Handler) error {
 // departure. Messages in flight to the address are dropped at delivery
 // time. Detaching an unknown address is a no-op.
 func (n *Network) Detach(addr Addr) {
-	delete(n.hosts, addr)
+	if n.host(addr) != nil {
+		n.hosts[addr] = nil
+		n.attached--
+	}
 }
 
 // Attached reports whether an address currently has a handler.
-func (n *Network) Attached(addr Addr) bool {
-	_, ok := n.hosts[addr]
-	return ok
-}
+func (n *Network) Attached(addr Addr) bool { return n.host(addr) != nil }
 
 // NumAttached returns the number of attached hosts.
-func (n *Network) NumAttached() int { return len(n.hosts) }
+func (n *Network) NumAttached() int { return n.attached }
+
+// host returns the handler attached at addr, or nil.
+func (n *Network) host(addr Addr) Handler {
+	if addr < Addr(len(n.hosts)) {
+		return n.hosts[addr]
+	}
+	return nil
+}
 
 // Send transmits payload from one address to another, subject to the loss
 // and latency models. Delivery, if it happens, is a future simulation

@@ -70,6 +70,35 @@ func TestAttachErrors(t *testing.T) {
 	}
 }
 
+// TestAttachAtAddrLimit: the host table is indexed by address, so an
+// address at or above the ceiling is refused before the table grows, and a
+// message to an address beyond the table finds no route.
+func TestAttachAtAddrLimit(t *testing.T) {
+	sim, net := newNet(t, Config{})
+	h := &recHandler{rec: &recorder{}, sim: sim}
+	for _, addr := range []Addr{AddrLimit, AddrLimit + 1, math.MaxUint64} {
+		if err := net.Attach(addr, h); err == nil {
+			t.Errorf("Attach(%d) succeeded at or above AddrLimit %d", addr, AddrLimit)
+		}
+	}
+	if net.hosts != nil || net.NumAttached() != 0 || net.Attached(AddrLimit) {
+		t.Fatalf("refused attaches left a host table of %d entries, %d attached", len(net.hosts), net.NumAttached())
+	}
+	net.Detach(AddrLimit) // a no-op, like any unknown address
+	if err := net.Attach(3, h); err != nil {
+		t.Fatal(err)
+	}
+	if len(net.hosts) != 4 || net.NumAttached() != 1 {
+		t.Fatalf("Attach(3) left a host table of %d entries, %d attached; want 4 and 1", len(net.hosts), net.NumAttached())
+	}
+	net.Send(1, AddrLimit, "x")
+	net.Send(1, 3, "y")
+	sim.Run()
+	if st := net.Stats(); st.NoRoute != 1 || st.Delivered != 1 {
+		t.Fatalf("stats = %+v, want one message without a route and one delivered", st)
+	}
+}
+
 func TestDetachDropsInFlight(t *testing.T) {
 	sim, net := newNet(t, Config{Latency: ConstantLatency{D: time.Second}})
 	rec := &recorder{}

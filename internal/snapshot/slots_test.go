@@ -230,8 +230,10 @@ func referenceCapture(nodes []*kademlia.Node) *Snapshot {
 // joins recycle slots — on dense addresses and on sparse ones.
 func TestCaptureMatchesIDKeyedReference(t *testing.T) {
 	layouts := map[string]func(i int) simnet.Addr{
-		"dense":  func(i int) simnet.Addr { return simnet.Addr(i + 1) },
-		"sparse": func(i int) simnet.Addr { return simnet.Addr(i+1) << 40 },
+		"dense": func(i int) simnet.Addr { return simnet.Addr(i + 1) },
+		// Far apart, yet under simnet.AddrLimit: the network indexes its
+		// hosts by address.
+		"sparse": func(i int) simnet.Addr { return simnet.Addr(i+1) << 12 },
 	}
 	for name, addr := range layouts {
 		t.Run(name, func(t *testing.T) {
