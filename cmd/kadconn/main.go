@@ -1,14 +1,14 @@
 // Command kadconn computes the vertex connectivity of a persisted
-// connectivity graph, playing the role of the paper's modified-HIPR
-// cluster pipeline: it reads a snapshot (JSON, as written by kadsim) or a
-// DIMACS max-flow problem, applies Even's vertex-splitting transformation,
-// and reports kappa.
+// connectivity graph, playing the role of the paper's offline analysis of
+// routing-table snapshots: it reads one snapshot as kadsim -snapshots
+// writes it, applies Even's vertex-splitting transformation, and reports
+// kappa. -emit-dimacs is the hand-off to an external HIPR-style solver:
+// it writes the Even-transformed graph as a DIMACS max-flow problem.
 //
 // Examples:
 //
 //	kadconn -in out/snapshot-000120m.json
-//	kadconn -in out/snapshot-000120m.json -full
-//	kadconn -in graph.dimacs -format dimacs
+//	kadconn -in out/snapshot-000120m.json -c 1
 //	kadconn -in out/snapshot-000120m.json -emit-dimacs transformed.dimacs
 package main
 
@@ -35,10 +35,8 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("kadconn", flag.ContinueOnError)
 	var (
-		in       = fs.String("in", "", "input file (required)")
-		format   = fs.String("format", "json", "input format: json (kadsim snapshot) or dimacs")
-		full     = fs.Bool("full", false, "full n(n-1) sweep instead of sampled sources")
-		sampleC  = fs.Float64("c", connectivity.DefaultSampleFraction, "sampling fraction c (ignored with -full)")
+		in       = fs.String("in", "", "snapshot JSON file written by kadsim -snapshots (required)")
+		sampleC  = fs.Float64("c", connectivity.DefaultSampleFraction, "sampling fraction c (0 or 1 = full n(n-1) sweep)")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		pairSpec = fs.String("pair", "", "compute kappa(v,w) for one pair, e.g. 3,17")
 		emit     = fs.String("emit-dimacs", "", "write the Even-transformed graph as DIMACS to this file and exit")
@@ -53,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	g, err := load(*in, *format)
+	g, err := load(*in)
 	if err != nil {
 		return err
 	}
@@ -81,12 +79,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	eng := connectivity.MustNewEngine(connectivity.EngineOptions{Workers: *workers})
-	q := connectivity.Query{SampleFraction: *sampleC}
-	if *full {
-		q.SampleFraction = 1.0
-	}
 	eng.Bind(g)
-	res := eng.Analyze(q)
+	res := eng.Analyze(connectivity.Query{SampleFraction: *sampleC})
 	fmt.Fprintf(stdout, "kappa(D) = %d over %d pairs from %d sources (avg pair connectivity %.2f)\n",
 		res.Min, res.Pairs, res.Sources, res.Avg)
 	if res.Complete {
@@ -99,36 +93,24 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func load(path, format string) (*graph.Digraph, error) {
+func load(path string) (*graph.Digraph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	switch format {
-	case "json":
-		s, err := snapshot.ReadJSON(f)
-		if err != nil {
-			return nil, err
-		}
-		return s.Graph, nil
-	case "dimacs":
-		prob, err := graph.ReadDIMACS(f)
-		if err != nil {
-			return nil, err
-		}
-		return prob.Graph, nil
-	default:
-		return nil, fmt.Errorf("unknown format %q (json, dimacs)", format)
+	s, err := snapshot.ReadJSON(f)
+	if err != nil {
+		return nil, err
 	}
+	return s.Graph, nil
 }
 
 func emitDIMACS(stdout io.Writer, path string, g *graph.Digraph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	// A max-flow problem needs a source and a sink that are not adjacent.
+	if g.IsComplete() {
+		return fmt.Errorf("-emit-dimacs: graph is complete (kappa = n-1 by definition): no non-adjacent pair to pose as a max-flow problem")
 	}
-	defer f.Close()
 	// Emit with one example pair (first non-adjacent ordered pair) so the
 	// file is a complete max-flow problem; downstream tooling can swap in
 	// other "c pair" lines.
@@ -141,6 +123,11 @@ func emitDIMACS(stdout io.Writer, path string, g *graph.Digraph) error {
 			}
 		}
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	if err := graph.WriteEvenDIMACS(f, g, pairs...); err != nil {
 		return err
 	}

@@ -7,14 +7,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"kadre/internal/churn"
 	"kadre/internal/eventsim"
 	"kadre/internal/graph"
 	"kadre/internal/kademlia"
+	"kadre/internal/scenario"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
 )
@@ -57,7 +61,7 @@ func writeTestSnapshot(t *testing.T, path string) {
 func TestRunAnalyzeJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.json")
 	writeTestSnapshot(t, path)
-	if err := run([]string{"-in", path, "-full"}, io.Discard); err != nil {
+	if err := run([]string{"-in", path, "-c", "1"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-in", path, "-c", "0.2"}, io.Discard); err != nil {
@@ -101,13 +105,14 @@ func TestRunPairMode(t *testing.T) {
 }
 
 // TestGoldenOutput pins kadconn's stdout byte for byte for the default
-// sampled run, a full sweep and one pair on writeTestSnapshot's network.
+// sampled run, a full sweep (-c 1) and one pair on writeTestSnapshot's
+// network.
 // Regenerate with: go test ./cmd/kadconn -run Golden -update
 func TestGoldenOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.json")
 	writeTestSnapshot(t, path)
 	var buf bytes.Buffer
-	for _, flags := range [][]string{{}, {"-full"}, {"-pair", firstNonAdjacentPair(t, path)}} {
+	for _, flags := range [][]string{{}, {"-c", "1"}, {"-pair", firstNonAdjacentPair(t, path)}} {
 		fmt.Fprintln(&buf, strings.Join(append([]string{"$ kadconn"}, flags...), " "))
 		if err := run(append([]string{"-in", path}, flags...), &buf); err != nil {
 			t.Fatal(err)
@@ -131,30 +136,80 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
-func TestRunEmitDIMACSRoundTrip(t *testing.T) {
+// TestRunOfflineEndToEnd is the paper's offline method on one run: a
+// tiny churned scenario (its final minimum, 1, sits below k) persists
+// its final snapshot the way kadsim -snapshots does, kadconn at the
+// run's sampling fraction reports the minimum connectivity the run
+// measured on it, and -emit-dimacs hands the same graph on as the
+// 2n-vertex, (n+m)-arc max-flow problem of its Even transform, source
+// and sink included.
+func TestRunOfflineEndToEnd(t *testing.T) {
+	cfg := scenario.Config{
+		Name: "offline", Seed: 2, Size: 20, K: 4, Bits: 64, Staleness: 1,
+		Setup: 6 * time.Minute, Stabilize: 12 * time.Minute,
+		SnapshotInterval: 6 * time.Minute, SampleFraction: 0.1,
+		Churn: churn.Rate{Add: 2, Remove: 2}, ChurnPhase: 6 * time.Minute,
+	}
+	var final bytes.Buffer
+	cfg.OnSnapshot = func(s *snapshot.Snapshot, _ scenario.SnapshotStat) {
+		final.Reset()
+		if err := s.WriteJSON(&final); err != nil {
+			t.Error(err)
+		}
+	}
+	res, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "snap.json")
-	dimacsPath := filepath.Join(dir, "transformed.dimacs")
-	writeTestSnapshot(t, jsonPath)
-	if err := run([]string{"-in", jsonPath, "-emit-dimacs", dimacsPath}, io.Discard); err != nil {
+	snapPath, dimacsPath := filepath.Join(dir, "final.json"), filepath.Join(dir, "even.dimacs")
+	if err := os.WriteFile(snapPath, final.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(dimacsPath)
+
+	var out strings.Builder
+	c := strconv.FormatFloat(cfg.SampleFraction, 'g', -1, 64)
+	if err := run([]string{"-in", snapPath, "-c", c}, &out); err != nil {
+		t.Fatal(err)
+	}
+	last := res.Points[len(res.Points)-1]
+	if want := fmt.Sprintf("kappa(D) = %d over ", last.Min); !strings.Contains(out.String(), want) {
+		t.Errorf("kadconn -c %s printed\n%s\nwant the run's final minimum %q", c, out.String(), want)
+	}
+
+	if err := run([]string{"-in", snapPath, "-emit-dimacs", dimacsPath}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	emitted, err := os.ReadFile(dimacsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	prob, err := graph.ReadDIMACS(f)
-	if err != nil {
+	n, m := last.N, last.Edges
+	problem := regexp.MustCompile(fmt.Sprintf(`\np max %d %d\nn \d+ s\nn \d+ t\n`, 2*n, n+m))
+	if !problem.Match(emitted) {
+		t.Errorf("emitted problem lacks the lines %q", problem)
+	}
+	if arcs := strings.Count(string(emitted), "\na "); arcs != n+m {
+		t.Errorf("emitted problem has %d arcs, want %d", arcs, n+m)
+	}
+}
+
+// TestRunEmitDIMACSRejectsCompleteGraph: a complete graph has no
+// non-adjacent pair to serve as source and sink, so there is no
+// max-flow problem to write.
+func TestRunEmitDIMACSRejectsCompleteGraph(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "k3.json"), filepath.Join(dir, "even.dimacs")
+	nodes := `{"id":"0000000000000001","addr":1},{"id":"0000000000000002","addr":2},{"id":"0000000000000003","addr":3}`
+	body := `{"bits":64,"nodes":[` + nodes + `],"edges":[[0,1],[0,2],[1,0],[1,2],[2,0],[2,1]]}`
+	if err := os.WriteFile(in, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Even transform doubles the vertex count.
-	if prob.Graph.N()%2 != 0 || prob.Graph.N() == 0 {
-		t.Fatalf("transformed graph has %d vertices", prob.Graph.N())
+	if err := run([]string{"-in", in, "-emit-dimacs", out}, io.Discard); err == nil || !strings.Contains(err.Error(), "complete") {
+		t.Fatalf("err = %v, want one naming the complete graph", err)
 	}
-	// The DIMACS file itself is analyzable.
-	if err := run([]string{"-in", dimacsPath, "-format", "dimacs", "-c", "0.05"}, io.Discard); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused emit left %s behind (stat: %v)", out, err)
 	}
 }
 
@@ -167,8 +222,11 @@ func TestRunErrors(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "snap.json")
 	writeTestSnapshot(t, path)
-	if err := run([]string{"-in", path, "-format", "yaml"}, io.Discard); err == nil {
-		t.Error("unknown format should fail")
+	// One input format, and -c 1 is the full sweep.
+	for _, flag := range []string{"-format", "-full"} {
+		if err := run([]string{"-in", path, flag}, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", flag, err)
+		}
 	}
 	for _, c := range []string{"-0.5", "NaN"} {
 		if err := run([]string{"-in", path, "-c", c}, io.Discard); err == nil || !strings.Contains(err.Error(), "sample fraction") {
@@ -183,29 +241,40 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunEmitDIMACSAtVertexLimit emits the Even transform of a
-// graph.MaxVertices-vertex cycle and holds the whole run's allocation
-// under 1.5 times the input's rows: the transformed graph streams out
-// as an edge list, where materialising its 2n rows would add four times
-// the input's.
+// graph.MaxVertices-node cycle snapshot and holds the whole run's
+// allocation under 1.5 times the input's rows: the transformed graph
+// streams out as an edge list, where materialising its 2n rows would add
+// four times the input's.
 func TestRunEmitDIMACSAtVertexLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates the 128 MiB of rows a graph at the vertex limit takes")
 	}
 	const n = graph.MaxVertices
 	var in strings.Builder
-	fmt.Fprintf(&in, "p max %d %d\n", n, n)
-	for v := 1; v <= n; v++ {
-		fmt.Fprintf(&in, "a %d %d 1\n", v, v%n+1)
+	in.WriteString(`{"bits":64,"nodes":[`)
+	for v := 0; v < n; v++ {
+		if v > 0 {
+			in.WriteByte(',')
+		}
+		fmt.Fprintf(&in, `{"id":"%016x","addr":%d}`, v+1, v+1)
 	}
+	in.WriteString(`],"edges":[`)
+	for v := 0; v < n; v++ {
+		if v > 0 {
+			in.WriteByte(',')
+		}
+		fmt.Fprintf(&in, "[%d,%d]", v, (v+1)%n)
+	}
+	in.WriteString("]}")
 	dir := t.TempDir()
-	inPath, outPath := filepath.Join(dir, "cycle.dimacs"), filepath.Join(dir, "even.dimacs")
+	inPath, outPath := filepath.Join(dir, "cycle.json"), filepath.Join(dir, "even.dimacs")
 	if err := os.WriteFile(inPath, []byte(in.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rows := uint64(n) * n / 8
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := run([]string{"-in", inPath, "-format", "dimacs", "-emit-dimacs", outPath}, io.Discard); err != nil {
+	if err := run([]string{"-in", inPath, "-emit-dimacs", outPath}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -224,16 +293,13 @@ func TestRunEmitDIMACSAtVertexLimit(t *testing.T) {
 	}
 }
 
-// TestRunRejectsHostileGraphs pins that a self-loop or an oversize graph,
-// in either input format, is an error rather than a panic or a
-// quadratic allocation.
+// TestRunRejectsHostileGraphs pins that a self-loop or an oversize
+// snapshot is an error rather than a panic or a quadratic allocation.
 func TestRunRejectsHostileGraphs(t *testing.T) {
 	node := `{"id":"0000000000000001","addr":1}`
-	inputs := []struct{ name, format, body, want string }{
-		{"dimacs self-loop", "dimacs", "p max 2 1\na 2 2 1\n", "self-loop"},
-		{"dimacs oversize", "dimacs", fmt.Sprintf("p max %d 0\n", graph.MaxVertices+1), "exceed the limit"},
-		{"json self-loop", "json", `{"bits":64,"nodes":[` + node + `],"edges":[[0,0]]}`, "self-loop"},
-		{"json oversize", "json", `{"bits":64,"nodes":[` + strings.Repeat(node+",", graph.MaxVertices) + node + `]}`, "exceed the limit"},
+	inputs := []struct{ name, body, want string }{
+		{"json self-loop", `{"bits":64,"nodes":[` + node + `],"edges":[[0,0]]}`, "self-loop"},
+		{"json oversize", `{"bits":64,"nodes":[` + strings.Repeat(node+",", graph.MaxVertices) + node + `]}`, "exceed the limit"},
 	}
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
@@ -241,7 +307,7 @@ func TestRunRejectsHostileGraphs(t *testing.T) {
 			if err := os.WriteFile(path, []byte(in.body), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := run([]string{"-in", path, "-format", in.format}, io.Discard); err == nil || !strings.Contains(err.Error(), in.want) {
+			if err := run([]string{"-in", path}, io.Discard); err == nil || !strings.Contains(err.Error(), in.want) {
 				t.Fatalf("err = %v, want one naming %q", err, in.want)
 			}
 		})

@@ -21,13 +21,12 @@ import (
 	"path/filepath"
 	"time"
 
-	"kadre/internal/churn"
 	"kadre/internal/report"
 	"kadre/internal/scenario"
-	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
 	"kadre/internal/stats"
 	"kadre/internal/sweep"
+	"kadre/internal/workload"
 )
 
 func main() {
@@ -62,24 +61,24 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	loss, err := simnet.ParseLossLevel(*lossName)
-	if err != nil {
+	// The flags are one run of a spec document, checked and defaulted by
+	// the code that resolves spec files, so an explicit 0 is refused
+	// where the config layer would replace it with a default.
+	minutes := func(m int) *float64 { f := float64(m); return &f }
+	sp := workload.Spec{Version: workload.SpecVersion, ID: "kadsim", Runs: []workload.RunSpec{{
+		Name: "kadsim", Size: &workload.Size{Nodes: *size},
+		K: k, Alpha: alpha, Bits: bits, Staleness: staleness,
+		Loss: lossName, Churn: churnSpec, Traffic: traffic,
+		ChurnMinutes: minutes(*churnM), SetupMinutes: minutes(*setupM),
+		StabilizeMinutes: minutes(*stabM), SnapshotMinutes: minutes(*snapM),
+		SampleFraction: sampleC,
+	}}}
+	if err := sp.Check(); err != nil {
 		return err
 	}
-	rate, err := churn.ParseRate(*churnSpec)
+	cfg, err := scenario.ResolveRun(sp.Runs[0], scenario.PaperScale, *seed)
 	if err != nil {
 		return err
-	}
-
-	cfg := scenario.Config{
-		Name: "kadsim", Seed: *seed, Size: *size,
-		K: *k, Alpha: *alpha, Bits: *bits, Staleness: *staleness,
-		Loss: loss, Churn: rate, Traffic: *traffic,
-		Setup:            time.Duration(*setupM) * time.Minute,
-		Stabilize:        time.Duration(*stabM) * time.Minute,
-		ChurnPhase:       time.Duration(*churnM) * time.Minute,
-		SnapshotInterval: time.Duration(*snapM) * time.Minute,
-		SampleFraction:   *sampleC,
 	}
 	if !*quiet {
 		cfg.Log = func(format string, a ...any) { fmt.Fprintf(stdout, format+"\n", a...) }

@@ -110,19 +110,34 @@ func TestRunWithChurnAndLoss(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	tests := [][]string{
-		{"-loss", "catastrophic"},
-		{"-churn", "banana"},
-		{"-size", "1"},
-		{"-bits", "33"},
-		// The spec door rejects these too; neither may fall through to a
-		// full n(n-1) sweep.
-		{"-c", "-0.5"},
-		{"-c", "NaN"},
+	tests := []struct {
+		args []string
+		want string // a fragment the error must name; "" for any error
+	}{
+		{[]string{"-loss", "catastrophic"}, ""},
+		{[]string{"-churn", "banana"}, ""},
+		{[]string{"-size", "1"}, ""},
+		{[]string{"-bits", "33"}, ""},
+		// The spec checker refuses every zero the config layer would
+		// replace with a paper default, and a -c outside (0,1], which
+		// must not fall through to a full n(n-1) sweep.
+		{[]string{"-k", "0"}, "k 0"},
+		{[]string{"-alpha", "0"}, "alpha 0"},
+		{[]string{"-bits", "0"}, "bits 0"},
+		{[]string{"-staleness", "0"}, "staleness 0"},
+		{[]string{"-setup-mins", "0"}, "setup_minutes 0"},
+		{[]string{"-stabilize-mins", "0"}, "stabilize_minutes 0"},
+		{[]string{"-interval-mins", "0"}, "snapshot_minutes 0"},
+		{[]string{"-k", "-3"}, "k -3"},
+		{[]string{"-c", "0"}, "sample_fraction"},
+		{[]string{"-c", "1.5"}, "sample_fraction"},
+		{[]string{"-c", "-0.5"}, "sample_fraction"},
+		{[]string{"-c", "NaN"}, "sample_fraction"},
 	}
-	for _, args := range tests {
-		if err := run(append(args, "-quiet", "-chart=false"), io.Discard); err == nil {
-			t.Errorf("args %v: expected error", args)
+	for _, tt := range tests {
+		err := run(append(tt.args, "-quiet", "-chart=false"), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("args %v: err = %v, want an error naming %q", tt.args, err, tt.want)
 		}
 	}
 }

@@ -539,8 +539,8 @@ func (r *RunSpec) check() error {
 			return err
 		}
 	}
-	if r.SampleFraction != nil && (*r.SampleFraction <= 0 || *r.SampleFraction > 1) {
-		return fmt.Errorf("sample_fraction %g outside (0,1]", *r.SampleFraction)
+	if f := r.SampleFraction; f != nil && !(*f > 0 && *f <= 1) { // NaN included
+		return fmt.Errorf("sample_fraction %g outside (0,1]", *f)
 	}
 	if r.ChurnMinutes != nil && r.DrainChurn != nil && *r.DrainChurn {
 		return fmt.Errorf("churn_minutes and drain_churn are mutually exclusive")
