@@ -240,6 +240,25 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsSampleFractionAboveOne holds kadconn to the range kadsim
+// and spec files accept: a -c above 1 (or +Inf) is an error, so main
+// exits 1, and nothing is read or swept first. It used to run as a full
+// sweep.
+func TestRunRejectsSampleFractionAboveOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	writeTestSnapshot(t, path)
+	for _, c := range []string{"1.5", "7", "+Inf"} {
+		var out bytes.Buffer
+		err := run([]string{"-in", path, "-c", c}, &out)
+		if err == nil || !strings.Contains(err.Error(), "sample fraction") {
+			t.Errorf("-c %s: err = %v, want a sample-fraction error", c, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-c %s: printed %q before refusing", c, out.String())
+		}
+	}
+}
+
 // TestRunEmitDIMACSAtVertexLimit emits the Even transform of a
 // graph.MaxVertices-node cycle snapshot and holds the whole run's
 // allocation under 1.5 times the input's rows: the transformed graph

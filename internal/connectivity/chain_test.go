@@ -199,7 +199,7 @@ func TestSimilarityChain(t *testing.T) {
 		g     *graph.Digraph
 		order []int
 	}{
-		{"kad-shaped", kadShapedGraph(7, 80, 4), nil},
+		{"kad-shaped", kadShapedGraph(7, 80, 4, 32), nil},
 		{"circulant", circulant(66, 1, 2, 5), nil},
 		{"slot world", worldG, worldOrder},
 		{"vacated circulant", vacG, vacOrder},
@@ -301,7 +301,7 @@ func TestSimilarityChainLifetime(t *testing.T) {
 // path solvers read but not the exact tasks' sink chain. The binding's
 // first exact sweep builds it.
 func TestMinOnlySweepBuildsNoChain(t *testing.T) {
-	g := kadShapedGraph(5, 60, 5)
+	g := kadShapedGraph(5, 60, 5, 32)
 	for _, workers := range []int{1, 3} {
 		eng := MustNewEngine(EngineOptions{Workers: workers})
 		eng.Bind(g)

@@ -12,27 +12,34 @@ import (
 )
 
 // kadShapedGraph builds a digraph with the structure of a Kademlia
-// connectivity graph: n vertices with random 32-bit identifiers, each
-// keeping up to k contacts per XOR-distance bucket and never evicting
-// one. Vertices join in index order and meet every earlier vertex, each
-// side offering itself to the other — a node learns a contact from any
-// message it receives. The far buckets fill up early, so out-degrees
-// cluster around k*log2(n/k) while a late joiner is known only to the
-// few vertices with room left for it: the near-symmetric shape with a
-// thin tail of low in-degrees on which the minimum sits well below the
-// sources' out-degrees and their fan closure covers almost every sink.
-func kadShapedGraph(seed int64, n, k int) *graph.Digraph {
+// connectivity graph: n vertices with random idBits-bit identifiers
+// (1..64), each keeping up to k contacts per XOR-distance bucket and
+// never evicting one. Vertices join in index order and meet every
+// earlier vertex, each side offering itself to the other — a node learns
+// a contact from any message it receives. The far buckets fill up early,
+// so out-degrees cluster around k*log2(n/k) while a late joiner is known
+// only to the few vertices with room left for it: the near-symmetric
+// shape with a thin tail of low in-degrees on which the minimum sits
+// well below the sources' out-degrees and their fan closure covers almost
+// every sink. A 32-bit identifier is r.Uint32()'s draw.
+func kadShapedGraph(seed int64, n, k, idBits int) *graph.Digraph {
 	r := rand.New(rand.NewSource(seed))
-	ids := make([]uint32, 0, n)
+	ids := make([]uint64, 0, n)
 	for len(ids) < n {
-		if id := r.Uint32(); !slices.Contains(ids, id) {
+		var id uint64
+		if idBits == 64 {
+			id = r.Uint64()
+		} else {
+			id = uint64(r.Int63()) >> (63 - idBits)
+		}
+		if !slices.Contains(ids, id) {
 			ids = append(ids, id)
 		}
 	}
 	g := graph.NewDigraph(n)
-	fill := make([][32]int, n) // contacts per bucket
+	fill := make([][64]int, n) // contacts per bucket
 	observe := func(u, v int) {
-		if b := bits.Len32(ids[u]^ids[v]) - 1; fill[u][b] < k {
+		if b := bits.Len64(ids[u]^ids[v]) - 1; fill[u][b] < k {
 			fill[u][b]++
 			g.AddEdge(u, v)
 		}
@@ -149,7 +156,7 @@ func TestFanClosureLemma(t *testing.T) {
 			randomDigraph(seed, 14, 60),
 			randomDigraph(seed, 24, 200),
 			randomSymmetricGraph(seed, 20, 70),
-			kadShapedGraph(seed, 40, 3),
+			kadShapedGraph(seed, 40, 3, 32),
 		} {
 			for _, s := range sources(g.N()) {
 				checkFanClosure(t, fmt.Sprintf("seed %d n %d", seed, g.N()), g, s, nil, r)
@@ -225,8 +232,8 @@ func TestFanClosureWiring(t *testing.T) {
 		eng := MustNewEngine(EngineOptions{Workers: workers})
 		for seed := int64(1); seed <= 3; seed++ {
 			for _, g := range []*graph.Digraph{
-				kadShapedGraph(seed, 48, 3),
-				kadShapedGraph(seed, 64, 5),
+				kadShapedGraph(seed, 48, 3, 32),
+				kadShapedGraph(seed, 64, 5, 32),
 				randomDigraph(seed, 30, 260),
 			} {
 				eng.Bind(g)
@@ -254,7 +261,7 @@ func TestFanClosureWiring(t *testing.T) {
 // makes it the weakest sink; an engine that kept either structure across
 // the RebindSlots would still vouch for it and miss the new minimum.
 func TestFanClosureStaleness(t *testing.T) {
-	g1 := kadShapedGraph(5, 60, 4)
+	g1 := kadShapedGraph(5, 60, 4, 32)
 	order := make([]int, g1.N())
 	for i := range order {
 		order[i] = i
@@ -385,7 +392,7 @@ func TestFanClosureEdgeCases(t *testing.T) {
 // exact at Workers: 1, so a change that silently disables the closure —
 // or halves what it covers — fails here.
 func TestSweepCountersPinClosureShare(t *testing.T) {
-	g := kadShapedGraph(7, 150, 10)
+	g := kadShapedGraph(7, 150, 10, 32)
 	eng := MustNewEngine(EngineOptions{Workers: 1})
 	eng.Bind(g)
 	sr := eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.1, AvgSeed: 1})

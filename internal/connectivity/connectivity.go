@@ -60,11 +60,12 @@ type Result struct {
 func Resilience(kappa int) int { return kappa - 1 }
 
 // CheckSampleFraction rejects the sample fractions no sweep can honour:
-// negative and NaN values of the paper's c. It is the one input check of
-// the front ends that take c from outside the program.
+// values of the paper's c outside [0,1], NaN included. 0 and 1 both mean
+// a full sweep. It is the one input check of the front ends that take c
+// from outside the program.
 func CheckSampleFraction(c float64) error {
-	if c < 0 || math.IsNaN(c) {
-		return fmt.Errorf("connectivity: sample fraction %v must be >= 0", c)
+	if !(c >= 0 && c <= 1) {
+		return fmt.Errorf("connectivity: sample fraction %v outside [0,1]", c)
 	}
 	return nil
 }
@@ -84,17 +85,10 @@ func Pair(g *graph.Digraph, v, w int) (int, error) {
 	if g.HasEdge(v, w) {
 		return 0, fmt.Errorf("connectivity: vertices %d and %d are adjacent", v, w)
 	}
-	// w's in-neighbours are all the solver reads of the transposed rows.
-	in := make([]uint64, (g.N()+63)>>6)
-	for u := 0; u < g.N(); u++ {
-		if g.HasEdge(u, w) {
-			setBit(in, u)
-		}
-	}
 	var paths pathSolver
-	paths.bind(g)
+	paths.bind(g, transposeRows(g, nil))
 	paths.source(v)
-	return paths.kappa(w, in, math.MaxInt), nil
+	return paths.kappa(w, math.MaxInt), nil
 }
 
 func lexLess(a, b [2]int) bool {

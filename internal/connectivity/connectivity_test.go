@@ -363,19 +363,20 @@ func TestAvgReasonable(t *testing.T) {
 }
 
 // TestOneShotValidation pins the checks of a one-off question, which
-// validates c and binds a fresh default Engine: a negative or NaN sample
-// fraction is a CheckSampleFraction error (NaN would otherwise slip
-// through sampleCount's range guard), a valid one answers exactly like a
+// validates c and binds a fresh default Engine: a sample fraction
+// outside [0,1] is a CheckSampleFraction error (NaN would otherwise slip
+// through sampleCount's range guard, and a value above 1 would run a full
+// sweep the other front ends refuse), a valid one answers exactly like a
 // single-worker engine, and MustNewEngine accepts the zero options,
 // defaulting the worker count.
 func TestOneShotValidation(t *testing.T) {
 	g := petersen()
-	for _, c := range []float64{-0.5, math.NaN(), math.Inf(-1)} {
+	for _, c := range []float64{-0.5, math.NaN(), math.Inf(-1), 1.5, 7, math.Inf(1)} {
 		if err := CheckSampleFraction(c); err == nil {
 			t.Errorf("CheckSampleFraction accepted sample fraction %v", c)
 		}
 	}
-	for _, c := range []float64{0, 0.3, 1, 7} {
+	for _, c := range []float64{0, 0.3, 1} {
 		if err := CheckSampleFraction(c); err != nil {
 			t.Fatalf("CheckSampleFraction rejected sample fraction %v: %v", c, err)
 		}

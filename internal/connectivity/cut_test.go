@@ -276,7 +276,7 @@ func TestPairCutMatchesDinic(t *testing.T) {
 	cuts := 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		names, graphs := []string{"kad-shaped"}, []*graph.Digraph{kadShapedGraph(seed, kadN, 4)}
+		names, graphs := []string{"kad-shaped"}, []*graph.Digraph{kadShapedGraph(seed, kadN, 4, 32)}
 		for _, shape := range shapes {
 			names = append(names, fmt.Sprintf("random n %d m %d", shape[0], shape[1]))
 			graphs = append(graphs, randomDigraph(seed, shape[0], shape[1]))

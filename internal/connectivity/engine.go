@@ -23,7 +23,7 @@ type EngineOptions struct {
 type Query struct {
 	// SampleFraction is the paper's c: the c*n smallest-out-degree
 	// vertices are the flow sources. 0 or >= 1 means a full n(n-1) sweep;
-	// negative and NaN values are input errors (see CheckSampleFraction).
+	// values outside [0,1] are input errors (see CheckSampleFraction).
 	SampleFraction float64
 	// MinOnly skips exact flow values above the running minimum, which
 	// prunes work but leaves Avg meaningless (reported as NaN).
@@ -390,12 +390,6 @@ func (e *Engine) ensureChain() {
 	e.chainGen = e.gen
 }
 
-// inRow returns vertex v's in-neighbour row (see ensureInRows).
-func (e *Engine) inRow(v int) []uint64 {
-	words := (e.n + 63) >> 6
-	return e.inRows[v*words : (v+1)*words]
-}
-
 // SweepFlows reports how many sweep pairs a solver answered, exact and
 // capped alike, over the engine's lifetime (cumulative across bindings); a
 // row or Min answered from AnalyzeSnapshot's memo adds nothing.
@@ -616,7 +610,7 @@ func (e *Engine) runSweep(tasks []sweepTask) {
 		e.ensureChain()
 	}
 	for w := 0; w < workers; w++ {
-		e.workers[w].paths.bind(e.g)
+		e.workers[w].paths.bind(e.g, e.inRows)
 	}
 	if workers <= 1 {
 		e.sweepWorker(0, tasks, st)
@@ -713,7 +707,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 			}
 			var flow int
 			if task.exact {
-				flow = paths.kappa(tgtV, e.inRow(tgtV), math.MaxInt)
+				flow = paths.kappa(tgtV, math.MaxInt)
 				flows++
 				exact++
 				if flow < res.exactMin || flow == res.exactMin && tgt < res.exactMinTgt {
@@ -724,7 +718,7 @@ func (e *Engine) sweepWorker(w int, tasks []sweepTask, st *sweepState) {
 					flow = limit
 					settled++
 				} else {
-					flow = paths.kappa(tgtV, e.inRow(tgtV), limit)
+					flow = paths.kappa(tgtV, limit)
 					flows++
 					if flow >= limit {
 						fan.add(tgtV)
@@ -855,7 +849,7 @@ func (e *Engine) resolveMinPair(tasks []sweepTask, results []taskResult, min int
 					continue
 				}
 				ew.flows++
-				if ew.paths.kappa(tgtV, e.inRow(tgtV), min+1) == min {
+				if ew.paths.kappa(tgtV, min+1) == min {
 					return [2]int{src, tgt}
 				}
 				ew.fan.add(tgtV)
@@ -986,9 +980,9 @@ func (e *Engine) PairCut(v, w int) ([]int, error) {
 	}
 	e.ensureInRows()
 	paths := &e.workers[0].paths
-	paths.bind(e.g)
+	paths.bind(e.g, e.inRows)
 	paths.source(vV)
-	paths.kappa(wV, e.inRow(wV), math.MaxInt)
+	paths.kappa(wV, math.MaxInt)
 	cut := paths.cut()
 	if e.masked {
 		for i, u := range cut {

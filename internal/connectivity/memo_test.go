@@ -186,7 +186,7 @@ func TestReleasedEngineCuts(t *testing.T) {
 // they draw, plus one capped Min sweep per distinct source count — the
 // same whatever order the resamples come in.
 func TestSnapshotMemoSolvesEachRowOnce(t *testing.T) {
-	g := kadShapedGraph(3, 60, 6)
+	g := kadShapedGraph(3, 60, 6, 32)
 	queries := []SnapshotQuery{
 		{SampleFraction: 0.1, AvgSeed: 1}, {SampleFraction: 0.1, AvgSeed: 2},
 		{SampleFraction: 0.5, AvgSeed: 3}, {SampleFraction: 0.1, AvgSeed: 1},

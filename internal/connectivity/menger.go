@@ -22,8 +22,12 @@ import (
 // adds the 2- and 3-hop paths a greedy bitset fill finds, and augments
 // until the flow reaches min(outdeg s, indeg t, limit) or a breadth-first
 // search fails to find an augmenting path — the only search whose failure
-// proves the value. The answer is min(limit, kappa) exactly, so it is the
-// value any maximum-flow solver's limited query returns on the Even
+// proves the value. The search has a one-layer sink side: it ends as
+// soon as it queues an out-half with an edge to a free in-neighbour of t,
+// which it reads off the in-neighbour rows of those free in-neighbours
+// (see search), rather than one layer later when that in-neighbour's own
+// out-half is queued. The answer is min(limit, kappa) exactly, so it is
+// the value any maximum-flow solver's limited query returns on the Even
 // transform, whatever order the sinks come in. The order sets the work:
 // retarget keeps a path only up to its first in-neighbour of the new
 // sink, so a sink whose in-neighbours resemble the previous sink's
@@ -34,9 +38,12 @@ import (
 // path and the solver runs on slot graphs unchanged.
 type pathSolver struct {
 	g *graph.Digraph
+	// in holds g's in-neighbour rows (see transposeRows), words wide.
+	in    []uint64
+	words int
 
 	s, t int      // source, and current sink (-1 before the first one)
-	tin  []uint64 // the sink's in-neighbours as a bitset
+	tin  []uint64 // the sink's in-neighbours: row t of in
 	flow int      // paths from s to t
 	outS int      // out-degree of s: the flow's upper bound on the source side
 
@@ -53,6 +60,9 @@ type pathSolver struct {
 	visIn, visOut []uint64
 	from          []int32
 	queue         []int32
+	// near is the search's sink side: the vertices with an edge to a free
+	// in-neighbour of t.
+	near []uint64
 	// Augmentation scratch: the path edges that lose and gain flow.
 	drop, add []pathEdge
 	// retarget's scratch: the kept path prefixes, each ended by -1.
@@ -70,12 +80,13 @@ type pathSolver struct {
 // pathEdge is one edge (u, v) of the flow.
 type pathEdge struct{ u, v int32 }
 
-// bind points the solver at g. It allocates only when the vertex count
+// bind points the solver at g and at in, g's in-neighbour rows as
+// transposeRows builds them. It allocates only when the vertex count
 // outgrows every earlier binding; a source must be set before the first
 // kappa.
-func (p *pathSolver) bind(g *graph.Digraph) {
+func (p *pathSolver) bind(g *graph.Digraph, in []uint64) {
 	n, words := g.N(), (g.N()+63)>>6
-	p.g = g
+	p.g, p.in, p.words = g, in, words
 	if cap(p.pred) < n {
 		p.pred = make([]int32, n)
 		p.succ = make([]int32, n)
@@ -88,8 +99,9 @@ func (p *pathSolver) bind(g *graph.Digraph) {
 		p.used = make([]uint64, words)
 		p.visIn = make([]uint64, words)
 		p.visOut = make([]uint64, words)
+		p.near = make([]uint64, words)
 	}
-	p.used, p.visIn, p.visOut = p.used[:words], p.visIn[:words], p.visOut[:words]
+	p.used, p.visIn, p.visOut, p.near = p.used[:words], p.visIn[:words], p.visOut[:words], p.near[:words]
 }
 
 // source starts a new source s with an empty flow.
@@ -106,13 +118,13 @@ func hasBit(set []uint64, v int) bool { return set[v>>6]&(1<<(v&63)) != 0 }
 func setBit(set []uint64, v int)      { set[v>>6] |= 1 << (v & 63) }
 
 // kappa returns min(kappa(s, t), limit) for the current source and a
-// sink t that is neither s nor one of its out-neighbours; tin holds t's
-// in-neighbours as a bitset of the graph's row width (a row of
-// transposeRows). It augments only until the flow reaches the limit, so
-// a capped query costs at most limit paths; pass math.MaxInt for the
-// exact value. The flow it leaves may exceed the limit (the warm start
-// and the fill add paths freely), which only helps the next sink.
-func (p *pathSolver) kappa(t int, tin []uint64, limit int) int {
+// sink t that is neither s nor one of its out-neighbours. It augments
+// only until the flow reaches the limit, so a capped query costs at most
+// limit paths; pass math.MaxInt for the exact value. The flow it leaves
+// may exceed the limit (the warm start and the fill add paths freely),
+// which only helps the next sink.
+func (p *pathSolver) kappa(t, limit int) int {
+	tin := p.in[t*p.words : (t+1)*p.words]
 	p.retarget(t, tin)
 	p.step(false)
 	p.fill()
@@ -256,27 +268,41 @@ func (p *pathSolver) fill() {
 //     in-half to its pred.
 //
 // The queue holds out-halves only; in-halves are passed through. Each
-// frontier step is one word-wise row &^ visited scan.
+// frontier step is one word-wise row &^ visited scan. The sink side is
+// one layer deep: near, the OR of the in-neighbour rows of t's free
+// in-neighbours, marks every out-half one free vertex away from t, and
+// push ends the search at such an out-half (see push).
 func (p *pathSolver) search() int {
 	p.augments++
 	clear(p.visIn)
 	clear(p.visOut)
+	clear(p.near)
 	s, t := p.s, p.t
+	for i, w := range p.tin {
+		for w &^= p.used[i]; w != 0; w &= w - 1 {
+			v := i<<6 | bits.TrailingZeros64(w)
+			for j, r := range p.in[v*p.words : (v+1)*p.words] {
+				p.near[j] |= r
+			}
+		}
+	}
 	// Neither s's in-half nor t's is ever entered as a vertex: s is the
 	// root, and every out-half is tested for an edge to t as it is queued.
 	setBit(p.visIn, s)
 	setBit(p.visIn, t)
-	setBit(p.visOut, s)
-	tin := p.tin
-	p.queue = append(p.queue[:0], int32(s))
-	p.visits++
+	p.queue = p.queue[:0]
+	if last := p.push(s); last >= 0 {
+		return last
+	}
 	for head := 0; head < len(p.queue); head++ {
 		u := int(p.queue[head])
 		if u != s && hasBit(p.used, u) && !hasBit(p.visIn, u) {
 			setBit(p.visIn, u)
 			p.from[u] = int32(u)
-			if x := int(p.pred[u]); x != s && !hasBit(p.visOut, x) && p.push(x, tin) {
-				return x
+			if x := int(p.pred[u]); x != s && !hasBit(p.visOut, x) {
+				if last := p.push(x); last >= 0 {
+					return last
+				}
 			}
 		}
 		for i, w := range p.g.Row(u) {
@@ -287,12 +313,14 @@ func (p *pathSolver) search() int {
 				}
 				p.visIn[i] |= 1 << (v & 63)
 				p.from[v] = int32(u)
-				if p.used[i]&(1<<(v&63)) == 0 {
-					if p.push(v, tin) {
-						return v
+				x := v
+				if p.used[i]&(1<<(v&63)) != 0 {
+					if x = int(p.pred[v]); x == s || hasBit(p.visOut, x) {
+						continue
 					}
-				} else if x := int(p.pred[v]); x != s && !hasBit(p.visOut, x) && p.push(x, tin) {
-					return x
+				}
+				if last := p.push(x); last >= 0 {
+					return last
 				}
 			}
 		}
@@ -300,15 +328,33 @@ func (p *pathSolver) search() int {
 	return -1
 }
 
-// push queues x's out-half and reports whether it steps to the sink,
-// whose in-neighbours tin holds: along an edge that carries no flow yet.
-// Testing on entry rather than on leaving the queue ends a search as soon
-// as the sink is in reach.
-func (p *pathSolver) push(x int, tin []uint64) bool {
+// push queues x's out-half and returns the last vertex of an augmenting
+// path through it, or -1 if x is not within one free vertex of the sink:
+// x itself if x steps to t along an edge that carries no flow yet, else
+// a free in-neighbour v of t that x has an edge to (x is in near), with
+// from[v] = x. The edge x->v carries no flow and v's in-half is still
+// unvisited, because v is free: entering a free in-neighbour of t
+// queues its out-half, which ends the search. Testing on entry rather
+// than on leaving the queue ends a search as soon as the sink is in
+// reach.
+func (p *pathSolver) push(x int) int {
 	setBit(p.visOut, x)
 	p.queue = append(p.queue, int32(x))
 	p.visits++
-	return hasBit(tin, x) && int(p.succ[x]) != p.t
+	if hasBit(p.tin, x) && int(p.succ[x]) != p.t {
+		return x
+	}
+	if !hasBit(p.near, x) {
+		return -1
+	}
+	for i, w := range p.g.Row(x) {
+		if c := w & p.tin[i] &^ p.used[i]; c != 0 {
+			v := i<<6 | bits.TrailingZeros64(c)
+			p.from[v] = int32(x)
+			return v
+		}
+	}
+	panic("connectivity: near marks a vertex with no free in-neighbour of the sink")
 }
 
 // augment flips the flow along the path search found, last being the

@@ -85,22 +85,20 @@ func (p *pathSolver) checkPaths(cycles bool) error {
 	return nil
 }
 
-// inRows splits transposeRows(g) into one in-neighbour bitset per vertex
-// and checks it against HasEdge.
-func inRows(t *testing.T, g *graph.Digraph) [][]uint64 {
+// inRows returns transposeRows(g), the table a pathSolver binds to,
+// after checking every bit of it against HasEdge.
+func inRows(t *testing.T, g *graph.Digraph) []uint64 {
 	t.Helper()
 	rows := transposeRows(g, nil)
 	words := (g.N() + 63) >> 6
-	in := make([][]uint64, g.N())
-	for v := range in {
-		in[v] = rows[v*words : (v+1)*words]
+	for v := 0; v < g.N(); v++ {
 		for u := 0; u < g.N(); u++ {
-			if hasBit(in[v], u) != g.HasEdge(u, v) {
+			if hasBit(rows[v*words:(v+1)*words], u) != g.HasEdge(u, v) {
 				t.Fatalf("transposeRows: bit %d of row %d disagrees with HasEdge(%d, %d)", u, v, u, v)
 			}
 		}
 	}
-	return in
+	return rows
 }
 
 // checkPathSolver holds the solver to Dinic on every non-adjacent pair of
@@ -114,13 +112,13 @@ func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand)
 	t.Helper()
 	in := inRows(t, g)
 	var ps pathSolver
-	ps.bind(g)
+	ps.bind(g, in)
 	ps.afterStep = func(augmented bool) {
 		if err := ps.checkPaths(augmented); err != nil {
 			t.Fatalf("%s: source %d sink %d: %v", label, ps.s, ps.t, err)
 		}
 	}
-	chain := similarityChain(nil, transposeRows(g, nil), (g.N()+63)>>6, g.N(), nil)
+	chain := similarityChain(nil, in, (g.N()+63)>>6, g.N(), nil)
 	dinic := maxflow.NewDinic(2*g.N(), referenceEvenUnitEdges(g))
 	for s := 0; s < g.N(); s++ {
 		want := kappaFrom(g, s)
@@ -144,7 +142,7 @@ func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand)
 			}
 			ps.source(s)
 			for _, v := range sinks {
-				if got := ps.kappa(v, in[v], math.MaxInt); got != want[v] {
+				if got := ps.kappa(v, math.MaxInt); got != want[v] {
 					t.Fatalf("%s: kappa(%d, %d) = %d, Dinic %d (pass %d)", label, s, v, got, want[v], pass)
 				}
 			}
@@ -157,7 +155,7 @@ func checkPathSolver(t *testing.T, label string, g *graph.Digraph, r *rand.Rand)
 			if wantLimited != min(want[v], limit) {
 				t.Fatalf("%s: Dinic MaxFlowLimit(%d, %d, %d) = %d, kappa %d", label, s, v, limit, wantLimited, want[v])
 			}
-			if got := ps.kappa(v, in[v], limit); got != wantLimited {
+			if got := ps.kappa(v, limit); got != wantLimited {
 				t.Fatalf("%s: kappa(%d, %d) at limit %d = %d, Dinic %d", label, s, v, limit, got, wantLimited)
 			}
 		}
@@ -182,7 +180,7 @@ func TestPathSolverMatchesDinic(t *testing.T) {
 			searches += checkPathSolver(t, fmt.Sprintf("random seed %d n %d m %d", seed, shape[0], shape[1]),
 				randomDigraph(seed, shape[0], shape[1]), r)
 		}
-		searches += checkPathSolver(t, fmt.Sprintf("kad-shaped seed %d", seed), kadShapedGraph(seed, 80, 4), r)
+		searches += checkPathSolver(t, fmt.Sprintf("kad-shaped seed %d", seed), kadShapedGraph(seed, 80, 4, 32), r)
 		w := newSlotWorld(seed, 40, 5)
 		w.capture()
 		for i := 0; i < 8; i++ {
@@ -221,7 +219,7 @@ func TestPathSolverWarmStartCases(t *testing.T) {
 	}
 	in := inRows(t, g)
 	var ps pathSolver
-	ps.bind(g)
+	ps.bind(g, in)
 	ps.afterStep = func(augmented bool) {
 		if err := ps.checkPaths(augmented); err != nil {
 			t.Fatalf("source %d sink %d: %v", ps.s, ps.t, err)
@@ -230,8 +228,64 @@ func TestPathSolverWarmStartCases(t *testing.T) {
 	ps.source(0)
 	for _, sink := range []int{5, 7, 8, 4, 6, 5, 7} {
 		want := kappaFrom(g, 0)[sink]
-		if got := ps.kappa(sink, in[sink], math.MaxInt); got != want {
+		if got := ps.kappa(sink, math.MaxInt); got != want {
 			t.Fatalf("kappa(0, %d) = %d, Dinic %d", sink, got, want)
+		}
+	}
+}
+
+// TestExactPairsSearchesAt800 is the stopwatch-free guard of the
+// search's sink side at a size between the paper's two: an exact
+// snapshot sweep (c = 0.02, one worker) of an 800-node Kademlia-shaped
+// graph with k = 20 and 64-bit identifiers takes 9.58 searches per exact
+// pair, which queue 1 056 out-halves. Without the sink side they queue
+// 5 116, so the visits bound, about 25 % above the count, fails a search
+// that loses it. -short skips the half-second sweep.
+func TestExactPairsSearchesAt800(t *testing.T) {
+	if testing.Short() {
+		t.Skip("an 800-node exact sweep; the full pass runs it")
+	}
+	eng := MustNewEngine(EngineOptions{Workers: 1})
+	eng.Bind(kadShapedGraph(1, 800, 20, 64))
+	eng.AnalyzeSnapshot(SnapshotQuery{SampleFraction: 0.02, AvgSeed: 1})
+	pairs := eng.SweepExact()
+	if pairs == 0 {
+		t.Fatal("no exact pair was swept")
+	}
+	perPair := float64(eng.SweepAugments()) / float64(pairs)
+	visitsPerPair := float64(eng.SweepVisits()) / float64(pairs)
+	t.Logf("%.2f searches and %.1f out-halves queued per exact pair over %d pairs", perPair, visitsPerPair, pairs)
+	if perPair > 10 {
+		t.Errorf("%.2f searches per exact pair, want <= 10", perPair)
+	}
+	if visitsPerPair > 1300 {
+		t.Errorf("%.1f out-halves queued per exact pair, want <= 1300", visitsPerPair)
+	}
+}
+
+// TestPairMatchesDinic holds connectivity.Pair, which transposes the
+// graph's rows for its one solver, to Dinic on random graphs whose vertex
+// counts sit either side of the 64- and 128-vertex word boundaries and
+// whose vacant vertices — among them the last and first vertex of each
+// word the graph has — are isolated: eight sources, an isolated one
+// included, against every sink.
+func TestPairMatchesDinic(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	for _, n := range []int{63, 65, 127, 129} {
+		vacant := []int{n / 2, 63, 64, 127, 128}
+		for len(vacant) < n/10 {
+			vacant = append(vacant, r.Intn(n))
+		}
+		g, _, _ := vacated(randomDigraph(int64(n), n, 6*n), vacant, r)
+		for _, s := range append(r.Perm(n)[:7], vacant[0]) {
+			for v, want := range kappaFrom(g, s) {
+				if want < 0 {
+					continue
+				}
+				if got, err := Pair(g, s, v); err != nil || got != want {
+					t.Fatalf("n %d: Pair(%d, %d) = %d, %v; Dinic %d", n, s, v, got, err, want)
+				}
+			}
 		}
 	}
 }
