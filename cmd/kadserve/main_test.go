@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -15,6 +16,8 @@ import (
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // testServer is one running kadserve instance driven through run().
 type testServer struct {
@@ -134,6 +137,7 @@ func finalRecord(t *testing.T, s *testServer, query string) string {
 // the CI workflow's curl steps perform. The resamples are answered by the
 // entries' engines, so their fixtures pin the bytes of the AnalyzeSnapshot
 // memo path; the plain query pins the final point's own Avg.
+// Regenerate with: go test ./cmd/kadserve -run Golden -update
 func TestSmokeQueryGolden(t *testing.T) {
 	s := startServer(t)
 	for _, c := range []struct{ query, golden string }{
@@ -143,7 +147,13 @@ func TestSmokeQueryGolden(t *testing.T) {
 		{"smoke_final_avg.json", "smoke_final_avg.golden"},
 	} {
 		got := finalRecord(t, s, c.query)
-		golden, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		path := filepath.Join("testdata", c.golden)
+		if *update {
+			if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		golden, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}

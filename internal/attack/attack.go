@@ -170,8 +170,6 @@ type Engine struct {
 	sim    *eventsim.Simulator
 	cfg    Config
 	pop    Population
-	until  time.Duration
-	timer  *eventsim.Timer
 	target id.ID // resolved eclipse target
 
 	// conn is the cutset strategy's reusable analysis engine: one
@@ -215,27 +213,10 @@ func (e *Engine) Start(from, until time.Duration) error {
 	if !e.cfg.Enabled() {
 		return nil
 	}
-	if until < from {
-		return fmt.Errorf("attack: window ends %v before it starts %v", until, from)
-	}
-	if from < e.sim.Now() {
-		return fmt.Errorf("attack: window starts %v in the past (now %v)", from, e.sim.Now())
-	}
-	e.until = until
-	var err error
-	e.timer, err = e.sim.ScheduleAt(from, e.strike)
-	if err != nil {
+	if err := e.sim.Every(from, until, e.cfg.Interval, e.strike); err != nil {
 		return fmt.Errorf("attack: %w", err)
 	}
 	return nil
-}
-
-// Stop cancels pending strikes.
-func (e *Engine) Stop() {
-	if e.timer != nil {
-		e.timer.Cancel()
-		e.timer = nil
-	}
 }
 
 // budgetLeft returns how many removals remain, or a large count for an
@@ -247,14 +228,11 @@ func (e *Engine) budgetLeft() int {
 	return e.cfg.Budget - len(e.victims)
 }
 
-// strike executes one attack round: capture, select, remove, re-arm.
-// Reconnaissance is one dense capture for every strategy, so victims
-// index its Addrs/IDs directly.
-func (e *Engine) strike() {
+// strike executes one attack round: capture, select, remove. It reports
+// whether budget is left for another. Reconnaissance is one dense capture
+// for every strategy, so victims index its Addrs/IDs directly.
+func (e *Engine) strike() bool {
 	now := e.sim.Now()
-	if now >= e.until || e.budgetLeft() <= 0 {
-		return
-	}
 	e.strikes++
 
 	s := e.pop.Capture()
@@ -272,8 +250,5 @@ func (e *Engine) strike() {
 			e.victims = append(e.victims, Victim{Time: now, Addr: s.Addrs[v], ID: s.IDs[v]})
 		}
 	}
-
-	if next := now + e.cfg.Interval; next < e.until && e.budgetLeft() > 0 {
-		e.timer = e.sim.MustSchedule(e.cfg.Interval, e.strike)
-	}
+	return e.budgetLeft() > 0
 }

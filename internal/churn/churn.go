@@ -74,15 +74,13 @@ type Population interface {
 
 // Generator applies a churn rate to a population for a bounded phase.
 type Generator struct {
-	sim   *eventsim.Simulator
-	rate  Rate
-	pop   Population
-	until time.Duration
-	timer *eventsim.Timer
+	sim  *eventsim.Simulator
+	rate Rate
+	pop  Population
 
 	added   int
 	removed int
-	errs    []error
+	err     error
 }
 
 // NewGenerator builds a churn generator. Nothing happens until Start.
@@ -96,9 +94,9 @@ func (g *Generator) Added() int { return g.added }
 // Removed reports how many removals the generator has performed.
 func (g *Generator) Removed() int { return g.removed }
 
-// Errs returns errors from node additions (at most one retained per
-// minute; additions never abort the run).
-func (g *Generator) Errs() []error { return g.errs }
+// Err returns the first error from a node addition, or nil. A failed
+// addition never aborts the run.
+func (g *Generator) Err() error { return g.err }
 
 // Start schedules churn from virtual time `from` until `until`. Each
 // minute in the window gets rate.Remove removals and rate.Add additions at
@@ -107,36 +105,14 @@ func (g *Generator) Start(from, until time.Duration) error {
 	if g.rate.IsZero() {
 		return nil
 	}
-	if until < from {
-		return fmt.Errorf("churn: window ends %v before it starts %v", until, from)
-	}
-	if from < g.sim.Now() {
-		return fmt.Errorf("churn: window starts %v in the past (now %v)", from, g.sim.Now())
-	}
-	g.until = until
-	var err error
-	g.timer, err = g.sim.ScheduleAt(from, g.minute)
-	if err != nil {
+	if err := g.sim.Every(from, until, time.Minute, g.minute); err != nil {
 		return fmt.Errorf("churn: %w", err)
 	}
 	return nil
 }
 
-// Stop cancels pending minute ticks. Actions already scheduled inside the
-// current minute still run.
-func (g *Generator) Stop() {
-	if g.timer != nil {
-		g.timer.Cancel()
-		g.timer = nil
-	}
-}
-
-// minute schedules one minute's worth of churn actions and re-arms.
-func (g *Generator) minute() {
-	now := g.sim.Now()
-	if now >= g.until {
-		return
-	}
+// minute schedules one minute's worth of churn actions.
+func (g *Generator) minute() bool {
 	r := g.sim.Rand()
 	for i := 0; i < g.rate.Remove; i++ {
 		offset := time.Duration(r.Int63n(int64(time.Minute)))
@@ -150,16 +126,13 @@ func (g *Generator) minute() {
 		offset := time.Duration(r.Int63n(int64(time.Minute)))
 		g.sim.MustSchedule(offset, func() {
 			if err := g.pop.AddNode(); err != nil {
-				if len(g.errs) < 16 {
-					g.errs = append(g.errs, err)
+				if g.err == nil {
+					g.err = err
 				}
 				return
 			}
 			g.added++
 		})
 	}
-	next := now + time.Minute
-	if next < g.until {
-		g.timer = g.sim.MustSchedule(time.Minute, g.minute)
-	}
+	return true
 }

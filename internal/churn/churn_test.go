@@ -134,21 +134,6 @@ func TestGeneratorWindowEnd(t *testing.T) {
 	}
 }
 
-func TestGeneratorStop(t *testing.T) {
-	sim := eventsim.New(9)
-	pop := &fakePop{live: 50}
-	g := NewGenerator(sim, Rate{Remove: 1}, pop)
-	if err := g.Start(0, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	sim.RunUntil(2*time.Minute + 30*time.Second)
-	g.Stop()
-	sim.RunUntil(time.Hour)
-	if g.Removed() > 3 {
-		t.Fatalf("removed %d after Stop, want <= 3", g.Removed())
-	}
-}
-
 func TestGeneratorZeroRateNoop(t *testing.T) {
 	sim := eventsim.New(11)
 	pop := &fakePop{live: 5}
@@ -185,8 +170,8 @@ func TestGeneratorCollectsAddErrors(t *testing.T) {
 	if g.Added() != 0 {
 		t.Fatal("failed adds counted as added")
 	}
-	if len(g.Errs()) == 0 {
-		t.Fatal("add errors not collected")
+	if err := g.Err(); err == nil || err.Error() != "boom" {
+		t.Fatalf("Err() = %v, want the first add error", err)
 	}
 }
 

@@ -170,3 +170,48 @@ func TestAttackValidation(t *testing.T) {
 		t.Fatal("unknown strategy must fail validation")
 	}
 }
+
+// TestSnapshotPrecedesStrikeAtSharedInstant pins Config.Attack's order
+// rule on a run whose strikes (every 20 m from 50 m) land on snapshot
+// instants (every 10 m): each point's Removed counts only the strikes
+// strictly before it, so the snapshots at 50, 70 and 90 m miss the strike
+// of their own instant.
+func TestSnapshotPrecedesStrikeAtSharedInstant(t *testing.T) {
+	res, err := Run(Config{
+		Name:             "shared-instant",
+		Seed:             3,
+		Size:             30,
+		Setup:            10 * time.Minute,
+		Stabilize:        30 * time.Minute,
+		ChurnPhase:       60 * time.Minute,
+		SnapshotInterval: 10 * time.Minute,
+		Attack:           attack.Config{Strategy: attack.Random, Interval: 20 * time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var strikes []time.Duration
+	for _, v := range res.Victims {
+		strikes = append(strikes, v.Time)
+	}
+	if want := []time.Duration{50 * time.Minute, 70 * time.Minute, 90 * time.Minute}; !reflect.DeepEqual(strikes, want) {
+		t.Fatalf("victims removed at %v, want one at each of %v", strikes, want)
+	}
+	shared := 0
+	for _, p := range res.Points {
+		before := 0
+		for _, at := range strikes {
+			if at < p.Time {
+				before++
+			} else if at == p.Time {
+				shared++
+			}
+		}
+		if p.Removed != before {
+			t.Errorf("snapshot at %v counts %d removed, want %d (strikes strictly before it)", p.Time, p.Removed, before)
+		}
+	}
+	if shared != 3 {
+		t.Fatalf("%d strikes share an instant with a snapshot, want 3", shared)
+	}
+}

@@ -256,12 +256,12 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	if spawnErr != nil {
 		return nil, nil, spawnErr
 	}
-	if errs := churnGen.Errs(); len(errs) > 0 {
-		return nil, nil, fmt.Errorf("scenario: churn additions failed: %w", errs[0])
+	if err := churnGen.Err(); err != nil {
+		return nil, nil, fmt.Errorf("scenario: churn additions failed: %w", err)
 	}
 	if gen != nil {
-		if errs := gen.Errs(); len(errs) > 0 {
-			return nil, nil, fmt.Errorf("scenario: workload joins failed: %w", errs[0])
+		if err := gen.Err(); err != nil {
+			return nil, nil, fmt.Errorf("scenario: workload joins failed: %w", err)
 		}
 		res.WorkloadJoins = gen.Joins()
 		res.WorkloadLeaves = gen.Leaves()

@@ -355,8 +355,8 @@ func (p *population) LiveNodes() []*kademlia.Node {
 	return p.live
 }
 
-// RemoveRandomNode implements churn.Population: a uniformly chosen live
-// node leaves silently.
+// RemoveRandomNode implements churn.Population, and workload.Population
+// for unlabeled trace leaves: a uniformly chosen live node leaves silently.
 func (p *population) RemoveRandomNode() bool {
 	live := p.LiveNodes()
 	if len(live) == 0 {
@@ -401,9 +401,6 @@ func (p *population) Join() (workload.Session, error) {
 	}
 	return nodeSession{node}, nil
 }
-
-// LeaveRandom implements workload.Population for unlabeled trace leaves.
-func (p *population) LeaveRandom() bool { return p.RemoveRandomNode() }
 
 // nodeSession adapts one node to workload.Session: ending the session is
 // a silent churn-style departure, a no-op when churn or an adversary got

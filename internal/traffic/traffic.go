@@ -92,8 +92,6 @@ type Generator struct {
 	pop      Population
 	keys     []id.ID
 	pickKey  func() int
-	until    time.Duration
-	timer    *eventsim.Timer
 	free     *op // idle operation records
 
 	lookups int
@@ -189,34 +187,14 @@ func (g *Generator) key(r *rand.Rand) id.ID {
 
 // Start schedules traffic from `from` until `until`.
 func (g *Generator) Start(from, until time.Duration) error {
-	if until < from {
-		return fmt.Errorf("traffic: window ends %v before it starts %v", until, from)
-	}
-	if from < g.sim.Now() {
-		return fmt.Errorf("traffic: window starts %v in the past (now %v)", from, g.sim.Now())
-	}
-	g.until = until
-	var err error
-	g.timer, err = g.sim.ScheduleAt(from, g.minute)
-	if err != nil {
+	if err := g.sim.Every(from, until, time.Minute, g.minute); err != nil {
 		return fmt.Errorf("traffic: %w", err)
 	}
 	return nil
 }
 
-// Stop cancels future minute ticks.
-func (g *Generator) Stop() {
-	if g.timer != nil {
-		g.timer.Cancel()
-		g.timer = nil
-	}
-}
-
-func (g *Generator) minute() {
-	now := g.sim.Now()
-	if now >= g.until {
-		return
-	}
+// minute posts one minute of every live node's operations.
+func (g *Generator) minute() bool {
 	r := g.sim.Rand()
 	for _, node := range g.pop.LiveNodes() {
 		for i := 0; i < g.workload.LookupsPerMinute; i++ {
@@ -228,8 +206,5 @@ func (g *Generator) minute() {
 			g.post(time.Duration(r.Int63n(int64(time.Minute))), node, key, true)
 		}
 	}
-	next := now + time.Minute
-	if next < g.until {
-		g.timer = g.sim.MustSchedule(time.Minute, g.minute)
-	}
+	return true
 }

@@ -166,7 +166,7 @@ func TestGeneratorZeroLookupWorkload(t *testing.T) {
 	}
 }
 
-func TestGeneratorStopAndWindow(t *testing.T) {
+func TestGeneratorWindowEnd(t *testing.T) {
 	sim := eventsim.New(4)
 	pop, _ := buildPop(t, sim, 3)
 	g, err := NewGenerator(sim, 64, Workload{LookupsPerMinute: 1, StoresPerMinute: 1}, pop)
@@ -177,13 +177,10 @@ func TestGeneratorStopAndWindow(t *testing.T) {
 	if err := g.Start(start, start+2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	sim.RunUntil(start + time.Minute + 30*time.Second)
-	g.Stop()
 	sim.RunUntil(start + time.Hour)
-	// Only the first 2 minute-batches could have been scheduled, and Stop
-	// landed mid-second; at most 2 minutes of ops.
-	if g.Lookups() > 6 {
-		t.Fatalf("lookups = %d after Stop, want <= 6", g.Lookups())
+	// The window closes after 2 minute-batches: 3 nodes * 2 minutes * 1.
+	if g.Lookups() != 6 || g.Stores() != 6 {
+		t.Fatalf("lookups, stores = %d, %d, want 6, 6", g.Lookups(), g.Stores())
 	}
 }
 

@@ -16,9 +16,9 @@ type Population interface {
 	// Join creates a fresh node and joins it through a random live
 	// bootstrap node, returning a handle for ending the session later.
 	Join() (Session, error)
-	// LeaveRandom removes one uniformly chosen live node; false when no
-	// node is left.
-	LeaveRandom() bool
+	// RemoveRandomNode removes one uniformly chosen live node; false when
+	// no node is left.
+	RemoveRandomNode() bool
 }
 
 // Session is one generatively joined node's lifetime handle. End makes
@@ -96,13 +96,11 @@ type Engine struct {
 	sessions *rand.Rand
 	flash    *rand.Rand
 
-	until   time.Duration
-	timer   *eventsim.Timer
 	labeled map[string]Session
 
 	joins  int
 	leaves int
-	errs   []error
+	err    error
 }
 
 // NewEngine builds an engine over an already-validated bundle. Nothing
@@ -124,9 +122,9 @@ func (e *Engine) Joins() int { return e.joins }
 // leaves) the engine has performed.
 func (e *Engine) Leaves() int { return e.leaves }
 
-// Errs returns errors from joins (at most 16 retained; like churn
-// additions, a failed join never aborts the run).
-func (e *Engine) Errs() []error { return e.errs }
+// Err returns the first error from a join, or nil. Like a churn
+// addition, a failed join never aborts the run.
+func (e *Engine) Err() error { return e.err }
 
 // Start schedules the bundle: the Poisson arrival process ticks per
 // minute through [arrivalsFrom, until) — the churn window, where the
@@ -134,14 +132,8 @@ func (e *Engine) Errs() []error { return e.errs }
 // fire at their own absolute times. Call at virtual time zero, before
 // the kernel runs.
 func (e *Engine) Start(arrivalsFrom, until time.Duration) error {
-	if until < arrivalsFrom {
-		return fmt.Errorf("workload: window ends %v before it starts %v", until, arrivalsFrom)
-	}
-	e.until = until
 	if e.gen.Arrivals != nil {
-		var err error
-		e.timer, err = e.sim.ScheduleAt(arrivalsFrom, e.minute)
-		if err != nil {
+		if err := e.sim.Every(arrivalsFrom, until, time.Minute, e.minute); err != nil {
 			return fmt.Errorf("workload: arrivals: %w", err)
 		}
 	}
@@ -162,29 +154,14 @@ func (e *Engine) Start(arrivalsFrom, until time.Duration) error {
 	return nil
 }
 
-// Stop cancels pending arrival ticks. Flash-crowd joins, trace events
-// and session ends already scheduled still run.
-func (e *Engine) Stop() {
-	if e.timer != nil {
-		e.timer.Cancel()
-		e.timer = nil
-	}
-}
-
-// minute draws this minute's Poisson arrival count and re-arms.
-func (e *Engine) minute() {
-	now := e.sim.Now()
-	if now >= e.until {
-		return
-	}
-	rate := e.gen.Arrivals.rateAt(now)
+// minute draws this minute's Poisson arrival count.
+func (e *Engine) minute() bool {
+	rate := e.gen.Arrivals.rateAt(e.sim.Now())
 	for i := poisson(e.arrivals, rate); i > 0; i-- {
 		offset := time.Duration(e.arrivals.Int63n(int64(time.Minute)))
 		e.sim.MustSchedule(offset, func() { e.join(e.gen.Sessions) })
 	}
-	if now+time.Minute < e.until {
-		e.timer = e.sim.MustSchedule(time.Minute, e.minute)
-	}
+	return true
 }
 
 // scheduleCrowd spreads one flash crowd's joins uniformly over its
@@ -213,8 +190,8 @@ func (e *Engine) scheduleCrowd(fc *FlashCrowdSpec) error {
 func (e *Engine) join(sessions *SessionsSpec) {
 	sess, err := e.pop.Join()
 	if err != nil {
-		if len(e.errs) < 16 {
-			e.errs = append(e.errs, err)
+		if e.err == nil {
+			e.err = err
 		}
 		return
 	}
@@ -239,8 +216,8 @@ func (e *Engine) replay(ev TraceEvent) {
 	case "join":
 		sess, err := e.pop.Join()
 		if err != nil {
-			if len(e.errs) < 16 {
-				e.errs = append(e.errs, err)
+			if e.err == nil {
+				e.err = err
 			}
 			return
 		}
@@ -257,7 +234,7 @@ func (e *Engine) replay(ev TraceEvent) {
 			}
 			return
 		}
-		if e.pop.LeaveRandom() {
+		if e.pop.RemoveRandomNode() {
 			e.leaves++
 		}
 	}

@@ -34,7 +34,7 @@ func (p *fakePop) Join() (Session, error) {
 	return &fakeSession{p: p, id: id}, nil
 }
 
-func (p *fakePop) LeaveRandom() bool {
+func (p *fakePop) RemoveRandomNode() bool {
 	for id := 0; id < p.next; id++ {
 		if p.live[id] {
 			delete(p.live, id)
@@ -65,8 +65,8 @@ func runBundle(t *testing.T, gen Generators, seed int64, minutes float64) ([]str
 		t.Fatal(err)
 	}
 	sim.RunUntil(Minutes(minutes))
-	if errs := eng.Errs(); len(errs) != 0 {
-		t.Fatalf("engine errors: %v", errs)
+	if err := eng.Err(); err != nil {
+		t.Fatalf("engine error: %v", err)
 	}
 	return pop.log, eng.Joins(), eng.Leaves()
 }
