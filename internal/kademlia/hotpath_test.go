@@ -56,10 +56,10 @@ func randomTable(rng *rand.Rand, bits, k int, crowded bool) *RoutingTable {
 		switch r := rng.Intn(10); {
 		case r < 6 || len(known) == 0:
 			c := Contact{ID: draw(), Addr: simnet.Addr(rng.Uint64())}
-			rt.Observe(c)
+			rt.Observe(&c)
 			known = append(known, c.ID)
 		case r < 7:
-			rt.Observe(Contact{ID: known[rng.Intn(len(known))], Addr: simnet.Addr(rng.Uint64())})
+			rt.Observe(&Contact{ID: known[rng.Intn(len(known))], Addr: simnet.Addr(rng.Uint64())})
 		case r < 8:
 			rt.RecordFailure(known[rng.Intn(len(known))])
 		case r < 9:
@@ -165,7 +165,7 @@ func TestClosestIntoCallerBufferAllocatesNothing(t *testing.T) {
 	self := id.Random(160, rng)
 	rt := NewRoutingTable(self, Config{K: 20})
 	for i := 0; i < 500; i++ {
-		rt.Observe(Contact{ID: id.Random(160, rng), Addr: simnet.Addr(i + 1)})
+		rt.Observe(&Contact{ID: id.Random(160, rng), Addr: simnet.Addr(i + 1)})
 	}
 	requester := rt.Contacts()[3].ID
 	targets := make([]id.ID, 64)
@@ -195,14 +195,14 @@ func TestSaturatedBucketObserveAllocatesNothing(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), cfg)
 	const base = 1 << 40 // one bucket
 	for i := uint64(0); i < 4; i++ {
-		rt.Observe(contact(base + i))
+		sight(rt, contact(base+i))
 	}
 	newcomers := make([]Contact, 256)
 	for i := range newcomers {
 		newcomers[i] = contact(base + 100 + uint64(i))
 	}
 	for _, c := range newcomers[:8] { // fill the cache
-		rt.Observe(c)
+		rt.Observe(&c)
 	}
 	b := rt.bucketFor(newcomers[0].ID)
 	if len(b.replacements) != 3 {
@@ -211,7 +211,7 @@ func TestSaturatedBucketObserveAllocatesNothing(t *testing.T) {
 	backing, capacity := &b.replacements[0], cap(b.replacements)
 	i := 8
 	allocs := testing.AllocsPerRun(200, func() {
-		rt.Observe(newcomers[i%len(newcomers)])
+		rt.Observe(&newcomers[i%len(newcomers)])
 		i++
 	})
 	if allocs != 0 {
@@ -388,8 +388,8 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 		}
 		audit.watch(n)
 		for _, other := range nodes {
-			n.Table().Observe(other.Contact())
-			other.Table().Observe(n.Contact())
+			sight(n.Table(), other.Contact())
+			sight(other.Table(), n.Contact())
 		}
 		nodes = append(nodes, n)
 	}
@@ -417,7 +417,7 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 		t.Fatalf("%d requests sent: audit saw %d, %d late responses in %d distinct buffers, %d returned",
 			st.RPCsSent, audit.requests, audit.late, len(audit.abandoned), audit.returned)
 	}
-	if depth := checkPool(t, nodes, nil); depth == 0 || depth > 3 {
+	if depth := checkPool(t, nodes); depth == 0 || depth > 3 {
 		t.Fatalf("free list %d deep, want the records of the up to three lookups that overlapped", depth)
 	}
 	for l := a.lookups.free; l != nil; l = l.next {

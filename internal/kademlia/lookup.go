@@ -57,9 +57,9 @@ type candidate struct {
 // only ever write into memory nobody reads. A message the network drops
 // instead — the request or its response — parks the buffer on the pending
 // request (envelope.Dropped), and the timeout hands it back to the lookup
-// before answered runs. A lookup's node leaving with requests in
-// flight leaves inflight above zero for good, so such a record is never
-// recycled and goes to the collector with its buffers.
+// before answered runs. A node that leaves cancels its requests: each
+// lookup they belonged to ends without reporting, takes back the buffers
+// parked on them, and returns to the list once its last one is cancelled.
 //
 // The list is per network and not per node because it is then as deep as
 // the network's real concurrency. Per-node lists were measured when this
@@ -181,7 +181,9 @@ func (l *lookup) search(from int, prefix uint64, nodeID *id.ID) (int, bool) {
 // that is not farther than what the cursor has passed merely sends the
 // cursor back to the start, so a list in any order — unsorted, repeating,
 // hostile — ends up exactly where inserting its contacts one at a time
-// would put them.
+// would put them. The slot under the cursor is tried before the search:
+// a sorted response mostly names contacts the lookup already holds, one
+// after the other, so the contact is often that slot's, or belongs there.
 func (l *lookup) merge(contacts []Contact) {
 	self := &l.node.self.ID
 	selfPrefix := self.XorPrefix(l.target)
@@ -195,7 +197,17 @@ func (l *lookup) merge(contacts []Contact) {
 		if cursor > 0 && l.candidates[cursor-1].prefix >= prefix {
 			cursor = 0
 		}
-		idx, found := l.search(cursor, prefix, &c.ID)
+		idx, found := cursor, false
+		if cursor < len(l.candidates) {
+			switch at := &l.candidates[cursor]; {
+			case at.prefix > prefix:
+				// Everything before the cursor is closer: c belongs here.
+			case at.prefix == prefix && at.contact.ID.Equal(c.ID):
+				found = true
+			default:
+				idx, found = l.search(cursor, prefix, &c.ID)
+			}
+		}
 		cursor = idx
 		if !found {
 			l.candidates = append(l.candidates, candidate{})
@@ -304,6 +316,14 @@ func (l *lookup) putBuffer(buf []Contact) {
 // candidate with identifier from, or nil if the request failed.
 func (l *lookup) answered(from id.ID, resp *envelope) {
 	l.inflight--
+	if l.finished {
+		// The result is out and nothing reads the candidates again: a
+		// late response is not merged, only its buffer comes back.
+		if resp != nil {
+			l.putBuffer(resp.Contacts)
+		}
+		return
+	}
 	idx, _ := l.search(0, from.XorPrefix(l.target), &from)
 	c := &l.candidates[idx]
 	if resp == nil {
@@ -315,11 +335,9 @@ func (l *lookup) answered(from id.ID, resp *envelope) {
 	l.responded++
 	if resp.Found {
 		l.putBuffer(resp.Contacts)
-		if !l.finished {
-			l.finished = true
-			if l.onValue != nil {
-				l.onValue(resp.Value, true)
-			}
+		l.finished = true
+		if l.onValue != nil {
+			l.onValue(resp.Value, true)
 		}
 		return
 	}

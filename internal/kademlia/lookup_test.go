@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"kadre/internal/id"
+	"kadre/internal/simnet"
 )
 
 // trueClosest computes the ground-truth k closest live node ids to target.
@@ -142,5 +143,36 @@ func TestGetPrefersValueOverConvergence(t *testing.T) {
 	c.sim.RunUntil(c.sim.Now() + time.Minute)
 	if !found {
 		t.Fatal("stored value not found")
+	}
+}
+
+// TestLateResponseIsNotMerged: a response that reaches a lookup after it
+// finished only hands its buffer back, emptied; the candidates, their
+// states and the responded count stay as the result left them.
+func TestLateResponseIsNotMerged(t *testing.T) {
+	target := id.FromUint64(64, 0x40)
+	l := &lookup{node: &Node{self: Contact{ID: id.FromUint64(64, 1)}}, target: target, inflight: 1, responded: 1, finished: true}
+	for _, v := range []uint64{0x44, 0x48} {
+		c := Contact{ID: id.FromUint64(64, v), Addr: simnet.Addr(v)}
+		l.candidates = append(l.candidates, candidate{contact: c, prefix: c.ID.XorPrefix(target), state: stateInflight})
+	}
+	l.candidates[0].state = stateResponded
+	before := append([]candidate(nil), l.candidates...)
+	buf := make([]Contact, 0, 4)
+	buf = append(buf, Contact{ID: id.FromUint64(64, 0x41), Addr: 2}, Contact{ID: id.FromUint64(64, 0x42), Addr: 3})
+	l.answered(l.candidates[1].contact.ID, &envelope{IsResponse: true, Contacts: buf})
+	if l.inflight != 0 || l.responded != 1 {
+		t.Fatalf("inflight %d, responded %d after the late response; want 0 and 1", l.inflight, l.responded)
+	}
+	if len(l.candidates) != len(before) {
+		t.Fatalf("%d candidates after the late response, want %d", len(l.candidates), len(before))
+	}
+	for i := range before {
+		if l.candidates[i] != before[i] {
+			t.Fatalf("candidate %d = %+v after the late response, want %+v", i, l.candidates[i], before[i])
+		}
+	}
+	if len(l.buffers) != 1 || len(l.buffers[0]) != 0 || &l.buffers[0][:1][0] != &buf[0] {
+		t.Fatalf("the response's buffer did not come back empty: %d idle buffers", len(l.buffers))
 	}
 }

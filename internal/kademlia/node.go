@@ -181,8 +181,11 @@ func (n *Node) Start() error {
 
 // Leave silently detaches the node, modelling departure or crash: no
 // goodbye messages, exactly like the paper's churn removals. Pending RPC
-// callbacks are cancelled; the lookups they belonged to are never resumed,
-// so their records are not recycled.
+// callbacks are cancelled, and the lookups they belonged to are never
+// resumed: each ends without reporting, and its record goes back to the
+// network's pool once its last request is cancelled. Leave is called by
+// events of its own (churn, an adversary, a session's end), never from a
+// lookup's callback, so no lookup it retires is still on the stack.
 func (n *Node) Leave() {
 	if !n.running {
 		return
@@ -195,8 +198,15 @@ func (n *Node) Leave() {
 	}
 	for i, p := range n.pending {
 		p.timeout.Cancel()
+		l, buf := p.lookup, p.buf
 		n.freeRPC(p)
 		n.pending[i] = nil
+		if l != nil {
+			l.putBuffer(buf)
+			l.inflight--
+			l.finished = true
+			l.retire()
+		}
 	}
 	n.pending = n.pending[:0]
 }
@@ -212,7 +222,7 @@ func (n *Node) Join(bootstrap Contact, done func(responded int)) error {
 	if bootstrap.ID.Equal(n.self.ID) {
 		return fmt.Errorf("kademlia: cannot bootstrap from self")
 	}
-	n.observe(bootstrap)
+	n.observe(&bootstrap, false)
 	n.Lookup(n.self.ID, func(contacts []Contact, responded int) {
 		if done != nil {
 			done(responded)
@@ -296,18 +306,21 @@ func (n *Node) Deliver(from simnet.Addr, payload any) {
 	if !ok {
 		return // foreign traffic; ignore
 	}
-	// Any message from another node refreshes its routing-table standing.
-	n.observe(env.From)
+	// Any message from another node refreshes its routing-table standing,
+	// and a response to a request still pending is a success of its sender
+	// as well: one table update records both.
+	p := env.rpc
+	answered := env.IsResponse && p.matches(n, env) && p.to.Addr == from
+	n.observe(&env.From, answered)
 	if !env.IsResponse {
 		n.stats.RPCsAnswered++
 		n.answer(env)
 		return
 	}
-	if p := env.rpc; p.matches(n, env) && p.to.Addr == from {
+	if answered {
 		n.untrack(p)
 		p.timeout.Cancel()
 		n.stats.ResponsesOK++
-		n.table.RecordSuccess(env.From.ID)
 		l, to := p.lookup, p.to.ID
 		n.freeRPC(p)
 		if l != nil {
@@ -391,11 +404,11 @@ func (n *Node) sendRequest(to Contact, kind msgKind, key id.ID, value []byte, l 
 	n.net.Send(n.self.Addr, to.Addr, env)
 }
 
-// observe feeds a contact sighting into the routing table and issues the
-// liveness ping the table may request for a full bucket's least-recently-
-// seen entry.
-func (n *Node) observe(c Contact) {
-	if probe := n.table.Observe(c).NeedsPing; !probe.ID.IsZeroValue() {
+// observe feeds a contact sighting, an answered request's when answered is
+// set, into the routing table and issues the liveness ping the table may
+// request for a full bucket's least-recently-seen entry.
+func (n *Node) observe(c *Contact, answered bool) {
+	if probe := n.table.observe(c, answered); !probe.ID.IsZeroValue() {
 		n.sendRequest(probe, msgPing, id.ID{}, nil, nil)
 	}
 }

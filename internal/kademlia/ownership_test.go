@@ -175,12 +175,11 @@ func (a *bufferAudit) parkedOn(key *Contact) string {
 }
 
 // checkPool holds the free list of the nodes' network to its rules: every
-// record on it is reset, none is there twice, no outstanding request of any
-// node points at one, and none is in banned (the lookups of nodes that left
-// with requests in flight). Every outstanding request must sit at its own
+// record on it is reset, none is there twice, and no outstanding request of
+// any node points at one. Every outstanding request must sit at its own
 // slot of its own node's pending table with its timeout armed. It returns
 // the list's depth.
-func checkPool(t *testing.T, nodes []*Node, banned map[*lookup]bool) int {
+func checkPool(t *testing.T, nodes []*Node) int {
 	t.Helper()
 	idle := map[*lookup]bool{}
 	for l := nodes[0].lookups.free; l != nil; l = l.next {
@@ -190,9 +189,6 @@ func checkPool(t *testing.T, nodes []*Node, banned map[*lookup]bool) int {
 		idle[l] = true
 		if l.node != nil || l.inflight != 0 || l.finished || len(l.candidates) != 0 || l.onComplete != nil || l.onValue != nil {
 			t.Fatalf("lookup %p on the free list was not reset: %+v", l, l)
-		}
-		if banned[l] {
-			t.Fatalf("lookup %p was recycled though its node left with its requests in flight", l)
 		}
 	}
 	for _, n := range nodes {
@@ -215,6 +211,8 @@ func checkPool(t *testing.T, nodes []*Node, banned map[*lookup]bool) int {
 // TestLookupRecordsRecycleOnlyWhenIdle runs lookups, value lookups and
 // stores over a lossy network whose nodes come and go with requests in
 // flight, and checks the pool and every buffer after every single event.
+// A node that leaves hands the lookups it cancels back to the pool at once,
+// and none of them reports.
 func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 	sim := eventsim.New(17)
 	net := simnet.New(sim, simnet.Config{
@@ -224,7 +222,7 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 	// A timeout inside the latency range: some responses are merely late.
 	cfg := Config{Bits: 64, K: 4, Alpha: 3, StalenessLimit: 1, RefreshInterval: 2 * time.Minute, RPCTimeout: 150 * time.Millisecond}
 	audit := newBufferAudit(t, net)
-	banned := map[*lookup]bool{}
+	retired := 0
 	var nodes []*Node
 	nextAddr := simnet.Addr(1)
 	spawn := func() {
@@ -267,13 +265,25 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 		if ticks%15 == 0 {
 			i := r.Intn(len(nodes))
 			victim := nodes[i]
-			victim.Lookup(id.FromUint64(64, uint64(ticks)), nil)
+			victim.Lookup(id.FromUint64(64, uint64(ticks)), func([]Contact, int) {
+				t.Errorf("a lookup of node %d reported though its node left in the middle of it", victim.Addr())
+			})
+			cut := map[*lookup]bool{}
 			for _, p := range victim.pending {
 				if p.lookup != nil {
-					banned[p.lookup] = true
+					cut[p.lookup] = true
 				}
 			}
 			victim.Leave()
+			for l := victim.lookups.free; l != nil; l = l.next {
+				if cut[l] {
+					delete(cut, l)
+					retired++
+				}
+			}
+			for l := range cut {
+				t.Errorf("lookup %p of node %d is not back in the pool after its node left", l, victim.Addr())
+			}
 			nodes = append(nodes[:i], nodes[i+1:]...)
 			spawn()
 		}
@@ -286,7 +296,7 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 	deepest := 0
 	for !done && sim.Step() {
 		audit.reclaim()
-		deepest = max(deepest, checkPool(t, nodes, banned))
+		deepest = max(deepest, checkPool(t, nodes))
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -296,14 +306,14 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 		started += n.Stats().LookupsStarted
 		timeouts += n.Stats().Timeouts
 	}
-	t.Logf("%d lookups started on the surviving nodes, free list at most %d deep; %d requests audited, %d buffers returned, %d late, %d reclaimed from drops; %d timeouts; %d lookups left in flight",
-		started, deepest, audit.requests, audit.returned, audit.late, audit.dropped, timeouts, len(banned))
+	t.Logf("%d lookups started on the surviving nodes, free list at most %d deep; %d requests audited, %d buffers returned, %d late, %d reclaimed from drops; %d timeouts; %d lookups retired by a leave",
+		started, deepest, audit.requests, audit.returned, audit.late, audit.dropped, timeouts, retired)
 	if deepest == 0 || uint64(deepest) > started/10 {
 		t.Errorf("free list at most %d deep over %d lookups: records are not being reused", deepest, started)
 	}
-	if audit.returned == 0 || audit.late == 0 || audit.dropped == 0 || timeouts == 0 || len(banned) == 0 {
-		t.Errorf("the run did not exercise every path: %d returned, %d late, %d reclaimed from drops, %d timeouts, %d left in flight",
-			audit.returned, audit.late, audit.dropped, timeouts, len(banned))
+	if audit.returned == 0 || audit.late == 0 || audit.dropped == 0 || timeouts == 0 || retired == 0 {
+		t.Errorf("the run did not exercise every path: %d returned, %d late, %d reclaimed from drops, %d timeouts, %d retired by a leave",
+			audit.returned, audit.late, audit.dropped, timeouts, retired)
 	}
 }
 
@@ -331,8 +341,8 @@ func TestPooledRecordsServeAnyK(t *testing.T) {
 			}
 			audit.watch(n)
 			for _, other := range nodes {
-				n.Table().Observe(other.Contact())
-				other.Table().Observe(n.Contact())
+				sight(n.Table(), other.Contact())
+				sight(other.Table(), n.Contact())
 			}
 			nodes = append(nodes, n)
 		}
@@ -344,7 +354,7 @@ func TestPooledRecordsServeAnyK(t *testing.T) {
 				}
 				src.Lookup(target, func(closest []Contact, _ int) { results = append(results, closest) })
 				sim.RunUntil(sim.Now() + time.Minute)
-				checkPool(t, nodes, nil)
+				checkPool(t, nodes)
 			}
 		}
 		return results, nodes, audit
@@ -363,7 +373,7 @@ func TestPooledRecordsServeAnyK(t *testing.T) {
 		}
 	}
 	// One record served every lookup, and it has seen both sizes.
-	if depth := checkPool(t, nodes, nil); depth != 1 {
+	if depth := checkPool(t, nodes); depth != 1 {
 		t.Fatalf("free list %d deep after strictly sequential lookups, want 1", depth)
 	}
 	grown := false
@@ -392,8 +402,8 @@ func TestForeignProtocolSlotIsLeftAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, other := range nodes {
-			n.Table().Observe(other.Contact())
-			other.Table().Observe(n.Contact())
+			sight(n.Table(), other.Contact())
+			sight(other.Table(), n.Contact())
 		}
 		nodes = append(nodes, n)
 	}

@@ -211,17 +211,6 @@ func (rt *RoutingTable) Contains(nodeID id.ID) bool {
 	return rt.bucketFor(nodeID).find(nodeID) >= 0
 }
 
-// ObserveResult reports the consequences of an Observe call.
-type ObserveResult struct {
-	// Inserted is true when the contact now occupies a bucket slot.
-	Inserted bool
-	// NeedsPing, when its ID is not the zero value, is the
-	// least-recently-seen entry of the full bucket; the caller should ping
-	// it to test liveness. The entry is marked ping-in-flight until
-	// RecordSuccess or RecordFailure.
-	NeedsPing Contact
-}
-
 // Observe records direct communication with a contact, per the protocol:
 // "when a Kademlia node receives any message (request or reply) from
 // another node, it updates the appropriate k-bucket for the sender's node
@@ -230,9 +219,23 @@ type ObserveResult struct {
 // stale (failure count >= s) entry of a full bucket; otherwise it joins
 // the replacement cache and the least-recently-seen live entry is
 // nominated for a liveness ping.
-func (rt *RoutingTable) Observe(c Contact) ObserveResult {
+//
+// Observe returns that nominee, or the zero Contact when there is none; the
+// caller should ping it to test liveness. The entry is marked ping-in-flight
+// until RecordSuccess or RecordFailure.
+func (rt *RoutingTable) Observe(c *Contact) Contact {
+	return rt.observe(c, false)
+}
+
+// observe is Observe, and with answered also RecordSuccess of the same
+// contact, for a response to one of our requests: one bucket search where
+// the two calls would make two. A contact that was known clears its ping
+// flag as well; one this call admits has none. The contact takes one recency
+// stamp instead of two, and as no other entry is stamped between them the
+// order of recency is the same.
+func (rt *RoutingTable) observe(c *Contact, answered bool) Contact {
 	if c.ID.Equal(rt.self) || c.ID.IsZeroValue() {
-		return ObserveResult{}
+		return Contact{}
 	}
 	depth := rt.cfg.Bits - 1 - rt.self.BucketIndex(c.ID)
 	if depth >= len(rt.buckets) {
@@ -246,8 +249,11 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 		e := &b.entries[i]
 		e.seen = rt.stamp()
 		e.fails = 0
-		e.contact = c // refresh address
-		return ObserveResult{Inserted: true}
+		e.contact = *c // refresh address
+		if answered {
+			e.pingInFlight = false
+		}
+		return Contact{}
 	}
 	if len(b.entries) < rt.cfg.K {
 		if b.entries == nil {
@@ -259,28 +265,29 @@ func (rt *RoutingTable) Observe(c Contact) ObserveResult {
 		// A live contact is never also a replacement, which a promotion
 		// would otherwise admit a second time.
 		b.removeReplacement(c.ID)
-		b.insert(i, c, rt.stamp())
+		b.insert(i, *c, rt.stamp())
 		rt.size++
 		rt.setOccupied(depth, true)
-		return ObserveResult{Inserted: true}
+		return Contact{}
 	}
 	// Bucket full: a stale entry (>= s consecutive failures) is replaced
 	// outright by the newcomer we just heard from.
 	if i := b.findStale(rt.cfg.StalenessLimit); i >= 0 {
-		b.replace(i, c, rt.stamp())
-		return ObserveResult{Inserted: true}
+		b.replace(i, *c, rt.stamp())
+		return Contact{}
 	}
 	// Otherwise stash in the replacement cache (dropping the oldest
 	// beyond capacity) and nominate the least-recently-seen entry for a
-	// liveness check.
+	// liveness check. A success for a contact that is not in the table
+	// changes nothing.
 	b.removeReplacement(c.ID)
-	b.pushReplacement(c, rt.cfg.ReplacementCacheSize)
+	b.pushReplacement(*c, rt.cfg.ReplacementCacheSize)
 	lrs := &b.entries[b.oldest()]
 	if lrs.pingInFlight {
-		return ObserveResult{}
+		return Contact{}
 	}
 	lrs.pingInFlight = true
-	return ObserveResult{NeedsPing: lrs.contact}
+	return lrs.contact
 }
 
 // RecordSuccess resets a contact's staleness budget and marks it

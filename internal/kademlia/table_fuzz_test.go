@@ -84,34 +84,34 @@ func (b *referenceBucket) pushReplacement(c Contact, limit int) {
 	}
 }
 
-func (rt *referenceTable) Observe(c Contact) ObserveResult {
+func (rt *referenceTable) Observe(c Contact) Contact {
 	if c.ID.Equal(rt.self) || c.ID.IsZeroValue() {
-		return ObserveResult{}
+		return Contact{}
 	}
 	b := rt.bucketFor(c.ID)
 	if i := b.find(c.ID); i >= 0 {
 		e := b.touch(i)
 		e.fails = 0
 		e.contact = c
-		return ObserveResult{Inserted: true}
+		return Contact{}
 	}
 	if len(b.entries) < rt.cfg.K {
 		b.removeReplacement(c.ID)
 		b.entries = append(b.entries, entry{contact: c})
-		return ObserveResult{Inserted: true}
+		return Contact{}
 	}
 	if i := b.findStale(rt.cfg.StalenessLimit); i >= 0 {
 		b.replace(i, c)
-		return ObserveResult{Inserted: true}
+		return Contact{}
 	}
 	b.removeReplacement(c.ID)
 	b.pushReplacement(c, rt.cfg.ReplacementCacheSize)
 	lrs := &b.entries[0]
 	if lrs.pingInFlight {
-		return ObserveResult{}
+		return Contact{}
 	}
 	lrs.pingInFlight = true
-	return ObserveResult{NeedsPing: lrs.contact}
+	return lrs.contact
 }
 
 func (rt *referenceTable) RecordSuccess(nodeID id.ID) {
@@ -245,9 +245,10 @@ func checkTableStream(data []byte) error {
 	for op := 0; len(data) > 0; op++ {
 		kind, x, y, z := next(), next(), next(), next()
 		nodeID := tableFuzzID(bits, x, y)
-		if k := kind % 6; z&0x80 != 0 && k >= 2 && k <= 4 {
-			// A success, failure or removal of a random identifier would
-			// almost always miss the table: name a live contact instead.
+		if k := kind % 7; z&0x80 != 0 && k >= 2 && k != 5 {
+			// A success, failure, removal or response of a random
+			// identifier would almost always miss the table: name a live
+			// contact instead.
 			if live := got.Contacts(); len(live) > 0 {
 				nodeID = live[int(y)%len(live)].ID
 			}
@@ -256,10 +257,10 @@ func checkTableStream(data []byte) error {
 			named[nodeID] = true
 			seen = append(seen, nodeID)
 		}
-		switch kind % 6 {
+		switch kind % 7 {
 		case 0, 1: // sightings are the most frequent operation
 			c := Contact{ID: nodeID, Addr: simnet.Addr(z % 4)}
-			if g, w := got.Observe(c), want.Observe(c); g != w {
+			if g, w := got.Observe(&c), want.Observe(c); g != w {
 				return fmt.Errorf("op %d: Observe(%v) = %+v, want %+v", op, c, g, w)
 			}
 		case 2:
@@ -285,9 +286,20 @@ func checkTableStream(data []byte) error {
 			if err := sameContacts(g, want.Closest(nodeID, count, exclude)); err != nil {
 				return fmt.Errorf("op %d: AppendClosest(%s, %d, exclude %s): %v", op, nodeID, count, exclude, err)
 			}
+		case 6:
+			// A response to a pending request: the node's receive path
+			// records the sighting and the success in one table call,
+			// which must leave the table as Observe and then RecordSuccess
+			// of the same contact do.
+			c := Contact{ID: nodeID, Addr: simnet.Addr(z % 4)}
+			g, w := got.observe(&c, true), want.Observe(c)
+			want.RecordSuccess(c.ID)
+			if g != w {
+				return fmt.Errorf("op %d: observe(%v, answered) = %+v, want %+v", op, c, g, w)
+			}
 		}
 		if err := sameTableState(got, want, nodeID, self); err != nil {
-			return fmt.Errorf("op %d (kind %d): %v", op, kind%6, err)
+			return fmt.Errorf("op %d (kind %d): %v", op, kind%7, err)
 		}
 	}
 	return nil
@@ -348,10 +360,18 @@ var tableSeeds = [][]byte{
 	{1, 0, 0, 2, 0x00, 0x00,
 		0, 0x80, 1, 1, 0, 0x81, 1, 1, 4, 0x80, 1, 0, 0, 0x81, 1, 2,
 		3, 0x81, 1, 0, 5, 0x81, 0, 0x07},
+	// 64 bits, k = 2, s = 1: a full bucket nominates its oldest entry
+	// for a ping, the nominee answers (a response: sighting and success
+	// at once), which clears its ping and makes it the newest, so the
+	// next newcomer nominates the other entry.
+	{0, 1, 0, 2, 0x00, 0x00,
+		0, 0x80, 1, 1, 0, 0x81, 2, 1, 0, 0x82, 3, 1,
+		6, 0x80, 1, 1, 0, 0x83, 4, 1, 3, 0x81, 2, 0, 5, 0x90, 0, 0x05},
 }
 
 // FuzzRoutingTableVsReference: for any stream of sightings, successes,
-// failures, removals and closest-queries at 64 or 160 bits, a table whose
+// failures, removals, closest-queries and responses (a sighting and a
+// success of one contact, back to back) at 64 or 160 bits, a table whose
 // buckets are kept in identifier order with recency stamps must answer
 // exactly like one whose buckets are kept in recency order: the same
 // closest lists in the same order, the same ping nominees and evictions,

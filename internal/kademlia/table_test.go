@@ -18,18 +18,20 @@ func contact(v uint64) Contact {
 	return Contact{ID: id.FromUint64(64, v), Addr: simnet.Addr(v)}
 }
 
+// sight observes c and returns the ping nominee.
+func sight(rt *RoutingTable, c Contact) Contact { return rt.Observe(&c) }
+
 func TestObserveInsertAndUpdate(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
 	c := contact(5)
-	res := rt.Observe(c)
-	if !res.Inserted || !res.NeedsPing.ID.IsZeroValue() {
-		t.Fatalf("first observe: %+v", res)
+	if ping := rt.Observe(&c); !ping.ID.IsZeroValue() {
+		t.Fatalf("first observe nominated %v for a ping", ping)
 	}
 	if !rt.Contains(c.ID) || rt.Size() != 1 {
 		t.Fatal("contact not inserted")
 	}
 	// Observing again must not duplicate.
-	rt.Observe(c)
+	rt.Observe(&c)
 	if rt.Size() != 1 {
 		t.Fatal("duplicate insert")
 	}
@@ -38,11 +40,11 @@ func TestObserveInsertAndUpdate(t *testing.T) {
 func TestObserveIgnoresSelfAndZero(t *testing.T) {
 	self := id.FromUint64(64, 7)
 	rt := NewRoutingTable(self, testConfig())
-	if res := rt.Observe(Contact{ID: self, Addr: 7}); res.Inserted {
+	if sight(rt, Contact{ID: self, Addr: 7}); rt.Contains(self) {
 		t.Error("self must not be inserted")
 	}
-	if res := rt.Observe(Contact{}); res.Inserted {
-		t.Error("zero-value contact must not be inserted")
+	if ping := sight(rt, Contact{}); !ping.ID.IsZeroValue() {
+		t.Error("zero-value contact nominated a ping")
 	}
 	if rt.Size() != 0 {
 		t.Fatal("table should be empty")
@@ -53,10 +55,10 @@ func TestBucketPlacement(t *testing.T) {
 	self := id.FromUint64(64, 0)
 	rt := NewRoutingTable(self, testConfig())
 	// Distance 1 -> bucket 0; distance 2,3 -> bucket 1; 4..7 -> bucket 2.
-	rt.Observe(contact(1))
-	rt.Observe(contact(2))
-	rt.Observe(contact(3))
-	rt.Observe(contact(5))
+	sight(rt, contact(1))
+	sight(rt, contact(2))
+	sight(rt, contact(3))
+	sight(rt, contact(5))
 	if rt.BucketLen(0) != 1 || rt.BucketLen(1) != 2 || rt.BucketLen(2) != 1 {
 		t.Fatalf("bucket lens = %d,%d,%d", rt.BucketLen(0), rt.BucketLen(1), rt.BucketLen(2))
 	}
@@ -68,22 +70,22 @@ func TestFullBucketNominatesLRSPing(t *testing.T) {
 	rt := NewRoutingTable(self, testConfig())
 	base := uint64(1) << 63
 	for i := uint64(0); i < 4; i++ {
-		rt.Observe(contact(base + i))
+		sight(rt, contact(base+i))
 	}
 	if rt.Size() != 4 {
 		t.Fatal("setup failed")
 	}
 	newcomer := contact(base + 100)
-	res := rt.Observe(newcomer)
-	if res.Inserted {
+	ping := rt.Observe(&newcomer)
+	if rt.Contains(newcomer.ID) {
 		t.Fatal("full bucket must not insert directly")
 	}
-	if !res.NeedsPing.ID.Equal(id.FromUint64(64, base)) {
-		t.Fatalf("NeedsPing = %v, want least-recently-seen (first inserted)", res.NeedsPing)
+	if !ping.ID.Equal(id.FromUint64(64, base)) {
+		t.Fatalf("ping nominee = %v, want least-recently-seen (first inserted)", ping)
 	}
 	// A second observation while the ping is in flight must not nominate
 	// another ping.
-	if res2 := rt.Observe(contact(base + 101)); !res2.NeedsPing.ID.IsZeroValue() {
+	if ping2 := sight(rt, contact(base+101)); !ping2.ID.IsZeroValue() {
 		t.Fatal("duplicate ping nomination while one is in flight")
 	}
 }
@@ -94,10 +96,10 @@ func TestStalenessEvictionPromotesReplacement(t *testing.T) {
 	rt := NewRoutingTable(self, cfg)
 	base := uint64(1) << 63
 	for i := uint64(0); i < 4; i++ {
-		rt.Observe(contact(base + i))
+		sight(rt, contact(base+i))
 	}
 	newcomer := contact(base + 100)
-	rt.Observe(newcomer) // lands in replacement cache
+	rt.Observe(&newcomer) // lands in replacement cache
 	victim := id.FromUint64(64, base)
 	if rt.RecordFailure(victim) {
 		t.Fatal("first failure should not evict with s=2")
@@ -122,7 +124,7 @@ func TestStaleEntryRetainedWithoutReplacement(t *testing.T) {
 	self := id.FromUint64(64, 0)
 	rt := NewRoutingTable(self, testConfig()) // s=2
 	c := contact(5)
-	rt.Observe(c)
+	rt.Observe(&c)
 	if rt.RecordFailure(c.ID) || rt.RecordFailure(c.ID) || rt.RecordFailure(c.ID) {
 		t.Fatal("evicted without replacement")
 	}
@@ -137,7 +139,7 @@ func TestStaleEntryRetainedWithoutReplacement(t *testing.T) {
 func TestRecordSuccessResetsFailureCount(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig()) // s = 2
 	c := contact(9)
-	rt.Observe(c)
+	rt.Observe(&c)
 	rt.RecordFailure(c.ID)
 	rt.RecordSuccess(c.ID) // resets the budget
 	rt.RecordFailure(c.ID)
@@ -168,7 +170,7 @@ func TestStaleEntryReplacedByNewObservation(t *testing.T) {
 	rt := NewRoutingTable(self, testConfig()) // k=4, s=2
 	base := uint64(1) << 63
 	for i := uint64(0); i < 4; i++ {
-		rt.Observe(contact(base + i))
+		sight(rt, contact(base+i))
 	}
 	victim := id.FromUint64(64, base)
 	rt.RecordFailure(victim)
@@ -177,8 +179,7 @@ func TestStaleEntryReplacedByNewObservation(t *testing.T) {
 		t.Fatal("victim should be stale")
 	}
 	newcomer := contact(base + 50)
-	res := rt.Observe(newcomer)
-	if !res.Inserted {
+	if rt.Observe(&newcomer); !rt.Contains(newcomer.ID) {
 		t.Fatal("newcomer should replace the stale entry")
 	}
 	if rt.Contains(victim) {
@@ -191,8 +192,8 @@ func TestStaleEntryReplacedByNewObservation(t *testing.T) {
 
 func TestStaleCount(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig()) // s=2
-	rt.Observe(contact(3))
-	rt.Observe(contact(9))
+	sight(rt, contact(3))
+	sight(rt, contact(9))
 	if rt.StaleCount() != 0 {
 		t.Fatal("fresh table has stale entries")
 	}
@@ -215,13 +216,12 @@ func TestObserveMovesToMostRecent(t *testing.T) {
 	rt := NewRoutingTable(self, testConfig())
 	base := uint64(1) << 63
 	for i := uint64(0); i < 4; i++ {
-		rt.Observe(contact(base + i))
+		sight(rt, contact(base+i))
 	}
 	// Refresh the would-be victim: now base+1 is least recently seen.
-	rt.Observe(contact(base))
-	res := rt.Observe(contact(base + 100))
-	if !res.NeedsPing.ID.Equal(id.FromUint64(64, base+1)) {
-		t.Fatalf("NeedsPing = %v, want base+1", res.NeedsPing)
+	sight(rt, contact(base))
+	if ping := sight(rt, contact(base+100)); !ping.ID.Equal(id.FromUint64(64, base+1)) {
+		t.Fatalf("ping nominee = %v, want base+1", ping)
 	}
 }
 
@@ -232,7 +232,7 @@ func TestReplacementCacheBounded(t *testing.T) {
 	rt := NewRoutingTable(self, cfg)
 	base := uint64(1) << 63
 	for i := uint64(0); i < 10; i++ {
-		rt.Observe(contact(base + i))
+		sight(rt, contact(base+i))
 	}
 	b := rt.bucket(63)
 	if len(b.replacements) != 2 {
@@ -248,7 +248,7 @@ func TestClosestOrdering(t *testing.T) {
 	self := id.FromUint64(64, 0)
 	rt := NewRoutingTable(self, testConfig())
 	for _, v := range []uint64{100, 7, 1, 50, 31, 200} {
-		rt.Observe(contact(v))
+		sight(rt, contact(v))
 	}
 	target := id.FromUint64(64, 6)
 	got := rt.Closest(target, 3)
@@ -266,7 +266,7 @@ func TestClosestOrdering(t *testing.T) {
 
 func TestClosestFewerThanRequested(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
-	rt.Observe(contact(1))
+	sight(rt, contact(1))
 	if got := rt.Closest(id.FromUint64(64, 9), 10); len(got) != 1 {
 		t.Fatalf("Closest = %d contacts, want 1", len(got))
 	}
@@ -275,7 +275,7 @@ func TestClosestFewerThanRequested(t *testing.T) {
 func TestRemove(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
 	c := contact(3)
-	rt.Observe(c)
+	rt.Observe(&c)
 	if !rt.Remove(c.ID) {
 		t.Fatal("Remove failed")
 	}
@@ -292,7 +292,7 @@ func TestRefreshTargets(t *testing.T) {
 	if rt.RefreshTargets() != nil {
 		t.Fatal("empty table has no refresh targets")
 	}
-	rt.Observe(contact(1 << 10)) // bucket 10
+	sight(rt, contact(1<<10)) // bucket 10
 	targets := rt.RefreshTargets()
 	if len(targets) == 0 || targets[0] != 9 {
 		t.Fatalf("targets start at %v, want 9 (one below lowest non-empty)", targets)
@@ -302,7 +302,7 @@ func TestRefreshTargets(t *testing.T) {
 	}
 	// Lowest bucket occupied: no underflow.
 	rt2 := NewRoutingTable(id.FromUint64(64, 0), testConfig())
-	rt2.Observe(contact(1)) // bucket 0
+	sight(rt2, contact(1)) // bucket 0
 	if got := rt2.RefreshTargets(); got[0] != 0 {
 		t.Fatalf("targets start at %v, want 0", got[0])
 	}
@@ -313,7 +313,7 @@ func TestContactsMatchesSize(t *testing.T) {
 		rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
 		for _, v := range vals {
 			if v != 0 {
-				rt.Observe(contact(v))
+				sight(rt, contact(v))
 			}
 		}
 		return len(rt.Contacts()) == rt.Size()
@@ -329,7 +329,7 @@ func TestContactsMatchesSize(t *testing.T) {
 func TestAppendContactsReusesBuffer(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
 	for v := uint64(1); v < 200; v += 3 {
-		rt.Observe(contact(v))
+		sight(rt, contact(v))
 	}
 	want := rt.Contacts()
 	prefix := contact(12345)
@@ -354,7 +354,7 @@ func TestBucketInvariantProperty(t *testing.T) {
 	cfg := testConfig()
 	rt := NewRoutingTable(self, cfg)
 	for i := 0; i < 500; i++ {
-		rt.Observe(Contact{ID: id.Random(64, r), Addr: simnet.Addr(i)})
+		rt.Observe(&Contact{ID: id.Random(64, r), Addr: simnet.Addr(i)})
 	}
 	total := 0
 	for i := 0; i < rt.BucketCount(); i++ {
@@ -394,7 +394,7 @@ func TestAppendClosestOrdersTiedTopWordsByFullDistance(t *testing.T) {
 	var ids []id.ID
 	for _, lo := range []uint64{0x0107, 0x0001, 0x00ff, 0x0100, 0x0030, 0x0203} {
 		ids = append(ids, tied(lo))
-		rt.Observe(Contact{ID: ids[len(ids)-1], Addr: simnet.Addr(lo)})
+		rt.Observe(&Contact{ID: ids[len(ids)-1], Addr: simnet.Addr(lo)})
 	}
 	for _, target := range []id.ID{tied(0x0100), tied(0x0031), tied(0x02ff), self} {
 		for _, exclude := range []id.ID{{}, ids[0], ids[3]} {

@@ -6,17 +6,21 @@
 //
 // Determinism is a hard contract: each scenario run is a pure function of
 // its config (the event-sim kernel is single-goroutine and seeded), jobs
-// are distributed over workers in input order with results written back by
-// index, and seed derivation depends only on (base seed, rep). The same
-// sweep therefore produces identical Results under any worker count — the
-// property the determinism tests pin down under the race detector.
+// are handed to workers in a fixed order (longest expected run first) with
+// results written back by index, and seed derivation depends only on
+// (base seed, rep). The same sweep therefore produces identical Results
+// under any worker count — the property the determinism tests pin down
+// under the race detector.
 package sweep
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"kadre/internal/kademlia"
 	"kadre/internal/par"
 	"kadre/internal/scenario"
 	"kadre/internal/stats"
@@ -33,7 +37,8 @@ type Options struct {
 	Jobs int
 	// Progress, when set, receives one event per completed run. Events are
 	// delivered serially (never concurrently), in completion order, which
-	// depends on scheduling; the Done counter is monotonic.
+	// depends on scheduling; the Done counter is monotonic. With one worker
+	// they come in dispatch order (see RunGroups).
 	Progress func(Event)
 	// Checkpoint, when set, persists every completed run to disk and
 	// replays already-completed runs instead of re-executing them, so an
@@ -115,9 +120,9 @@ type Group struct {
 
 // Run executes every configuration Reps times across the worker pool and
 // returns one RunSet per configuration, in input order. Any run failure
-// aborts the sweep with the error of the smallest (config, rep) index;
-// in-flight runs complete, and queued runs beyond the failure may be
-// skipped.
+// aborts the sweep with the error of the failing run that comes first in
+// dispatch order (see RunGroups); in-flight runs complete, and queued runs
+// beyond the failure may be skipped.
 func Run(cfgs []scenario.Config, opts Options) ([]*RunSet, error) {
 	sets, err := RunGroups([]Group{{Configs: cfgs}}, opts)
 	if err != nil {
@@ -135,8 +140,14 @@ func Run(cfgs []scenario.Config, opts Options) ([]*RunSet, error) {
 // function of its config and seed, and results are reassembled by
 // index — so the output is identical to the serial per-experiment form.
 //
-// On failure RunGroups returns the error of the earliest failing
-// (group, config, rep) index alongside a partial result: groups whose
+// Runs are dispatched longest expected first (Graham's LPT rule), so that
+// the pool does not end on one long run started last while the other
+// workers idle. The expected cost of a run is Size × K × (Setup +
+// Stabilize + ChurnPhase) (expectedCost); runs of equal cost keep their
+// (group, config, rep) order.
+//
+// On failure RunGroups returns the error of the failing run that comes
+// first in dispatch order alongside a partial result: groups whose
 // runs all completed carry their RunSets, the rest are nil. Callers can
 // therefore persist the finished experiments of a long pooled sweep
 // instead of discarding hours of completed work with the error.
@@ -150,20 +161,24 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 		cfg   scenario.Config
 		group string
 		rep   int
+		at    int // (group, config, rep) index, where the result goes
+		cost  float64
 	}
 	var jobs []job
 	for _, g := range groups {
 		for _, cfg := range g.Configs {
+			cost := expectedCost(cfg)
 			for r := 0; r < reps; r++ {
 				jc := cfg
 				jc.Seed = DeriveSeed(cfg.Seed, r)
-				jobs = append(jobs, job{cfg: jc, group: g.Name, rep: r})
+				jobs = append(jobs, job{cfg: jc, group: g.Name, rep: r, at: len(jobs), cost: cost})
 			}
 		}
 	}
+	slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(b.cost, a.cost) })
 
 	progress := &progressGate{fn: opts.Progress, total: len(jobs)}
-	results, mapErr := par.Map(opts.Jobs, jobs, func(_ int, j job) (*scenario.Result, error) {
+	dispatched, mapErr := par.Map(opts.Jobs, jobs, func(_ int, j job) (*scenario.Result, error) {
 		if opts.Checkpoint != nil {
 			res, ok, lerr := opts.Checkpoint.Load(j.group, j.cfg, j.rep)
 			if lerr != nil {
@@ -199,6 +214,10 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 		}
 		return res, nil
 	})
+	results := make([]*scenario.Result, len(jobs))
+	for i, j := range jobs {
+		results[j.at] = dispatched[i]
+	}
 
 	out := make([][]*RunSet, len(groups))
 	next := 0
@@ -229,6 +248,19 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 		}
 	}
 	return out, mapErr
+}
+
+// expectedCost estimates a run's wall time, in units that only compare
+// runs with one another: the simulator's work grows with the node count,
+// with k (every lookup response carries up to k contacts) and with the
+// simulated time. It orders RunGroups' dispatch and nothing else.
+func expectedCost(cfg scenario.Config) float64 {
+	cfg = cfg.WithDefaults()
+	k := cfg.K
+	if k == 0 {
+		k = kademlia.DefaultK
+	}
+	return float64(cfg.Size) * float64(k) * cfg.Total().Seconds()
 }
 
 // Aggregate (re)builds the cross-replication aggregate series from Reps.

@@ -3,7 +3,9 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -204,6 +206,44 @@ func TestRunErrorNamesConfigAndRep(t *testing.T) {
 	}
 	if want := `scenario "broken" rep 0`; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("error %q does not name the failing config and rep", err)
+	}
+}
+
+// TestDispatchLongestExpectedFirst: with one worker the runs complete in
+// dispatch order, which is descending expected cost (Size × K × simulated
+// time), runs of equal cost in input order and a config's reps in rep order.
+func TestDispatchLongestExpectedFirst(t *testing.T) {
+	cheap := tinyConfig("cheap", 4)
+	cheap.Size = 12
+	dear := tinyConfig("dear", 5)
+	dear.K = 8
+	tieA, tieB := tinyConfig("tieA", 6), tinyConfig("tieB", 7)
+	var got []string
+	_, err := Run([]scenario.Config{cheap, tieA, dear, tieB}, Options{Reps: 2, Jobs: 1, Progress: func(ev Event) {
+		got = append(got, fmt.Sprintf("%s/%d", ev.Name, ev.Rep))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"dear/0", "dear/1", "tieA/0", "tieA/1", "tieB/0", "tieB/1", "cheap/0", "cheap/1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("completion order %v, want %v", got, want)
+	}
+}
+
+// TestRunErrorIsFirstInDispatchOrder: of two failing configs the one
+// dispatched first names the error, whatever the worker count, though it
+// comes later in input order.
+func TestRunErrorIsFirstInDispatchOrder(t *testing.T) {
+	small := tinyConfig("small-broken", 2)
+	small.Size = 1 // fails validation
+	large := tinyConfig("large-broken", 3)
+	large.SnapshotInterval = -time.Minute // fails validation, and costs more
+	for _, jobs := range []int{1, 2} {
+		_, err := Run([]scenario.Config{small, large}, Options{Jobs: jobs})
+		if err == nil || !strings.Contains(err.Error(), `scenario "large-broken" rep 0`) {
+			t.Fatalf("jobs %d: error %v, want the one of large-broken", jobs, err)
+		}
 	}
 }
 
