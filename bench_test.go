@@ -598,7 +598,7 @@ func BenchmarkRoutingTableClosest(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	rt := kademlia.NewRoutingTable(id.Random(160, rng), kademlia.Config{K: 20})
 	for i := 0; i < 2000; i++ {
-		rt.Observe(&kademlia.Contact{ID: id.Random(160, rng), Addr: simnet.Addr(i + 1)})
+		rt.Observe(&kademlia.Contact{ID: id.Random(160, rng), Addr: simnet.Addr(i + 1)}, false)
 	}
 	targets := make([]id.ID, 256)
 	for i := range targets {

@@ -56,14 +56,14 @@ func randomTable(rng *rand.Rand, bits, k int, crowded bool) *RoutingTable {
 		switch r := rng.Intn(10); {
 		case r < 6 || len(known) == 0:
 			c := Contact{ID: draw(), Addr: simnet.Addr(rng.Uint64())}
-			rt.Observe(&c)
+			rt.Observe(&c, false)
 			known = append(known, c.ID)
 		case r < 7:
-			rt.Observe(&Contact{ID: known[rng.Intn(len(known))], Addr: simnet.Addr(rng.Uint64())})
+			rt.Observe(&Contact{ID: known[rng.Intn(len(known))], Addr: simnet.Addr(rng.Uint64())}, false)
 		case r < 8:
 			rt.RecordFailure(known[rng.Intn(len(known))])
 		case r < 9:
-			rt.RecordSuccess(known[rng.Intn(len(known))])
+			rt.Observe(&Contact{ID: known[rng.Intn(len(known))], Addr: simnet.Addr(rng.Uint64())}, true)
 		default:
 			rt.Remove(known[rng.Intn(len(known))])
 		}
@@ -165,7 +165,7 @@ func TestClosestIntoCallerBufferAllocatesNothing(t *testing.T) {
 	self := id.Random(160, rng)
 	rt := NewRoutingTable(self, Config{K: 20})
 	for i := 0; i < 500; i++ {
-		rt.Observe(&Contact{ID: id.Random(160, rng), Addr: simnet.Addr(i + 1)})
+		rt.Observe(&Contact{ID: id.Random(160, rng), Addr: simnet.Addr(i + 1)}, false)
 	}
 	requester := rt.Contacts()[3].ID
 	targets := make([]id.ID, 64)
@@ -202,7 +202,7 @@ func TestSaturatedBucketObserveAllocatesNothing(t *testing.T) {
 		newcomers[i] = contact(base + 100 + uint64(i))
 	}
 	for _, c := range newcomers[:8] { // fill the cache
-		rt.Observe(&c)
+		rt.Observe(&c, false)
 	}
 	b := rt.bucketFor(newcomers[0].ID)
 	if len(b.replacements) != 3 {
@@ -211,7 +211,7 @@ func TestSaturatedBucketObserveAllocatesNothing(t *testing.T) {
 	backing, capacity := &b.replacements[0], cap(b.replacements)
 	i := 8
 	allocs := testing.AllocsPerRun(200, func() {
-		rt.Observe(&newcomers[i%len(newcomers)])
+		rt.Observe(&newcomers[i%len(newcomers)], false)
 		i++
 	})
 	if allocs != 0 {

@@ -408,7 +408,7 @@ func (n *Node) sendRequest(to Contact, kind msgKind, key id.ID, value []byte, l 
 // set, into the routing table and issues the liveness ping the table may
 // request for a full bucket's least-recently-seen entry.
 func (n *Node) observe(c *Contact, answered bool) {
-	if probe := n.table.observe(c, answered); !probe.ID.IsZeroValue() {
+	if probe := n.table.Observe(c, answered); !probe.ID.IsZeroValue() {
 		n.sendRequest(probe, msgPing, id.ID{}, nil, nil)
 	}
 }

@@ -1,7 +1,6 @@
 package kademlia
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -116,57 +115,6 @@ func TestStoreAndGet(t *testing.T) {
 	}
 	if !ok || string(got) != string(value) {
 		t.Fatalf("get = %q, %v", got, ok)
-	}
-}
-
-// keyWithTop builds a 160-bit identifier whose top word is top and whose
-// last byte is low, so keys of one top word differ below it.
-func keyWithTop(top uint64, low byte) id.ID {
-	image := make([]byte, 20)
-	binary.BigEndian.PutUint64(image, top)
-	image[19] = low
-	return id.MustNew(160, image)
-}
-
-// TestFindValueTellsKeysSharingTopWordApart: on a 160-bit network two
-// values are stored under keys that share their top 64 bits, the word
-// that most of the message path compares first, so the same nodes are
-// closest to both and hold both. Each is found by FIND_VALUE and reported
-// by HasValue, and a third key of that top word is a miss.
-func TestFindValueTellsKeysSharingTopWordApart(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Bits = 160
-	c := newCluster(t, cfg, 25, 9)
-	const top = 0x0123_4567_89ab_cdef
-	keys := []id.ID{keyWithTop(top, 1), keyWithTop(top, 2)}
-	values := [][]byte{[]byte("first"), []byte("second")}
-	for i, key := range keys {
-		c.nodes[2].Store(key, values[i], nil)
-	}
-	c.sim.RunUntil(c.sim.Now() + time.Minute)
-	both := 0
-	for _, n := range c.nodes {
-		if n.HasValue(keys[0]) && n.HasValue(keys[1]) {
-			both++
-		}
-		if n.HasValue(keyWithTop(top, 3)) {
-			t.Fatalf("node %d holds a key that was never stored", n.Addr())
-		}
-	}
-	if both == 0 {
-		t.Fatal("no node holds both keys")
-	}
-	for i, key := range append(keys, keyWithTop(top, 3)) {
-		var got []byte
-		var found, done bool
-		c.nodes[19].Get(key, func(v []byte, ok bool) { got, found, done = v, ok, true })
-		c.sim.RunUntil(c.sim.Now() + time.Minute)
-		if i < len(values) && (!done || !found || string(got) != string(values[i])) {
-			t.Fatalf("get of key %d = %q, %v (done %v), want %q", i, got, found, done, values[i])
-		}
-		if i == len(values) && (!done || found) {
-			t.Fatalf("get of a key never stored = %q, %v (done %v), want a miss", got, found, done)
-		}
 	}
 }
 

@@ -220,20 +220,16 @@ func (rt *RoutingTable) Contains(nodeID id.ID) bool {
 // the replacement cache and the least-recently-seen live entry is
 // nominated for a liveness ping.
 //
+// With answered set the contact has just answered one of our requests: a
+// known contact then also clears its ping flag, which a successful
+// exchange initiated by us does. One call with one bucket search records
+// both the sighting and the success; a contact this call admits has no
+// ping flag to clear.
+//
 // Observe returns that nominee, or the zero Contact when there is none; the
 // caller should ping it to test liveness. The entry is marked ping-in-flight
-// until RecordSuccess or RecordFailure.
-func (rt *RoutingTable) Observe(c *Contact) Contact {
-	return rt.observe(c, false)
-}
-
-// observe is Observe, and with answered also RecordSuccess of the same
-// contact, for a response to one of our requests: one bucket search where
-// the two calls would make two. A contact that was known clears its ping
-// flag as well; one this call admits has none. The contact takes one recency
-// stamp instead of two, and as no other entry is stamped between them the
-// order of recency is the same.
-func (rt *RoutingTable) observe(c *Contact, answered bool) Contact {
+// until an answered Observe or RecordFailure of it.
+func (rt *RoutingTable) Observe(c *Contact, answered bool) Contact {
 	if c.ID.Equal(rt.self) || c.ID.IsZeroValue() {
 		return Contact{}
 	}
@@ -288,23 +284,6 @@ func (rt *RoutingTable) observe(c *Contact, answered bool) Contact {
 	}
 	lrs.pingInFlight = true
 	return lrs.contact
-}
-
-// RecordSuccess resets a contact's staleness budget and marks it
-// most recently seen after a successful exchange initiated by us.
-func (rt *RoutingTable) RecordSuccess(nodeID id.ID) {
-	if nodeID.Equal(rt.self) {
-		return
-	}
-	b := rt.bucketFor(nodeID)
-	i := b.find(nodeID)
-	if i < 0 {
-		return
-	}
-	e := &b.entries[i]
-	e.seen = rt.stamp()
-	e.fails = 0
-	e.pingInFlight = false
 }
 
 // RecordFailure charges one failed communication attempt against a

@@ -260,12 +260,20 @@ func checkTableStream(data []byte) error {
 		switch kind % 7 {
 		case 0, 1: // sightings are the most frequent operation
 			c := Contact{ID: nodeID, Addr: simnet.Addr(z % 4)}
-			if g, w := got.Observe(&c), want.Observe(c); g != w {
+			if g, w := got.Observe(&c, false), want.Observe(c); g != w {
 				return fmt.Errorf("op %d: Observe(%v) = %+v, want %+v", op, c, g, w)
 			}
 		case 2:
-			got.RecordSuccess(nodeID)
-			want.RecordSuccess(nodeID)
+			// A success of a live contact: its answer, under the address
+			// the table holds, must do what the reference's RecordSuccess
+			// does. A success of an absent identifier changes nothing.
+			if e := want.lookup(nodeID); e != nil {
+				c := e.contact
+				if g := got.Observe(&c, true); !g.ID.IsZeroValue() {
+					return fmt.Errorf("op %d: Observe(%v, answered) of a live contact = %+v, want none", op, c, g)
+				}
+				want.RecordSuccess(nodeID)
+			}
 		case 3:
 			if g, w := got.RecordFailure(nodeID), want.RecordFailure(nodeID); g != w {
 				return fmt.Errorf("op %d: RecordFailure(%s) evicted %v, want %v", op, nodeID, g, w)
@@ -292,10 +300,10 @@ func checkTableStream(data []byte) error {
 			// which must leave the table as Observe and then RecordSuccess
 			// of the same contact do.
 			c := Contact{ID: nodeID, Addr: simnet.Addr(z % 4)}
-			g, w := got.observe(&c, true), want.Observe(c)
+			g, w := got.Observe(&c, true), want.Observe(c)
 			want.RecordSuccess(c.ID)
 			if g != w {
-				return fmt.Errorf("op %d: observe(%v, answered) = %+v, want %+v", op, c, g, w)
+				return fmt.Errorf("op %d: Observe(%v, answered) = %+v, want %+v", op, c, g, w)
 			}
 		}
 		if err := sameTableState(got, want, nodeID, self); err != nil {

@@ -19,19 +19,19 @@ func contact(v uint64) Contact {
 }
 
 // sight observes c and returns the ping nominee.
-func sight(rt *RoutingTable, c Contact) Contact { return rt.Observe(&c) }
+func sight(rt *RoutingTable, c Contact) Contact { return rt.Observe(&c, false) }
 
 func TestObserveInsertAndUpdate(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
 	c := contact(5)
-	if ping := rt.Observe(&c); !ping.ID.IsZeroValue() {
+	if ping := rt.Observe(&c, false); !ping.ID.IsZeroValue() {
 		t.Fatalf("first observe nominated %v for a ping", ping)
 	}
 	if !rt.Contains(c.ID) || rt.Size() != 1 {
 		t.Fatal("contact not inserted")
 	}
 	// Observing again must not duplicate.
-	rt.Observe(&c)
+	rt.Observe(&c, false)
 	if rt.Size() != 1 {
 		t.Fatal("duplicate insert")
 	}
@@ -76,7 +76,7 @@ func TestFullBucketNominatesLRSPing(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	newcomer := contact(base + 100)
-	ping := rt.Observe(&newcomer)
+	ping := rt.Observe(&newcomer, false)
 	if rt.Contains(newcomer.ID) {
 		t.Fatal("full bucket must not insert directly")
 	}
@@ -99,7 +99,7 @@ func TestStalenessEvictionPromotesReplacement(t *testing.T) {
 		sight(rt, contact(base+i))
 	}
 	newcomer := contact(base + 100)
-	rt.Observe(&newcomer) // lands in replacement cache
+	rt.Observe(&newcomer, false) // lands in replacement cache
 	victim := id.FromUint64(64, base)
 	if rt.RecordFailure(victim) {
 		t.Fatal("first failure should not evict with s=2")
@@ -124,7 +124,7 @@ func TestStaleEntryRetainedWithoutReplacement(t *testing.T) {
 	self := id.FromUint64(64, 0)
 	rt := NewRoutingTable(self, testConfig()) // s=2
 	c := contact(5)
-	rt.Observe(&c)
+	rt.Observe(&c, false)
 	if rt.RecordFailure(c.ID) || rt.RecordFailure(c.ID) || rt.RecordFailure(c.ID) {
 		t.Fatal("evicted without replacement")
 	}
@@ -136,12 +136,15 @@ func TestStaleEntryRetainedWithoutReplacement(t *testing.T) {
 	}
 }
 
+// TestRecordSuccessResetsFailureCount: a success, the answered Observe a
+// response records, resets a contact's failure count and rehabilitates a
+// stale entry.
 func TestRecordSuccessResetsFailureCount(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig()) // s = 2
 	c := contact(9)
-	rt.Observe(&c)
+	rt.Observe(&c, false)
 	rt.RecordFailure(c.ID)
-	rt.RecordSuccess(c.ID) // resets the budget
+	rt.Observe(&c, true) // an answer resets the budget
 	rt.RecordFailure(c.ID)
 	if rt.IsStale(c.ID) {
 		t.Fatal("stale after success+single failure with s=2")
@@ -157,7 +160,7 @@ func TestRecordSuccessResetsFailureCount(t *testing.T) {
 	// A new observation of a different contact in the same bucket slot
 	// range would replace it only when the bucket is full; success
 	// rehabilitates.
-	rt.RecordSuccess(c.ID)
+	rt.Observe(&c, true)
 	if rt.IsStale(c.ID) {
 		t.Fatal("success did not rehabilitate the stale entry")
 	}
@@ -179,7 +182,7 @@ func TestStaleEntryReplacedByNewObservation(t *testing.T) {
 		t.Fatal("victim should be stale")
 	}
 	newcomer := contact(base + 50)
-	if rt.Observe(&newcomer); !rt.Contains(newcomer.ID) {
+	if rt.Observe(&newcomer, false); !rt.Contains(newcomer.ID) {
 		t.Fatal("newcomer should replace the stale entry")
 	}
 	if rt.Contains(victim) {
@@ -275,7 +278,7 @@ func TestClosestFewerThanRequested(t *testing.T) {
 func TestRemove(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
 	c := contact(3)
-	rt.Observe(&c)
+	rt.Observe(&c, false)
 	if !rt.Remove(c.ID) {
 		t.Fatal("Remove failed")
 	}
@@ -354,7 +357,7 @@ func TestBucketInvariantProperty(t *testing.T) {
 	cfg := testConfig()
 	rt := NewRoutingTable(self, cfg)
 	for i := 0; i < 500; i++ {
-		rt.Observe(&Contact{ID: id.Random(64, r), Addr: simnet.Addr(i)})
+		rt.Observe(&Contact{ID: id.Random(64, r), Addr: simnet.Addr(i)}, false)
 	}
 	total := 0
 	for i := 0; i < rt.BucketCount(); i++ {
@@ -394,7 +397,7 @@ func TestAppendClosestOrdersTiedTopWordsByFullDistance(t *testing.T) {
 	var ids []id.ID
 	for _, lo := range []uint64{0x0107, 0x0001, 0x00ff, 0x0100, 0x0030, 0x0203} {
 		ids = append(ids, tied(lo))
-		rt.Observe(&Contact{ID: ids[len(ids)-1], Addr: simnet.Addr(lo)})
+		rt.Observe(&Contact{ID: ids[len(ids)-1], Addr: simnet.Addr(lo)}, false)
 	}
 	for _, target := range []id.ID{tied(0x0100), tied(0x0031), tied(0x02ff), self} {
 		for _, exclude := range []id.ID{{}, ids[0], ids[3]} {

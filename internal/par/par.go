@@ -35,14 +35,26 @@ func Jobs(jobs, n int) int {
 // items after it may be skipped once the failure is observed (a long
 // sweep does not burn its full wall-clock after an early error).
 func Map[T, R any](jobs int, items []T, f func(i int, item T) (R, error)) ([]R, error) {
+	return MapScoped(jobs, items, 1, func(int) int { return 0 }, f)
+}
+
+// MapScoped is Map over items that fall into independent scopes: item i
+// belongs to scope(i), in [0, scopes). A failure skips only the later
+// items of its own scope; the items of every other scope still run. Every
+// item of a scope before that scope's smallest failing index runs, so
+// which items fail, and so the error reported (that of the smallest
+// failing index overall), does not depend on scheduling either.
+func MapScoped[T, R any](jobs int, items []T, scopes int, scope func(i int) int, f func(i int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
 	if len(items) == 0 {
 		return out, nil
 	}
 	errs := make([]error, len(items))
 	var next atomic.Int64
-	firstErr := atomic.Int64{}
-	firstErr.Store(int64(len(items)))
+	firstErr := make([]atomic.Int64, scopes)
+	for s := range firstErr {
+		firstErr[s].Store(int64(len(items)))
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < Jobs(jobs, len(items)); w++ {
@@ -54,18 +66,19 @@ func Map[T, R any](jobs int, items []T, f func(i int, item T) (R, error)) ([]R, 
 				if i >= len(items) {
 					return
 				}
-				// Items beyond the earliest observed failure are dead
-				// work: their results would be discarded. Items before
+				// Items beyond their scope's earliest observed failure are
+				// dead work: their results would be discarded. Items before
 				// it must still run — a smaller index could fail too and
-				// its error is the one Map must report.
-				if int64(i) > firstErr.Load() {
+				// its error is the one to report.
+				first := &firstErr[scope(i)]
+				if int64(i) > first.Load() {
 					continue
 				}
 				out[i], errs[i] = f(i, items[i])
 				if errs[i] != nil {
 					for {
-						cur := firstErr.Load()
-						if int64(i) >= cur || firstErr.CompareAndSwap(cur, int64(i)) {
+						cur := first.Load()
+						if int64(i) >= cur || first.CompareAndSwap(cur, int64(i)) {
 							break
 						}
 					}

@@ -99,3 +99,24 @@ func TestMapRunsEverythingBeforeFailure(t *testing.T) {
 		}
 	}
 }
+
+func TestMapScopedFailureSkipsOnlyItsScope(t *testing.T) {
+	// Even items are scope 0, odd ones scope 1. Item 2 fails and item 5
+	// fails too: with one worker scope 0 stops after item 2, while scope
+	// 1 runs up to its own failure at 5, and the error is item 2's.
+	items := make([]int, 10)
+	var ran []int
+	_, err := MapScoped(1, items, 2, func(i int) int { return i % 2 }, func(i, _ int) (int, error) {
+		ran = append(ran, i)
+		if i == 2 || i == 5 {
+			return 0, fmt.Errorf("boom %d", i)
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "boom 2" {
+		t.Fatalf("err = %v, want boom 2", err)
+	}
+	if want := []int{0, 1, 2, 3, 5}; fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("ran %v, want %v", ran, want)
+	}
+}

@@ -196,6 +196,15 @@ func (c Config) ChurnStart() time.Duration { return c.Setup + c.Stabilize }
 // Total returns the full duration of the run.
 func (c Config) Total() time.Duration { return c.Setup + c.Stabilize + c.ChurnPhase }
 
+// ExpectedCost estimates the run's wall time, in units that only compare
+// runs with one another: the simulator's work grows with the node count,
+// with k (every lookup response carries up to k contacts) and with the
+// simulated time. A sweep dispatches its costliest runs first by it.
+func (c Config) ExpectedCost() float64 {
+	c = c.WithDefaults()
+	return float64(c.Size) * float64(c.kademliaConfig().K) * c.Total().Seconds()
+}
+
 func (c Config) kademliaConfig() kademlia.Config {
 	return kademlia.Config{
 		Bits:           c.Bits,

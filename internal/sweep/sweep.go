@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"kadre/internal/kademlia"
 	"kadre/internal/par"
 	"kadre/internal/scenario"
 	"kadre/internal/stats"
@@ -121,8 +120,8 @@ type Group struct {
 // Run executes every configuration Reps times across the worker pool and
 // returns one RunSet per configuration, in input order. Any run failure
 // aborts the sweep with the error of the failing run that comes first in
-// dispatch order (see RunGroups); in-flight runs complete, and queued runs
-// beyond the failure may be skipped.
+// dispatch order (see RunGroups); in-flight runs complete, and runs
+// dispatched after the failure may be skipped.
 func Run(cfgs []scenario.Config, opts Options) ([]*RunSet, error) {
 	sets, err := RunGroups([]Group{{Configs: cfgs}}, opts)
 	if err != nil {
@@ -143,12 +142,15 @@ func Run(cfgs []scenario.Config, opts Options) ([]*RunSet, error) {
 // Runs are dispatched longest expected first (Graham's LPT rule), so that
 // the pool does not end on one long run started last while the other
 // workers idle. The expected cost of a run is Size × K × (Setup +
-// Stabilize + ChurnPhase) (expectedCost); runs of equal cost keep their
-// (group, config, rep) order.
+// Stabilize + ChurnPhase) (scenario.Config.ExpectedCost); runs of equal
+// cost keep their (group, config, rep) order.
 //
-// On failure RunGroups returns the error of the failing run that comes
-// first in dispatch order alongside a partial result: groups whose
-// runs all completed carry their RunSets, the rest are nil. Callers can
+// A failing run ends its own group only: that group's runs dispatched
+// after it may be skipped, while every other group's runs still run, so a
+// costly run that fails early does not take the cheaper experiments down
+// with it. RunGroups then returns the error of the failing run that comes
+// first in dispatch order alongside a partial result: groups whose runs
+// all completed carry their RunSets, the rest are nil. Callers can
 // therefore persist the finished experiments of a long pooled sweep
 // instead of discarding hours of completed work with the error.
 func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
@@ -160,25 +162,27 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 	type job struct {
 		cfg   scenario.Config
 		group string
+		gi    int // group index, the job's failure scope
 		rep   int
 		at    int // (group, config, rep) index, where the result goes
 		cost  float64
 	}
 	var jobs []job
-	for _, g := range groups {
+	for gi, g := range groups {
 		for _, cfg := range g.Configs {
-			cost := expectedCost(cfg)
+			cost := cfg.ExpectedCost()
 			for r := 0; r < reps; r++ {
 				jc := cfg
 				jc.Seed = DeriveSeed(cfg.Seed, r)
-				jobs = append(jobs, job{cfg: jc, group: g.Name, rep: r, at: len(jobs), cost: cost})
+				jobs = append(jobs, job{cfg: jc, group: g.Name, gi: gi, rep: r, at: len(jobs), cost: cost})
 			}
 		}
 	}
 	slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(b.cost, a.cost) })
 
 	progress := &progressGate{fn: opts.Progress, total: len(jobs)}
-	dispatched, mapErr := par.Map(opts.Jobs, jobs, func(_ int, j job) (*scenario.Result, error) {
+	scope := func(i int) int { return jobs[i].gi }
+	dispatched, mapErr := par.MapScoped(opts.Jobs, jobs, len(groups), scope, func(_ int, j job) (*scenario.Result, error) {
 		if opts.Checkpoint != nil {
 			res, ok, lerr := opts.Checkpoint.Load(j.group, j.cfg, j.rep)
 			if lerr != nil {
@@ -229,7 +233,7 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 			next += reps
 			for _, r := range repResults {
 				if r == nil {
-					// Failed, or skipped after the first failure.
+					// Failed, or skipped after its group's first failure.
 					complete = false
 				}
 			}
@@ -248,19 +252,6 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 		}
 	}
 	return out, mapErr
-}
-
-// expectedCost estimates a run's wall time, in units that only compare
-// runs with one another: the simulator's work grows with the node count,
-// with k (every lookup response carries up to k contacts) and with the
-// simulated time. It orders RunGroups' dispatch and nothing else.
-func expectedCost(cfg scenario.Config) float64 {
-	cfg = cfg.WithDefaults()
-	k := cfg.K
-	if k == 0 {
-		k = kademlia.DefaultK
-	}
-	return float64(cfg.Size) * float64(k) * cfg.Total().Seconds()
 }
 
 // Aggregate (re)builds the cross-replication aggregate series from Reps.

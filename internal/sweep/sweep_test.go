@@ -383,29 +383,41 @@ func TestRunGroupsMatchesSerialRuns(t *testing.T) {
 }
 
 // TestRunGroupsPartialResultsOnFailure pins the salvage contract: when a
-// later group's run fails, the error is reported AND every group whose
-// runs all completed still carries its RunSets, so callers can persist
-// finished experiments instead of discarding them.
+// group's run fails, the error is reported AND every group whose runs all
+// completed still carries its RunSets, so callers can persist finished
+// experiments instead of discarding them. That holds whether the failing
+// run is dispatched after the good group's (cheaper) or before them
+// (dearer, with one worker, where a sweep-wide stop would skip them all).
 func TestRunGroupsPartialResultsOnFailure(t *testing.T) {
-	bad := tinyConfig("bad", 9)
-	bad.Size = 1 // fails scenario validation at run time
-	out, err := RunGroups([]Group{
-		{Name: "good", Configs: []scenario.Config{tinyConfig("G", 3)}},
-		{Name: "broken", Configs: []scenario.Config{bad}},
-	}, Options{Reps: 1, Jobs: 2})
-	if err == nil {
-		t.Fatal("failing config must surface an error")
-	}
-	if len(out) != 2 {
-		t.Fatalf("got %d groups, want 2", len(out))
-	}
-	if out[0] == nil || len(out[0]) != 1 || out[0][0] == nil || len(out[0][0].Reps) != 1 {
-		t.Fatalf("completed group lost with the error: %+v", out[0])
-	}
-	if out[0][0].Reps[0] == nil || len(out[0][0].Reps[0].Points) == 0 {
-		t.Fatal("completed group's result is empty")
-	}
-	if out[1] != nil {
-		t.Fatalf("failed group must be nil, got %+v", out[1])
+	cheapBad := tinyConfig("bad", 9)
+	cheapBad.Size = 1 // fails scenario validation at run time
+	dearBad := tinyConfig("bad", 9)
+	dearBad.K = 8
+	dearBad.SnapshotInterval = -time.Minute // fails validation too
+	for _, tc := range []struct {
+		bad  scenario.Config
+		jobs int
+	}{{cheapBad, 2}, {dearBad, 1}} {
+		out, err := RunGroups([]Group{
+			{Name: "good", Configs: []scenario.Config{tinyConfig("G", 3), tinyConfig("H", 4)}},
+			{Name: "broken", Configs: []scenario.Config{tc.bad}},
+		}, Options{Reps: 1, Jobs: tc.jobs})
+		if err == nil {
+			t.Fatal("failing config must surface an error")
+		}
+		if len(out) != 2 {
+			t.Fatalf("got %d groups, want 2", len(out))
+		}
+		if out[0] == nil || len(out[0]) != 2 {
+			t.Fatalf("jobs %d: completed group lost with the error: %+v", tc.jobs, out[0])
+		}
+		for _, rs := range out[0] {
+			if rs == nil || len(rs.Reps) != 1 || rs.Reps[0] == nil || len(rs.Reps[0].Points) == 0 {
+				t.Fatalf("jobs %d: completed group's result is empty: %+v", tc.jobs, rs)
+			}
+		}
+		if out[1] != nil {
+			t.Fatalf("failed group must be nil, got %+v", out[1])
+		}
 	}
 }
