@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	kadbench [-max-regress PCT] [-ratio=false] OLD.json NEW.json
+//	kadbench [-max-regress PCT] OLD.json NEW.json
 //	kadbench -trend BENCH_*.json
 //
 // With -max-regress set to a positive percentage, kadbench exits nonzero
@@ -18,13 +18,11 @@
 // informational (CI's -benchtime=1x smoke numbers are too noisy to gate
 // on).
 //
-// By default deltas are host-normalized: each file's ns/op figures are
-// divided by that file's geometric mean over the benchmarks common to
-// both files, so two trajectory points recorded on differently powered
-// machines still compare (a uniformly 2x-slower host raises every raw
-// delta by +100% but leaves every normalized delta at zero). The gate
-// fires on normalized deltas; -ratio=false restores raw per-benchmark
-// deltas for same-host comparisons.
+// Deltas are raw per-benchmark ns/op changes, so two points compare only
+// when they were recorded on the same host. There is no host factor: a
+// file's geometric mean over the common benchmarks, once divided out, took
+// a change that sped many benchmarks up for a faster host, and reported a
+// benchmark that ran x0.81 on one host at +135 %.
 package main
 
 import (
@@ -32,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"text/tabwriter"
 )
@@ -67,12 +64,10 @@ func run(args []string, w io.Writer) error {
 	fs.SetOutput(w)
 	maxRegress := fs.Float64("max-regress", 0,
 		"fail when any common benchmark regresses by more than this percentage (0 disables the gate)")
-	ratio := fs.Bool("ratio", true,
-		"normalize each file by its geometric mean over the common benchmarks so host speed cancels out of the deltas and the gate (-ratio=false for raw deltas)")
 	trend := fs.Bool("trend", false,
 		"render a sparkline trend table across all given trajectory files instead of a two-point diff")
 	fs.Usage = func() {
-		fmt.Fprintln(w, "usage: kadbench [-max-regress PCT] [-ratio=false] OLD.json NEW.json")
+		fmt.Fprintln(w, "usage: kadbench [-max-regress PCT] OLD.json NEW.json")
 		fmt.Fprintln(w, "       kadbench -trend FILE.json...")
 		fs.PrintDefaults()
 	}
@@ -118,66 +113,26 @@ func run(args []string, w io.Writer) error {
 		newBy[b.Name] = b
 	}
 
-	// The benchmarks measurable in both files anchor the normalization:
-	// each file's geometric mean over this common set estimates the host's
-	// overall speed, and dividing it out leaves only per-benchmark
-	// movement relative to the file's own trajectory.
-	var common []string
-	for _, ob := range oldDoc.Benchmarks {
-		if nb, ok := newBy[ob.Name]; ok && ob.NsPerOp > 0 && nb.NsPerOp > 0 {
-			common = append(common, ob.Name)
-		}
-	}
-	hostFactor := 1.0
-	if *ratio && len(common) > 0 {
-		oldGM := geomeanNs(oldBy, common)
-		newGM := geomeanNs(newBy, common)
-		hostFactor = newGM / oldGM
-		fmt.Fprintf(w, "normalization: geomean %s -> %s over %d common benchmarks (host factor %+.2f%%)\n\n",
-			fmtNs(oldGM), fmtNs(newGM), len(common), (hostFactor-1)*100)
-	}
-
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
-	if *ratio {
-		fmt.Fprintln(tw, "benchmark\told ns/op\tnew ns/op\tdelta\tnorm delta\told allocs\tnew allocs\t")
-	} else {
-		fmt.Fprintln(tw, "benchmark\told ns/op\tnew ns/op\tdelta\told allocs\tnew allocs\t")
-	}
+	fmt.Fprintln(tw, "benchmark\told ns/op\tnew ns/op\tdelta\told allocs\tnew allocs\t")
 	var regressed []string
 	// Old-file order first (stable diff), then additions in new-file order.
 	for _, ob := range oldDoc.Benchmarks {
 		nb, ok := newBy[ob.Name]
 		if !ok {
-			if *ratio {
-				fmt.Fprintf(tw, "%s\t%s\t\tremoved\t\t%d\t\t\n", ob.Name, fmtNs(ob.NsPerOp), ob.AllocsPerOp)
-			} else {
-				fmt.Fprintf(tw, "%s\t%s\t\tremoved\t%d\t\t\n", ob.Name, fmtNs(ob.NsPerOp), ob.AllocsPerOp)
-			}
+			fmt.Fprintf(tw, "%s\t%s\t\tremoved\t%d\t\t\n", ob.Name, fmtNs(ob.NsPerOp), ob.AllocsPerOp)
 			continue
 		}
 		delta := pctDelta(ob.NsPerOp, nb.NsPerOp)
-		gateDelta := delta
-		unit := "ns/op"
-		if *ratio {
-			norm := pctDelta(ob.NsPerOp*hostFactor, nb.NsPerOp)
-			gateDelta, unit = norm, "normalized ns/op"
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%+.2f%%\t%+.2f%%\t%d\t%d\t\n",
-				ob.Name, fmtNs(ob.NsPerOp), fmtNs(nb.NsPerOp), delta, norm, ob.AllocsPerOp, nb.AllocsPerOp)
-		} else {
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%+.2f%%\t%d\t%d\t\n",
-				ob.Name, fmtNs(ob.NsPerOp), fmtNs(nb.NsPerOp), delta, ob.AllocsPerOp, nb.AllocsPerOp)
-		}
-		if *maxRegress > 0 && gateDelta > *maxRegress {
-			regressed = append(regressed, fmt.Sprintf("%s: %+.2f%% %s (limit %+.2f%%)", ob.Name, gateDelta, unit, *maxRegress))
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%+.2f%%\t%d\t%d\t\n",
+			ob.Name, fmtNs(ob.NsPerOp), fmtNs(nb.NsPerOp), delta, ob.AllocsPerOp, nb.AllocsPerOp)
+		if *maxRegress > 0 && delta > *maxRegress {
+			regressed = append(regressed, fmt.Sprintf("%s: %+.2f%% ns/op (limit %+.2f%%)", ob.Name, delta, *maxRegress))
 		}
 	}
 	for _, nb := range newDoc.Benchmarks {
 		if _, ok := oldBy[nb.Name]; !ok {
-			if *ratio {
-				fmt.Fprintf(tw, "%s\t\t%s\tadded\t\t\t%d\t\n", nb.Name, fmtNs(nb.NsPerOp), nb.AllocsPerOp)
-			} else {
-				fmt.Fprintf(tw, "%s\t\t%s\tadded\t\t%d\t\n", nb.Name, fmtNs(nb.NsPerOp), nb.AllocsPerOp)
-			}
+			fmt.Fprintf(tw, "%s\t\t%s\tadded\t\t%d\t\n", nb.Name, fmtNs(nb.NsPerOp), nb.AllocsPerOp)
 		}
 	}
 	if err := tw.Flush(); err != nil {
@@ -329,16 +284,6 @@ func load(path string) (*benchFile, error) {
 		return nil, fmt.Errorf("%s: no benchmarks in trajectory file", path)
 	}
 	return &doc, nil
-}
-
-// geomeanNs returns the geometric mean ns/op of the named benchmarks
-// (every name must be present in the map with a positive ns/op).
-func geomeanNs(by map[string]benchEntry, names []string) float64 {
-	sum := 0.0
-	for _, n := range names {
-		sum += math.Log(by[n].NsPerOp)
-	}
-	return math.Exp(sum / float64(len(names)))
 }
 
 // pctDelta returns the ns/op change in percent (positive = slower).

@@ -62,14 +62,13 @@ func TestDiffTable(t *testing.T) {
 func TestRegressionGate(t *testing.T) {
 	old, new := canned(t)
 	var buf bytes.Buffer
-	// Raw-delta gating (-ratio=false): 25% tolerance lets the +20% dinic
-	// regression pass.
-	if err := run([]string{"-ratio=false", "-max-regress", "25", old, new}, &buf); err != nil {
+	// 25% tolerance lets the +20% dinic regression pass.
+	if err := run([]string{"-max-regress", "25", old, new}, &buf); err != nil {
 		t.Fatalf("within-tolerance run failed: %v\n%s", err, buf.String())
 	}
 	// 10% tolerance: it fails, naming the offender.
 	buf.Reset()
-	err := run([]string{"-ratio=false", "-max-regress", "10", old, new}, &buf)
+	err := run([]string{"-max-regress", "10", old, new}, &buf)
 	if err == nil {
 		t.Fatalf("10%% gate did not fail:\n%s", buf.String())
 	}
@@ -86,8 +85,8 @@ func TestRegressionGate(t *testing.T) {
 
 // TestOneSidedNamesNeitherFailNorGate pins what retiring or adding a
 // benchmark does to a two-point diff: names present in one file only are
-// listed as removed/added, stay out of the host-speed normalization, and
-// never trip even the tightest gate — however extreme their numbers.
+// listed as removed/added and never trip even the tightest gate — however
+// extreme their numbers.
 func TestOneSidedNamesNeitherFailNorGate(t *testing.T) {
 	dir := t.TempDir()
 	common := []benchEntry{
@@ -98,79 +97,46 @@ func TestOneSidedNamesNeitherFailNorGate(t *testing.T) {
 		{Name: "MaxflowAlgorithms/push-relabel", NsPerOp: 1}}, common...))
 	new := writeTrajectory(t, dir, "new.json", append([]benchEntry{
 		{Name: "ChurnSequence/members-bind-haoorlin", NsPerOp: 9e12}}, common...))
-	for _, args := range [][]string{{"-max-regress", "0.01"}, {"-ratio=false", "-max-regress", "0.01"}} {
-		var buf bytes.Buffer
-		if err := run(append(args, old, new), &buf); err != nil {
-			t.Fatalf("%v: one-sided names failed the diff: %v\n%s", args, err, buf.String())
+	var buf bytes.Buffer
+	if err := run([]string{"-max-regress", "0.01", old, new}, &buf); err != nil {
+		t.Fatalf("one-sided names failed the diff: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{"push-relabel", "removed", "members-bind-haoorlin", "added"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("diff table missing %q:\n%s", want, out)
 		}
-		out := buf.String()
-		for _, want := range []string{"push-relabel", "removed", "members-bind-haoorlin", "added"} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("%v: diff table missing %q:\n%s", args, want, out)
-			}
-		}
-		if strings.Contains(out, "REGRESSION") {
-			t.Fatalf("%v: gate fired on a one-sided name:\n%s", args, out)
-		}
-		if args[0] != "-ratio=false" && !strings.Contains(out, "over 2 common benchmarks (host factor +0.00%)") {
-			t.Fatalf("one-sided names leaked into the normalization:\n%s", out)
-		}
+	}
+	if strings.Contains(out, "REGRESSION") {
+		t.Fatalf("gate fired on a one-sided name:\n%s", out)
 	}
 }
 
-// TestRatioGateIgnoresHostSpeed pins the point of the default
-// normalization: a trajectory point recorded on a uniformly 2x-slower
-// machine shows +100% raw deltas everywhere, but the normalized gate
-// only fires on the one benchmark that regressed relative to the rest
-// of the file.
-func TestRatioGateIgnoresHostSpeed(t *testing.T) {
+// TestGateIsRawDeltas: the gate reads each benchmark's own ns/op change.
+// A point on which many benchmarks got faster leaves an unchanged one at
+// +0.00 %, where a host factor divided out of every file would flag it,
+// and "-ratio" is no flag.
+func TestGateIsRawDeltas(t *testing.T) {
 	dir := t.TempDir()
-	old := writeTrajectory(t, dir, "fast-host.json", []benchEntry{
-		{Name: "SnapshotAnalysis", NsPerOp: 100e6, AllocsPerOp: 3},
-		{Name: "MaxflowAlgorithms/dinic", NsPerOp: 250e3},
-		{Name: "ChurnSequence/rebind", NsPerOp: 12e6, AllocsPerOp: 6},
+	old := writeTrajectory(t, dir, "old.json", []benchEntry{
+		{Name: "SnapshotAnalysis", NsPerOp: 100e6},
+		{Name: "ChurnSequence/rebind", NsPerOp: 12e6},
+		{Name: "SimulationMinute", NsPerOp: 500e6},
 	})
-	// 2x slower across the board, plus a genuine extra 30% on rebind.
-	new := writeTrajectory(t, dir, "slow-host.json", []benchEntry{
-		{Name: "SnapshotAnalysis", NsPerOp: 200e6, AllocsPerOp: 3},
-		{Name: "MaxflowAlgorithms/dinic", NsPerOp: 500e3},
-		{Name: "ChurnSequence/rebind", NsPerOp: 31.2e6, AllocsPerOp: 6},
+	new := writeTrajectory(t, dir, "new.json", []benchEntry{
+		{Name: "SnapshotAnalysis", NsPerOp: 20e6},
+		{Name: "ChurnSequence/rebind", NsPerOp: 2.4e6},
+		{Name: "SimulationMinute", NsPerOp: 500e6},
 	})
-
-	// Raw gating drowns in the host change: every benchmark trips a 50% gate.
 	var buf bytes.Buffer
-	if err := run([]string{"-ratio=false", "-max-regress", "50", old, new}, &buf); err == nil {
-		t.Fatalf("raw gate ignored a uniform 2x slowdown:\n%s", buf.String())
+	if err := run([]string{"-max-regress", "1", old, new}, &buf); err != nil {
+		t.Fatalf("an unchanged benchmark tripped the gate: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "REGRESSION: SnapshotAnalysis") {
-		t.Fatalf("raw gate did not flag the uniformly slower benchmarks:\n%s", buf.String())
+	if out := buf.String(); !strings.Contains(out, "+0.00%") || strings.Contains(out, "normaliz") {
+		t.Fatalf("the unchanged benchmark does not read +0.00%%, or a normalization is reported:\n%s", out)
 	}
-
-	// Normalized gating: the geomean absorbs the host factor
-	// ((2·2·2.6)^(1/3) ≈ 2.18x), the two uniform benchmarks land below
-	// their old normalized position, and only rebind's +19% residual
-	// trips a 10% gate.
-	buf.Reset()
-	err := run([]string{"-max-regress", "10", old, new}, &buf)
-	if err == nil {
-		t.Fatalf("normalized gate missed the real regression:\n%s", buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "REGRESSION: ChurnSequence/rebind") {
-		t.Fatalf("normalized gate did not name the real regression:\n%s", out)
-	}
-	if strings.Contains(out, "REGRESSION: SnapshotAnalysis") ||
-		strings.Contains(out, "REGRESSION: MaxflowAlgorithms/dinic") {
-		t.Fatalf("normalized gate fired on host speed, not benchmark movement:\n%s", out)
-	}
-	if !strings.Contains(out, "normalization: geomean") || !strings.Contains(out, "host factor") {
-		t.Fatalf("normalization summary line missing:\n%s", out)
-	}
-	// And with the host factor divided out, a comfortable gate passes even
-	// though every raw delta is around +100%.
-	buf.Reset()
-	if err := run([]string{"-max-regress", "25", old, new}, &buf); err != nil {
-		t.Fatalf("normalized 25%% gate failed on a host change: %v\n%s", err, buf.String())
+	if err := run([]string{"-ratio=false", old, new}, &bytes.Buffer{}); err == nil {
+		t.Fatal("-ratio is accepted")
 	}
 }
 

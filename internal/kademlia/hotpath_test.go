@@ -65,7 +65,13 @@ func randomTable(rng *rand.Rand, bits, k int, crowded bool) *RoutingTable {
 		case r < 9:
 			rt.Observe(&Contact{ID: known[rng.Intn(len(known))], Addr: simnet.Addr(rng.Uint64())}, true)
 		default:
-			rt.Remove(known[rng.Intn(len(known))])
+			// A departure: failures up to the staleness limit evict the
+			// contact for a replacement, or leave it stale for the next
+			// newcomer to its bucket to take its place.
+			gone := known[rng.Intn(len(known))]
+			for i := 0; i < rt.cfg.StalenessLimit; i++ {
+				rt.RecordFailure(gone)
+			}
 		}
 	}
 	return rt
@@ -240,10 +246,10 @@ func quietCluster(t *testing.T, n int) *cluster {
 }
 
 // TestFindNodeRoundTripAllocationBudget: in steady state a lookup's
-// FIND_NODE round trips reuse the network's lookup record with its
-// candidate array and response buffers, the requester's request records,
-// both envelopes' one record, the network's delivery records and the
-// kernel's timers. Nothing is left to allocate.
+// FIND_NODE round trips reuse what the network's pool holds — a lookup
+// record with its candidate array, request records, envelopes (both
+// directions travel in one) and response buffers — the network's delivery
+// records and the kernel's timers. Nothing is left to allocate.
 func TestFindNodeRoundTripAllocationBudget(t *testing.T) {
 	c := quietCluster(t, 12)
 	a := c.nodes[1]
@@ -365,64 +371,99 @@ func TestLeaveTakesTimeoutsOutOfTheQueue(t *testing.T) {
 }
 
 // TestLateResponsesNeverMatchRecycledRequests: with a timeout shorter than
-// the round trip every response arrives after its request record has been
-// freed and handed to a later request. None may be taken for that later
-// request's answer — and each of those requests took its response buffer
-// with it when it timed out, so the late responders, which all write while
-// a later lookup is running on the same recycled record, must write into
-// arrays that no request carries again and no lookup holds (bufferAudit
-// follows them by address).
+// the round trip every response arrives after its request record has gone
+// back to the pool and been handed to a later request. None may be taken
+// for that later request's answer.
 func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
-	sim := eventsim.New(5)
-	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 80 * time.Millisecond}})
-	cfg := Config{Bits: 160, K: 20, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
-	audit := newBufferAudit(t, net)
-	var nodes []*Node
-	for i := 0; i < 8; i++ {
-		n, err := NewNode(cfg, simnet.Addr(i+1), net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		audit.watch(n)
-		for _, other := range nodes {
-			sight(n.Table(), other.Contact())
-			sight(other.Table(), n.Contact())
-		}
-		nodes = append(nodes, n)
-	}
-	a := nodes[0]
-	completed := 0
-	for i := 0; i < 50; i++ {
-		a.Lookup(id.FromUint64(160, uint64(i)), func(closest []Contact, responded int) {
-			completed++
-			if responded != 0 || len(closest) != 0 {
-				t.Errorf("lookup %d: %d responded, %d closest, though every response was late", i, responded, len(closest))
+	// One node's lookups: a record freed at a timeout serves the node's
+	// next request under a new id, while the late responders write into
+	// buffers of the pool (bufferAudit follows them by address), and the
+	// requester gives each back.
+	t.Run("one node", func(t *testing.T) {
+		sim := eventsim.New(5)
+		net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 80 * time.Millisecond}})
+		cfg := Config{Bits: 160, K: 20, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
+		audit := newBufferAudit(t, net)
+		var nodes []*Node
+		for i := 0; i < 8; i++ {
+			n, err := NewNode(cfg, simnet.Addr(i+1), net)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		sim.RunUntil(sim.Now() + 130*time.Millisecond) // responses of this lookup land inside the next
-	}
-	sim.RunUntil(sim.Now() + time.Minute)
-	st := a.Stats()
-	if completed != 50 || st.ResponsesOK != 0 || st.Timeouts != st.RPCsSent || len(a.pending) != 0 {
-		t.Fatalf("completed=%d stats=%+v pending=%d", completed, st, len(a.pending))
-	}
-	// Every request reached its responder and every response was late, so
-	// each of them carried a buffer of its own (the audit fails a request
-	// whose buffer it has seen before), and the few records that served
-	// the fifty lookups are back on the free list with none left.
-	if uint64(audit.requests) != st.RPCsSent || audit.late != audit.requests || audit.returned != 0 || len(audit.abandoned) != audit.late {
-		t.Fatalf("%d requests sent: audit saw %d, %d late responses in %d distinct buffers, %d returned",
-			st.RPCsSent, audit.requests, audit.late, len(audit.abandoned), audit.returned)
-	}
-	if depth := checkPool(t, nodes); depth == 0 || depth > 3 {
-		t.Fatalf("free list %d deep, want the records of the up to three lookups that overlapped", depth)
-	}
-	for l := a.lookups.free; l != nil; l = l.next {
-		if len(l.buffers) != 0 {
-			t.Fatalf("recycled lookup %p holds %d buffers though none ever came back", l, len(l.buffers))
+			if err := n.Start(); err != nil {
+				t.Fatal(err)
+			}
+			audit.watch(n)
+			for _, other := range nodes {
+				sight(n.Table(), other.Contact())
+				sight(other.Table(), n.Contact())
+			}
+			nodes = append(nodes, n)
 		}
-	}
+		a := nodes[0]
+		completed := 0
+		for i := 0; i < 50; i++ {
+			a.Lookup(id.FromUint64(160, uint64(i)), func(closest []Contact, responded int) {
+				completed++
+				if responded != 0 || len(closest) != 0 {
+					t.Errorf("lookup %d: %d responded, %d closest, though every response was late", i, responded, len(closest))
+				}
+			})
+			sim.RunUntil(sim.Now() + 130*time.Millisecond) // responses of this lookup land inside the next
+		}
+		sim.RunUntil(sim.Now() + time.Minute)
+		st := a.Stats()
+		if completed != 50 || st.ResponsesOK != 0 || st.Timeouts != st.RPCsSent || len(a.pending) != 0 {
+			t.Fatalf("completed=%d stats=%+v pending=%d", completed, st, len(a.pending))
+		}
+		// Every request reached its responder and every response was late;
+		// each went out in a buffer from the pool and came back to it.
+		if uint64(audit.requests) != st.RPCsSent || audit.late != audit.requests || audit.delivered != audit.late ||
+			audit.taken+audit.made != audit.late || len(audit.out) != 0 {
+			t.Fatalf("%d requests sent: audit saw %d, %d late responses; buffers %d taken, %d made, %d given back",
+				st.RPCsSent, audit.requests, audit.late, audit.taken, audit.made, audit.delivered)
+		}
+		if depth := checkPool(t, nodes); depth == 0 || depth > 3 {
+			t.Fatalf("%d lookup records in the pool, want the records of the up to three lookups that overlapped", depth)
+		}
+	})
+	// Two nodes: a's request times out and its record goes back to the
+	// pool; b's next request takes it, under b's own first id, which is the
+	// id a's request had. a's late response carries the record while it
+	// waits on b's request: only the record's node tells them apart.
+	t.Run("across nodes", func(t *testing.T) {
+		sim := eventsim.New(3)
+		net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 80 * time.Millisecond}})
+		cfg := Config{Bits: 64, K: 5, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
+		var nodes []*Node
+		for i := 1; i <= 3; i++ {
+			n, err := NewNode(cfg, simnet.Addr(i), net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Start(); err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, n)
+		}
+		a, b, c := nodes[0], nodes[1], nodes[2]
+		a.sendRequest(c.Contact(), msgPing, id.ID{}, nil, nil) // answered at 160 ms, times out at 100 ms
+		record := a.pending[0]
+		sim.RunUntil(120 * time.Millisecond)
+		b.sendRequest(c.Contact(), msgPing, id.ID{}, nil, nil) // pending until 220 ms
+		if len(b.pending) != 1 || b.pending[0] != record || record.id != 0 {
+			t.Fatalf("b's request did not take a's record under id 0")
+		}
+		sim.RunUntil(170 * time.Millisecond) // a's late response has landed
+		if st := a.Stats(); st.ResponsesOK != 0 || st.Timeouts != 1 || len(a.pending) != 0 {
+			t.Fatalf("a's late response was taken for an answer: %+v, %d pending", st, len(a.pending))
+		}
+		if len(b.pending) != 1 || b.pending[0] != record || !record.timeout.Pending() || b.Stats().ResponsesOK != 0 {
+			t.Fatal("a's late response released b's request")
+		}
+		sim.RunUntil(time.Second)
+		if st := b.Stats(); st.ResponsesOK != 0 || st.Timeouts != 1 || len(b.pending) != 0 {
+			t.Fatalf("b at the end: %+v, %d pending", st, len(b.pending))
+		}
+	})
 }

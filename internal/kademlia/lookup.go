@@ -1,9 +1,6 @@
 package kademlia
 
-import (
-	"kadre/internal/id"
-	"kadre/internal/simnet"
-)
+import "kadre/internal/id"
 
 // The iterative lookup procedure (§4.1 of the paper): starting from the k
 // closest known contacts, query alpha of them in parallel; each response
@@ -39,37 +36,10 @@ type candidate struct {
 }
 
 // lookup is one iterative lookup in progress, and the record it runs on.
-//
-// Records are recycled through a free list shared by every node of one
-// simnet.Network (lookupPool). A record returns to the list exactly when
+// Records come from the network's pool and go back to it exactly when
 // finished && inflight == 0 — the result is out and no request record
-// points at it any more — and it keeps its candidates array and its idle
-// response buffers across uses, so a steady-state lookup allocates neither.
-//
-// Response buffers have one owner at every step of a round trip. query
-// takes an idle buffer off the lookup (or allocates one of k contacts) and
-// hands it over in the request envelope's Contacts, empty; from then on it
-// belongs to whoever holds the envelope. The responder fills it in place,
-// the response brings it back, and answered returns it to the lookup after
-// merging its contents. A request that times out while its message is
-// still travelling takes its buffer with it: the lookup never sees that
-// buffer again and allocates afresh, so a responder that answers late can
-// only ever write into memory nobody reads. A message the network drops
-// instead — the request or its response — parks the buffer on the pending
-// request (envelope.Dropped), and the timeout hands it back to the lookup
-// before answered runs. A node that leaves cancels its requests: each
-// lookup they belonged to ends without reporting, takes back the buffers
-// parked on them, and returns to the list once its last one is cancelled.
-//
-// The list is per network and not per node because it is then as deep as
-// the network's real concurrency. Per-node lists were measured when this
-// design was prototyped (ISSUE 23): faster still — 0.905 s against 0.97 s
-// a pass of the sim-traffic benchmark workload — but they park ≈ 14 KB
-// times a node's hourly refresh burst on every node, and peak_rss_mb read
-// ×1.25, ×1.66, ×1.60 and ×1.19 on the four workloads (what PR 12 found
-// for envelopes that kept their contact lists). The per-network list reads
-// 22.4 / 30.4 / 34.0 / 57.5 MB there, against 21.9 / 30.9 / 33.9 / 55.8 MB
-// for the per-response allocations it replaces.
+// points at it any more — keeping their candidates array, so a
+// steady-state lookup allocates none.
 type lookup struct {
 	node   *Node
 	target id.ID
@@ -90,32 +60,13 @@ type lookup struct {
 	// node that had it, or a miss once the lookup has converged.
 	onValue func(value []byte, ok bool)
 
-	buffers [][]Contact // idle response buffers, at most alpha of them
-	next    *lookup     // free-list link
-}
-
-// lookupPool is the free list of lookup records of one simnet.Network,
-// installed in the network's Protocol slot by the first node created on it.
-// A network is driven by one goroutine, so the list needs no lock, and two
-// networks never share one.
-type lookupPool struct {
-	free *lookup
-}
-
-func lookupPoolOf(net *simnet.Network) *lookupPool {
-	if net.Protocol == nil {
-		net.Protocol = new(lookupPool)
-	}
-	if pool, ok := net.Protocol.(*lookupPool); ok {
-		return pool
-	}
-	return new(lookupPool) // the slot is somebody else's: this node keeps its own list
+	next *lookup // pool link
 }
 
 func (n *Node) newLookup(target id.ID, kind lookupKind) *lookup {
-	l := n.lookups.free
+	l := n.pool.lookups
 	if l != nil {
-		n.lookups.free, l.next = l.next, nil
+		n.pool.lookups, l.next = l.next, nil
 	} else {
 		l = new(lookup)
 	}
@@ -133,15 +84,15 @@ func (l *lookup) retire() {
 	if !l.finished || l.inflight != 0 {
 		return
 	}
-	pool := l.node.lookups
-	*l = lookup{candidates: l.candidates[:0], buffers: l.buffers, next: pool.free}
-	pool.free = l
+	pl := l.node.pool
+	*l = lookup{candidates: l.candidates[:0], next: pl.lookups}
+	pl.lookups = l
 }
 
 func (l *lookup) start() {
-	n := l.node
-	n.seeds = n.table.AppendClosest(n.seeds[:0], l.target, n.cfg.K, id.ID{})
-	l.merge(n.seeds)
+	n, pl := l.node, l.node.pool
+	pl.seeds = n.table.AppendClosest(pl.seeds[:0], l.target, n.cfg.K, id.ID{})
+	l.merge(pl.seeds)
 	l.step()
 	l.retire()
 }
@@ -289,40 +240,12 @@ func (l *lookup) query(i int) {
 	l.node.sendRequest(c.contact, kind, l.target, nil, l)
 }
 
-// takeBuffer hands out an empty response buffer for a request envelope:
-// an idle one if the lookup has one, else a new one of k contacts. A nil
-// lookup (a fire-and-forget request) has none to give.
-func (l *lookup) takeBuffer() []Contact {
-	if l == nil {
-		return nil
-	}
-	if last := len(l.buffers) - 1; last >= 0 {
-		buf := l.buffers[last]
-		l.buffers = l.buffers[:last]
-		return buf
-	}
-	return make([]Contact, 0, l.node.cfg.K)
-}
-
-// putBuffer takes back the buffer a response arrived in: the round trip
-// is over and the buffer is the lookup's again.
-func (l *lookup) putBuffer(buf []Contact) {
-	if cap(buf) > 0 {
-		l.buffers = append(l.buffers, buf[:0])
-	}
-}
-
 // answered is the continuation of query: resp is the response of the
 // candidate with identifier from, or nil if the request failed.
 func (l *lookup) answered(from id.ID, resp *envelope) {
 	l.inflight--
 	if l.finished {
-		// The result is out and nothing reads the candidates again: a
-		// late response is not merged, only its buffer comes back.
-		if resp != nil {
-			l.putBuffer(resp.Contacts)
-		}
-		return
+		return // the result is out: a late response is not merged
 	}
 	idx, _ := l.search(0, from.XorPrefix(l.target), &from)
 	c := &l.candidates[idx]
@@ -334,7 +257,6 @@ func (l *lookup) answered(from id.ID, resp *envelope) {
 	c.state = stateResponded
 	l.responded++
 	if resp.Found {
-		l.putBuffer(resp.Contacts)
 		l.finished = true
 		if l.onValue != nil {
 			l.onValue(resp.Value, true)
@@ -342,7 +264,6 @@ func (l *lookup) answered(from id.ID, resp *envelope) {
 		return
 	}
 	l.merge(resp.Contacts)
-	l.putBuffer(resp.Contacts) // before step looks for one to send out
 	l.step()
 }
 

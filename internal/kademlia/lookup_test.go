@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"kadre/internal/eventsim"
 	"kadre/internal/id"
 	"kadre/internal/simnet"
 )
@@ -147,22 +148,38 @@ func TestGetPrefersValueOverConvergence(t *testing.T) {
 }
 
 // TestLateResponseIsNotMerged: a response that reaches a lookup after it
-// finished only hands its buffer back, emptied; the candidates, their
-// states and the responded count stay as the result left them.
+// finished is not merged: the candidates, their states and the responded
+// count stay as the result left them. Its buffer still goes back to the
+// pool, empty, when Deliver is done with it.
 func TestLateResponseIsNotMerged(t *testing.T) {
+	sim := eventsim.New(1)
+	net := simnet.New(sim, simnet.Config{})
+	n, err := NewNode(smallConfig(), 1, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
 	target := id.FromUint64(64, 0x40)
-	l := &lookup{node: &Node{self: Contact{ID: id.FromUint64(64, 1)}}, target: target, inflight: 1, responded: 1, finished: true}
+	// Two requests out, one answered in time: the record stays the
+	// lookup's until the other one ends.
+	l := n.newLookup(target, lookupNode)
+	l.inflight, l.responded, l.finished = 2, 1, true
 	for _, v := range []uint64{0x44, 0x48} {
 		c := Contact{ID: id.FromUint64(64, v), Addr: simnet.Addr(v)}
 		l.candidates = append(l.candidates, candidate{contact: c, prefix: c.ID.XorPrefix(target), state: stateInflight})
 	}
 	l.candidates[0].state = stateResponded
 	before := append([]candidate(nil), l.candidates...)
-	buf := make([]Contact, 0, 4)
-	buf = append(buf, Contact{ID: id.FromUint64(64, 0x41), Addr: 2}, Contact{ID: id.FromUint64(64, 0x42), Addr: 3})
-	l.answered(l.candidates[1].contact.ID, &envelope{IsResponse: true, Contacts: buf})
-	if l.inflight != 0 || l.responded != 1 {
-		t.Fatalf("inflight %d, responded %d after the late response; want 0 and 1", l.inflight, l.responded)
+	to := l.candidates[1].contact
+	p := &rpc{node: n, id: 7, to: to, lookup: l}
+	sim.Arm(&p.timeout, time.Second, p)
+	n.pending = append(n.pending, p)
+	buf := append(make([]Contact, 0, 4), Contact{ID: id.FromUint64(64, 0x41), Addr: 2}, Contact{ID: id.FromUint64(64, 0x42), Addr: 3})
+	n.Deliver(to.Addr, &envelope{RPCID: 7, From: to, Kind: msgFindNode, IsResponse: true, Contacts: buf, rpc: p})
+	if l.inflight != 1 || l.responded != 1 {
+		t.Fatalf("inflight %d, responded %d after the late response; want 1 and 1", l.inflight, l.responded)
 	}
 	if len(l.candidates) != len(before) {
 		t.Fatalf("%d candidates after the late response, want %d", len(l.candidates), len(before))
@@ -172,7 +189,7 @@ func TestLateResponseIsNotMerged(t *testing.T) {
 			t.Fatalf("candidate %d = %+v after the late response, want %+v", i, l.candidates[i], before[i])
 		}
 	}
-	if len(l.buffers) != 1 || len(l.buffers[0]) != 0 || &l.buffers[0][:1][0] != &buf[0] {
-		t.Fatalf("the response's buffer did not come back empty: %d idle buffers", len(l.buffers))
+	if b := n.pool.buffers; len(b) != 1 || len(b[0]) != 0 || &b[0][:1][0] != &buf[0] {
+		t.Fatalf("the response's buffer did not come back to the pool empty: %d idle buffers", len(b))
 	}
 }

@@ -360,7 +360,7 @@ func TestRequestsRefreshSenderInTable(t *testing.T) {
 }
 
 // TestLateResponseToRecycledRecordIsDropped: a request times out, its
-// record goes back on the free list and carries the node's next request
+// record goes back to the pool and carries the node's next request
 // under a new id; the first request's response, which still points at that
 // record, then arrives. It must be dropped as late: no response counted,
 // no timeout charged, the newer request still waiting on its own answer.

@@ -1,7 +1,7 @@
 package kademlia
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,44 +10,39 @@ import (
 	"kadre/internal/simnet"
 )
 
-// The ownership rules of the lookup pool (see lookup), checked from
-// outside: bufferAudit follows every response buffer by the address of its
-// backing array through the envelopes the nodes receive, and checkPool
-// holds the free list to the request tables after every event.
+// The two rules of the pool (see pool), checked from outside: the responder
+// takes a response buffer from the pool when it answers FIND_NODE or
+// FIND_VALUE, and whoever ends the response's trip — the requester's
+// Deliver or Dropped — gives it back. bufferAudit follows every buffer by
+// the address of its backing array, and checkPool holds every record in
+// the pool to being idle.
 
-// bufferAudit taps the handlers of the nodes it watches. A responder is
-// about to write into the buffer of every request it is handed, so that is
-// where the rules are checked: the buffer must not be parked on any lookup
-// or on a pending request, must not be out with another request, and must
-// not be one a timed-out request took with it. The network drops messages
-// without a handler seeing them, so reclaim, run after every event, follows
-// a dropped message's buffer to the request it is parked on.
+// bufferAudit taps the handlers of the nodes it watches. Buffers move only
+// when a responder answers (a request delivery: it takes one, and gives it
+// back at once if its response is lost as it is sent), when a requester
+// handles a response (a response delivery: it gives one back), and when
+// the network drops a response in flight to a departed node; check, run
+// after every event, covers the last.
 type bufferAudit struct {
-	t     *testing.T
-	net   *simnet.Network
-	nodes map[simnet.Addr]*Node
-	// out: buffers handed to a responder whose response has not come back.
-	// The slices keep the arrays alive, so an address is never reused for
-	// another buffer while the audit still knows it.
-	out map[*Contact][]Contact
-	// abandoned: buffers whose response found its request timed out.
-	abandoned map[*Contact][]Contact
-	// reclaimed: buffers of dropped messages, from the moment reclaim finds
-	// them parked on their request until a request carries them out again.
-	reclaimed map[*Contact][]Contact
+	t    *testing.T
+	net  *simnet.Network
+	pool *pool
+	// idle: the pool's buffers as of the last look, each with a copy of
+	// its whole backing array then. out: response buffers in flight. The
+	// slices keep the arrays alive, so an address never names another
+	// buffer while the audit knows it.
+	idle  map[*Contact]idleBuffer
+	out   map[*Contact][]Contact
+	drops uint64 // the network's lost and unroutable messages at the last check
 
-	requests, returned, late, dropped int
+	requests, taken, made, delivered, dropped, late int
 }
 
 func newBufferAudit(t *testing.T, net *simnet.Network) *bufferAudit {
-	return &bufferAudit{
-		t: t, net: net,
-		nodes:     map[simnet.Addr]*Node{},
-		out:       map[*Contact][]Contact{},
-		abandoned: map[*Contact][]Contact{},
-		reclaimed: map[*Contact][]Contact{},
-	}
+	return &bufferAudit{t: t, net: net, idle: map[*Contact]idleBuffer{}, out: map[*Contact][]Contact{}}
 }
+
+type idleBuffer struct{ buf, contents []Contact }
 
 type auditTap struct {
 	audit *bufferAudit
@@ -55,149 +50,232 @@ type auditTap struct {
 }
 
 func (tap auditTap) Deliver(from simnet.Addr, payload any) {
-	tap.audit.observe(tap.node, from, payload.(*envelope))
-	tap.node.Deliver(from, payload)
+	if env := payload.(*envelope); env.IsResponse {
+		tap.audit.response(tap.node, from, env)
+	} else {
+		tap.audit.request(tap.node, from, env)
+	}
 }
 
 // watch puts the audit between the network and a started node.
 func (a *bufferAudit) watch(n *Node) {
 	a.t.Helper()
-	a.nodes[n.Addr()] = n
+	if a.pool == nil {
+		a.pool = n.pool
+	}
+	if n.pool != a.pool {
+		a.t.Fatalf("node %d does not share its network's pool", n.Addr())
+	}
 	a.net.Detach(n.Addr())
 	if err := a.net.Attach(n.Addr(), auditTap{a, n}); err != nil {
 		a.t.Fatal(err)
 	}
 }
 
-func (a *bufferAudit) observe(receiver *Node, from simnet.Addr, env *envelope) {
-	if cap(env.Contacts) == 0 || !receiver.running {
-		return
+func bufKey(buf []Contact) *Contact { return &buf[:1][0] }
+
+// look takes the pool's buffers for the audit's idle set and returns those
+// that left the pool and those that came into it since the last look. A
+// buffer that stayed must read as it did, unless rewritten is set: a
+// responder may then have taken it and given it back in between.
+func (a *bufferAudit) look(rewritten bool) (left, came [][]Contact) {
+	now := make(map[*Contact]idleBuffer, len(a.pool.buffers))
+	for _, buf := range a.pool.buffers {
+		k := bufKey(buf)
+		if _, twice := now[k]; twice {
+			a.t.Errorf("a buffer is in the pool twice")
+		}
+		if len(buf) != 0 {
+			a.t.Errorf("a buffer in the pool holds %d contacts", len(buf))
+		}
+		full := buf[:cap(buf)]
+		old, stayed := a.idle[k]
+		switch {
+		case !stayed:
+			came = append(came, buf)
+		case !rewritten && !slices.Equal(old.contents, full):
+			a.t.Errorf("a buffer was written while it sat in the pool")
+		case !rewritten:
+			now[k] = old
+			continue
+		}
+		now[k] = idleBuffer{buf, slices.Clone(full)}
 	}
-	buf := env.Contacts[:1]
-	key := &buf[0]
-	if env.IsResponse {
-		delete(a.out, key)
-		// The pending table by request id, as Deliver once looked it up,
-		// must name the record the envelope carries exactly when that
-		// record still matches it.
-		var waiting *rpc
-		for _, p := range receiver.pending {
-			if p.id == env.RPCID {
-				waiting = p
-			}
+	for k, old := range a.idle {
+		if _, ok := now[k]; !ok {
+			left = append(left, old.buf)
 		}
-		if matched := env.rpc.matches(receiver, env); matched != (waiting != nil) || matched && waiting != env.rpc {
-			a.t.Errorf("response %d from %d: its record matches=%v, the pending table holds %p, the envelope carries %p",
-				env.RPCID, from, matched, waiting, env.rpc)
-		}
-		if waiting != nil && waiting.to.Addr == from {
-			a.returned++ // back to the lookup, free to go out again
-		} else {
-			a.late++
-			a.abandoned[key] = buf
-		}
-		return
 	}
+	a.idle = now
+	return left, came
+}
+
+// request runs a responder's answer. A request carries no buffer; the
+// response leaves with one taken from the pool, or made when the pool had
+// none (or grown from one too small for the responder's k).
+func (a *bufferAudit) request(n *Node, from simnet.Addr, env *envelope) {
 	a.requests++
-	if len(env.Contacts) != 0 {
-		a.t.Errorf("request %d from %d arrived with %d contacts already in its buffer", env.RPCID, from, len(env.Contacts))
+	if cap(env.Contacts) != 0 {
+		a.t.Errorf("request %d from %d carries a buffer", env.RPCID, from)
 	}
-	if _, ok := a.out[key]; ok {
-		a.t.Errorf("request %d from %d carries a buffer that is still out with another request", env.RPCID, from)
-	}
-	if _, ok := a.abandoned[key]; ok {
-		a.t.Errorf("request %d from %d carries a buffer a timed-out request took with it", env.RPCID, from)
-	}
-	if owner := a.parkedOn(key); owner != "" {
-		a.t.Errorf("request %d from %d carries a buffer parked on %s", env.RPCID, from, owner)
-	}
-	delete(a.reclaimed, key)
-	a.out[key] = buf
-}
-
-// reclaim takes the buffers of dropped messages out of the out set. A
-// dropped request or response parks its buffer on the request while that
-// is pending, and the request's timeout hands it back to the lookup; the
-// buffer may then go out again. Such a buffer must come back exactly once
-// and never be one a timed-out request took with it.
-func (a *bufferAudit) reclaim() {
-	for _, n := range a.nodes {
-		for _, p := range n.pending {
-			if cap(p.buf) == 0 {
-				continue
-			}
-			buf := p.buf[:1]
-			key := &buf[0]
-			if _, ok := a.reclaimed[key]; ok {
-				continue
-			}
-			if _, ok := a.abandoned[key]; ok {
-				a.t.Errorf("request %d of node %d got back a buffer a timed-out request took with it", p.id, n.Addr())
-			}
-			if p.lookup == nil {
-				a.t.Errorf("request %d of node %d holds a buffer but no lookup to return it to", p.id, n.Addr())
-			}
-			delete(a.out, key)
-			a.reclaimed[key] = buf
+	a.look(false)
+	n.Deliver(from, env)
+	if a.pooled(env) {
+		// The response was lost as it was sent, and Dropped gave back the
+		// buffer the responder took (or made, or grew from the one it took).
+		left, came := a.look(true)
+		if len(left) > len(came) || len(came) > 1 {
+			a.t.Errorf("a response lost as it was sent moved %d buffers out of the pool and %d in", len(left), len(came))
+		}
+		if env.Kind == msgFindNode || env.Kind == msgFindValue && !env.Found {
 			a.dropped++
+			if len(came) == 0 {
+				a.taken++
+			} else {
+				a.made++
+			}
 		}
+		return
+	}
+	left, came := a.look(false)
+	if len(came) != 0 {
+		a.t.Errorf("answering request %d put %d buffers into the pool", env.RPCID, len(came))
+	}
+	if !env.IsResponse || cap(env.Contacts) == 0 {
+		if len(left) != 0 {
+			a.t.Errorf("request %d was answered without a buffer, but %d left the pool", env.RPCID, len(left))
+		}
+		return
+	}
+	buf := env.Contacts
+	k := bufKey(buf)
+	if _, ok := a.out[k]; ok {
+		a.t.Errorf("the response to request %d leaves with a buffer that is out with another", env.RPCID)
+	}
+	a.out[k] = buf
+	switch {
+	case len(left) > 1:
+		a.t.Errorf("answering request %d took %d buffers", env.RPCID, len(left))
+	case len(left) == 1 && bufKey(left[0]) == k:
+		a.taken++
+	case len(left) == 1 && cap(left[0]) >= len(buf):
+		a.t.Errorf("the response to request %d took a buffer from the pool and left with another", env.RPCID)
+	case len(left) == 0 && len(a.idle) != 0:
+		a.t.Errorf("the response to request %d made a buffer though the pool held %d", env.RPCID, len(a.idle))
+	default:
+		a.made++
 	}
 }
 
-// parkedOn names the holder of the buffer while it is not out: a lookup
-// record, idle or running, with the buffer among its idle ones, or a
-// pending request it is parked on. It returns "" if nobody holds it.
-func (a *bufferAudit) parkedOn(key *Contact) string {
-	holds := func(l *lookup) bool {
-		for _, b := range l.buffers {
-			if &b[:1][0] == key {
-				return true
-			}
-		}
-		return false
-	}
-	for _, n := range a.nodes {
-		for l := n.lookups.free; l != nil; l = l.next {
-			if holds(l) {
-				return fmt.Sprintf("idle lookup %p", l)
-			}
-		}
-		for _, p := range n.pending {
-			if p.lookup != nil && holds(p.lookup) {
-				return fmt.Sprintf("lookup %p", p.lookup)
-			}
-			if cap(p.buf) > 0 && &p.buf[:1][0] == key {
-				return fmt.Sprintf("pending request %d of node %d", p.id, n.Addr())
-			}
+// response runs a requester's handling of a response, which must give its
+// buffer back. The pending table by request id, as Deliver once looked it
+// up, must name the record the envelope carries exactly when that record
+// still matches it.
+func (a *bufferAudit) response(n *Node, from simnet.Addr, env *envelope) {
+	var waiting *rpc
+	for _, p := range n.pending {
+		if p.id == env.RPCID {
+			waiting = p
 		}
 	}
-	return ""
+	if matched := env.rpc.matches(n, env); matched != (waiting != nil) || matched && waiting != env.rpc {
+		a.t.Errorf("response %d from %d: its record matches=%v, the pending table holds %p, the envelope carries %p",
+			env.RPCID, from, matched, waiting, env.rpc)
+	}
+	if waiting == nil || waiting.to.Addr != from {
+		a.late++
+	}
+	buf := env.Contacts
+	if cap(buf) != 0 {
+		if _, ok := a.out[bufKey(buf)]; !ok {
+			a.t.Errorf("response %d from %d arrived with a buffer no responder sent out", env.RPCID, from)
+		}
+		delete(a.out, bufKey(buf))
+	}
+	a.look(false)
+	n.Deliver(from, env)
+	left, came := a.look(false)
+	back := len(came) == 1 && bufKey(came[0]) == bufKey(buf)
+	if len(left) != 0 || cap(buf) != 0 && !back || cap(buf) == 0 && len(came) != 0 {
+		a.t.Errorf("handling response %d moved %d buffers out of the pool and %d in; its own came back: %v", env.RPCID, len(left), len(came), back)
+	}
+	if back {
+		a.delivered++
+	}
 }
 
-// checkPool holds the free list of the nodes' network to its rules: every
-// record on it is reset, none is there twice, and no outstanding request of
-// any node points at one. Every outstanding request must sit at its own
+// pooled reports whether env is idle in the pool.
+func (a *bufferAudit) pooled(env *envelope) bool {
+	for e := a.pool.envelopes; e != nil; e = e.next {
+		if e == env {
+			return true
+		}
+	}
+	return false
+}
+
+// check runs after every event. Outside the handlers it taps, a buffer
+// only comes back from a response the network dropped in flight.
+func (a *bufferAudit) check() {
+	left, came := a.look(false)
+	st := a.net.Stats()
+	drops := st.Lost + st.NoRoute
+	if len(left) != 0 || len(came) > 0 && drops == a.drops {
+		a.t.Errorf("%d buffers left the pool and %d came back outside a handler, with no message dropped", len(left), len(came))
+	}
+	for _, buf := range came {
+		if _, ok := a.out[bufKey(buf)]; !ok {
+			a.t.Errorf("a buffer no responder sent out came back to the pool")
+		}
+		delete(a.out, bufKey(buf))
+		a.dropped++
+	}
+	a.drops = drops
+}
+
+// checkPool holds every record in the pool of the nodes' network to being
+// idle and there once: a lookup record reset, a request record with no
+// lookup, no pending timer and in no pending table, an envelope with no
+// contacts and no value. Every outstanding request must sit at its own
 // slot of its own node's pending table with its timeout armed. It returns
-// the list's depth.
+// the depth of the pool's lookup records.
 func checkPool(t *testing.T, nodes []*Node) int {
 	t.Helper()
-	idle := map[*lookup]bool{}
-	for l := nodes[0].lookups.free; l != nil; l = l.next {
-		if idle[l] {
-			t.Fatalf("lookup %p is on the free list twice", l)
+	pl := nodes[0].pool
+	idle := map[any]bool{}
+	once := func(r any) {
+		if idle[r] {
+			t.Fatalf("%T %p is in the pool twice", r, r)
 		}
-		idle[l] = true
+		idle[r] = true
+	}
+	depth := 0
+	for l := pl.lookups; l != nil; l = l.next {
+		once(l)
+		depth++
 		if l.node != nil || l.inflight != 0 || l.finished || len(l.candidates) != 0 || l.onComplete != nil || l.onValue != nil {
-			t.Fatalf("lookup %p on the free list was not reset: %+v", l, l)
+			t.Fatalf("lookup %p in the pool was not reset: %+v", l, l)
+		}
+	}
+	for p := pl.rpcs; p != nil; p = p.next {
+		once(p)
+		if p.lookup != nil || p.timeout.Pending() {
+			t.Fatalf("request record %p in the pool points at lookup %p, timer pending %v", p, p.lookup, p.timeout.Pending())
+		}
+	}
+	for env := pl.envelopes; env != nil; env = env.next {
+		once(env)
+		if env.Contacts != nil || env.Value != nil {
+			t.Fatalf("envelope %p in the pool holds %d contacts and %d value bytes", env, len(env.Contacts), len(env.Value))
 		}
 	}
 	for _, n := range nodes {
-		if n.lookups != nodes[0].lookups {
-			t.Fatalf("node %d does not share its network's free list", n.Addr())
+		if n.pool != pl {
+			t.Fatalf("node %d does not share its network's pool", n.Addr())
 		}
 		for i, p := range n.pending {
-			if p.lookup != nil && idle[p.lookup] {
-				t.Fatalf("request %d of node %d points at recycled lookup %p", p.id, n.Addr(), p.lookup)
+			if idle[p] || p.lookup != nil && idle[p.lookup] {
+				t.Fatalf("request %d of node %d is in the pool, or points at a lookup there", p.id, n.Addr())
 			}
 			if p.slot != i || p.node != n || !p.timeout.Pending() {
 				t.Fatalf("request %d of node %d sits at %d of its pending table with slot %d, owner %d, timer pending %v",
@@ -205,7 +283,7 @@ func checkPool(t *testing.T, nodes []*Node) int {
 			}
 		}
 	}
-	return len(idle)
+	return depth
 }
 
 // TestLookupRecordsRecycleOnlyWhenIdle runs lookups, value lookups and
@@ -247,9 +325,13 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 	}
 	// Every 200 ms one node starts an operation; every 3 s one leaves in
 	// the middle of whatever it has in flight and a newcomer joins.
+	done := false
 	var tick func()
 	ticks := 0
 	tick = func() {
+		if done {
+			return
+		}
 		ticks++
 		r := sim.Rand()
 		n := nodes[r.Intn(len(nodes))]
@@ -275,7 +357,7 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 				}
 			}
 			victim.Leave()
-			for l := victim.lookups.free; l != nil; l = l.next {
+			for l := victim.pool.lookups; l != nil; l = l.next {
 				if cut[l] {
 					delete(cut, l)
 					retired++
@@ -291,37 +373,51 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 	}
 	sim.MustSchedule(time.Second, tick)
 
-	done := false
 	sim.MustSchedule(90*time.Second, func() { done = true })
 	deepest := 0
-	for !done && sim.Step() {
-		audit.reclaim()
+	step := func() {
+		audit.check()
 		deepest = max(deepest, checkPool(t, nodes))
 		if t.Failed() {
 			t.FailNow()
 		}
+	}
+	for !done && sim.Step() {
+		step()
 	}
 	var started, timeouts uint64
 	for _, n := range nodes {
 		started += n.Stats().LookupsStarted
 		timeouts += n.Stats().Timeouts
 	}
-	t.Logf("%d lookups started on the surviving nodes, free list at most %d deep; %d requests audited, %d buffers returned, %d late, %d reclaimed from drops; %d timeouts; %d lookups retired by a leave",
-		started, deepest, audit.requests, audit.returned, audit.late, audit.dropped, timeouts, retired)
-	if deepest == 0 || uint64(deepest) > started/10 {
-		t.Errorf("free list at most %d deep over %d lookups: records are not being reused", deepest, started)
+	// Every node leaves, and the messages still travelling are dropped at
+	// their departed destinations: every buffer that went out is back.
+	for _, n := range nodes {
+		n.Leave()
 	}
-	if audit.returned == 0 || audit.late == 0 || audit.dropped == 0 || timeouts == 0 || retired == 0 {
-		t.Errorf("the run did not exercise every path: %d returned, %d late, %d reclaimed from drops, %d timeouts, %d retired by a leave",
-			audit.returned, audit.late, audit.dropped, timeouts, retired)
+	for sim.Pending() > 0 && sim.Step() {
+		step()
+	}
+	if len(audit.out) != 0 || audit.taken+audit.made != audit.delivered+audit.dropped {
+		t.Errorf("%d buffers still out after every message ended; %d taken and %d made, %d given back by Deliver and %d by Dropped",
+			len(audit.out), audit.taken, audit.made, audit.delivered, audit.dropped)
+	}
+	t.Logf("%d lookups started on the surviving nodes, lookup records at most %d deep in the pool; %d requests audited; buffers: %d taken, %d made, %d given back by Deliver, %d by Dropped; %d late responses, %d timeouts, %d lookups retired by a leave",
+		started, deepest, audit.requests, audit.taken, audit.made, audit.delivered, audit.dropped, audit.late, timeouts, retired)
+	if deepest == 0 || uint64(deepest) > started/10 {
+		t.Errorf("lookup records at most %d deep in the pool over %d lookups: records are not being reused", deepest, started)
+	}
+	if audit.taken == 0 || audit.delivered == 0 || audit.late == 0 || audit.dropped == 0 || timeouts == 0 || retired == 0 {
+		t.Errorf("the run did not exercise every path: %d taken, %d given back by Deliver, %d late, %d by Dropped, %d timeouts, %d retired by a leave",
+			audit.taken, audit.delivered, audit.late, audit.dropped, timeouts, retired)
 	}
 }
 
 // TestPooledRecordsServeAnyK: the nodes of one network need not agree on
-// k. A record that last served a k = 3 lookup carries three-contact
-// buffers into a k = 12 one; responders grow them, the grown buffers come
-// back, and every result is what it is on a twin network whose free list
-// is emptied before each lookup, where every record and buffer is new.
+// k. Responders of k = 3 and k = 12 take their buffers from the one pool,
+// a k = 12 responder grows a three-contact buffer, the grown buffers come
+// back, and every result is what it is on a twin network whose pool is
+// emptied before each lookup, where every record and buffer is new.
 func TestPooledRecordsServeAnyK(t *testing.T) {
 	run := func(pooled bool) (results [][]Contact, nodes []*Node, audit *bufferAudit) {
 		sim := eventsim.New(3)
@@ -350,7 +446,8 @@ func TestPooledRecordsServeAnyK(t *testing.T) {
 			target := id.FromUint64(160, uint64(1000+round))
 			for _, src := range nodes[:2] { // a k = 3 node, then a k = 12 one
 				if !pooled {
-					src.lookups.free = nil
+					*src.pool = pool{}
+					audit.idle = map[*Contact]idleBuffer{}
 				}
 				src.Lookup(target, func(closest []Contact, _ int) { results = append(results, closest) })
 				sim.RunUntil(sim.Now() + time.Minute)
@@ -372,22 +469,24 @@ func TestPooledRecordsServeAnyK(t *testing.T) {
 			t.Fatalf("lookup %d returned %d contacts, want k = %d", i, len(got[i]), k)
 		}
 	}
-	// One record served every lookup, and it has seen both sizes.
+	// One lookup record served every lookup, and the pool holds a buffer
+	// grown to the larger k.
 	if depth := checkPool(t, nodes); depth != 1 {
-		t.Fatalf("free list %d deep after strictly sequential lookups, want 1", depth)
+		t.Fatalf("%d lookup records in the pool after strictly sequential lookups, want 1", depth)
 	}
 	grown := false
-	for _, b := range nodes[0].lookups.free.buffers {
+	for _, b := range nodes[0].pool.buffers {
 		grown = grown || cap(b) >= 12
 	}
-	if !grown || audit.late != 0 || audit.returned == 0 {
-		t.Fatalf("no buffer of the shared record was grown to k = 12 (%d returned, %d late)", audit.returned, audit.late)
+	if !grown || audit.late != 0 || audit.taken == 0 || audit.delivered != audit.taken+audit.made || len(audit.out) != 0 {
+		t.Fatalf("no buffer in the pool was grown to k = 12 (%d taken, %d made, %d given back, %d late)",
+			audit.taken, audit.made, audit.delivered, audit.late)
 	}
 }
 
 // TestForeignProtocolSlotIsLeftAlone: the network's Protocol slot is
 // exported, so it may already hold somebody else's state. Nodes then keep a
-// free list of their own and the slot stays as it was.
+// pool of their own and the slot stays as it was.
 func TestForeignProtocolSlotIsLeftAlone(t *testing.T) {
 	sim := eventsim.New(1)
 	net := simnet.New(sim, simnet.Config{})
@@ -410,8 +509,13 @@ func TestForeignProtocolSlotIsLeftAlone(t *testing.T) {
 	responded := 0
 	nodes[0].Lookup(id.FromUint64(64, 9), func(_ []Contact, r int) { responded = r })
 	sim.RunUntil(time.Minute)
-	if responded != 3 || net.Protocol != "not kademlia's" || nodes[0].lookups == nodes[1].lookups {
-		t.Fatalf("responded=%d, slot=%v, lists shared=%v", responded, net.Protocol, nodes[0].lookups == nodes[1].lookups)
+	if responded != 3 || net.Protocol != "not kademlia's" || nodes[0].pool == nodes[1].pool {
+		t.Fatalf("responded=%d, slot=%v, pools shared=%v", responded, net.Protocol, nodes[0].pool == nodes[1].pool)
+	}
+	// The requester's own pool has its lookup record, request records and
+	// envelopes back, and the buffers its three responses came back in.
+	if a := nodes[0].pool; a.lookups == nil || a.rpcs == nil || a.envelopes == nil || len(a.buffers) != 3 {
+		t.Fatalf("the requester's pool: lookup %p, request records %p, envelopes %p, %d buffers", a.lookups, a.rpcs, a.envelopes, len(a.buffers))
 	}
 }
 

@@ -56,9 +56,12 @@ func topWord(a id.ID) uint64 { return a.XorPrefix(id.ID{}) }
 // of a known contact is one store. No pointer into entries outlives the
 // table call that took it.
 type bucket struct {
-	entries      []entry
-	tops         []uint64
-	replacements []Contact // oldest first; newest appended at the end
+	entries []entry
+	tops    []uint64
+	// replacements is oldest first, newest appended at the end. Only a full
+	// bucket takes replacements, and a bucket never shrinks, so a bucket
+	// with a free slot has none.
+	replacements []Contact
 }
 
 // search returns the position of nodeID among the entries and whether it
@@ -109,15 +112,10 @@ func (b *bucket) insert(i int, c Contact, stamp uint64) {
 	b.tops[i] = topWord(c.ID)
 }
 
-// remove drops entry i.
-func (b *bucket) remove(i int) {
-	b.entries = append(b.entries[:i], b.entries[i+1:]...)
-	b.tops = append(b.tops[:i], b.tops[i+1:]...)
-}
-
 // replace drops entry i and admits c as the most recently seen.
 func (b *bucket) replace(i int, c Contact, stamp uint64) {
-	b.remove(i)
+	b.entries = append(b.entries[:i], b.entries[i+1:]...)
+	b.tops = append(b.tops[:i], b.tops[i+1:]...)
 	j, _ := b.search(c.ID)
 	b.insert(j, c, stamp)
 }
@@ -182,8 +180,9 @@ type RoutingTable struct {
 	// table carries ~10 buckets instead of Bits = 160.
 	buckets []bucket
 	size    int
-	// occupied has one bit per bucket, set while the bucket holds a live
-	// contact, so that AppendClosest steps over empty buckets a word at a
+	// occupied has one bit per bucket, set once the bucket holds a live
+	// contact (an entry leaves only for another, so a bucket never empties
+	// again), so that AppendClosest steps over empty buckets a word at a
 	// time. Bits are numbered from the top like id.XorWords: depth c is
 	// bit 63-c%64 of word c/64.
 	occupied [id.MaxBytes / 8]uint64
@@ -258,12 +257,9 @@ func (rt *RoutingTable) Observe(c *Contact, answered bool) Contact {
 			b.entries = make([]entry, 0, rt.cfg.K)
 			b.tops = make([]uint64, 0, rt.cfg.K)
 		}
-		// A live contact is never also a replacement, which a promotion
-		// would otherwise admit a second time.
-		b.removeReplacement(c.ID)
 		b.insert(i, *c, rt.stamp())
 		rt.size++
-		rt.setOccupied(depth, true)
+		rt.occupy(depth)
 		return Contact{}
 	}
 	// Bucket full: a stale entry (>= s consecutive failures) is replaced
@@ -350,27 +346,6 @@ func (rt *RoutingTable) StaleCount() int {
 		}
 	}
 	return count
-}
-
-// Remove unconditionally drops a contact (used by tests and by node
-// shutdown paths); the replacement cache is not consulted.
-func (rt *RoutingTable) Remove(nodeID id.ID) bool {
-	if nodeID.Equal(rt.self) {
-		return false
-	}
-	depth := rt.cfg.Bits - 1 - rt.self.BucketIndex(nodeID)
-	if depth >= len(rt.buckets) {
-		return false
-	}
-	b := &rt.buckets[depth]
-	i := b.find(nodeID)
-	if i < 0 {
-		return false
-	}
-	b.remove(i)
-	rt.size--
-	rt.setOccupied(depth, len(b.entries) > 0)
-	return true
 }
 
 // Closest returns up to count live contacts closest to target under the
@@ -561,14 +536,8 @@ func (rt *RoutingTable) stamp() uint64 {
 	return rt.clock
 }
 
-// setOccupied records whether the bucket at depth c holds a live contact.
-func (rt *RoutingTable) setOccupied(c int, on bool) {
-	if on {
-		rt.occupied[c/64] |= 1 << (63 - c%64)
-	} else {
-		rt.occupied[c/64] &^= 1 << (63 - c%64)
-	}
-}
+// occupy records that the bucket at depth c holds a live contact.
+func (rt *RoutingTable) occupy(c int) { rt.occupied[c/64] |= 1 << (63 - c%64) }
 
 // bucketFor returns the bucket nodeID belongs in, or nil (an empty
 // bucket, see bucket.find) when it is self or the bucket was never

@@ -150,19 +150,6 @@ func (rt *referenceTable) RecordFailure(nodeID id.ID) bool {
 	return true
 }
 
-func (rt *referenceTable) Remove(nodeID id.ID) bool {
-	if nodeID.Equal(rt.self) {
-		return false
-	}
-	b := rt.bucketFor(nodeID)
-	i := b.find(nodeID)
-	if i < 0 {
-		return false
-	}
-	b.entries = append(b.entries[:i], b.entries[i+1:]...)
-	return true
-}
-
 func (rt *referenceTable) lookup(nodeID id.ID) *entry {
 	if nodeID.Equal(rt.self) {
 		return nil
@@ -184,6 +171,14 @@ func (rt *referenceTable) StaleCount() int {
 		}
 	}
 	return count
+}
+
+func (rt *referenceTable) Size() int {
+	size := 0
+	for _, b := range rt.buckets {
+		size += len(b.entries)
+	}
+	return size
 }
 
 func (rt *referenceTable) Contacts() []Contact {
@@ -226,7 +221,8 @@ func tableFuzzID(bits int, x, y byte) id.ID {
 // checkTableStream decodes a header (bit-length, k, staleness limit,
 // replacement cache size, owner) and then operations of four bytes each,
 // applies every operation to a RoutingTable and to the reference, and
-// compares what each returns and then their whole observable state.
+// compares what each returns and then the state of the bucket it touched.
+// After the last operation it compares their whole observable state.
 func checkTableStream(data []byte) error {
 	next := func() byte {
 		if len(data) == 0 {
@@ -242,14 +238,14 @@ func checkTableStream(data []byte) error {
 	got, want := NewRoutingTable(self, cfg), newReferenceTable(self, cfg)
 	// Every identifier named so far, the owner's included, once.
 	seen, named := []id.ID{self}, map[id.ID]bool{self: true}
+	var live []Contact
 	for op := 0; len(data) > 0; op++ {
 		kind, x, y, z := next(), next(), next(), next()
 		nodeID := tableFuzzID(bits, x, y)
-		if k := kind % 7; z&0x80 != 0 && k >= 2 && k != 5 {
-			// A success, failure, removal or response of a random
-			// identifier would almost always miss the table: name a live
-			// contact instead.
-			if live := got.Contacts(); len(live) > 0 {
+		if k := kind % 6; z&0x80 != 0 && k >= 2 && k != 5 {
+			// A success, failure or response of a random identifier would
+			// almost always miss the table: name a live contact instead.
+			if live = got.AppendContacts(live[:0]); len(live) > 0 {
 				nodeID = live[int(y)%len(live)].ID
 			}
 		}
@@ -257,7 +253,7 @@ func checkTableStream(data []byte) error {
 			named[nodeID] = true
 			seen = append(seen, nodeID)
 		}
-		switch kind % 7 {
+		switch kind % 6 {
 		case 0, 1: // sightings are the most frequent operation
 			c := Contact{ID: nodeID, Addr: simnet.Addr(z % 4)}
 			if g, w := got.Observe(&c, false), want.Observe(c); g != w {
@@ -279,8 +275,15 @@ func checkTableStream(data []byte) error {
 				return fmt.Errorf("op %d: RecordFailure(%s) evicted %v, want %v", op, nodeID, g, w)
 			}
 		case 4:
-			if g, w := got.Remove(nodeID), want.Remove(nodeID); g != w {
-				return fmt.Errorf("op %d: Remove(%s) = %v, want %v", op, nodeID, g, w)
+			// A response to a pending request: the node's receive path
+			// records the sighting and the success in one table call,
+			// which must leave the table as Observe and then RecordSuccess
+			// of the same contact do.
+			c := Contact{ID: nodeID, Addr: simnet.Addr(z % 4)}
+			g, w := got.Observe(&c, true), want.Observe(c)
+			want.RecordSuccess(c.ID)
+			if g != w {
+				return fmt.Errorf("op %d: Observe(%v, answered) = %+v, want %+v", op, c, g, w)
 			}
 		case 5:
 			// The target is nodeID; exclude is a named identifier, or
@@ -294,20 +297,44 @@ func checkTableStream(data []byte) error {
 			if err := sameContacts(g, want.Closest(nodeID, count, exclude)); err != nil {
 				return fmt.Errorf("op %d: AppendClosest(%s, %d, exclude %s): %v", op, nodeID, count, exclude, err)
 			}
-		case 6:
-			// A response to a pending request: the node's receive path
-			// records the sighting and the success in one table call,
-			// which must leave the table as Observe and then RecordSuccess
-			// of the same contact do.
-			c := Contact{ID: nodeID, Addr: simnet.Addr(z % 4)}
-			g, w := got.Observe(&c, true), want.Observe(c)
-			want.RecordSuccess(c.ID)
-			if g != w {
-				return fmt.Errorf("op %d: Observe(%v, answered) = %+v, want %+v", op, c, g, w)
-			}
 		}
-		if err := sameTableState(got, want, nodeID, self); err != nil {
-			return fmt.Errorf("op %d (kind %d): %v", op, kind%7, err)
+		// Every operation reads or changes the one bucket nodeID falls in.
+		if err := sameBucketState(got, want, nodeID); err != nil {
+			return fmt.Errorf("op %d (kind %d): %v", op, kind%6, err)
+		}
+	}
+	return sameTableState(got, want, seen...)
+}
+
+// sameBucketState compares everything a caller can read off the bucket
+// nodeID falls in: its contacts with their addresses as a set, and
+// membership and staleness of each of them and of nodeID. It also checks
+// the table's size, and that a bucket with a free slot holds no
+// replacements (only a full bucket takes them, and none ever shrinks).
+func sameBucketState(got *RoutingTable, want *referenceTable, nodeID id.ID) error {
+	if got.Size() != want.Size() {
+		return fmt.Errorf("Size() = %d, want %d", got.Size(), want.Size())
+	}
+	if err := sameProbes(got, want, nodeID); err != nil || nodeID.Equal(got.Self()) {
+		return err
+	}
+	b, wb := got.bucketFor(nodeID), want.bucketFor(nodeID)
+	n := 0
+	if b != nil {
+		n = len(b.entries)
+		if n < got.cfg.K && len(b.replacements) != 0 {
+			return fmt.Errorf("bucket of %s holds %d of k = %d entries and %d replacements", nodeID, n, got.cfg.K, len(b.replacements))
+		}
+	}
+	if n != len(wb.entries) {
+		return fmt.Errorf("bucket of %s holds %d contacts, want %d", nodeID, n, len(wb.entries))
+	}
+	for _, e := range wb.entries {
+		if i := b.find(e.contact.ID); i < 0 || b.entries[i].contact != e.contact {
+			return fmt.Errorf("bucket of %s does not hold %v", nodeID, e.contact)
+		}
+		if err := sameProbes(got, want, e.contact.ID); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -315,13 +342,39 @@ func checkTableStream(data []byte) error {
 
 // sameTableState compares everything a caller can read off the two tables:
 // the contacts with their addresses as a set (the order of Contacts is not
-// part of the contract), and membership and staleness of every live
-// contact and of the probes, which a stream names present and absent.
+// part of the contract), membership and staleness of every live contact and
+// of the probes, which a stream names present and absent, the stale count
+// and the size; and it holds every bucket with a free slot to an empty
+// replacement cache.
 func sameTableState(got *RoutingTable, want *referenceTable, probes ...id.ID) error {
 	g, w := got.Contacts(), want.Contacts()
 	for _, c := range w {
 		probes = append(probes, c.ID)
 	}
+	if err := sameProbes(got, want, probes...); err != nil {
+		return err
+	}
+	if g, w := got.StaleCount(), want.StaleCount(); g != w {
+		return fmt.Errorf("StaleCount() = %d, want %d", g, w)
+	}
+	if got.Size() != len(w) {
+		return fmt.Errorf("Size() = %d, want %d", got.Size(), len(w))
+	}
+	for i := range got.buckets {
+		if b := &got.buckets[i]; len(b.entries) < got.cfg.K && len(b.replacements) != 0 {
+			return fmt.Errorf("bucket at depth %d holds %d of k = %d entries and %d replacements", i, len(b.entries), got.cfg.K, len(b.replacements))
+		}
+	}
+	byID(g)
+	byID(w)
+	if err := sameContacts(g, w); err != nil {
+		return fmt.Errorf("Contacts(): %v", err)
+	}
+	return nil
+}
+
+// sameProbes compares membership and staleness of each probe.
+func sameProbes(got *RoutingTable, want *referenceTable, probes ...id.ID) error {
 	for _, nodeID := range probes {
 		e := want.lookup(nodeID)
 		if g, w := got.Contains(nodeID), e != nil; g != w {
@@ -331,21 +384,11 @@ func sameTableState(got *RoutingTable, want *referenceTable, probes ...id.ID) er
 			return fmt.Errorf("IsStale(%s) = %v, want %v", nodeID, g, w)
 		}
 	}
-	if g, w := got.StaleCount(), want.StaleCount(); g != w {
-		return fmt.Errorf("StaleCount() = %d, want %d", g, w)
-	}
-	if got.Size() != len(w) {
-		return fmt.Errorf("Size() = %d, want %d", got.Size(), len(w))
-	}
-	byID := func(cs []Contact) {
-		sort.Slice(cs, func(i, j int) bool { return cs[i].ID.Cmp(cs[j].ID) < 0 })
-	}
-	byID(g)
-	byID(w)
-	if err := sameContacts(g, w); err != nil {
-		return fmt.Errorf("Contacts(): %v", err)
-	}
 	return nil
+}
+
+func byID(cs []Contact) {
+	sort.Slice(cs, func(i, j int) bool { return cs[i].ID.Cmp(cs[j].ID) < 0 })
 }
 
 // tableSeeds are hand-made streams: header bytes are bit-length selector,
@@ -361,29 +404,28 @@ var tableSeeds = [][]byte{
 	{1, 4, 1, 1, 0x00, 0x00,
 		0, 0x40, 1, 1, 0, 0x40, 2, 1, 0, 0x40, 3, 1, 0, 0x40, 0xff, 1,
 		5, 0x40, 0x7f, 0x07, 5, 0x40, 0x02, 0x46, 3, 0x40, 2, 0, 5, 0x41, 0, 0x03},
-	// k = 1, s = 1: a newcomer to the full bucket waits as a replacement,
-	// the live contact is removed, and the newcomer, sighted again, takes
-	// the free slot; it must leave the replacement cache, or its failure
-	// would promote it over itself.
-	{1, 0, 0, 2, 0x00, 0x00,
-		0, 0x80, 1, 1, 0, 0x81, 1, 1, 4, 0x80, 1, 0, 0, 0x81, 1, 2,
-		3, 0x81, 1, 0, 5, 0x81, 0, 0x07},
+	// 64 bits, k = 1, s = 1: two newcomers to the full bucket wait as
+	// replacements; each failure of the live contact promotes the newest
+	// one, so the bucket stays full while its cache empties.
+	{0, 0, 0, 2, 0x00, 0x00,
+		0, 0x80, 1, 1, 0, 0x81, 1, 1, 0, 0x82, 1, 1,
+		3, 0x80, 1, 0, 3, 0x82, 1, 0, 5, 0x81, 0, 0x07},
 	// 64 bits, k = 2, s = 1: a full bucket nominates its oldest entry
 	// for a ping, the nominee answers (a response: sighting and success
 	// at once), which clears its ping and makes it the newest, so the
 	// next newcomer nominates the other entry.
 	{0, 1, 0, 2, 0x00, 0x00,
 		0, 0x80, 1, 1, 0, 0x81, 2, 1, 0, 0x82, 3, 1,
-		6, 0x80, 1, 1, 0, 0x83, 4, 1, 3, 0x81, 2, 0, 5, 0x90, 0, 0x05},
+		4, 0x80, 1, 1, 0, 0x83, 4, 1, 3, 0x81, 2, 0, 5, 0x90, 0, 0x05},
 }
 
 // FuzzRoutingTableVsReference: for any stream of sightings, successes,
-// failures, removals, closest-queries and responses (a sighting and a
-// success of one contact, back to back) at 64 or 160 bits, a table whose
-// buckets are kept in identifier order with recency stamps must answer
-// exactly like one whose buckets are kept in recency order: the same
-// closest lists in the same order, the same ping nominees and evictions,
-// the same membership and staleness, and the same contacts.
+// failures, closest-queries and responses (a sighting and a success of one
+// contact, back to back) at 64 or 160 bits, a table whose buckets are kept
+// in identifier order with recency stamps must answer exactly like one
+// whose buckets are kept in recency order: the same closest lists in the
+// same order, the same ping nominees and evictions, the same membership
+// and staleness, and the same contacts.
 func FuzzRoutingTableVsReference(f *testing.F) {
 	for _, seed := range tableSeeds {
 		f.Add(seed)

@@ -275,21 +275,6 @@ func TestClosestFewerThanRequested(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
-	c := contact(3)
-	rt.Observe(&c, false)
-	if !rt.Remove(c.ID) {
-		t.Fatal("Remove failed")
-	}
-	if rt.Remove(c.ID) {
-		t.Fatal("double remove should report false")
-	}
-	if rt.Size() != 0 {
-		t.Fatal("size not updated")
-	}
-}
-
 func TestRefreshTargets(t *testing.T) {
 	rt := NewRoutingTable(id.FromUint64(64, 0), testConfig())
 	if rt.RefreshTargets() != nil {

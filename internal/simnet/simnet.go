@@ -134,7 +134,7 @@ const AddrLimit = 1 << 22
 type Network struct {
 	// Protocol is a slot for the protocol layer above: state that every
 	// host of this network shares and that must not outlive or cross
-	// networks (kademlia keeps its free list of lookup records here). The
+	// networks (kademlia keeps its pool of idle records here). The
 	// network never reads it; like the network itself it belongs to the
 	// simulation goroutine.
 	Protocol any
