@@ -279,6 +279,7 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 		res.TrafficOps = traff.Lookups() + traff.Stores()
 	}
 	res.Network = net.Stats()
+	res.Fingerprint, res.Events = net.Fingerprint(), sim.Processed()
 	res.Elapsed = time.Since(start)
 	return res, &Bound{Engine: engine, Final: lastSnap, FinalAvgSeed: lastAvgSeed}, nil
 }

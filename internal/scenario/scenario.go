@@ -236,7 +236,8 @@ type SnapshotStat struct {
 // Result is the outcome of one run. Its JSON encoding is the sweep
 // checkpoint's wire form: every measurement round-trips exactly
 // (Durations as nanoseconds), while Config — the job's, restored by the
-// loader — and the wall-clock Elapsed stay out.
+// loader — the wall-clock Elapsed and the event check (Fingerprint,
+// Events) stay out.
 type Result struct {
 	Config       Config `json:"-"`
 	Points       []SnapshotStat
@@ -276,6 +277,13 @@ type Result struct {
 	SlotUtilization float64
 	Network         simnet.Stats
 	Elapsed         time.Duration `json:"-"` // wall-clock cost of the run
+	// Fingerprint is the network's rolling hash of every message sent
+	// (simnet.Network.Fingerprint) and Events the number of events the
+	// kernel fired: a check that a change moved no event. Like Elapsed
+	// they stay out of the JSON, so a run replayed from a checkpoint
+	// carries neither.
+	Fingerprint uint64 `json:"-"`
+	Events      uint64 `json:"-"`
 }
 
 // MinSeries returns the minimum-connectivity time series.

@@ -7,6 +7,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -145,6 +146,7 @@ type Network struct {
 	hosts    []Handler // by address; nil where nothing is attached
 	attached int       // non-nil entries of hosts
 	stats    Stats
+	fp       uint64    // rolling hash of every Send, see Fingerprint
 	free     *delivery // idle delivery records, reused by Send
 }
 
@@ -186,6 +188,7 @@ func New(sim *eventsim.Simulator, cfg Config) *Network {
 		sim:     sim,
 		latency: cfg.Latency,
 		loss:    cfg.Loss,
+		fp:      fpSeed,
 	}
 }
 
@@ -194,6 +197,23 @@ func (n *Network) Sim() *eventsim.Simulator { return n.sim }
 
 // Stats returns a copy of the network counters.
 func (n *Network) Stats() Stats { return n.stats }
+
+// Fingerprint returns a 64-bit rolling hash of every Send so far, in
+// order: its virtual time, its two addresses and whether the loss model
+// dropped it. Two runs with equal fingerprints and equal event counts
+// sent the same messages at the same instants, so a change that claims
+// to move no event can be checked against a recorded value.
+func (n *Network) Fingerprint() uint64 { return n.fp }
+
+// The fingerprint folds one 64-bit word at a time: xor it in, multiply by
+// an odd constant (a bijection that carries low bits upward) and rotate
+// (which carries high bits back down).
+const (
+	fpSeed  = 0xcbf29ce484222325
+	fpPrime = 0x9e3779b97f4a7c15
+)
+
+func fold(h, w uint64) uint64 { return bits.RotateLeft64((h^w)*fpPrime, 31) }
 
 // SetLoss replaces the loss model. Experiments use this to begin or end a
 // disturbance at a phase boundary.
@@ -253,7 +273,14 @@ func (n *Network) host(addr Addr) Handler {
 // loss is only observable through missing responses.
 func (n *Network) Send(from, to Addr, payload any) {
 	n.stats.Sent++
-	if n.loss.Drop(n.sim.Rand(), from, to) {
+	lost := n.loss.Drop(n.sim.Rand(), from, to)
+	// Attached addresses are below AddrLimit (2^22), so both fit one word.
+	w := uint64(from)<<23 | uint64(to)<<1
+	if lost {
+		w |= 1
+	}
+	n.fp = fold(fold(n.fp, uint64(n.sim.Now())), w)
+	if lost {
 		n.stats.Lost++
 		dropped(payload)
 		return

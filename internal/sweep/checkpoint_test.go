@@ -32,12 +32,13 @@ func ckptConfigs() []scenario.Config {
 	return []scenario.Config{base, attacked}
 }
 
-// stripElapsed zeroes the wall-clock field so replayed and fresh results
+// stripUnstored zeroes the fields a checkpoint does not store (the
+// wall-clock Elapsed and the event check) so replayed and fresh results
 // compare equal on the deterministic measurement surface.
-func stripElapsed(sets []*RunSet) {
+func stripUnstored(sets []*RunSet) {
 	for _, rs := range sets {
 		for _, r := range rs.Reps {
-			r.Elapsed = 0
+			r.Elapsed, r.Fingerprint, r.Events = 0, 0, 0
 		}
 	}
 }
@@ -81,8 +82,8 @@ func TestCheckpointResume(t *testing.T) {
 	if freshEvents != 0 || cachedEvents != 4 {
 		t.Fatalf("resumed sweep: %d fresh / %d cached events, want 0/4", freshEvents, cachedEvents)
 	}
-	stripElapsed(first)
-	stripElapsed(second)
+	stripUnstored(first)
+	stripUnstored(second)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("resumed sweep differs from the original")
 	}
@@ -99,7 +100,7 @@ func TestCheckpointResume(t *testing.T) {
 	if freshEvents != 1 || cachedEvents != 3 {
 		t.Fatalf("partial resume: %d fresh / %d cached events, want 1/3", freshEvents, cachedEvents)
 	}
-	stripElapsed(third)
+	stripUnstored(third)
 	if !reflect.DeepEqual(first, third) {
 		t.Fatal("partially resumed sweep differs from the original")
 	}
@@ -313,13 +314,16 @@ func fillNonZero(t *testing.T, v reflect.Value, n *int) {
 // workload counters, the governance outcome and victims of both
 // bit-lengths the paper evaluates included, none of which the resume
 // test's runs produce — survives Store and Load exactly. Config is the
-// job's and the wall-clock Elapsed is dropped, both by contract.
+// job's, and the wall-clock Elapsed and the event check (Fingerprint,
+// Events) are dropped, all by contract.
 func TestCheckpointRoundTripsEveryResultField(t *testing.T) {
 	cfg := ckptConfigs()[0]
-	stored := &scenario.Result{Config: cfg, Elapsed: time.Second}
+	stored := &scenario.Result{Config: cfg, Elapsed: time.Second, Fingerprint: 1, Events: 2}
 	v, n := reflect.ValueOf(stored).Elem(), 0
 	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; name != "Config" && name != "Elapsed" {
+		switch v.Type().Field(i).Name {
+		case "Config", "Elapsed", "Fingerprint", "Events":
+		default:
 			fillNonZero(t, v.Field(i), &n)
 		}
 	}
@@ -338,7 +342,7 @@ func TestCheckpointRoundTripsEveryResultField(t *testing.T) {
 		t.Fatalf("Load = ok %v, err %v; want a replay", ok, err)
 	}
 	want := *stored
-	want.Config, want.Elapsed = cfg.WithDefaults(), 0
+	want.Config, want.Elapsed, want.Fingerprint, want.Events = cfg.WithDefaults(), 0, 0, 0
 	if !reflect.DeepEqual(loaded, &want) {
 		t.Fatalf("round trip lost a field:\n got %+v\nwant %+v", loaded, &want)
 	}
