@@ -26,12 +26,12 @@ func chain(s *Simulator, n int) *int {
 // contract: once the context fires, Run and RunUntil stop within one
 // event batch, however much work remains queued.
 func TestCancelStopsWithinOneBatch(t *testing.T) {
-	const batch = 64
+	const batch = DefaultCancelBatch
 	const cancelAt = 100
 	for _, mode := range []string{"run", "rununtil"} {
 		s := New(1)
 		ctx, cancel := context.WithCancel(context.Background())
-		s.SetCancel(ctx, batch)
+		s.SetCancel(ctx)
 		fired := chain(s, 100000)
 		s.MustSchedule(time.Duration(cancelAt)*time.Second+time.Millisecond, cancel)
 		if mode == "run" {
@@ -58,7 +58,7 @@ func TestPreCanceledRunFiresNothing(t *testing.T) {
 	s := New(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s.SetCancel(ctx, 0)
+	s.SetCancel(ctx)
 	fired := chain(s, 10)
 	s.RunUntil(time.Hour)
 	if *fired != 0 {
@@ -76,9 +76,9 @@ func TestUnfiredCancelIsInvisible(t *testing.T) {
 	run := func(withCtx bool) (int, time.Duration, uint64) {
 		s := New(7)
 		if withCtx {
-			s.SetCancel(context.Background(), 2)
+			s.SetCancel(context.Background())
 		}
-		fired := chain(s, 500)
+		fired := chain(s, 4*DefaultCancelBatch) // polls at several batch boundaries
 		s.RunUntil(time.Hour)
 		return *fired, s.Now(), s.Processed()
 	}
@@ -89,7 +89,7 @@ func TestUnfiredCancelIsInvisible(t *testing.T) {
 			f1, now1, p1, f2, now2, p2)
 	}
 	s := New(1)
-	s.SetCancel(context.Background(), 1)
+	s.SetCancel(context.Background())
 	chain(s, 3)
 	s.Run()
 	if s.Err() != nil {

@@ -5,12 +5,16 @@
 // never spawns goroutines, which makes every run exactly reproducible from
 // its seed.
 //
-// Events fire in (time, schedule order): every Schedule, Post and Arm call
-// draws the next sequence number, so equal-time events run in the order
-// they were scheduled whichever of the three queued them. A periodic
-// series (Every) draws one when it is set up, for its first tick, and one
-// after each tick that continues it, for the next: the events a tick
-// queues come before its successor, as if the tick re-armed itself last.
+// There are three ways into the queue: MustSchedule queues a closure and
+// hands back its timer, Arm queues a Runner on a timer the caller owns,
+// and Every runs a periodic series. The kernel owns no memory of its own
+// beyond the queue: a timer belongs to whoever made it. Events fire in
+// (time, schedule order): every MustSchedule and Arm call draws the next
+// sequence number, so equal-time events run in the order they were
+// scheduled whichever of the two queued them. A series draws one when it
+// is set up, for its first tick, and one after each tick that continues
+// it, for the next: the events a tick queues come before its successor,
+// as if the tick re-armed itself last.
 //
 // Two queue designs were measured on the Sim E traffic workload
 // (sim-traffic, 40 nodes, k 5–30), where the heap is 12–15 % of the CPU
@@ -47,14 +51,12 @@ type Simulator struct {
 	now       time.Duration
 	seq       uint64 // tie-breaker so equal-time events run in schedule order
 	queue     []queued
-	free      []*Timer // idle kernel-owned timers, reused by Post
 	rng       *rand.Rand
 	processed uint64
 	stopped   bool
 
-	cancelCtx   context.Context
-	cancelEvery uint64
-	cancelErr   error
+	cancelCtx context.Context
+	cancelErr error
 }
 
 // Runner is an event body. Scheduling a Runner instead of a func lets a
@@ -78,9 +80,6 @@ type Timer struct {
 	run  Runner
 	sim  *Simulator
 	slot int32 // queue position + 1 while pending, 0 otherwise
-	// pooled marks a kernel-owned timer (Post): no handle to it ever left
-	// the kernel, so it goes back on the free list when it fires.
-	pooled bool
 }
 
 // Cancel prevents the timer's event from firing and removes it from the
@@ -193,18 +192,12 @@ func (s *Simulator) Now() time.Duration { return s.now }
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // SetCancel installs ctx as the kernel's cancellation signal: Run and
-// RunUntil poll ctx between batches of every fired events (every <= 0
-// means DefaultCancelBatch) and return early once ctx is done, recording
-// the cause for Err. The poll never touches the clock, the queue or the
-// RNG, so a run that completes — whether ctx fires late or never — is
-// byte-identical to one executed without a cancel context.
-func (s *Simulator) SetCancel(ctx context.Context, every int) {
-	s.cancelCtx = ctx
-	if every <= 0 {
-		every = DefaultCancelBatch
-	}
-	s.cancelEvery = uint64(every)
-}
+// RunUntil poll ctx between batches of DefaultCancelBatch fired events
+// and return early once ctx is done, recording the cause for Err. The
+// poll never touches the clock, the queue or the RNG, so a run that
+// completes — whether ctx fires late or never — is byte-identical to one
+// executed without a cancel context.
+func (s *Simulator) SetCancel(ctx context.Context) { s.cancelCtx = ctx }
 
 // Err returns the cancellation cause that interrupted the most recent Run
 // or RunUntil, or nil if it ran to completion.
@@ -224,10 +217,7 @@ func (s *Simulator) interrupted(countdown *uint64) bool {
 			return true
 		}
 	}
-	*countdown = s.cancelEvery
-	if *countdown > 0 {
-		*countdown--
-	}
+	*countdown = DefaultCancelBatch - 1
 	return false
 }
 
@@ -238,59 +228,26 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // leave the queue on Cancel and are not counted.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
-// Schedule queues fn to run after delay of virtual time and returns a
-// cancellable handle. A negative delay is an error; a zero delay runs fn
-// at the current time, after already-queued events for that time.
-func (s *Simulator) Schedule(delay time.Duration, fn func()) (*Timer, error) {
-	return s.ScheduleAt(s.now+delay, fn)
-}
-
-// ScheduleAt queues fn to run at absolute virtual time at. The returned
-// handle is the event itself — one allocation — and because the handle is
-// the caller's to keep, the kernel never reuses it.
-func (s *Simulator) ScheduleAt(at time.Duration, fn func()) (*Timer, error) {
-	if at < s.now {
-		return nil, ErrPastTime
-	}
+// MustSchedule queues fn to run after delay of virtual time and returns a
+// cancellable handle. A zero delay runs fn at the current time, after
+// already-queued events for that time. The handle is the event itself —
+// one allocation — and because it is the caller's to keep, the kernel
+// never reuses it. A negative delay or a nil fn panics: every caller
+// controls its delay.
+func (s *Simulator) MustSchedule(delay time.Duration, fn func()) *Timer {
 	if fn == nil {
-		return nil, errors.New("eventsim: nil event function")
+		panic("eventsim: nil event function")
 	}
 	t := new(Timer)
-	s.arm(t, at, funcRunner(fn))
-	return t, nil
-}
-
-// MustSchedule is Schedule for call sites that control the delay and accept
-// a panic on misuse (negative delay or nil fn).
-func (s *Simulator) MustSchedule(delay time.Duration, fn func()) *Timer {
-	t, err := s.Schedule(delay, fn)
-	if err != nil {
-		panic(err)
-	}
+	s.Arm(t, delay, funcRunner(fn))
 	return t
 }
 
-// Post queues r to run after delay of virtual time without handing out a
-// handle: the event cannot be cancelled, and since nothing outside the
-// kernel can refer to it, its timer comes from a free list and returns
-// there when it fires. Like MustSchedule it panics on a negative delay or
-// a nil r.
-func (s *Simulator) Post(delay time.Duration, r Runner) {
-	var t *Timer
-	if n := len(s.free); n > 0 {
-		t = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		t = &Timer{pooled: true}
-	}
-	s.Arm(t, delay, r)
-}
-
 // Arm queues r to run after delay of virtual time on a timer the caller
-// owns, typically one embedded in the record r itself, so that a
-// cancellable event costs no allocation. The owner may re-arm or recycle
-// the timer once it has fired or been cancelled; arming a pending timer
-// panics, as do a negative delay and a nil r.
+// owns, typically one embedded in the record r itself, so that an event
+// costs no allocation. The owner may re-arm or recycle the timer once it
+// has fired or been cancelled; arming a pending timer panics, as do a
+// negative delay and a nil r.
 func (s *Simulator) Arm(t *Timer, delay time.Duration, r Runner) {
 	switch {
 	case delay < 0:
@@ -300,7 +257,11 @@ func (s *Simulator) Arm(t *Timer, delay time.Duration, r Runner) {
 	case t.Pending():
 		panic("eventsim: timer armed while pending")
 	}
-	s.arm(t, s.now+delay, r)
+	t.run, t.sim = r, s
+	e := queued{at: s.now + delay, seq: s.seq, t: t}
+	s.seq++
+	s.queue = append(s.queue, e)
+	s.siftUp(len(s.queue)-1, e)
 }
 
 // Every runs tick at from, from+period, … at each instant before until,
@@ -315,6 +276,8 @@ func (s *Simulator) Every(from, until, period time.Duration, tick func() bool) e
 		return fmt.Errorf("eventsim: window ends %v before it starts %v", until, from)
 	case period <= 0:
 		return fmt.Errorf("eventsim: period %v is not positive", period)
+	case from < s.now:
+		return ErrPastTime
 	}
 	var fire func()
 	fire = func() {
@@ -326,16 +289,8 @@ func (s *Simulator) Every(from, until, period time.Duration, tick func() bool) e
 			s.MustSchedule(period, fire)
 		}
 	}
-	_, err := s.ScheduleAt(from, fire)
-	return err
-}
-
-func (s *Simulator) arm(t *Timer, at time.Duration, r Runner) {
-	t.run, t.sim = r, s
-	e := queued{at: at, seq: s.seq, t: t}
-	s.seq++
-	s.queue = append(s.queue, e)
-	s.siftUp(len(s.queue)-1, e)
+	s.MustSchedule(from-s.now, fire)
+	return nil
 }
 
 // Step fires the next pending event, advancing the clock to its time. It
@@ -348,9 +303,6 @@ func (s *Simulator) Step() bool {
 	s.removeAt(0)
 	r := t.run
 	t.run = nil
-	if t.pooled {
-		s.free = append(s.free, t)
-	}
 	s.now = at
 	r.Run()
 	s.processed++

@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -65,19 +66,34 @@ func TestZeroDelayRunsAtCurrentTime(t *testing.T) {
 	}
 }
 
+// TestSchedulePastFails: MustSchedule and Arm panic on a negative delay
+// or a nil body, and Every refuses a start in the past with ErrPastTime;
+// none of them queues anything.
 func TestSchedulePastFails(t *testing.T) {
 	s := New(1)
-	s.MustSchedule(10*time.Second, func() {
-		if _, err := s.ScheduleAt(5*time.Second, func() {}); err == nil {
-			t.Error("scheduling in the past should fail")
-		}
-	})
-	s.Run()
-	if _, err := s.Schedule(-time.Second, func() {}); err == nil {
-		t.Error("negative delay should fail")
+	s.RunUntil(10 * time.Second)
+	var tm Timer
+	var c counter
+	for name, bad := range map[string]func(){
+		"MustSchedule negative delay": func() { s.MustSchedule(-time.Second, func() {}) },
+		"MustSchedule nil fn":         func() { s.MustSchedule(time.Second, nil) },
+		"Arm negative delay":          func() { s.Arm(&tm, -time.Second, &c) },
+		"Arm nil runner":              func() { s.Arm(&tm, time.Second, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			bad()
+		}()
 	}
-	if _, err := s.Schedule(time.Second, nil); err == nil {
-		t.Error("nil fn should fail")
+	if err := s.Every(5*time.Second, time.Minute, time.Second, func() bool { return true }); !errors.Is(err, ErrPastTime) {
+		t.Errorf("Every starting in the past: error %v, want ErrPastTime", err)
+	}
+	if s.Pending() != 0 || tm.Pending() {
+		t.Fatalf("rejected calls left %d events queued", s.Pending())
 	}
 }
 

@@ -123,9 +123,7 @@ func TestEveryMatchesHandRolledTimer(t *testing.T) {
 				s.MustSchedule(period, fire)
 			}
 		}
-		if _, err := s.ScheduleAt(from, fire); err != nil {
-			t.Fatal(err)
-		}
+		s.MustSchedule(from, fire)
 	})
 	if !reflect.DeepEqual(every, handRolled) {
 		t.Fatalf("Every diverged from the hand-rolled timer:\nevery: %v\nhand:  %v", every, handRolled)

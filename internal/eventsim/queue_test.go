@@ -50,7 +50,8 @@ func TestCancelAllLeavesNothingPending(t *testing.T) {
 
 // TestStaleHandleCannotTouchLaterEvent: a handle whose event has fired or
 // been cancelled is inert, whatever has since been queued into the slot
-// its event occupied or (for kernel-owned timers) onto the record itself.
+// its event occupied, and a caller-owned timer re-armed after firing
+// carries only its new event.
 func TestStaleHandleCannotTouchLaterEvent(t *testing.T) {
 	s := New(1)
 	firedT := s.MustSchedule(time.Second, func() {})
@@ -59,11 +60,12 @@ func TestStaleHandleCannotTouchLaterEvent(t *testing.T) {
 	s.Run() // firedT fires; the queue is empty again
 
 	// Later events now sit in the queue positions the stale handles' events
-	// held, and a recycled kernel-owned timer carries one of them.
-	var post, later counter
-	s.Post(time.Second, &post)
+	// held, and a re-armed owned timer carries one of them.
+	var owned, later counter
+	var ownedT Timer
+	s.Arm(&ownedT, time.Second, &owned)
 	s.Run()
-	s.Post(time.Second, &post) // reuses the pooled timer that just fired
+	s.Arm(&ownedT, time.Second, &owned) // the same timer, fired and idle
 	laterT := s.MustSchedule(time.Second, later.Run)
 
 	for name, stale := range map[string]*Timer{"fired": firedT, "cancelled": cancelledT} {
@@ -74,12 +76,13 @@ func TestStaleHandleCannotTouchLaterEvent(t *testing.T) {
 			t.Errorf("Cancel of %s timer reported true", name)
 		}
 	}
-	if s.Pending() != 2 || !laterT.Pending() {
-		t.Fatalf("stale Cancel disturbed the queue: Pending() = %d, later pending = %v", s.Pending(), laterT.Pending())
+	if s.Pending() != 2 || !laterT.Pending() || !ownedT.Pending() {
+		t.Fatalf("stale Cancel disturbed the queue: Pending() = %d, later pending = %v, owned pending = %v",
+			s.Pending(), laterT.Pending(), ownedT.Pending())
 	}
 	s.Run()
-	if post.fired != 2 || later.fired != 1 {
-		t.Fatalf("post fired %d (want 2), later fired %d (want 1)", post.fired, later.fired)
+	if owned.fired != 2 || later.fired != 1 {
+		t.Fatalf("owned fired %d (want 2), later fired %d (want 1)", owned.fired, later.fired)
 	}
 	var nilTimer *Timer
 	if nilTimer.Pending() || nilTimer.Cancel() {
@@ -87,8 +90,9 @@ func TestStaleHandleCannotTouchLaterEvent(t *testing.T) {
 	}
 }
 
-// TestEqualTimeFIFOAcrossEntryPoints: Schedule, Post and Arm draw from one
-// sequence, so equal-time events fire in call order whichever queued them.
+// TestEqualTimeFIFOAcrossEntryPoints: MustSchedule, Arm and the first
+// tick of Every draw from one sequence, so equal-time events fire in call
+// order whichever queued them.
 func TestEqualTimeFIFOAcrossEntryPoints(t *testing.T) {
 	s := New(1)
 	var log []int
@@ -99,7 +103,12 @@ func TestEqualTimeFIFOAcrossEntryPoints(t *testing.T) {
 		case 0:
 			s.MustSchedule(time.Second, func() { log = append(log, i) })
 		case 1:
-			s.Post(time.Second, &recorder{&log, i})
+			if err := s.Every(time.Second, 2*time.Second, time.Hour, func() bool {
+				log = append(log, i)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
 		case 2:
 			s.Arm(&owned[i/3], time.Second, &recorder{&log, i})
 		}
@@ -153,25 +162,6 @@ func TestArmOwnedTimer(t *testing.T) {
 	if again.fired != 3 {
 		t.Fatalf("self-re-arming timer fired %d times, want 3", again.fired)
 	}
-
-	for _, bad := range []func(){
-		func() { s.Arm(&tm, -time.Second, &c) },
-		func() { s.Arm(&tm, time.Second, nil) },
-		func() { s.Post(-time.Second, &c) },
-		func() { s.Post(time.Second, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("misuse should panic")
-				}
-			}()
-			bad()
-		}()
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("rejected calls left %d events queued", s.Pending())
-	}
 }
 
 type rearm struct {
@@ -188,7 +178,8 @@ func (r *rearm) Run() {
 }
 
 // TestQueueAgainstSortedOracle drives the heap with a random mix of
-// schedules (all three entry points), cancellations from the middle and
+// schedules (all three entry points; a one-tick series has no handle to
+// cancel), cancellations from the middle and
 // partial runs, and checks the firing order against a stable sort of the
 // surviving events by time: the (at, seq) contract, independent of the
 // heap's shape.
@@ -215,7 +206,14 @@ func TestQueueAgainstSortedOracle(t *testing.T) {
 					tg := tag
 					handles = append(handles, s.MustSchedule(delay, func() { log = append(log, tg) }))
 				case 1:
-					s.Post(delay, &recorder{&log, tag})
+					tg := tag
+					at := s.Now() + delay
+					if err := s.Every(at, at+1, time.Hour, func() bool {
+						log = append(log, tg)
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
 					handles = append(handles, nil)
 				case 2:
 					tm := new(Timer)
@@ -261,22 +259,24 @@ func TestQueueAgainstSortedOracle(t *testing.T) {
 	}
 }
 
-// TestPostFireAllocatesNothing is the budget of the handle-less path: in
-// steady state a Post and its firing reuse a pooled timer.
-func TestPostFireAllocatesNothing(t *testing.T) {
+// TestArmFireAllocatesNothing is the budget of the hot path: arming,
+// cancelling and firing timers their owners embed in their own records
+// allocate nothing once the queue's array has grown.
+func TestArmFireAllocatesNothing(t *testing.T) {
 	s := New(1)
 	var c counter
-	for i := 0; i < 64; i++ { // warm the free list and the queue's array
-		s.Post(time.Millisecond, &c)
+	var owned [64]Timer
+	for i := range owned { // grow the queue's array
+		s.Arm(&owned[i], time.Millisecond, &c)
 	}
 	s.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.Post(time.Millisecond, &c)
-		s.Post(2*time.Millisecond, &c)
+		s.Arm(&owned[0], time.Millisecond, &c)
+		s.Arm(&owned[1], 2*time.Millisecond, &c)
 		s.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("Post+fire allocated %v times per run, want 0", allocs)
+		t.Fatalf("Arm+fire allocated %v times per run, want 0", allocs)
 	}
 	var tm Timer
 	allocs = testing.AllocsPerRun(1000, func() {
@@ -295,6 +295,6 @@ func TestPostFireAllocatesNothing(t *testing.T) {
 		s.Run()
 	})
 	if allocs != 1 {
-		t.Fatalf("Schedule+fire allocated %v times per run, want 1", allocs)
+		t.Fatalf("MustSchedule+fire allocated %v times per run, want 1", allocs)
 	}
 }

@@ -20,8 +20,9 @@ import (
 // and every lookup its candidates, 0.354 with those pooled but a closure
 // and timer per traffic operation, a copy per stored value and hit and a
 // new buffer after every drop, 0.032 while every node kept free lists of
-// its own request records and envelopes, and reads 0.023 now; the bound
-// leaves 15 % headroom over that.
+// its own request records and envelopes, 0.023 while the kernel kept a
+// free list of timers beside the records they pointed to, and reads 0.021
+// now; the bound was set 15 % over 0.023.
 func TestSimulatorMallocsPerMessage(t *testing.T) {
 	cfg := tinyConfig("mallocs", 5)
 	cfg.K = 20

@@ -71,7 +71,7 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	start := time.Now()
 
 	sim := eventsim.New(cfg.Seed)
-	sim.SetCancel(ctx, 0)
+	sim.SetCancel(ctx)
 	net := simnet.New(sim, simnet.Config{
 		Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 		Loss:    cfg.Loss.Model(),
@@ -87,13 +87,11 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	sort.Slice(joinTimes, func(i, j int) bool { return joinTimes[i] < joinTimes[j] })
 	var spawnErr error
 	for _, at := range joinTimes {
-		if _, err := sim.ScheduleAt(at, func() {
+		sim.MustSchedule(at-sim.Now(), func() {
 			if _, err := pop.spawn(); err != nil && spawnErr == nil {
 				spawnErr = err
 			}
-		}); err != nil {
-			return nil, nil, fmt.Errorf("scenario: schedule join: %w", err)
-		}
+		})
 	}
 
 	// Traffic runs through all phases in the with-traffic scenarios.
@@ -232,13 +230,9 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 		}
 	}
 	for at := cfg.SnapshotInterval; at < cfg.Total(); at += cfg.SnapshotInterval {
-		if _, err := sim.ScheduleAt(at, snap); err != nil {
-			return nil, nil, fmt.Errorf("scenario: schedule snapshot: %w", err)
-		}
+		sim.MustSchedule(at-sim.Now(), snap)
 	}
-	if _, err := sim.ScheduleAt(cfg.Total(), snap); err != nil {
-		return nil, nil, fmt.Errorf("scenario: schedule final snapshot: %w", err)
-	}
+	sim.MustSchedule(cfg.Total()-sim.Now(), snap)
 
 	if cfg.Attack.Enabled() {
 		if err := adversary.Start(cfg.ChurnStart()+cfg.Attack.Interval/2, cfg.Total()); err != nil {

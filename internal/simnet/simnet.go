@@ -151,8 +151,10 @@ type Network struct {
 }
 
 // delivery is one message in flight and the event that delivers it: Send
-// posts the record itself to the kernel, so a message costs no closure.
+// arms the record's own timer with the record as its body, so a message
+// costs neither a closure nor a timer.
 type delivery struct {
+	timer    eventsim.Timer
 	net      *Network
 	from, to Addr
 	payload  any
@@ -161,7 +163,7 @@ type delivery struct {
 
 // Run implements eventsim.Runner: the message arrives. The record goes
 // back on the free list before the handler runs, so the sends a handler
-// makes in reply reuse it.
+// makes in reply reuse it; its timer is idle by then.
 func (d *delivery) Run() {
 	n, from, to, payload := d.net, d.from, d.to, d.payload
 	d.payload = nil
@@ -214,15 +216,6 @@ const (
 )
 
 func fold(h, w uint64) uint64 { return bits.RotateLeft64((h^w)*fpPrime, 31) }
-
-// SetLoss replaces the loss model. Experiments use this to begin or end a
-// disturbance at a phase boundary.
-func (n *Network) SetLoss(m LossModel) {
-	if m == nil {
-		m = NoLoss{}
-	}
-	n.loss = m
-}
 
 // Attach registers a handler under an address below AddrLimit. Attaching
 // an address twice is an error: it would silently hijack traffic.
@@ -293,7 +286,7 @@ func (n *Network) Send(from, to Addr, payload any) {
 		d = &delivery{net: n}
 	}
 	d.from, d.to, d.payload, d.next = from, to, payload, nil
-	n.sim.Post(delay, d)
+	n.sim.Arm(&d.timer, delay, d)
 }
 
 // dropped hands a payload that will never arrive back to its owner.

@@ -234,22 +234,6 @@ func TestLossLevelModel(t *testing.T) {
 	}
 }
 
-func TestSetLoss(t *testing.T) {
-	sim, net := newNet(t, Config{Latency: ConstantLatency{}})
-	rec := &recorder{}
-	if err := net.Attach(2, &recHandler{rec: rec, sim: sim}); err != nil {
-		t.Fatal(err)
-	}
-	net.SetLoss(UniformLoss{P: 1.0})
-	net.Send(1, 2, "dropped")
-	net.SetLoss(nil) // resets to NoLoss
-	net.Send(1, 2, "kept")
-	sim.Run()
-	if len(rec.msgs) != 1 || rec.msgs[0].payload != "kept" {
-		t.Fatalf("messages = %+v", rec.msgs)
-	}
-}
-
 func TestDeliveryOrderPreservedUnderConstantLatency(t *testing.T) {
 	sim, net := newNet(t, Config{Latency: ConstantLatency{D: 10 * time.Millisecond}})
 	rec := &recorder{}
@@ -314,7 +298,7 @@ func TestSendDeliverAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := any(&struct{ n int }{7})
-	for i := 0; i < 64; i++ { // warm both free lists
+	for i := 0; i < 64; i++ { // warm the record free list and the queue
 		net.Send(1, 2, payload)
 	}
 	sim.Run()
@@ -341,8 +325,9 @@ func TestSendDeliverAllocationBudget(t *testing.T) {
 }
 
 // TestDeliveryRecordReuseKeepsMessagesApart: a handler that sends from
-// inside Deliver gets the record of the message being delivered; what it
-// was delivered must already be its own.
+// inside Deliver gets the record of the message being delivered, whose
+// timer has already fired and is idle; what it was delivered must
+// already be its own.
 func TestDeliveryRecordReuseKeepsMessagesApart(t *testing.T) {
 	sim := eventsim.New(1)
 	net := New(sim, Config{Latency: ConstantLatency{D: time.Millisecond}})
@@ -351,7 +336,14 @@ func TestDeliveryRecordReuseKeepsMessagesApart(t *testing.T) {
 		n := payload.(int)
 		seen = append(seen, n)
 		if n < 5 {
-			net.Send(1, 1, n+1) // reuses the record that carried n
+			d := net.free // the record that carried n
+			if d == nil || d.timer.Pending() {
+				t.Fatalf("message %d: the record to reuse is missing or its timer still pending", n)
+			}
+			net.Send(1, 1, n+1)
+			if net.free == d || !d.timer.Pending() {
+				t.Fatalf("message %d: the reply did not re-arm the record that carried it", n)
+			}
 		}
 		if got := payload.(int); got != n {
 			t.Errorf("payload changed under the handler: %d -> %d", n, got)

@@ -98,10 +98,11 @@ type Generator struct {
 	stores  int
 }
 
-// op is one scheduled lookup or store. It is posted to the kernel as its
-// own event and recycled through the generator's free list, so a
+// op is one scheduled lookup or store. It arms its own timer with itself
+// as the event and is recycled through the generator's free list, so a
 // steady-state operation allocates neither a closure nor a timer.
 type op struct {
+	timer eventsim.Timer
 	g     *Generator
 	node  *kademlia.Node
 	key   id.ID
@@ -135,7 +136,7 @@ func (g *Generator) post(offset time.Duration, node *kademlia.Node, key id.ID, s
 		o = &op{g: g}
 	}
 	o.node, o.key, o.store, o.next = node, key, store, nil
-	g.sim.Post(offset, o)
+	g.sim.Arm(&o.timer, offset, o)
 }
 
 // NewGenerator builds a traffic generator whose key pool is drawn with the

@@ -138,17 +138,12 @@ func (e *Engine) Start(arrivalsFrom, until time.Duration) error {
 		}
 	}
 	for i := range e.gen.FlashCrowds {
-		if err := e.scheduleCrowd(&e.gen.FlashCrowds[i]); err != nil {
-			return err
-		}
+		e.scheduleCrowd(&e.gen.FlashCrowds[i])
 	}
 	if e.gen.Trace != nil {
 		for _, ev := range e.gen.Trace.Events {
 			ev := ev
-			at := Minutes(ev.TMin)
-			if _, err := e.sim.ScheduleAt(at, func() { e.replay(ev) }); err != nil {
-				return fmt.Errorf("workload: trace event at %gm: %w", ev.TMin, err)
-			}
+			e.sim.MustSchedule(Minutes(ev.TMin)-e.sim.Now(), func() { e.replay(ev) })
 		}
 	}
 	return nil
@@ -167,7 +162,7 @@ func (e *Engine) minute() bool {
 // scheduleCrowd spreads one flash crowd's joins uniformly over its
 // window. The crowd's own session distribution, when set, overrides the
 // run's.
-func (e *Engine) scheduleCrowd(fc *FlashCrowdSpec) error {
+func (e *Engine) scheduleCrowd(fc *FlashCrowdSpec) {
 	window := fc.WindowMinutes
 	if window == 0 {
 		window = 1
@@ -178,11 +173,8 @@ func (e *Engine) scheduleCrowd(fc *FlashCrowdSpec) error {
 	}
 	for i := 0; i < fc.Joins; i++ {
 		at := Minutes(fc.AtMinutes + e.flash.Float64()*window)
-		if _, err := e.sim.ScheduleAt(at, func() { e.join(sessions) }); err != nil {
-			return fmt.Errorf("workload: flash crowd at %gm: %w", fc.AtMinutes, err)
-		}
+		e.sim.MustSchedule(at-e.sim.Now(), func() { e.join(sessions) })
 	}
-	return nil
 }
 
 // join performs one generative join, scheduling the session's departure
