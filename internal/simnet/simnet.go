@@ -207,15 +207,22 @@ func (n *Network) Stats() Stats { return n.stats }
 // to move no event can be checked against a recorded value.
 func (n *Network) Fingerprint() uint64 { return n.fp }
 
-// The fingerprint folds one 64-bit word at a time: xor it in, multiply by
-// an odd constant (a bijection that carries low bits upward) and rotate
-// (which carries high bits back down).
-const (
-	fpSeed  = 0xcbf29ce484222325
-	fpPrime = 0x9e3779b97f4a7c15
-)
+const fpSeed = 0xcbf29ce484222325 // the fingerprint of no message
 
-func fold(h, w uint64) uint64 { return bits.RotateLeft64((h^w)*fpPrime, 31) }
+// fingerprint folds one Send into the rolling hash as two 64-bit words,
+// its time and then its addresses and loss bit (attached addresses are
+// below AddrLimit, 2^22, so both fit one word). Each fold xors a word in,
+// multiplies by an odd constant (a bijection that carries low bits
+// upward) and rotates (which carries high bits back down).
+func (n *Network) fingerprint(from, to Addr, lost bool) {
+	w := uint64(from)<<23 | uint64(to)<<1
+	if lost {
+		w |= 1
+	}
+	const prime = 0x9e3779b97f4a7c15
+	h := bits.RotateLeft64((n.fp^uint64(n.sim.Now()))*prime, 31)
+	n.fp = bits.RotateLeft64((h^w)*prime, 31)
+}
 
 // Attach registers a handler under an address below AddrLimit. Attaching
 // an address twice is an error: it would silently hijack traffic.
@@ -267,12 +274,7 @@ func (n *Network) host(addr Addr) Handler {
 func (n *Network) Send(from, to Addr, payload any) {
 	n.stats.Sent++
 	lost := n.loss.Drop(n.sim.Rand(), from, to)
-	// Attached addresses are below AddrLimit (2^22), so both fit one word.
-	w := uint64(from)<<23 | uint64(to)<<1
-	if lost {
-		w |= 1
-	}
-	n.fp = fold(fold(n.fp, uint64(n.sim.Now())), w)
+	n.fingerprint(from, to, lost)
 	if lost {
 		n.stats.Lost++
 		dropped(payload)
