@@ -179,10 +179,9 @@ func (r *rearm) Run() {
 
 // TestQueueAgainstSortedOracle drives the heap with a random mix of
 // schedules (all three entry points; a one-tick series has no handle to
-// cancel), cancellations from the middle and
-// partial runs, and checks the firing order against a stable sort of the
-// surviving events by time: the (at, seq) contract, independent of the
-// heap's shape.
+// cancel), cancellations from the middle and partial runs, and checks the
+// firing order against a stable sort of the surviving events by time: the
+// (at, seq) contract, independent of the heap's shape.
 func TestQueueAgainstSortedOracle(t *testing.T) {
 	type planned struct {
 		at  time.Duration
