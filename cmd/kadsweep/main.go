@@ -81,9 +81,11 @@
 //	              statistics encode as null, and wall-clock timings and
 //	              the worker count are excluded, so the same sweep yields
 //	              identical bytes)
-//	-checkpoint d persist every completed run to directory d and, on a
-//	              later invocation, replay finished runs from disk
-//	              instead of re-executing them (sweep resume)
+//	-checkpoint d persist every completed run to directory d, one file
+//	              per run key (configuration fingerprint and seed), and,
+//	              on a later invocation, replay finished runs from disk
+//	              instead of re-executing them (sweep resume); a run two
+//	              experiments share runs and is stored once
 //	-quiet        suppress progress lines
 //
 // Examples:
@@ -168,7 +170,7 @@ func parseFlags(args []string) (*flags, error) {
 	case f.ciStop > 0 && f.reps < 2:
 		return nil, fmt.Errorf("-ci-stop needs -reps >= 2 (the rep budget a decision may stop short of)")
 	case f.ciStop > 0 && f.checkpointDir != "":
-		return nil, fmt.Errorf("-ci-stop cannot be combined with -checkpoint (adaptive rep counts would invalidate resumed fixed-R checkpoints)")
+		return nil, fmt.Errorf("-ci-stop cannot be combined with -checkpoint (the adaptive executor does not checkpoint its runs)")
 	}
 	var err error
 	f.scale, err = scenario.ScaleByName(*scale)
@@ -352,7 +354,8 @@ func sweepExperiments(stdout io.Writer, f *flags, exps ...scenario.Experiment) e
 		}
 		if f.csvDir != "" {
 			// Experiments of one pool may share run names (table2 reuses
-			// figure6-9's), so each writes its own subdirectory.
+			// figure6-9's, Sims F-H on other seeds), so each writes its
+			// own subdirectory.
 			dir := f.csvDir
 			if pooled {
 				dir = filepath.Join(dir, exp.ID)

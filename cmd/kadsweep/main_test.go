@@ -224,8 +224,8 @@ func checkGoldenTinyFigure2(t *testing.T, extra []string, write bool) {
 }
 
 // TestCheckpointFlag exercises -checkpoint end to end on figure2: the
-// second invocation replays every run from files under the experiment's
-// subdirectory.
+// second invocation replays every run from the files, one per run, in the
+// checkpoint directory itself.
 func TestCheckpointFlag(t *testing.T) {
 	ckpt := t.TempDir()
 	var first, second bytes.Buffer
@@ -239,7 +239,7 @@ func TestCheckpointFlag(t *testing.T) {
 	if got := strings.Count(second.String(), "(checkpoint)"); got != 4 {
 		t.Fatalf("second run replayed %d runs from checkpoints, want 4", got)
 	}
-	files, err := filepath.Glob(filepath.Join(ckpt, "figure2", "*.ckpt.json"))
+	files, err := filepath.Glob(filepath.Join(ckpt, "*.ckpt.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +249,8 @@ func TestCheckpointFlag(t *testing.T) {
 }
 
 // TestCheckpointResumeFlag exercises -checkpoint end to end on the attack
-// experiment: the second invocation replays every run from disk, from
-// files under the experiment's subdirectory, and renders identically.
+// experiment: the second invocation replays every run from disk, one file
+// per run in the checkpoint directory itself, and renders identically.
 func TestCheckpointResumeFlag(t *testing.T) {
 	ckpt := t.TempDir()
 	var first, second bytes.Buffer
@@ -267,7 +267,7 @@ func TestCheckpointResumeFlag(t *testing.T) {
 	if got := strings.Count(second.String(), "(checkpoint)"); got != 4 {
 		t.Fatalf("second run replayed %d runs from checkpoints, want 4:\n%s", got, second.String())
 	}
-	files, err := filepath.Glob(filepath.Join(ckpt, "attack", "*.ckpt.json"))
+	files, err := filepath.Glob(filepath.Join(ckpt, "*.ckpt.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

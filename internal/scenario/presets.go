@@ -79,7 +79,9 @@ type Experiment struct {
 // catalogue is the experiment catalogue: the ids of the spec files
 // embedded from specs/, in the order -list prints them and -exp all
 // runs them. figure2-9 are the paper's k sweeps, Simulations A-H;
-// table2 re-runs E-H on their own seeds; figure10 adds alpha 5 under
+// table2 summarises E-H, sharing figure6's four Sim E runs (seed
+// offsets 0-3, which a pooled sweep executes once) and running F-H on
+// seed offsets 100-303 of their own; figure10 adds alpha 5 under
 // churn; bitlength is §5.7's b = 80 vs 160 on C and D; figure11-14
 // are Simulations I-L (staleness and message loss at k = 20); attack
 // compares the adversary's strategies.

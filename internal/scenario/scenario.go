@@ -70,11 +70,6 @@ type Config struct {
 	// the zero value runs none of it. Typically populated from a
 	// scenario spec file via FromSpec.
 	Gen workload.Generators
-	// SpecDigest fingerprints the scenario spec this config was resolved
-	// from (empty for a config built in Go). It never affects the run —
-	// the sweep checkpoint layer records it to refuse resuming results
-	// produced by an edited spec.
-	SpecDigest string
 
 	// Phase durations; zero values take the paper defaults (30/90 min).
 	Setup      time.Duration

@@ -18,9 +18,7 @@ import (
 // size the scale's network of that name, seeds are baseSeed plus each
 // run's explicit offset, and an attack block completes through the one
 // adversary rule (budget half the network, spread over the strikes that
-// fit the window, snapshots on the strike cadence). Every resolved config
-// carries the spec's digest so checkpoint resume can refuse results from
-// an edited spec.
+// fit the window, snapshots on the strike cadence).
 func FromSpec(sp *workload.Spec, scale Scale, baseSeed int64) (Experiment, error) {
 	if sp.Scale != "" {
 		var err error
@@ -30,14 +28,12 @@ func FromSpec(sp *workload.Spec, scale Scale, baseSeed int64) (Experiment, error
 		}
 	}
 	exp := Experiment{ID: sp.ID, Title: sp.Title}
-	digest := sp.Digest()
 	for i := range sp.Runs {
 		run := workload.Merge(sp.Defaults, sp.Runs[i])
 		cfg, err := ResolveRun(run, scale, baseSeed)
 		if err != nil {
 			return Experiment{}, fmt.Errorf("scenario: spec %q run %q: %w", sp.ID, run.Name, err)
 		}
-		cfg.SpecDigest = digest
 		if err := cfg.WithDefaults().Validate(); err != nil {
 			return Experiment{}, fmt.Errorf("scenario: spec %q run %q: %w", sp.ID, run.Name, err)
 		}

@@ -155,16 +155,6 @@ func (e *Entry) FinalN() int {
 	return e.bind.Final.N()
 }
 
-// Key derives the arena identity of a configuration: the sweep
-// fingerprint (every field that shapes measurements) plus the effective
-// seed. Name, Workers, Governance and MinOnly are deliberately absent —
-// renaming a query or changing the server's maintenance policy must not
-// duplicate warm state, and every entry is built MinOnly.
-func Key(cfg scenario.Config) string {
-	eff := cfg.WithDefaults()
-	return fmt.Sprintf("%s|seed=%d", sweep.Fingerprint(eff), eff.Seed)
-}
-
 // Get returns the warm entry for cfg, building it with one simulation
 // run on a miss; ctx cancels the caller's wait and its own build (the
 // event kernel polls it at batch boundaries). The second return reports
@@ -181,7 +171,7 @@ func (a *Arena) Get(ctx context.Context, cfg scenario.Config) (*Entry, bool, err
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key := Key(cfg)
+	key := sweep.Key(cfg)
 	for {
 		a.mu.Lock()
 		if el, ok := a.entries[key]; ok {

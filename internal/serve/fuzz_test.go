@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"kadre/internal/sweep"
 )
 
 // FuzzQueryResolve holds the door every POST /v1/query body passes:
@@ -59,7 +61,7 @@ func FuzzQueryResolve(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted query does not re-resolve: %v\n%s", err, out)
 		}
-		if got, want := Key(again.Config), Key(q.Config); got != want {
+		if got, want := sweep.Key(again.Config), sweep.Key(q.Config); got != want {
 			t.Fatalf("arena key changed across a round trip:\n %s\n %s\n%s", want, got, out)
 		}
 	})

@@ -160,7 +160,7 @@ func (qs QuerySpec) Resolve() (Query, error) {
 
 // resolveFlat binds the flat scenario and attack blocks to a config as
 // the one-run spec they abbreviate: checked and resolved by the same code
-// as an embedded document, minus the digest only checkpoints read.
+// as an embedded document.
 func (qs QuerySpec) resolveFlat() (scenario.Config, error) {
 	sp := workload.Spec{Version: workload.SpecVersion, ID: "query", Runs: []workload.RunSpec{qs.runSpec()}}
 	if err := sp.Check(); err != nil {
@@ -320,10 +320,11 @@ func (qs QuerySpec) finish(cfg scenario.Config) (Query, error) {
 	}, nil
 }
 
-// queryName labels a query's runs by a short hash of their arena key:
-// stable across restarts, identical for equivalent specs.
+// queryName labels a query's runs by a short hash of their run key
+// (sweep.Key, which also keys the arena): stable across restarts,
+// identical for equivalent specs.
 func queryName(cfg scenario.Config) string {
 	h := fnv.New64a()
-	h.Write([]byte(Key(cfg)))
+	h.Write([]byte(sweep.Key(cfg)))
 	return fmt.Sprintf("query/%08x", h.Sum64()&0xFFFFFFFF)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kadre/internal/scenario"
+	"kadre/internal/sweep"
 	"kadre/internal/workload"
 )
 
@@ -144,14 +145,11 @@ func TestResolveEmbeddedSpecMatchesScenario(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: embedded: %v", tt.name, err)
 		}
-		if Key(qe.Config) != Key(qf.Config) {
-			t.Errorf("%s: arena keys differ:\n spec: %s\n flat: %s", tt.name, Key(qe.Config), Key(qf.Config))
+		if sweep.Key(qe.Config) != sweep.Key(qf.Config) {
+			t.Errorf("%s: arena keys differ:\n spec: %s\n flat: %s", tt.name, sweep.Key(qe.Config), sweep.Key(qf.Config))
 		}
 		if qe.Config.Name != qf.Config.Name {
 			t.Errorf("%s: query names differ: %q vs %q", tt.name, qe.Config.Name, qf.Config.Name)
-		}
-		if qe.Config.SpecDigest == "" || qf.Config.SpecDigest != "" {
-			t.Errorf("%s: digests: embedded %q (want one), flat %q (want none)", tt.name, qe.Config.SpecDigest, qf.Config.SpecDigest)
 		}
 	}
 }
@@ -196,7 +194,7 @@ func TestFlatKeysPinned(t *testing.T) {
 		q, err := resolveBody(body)
 		if err != nil {
 			t.Errorf("%s: %v", tt.body, err)
-		} else if got := Key(q.Config); got != tt.want {
+		} else if got := sweep.Key(q.Config); got != tt.want {
 			t.Errorf("%s:\n key  %s\n want %s", tt.body, got, tt.want)
 		}
 	}

@@ -3,9 +3,9 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"kadre/internal/scenario"
 )
@@ -14,14 +14,17 @@ import (
 // those files on a later sweep, so a long replicated sweep interrupted
 // half-way resumes instead of restarting (the ROADMAP's "sweep resume").
 //
-// A checkpoint stores the run in scenario.Result's own JSON encoding —
-// every measurement, Durations as exact nanoseconds — so a resumed sweep
-// produces byte-identical CSV/JSON artefacts, and a field added to Result
-// resumes without an edit here. Wall-clock Elapsed is deliberately not
-// stored (it is excluded from all deterministic outputs). Files are keyed
-// by experiment, run name, replication index, and derived seed, and carry
-// a fingerprint of the effective configuration; Load says what a mismatch
-// means.
+// Files are content-addressed: a run's file is named by a hash of its Key
+// and stores the full key beside the result. A run two experiments share
+// therefore has one file, and a spec edit needs no bookkeeping: every run
+// whose key the edit changed misses and executes again, and every run it
+// left alone replays. The result is stored in scenario.Result's own JSON
+// encoding — every measurement, Durations as exact nanoseconds — so a
+// resumed sweep produces byte-identical CSV/JSON artefacts, and a field
+// added to Result resumes without an edit here. Wall-clock Elapsed is
+// deliberately not stored. Governance and MinOnly are outside the key, so
+// sweeps that vary them do not share a directory (kadsweep never varies
+// them).
 type Checkpointer struct {
 	dir string
 }
@@ -43,30 +46,21 @@ func (c *Checkpointer) Dir() string { return c.dir }
 // ckptFile is the on-disk form of one completed run: the key that says
 // whose run it is, and the result in scenario.Result's own JSON encoding.
 type ckptFile struct {
-	Name        string `json:"name"`
-	Rep         int    `json:"rep"`
-	Seed        int64  `json:"seed"`
-	Fingerprint string `json:"fingerprint"`
-	// SpecDigest fingerprints the scenario spec file the run's config was
-	// resolved from (empty for a config built in Go). Resume refuses to mix
-	// results across different digests.
-	SpecDigest string           `json:"spec_digest,omitempty"`
-	Result     *scenario.Result `json:"result"`
+	Key    string           `json:"key"`
+	Result *scenario.Result `json:"result"`
 }
 
 // Fingerprint condenses every configuration field that shapes a run's
 // measurements into a canonical string. Seed and Name are deliberately
-// absent (checkpoints key them separately; caches append the seed
-// themselves), as are Log/OnSnapshot, Workers, Governance and MinOnly,
-// which only affect observation, scheduling, maintenance and which
-// measurements are paid for, never a measured value. Shared
-// by checkpoint resume and by cross-run warm-state caches (the kadserve
-// engine arena), so one definition decides what "the same run" means.
+// absent (Key appends the seed), as are Log/OnSnapshot, Workers,
+// Governance and MinOnly, which only affect observation, scheduling,
+// maintenance and which measurements are paid for, never a measured
+// value. TestFingerprintCoversEveryField holds every other Config field
+// to changing it.
 func Fingerprint(cfg scenario.Config) string {
 	// Attack.String() renders strategy/kills/interval/budget only, so the
 	// cutset analyzer's sampling fraction is keyed explicitly: it changes
 	// which cut the adversary finds, hence the victims and every curve.
-	// Workers is deliberately absent — results are worker-independent.
 	fp := fmt.Sprintf("size=%d|k=%d|a=%d|b=%d|s=%d|loss=%s|churn=%s|traffic=%v|wl=%+v|setup=%d|stab=%d|phase=%d|snap=%d|c=%g|attack=%s|ac=%g|target=%s",
 		cfg.Size, cfg.K, cfg.Alpha, cfg.Bits, cfg.Staleness,
 		cfg.Loss, cfg.Churn, cfg.Traffic, cfg.Workload,
@@ -81,96 +75,73 @@ func Fingerprint(cfg scenario.Config) string {
 	return fp
 }
 
-// sanitize flattens a run name into a safe file-name fragment.
-func sanitize(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
-}
-
-// path files a run under its experiment's subdirectory, so two experiments
-// may reuse a run name and seed (the catalogue's figure6 and table2 both
-// define SimE/k=5 at seed offset 0); a run outside any experiment ("")
-// lies in the directory itself.
-func (c *Checkpointer) path(exp string, cfg scenario.Config, rep int) string {
-	file := fmt.Sprintf("%s_r%d_s%d.ckpt.json", sanitize(cfg.Name), rep, cfg.Seed)
-	if exp == "" {
-		return filepath.Join(c.dir, file)
-	}
-	return filepath.Join(c.dir, sanitize(exp), file)
-}
-
-// Store persists one completed run of experiment exp. cfg must be the
-// job's config (its Seed already derived for the replication).
-func (c *Checkpointer) Store(exp string, cfg scenario.Config, rep int, r *scenario.Result) error {
+// Key is the one identity of a run: the Fingerprint of its effective
+// configuration plus its effective seed. Two configs with one Key run the
+// same simulation and measure the same values, whatever their names. The
+// kadserve arena keys warm engines by it, a checkpoint file is addressed
+// by it, and RunGroups executes a run several groups declare once.
+func Key(cfg scenario.Config) string {
 	eff := cfg.WithDefaults()
-	out := ckptFile{
-		Name: cfg.Name, Rep: rep, Seed: eff.Seed, Fingerprint: Fingerprint(eff),
-		SpecDigest: eff.SpecDigest, Result: r,
+	return fmt.Sprintf("%s|seed=%d", Fingerprint(eff), eff.Seed)
+}
+
+// path names the file of the run keyed key.
+func (c *Checkpointer) path(key string) string {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return filepath.Join(c.dir, fmt.Sprintf("%016x.ckpt.json", h.Sum64()))
+}
+
+// Store persists one completed run. cfg must be the job's config (its
+// Seed already derived for the replication).
+func (c *Checkpointer) Store(cfg scenario.Config, r *scenario.Result) error {
+	key := Key(cfg)
+	data, err := json.Marshal(ckptFile{Key: key, Result: r})
+	if err == nil {
+		err = c.write(c.path(key), data)
 	}
-	data, err := json.Marshal(out)
 	if err != nil {
-		return fmt.Errorf("sweep: checkpoint %s rep %d: %w", cfg.Name, rep, err)
-	}
-	// Write-then-rename so a crash mid-write leaves no half checkpoint
-	// that a resume would have to distrust.
-	path := c.path(exp, cfg, rep)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("sweep: checkpoint %s rep %d: %w", cfg.Name, rep, err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("sweep: checkpoint %s rep %d: %w", cfg.Name, rep, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("sweep: checkpoint %s rep %d: %w", cfg.Name, rep, err)
+		return fmt.Errorf("sweep: checkpoint %s seed %d: %w", cfg.Name, cfg.Seed, err)
 	}
 	return nil
 }
 
-// Load reconstructs a previously stored run of experiment exp. It reports (nil, false,
-// nil) when no usable checkpoint exists — missing, unreadable, or keyed
-// to a different run — and the sweep simply re-executes. But a
-// checkpoint that IS this run's (experiment, name, rep, seed match) while its
-// configuration fingerprint or scenario-spec digest differs means the
-// experiment definition changed since the checkpoint was written;
-// silently re-running (or worse, replaying) would mix results from two
-// different experiments into one artefact, so Load fails loudly instead
-// and the caller aborts the sweep.
-func (c *Checkpointer) Load(exp string, cfg scenario.Config, rep int) (*scenario.Result, bool, error) {
-	path := c.path(exp, cfg, rep)
-	data, err := os.ReadFile(path)
+// write replaces path by data through a private temporary file and a
+// rename, so a crash mid-write leaves no half checkpoint, and two runs
+// that store under one path at once (one key, two governance policies)
+// never write into each other's file.
+func (c *Checkpointer) write(path string, data []byte) error {
+	tmp, err := os.CreateTemp(c.dir, "*.tmp")
 	if err != nil {
-		return nil, false, nil
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
+// Load replays the stored run of cfg. A missing, unreadable or torn file,
+// or one holding another key (an older layout, or a hash collision), is
+// no checkpoint: it reports false, the run executes again and Store
+// rewrites the file.
+func (c *Checkpointer) Load(cfg scenario.Config) (*scenario.Result, bool) {
+	key := Key(cfg)
+	data, err := os.ReadFile(c.path(key))
+	if err != nil {
+		return nil, false
 	}
 	var in ckptFile
-	if err := json.Unmarshal(data, &in); err != nil || in.Result == nil {
-		// A corrupt file (e.g. a torn write from a hard kill predating the
-		// rename protocol) or one without a result object (the field-by-field
-		// layout of earlier versions) is not a definition change: re-run and
-		// rewrite.
-		return nil, false, nil
+	if json.Unmarshal(data, &in) != nil || in.Key != key || in.Result == nil {
+		return nil, false
 	}
-	eff := cfg.WithDefaults()
-	if in.Name != cfg.Name || in.Rep != rep || in.Seed != eff.Seed {
-		return nil, false, nil
-	}
-	if in.Fingerprint != Fingerprint(eff) {
-		return nil, false, fmt.Errorf(
-			"sweep: checkpoint %s holds run %q rep %d under a different experiment definition (checkpoint %q, current %q): the config or spec changed since the sweep was checkpointed — use a fresh checkpoint directory or delete the stale files",
-			path, cfg.Name, rep, in.Fingerprint, Fingerprint(eff))
-	}
-	if in.SpecDigest != "" && eff.SpecDigest != "" && in.SpecDigest != eff.SpecDigest {
-		return nil, false, fmt.Errorf(
-			"sweep: checkpoint %s was written from scenario spec digest %s but the current spec digests to %s: the spec file changed since the sweep was checkpointed — use a fresh checkpoint directory or delete the stale files",
-			path, in.SpecDigest, eff.SpecDigest)
-	}
-	in.Result.Config = eff
-	return in.Result, true, nil
+	in.Result.Config = cfg.WithDefaults()
+	return in.Result, true
 }

@@ -5,11 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"kadre/internal/attack"
+	"kadre/internal/connectivity"
 	"kadre/internal/id"
 	"kadre/internal/scenario"
 )
@@ -106,144 +106,145 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusesChangedDefinition pins the resume contract for an
-// edited experiment: a checkpoint keyed to this exact run (name, rep,
-// seed) but written under a different configuration is a definition
-// change, and the sweep must abort loudly instead of silently re-running
-// (and thereby mixing the edited definition's results with the stale
-// files still on disk).
-func TestCheckpointRefusesChangedDefinition(t *testing.T) {
+// TestCheckpointEditReRunsChangedRuns pins resume across an edited
+// experiment: a run whose key the edit changed misses, executes again and
+// never replays the old result, while every run the edit left alone —
+// renamed ones included, since a name is no part of a run — replays. The
+// unedited definition's files stay addressable, so it still resumes
+// entirely from disk afterwards.
+func TestCheckpointEditReRunsChangedRuns(t *testing.T) {
 	ckpt, err := NewCheckpointer(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(ckptConfigs(), Options{Checkpoint: ckpt}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Changing only the adversary's analyzer sampling changes the attacked
-	// run's definition (it changes the cut, hence the victims).
-	cfgs := ckptConfigs()
-	cfgs[1].Attack.SampleFraction = 1.0
-	if _, err := Run(cfgs, Options{Checkpoint: ckpt}); err == nil ||
-		!strings.Contains(err.Error(), "different experiment definition") {
-		t.Fatalf("resume after attack sampling change: got %v, want definition-change error", err)
-	}
-
-	// Same names and seeds, different k: every run's definition changed.
-	cfgs = ckptConfigs()
-	for i := range cfgs {
-		cfgs[i].K = 4
-	}
-	if _, err := Run(cfgs, Options{Checkpoint: ckpt}); err == nil ||
-		!strings.Contains(err.Error(), "different experiment definition") {
-		t.Fatalf("resume after k change: got %v, want definition-change error", err)
-	}
-
-	// The unmodified definition still resumes entirely from disk.
-	fresh := 0
-	if _, err := Run(ckptConfigs(), Options{Checkpoint: ckpt, Progress: func(ev Event) {
-		if !ev.Cached {
-			fresh++
-		}
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if fresh != 0 {
-		t.Fatalf("unchanged definition re-ran %d runs, want 0", fresh)
-	}
-}
-
-// TestCheckpointRefusesMutatedSpec is the satellite regression: two specs
-// can resolve to behaviorally identical configs (same fingerprint) while
-// being different files — e.g. only descriptive or not-yet-effective
-// fields changed. The digest stored in the checkpoint must still refuse
-// the resume; an empty digest (a config built in Go, or a pre-digest
-// checkpoint) stays compatible in both directions.
-func TestCheckpointRefusesMutatedSpec(t *testing.T) {
-	ckpt, err := NewCheckpointer(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	withDigest := func(d string) []scenario.Config {
-		cfgs := ckptConfigs()[:1]
-		cfgs[0].SpecDigest = d
-		return cfgs
-	}
-	if _, err := Run(withDigest("aaaa1111"), Options{Checkpoint: ckpt}); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := Run(withDigest("bbbb2222"), Options{Checkpoint: ckpt}); err == nil ||
-		!strings.Contains(err.Error(), "spec") {
-		t.Fatalf("resume under mutated spec digest: got %v, want spec-change error", err)
-	}
-
-	// Preset-style configs (no digest) replay spec-written checkpoints and
-	// vice versa: the fingerprint already guarantees identical results.
-	cached := 0
-	count := func(ev Event) {
-		if ev.Cached {
-			cached++
-		}
-	}
-	if _, err := Run(withDigest(""), Options{Checkpoint: ckpt, Progress: count}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(withDigest("aaaa1111"), Options{Checkpoint: ckpt, Progress: count}); err != nil {
-		t.Fatal(err)
-	}
-	if cached != 2 {
-		t.Fatalf("digest-compatible resumes replayed %d runs from disk, want 2", cached)
-	}
-}
-
-// TestCheckpointKeysRunsByExperiment pins that a checkpoint belongs to its
-// experiment: two groups of one pooled sweep may each define a run of the
-// same name and seed (the catalogue's figure6 and table2 both hold
-// SimE/k=5 at seed offset 0) resolved from different spec files. Neither
-// may read the other's checkpoint as its own: a fresh directory sweeps
-// both, and a second call replays both.
-func TestCheckpointKeysRunsByExperiment(t *testing.T) {
-	groups := func() []Group {
-		a, b := ckptConfigs()[:1], ckptConfigs()[:1]
-		a[0].SpecDigest, b[0].SpecDigest = "aaaa1111", "bbbb2222"
-		return []Group{{Name: "figureA", Configs: a}, {Name: "tableB", Configs: b}}
-	}
-	ckpt, err := NewCheckpointer(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := 0
+	var fresh, cached int
 	opts := Options{Checkpoint: ckpt, Progress: func(ev Event) {
 		if ev.Cached {
 			cached++
+		} else {
+			fresh++
 		}
 	}}
-	documents := func() [][]byte {
+	groupDocument(t, ckptConfigs(), opts)
+
+	// Changing only the adversary's analyzer sampling changes the attacked
+	// run (it changes the cut, hence the victims); a new name changes
+	// nothing that is measured.
+	sampled := ckptConfigs()
+	sampled[0].Name = "ckpt/renamed"
+	sampled[1].Attack.SampleFraction = 1.0
+	// Same names and seeds, different k: every run changed.
+	smallK := ckptConfigs()
+	for i := range smallK {
+		smallK[i].K = 4
+	}
+	for _, tt := range []struct {
+		name          string
+		cfgs          []scenario.Config
+		fresh, cached int
+	}{
+		{"attack sampling and a name edited", sampled, 1, 1},
+		{"k edited", smallK, 2, 0},
+		{"unedited", ckptConfigs(), 0, 2},
+	} {
+		fresh, cached = 0, 0
+		got := groupDocument(t, tt.cfgs, opts)
+		if fresh != tt.fresh || cached != tt.cached {
+			t.Errorf("%s: %d fresh / %d replayed runs, want %d/%d", tt.name, fresh, cached, tt.fresh, tt.cached)
+		}
+		if want := groupDocument(t, tt.cfgs, Options{}); !bytes.Equal(got, want) {
+			t.Errorf("%s: resumed document differs from a sweep without checkpoints", tt.name)
+		}
+	}
+}
+
+// TestSharedRunExecutesOnce pins what a run key buys a pooled sweep: a run
+// two groups declare — under different names, as a spec may — executes
+// once and leaves one checkpoint, and each group's document equals the
+// one a sweep of that group alone writes. A second sweep replays every
+// run. A governance policy is outside the key but reaches the Result, so
+// a copy under another policy still runs on its own.
+func TestSharedRunExecutesOnce(t *testing.T) {
+	shared := ckptConfigs()[0]
+	shared.Name = "tableB/plain"
+	ungoverned := ckptConfigs()[0]
+	ungoverned.Name = "tableC/ungoverned"
+	ungoverned.Governance = connectivity.GovernancePolicy{MaxSlotSlack: -1}
+	groups := []Group{
+		{Name: "figureA", Configs: ckptConfigs()},
+		{Name: "tableB", Configs: []scenario.Config{shared}},
+		{Name: "tableC", Configs: []scenario.Config{ungoverned}},
+	}
+	alone := make([][]byte, len(groups))
+	for i, g := range groups {
+		alone[i] = groupDocument(t, g.Configs, Options{})
+	}
+	sweep := func(groups []Group, opts Options, runs, replays int) {
 		t.Helper()
-		sets, err := RunGroups(groups(), opts)
+		var events, cached int
+		opts.Progress = func(ev Event) {
+			events++
+			if ev.Cached {
+				cached++
+			}
+			if ev.Total != runs {
+				t.Errorf("Event.Total %d, want %d distinct runs", ev.Total, runs)
+			}
+		}
+		sets, err := RunGroups(groups, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		docs := make([][]byte, len(sets))
+		if events != runs || cached != replays {
+			t.Fatalf("%d runs, %d replayed; want %d runs, %d replayed", events, cached, runs, replays)
+		}
 		for i, g := range sets {
 			var buf bytes.Buffer
 			if err := WriteJSON(&buf, JSONMeta{Experiment: "ckpt"}, g); err != nil {
 				t.Fatal(err)
 			}
-			docs[i] = buf.Bytes()
+			if !bytes.Equal(buf.Bytes(), alone[i]) {
+				t.Errorf("group %s's document differs from a sweep of it alone", groups[i].Name)
+			}
+			for _, rs := range g {
+				if r := rs.Reps[0]; r.Config.Name != rs.Config.Name {
+					t.Errorf("group %s: run %s's result carries the config of %s", groups[i].Name, rs.Config.Name, r.Config.Name)
+				}
+			}
 		}
-		return docs
 	}
-	fresh := documents()
-	if cached != 0 {
-		t.Fatalf("fresh directory replayed %d runs, want 0", cached)
+	sweep(groups, Options{}, 3, 0)
+
+	// A checkpoint directory does not serve sweeps that vary the policy
+	// (see Checkpointer), so the checkpointed passes leave tableC out.
+	ckpt, err := NewCheckpointer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resumed := documents(); cached != 2 || !reflect.DeepEqual(fresh, resumed) {
-		t.Fatalf("resume replayed %d runs (want both), documents equal to fresh: %v",
-			cached, reflect.DeepEqual(fresh, resumed))
+	for _, replays := range []int{0, 2} {
+		sweep(groups[:2], Options{Checkpoint: ckpt}, 2, replays)
+		files, err := filepath.Glob(filepath.Join(ckpt.Dir(), "*.ckpt.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 2 {
+			t.Fatalf("%d checkpoint files, want 2 (one per key)", len(files))
+		}
 	}
+}
+
+// groupDocument is the JSON document of a sweep of cfgs.
+func groupDocument(t *testing.T, cfgs []scenario.Config, opts Options) []byte {
+	t.Helper()
+	sets, err := Run(cfgs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, JSONMeta{Experiment: "ckpt"}, sets); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestCheckpointIgnoresCorruptFile(t *testing.T) {
@@ -334,12 +335,12 @@ func TestCheckpointRoundTripsEveryResultField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Store("", cfg, 0, stored); err != nil {
+	if err := ckpt.Store(cfg, stored); err != nil {
 		t.Fatal(err)
 	}
-	loaded, ok, err := ckpt.Load("", cfg, 0)
-	if err != nil || !ok {
-		t.Fatalf("Load = ok %v, err %v; want a replay", ok, err)
+	loaded, ok := ckpt.Load(cfg)
+	if !ok {
+		t.Fatal("Load found no checkpoint; want a replay")
 	}
 	want := *stored
 	want.Config, want.Elapsed, want.Fingerprint, want.Events = cfg.WithDefaults(), 0, 0, 0
@@ -350,25 +351,13 @@ func TestCheckpointRoundTripsEveryResultField(t *testing.T) {
 
 // TestCheckpointParentLayoutReRuns pins the upgrade path: testdata holds
 // the attacked run of ckptConfigs exactly as the last version with the
-// field-by-field layout (commit 248e82e) wrote it. It is this job's file
-// under this job's fingerprint, yet it must load as absent — the run
+// field-by-field layout (commit 248e82e) wrote it. Lying at this job's
+// address, it must still load as absent — it holds no key — so the run
 // re-executes, the file is rewritten in the current layout, and both the
 // re-run and the following resume serialize to the fresh sweep's bytes.
 func TestCheckpointParentLayoutReRuns(t *testing.T) {
 	cfgs := ckptConfigs()[1:]
-	document := func(opts Options) []byte {
-		t.Helper()
-		sets, err := Run(cfgs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, JSONMeta{Experiment: "ckpt"}, sets); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	fresh := document(Options{})
+	fresh := groupDocument(t, cfgs, Options{})
 
 	old, err := os.ReadFile(filepath.Join("testdata", "parent_layout_ckpt_attacked_r0_s3.ckpt.json"))
 	if err != nil {
@@ -381,7 +370,7 @@ func TestCheckpointParentLayoutReRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(ckpt.Dir(), "ckpt_attacked_r0_s3.ckpt.json")
+	path := ckpt.path(Key(cfgs[0]))
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +381,7 @@ func TestCheckpointParentLayoutReRuns(t *testing.T) {
 			cached++
 		}
 	}}
-	if got := document(opts); cached != 0 || !bytes.Equal(got, fresh) {
+	if got := groupDocument(t, cfgs, opts); cached != 0 || !bytes.Equal(got, fresh) {
 		t.Fatalf("over a parent-layout checkpoint: %d runs replayed (want 0), document equal to fresh: %v",
 			cached, bytes.Equal(got, fresh))
 	}
@@ -403,7 +392,7 @@ func TestCheckpointParentLayoutReRuns(t *testing.T) {
 	if !bytes.Contains(rewritten, []byte(`"result":{`)) {
 		t.Fatalf("checkpoint not rewritten in the current layout: %s", rewritten)
 	}
-	if got := document(opts); cached != 1 || !bytes.Equal(got, fresh) {
+	if got := groupDocument(t, cfgs, opts); cached != 1 || !bytes.Equal(got, fresh) {
 		t.Fatalf("resume after the rewrite: %d runs replayed (want 1), document equal to fresh: %v",
 			cached, bytes.Equal(got, fresh))
 	}

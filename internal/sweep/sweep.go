@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"kadre/internal/connectivity"
 	"kadre/internal/par"
 	"kadre/internal/scenario"
 	"kadre/internal/stats"
@@ -52,7 +53,7 @@ type Event struct {
 	Rep        int           // replication index, 0-based
 	Seed       int64         // derived seed the run used
 	Done       int           // completed runs so far, including this one
-	Total      int           // total runs in the sweep (all groups)
+	Total      int           // distinct runs in the sweep (all groups)
 	Elapsed    time.Duration // wall-clock cost of this run
 	Cached     bool          // run was replayed from a checkpoint
 	Err        error         // non-nil if the run failed
@@ -111,7 +112,7 @@ func DeriveSeed(base int64, rep int) int64 {
 
 // Group names one experiment's configurations inside a multi-experiment
 // sweep; the name is echoed as Event.Experiment on its runs' progress
-// events and keys their checkpoints.
+// events.
 type Group struct {
 	Name    string
 	Configs []scenario.Config
@@ -130,6 +131,15 @@ func Run(cfgs []scenario.Config, opts Options) ([]*RunSet, error) {
 	return sets[0], nil
 }
 
+// runID is what makes two jobs' results byte-identical: the run's Key
+// plus the two Config fields outside the fingerprint that still reach a
+// Result (the maintenance counters and the Avg half of every point).
+type runID struct {
+	key        string
+	governance connectivity.GovernancePolicy
+	minOnly    bool
+}
+
 // RunGroups executes several experiments' sweeps through one shared
 // worker pool, returning per-group RunSets in input order. Unlike
 // looping Run over the groups, the pool never drains between
@@ -139,18 +149,24 @@ func Run(cfgs []scenario.Config, opts Options) ([]*RunSet, error) {
 // function of its config and seed, and results are reassembled by
 // index — so the output is identical to the serial per-experiment form.
 //
+// A run declared more than once — by two groups (the catalogue's table2
+// and figure6 both hold Sim E) or twice in one — executes once, and its
+// result fills every slot that declared it. Its progress event names the
+// group that declared it first, and Event.Total counts distinct runs.
+//
 // Runs are dispatched longest expected first (Graham's LPT rule), so that
 // the pool does not end on one long run started last while the other
 // workers idle. The expected cost of a run is Size × K × (Setup +
 // Stabilize + ChurnPhase) (scenario.Config.ExpectedCost); runs of equal
-// cost keep their (group, config, rep) order.
+// cost keep the (group, config, rep) order of their first declaration.
 //
-// A failing run ends its own group only: that group's runs dispatched
-// after it may be skipped, while every other group's runs still run, so a
-// costly run that fails early does not take the cheaper experiments down
-// with it. RunGroups then returns the error of the failing run that comes
-// first in dispatch order alongside a partial result: groups whose runs
-// all completed carry their RunSets, the rest are nil. Callers can
+// A failing run ends the group that declared it first: that group's runs
+// dispatched after it may be skipped, while every other group's runs
+// still run, so a costly run that fails early does not take the cheaper
+// experiments down with it. Every group that declared the failed run is
+// incomplete. RunGroups then returns the error of the failing run that
+// comes first in dispatch order alongside a partial result: groups whose
+// runs all completed carry their RunSets, the rest are nil. Callers can
 // therefore persist the finished experiments of a long pooled sweep
 // instead of discarding hours of completed work with the error.
 func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
@@ -162,19 +178,31 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 	type job struct {
 		cfg   scenario.Config
 		group string
-		gi    int // group index, the job's failure scope
+		gi    int // index of the declaring group, the job's failure scope
 		rep   int
-		at    int // (group, config, rep) index, where the result goes
+		at    []int // every (group, config, rep) slot the result fills
 		cost  float64
 	}
-	var jobs []job
+	var (
+		jobs  []job
+		slots []scenario.Config // each slot's own config, by slot index
+		seen  = make(map[runID]int)
+	)
 	for gi, g := range groups {
 		for _, cfg := range g.Configs {
 			cost := cfg.ExpectedCost()
 			for r := 0; r < reps; r++ {
 				jc := cfg
 				jc.Seed = DeriveSeed(cfg.Seed, r)
-				jobs = append(jobs, job{cfg: jc, group: g.Name, gi: gi, rep: r, at: len(jobs), cost: cost})
+				eff := jc.WithDefaults()
+				id := runID{Key(eff), eff.Governance, eff.MinOnly}
+				if ji, ok := seen[id]; ok {
+					jobs[ji].at = append(jobs[ji].at, len(slots))
+				} else {
+					seen[id] = len(jobs)
+					jobs = append(jobs, job{cfg: jc, group: g.Name, gi: gi, rep: r, at: []int{len(slots)}, cost: cost})
+				}
+				slots = append(slots, jc)
 			}
 		}
 	}
@@ -184,17 +212,7 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 	scope := func(i int) int { return jobs[i].gi }
 	dispatched, mapErr := par.MapScoped(opts.Jobs, jobs, len(groups), scope, func(_ int, j job) (*scenario.Result, error) {
 		if opts.Checkpoint != nil {
-			res, ok, lerr := opts.Checkpoint.Load(j.group, j.cfg, j.rep)
-			if lerr != nil {
-				// A checkpoint for this exact run written under a different
-				// experiment definition: abort rather than silently mixing
-				// results from the edited and original definitions.
-				progress.emit(Event{
-					Experiment: j.group, Name: j.cfg.Name, Rep: j.rep, Seed: j.cfg.Seed, Err: lerr,
-				})
-				return nil, fmt.Errorf("scenario %q rep %d (seed %d): %w", j.cfg.Name, j.rep, j.cfg.Seed, lerr)
-			}
-			if ok {
+			if res, ok := opts.Checkpoint.Load(j.cfg); ok {
 				progress.emit(Event{
 					Experiment: j.group, Name: j.cfg.Name, Rep: j.rep, Seed: j.cfg.Seed, Cached: true,
 				})
@@ -203,7 +221,7 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 		}
 		res, rerr := scenario.Run(j.cfg)
 		if rerr == nil && opts.Checkpoint != nil {
-			rerr = opts.Checkpoint.Store(j.group, j.cfg, j.rep, res)
+			rerr = opts.Checkpoint.Store(j.cfg, res)
 		}
 		var elapsed time.Duration
 		if res != nil {
@@ -218,9 +236,19 @@ func RunGroups(groups []Group, opts Options) ([][]*RunSet, error) {
 		}
 		return res, nil
 	})
-	results := make([]*scenario.Result, len(jobs))
+	results := make([]*scenario.Result, len(slots))
 	for i, j := range jobs {
-		results[j.at] = dispatched[i]
+		for n, at := range j.at {
+			res := dispatched[i]
+			if res != nil && n > 0 {
+				// A later declarer gets a copy carrying its own config (a
+				// shared run may go by another name there).
+				shared := *res
+				shared.Config = slots[at].WithDefaults()
+				res = &shared
+			}
+			results[at] = res
+		}
 	}
 
 	out := make([][]*RunSet, len(groups))

@@ -20,7 +20,6 @@ package workload
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -108,7 +107,7 @@ type RunSpec struct {
 // Size is a run's network size: a node count, or "small" or "large" for
 // the resolving scale's two sizes, so one spec names the paper's large
 // network at every scale. It encodes back to the form it was decoded
-// from, which leaves the digest of a spec with numeric sizes unchanged.
+// from.
 type Size struct {
 	// Nodes is the explicit node count, used when Name is empty.
 	Nodes int
@@ -782,17 +781,4 @@ func checkTraceLabels(events []TraceEvent) error {
 		}
 	}
 	return nil
-}
-
-// Digest fingerprints the spec: a short hex digest over its canonical
-// JSON form with all traces resolved, so editing any field — or any
-// replayed trace file — yields a different digest. Checkpoint resume
-// uses it to refuse mixing results across edited specs.
-func (sp *Spec) Digest() string {
-	b, err := json.Marshal(sp)
-	if err != nil {
-		panic(fmt.Sprintf("workload: digest: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return fmt.Sprintf("%x", sum[:8])
 }
