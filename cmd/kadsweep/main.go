@@ -354,8 +354,8 @@ func sweepExperiments(stdout io.Writer, f *flags, exps ...scenario.Experiment) e
 		}
 		if f.csvDir != "" {
 			// Experiments of one pool may share run names (table2 reuses
-			// figure6-9's, Sims F-H on other seeds), so each writes its
-			// own subdirectory.
+			// figure6-9's, and its Sims F-H run on other seeds), so each
+			// writes its own subdirectory.
 			dir := f.csvDir
 			if pooled {
 				dir = filepath.Join(dir, exp.ID)

@@ -171,6 +171,9 @@ func (a *Arena) Get(ctx context.Context, cfg scenario.Config) (*Entry, bool, err
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// The run key leaves out Name, Governance and MinOnly: renaming a
+	// query or changing the server's maintenance policy must not
+	// duplicate warm state, and every entry is built MinOnly.
 	key := sweep.Key(cfg)
 	for {
 		a.mu.Lock()
