@@ -108,10 +108,9 @@ func TestCheckpointResume(t *testing.T) {
 
 // TestCheckpointEditReRunsChangedRuns pins resume across an edited
 // experiment: a run whose key the edit changed misses, executes again and
-// never replays the old result, while every run the edit left alone —
-// renamed ones included, since a name is no part of a run — replays. The
-// unedited definition's files stay addressable, so it still resumes
-// entirely from disk afterwards.
+// never replays the old result, while every run the edit left alone
+// replays. The unedited definition's files stay addressable, so it still
+// resumes entirely from disk afterwards.
 func TestCheckpointEditReRunsChangedRuns(t *testing.T) {
 	ckpt, err := NewCheckpointer(t.TempDir())
 	if err != nil {
@@ -128,10 +127,8 @@ func TestCheckpointEditReRunsChangedRuns(t *testing.T) {
 	groupDocument(t, ckptConfigs(), opts)
 
 	// Changing only the adversary's analyzer sampling changes the attacked
-	// run (it changes the cut, hence the victims); a new name changes
-	// nothing that is measured.
+	// run (it changes the cut, hence the victims).
 	sampled := ckptConfigs()
-	sampled[0].Name = "ckpt/renamed"
 	sampled[1].Attack.SampleFraction = 1.0
 	// Same names and seeds, different k: every run changed.
 	smallK := ckptConfigs()
@@ -143,7 +140,7 @@ func TestCheckpointEditReRunsChangedRuns(t *testing.T) {
 		cfgs          []scenario.Config
 		fresh, cached int
 	}{
-		{"attack sampling and a name edited", sampled, 1, 1},
+		{"attack sampling edited", sampled, 1, 1},
 		{"k edited", smallK, 2, 0},
 		{"unedited", ckptConfigs(), 0, 2},
 	} {
@@ -155,6 +152,42 @@ func TestCheckpointEditReRunsChangedRuns(t *testing.T) {
 		if want := groupDocument(t, tt.cfgs, Options{}); !bytes.Equal(got, want) {
 			t.Errorf("%s: resumed document differs from a sweep without checkpoints", tt.name)
 		}
+	}
+}
+
+// TestCheckpointRelabelReplays pins the other side of a spec edit: a name
+// labels a run and is no part of it, so a sweep whose runs were all
+// renamed replays every one from disk, writes no new checkpoint, and
+// still writes the document a sweep without checkpoints writes.
+func TestCheckpointRelabelReplays(t *testing.T) {
+	ckpt, err := NewCheckpointer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh, cached int
+	opts := Options{Checkpoint: ckpt, Progress: func(ev Event) {
+		if ev.Cached {
+			cached++
+		} else {
+			fresh++
+		}
+	}}
+	groupDocument(t, ckptConfigs(), opts)
+
+	renamed := ckptConfigs()
+	for i := range renamed {
+		renamed[i].Name += "/renamed"
+	}
+	fresh, cached = 0, 0
+	got := groupDocument(t, renamed, opts)
+	if fresh != 0 || cached != 2 {
+		t.Errorf("%d fresh / %d replayed runs, want 0/2", fresh, cached)
+	}
+	if files, _ := filepath.Glob(filepath.Join(ckpt.Dir(), "*.ckpt.json")); len(files) != 2 {
+		t.Errorf("got %d checkpoint files after the relabelled sweep, want 2", len(files))
+	}
+	if want := groupDocument(t, renamed, Options{}); !bytes.Equal(got, want) {
+		t.Error("replayed document differs from a sweep without checkpoints")
 	}
 }
 
