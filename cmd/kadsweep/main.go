@@ -66,10 +66,11 @@
 //	-ci-stop f    adaptive replication: per configuration, stop early
 //	              once the 95% CI half-width of the churn-window mean
 //	              min connectivity is at most f times its mean; -reps
-//	              becomes the rep budget (requires -reps >= 2, not
-//	              combinable with -checkpoint). Stop indices depend only
-//	              on seeds and accumulated statistics, so artefacts stay
-//	              identical for any -jobs value.
+//	              becomes the rep budget (requires -reps >= 2). The
+//	              adaptive reps share the one pool, its dedup and its
+//	              checkpoints. Stop indices depend only on seeds and
+//	              accumulated statistics, so artefacts stay identical
+//	              for any -jobs value.
 //	-csv dir      one CSV per run and replication (t_min, n, edges,
 //	              min_conn, avg_conn, symmetry, removed, scc_frac), an
 //	              _agg.csv per configuration with two or more reps, and
@@ -87,6 +88,10 @@
 //	              instead of re-executing them (sweep resume); a run two
 //	              experiments share runs and is stored once
 //	-quiet        suppress progress lines
+//
+// SIGINT or SIGTERM cancels the sweep: canceled runs are not
+// checkpointed, completed experiments are still written, and kadsweep
+// exits 1; re-running with the same -checkpoint resumes.
 //
 // Examples:
 //
@@ -106,9 +111,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"kadre/internal/report"
@@ -119,7 +126,10 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "kadsweep:", err)
 		os.Exit(1)
 	}
@@ -169,15 +179,13 @@ func parseFlags(args []string) (*flags, error) {
 		return nil, fmt.Errorf("-ci-stop %v must be >= 0", f.ciStop)
 	case f.ciStop > 0 && f.reps < 2:
 		return nil, fmt.Errorf("-ci-stop needs -reps >= 2 (the rep budget a decision may stop short of)")
-	case f.ciStop > 0 && f.checkpointDir != "":
-		return nil, fmt.Errorf("-ci-stop cannot be combined with -checkpoint (the adaptive executor does not checkpoint its runs)")
 	}
 	var err error
 	f.scale, err = scenario.ScaleByName(*scale)
 	return f, err
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	f, err := parseFlags(args)
 	if err != nil {
 		return err
@@ -206,7 +214,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return sweepExperiments(stdout, f, exp)
+		return sweepExperiments(ctx, stdout, f, exp)
 	case f.exp == "table1":
 		return report.Table1(stdout, table1)
 	case f.exp == "all":
@@ -218,13 +226,13 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(stdout)
-		return sweepExperiments(stdout, f, exps...)
+		return sweepExperiments(ctx, stdout, f, exps...)
 	}
 	exp, err := f.scale.ExperimentByID(f.exp, f.seed)
 	if err != nil {
 		return err
 	}
-	return sweepExperiments(stdout, f, exp)
+	return sweepExperiments(ctx, stdout, f, exp)
 }
 
 // loadScenario resolves the -scenario spec file through FromSpec, the
@@ -259,10 +267,10 @@ func (f *flags) prepare() error {
 	return nil
 }
 
-// sweepOptions returns the options of a fixed-replication sweep: -reps,
-// -jobs, the -checkpoint store and, unless -quiet, a printer of one
-// progress line per completed run on w. With groupPrefix the lines name
-// the run's experiment too, for sweeps pooling several.
+// sweepOptions returns the sweep's options: -reps, -jobs, -checkpoint,
+// -ci-stop's stop rule and, unless -quiet, a printer of one progress line
+// per reported run on w. With groupPrefix the lines name the run's
+// experiment too, for sweeps pooling several.
 func (f *flags) sweepOptions(w io.Writer, groupPrefix bool) (sweep.Options, error) {
 	opts := sweep.Options{Reps: f.reps, Jobs: f.jobs}
 	if f.checkpointDir != "" {
@@ -271,11 +279,23 @@ func (f *flags) sweepOptions(w io.Writer, groupPrefix bool) (sweep.Options, erro
 			return opts, err
 		}
 	}
+	if f.ciStop > 0 {
+		opts.Rule = sweep.StopAtPrecision(f.ciStop)
+		opts.Extract = func(r *scenario.Result) float64 { return r.ChurnWindowSummary().Mean }
+		opts.MinReps = min(3, f.reps) // RepBounds' default, capped by the budget
+	}
 	if !f.quiet {
 		opts.Progress = func(ev sweep.Event) {
 			status := fmt.Sprintf("%v", ev.Elapsed.Round(time.Millisecond))
 			if ev.Cached {
 				status = "checkpoint"
+			}
+			var fold string
+			if f.ciStop > 0 {
+				fold = fmt.Sprintf(" churn-mean %.3f ci95 %.4f", ev.Value, ev.CI95) // NaN below two reps
+				if ev.Decided {
+					status += fmt.Sprintf("; %s after %d reps", ev.Verdict, ev.Reps)
+				}
 			}
 			if ev.Err != nil {
 				status = "FAILED: " + ev.Err.Error()
@@ -284,8 +304,8 @@ func (f *flags) sweepOptions(w io.Writer, groupPrefix bool) (sweep.Options, erro
 			if groupPrefix {
 				name = ev.Experiment + "/" + name
 			}
-			fmt.Fprintf(w, "  [%d/%d] %s rep %d seed %d (%s)\n",
-				ev.Done, ev.Total, name, ev.Rep, ev.Seed, status)
+			fmt.Fprintf(w, "  [%d/%d] %s rep %d seed %d%s (%s)\n",
+				ev.Done, ev.Total, name, ev.Rep, ev.Seed, fold, status)
 		}
 	}
 	return opts, nil
@@ -298,7 +318,7 @@ func (f *flags) sweepOptions(w io.Writer, groupPrefix bool) (sweep.Options, erro
 // finish, instead of draining the pool at every experiment boundary.
 // Rendering and artefact writing happen per experiment, in input order,
 // after all runs complete.
-func sweepExperiments(stdout io.Writer, f *flags, exps ...scenario.Experiment) error {
+func sweepExperiments(ctx context.Context, stdout io.Writer, f *flags, exps ...scenario.Experiment) error {
 	if err := f.prepare(); err != nil {
 		return err
 	}
@@ -329,17 +349,11 @@ func sweepExperiments(stdout io.Writer, f *flags, exps ...scenario.Experiment) e
 	}
 	start := time.Now()
 
-	// On failure both executors still hand back every experiment whose
-	// runs all completed; render and persist those before reporting the
-	// error, so a pooled -exp all sweep does not discard hours of
-	// finished work.
-	var allSets [][]*sweep.RunSet
-	var runErr error
-	if f.ciStop > 0 {
-		allSets, runErr = runAdaptiveGroups(stdout, f, exps)
-	} else {
-		allSets, runErr = sweep.RunGroups(groups, opts)
-	}
+	// On failure or cancellation RunGroups still hands back every
+	// experiment whose runs all completed; render and persist those before
+	// reporting the error, so a pooled -exp all sweep does not discard
+	// hours of finished work.
+	allSets, runErr := sweep.RunGroups(ctx, groups, opts)
 	if runErr != nil {
 		fmt.Fprintf(stdout, "--- %s FAILED after %v; writing completed experiments ---\n\n",
 			finished, time.Since(start).Round(time.Second))
@@ -378,61 +392,6 @@ func sweepExperiments(stdout io.Writer, f *flags, exps ...scenario.Experiment) e
 		}
 	}
 	return runErr
-}
-
-// runAdaptiveGroups is the -ci-stop executor: every configuration
-// replicates adaptively (internal/sweep.RunAdaptive) until the 95% CI of
-// its churn-window mean min connectivity is within ciStop of the
-// mean, or the -reps budget runs out. Replications of one config fan out
-// across -jobs workers; configs execute in order. The stop index depends
-// only on seeds and accumulated statistics, so rep counts and every
-// artefact are identical under any -jobs value. Experiments completed
-// before a failure keep their RunSets, mirroring sweep.RunGroups.
-func runAdaptiveGroups(stdout io.Writer, f *flags, exps []scenario.Experiment) ([][]*sweep.RunSet, error) {
-	// The default minimum of the replication-bound rule, capped by the
-	// -reps budget (validated >= 2 with -ci-stop).
-	minReps, _, _ := sweep.RepBounds(0, 0)
-	if f.reps < minReps {
-		minReps = f.reps
-	}
-	out := make([][]*sweep.RunSet, len(exps))
-	for gi, exp := range exps {
-		sets := make([]*sweep.RunSet, len(exp.Configs))
-		for ci, cfg := range exp.Configs {
-			name := cfg.Name
-			if len(exps) > 1 {
-				name = exp.ID + "/" + name
-			}
-			ar, err := sweep.RunAdaptive(context.Background(), cfg, sweep.AdaptiveOptions{
-				Rule:    sweep.StopAtPrecision(f.ciStop),
-				Extract: func(r *scenario.Result) float64 { return r.ChurnWindowSummary().Mean },
-				MinReps: minReps, MaxReps: f.reps, Jobs: f.jobs,
-				Progress: func(u sweep.RepUpdate) {
-					if f.quiet {
-						return
-					}
-					ci95 := "n/a"
-					if u.Reps >= 2 {
-						ci95 = fmt.Sprintf("%.4f", u.CI95)
-					}
-					status := fmt.Sprintf("%v", u.Elapsed.Round(time.Millisecond))
-					if u.Decided {
-						status += fmt.Sprintf("; %s after %d reps", u.Verdict, u.Reps)
-					}
-					fmt.Fprintf(stdout, "  %s rep %d seed %d churn-mean %.3f ci95 %s (%s)\n",
-						name, u.Rep, u.Seed, u.Value, ci95, status)
-				},
-			})
-			if err != nil {
-				return out, err
-			}
-			if sets[ci], err = ar.RunSet(); err != nil {
-				return out, err
-			}
-		}
-		out[gi] = sets
-	}
-	return out, nil
 }
 
 // attacked reports whether every run of an experiment carries an attack

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,7 +44,7 @@ const listGolden = `available experiments (paper artefact -> id):
 
 func TestRunListGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-list"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-list"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != listGolden {
@@ -52,7 +54,7 @@ func TestRunListGolden(t *testing.T) {
 
 func TestRunTable1(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "table1"}, &buf); err != nil {
+	if err := run(context.Background(), []string{"-exp", "table1"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -76,7 +78,7 @@ func TestRunFigure2TinyEndToEnd(t *testing.T) {
 		"-exp", "figure2", "-scale", "tiny", "-reps", "2", "-jobs", "4",
 		"-quiet", "-csv", dir, "-json", dir,
 	}
-	if err := run(args, &buf); err != nil {
+	if err := run(context.Background(), args, &buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -186,7 +188,7 @@ func checkGoldenTinyFigure2(t *testing.T, extra []string, write bool) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
 	args := append([]string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}, extra...)
-	if err := run(args, &buf); err != nil {
+	if err := run(context.Background(), args, &buf); err != nil {
 		t.Fatal(err)
 	}
 	// One rep goes through the same render body as a replicated sweep and
@@ -230,10 +232,10 @@ func TestCheckpointFlag(t *testing.T) {
 	ckpt := t.TempDir()
 	var first, second bytes.Buffer
 	args := []string{"-exp", "figure2", "-scale", "tiny", "-checkpoint", ckpt}
-	if err := run(args, &first); err != nil {
+	if err := run(context.Background(), args, &first); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(args, &second); err != nil {
+	if err := run(context.Background(), args, &second); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(second.String(), "(checkpoint)"); got != 4 {
@@ -255,13 +257,13 @@ func TestCheckpointResumeFlag(t *testing.T) {
 	ckpt := t.TempDir()
 	var first, second bytes.Buffer
 	args := []string{"-exp", "attack", "-scale", "tiny", "-checkpoint", ckpt}
-	if err := run(args, &first); err != nil {
+	if err := run(context.Background(), args, &first); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(first.String(), "(checkpoint)") {
 		t.Fatal("first run claims checkpoint replays")
 	}
-	if err := run(args, &second); err != nil {
+	if err := run(context.Background(), args, &second); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(second.String(), "(checkpoint)"); got != 4 {
@@ -294,10 +296,10 @@ func TestCheckpointResumeFlag(t *testing.T) {
 // covers the flag values.
 func TestRunErrors(t *testing.T) {
 	discard := &bytes.Buffer{}
-	if err := run([]string{}, discard); err == nil {
+	if err := run(context.Background(), []string{}, discard); err == nil {
 		t.Error("missing -exp should fail")
 	}
-	if err := run([]string{"-exp", "figure99"}, discard); err == nil {
+	if err := run(context.Background(), []string{"-exp", "figure99"}, discard); err == nil {
 		t.Error("unknown experiment should fail")
 	}
 }
@@ -321,7 +323,7 @@ func TestRunPooledExperiments(t *testing.T) {
 		exps = append(exps, exp)
 	}
 	var buf bytes.Buffer
-	if err := sweepExperiments(&buf, f, exps...); err != nil {
+	if err := sweepExperiments(context.Background(), &buf, f, exps...); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -355,7 +357,7 @@ func TestCIStopAdaptiveSweep(t *testing.T) {
 		var buf bytes.Buffer
 		args := []string{"-exp", "figure2", "-scale", "tiny", "-reps", "4",
 			"-ci-stop", "0.5", "-jobs", jobs, "-json", dir}
-		if err := run(args, &buf); err != nil {
+		if err := run(context.Background(), args, &buf); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
@@ -394,16 +396,120 @@ func TestCIStopAdaptiveSweep(t *testing.T) {
 
 func TestCIStopValidation(t *testing.T) {
 	discard := &bytes.Buffer{}
-	if err := run([]string{"-exp", "figure2", "-ci-stop", "0.2"}, discard); err == nil {
+	if err := run(context.Background(), []string{"-exp", "figure2", "-ci-stop", "0.2"}, discard); err == nil {
 		t.Error("-ci-stop with -reps 1 should fail")
 	}
-	if err := run([]string{"-exp", "figure2", "-reps", "3", "-ci-stop", "0.2",
-		"-checkpoint", t.TempDir()}, discard); err == nil {
-		t.Error("-ci-stop with -checkpoint should fail")
-	}
-	if err := run([]string{"-exp", "figure2", "-reps", "3", "-ci-stop", "-1"}, discard); err == nil {
+	if err := run(context.Background(), []string{"-exp", "figure2", "-reps", "3", "-ci-stop", "-1"}, discard); err == nil {
 		t.Error("negative -ci-stop should fail")
 	}
+}
+
+// TestCIStopCheckpointReplays pins -ci-stop with -checkpoint: adaptive
+// reps are checkpointed like any other run, so a second invocation
+// replays every rep the first consumed and writes byte-identical JSON.
+func TestCIStopCheckpointReplays(t *testing.T) {
+	ckpt := t.TempDir()
+	pass := func() ([]string, []byte) {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		args := []string{"-exp", "figure2", "-scale", "tiny", "-reps", "4", "-ci-stop", "0.5",
+			"-jobs", "2", "-checkpoint", ckpt, "-json", dir}
+		if err := run(context.Background(), args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return progressLines(buf.String()), doc
+	}
+	first, doc := pass()
+	second, replayed := pass()
+	if !bytes.Equal(doc, replayed) {
+		t.Fatal("the replaying -ci-stop sweep wrote a different document")
+	}
+	var file sweep.JSONFile
+	if err := json.Unmarshal(doc, &file); err != nil {
+		t.Fatal(err)
+	}
+	consumed := 0
+	for _, r := range file.Runs {
+		consumed += len(r.Reps)
+	}
+	if len(first) != consumed || len(second) != consumed {
+		t.Fatalf("%d and %d progress lines, want one per consumed rep (%d)", len(first), len(second), consumed)
+	}
+	for i := range second {
+		if strings.Contains(first[i], "(checkpoint") || !strings.Contains(second[i], "(checkpoint") {
+			t.Fatalf("first pass %q, second pass %q: only the second replays", first[i], second[i])
+		}
+	}
+}
+
+// TestCanceledSweepResumes cancels a checkpointed sweep at its first
+// progress line: that invocation fails with context.Canceled and stores
+// no canceled run, and re-running it writes the JSON of an uninterrupted
+// sweep byte for byte.
+func TestCanceledSweepResumes(t *testing.T) {
+	args := func(dir string, extra ...string) []string {
+		return append([]string{"-exp", "figure2", "-scale", "tiny", "-reps", "2", "-jobs", "2", "-json", dir}, extra...)
+	}
+	whole, resumed, ckpt := t.TempDir(), t.TempDir(), t.TempDir()
+	if err := run(context.Background(), args(whole), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err := run(ctx, args(t.TempDir(), "-checkpoint", ckpt), cancelAtProgress(cancel))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep returned %v, want context.Canceled", err)
+	}
+	stored, err := filepath.Glob(filepath.Join(ckpt, "*.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) == 0 || len(stored) >= 8 {
+		t.Fatalf("canceled sweep stored %d of 8 runs, want its completed prefix", len(stored))
+	}
+	var buf bytes.Buffer
+	if err := run(context.Background(), args(resumed, "-checkpoint", ckpt), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), "(checkpoint)"); got != len(stored) {
+		t.Fatalf("resumed sweep replayed %d runs, want the %d stored", got, len(stored))
+	}
+	want, err := os.ReadFile(filepath.Join(whole, "figure2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(resumed, "figure2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("resumed sweep's document differs from an uninterrupted sweep's")
+	}
+}
+
+// cancelAtProgress is a stdout that cancels at the first progress line.
+type cancelAtProgress context.CancelFunc
+
+func (cancel cancelAtProgress) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("  [")) {
+		cancel()
+	}
+	return len(p), nil
+}
+
+// progressLines returns the progress lines of a sweep's output.
+func progressLines(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "  [") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
 }
 
 // TestGovernanceKnobs pins that memory governance is a constant of the
@@ -413,7 +519,7 @@ func TestCIStopValidation(t *testing.T) {
 // TestBuildJSONDropsMemoryWhenGovernanceDisabled covers that.)
 func TestGovernanceKnobs(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}, &bytes.Buffer{}); err != nil {
+	if err := run(context.Background(), []string{"-exp", "figure2", "-scale", "tiny", "-quiet", "-json", dir}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	doc, err := os.ReadFile(filepath.Join(dir, "figure2.json"))
@@ -424,7 +530,7 @@ func TestGovernanceKnobs(t *testing.T) {
 		t.Fatal("default governance must serialize the memory block")
 	}
 	for _, knob := range []string{"-max-dead-frac", "-max-slot-slack"} {
-		err := run([]string{"-exp", "figure2", "-scale", "tiny", knob, "0"}, &bytes.Buffer{})
+		err := run(context.Background(), []string{"-exp", "figure2", "-scale", "tiny", knob, "0"}, &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s: err = %v, want an unknown-flag error", knob, err)
 		}
@@ -439,7 +545,7 @@ func TestScenarioSpecMatchesPreset(t *testing.T) {
 	sweepJSON := func(file string, args ...string) []byte {
 		dir := t.TempDir()
 		args = append(args, "-scale", "tiny", "-jobs", "2", "-quiet", "-json", dir)
-		if err := run(args, &bytes.Buffer{}); err != nil {
+		if err := run(context.Background(), args, &bytes.Buffer{}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, file))
@@ -466,7 +572,7 @@ func TestScenarioFlashCrowdExample(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-scenario", filepath.Join("..", "..", "examples", "flash_crowd.json"),
 		"-scale", "tiny", "-quiet", "-json", dir}
-	if err := run(args, &bytes.Buffer{}); err != nil {
+	if err := run(context.Background(), args, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "flash-crowd.json"))
@@ -494,7 +600,7 @@ func TestScenarioFlashCrowdExample(t *testing.T) {
 
 func TestScenarioFlagErrors(t *testing.T) {
 	discard := &bytes.Buffer{}
-	if err := run([]string{"-exp", "figure2", "-scenario", "x.json"}, discard); err == nil ||
+	if err := run(context.Background(), []string{"-exp", "figure2", "-scenario", "x.json"}, discard); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("-exp with -scenario should fail, got %v", err)
 	}
@@ -633,7 +739,7 @@ func TestPooledCSVLayout(t *testing.T) {
 		}
 		exps = append(exps, exp)
 	}
-	if err := sweepExperiments(io.Discard, f, exps...); err != nil {
+	if err := sweepExperiments(context.Background(), io.Discard, f, exps...); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(filepath.Join(dir, "first", "R_k5.csv"))
@@ -661,7 +767,7 @@ func TestAttackEndToEnd(t *testing.T) {
 	artefacts := func(dir, jobs string) string {
 		var buf bytes.Buffer
 		args := []string{"-exp", "attack", "-scale", "tiny", "-quiet", "-csv", dir, "-json", dir, "-jobs", jobs}
-		if err := run(args, &buf); err != nil {
+		if err := run(context.Background(), args, &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -774,7 +880,7 @@ func TestGoldenTinyAttack(t *testing.T) {
 		{"attack_tiny_cutset_churn.golden.json", "attack-cutset-churn.json", []string{"-scenario", filepath.Join("testdata", "attack_tiny_cutset_churn.json")}},
 	} {
 		dir := t.TempDir()
-		if err := run(append(tt.args, "-scale", "tiny", "-quiet", "-json", dir), &bytes.Buffer{}); err != nil {
+		if err := run(context.Background(), append(tt.args, "-scale", "tiny", "-quiet", "-json", dir), &bytes.Buffer{}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(filepath.Join(dir, tt.doc))

@@ -1,16 +1,17 @@
 package scenario
 
 import (
+	"errors"
 	"io/fs"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"kadre/internal/attack"
 	"kadre/internal/churn"
-	"kadre/internal/par"
 	"kadre/internal/simnet"
 	"kadre/internal/workload"
 	"kadre/specs"
@@ -29,8 +30,25 @@ func tinyConfig(name string, seed int64) Config {
 // the determinism tests compare jobs=1 against jobs=8.
 func runJobs(t *testing.T, cfgs []Config, jobs int) []*Result {
 	t.Helper()
-	out, err := par.Map(jobs, cfgs, func(_ int, cfg Config) (*Result, error) { return Run(cfg) })
-	if err != nil {
+	out := make([]*Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	next := make(chan int, len(cfgs))
+	for i := range cfgs {
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for w := 0; w < jobs; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				out[i], errs[i] = Run(cfgs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -182,8 +182,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	out := newStreamWriter(w, r)
 	hits, misses := 0, 0
 	ar, err := sweep.RunAdaptive(ctx, q.Config, sweep.AdaptiveOptions{
-		Rule:    q.Rule,
-		Extract: func(res *scenario.Result) float64 { v, _ := values.Load(res); return v.(float64) },
+		Rule: q.Rule,
+		// Extract is handed the runner's Result; a miss reads NaN.
+		Extract: func(res *scenario.Result) float64 {
+			if v, ok := values.Load(res); ok {
+				return v.(float64)
+			}
+			return math.NaN()
+		},
 		MinReps: q.MinReps, MaxReps: q.MaxReps, Jobs: s.jobs,
 		Runner: runner,
 		Progress: func(u sweep.RepUpdate) {

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"kadre/internal/sweep"
 )
 
 // querySpec is the fast query every server test reuses: a 30-simulated-
@@ -313,5 +316,42 @@ func TestQueryDeterministicAcrossServerJobs(t *testing.T) {
 	}
 	if b1, b8 := run(1), run(8); b1 != b8 {
 		t.Fatalf("cold bodies differ across jobs:\n%s\n%s", b1, b8)
+	}
+}
+
+// TestQueryRepValuesAreTheirRuns guards the pointer-keyed metric lookup:
+// the runner files each rep's value under the Result it returns, and the
+// sweep pool must hand Extract that very Result. A miss would stream a
+// null value; every rep's value must be its own run's metric.
+func TestQueryRepValuesAreTheirRuns(t *testing.T) {
+	srv, ts := newTestServer(t)
+	spec := strings.Replace(querySpec, `"min_reps": 2`, `"min_reps": 3`, 1)
+	_, body := postQuery(t, ts, spec, "")
+	recs := records(t, body)
+	if len(recs) != 4 {
+		t.Fatalf("got %d records, want 3 reps + the result:\n%s", len(recs), body)
+	}
+	qs, err := decodeQuery(strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := qs.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep, r := range recs[:3] {
+		cfg := q.Config
+		cfg.Seed = sweep.DeriveSeed(q.Config.Seed, rep)
+		e, warm, err := srv.Arena().Get(context.Background(), cfg)
+		if err != nil || !warm {
+			t.Fatalf("rep %d: arena entry warm=%v err=%v", rep, warm, err)
+		}
+		want, err := metricFromResult(q.Metric, e.Result())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := r["value"].(float64); !ok || got != want {
+			t.Fatalf("rep %d streamed value %v, want its run's %s %v", rep, r["value"], q.Metric, want)
+		}
 	}
 }

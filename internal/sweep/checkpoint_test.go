@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -224,7 +225,7 @@ func TestSharedRunExecutesOnce(t *testing.T) {
 				t.Errorf("Event.Total %d, want %d distinct runs", ev.Total, runs)
 			}
 		}
-		sets, err := RunGroups(groups, opts)
+		sets, err := RunGroups(context.Background(), groups, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

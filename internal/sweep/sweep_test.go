@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -347,7 +348,7 @@ func TestRunGroupsMatchesSerialRuns(t *testing.T) {
 	var mu sync.Mutex
 	events := map[string]int{}
 	lastDone := 0
-	pooled, err := RunGroups([]Group{
+	pooled, err := RunGroups(context.Background(), []Group{
 		{Name: "expA", Configs: groupA},
 		{Name: "expB", Configs: groupB},
 	}, Options{Reps: 2, Jobs: 4, Progress: func(ev Event) {
@@ -398,7 +399,7 @@ func TestRunGroupsPartialResultsOnFailure(t *testing.T) {
 		bad  scenario.Config
 		jobs int
 	}{{cheapBad, 2}, {dearBad, 1}} {
-		out, err := RunGroups([]Group{
+		out, err := RunGroups(context.Background(), []Group{
 			{Name: "good", Configs: []scenario.Config{tinyConfig("G", 3), tinyConfig("H", 4)}},
 			{Name: "broken", Configs: []scenario.Config{tc.bad}},
 		}, Options{Reps: 1, Jobs: tc.jobs})
