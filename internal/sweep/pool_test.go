@@ -314,6 +314,74 @@ func TestRunGroupsFirstFailureInDispatchOrder(t *testing.T) {
 	}
 }
 
+// TestRunGroupsRunsEverythingBeforeFailure pins what a failure may skip:
+// every run dispatched before the first failing one runs for any worker
+// count (one of them could fail first), and with one worker nothing
+// after it does.
+func TestRunGroupsRunsEverythingBeforeFailure(t *testing.T) {
+	const n, failAt = 20, 7
+	var cfgs []scenario.Config
+	for i := 0; i < n; i++ {
+		cfgs = append(cfgs, scenario.Config{Name: fmt.Sprint(i), Seed: int64(i + 1), Size: 100 - i})
+	}
+	for _, jobs := range []int{1, 4} {
+		var mu sync.Mutex
+		ran := map[string]bool{}
+		_, err := Run(cfgs, Options{Jobs: jobs, Runner: func(ctx context.Context, c scenario.Config) (*scenario.Result, bool, error) {
+			mu.Lock()
+			ran[c.Name] = true
+			mu.Unlock()
+			if c.Name == fmt.Sprint(failAt) {
+				return nil, false, errors.New("failure")
+			}
+			return fakeRunner(1, 0)(ctx, c)
+		}})
+		if err == nil {
+			t.Fatalf("jobs=%d: expected error", jobs)
+		}
+		for i := 0; i <= failAt; i++ {
+			if !ran[fmt.Sprint(i)] {
+				t.Fatalf("jobs=%d: run %d before the failure did not run", jobs, i)
+			}
+		}
+		for i := failAt + 1; jobs == 1 && i < n; i++ {
+			if ran[fmt.Sprint(i)] {
+				t.Fatalf("one worker: run %d after the failure ran", i)
+			}
+		}
+	}
+}
+
+// TestRunGroupsFailureSkipsOnlyItsGroup pins that a failure stops only
+// its own group. Runs 0..9 are dispatched in that order, even ones in
+// group "even", odd ones in group "odd"; runs 2 and 5 fail. With one
+// worker "even" stops after run 2 while "odd" runs up to its own failure
+// at 5, and the error is run 2's.
+func TestRunGroupsFailureSkipsOnlyItsGroup(t *testing.T) {
+	groups := []Group{{Name: "even"}, {Name: "odd"}}
+	for i := 0; i < 10; i++ {
+		g := &groups[i%2]
+		g.Configs = append(g.Configs, scenario.Config{Name: fmt.Sprint(i), Seed: int64(i + 1), Size: 100 - i})
+	}
+	var ran []string
+	out, err := RunGroups(context.Background(), groups, Options{Jobs: 1, Runner: func(ctx context.Context, c scenario.Config) (*scenario.Result, bool, error) {
+		ran = append(ran, c.Name)
+		if c.Name == "2" || c.Name == "5" {
+			return nil, false, fmt.Errorf("boom %s", c.Name)
+		}
+		return fakeRunner(1, 0)(ctx, c)
+	}})
+	if err == nil || !strings.Contains(err.Error(), "boom 2") {
+		t.Fatalf("err = %v, want boom 2", err)
+	}
+	if want := "[0 1 2 3 5]"; fmt.Sprint(ran) != want {
+		t.Fatalf("ran %v, want %v", ran, want)
+	}
+	if len(out) != 2 || out[0] != nil || out[1] != nil {
+		t.Fatalf("both groups failed, want nil RunSets: %+v", out)
+	}
+}
+
 func TestRunGroupsEmpty(t *testing.T) {
 	out, err := RunGroups(context.Background(), []Group{{Name: "none"}}, Options{Jobs: 4})
 	if err != nil || len(out) != 1 || out[0] == nil || len(out[0]) != 0 {
