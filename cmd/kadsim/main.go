@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"kadre/internal/kademlia"
 	"kadre/internal/report"
 	"kadre/internal/scenario"
 	"kadre/internal/snapshot"
@@ -40,9 +41,9 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("kadsim", flag.ContinueOnError)
 	var (
 		size      = fs.Int("size", 100, "initial network size")
-		k         = fs.Int("k", 20, "bucket size k")
-		alpha     = fs.Int("alpha", 3, "request parallelism alpha")
-		bits      = fs.Int("bits", 160, "identifier bit-length b")
+		k         = fs.Int("k", kademlia.DefaultK, "bucket size k")
+		alpha     = fs.Int("alpha", kademlia.DefaultAlpha, "request parallelism alpha")
+		bits      = fs.Int("bits", kademlia.DefaultBits, "identifier bit-length b")
 		staleness = fs.Int("staleness", 1, "staleness limit s")
 		lossName  = fs.String("loss", "none", "message loss scenario: none, low, medium, high")
 		churnSpec = fs.String("churn", "0/0", "churn rate add/remove per minute, e.g. 1/1")

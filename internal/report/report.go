@@ -161,15 +161,12 @@ func MeansByK(w io.Writer, title string, sets []*sweep.RunSet) error {
 	var rows [][]string
 	for _, rs := range sets {
 		means := rs.ChurnWindowMeans()
-		alpha := rs.Config.Alpha
-		if alpha == 0 {
-			alpha = 3
-		}
+		cfg := rs.Config.WithDefaults()
 		rows = append(rows, []string{
-			rs.Config.Name,
-			fmt.Sprintf("%d", rs.Config.K),
-			fmt.Sprintf("%d", alpha),
-			rs.Config.Churn.String(),
+			cfg.Name,
+			fmt.Sprintf("%d", cfg.K),
+			fmt.Sprintf("%d", cfg.Alpha),
+			cfg.Churn.String(),
 			fmt.Sprintf("%.2f", stats.Mean(means)),
 			ci(stats.CI95Half(means)),
 			fmt.Sprintf("%d", len(rs.Reps)),

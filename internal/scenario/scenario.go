@@ -40,7 +40,7 @@ type Config struct {
 	// Size is the initial network size (paper: 250 and 2500).
 	Size int
 
-	// Kademlia parameters (zero values take the paper defaults).
+	// Kademlia parameters (zero values take kademlia's defaults).
 	K         int
 	Alpha     int
 	Bits      int
@@ -129,6 +129,8 @@ func (c Config) WithDefaults() Config {
 	if c.Loss == 0 {
 		c.Loss = simnet.LossNone
 	}
+	kc := c.kademliaConfig().WithDefaults()
+	c.K, c.Alpha, c.Bits, c.Staleness = kc.K, kc.Alpha, kc.Bits, kc.StalenessLimit
 	if c.Governance == (connectivity.GovernancePolicy{}) {
 		c.Governance = connectivity.DefaultGovernance()
 	}
@@ -176,12 +178,13 @@ func (c Config) Validate() error {
 		if err := c.Attack.Validate(); err != nil {
 			return err
 		}
-		if !c.Attack.Target.IsZeroValue() && c.Attack.Target.Bits() != c.kademliaConfig().Bits {
+		if !c.Attack.Target.IsZeroValue() && c.Attack.Target.Bits() != c.Bits {
 			return fmt.Errorf("scenario: attack target bit-length %d != network %d",
-				c.Attack.Target.Bits(), c.kademliaConfig().Bits)
+				c.Attack.Target.Bits(), c.Bits)
 		}
 	}
-	return c.kademliaConfig().Validate()
+	// The protocol fields Config does not carry default as in NewNode.
+	return c.kademliaConfig().WithDefaults().Validate()
 }
 
 // ChurnStart returns the virtual time at which the churn phase begins
@@ -197,7 +200,7 @@ func (c Config) Total() time.Duration { return c.Setup + c.Stabilize + c.ChurnPh
 // simulated time. A sweep dispatches its costliest runs first by it.
 func (c Config) ExpectedCost() float64 {
 	c = c.WithDefaults()
-	return float64(c.Size) * float64(c.kademliaConfig().K) * c.Total().Seconds()
+	return float64(c.Size) * float64(c.K) * c.Total().Seconds()
 }
 
 func (c Config) kademliaConfig() kademlia.Config {
@@ -206,7 +209,7 @@ func (c Config) kademliaConfig() kademlia.Config {
 		K:              c.K,
 		Alpha:          c.Alpha,
 		StalenessLimit: c.Staleness,
-	}.WithDefaults()
+	}
 }
 
 func (c Config) logf(format string, args ...any) {

@@ -211,7 +211,7 @@ func (a *Arena) Get(ctx context.Context, cfg scenario.Config) (*Entry, bool, err
 		// No metric reads an intermediate Avg, and the final one is
 		// AnalyzeFinal(0, 0)'s: skip the Avg sweep at every snapshot.
 		cfg.MinOnly = true
-		res, bind, err := a.runner(ctx, cfg)
+		res, bind, err := a.build(ctx, cfg)
 		var entry *Entry
 		if err == nil {
 			if bind != nil && bind.Engine != nil {
@@ -242,6 +242,19 @@ func (a *Arena) Get(ctx context.Context, cfg scenario.Config) (*Entry, bool, err
 		}
 		return entry, false, nil
 	}
+}
+
+// build runs one simulation. A panic in the run becomes its error, so
+// the in-flight call closes, no entry is parked and the server keeps
+// serving: the run executes on a sweep pool goroutine, where an
+// unrecovered panic would end the process.
+func (a *Arena) build(ctx context.Context, cfg scenario.Config) (res *scenario.Result, bind *scenario.Bound, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, bind, err = nil, nil, fmt.Errorf("serve: run %q panicked: %v", cfg.Name, p)
+		}
+	}()
+	return a.runner(ctx, cfg)
 }
 
 // evictOver drops least-recently-used entries until the footprint fits

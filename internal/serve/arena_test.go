@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,34 +66,55 @@ func TestArenaWarmHit(t *testing.T) {
 	}
 }
 
+// TestArenaSingleflight races Gets on one key: one build serves them
+// all. A build that panics closes the in-flight call with its error, so
+// every joiner returns it instead of waiting forever, and nothing parks.
 func TestArenaSingleflight(t *testing.T) {
-	var calls atomic.Int64
-	slow := func(ctx context.Context, cfg scenario.Config) (*scenario.Result, *scenario.Bound, error) {
-		time.Sleep(20 * time.Millisecond) // widen the race window
-		return stubRunner(&calls)(ctx, cfg)
-	}
-	a := NewArena(ArenaOptions{Runner: slow})
-	const racers = 8
-	entries := make([]*Entry, racers)
-	var wg sync.WaitGroup
-	for i := 0; i < racers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			e, _, err := a.Get(context.Background(), arenaCfg("race", 7))
-			if err != nil {
-				t.Error(err)
+	for _, panics := range []bool{false, true} {
+		var calls atomic.Int64
+		slow := func(ctx context.Context, cfg scenario.Config) (*scenario.Result, *scenario.Bound, error) {
+			time.Sleep(20 * time.Millisecond) // widen the race window
+			if panics {
+				panic("boom")
 			}
-			entries[i] = e
-		}(i)
-	}
-	wg.Wait()
-	if calls.Load() != 1 {
-		t.Fatalf("racing Gets paid %d builds, want 1", calls.Load())
-	}
-	for i := 1; i < racers; i++ {
-		if entries[i] != entries[0] {
-			t.Fatal("racing Gets received different entries")
+			return stubRunner(&calls)(ctx, cfg)
+		}
+		a := NewArena(ArenaOptions{Runner: slow})
+		const racers = 8
+		entries := make([]*Entry, racers)
+		errs := make([]error, racers)
+		var wg sync.WaitGroup
+		for i := 0; i < racers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				entries[i], _, errs[i] = a.Get(context.Background(), arenaCfg("race", 7))
+			}(i)
+		}
+		wg.Wait()
+		if panics {
+			for _, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+					t.Fatalf("Get on a panicking build: err = %v", err)
+				}
+			}
+			if st := a.Stats(); st.Entries != 0 || st.Builds != 0 {
+				t.Fatalf("a panicking build parked an entry: %+v", st)
+			}
+			continue
+		}
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if calls.Load() != 1 {
+			t.Fatalf("racing Gets paid %d builds, want 1", calls.Load())
+		}
+		for i := 1; i < racers; i++ {
+			if entries[i] != entries[0] {
+				t.Fatal("racing Gets received different entries")
+			}
 		}
 	}
 }

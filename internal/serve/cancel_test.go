@@ -157,21 +157,54 @@ func TestQueryDefaultDeadline(t *testing.T) {
 
 func TestQueryRunFailure500(t *testing.T) {
 	// A genuine (non-cancellation) failure before any streamed record
-	// answers 500 — previously an error record under an implicit 200.
-	a := NewArena(ArenaOptions{Runner: failRunner("engine exploded")})
-	srv := NewServer(Options{Arena: a, Jobs: 1})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, body := postQuery(t, ts, undecidableSpec, "")
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500: %s", resp.StatusCode, body)
+	// answers 500 — previously an error record under an implicit 200 —
+	// and one after it ends the stream with an error record. A panicking
+	// run is one too: it releases its slot, parks nothing, and the server
+	// answers the next query.
+	panicRunner := func(context.Context, scenario.Config) (*scenario.Result, *scenario.Bound, error) {
+		panic("engine exploded")
 	}
-	recs := records(t, body)
-	if recs[0]["type"] != "error" || !strings.Contains(recs[0]["error"].(string), "engine exploded") {
-		t.Fatalf("error record = %v", recs[0])
-	}
-	if st := waitSchedDrained(t, srv); st.Canceled != 0 {
-		t.Fatalf("genuine failure counted as canceled: %+v", st)
+	for _, tt := range []struct {
+		name, want string
+		failAt     int64 // the build that fails, counting from 1
+		status     int
+		fail       func(context.Context, scenario.Config) (*scenario.Result, *scenario.Bound, error)
+	}{
+		{"error", "engine exploded", 1, http.StatusInternalServerError, failRunner("engine exploded")},
+		{"panic", "panicked: engine exploded", 1, http.StatusInternalServerError, panicRunner},
+		{"panic mid-stream", "panicked: engine exploded", 2, http.StatusOK, panicRunner},
+	} {
+		var builds, calls atomic.Int64
+		ok := stubRunner(&calls)
+		a := NewArena(ArenaOptions{Runner: func(ctx context.Context, cfg scenario.Config) (*scenario.Result, *scenario.Bound, error) {
+			if builds.Add(1) == tt.failAt {
+				return tt.fail(ctx, cfg)
+			}
+			return ok(ctx, cfg)
+		}})
+		srv := NewServer(Options{Arena: a, Jobs: 1})
+		ts := httptest.NewServer(srv.Handler())
+		resp, body := postQuery(t, ts, undecidableSpec, "")
+		recs := records(t, body)
+		last := recs[len(recs)-1]
+		if resp.StatusCode != tt.status || len(recs) != int(tt.failAt) ||
+			last["type"] != "error" || !strings.Contains(last["error"].(string), tt.want) {
+			t.Fatalf("%s: status %d, want %d, and %d records ending in an error: %s", tt.name, resp.StatusCode, tt.status, tt.failAt, body)
+		}
+		if st := waitSchedDrained(t, srv); st.Canceled != 0 {
+			t.Fatalf("%s: genuine failure counted as canceled: %+v", tt.name, st)
+		}
+		if st := a.Stats(); st.Entries != int(tt.failAt-1) {
+			t.Fatalf("%s: %d resident entries, want only the %d built before the failure", tt.name, st.Entries, tt.failAt-1)
+		}
+		resp, body = postQuery(t, ts, strings.Replace(undecidableSpec, `"seed": 11`, `"seed": 12`, 1), "")
+		if recs := records(t, body); resp.StatusCode != http.StatusOK || recs[len(recs)-1]["type"] != "result" {
+			t.Fatalf("%s: query after the failure: status %d: %s", tt.name, resp.StatusCode, body)
+		}
+		if st := srv.Sched().Stats(); st.InUse != 0 {
+			t.Fatalf("%s: slots still held: %+v", tt.name, st)
+		}
+		ts.Close()
 	}
 }
 

@@ -154,35 +154,39 @@ func TestResolveEmbeddedSpecMatchesScenario(t *testing.T) {
 	}
 }
 
-// TestFlatKeysPinned holds attack-free flat queries to the arena keys
-// they had before the flat block became a translation into a RunSpec (the
-// literals were generated at b357eca): moving the defaulting into the
-// spec resolver must not rename a single warm entry. "@" rows read the
-// committed kadserve query files; the third and fourth are the shape
-// bench/workloads/serve-mixed.json streams.
+// TestFlatKeysPinned pins the arena keys of attack-free flat queries:
+// renaming a warm entry is a deliberate key change, never a side effect.
+// The keys carry the effective k, alpha, b and s, because
+// scenario.Config.WithDefaults fills the Kademlia defaults before the
+// key is taken, so the row spelling the defaults out names the same run
+// as the empty one. "@" rows read the committed kadserve query files;
+// the third and fourth are the shape bench/workloads/serve-mixed.json
+// streams.
 func TestFlatKeysPinned(t *testing.T) {
 	const wl = "wl={LookupsPerMinute:0 StoresPerMinute:0 KeyPoolSize:0}"
 	for _, tt := range []struct{ body, want string }{
 		{"@../../cmd/kadserve/testdata/smoke_query.json",
-			"size=30|k=5|a=0|b=0|s=1|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=1800000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=7"},
+			"size=30|k=5|a=3|b=160|s=1|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=1800000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=7"},
 		{"@../../cmd/kadserve/testdata/cancel_query.json",
-			"size=30|k=5|a=0|b=0|s=1|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=1800000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=13"},
+			"size=30|k=5|a=3|b=160|s=1|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=1800000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=13"},
 		{`{"scenario":{"scale":"tiny","size":60,"k":10,"churn":"1/1","churn_minutes":40,"seed":1804289383},"metric":"churn_min_mean","precision":0.05,"min_reps":3,"max_reps":3}`,
-			"size=60|k=10|a=0|b=0|s=0|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=1804289383"},
+			"size=60|k=10|a=3|b=160|s=5|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=1804289383"},
 		{`{"scenario":{"scale":"tiny","size":60,"k":20,"churn":"10/10","churn_minutes":40,"seed":846930886},"metric":"final_avg","resample":{"fraction":0.5,"seed":99},"precision":0.05,"min_reps":3,"max_reps":3}`,
-			"size=60|k=20|a=0|b=0|s=0|loss=none|churn=10/10|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=846930886"},
+			"size=60|k=20|a=3|b=160|s=5|loss=none|churn=10/10|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=846930886"},
 		{`{"scenario":{"scale":"tiny","size":20,"k":5,"staleness":1,"setup_minutes":6,"stabilize_minutes":12,"snapshot_minutes":6,"sample_fraction":0.1,"seed":5},"metric":"final_min","threshold":1000}`,
-			"size=20|k=5|a=0|b=0|s=1|loss=none|churn=0/0|traffic=false|" + wl + "|setup=360000000000|stab=720000000000|phase=0|snap=360000000000|c=0.1|attack=none|ac=0|target=|seed=5"},
+			"size=20|k=5|a=3|b=160|s=1|loss=none|churn=0/0|traffic=false|" + wl + "|setup=360000000000|stab=720000000000|phase=0|snap=360000000000|c=0.1|attack=none|ac=0|target=|seed=5"},
 		{`{"scenario":{},"metric":"final_min","threshold":3}`,
-			"size=100|k=0|a=0|b=0|s=0|loss=none|churn=0/0|traffic=false|" + wl + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1800000000000|c=0.04|attack=none|ac=0|target=|seed=1"},
+			"size=100|k=20|a=3|b=160|s=5|loss=none|churn=0/0|traffic=false|" + wl + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1800000000000|c=0.04|attack=none|ac=0|target=|seed=1"},
+		{`{"scenario":{"k":20,"alpha":3,"bits":160,"staleness":5},"metric":"final_min","threshold":3}`,
+			"size=100|k=20|a=3|b=160|s=5|loss=none|churn=0/0|traffic=false|" + wl + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1800000000000|c=0.04|attack=none|ac=0|target=|seed=1"},
 		{`{"scenario":{"scale":"paper","alpha":5,"bits":80,"loss":"high","traffic":true,"seed":42},"metric":"final_scc","precision":0.1}`,
-			"size=250|k=0|a=5|b=80|s=0|loss=high|churn=0/0|traffic=true|" + wl + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1200000000000|c=0.02|attack=none|ac=0|target=|seed=42"},
+			"size=250|k=20|a=5|b=80|s=5|loss=high|churn=0/0|traffic=true|" + wl + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1200000000000|c=0.02|attack=none|ac=0|target=|seed=42"},
 		{`{"scenario":{"scale":"reduced","k":20,"staleness":5,"churn":"10/10"},"threshold":2}`,
-			"size=100|k=20|a=0|b=0|s=5|loss=none|churn=10/10|traffic=false|" + wl + "|setup=1800000000000|stab=5400000000000|phase=14400000000000|snap=1800000000000|c=0.04|attack=none|ac=0|target=|seed=1"},
+			"size=100|k=20|a=3|b=160|s=5|loss=none|churn=10/10|traffic=false|" + wl + "|setup=1800000000000|stab=5400000000000|phase=14400000000000|snap=1800000000000|c=0.04|attack=none|ac=0|target=|seed=1"},
 		{`{"scenario":{"scale":"tiny","size":25,"churn":"0/1","churn_minutes":12.5,"stabilize_minutes":7,"snapshot_minutes":2.5,"sample_fraction":1,"seed":-3},"threshold":1}`,
-			"size=25|k=0|a=0|b=0|s=0|loss=none|churn=0/1|traffic=false|" + wl + "|setup=600000000000|stab=420000000000|phase=750000000000|snap=150000000000|c=1|attack=none|ac=0|target=|seed=-3"},
+			"size=25|k=20|a=3|b=160|s=5|loss=none|churn=0/1|traffic=false|" + wl + "|setup=600000000000|stab=420000000000|phase=750000000000|snap=150000000000|c=1|attack=none|ac=0|target=|seed=-3"},
 		{`{"scenario":{"scale":"tiny","loss":"low","churn":"1/1","traffic":true,"seed":9},"metric":"final_n","threshold":10}`,
-			"size=40|k=0|a=0|b=0|s=0|loss=low|churn=1/1|traffic=true|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=9"},
+			"size=40|k=20|a=3|b=160|s=5|loss=low|churn=1/1|traffic=true|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=9"},
 	} {
 		body := []byte(tt.body)
 		if tt.body[0] == '@' {

@@ -67,8 +67,7 @@ func Fingerprint(cfg scenario.Config) string {
 		cfg.Setup, cfg.Stabilize, cfg.ChurnPhase, cfg.SnapshotInterval,
 		cfg.SampleFraction, cfg.Attack, cfg.Attack.SampleFraction, cfg.Attack.Target)
 	// The generative workload bundle joins the fingerprint only when one
-	// is configured, so every pre-existing fingerprint (and the cache keys
-	// derived from it, e.g. kadserve's arena/query names) is unchanged.
+	// is configured.
 	if canon := cfg.Gen.Canon(); canon != "" {
 		fp += "|gen=" + canon
 	}

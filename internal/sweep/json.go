@@ -30,9 +30,9 @@ type JSONRun struct {
 	BaseSeed  int64  `json:"base_seed"`
 	Size      int    `json:"size"`
 	K         int    `json:"k"`
-	Alpha     int    `json:"alpha,omitempty"`
-	Bits      int    `json:"bits,omitempty"`
-	Staleness int    `json:"staleness,omitempty"`
+	Alpha     int    `json:"alpha"`
+	Bits      int    `json:"bits"`
+	Staleness int    `json:"staleness"`
 	Churn     string `json:"churn"`
 	Loss      string `json:"loss"`
 	Traffic   bool   `json:"traffic"`
