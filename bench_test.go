@@ -88,22 +88,27 @@ func benchFigure(b *testing.B, experimentID string) {
 }
 
 // BenchmarkTable1MessageLoss regenerates Table 1: it validates the
-// loss-scenario probabilities against a million simulated transmissions
-// per level and reports the measured two-way failure rates.
+// loss-scenario probabilities against 100 000 request/response exchanges
+// per level between two hosts of a network carrying the level's one-way
+// loss, as the scenario runner configures it, and reports the measured
+// two-way failure rates.
 func BenchmarkTable1MessageLoss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := rand.New(rand.NewSource(benchSeed))
 		for _, level := range simnet.Levels() {
-			model := level.Model()
-			const trials = 100000
-			failures := 0
-			for t := 0; t < trials; t++ {
-				// Two-way exchange: request then response.
-				if model.Drop(r, 1, 2) || model.Drop(r, 2, 1) {
-					failures++
+			sim := eventsim.New(benchSeed)
+			net := simnet.New(sim, simnet.Config{Loss: level.OneWayLoss()})
+			e := &echoHost{net: net}
+			for _, addr := range []simnet.Addr{1, 2} {
+				if err := net.Attach(addr, e); err != nil {
+					b.Fatal(err)
 				}
 			}
-			got := float64(failures) / trials
+			const trials = 100000
+			for t := 0; t < trials; t++ {
+				net.Send(1, 2, nil)
+				sim.Run()
+			}
+			got := float64(trials-e.replies) / trials
 			want := level.TwoWayLoss()
 			if got < want-0.01 || got > want+0.01 {
 				b.Fatalf("loss %v: measured two-way failure %.3f, want %.3f", level, got, want)
@@ -111,6 +116,21 @@ func BenchmarkTable1MessageLoss(b *testing.B) {
 			b.ReportMetric(got, "p2way_"+level.String())
 		}
 	}
+}
+
+// echoHost answers every request host 1 sends to host 2 and counts the
+// responses that reach host 1.
+type echoHost struct {
+	net     *simnet.Network
+	replies int
+}
+
+func (e *echoHost) Deliver(from simnet.Addr, payload any) {
+	if from == 1 {
+		e.net.Send(2, 1, payload)
+		return
+	}
+	e.replies++
 }
 
 // BenchmarkFigure2SimA: small network, churn 0/1, no data traffic.

@@ -81,19 +81,24 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if !*quiet {
-		cfg.Log = func(format string, a ...any) { fmt.Fprintf(stdout, format+"\n", a...) }
-	}
 
-	// The first failed snapshot write stops further writes and, after the
-	// run's results are printed, fails the command: artefacts are missing.
+	// Unless -quiet, each snapshot prints a progress line; under
+	// -snapshots it is also written to disk. The first failed write stops
+	// further writes and, after the run's results are printed, fails the
+	// command: artefacts are missing.
 	var writeErr error
 	if *snapDir != "" {
 		if err := os.MkdirAll(*snapDir, 0o755); err != nil {
 			return fmt.Errorf("create snapshot dir: %w", err)
 		}
-		cfg.OnSnapshot = func(s *snapshot.Snapshot, _ scenario.SnapshotStat) {
-			if writeErr == nil {
+	}
+	if !*quiet || *snapDir != "" {
+		cfg.OnSnapshot = func(s *snapshot.Snapshot, p scenario.SnapshotStat) {
+			if !*quiet {
+				fmt.Fprintf(stdout, "%s t=%3.0fm n=%4d edges=%6d min=%3d avg=%6.1f sym=%.3f\n",
+					cfg.Name, p.Time.Minutes(), p.N, p.Edges, p.Min, p.Avg, p.Symmetry)
+			}
+			if *snapDir != "" && writeErr == nil {
 				writeErr = writeSnapshot(*snapDir, s)
 			}
 		}

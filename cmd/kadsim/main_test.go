@@ -64,6 +64,33 @@ func TestRunTinySimulation(t *testing.T) {
 	}
 }
 
+// TestRunPrintsSnapshotLines: without -quiet every snapshot prints one
+// progress line before the run summary. The first is pinned byte for
+// byte, so the line's format and values cannot drift.
+func TestRunPrintsSnapshotLines(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{
+		"-size", "25", "-k", "4", "-bits", "64",
+		"-setup-mins", "5", "-stabilize-mins", "10", "-churn-mins", "10",
+		"-interval-mins", "10", "-c", "0.2", "-chart=false",
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progress, _, ok := strings.Cut(buf.String(), "\nrun complete: ")
+	if !ok {
+		t.Fatalf("no run summary:\n%s", buf.String())
+	}
+	lines := strings.Split(strings.TrimRight(progress, "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("%d progress lines, want one per snapshot (3):\n%s", len(lines), progress)
+	}
+	const want = "kadsim t= 10m n=  25 edges=   232 min=  3 avg=   5.6 sym=0.922"
+	if lines[0] != want {
+		t.Fatalf("first progress line\n%q\nwant\n%q", lines[0], want)
+	}
+}
+
 // TestRunSnapshotWriteFailure blocks one snapshot file with a directory
 // of the same name: the command must fail, not exit 0 with the artefact
 // missing.

@@ -381,7 +381,7 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 	// requester gives each back.
 	t.Run("one node", func(t *testing.T) {
 		sim := eventsim.New(5)
-		net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 80 * time.Millisecond}})
+		net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 80 * time.Millisecond, Max: 80 * time.Millisecond}})
 		cfg := Config{Bits: 160, K: 20, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
 		audit := newBufferAudit(t, net)
 		var nodes []*Node
@@ -433,7 +433,7 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 	// waits on b's request: only the record's node tells them apart.
 	t.Run("across nodes", func(t *testing.T) {
 		sim := eventsim.New(3)
-		net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 80 * time.Millisecond}})
+		net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 80 * time.Millisecond, Max: 80 * time.Millisecond}})
 		cfg := Config{Bits: 64, K: 5, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
 		var nodes []*Node
 		for i := 1; i <= 3; i++ {

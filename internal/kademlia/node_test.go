@@ -245,8 +245,8 @@ func TestBucketRefreshDiscoversContacts(t *testing.T) {
 func TestMessageLossCausesTimeouts(t *testing.T) {
 	sim := eventsim.New(9)
 	net := simnet.New(sim, simnet.Config{
-		Latency: simnet.ConstantLatency{D: 20 * time.Millisecond},
-		Loss:    simnet.UniformLoss{P: 0.5},
+		Latency: simnet.UniformLatency{Min: 20 * time.Millisecond, Max: 20 * time.Millisecond},
+		Loss:    0.5,
 	})
 	cfg := smallConfig()
 	var nodes []*Node
@@ -337,7 +337,7 @@ func TestRequestsRefreshSenderInTable(t *testing.T) {
 	// Receiving a request must insert the sender into the receiver's
 	// table ("nodes attempt to add each other").
 	sim := eventsim.New(12)
-	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 10 * time.Millisecond}})
+	net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 10 * time.Millisecond}})
 	cfg := smallConfig()
 	a, _ := NewNode(cfg, 1, net)
 	b, _ := NewNode(cfg, 2, net)
@@ -366,7 +366,7 @@ func TestRequestsRefreshSenderInTable(t *testing.T) {
 // no timeout charged, the newer request still waiting on its own answer.
 func TestLateResponseToRecycledRecordIsDropped(t *testing.T) {
 	sim := eventsim.New(3)
-	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 80 * time.Millisecond}})
+	net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 80 * time.Millisecond, Max: 80 * time.Millisecond}})
 	cfg := Config{Bits: 64, K: 5, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
 	a, _ := NewNode(cfg, 1, net)
 	b, _ := NewNode(cfg, 2, net)

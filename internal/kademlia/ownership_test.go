@@ -295,7 +295,7 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 	sim := eventsim.New(17)
 	net := simnet.New(sim, simnet.Config{
 		Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
-		Loss:    simnet.UniformLoss{P: 0.15},
+		Loss:    0.15,
 	})
 	// A timeout inside the latency range: some responses are merely late.
 	cfg := Config{Bits: 64, K: 4, Alpha: 3, StalenessLimit: 1, RefreshInterval: 2 * time.Minute, RPCTimeout: 150 * time.Millisecond}
@@ -421,7 +421,7 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 func TestPooledRecordsServeAnyK(t *testing.T) {
 	run := func(pooled bool) (results [][]Contact, nodes []*Node, audit *bufferAudit) {
 		sim := eventsim.New(3)
-		net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 20 * time.Millisecond}})
+		net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 20 * time.Millisecond, Max: 20 * time.Millisecond}})
 		audit = newBufferAudit(t, net)
 		for i := 0; i < 16; i++ {
 			cfg := Config{Bits: 160, K: 3, RefreshInterval: 1000 * time.Hour}
@@ -531,7 +531,7 @@ func TestStoredValuesAreSharedAndNeverWritten(t *testing.T) {
 	sim := eventsim.New(5)
 	net := simnet.New(sim, simnet.Config{
 		Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
-		Loss:    simnet.UniformLoss{P: 0.1},
+		Loss:    0.1,
 	})
 	cfg := Config{Bits: 64, K: 4, Alpha: 3, StalenessLimit: 1, RefreshInterval: 2 * time.Minute, RPCTimeout: 150 * time.Millisecond}
 	values := [2][]byte{[]byte("stored under even keys"), []byte("odd")}

@@ -74,7 +74,7 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	sim.SetCancel(ctx)
 	net := simnet.New(sim, simnet.Config{
 		Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
-		Loss:    cfg.Loss.Model(),
+		Loss:    cfg.Loss.OneWayLoss(),
 	})
 	pop := &population{sim: sim, net: net, cfg: cfg.kademliaConfig(), nextAddr: 1}
 
@@ -213,8 +213,6 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 			}
 		}
 		res.Points = append(res.Points, point)
-		cfg.logf("%s t=%3.0fm n=%4d edges=%6d min=%3d avg=%6.1f sym=%.3f",
-			cfg.Name, sim.Now().Minutes(), point.N, point.Edges, point.Min, point.Avg, point.Symmetry)
 		if cfg.OnSnapshot != nil {
 			cfg.OnSnapshot(s.Dense(), point)
 		}

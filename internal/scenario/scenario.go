@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"kadre/internal/attack"
@@ -46,7 +47,8 @@ type Config struct {
 	Bits      int
 	Staleness int
 
-	// Loss is the Table 1 message-loss scenario; zero means none.
+	// Loss is the Table 1 message-loss scenario; zero means none, and
+	// Validate refuses a level outside the table.
 	Loss simnet.LossLevel
 	// Churn is the add/remove rate applied during the churn phase.
 	Churn churn.Rate
@@ -100,8 +102,6 @@ type Config struct {
 	// Workers and Governance it is absent from the sweep fingerprint.
 	MinOnly bool
 
-	// Log, when set, receives progress lines.
-	Log func(format string, args ...any)
 	// OnSnapshot, when set, receives every captured snapshot together
 	// with its analysis, e.g. for persisting graphs to disk.
 	OnSnapshot func(s *snapshot.Snapshot, stat SnapshotStat)
@@ -156,6 +156,10 @@ func (c Config) Validate() error {
 	if c.SnapshotInterval <= 0 {
 		return fmt.Errorf("scenario: snapshot interval must be positive")
 	}
+	// An unknown level would run lossless under a key of its own.
+	if !slices.Contains(simnet.Levels(), c.Loss) {
+		return fmt.Errorf("scenario: loss level %v is not one of Table 1's %v", c.Loss, simnet.Levels())
+	}
 	if err := connectivity.CheckSampleFraction(c.SampleFraction); err != nil {
 		return err
 	}
@@ -209,12 +213,6 @@ func (c Config) kademliaConfig() kademlia.Config {
 		K:              c.K,
 		Alpha:          c.Alpha,
 		StalenessLimit: c.Staleness,
-	}
-}
-
-func (c Config) logf(format string, args ...any) {
-	if c.Log != nil {
-		c.Log(format, args...)
 	}
 }
 

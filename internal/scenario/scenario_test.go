@@ -199,6 +199,10 @@ func TestConfigValidation(t *testing.T) {
 			c.ChurnPhase = 10 * time.Minute
 			c.Attack = attack.Config{Strategy: attack.Cutset, Kills: 1, Interval: time.Minute, SampleFraction: math.NaN()}
 		}, "sample fraction"},
+		// OneWayLoss maps a level outside Table 1 to 0: such a run would
+		// be silently lossless under a key of its own.
+		{"loss level past Table 1", func(c *Config) { c.Loss = simnet.LossLevel(9) }, "loss level LossLevel(9)"},
+		{"negative loss level", func(c *Config) { c.Loss = -1 }, "loss level LossLevel(-1)"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -192,7 +192,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		},
 		MinReps: q.MinReps, MaxReps: q.MaxReps, Jobs: s.jobs,
 		Runner: runner,
-		Progress: func(u sweep.RepUpdate) {
+		Progress: func(u sweep.Event) {
 			// Warm/cold accounting covers exactly the consumed prefix, so
 			// the final record is identical under any Jobs value (arena
 			// counters also see discarded speculative reps).

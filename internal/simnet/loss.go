@@ -56,14 +56,8 @@ func ParseLossLevel(s string) (LossLevel, error) {
 }
 
 // OneWayLoss returns the scenario's one-way loss probability (Table 1,
-// column Ploss(1-way)).
-func (l LossLevel) OneWayLoss() float64 {
-	p, ok := oneWayLoss[l]
-	if !ok {
-		return 0
-	}
-	return p
-}
+// column Ploss(1-way)), 0 for a level outside the table.
+func (l LossLevel) OneWayLoss() float64 { return oneWayLoss[l] }
 
 // TwoWayLoss returns the scenario's request/response failure probability
 // (Table 1, column Ploss(2-way)).
@@ -71,13 +65,9 @@ func (l LossLevel) TwoWayLoss() float64 {
 	return TwoWayFailure(l.OneWayLoss())
 }
 
-// Model returns the LossModel implementing the scenario.
-func (l LossLevel) Model() LossModel {
-	if l == LossNone || l == 0 {
-		return NoLoss{}
-	}
-	return UniformLoss{P: l.OneWayLoss()}
-}
+// TwoWayFailure returns the probability that a request/response exchange
+// fails under one-way loss probability p: 1 - (1-p)^2.
+func TwoWayFailure(p float64) float64 { return 1 - (1-p)*(1-p) }
 
 // Levels returns all four scenarios in Table 1 order.
 func Levels() []LossLevel {

@@ -1,8 +1,9 @@
 // Package simnet simulates a message-passing network on top of the
-// discrete-event kernel: hosts attach under integer addresses, messages
-// incur configurable latency, and a loss model drops messages one-way with
-// a configurable probability. It plays the role of PeerSim's transport
-// layer in the paper, including the Table 1 message-loss scenarios.
+// discrete-event kernel: hosts attach under integer addresses, and every
+// message is delayed by a uniform draw from a latency range and lost
+// one-way with a fixed probability. It plays the role of PeerSim's
+// transport layer in the paper, including the Table 1 message-loss
+// scenarios.
 package simnet
 
 import (
@@ -27,7 +28,7 @@ type Handler interface {
 
 // Dropper is implemented by payloads that hold memory their sender would
 // reuse: the network calls Dropped once it knows a message will never be
-// delivered — lost to the loss model, or addressed to a host detached by
+// delivered — lost in transit, or addressed to a host detached by
 // delivery time — and then lets go of the payload. Dropped runs on the
 // simulation goroutine and must not send, schedule or draw randomness.
 type Dropper interface {
@@ -38,86 +39,31 @@ type Dropper interface {
 type Stats struct {
 	Sent      uint64 // messages handed to the network
 	Delivered uint64 // messages delivered to an attached handler
-	Lost      uint64 // messages dropped by the loss model
+	Lost      uint64 // messages lost to the one-way loss probability
 	NoRoute   uint64 // messages whose destination had no host at delivery
 }
 
-// LatencyModel determines per-message one-way delay.
-type LatencyModel interface {
-	Delay(r *rand.Rand, from, to Addr) time.Duration
-}
-
-// ConstantLatency delays every message by D.
-type ConstantLatency struct{ D time.Duration }
-
-// Delay implements LatencyModel.
-func (c ConstantLatency) Delay(*rand.Rand, Addr, Addr) time.Duration { return c.D }
-
 // UniformLatency delays each message by a uniform draw from [Min, Max].
+// A range with Max <= Min delays every message by Min and draws no random
+// number.
 type UniformLatency struct{ Min, Max time.Duration }
 
-// Delay implements LatencyModel.
-func (u UniformLatency) Delay(r *rand.Rand, _, _ Addr) time.Duration {
+// Delay draws one message's one-way delay.
+func (u UniformLatency) Delay(r *rand.Rand) time.Duration {
 	if u.Max <= u.Min {
 		return u.Min
 	}
 	return u.Min + time.Duration(r.Int63n(int64(u.Max-u.Min)+1))
 }
 
-// LossModel decides whether a single one-way message transmission is lost.
-type LossModel interface {
-	Drop(r *rand.Rand, from, to Addr) bool
-}
-
-// NoLoss delivers every message.
-type NoLoss struct{}
-
-// Drop implements LossModel.
-func (NoLoss) Drop(*rand.Rand, Addr, Addr) bool { return false }
-
-// UniformLoss drops each one-way message independently with probability P.
-// The paper's Table 1 scenarios are uniform one-way losses chosen so the
-// two-way (request/response) failure probability hits a target:
-// P2way = 1 - (1-P)^2.
-type UniformLoss struct{ P float64 }
-
-// Drop implements LossModel.
-func (u UniformLoss) Drop(r *rand.Rand, _, _ Addr) bool {
-	return u.P > 0 && r.Float64() < u.P
-}
-
-// TwoWayFailure returns the probability that a request/response exchange
-// fails under one-way loss probability p: 1 - (1-p)^2.
-func TwoWayFailure(p float64) float64 { return 1 - (1-p)*(1-p) }
-
-// Channel identifies a directed communication channel.
-type Channel struct{ From, To Addr }
-
-// ChannelLoss overlays per-channel disturbance probabilities on a base
-// model, modelling the system-model attacker who disturbs specific
-// communication channels. A message is dropped if either the base model or
-// the channel disturbance drops it.
-type ChannelLoss struct {
-	Base      LossModel
-	Disturbed map[Channel]float64
-}
-
-// Drop implements LossModel.
-func (c ChannelLoss) Drop(r *rand.Rand, from, to Addr) bool {
-	if c.Base != nil && c.Base.Drop(r, from, to) {
-		return true
-	}
-	if p, ok := c.Disturbed[Channel{From: from, To: to}]; ok && r.Float64() < p {
-		return true
-	}
-	return false
-}
-
-// Config parameterizes a Network. Zero-value fields fall back to a constant
-// 50 ms latency and no loss.
+// Config parameterizes a Network: each message is delayed by a draw from
+// Latency and, independently, lost with probability Loss. The paper's
+// Table 1 scenarios are such uniform one-way losses (LossLevel.OneWayLoss).
+// A zero Latency delays every message by a constant 50 ms; a zero Loss
+// delivers every message.
 type Config struct {
-	Latency LatencyModel
-	Loss    LossModel
+	Latency UniformLatency
+	Loss    float64
 }
 
 // AddrLimit is the ceiling on host addresses: Attach refuses any address
@@ -141,8 +87,8 @@ type Network struct {
 	Protocol any
 
 	sim      *eventsim.Simulator
-	latency  LatencyModel
-	loss     LossModel
+	latency  UniformLatency
+	loss     float64   // one-way loss probability
 	hosts    []Handler // by address; nil where nothing is attached
 	attached int       // non-nil entries of hosts
 	stats    Stats
@@ -180,11 +126,8 @@ func (d *delivery) Run() {
 
 // New builds a network on the given simulator.
 func New(sim *eventsim.Simulator, cfg Config) *Network {
-	if cfg.Latency == nil {
-		cfg.Latency = ConstantLatency{D: 50 * time.Millisecond}
-	}
-	if cfg.Loss == nil {
-		cfg.Loss = NoLoss{}
+	if cfg.Latency == (UniformLatency{}) {
+		cfg.Latency = UniformLatency{Min: 50 * time.Millisecond, Max: 50 * time.Millisecond}
 	}
 	return &Network{
 		sim:     sim,
@@ -201,8 +144,7 @@ func (n *Network) Sim() *eventsim.Simulator { return n.sim }
 func (n *Network) Stats() Stats { return n.stats }
 
 // Fingerprint returns a 64-bit rolling hash of every Send so far, in
-// order: its virtual time, its two addresses and whether the loss model
-// dropped it. Two runs with equal fingerprints and equal event counts
+// order: its virtual time, its two addresses and whether it was lost. Two runs with equal fingerprints and equal event counts
 // sent the same messages at the same instants, so a change that claims
 // to move no event can be checked against a recorded value.
 func (n *Network) Fingerprint() uint64 { return n.fp }
@@ -267,20 +209,23 @@ func (n *Network) host(addr Addr) Handler {
 	return nil
 }
 
-// Send transmits payload from one address to another, subject to the loss
-// and latency models. Delivery, if it happens, is a future simulation
-// event. Send never blocks and reports nothing to the sender: like UDP,
-// loss is only observable through missing responses.
+// Send transmits payload from one address to another, subject to the
+// configured loss and latency. Delivery, if it happens, is a future
+// simulation event. Send never blocks and reports nothing to the sender:
+// like UDP, loss is only observable through missing responses. A message
+// draws the kernel's random stream at most twice, loss first: the loss
+// draw only when the loss probability is positive, the delay draw only
+// when it is delivered over a non-degenerate latency range.
 func (n *Network) Send(from, to Addr, payload any) {
 	n.stats.Sent++
-	lost := n.loss.Drop(n.sim.Rand(), from, to)
+	lost := n.loss > 0 && n.sim.Rand().Float64() < n.loss
 	n.fingerprint(from, to, lost)
 	if lost {
 		n.stats.Lost++
 		dropped(payload)
 		return
 	}
-	delay := n.latency.Delay(n.sim.Rand(), from, to)
+	delay := n.latency.Delay(n.sim.Rand())
 	d := n.free
 	if d != nil {
 		n.free = d.next

@@ -35,7 +35,7 @@ func newNet(t *testing.T, cfg Config) (*eventsim.Simulator, *Network) {
 }
 
 func TestDeliveryWithLatency(t *testing.T) {
-	sim, net := newNet(t, Config{Latency: ConstantLatency{D: 30 * time.Millisecond}})
+	sim, net := newNet(t, Config{Latency: UniformLatency{Min: 30 * time.Millisecond, Max: 30 * time.Millisecond}})
 	rec := &recorder{}
 	if err := net.Attach(2, &recHandler{rec: rec, sim: sim}); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestAttachAtAddrLimit(t *testing.T) {
 }
 
 func TestDetachDropsInFlight(t *testing.T) {
-	sim, net := newNet(t, Config{Latency: ConstantLatency{D: time.Second}})
+	sim, net := newNet(t, Config{Latency: UniformLatency{Min: time.Second, Max: time.Second}})
 	rec := &recorder{}
 	if err := net.Attach(2, &recHandler{rec: rec, sim: sim}); err != nil {
 		t.Fatal(err)
@@ -128,23 +128,49 @@ func TestSendToUnknownAddress(t *testing.T) {
 	}
 }
 
+// TestUniformLatencyBounds: draws stay in [Min, Max], and a degenerate
+// range (Min == Max, a fixed delay) delays by Min without drawing a
+// random number, on its own and through a lossless Send: a fixed-delay
+// network leaves the kernel's random stream, and so every later event,
+// to the protocol above it.
 func TestUniformLatencyBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	m := UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond}
 	for i := 0; i < 1000; i++ {
-		d := m.Delay(r, 1, 2)
+		d := m.Delay(r)
 		if d < m.Min || d > m.Max {
 			t.Fatalf("delay %v outside [%v, %v]", d, m.Min, m.Max)
 		}
 	}
 	degenerate := UniformLatency{Min: 5 * time.Millisecond, Max: 5 * time.Millisecond}
-	if d := degenerate.Delay(r, 1, 2); d != 5*time.Millisecond {
+	r, twin := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	if d := degenerate.Delay(r); d != 5*time.Millisecond {
 		t.Fatalf("degenerate uniform = %v", d)
+	}
+	if r.Int63() != twin.Int63() {
+		t.Fatal("a degenerate range drew a random number")
+	}
+
+	sim, net := newNet(t, Config{Latency: degenerate})
+	twin = rand.New(rand.NewSource(1)) // newNet's kernel seed
+	rec := &recorder{}
+	if err := net.Attach(2, &recHandler{rec: rec, sim: sim}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		net.Send(1, 2, i)
+	}
+	sim.Run()
+	if len(rec.msgs) != 10 || rec.msgs[9].at != 5*time.Millisecond {
+		t.Fatalf("delivered %d messages, last at %v; want 10 at 5ms", len(rec.msgs), rec.msgs[len(rec.msgs)-1].at)
+	}
+	if sim.Rand().Int63() != twin.Int63() {
+		t.Fatal("lossless sends over a degenerate range drew from the kernel's random stream")
 	}
 }
 
-func TestUniformLossRate(t *testing.T) {
-	sim, net := newNet(t, Config{Loss: UniformLoss{P: 0.25}, Latency: ConstantLatency{}})
+func TestLossRate(t *testing.T) {
+	sim, net := newNet(t, Config{Loss: 0.25})
 	rec := &recorder{}
 	if err := net.Attach(2, &recHandler{rec: rec, sim: sim}); err != nil {
 		t.Fatal(err)
@@ -160,27 +186,6 @@ func TestUniformLossRate(t *testing.T) {
 	}
 	if int(net.Stats().Delivered) != len(rec.msgs) {
 		t.Fatal("delivered counter does not match handler invocations")
-	}
-}
-
-func TestChannelLoss(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	m := ChannelLoss{
-		Base:      NoLoss{},
-		Disturbed: map[Channel]float64{{From: 1, To: 2}: 1.0},
-	}
-	if !m.Drop(r, 1, 2) {
-		t.Error("fully disturbed channel should drop")
-	}
-	if m.Drop(r, 2, 1) {
-		t.Error("reverse direction should not be disturbed")
-	}
-	if m.Drop(r, 3, 4) {
-		t.Error("unrelated channel should not drop")
-	}
-	withBase := ChannelLoss{Base: UniformLoss{P: 1.0}}
-	if !withBase.Drop(r, 5, 6) {
-		t.Error("base model drop should propagate")
 	}
 }
 
@@ -224,18 +229,8 @@ func TestParseLossLevel(t *testing.T) {
 	}
 }
 
-func TestLossLevelModel(t *testing.T) {
-	if _, ok := LossNone.Model().(NoLoss); !ok {
-		t.Error("LossNone should use NoLoss model")
-	}
-	m, ok := LossHigh.Model().(UniformLoss)
-	if !ok || m.P != 0.293 {
-		t.Errorf("LossHigh model = %#v", m)
-	}
-}
-
-func TestDeliveryOrderPreservedUnderConstantLatency(t *testing.T) {
-	sim, net := newNet(t, Config{Latency: ConstantLatency{D: 10 * time.Millisecond}})
+func TestDeliveryOrderPreservedUnderFixedLatency(t *testing.T) {
+	sim, net := newNet(t, Config{Latency: UniformLatency{Min: 10 * time.Millisecond, Max: 10 * time.Millisecond}})
 	rec := &recorder{}
 	if err := net.Attach(2, &recHandler{rec: rec, sim: sim}); err != nil {
 		t.Fatal(err)
@@ -330,7 +325,7 @@ func TestSendDeliverAllocationBudget(t *testing.T) {
 // already be its own.
 func TestDeliveryRecordReuseKeepsMessagesApart(t *testing.T) {
 	sim := eventsim.New(1)
-	net := New(sim, Config{Latency: ConstantLatency{D: time.Millisecond}})
+	net := New(sim, Config{Latency: UniformLatency{Min: time.Millisecond, Max: time.Millisecond}})
 	var seen []int
 	relay := handlerFunc(func(from Addr, payload any) {
 		n := payload.(int)

@@ -23,7 +23,7 @@ func buildNetwork(t *testing.T, n int) (*eventsim.Simulator, []*kademlia.Node) {
 func buildNetworkAt(t *testing.T, n, bits int, addr func(i int) simnet.Addr) (*eventsim.Simulator, *simnet.Network, []*kademlia.Node) {
 	t.Helper()
 	sim := eventsim.New(42)
-	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 20 * time.Millisecond}})
+	net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 20 * time.Millisecond, Max: 20 * time.Millisecond}})
 	cfg := kademlia.Config{Bits: bits, K: 5, Alpha: 3, StalenessLimit: 1}
 	var nodes []*kademlia.Node
 	for i := 0; i < n; i++ {

@@ -96,10 +96,6 @@ func (r StopRule) decide(mean, half float64) (Verdict, bool) {
 	return VerdictUndecided, false
 }
 
-// RepUpdate is the Event RunAdaptive reports per consumed rep, in rep
-// order; all but Elapsed and Cached is deterministic for a config.
-type RepUpdate = Event
-
 // AdaptiveOptions configures RunAdaptive.
 type AdaptiveOptions struct {
 	// Rule is the stopping rule (required).
@@ -115,7 +111,7 @@ type AdaptiveOptions struct {
 	Jobs int
 	// Runner and Progress are Options'.
 	Runner   func(context.Context, scenario.Config) (*scenario.Result, bool, error)
-	Progress func(RepUpdate)
+	Progress func(Event)
 }
 
 // AdaptiveResult is the outcome of an adaptive replication run. Reps,
@@ -128,18 +124,6 @@ type AdaptiveResult struct {
 	Values  []float64
 	Mean    float64
 	CI95    float64
-}
-
-// RunSet assembles the consumed reps into a RunSet with cross-rep
-// aggregates, so adaptive runs feed the same rendering and JSON
-// pipeline as fixed-R sweeps.
-func (ar *AdaptiveResult) RunSet() (*RunSet, error) {
-	rs := &RunSet{Config: ar.Config, Reps: ar.Reps}
-	rs.Config.Seed = DeriveSeed(ar.Config.Seed, 0)
-	if err := rs.Aggregate(); err != nil {
-		return nil, fmt.Errorf("sweep: adaptive config %q: %w", ar.Config.Name, err)
-	}
-	return rs, nil
 }
 
 // RepBounds is the one replication-bound rule: it maps requested

@@ -70,14 +70,14 @@ func TestStopRuleDecide(t *testing.T) {
 func TestAdaptiveDeterministicAcrossJobs(t *testing.T) {
 	cfg := tinyConfig("adaptive-det", 11)
 	run := func(jobs int) (*AdaptiveResult, string) {
-		var updates []RepUpdate
+		var updates []Event
 		ar, err := RunAdaptive(context.Background(), cfg, AdaptiveOptions{
 			// A threshold far above any tiny network's average keeps the
 			// verdict a quick, decisive fail.
 			Rule:    StopAtThreshold(1000),
 			Extract: func(r *scenario.Result) float64 { return r.ChurnWindowSummary().Mean },
 			MinReps: 2, MaxReps: 6, Jobs: jobs,
-			Progress: func(u RepUpdate) {
+			Progress: func(u Event) {
 				u.Elapsed = 0 // wall-clock is the one nondeterministic field
 				updates = append(updates, u)
 			},
@@ -105,16 +105,12 @@ func TestAdaptiveDeterministicAcrossJobs(t *testing.T) {
 	if stream1 != stream8 {
 		t.Fatalf("update streams differ:\n%s\n%s", stream1, stream8)
 	}
-	rs1, err := ar1.RunSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs8, err := ar8.RunSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rs1.Min, rs8.Min) || !reflect.DeepEqual(rs1.Avg, rs8.Avg) {
-		t.Fatal("aggregated RunSet series differ across jobs")
+	for i := range ar1.Reps {
+		r1, r8 := *ar1.Reps[i], *ar8.Reps[i]
+		r1.Elapsed, r8.Elapsed = 0, 0 // wall-clock, as in the updates
+		if !reflect.DeepEqual(r1, r8) {
+			t.Fatalf("rep %d differs across jobs:\n%+v\n%+v", i, r1, r8)
+		}
 	}
 }
 
@@ -122,13 +118,13 @@ func TestAdaptiveDeterministicAcrossJobs(t *testing.T) {
 // query consumes fewer reps than the cap, and its updates arrive in rep
 // order with monotonically consumed counts.
 func TestAdaptiveStopsEarly(t *testing.T) {
-	var updates []RepUpdate
+	var updates []Event
 	ar, err := RunAdaptive(context.Background(), scenario.Config{Name: "early", Seed: 3, Size: 10}, AdaptiveOptions{
 		Rule:    StopAtThreshold(5),
 		Extract: finalAvg,
 		MinReps: 2, MaxReps: 64, Jobs: 4,
 		Runner:   fakeRunner(20, 1), // mean 20 >> threshold 5: decides at MinReps
-		Progress: func(u RepUpdate) { updates = append(updates, u) },
+		Progress: func(u Event) { updates = append(updates, u) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +263,7 @@ func TestAdaptivePreCanceled(t *testing.T) {
 func TestAdaptiveCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var updates []RepUpdate
+	var updates []Event
 	// An undecidable rule (huge spread, threshold at the mean) would
 	// replicate to the cap; cancellation is the only way this run ends.
 	_, err := RunAdaptive(ctx, scenario.Config{Name: "mid", Seed: 5, Size: 10}, AdaptiveOptions{
@@ -279,7 +275,7 @@ func TestAdaptiveCancelMidRun(t *testing.T) {
 			}
 			return fakeRunner(10, 20)(ctx, c)
 		},
-		Progress: func(u RepUpdate) {
+		Progress: func(u Event) {
 			updates = append(updates, u)
 			cancel()
 		},

@@ -52,7 +52,7 @@ type ckptFile struct {
 
 // Fingerprint condenses every configuration field that shapes a run's
 // measurements into a canonical string. Seed and Name are deliberately
-// absent (Key appends the seed), as are Log/OnSnapshot, Workers,
+// absent (Key appends the seed), as are OnSnapshot, Workers,
 // Governance and MinOnly, which only affect observation, scheduling,
 // maintenance and which measurements are paid for, never a measured
 // value. TestFingerprintCoversEveryField holds every other Config field

@@ -20,7 +20,6 @@ var fingerprintExempt = map[string]string{
 	"Workers":    "results are independent of the analysis worker count",
 	"Governance": "maintenance only; RunGroups keys it beside the Key",
 	"MinOnly":    "chooses which measurements are paid for, not their values; RunGroups keys it beside the Key",
-	"Log":        "observation only",
 	"OnSnapshot": "observation only",
 }
 

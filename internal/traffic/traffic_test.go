@@ -25,7 +25,7 @@ func (f *fakePop) LiveNodes() []*kademlia.Node {
 
 func buildPop(t *testing.T, sim *eventsim.Simulator, n int) (*fakePop, *simnet.Network) {
 	t.Helper()
-	net := simnet.New(sim, simnet.Config{Latency: simnet.ConstantLatency{D: 10 * time.Millisecond}})
+	net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 10 * time.Millisecond}})
 	pop := &fakePop{}
 	cfg := kademlia.Config{Bits: 64, K: 5, Alpha: 3, StalenessLimit: 1}
 	for i := 0; i < n; i++ {
