@@ -3,24 +3,31 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"kadre/internal/churn"
 	"kadre/internal/workload"
 )
 
-// genGoldenDoc byte-pins one generator's tiny run: the measured points
-// plus the workload and traffic activity counters, so both the
-// connectivity numbers AND the generator's membership/key-picking effect
-// are frozen.
+// genGoldenDoc byte-pins one generator's tiny run: the measured points,
+// the workload, churn and traffic activity counters, and the event check
+// (the network's rolling message hash and the events fired), so the
+// connectivity numbers, the generator's membership/key-picking effect
+// and the order in which the generators' events fire are all frozen.
 type genGoldenDoc struct {
 	Points         []churnGoldenPoint `json:"points"`
 	WorkloadJoins  int                `json:"workload_joins"`
 	WorkloadLeaves int                `json:"workload_leaves"`
+	ChurnAdded     int                `json:"churn_added"`
+	ChurnRemoved   int                `json:"churn_removed"`
 	TrafficOps     int                `json:"traffic_ops"`
+	Fingerprint    string             `json:"fingerprint"`
+	Events         uint64             `json:"events"`
 }
 
 // genBase is the shared tiny scale for the per-generator fixtures: small
@@ -81,7 +88,22 @@ func genConfigs(t testing.TB) []Config {
 		Trace: &workload.TraceSpec{Events: trace},
 	}
 
-	return []Config{sessions, diurnal, zipf, flash, replay}
+	// Every generator in one run: paper churn, traffic, arrivals with
+	// sessions, Zipf keys and a flash crowd. Churn and arrivals tick on
+	// the same minutes, so this fixture pins their relative order.
+	mixed := genBase("gen-mixed", 26)
+	mixed.Churn = churn.Rate1_1
+	mixed.Traffic = true
+	mixed.Gen = workload.Generators{
+		Arrivals:   &workload.ArrivalsSpec{RatePerMinute: 1},
+		Sessions:   &workload.SessionsSpec{Dist: "lognormal", MeanMinutes: 5},
+		Popularity: &workload.PopularitySpec{ZipfS: 1.5},
+		FlashCrowds: []workload.FlashCrowdSpec{{
+			AtMinutes: 15, Joins: 4, WindowMinutes: 2,
+		}},
+	}
+
+	return []Config{sessions, diurnal, zipf, flash, replay, mixed}
 }
 
 // TestGoldenGenerators byte-pins a tiny run of every workload generator
@@ -109,7 +131,11 @@ func TestGoldenGenerators(t *testing.T) {
 			doc := genGoldenDoc{
 				WorkloadJoins:  res.WorkloadJoins,
 				WorkloadLeaves: res.WorkloadLeaves,
+				ChurnAdded:     res.ChurnAdded,
+				ChurnRemoved:   res.ChurnRemoved,
 				TrafficOps:     res.TrafficOps,
+				Fingerprint:    fmt.Sprintf("%016x", res.Fingerprint),
+				Events:         res.Events,
 			}
 			for _, p := range res.Points {
 				doc.Points = append(doc.Points, churnGoldenPoint{
