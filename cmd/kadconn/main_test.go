@@ -14,13 +14,13 @@ import (
 	"testing"
 	"time"
 
-	"kadre/internal/churn"
 	"kadre/internal/eventsim"
 	"kadre/internal/graph"
 	"kadre/internal/kademlia"
 	"kadre/internal/scenario"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
+	"kadre/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -148,7 +148,7 @@ func TestRunOfflineEndToEnd(t *testing.T) {
 		Name: "offline", Seed: 2, Size: 20, K: 4, Bits: 64, Staleness: 1,
 		Setup: 6 * time.Minute, Stabilize: 12 * time.Minute,
 		SnapshotInterval: 6 * time.Minute, SampleFraction: 0.1,
-		Churn: churn.Rate{Add: 2, Remove: 2}, ChurnPhase: 6 * time.Minute,
+		Churn: workload.ChurnRate{Add: 2, Remove: 2}, ChurnPhase: 6 * time.Minute,
 	}
 	var final bytes.Buffer
 	cfg.OnSnapshot = func(s *snapshot.Snapshot, _ scenario.SnapshotStat) {

@@ -16,11 +16,11 @@ import (
 	"os"
 	"time"
 
-	"kadre/internal/churn"
 	"kadre/internal/connectivity"
 	"kadre/internal/graph"
 	"kadre/internal/scenario"
 	"kadre/internal/snapshot"
+	"kadre/internal/workload"
 )
 
 func main() {
@@ -54,7 +54,7 @@ func run(args []string, stdout io.Writer) error {
 		K:                k,
 		Staleness:        1,
 		Traffic:          true,
-		Churn:            churn.Rate1_1, // machines rotate constantly
+		Churn:            workload.Churn1_1, // machines rotate constantly
 		Setup:            30 * time.Minute,
 		Stabilize:        90 * time.Minute,
 		ChurnPhase:       120 * time.Minute,

@@ -14,9 +14,9 @@ import (
 	"os"
 	"time"
 
-	"kadre/internal/churn"
 	"kadre/internal/connectivity"
 	"kadre/internal/scenario"
+	"kadre/internal/workload"
 )
 
 func main() {
@@ -40,10 +40,10 @@ func run(args []string, stdout io.Writer) error {
 	cfg := scenario.Config{
 		Name: "SCN", Seed: 11, Size: size,
 		K:                k,
-		Staleness:        1,                // detect dead cameras after one failed exchange
-		Traffic:          true,             // cameras exchange tracking data constantly
-		Churn:            churn.Rate0_1,    // cameras fail and are not replaced
-		Setup:            30 * time.Minute, // staggered power-on
+		Staleness:        1,                 // detect dead cameras after one failed exchange
+		Traffic:          true,              // cameras exchange tracking data constantly
+		Churn:            workload.Churn0_1, // cameras fail and are not replaced
+		Setup:            30 * time.Minute,  // staggered power-on
 		Stabilize:        90 * time.Minute,
 		ChurnPhase:       failPhase,
 		SnapshotInterval: 30 * time.Minute,

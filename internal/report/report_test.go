@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"kadre/internal/churn"
 	"kadre/internal/scenario"
 	"kadre/internal/stats"
 	"kadre/internal/sweep"
+	"kadre/internal/workload"
 )
 
 func TestWriteTableAlignment(t *testing.T) {
@@ -43,7 +43,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 		"high 29.3% 50%")
 }
 
-func fakeResult(name string, size, k int, rate churn.Rate, mins []int) *scenario.Result {
+func fakeResult(name string, size, k int, rate workload.ChurnRate, mins []int) *scenario.Result {
 	cfg := scenario.Config{
 		Name: name, Size: size, K: k, Churn: rate,
 		Setup: 30 * time.Minute, Stabilize: 90 * time.Minute,
@@ -112,9 +112,9 @@ func wantTable(t *testing.T, write func(*bytes.Buffer) error, title, header stri
 // cell is the rep's own value and nothing that needs a second run shows;
 // at two reps the means, the CI and the rep count do.
 func TestTable2Rows(t *testing.T) {
-	simE := fakeResult("SimE/k=5", 250, 5, churn.Rate1_1, []int{4, 4, 2})   // mean 3.33, RV 0.27
-	simE2 := fakeResult("SimE/k=5", 250, 5, churn.Rate1_1, []int{2, 2, 2})  // mean 2, RV 0
-	simG := fakeResult("SimG/k=5", 250, 5, churn.Rate10_10, []int{2, 1, 0}) // mean 1, RV 0.67
+	simE := fakeResult("SimE/k=5", 250, 5, workload.Churn1_1, []int{4, 4, 2})   // mean 3.33, RV 0.27
+	simE2 := fakeResult("SimE/k=5", 250, 5, workload.Churn1_1, []int{2, 2, 2})  // mean 2, RV 0
+	simG := fakeResult("SimG/k=5", 250, 5, workload.Churn10_10, []int{2, 1, 0}) // mean 1, RV 0.67
 	if sum := simE.ChurnWindowSummary(); fmt.Sprintf("%.2f %.2f", sum.Mean, sum.RV) != "3.33 0.27" {
 		t.Fatalf("fixture summary %+v", sum)
 	}
@@ -132,8 +132,8 @@ func TestTable2Rows(t *testing.T) {
 
 func TestMeansByK(t *testing.T) {
 	const name = "F10/small/churn1/1-a3/k=10"
-	a := fakeResult(name, 100, 10, churn.Rate1_1, []int{9, 11})
-	b := fakeResult(name, 100, 10, churn.Rate1_1, []int{7, 9})
+	a := fakeResult(name, 100, 10, workload.Churn1_1, []int{9, 11})
+	b := fakeResult(name, 100, 10, workload.Churn1_1, []int{7, 9})
 	// Alpha defaults to 3 when unset.
 	wantTable(t, func(buf *bytes.Buffer) error {
 		return MeansByK(buf, "Figure 10", []*sweep.RunSet{fakeSet(t, a)})
@@ -146,8 +146,8 @@ func TestMeansByK(t *testing.T) {
 }
 
 func TestSnapshotRows(t *testing.T) {
-	a := fakeResult("x", 50, 5, churn.Rate{}, []int{3, 4})
-	b := fakeResult("x", 50, 5, churn.Rate{}, []int{5, 4})
+	a := fakeResult("x", 50, 5, workload.ChurnRate{}, []int{3, 4})
+	b := fakeResult("x", 50, 5, workload.ChurnRate{}, []int{5, 4})
 	wantTable(t, func(buf *bytes.Buffer) error { return SnapshotTable(buf, fakeSet(t, a)) },
 		"x", "t(min) n minConn avgConn",
 		"120 50.0 3.00 6.00",
@@ -172,8 +172,8 @@ func plotArea(out string) string {
 }
 
 func TestChart(t *testing.T) {
-	a := fakeResult("k=20", 50, 20, churn.Rate{}, []int{0, 2, 4, 6, 8, 10})
-	b := fakeResult("k=20", 50, 20, churn.Rate{}, []int{0, 4, 8, 12, 16, 20})
+	a := fakeResult("k=20", 50, 20, workload.ChurnRate{}, []int{0, 2, 4, 6, 8, 10})
+	b := fakeResult("k=20", 50, 20, workload.ChurnRate{}, []int{0, 4, 8, 12, 16, 20})
 	for _, tc := range []struct {
 		name       string
 		set        *sweep.RunSet
@@ -218,8 +218,8 @@ func TestChartEmpty(t *testing.T) {
 
 func TestChartMultiSeriesGlyphs(t *testing.T) {
 	sets := []*sweep.RunSet{
-		fakeSet(t, fakeResult("a", 50, 5, churn.Rate{}, []int{1, 5})),
-		fakeSet(t, fakeResult("b", 50, 5, churn.Rate{}, []int{10, 2})),
+		fakeSet(t, fakeResult("a", 50, 5, workload.ChurnRate{}, []int{1, 5})),
+		fakeSet(t, fakeResult("b", 50, 5, workload.ChurnRate{}, []int{10, 2})),
 	}
 	var buf bytes.Buffer
 	if err := Chart(&buf, "two", sets, minCurve); err != nil {
@@ -319,7 +319,7 @@ func TestAggChart(t *testing.T) {
 
 // Replications that captured no snapshot still aggregate, to nothing.
 func TestAggChartEmpty(t *testing.T) {
-	none := fakeResult("none", 50, 5, churn.Rate{}, nil)
+	none := fakeResult("none", 50, 5, workload.ChurnRate{}, nil)
 	var buf bytes.Buffer
 	if err := Chart(&buf, "empty", []*sweep.RunSet{fakeSet(t, none, none)}, minCurve); err != nil {
 		t.Fatal(err)

@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"kadre/internal/churn"
 	"kadre/internal/simnet"
 	"kadre/internal/stats"
+	"kadre/internal/workload"
 )
 
 // Integration tests asserting the paper's qualitative findings at test-
@@ -95,11 +95,11 @@ func TestFindingStrongChurnDepressesMin(t *testing.T) {
 	skipIfShort(t)
 	mild := findingConfig("churn11", 30, 10)
 	mild.Traffic = true
-	mild.Churn = churn.Rate1_1
+	mild.Churn = workload.Churn1_1
 	mild.ChurnPhase = 40 * time.Minute
 	wild := mild
 	wild.Name = "churn1010"
-	wild.Churn = churn.Rate10_10
+	wild.Churn = workload.Churn10_10
 	rm, rw := mustRun(t, mild), mustRun(t, wild)
 	meanMild := rm.ChurnWindowSummary().Mean
 	meanWild := rw.ChurnWindowSummary().Mean
@@ -174,7 +174,7 @@ func TestFindingDrainChurnTransientRise(t *testing.T) {
 	skipIfShort(t)
 	cfg := findingConfig("drainrise", 70, 10)
 	cfg.Traffic = true
-	cfg.Churn = churn.Rate0_1
+	cfg.Churn = workload.Churn0_1
 	cfg.ChurnPhase = 35 * time.Minute
 	cfg.SnapshotInterval = 5 * time.Minute
 	res := mustRun(t, cfg)

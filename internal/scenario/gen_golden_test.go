@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"kadre/internal/churn"
 	"kadre/internal/workload"
 )
 
@@ -92,7 +91,7 @@ func genConfigs(t testing.TB) []Config {
 	// sessions, Zipf keys and a flash crowd. Churn and arrivals tick on
 	// the same minutes, so this fixture pins their relative order.
 	mixed := genBase("gen-mixed", 26)
-	mixed.Churn = churn.Rate1_1
+	mixed.Churn = workload.Churn1_1
 	mixed.Traffic = true
 	mixed.Gen = workload.Generators{
 		Arrivals:   &workload.ArrivalsSpec{RatePerMinute: 1},

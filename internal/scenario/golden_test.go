@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"kadre/internal/churn"
+	"kadre/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -52,7 +52,7 @@ type membersGoldenDoc struct {
 func membersGoldenConfig() Config {
 	return Config{
 		Name: "golden-members", Seed: 7, Size: 24, K: 6,
-		Churn:            churn.Rate10_10,
+		Churn:            workload.Churn10_10,
 		Setup:            4 * time.Minute,
 		Stabilize:        4 * time.Minute,
 		ChurnPhase:       8 * time.Minute,
@@ -66,7 +66,7 @@ func membersGoldenConfig() Config {
 func churnGoldenConfig() Config {
 	return Config{
 		Name: "golden-churn", Seed: 11, Size: 30, K: 8,
-		Churn:            churn.Rate10_10,
+		Churn:            workload.Churn10_10,
 		Setup:            6 * time.Minute,
 		Stabilize:        10 * time.Minute,
 		ChurnPhase:       10 * time.Minute,

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"kadre/internal/churn"
 	"kadre/internal/connectivity"
+	"kadre/internal/workload"
 )
 
 // TestRunGovernanceInvisibleToResults pins the runner-level governance
@@ -15,7 +15,7 @@ import (
 // off — only the maintenance counters differ.
 func TestRunGovernanceInvisibleToResults(t *testing.T) {
 	cfg := tinyConfig("governed", 11)
-	cfg.Churn = churn.Rate0_1
+	cfg.Churn = workload.Churn0_1
 	cfg.ChurnPhase = 25 * time.Minute
 	// An aggressive threshold so compaction fires in a tiny run.
 	cfg.Governance = connectivity.GovernancePolicy{MaxSlotSlack: 0.2}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"kadre/internal/churn"
+	"kadre/internal/workload"
 )
 
 // TestSimulatorMallocsPerMessage is a gate a shared runner can hold where a
@@ -27,7 +27,7 @@ func TestSimulatorMallocsPerMessage(t *testing.T) {
 	cfg := tinyConfig("mallocs", 5)
 	cfg.K = 20
 	cfg.Traffic = true
-	cfg.Churn = churn.Rate1_1
+	cfg.Churn = workload.Churn1_1
 	cfg.ChurnPhase = 10 * time.Minute
 	cfg.Workers = 1
 	var before, after runtime.MemStats

@@ -8,12 +8,10 @@ import (
 	"time"
 
 	"kadre/internal/attack"
-	"kadre/internal/churn"
 	"kadre/internal/connectivity"
 	"kadre/internal/eventsim"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
-	"kadre/internal/traffic"
 	"kadre/internal/workload"
 )
 
@@ -94,49 +92,24 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 		})
 	}
 
-	// Traffic runs through all phases in the with-traffic scenarios.
-	var traff *traffic.Generator
+	// One engine drives the run's workload: traffic through all phases in
+	// the with-traffic scenarios (its key pool drawn from the kernel RNG
+	// here, after the setup joins' instants), fixed-rate churn from minute
+	// 120 (§5.4), and the generative layer — Poisson arrivals sharing the
+	// churn window, flash crowds and trace events at their own absolute
+	// times, Zipf popularity reshaping traffic's key choice. The
+	// generative draws come from splitmix64 streams of the run seed, so
+	// they never perturb the kernel RNG the paper's workload consumes.
+	plan := workload.Plan{Bits: pop.cfg.Bits, Churn: cfg.Churn, Gen: cfg.Gen, Seed: cfg.Seed}
 	if cfg.Traffic {
-		var err error
-		traff, err = traffic.NewGenerator(sim, pop.cfg.Bits, cfg.Workload, pop)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := traff.Start(0, cfg.Total()); err != nil {
-			return nil, nil, err
-		}
+		plan.Traffic = &cfg.Workload
 	}
-
-	// Churn begins at minute 120 (§5.4).
-	churnGen := churn.NewGenerator(sim, cfg.Churn, pop)
-	if !cfg.Churn.IsZero() {
-		if err := churnGen.Start(cfg.ChurnStart(), cfg.Total()); err != nil {
-			return nil, nil, err
-		}
+	load, err := workload.NewEngine(sim, plan, pop)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// The generative workload layer rides alongside fixed-rate churn:
-	// Poisson arrivals share the churn window, flash crowds and trace
-	// events fire at their own absolute times, and Zipf popularity
-	// reshapes the traffic generator's key selection. Every draw comes
-	// from a splitmix64 stream of the run seed, so the layer never
-	// perturbs the kernel RNG the other generators consume.
-	var gen *workload.Engine
-	if cfg.Gen.Enabled() {
-		gen = workload.NewEngine(sim, cfg.Gen, cfg.Seed, pop)
-		if err := gen.Start(cfg.ChurnStart(), cfg.Total()); err != nil {
-			return nil, nil, err
-		}
-		if cfg.Gen.Popularity != nil {
-			if traff == nil {
-				return nil, nil, fmt.Errorf("scenario: popularity generator without traffic")
-			}
-			pick, err := workload.NewZipfPicker(cfg.Seed, cfg.Gen.Popularity, traff.PoolSize())
-			if err != nil {
-				return nil, nil, err
-			}
-			traff.SetKeyPicker(pick)
-		}
+	if err := load.Start(cfg.ChurnStart(), cfg.Total()); err != nil {
+		return nil, nil, err
 	}
 
 	// The adversary shares the churn window, with strikes offset half an
@@ -248,28 +221,20 @@ func RunBoundCtx(ctx context.Context, cfg Config) (*Result, *Bound, error) {
 	if spawnErr != nil {
 		return nil, nil, spawnErr
 	}
-	if err := churnGen.Err(); err != nil {
-		return nil, nil, fmt.Errorf("scenario: churn additions failed: %w", err)
-	}
-	if gen != nil {
-		if err := gen.Err(); err != nil {
-			return nil, nil, fmt.Errorf("scenario: workload joins failed: %w", err)
-		}
-		res.WorkloadJoins = gen.Joins()
-		res.WorkloadLeaves = gen.Leaves()
+	if err := load.Err(); err != nil {
+		return nil, nil, fmt.Errorf("scenario: workload joins failed: %w", err)
 	}
 
 	res.IncrementalBinds = binder.IncrementalBinds()
 	res.FullBinds = binder.FullBinds()
 	res.MembershipRebinds = engine.MembershipRebinds()
 	res.SlotUtilization = slots.Utilization()
-	res.ChurnAdded = churnGen.Added()
-	res.ChurnRemoved = churnGen.Removed()
+	counts := load.Counts()
+	res.ChurnAdded, res.ChurnRemoved = counts.ChurnAdded, counts.ChurnRemoved
+	res.TrafficOps = counts.Lookups + counts.Stores
+	res.WorkloadJoins, res.WorkloadLeaves = counts.Joins, counts.Leaves
 	res.AttackRemoved = adversary.Removed()
 	res.Victims = adversary.Victims()
-	if traff != nil {
-		res.TrafficOps = traff.Lookups() + traff.Stores()
-	}
 	res.Network = net.Stats()
 	res.Fingerprint, res.Events = net.Fingerprint(), sim.Processed()
 	res.Elapsed = time.Since(start)

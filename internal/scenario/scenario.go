@@ -12,14 +12,12 @@ import (
 	"time"
 
 	"kadre/internal/attack"
-	"kadre/internal/churn"
 	"kadre/internal/connectivity"
 	"kadre/internal/eventsim"
 	"kadre/internal/kademlia"
 	"kadre/internal/simnet"
 	"kadre/internal/snapshot"
 	"kadre/internal/stats"
-	"kadre/internal/traffic"
 	"kadre/internal/workload"
 )
 
@@ -51,7 +49,7 @@ type Config struct {
 	// Validate refuses a level outside the table.
 	Loss simnet.LossLevel
 	// Churn is the add/remove rate applied during the churn phase.
-	Churn churn.Rate
+	Churn workload.ChurnRate
 	// Attack configures an adversarial node-removal schedule running in
 	// the churn-phase window (zero value: no adversary). Strikes are
 	// offset half an attack interval from the phase boundary, so with
@@ -65,8 +63,8 @@ type Config struct {
 	// minute workload.
 	Traffic bool
 	// Workload overrides traffic rates when Traffic is set (explicit
-	// zero rates via traffic.Disabled).
-	Workload traffic.Workload
+	// zero rates via workload.Disabled).
+	Workload workload.Traffic
 	// Gen is the generative workload bundle (heavy-tailed sessions,
 	// diurnal arrivals, Zipf popularity, flash crowds, trace replay);
 	// the zero value runs none of it. Typically populated from a
@@ -333,8 +331,8 @@ func (r *Result) ChurnWindowSummary() stats.Summary {
 	return stats.Summarize(r.MinSeries().Window(r.Config.ChurnStart(), r.Config.Total()))
 }
 
-// population implements churn.Population and traffic.Population over the
-// evolving node set. Vertex identity across captures is carried by
+// population implements workload.Population and attack.Population over
+// the evolving node set. Vertex identity across captures is carried by
 // stable-slot indexing (snapshot.SlotIndex) on the capture side — a
 // node's address is its persistent identity, so the runner's slot table
 // rebinds incrementally across joins, departures and strikes without the
@@ -349,14 +347,12 @@ type population struct {
 }
 
 var (
-	_ churn.Population    = (*population)(nil)
-	_ traffic.Population  = (*population)(nil)
-	_ attack.Population   = (*population)(nil)
 	_ workload.Population = (*population)(nil)
+	_ attack.Population   = (*population)(nil)
 )
 
-// LiveNodes implements traffic.Population. The result is valid until the
-// next call: every spawn and churn removal asks for it, so every call
+// LiveNodes implements workload.Population. The result is valid until the
+// next call: every spawn and random removal asks for it, so every call
 // refills one scratch slice.
 func (p *population) LiveNodes() []*kademlia.Node {
 	p.live = p.live[:0]
@@ -368,8 +364,9 @@ func (p *population) LiveNodes() []*kademlia.Node {
 	return p.live
 }
 
-// RemoveRandomNode implements churn.Population, and workload.Population
-// for unlabeled trace leaves: a uniformly chosen live node leaves silently.
+// RemoveRandomNode implements workload.Population, for churn departures
+// and unlabeled trace leaves: a uniformly chosen live node leaves
+// silently.
 func (p *population) RemoveRandomNode() bool {
 	live := p.LiveNodes()
 	if len(live) == 0 {
@@ -397,16 +394,10 @@ func (p *population) RemoveNode(addr simnet.Addr) bool {
 	return false
 }
 
-// AddNode implements churn.Population: a fresh node starts and joins via a
-// random live bootstrap node.
-func (p *population) AddNode() error {
-	_, err := p.spawn()
-	return err
-}
-
-// Join implements workload.Population: a generative join returning a
-// session handle the workload engine ends when the node's sampled (or
-// trace-recorded) lifetime expires.
+// Join implements workload.Population: a fresh node starts and joins via
+// a random live bootstrap node. The session handle lets the workload
+// engine end the node when its sampled (or trace-recorded) lifetime
+// expires; a churn addition drops it.
 func (p *population) Join() (workload.Session, error) {
 	node, err := p.spawn()
 	if err != nil {

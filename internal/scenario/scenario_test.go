@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"kadre/internal/attack"
-	"kadre/internal/churn"
 	"kadre/internal/simnet"
 	"kadre/internal/workload"
 	"kadre/specs"
@@ -108,7 +107,7 @@ func TestRunDeterministicAcrossSeeds(t *testing.T) {
 func TestRunChurnRemovesAndAdds(t *testing.T) {
 	cfg := tinyConfig("churny", 3)
 	cfg.Traffic = true
-	cfg.Churn = churn.Rate1_1
+	cfg.Churn = workload.Churn1_1
 	cfg.ChurnPhase = 15 * time.Minute
 	res, err := Run(cfg)
 	if err != nil {
@@ -126,7 +125,7 @@ func TestRunChurnRemovesAndAdds(t *testing.T) {
 
 func TestRunDrainChurn(t *testing.T) {
 	cfg := tinyConfig("drain", 4)
-	cfg.Churn = churn.Rate0_1
+	cfg.Churn = workload.Churn0_1
 	cfg.ChurnPhase = 20 * time.Minute
 	res, err := Run(cfg)
 	if err != nil {
@@ -186,7 +185,7 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"size too small", func(c *Config) { c.Size = 1 }, "size"},
 		{"negative churn phase", func(c *Config) { c.ChurnPhase = -time.Minute }, "phase durations"},
-		{"churn without phase", func(c *Config) { c.Churn = churn.Rate1_1; c.ChurnPhase = 0 }, "zero churn phase"},
+		{"churn without phase", func(c *Config) { c.Churn = workload.Churn1_1; c.ChurnPhase = 0 }, "zero churn phase"},
 		{"bad k", func(c *Config) { c.K = -3 }, ""},
 		{"bad bits", func(c *Config) { c.Bits = 33 }, ""},
 		{"negative sample fraction", func(c *Config) { c.SampleFraction = -0.5 }, "sample fraction"},
@@ -351,7 +350,7 @@ func TestFigure10Composition(t *testing.T) {
 	for _, cfg := range exp.Configs {
 		if cfg.Alpha == 5 {
 			alpha5++
-			if cfg.Churn != churn.Rate10_10 {
+			if cfg.Churn != workload.Churn10_10 {
 				t.Fatal("alpha=5 runs must use churn 10/10")
 			}
 		}

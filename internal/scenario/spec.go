@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"kadre/internal/attack"
-	"kadre/internal/churn"
 	"kadre/internal/simnet"
-	"kadre/internal/traffic"
 	"kadre/internal/workload"
 )
 
@@ -88,7 +86,7 @@ func ResolveRun(run workload.RunSpec, scale Scale, baseSeed int64) (Config, erro
 		cfg.Loss = loss
 	}
 	if run.Churn != nil {
-		rate, err := churn.ParseRate(*run.Churn)
+		rate, err := workload.ParseChurnRate(*run.Churn)
 		if err != nil {
 			return Config{}, err
 		}
@@ -167,7 +165,7 @@ func ResolveRun(run workload.RunSpec, scale Scale, baseSeed int64) (Config, erro
 // convention (explicit 0 means off, not "take the default").
 func rateOrDisabled(rate int) int {
 	if rate == 0 {
-		return traffic.Disabled
+		return workload.Disabled
 	}
 	return rate
 }

@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"kadre/internal/churn"
 	"kadre/internal/connectivity"
 	"kadre/internal/scenario"
+	"kadre/internal/workload"
 )
 
 // tinyConfig is small enough that a multi-rep sweep stays fast under the
@@ -150,7 +150,7 @@ func TestTrafficRunsInParallelKeepTheirLookupPools(t *testing.T) {
 	cfgs := []scenario.Config{tinyConfig("pool-a", 21), tinyConfig("pool-b", 22)}
 	for i := range cfgs {
 		cfgs[i].Traffic = true
-		cfgs[i].Churn = churn.Rate1_1
+		cfgs[i].Churn = workload.Churn1_1
 		cfgs[i].ChurnPhase = 6 * time.Minute
 	}
 	serial, err := Run(cfgs, Options{Jobs: 1})

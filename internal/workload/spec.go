@@ -1,20 +1,25 @@
-// Package workload is the generative workload layer: declarative
-// scenario specs (versioned JSON files) that compose deterministic
-// workload generators — heavy-tailed session lengths, diurnal arrival
-// curves, Zipf-popular lookup targets, flash-crowd join bursts, and
-// replay of recorded join/leave traces — with the fixed-rate churn and
-// traffic knobs of the paper's §5.3 methodology. A spec file opens a new
-// experiment axis without recompiling: the CLIs load it with
-// -scenario <file>, kadserve accepts it embedded in a query body, and
-// the experiment catalogue itself is the spec files under specs/,
-// embedded into the binaries. A run's "size" is a node count or
-// "small"/"large", the resolving scale's two sizes.
+// Package workload is everything a run does to its population, and the
+// declarative specs that say what that is. The paper's workload is data
+// traffic (every node performs 10 lookups and 1 dissemination per
+// minute) and fixed-rate churn (nodes added and removed per minute from
+// minute 120), both from §5.3. The generative layer adds heavy-tailed
+// session lengths, diurnal arrival curves, Zipf-popular lookup targets,
+// flash-crowd join bursts and replay of recorded join/leave traces. One
+// Engine runs all of them inside the event kernel.
 //
-// Every generator draws from its own splitmix64-derived random stream
-// (seeded from the run seed, one stream tag per generator), and all
-// actions run inside the single-goroutine event kernel, so results are
-// byte-identical for any worker count — the same contract the rest of
-// the experiment pipeline is pinned to.
+// Scenario specs are versioned JSON files. A spec file opens a new
+// experiment axis without recompiling: the CLIs load it with -scenario
+// <file>, kadserve accepts it embedded in a query body, and the
+// experiment catalogue itself is the spec files under specs/, embedded
+// into the binaries. A run's "size" is a node count or "small"/"large",
+// the resolving scale's two sizes.
+//
+// Traffic and fixed-rate churn draw from the kernel RNG, exactly as the
+// paper's simulator did. Every generative generator draws from its own
+// splitmix64-derived random stream (seeded from the run seed, one stream
+// tag per generator). All actions run inside the single-goroutine event
+// kernel, so results are byte-identical for any worker count — the same
+// contract the rest of the experiment pipeline is pinned to.
 package workload
 
 import (

@@ -7,12 +7,17 @@ import (
 	"time"
 
 	"kadre/internal/eventsim"
+	"kadre/internal/id"
+	"kadre/internal/kademlia"
 )
 
-// Population is the engine's view of the network: generative joins and
-// trace-driven departures. The scenario package implements it over its
-// evolving node set.
+// Population is the engine's view of the network: the nodes that send
+// traffic, fresh joins and random departures. The scenario package
+// implements it over its evolving node set.
 type Population interface {
+	// LiveNodes returns the currently running nodes, in a slice that is
+	// valid until the next call.
+	LiveNodes() []*kademlia.Node
 	// Join creates a fresh node and joins it through a random live
 	// bootstrap node, returning a handle for ending the session later.
 	Join() (Session, error)
@@ -21,18 +26,19 @@ type Population interface {
 	RemoveRandomNode() bool
 }
 
-// Session is one generatively joined node's lifetime handle. End makes
-// the node leave silently (a churn-style ungraceful departure); it
-// reports false when the node is already gone — removed meanwhile by
-// churn or an adversary — which is not an error.
+// Session is one joined node's lifetime handle. End makes the node leave
+// silently (a churn-style ungraceful departure); it reports false when
+// the node is already gone — removed meanwhile by churn or an adversary —
+// which is not an error.
 type Session interface {
 	End() bool
 }
 
-// Random-stream tags: each generator draws from its own splitmix64
-// stream derived from (run seed, tag), so adding one generator to a spec
-// never perturbs another's draws, and nothing here competes with the
-// kernel RNG that churn/traffic/setup consume.
+// Random-stream tags: each generative generator draws from its own
+// splitmix64 stream derived from (run seed, tag), so adding one generator
+// to a spec never perturbs another's draws, and none of them competes
+// with the kernel RNG that the setup joins, traffic and fixed-rate churn
+// consume.
 const (
 	streamArrivals = 0xA11A1A1A00000001
 	streamSessions = 0xA11A1A1A00000002
@@ -60,16 +66,9 @@ func streamRand(seed int64, stream uint64) *rand.Rand {
 	return rand.New(rand.NewSource(DeriveStream(seed, stream)))
 }
 
-// NewZipfPicker returns a key-pool index picker drawing ranks
-// Zipf(s, v) over [0, poolSize), for plugging into the traffic
-// generator's key selection. Deterministic in (seed, spec, poolSize).
-func NewZipfPicker(seed int64, p *PopularitySpec, poolSize int) (func() int, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	if poolSize < 1 {
-		return nil, fmt.Errorf("workload: zipf over empty key pool")
-	}
+// newZipf draws key-pool ranks Zipf(s, v) over [0, poolSize) from the
+// Zipf stream of seed.
+func newZipf(seed int64, p *PopularitySpec, poolSize int) (*rand.Zipf, error) {
 	v := p.ZipfV
 	if v == 0 {
 		v = 1
@@ -78,19 +77,53 @@ func NewZipfPicker(seed int64, p *PopularitySpec, poolSize int) (func() int, err
 	if z == nil {
 		return nil, fmt.Errorf("workload: invalid zipf parameters s=%g v=%g", p.ZipfS, v)
 	}
-	return func() int { return int(z.Uint64()) }, nil
+	return z, nil
 }
 
-// Engine executes a Generators bundle against a population inside the
-// event kernel. All scheduling happens on the single simulator
-// goroutine, and every random draw comes from a stream derived from the
-// run seed, so a run's byte-determinism contract is preserved for any
-// sweep worker count. (The Popularity generator is not run here — it is
-// a key picker the traffic generator consumes; see NewZipfPicker.)
+// Plan is everything one run does to its population.
+type Plan struct {
+	// Traffic, when set, runs the per-node lookup/store workload over the
+	// whole run, on a key pool of Bits-bit identifiers.
+	Traffic *Traffic
+	Bits    int
+	// Churn runs through the churn window.
+	Churn ChurnRate
+	// Gen is the generative bundle, already validated; its random
+	// streams derive from Seed.
+	Gen  Generators
+	Seed int64
+}
+
+// Counts tallies what an engine did to its population.
+type Counts struct {
+	// Lookups and Stores count the traffic operations dispatched.
+	Lookups int
+	Stores  int
+	// ChurnAdded and ChurnRemoved count fixed-rate churn's actions.
+	ChurnAdded   int
+	ChurnRemoved int
+	// Joins and Leaves count the generative membership actions
+	// (arrivals, flash-crowd joins, session ends, trace events).
+	Joins  int
+	Leaves int
+}
+
+// Engine drives everything a run does to its population inside the event
+// kernel: the paper's data traffic and fixed-rate churn, which draw from
+// the kernel RNG, and the generative bundle, which draws from streams of
+// the run seed. All scheduling happens on the single simulator goroutine,
+// so a run's byte-determinism contract holds for any sweep worker count.
 type Engine struct {
 	sim *eventsim.Simulator
-	gen Generators
 	pop Population
+
+	traffic Traffic    // effective rates
+	keys    []id.ID    // the traffic key pool; nil without traffic
+	zipf    *rand.Zipf // popularity's key ranks; nil for uniform keys
+	free    *op        // idle traffic operation records
+
+	churn ChurnRate
+	gen   Generators
 
 	arrivals *rand.Rand
 	sessions *rand.Rand
@@ -98,42 +131,70 @@ type Engine struct {
 
 	labeled map[string]Session
 
-	joins  int
-	leaves int
+	counts Counts
 	err    error
 }
 
-// NewEngine builds an engine over an already-validated bundle. Nothing
-// happens until Start.
-func NewEngine(sim *eventsim.Simulator, gen Generators, seed int64, pop Population) *Engine {
-	return &Engine{
-		sim: sim, gen: gen, pop: pop,
-		arrivals: streamRand(seed, streamArrivals),
-		sessions: streamRand(seed, streamSessions),
-		flash:    streamRand(seed, streamFlash),
+// NewEngine builds an engine. With traffic it draws the key pool from
+// the kernel RNG here, so build it where that draw belongs in the run's
+// random stream. Nothing is scheduled until Start.
+func NewEngine(sim *eventsim.Simulator, plan Plan, pop Population) (*Engine, error) {
+	e := &Engine{
+		sim: sim, pop: pop, churn: plan.Churn, gen: plan.Gen,
+		arrivals: streamRand(plan.Seed, streamArrivals),
+		sessions: streamRand(plan.Seed, streamSessions),
+		flash:    streamRand(plan.Seed, streamFlash),
 		labeled:  make(map[string]Session),
 	}
+	if plan.Traffic == nil {
+		return e, nil
+	}
+	if err := id.CheckBits(plan.Bits); err != nil {
+		return nil, err
+	}
+	if err := plan.Traffic.Validate(); err != nil {
+		return nil, err
+	}
+	e.traffic = plan.Traffic.WithDefaults()
+	e.keys = make([]id.ID, e.traffic.KeyPoolSize)
+	for i := range e.keys {
+		e.keys[i] = id.Random(plan.Bits, sim.Rand())
+	}
+	if p := plan.Gen.Popularity; p != nil {
+		z, err := newZipf(plan.Seed, p, len(e.keys))
+		if err != nil {
+			return nil, err
+		}
+		e.zipf = z
+	}
+	return e, nil
 }
 
-// Joins reports how many generative joins the engine has performed.
-func (e *Engine) Joins() int { return e.joins }
+// Counts reports what the engine has done so far.
+func (e *Engine) Counts() Counts { return e.counts }
 
-// Leaves reports how many generative departures (session ends, trace
-// leaves) the engine has performed.
-func (e *Engine) Leaves() int { return e.leaves }
-
-// Err returns the first error from a join, or nil. Like a churn
-// addition, a failed join never aborts the run.
+// Err returns the first error from a join, or nil. A failed join never
+// aborts the run.
 func (e *Engine) Err() error { return e.err }
 
-// Start schedules the bundle: the Poisson arrival process ticks per
-// minute through [arrivalsFrom, until) — the churn window, where the
-// paper's membership dynamics live — while flash crowds and trace events
-// fire at their own absolute times. Call at virtual time zero, before
-// the kernel runs.
-func (e *Engine) Start(arrivalsFrom, until time.Duration) error {
+// Start schedules the run's workload, in this order: traffic every minute
+// from now until `until`, then fixed-rate churn and Poisson arrivals every
+// minute through the churn window [churnFrom, until), then flash crowds
+// and trace events at their own absolute times. A run calls it at virtual
+// time zero, before the kernel runs.
+func (e *Engine) Start(churnFrom, until time.Duration) error {
+	if e.keys != nil {
+		if err := e.sim.Every(e.sim.Now(), until, time.Minute, e.trafficMinute); err != nil {
+			return fmt.Errorf("workload: traffic: %w", err)
+		}
+	}
+	if !e.churn.IsZero() {
+		if err := e.sim.Every(churnFrom, until, time.Minute, e.churnMinute); err != nil {
+			return fmt.Errorf("workload: churn: %w", err)
+		}
+	}
 	if e.gen.Arrivals != nil {
-		if err := e.sim.Every(arrivalsFrom, until, time.Minute, e.minute); err != nil {
+		if err := e.sim.Every(churnFrom, until, time.Minute, e.arrivalsMinute); err != nil {
 			return fmt.Errorf("workload: arrivals: %w", err)
 		}
 	}
@@ -149,12 +210,107 @@ func (e *Engine) Start(arrivalsFrom, until time.Duration) error {
 	return nil
 }
 
-// minute draws this minute's Poisson arrival count.
-func (e *Engine) minute() bool {
+// dataObject is the payload of every store. Nodes keep a stored value
+// and answer hits with it without copying, and none writes into one, so
+// all stores of all runs share this one immutable slice.
+var dataObject = []byte("data-object")
+
+// op is one scheduled lookup or store. It arms its own timer with itself
+// as the event and is recycled through the engine's free list, so a
+// steady-state operation allocates neither a closure nor a timer.
+type op struct {
+	timer eventsim.Timer
+	e     *Engine
+	node  *kademlia.Node
+	key   id.ID
+	store bool
+	next  *op // free-list link
+}
+
+// Run implements eventsim.Runner: the operation's instant has come. The
+// record goes back on the free list before the operation starts.
+func (o *op) Run() {
+	e, node, key, store := o.e, o.node, o.key, o.store
+	o.node, o.next, e.free = nil, e.free, o
+	if !node.Running() {
+		return
+	}
+	if store {
+		e.counts.Stores++
+		node.Store(key, dataObject, nil)
+	} else {
+		e.counts.Lookups++
+		node.Get(key, nil)
+	}
+}
+
+// post schedules one operation of node on key after offset.
+func (e *Engine) post(offset time.Duration, node *kademlia.Node, key id.ID, store bool) {
+	o := e.free
+	if o != nil {
+		e.free = o.next
+	} else {
+		o = &op{e: e}
+	}
+	o.node, o.key, o.store, o.next = node, key, store, nil
+	e.sim.Arm(&o.timer, offset, o)
+}
+
+// key draws one key from the pool: by Zipf rank under a popularity
+// generator, else uniformly from the kernel RNG.
+func (e *Engine) key(r *rand.Rand) id.ID {
+	if e.zipf != nil {
+		return e.keys[e.zipf.Uint64()]
+	}
+	return e.keys[r.Intn(len(e.keys))]
+}
+
+// trafficMinute posts one minute of every live node's operations.
+func (e *Engine) trafficMinute() bool {
+	r := e.sim.Rand()
+	for _, node := range e.pop.LiveNodes() {
+		for i := 0; i < e.traffic.LookupsPerMinute; i++ {
+			key := e.key(r)
+			e.post(time.Duration(r.Int63n(int64(time.Minute))), node, key, false)
+		}
+		for i := 0; i < e.traffic.StoresPerMinute; i++ {
+			key := e.key(r)
+			e.post(time.Duration(r.Int63n(int64(time.Minute))), node, key, true)
+		}
+	}
+	return true
+}
+
+// churnMinute schedules one minute of fixed-rate churn: the removals,
+// then the additions, each at a uniformly random offset within the
+// minute.
+func (e *Engine) churnMinute() bool {
+	r := e.sim.Rand()
+	for i := 0; i < e.churn.Remove; i++ {
+		offset := time.Duration(r.Int63n(int64(time.Minute)))
+		e.sim.MustSchedule(offset, func() {
+			if e.pop.RemoveRandomNode() {
+				e.counts.ChurnRemoved++
+			}
+		})
+	}
+	for i := 0; i < e.churn.Add; i++ {
+		offset := time.Duration(r.Int63n(int64(time.Minute)))
+		e.sim.MustSchedule(offset, func() {
+			if e.join() != nil {
+				e.counts.ChurnAdded++
+			}
+		})
+	}
+	return true
+}
+
+// arrivalsMinute draws this minute's Poisson arrival count.
+func (e *Engine) arrivalsMinute() bool {
 	rate := e.gen.Arrivals.rateAt(e.sim.Now())
 	for i := poisson(e.arrivals, rate); i > 0; i-- {
 		offset := time.Duration(e.arrivals.Int63n(int64(time.Minute)))
-		e.sim.MustSchedule(offset, func() { e.join(e.gen.Sessions) })
+		e.sim.MustSchedule(offset, func() { e.arrive(e.gen.Sessions) })
 	}
 	return true
 }
@@ -173,26 +329,36 @@ func (e *Engine) scheduleCrowd(fc *FlashCrowdSpec) {
 	}
 	for i := 0; i < fc.Joins; i++ {
 		at := Minutes(fc.AtMinutes + e.flash.Float64()*window)
-		e.sim.MustSchedule(at-e.sim.Now(), func() { e.join(sessions) })
+		e.sim.MustSchedule(at-e.sim.Now(), func() { e.arrive(sessions) })
 	}
 }
 
-// join performs one generative join, scheduling the session's departure
-// when a lifetime distribution applies.
-func (e *Engine) join(sessions *SessionsSpec) {
+// join joins one fresh node and returns its session, or nil after
+// recording the first failure.
+func (e *Engine) join() Session {
 	sess, err := e.pop.Join()
 	if err != nil {
 		if e.err == nil {
 			e.err = err
 		}
+		return nil
+	}
+	return sess
+}
+
+// arrive performs one generative join, scheduling the session's
+// departure when a lifetime distribution applies.
+func (e *Engine) arrive(sessions *SessionsSpec) {
+	sess := e.join()
+	if sess == nil {
 		return
 	}
-	e.joins++
+	e.counts.Joins++
 	if sessions != nil {
 		life := Minutes(sessions.sample(e.sessions))
 		e.sim.MustSchedule(life, func() {
 			if sess.End() {
-				e.leaves++
+				e.counts.Leaves++
 			}
 		})
 	}
@@ -206,14 +372,11 @@ func (e *Engine) join(sessions *SessionsSpec) {
 func (e *Engine) replay(ev TraceEvent) {
 	switch ev.Op {
 	case "join":
-		sess, err := e.pop.Join()
-		if err != nil {
-			if e.err == nil {
-				e.err = err
-			}
+		sess := e.join()
+		if sess == nil {
 			return
 		}
-		e.joins++
+		e.counts.Joins++
 		if ev.Node != "" {
 			e.labeled[ev.Node] = sess
 		}
@@ -222,12 +385,12 @@ func (e *Engine) replay(ev TraceEvent) {
 			sess := e.labeled[ev.Node]
 			delete(e.labeled, ev.Node)
 			if sess != nil && sess.End() {
-				e.leaves++
+				e.counts.Leaves++
 			}
 			return
 		}
 		if e.pop.RemoveRandomNode() {
-			e.leaves++
+			e.counts.Leaves++
 		}
 	}
 }

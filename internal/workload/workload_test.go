@@ -6,15 +6,19 @@ import (
 	"time"
 
 	"kadre/internal/eventsim"
+	"kadre/internal/kademlia"
 )
 
 // fakePop records every membership operation with its virtual timestamp,
-// giving the determinism tests a full event log to compare.
+// giving the determinism tests a full event log to compare. Its traffic
+// senders are real nodes, set by the traffic tests.
 type fakePop struct {
-	sim  *eventsim.Simulator
-	log  []string
-	next int
-	live map[int]bool
+	sim     *eventsim.Simulator
+	log     []string
+	next    int
+	live    map[int]bool
+	nodes   []*kademlia.Node
+	joinErr error
 }
 
 type fakeSession struct {
@@ -22,11 +26,29 @@ type fakeSession struct {
 	id int
 }
 
-func newFakePop(sim *eventsim.Simulator) *fakePop {
-	return &fakePop{sim: sim, live: make(map[int]bool)}
+// newFakePop returns a population of n live members.
+func newFakePop(sim *eventsim.Simulator, n int) *fakePop {
+	p := &fakePop{sim: sim, live: make(map[int]bool), next: n}
+	for id := 0; id < n; id++ {
+		p.live[id] = true
+	}
+	return p
+}
+
+func (p *fakePop) LiveNodes() []*kademlia.Node {
+	live := make([]*kademlia.Node, 0, len(p.nodes))
+	for _, n := range p.nodes {
+		if n.Running() {
+			live = append(live, n)
+		}
+	}
+	return live
 }
 
 func (p *fakePop) Join() (Session, error) {
+	if p.joinErr != nil {
+		return nil, p.joinErr
+	}
 	id := p.next
 	p.next++
 	p.live[id] = true
@@ -54,13 +76,23 @@ func (s *fakeSession) End() bool {
 	return true
 }
 
+// mustEngine builds an engine over plan or fails the test.
+func mustEngine(t *testing.T, sim *eventsim.Simulator, plan Plan, pop Population) *Engine {
+	t.Helper()
+	e, err := NewEngine(sim, plan, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // runBundle executes one Generators bundle to completion and returns the
 // population's full event log plus the join/leave counters.
 func runBundle(t *testing.T, gen Generators, seed int64, minutes float64) ([]string, int, int) {
 	t.Helper()
 	sim := eventsim.New(seed)
-	pop := newFakePop(sim)
-	eng := NewEngine(sim, gen, seed, pop)
+	pop := newFakePop(sim, 0)
+	eng := mustEngine(t, sim, Plan{Gen: gen, Seed: seed}, pop)
 	if err := eng.Start(0, Minutes(minutes)); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +100,8 @@ func runBundle(t *testing.T, gen Generators, seed int64, minutes float64) ([]str
 	if err := eng.Err(); err != nil {
 		t.Fatalf("engine error: %v", err)
 	}
-	return pop.log, eng.Joins(), eng.Leaves()
+	c := eng.Counts()
+	return pop.log, c.Joins, c.Leaves
 }
 
 func fullBundle() Generators {
@@ -198,17 +231,17 @@ func TestDeriveStreamProperties(t *testing.T) {
 
 func TestZipfPickerSkewAndDeterminism(t *testing.T) {
 	p := &PopularitySpec{ZipfS: 1.3}
-	pick, err := NewZipfPicker(11, p, 64)
+	pick, err := newZipf(11, p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pick2, err := NewZipfPicker(11, p, 64)
+	pick2, err := newZipf(11, p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, 64)
 	for i := 0; i < 4096; i++ {
-		a, b := pick(), pick2()
+		a, b := int(pick.Uint64()), int(pick2.Uint64())
 		if a != b {
 			t.Fatalf("draw %d: same (seed, spec) disagreed: %d vs %d", i, a, b)
 		}
@@ -220,8 +253,8 @@ func TestZipfPickerSkewAndDeterminism(t *testing.T) {
 	if counts[0] <= counts[32] {
 		t.Fatalf("no head skew: rank0=%d rank32=%d", counts[0], counts[32])
 	}
-	if _, err := NewZipfPicker(11, p, 0); err == nil {
-		t.Fatal("empty pool accepted")
+	if _, err := newZipf(11, &PopularitySpec{ZipfS: 1}, 64); err == nil {
+		t.Fatal("zipf_s 1 accepted")
 	}
 }
 
