@@ -63,7 +63,8 @@ type Config struct {
 	// minute workload.
 	Traffic bool
 	// Workload overrides traffic rates when Traffic is set (explicit
-	// zero rates via workload.Disabled).
+	// zero rates via workload.Disabled); without Traffic, WithDefaults
+	// clears it.
 	Workload workload.Traffic
 	// Gen is the generative workload bundle (heavy-tailed sessions,
 	// diurnal arrivals, Zipf popularity, flash crowds, trace replay);
@@ -129,6 +130,15 @@ func (c Config) WithDefaults() Config {
 	}
 	kc := c.kademliaConfig().WithDefaults()
 	c.K, c.Alpha, c.Bits, c.Staleness = kc.K, kc.Alpha, kc.Bits, kc.StalenessLimit
+	// The traffic rates shape a run only when it sends traffic: a traffic
+	// run carries its effective rates and key pool, a run without traffic
+	// none, so each workload has one key whichever way it was spelled.
+	if c.Traffic {
+		c.Workload = c.Workload.WithDefaults()
+	} else {
+		c.Workload = workload.Traffic{}
+	}
+	c.Gen = c.Gen.WithDefaults()
 	if c.Governance == (connectivity.GovernancePolicy{}) {
 		c.Governance = connectivity.DefaultGovernance()
 	}

@@ -159,11 +159,15 @@ func TestResolveEmbeddedSpecMatchesScenario(t *testing.T) {
 // The keys carry the effective k, alpha, b and s, because
 // scenario.Config.WithDefaults fills the Kademlia defaults before the
 // key is taken, so the row spelling the defaults out names the same run
-// as the empty one. "@" rows read the committed kadserve query files;
+// as the empty one. The traffic rows carry the effective rates and key
+// pool; the others carry none. "@" rows read the committed kadserve query files;
 // the third and fourth are the shape bench/workloads/serve-mixed.json
 // streams.
 func TestFlatKeysPinned(t *testing.T) {
-	const wl = "wl={LookupsPerMinute:0 StoresPerMinute:0 KeyPoolSize:0}"
+	const (
+		wl        = "wl={LookupsPerMinute:0 StoresPerMinute:0 KeyPoolSize:0}"
+		wlTraffic = "wl={LookupsPerMinute:10 StoresPerMinute:1 KeyPoolSize:256}"
+	)
 	for _, tt := range []struct{ body, want string }{
 		{"@../../cmd/kadserve/testdata/smoke_query.json",
 			"size=30|k=5|a=3|b=160|s=1|loss=none|churn=1/1|traffic=false|" + wl + "|setup=600000000000|stab=1800000000000|phase=1800000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=7"},
@@ -180,13 +184,13 @@ func TestFlatKeysPinned(t *testing.T) {
 		{`{"scenario":{"k":20,"alpha":3,"bits":160,"staleness":5},"metric":"final_min","threshold":3}`,
 			"size=100|k=20|a=3|b=160|s=5|loss=none|churn=0/0|traffic=false|" + wl + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1800000000000|c=0.04|attack=none|ac=0|target=|seed=1"},
 		{`{"scenario":{"scale":"paper","alpha":5,"bits":80,"loss":"high","traffic":true,"seed":42},"metric":"final_scc","precision":0.1}`,
-			"size=250|k=20|a=5|b=80|s=5|loss=high|churn=0/0|traffic=true|" + wl + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1200000000000|c=0.02|attack=none|ac=0|target=|seed=42"},
+			"size=250|k=20|a=5|b=80|s=5|loss=high|churn=0/0|traffic=true|" + wlTraffic + "|setup=1800000000000|stab=5400000000000|phase=0|snap=1200000000000|c=0.02|attack=none|ac=0|target=|seed=42"},
 		{`{"scenario":{"scale":"reduced","k":20,"staleness":5,"churn":"10/10"},"threshold":2}`,
 			"size=100|k=20|a=3|b=160|s=5|loss=none|churn=10/10|traffic=false|" + wl + "|setup=1800000000000|stab=5400000000000|phase=14400000000000|snap=1800000000000|c=0.04|attack=none|ac=0|target=|seed=1"},
 		{`{"scenario":{"scale":"tiny","size":25,"churn":"0/1","churn_minutes":12.5,"stabilize_minutes":7,"snapshot_minutes":2.5,"sample_fraction":1,"seed":-3},"threshold":1}`,
 			"size=25|k=20|a=3|b=160|s=5|loss=none|churn=0/1|traffic=false|" + wl + "|setup=600000000000|stab=420000000000|phase=750000000000|snap=150000000000|c=1|attack=none|ac=0|target=|seed=-3"},
 		{`{"scenario":{"scale":"tiny","loss":"low","churn":"1/1","traffic":true,"seed":9},"metric":"final_n","threshold":10}`,
-			"size=40|k=20|a=3|b=160|s=5|loss=low|churn=1/1|traffic=true|" + wl + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=9"},
+			"size=40|k=20|a=3|b=160|s=5|loss=low|churn=1/1|traffic=true|" + wlTraffic + "|setup=600000000000|stab=1800000000000|phase=2400000000000|snap=1200000000000|c=0.1|attack=none|ac=0|target=|seed=9"},
 	} {
 		body := []byte(tt.body)
 		if tt.body[0] == '@' {

@@ -81,20 +81,15 @@ type Traffic struct {
 	KeyPoolSize      int
 }
 
-// WithDefaults resolves the rates to the effective ones an engine runs:
-// zero fields become the paper defaults, Disabled becomes 0.
+// WithDefaults fills the zero fields with the paper defaults. Disabled
+// stays as it is, so the result is a fixed point; an engine runs no
+// operation of a Disabled rate.
 func (w Traffic) WithDefaults() Traffic {
-	switch w.LookupsPerMinute {
-	case 0:
+	if w.LookupsPerMinute == 0 {
 		w.LookupsPerMinute = DefaultLookupsPerMinute
-	case Disabled:
-		w.LookupsPerMinute = 0
 	}
-	switch w.StoresPerMinute {
-	case 0:
+	if w.StoresPerMinute == 0 {
 		w.StoresPerMinute = DefaultStoresPerMinute
-	case Disabled:
-		w.StoresPerMinute = 0
 	}
 	if w.KeyPoolSize == 0 {
 		w.KeyPoolSize = DefaultKeyPoolSize

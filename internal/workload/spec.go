@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -167,7 +168,8 @@ type SessionsSpec struct {
 	// Dist is "lognormal" or "pareto".
 	Dist string `json:"dist"`
 	// MeanMinutes and Sigma parameterize the lognormal: the distribution
-	// mean is MeanMinutes, Sigma its log-space shape (default 1).
+	// mean is MeanMinutes, Sigma its log-space shape (default 1, filled by
+	// Generators.WithDefaults like the other generator defaults).
 	MeanMinutes float64 `json:"mean_minutes,omitempty"`
 	Sigma       float64 `json:"sigma,omitempty"`
 	// MinMinutes and Alpha parameterize the Pareto: scale x_m (the
@@ -249,6 +251,45 @@ func (g Generators) Enabled() bool {
 		len(g.FlashCrowds) > 0 || g.Trace != nil
 }
 
+// WithDefaults fills the parameters a spec may leave unset: a lognormal
+// sigma of 1, a zipf_v of 1 and a flash-crowd window of 1 minute. It
+// copies whatever it fills, never writing through a pointer, because the
+// runs of one spec share their blocks. The result is a fixed point.
+func (g Generators) WithDefaults() Generators {
+	g.Sessions = g.Sessions.withDefaults()
+	if p := g.Popularity; p != nil && p.ZipfV == 0 {
+		c := *p
+		c.ZipfV = 1
+		g.Popularity = &c
+	}
+	copied := false
+	for i, fc := range g.FlashCrowds {
+		d := fc
+		if d.WindowMinutes == 0 {
+			d.WindowMinutes = 1
+		}
+		d.Sessions = d.Sessions.withDefaults()
+		if d == fc {
+			continue
+		}
+		if !copied {
+			g.FlashCrowds, copied = slices.Clone(g.FlashCrowds), true
+		}
+		g.FlashCrowds[i] = d
+	}
+	return g
+}
+
+// withDefaults gives a lognormal without a sigma the sigma 1, in a copy.
+func (s *SessionsSpec) withDefaults() *SessionsSpec {
+	if s == nil || s.Dist != "lognormal" || s.Sigma != 0 {
+		return s
+	}
+	c := *s
+	c.Sigma = 1
+	return &c
+}
+
 // Canon renders the bundle canonically for run fingerprints: two runs
 // with the same Canon execute the same generative workload. Empty for
 // the zero value, so fingerprints of generator-free runs are unchanged
@@ -256,6 +297,12 @@ func (g Generators) Enabled() bool {
 func (g Generators) Canon() string {
 	if !g.Enabled() {
 		return ""
+	}
+	// A loaded trace is its events: the file it came from names no part
+	// of the run, so a trace read from a file and the same events inline
+	// are one run.
+	if t := g.Trace; t != nil && t.Path != "" && len(t.Events) > 0 {
+		g.Trace = &TraceSpec{Events: t.Events}
 	}
 	// Struct-ordered json.Marshal is deterministic; the trace rides along
 	// through Events, so an edited trace file changes the canon too.

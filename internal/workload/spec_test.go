@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -163,6 +164,53 @@ func TestCanonEmptyForZeroBundle(t *testing.T) {
 	g := Generators{Arrivals: &ArrivalsSpec{RatePerMinute: 2}}
 	if g.Canon() == "" || g.Canon() != g.Canon() {
 		t.Fatal("non-empty bundle canon must be stable and non-empty")
+	}
+}
+
+// TestGeneratorsWithDefaults pins the one defaulting step of the
+// generative bundle: it fills a lognormal's sigma, zipf_v and a flash
+// crowd's window, leaves set values alone, is a fixed point, and copies
+// what it fills instead of writing through the pointers the runs of one
+// spec share.
+func TestGeneratorsWithDefaults(t *testing.T) {
+	sessions := &SessionsSpec{Dist: "lognormal", MeanMinutes: 5}
+	pareto := &SessionsSpec{Dist: "pareto", MinMinutes: 1, Alpha: 1.5}
+	popularity := &PopularitySpec{ZipfS: 1.3}
+	crowds := []FlashCrowdSpec{{AtMinutes: 3, Joins: 2, Sessions: sessions}, {AtMinutes: 4, Joins: 1, WindowMinutes: 2, Sessions: pareto}}
+	g := Generators{Sessions: sessions, Popularity: popularity, FlashCrowds: crowds}
+	d := g.WithDefaults()
+	if d.Sessions.Sigma != 1 || d.Popularity.ZipfV != 1 || d.FlashCrowds[0].WindowMinutes != 1 || d.FlashCrowds[0].Sessions.Sigma != 1 {
+		t.Fatalf("defaults not filled: %s", d.Canon())
+	}
+	if d.FlashCrowds[1].WindowMinutes != 2 || d.FlashCrowds[1].Sessions != pareto {
+		t.Fatalf("set values rewritten: %+v", d.FlashCrowds[1])
+	}
+	if sessions.Sigma != 0 || popularity.ZipfV != 0 || crowds[0].WindowMinutes != 0 {
+		t.Fatal("WithDefaults wrote through a shared pointer")
+	}
+	if !reflect.DeepEqual(d.WithDefaults(), d) {
+		t.Fatal("WithDefaults is not a fixed point")
+	}
+	if spelled := (Generators{
+		Sessions:    &SessionsSpec{Dist: "lognormal", MeanMinutes: 5, Sigma: 1},
+		Popularity:  &PopularitySpec{ZipfS: 1.3, ZipfV: 1},
+		FlashCrowds: []FlashCrowdSpec{{AtMinutes: 3, Joins: 2, WindowMinutes: 1, Sessions: &SessionsSpec{Dist: "lognormal", MeanMinutes: 5, Sigma: 1}}, crowds[1]},
+	}).WithDefaults(); spelled.Canon() != d.Canon() {
+		t.Fatalf("defaults spelled out differ:\n%s\n%s", spelled.Canon(), d.Canon())
+	}
+}
+
+// TestCanonDropsLoadedTracePath: a loaded trace is keyed by its events,
+// so the file it came from and the same events inline are one run.
+func TestCanonDropsLoadedTracePath(t *testing.T) {
+	events := []TraceEvent{{TMin: 1, Op: "join"}}
+	fromFile := Generators{Trace: &TraceSpec{Path: "trace.jsonl", Events: events}}
+	inline := Generators{Trace: &TraceSpec{Events: events}}
+	if fromFile.Canon() != inline.Canon() {
+		t.Fatalf("path changes the canon:\n%s\n%s", fromFile.Canon(), inline.Canon())
+	}
+	if fromFile.Trace.Path != "trace.jsonl" {
+		t.Fatal("Canon rewrote the bundle's trace")
 	}
 }
 

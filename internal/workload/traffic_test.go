@@ -101,18 +101,21 @@ func TestTrafficCausesStorage(t *testing.T) {
 // TestTrafficDisabledRates pins the Disabled sentinel: before it, a zero
 // field was indistinguishable from "unset" and WithDefaults silently
 // coerced an intentional lookups-off (or stores-off) workload back to
-// the paper rates.
+// the paper rates. WithDefaults keeps Disabled, so it is a fixed point.
 func TestTrafficDisabledRates(t *testing.T) {
-	w := Traffic{LookupsPerMinute: Disabled, StoresPerMinute: 5}.WithDefaults()
-	if w.LookupsPerMinute != 0 {
-		t.Fatalf("Disabled lookups coerced to %d, want 0", w.LookupsPerMinute)
-	}
-	if w.StoresPerMinute != 5 {
-		t.Fatalf("explicit store rate rewritten to %d", w.StoresPerMinute)
-	}
-	w = Traffic{LookupsPerMinute: 7, StoresPerMinute: Disabled}.WithDefaults()
-	if w.LookupsPerMinute != 7 || w.StoresPerMinute != 0 {
-		t.Fatalf("stores-off workload resolved to %+v", w)
+	for _, w := range []Traffic{
+		{LookupsPerMinute: Disabled, StoresPerMinute: 5},
+		{LookupsPerMinute: 7, StoresPerMinute: Disabled},
+	} {
+		got := w.WithDefaults()
+		want := w
+		want.KeyPoolSize = DefaultKeyPoolSize
+		if got != want {
+			t.Errorf("%+v resolved to %+v, want %+v", w, got, want)
+		}
+		if got.WithDefaults() != got {
+			t.Errorf("WithDefaults is not a fixed point on %+v", got)
+		}
 	}
 }
 

@@ -69,13 +69,9 @@ func streamRand(seed int64, stream uint64) *rand.Rand {
 // newZipf draws key-pool ranks Zipf(s, v) over [0, poolSize) from the
 // Zipf stream of seed.
 func newZipf(seed int64, p *PopularitySpec, poolSize int) (*rand.Zipf, error) {
-	v := p.ZipfV
-	if v == 0 {
-		v = 1
-	}
-	z := rand.NewZipf(streamRand(seed, streamZipf), p.ZipfS, v, uint64(poolSize-1))
+	z := rand.NewZipf(streamRand(seed, streamZipf), p.ZipfS, p.ZipfV, uint64(poolSize-1))
 	if z == nil {
-		return nil, fmt.Errorf("workload: invalid zipf parameters s=%g v=%g", p.ZipfS, v)
+		return nil, fmt.Errorf("workload: invalid zipf parameters s=%g v=%g", p.ZipfS, p.ZipfV)
 	}
 	return z, nil
 }
@@ -88,8 +84,9 @@ type Plan struct {
 	Bits    int
 	// Churn runs through the churn window.
 	Churn ChurnRate
-	// Gen is the generative bundle, already validated; its random
-	// streams derive from Seed.
+	// Gen is the generative bundle, already defaulted
+	// (Generators.WithDefaults) and validated; its random streams derive
+	// from Seed.
 	Gen  Generators
 	Seed int64
 }
@@ -117,7 +114,8 @@ type Engine struct {
 	sim *eventsim.Simulator
 	pop Population
 
-	traffic Traffic    // effective rates
+	lookups int        // per live node and minute
+	stores  int        // per live node and minute
 	keys    []id.ID    // the traffic key pool; nil without traffic
 	zipf    *rand.Zipf // popularity's key ranks; nil for uniform keys
 	free    *op        // idle traffic operation records
@@ -155,8 +153,9 @@ func NewEngine(sim *eventsim.Simulator, plan Plan, pop Population) (*Engine, err
 	if err := plan.Traffic.Validate(); err != nil {
 		return nil, err
 	}
-	e.traffic = plan.Traffic.WithDefaults()
-	e.keys = make([]id.ID, e.traffic.KeyPoolSize)
+	w := plan.Traffic.WithDefaults()
+	e.lookups, e.stores = max(w.LookupsPerMinute, 0), max(w.StoresPerMinute, 0) // Disabled: none
+	e.keys = make([]id.ID, w.KeyPoolSize)
 	for i := range e.keys {
 		e.keys[i] = id.Random(plan.Bits, sim.Rand())
 	}
@@ -269,11 +268,11 @@ func (e *Engine) key(r *rand.Rand) id.ID {
 func (e *Engine) trafficMinute() bool {
 	r := e.sim.Rand()
 	for _, node := range e.pop.LiveNodes() {
-		for i := 0; i < e.traffic.LookupsPerMinute; i++ {
+		for i := 0; i < e.lookups; i++ {
 			key := e.key(r)
 			e.post(time.Duration(r.Int63n(int64(time.Minute))), node, key, false)
 		}
-		for i := 0; i < e.traffic.StoresPerMinute; i++ {
+		for i := 0; i < e.stores; i++ {
 			key := e.key(r)
 			e.post(time.Duration(r.Int63n(int64(time.Minute))), node, key, true)
 		}
@@ -319,16 +318,12 @@ func (e *Engine) arrivalsMinute() bool {
 // window. The crowd's own session distribution, when set, overrides the
 // run's.
 func (e *Engine) scheduleCrowd(fc *FlashCrowdSpec) {
-	window := fc.WindowMinutes
-	if window == 0 {
-		window = 1
-	}
 	sessions := fc.Sessions
 	if sessions == nil {
 		sessions = e.gen.Sessions
 	}
 	for i := 0; i < fc.Joins; i++ {
-		at := Minutes(fc.AtMinutes + e.flash.Float64()*window)
+		at := Minutes(fc.AtMinutes + e.flash.Float64()*fc.WindowMinutes)
 		e.sim.MustSchedule(at-e.sim.Now(), func() { e.arrive(sessions) })
 	}
 }
@@ -412,12 +407,8 @@ func (s *SessionsSpec) sample(r *rand.Rand) float64 {
 	case "lognormal":
 		// Parameterized by the distribution mean: E[X] = exp(mu+sigma^2/2),
 		// so mu = ln(mean) - sigma^2/2 makes MeanMinutes the true mean.
-		sigma := s.Sigma
-		if sigma == 0 {
-			sigma = 1
-		}
-		mu := math.Log(s.MeanMinutes) - sigma*sigma/2
-		return math.Exp(mu + sigma*r.NormFloat64())
+		mu := math.Log(s.MeanMinutes) - s.Sigma*s.Sigma/2
+		return math.Exp(mu + s.Sigma*r.NormFloat64())
 	case "pareto":
 		// Inverse-CDF: x_m * (1-U)^(-1/alpha).
 		return s.MinMinutes * math.Pow(1-r.Float64(), -1/s.Alpha)

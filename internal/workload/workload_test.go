@@ -92,7 +92,7 @@ func runBundle(t *testing.T, gen Generators, seed int64, minutes float64) ([]str
 	t.Helper()
 	sim := eventsim.New(seed)
 	pop := newFakePop(sim, 0)
-	eng := mustEngine(t, sim, Plan{Gen: gen, Seed: seed}, pop)
+	eng := mustEngine(t, sim, Plan{Gen: gen.WithDefaults(), Seed: seed}, pop)
 	if err := eng.Start(0, Minutes(minutes)); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDeriveStreamProperties(t *testing.T) {
 }
 
 func TestZipfPickerSkewAndDeterminism(t *testing.T) {
-	p := &PopularitySpec{ZipfS: 1.3}
+	p := &PopularitySpec{ZipfS: 1.3, ZipfV: 1}
 	pick, err := newZipf(11, p, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestZipfPickerSkewAndDeterminism(t *testing.T) {
 	if counts[0] <= counts[32] {
 		t.Fatalf("no head skew: rank0=%d rank32=%d", counts[0], counts[32])
 	}
-	if _, err := newZipf(11, &PopularitySpec{ZipfS: 1}, 64); err == nil {
+	if _, err := newZipf(11, &PopularitySpec{ZipfS: 1, ZipfV: 1}, 64); err == nil {
 		t.Fatal("zipf_s 1 accepted")
 	}
 }
