@@ -249,6 +249,13 @@ func TestResolveEmbeddedSpecRejections(t *testing.T) {
 	if _, err := qs.Resolve(); err == nil || !strings.Contains(err.Error(), "not addressable") {
 		t.Fatalf("path-only trace over the wire: err = %v", err)
 	}
+
+	// Inline events meet a trace file's label rules.
+	qs = base()
+	qs.Spec.Runs[0].Trace = &workload.TraceSpec{Events: []workload.TraceEvent{{TMin: 1, Op: "leave", Node: "ghost"}}}
+	if _, err := qs.Resolve(); err == nil || !strings.Contains(err.Error(), `node "ghost" leaves at 1m without a prior join`) {
+		t.Fatalf("inline trace leaving an unknown node: err = %v", err)
+	}
 }
 
 func TestMetricFromResultDefensive(t *testing.T) {

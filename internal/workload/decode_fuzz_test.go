@@ -18,8 +18,8 @@ import (
 // to the same runs under the same keys (sweep.Key) — so what a checkpoint
 // or the kadserve arena files a run under is a function of the spec's
 // meaning, not of its spelling. Seeded from the committed specs and
-// examples, symbolic sizes among them, and from TestDecodeRejections'
-// table.
+// examples, symbolic sizes and a labeled inline trace among them, and
+// from TestDecodeRejections' table.
 func FuzzDecode(f *testing.F) {
 	for _, glob := range []string{"specs", "examples"} {
 		files, err := filepath.Glob(filepath.Join("..", "..", glob, "*.json"))
@@ -38,6 +38,8 @@ func FuzzDecode(f *testing.F) {
 	// Symbolic sizes, in a run and inherited from the defaults block.
 	f.Add([]byte(`{"version":1,"id":"t","runs":[{"name":"a","size":"large"},{"name":"b","size":"small"},{"name":"c","size":40}]}`))
 	f.Add([]byte(`{"version":1,"id":"t","defaults":{"size":"large","churn":"0/0"},"runs":[{"name":"a"},{"name":"b","size":12}]}`))
+	// A labeled inline trace, which meets a trace file's label rules.
+	f.Add([]byte(`{"version":1,"id":"t","runs":[{"name":"r","churn_minutes":5,"trace":{"events":[{"t_min":1,"op":"join","node":"a"},{"t_min":2,"op":"leave","node":"a"},{"t_min":3,"op":"leave"}]}}]}`))
 	for _, in := range workload.DecodeRejectionInputs() {
 		f.Add([]byte(in))
 	}

@@ -25,6 +25,7 @@ package workload
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -642,6 +643,10 @@ func (r *RunSpec) check() error {
 				return fmt.Errorf("trace event %d: %w", i, err)
 			}
 		}
+		// Inline events meet the label rules a trace file meets.
+		if err := checkTraceLabels(g.Trace.Events); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
 	}
 	return nil
 }
@@ -802,20 +807,10 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 // checkTraceLabels replays label lifecycles in time order (ties resolve
 // in file order, matching the replayer's scheduling).
 func checkTraceLabels(events []TraceEvent) error {
-	order := make([]int, len(events))
-	for i := range order {
-		order[i] = i
-	}
-	// Stable insertion sort by time keeps file order on ties without
-	// importing sort for a SliceStable over a tiny index slice.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && events[order[j]].TMin < events[order[j-1]].TMin; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	sorted := slices.Clone(events)
+	slices.SortStableFunc(sorted, func(a, b TraceEvent) int { return cmp.Compare(a.TMin, b.TMin) })
 	live := make(map[string]bool)
-	for _, i := range order {
-		ev := events[i]
+	for _, ev := range sorted {
 		if ev.Node == "" {
 			continue
 		}

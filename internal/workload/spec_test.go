@@ -76,6 +76,8 @@ var decodeRejections = []struct {
 	{"flash crowd negative time", `{"version":1,"id":"t","runs":[{"name":"r","flash_crowds":[{"at_minutes":-1,"joins":3}]}]}`, "at_minutes"},
 	{"empty trace block", `{"version":1,"id":"t","runs":[{"name":"r","trace":{}}]}`, "trace"},
 	{"trace event bad op", `{"version":1,"id":"t","runs":[{"name":"r","trace":{"events":[{"t_min":1,"op":"crash"}]}}]}`, "op"},
+	{"inline trace leave before join", `{"version":1,"id":"t","runs":[{"name":"r","churn_minutes":5,"trace":{"events":[{"t_min":1,"op":"leave","node":"ghost"}]}}]}`, "without a prior join"},
+	{"inline trace double join", `{"version":1,"id":"t","defaults":{"trace":{"events":[{"t_min":2,"op":"join","node":"a"},{"t_min":1,"op":"join","node":"a"}]}},"runs":[{"name":"r","churn_minutes":5}]}`, "already live"},
 	{"trace event negative time", `{"version":1,"id":"t","runs":[{"name":"r","trace":{"events":[{"t_min":-1,"op":"join"}]}}]}`, "t_min"},
 	{"not json", `version: 1`, "spec"},
 }
