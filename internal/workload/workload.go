@@ -137,12 +137,12 @@ type Engine struct {
 // the kernel RNG here, so build it where that draw belongs in the run's
 // random stream. Nothing is scheduled until Start.
 func NewEngine(sim *eventsim.Simulator, plan Plan, pop Population) (*Engine, error) {
-	e := &Engine{
-		sim: sim, pop: pop, churn: plan.Churn, gen: plan.Gen,
-		arrivals: streamRand(plan.Seed, streamArrivals),
-		sessions: streamRand(plan.Seed, streamSessions),
-		flash:    streamRand(plan.Seed, streamFlash),
-		labeled:  make(map[string]Session),
+	e := &Engine{sim: sim, pop: pop, churn: plan.Churn, gen: plan.Gen}
+	if plan.Gen.Enabled() {
+		e.arrivals = streamRand(plan.Seed, streamArrivals)
+		e.sessions = streamRand(plan.Seed, streamSessions)
+		e.flash = streamRand(plan.Seed, streamFlash)
+		e.labeled = make(map[string]Session)
 	}
 	if plan.Traffic == nil {
 		return e, nil
