@@ -88,8 +88,10 @@ func genConfigs(t testing.TB) []Config {
 	}
 
 	// Every generator in one run: paper churn, traffic, arrivals with
-	// sessions, Zipf keys and a flash crowd. Churn and arrivals tick on
-	// the same minutes, so this fixture pins their relative order.
+	// sessions, Zipf keys, a flash crowd and a trace. Churn and arrivals
+	// tick on the same minutes. The trace acts at the churn start itself,
+	// where its kernel-RNG draws (a random leave, a join's bootstrap) come
+	// after churn's first tick only because churn is registered first.
 	mixed := genBase("gen-mixed", 26)
 	mixed.Churn = workload.Churn1_1
 	mixed.Traffic = true
@@ -99,6 +101,11 @@ func genConfigs(t testing.TB) []Config {
 		Popularity: &workload.PopularitySpec{ZipfS: 1.5},
 		FlashCrowds: []workload.FlashCrowdSpec{{
 			AtMinutes: 15, Joins: 4, WindowMinutes: 2,
+		}},
+		Trace: &workload.TraceSpec{Events: []workload.TraceEvent{
+			{TMin: 10, Op: "leave"},
+			{TMin: 10, Op: "join", Node: "t"},
+			{TMin: 17, Op: "leave", Node: "t"},
 		}},
 	}
 
