@@ -263,20 +263,13 @@ func (g Generators) WithDefaults() Generators {
 		c.ZipfV = 1
 		g.Popularity = &c
 	}
-	copied := false
-	for i, fc := range g.FlashCrowds {
-		d := fc
-		if d.WindowMinutes == 0 {
-			d.WindowMinutes = 1
+	g.FlashCrowds = slices.Clone(g.FlashCrowds)
+	for i := range g.FlashCrowds {
+		fc := &g.FlashCrowds[i]
+		if fc.WindowMinutes == 0 {
+			fc.WindowMinutes = 1
 		}
-		d.Sessions = d.Sessions.withDefaults()
-		if d == fc {
-			continue
-		}
-		if !copied {
-			g.FlashCrowds, copied = slices.Clone(g.FlashCrowds), true
-		}
-		g.FlashCrowds[i] = d
+		fc.Sessions = fc.Sessions.withDefaults()
 	}
 	return g
 }
