@@ -148,8 +148,8 @@ func RepBounds(minReps, maxReps int) (int, int, error) {
 }
 
 // RunAdaptive replicates cfg until opts.Rule decides, MaxReps is
-// reached, or ctx is done. It builds no RunSet aggregates;
-// AdaptiveResult.RunSet does.
+// reached, or ctx is done. It builds no RunSet aggregates: the result
+// holds the consumed reps and their values only.
 func RunAdaptive(ctx context.Context, cfg scenario.Config, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
