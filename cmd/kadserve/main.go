@@ -32,11 +32,11 @@
 //
 //	-addr a             listen address (default :8700)
 //	-arena-mb n         arena memory budget in MiB (default 256)
-//	-jobs j             concurrent replications per query; 0 = GOMAXPROCS
 //	-max-concurrent-sims n
 //	                    total concurrently executing replications across
 //	                    all queries, FIFO admission; 0 = GOMAXPROCS,
-//	                    negative = unlimited
+//	                    negative = unlimited. One query runs as many
+//	                    replications at once (GOMAXPROCS when unlimited)
 //	-default-deadline d wall-clock budget for queries without their own
 //	                    deadline_ms; 0 = none (default)
 //	-drain-timeout d    shutdown grace for in-flight queries (default 30s)
@@ -84,7 +84,6 @@ func run(args []string, stdout io.Writer, ready func(addr string), shutdown <-ch
 	var (
 		addr         = fs.String("addr", ":8700", "listen address")
 		arenaMB      = fs.Int64("arena-mb", 256, "arena memory budget (MiB)")
-		jobs         = fs.Int("jobs", 0, "concurrent replications per query (0 = GOMAXPROCS)")
 		maxSims      = fs.Int("max-concurrent-sims", 0, "total concurrent replications across all queries (0 = GOMAXPROCS, negative = unlimited)")
 		defDeadline  = fs.Duration("default-deadline", 0, "deadline for queries without deadline_ms (0 = none)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown grace for in-flight queries")
@@ -101,7 +100,6 @@ func run(args []string, stdout io.Writer, ready func(addr string), shutdown <-ch
 
 	srv := serve.NewServer(serve.Options{
 		Arena:             serve.NewArena(serve.ArenaOptions{BudgetBytes: *arenaMB << 20}),
-		Jobs:              *jobs,
 		MaxConcurrentSims: *maxSims,
 		DefaultDeadline:   *defDeadline,
 	})

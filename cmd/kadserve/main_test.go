@@ -173,9 +173,9 @@ func TestSmokeQueryGolden(t *testing.T) {
 // already streaming when the signal arrives runs to completion and
 // receives its final record; only then does the process exit cleanly.
 func TestGracefulDrainCompletesInFlight(t *testing.T) {
-	// -jobs 1 serializes replications, so after the first rep record the
-	// query is guaranteed still in flight.
-	s := startServer(t, "-jobs", "1")
+	// -max-concurrent-sims 1 serializes replications, so after the first
+	// rep record the query is guaranteed still in flight.
+	s := startServer(t, "-max-concurrent-sims", "1")
 	resp, err := http.Post("http://"+s.addr+"/v1/query", "application/json",
 		strings.NewReader(smokeSpec(t)))
 	if err != nil {
@@ -219,7 +219,7 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 // server reports itself healthy with zero running queries and a released
 // admission queue — the disconnected query must not leak its slot.
 func TestClientDisconnectCancelsQuery(t *testing.T) {
-	s := startServer(t, "-jobs", "1", "-max-concurrent-sims", "2")
+	s := startServer(t, "-max-concurrent-sims", "1")
 	spec, err := os.ReadFile(filepath.Join("testdata", "cancel_query.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -288,8 +288,11 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &bytes.Buffer{}, nil, nil); err == nil {
 		t.Fatal("unknown flag must error")
 	}
-	// The governance policy is a constant, not a flag.
-	if err := run([]string{"-max-dead-frac", "0"}, &bytes.Buffer{}, nil, nil); err == nil || !strings.Contains(err.Error(), "not defined") {
-		t.Fatalf("-max-dead-frac: err = %v, want an unknown-flag error", err)
+	// The governance policy is a constant, not a flag, and a query's
+	// width follows -max-concurrent-sims.
+	for _, flag := range []string{"-max-dead-frac", "-jobs"} {
+		if err := run([]string{flag, "0"}, &bytes.Buffer{}, nil, nil); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Fatalf("%s: err = %v, want an unknown-flag error", flag, err)
+		}
 	}
 }

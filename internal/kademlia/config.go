@@ -4,7 +4,9 @@
 // alpha-parallel node and value lookups, dissemination (STORE), periodic
 // bucket refresh, and silent departure. These are exactly the mechanisms
 // whose parameters (b, k, alpha, s) the paper sweeps in its connectivity
-// evaluation.
+// evaluation. What the paper fixes is fixed here too: buckets refresh every
+// RefreshInterval, a request times out after RPCTimeout, and each bucket
+// keeps up to k replacement contacts.
 package kademlia
 
 import (
@@ -21,14 +23,18 @@ const (
 	DefaultAlpha          = 3
 	DefaultStalenessLimit = 5
 	DefaultBits           = id.DefaultBits
-	// DefaultRefreshInterval is the bucket-refresh period; the paper's
+)
+
+// Fixed protocol constants: the paper varies neither.
+const (
+	// RefreshInterval is the bucket-refresh period; the paper's
 	// no-traffic scenarios rely on this 60-minute maintenance cycle.
-	DefaultRefreshInterval = 60 * time.Minute
-	// DefaultRPCTimeout is how long a node waits for a response before
-	// counting a communication failure against the contact's staleness
-	// budget. The paper does not specify PeerSim's value; 2 s is far above
-	// the simulated latency ceiling, so only loss and death cause timeouts.
-	DefaultRPCTimeout = 2 * time.Second
+	RefreshInterval = 60 * time.Minute
+	// RPCTimeout is how long a node waits for a response before counting
+	// a communication failure against the contact's staleness budget. The
+	// paper does not specify PeerSim's value; 2 s is far above the
+	// simulated latency ceiling, so only loss and death cause timeouts.
+	RPCTimeout = 2 * time.Second
 )
 
 // Config carries the protocol parameters of one Kademlia deployment. The
@@ -37,20 +43,14 @@ type Config struct {
 	// Bits is the identifier bit-length b (paper: 160 and 80).
 	Bits int
 	// K is the bucket size k, the maximum contacts per bucket and the
-	// result-set size of lookups (paper: 5, 10, 20, 30).
+	// result-set size of lookups (paper: 5, 10, 20, 30). It also bounds
+	// each bucket's replacement cache.
 	K int
 	// Alpha is the request parallelism of lookups (paper: 3 and 5).
 	Alpha int
 	// StalenessLimit is s: a contact is evicted after this many
 	// consecutive failed communication attempts (paper: 1 and 5).
 	StalenessLimit int
-	// RefreshInterval is the bucket-refresh period.
-	RefreshInterval time.Duration
-	// RPCTimeout bounds the wait for any single request's response.
-	RPCTimeout time.Duration
-	// ReplacementCacheSize bounds the per-bucket standby list of contacts
-	// that could not be inserted because the bucket was full; 0 means K.
-	ReplacementCacheSize int
 }
 
 // WithDefaults returns the config with zero fields replaced by defaults.
@@ -66,15 +66,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.StalenessLimit == 0 {
 		c.StalenessLimit = DefaultStalenessLimit
-	}
-	if c.RefreshInterval == 0 {
-		c.RefreshInterval = DefaultRefreshInterval
-	}
-	if c.RPCTimeout == 0 {
-		c.RPCTimeout = DefaultRPCTimeout
-	}
-	if c.ReplacementCacheSize == 0 {
-		c.ReplacementCacheSize = c.K
 	}
 	return c
 }
@@ -92,15 +83,6 @@ func (c Config) Validate() error {
 	}
 	if c.StalenessLimit < 1 {
 		return fmt.Errorf("kademlia: staleness limit s = %d must be >= 1", c.StalenessLimit)
-	}
-	if c.RefreshInterval < 0 {
-		return fmt.Errorf("kademlia: negative refresh interval %v", c.RefreshInterval)
-	}
-	if c.RPCTimeout <= 0 {
-		return fmt.Errorf("kademlia: rpc timeout %v must be positive", c.RPCTimeout)
-	}
-	if c.ReplacementCacheSize < 0 {
-		return fmt.Errorf("kademlia: negative replacement cache size %d", c.ReplacementCacheSize)
 	}
 	return nil
 }

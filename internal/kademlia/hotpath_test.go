@@ -197,7 +197,7 @@ func TestClosestIntoCallerBufferAllocatesNothing(t *testing.T) {
 // one backing array: newcomers to a full bucket with a full cache shift the
 // cache down in place instead of sliding its window through new arrays.
 func TestSaturatedBucketObserveAllocatesNothing(t *testing.T) {
-	cfg := Config{Bits: 64, K: 4, ReplacementCacheSize: 3, StalenessLimit: 5}
+	cfg := Config{Bits: 64, K: 4, StalenessLimit: 5}
 	rt := NewRoutingTable(id.FromUint64(64, 0), cfg)
 	const base = 1 << 40 // one bucket
 	for i := uint64(0); i < 4; i++ {
@@ -211,8 +211,8 @@ func TestSaturatedBucketObserveAllocatesNothing(t *testing.T) {
 		rt.Observe(&c, false)
 	}
 	b := rt.bucketFor(newcomers[0].ID)
-	if len(b.replacements) != 3 {
-		t.Fatalf("replacement cache holds %d contacts, want 3", len(b.replacements))
+	if len(b.replacements) != cfg.K {
+		t.Fatalf("replacement cache holds %d contacts, want k = %d", len(b.replacements), cfg.K)
 	}
 	backing, capacity := &b.replacements[0], cap(b.replacements)
 	i := 8
@@ -239,10 +239,10 @@ func TestSaturatedBucketObserveAllocatesNothing(t *testing.T) {
 }
 
 // quietCluster is a settled network whose buckets never fill (so no
-// liveness pings) and whose refresh never fires during a test.
+// liveness pings) and whose hourly refresh never fires during a test.
 func quietCluster(t *testing.T, n int) *cluster {
 	t.Helper()
-	return newCluster(t, Config{Bits: 160, K: 20, Alpha: 3, StalenessLimit: 1, RefreshInterval: 1000 * time.Hour}, n, 3)
+	return newCluster(t, Config{Bits: 160, K: 20, Alpha: 3, StalenessLimit: 1}, n, 3)
 }
 
 // TestFindNodeRoundTripAllocationBudget: in steady state a lookup's
@@ -381,8 +381,8 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 	// requester gives each back.
 	t.Run("one node", func(t *testing.T) {
 		sim := eventsim.New(5)
-		net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 80 * time.Millisecond, Max: 80 * time.Millisecond}})
-		cfg := Config{Bits: 160, K: 20, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
+		net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 1600 * time.Millisecond, Max: 1600 * time.Millisecond}})
+		cfg := Config{Bits: 160, K: 20}
 		audit := newBufferAudit(t, net)
 		var nodes []*Node
 		for i := 0; i < 8; i++ {
@@ -409,7 +409,7 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 					t.Errorf("lookup %d: %d responded, %d closest, though every response was late", i, responded, len(closest))
 				}
 			})
-			sim.RunUntil(sim.Now() + 130*time.Millisecond) // responses of this lookup land inside the next
+			sim.RunUntil(sim.Now() + 2600*time.Millisecond) // responses of this lookup land inside the next
 		}
 		sim.RunUntil(sim.Now() + time.Minute)
 		st := a.Stats()
@@ -433,8 +433,8 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 	// waits on b's request: only the record's node tells them apart.
 	t.Run("across nodes", func(t *testing.T) {
 		sim := eventsim.New(3)
-		net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 80 * time.Millisecond, Max: 80 * time.Millisecond}})
-		cfg := Config{Bits: 64, K: 5, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
+		net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 1600 * time.Millisecond, Max: 1600 * time.Millisecond}})
+		cfg := Config{Bits: 64, K: 5}
 		var nodes []*Node
 		for i := 1; i <= 3; i++ {
 			n, err := NewNode(cfg, simnet.Addr(i), net)
@@ -447,21 +447,21 @@ func TestLateResponsesNeverMatchRecycledRequests(t *testing.T) {
 			nodes = append(nodes, n)
 		}
 		a, b, c := nodes[0], nodes[1], nodes[2]
-		a.sendRequest(c.Contact(), msgPing, id.ID{}, nil, nil) // answered at 160 ms, times out at 100 ms
+		a.sendRequest(c.Contact(), msgPing, id.ID{}, nil, nil) // answered at 3.2 s, times out at 2 s
 		record := a.pending[0]
-		sim.RunUntil(120 * time.Millisecond)
-		b.sendRequest(c.Contact(), msgPing, id.ID{}, nil, nil) // pending until 220 ms
+		sim.RunUntil(2400 * time.Millisecond)
+		b.sendRequest(c.Contact(), msgPing, id.ID{}, nil, nil) // pending until 4.4 s
 		if len(b.pending) != 1 || b.pending[0] != record || record.id != 0 {
 			t.Fatalf("b's request did not take a's record under id 0")
 		}
-		sim.RunUntil(170 * time.Millisecond) // a's late response has landed
+		sim.RunUntil(3400 * time.Millisecond) // a's late response has landed
 		if st := a.Stats(); st.ResponsesOK != 0 || st.Timeouts != 1 || len(a.pending) != 0 {
 			t.Fatalf("a's late response was taken for an answer: %+v, %d pending", st, len(a.pending))
 		}
 		if len(b.pending) != 1 || b.pending[0] != record || !record.timeout.Pending() || b.Stats().ResponsesOK != 0 {
 			t.Fatal("a's late response released b's request")
 		}
-		sim.RunUntil(time.Second)
+		sim.RunUntil(20 * time.Second)
 		if st := b.Stats(); st.ResponsesOK != 0 || st.Timeouts != 1 || len(b.pending) != 0 {
 			t.Fatalf("b at the end: %+v, %d pending", st, len(b.pending))
 		}

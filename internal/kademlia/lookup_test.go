@@ -31,10 +31,11 @@ func TestLookupConvergesToTrueClosest(t *testing.T) {
 	// node in nearly all cases (the lookup's defining guarantee). Let at
 	// least two bucket-refresh cycles pass first: fresh-from-bootstrap
 	// routing tables are legitimately spotty, which is the same setup
-	// weakness the paper observes in Sims A-D.
-	cfg := smallConfig() // k=5, refresh every 10 min
+	// weakness the paper observes in Sims A-D. The trials run a tenth of a
+	// cycle apart, so refreshes go on between them.
+	cfg := smallConfig() // k=5
 	c := newCluster(t, cfg, 40, 31)
-	c.sim.RunUntil(c.sim.Now() + 25*time.Minute)
+	c.sim.RunUntil(c.sim.Now() + 2*RefreshInterval + RefreshInterval/2)
 	r := c.sim.Rand()
 	const trials = 15
 	totalOverlap, totalWanted, exactClosest := 0, 0, 0
@@ -43,7 +44,7 @@ func TestLookupConvergesToTrueClosest(t *testing.T) {
 		src := c.nodes[r.Intn(len(c.nodes))]
 		var got []Contact
 		src.Lookup(target, func(closest []Contact, _ int) { got = closest })
-		c.sim.RunUntil(c.sim.Now() + time.Minute)
+		c.sim.RunUntil(c.sim.Now() + RefreshInterval/10)
 		want := trueClosest(c.nodes, target, 5)
 		if len(got) == 0 {
 			t.Fatalf("trial %d: lookup returned nothing", trial)

@@ -428,7 +428,7 @@ func (n *Node) sendRequest(to Contact, kind msgKind, key id.ID, value []byte, l 
 	n.nextRPC++
 	// The timeout is armed before the message is sent: events fire in
 	// schedule order, and this order is part of every recorded result.
-	n.sim.Arm(&p.timeout, n.cfg.RPCTimeout, p)
+	n.sim.Arm(&p.timeout, RPCTimeout, p)
 	p.slot = len(n.pending)
 	n.pending = append(n.pending, p)
 	n.stats.RPCsSent++
@@ -456,10 +456,7 @@ func (n *Node) observe(c *Contact, answered bool) {
 // refreshes each bucket hourly by looking up a random identifier from the
 // bucket's range).
 func (n *Node) scheduleRefresh() {
-	if n.cfg.RefreshInterval <= 0 {
-		return
-	}
-	n.refreshTimer = n.sim.MustSchedule(n.cfg.RefreshInterval, func() {
+	n.refreshTimer = n.sim.MustSchedule(RefreshInterval, func() {
 		if !n.running {
 			return
 		}

@@ -49,7 +49,7 @@ func newCluster(t *testing.T, cfg Config, n int, seed int64) *cluster {
 }
 
 func smallConfig() Config {
-	return Config{Bits: 64, K: 5, Alpha: 3, StalenessLimit: 1, RefreshInterval: 10 * time.Minute}
+	return Config{Bits: 64, K: 5, Alpha: 3, StalenessLimit: 1}
 }
 
 func TestJoinPopulatesRoutingTables(t *testing.T) {
@@ -220,14 +220,12 @@ func TestStalenessLimitDelaysEviction(t *testing.T) {
 func TestBucketRefreshDiscoversContacts(t *testing.T) {
 	// Node A only knows the bootstrap; after a refresh cycle it should
 	// know considerably more.
-	cfg := smallConfig()
-	cfg.RefreshInterval = 5 * time.Minute
-	c := newCluster(t, cfg, 30, 8)
+	c := newCluster(t, smallConfig(), 30, 8)
 	sizes := make([]int, len(c.nodes))
 	for i, n := range c.nodes {
 		sizes[i] = n.Table().Size()
 	}
-	c.sim.RunUntil(c.sim.Now() + 15*time.Minute)
+	c.sim.RunUntil(c.sim.Now() + 3*RefreshInterval)
 	grew := 0
 	for i, n := range c.nodes {
 		if n.Table().Size() > sizes[i] {
@@ -325,11 +323,55 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	if cfg.Bits != 160 || cfg.K != 20 || cfg.Alpha != 3 || cfg.StalenessLimit != 5 {
 		t.Fatalf("defaults %+v do not match the paper's b=160, k=20, alpha=3, s=5", cfg)
 	}
-	if cfg.RefreshInterval != 60*time.Minute {
-		t.Fatalf("refresh interval %v, want 60m", cfg.RefreshInterval)
-	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFirstRefreshAtSixtyMinutes: a node refreshes its buckets hourly
+// (§4.1), the first time one hour after it starts.
+func TestFirstRefreshAtSixtyMinutes(t *testing.T) {
+	sim := eventsim.New(1)
+	net := simnet.New(sim, simnet.Config{})
+	n, err := NewNode(smallConfig(), 1, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunUntil(60*time.Minute - time.Millisecond)
+	if got := n.Stats().Refreshes; got != 0 {
+		t.Fatalf("%d refreshes just before 60 minutes, want 0", got)
+	}
+	sim.RunUntil(60*time.Minute + time.Millisecond)
+	if got := n.Stats().Refreshes; got != 1 {
+		t.Fatalf("%d refreshes just after 60 minutes, want 1", got)
+	}
+}
+
+// TestUnansweredRequestFailsAtTwoSeconds: a request nobody answers
+// charges its contact one failure when its 2 s timeout fires, not before.
+func TestUnansweredRequestFailsAtTwoSeconds(t *testing.T) {
+	sim := eventsim.New(1)
+	net := simnet.New(sim, simnet.Config{})
+	a, _ := NewNode(smallConfig(), 1, net) // s = 1: one failure makes the contact stale
+	b, _ := NewNode(smallConfig(), 2, net)
+	for _, n := range []*Node{a, b} {
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sight(a.Table(), b.Contact())
+	b.Leave()
+	a.sendRequest(b.Contact(), msgPing, id.ID{}, nil, nil)
+	sim.RunUntil(2*time.Second - time.Millisecond)
+	if st := a.Stats(); st.Timeouts != 0 || a.Table().IsStale(b.ID()) {
+		t.Fatalf("failure counted before 2 s: %+v, stale %v", st, a.Table().IsStale(b.ID()))
+	}
+	sim.RunUntil(2*time.Second + time.Millisecond)
+	if st := a.Stats(); st.Timeouts != 1 || !a.Table().IsStale(b.ID()) {
+		t.Fatalf("no failure counted just after 2 s: %+v, stale %v", st, a.Table().IsStale(b.ID()))
 	}
 }
 
@@ -366,8 +408,8 @@ func TestRequestsRefreshSenderInTable(t *testing.T) {
 // no timeout charged, the newer request still waiting on its own answer.
 func TestLateResponseToRecycledRecordIsDropped(t *testing.T) {
 	sim := eventsim.New(3)
-	net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 80 * time.Millisecond, Max: 80 * time.Millisecond}})
-	cfg := Config{Bits: 64, K: 5, RPCTimeout: 100 * time.Millisecond, RefreshInterval: 1000 * time.Hour}
+	net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 1600 * time.Millisecond, Max: 1600 * time.Millisecond}})
+	cfg := Config{Bits: 64, K: 5}
 	a, _ := NewNode(cfg, 1, net)
 	b, _ := NewNode(cfg, 2, net)
 	for _, n := range []*Node{a, b} {
@@ -375,20 +417,20 @@ func TestLateResponseToRecycledRecordIsDropped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a.sendRequest(b.Contact(), msgPing, id.ID{}, nil, nil) // answered at 160 ms, times out at 100 ms
+	a.sendRequest(b.Contact(), msgPing, id.ID{}, nil, nil) // answered at 3.2 s, times out at 2 s
 	first := a.pending[0]
 	firstID := first.id
-	sim.RunUntil(120 * time.Millisecond)
+	sim.RunUntil(2400 * time.Millisecond)
 	if st := a.Stats(); st.Timeouts != 1 || len(a.pending) != 0 {
 		t.Fatalf("after the timeout: %+v, %d pending", st, len(a.pending))
 	}
-	a.sendRequest(b.Contact(), msgPing, id.ID{}, nil, nil) // pending until 220 ms
+	a.sendRequest(b.Contact(), msgPing, id.ID{}, nil, nil) // pending until 4.4 s
 	if len(a.pending) != 1 || a.pending[0] != first || first.id == firstID {
 		t.Fatalf("the second request did not reuse the first one's record under a new id")
 	}
-	sim.RunUntil(170 * time.Millisecond) // the first response has landed
+	sim.RunUntil(3400 * time.Millisecond) // the first response has landed
 	if got := net.Stats().Delivered; got != 2 {
-		t.Fatalf("%d messages delivered by 170 ms, want the first request and its late response", got)
+		t.Fatalf("%d messages delivered by 3.4 s, want the first request and its late response", got)
 	}
 	if st := a.Stats(); st.ResponsesOK != 0 || st.Timeouts != 1 {
 		t.Fatalf("the late response changed the counters: %+v", st)
@@ -396,7 +438,7 @@ func TestLateResponseToRecycledRecordIsDropped(t *testing.T) {
 	if len(a.pending) != 1 || a.pending[0] != first || !first.timeout.Pending() {
 		t.Fatal("the late response released the newer request")
 	}
-	sim.RunUntil(time.Second) // the second request times out too, then its response is late
+	sim.RunUntil(20 * time.Second) // the second request times out too, then its response is late
 	if st := a.Stats(); st.ResponsesOK != 0 || st.Timeouts != 2 || len(a.pending) != 0 {
 		t.Fatalf("at the end: %+v, %d pending", st, len(a.pending))
 	}

@@ -294,11 +294,12 @@ func checkPool(t *testing.T, nodes []*Node) int {
 func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 	sim := eventsim.New(17)
 	net := simnet.New(sim, simnet.Config{
-		Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
+		Latency: simnet.UniformLatency{Min: 150 * time.Millisecond, Max: 1500 * time.Millisecond},
 		Loss:    0.15,
 	})
-	// A timeout inside the latency range: some responses are merely late.
-	cfg := Config{Bits: 64, K: 4, Alpha: 3, StalenessLimit: 1, RefreshInterval: 2 * time.Minute, RPCTimeout: 150 * time.Millisecond}
+	// The 2 s timeout inside the round-trip range: some responses are
+	// merely late.
+	cfg := Config{Bits: 64, K: 4, Alpha: 3, StalenessLimit: 1}
 	audit := newBufferAudit(t, net)
 	retired := 0
 	var nodes []*Node
@@ -323,7 +324,7 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 	for i := 0; i < 14; i++ {
 		spawn()
 	}
-	// Every 200 ms one node starts an operation; every 3 s one leaves in
+	// Every 3 s one node starts an operation; every 45 s one leaves in
 	// the middle of whatever it has in flight and a newcomer joins.
 	done := false
 	var tick func()
@@ -369,11 +370,11 @@ func TestLookupRecordsRecycleOnlyWhenIdle(t *testing.T) {
 			nodes = append(nodes[:i], nodes[i+1:]...)
 			spawn()
 		}
-		sim.MustSchedule(200*time.Millisecond, tick)
+		sim.MustSchedule(3*time.Second, tick)
 	}
-	sim.MustSchedule(time.Second, tick)
+	sim.MustSchedule(15*time.Second, tick)
 
-	sim.MustSchedule(90*time.Second, func() { done = true })
+	sim.MustSchedule(1350*time.Second, func() { done = true })
 	deepest := 0
 	step := func() {
 		audit.check()
@@ -424,7 +425,7 @@ func TestPooledRecordsServeAnyK(t *testing.T) {
 		net := simnet.New(sim, simnet.Config{Latency: simnet.UniformLatency{Min: 20 * time.Millisecond, Max: 20 * time.Millisecond}})
 		audit = newBufferAudit(t, net)
 		for i := 0; i < 16; i++ {
-			cfg := Config{Bits: 160, K: 3, RefreshInterval: 1000 * time.Hour}
+			cfg := Config{Bits: 160, K: 3}
 			if i%2 == 1 {
 				cfg.K = 12
 			}
@@ -530,10 +531,10 @@ func TestForeignProtocolSlotIsLeftAlone(t *testing.T) {
 func TestStoredValuesAreSharedAndNeverWritten(t *testing.T) {
 	sim := eventsim.New(5)
 	net := simnet.New(sim, simnet.Config{
-		Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
+		Latency: simnet.UniformLatency{Min: 150 * time.Millisecond, Max: 1500 * time.Millisecond},
 		Loss:    0.1,
 	})
-	cfg := Config{Bits: 64, K: 4, Alpha: 3, StalenessLimit: 1, RefreshInterval: 2 * time.Minute, RPCTimeout: 150 * time.Millisecond}
+	cfg := Config{Bits: 64, K: 4, Alpha: 3, StalenessLimit: 1}
 	values := [2][]byte{[]byte("stored under even keys"), []byte("odd")}
 	pristine := [2]string{string(values[0]), string(values[1])}
 	parity := map[id.ID]int{}
@@ -593,12 +594,12 @@ func TestStoredValuesAreSharedAndNeverWritten(t *testing.T) {
 			nodes = append(nodes[:i], nodes[i+1:]...)
 			spawn()
 		}
-		sim.MustSchedule(200*time.Millisecond, tick)
+		sim.MustSchedule(3*time.Second, tick)
 	}
-	sim.MustSchedule(time.Second, tick)
+	sim.MustSchedule(15*time.Second, tick)
 
 	done := false
-	sim.MustSchedule(60*time.Second, func() { done = true })
+	sim.MustSchedule(900*time.Second, func() { done = true })
 	stored := 0
 	for !done && sim.Step() {
 		for p := range values {

@@ -269,11 +269,11 @@ func (rt *RoutingTable) Observe(c *Contact, answered bool) Contact {
 		return Contact{}
 	}
 	// Otherwise stash in the replacement cache (dropping the oldest
-	// beyond capacity) and nominate the least-recently-seen entry for a
+	// beyond k) and nominate the least-recently-seen entry for a
 	// liveness check. A success for a contact that is not in the table
 	// changes nothing.
 	b.removeReplacement(c.ID)
-	b.pushReplacement(*c, rt.cfg.ReplacementCacheSize)
+	b.pushReplacement(*c, rt.cfg.K)
 	lrs := &b.entries[b.oldest()]
 	if lrs.pingInFlight {
 		return Contact{}

@@ -228,9 +228,10 @@ func TestObserveMovesToMostRecent(t *testing.T) {
 	}
 }
 
+// TestReplacementCacheBounded: a full bucket keeps at most k replacement
+// contacts, the freshest ones.
 func TestReplacementCacheBounded(t *testing.T) {
 	cfg := testConfig()
-	cfg.ReplacementCacheSize = 2
 	self := id.FromUint64(64, 0)
 	rt := NewRoutingTable(self, cfg)
 	base := uint64(1) << 63
@@ -238,12 +239,15 @@ func TestReplacementCacheBounded(t *testing.T) {
 		sight(rt, contact(base+i))
 	}
 	b := rt.bucket(63)
-	if len(b.replacements) != 2 {
-		t.Fatalf("replacement cache size = %d, want 2", len(b.replacements))
+	if len(b.replacements) != cfg.K {
+		t.Fatalf("replacement cache size = %d, want k = %d", len(b.replacements), cfg.K)
 	}
-	// The freshest arrivals are retained.
-	if !b.replacements[1].ID.Equal(id.FromUint64(64, base+9)) {
-		t.Fatalf("freshest replacement = %v", b.replacements[1])
+	// The freshest arrivals are retained, oldest first: the first k of the
+	// ten filled the bucket, and the cache dropped the oldest newcomers.
+	for j, r := range b.replacements {
+		if want := id.FromUint64(64, base+uint64(10-cfg.K+j)); !r.ID.Equal(want) {
+			t.Fatalf("replacement %d = %v, want %v", j, r, want)
+		}
 	}
 }
 

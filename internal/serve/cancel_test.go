@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -50,7 +51,7 @@ func waitSchedDrained(t *testing.T, s *Server) SchedStats {
 }
 
 func TestQueryClientDisconnectReleasesSlotAndKeepsArenaWarm(t *testing.T) {
-	srv := NewServer(Options{Jobs: 1})
+	srv := NewServer(Options{MaxConcurrentSims: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -123,7 +124,7 @@ func TestQueryClientDisconnectReleasesSlotAndKeepsArenaWarm(t *testing.T) {
 }
 
 func TestQueryDeadline504(t *testing.T) {
-	srv := NewServer(Options{Jobs: 2})
+	srv := NewServer(Options{MaxConcurrentSims: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -145,7 +146,7 @@ func TestQueryDeadline504(t *testing.T) {
 }
 
 func TestQueryDefaultDeadline(t *testing.T) {
-	srv := NewServer(Options{Jobs: 2, DefaultDeadline: time.Millisecond})
+	srv := NewServer(Options{MaxConcurrentSims: 2, DefaultDeadline: time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	spec := strings.Replace(undecidableSpec, `"min_reps": 6`, `"stream": false, "min_reps": 6`, 1)
@@ -182,7 +183,7 @@ func TestQueryRunFailure500(t *testing.T) {
 			}
 			return ok(ctx, cfg)
 		}})
-		srv := NewServer(Options{Arena: a, Jobs: 1})
+		srv := NewServer(Options{Arena: a, MaxConcurrentSims: 1})
 		ts := httptest.NewServer(srv.Handler())
 		resp, body := postQuery(t, ts, undecidableSpec, "")
 		recs := records(t, body)
@@ -209,8 +210,8 @@ func TestQueryRunFailure500(t *testing.T) {
 }
 
 // TestQueryConcurrencyLimitBounds pins the admission queue to its job:
-// with -max-concurrent-sims 1, a query's four parallel workers execute
-// their simulations strictly one at a time.
+// with -max-concurrent-sims 1, three queries posted at once execute their
+// simulations strictly one at a time.
 func TestQueryConcurrencyLimitBounds(t *testing.T) {
 	var cur, max, calls atomic.Int64
 	gauge := stubRunner(&calls)
@@ -226,23 +227,39 @@ func TestQueryConcurrencyLimitBounds(t *testing.T) {
 		defer cur.Add(-1)
 		return gauge(ctx, cfg)
 	}})
-	srv := NewServer(Options{Arena: a, Jobs: 4, MaxConcurrentSims: 1})
+	srv := NewServer(Options{Arena: a, MaxConcurrentSims: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	spec := `{
-	  "scenario": {"scale": "tiny", "size": 20, "k": 5, "staleness": 1,
-	    "setup_minutes": 6, "stabilize_minutes": 12, "snapshot_minutes": 6,
-	    "sample_fraction": 0.1, "seed": 21},
-	  "metric": "final_min", "threshold": 1000,
-	  "min_reps": 4, "max_reps": 4
-	}`
-	resp, body := postQuery(t, ts, spec, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	const queries = 3
+	errs := make(chan error, queries)
+	for q := range queries {
+		spec := fmt.Sprintf(`{
+		  "scenario": {"scale": "tiny", "size": 20, "k": 5, "staleness": 1,
+		    "setup_minutes": 6, "stabilize_minutes": 12, "snapshot_minutes": 6,
+		    "sample_fraction": 0.1, "seed": %d},
+		  "metric": "final_min", "threshold": 1000,
+		  "min_reps": 4, "max_reps": 4
+		}`, 21+q)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(spec))
+			if err == nil {
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err == nil && resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("status %d", resp.StatusCode)
+				}
+			}
+			errs <- err
+		}()
 	}
-	if calls.Load() != 4 {
-		t.Fatalf("stub built %d reps, want 4", calls.Load())
+	for range queries {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls.Load() != 4*queries {
+		t.Fatalf("stub built %d reps, want %d", calls.Load(), 4*queries)
 	}
 	if got := max.Load(); got > 1 {
 		t.Fatalf("%d simulations ran concurrently under a limit of 1", got)
@@ -253,25 +270,30 @@ func TestQueryConcurrencyLimitBounds(t *testing.T) {
 }
 
 // TestQueryDeterministicAcrossConcurrencyLimits: the admission queue
-// delays work but never changes bytes — cold bodies are identical under
-// a strangling limit and an unlimited queue.
+// delays work but never changes bytes — cold bodies, rep records
+// included, are identical under a strangling limit, a wide one and an
+// unlimited queue, which also run a query's reps 1, 8 and GOMAXPROCS
+// wide.
 func TestQueryDeterministicAcrossConcurrencyLimits(t *testing.T) {
 	run := func(limit int) string {
-		srv := NewServer(Options{Jobs: 4, MaxConcurrentSims: limit})
+		srv := NewServer(Options{MaxConcurrentSims: limit})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		_, body := postQuery(t, ts, querySpec, "")
 		return body
 	}
-	if b1, bU := run(1), run(-1); b1 != bU {
-		t.Fatalf("cold bodies differ across concurrency limits:\n%s\n%s", b1, bU)
+	b1 := run(1)
+	for _, limit := range []int{8, -1} {
+		if b := run(limit); b != b1 {
+			t.Fatalf("cold bodies differ across concurrency limits 1 and %d:\n%s\n%s", limit, b1, b)
+		}
 	}
 }
 
 // TestArenaEndpointReportsSched: the /v1/arena payload carries the
 // admission-queue breakdown.
 func TestArenaEndpointReportsSched(t *testing.T) {
-	srv := NewServer(Options{Jobs: 2, MaxConcurrentSims: 3})
+	srv := NewServer(Options{MaxConcurrentSims: 3})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/arena")

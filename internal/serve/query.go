@@ -224,7 +224,7 @@ func (qs QuerySpec) resolveEmbeddedSpec() (scenario.Config, error) {
 	// The document arrived over the wire: a client's trace file path means
 	// nothing on the server's filesystem, and must not name a file there.
 	for _, t := range qs.Spec.Traces() {
-		if t.Path != "" && len(t.Events) == 0 {
+		if t.Path != "" {
 			return scenario.Config{}, fmt.Errorf("serve: trace path %q is not addressable over the wire; inline the events", t.Path)
 		}
 	}

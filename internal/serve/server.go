@@ -22,7 +22,6 @@ import (
 // through the shared admission queue before it may simulate.
 type Server struct {
 	arena    *Arena
-	jobs     int
 	sched    *Sched
 	deadline time.Duration
 	mux      *http.ServeMux
@@ -32,13 +31,12 @@ type Server struct {
 type Options struct {
 	// Arena is the shared engine pool; nil creates a default-budget one.
 	Arena *Arena
-	// Jobs bounds each query's concurrently executing replications;
-	// <= 0 means GOMAXPROCS. Replication output is identical either way.
-	Jobs int
 	// MaxConcurrentSims bounds concurrently executing replications across
 	// every query the server handles: 0 means GOMAXPROCS, negative means
 	// unlimited. Admission is FIFO, so a limit delays queries under load
 	// but never reorders or starves them — and never changes their bytes.
+	// It also sets how many replications one query runs at once: the
+	// limit, or GOMAXPROCS when unlimited.
 	MaxConcurrentSims int
 	// DefaultDeadline bounds the wall clock of queries that carry no
 	// deadline_ms of their own; 0 means no default deadline.
@@ -48,7 +46,7 @@ type Options struct {
 // NewServer builds the service and its routes.
 func NewServer(opts Options) *Server {
 	s := &Server{
-		arena: opts.Arena, jobs: opts.Jobs, deadline: opts.DefaultDeadline,
+		arena: opts.Arena, deadline: opts.DefaultDeadline,
 	}
 	if s.arena == nil {
 		s.arena = NewArena(ArenaOptions{})
@@ -190,11 +188,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			return math.NaN()
 		},
-		MinReps: q.MinReps, MaxReps: q.MaxReps, Jobs: s.jobs,
+		// A query never runs more reps at once than the server admits;
+		// an unlimited queue (limit 0) leaves RunAdaptive's GOMAXPROCS.
+		MinReps: q.MinReps, MaxReps: q.MaxReps, Jobs: int(s.sched.limit),
 		Runner: runner,
 		Progress: func(u sweep.Event) {
 			// Warm/cold accounting covers exactly the consumed prefix, so
-			// the final record is identical under any Jobs value (arena
+			// the final record is identical under any width (arena
 			// counters also see discarded speculative reps).
 			if u.Cached {
 				hits++

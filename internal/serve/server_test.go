@@ -29,7 +29,7 @@ const querySpec = `{
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := NewServer(Options{Jobs: 2})
+	srv := NewServer(Options{MaxConcurrentSims: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -300,22 +300,6 @@ func TestArenaAndHealthEndpoints(t *testing.T) {
 		if run.SizeBytes <= 0 || run.FinalN <= 0 {
 			t.Fatalf("entry stats = %+v", run)
 		}
-	}
-}
-
-func TestQueryDeterministicAcrossServerJobs(t *testing.T) {
-	// Two servers with different replication parallelism produce the same
-	// cold-query body, rep records included: adaptive determinism carried
-	// through the HTTP layer.
-	run := func(jobs int) string {
-		srv := NewServer(Options{Jobs: jobs})
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		_, body := postQuery(t, ts, querySpec, "")
-		return body
-	}
-	if b1, b8 := run(1), run(8); b1 != b8 {
-		t.Fatalf("cold bodies differ across jobs:\n%s\n%s", b1, b8)
 	}
 }
 

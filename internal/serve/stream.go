@@ -21,7 +21,7 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 
 // repRecord is one consumed replication on the wire: the rep's metric
 // value and the running statistics over the consumed prefix. Identical
-// under any server -jobs setting.
+// under any server -max-concurrent-sims setting.
 type repRecord struct {
 	Type    string    `json:"type"` // "rep"
 	Rep     int       `json:"rep"`

@@ -25,6 +25,7 @@ import (
 	"kadre/internal/connectivity"
 	"kadre/internal/scenario"
 	"kadre/internal/stats"
+	"kadre/internal/workload"
 )
 
 // Options configures a sweep.
@@ -105,10 +106,11 @@ func (rs *RunSet) ChurnWindowMeans() []float64 {
 
 // DeriveSeed maps a base seed and replication index to the seed of that
 // replication. Rep 0 is the base seed itself (so single-rep sweeps match
-// historical runs exactly); higher reps pass the pair through a
-// splitmix64-style mixer so that consecutive bases and consecutive reps
-// land on unrelated streams rather than the overlapping ones plain
-// seed+rep arithmetic would give (presets already use seed, seed+1, ...).
+// historical runs exactly); higher reps pass the pair through
+// workload.DeriveStream's splitmix64 mixer so that consecutive bases and
+// consecutive reps land on unrelated streams rather than the overlapping
+// ones plain seed+rep arithmetic would give (presets already use seed,
+// seed+1, ...).
 func DeriveSeed(base int64, rep int) int64 {
 	if base == 0 {
 		base = 1 // scenario's WithDefaults treats 0 as 1
@@ -116,17 +118,7 @@ func DeriveSeed(base int64, rep int) int64 {
 	if rep == 0 {
 		return base
 	}
-	x := uint64(base) + uint64(rep)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	seed := int64(x)
-	if seed == 0 {
-		seed = 1
-	}
-	return seed
+	return workload.DeriveStream(base, uint64(rep))
 }
 
 // Group names one experiment's configurations inside a multi-experiment

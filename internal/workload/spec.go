@@ -219,7 +219,8 @@ type FlashCrowdSpec struct {
 // TraceSpec replays a recorded join/leave trace. Path names a JSONL file
 // (one TraceEvent per line, resolved relative to the spec file); Events
 // inlines the trace directly — the form an embedded kadserve spec uses.
-// After loading, Events always holds the resolved trace.
+// A spec sets one of the two; after loading, Events always holds the
+// resolved trace.
 type TraceSpec struct {
 	Path   string       `json:"path,omitempty"`
 	Events []TraceEvent `json:"events,omitempty"`
@@ -604,8 +605,8 @@ func (r *RunSpec) check() error {
 			return fmt.Errorf("attack interval_minutes %g is negative", r.Attack.IntervalMinutes)
 		}
 	}
-	if r.Trace != nil && r.Trace.Path == "" && len(r.Trace.Events) == 0 {
-		return fmt.Errorf("trace needs a path or inline events")
+	if t := r.Trace; t != nil && (t.Path == "") == (len(t.Events) == 0) {
+		return fmt.Errorf("trace needs a path or inline events, not both")
 	}
 	// Generator parameter shapes (run-length-dependent checks happen at
 	// resolution, when the total duration is known).

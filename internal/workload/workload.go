@@ -47,8 +47,9 @@ const (
 )
 
 // DeriveStream derives an independent RNG seed for one generator stream
-// from the run seed, using the same splitmix64 mixer the sweep layer
-// uses for replication seeds. Never returns 0.
+// from the run seed with a splitmix64 mixer; the sweep layer derives
+// replication seeds with it too, the rep number as the stream. Never
+// returns 0.
 func DeriveStream(seed int64, stream uint64) int64 {
 	x := uint64(seed) + stream*0x9E3779B97F4A7C15
 	x ^= x >> 30
