@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -300,6 +301,24 @@ func TestArenaAndHealthEndpoints(t *testing.T) {
 		if run.SizeBytes <= 0 || run.FinalN <= 0 {
 			t.Fatalf("entry stats = %+v", run)
 		}
+	}
+}
+
+func TestQueryDeterministicAcrossServerJobs(t *testing.T) {
+	// A default server runs a query's reps GOMAXPROCS wide; servers built
+	// under one and eight procs produce the same cold-query body, rep
+	// records included: adaptive determinism carried through the HTTP
+	// layer.
+	run := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		srv := NewServer(Options{})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		_, body := postQuery(t, ts, querySpec, "")
+		return body
+	}
+	if b1, b8 := run(1), run(8); b1 != b8 {
+		t.Fatalf("cold bodies differ across server widths:\n%s\n%s", b1, b8)
 	}
 }
 
